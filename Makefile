@@ -1,4 +1,4 @@
-.PHONY: build test check bench harness parallel-bench analyze-bench robustness-bench robustness-check vectorized-bench serving-bench adaptive-bench storage-bench durability-bench compression-bench crash-check bench-smoke
+.PHONY: build test check bench-module-check exec-loc bench harness parallel-bench analyze-bench robustness-bench robustness-check vectorized-bench serving-bench adaptive-bench storage-bench durability-bench compression-bench crash-check bench-smoke
 
 build:
 	go build ./...
@@ -9,9 +9,22 @@ test:
 # check is the strict gate: vet plus the full suite under the race detector.
 # The parallel executor (internal/exec) is explicitly designed to be
 # race-clean; run this before sending changes.
-check:
+check: bench-module-check
 	go vet ./...
 	go test -race ./...
+
+# bench/ is its own module, so `go build ./...` never compiles it, yet it
+# imports internal/exec directly (NewCtx, NewPool, NewMemAccount,
+# RunPlanQuery, CompileScanZonePreds and Ctx fields). This compiles and runs
+# it at tiny scale against the engine in this checkout.
+bench-module-check:
+	go -C bench vet .
+	go -C bench test .
+
+# Non-test line count of the executor — the number the "one pipeline
+# executor" roadmap item tracks.
+exec-loc:
+	@ls internal/exec/*.go | grep -v _test.go | xargs cat | wc -l
 
 bench:
 	go test -bench=. -benchmem

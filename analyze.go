@@ -44,9 +44,11 @@ type NodeAnalysis struct {
 	QError float64
 	// Invocations counts node executions (>1 for re-materialized inputs).
 	Invocations int64
-	// Batches counts morsel batches processed by parallel paths.
+	// Batches counts the morsels the operator processed; it depends on the
+	// input size only, not on parallelism or vectorization.
 	Batches int64
-	// Vectorized reports that the node ran on the columnar batch path.
+	// Vectorized reports that at least one predicate conjunct, hash or
+	// aggregate of the node ran on a typed kernel.
 	Vectorized bool
 	// WallNanos is inclusive wall time (node plus inputs); SelfNanos is the
 	// node's own share after subtracting executed children.

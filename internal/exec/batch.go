@@ -3,7 +3,7 @@
 // an optional selection vector naming the live rows. Scans produce batches
 // straight from storage, kernels in kernels.go filter/hash/aggregate them
 // without per-row interface dispatch, and ToRows materializes the boundary
-// back to the row engine for operators without a vectorized implementation.
+// for operators that consume rows.
 package exec
 
 import (
@@ -32,9 +32,6 @@ func (b *Batch) NumRows() int {
 	}
 	return b.n
 }
-
-// Len returns the physical row count before selection.
-func (b *Batch) Len() int { return b.n }
 
 // colIndex returns the vector offset of a column ID, or -1.
 func (b *Batch) colIndex(id logical.ColumnID) int {
@@ -104,19 +101,7 @@ func batchRowBytes(b *Batch) int64 {
 	return total + int64(b.NumRows())*entryOverhead
 }
 
-// --- scratch pools (satellite: cut allocations in the morsel executor) ---
-
-// selPool recycles selection vectors and chunk-local index scratch.
-var selPool = sync.Pool{New: func() any { s := make([]int32, 0, MorselSize); return &s }}
-
-func getSel() []int32 { return (*selPool.Get().(*[]int32))[:0] }
-
-func putSel(s []int32) {
-	if cap(s) == 0 {
-		return
-	}
-	selPool.Put(&s)
-}
+// --- scratch pools ---
 
 // hashPool recycles per-chunk hash scratch for join/agg probes.
 var hashPool = sync.Pool{New: func() any { h := make([]uint64, 0, MorselSize); return &h }}
@@ -134,34 +119,4 @@ func putHashBuf(h []uint64) {
 		return
 	}
 	hashPool.Put(&h)
-}
-
-// rowBufPool recycles the per-morsel []datum.Row output buffers of the
-// parallel row paths. Only the slice header's backing array is reused — the
-// rows themselves escape into the flattened result.
-var rowBufPool = sync.Pool{New: func() any { s := make([]datum.Row, 0, MorselSize); return &s }}
-
-func getRowBuf() []datum.Row { return (*rowBufPool.Get().(*[]datum.Row))[:0] }
-
-func putRowBuf(s []datum.Row) {
-	if cap(s) == 0 {
-		return
-	}
-	for i := range s {
-		s[i] = nil
-	}
-	rowBufPool.Put(&s)
-}
-
-// concatMorselsPooled flattens per-morsel outputs in morsel order and
-// returns each morsel buffer to the pool.
-func concatMorselsPooled(outs [][]datum.Row) []datum.Row {
-	flat := concatMorsels(outs)
-	for i, o := range outs {
-		if o != nil {
-			putRowBuf(o)
-			outs[i] = nil
-		}
-	}
-	return flat
 }

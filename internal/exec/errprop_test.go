@@ -18,6 +18,7 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/logical"
 	"repro/internal/physical"
+	"repro/internal/storage"
 )
 
 // TestFirstErrorWinsDeterministically: two workers fail with distinct errors
@@ -95,6 +96,40 @@ func TestInjectedScanFaultPropagatesAtAllDegrees(t *testing.T) {
 		_, err := Run(f.rScan, c)
 		if !errors.Is(err, boom) {
 			t.Fatalf("degree %d: got %v, want injected error", degree, err)
+		}
+	}
+}
+
+// TestScanStepCadenceIsUniform: the fault/cancel checkpoint of a scan fires
+// exactly once per non-eliminated morsel on table-absolute boundaries — the
+// same count whether the table is in memory or in sealed segments (sized so
+// that segment and morsel boundaries disagree), at one worker or four, with
+// the filter on a kernel or on the row adapter.
+func TestScanStepCadenceIsUniform(t *testing.T) {
+	const rows = 6000
+	stores := map[string]*storage.Store{
+		"memory": storage.NewStore(),
+		"disk":   storage.NewStoreWith(storage.StoreConfig{Dir: t.TempDir(), SegmentRows: 1536}),
+	}
+	for name, store := range stores {
+		f := newParFixtureOn(t, store, rows, 0, 3)
+		// k is uniform over 0..39 in every segment: nothing is eliminated.
+		scan := &physical.TableScan{
+			Table: f.r, Binding: "r", Cols: f.rCols, ColOrds: []int{0, 1, 2},
+			Filter: []logical.Scalar{&logical.Cmp{Op: logical.CmpLt, L: &logical.Col{ID: f.rCols[0]}, R: &logical.Const{Val: datum.NewInt(30)}}},
+		}
+		for _, degree := range []int{1, 4} {
+			for _, kernels := range []bool{true, false} {
+				c := f.ctx(t, degree)
+				c.Vectorize = kernels
+				c.Faults = faultfs.New()
+				if _, err := Run(scan, c); err != nil {
+					t.Fatalf("%s degree %d kernels %v: %v", name, degree, kernels, err)
+				}
+				if got, want := c.Faults.Count("scan"), int64(numMorsels(rows)); got != want {
+					t.Errorf("%s degree %d kernels %v: %d scan steps, want %d", name, degree, kernels, got, want)
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,12 @@
-// Package exec implements query execution: a Volcano-style iterator engine
+// Package exec implements query execution: a materializing morsel executor
 // over physical plans (Figure 1 of the paper) and a naive recursive evaluator
-// over logical trees. The naive evaluator serves three roles: the reference
+// over logical trees. Each physical operator runs its input to completion and
+// then processes it as one loop body over ~1024-row morsels; the scheduler in
+// parallel.go runs that body inline (serial execution is one worker) or on a
+// worker pool. Scans, filters and projections exchange columnar batches;
+// predicate conjuncts with a typed kernel run on the column vectors and the
+// remaining conjuncts run row-at-a-time over the kernels' survivors
+// (scan.go). The naive evaluator serves three roles: the reference
 // implementation for correctness tests, the tuple-iteration semantics used to
 // evaluate correlated subqueries that were not unnested (the baseline §4.2
 // improves on), and the executor for Values rows.
@@ -52,10 +58,10 @@ type Ctx struct {
 	// Buffer simulates the buffer pool: page touches served from it do not
 	// count as PagesRead, mirroring the cost model's §5.2 buffer modeling.
 	Buffer *PageBuffer
-	// Parallelism is the worker-pool degree of the morsel-driven parallel
-	// engine (§7.1 made real): values > 1 execute scans, hash joins, hash
-	// aggregation, sorts and exchanges on that many workers. 0 or 1 selects
-	// the serial path.
+	// Parallelism is the worker count of the morsel scheduler (§7.1 made
+	// real): values > 1 run scans, filters, joins, hash aggregation, sorts
+	// and exchanges over large enough inputs on that many pool workers. 0 or
+	// 1 runs the same operator bodies on one worker, inline.
 	Parallelism int
 	// Pool is the shared worker pool. When nil it is created lazily, sized
 	// Parallelism (or GOMAXPROCS when Parallelism is 0). Set it explicitly to
@@ -64,9 +70,8 @@ type Ctx struct {
 	Pool    *Pool
 	ownPool bool
 	// Context, when non-nil, cancels the execution: every operator checks it
-	// at batch boundaries (one morsel on the parallel paths, one morsel-sized
-	// stretch of rows on the serial ones), so a canceled or timed-out query
-	// returns the context's error within about one batch of work. Workers
+	// at morsel boundaries, so a canceled or timed-out query returns the
+	// context's error within about one morsel of work. Workers
 	// always rejoin their pipeline barrier before the error surfaces — a
 	// canceled query leaks no goroutines and its partial counters and metrics
 	// are still merged.
@@ -83,10 +88,12 @@ type Ctx struct {
 	Faults *faultfs.Injector
 	// TempDir overrides the directory for spill files (default os.TempDir).
 	TempDir string
-	// Vectorize enables the columnar batch path (vector.go): operators whose
-	// predicates, projections and aggregates all have typed kernels run over
-	// column vectors; everything else falls back to the row engine
-	// automatically. NewCtx turns it on; a zero-value Ctx runs rows only.
+	// Vectorize permits compiling typed kernels: predicate conjuncts that
+	// have one run over column vectors (the rest of the conjunction runs
+	// row-at-a-time over the survivors), and hash joins and aggregations
+	// whose shape has kernels use them. When false no kernel is compiled and
+	// every predicate, join and aggregate evaluates row-at-a-time — inside
+	// the same operators. NewCtx turns it on.
 	Vectorize bool
 	// NoPrune disables zone-map segment elimination on disk-backed tables
 	// (every segment is read and filtered) — the control arm of the storage
@@ -196,13 +203,6 @@ func (c *Ctx) tableRows(tab *storage.Table) ([]datum.Row, error) {
 	return rows, err
 }
 
-func (c *Ctx) rowsRange(tab *storage.Table, lo, hi int) ([]datum.Row, error) {
-	sc := storage.ScanCtx{Faults: c.Faults}
-	rows, err := tab.RowsRange(&sc, lo, hi)
-	c.noteScan(&sc)
-	return rows, err
-}
-
 func (c *Ctx) rowAt(tab *storage.Table, id int) (datum.Row, error) {
 	sc := storage.ScanCtx{Faults: c.Faults}
 	r, err := tab.Row(&sc, id)
@@ -269,21 +269,11 @@ func (c *Ctx) Close() {
 	}
 }
 
-// parallel reports whether the morsel-driven engine is enabled.
-func (c *Ctx) parallel() bool { return c.Parallelism > 1 }
-
-// workers returns the configured degree of parallelism (at least 1).
-func (c *Ctx) workers() int {
-	if c.Parallelism > 1 {
-		return c.Parallelism
-	}
-	return 1
-}
-
 // child returns a per-worker context sharing the store, metadata and the
 // governor state (cancellation context, memory account, fault injector) but
 // owning private counters and a private simulated buffer pool, so workers
-// never race on mutable state. Workers run serially inside (Parallelism 1).
+// never race on mutable state. Anything a worker runs through its own context
+// stays inline on that worker (Parallelism 0).
 func (c *Ctx) child() *Ctx {
 	return &Ctx{
 		Store: c.Store, Meta: c.Meta, Buffer: NewPageBuffer(c.Buffer.Cap()),
@@ -500,7 +490,12 @@ func (c *Ctx) evalSubquery(sub *logical.Subquery, e *env) (datum.D, error) {
 
 // filterRow reports whether the row passes all predicates (TRUE only).
 func (c *Ctx) filterRow(preds []logical.Scalar, e *env) (bool, error) {
-	ectx := c.evalCtx(e)
+	return allTrue(preds, c.evalCtx(e))
+}
+
+// allTrue evaluates a conjunction against an evaluation context, stopping at
+// the first conjunct that is not TRUE.
+func allTrue(preds []logical.Scalar, ectx *logical.EvalContext) (bool, error) {
 	for _, p := range preds {
 		v, err := logical.Eval(p, ectx)
 		if err != nil {

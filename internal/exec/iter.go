@@ -2,13 +2,11 @@ package exec
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/datum"
 	"repro/internal/logical"
 	"repro/internal/physical"
-	"repro/internal/storage"
 )
 
 // Run executes a physical plan to completion and returns the materialized
@@ -61,23 +59,22 @@ func (c *Ctx) sortResult(res *Result, by logical.Ordering) error {
 	}
 	defer c.Mem.Shrink(need)
 	c.noteMemBytes(need)
-	if c.parallel() && len(res.Rows) >= minParallelRows {
-		res.Rows = c.sortRowsParallel(res.Rows, spec)
-		return nil
+	rows, err := c.sortRows(res.Rows, spec)
+	if err == nil {
+		res.Rows = rows
 	}
-	sort.SliceStable(res.Rows, func(i, j int) bool {
-		c.Counters.Comparisons++
-		return datum.CompareRows(res.Rows[i], res.Rows[j], spec) < 0
-	})
-	return nil
+	return err
 }
 
-// runPlan executes one operator, metering it when analyze mode is on. The
-// nil check is the entire cost of the instrumentation when analyze is off.
-// Every operator entry doubles as a cancellation checkpoint.
-func (c *Ctx) runPlan(p physical.Plan) ([]datum.Row, error) {
+// run executes one operator and returns its output in the form the operator
+// produced it: a columnar batch (scans, filter, project, the kernel join and
+// aggregation) or rows (everything else) — exactly one of the two is set.
+// Every operator entry doubles as a cancellation checkpoint. Analyze mode
+// meters the operator here, once for both forms; the nil check is the entire
+// cost of the instrumentation when analyze is off.
+func (c *Ctx) run(p physical.Plan) (*Batch, []datum.Row, error) {
 	if err := c.canceled(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if c.Metrics == nil {
 		return c.execPlan(p)
@@ -87,323 +84,251 @@ func (c *Ctx) runPlan(p physical.Plan) ([]datum.Row, error) {
 	prev := c.curNode
 	c.curNode = m
 	start := time.Now()
-	rows, err := c.execPlan(p)
+	b, rows, err := c.execPlan(p)
 	m.WallNanos += time.Since(start).Nanoseconds()
-	m.ActualRows += int64(len(rows))
+	if b != nil {
+		m.ActualRows += int64(b.NumRows())
+	} else {
+		m.ActualRows += int64(len(rows))
+	}
 	c.curNode = prev
+	return b, rows, err
+}
+
+// runPlan is run for row consumers: batch output is materialized to rows.
+func (c *Ctx) runPlan(p physical.Plan) ([]datum.Row, error) {
+	b, rows, err := c.run(p)
+	if b != nil {
+		rows = b.ToRows()
+	}
 	return rows, err
 }
+
+// inputBatch is run for batch consumers: row output is converted to a batch.
+func (c *Ctx) inputBatch(p physical.Plan) (*Batch, error) {
+	b, rows, err := c.run(p)
+	if err != nil {
+		return nil, err
+	}
+	if b == nil {
+		b = batchFromRows(p.Columns(), rows)
+	}
+	return b, nil
+}
+
+// noteVectorized marks the operator being analyzed as having run at least one
+// predicate conjunct, hash or aggregate on a typed kernel.
+func (c *Ctx) noteVectorized() {
+	if c.curNode != nil {
+		c.curNode.Vectorized = true
+	}
+}
+
+// rowsOf and batchOf lift an operator's single-form result into execPlan's
+// (batch, rows, error) return.
+func rowsOf(rows []datum.Row, err error) (*Batch, []datum.Row, error) { return nil, rows, err }
+func batchOf(b *Batch, err error) (*Batch, []datum.Row, error)        { return b, nil, err }
 
 // execPlan dispatches on the operator type. Operators materialize their
 // output; inner operators of joins may be re-materialized only once (the
 // engine caches nothing across calls — joins materialize inputs explicitly).
-func (c *Ctx) execPlan(p physical.Plan) ([]datum.Row, error) {
-	if c.Vectorize {
-		if rows, ok, err := c.execVectorized(p); ok {
-			return rows, err
-		}
-	}
+// Ctx.Vectorize is consulted here and in compilePreds only: it decides
+// whether kernels are compiled, never which operator implementation runs.
+func (c *Ctx) execPlan(p physical.Plan) (*Batch, []datum.Row, error) {
 	switch t := p.(type) {
 	case *physical.TableScan:
-		return c.runTableScan(t)
+		return batchOf(c.scanTable(t))
 	case *physical.IndexScan:
-		return c.runIndexScan(t)
+		return batchOf(c.scanIndex(t))
 	case *physical.ValuesOp:
 		res, err := c.naiveValues(&logical.Values{Cols: t.Cols, Rows: t.Rows}, nil)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return res.Rows, nil
+		return nil, res.Rows, nil
 	case *physical.Filter:
-		in, err := c.runPlan(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		if c.parallel() && len(in) >= minParallelRows {
-			return c.filterRowsParallel(in, t.Input.Columns(), t.Preds)
-		}
-		e := newEnv(t.Input.Columns(), nil)
-		var out []datum.Row
-		for _, r := range in {
-			c.Counters.RowsProcessed++
-			e.row = r
-			ok, err := c.filterRow(t.Preds, e)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		return out, nil
+		return batchOf(c.runFilter(t))
 	case *physical.Project:
-		in, err := c.runPlan(t.Input)
-		if err != nil {
-			return nil, err
-		}
-		if c.parallel() && len(in) >= minParallelRows {
-			return c.projectRowsParallel(in, t.Input.Columns(), t.Items)
-		}
-		e := newEnv(t.Input.Columns(), nil)
-		ectx := c.evalCtx(e)
-		out := make([]datum.Row, 0, len(in))
-		for _, r := range in {
-			c.Counters.RowsProcessed++
-			e.row = r
-			nr := make(datum.Row, len(t.Items))
-			for i, it := range t.Items {
-				v, err := logical.Eval(it.Expr, ectx)
-				if err != nil {
-					return nil, err
-				}
-				nr[i] = v
-			}
-			out = append(out, nr)
-		}
-		return out, nil
+		return batchOf(c.runProject(t))
 	case *physical.Sort:
 		in, err := c.runPlan(t.Input)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res := &Result{Cols: t.Input.Columns(), Rows: in}
 		if err := c.sortResult(res, t.By); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return res.Rows, nil
+		return nil, res.Rows, nil
 	case *physical.NLJoin:
-		return c.runNLJoin(t)
+		return rowsOf(c.runNLJoin(t))
 	case *physical.INLJoin:
-		return c.runINLJoin(t)
+		return rowsOf(c.runINLJoin(t))
 	case *physical.MergeJoin:
-		return c.runMergeJoin(t)
+		return rowsOf(c.runMergeJoin(t))
 	case *physical.HashJoin:
-		return c.runHashJoin(t)
+		if c.Vectorize {
+			if b, ok, err := c.vecHashJoin(t); ok {
+				c.noteVectorized()
+				return batchOf(b, err)
+			}
+		}
+		return rowsOf(c.runHashJoin(t))
 	case *physical.HashGroupBy:
-		return c.runGroupBy(t.Input, t.GroupCols, t.Aggs, true, t.Rows)
+		if c.Vectorize {
+			if b, ok, err := c.vecGroupBy(t); ok {
+				c.noteVectorized()
+				return batchOf(b, err)
+			}
+		}
+		return rowsOf(c.runGroupBy(t.Input, t.GroupCols, t.Aggs, true, t.Rows))
 	case *physical.StreamGroupBy:
-		return c.runGroupBy(t.Input, t.GroupCols, t.Aggs, false, t.Rows)
+		return rowsOf(c.runGroupBy(t.Input, t.GroupCols, t.Aggs, false, t.Rows))
 	case *physical.LimitOp:
 		in, err := c.runPlan(t.Input)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if int64(len(in)) > t.N {
 			in = in[:t.N]
 		}
-		return in, nil
+		return nil, in, nil
 	case *physical.Exchange:
-		return c.runExchange(t)
+		return rowsOf(c.runExchange(t))
 	case *physical.UnionAll:
 		left, err := c.runPlan(t.Left)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		right, err := c.runPlan(t.Right)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		out := &Result{Cols: t.Cols}
 		if err := appendAligned(out, &Result{Cols: t.Left.Columns(), Rows: left}, t.LeftCols); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := appendAligned(out, &Result{Cols: t.Right.Columns(), Rows: right}, t.RightCols); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		c.Counters.RowsProcessed += int64(len(out.Rows))
-		return out.Rows, nil
+		return nil, out.Rows, nil
 	}
-	return nil, fmt.Errorf("exec: unknown physical operator %T", p)
+	return nil, nil, fmt.Errorf("exec: unknown physical operator %T", p)
 }
 
-func (c *Ctx) runTableScan(t *physical.TableScan) ([]datum.Row, error) {
-	tab, ok := c.Store.Table(t.Table.Name)
-	if !ok {
-		return nil, fmt.Errorf("exec: no storage for table %s", t.Table.Name)
+// matchedSets tracks which build-side rows found a join partner — the state
+// behind FULL OUTER's unmatched-right pass; nil for every other join kind.
+// Worker w owns set w, so probes never synchronize.
+type matchedSets [][]bool
+
+func newMatchedSets(kind logical.JoinKind, workers, buildRows int) matchedSets {
+	if kind != logical.FullOuterJoin {
+		return nil
 	}
-	if pruner := c.buildPruner(tab, t.Filter, t.Cols, t.ColOrds); pruner != nil {
-		return c.runTableScanSegments(t, tab, pruner)
+	s := make(matchedSets, workers)
+	for w := range s {
+		s[w] = make([]bool, buildRows)
 	}
-	c.touchScan(tab)
-	rows, err := c.tableRows(tab)
+	return s
+}
+
+func (s matchedSets) mark(w, ri int) {
+	if s != nil {
+		s[w][ri] = true
+	}
+}
+
+// appendUnmatched appends the NULL-padded build rows no worker matched.
+func (s matchedSets) appendUnmatched(out []datum.Row, leftWidth int, right []datum.Row) []datum.Row {
+	if s == nil {
+		return out
+	}
+	for ri, rr := range right {
+		matched := false
+		for _, set := range s {
+			matched = matched || set[ri]
+		}
+		if !matched {
+			out = append(out, nullRow(leftWidth).Concat(rr))
+		}
+	}
+	return out
+}
+
+// emitJoined appends the join output for one matching (lr, rr) pair and
+// reports whether the probe row is done (semi/anti need only one match).
+func emitJoined(kind logical.JoinKind, out []datum.Row, lr, rr datum.Row) ([]datum.Row, bool) {
+	switch kind {
+	case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
+		return append(out, lr.Concat(rr)), false
+	case logical.SemiJoin:
+		return append(out, lr), true
+	}
+	return out, kind == logical.AntiJoin
+}
+
+// emitUnmatched appends the output of a probe row that matched nothing.
+func emitUnmatched(kind logical.JoinKind, out []datum.Row, lr datum.Row, rightWidth int) []datum.Row {
+	switch kind {
+	case logical.LeftOuterJoin, logical.FullOuterJoin:
+		return append(out, lr.Concat(nullRow(rightWidth)))
+	case logical.AntiJoin:
+		return append(out, lr)
+	}
+	return out
+}
+
+// candidates feeds visit the inner rows an outer row must be tested against
+// (ri is the row's index in the materialized inner input, for FULL OUTER
+// bookkeeping) and stops when visit reports the outer row is done.
+type candidates func(wc *Ctx, lr datum.Row, visit func(ri int, rr datum.Row) (done bool, err error)) error
+
+// probeJoin is the probe loop of the nested-loop, index-nested-loop and hash
+// joins: for each outer row of a morsel, the rows cand proposes are tested
+// against the join predicate on and emitted per the join kind. Per-morsel
+// outputs concatenate in morsel order, so the outer order is kept at every
+// worker count. right is the materialized inner input (nil for the index
+// join, which has no FULL OUTER form).
+func (c *Ctx) probeJoin(kind logical.JoinKind, left, right []datum.Row, leftCols, rightCols []logical.ColumnID, on []logical.Scalar, cand candidates) ([]datum.Row, error) {
+	combined := append(append([]logical.ColumnID{}, leftCols...), rightCols...)
+	nw := c.morselWorkers(len(left))
+	matched := newMatchedSets(kind, nw, len(right))
+	outs := make([][]datum.Row, numMorsels(len(left)))
+	err := c.forMorsels(len(left), func(wc *Ctx, m, lo, hi int) error {
+		e := newEnv(combined, nil)
+		var out []datum.Row
+		var lr datum.Row
+		var found bool
+		visit := func(ri int, rr datum.Row) (bool, error) {
+			wc.Counters.RowsProcessed++
+			e.row = lr.Concat(rr)
+			ok, err := wc.filterRow(on, e)
+			if err != nil || !ok {
+				return false, err
+			}
+			found = true
+			matched.mark(m%nw, ri)
+			var done bool
+			out, done = emitJoined(kind, out, lr, rr)
+			return done, nil
+		}
+		for _, lr = range left[lo:hi] {
+			found = false
+			if err := cand(wc, lr, visit); err != nil {
+				return err
+			}
+			if !found {
+				out = emitUnmatched(kind, out, lr, len(rightCols))
+			}
+		}
+		outs[m] = out
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if c.parallel() && len(rows) >= minParallelRows {
-		return c.scanRowsParallel(rows, t.Cols, t.ColOrds, t.Filter)
-	}
-	var out []datum.Row
-	e := newEnv(t.Cols, nil)
-	for i, r := range rows {
-		// One checkpoint per batch of MorselSize rows — the same cadence (and
-		// fault-injection op stream) as the parallel scan's morsels.
-		if i%MorselSize == 0 {
-			if err := c.step("scan"); err != nil {
-				return nil, err
-			}
-		}
-		c.Counters.RowsProcessed++
-		pr := projectRow(r, t.ColOrds)
-		if len(t.Filter) > 0 {
-			e.row = pr
-			ok, err := c.filterRow(t.Filter, e)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		out = append(out, pr)
-	}
-	return out, nil
-}
-
-// runTableScanSegments is the row-path scan over a disk-backed table:
-// zone-map-eliminated segments are never materialized, full-match segments
-// skip filter evaluation (when the whole conjunction compiled), everything
-// else runs the normal project+filter loop.
-func (c *Ctx) runTableScanSegments(t *physical.TableScan, tab *storage.Table, pruner *scanPruner) ([]datum.Row, error) {
-	c.notePruner(tab, pruner)
-	regions := pruner.liveRegions()
-	if c.parallel() {
-		total := 0
-		for _, rg := range regions {
-			total += rg.hi - rg.lo
-		}
-		if total >= minParallelRows {
-			all := make([]datum.Row, 0, total)
-			for _, rg := range regions {
-				rows, err := c.rowsRange(tab, rg.lo, rg.hi)
-				if err != nil {
-					return nil, err
-				}
-				all = append(all, rows...)
-			}
-			// Region order preserves row order, so the morsel fan-out keeps
-			// the serial output order (filters re-run even on full-match
-			// regions — same rows either way).
-			return c.scanRowsParallel(all, t.Cols, t.ColOrds, t.Filter)
-		}
-	}
-	var out []datum.Row
-	e := newEnv(t.Cols, nil)
-	for _, rg := range regions {
-		rows, err := c.rowsRange(tab, rg.lo, rg.hi)
-		if err != nil {
-			return nil, err
-		}
-		skipFilter := pruner.full && rg.disp == storage.ZoneAll
-		for i, r := range rows {
-			if i%MorselSize == 0 {
-				if err := c.step("scan"); err != nil {
-					return nil, err
-				}
-			}
-			c.Counters.RowsProcessed++
-			pr := projectRow(r, t.ColOrds)
-			if !skipFilter && len(t.Filter) > 0 {
-				e.row = pr
-				ok, err := c.filterRow(t.Filter, e)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out = append(out, pr)
-		}
-	}
-	return out, nil
-}
-
-func (c *Ctx) runIndexScan(t *physical.IndexScan) ([]datum.Row, error) {
-	tab, ok := c.Store.Table(t.Table.Name)
-	if !ok {
-		return nil, fmt.Errorf("exec: no storage for table %s", t.Table.Name)
-	}
-	ix, err := tab.Index(t.Index.Name)
-	if err != nil {
-		return nil, err
-	}
-	c.Counters.IndexSeeks++
-	var ids []int
-	switch {
-	case len(t.EqKey) > 0 && (!t.Lo.IsNull() || !t.Hi.IsNull()):
-		// Equality prefix + range on the next column: fetch eq matches and
-		// post-filter on the range column.
-		ids = ix.SeekEq(t.EqKey)
-		rangeOrd := t.Index.Cols[len(t.EqKey)]
-		ids, err = c.filterIDsByRange(tab, ids, rangeOrd, t.Lo, t.LoIncl, t.Hi, t.HiIncl)
-		if err != nil {
-			return nil, err
-		}
-	case len(t.EqKey) > 0:
-		ids = ix.SeekEq(t.EqKey)
-	default:
-		ids = ix.SeekRange(t.Lo, t.LoIncl, t.Hi, t.HiIncl)
-	}
-	for _, id := range ids {
-		c.touchRow(tab, id)
-	}
-	if c.parallel() && len(ids) >= minParallelRows {
-		return c.fetchRowsParallel(tab, ids, t.Cols, t.ColOrds, t.Filter)
-	}
-	e := newEnv(t.Cols, nil)
-	var out []datum.Row
-	for i, id := range ids {
-		if i%MorselSize == 0 {
-			if err := c.step("scan"); err != nil {
-				return nil, err
-			}
-		}
-		c.Counters.RowsProcessed++
-		r, err := c.rowAt(tab, id)
-		if err != nil {
-			return nil, err
-		}
-		pr := projectRow(r, t.ColOrds)
-		if len(t.Filter) > 0 {
-			e.row = pr
-			ok, err := c.filterRow(t.Filter, e)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		out = append(out, pr)
-	}
-	return out, nil
-}
-
-func (c *Ctx) filterIDsByRange(tab *storage.Table, ids []int, ord int, lo datum.D, loIncl bool, hi datum.D, hiIncl bool) ([]int, error) {
-	var out []int
-	for _, id := range ids {
-		v, err := c.colValue(tab, id, ord)
-		if err != nil {
-			return nil, err
-		}
-		if v.IsNull() {
-			continue
-		}
-		if !lo.IsNull() {
-			cmp := datum.Compare(v, lo)
-			if cmp < 0 || (cmp == 0 && !loIncl) {
-				continue
-			}
-		}
-		if !hi.IsNull() {
-			cmp := datum.Compare(v, hi)
-			if cmp > 0 || (cmp == 0 && !hiIncl) {
-				continue
-			}
-		}
-		out = append(out, id)
-	}
-	return out, nil
+	return matched.appendUnmatched(concatMorsels(outs), len(leftCols), right), nil
 }
 
 func (c *Ctx) runNLJoin(t *physical.NLJoin) ([]datum.Row, error) {
@@ -415,76 +340,26 @@ func (c *Ctx) runNLJoin(t *physical.NLJoin) ([]datum.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	leftRes := &Result{Cols: t.Left.Columns(), Rows: left}
-	rightRes := &Result{Cols: t.Right.Columns(), Rows: right}
-	if c.parallel() && len(left)*max(len(right), 1) >= minParallelRows {
-		return c.runNLJoinParallel(t, leftRes, rightRes)
-	}
-	lj := &logical.Join{Kind: t.Kind, On: t.On}
-	return c.joinMaterialized(lj, leftRes, rightRes)
+	return c.probeJoin(t.Kind, left, right, t.Left.Columns(), t.Right.Columns(), t.On,
+		func(wc *Ctx, lr datum.Row, visit func(int, datum.Row) (bool, error)) error {
+			for ri, rr := range right {
+				// One cancellation check per ~MorselSize row pairs.
+				if ri%MorselSize == 0 {
+					if err := wc.canceled(); err != nil {
+						return err
+					}
+				}
+				if done, err := visit(ri, rr); done || err != nil {
+					return err
+				}
+			}
+			return nil
+		})
 }
 
-// joinMaterialized performs the generic nested-loop join over materialized
-// inputs (shared with the naive engine's semantics).
-func (c *Ctx) joinMaterialized(t *logical.Join, left, right *Result) ([]datum.Row, error) {
-	combined := append(append([]logical.ColumnID{}, left.Cols...), right.Cols...)
-	e := newEnv(combined, nil)
-	var out []datum.Row
-	rightWidth := len(right.Cols)
-	rightMatched := make([]bool, len(right.Rows))
-	// Aim for one cancellation check per ~MorselSize processed row pairs.
-	checkEvery := MorselSize/(len(right.Rows)+1) + 1
-	for li, lr := range left.Rows {
-		if li%checkEvery == 0 {
-			if err := c.canceled(); err != nil {
-				return nil, err
-			}
-		}
-		matched := false
-		for ri, rr := range right.Rows {
-			c.Counters.RowsProcessed++
-			e.row = lr.Concat(rr)
-			ok, err := c.filterRow(t.On, e)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			matched = true
-			rightMatched[ri] = true
-			switch t.Kind {
-			case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
-				out = append(out, lr.Concat(rr))
-			case logical.SemiJoin:
-				out = append(out, lr)
-			}
-			if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
-				break
-			}
-		}
-		switch t.Kind {
-		case logical.LeftOuterJoin, logical.FullOuterJoin:
-			if !matched {
-				out = append(out, lr.Concat(nullRow(rightWidth)))
-			}
-		case logical.AntiJoin:
-			if !matched {
-				out = append(out, lr)
-			}
-		}
-	}
-	if t.Kind == logical.FullOuterJoin {
-		leftWidth := len(left.Cols)
-		for ri, rr := range right.Rows {
-			if !rightMatched[ri] {
-				out = append(out, nullRow(leftWidth).Concat(rr))
-			}
-		}
-	}
-	return out, nil
-}
-
+// runINLJoin probes the inner table's index with the outer rows — the
+// parallel index scan of §7.1 (the index is shared storage, so probes stay
+// local to each worker).
 func (c *Ctx) runINLJoin(t *physical.INLJoin) ([]datum.Row, error) {
 	left, err := c.runPlan(t.Left)
 	if err != nil {
@@ -498,83 +373,34 @@ func (c *Ctx) runINLJoin(t *physical.INLJoin) ([]datum.Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	leftLayout := t.Left.Columns()
-	keyOffsets := make([]int, len(t.LeftKeys))
-	for i, k := range t.LeftKeys {
-		off := (&Result{Cols: leftLayout}).ColIndex(k)
-		if off < 0 {
-			return nil, fmt.Errorf("exec: INL key @%d not in outer layout", int(k))
-		}
-		keyOffsets[i] = off
+	keyOffsets, err := offsetsOf(t.Left.Columns(), t.LeftKeys)
+	if err != nil {
+		return nil, err
 	}
-	if c.parallel() && len(left) >= minParallelRows {
-		return c.runINLJoinParallel(t, left, tab, ix, keyOffsets)
-	}
-	combined := append(append([]logical.ColumnID{}, leftLayout...), t.Cols...)
-	e := newEnv(combined, nil)
-	innerWidth := len(t.Cols)
-	var out []datum.Row
-	for li, lr := range left {
-		if li%MorselSize == 0 {
-			if err := c.canceled(); err != nil {
-				return nil, err
+	return c.probeJoin(t.Kind, left, nil, t.Left.Columns(), t.Cols, t.ExtraOn,
+		func(wc *Ctx, lr datum.Row, visit func(int, datum.Row) (bool, error)) error {
+			key := make(datum.Row, len(keyOffsets))
+			for i, off := range keyOffsets {
+				if key[i] = lr[off]; key[i].IsNull() {
+					return nil // NULL keys never match under SQL equality
+				}
 			}
-		}
-		// NULL keys never match under SQL equality.
-		key := make(datum.Row, len(keyOffsets))
-		nullKey := false
-		for i, off := range keyOffsets {
-			key[i] = lr[off]
-			if key[i].IsNull() {
-				nullKey = true
-			}
-		}
-		matched := false
-		if !nullKey {
-			c.Counters.IndexSeeks++
+			wc.Counters.IndexSeeks++
 			ids := ix.SeekEq(key)
 			for _, id := range ids {
-				c.touchRow(tab, id)
+				wc.touchRow(tab, id)
 			}
 			for _, id := range ids {
-				c.Counters.RowsProcessed++
-				ir, err := c.rowAt(tab, id)
+				ir, err := wc.rowAt(tab, id)
 				if err != nil {
-					return nil, err
+					return err
 				}
-				rr := projectRow(ir, t.ColOrds)
-				e.row = lr.Concat(rr)
-				ok, err := c.filterRow(t.ExtraOn, e)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				matched = true
-				switch t.Kind {
-				case logical.InnerJoin, logical.LeftOuterJoin:
-					out = append(out, lr.Concat(rr))
-				case logical.SemiJoin:
-					out = append(out, lr)
-				}
-				if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
-					break
+				if done, err := visit(0, projectRow(ir, t.ColOrds)); done || err != nil {
+					return err
 				}
 			}
-		}
-		switch t.Kind {
-		case logical.LeftOuterJoin:
-			if !matched {
-				out = append(out, lr.Concat(nullRow(innerWidth)))
-			}
-		case logical.AntiJoin:
-			if !matched {
-				out = append(out, lr)
-			}
-		}
-	}
-	return out, nil
+			return nil
+		})
 }
 
 func (c *Ctx) runMergeJoin(t *physical.MergeJoin) ([]datum.Row, error) {
@@ -610,11 +436,7 @@ func (c *Ctx) runMergeJoin(t *physical.MergeJoin) ([]datum.Row, error) {
 		lr := left[li]
 		if hasNullAt(lr, lOff) {
 			// NULL keys match nothing.
-			if t.Kind == logical.LeftOuterJoin {
-				out = append(out, lr.Concat(nullRow(rightWidth)))
-			} else if t.Kind == logical.AntiJoin {
-				out = append(out, lr)
-			}
+			out = emitUnmatched(t.Kind, out, lr, rightWidth)
 			li++
 			continue
 		}
@@ -643,25 +465,13 @@ func (c *Ctx) runMergeJoin(t *physical.MergeJoin) ([]datum.Row, error) {
 					continue
 				}
 				matched = true
-				switch t.Kind {
-				case logical.InnerJoin, logical.LeftOuterJoin:
-					out = append(out, curr.Concat(right[k]))
-				case logical.SemiJoin:
-					out = append(out, curr)
-				}
-				if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
+				var done bool
+				if out, done = emitJoined(t.Kind, out, curr, right[k]); done {
 					break
 				}
 			}
-			switch t.Kind {
-			case logical.LeftOuterJoin:
-				if !matched {
-					out = append(out, curr.Concat(nullRow(rightWidth)))
-				}
-			case logical.AntiJoin:
-				if !matched {
-					out = append(out, curr)
-				}
+			if !matched {
+				out = emitUnmatched(t.Kind, out, curr, rightWidth)
 			}
 			lj++
 		}
@@ -703,6 +513,9 @@ func compareKeys(a datum.Row, aOff []int, b datum.Row, bOff []int, counters *Cou
 	return 0
 }
 
+// runHashJoin builds hash tables on the right input and probes them with the
+// left. Bucket lists preserve the build side's row order, so each probe row
+// sees its matches in the same order at every worker count.
 func (c *Ctx) runHashJoin(t *physical.HashJoin) ([]datum.Row, error) {
 	left, err := c.runPlan(t.Left)
 	if err != nil {
@@ -729,84 +542,100 @@ func (c *Ctx) runHashJoin(t *physical.HashJoin) ([]datum.Row, error) {
 	}
 	defer c.Mem.Shrink(buildBytes)
 	c.noteMemBytes(buildBytes)
-	if c.parallel() && len(left)+len(right) >= minParallelRows {
-		return c.runHashJoinParallel(t, left, right, lOff, rOff)
-	}
-	// Build on the right.
-	build := make(map[uint64][]int, len(right))
-	for i, rr := range right {
-		if hasNullAt(rr, rOff) {
-			continue
-		}
-		c.Counters.HashOps++
-		h := rr.Hash(rOff)
-		build[h] = append(build[h], i)
+	builds, err := c.buildHashTables(right, rOff)
+	if err != nil {
+		return nil, err
 	}
 	c.noteMem(int64(len(right)))
-	combined := append(append([]logical.ColumnID{}, leftLayout...), rightLayout...)
-	e := newEnv(combined, nil)
-	rightWidth := len(rightLayout)
-	rightMatched := make([]bool, len(right))
-	var out []datum.Row
-	for li, lr := range left {
-		if li%MorselSize == 0 {
-			if err := c.canceled(); err != nil {
-				return nil, err
+
+	return c.probeJoin(t.Kind, left, right, leftLayout, rightLayout, t.ExtraOn,
+		func(wc *Ctx, lr datum.Row, visit func(int, datum.Row) (bool, error)) error {
+			if hasNullAt(lr, lOff) {
+				return nil
 			}
-		}
-		matched := false
-		if !hasNullAt(lr, lOff) {
-			c.Counters.HashOps++
+			wc.Counters.HashOps++
 			h := lr.Hash(lOff)
-			for _, ri := range build[h] {
+			for _, ri := range builds[h%uint64(len(builds))][h] {
 				rr := right[ri]
 				if !datum.EqualOn(lr, rr, lOff, rOff) {
 					continue
 				}
-				c.Counters.RowsProcessed++
-				e.row = lr.Concat(rr)
-				ok, err := c.filterRow(t.ExtraOn, e)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				matched = true
-				rightMatched[ri] = true
-				switch t.Kind {
-				case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
-					out = append(out, lr.Concat(rr))
-				case logical.SemiJoin:
-					out = append(out, lr)
-				}
-				if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
-					break
+				if done, err := visit(ri, rr); done || err != nil {
+					return err
 				}
 			}
-		}
-		switch t.Kind {
-		case logical.LeftOuterJoin, logical.FullOuterJoin:
-			if !matched {
-				out = append(out, lr.Concat(nullRow(rightWidth)))
-			}
-		case logical.AntiJoin:
-			if !matched {
-				out = append(out, lr)
-			}
-		}
-	}
-	if t.Kind == logical.FullOuterJoin {
-		leftWidth := len(leftLayout)
-		for ri, rr := range right {
-			if !rightMatched[ri] {
-				out = append(out, nullRow(leftWidth).Concat(rr))
-			}
-		}
-	}
-	return out, nil
+			return nil
+		})
 }
 
+// buildHashTables hashes the build rows (NULL keys never match and are left
+// out; FULL OUTER emits them afterwards) into one table per worker, selected
+// at probe time by hash % len(tables). One worker builds its single table
+// directly. More workers first hash-partition the rows morsel-wise and then
+// build one partition each; concatenating the morsels' partition lists in
+// morsel order keeps every bucket in build-row order.
+func (c *Ctx) buildHashTables(right []datum.Row, rOff []int) ([]map[uint64][]int, error) {
+	nParts := c.morselWorkers(len(right))
+	builds := make([]map[uint64][]int, nParts)
+	if nParts == 1 {
+		b := make(map[uint64][]int, len(right))
+		for i, rr := range right {
+			if hasNullAt(rr, rOff) {
+				continue
+			}
+			c.Counters.HashOps++
+			h := rr.Hash(rOff)
+			b[h] = append(b[h], i)
+		}
+		builds[0] = b
+		return builds, nil
+	}
+	nmBuild := numMorsels(len(right))
+	parts := make([][][]int, nmBuild)
+	err := c.forMorsels(len(right), func(wc *Ctx, m, lo, hi int) error {
+		loc := make([][]int, nParts)
+		for i := lo; i < hi; i++ {
+			rr := right[i]
+			if hasNullAt(rr, rOff) {
+				continue
+			}
+			wc.Counters.HashOps++
+			p := int(rr.Hash(rOff) % uint64(nParts))
+			loc[p] = append(loc[p], i)
+		}
+		parts[m] = loc
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	err = c.runWorkers(nParts, func(w int, wc *Ctx) error {
+		// Pre-size for an even partition split: rehash churn on the build is
+		// pure overhead, and skew only makes one map larger than its hint.
+		b := make(map[uint64][]int, len(right)/nParts+1)
+		for m := 0; m < nmBuild; m++ {
+			if m%64 == 0 {
+				if wc.bar.aborted() {
+					return errBarrierAborted
+				}
+				if err := wc.canceled(); err != nil {
+					return err
+				}
+			}
+			for _, i := range parts[m][w] {
+				h := right[i].Hash(rOff)
+				b[h] = append(b[h], i)
+			}
+		}
+		builds[w] = b
+		return nil
+	})
+	return builds, err
+}
+
+// runGroupBy aggregates its input into a group table, degrading to the
+// partition-and-spill aggregation when the hash table does not fit the
+// memory budget.
 func (c *Ctx) runGroupBy(input physical.Plan, groupCols []logical.ColumnID, aggs []logical.AggItem, hash bool, estGroups float64) ([]datum.Row, error) {
 	in, err := c.runPlan(input)
 	if err != nil {
@@ -817,62 +646,107 @@ func (c *Ctx) runGroupBy(input physical.Plan, groupCols []logical.ColumnID, aggs
 	if err != nil {
 		return nil, err
 	}
-	if hash && c.parallel() && len(in) >= minParallelRows {
-		out, err := c.runGroupByParallel(in, layout, keyOff, groupCols, aggs)
-		if err != nil && isBudgetErr(err) {
-			// Thread-local tables did not fit: degrade to the (serial)
-			// partition-and-spill aggregation.
-			return c.spillGroupBy(in, layout, keyOff, groupCols, aggs)
-		}
-		return out, err
+	out, err := c.aggregateRows(in, layout, keyOff, groupCols, aggs, hash, estGroups)
+	if err != nil && isBudgetErr(err) {
+		return c.spillGroupBy(in, layout, keyOff, groupCols, aggs)
 	}
-	gt := newGroupTable(len(groupCols), aggs)
-	gt.presize(int(estGroups))
+	return out, err
+}
+
+// aggregateRows pre-aggregates morsels into one group table per worker and
+// merges the tables at the barrier — the classic two-phase aggregation. One
+// worker has nothing to merge: its table is the result, with groups in
+// first-appearance order. Stream aggregation always runs on one worker, and
+// its table is not budgeted: over sorted input a real iterator engine holds
+// one group at a time. Every reservation is released on return, so a caller
+// that sees a budget error can spill with the whole budget available.
+func (c *Ctx) aggregateRows(in []datum.Row, layout []logical.ColumnID, keyOff []int, groupCols []logical.ColumnID, aggs []logical.AggItem, hash bool, estGroups float64) ([]datum.Row, error) {
+	nW := 1
 	if hash {
-		// Stream aggregation over sorted input holds one group at a time in a
-		// real iterator engine; only the hash table is budgeted working memory.
-		gt.mem = c.Mem
-		gt.memOp = "hash aggregation"
+		nW = c.morselWorkers(len(in))
 	}
-	defer gt.release()
-	e := newEnv(layout, nil)
-	ectx := c.evalCtx(e)
-	for ri, r := range in {
-		if ri%MorselSize == 0 {
-			if err := c.canceled(); err != nil {
-				return nil, err
-			}
-		}
-		c.Counters.RowsProcessed++
+	newTable := func() *groupTable {
+		gt := newGroupTable(len(groupCols), aggs)
 		if hash {
-			c.Counters.HashOps++
+			// All tables draw on the query's shared account.
+			gt.mem = c.Mem
+			gt.memOp = "hash aggregation"
 		}
-		e.row = r
-		key := make(datum.Row, len(keyOff))
-		for i, off := range keyOff {
-			key[i] = r[off]
-		}
-		args := make([]datum.D, len(aggs))
-		for i, a := range aggs {
-			if a.Arg == nil {
-				args[i] = datum.NewInt(1)
-				continue
+		return gt
+	}
+	nm := numMorsels(len(in))
+	tables := make([]*groupTable, nW)
+	defer func() {
+		for _, gt := range tables {
+			if gt != nil {
+				gt.release()
 			}
-			v, err := logical.Eval(a.Arg, ectx)
-			if err != nil {
+		}
+	}()
+	err := c.runWorkers(nW, func(w int, wc *Ctx) error {
+		gt := newTable()
+		if nW == 1 {
+			gt.presize(int(estGroups))
+		}
+		tables[w] = gt
+		e := newEnv(layout, nil)
+		ectx := wc.evalCtx(e)
+		for m := w; m < nm; m += nW {
+			if wc.bar.aborted() {
+				return errBarrierAborted
+			}
+			if err := wc.canceled(); err != nil {
+				return &seqError{seq: m, err: err}
+			}
+			lo := m * MorselSize
+			for _, r := range in[lo:min(lo+MorselSize, len(in))] {
+				wc.Counters.RowsProcessed++
+				if hash {
+					wc.Counters.HashOps++
+				}
+				e.row = r
+				key := make(datum.Row, len(keyOff))
+				for i, off := range keyOff {
+					key[i] = r[off]
+				}
+				args := make([]datum.D, len(aggs))
+				for i, a := range aggs {
+					if a.Arg == nil {
+						args[i] = datum.NewInt(1)
+						continue
+					}
+					v, err := logical.Eval(a.Arg, ectx)
+					if err != nil {
+						return err
+					}
+					args[i] = v
+				}
+				if err := gt.add(key, key.Hash(seqOffsets(len(key))), args); err != nil {
+					return &seqError{seq: m, err: err}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	final := tables[0]
+	var partialRows, partialBytes int64
+	if nW > 1 {
+		// The thread-local tables coexist with the merged one until the merge
+		// completes; the peak is their sum.
+		final = newTable()
+		defer final.release()
+		for _, gt := range tables {
+			partialRows += int64(len(gt.order))
+			partialBytes += gt.charged
+			if err := final.mergeFrom(gt); err != nil {
 				return nil, err
 			}
-			args[i] = v
-		}
-		if err := gt.add(key, key.Hash(seqOffsets(len(key))), args); err != nil {
-			if isBudgetErr(err) {
-				gt.release()
-				return c.spillGroupBy(in, layout, keyOff, groupCols, aggs)
-			}
-			return nil, err
 		}
 	}
-	c.noteMem(int64(len(gt.order)))
-	c.noteMemBytes(gt.charged)
-	return gt.rows(), nil
+	c.noteMem(partialRows + int64(len(final.order)))
+	c.noteMemBytes(partialBytes + final.charged)
+	return final.rows(), nil
 }

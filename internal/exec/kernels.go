@@ -35,79 +35,93 @@ type compiledPred struct {
 	c    datum.D // constant operand (predColConst)
 }
 
-// compilePreds translates a pushed-down predicate list into kernel programs.
-// It handles comparisons between columns and constants (and IS [NOT] NULL);
-// anything else — LIKE, arithmetic, IN lists, subqueries, UDFs — reports
-// false and the operator falls back to row-at-a-time evaluation.
-func compilePreds(preds []logical.Scalar, layout []logical.ColumnID) ([]compiledPred, bool) {
-	find := func(id logical.ColumnID) int {
-		for i, c := range layout {
-			if c == id {
-				return i
-			}
-		}
-		return -1
+// cols lists the batch columns the predicate reads.
+func (p compiledPred) cols() []int {
+	switch p.form {
+	case predNever:
+		return nil
+	case predColCol:
+		return []int{p.col, p.col2}
 	}
-	out := make([]compiledPred, 0, len(preds))
+	return []int{p.col}
+}
+
+// compilePreds splits a conjunction into kernel programs and the residual
+// conjuncts that have none. Comparisons between columns and constants and
+// IS [NOT] NULL compile; anything else — LIKE, arithmetic, IN lists,
+// subqueries, UDFs — stays residual and is evaluated row-at-a-time over the
+// kernels' survivors (a conjunction is commutative, so running the compiled
+// part first never changes the result). With Ctx.Vectorize off nothing
+// compiles and the whole conjunction is residual.
+func (c *Ctx) compilePreds(preds []logical.Scalar, layout []logical.ColumnID) (compiled []compiledPred, residual []logical.Scalar) {
+	if !c.Vectorize {
+		return nil, preds
+	}
 	for _, p := range preds {
-		switch t := p.(type) {
-		case *logical.Cmp:
-			if t.Op == logical.CmpLike {
-				return nil, false
-			}
-			lc, lIsCol := t.L.(*logical.Col)
-			rc, rIsCol := t.R.(*logical.Col)
-			lk, lIsConst := t.L.(*logical.Const)
-			rk, rIsConst := t.R.(*logical.Const)
-			switch {
-			case lIsCol && rIsCol:
-				a, b := find(lc.ID), find(rc.ID)
-				if a < 0 || b < 0 {
-					return nil, false
-				}
-				out = append(out, compiledPred{form: predColCol, col: a, col2: b, op: t.Op})
-			case lIsCol && rIsConst:
-				a := find(lc.ID)
-				if a < 0 {
-					return nil, false
-				}
-				if rk.Val.IsNull() {
-					out = append(out, compiledPred{form: predNever})
-					continue
-				}
-				out = append(out, compiledPred{form: predColConst, col: a, op: t.Op, c: rk.Val})
-			case lIsConst && rIsCol:
-				a := find(rc.ID)
-				if a < 0 {
-					return nil, false
-				}
-				if lk.Val.IsNull() {
-					out = append(out, compiledPred{form: predNever})
-					continue
-				}
-				out = append(out, compiledPred{form: predColConst, col: a, op: t.Op.Commute(), c: lk.Val})
-			default:
-				return nil, false
-			}
-		case *logical.IsNull:
-			col, ok := t.E.(*logical.Col)
-			if !ok {
-				return nil, false
-			}
-			a := find(col.ID)
-			if a < 0 {
-				return nil, false
-			}
-			form := predIsNull
-			if t.Negated {
-				form = predIsNotNull
-			}
-			out = append(out, compiledPred{form: form, col: a})
-		default:
-			return nil, false
+		if cp, ok := compilePred(p, layout); ok {
+			compiled = append(compiled, cp)
+		} else {
+			residual = append(residual, p)
 		}
 	}
-	return out, true
+	return compiled, residual
+}
+
+// compilePred translates one conjunct into its kernel program, or reports
+// that it has none.
+func compilePred(p logical.Scalar, layout []logical.ColumnID) (compiledPred, bool) {
+	find := (&Result{Cols: layout}).ColIndex
+	switch t := p.(type) {
+	case *logical.Cmp:
+		if t.Op == logical.CmpLike {
+			return compiledPred{}, false
+		}
+		lc, lIsCol := t.L.(*logical.Col)
+		rc, rIsCol := t.R.(*logical.Col)
+		lk, lIsConst := t.L.(*logical.Const)
+		rk, rIsConst := t.R.(*logical.Const)
+		switch {
+		case lIsCol && rIsCol:
+			a, b := find(lc.ID), find(rc.ID)
+			if a < 0 || b < 0 {
+				return compiledPred{}, false
+			}
+			return compiledPred{form: predColCol, col: a, col2: b, op: t.Op}, true
+		case lIsCol && rIsConst:
+			a := find(lc.ID)
+			if a < 0 {
+				return compiledPred{}, false
+			}
+			if rk.Val.IsNull() {
+				return compiledPred{form: predNever}, true
+			}
+			return compiledPred{form: predColConst, col: a, op: t.Op, c: rk.Val}, true
+		case lIsConst && rIsCol:
+			a := find(rc.ID)
+			if a < 0 {
+				return compiledPred{}, false
+			}
+			if lk.Val.IsNull() {
+				return compiledPred{form: predNever}, true
+			}
+			return compiledPred{form: predColConst, col: a, op: t.Op.Commute(), c: lk.Val}, true
+		}
+	case *logical.IsNull:
+		col, ok := t.E.(*logical.Col)
+		if !ok {
+			return compiledPred{}, false
+		}
+		a := find(col.ID)
+		if a < 0 {
+			return compiledPred{}, false
+		}
+		form := predIsNull
+		if t.Negated {
+			form = predIsNotNull
+		}
+		return compiledPred{form: form, col: a}, true
+	}
+	return compiledPred{}, false
 }
 
 // cmpMatches applies a comparison operator to a three-way compare result.

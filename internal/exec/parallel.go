@@ -1,42 +1,42 @@
-// Morsel-driven parallel execution (§7.1 made real): the operators in this
-// file run on a shared worker pool instead of being cost-modeled only. Scans
-// split their input into morsels of ~1024 rows claimed by workers; hash joins
-// partition the build side in parallel, build one hash table per partition and
-// probe morsel-wise; hash aggregation pre-aggregates into thread-local tables
-// merged at the pipeline barrier; Exchange operators are *executed* — goroutine
-// fan-out over hash/round-robin partitions and fan-in that concatenates, or
-// merges order-preservingly when a MergeOrdering is present.
+// The morsel scheduler (§7.1 made real): every operator loop in this package
+// is written once, as a body over morsels of ~1024 rows, and this file decides
+// how many workers run it. One worker is the serial engine — the body runs
+// inline on the calling goroutine; more workers claim morsels from a shared
+// pool. Hash joins partition the build side and build one hash table per
+// partition; hash aggregation pre-aggregates into thread-local tables merged
+// at the pipeline barrier; Exchange operators are *executed* — fan-out over
+// hash/round-robin partitions and fan-in that concatenates, or merges
+// order-preservingly when a MergeOrdering is present. With one worker each of
+// those combining steps is skipped inside the same function.
 //
-// Every worker gets a private Ctx (counters, simulated buffer) merged into the
-// parent at the barrier, so the engine is race-free under `go test -race`.
-// Parallel operators are written to emit the same rows in the same order as
-// their serial counterparts wherever the serial order is observable: scans,
-// filters, projections, nested-loop and hash joins concatenate per-morsel
-// outputs in morsel order, and sorts/merging exchanges reproduce the stable
-// serial order exactly. Hash aggregation emits groups in a deterministic but
-// engine-specific order (group output is unordered in SQL).
+// Every pool worker gets a private Ctx (counters, simulated buffer) merged
+// into the parent at the barrier, so the engine is race-free under
+// `go test -race`. Operators emit the same rows in the same order at every
+// worker count wherever the order is observable: scans, filters, projections,
+// nested-loop and hash joins concatenate per-morsel outputs in morsel order,
+// and sorts/merging exchanges reproduce the stable order exactly. Hash
+// aggregation on several workers emits groups in a deterministic but
+// worker-count-specific order (group output is unordered in SQL).
 package exec
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/datum"
-	"repro/internal/logical"
 	"repro/internal/physical"
-	"repro/internal/storage"
 )
 
 // MorselSize is the number of rows a worker claims at a time. Small enough to
 // balance skewed pipelines, large enough to amortize scheduling.
 const MorselSize = 1024
 
-// minParallelRows is the input size below which operators stay serial: the
-// fan-out overhead would exceed the work.
+// minParallelRows is the input size below which operators stay on one
+// worker: the fan-out overhead would exceed the work.
 const minParallelRows = 2 * MorselSize
 
 // Pool is a fixed-size worker pool shared by all parallel operators of one or
@@ -145,11 +145,14 @@ func (c *Ctx) ensurePool() *Pool {
 	return c.Pool
 }
 
-// runWorkers runs fn(w, workerCtx) for w in [0, n) on the pool and blocks
-// until all return — a pipeline barrier. Each worker gets a private child Ctx;
-// the children's counters are merged into c at the barrier (on success AND on
-// failure, so canceled queries still report their partial work). Worker
-// panics are converted to errors so a failing morsel cannot kill the process.
+// runWorkers runs fn(w, workerCtx) for w in [0, n) and blocks until all
+// return — a pipeline barrier. One worker is the serial engine: fn runs
+// inline on the calling goroutine against c itself, with no pool submit, no
+// child context and no merge. More workers run on the pool, each with a
+// private child Ctx whose counters are merged into c at the barrier (on
+// success AND on failure, so canceled queries still report their partial
+// work); their panics are converted to errors so a failing morsel cannot
+// kill the process.
 //
 // Error discipline: the first failure (by deterministic sequence position —
 // morsel index when fn tags errors with seqError, worker index otherwise)
@@ -157,8 +160,12 @@ func (c *Ctx) ensurePool() *Pool {
 // abort flag and stopped early never contribute an error at all. The same
 // error therefore surfaces on every run regardless of goroutine scheduling.
 func (c *Ctx) runWorkers(n int, fn func(w int, wc *Ctx) error) error {
-	if n < 1 {
-		n = 1
+	if n <= 1 {
+		err := fn(0, c)
+		if se, ok := err.(*seqError); ok {
+			err = se.err
+		}
+		return err
 	}
 	pool := c.ensurePool()
 	children := make([]*Ctx, n)
@@ -196,23 +203,22 @@ func (c *Ctx) runWorkers(n int, fn func(w int, wc *Ctx) error) error {
 	wg.Wait()
 	for w, wc := range children {
 		c.Counters.add(wc.Counters)
+		if c.curNode == nil {
+			continue
+		}
 		// Per-worker row counts merge into the analyzed operator at the
 		// barrier — same discipline as the counters, so analyze mode stays
 		// race-clean. Zero-row phases (e.g. hash builds) are not recorded.
-		if c.curNode != nil && wc.Counters.RowsProcessed > 0 {
+		if wc.Counters.RowsProcessed > 0 {
 			c.curNode.AddWorkerRows(w, wc.Counters.RowsProcessed)
 		}
 		// Workers have no curNode, so their segment-file bytes and block
 		// decodes only reached their private counters; credit the analyzed
 		// node here.
-		if c.curNode != nil && wc.Counters.BytesRead > 0 {
-			c.curNode.BytesRead += wc.Counters.BytesRead
-		}
-		if c.curNode != nil {
-			c.curNode.BlocksDict += wc.Counters.BlocksDict
-			c.curNode.BlocksRLE += wc.Counters.BlocksRLE
-			c.curNode.BlocksPlain += wc.Counters.BlocksPlain
-		}
+		c.curNode.BytesRead += wc.Counters.BytesRead
+		c.curNode.BlocksDict += wc.Counters.BlocksDict
+		c.curNode.BlocksRLE += wc.Counters.BlocksRLE
+		c.curNode.BlocksPlain += wc.Counters.BlocksPlain
 	}
 	return firstError(errs)
 }
@@ -241,8 +247,21 @@ func firstError(errs []error) error {
 
 func numMorsels(n int) int { return (n + MorselSize - 1) / MorselSize }
 
-// forMorsels fans n items out as morsels over the pool. Morsels are assigned
-// by static striding (worker w takes morsels w, w+W, ...), which keeps every
+// morselWorkers is the one worker-count decision of the engine: how many
+// workers an operator over n input rows runs on. Serial execution is
+// Parallelism <= 1; inputs under minParallelRows stay on one worker at any
+// degree because the fan-out would cost more than the work. forMorsels runs
+// morsel m on worker m % morselWorkers(n), so operators index per-worker
+// state (scan scratch, thread-local group tables) by that.
+func (c *Ctx) morselWorkers(n int) int {
+	if c.Parallelism <= 1 || n < minParallelRows {
+		return 1
+	}
+	return min(c.Parallelism, numMorsels(n))
+}
+
+// forMorsels runs fn over n items cut into morsels. Morsels are assigned by
+// static striding (worker w takes morsels w, w+W, ...), which keeps every
 // run deterministic. fn receives the morsel index and its [lo, hi) bounds.
 //
 // Each morsel boundary is a governor checkpoint: workers stop when the query
@@ -258,10 +277,7 @@ func (c *Ctx) forMorsels(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
 	if c.curNode != nil {
 		c.curNode.Batches += int64(nm)
 	}
-	w := c.workers()
-	if w > nm {
-		w = nm
-	}
+	w := c.morselWorkers(n)
 	return c.runWorkers(w, func(wk int, wc *Ctx) error {
 		for m := wk; m < nm; m += w {
 			if wc.bar.aborted() {
@@ -271,11 +287,7 @@ func (c *Ctx) forMorsels(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
 				return &seqError{seq: m, err: err}
 			}
 			lo := m * MorselSize
-			hi := lo + MorselSize
-			if hi > n {
-				hi = n
-			}
-			if err := fn(wc, m, lo, hi); err != nil {
+			if err := fn(wc, m, lo, min(lo+MorselSize, n)); err != nil {
 				return &seqError{seq: m, err: err}
 			}
 		}
@@ -283,8 +295,8 @@ func (c *Ctx) forMorsels(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
 	})
 }
 
-// concatMorsels flattens per-morsel outputs in morsel order, so parallel
-// operators keep the serial row order.
+// concatMorsels flattens per-morsel outputs in morsel order, so operators emit
+// the same row order at every worker count.
 func concatMorsels(outs [][]datum.Row) []datum.Row {
 	total := 0
 	for _, o := range outs {
@@ -300,578 +312,40 @@ func concatMorsels(outs [][]datum.Row) []datum.Row {
 	return flat
 }
 
-// --- parallel scans, filter, project ---
+// --- sort ---
 
-// scanRowsParallel applies projection and pushed-down filters to base rows
-// morsel-wise.
-func (c *Ctx) scanRowsParallel(rows []datum.Row, cols []logical.ColumnID, colOrds []int, filter []logical.Scalar) ([]datum.Row, error) {
-	outs := make([][]datum.Row, numMorsels(len(rows)))
-	err := c.forMorsels(len(rows), func(wc *Ctx, m, lo, hi int) error {
-		if err := wc.step("scan"); err != nil {
-			return err
-		}
-		e := newEnv(cols, nil)
-		out := getRowBuf()
-		for _, r := range rows[lo:hi] {
-			wc.Counters.RowsProcessed++
-			pr := projectRow(r, colOrds)
-			if len(filter) > 0 {
-				e.row = pr
-				ok, err := wc.filterRow(filter, e)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out = append(out, pr)
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
+// sortRows returns rows ordered by spec: one contiguous run of row indices
+// per worker, each sorted with the original row position as the tiebreaker,
+// then a k-way merge. The result is the stable order at every worker count
+// (with one worker the merge only gathers the single run).
+func (c *Ctx) sortRows(rows []datum.Row, spec []datum.SortSpec) ([]datum.Row, error) {
+	if len(rows) < 2 {
+		return rows, nil
 	}
-	return concatMorselsPooled(outs), nil
-}
-
-// filterRowsParallel evaluates predicates over already-projected rows.
-func (c *Ctx) filterRowsParallel(in []datum.Row, layout []logical.ColumnID, preds []logical.Scalar) ([]datum.Row, error) {
-	outs := make([][]datum.Row, numMorsels(len(in)))
-	err := c.forMorsels(len(in), func(wc *Ctx, m, lo, hi int) error {
-		e := newEnv(layout, nil)
-		out := getRowBuf()
-		for _, r := range in[lo:hi] {
-			wc.Counters.RowsProcessed++
-			e.row = r
-			ok, err := wc.filterRow(preds, e)
-			if err != nil {
-				return err
-			}
-			if ok {
-				out = append(out, r)
-			}
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
+	idx := make([]int, len(rows))
+	for i := range idx {
+		idx[i] = i
 	}
-	return concatMorselsPooled(outs), nil
-}
-
-// projectRowsParallel computes projection items over morsels.
-func (c *Ctx) projectRowsParallel(in []datum.Row, layout []logical.ColumnID, items []logical.ProjectItem) ([]datum.Row, error) {
-	outs := make([][]datum.Row, numMorsels(len(in)))
-	err := c.forMorsels(len(in), func(wc *Ctx, m, lo, hi int) error {
-		e := newEnv(layout, nil)
-		ectx := wc.evalCtx(e)
-		out := make([]datum.Row, 0, hi-lo)
-		for _, r := range in[lo:hi] {
-			wc.Counters.RowsProcessed++
-			e.row = r
-			nr := make(datum.Row, len(items))
-			for i, it := range items {
-				v, err := logical.Eval(it.Expr, ectx)
-				if err != nil {
-					return err
-				}
-				nr[i] = v
-			}
-			out = append(out, nr)
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return concatMorsels(outs), nil
-}
-
-// --- partitioned parallel hash join ---
-
-// runHashJoinParallel executes a hash join as: parallel hash-partition of the
-// build (right) side → one hash table per partition built in parallel →
-// morsel-parallel probe of the partitioned table. Bucket lists preserve the
-// build side's original row order, so each probe row sees its matches in
-// exactly the serial order and the concatenated output is serial-identical.
-func (c *Ctx) runHashJoinParallel(t *physical.HashJoin, left, right []datum.Row, lOff, rOff []int) ([]datum.Row, error) {
-	nParts := c.workers()
-	nmBuild := numMorsels(len(right))
-	// Fan-out: each morsel partitions its build rows by hash, keeping indices
-	// in row order.
-	parts := make([][][]int, nmBuild)
-	err := c.forMorsels(len(right), func(wc *Ctx, m, lo, hi int) error {
-		loc := make([][]int, nParts)
-		for i := lo; i < hi; i++ {
-			rr := right[i]
-			if hasNullAt(rr, rOff) {
-				continue // NULL keys never match; FullOuter emits them later
-			}
-			wc.Counters.HashOps++
-			p := int(rr.Hash(rOff) % uint64(nParts))
-			loc[p] = append(loc[p], i)
-		}
-		parts[m] = loc
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Per-partition build: concatenating morsel lists in morsel order keeps
-	// bucket entries in global build-row order (matching the serial build).
-	builds := make([]map[uint64][]int, nParts)
-	err = c.runWorkers(nParts, func(w int, wc *Ctx) error {
-		// Pre-size for an even partition split: rehash churn on the build is
-		// pure overhead, and skew only makes one map larger than its hint.
-		b := make(map[uint64][]int, len(right)/nParts+1)
-		for m := 0; m < nmBuild; m++ {
-			if m%64 == 0 {
-				if wc.bar.aborted() {
-					return errBarrierAborted
-				}
-				if err := wc.canceled(); err != nil {
-					return err
-				}
-			}
-			for _, i := range parts[m][w] {
-				h := right[i].Hash(rOff)
-				b[h] = append(b[h], i)
-			}
-		}
-		builds[w] = b
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.noteMem(int64(len(right)))
-
-	// Morsel-parallel probe.
-	leftLayout, rightLayout := t.Left.Columns(), t.Right.Columns()
-	combined := append(append([]logical.ColumnID{}, leftLayout...), rightLayout...)
-	rightWidth := len(rightLayout)
-	nmProbe := numMorsels(len(left))
-	outs := make([][]datum.Row, nmProbe)
-	needMatched := t.Kind == logical.FullOuterJoin
-	var matchedMu sync.Mutex
-	var workerMatched [][]bool
-	err = c.forMorsels(len(left), func(wc *Ctx, m, lo, hi int) error {
-		e := newEnv(combined, nil)
-		var out []datum.Row
-		var matched []bool
-		for _, lr := range left[lo:hi] {
-			lrMatched := false
-			if !hasNullAt(lr, lOff) {
-				wc.Counters.HashOps++
-				h := lr.Hash(lOff)
-				bucket := builds[int(h%uint64(nParts))][h]
-				for _, ri := range bucket {
-					rr := right[ri]
-					if !datum.EqualOn(lr, rr, lOff, rOff) {
-						continue
-					}
-					wc.Counters.RowsProcessed++
-					e.row = lr.Concat(rr)
-					ok, err := wc.filterRow(t.ExtraOn, e)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						continue
-					}
-					lrMatched = true
-					if needMatched {
-						if matched == nil {
-							matched = make([]bool, len(right))
-						}
-						matched[ri] = true
-					}
-					switch t.Kind {
-					case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
-						out = append(out, lr.Concat(rr))
-					case logical.SemiJoin:
-						out = append(out, lr)
-					}
-					if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
-						break
-					}
-				}
-			}
-			switch t.Kind {
-			case logical.LeftOuterJoin, logical.FullOuterJoin:
-				if !lrMatched {
-					out = append(out, lr.Concat(nullRow(rightWidth)))
-				}
-			case logical.AntiJoin:
-				if !lrMatched {
-					out = append(out, lr)
-				}
-			}
-		}
-		outs[m] = out
-		if matched != nil {
-			matchedMu.Lock()
-			workerMatched = append(workerMatched, matched)
-			matchedMu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := concatMorsels(outs)
-	if needMatched {
-		rightMatched := make([]bool, len(right))
-		for _, wm := range workerMatched {
-			for i, b := range wm {
-				if b {
-					rightMatched[i] = true
-				}
-			}
-		}
-		leftWidth := len(leftLayout)
-		for ri, rr := range right {
-			if !rightMatched[ri] {
-				out = append(out, nullRow(leftWidth).Concat(rr))
-			}
-		}
-	}
-	return out, nil
-}
-
-// --- parallel nested-loop and index-nested-loop probes ---
-
-// runNLJoinParallel splits the outer input into morsels probed against the
-// fully materialized inner. Per-morsel concatenation keeps the serial order.
-func (c *Ctx) runNLJoinParallel(t *physical.NLJoin, left, right *Result) ([]datum.Row, error) {
-	combined := append(append([]logical.ColumnID{}, left.Cols...), right.Cols...)
-	rightWidth := len(right.Cols)
-	nm := numMorsels(len(left.Rows))
-	outs := make([][]datum.Row, nm)
-	needMatched := t.Kind == logical.FullOuterJoin
-	var matchedMu sync.Mutex
-	var workerMatched [][]bool
-	err := c.forMorsels(len(left.Rows), func(wc *Ctx, m, lo, hi int) error {
-		e := newEnv(combined, nil)
-		var out []datum.Row
-		var matchedR []bool
-		if needMatched {
-			matchedR = make([]bool, len(right.Rows))
-		}
-		for _, lr := range left.Rows[lo:hi] {
-			matched := false
-			for ri, rr := range right.Rows {
-				wc.Counters.RowsProcessed++
-				e.row = lr.Concat(rr)
-				ok, err := wc.filterRow(t.On, e)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-				matched = true
-				if needMatched {
-					matchedR[ri] = true
-				}
-				switch t.Kind {
-				case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
-					out = append(out, lr.Concat(rr))
-				case logical.SemiJoin:
-					out = append(out, lr)
-				}
-				if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
-					break
-				}
-			}
-			switch t.Kind {
-			case logical.LeftOuterJoin, logical.FullOuterJoin:
-				if !matched {
-					out = append(out, lr.Concat(nullRow(rightWidth)))
-				}
-			case logical.AntiJoin:
-				if !matched {
-					out = append(out, lr)
-				}
-			}
-		}
-		outs[m] = out
-		if matchedR != nil {
-			matchedMu.Lock()
-			workerMatched = append(workerMatched, matchedR)
-			matchedMu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := concatMorsels(outs)
-	if needMatched {
-		rightMatched := make([]bool, len(right.Rows))
-		for _, wm := range workerMatched {
-			for i, b := range wm {
-				if b {
-					rightMatched[i] = true
-				}
-			}
-		}
-		leftWidth := len(left.Cols)
-		for ri, rr := range right.Rows {
-			if !rightMatched[ri] {
-				out = append(out, nullRow(leftWidth).Concat(rr))
-			}
-		}
-	}
-	return out, nil
-}
-
-// runINLJoinParallel probes the inner table's index with morsels of outer
-// rows — the parallel index scan of §7.1 (the index is shared storage, so
-// probes stay local to each worker).
-func (c *Ctx) runINLJoinParallel(t *physical.INLJoin, left []datum.Row, tab *storage.Table, ix *storage.IndexData, keyOffsets []int) ([]datum.Row, error) {
-	leftLayout := t.Left.Columns()
-	combined := append(append([]logical.ColumnID{}, leftLayout...), t.Cols...)
-	innerWidth := len(t.Cols)
-	outs := make([][]datum.Row, numMorsels(len(left)))
-	err := c.forMorsels(len(left), func(wc *Ctx, m, lo, hi int) error {
-		e := newEnv(combined, nil)
-		var out []datum.Row
-		for _, lr := range left[lo:hi] {
-			key := make(datum.Row, len(keyOffsets))
-			nullKey := false
-			for i, off := range keyOffsets {
-				key[i] = lr[off]
-				if key[i].IsNull() {
-					nullKey = true
-				}
-			}
-			matched := false
-			if !nullKey {
-				wc.Counters.IndexSeeks++
-				ids := ix.SeekEq(key)
-				for _, id := range ids {
-					wc.touchRow(tab, id)
-				}
-				for _, id := range ids {
-					wc.Counters.RowsProcessed++
-					ir, err := wc.rowAt(tab, id)
-					if err != nil {
-						return err
-					}
-					rr := projectRow(ir, t.ColOrds)
-					e.row = lr.Concat(rr)
-					ok, err := wc.filterRow(t.ExtraOn, e)
-					if err != nil {
-						return err
-					}
-					if !ok {
-						continue
-					}
-					matched = true
-					switch t.Kind {
-					case logical.InnerJoin, logical.LeftOuterJoin:
-						out = append(out, lr.Concat(rr))
-					case logical.SemiJoin:
-						out = append(out, lr)
-					}
-					if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
-						break
-					}
-				}
-			}
-			switch t.Kind {
-			case logical.LeftOuterJoin:
-				if !matched {
-					out = append(out, lr.Concat(nullRow(innerWidth)))
-				}
-			case logical.AntiJoin:
-				if !matched {
-					out = append(out, lr)
-				}
-			}
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return concatMorsels(outs), nil
-}
-
-// fetchRowsParallel projects and filters fetched row ids morsel-wise (the
-// fetch phase of a parallel index scan).
-func (c *Ctx) fetchRowsParallel(tab *storage.Table, ids []int, cols []logical.ColumnID, colOrds []int, filter []logical.Scalar) ([]datum.Row, error) {
-	outs := make([][]datum.Row, numMorsels(len(ids)))
-	err := c.forMorsels(len(ids), func(wc *Ctx, m, lo, hi int) error {
-		if err := wc.step("scan"); err != nil {
-			return err
-		}
-		e := newEnv(cols, nil)
-		out := getRowBuf()
-		for _, id := range ids[lo:hi] {
-			wc.Counters.RowsProcessed++
-			r, err := wc.rowAt(tab, id)
-			if err != nil {
-				return err
-			}
-			pr := projectRow(r, colOrds)
-			if len(filter) > 0 {
-				e.row = pr
-				ok, err := wc.filterRow(filter, e)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			out = append(out, pr)
-		}
-		outs[m] = out
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return concatMorselsPooled(outs), nil
-}
-
-// --- parallel hash aggregation ---
-
-// runGroupByParallel pre-aggregates morsels into thread-local group tables and
-// merges them at the barrier — the classic two-phase parallel aggregation.
-func (c *Ctx) runGroupByParallel(in []datum.Row, layout []logical.ColumnID, keyOff []int, groupCols []logical.ColumnID, aggs []logical.AggItem) ([]datum.Row, error) {
-	nm := numMorsels(len(in))
-	nW := c.workers()
-	if nW > nm {
-		nW = nm
-	}
-	tables := make([]*groupTable, nW)
-	err := c.runWorkers(nW, func(w int, wc *Ctx) error {
-		gt := newGroupTable(len(groupCols), aggs)
-		// All thread-local tables draw on the query's shared account; the
-		// caller degrades to spillGroupBy when any of them trips the budget.
-		gt.mem = c.Mem
-		gt.memOp = "hash aggregation"
-		tables[w] = gt
-		e := newEnv(layout, nil)
-		ectx := wc.evalCtx(e)
-		for m := w; m < nm; m += nW {
-			if wc.bar.aborted() {
-				return errBarrierAborted
-			}
-			if err := wc.canceled(); err != nil {
-				return &seqError{seq: m, err: err}
-			}
-			lo := m * MorselSize
-			hi := lo + MorselSize
-			if hi > len(in) {
-				hi = len(in)
-			}
-			for _, r := range in[lo:hi] {
-				wc.Counters.RowsProcessed++
-				wc.Counters.HashOps++
-				e.row = r
-				key := make(datum.Row, len(keyOff))
-				for i, off := range keyOff {
-					key[i] = r[off]
-				}
-				args := make([]datum.D, len(aggs))
-				for i, a := range aggs {
-					if a.Arg == nil {
-						args[i] = datum.NewInt(1)
-						continue
-					}
-					v, err := logical.Eval(a.Arg, ectx)
-					if err != nil {
-						return err
-					}
-					args[i] = v
-				}
-				if err := gt.add(key, key.Hash(seqOffsets(len(key))), args); err != nil {
-					return &seqError{seq: m, err: err}
-				}
-			}
-		}
-		return nil
-	})
-	release := func() {
-		for _, gt := range tables {
-			if gt != nil {
-				gt.release()
-			}
-		}
-	}
-	defer release()
-	if err != nil {
-		return nil, err
-	}
-	// Peak memory: the thread-local tables coexist until the merge completes.
-	var partial int64
-	var partialBytes int64
-	for _, gt := range tables {
-		if gt != nil {
-			partial += int64(len(gt.order))
-			partialBytes += gt.charged
-		}
-	}
-	final := newGroupTable(len(groupCols), aggs)
-	final.mem = c.Mem
-	final.memOp = "hash aggregation"
-	defer final.release()
-	for _, gt := range tables {
-		if gt != nil {
-			if err := final.mergeFrom(gt); err != nil {
-				return nil, err
-			}
-		}
-	}
-	c.noteMem(partial + int64(len(final.order)))
-	c.noteMemBytes(partialBytes + final.charged)
-	return final.rows(), nil
-}
-
-// --- parallel sort ---
-
-// sortRowsParallel sorts rows by spec with contiguous chunk sorts on workers
-// followed by a k-way merge. Ties break on the original row position, so the
-// result is exactly the serial stable sort.
-func (c *Ctx) sortRowsParallel(rows []datum.Row, spec []datum.SortSpec) []datum.Row {
-	nW := c.workers()
+	nW := c.morselWorkers(len(rows))
 	chunk := (len(rows) + nW - 1) / nW
 	runs := make([][]int, 0, nW)
-	for lo := 0; lo < len(rows); lo += chunk {
-		hi := lo + chunk
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		run := make([]int, hi-lo)
-		for i := range run {
-			run[i] = lo + i
-		}
-		runs = append(runs, run)
+	for lo := 0; lo < len(idx); lo += chunk {
+		runs = append(runs, idx[lo:min(lo+chunk, len(idx))])
 	}
-	// Chunk sorts: index sorts with the original position as tiebreaker make
-	// each run a contiguous slice of the stable global order.
-	_ = c.runWorkers(len(runs), func(w int, wc *Ctx) error {
-		run := runs[w]
-		sort.Slice(run, func(a, b int) bool {
+	err := c.runWorkers(len(runs), func(w int, wc *Ctx) error {
+		slices.SortFunc(runs[w], func(a, b int) int {
 			wc.Counters.Comparisons++
-			cmp := datum.CompareRows(rows[run[a]], rows[run[b]], spec)
-			if cmp != 0 {
-				return cmp < 0
+			if cmp := datum.CompareRows(rows[a], rows[b], spec); cmp != 0 {
+				return cmp
 			}
-			return run[a] < run[b]
+			return a - b
 		})
 		return nil
 	})
-	return mergeRuns(rows, runs, spec, &c.Counters)
+	if err != nil {
+		return nil, err
+	}
+	return mergeRuns(rows, runs, spec, &c.Counters), nil
 }
 
 // mergeRuns k-way merges index runs that are each sorted by (spec, index),
@@ -914,8 +388,8 @@ func mergeRuns(rows []datum.Row, runs [][]int, spec []datum.SortSpec, counters *
 // hash- or round-robin-partitions the input stream Degree ways, and a fan-in
 // that concatenates the partitions — or, when MergeOrdering is present,
 // merges them order-preservingly so the input's sort order survives the
-// repartitioning. On the serial path the exchange degenerates to a pass-through
-// that only counts exchanged rows, as before.
+// repartitioning. On one worker the exchange degenerates to a pass-through
+// that only counts exchanged rows.
 func (c *Ctx) runExchange(t *physical.Exchange) ([]datum.Row, error) {
 	in, err := c.runPlan(t.Input)
 	if err != nil {
@@ -925,57 +399,45 @@ func (c *Ctx) runExchange(t *physical.Exchange) ([]datum.Row, error) {
 	// The exchange buffer is a materialization point: it must complete
 	// regardless of the budget, so its footprint is observed, not reserved.
 	c.Mem.NotePeak(rowSetBytes(in))
-	if !c.parallel() || len(in) < minParallelRows {
+	if c.morselWorkers(len(in)) == 1 {
 		return in, nil
 	}
 	degree := t.Degree
 	if degree < 2 {
-		degree = c.workers()
+		degree = c.Parallelism
 	}
 	layout := t.Input.Columns()
 
 	// Fan-out: partition indices morsel-wise (stable within each morsel).
 	nm := numMorsels(len(in))
 	parts := make([][][]int, nm)
+	var pOff []int
 	if len(t.PartitionCols) > 0 {
-		pOff, err := offsetsOf(layout, t.PartitionCols)
-		if err != nil {
+		if pOff, err = offsetsOf(layout, t.PartitionCols); err != nil {
 			return nil, err
 		}
-		err = c.forMorsels(len(in), func(wc *Ctx, m, lo, hi int) error {
-			loc := make([][]int, degree)
-			for i := lo; i < hi; i++ {
+	}
+	err = c.forMorsels(len(in), func(wc *Ctx, m, lo, hi int) error {
+		loc := make([][]int, degree)
+		for i := lo; i < hi; i++ {
+			p := m % degree // no partition columns: round-robin by morsel
+			if pOff != nil {
 				wc.Counters.HashOps++
-				p := int(in[i].Hash(pOff) % uint64(degree))
-				loc[p] = append(loc[p], i)
+				p = int(in[i].Hash(pOff) % uint64(degree))
 			}
-			parts[m] = loc
-			return nil
-		})
-		if err != nil {
-			return nil, err
+			loc[p] = append(loc[p], i)
 		}
-	} else {
-		// Round-robin by morsel.
-		err = c.forMorsels(len(in), func(wc *Ctx, m, lo, hi int) error {
-			loc := make([][]int, degree)
-			ids := make([]int, hi-lo)
-			for i := range ids {
-				ids[i] = lo + i
-			}
-			loc[m%degree] = ids
-			parts[m] = loc
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		parts[m] = loc
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Fan-in: one consumer per partition gathers its stream in morsel order,
 	// which preserves the producer's row order within each partition.
 	streams := make([][]int, degree)
-	nCons := min(c.workers(), degree)
+	nCons := min(c.Parallelism, degree)
 	err = c.runWorkers(nCons, func(w int, wc *Ctx) error {
 		for p := w; p < degree; p += nCons {
 			var ids []int

@@ -25,6 +25,13 @@ type parFixture struct {
 
 func newParFixture(t testing.TB, nR, nS int, seed int64) *parFixture {
 	t.Helper()
+	return newParFixtureOn(t, storage.NewStore(), nR, nS, seed)
+}
+
+// newParFixtureOn builds the fixture's tables in the given store, which may
+// be disk-backed.
+func newParFixtureOn(t testing.TB, store *storage.Store, nR, nS int, seed int64) *parFixture {
+	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	r := &catalog.Table{Name: "R", Cols: []catalog.Column{
 		{Name: "k", Kind: datum.KindInt},
@@ -35,7 +42,6 @@ func newParFixture(t testing.TB, nR, nS int, seed int64) *parFixture {
 		{Name: "k", Kind: datum.KindInt},
 		{Name: "w", Kind: datum.KindInt},
 	}}
-	store := storage.NewStore()
 	rt, err := store.CreateTable(r)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +148,7 @@ func TestParallelScanFilterProjectMatchesSerial(t *testing.T) {
 	}
 }
 
-// Filters pushed into the scan node itself take the scanRowsParallel path.
+// Filters pushed into the scan node itself run inside the scan's morsel body.
 func TestParallelTableScanWithPushedFilter(t *testing.T) {
 	f := newParFixture(t, 5000, 0, 2)
 	v := f.rCols[1]

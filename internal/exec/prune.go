@@ -147,15 +147,20 @@ func compileZonePreds(filters []logical.Scalar, ordOf func(logical.ColumnID) (in
 // (the optimizer's pruned-page costing): ords maps each scan output column to
 // its base-table ordinal.
 func CompileScanZonePreds(filters []logical.Scalar, cols []logical.ColumnID, ords []int) []storage.ZonePred {
-	preds, _ := compileZonePreds(filters, func(id logical.ColumnID) (int, bool) {
+	preds, _ := compileZonePreds(filters, scanOrdOf(cols, ords))
+	return preds
+}
+
+// scanOrdOf maps a scan's output column IDs to base-table ordinals.
+func scanOrdOf(cols []logical.ColumnID, ords []int) func(logical.ColumnID) (int, bool) {
+	return func(id logical.ColumnID) (int, bool) {
 		for i, cid := range cols {
 			if cid == id {
 				return ords[i], true
 			}
 		}
 		return 0, false
-	})
-	return preds
+	}
 }
 
 // scanPruner is the per-scan elimination state: the table's sealed-segment
@@ -182,14 +187,7 @@ func (c *Ctx) buildPruner(tab *storage.Table, filter []logical.Scalar, cols []lo
 	var preds []storage.ZonePred
 	var full bool
 	if !c.NoPrune {
-		preds, full = compileZonePreds(filter, func(id logical.ColumnID) (int, bool) {
-			for i, cid := range cols {
-				if cid == id {
-					return colOrds[i], true
-				}
-			}
-			return 0, false
-		})
+		preds, full = compileZonePreds(filter, scanOrdOf(cols, colOrds))
 	}
 	last := layout[len(layout)-1]
 	return &scanPruner{
@@ -239,28 +237,6 @@ func (p *scanPruner) dispRange(lo, hi int) storage.ZoneDisp {
 		return storage.ZoneSome
 	}
 	return disp
-}
-
-// scanRegion is one contiguous row range a pruned scan must read.
-type scanRegion struct {
-	lo, hi int
-	disp   storage.ZoneDisp
-}
-
-// liveRegions returns the row ranges that survive elimination, in row order:
-// every non-ZoneNone segment plus the unsealed tail.
-func (p *scanPruner) liveRegions() []scanRegion {
-	out := make([]scanRegion, 0, len(p.layout)+1)
-	for i, seg := range p.layout {
-		if p.disp[i] == storage.ZoneNone {
-			continue
-		}
-		out = append(out, scanRegion{lo: seg.StartRow, hi: seg.StartRow + seg.Rows, disp: p.disp[i]})
-	}
-	if p.total > p.sealed {
-		out = append(out, scanRegion{lo: p.sealed, hi: p.total, disp: storage.ZoneSome})
-	}
-	return out
 }
 
 // notePruner records the elimination outcome once per scan operator: segment

@@ -543,25 +543,13 @@ func (c *Ctx) graceHashJoin(t *physical.HashJoin, left, right []datum.Row, lOff,
 				}
 				lrMatched = true
 				matched[ri] = true
-				switch t.Kind {
-				case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
-					emitted = append(emitted, lr.Concat(rr))
-				case logical.SemiJoin:
-					emitted = append(emitted, lr)
-				}
-				if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
+				var done bool
+				if emitted, done = emitJoined(t.Kind, emitted, lr, rr); done {
 					break
 				}
 			}
-			switch t.Kind {
-			case logical.LeftOuterJoin, logical.FullOuterJoin:
-				if !lrMatched {
-					emitted = append(emitted, lr.Concat(nullRow(rightWidth)))
-				}
-			case logical.AntiJoin:
-				if !lrMatched {
-					emitted = append(emitted, lr)
-				}
+			if !lrMatched {
+				emitted = emitUnmatched(t.Kind, emitted, lr, rightWidth)
 			}
 			if len(emitted) > 0 {
 				out = append(out, emission{li: int64(li), rows: emitted})
@@ -587,12 +575,7 @@ func (c *Ctx) graceHashJoin(t *physical.HashJoin, left, right []datum.Row, lOff,
 	for li := range left {
 		p := leftPart[li]
 		if p < 0 {
-			switch t.Kind {
-			case logical.LeftOuterJoin, logical.FullOuterJoin:
-				out = append(out, left[li].Concat(nullRow(rightWidth)))
-			case logical.AntiJoin:
-				out = append(out, left[li])
-			}
+			out = emitUnmatched(t.Kind, out, left[li], rightWidth)
 			continue
 		}
 		if cur := cursors[p]; cur < len(outs[p]) && outs[p][cur].li == int64(li) {

@@ -1,110 +1,20 @@
-// The vectorized execution path: operators that produce and consume columnar
-// batches (batch.go) through the typed kernels in kernels.go, integrated
-// under the same morsel scheduler, memory governor, fault cadence and metrics
-// as the row engine. Dispatch is structural — execPlanBatch claims an
-// operator only when every predicate, projection item and aggregate has a
-// kernel; anything else falls back to the row path automatically, so turning
-// vectorization on never changes which queries run, only how fast. Claimed
-// operators replicate the row path's observable behaviour exactly: the same
-// counters (RowsProcessed, HashOps, IndexSeeks), the same page touches, the
-// same step("scan") fault/cancel cadence per MorselSize rows, the same memory
-// reservations with the same spill fallbacks, and bit-identical output rows.
+// The kernel implementations of hash aggregation and hash join: they consume
+// and produce columnar batches (batch.go) through the typed hash and
+// accumulate kernels in kernels.go. execPlan offers a HashGroupBy or HashJoin
+// node to them when Ctx.Vectorize allows kernels; whether they claim it
+// depends only on the plan node — aggregate shapes, ExtraOn — never on the
+// parallelism degree, and an unclaimed node runs the row implementation in
+// iter.go. Claimed operators replicate the row implementation's observable
+// behaviour exactly: the same counters (RowsProcessed, HashOps), the same
+// memory reservations with the same spill fallbacks, and bit-identical
+// output rows.
 package exec
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/datum"
 	"repro/internal/logical"
 	"repro/internal/physical"
-	"repro/internal/storage"
 )
-
-// execVectorized attempts to run p on the batch path. ok=false means no
-// vectorized implementation claimed the operator (the caller runs the row
-// path); ok=true means the batch path ran (successfully or not).
-func (c *Ctx) execVectorized(p physical.Plan) ([]datum.Row, bool, error) {
-	b, ok, err := c.execPlanBatch(p)
-	if !ok {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, true, err
-	}
-	if c.curNode != nil {
-		c.curNode.Vectorized = true
-	}
-	return b.ToRows(), true, nil
-}
-
-// execPlanBatch dispatches to the vectorized operator implementations.
-// The bool result distinguishes "not vectorizable" (false) from "ran" (true);
-// errors are only meaningful in the latter case.
-func (c *Ctx) execPlanBatch(p physical.Plan) (*Batch, bool, error) {
-	switch t := p.(type) {
-	case *physical.TableScan:
-		return c.vecTableScan(t)
-	case *physical.IndexScan:
-		return c.vecIndexScan(t)
-	case *physical.Filter:
-		return c.vecFilter(t)
-	case *physical.Project:
-		return c.vecProject(t)
-	case *physical.HashGroupBy:
-		return c.vecGroupBy(t)
-	case *physical.HashJoin:
-		return c.vecHashJoin(t)
-	}
-	return nil, false, nil
-}
-
-// inputBatch runs a vectorized operator's child, natively in batch form when
-// the child is itself vectorized and via row materialization otherwise. It
-// mirrors runPlan's metering so EXPLAIN ANALYZE sees child operators
-// identically on both paths.
-func (c *Ctx) inputBatch(p physical.Plan) (*Batch, error) {
-	if err := c.canceled(); err != nil {
-		return nil, err
-	}
-	if c.Metrics == nil {
-		b, ok, err := c.execPlanBatch(p)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return b, nil
-		}
-		rows, err := c.execPlan(p)
-		if err != nil {
-			return nil, err
-		}
-		return batchFromRows(p.Columns(), rows), nil
-	}
-	m := c.Metrics.Node(p)
-	m.Invocations++
-	prev := c.curNode
-	c.curNode = m
-	start := time.Now()
-	b, ok, err := c.execPlanBatch(p)
-	if ok {
-		m.WallNanos += time.Since(start).Nanoseconds()
-		if b != nil {
-			m.ActualRows += int64(b.NumRows())
-		}
-		m.Vectorized = true
-		c.curNode = prev
-		return b, err
-	}
-	rows, err := c.execPlan(p)
-	m.WallNanos += time.Since(start).Nanoseconds()
-	m.ActualRows += int64(len(rows))
-	c.curNode = prev
-	if err != nil {
-		return nil, err
-	}
-	return batchFromRows(p.Columns(), rows), nil
-}
 
 // identSel returns the identity selection vector [0, n).
 func identSel(n int) []int32 {
@@ -132,422 +42,6 @@ func vecNullAt(vecs []*datum.Vec, offs []int, i int) bool {
 		}
 	}
 	return false
-}
-
-// colKinds resolves the static column kinds of a scan layout from metadata.
-func (c *Ctx) colKinds(cols []logical.ColumnID) []datum.Kind {
-	kinds := make([]datum.Kind, len(cols))
-	for i, id := range cols {
-		kinds[i] = c.Meta.Column(id).Kind
-	}
-	return kinds
-}
-
-// scanScratch is the per-chunk working state of a filtered vectorized scan:
-// one reusable vector per predicate-referenced column plus ping-pong
-// selection buffers. Only the filter columns are filled before the kernels
-// run — surviving rows are late-materialized afterwards.
-type scanScratch struct {
-	vecs       []*datum.Vec
-	kinds      []datum.Kind
-	predCols   []int
-	ident      []int32
-	selA, selB []int32
-}
-
-func newScanScratch(kinds []datum.Kind, preds []compiledPred) *scanScratch {
-	s := &scanScratch{
-		vecs:  make([]*datum.Vec, len(kinds)),
-		kinds: kinds,
-		ident: identSel(MorselSize),
-		selA:  make([]int32, 0, MorselSize),
-		selB:  make([]int32, 0, MorselSize),
-	}
-	seen := make(map[int]bool)
-	note := func(col int) {
-		if !seen[col] {
-			seen[col] = true
-			s.predCols = append(s.predCols, col)
-			s.vecs[col] = datum.NewVec(kinds[col], MorselSize)
-		}
-	}
-	for _, p := range preds {
-		switch p.form {
-		case predNever:
-		case predColCol:
-			note(p.col)
-			note(p.col2)
-		default:
-			note(p.col)
-		}
-	}
-	return s
-}
-
-// reset readies the scratch vectors for the next chunk.
-func (s *scanScratch) reset() {
-	for _, pc := range s.predCols {
-		s.vecs[pc].Reset(s.kinds[pc])
-	}
-}
-
-// filterChunk runs the compiled predicates over rows [0, chunkLen) of the
-// scratch vectors and returns the surviving local indices. The returned slice
-// aliases scratch buffers — consume it before the next chunk.
-func (s *scanScratch) filterChunk(preds []compiledPred, chunkLen int) []int32 {
-	cur := s.ident[:chunkLen]
-	useA := true
-	b := &Batch{Vecs: s.vecs, n: chunkLen}
-	for _, p := range preds {
-		var dst []int32
-		if useA {
-			dst = s.selA[:0]
-		} else {
-			dst = s.selB[:0]
-		}
-		cur = applyPred(b, p, cur, dst)
-		if useA {
-			s.selA = cur
-		} else {
-			s.selB = cur
-		}
-		useA = !useA
-		if len(cur) == 0 {
-			break
-		}
-	}
-	return cur
-}
-
-// --- vectorized scans ---
-
-func (c *Ctx) vecTableScan(t *physical.TableScan) (*Batch, bool, error) {
-	preds, ok := compilePreds(t.Filter, t.Cols)
-	if !ok {
-		return nil, false, nil
-	}
-	tab, found := c.Store.Table(t.Table.Name)
-	if !found {
-		return nil, true, fmt.Errorf("exec: no storage for table %s", t.Table.Name)
-	}
-	pruner := c.buildPruner(tab, t.Filter, t.Cols, t.ColOrds)
-	if pruner != nil {
-		c.notePruner(tab, pruner)
-	} else {
-		c.touchScan(tab)
-	}
-	n := tab.RowCount()
-	kinds := c.colKinds(t.Cols)
-
-	if len(preds) == 0 {
-		// Unfiltered scan: each column fills in one tight pass. The morsel
-		// loop only keeps the governor cadence (step, counters, batches)
-		// identical to the row path; the fill itself is bandwidth-bound, so
-		// fanning it out buys nothing.
-		if c.parallel() && n >= minParallelRows {
-			err := c.forMorsels(n, func(wc *Ctx, m, lo, hi int) error {
-				if err := wc.step("scan"); err != nil {
-					return err
-				}
-				wc.Counters.RowsProcessed += int64(hi - lo)
-				return nil
-			})
-			if err != nil {
-				return nil, true, err
-			}
-		} else {
-			if c.curNode != nil {
-				c.curNode.Batches += int64(numMorsels(n))
-			}
-			for lo := 0; lo < n; lo += MorselSize {
-				hi := min(lo+MorselSize, n)
-				if err := c.step("scan"); err != nil {
-					return nil, true, err
-				}
-				c.Counters.RowsProcessed += int64(hi - lo)
-			}
-		}
-		vecs := make([]*datum.Vec, len(t.Cols))
-		for ci := range t.Cols {
-			v := datum.NewVec(kinds[ci], n)
-			if err := c.fillRange(tab, t.ColOrds[ci], 0, n, v); err != nil {
-				return nil, true, err
-			}
-			vecs[ci] = v
-		}
-		return &Batch{Cols: t.Cols, Vecs: vecs, n: n}, true, nil
-	}
-
-	// Filtered scan, late-materialized: fill only the predicate columns per
-	// morsel, refine the selection with the kernels, then gather every output
-	// column for the survivors in one pass. Over a disk-backed table the
-	// pruner classifies each morsel first: eliminated morsels skip the fill
-	// and the kernels (no I/O at all), full-match morsels keep every row
-	// without running the kernels.
-	morselDisp := func(lo, hi int) storage.ZoneDisp {
-		if pruner == nil {
-			return storage.ZoneSome
-		}
-		return pruner.dispRange(lo, hi)
-	}
-	identIDs := func(lo, hi int) []int {
-		loc := make([]int, hi-lo)
-		for k := range loc {
-			loc[k] = lo + k
-		}
-		return loc
-	}
-	var ids []int
-	if c.parallel() && n >= minParallelRows {
-		idsPer := make([][]int, numMorsels(n))
-		err := c.forMorsels(n, func(wc *Ctx, m, lo, hi int) error {
-			disp := morselDisp(lo, hi)
-			if disp == storage.ZoneNone {
-				return nil
-			}
-			if err := wc.step("scan"); err != nil {
-				return err
-			}
-			wc.Counters.RowsProcessed += int64(hi - lo)
-			if disp == storage.ZoneAll && pruner.full {
-				idsPer[m] = identIDs(lo, hi)
-				return nil
-			}
-			scratch := newScanScratch(kinds, preds)
-			for _, pc := range scratch.predCols {
-				if err := wc.fillRange(tab, t.ColOrds[pc], lo, hi, scratch.vecs[pc]); err != nil {
-					return err
-				}
-			}
-			sel := scratch.filterChunk(preds, hi-lo)
-			if len(sel) == 0 {
-				return nil
-			}
-			loc := make([]int, len(sel))
-			for k, i := range sel {
-				loc[k] = lo + int(i)
-			}
-			idsPer[m] = loc
-			return nil
-		})
-		if err != nil {
-			return nil, true, err
-		}
-		for _, loc := range idsPer {
-			ids = append(ids, loc...)
-		}
-	} else {
-		if c.curNode != nil {
-			c.curNode.Batches += int64(numMorsels(n))
-		}
-		scratch := newScanScratch(kinds, preds)
-		for lo := 0; lo < n; lo += MorselSize {
-			hi := min(lo+MorselSize, n)
-			disp := morselDisp(lo, hi)
-			if disp == storage.ZoneNone {
-				continue
-			}
-			if err := c.step("scan"); err != nil {
-				return nil, true, err
-			}
-			c.Counters.RowsProcessed += int64(hi - lo)
-			if disp == storage.ZoneAll && pruner.full {
-				ids = append(ids, identIDs(lo, hi)...)
-				continue
-			}
-			scratch.reset()
-			for _, pc := range scratch.predCols {
-				if err := c.fillRange(tab, t.ColOrds[pc], lo, hi, scratch.vecs[pc]); err != nil {
-					return nil, true, err
-				}
-			}
-			for _, i := range scratch.filterChunk(preds, hi-lo) {
-				ids = append(ids, lo+int(i))
-			}
-		}
-	}
-	vecs := make([]*datum.Vec, len(t.Cols))
-	for ci := range t.Cols {
-		v := datum.NewVec(kinds[ci], len(ids))
-		if err := c.fillIDs(tab, t.ColOrds[ci], ids, v); err != nil {
-			return nil, true, err
-		}
-		vecs[ci] = v
-	}
-	return &Batch{Cols: t.Cols, Vecs: vecs, n: len(ids)}, true, nil
-}
-
-func (c *Ctx) vecIndexScan(t *physical.IndexScan) (*Batch, bool, error) {
-	preds, ok := compilePreds(t.Filter, t.Cols)
-	if !ok {
-		return nil, false, nil
-	}
-	tab, found := c.Store.Table(t.Table.Name)
-	if !found {
-		return nil, true, fmt.Errorf("exec: no storage for table %s", t.Table.Name)
-	}
-	ix, err := tab.Index(t.Index.Name)
-	if err != nil {
-		return nil, true, err
-	}
-	c.Counters.IndexSeeks++
-	var ids []int
-	switch {
-	case len(t.EqKey) > 0 && (!t.Lo.IsNull() || !t.Hi.IsNull()):
-		ids = ix.SeekEq(t.EqKey)
-		rangeOrd := t.Index.Cols[len(t.EqKey)]
-		ids, err = c.filterIDsByRange(tab, ids, rangeOrd, t.Lo, t.LoIncl, t.Hi, t.HiIncl)
-		if err != nil {
-			return nil, true, err
-		}
-	case len(t.EqKey) > 0:
-		ids = ix.SeekEq(t.EqKey)
-	default:
-		ids = ix.SeekRange(t.Lo, t.LoIncl, t.Hi, t.HiIncl)
-	}
-	for _, id := range ids {
-		c.touchRow(tab, id)
-	}
-	kinds := c.colKinds(t.Cols)
-
-	keep := ids
-	if len(preds) > 0 {
-		keep = keep[:0:0]
-		filterMorsel := func(wc *Ctx, scratch *scanScratch, lo, hi int) ([]int, error) {
-			scratch.reset()
-			for _, pc := range scratch.predCols {
-				if err := wc.fillIDs(tab, t.ColOrds[pc], ids[lo:hi], scratch.vecs[pc]); err != nil {
-					return nil, err
-				}
-			}
-			sel := scratch.filterChunk(preds, hi-lo)
-			if len(sel) == 0 {
-				return nil, nil
-			}
-			loc := make([]int, len(sel))
-			for k, i := range sel {
-				loc[k] = ids[lo+int(i)]
-			}
-			return loc, nil
-		}
-		if c.parallel() && len(ids) >= minParallelRows {
-			keepPer := make([][]int, numMorsels(len(ids)))
-			err := c.forMorsels(len(ids), func(wc *Ctx, m, lo, hi int) error {
-				if err := wc.step("scan"); err != nil {
-					return err
-				}
-				wc.Counters.RowsProcessed += int64(hi - lo)
-				loc, err := filterMorsel(wc, newScanScratch(kinds, preds), lo, hi)
-				if err != nil {
-					return err
-				}
-				keepPer[m] = loc
-				return nil
-			})
-			if err != nil {
-				return nil, true, err
-			}
-			for _, loc := range keepPer {
-				keep = append(keep, loc...)
-			}
-		} else {
-			if c.curNode != nil {
-				c.curNode.Batches += int64(numMorsels(len(ids)))
-			}
-			scratch := newScanScratch(kinds, preds)
-			for lo := 0; lo < len(ids); lo += MorselSize {
-				hi := min(lo+MorselSize, len(ids))
-				if err := c.step("scan"); err != nil {
-					return nil, true, err
-				}
-				c.Counters.RowsProcessed += int64(hi - lo)
-				loc, err := filterMorsel(c, scratch, lo, hi)
-				if err != nil {
-					return nil, true, err
-				}
-				keep = append(keep, loc...)
-			}
-		}
-	} else {
-		if c.curNode != nil {
-			c.curNode.Batches += int64(numMorsels(len(ids)))
-		}
-		for lo := 0; lo < len(ids); lo += MorselSize {
-			hi := min(lo+MorselSize, len(ids))
-			if err := c.step("scan"); err != nil {
-				return nil, true, err
-			}
-			c.Counters.RowsProcessed += int64(hi - lo)
-		}
-	}
-	vecs := make([]*datum.Vec, len(t.Cols))
-	for ci := range t.Cols {
-		v := datum.NewVec(kinds[ci], len(keep))
-		if err := c.fillIDs(tab, t.ColOrds[ci], keep, v); err != nil {
-			return nil, true, err
-		}
-		vecs[ci] = v
-	}
-	return &Batch{Cols: t.Cols, Vecs: vecs, n: len(keep)}, true, nil
-}
-
-// --- vectorized filter and projection ---
-
-func (c *Ctx) vecFilter(t *physical.Filter) (*Batch, bool, error) {
-	preds, ok := compilePreds(t.Preds, t.Input.Columns())
-	if !ok {
-		return nil, false, nil
-	}
-	in, err := c.inputBatch(t.Input)
-	if err != nil {
-		return nil, true, err
-	}
-	c.Counters.RowsProcessed += int64(in.NumRows())
-	if c.curNode != nil {
-		c.curNode.Batches += int64(numMorsels(in.NumRows()))
-	}
-	sel := in.liveSel()
-	for _, p := range preds {
-		if len(sel) == 0 {
-			break
-		}
-		sel = applyPred(in, p, sel, make([]int32, 0, len(sel)))
-	}
-	return &Batch{Cols: in.Cols, Vecs: in.Vecs, Sel: sel, n: in.n}, true, nil
-}
-
-func (c *Ctx) vecProject(t *physical.Project) (*Batch, bool, error) {
-	layout := t.Input.Columns()
-	offs := make([]int, len(t.Items))
-	for i, it := range t.Items {
-		col, isCol := it.Expr.(*logical.Col)
-		if !isCol {
-			return nil, false, nil
-		}
-		off := -1
-		for j, id := range layout {
-			if id == col.ID {
-				off = j
-				break
-			}
-		}
-		if off < 0 {
-			return nil, false, nil
-		}
-		offs[i] = off
-	}
-	in, err := c.inputBatch(t.Input)
-	if err != nil {
-		return nil, true, err
-	}
-	c.Counters.RowsProcessed += int64(in.NumRows())
-	// Pure column selection: the output shares the input's vectors — a
-	// projection costs len(items) pointer copies, not a row copy.
-	vecs := make([]*datum.Vec, len(offs))
-	for i, off := range offs {
-		vecs[i] = in.Vecs[off]
-	}
-	return &Batch{Cols: t.Columns(), Vecs: vecs, Sel: in.Sel, n: in.n}, true, nil
 }
 
 // --- vectorized hash aggregation ---
@@ -604,11 +98,6 @@ func (g *vecGroups) assign(in *Batch, i int, h uint64) (int32, error) {
 }
 
 func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, bool, error) {
-	if c.parallel() {
-		// Large inputs take the two-phase parallel row aggregation; claiming
-		// them here would serialize the pipeline.
-		return nil, false, nil
-	}
 	layout := t.Input.Columns()
 	keyOff, err := offsetsOf(layout, t.GroupCols)
 	if err != nil {
@@ -630,17 +119,9 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, bool, error) {
 		if !isCol {
 			return nil, false, nil
 		}
-		off := -1
-		for j, id := range layout {
-			if id == col.ID {
-				off = j
-				break
-			}
-		}
-		if off < 0 {
+		if argOff[i] = (&Result{Cols: layout}).ColIndex(col.ID); argOff[i] < 0 {
 			return nil, false, nil
 		}
-		argOff[i] = off
 	}
 
 	in, err := c.inputBatch(t.Input)
@@ -665,12 +146,12 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, bool, error) {
 		g.keys = append(g.keys, nil)
 	}
 	accs := make([]vecAccumulator, len(t.Aggs))
+	args := make([]*datum.Vec, len(t.Aggs)) // nil for COUNT(*)
 	for i, a := range t.Aggs {
-		var arg *datum.Vec
 		if argOff[i] >= 0 {
-			arg = in.Vecs[argOff[i]]
+			args[i] = in.Vecs[argOff[i]]
 		}
-		if accs[i] = newVecAccumulator(a, arg); accs[i] == nil {
+		if accs[i] = newVecAccumulator(a, args[i]); accs[i] == nil {
 			return nil, false, nil
 		}
 	}
@@ -719,12 +200,8 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, bool, error) {
 		}
 		ng := len(g.keys)
 		for ai := range accs {
-			var arg *datum.Vec
-			if argOff[ai] >= 0 {
-				arg = in.Vecs[argOff[ai]]
-			}
 			accs[ai].ensure(ng)
-			accs[ai].accumulate(arg, chunk, gids)
+			accs[ai].accumulate(args[ai], chunk, gids)
 		}
 	}
 	for ai := range accs {
@@ -785,7 +262,7 @@ func vecKeysEqual(l *Batch, lOff []int, li int, r *Batch, rOff []int, ri int) bo
 }
 
 func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, bool, error) {
-	if c.parallel() || len(t.ExtraOn) > 0 {
+	if len(t.ExtraOn) > 0 {
 		return nil, false, nil
 	}
 	leftLayout, rightLayout := t.Left.Columns(), t.Right.Columns()

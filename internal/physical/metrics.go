@@ -21,11 +21,14 @@ type NodeMetrics struct {
 	ActualRows int64
 	// Invocations counts how many times the node was executed.
 	Invocations int64
-	// Batches counts morsel batches fanned out by the parallel paths
-	// (0 means the node ran serially).
+	// Batches counts the morsels (~1024 input rows each) the node's operator
+	// loops processed. For scans, filters and projections it depends on the
+	// input size only — the same at every parallelism degree, kernels on or
+	// off; a hash join adds its build-partitioning pass on several workers.
 	Batches int64
-	// Vectorized reports that the node ran on the columnar batch path
-	// (typed kernels over column vectors) rather than row at a time.
+	// Vectorized reports that at least one of the node's predicate
+	// conjuncts, hashes or aggregates ran on a typed kernel over column
+	// vectors; the rest of the node's work ran row at a time.
 	Vectorized bool
 	// WallNanos is inclusive wall-clock time: the node plus its inputs.
 	WallNanos int64

@@ -91,11 +91,11 @@ type Options struct {
 	Cost *cost.Model
 	// Analyze configures statistics collection for ANALYZE statements.
 	Analyze stats.AnalyzeOptions
-	// Parallelism > 1 runs queries on the morsel-driven parallel executor
+	// Parallelism > 1 runs the executor's morsel loops on that many workers
 	// (§7.1): optimized plans pass through parallel.Parallelize so Exchange
 	// operators are planned, and execute on a shared worker pool of this
-	// degree. 0 or 1 keeps execution serial. Engines used with parallelism
-	// should be Closed to release the pool.
+	// degree. 0 or 1 runs the same loops on one worker, inline. Engines used
+	// with parallelism should be Closed to release the pool.
 	Parallelism int
 	// FeedbackCapacity sizes the ring buffer of (plan node, estimated rows,
 	// actual rows) observations recorded by analyzed executions (EXPLAIN
@@ -110,10 +110,12 @@ type Options struct {
 	MemBudget int64
 	// TempDir is where spill files are created (empty = os.TempDir()).
 	TempDir string
-	// Vectorize selects the columnar batch execution path. The default
-	// (VectorizeAuto) runs operators with typed kernels over column vectors
-	// and falls back to the row engine for the rest; VectorizeOff forces row
-	// execution everywhere. Results are identical either way.
+	// Vectorize decides whether the executor compiles typed kernels. The
+	// default (VectorizeAuto) runs every predicate conjunct, hash join and
+	// aggregation that has a kernel over column vectors and the rest
+	// row-at-a-time, inside the same operators; VectorizeOff compiles no
+	// kernels, so the same operators evaluate everything row-at-a-time.
+	// Results are identical either way.
 	Vectorize VectorizeMode
 	// TotalMemBudget caps the working memory of all concurrently running
 	// queries combined, in modeled bytes: each query's account (capped at
@@ -202,15 +204,15 @@ type Options struct {
 	DisableCompression bool
 }
 
-// VectorizeMode selects between the columnar batch path and pure row
-// execution.
+// VectorizeMode says whether the executor may compile typed kernels. It does
+// not select an executor: both modes run the same operators.
 type VectorizeMode uint8
 
 const (
-	// VectorizeAuto (the default) vectorizes operators whose predicates,
-	// projections and aggregates all have typed kernels.
+	// VectorizeAuto (the default) compiles a kernel for every predicate
+	// conjunct, hash join and aggregation that has one.
 	VectorizeAuto VectorizeMode = iota
-	// VectorizeOff forces row-at-a-time execution.
+	// VectorizeOff compiles no kernels: everything evaluates row-at-a-time.
 	VectorizeOff
 )
 

@@ -9,6 +9,7 @@ package queryopt
 // succeed regardless of which path each operator takes.
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -88,6 +89,14 @@ func TestVectorizedAnalyzeMarksNodes(t *testing.T) {
 	if marked == 0 {
 		t.Error("no NodeAnalysis has Vectorized set")
 	}
+	batches := func(an *PlanAnalysis) (n int64) {
+		an.Root.Walk(func(na *NodeAnalysis) { n += na.Batches })
+		return n
+	}
+	onBatches := batches(an)
+	if onBatches == 0 {
+		t.Errorf("analyzed scan reports no batches:\n%s", an.Text)
+	}
 
 	off := bigRandSchema(t, Options{Optimizer: SystemR, Vectorize: VectorizeOff}, 3)
 	_, an, err = off.QueryAnalyze(q)
@@ -97,9 +106,105 @@ func TestVectorizedAnalyzeMarksNodes(t *testing.T) {
 	if strings.Contains(an.Text, "vectorized=true") {
 		t.Errorf("VectorizeOff run still marked vectorized:\n%s", an.Text)
 	}
+	if got := batches(an); got != onBatches {
+		t.Errorf("VectorizeOff run reports batches=%d, vectorized run %d:\n%s", got, onBatches, an.Text)
+	}
 	an.Root.Walk(func(n *NodeAnalysis) {
 		if n.Vectorized {
 			t.Errorf("VectorizeOff run set Vectorized on %s", n.Op)
 		}
 	})
+}
+
+// TestCompiledResidualSplitEquivalence: a conjunction that mixes one conjunct
+// with a typed kernel and one without (LIKE, arithmetic, IN (subquery), a
+// UDF) must return exactly what EvalLogical returns — hex-exact floats —
+// wherever it is evaluated: pushed into a table scan, pushed into an index
+// scan, or in a Filter operator, crossed with memory / compressed disk ×
+// parallelism 1/4 × kernels on/off. Rewrites are off so IN (subquery) stays
+// a predicate instead of becoming a semijoin.
+func TestCompiledResidualSplitEquivalence(t *testing.T) {
+	cases := []struct{ op, query string }{
+		{"table-scan r filter=", "SELECT pk, f FROM r WHERE a < 10 AND s LIKE 'b%'"},
+		{"table-scan r filter=", "SELECT pk, f FROM r WHERE a < 10 AND f * 2 > 100.5"},
+		{"table-scan r filter=", "SELECT pk, f FROM r WHERE a < 10 AND fk IN (SELECT pk FROM u WHERE a = 3)"},
+		{"table-scan r filter=", "SELECT pk, f FROM r WHERE a < 10 AND odd(pk)"},
+		{"index-scan r.r_pkey", "SELECT pk, f FROM r WHERE pk >= 100 AND pk < 3000 AND a < 10 AND s LIKE 'c%'"},
+		{"index-scan r.r_pkey", "SELECT pk, f FROM r WHERE pk >= 100 AND pk < 3000 AND a < 10 AND f * 2 > 100.5"},
+		{"index-scan r.r_pkey", "SELECT pk, f FROM r WHERE pk >= 100 AND pk < 3000 AND a < 10 AND fk IN (SELECT pk FROM u WHERE a = 3)"},
+		{"index-scan r.r_pkey", "SELECT pk, f FROM r WHERE pk >= 100 AND pk < 3000 AND a < 10 AND odd(pk)"},
+		{"filter [", "SELECT x.s, x.n FROM (SELECT s, MIN(s) AS m, COUNT(*) AS n FROM r GROUP BY s, a) x WHERE x.n > 40 AND x.m LIKE 'b%'"},
+		{"filter [", "SELECT x.fk, x.sf FROM (SELECT fk, a, COUNT(*) AS n, SUM(f) AS sf FROM r GROUP BY fk, a) x WHERE x.n >= 1 AND x.sf * 2 > 100.5"},
+		{"filter [", "SELECT x.a, x.n FROM (SELECT a, COUNT(*) AS n FROM r GROUP BY a) x WHERE x.n > 100 AND x.a IN (SELECT a FROM u WHERE pk < 50)"},
+		{"filter [", "SELECT x.a, x.n FROM (SELECT a, COUNT(*) AS n FROM r GROUP BY a) x WHERE x.n > 100 AND odd(x.n)"},
+	}
+	build := func(opts Options) *Engine {
+		opts.DisableRewrites = true
+		e := bigRandSchema(t, opts, 5)
+		e.RegisterPredicate("odd", 1.0, 0.5, func(args []any) bool {
+			v, ok := args[0].(int64)
+			return ok && v%2 == 1
+		})
+		return e
+	}
+	oracle := build(Options{Optimizer: Reference})
+	type arm struct {
+		name string
+		eng  *Engine
+	}
+	var arms []arm
+	for _, disk := range []bool{false, true} {
+		for _, degree := range []int{1, 4} {
+			for _, mode := range []VectorizeMode{VectorizeAuto, VectorizeOff} {
+				opts := Options{Optimizer: SystemR, Parallelism: degree, Vectorize: mode}
+				if disk {
+					// A 1-byte cache keeps every read cold.
+					opts.StorageDir, opts.SegmentRows, opts.SegmentCacheBytes = t.TempDir(), 512, 1
+				}
+				arms = append(arms, arm{fmt.Sprintf("disk=%v degree=%d kernels=%v", disk, degree, mode == VectorizeAuto), build(opts)})
+			}
+		}
+	}
+	for _, tc := range cases {
+		want, err := oracle.Exec(tc.query)
+		if err != nil {
+			t.Fatalf("oracle: %v\nquery: %s", err, tc.query)
+		}
+		if len(want.Rows) == 0 {
+			t.Fatalf("degenerate case, no rows: %s", tc.query)
+		}
+		for _, a := range arms {
+			got, err := a.eng.Exec(tc.query)
+			if err != nil {
+				t.Fatalf("%s: %v\nquery: %s", a.name, err, tc.query)
+			}
+			if !strings.Contains(got.Plan, tc.op) {
+				t.Fatalf("%s: plan lost the %q the case is about\nquery: %s\nplan:\n%s", a.name, tc.op, tc.query, got.Plan)
+			}
+			if g, w := exactRows(got), exactRows(want); strings.Join(g, ";") != strings.Join(w, ";") {
+				t.Errorf("%s disagrees with EvalLogical\nquery: %s\nwant (%d rows): %.300v\ngot  (%d rows): %.300v\nplan:\n%s",
+					a.name, tc.query, len(w), w, len(g), g, got.Plan)
+			}
+		}
+	}
+
+	// A residual-only predicate must not make the scan decode whole rows: it
+	// reads the columns the query names, at any worker count. (The predicate
+	// keeps no row, so nothing is read a second time to materialize output.)
+	coldBytes := func(degree int, query string) int64 {
+		e := build(Options{Optimizer: SystemR, Parallelism: degree, StorageDir: t.TempDir(), SegmentRows: 512, SegmentCacheBytes: 1})
+		res, err := e.Exec(query)
+		if err != nil {
+			t.Fatalf("degree %d: %v\nquery: %s", degree, err, query)
+		}
+		return res.Stats.BytesRead
+	}
+	residualOnly := "SELECT pk FROM r WHERE s LIKE 'zz%'"
+	one, four := coldBytes(1, residualOnly), coldBytes(4, residualOnly)
+	if one == 0 || four > one {
+		t.Errorf("residual-only scan read %d bytes at degree 4, %d at degree 1", four, one)
+	}
+	if twoCols := coldBytes(1, "SELECT pk, s FROM r"); one > twoCols {
+		t.Errorf("residual-only scan over (pk, s) read %d bytes, the two columns are %d", one, twoCols)
+	}
 }
