@@ -6,10 +6,11 @@ build:
 test:
 	go test ./...
 
-# check is the strict gate: vet plus the full suite under the race detector.
-# The parallel executor (internal/exec) is explicitly designed to be
+# check is the strict gate: formatting, vet, and the full suite under the race
+# detector. The parallel executor (internal/exec) is explicitly designed to be
 # race-clean; run this before sending changes.
 check: bench-module-check
+	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; }
 	go vet ./...
 	go test -race ./...
 

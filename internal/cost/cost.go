@@ -40,9 +40,11 @@ func DefaultModel() Model {
 // cost units so CommCostPerRow can be set from a real run instead of guessed.
 // The model's unit is "one sequential page read", which the executor
 // approximates as the measured time to scan one page worth of rows; the
-// per-row exchange overhead (partition hash + transfer through the fan-in)
-// divided by that unit is the calibrated CommCostPerRow. Non-positive inputs
-// (e.g. a run too fast to time) fall back to the default.
+// per-row exchange overhead divided by that unit is the calibrated
+// CommCostPerRow. Non-positive inputs fall back to the default — which is
+// what the shared-memory executor always measures: its exchanges move no
+// rows, so their marginal cost is zero up to timing noise, and the model
+// keeps the default that stands for processors that do ship tuples.
 func CalibrateCommPerRow(exchangeSecPerRow, scanSecPerPage float64) float64 {
 	if exchangeSecPerRow <= 0 || scanSecPerPage <= 0 {
 		return DefaultModel().CommCostPerRow

@@ -4,7 +4,8 @@ package exec
 // execution path: COUNT returns 0 over all-NULL or empty input while
 // SUM/AVG/MIN/MAX return NULL — identically whether the accumulator sees rows
 // serially (add), is a parallel thread-local partial, or is the merge target
-// of partials at the two-phase barrier (merge), with and without DISTINCT.
+// of partials at the two-phase barrier (merge), with and without DISTINCT, in
+// the row group table and in the kernel aggregation's per-worker tables.
 
 import (
 	"testing"
@@ -163,6 +164,67 @@ func TestGroupTableNullMerge(t *testing.T) {
 		}
 		if got != w {
 			t.Errorf("column %d = %s, want %s", i, got, w)
+		}
+	}
+}
+
+// TestVecAggWorkerNullFold is TestGroupTableNullMerge for the kernel
+// aggregation: 4 all-NULL rows of one group split 3/1 across two workers'
+// tables, plus a group only the second worker saw, folded by key. Over a
+// typed argument column the typed accumulators fold, over an all-NULL one
+// the NULL-argument accumulator does.
+func TestVecAggWorkerNullFold(t *testing.T) {
+	arg := &logical.Col{ID: 2}
+	items := []logical.AggItem{
+		{Fn: logical.AggCount}, {Fn: logical.AggCount, Arg: arg}, {Fn: logical.AggSum, Arg: arg},
+		{Fn: logical.AggAvg, Arg: arg}, {Fn: logical.AggMin, Arg: arg}, {Fn: logical.AggMax, Arg: arg},
+	}
+	null, seven, eight := datum.Null, datum.NewInt(7), datum.NewInt(8)
+	for _, lone := range []datum.D{datum.NewFloat(2.5), null} {
+		// Rows 0-2 go to worker 0, rows 3-4 to worker 1; key 8 is worker 1's own.
+		in := &Batch{n: 5, Vecs: []*datum.Vec{
+			mkVec(seven, seven, seven, seven, eight),
+			mkVec(null, null, null, null, lone),
+		}}
+		workers := make([]*vecAggWorker, 2)
+		for w := range workers {
+			wk := &vecAggWorker{groups: vecGroups{byHash: map[uint64][]int32{}, keyOff: []int{0}, nAggs: len(items)}}
+			for _, it := range items {
+				wk.accs = append(wk.accs, newVecAccumulator(it, in.Vecs[1]))
+			}
+			sel := []int32{0, 1, 2}
+			if w == 1 {
+				sel = []int32{3, 4}
+			}
+			hs, gids := make([]uint64, len(sel)), make([]int32, len(sel))
+			hashInit(hs)
+			hashCombineVec(in.Vecs[0], sel, hs)
+			for k, i := range sel {
+				gids[k], _ = wk.groups.assign(in, int(i), hs[k])
+			}
+			for _, acc := range wk.accs {
+				acc.ensure(len(wk.groups.keys))
+				acc.accumulate(in.Vecs[1], sel, gids)
+			}
+			workers[w] = wk
+		}
+		if err := workers[0].fold(workers[1]); err != nil {
+			t.Fatal(err)
+		}
+		// Layout mirrors items: COUNT(*), COUNT(x), SUM, AVG, MIN, MAX.
+		want := [][]string{{"4", "0", "NULL", "NULL", "NULL", "NULL"}, {"1", "1", "2.5", "2.5", "2.5", "2.5"}}
+		if lone.IsNull() {
+			want[1] = []string{"1", "0", "NULL", "NULL", "NULL", "NULL"}
+		}
+		if got := len(workers[0].groups.keys); got != 2 {
+			t.Fatalf("folded table has %d groups, want 2", got)
+		}
+		for g, row := range want {
+			for ai, w := range row {
+				if got := workers[0].accs[ai].result(g).String(); got != w {
+					t.Errorf("lone=%v group %d aggregate %d = %s, want %s", lone, g, ai, got, w)
+				}
+			}
 		}
 	}
 }

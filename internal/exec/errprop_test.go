@@ -220,6 +220,13 @@ func TestNoGoroutineLeaks(t *testing.T) {
 		}
 		c.Close()
 	}
+	requireNoGoroutinesBeyond(t, baseline)
+}
+
+// requireNoGoroutinesBeyond fails when the goroutine count does not settle
+// back to baseline (runtime background goroutines need a moment to exit).
+func requireNoGoroutinesBeyond(t *testing.T, baseline int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)

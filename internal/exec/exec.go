@@ -59,9 +59,9 @@ type Ctx struct {
 	// count as PagesRead, mirroring the cost model's §5.2 buffer modeling.
 	Buffer *PageBuffer
 	// Parallelism is the worker count of the morsel scheduler (§7.1 made
-	// real): values > 1 run scans, filters, joins, hash aggregation, sorts
-	// and exchanges over large enough inputs on that many pool workers. 0 or
-	// 1 runs the same operator bodies on one worker, inline.
+	// real): values > 1 run scans, filters, joins, hash aggregation and sorts
+	// over large enough inputs on that many pool workers. 0 or 1 runs the
+	// same operator bodies on one worker, inline.
 	Parallelism int
 	// Pool is the shared worker pool. When nil it is created lazily, sized
 	// Parallelism (or GOMAXPROCS when Parallelism is 0). Set it explicitly to

@@ -194,7 +194,7 @@ func (c *Ctx) execPlan(p physical.Plan) (*Batch, []datum.Row, error) {
 		}
 		return nil, in, nil
 	case *physical.Exchange:
-		return rowsOf(c.runExchange(t))
+		return c.runExchange(t)
 	case *physical.UnionAll:
 		left, err := c.runPlan(t.Left)
 		if err != nil {
@@ -239,17 +239,23 @@ func (s matchedSets) mark(w, ri int) {
 	}
 }
 
+// any reports whether some worker matched build row ri.
+func (s matchedSets) any(ri int) bool {
+	for _, set := range s {
+		if set[ri] {
+			return true
+		}
+	}
+	return false
+}
+
 // appendUnmatched appends the NULL-padded build rows no worker matched.
 func (s matchedSets) appendUnmatched(out []datum.Row, leftWidth int, right []datum.Row) []datum.Row {
 	if s == nil {
 		return out
 	}
 	for ri, rr := range right {
-		matched := false
-		for _, set := range s {
-			matched = matched || set[ri]
-		}
-		if !matched {
+		if !s.any(ri) {
 			out = append(out, nullRow(leftWidth).Concat(rr))
 		}
 	}

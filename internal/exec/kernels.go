@@ -19,11 +19,11 @@ import (
 
 // Forms a compiled predicate can take.
 const (
-	predColConst uint8 = iota // col op constant
-	predColCol                // col op col
-	predIsNull                // col IS NULL
-	predIsNotNull             // col IS NOT NULL
-	predNever                 // never TRUE (e.g. comparison against NULL)
+	predColConst  uint8 = iota // col op constant
+	predColCol                 // col op col
+	predIsNull                 // col IS NULL
+	predIsNotNull              // col IS NOT NULL
+	predNever                  // never TRUE (e.g. comparison against NULL)
 )
 
 // compiledPred is one kernel-executable predicate over batch columns.
@@ -597,6 +597,11 @@ func hashCombineD(h uint64, d datum.D) uint64 {
 type vecAccumulator interface {
 	ensure(nGroups int)
 	accumulate(v *datum.Vec, sel []int32, gids []int32)
+	// merge folds another worker's accumulator of the same concrete type into
+	// this one at the pipeline barrier: o's group g lands in group gids[g],
+	// which ensure has already made room for. Sums merge through
+	// compSum.merge, so the folded result is the exact serial one.
+	merge(o vecAccumulator, gids []int32)
 	result(g int) datum.D
 }
 
@@ -687,6 +692,12 @@ func (a *countVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 	}
 }
 
+func (a *countVecAcc) merge(o vecAccumulator, gids []int32) {
+	for g, n := range o.(*countVecAcc).n {
+		a.n[gids[g]] += n
+	}
+}
+
 func (a *countVecAcc) result(g int) datum.D { return datum.NewInt(a.n[g]) }
 
 // sumIntVecAcc sums an INT column exactly in int64 (a typed vector cannot
@@ -712,6 +723,16 @@ func (a *sumIntVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 		g := gids[k]
 		a.any[g] = true
 		a.sums[g] += v.Ints[i]
+	}
+}
+
+func (a *sumIntVecAcc) merge(o vecAccumulator, gids []int32) {
+	b := o.(*sumIntVecAcc)
+	for g, ok := range b.any {
+		if ok {
+			a.any[gids[g]] = true
+			a.sums[gids[g]] += b.sums[g]
+		}
 	}
 }
 
@@ -749,6 +770,16 @@ func (a *sumFloatVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 			a.sums[g].add(0)
 		}
 		a.sums[g].add(v.Floats[i])
+	}
+}
+
+func (a *sumFloatVecAcc) merge(o vecAccumulator, gids []int32) {
+	b := o.(*sumFloatVecAcc)
+	for g, ok := range b.any {
+		if ok {
+			a.any[gids[g]] = true
+			a.sums[gids[g]].merge(&b.sums[g])
+		}
 	}
 }
 
@@ -796,11 +827,33 @@ func (a *avgVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 	}
 }
 
+func (a *avgVecAcc) merge(o vecAccumulator, gids []int32) {
+	b := o.(*avgVecAcc)
+	for g, n := range b.n {
+		a.n[gids[g]] += n
+		a.sums[gids[g]].merge(&b.sums[g])
+	}
+}
+
 func (a *avgVecAcc) result(g int) datum.D {
 	if a.n[g] == 0 {
 		return datum.Null
 	}
 	return datum.NewFloat(a.sums[g].value() / float64(a.n[g]))
+}
+
+// mergeMinMax folds another worker's per-group extremes into (any, vals) with
+// the accumulate loops' strict < / > replacement.
+func mergeMinMax[T int64 | float64 | string](min bool, any []bool, vals []T, oAny []bool, oVals []T, gids []int32) {
+	for g, ok := range oAny {
+		if !ok {
+			continue
+		}
+		d, x := gids[g], oVals[g]
+		if !any[d] || (min && x < vals[d]) || (!min && x > vals[d]) {
+			any[d], vals[d] = true, x
+		}
+	}
 }
 
 // minmaxIntVecAcc tracks MIN/MAX over INT (or BOOL, stored 0/1) columns.
@@ -834,6 +887,11 @@ func (a *minmaxIntVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 			a.vals[g] = x
 		}
 	}
+}
+
+func (a *minmaxIntVecAcc) merge(o vecAccumulator, gids []int32) {
+	b := o.(*minmaxIntVecAcc)
+	mergeMinMax(a.min, a.any, a.vals, b.any, b.vals, gids)
 }
 
 func (a *minmaxIntVecAcc) result(g int) datum.D {
@@ -877,6 +935,11 @@ func (a *minmaxFloatVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) 
 			a.vals[g] = x
 		}
 	}
+}
+
+func (a *minmaxFloatVecAcc) merge(o vecAccumulator, gids []int32) {
+	b := o.(*minmaxFloatVecAcc)
+	mergeMinMax(a.min, a.any, a.vals, b.any, b.vals, gids)
 }
 
 func (a *minmaxFloatVecAcc) result(g int) datum.D {
@@ -939,6 +1002,11 @@ func (a *minmaxStrVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 	}
 }
 
+func (a *minmaxStrVecAcc) merge(o vecAccumulator, gids []int32) {
+	b := o.(*minmaxStrVecAcc)
+	mergeMinMax(a.min, a.any, a.vals, b.any, b.vals, gids)
+}
+
 func (a *minmaxStrVecAcc) result(g int) datum.D {
 	if !a.any[g] {
 		return datum.Null
@@ -956,6 +1024,7 @@ func (a *nullArgVecAcc) ensure(n int) {
 	}
 }
 func (a *nullArgVecAcc) accumulate(*datum.Vec, []int32, []int32) {}
+func (a *nullArgVecAcc) merge(vecAccumulator, []int32)           {}
 func (a *nullArgVecAcc) result(int) datum.D                      { return datum.Null }
 
 // boxedVecAcc replays the row engine's accumulator per value for mixed-kind
@@ -974,6 +1043,12 @@ func (a *boxedVecAcc) ensure(n int) {
 func (a *boxedVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 	for k, i := range sel {
 		a.accs[gids[k]].add(v.D(int(i)))
+	}
+}
+
+func (a *boxedVecAcc) merge(o vecAccumulator, gids []int32) {
+	for g, acc := range o.(*boxedVecAcc).accs {
+		a.accs[gids[g]].merge(acc)
 	}
 }
 

@@ -294,6 +294,28 @@ func TestVecAccumulatorsMatchRowAccumulators(t *testing.T) {
 							t.Fatalf("%s group %d: kernel %s, row engine %s", label, g, got, want)
 						}
 					}
+					// Two workers' partials folded at the barrier: the rows
+					// split at an odd position, the second worker numbering
+					// its groups in reverse, merged into the first.
+					left, right := newVecAccumulator(tc.item, vec), newVecAccumulator(tc.item, vec)
+					left.ensure(nGroups)
+					right.ensure(nGroups)
+					const cut = 50
+					rgids, remap := make([]int32, n-cut), make([]int32, nGroups)
+					for k := range rgids {
+						rgids[k] = nGroups - 1 - gids[cut+k]
+					}
+					for g := range remap {
+						remap[g] = int32(nGroups - 1 - g)
+					}
+					left.accumulate(vec, sel[:cut], gids[:cut])
+					right.accumulate(vec, sel[cut:], rgids)
+					left.merge(right, remap)
+					for g := 0; g < nGroups; g++ {
+						if got, want := left.result(g), ref[g].result(); got.String() != want.String() {
+							t.Fatalf("%s group %d: merged kernel partials %s, row engine %s", label, g, got, want)
+						}
+					}
 					// Empty selection vector: every group stays at its
 					// initial state (NULL, or 0 for COUNT).
 					fresh := newVecAccumulator(tc.item, vec)

@@ -177,8 +177,8 @@ func (a *MemAccount) Shrink(n int64) {
 
 // NotePeak records a transient high-water observation of n bytes above the
 // current usage without reserving it — used at materialization points
-// (exchange buffers) that must complete regardless of the budget, so that
-// Peak and EXPLAIN ANALYZE stay honest about them.
+// (external-sort run buffers) that must complete regardless of the budget, so
+// that Peak and EXPLAIN ANALYZE stay honest about them.
 func (a *MemAccount) NotePeak(n int64) {
 	if a == nil || n <= 0 {
 		return

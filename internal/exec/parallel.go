@@ -2,21 +2,26 @@
 // is written once, as a body over morsels of ~1024 rows, and this file decides
 // how many workers run it. One worker is the serial engine — the body runs
 // inline on the calling goroutine; more workers claim morsels from a shared
-// pool. Hash joins partition the build side and build one hash table per
-// partition; hash aggregation pre-aggregates into thread-local tables merged
-// at the pipeline barrier; Exchange operators are *executed* — fan-out over
-// hash/round-robin partitions and fan-in that concatenates, or merges
-// order-preservingly when a MergeOrdering is present. With one worker each of
-// those combining steps is skipped inside the same function.
+// pool. The partitioning §7.1 describes happens inside the operators: hash
+// joins probe one shared build table morsel-wise (the row join partitions a
+// large build side and builds one table per partition), hash aggregation
+// pre-aggregates into thread-local tables folded at the pipeline barrier,
+// and scans and joins materialize their output one column per worker. An
+// Exchange operator is therefore not a data movement here: in one address
+// space no tuple has to travel, so it forwards its input untouched and stays
+// in the plan as the partitioning-property boundary whose communication cost
+// internal/parallel models. With one worker every combining step is skipped
+// inside the same function.
 //
 // Every pool worker gets a private Ctx (counters, simulated buffer) merged
 // into the parent at the barrier, so the engine is race-free under
 // `go test -race`. Operators emit the same rows in the same order at every
 // worker count wherever the order is observable: scans, filters, projections,
-// nested-loop and hash joins concatenate per-morsel outputs in morsel order,
-// and sorts/merging exchanges reproduce the stable order exactly. Hash
-// aggregation on several workers emits groups in a deterministic but
-// worker-count-specific order (group output is unordered in SQL).
+// nested-loop and hash joins keep per-morsel outputs in morsel order, sorts
+// reproduce the stable order exactly, and exchanges pass their input's order
+// through. Hash aggregation on several workers emits groups in a
+// deterministic but worker-count-specific order (group output is unordered
+// in SQL).
 package exec
 
 import (
@@ -295,6 +300,25 @@ func (c *Ctx) forMorsels(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
 	})
 }
 
+// forColumns runs fn once per output column of a rows-row result, one column
+// per worker turn: columns are independent vectors, so gathering or decoding
+// them needs no coordination. The worker count follows the row count like
+// every other operator loop, capped by the number of columns.
+func (c *Ctx) forColumns(rows, nCols int, fn func(wc *Ctx, ci int) error) error {
+	nw := min(c.morselWorkers(rows), nCols)
+	return c.runWorkers(nw, func(w int, wc *Ctx) error {
+		for ci := w; ci < nCols; ci += nw {
+			if wc.bar.aborted() {
+				return errBarrierAborted
+			}
+			if err := fn(wc, ci); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
 // concatMorsels flattens per-morsel outputs in morsel order, so operators emit
 // the same row order at every worker count.
 func concatMorsels(outs [][]datum.Row) []datum.Row {
@@ -382,103 +406,86 @@ func mergeRuns(rows []datum.Row, runs [][]int, spec []datum.SortSpec, counters *
 	}
 }
 
-// --- executed Exchange ---
+// --- exchange ---
 
-// runExchange executes an Exchange operator for real: goroutine fan-out that
-// hash- or round-robin-partitions the input stream Degree ways, and a fan-in
-// that concatenates the partitions — or, when MergeOrdering is present,
-// merges them order-preservingly so the input's sort order survives the
-// repartitioning. On one worker the exchange degenerates to a pass-through
-// that only counts exchanged rows.
-func (c *Ctx) runExchange(t *physical.Exchange) ([]datum.Row, error) {
-	in, err := c.runPlan(t.Input)
+// runExchange is the §7.1 partitioning boundary inside one process: nothing
+// has to move between workers that share an address space, so the input is
+// forwarded in the form it arrives — same vectors, same selection, same
+// order — and only counted. That order is the answer every exchange the
+// planner emits asks for: a MergeOrdering promises the input's sort order
+// back, and without one any order is a valid bag. The operators above the
+// exchange do the partitioned work themselves (shared build table and
+// morsel-wise probe, thread-local pre-aggregation). The plan's contract is
+// still checked: partition and merge columns must exist in the input layout.
+func (c *Ctx) runExchange(t *physical.Exchange) (*Batch, []datum.Row, error) {
+	b, rows, err := c.run(t.Input)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	c.Counters.ExchangedRows += int64(len(in))
-	// The exchange buffer is a materialization point: it must complete
-	// regardless of the budget, so its footprint is observed, not reserved.
-	c.Mem.NotePeak(rowSetBytes(in))
-	if c.morselWorkers(len(in)) == 1 {
-		return in, nil
+	layout := t.Input.Columns()
+	pOff, err := offsetsOf(layout, t.PartitionCols)
+	if err != nil {
+		return nil, nil, err
 	}
+	for _, o := range t.MergeOrdering {
+		if (&Result{Cols: layout}).ColIndex(o.Col) < 0 {
+			return nil, nil, fmt.Errorf("exec: exchange merge column @%d not in layout", int(o.Col))
+		}
+	}
+	n := len(rows)
+	if b != nil {
+		n = b.NumRows()
+	}
+	c.Counters.ExchangedRows += int64(n)
+	if c.curNode != nil && len(pOff) > 0 && c.morselWorkers(n) > 1 {
+		c.notePartitionRows(t, b, rows, pOff)
+	}
+	return b, rows, nil
+}
+
+// notePartitionRows records, for EXPLAIN ANALYZE only, how many rows each of
+// the exchange's hash partitions would receive — the skew signal: a
+// partitioning key that lands most rows in one stream shows up here.
+func (c *Ctx) notePartitionRows(t *physical.Exchange, b *Batch, rows []datum.Row, pOff []int) {
 	degree := t.Degree
 	if degree < 2 {
 		degree = c.Parallelism
 	}
-	layout := t.Input.Columns()
-
-	// Fan-out: partition indices morsel-wise (stable within each morsel).
-	nm := numMorsels(len(in))
-	parts := make([][][]int, nm)
-	var pOff []int
-	if len(t.PartitionCols) > 0 {
-		if pOff, err = offsetsOf(layout, t.PartitionCols); err != nil {
-			return nil, err
-		}
+	counts := make([]int64, degree)
+	// The key hash is FNV over a number's float encoding, whose low mantissa
+	// bits are zero for small integers: only the top bits of the product tell
+	// such keys apart, so they are mixed down (the 64-bit murmur finalizer)
+	// before the partition is taken.
+	note := func(h uint64) {
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		counts[h%uint64(degree)]++
 	}
-	err = c.forMorsels(len(in), func(wc *Ctx, m, lo, hi int) error {
-		loc := make([][]int, degree)
-		for i := lo; i < hi; i++ {
-			p := m % degree // no partition columns: round-robin by morsel
-			if pOff != nil {
-				wc.Counters.HashOps++
-				p = int(in[i].Hash(pOff) % uint64(degree))
+	if b == nil {
+		for _, r := range rows {
+			h := fnvOffset64
+			for _, o := range pOff {
+				h = hashCombineD(h, r[o])
 			}
-			loc[p] = append(loc[p], i)
+			note(h)
 		}
-		parts[m] = loc
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Fan-in: one consumer per partition gathers its stream in morsel order,
-	// which preserves the producer's row order within each partition.
-	streams := make([][]int, degree)
-	nCons := min(c.Parallelism, degree)
-	err = c.runWorkers(nCons, func(w int, wc *Ctx) error {
-		for p := w; p < degree; p += nCons {
-			var ids []int
-			for m := 0; m < nm; m++ {
-				ids = append(ids, parts[m][p]...)
+	} else {
+		sel := b.liveSel()
+		for lo := 0; lo < len(sel); lo += MorselSize {
+			chunk := sel[lo:min(lo+MorselSize, len(sel))]
+			hs := getHashBuf(len(chunk))
+			hashInit(hs)
+			for _, o := range pOff {
+				hashCombineVec(b.Vecs[o], chunk, hs)
 			}
-			streams[p] = ids
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if c.curNode != nil {
-		// Per-partition row counts are the exchange's skew signal: a hash
-		// partitioning that lands most rows in one stream shows up here.
-		for p := range streams {
-			c.curNode.AddWorkerRows(p, int64(len(streams[p])))
-		}
-		c.curNode.NoteMem(int64(len(in)))
-	}
-
-	if len(t.MergeOrdering) > 0 {
-		// Order-preserving merge: each partition is a subsequence of the
-		// (sorted) input, so merging by (key, original index) reproduces the
-		// input order exactly.
-		spec := make([]datum.SortSpec, len(t.MergeOrdering))
-		for i, o := range t.MergeOrdering {
-			off := (&Result{Cols: layout}).ColIndex(o.Col)
-			if off < 0 {
-				return nil, fmt.Errorf("exec: exchange merge column @%d not in layout", int(o.Col))
+			for _, h := range hs {
+				note(h)
 			}
-			spec[i] = datum.SortSpec{Col: off, Desc: o.Desc}
-		}
-		return mergeRuns(in, streams, spec, &c.Counters), nil
-	}
-	out := make([]datum.Row, 0, len(in))
-	for _, ids := range streams {
-		for _, i := range ids {
-			out = append(out, in[i])
+			putHashBuf(hs)
 		}
 	}
-	return out, nil
+	for p, n := range counts {
+		c.curNode.AddWorkerRows(p, n)
+	}
 }

@@ -1,7 +1,11 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -159,27 +163,48 @@ func TestParallelTableScanWithPushedFilter(t *testing.T) {
 	runBoth(t, f, scan, true, 4)
 }
 
+// Both inputs of the join run two ways: the bare scans (dense batches, every
+// key value present on both sides), and filtered to overlapping key ranges
+// that keep the NULL keys — selection vectors into the scan's vectors, and
+// unmatched rows on both sides. Without an extra predicate the kernel join
+// claims the node, so this is vecHashJoin on several workers.
 func TestParallelHashJoinMatchesSerial(t *testing.T) {
 	f := newParFixture(t, 4000, 2500, 3)
 	rk, sk := f.rCols[0], f.sCols[0]
-	for _, kind := range []logical.JoinKind{
-		logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin,
-		logical.SemiJoin, logical.AntiJoin,
-	} {
-		plan := &physical.HashJoin{
-			Kind: kind, Left: f.rScan, Right: f.sScan,
-			LeftKeys: []logical.ColumnID{rk}, RightKeys: []logical.ColumnID{sk},
-		}
-		sc, want := runBoth(t, f, plan, true, 2, 8)
-		if len(want.Rows) == 0 {
-			t.Fatalf("kind %v: degenerate fixture, no rows", kind)
-		}
-		pc := f.ctx(t, 4)
-		if _, err := Run(plan, pc); err != nil {
-			t.Fatal(err)
-		}
-		if pc.Counters.HashOps != sc.Counters.HashOps {
-			t.Errorf("kind %v HashOps: parallel %d, serial %d", kind, pc.Counters.HashOps, sc.Counters.HashOps)
+	keyRange := func(in physical.Plan, k logical.ColumnID, op logical.CmpOp, bound int64) physical.Plan {
+		return &physical.Filter{Input: in, Preds: []logical.Scalar{&logical.Or{
+			L: &logical.Cmp{Op: op, L: &logical.Col{ID: k}, R: &logical.Const{Val: datum.NewInt(bound)}},
+			R: &logical.IsNull{E: &logical.Col{ID: k}},
+		}}}
+	}
+	inputs := []struct {
+		name        string
+		left, right physical.Plan
+	}{
+		{"scans", f.rScan, f.sScan},
+		{"key-ranges", keyRange(f.rScan, rk, logical.CmpLt, 30), keyRange(f.sScan, sk, logical.CmpGe, 10)},
+	}
+	for _, in := range inputs {
+		for _, kind := range []logical.JoinKind{
+			logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin,
+			logical.SemiJoin, logical.AntiJoin,
+		} {
+			plan := &physical.HashJoin{
+				Kind: kind, Left: in.left, Right: in.right,
+				LeftKeys: []logical.ColumnID{rk}, RightKeys: []logical.ColumnID{sk},
+			}
+			sc, want := runBoth(t, f, plan, true, 2, 4, 8)
+			if len(want.Rows) == 0 {
+				t.Fatalf("%s %v: degenerate fixture, no rows", in.name, kind)
+			}
+			pc := f.ctx(t, 4)
+			if _, err := Run(plan, pc); err != nil {
+				t.Fatal(err)
+			}
+			if pc.Counters.HashOps != sc.Counters.HashOps || pc.Counters.RowsProcessed != sc.Counters.RowsProcessed {
+				t.Errorf("%s %v: parallel HashOps %d RowsProcessed %d, serial %d %d", in.name, kind,
+					pc.Counters.HashOps, pc.Counters.RowsProcessed, sc.Counters.HashOps, sc.Counters.RowsProcessed)
+			}
 		}
 	}
 }
@@ -246,6 +271,132 @@ func TestParallelScalarAggMatchesSerial(t *testing.T) {
 	}
 	plan := &physical.HashGroupBy{Input: f.rScan, Aggs: aggs}
 	runBoth(t, f, plan, true, 4)
+}
+
+// valuesOf is a plan leaf producing the given rows.
+func valuesOf(cols []logical.ColumnID, rows []datum.Row) *physical.ValuesOp {
+	v := &physical.ValuesOp{Cols: cols}
+	for _, r := range rows {
+		sr := make([]logical.Scalar, len(r))
+		for i, d := range r {
+			sr[i] = &logical.Const{Val: d}
+		}
+		v.Rows = append(v.Rows, sr)
+	}
+	return v
+}
+
+// hexRows renders rows with floats in exact hexadecimal form, sorted.
+func hexRows(res *Result) []string {
+	out := make([]string, len(res.Rows))
+	for i, r := range res.Rows {
+		cells := make([]string, len(r))
+		for j, d := range r {
+			cells[j] = d.String()
+			if d.Kind() == datum.KindFloat {
+				cells[j] = strconv.FormatFloat(d.Float(), 'x', -1, 64)
+			}
+		}
+		out[i] = strings.Join(cells, "|")
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestParallelKernelGroupByMatchesRowMode: no aggregate is DISTINCT, so the
+// kernel aggregation claims the node and every typed accumulator's merge is
+// exercised against the row accumulators. Group g covers rows [700g, 700g+700),
+// so most groups are first seen by a worker other than 0; group 5 has only
+// NULL arguments, group 3 only NULL strings, z is NULL everywhere, m mixes
+// kinds (the boxed accumulator), and f spans sixteen orders of magnitude so
+// a sum that is not exact would differ between partitionings.
+func TestParallelKernelGroupByMatchesRowMode(t *testing.T) {
+	cols := []logical.ColumnID{1, 2, 3, 4, 5, 6}
+	g, v, fl, str, z, m := cols[0], cols[1], cols[2], cols[3], cols[4], cols[5]
+	var rows []datum.Row
+	for i := 0; i < 5000; i++ {
+		grp := i / 700
+		r := datum.Row{datum.NewInt(int64(grp)), datum.NewInt(int64(i)), datum.Null, datum.Null, datum.Null, datum.NewInt(int64(i % 13))}
+		if i%97 == 0 {
+			r[0] = datum.Null
+		}
+		if grp != 5 && i%11 != 0 {
+			scale := []float64{1e-8, 1e-4, 1, 1e4, 1e8}[i%5]
+			r[2] = datum.NewFloat(float64((i*7919)%100003) / 7 * scale)
+		}
+		if grp == 5 {
+			r[1] = datum.Null
+		}
+		if grp != 3 && grp != 5 {
+			r[3] = datum.NewString(fmt.Sprintf("s%03d", (i*7919)%1000))
+		}
+		if i%2 == 1 {
+			r[5] = datum.NewString(fmt.Sprintf("m%d", i%7))
+		}
+		rows = append(rows, r)
+	}
+	arg := func(id logical.ColumnID) logical.Scalar { return &logical.Col{ID: id} }
+	aggs := []logical.AggItem{
+		{ID: 100, Fn: logical.AggCount},
+		{ID: 101, Fn: logical.AggCount, Arg: arg(fl)},
+		{ID: 102, Fn: logical.AggSum, Arg: arg(fl)},
+		{ID: 103, Fn: logical.AggAvg, Arg: arg(fl)},
+		{ID: 104, Fn: logical.AggSum, Arg: arg(v)},
+		{ID: 105, Fn: logical.AggAvg, Arg: arg(v)},
+		{ID: 106, Fn: logical.AggMin, Arg: arg(v)},
+		{ID: 107, Fn: logical.AggMax, Arg: arg(fl)},
+		{ID: 108, Fn: logical.AggMin, Arg: arg(str)},
+		{ID: 109, Fn: logical.AggMax, Arg: arg(str)},
+		{ID: 110, Fn: logical.AggSum, Arg: arg(z)},
+		{ID: 111, Fn: logical.AggMin, Arg: arg(z)},
+		{ID: 112, Fn: logical.AggMin, Arg: arg(m)},
+		{ID: 113, Fn: logical.AggMax, Arg: arg(m)},
+		{ID: 114, Fn: logical.AggCount, Arg: arg(m)},
+	}
+	cases := []struct {
+		name   string
+		plan   physical.Plan
+		groups int
+	}{
+		{"grouped", &physical.HashGroupBy{Input: valuesOf(cols, rows), GroupCols: []logical.ColumnID{g}, Aggs: aggs}, 9},
+		{"scalar", &physical.HashGroupBy{Input: valuesOf(cols, rows), Aggs: aggs}, 1},
+		{"scalar-empty", &physical.HashGroupBy{Input: valuesOf(cols, nil), Aggs: aggs}, 1},
+	}
+	for _, tc := range cases {
+		rowMode := NewCtx(nil, nil)
+		rowMode.Vectorize = false
+		res, err := Run(tc.plan, rowMode)
+		if err != nil {
+			t.Fatalf("%s row mode: %v", tc.name, err)
+		}
+		want := hexRows(res)
+		if len(want) != tc.groups {
+			t.Fatalf("%s: %d groups, want %d", tc.name, len(want), tc.groups)
+		}
+		var serial Counters
+		for _, degree := range []int{1, 2, 4, 8} {
+			c := NewCtx(nil, nil)
+			c.Parallelism = degree
+			c.EnableAnalyze()
+			res, err := Run(tc.plan, c)
+			c.Close()
+			if err != nil {
+				t.Fatalf("%s degree %d: %v", tc.name, degree, err)
+			}
+			if !c.Metrics.Node(tc.plan).Vectorized {
+				t.Fatalf("%s degree %d: the kernel aggregation did not claim the node", tc.name, degree)
+			}
+			if got := hexRows(res); strings.Join(got, ";") != strings.Join(want, ";") {
+				t.Fatalf("%s degree %d differs from row mode:\n got %v\nwant %v", tc.name, degree, got, want)
+			}
+			if degree == 1 {
+				serial = c.Counters
+			} else if c.Counters.RowsProcessed != serial.RowsProcessed || c.Counters.HashOps != serial.HashOps {
+				t.Errorf("%s degree %d: RowsProcessed %d HashOps %d, degree 1 %d %d", tc.name, degree,
+					c.Counters.RowsProcessed, c.Counters.HashOps, serial.RowsProcessed, serial.HashOps)
+			}
+		}
+	}
 }
 
 func TestParallelSortIsStable(t *testing.T) {
@@ -350,5 +501,52 @@ func TestPoolReuseAcrossRuns(t *testing.T) {
 		} else if len(res.Rows) != n {
 			t.Fatalf("run %d: %d rows, first run %d", i, len(res.Rows), n)
 		}
+	}
+}
+
+// TestParallelPlanStaysColumnar guards the property that makes parallel plans
+// pay: between scan and result nothing is boxed into rows or copied for the
+// sake of an exchange, so a plan at Parallelism 2 allocates about what the
+// same plan allocates at Parallelism 1 (per-worker tables and index lists are
+// the only extras).
+func TestParallelPlanStaysColumnar(t *testing.T) {
+	f := newParFixture(t, 20000, 40, 16)
+	rk, rf, sk, sw := f.rCols[0], f.rCols[2], f.sCols[0], f.sCols[1]
+	plan := &physical.HashGroupBy{
+		Input: &physical.Exchange{
+			Degree: 2, PartitionCols: []logical.ColumnID{rk},
+			Input: &physical.HashJoin{
+				Kind:     logical.InnerJoin,
+				Left:     &physical.Exchange{Input: f.rScan, Degree: 2, PartitionCols: []logical.ColumnID{rk}},
+				Right:    &physical.Exchange{Input: f.sScan, Degree: 2, PartitionCols: []logical.ColumnID{sk}},
+				LeftKeys: []logical.ColumnID{rk}, RightKeys: []logical.ColumnID{sk},
+			},
+		},
+		GroupCols: []logical.ColumnID{rk},
+		Aggs: []logical.AggItem{
+			{ID: 100, Fn: logical.AggCount},
+			{ID: 101, Fn: logical.AggSum, Arg: &logical.Col{ID: rf}},
+			{ID: 102, Fn: logical.AggMax, Arg: &logical.Col{ID: sw}},
+		},
+	}
+	allocated := func(degree int) uint64 {
+		c := f.ctx(t, degree)
+		best := ^uint64(0)
+		for run := 0; run < 3; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			res, err := Run(plan, c)
+			runtime.ReadMemStats(&after)
+			if err != nil || len(res.Rows) == 0 {
+				t.Fatalf("degree %d: %d rows, err %v", degree, len(res.Rows), err)
+			}
+			best = min(best, after.TotalAlloc-before.TotalAlloc)
+		}
+		return best
+	}
+	one, two := allocated(1), allocated(2)
+	t.Logf("TotalAlloc per run: Parallelism 1 %d bytes, Parallelism 2 %d bytes (%.2fx)", one, two, float64(two)/float64(one))
+	if float64(two) > 1.25*float64(one) {
+		t.Fatalf("Parallelism 2 allocates %d bytes a run, more than 1.25x the %d of Parallelism 1", two, one)
 	}
 }

@@ -155,8 +155,8 @@ func (s scanSource) fetch(wc *Ctx, ci int, sp span, v *datum.Vec) error {
 //  5. load the remaining columns and run the residual conjuncts over the
 //     survivors through the row adapter;
 //  6. record the survivors — the output columns are late-materialized for
-//     all morsels at once after the barrier, so a column is never decoded
-//     for a row the filter rejects.
+//     all morsels at once after the barrier, one column per worker turn, so
+//     a column is never decoded for a row the filter rejects.
 func (c *Ctx) scan(src scanSource, cols []logical.ColumnID, filter []logical.Scalar) (*Batch, error) {
 	kinds := make([]datum.Kind, len(cols)) // static column kinds, from metadata
 	for i, id := range cols {
@@ -247,14 +247,18 @@ func (c *Ctx) scan(src scanSource, cols []logical.ColumnID, filter []logical.Sca
 	}
 	spans, total := coalesce(keeps)
 	vecs := make([]*datum.Vec, len(cols))
-	for ci := range cols {
+	err = c.forColumns(total, len(cols), func(wc *Ctx, ci int) error {
 		v := datum.NewVec(kinds[ci], total)
 		for _, sp := range spans {
-			if err := src.fetch(c, ci, sp, v); err != nil {
-				return nil, err
+			if err := src.fetch(wc, ci, sp, v); err != nil {
+				return err
 			}
 		}
 		vecs[ci] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &Batch{Cols: cols, Vecs: vecs, n: total}, nil
 }

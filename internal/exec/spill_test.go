@@ -1,10 +1,13 @@
 package exec
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/datum"
@@ -106,10 +109,10 @@ func TestSpillFanoutBounds(t *testing.T) {
 		total, avail int64
 		want         int
 	}{
-		{0, 1 << 30, 2},                   // at least two partitions
-		{1 << 30, 1 << 20, 64},            // capped at the max fanout
-		{1 << 20, 1 << 20, 2},             // total/(avail/2) = 2
-		{200 << 10, 10, 4},                // tiny budget: floor of 64 KiB chunks
+		{0, 1 << 30, 2},        // at least two partitions
+		{1 << 30, 1 << 20, 64}, // capped at the max fanout
+		{1 << 20, 1 << 20, 2},  // total/(avail/2) = 2
+		{200 << 10, 10, 4},     // tiny budget: floor of 64 KiB chunks
 	}
 	for _, tc := range cases {
 		if got := spillFanout(tc.total, tc.avail); got != tc.want {
@@ -377,4 +380,111 @@ func (c *Ctx) memGroupBy(in []datum.Row, layout []logical.ColumnID, keyOff []int
 		}
 	}
 	return gt.rows(), nil
+}
+
+// TestKernelGroupByBudgetTripInWorker: the kernel aggregation's per-worker
+// tables all charge one 4 KiB account, so at degree 4 the trip happens inside
+// some worker (or, when the partials just fit, in the fold). Either way every
+// table is released and the partition-and-spill aggregation runs once,
+// returning the unbudgeted serial rows in the same order, floats included.
+func TestKernelGroupByBudgetTripInWorker(t *testing.T) {
+	f := newParFixture(t, 6000, 0, 21)
+	k, v, fl := f.rCols[0], f.rCols[1], f.rCols[2]
+	aggs := []logical.AggItem{
+		{ID: 100, Fn: logical.AggCount},
+		{ID: 101, Fn: logical.AggSum, Arg: &logical.Col{ID: fl}},
+		{ID: 102, Fn: logical.AggAvg, Arg: &logical.Col{ID: fl}},
+		{ID: 103, Fn: logical.AggMax, Arg: &logical.Col{ID: v}},
+	}
+	for _, groupCols := range [][]logical.ColumnID{{fl}, {k}} { // ~1000 groups, 41 groups
+		plan := &physical.HashGroupBy{Input: f.rScan, GroupCols: groupCols, Aggs: aggs}
+		want, err := Run(plan, f.ctx(t, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, degree := range []int{1, 4} {
+			c := f.ctx(t, degree)
+			c.Mem = NewMemAccount(4 << 10)
+			c.TempDir = t.TempDir()
+			got, err := Run(plan, c)
+			if err != nil {
+				t.Fatalf("%d groups, degree %d: %v", len(want.Rows), degree, err)
+			}
+			if c.Counters.Spills == 0 {
+				t.Fatalf("%d groups, degree %d: the 4 KiB budget never tripped", len(want.Rows), degree)
+			}
+			if c.Mem.Used() != 0 {
+				t.Fatalf("%d groups, degree %d: leaked %d reserved bytes", len(want.Rows), degree, c.Mem.Used())
+			}
+			if len(got.Rows) != len(want.Rows) {
+				t.Fatalf("degree %d: %d groups, want %d", degree, len(got.Rows), len(want.Rows))
+			}
+			for i := range want.Rows {
+				if got.Rows[i].String() != want.Rows[i].String() {
+					t.Fatalf("degree %d: group %d = %s, want %s", degree, i, got.Rows[i], want.Rows[i])
+				}
+			}
+		}
+	}
+}
+
+// checkCountingCtx counts the executor's cancellation checks (each is one
+// Value lookup by context.Cause) and cancels itself at the cancelAt-th.
+type checkCountingCtx struct {
+	context.Context
+	cancel   context.CancelFunc
+	checks   atomic.Int64
+	cancelAt int64
+}
+
+func (c *checkCountingCtx) Value(key any) any {
+	if c.checks.Add(1) == c.cancelAt {
+		c.cancel()
+	}
+	return c.Context.Value(key)
+}
+
+// TestKernelJoinCancelMidProbe: the kernel join's probe is the last phase of
+// this plan that checks for cancellation, once per morsel, so canceling a few
+// checks before the end lands inside it. Every worker then stops at a morsel
+// boundary within a morsel or two, the join returns the cancellation, and
+// closing the pool leaves no goroutine behind.
+func TestKernelJoinCancelMidProbe(t *testing.T) {
+	f := newParFixture(t, 30000, 40, 22)
+	plan := &physical.HashJoin{
+		Kind: logical.LeftOuterJoin, Left: f.rScan, Right: f.sScan,
+		LeftKeys: []logical.ColumnID{f.rCols[0]}, RightKeys: []logical.ColumnID{f.sCols[0]},
+	}
+	baseline := runtime.NumGoroutine()
+	for _, degree := range []int{1, 4, 8} {
+		run := func(cancelAt int64) (*checkCountingCtx, *Ctx, error) {
+			cc := &checkCountingCtx{cancelAt: cancelAt}
+			cc.Context, cc.cancel = context.WithCancel(context.Background())
+			defer cc.cancel()
+			c := NewCtx(f.store, f.md)
+			c.Parallelism = degree
+			c.Context = cc
+			_, err := Run(plan, c)
+			c.Close()
+			return cc, c, err
+		}
+		full, fullCtx, err := run(0)
+		if err != nil {
+			t.Fatalf("degree %d: %v", degree, err)
+		}
+		cancelAt := full.checks.Load() - int64(numMorsels(30000))/2
+		cc, c, err := run(cancelAt)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("degree %d: got %v, want context.Canceled", degree, err)
+		}
+		// A worker whose check was already in flight when the cancellation
+		// landed runs one more morsel before it sees it.
+		if late := cc.checks.Load() - cancelAt; late > int64(2*degree) {
+			t.Errorf("degree %d: %d checks after the cancellation, want at most two per worker", degree, late)
+		}
+		if c.Counters.RowsProcessed >= fullCtx.Counters.RowsProcessed {
+			t.Errorf("degree %d: canceled run processed %d rows, the full run %d", degree, c.Counters.RowsProcessed, fullCtx.Counters.RowsProcessed)
+		}
+	}
+	requireNoGoroutinesBeyond(t, baseline)
 }

@@ -86,6 +86,27 @@ func (g *vecGroups) assign(in *Batch, i int, h uint64) (int32, error) {
 	for kc, ko := range g.keyOff {
 		key[kc] = in.Vecs[ko].D(i)
 	}
+	return g.insert(key, h)
+}
+
+// adopt returns the id of the group with a key another worker's table
+// interned, creating (and charging) it when this table has not seen the key.
+// hashCombineD encodes a datum exactly like hashCombineVec encodes its vector
+// slot, so the key rehashes to the bucket assign would have used.
+func (g *vecGroups) adopt(key datum.Row) (int32, error) {
+	h := fnvOffset64
+	for _, d := range key {
+		h = hashCombineD(h, d)
+	}
+	for _, gid := range g.byHash[h] {
+		if keysEqual(g.keys[gid], key) {
+			return gid, nil
+		}
+	}
+	return g.insert(key, h)
+}
+
+func (g *vecGroups) insert(key datum.Row, h uint64) (int32, error) {
 	n := int64(key.Size()) + entryOverhead + int64(48*g.nAggs)
 	if err := g.mem.GrowFloor("hash aggregation", n, g.charged, 0); err != nil {
 		return 0, err
@@ -97,6 +118,43 @@ func (g *vecGroups) assign(in *Batch, i int, h uint64) (int32, error) {
 	return gid, nil
 }
 
+// vecAggWorker is one worker's thread-local aggregation state: its group
+// table, one accumulator per aggregate over that table's group ids, and the
+// per-morsel group-id scratch.
+type vecAggWorker struct {
+	groups vecGroups
+	accs   []vecAccumulator
+	gids   []int32
+}
+
+// fold merges another worker's table into a's: every group of o is looked up
+// (or created) in a by key, then each accumulator merges o's per-group state
+// into the mapped groups.
+func (a *vecAggWorker) fold(o *vecAggWorker) error {
+	gids := make([]int32, len(o.groups.keys)) // o's group id -> a's
+	if len(a.groups.keyOff) > 0 {             // a scalar aggregation's one group is 0 in both
+		for g, key := range o.groups.keys {
+			var err error
+			if gids[g], err = a.groups.adopt(key); err != nil {
+				return err
+			}
+		}
+	}
+	for ai, acc := range a.accs {
+		acc.ensure(len(a.groups.keys))
+		acc.merge(o.accs[ai], gids)
+	}
+	return nil
+}
+
+// vecGroupBy is two-phase aggregation over a batch: every worker
+// pre-aggregates its morsels into a thread-local table, and at the barrier
+// the other workers' tables fold into worker 0's by key, accumulators merging
+// exactly (compSum), so SUM and AVG are bit-identical at every worker count.
+// One worker has nothing to fold: its table is the result, with groups in
+// first-appearance order. All tables charge the query's shared memory
+// account; a budget trip in any worker, or in the fold, releases every table
+// and takes the partition-and-spill aggregation once, like the row path.
 func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, bool, error) {
 	layout := t.Input.Columns()
 	keyOff, err := offsetsOf(layout, t.GroupCols)
@@ -128,123 +186,146 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, bool, error) {
 	if err != nil {
 		return nil, true, err
 	}
-	// Pre-size hash buckets from the optimizer's group-count estimate, capped
-	// so a wild overestimate cannot make the presize itself the cost.
-	hint := int(t.Rows)
-	if hint < 0 {
-		hint = 0
-	}
-	if hint > 1<<20 {
-		hint = 1 << 20
-	}
-	g := &vecGroups{byHash: make(map[uint64][]int32, hint), keyOff: keyOff, nAggs: len(t.Aggs), mem: c.Mem}
-	defer g.release()
-	scalar := len(keyOff) == 0
-	if scalar {
-		// Like newGroupTable, the single global group of a scalar aggregation
-		// exists before any accounting and is never charged.
-		g.keys = append(g.keys, nil)
-	}
-	accs := make([]vecAccumulator, len(t.Aggs))
 	args := make([]*datum.Vec, len(t.Aggs)) // nil for COUNT(*)
-	for i, a := range t.Aggs {
+	for i := range t.Aggs {
 		if argOff[i] >= 0 {
 			args[i] = in.Vecs[argOff[i]]
 		}
-		if accs[i] = newVecAccumulator(a, args[i]); accs[i] == nil {
-			return nil, false, nil
-		}
 	}
-
+	scalar := len(keyOff) == 0
 	sel := in.liveSel()
-	if c.curNode != nil {
-		c.curNode.Batches += int64(numMorsels(len(sel)))
-	}
-	gidBuf := make([]int32, MorselSize)
-	for lo := 0; lo < len(sel); lo += MorselSize {
-		hi := min(lo+MorselSize, len(sel))
-		if err := c.canceled(); err != nil {
-			return nil, true, err
+	nw := c.morselWorkers(len(sel))
+	// Pre-size hash buckets from the optimizer's group-count estimate, capped
+	// (also by the rows one worker sees) so that neither a wild overestimate
+	// nor the number of thread-local tables makes the presize itself the cost.
+	hint := max(0, min(int(t.Rows), 1<<20, (len(sel)+nw-1)/nw))
+	workers := make([]*vecAggWorker, nw)
+	for w := range workers {
+		wk := &vecAggWorker{
+			groups: vecGroups{byHash: make(map[uint64][]int32, hint), keyOff: keyOff, nAggs: len(t.Aggs), mem: c.Mem},
+			accs:   make([]vecAccumulator, len(t.Aggs)),
+			gids:   make([]int32, min(len(sel), MorselSize)),
 		}
-		chunk := sel[lo:hi]
-		c.Counters.RowsProcessed += int64(len(chunk))
-		c.Counters.HashOps += int64(len(chunk))
-		gids := gidBuf[:len(chunk)]
 		if scalar {
-			for k := range gids {
-				gids[k] = 0
+			// Like newGroupTable, the single global group of a scalar aggregation
+			// exists before any accounting and is never charged.
+			wk.groups.keys = append(wk.groups.keys, nil)
+		}
+		for i, a := range t.Aggs {
+			if wk.accs[i] = newVecAccumulator(a, args[i]); wk.accs[i] == nil {
+				return nil, false, nil
 			}
+		}
+		workers[w] = wk
+	}
+	release := func() {
+		for _, wk := range workers {
+			wk.groups.release()
+		}
+	}
+	defer release()
+
+	err = c.forMorsels(len(sel), func(wc *Ctx, m, lo, hi int) error {
+		wk := workers[m%len(workers)]
+		chunk := sel[lo:hi]
+		wc.Counters.RowsProcessed += int64(len(chunk))
+		wc.Counters.HashOps += int64(len(chunk))
+		gids := wk.gids[:len(chunk)]
+		if scalar {
+			clear(gids)
 		} else {
 			hs := getHashBuf(len(chunk))
 			hashInit(hs)
 			for _, ko := range keyOff {
 				hashCombineVec(in.Vecs[ko], chunk, hs)
 			}
+			var err error
 			for k, i := range chunk {
-				gid, aerr := g.assign(in, int(i), hs[k])
-				if aerr != nil {
-					// Budget exceeded: degrade to the partition-and-spill
-					// aggregation, exactly like the row path.
-					putHashBuf(hs)
-					g.release()
-					rows := in.ToRows()
-					out, serr := c.spillGroupBy(rows, layout, keyOff, t.GroupCols, t.Aggs)
-					if serr != nil {
-						return nil, true, serr
-					}
-					return batchFromRows(t.Columns(), out), true, nil
+				if gids[k], err = wk.groups.assign(in, int(i), hs[k]); err != nil {
+					break
 				}
-				gids[k] = gid
 			}
 			putHashBuf(hs)
+			if err != nil {
+				return err
+			}
 		}
-		ng := len(g.keys)
-		for ai := range accs {
-			accs[ai].ensure(ng)
-			accs[ai].accumulate(args[ai], chunk, gids)
+		for ai, acc := range wk.accs {
+			acc.ensure(len(wk.groups.keys))
+			acc.accumulate(args[ai], chunk, gids)
+		}
+		return nil
+	})
+	final := workers[0]
+	for _, wk := range workers[1:] {
+		if err == nil {
+			err = final.fold(wk)
 		}
 	}
-	for ai := range accs {
-		accs[ai].ensure(len(g.keys)) // scalar agg over empty input still emits
+	if isBudgetErr(err) {
+		// Degrade to the partition-and-spill aggregation with the whole
+		// budget available again, exactly like the row path.
+		release()
+		var out []datum.Row
+		if out, err = c.spillGroupBy(in.ToRows(), layout, keyOff, t.GroupCols, t.Aggs); err == nil {
+			return batchFromRows(t.Columns(), out), true, nil
+		}
 	}
-	c.noteMem(int64(len(g.keys)))
-	c.noteMemBytes(g.charged)
+	if err != nil {
+		return nil, true, err
+	}
+	groups := final.groups.keys
+	var tableRows, tableBytes int64
+	for _, wk := range workers {
+		tableRows += int64(len(wk.groups.keys))
+		tableBytes += wk.groups.charged
+	}
+	c.noteMem(tableRows)
+	c.noteMemBytes(tableBytes)
 
 	outCols := t.Columns()
 	vecs := make([]*datum.Vec, len(outCols))
 	for kc := range keyOff {
-		v := datum.NewVec(datum.KindNull, len(g.keys))
-		for _, key := range g.keys {
+		v := datum.NewVec(datum.KindNull, len(groups))
+		for _, key := range groups {
 			v.AppendD(key[kc])
 		}
 		vecs[kc] = v
 	}
-	for ai := range accs {
-		v := datum.NewVec(datum.KindNull, len(g.keys))
-		for gid := range g.keys {
-			v.AppendD(accs[ai].result(gid))
+	for ai, acc := range final.accs {
+		acc.ensure(len(groups)) // scalar agg over empty input still emits
+		v := datum.NewVec(datum.KindNull, len(groups))
+		for gid := range groups {
+			v.AppendD(acc.result(gid))
 		}
 		vecs[len(keyOff)+ai] = v
 	}
-	return &Batch{Cols: outCols, Vecs: vecs, n: len(g.keys)}, true, nil
+	return &Batch{Cols: outCols, Vecs: vecs, n: len(groups)}, true, nil
 }
 
 // --- vectorized hash join ---
 
-// gatherVec materializes src rows named by idx into a fresh vector; negative
-// indices produce NULL (the outer-join padding).
-func gatherVec(src *datum.Vec, idx []int32) *datum.Vec {
+// gatherVec materializes the src rows named by the index lists, in list
+// order, into a fresh vector; negative indices produce NULL (the outer-join
+// padding).
+func gatherVec(src *datum.Vec, parts ...[]int32) *datum.Vec {
+	n := 0
+	for _, idx := range parts {
+		n += len(idx)
+	}
 	var out *datum.Vec
 	if src.Boxed() {
-		out = datum.NewAnyVec(len(idx))
+		out = datum.NewAnyVec(n)
 	} else {
-		out = datum.NewVec(src.Kind(), len(idx))
+		out = datum.NewVec(src.Kind(), n)
 	}
-	for _, i := range idx {
-		if i < 0 {
-			out.AppendNull()
-		} else {
-			out.AppendVec(src, int(i))
+	for _, idx := range parts {
+		for _, i := range idx {
+			if i < 0 {
+				out.AppendNull()
+			} else {
+				out.AppendVec(src, int(i))
+			}
 		}
 	}
 	return out
@@ -261,6 +342,11 @@ func vecKeysEqual(l *Batch, lOff []int, li int, r *Batch, rOff []int, ri int) bo
 	return true
 }
 
+// vecHashJoin builds one hash table on the right input, shared read-only by
+// every worker, and probes it with the left morsel-wise. Each morsel emits
+// its own (left, right) index pairs, and the output columns are gathered from
+// the per-morsel lists in morsel order — one column per worker turn — so the
+// output row sequence is the same at every worker count.
 func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, bool, error) {
 	if len(t.ExtraOn) > 0 {
 		return nil, false, nil
@@ -318,42 +404,37 @@ func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, bool, error) {
 	}
 	c.noteMem(int64(right.NumRows()))
 
-	// Probe the left in selection order, emitting (left, right) index pairs;
-	// ri = -1 pads unmatched outer rows with NULLs at gather time.
+	// Probe the left in selection order, emitting (left, right) index pairs
+	// per morsel; ri = -1 pads unmatched outer rows with NULLs at gather time.
+	// Semi and anti joins emit no right side.
 	lsel := left.liveSel()
-	if c.curNode != nil {
-		c.curNode.Batches += int64(numMorsels(len(lsel)))
-	}
 	semiShape := t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin
-	var lIdx, rIdx []int32
-	var rightMatched []bool
-	if t.Kind == logical.FullOuterJoin {
-		rightMatched = make([]bool, right.n)
-	}
-	for lo := 0; lo < len(lsel); lo += MorselSize {
-		hi := min(lo+MorselSize, len(lsel))
-		if err := c.canceled(); err != nil {
-			return nil, true, err
-		}
+	nm, nw := numMorsels(len(lsel)), c.morselWorkers(len(lsel))
+	lParts, rParts := make([][]int32, nm, nm+1), make([][]int32, nm, nm+1)
+	matched := newMatchedSets(t.Kind, nw, right.n)
+	err = c.forMorsels(len(lsel), func(wc *Ctx, m, lo, hi int) error {
 		chunk := lsel[lo:hi]
 		hs := getHashBuf(len(chunk))
 		hashInit(hs)
 		for _, lo2 := range lOff {
 			hashCombineVec(left.Vecs[lo2], chunk, hs)
 		}
+		lIdx := make([]int32, 0, len(chunk))
+		var rIdx []int32
+		if !semiShape {
+			rIdx = make([]int32, 0, len(chunk))
+		}
 		for k, li := range chunk {
-			matched := false
+			found := false
 			if !vecNullAt(left.Vecs, lOff, int(li)) {
-				c.Counters.HashOps++
+				wc.Counters.HashOps++
 				for _, ri := range build[hs[k]] {
 					if !vecKeysEqual(left, lOff, int(li), right, rOff, int(ri)) {
 						continue
 					}
-					c.Counters.RowsProcessed++
-					matched = true
-					if rightMatched != nil {
-						rightMatched[ri] = true
-					}
+					wc.Counters.RowsProcessed++
+					found = true
+					matched.mark(m%nw, int(ri))
 					switch t.Kind {
 					case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
 						lIdx = append(lIdx, li)
@@ -368,36 +449,50 @@ func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, bool, error) {
 			}
 			switch t.Kind {
 			case logical.LeftOuterJoin, logical.FullOuterJoin:
-				if !matched {
+				if !found {
 					lIdx = append(lIdx, li)
 					rIdx = append(rIdx, -1)
 				}
 			case logical.AntiJoin:
-				if !matched {
+				if !found {
 					lIdx = append(lIdx, li)
 				}
 			}
 		}
 		putHashBuf(hs)
+		lParts[m], rParts[m] = lIdx, rIdx
+		return nil
+	})
+	if err != nil {
+		return nil, true, err
 	}
-	if t.Kind == logical.FullOuterJoin {
+	if matched != nil {
+		var lIdx, rIdx []int32
 		for _, ri := range rsel {
-			if !rightMatched[ri] {
+			if !matched.any(int(ri)) {
 				lIdx = append(lIdx, -1)
 				rIdx = append(rIdx, ri)
 			}
 		}
+		lParts, rParts = append(lParts, lIdx), append(rParts, rIdx)
 	}
 
 	outCols := t.Columns()
-	vecs := make([]*datum.Vec, 0, len(outCols))
-	for _, v := range left.Vecs[:len(leftLayout)] {
-		vecs = append(vecs, gatherVec(v, lIdx))
+	vecs := make([]*datum.Vec, len(outCols))
+	total := 0
+	for _, idx := range lParts {
+		total += len(idx)
 	}
-	if !semiShape {
-		for _, v := range right.Vecs[:len(rightLayout)] {
-			vecs = append(vecs, gatherVec(v, rIdx))
+	err = c.forColumns(total, len(vecs), func(_ *Ctx, ci int) error {
+		if ci < len(leftLayout) {
+			vecs[ci] = gatherVec(left.Vecs[ci], lParts...)
+		} else {
+			vecs[ci] = gatherVec(right.Vecs[ci-len(leftLayout)], rParts...)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, true, err
 	}
-	return &Batch{Cols: outCols, Vecs: vecs, n: len(lIdx)}, true, nil
+	return &Batch{Cols: outCols, Vecs: vecs, n: total}, true, nil
 }

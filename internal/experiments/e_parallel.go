@@ -124,7 +124,10 @@ func RunParallelBench(factRows int, degrees []int, reps int) *ParallelBenchResul
 
 // calibrateComm measures the exchange overhead per row against the sequential
 // scan cost per page — the executor's realization of the model's cost unit —
-// and converts it into a CommCostPerRow for the §7.1 model.
+// and converts it into a CommCostPerRow for the §7.1 model. The executor's
+// exchanges forward their input without moving a row, so the measured
+// marginal cost is zero up to timing noise and CalibrateCommPerRow then keeps
+// the model default.
 func calibrateComm(db *workload.DB, pool *exec.Pool, reps int) float64 {
 	q := mustBuild(db, "SELECT sales.k1, sales.qty FROM sales")
 	scanPlan, _ := optimize(db, q, systemr.DefaultOptions())
@@ -177,7 +180,7 @@ func E21ParallelExecution() Table {
 	t := Table{
 		ID:      "E21",
 		Title:   "Morsel-driven parallel execution, measured (§7.1)",
-		Claim:   "executed exchanges deliver wall-clock speedup bounded by cores; modeled response time tracks 1/degree",
+		Claim:   "morsel-parallel operators deliver wall-clock speedup bounded by cores; modeled response time tracks 1/degree",
 		Headers: []string{"degree", "wall ms", "rows/sec", "speedup", "modeled response", "exchanged rows"},
 	}
 	res := RunParallelBench(30000, []int{1, 2, 4, 8}, 3)

@@ -84,7 +84,7 @@ func RunVectorizedBench(factRows, reps int) *VectorizedBenchResult {
 	}
 	hashJoin := &physical.HashJoin{
 		Kind: logical.InnerJoin, Left: salesScan(nil),
-		Right: &physical.TableScan{Table: dim1, Binding: "dim1", Cols: dimCols, ColOrds: []int{0, 1, 2}},
+		Right:     &physical.TableScan{Table: dim1, Binding: "dim1", Cols: dimCols, ColOrds: []int{0, 1, 2}},
 		LeftKeys:  []logical.ColumnID{k1},
 		RightKeys: []logical.ColumnID{dimCols[0]},
 	}

@@ -4,13 +4,17 @@
 // repartitioning (communication) cost when choosing the plan, treating the
 // partitioning of a data stream as a physical property.
 //
-// The Exchange operators this package inserts are executed for real: plans
-// annotated by Parallelize run on exec's morsel-driven worker pool
-// (exec.Ctx.Parallelism), which fans each exchange out over hash or
-// round-robin partitions and merges order-preservingly when a MergeOrdering
-// is present. The cost model here remains the phase-one/phase-two modeling
-// the paper describes; measured wall-clock comparisons live in
-// cmd/benchharness (BENCH_parallel.json).
+// Plans annotated by Parallelize run on exec's morsel-driven worker pool
+// (exec.Ctx.Parallelism). The Exchange operators this package inserts mark
+// where a stream's partitioning property changes and carry the modeled
+// communication cost of that change; they print in EXPLAIN with it. The
+// executor shares one address space, so no tuple crosses an exchange: it
+// forwards its input as is, and the operators above it do the partitioned
+// work on the workers — a shared hash table probed morsel-wise, thread-local
+// pre-aggregation folded at the barrier. What the paper charges for is what
+// processors that do not share memory would have to ship. The cost model here
+// remains the phase-one/phase-two modeling the paper describes; measured
+// wall-clock comparisons live in cmd/benchharness (BENCH_parallel.json).
 package parallel
 
 import (

@@ -44,8 +44,8 @@ type NodeMetrics struct {
 	// SpillBytes is the total bytes written to those temp files.
 	SpillBytes int64
 	// WorkerRows are per-worker processed-row counts for parallel operators
-	// (per-partition row counts for Exchange) — non-uniform values expose
-	// partition skew.
+	// (for a hash Exchange, the rows each of its partitions would receive) —
+	// non-uniform values expose partition skew.
 	WorkerRows []int64
 	// SegmentsRead / SegmentsPruned count disk-backed columnar segments a
 	// scan actually opened vs eliminated by zone maps without touching disk.

@@ -270,14 +270,14 @@ func Run(tableRows, perSession int, sessions []int) (*Result, error) {
 			}
 			total := nSessions * perSession
 			out.Points = append(out.Points, Point{
-				Mode:     m.name,
-				Sessions: nSessions,
-				Queries:  total,
-				WallSec:  wall,
-				QPS:      float64(total) / wall,
-				P50Ms:    pct(0.50),
-				P99Ms:    pct(0.99),
-				HitRate:  hitRate,
+				Mode:      m.name,
+				Sessions:  nSessions,
+				Queries:   total,
+				WallSec:   wall,
+				QPS:       float64(total) / wall,
+				P50Ms:     pct(0.50),
+				P99Ms:     pct(0.99),
+				HitRate:   hitRate,
 				Identical: identical,
 			})
 		}

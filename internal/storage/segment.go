@@ -1237,10 +1237,10 @@ func dispSegment(sm *segMeta, preds []ZonePred) ZoneDisp {
 // colKey identifies one decoded column block: table identity, rewrite
 // generation (SortBy bumps it), segment and column ordinal.
 type colKey struct {
-	tab  *Table
-	gen  int
-	seg  int
-	ord  int
+	tab *Table
+	gen int
+	seg int
+	ord int
 }
 
 type colEntry struct {

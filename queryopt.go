@@ -92,10 +92,12 @@ type Options struct {
 	// Analyze configures statistics collection for ANALYZE statements.
 	Analyze stats.AnalyzeOptions
 	// Parallelism > 1 runs the executor's morsel loops on that many workers
-	// (§7.1): optimized plans pass through parallel.Parallelize so Exchange
-	// operators are planned, and execute on a shared worker pool of this
-	// degree. 0 or 1 runs the same loops on one worker, inline. Engines used
-	// with parallelism should be Closed to release the pool.
+	// (§7.1): optimized plans pass through parallel.Parallelize, which plans
+	// the Exchange operators — the partitioning boundaries and their modeled
+	// communication cost; in shared memory they move no rows — and execute on
+	// a shared worker pool of this degree. 0 or 1 runs the same loops on one
+	// worker, inline. Engines used with parallelism should be Closed to
+	// release the pool.
 	Parallelism int
 	// FeedbackCapacity sizes the ring buffer of (plan node, estimated rows,
 	// actual rows) observations recorded by analyzed executions (EXPLAIN
@@ -270,7 +272,7 @@ type Engine struct {
 	totalMem *exec.MemAccount
 	// plans is the prepared-statement plan cache (nil = disabled); hit/miss
 	// accounting at plan granularity is in cacheHits/cacheMisses.
-	plans                 *plancache.Cache
+	plans                  *plancache.Cache
 	cacheHits, cacheMisses atomic.Int64
 
 	// overrides holds feedback-patched cardinalities harvested from analyzed
@@ -312,11 +314,11 @@ func New(opts Options) *Engine {
 		opts: opts,
 		cat:  catalog.New(),
 		store: storage.NewStoreWith(storage.StoreConfig{
-			Dir:              opts.StorageDir,
-			SegmentRows:      opts.SegmentRows,
-			CacheBytes:       opts.SegmentCacheBytes,
-			IORetries:        opts.IORetries,
-			IORetryBackoff:   opts.IORetryBackoff,
+			Dir:                opts.StorageDir,
+			SegmentRows:        opts.SegmentRows,
+			CacheBytes:         opts.SegmentCacheBytes,
+			IORetries:          opts.IORetries,
+			IORetryBackoff:     opts.IORetryBackoff,
 			DisableChecksums:   opts.DisableChecksums,
 			DisableCompression: opts.DisableCompression,
 		}),
@@ -954,12 +956,12 @@ func (e *Engine) finish(q *logical.Query, plan physical.Plan, res *exec.Result, 
 		Columns:              q.ColNames,
 		UsedMaterializedView: mv,
 		Stats: ExecStats{
-			PagesRead:     ctx.Counters.PagesRead,
-			RowsProcessed: ctx.Counters.RowsProcessed,
-			IndexSeeks:    ctx.Counters.IndexSeeks,
-			SubqueryEvals: ctx.Counters.SubqueryEvals,
-			HashOps:       ctx.Counters.HashOps,
-			Comparisons:   ctx.Counters.Comparisons,
+			PagesRead:      ctx.Counters.PagesRead,
+			RowsProcessed:  ctx.Counters.RowsProcessed,
+			IndexSeeks:     ctx.Counters.IndexSeeks,
+			SubqueryEvals:  ctx.Counters.SubqueryEvals,
+			HashOps:        ctx.Counters.HashOps,
+			Comparisons:    ctx.Counters.Comparisons,
 			Spills:         ctx.Counters.Spills,
 			SpillBytes:     ctx.Counters.SpillBytes,
 			PeakMemBytes:   ctx.Mem.Peak(),

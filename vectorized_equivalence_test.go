@@ -15,21 +15,53 @@ import (
 	"testing"
 )
 
+// kernelQueries are the fixed head of the corpus: shapes the kernel hash join
+// and the kernel aggregation claim, over r's five morsels, so at degrees 4 and
+// 8 they run on several workers — every outer/semi/anti join kind with NULL
+// and unmatched keys, groups first seen by a later worker (a thousand fk
+// values over three morsels; more would not fit a spill partition of the
+// budgeted arm), a NULL group, SUM/AVG over floats, MIN/MAX over strings, and
+// a scalar aggregate over no rows.
+var kernelQueries = []string{
+	"SELECT x.pk, x.f, y.pk, y.s FROM r x JOIN t y ON x.a = y.fk",
+	"SELECT x.pk, x.f, y.pk, y.s FROM r x LEFT OUTER JOIN t y ON x.a = y.fk",
+	"SELECT x.pk, y.pk, y.f FROM r x FULL OUTER JOIN t y ON x.fk = y.pk",
+	"SELECT x.pk, x.s FROM r x WHERE x.a IN (SELECT y.fk FROM t y WHERE y.a < 10)",
+	"SELECT x.pk, x.s FROM r x WHERE NOT EXISTS (SELECT 1 FROM t y WHERE y.pk = x.fk)",
+	"SELECT x.fk, COUNT(*), SUM(x.f), AVG(x.f), MIN(x.s), MAX(x.s), COUNT(x.a) FROM r x WHERE x.fk < 1000 OR x.fk IS NULL GROUP BY x.fk",
+	"SELECT x.s, x.a, SUM(x.f), AVG(x.a), MIN(x.f), MAX(x.pk) FROM r x GROUP BY x.s, x.a",
+	"SELECT y.s, SUM(x.f), AVG(y.f), MAX(x.s) FROM r x, t y WHERE x.fk = y.pk GROUP BY y.s",
+	"SELECT COUNT(*), SUM(x.f), AVG(x.f), MIN(x.s), MAX(x.f) FROM r x",
+	"SELECT COUNT(*), SUM(x.f), AVG(x.f), MIN(x.s), MAX(x.f) FROM r x WHERE x.a > 100",
+}
+
 // TestVectorizedQueryEquivalence: the row-mode engine is the baseline; the
-// vectorized engines must agree on the multiset of rows (and on row order
-// whenever the query has an ORDER BY).
+// vectorized engines — at each degree, and once more at degree 4 under a
+// 4 KiB memory budget, where the kernel operators trip inside a worker and
+// spill — must agree on the multiset of rows (and on row order whenever the
+// query has an ORDER BY).
 func TestVectorizedQueryEquivalence(t *testing.T) {
 	const trials = 25
-	degrees := []int{1, 4, 8}
+	arms := []Options{
+		{Optimizer: SystemR, Parallelism: 1},
+		{Optimizer: SystemR, Parallelism: 4},
+		{Optimizer: SystemR, Parallelism: 8},
+		{Optimizer: SystemR, Parallelism: 4, MemBudget: spillBudget},
+	}
 	for seed := int64(1); seed <= 2; seed++ {
 		rowEng := bigRandSchema(t, Options{Optimizer: SystemR, Vectorize: VectorizeOff}, seed)
-		vecEngines := make([]*Engine, len(degrees))
-		for i, dg := range degrees {
-			vecEngines[i] = bigRandSchema(t, Options{Optimizer: SystemR, Parallelism: dg}, seed)
+		vecEngines := make([]*Engine, len(arms))
+		for i, opts := range arms {
+			vecEngines[i] = bigRandSchema(t, opts, seed)
 		}
 		rng := rand.New(rand.NewSource(seed * 77))
-		for trial := 0; trial < trials; trial++ {
-			q := randQuery(rng)
+		for trial := 0; trial < len(kernelQueries)+trials; trial++ {
+			var q string
+			if trial < len(kernelQueries) {
+				q = kernelQueries[trial]
+			} else {
+				q = randQuery(rng)
+			}
 			res, err := rowEng.Exec(q)
 			if err != nil {
 				t.Fatalf("seed %d trial %d row-mode: %v\nquery: %s", seed, trial, err, q)
@@ -42,15 +74,16 @@ func TestVectorizedQueryEquivalence(t *testing.T) {
 					orderedBaseline = append(orderedBaseline, exactRow(r))
 				}
 			}
-			for i, dg := range degrees {
+			for i, opts := range arms {
+				arm := fmt.Sprintf("degree %d budget %d", opts.Parallelism, opts.MemBudget)
 				vres, err := vecEngines[i].Exec(q)
 				if err != nil {
-					t.Fatalf("seed %d trial %d vectorized degree %d: %v\nquery: %s", seed, trial, dg, err, q)
+					t.Fatalf("seed %d trial %d vectorized %s: %v\nquery: %s", seed, trial, arm, err, q)
 				}
 				got := exactRows(vres)
 				if strings.Join(got, ";") != strings.Join(baseline, ";") {
-					t.Fatalf("seed %d trial %d: vectorized degree %d disagrees with row mode\nquery: %s\nrow mode (%d rows): %.500v\ngot      (%d rows): %.500v\nplan:\n%s",
-						seed, trial, dg, q, len(baseline), baseline, len(got), got, vres.Plan)
+					t.Fatalf("seed %d trial %d: vectorized %s disagrees with row mode\nquery: %s\nrow mode (%d rows): %.500v\ngot      (%d rows): %.500v\nplan:\n%s",
+						seed, trial, arm, q, len(baseline), baseline, len(got), got, vres.Plan)
 				}
 				if ordered {
 					var rows []string
@@ -58,8 +91,8 @@ func TestVectorizedQueryEquivalence(t *testing.T) {
 						rows = append(rows, exactRow(r))
 					}
 					if strings.Join(rows, ";") != strings.Join(orderedBaseline, ";") {
-						t.Fatalf("seed %d trial %d: vectorized degree %d row order differs under ORDER BY\nquery: %s\nplan:\n%s",
-							seed, trial, dg, q, vres.Plan)
+						t.Fatalf("seed %d trial %d: vectorized %s row order differs under ORDER BY\nquery: %s\nplan:\n%s",
+							seed, trial, arm, q, vres.Plan)
 					}
 				}
 			}
