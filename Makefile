@@ -1,4 +1,4 @@
-.PHONY: build test check bench-module-check exec-loc bench harness parallel-bench analyze-bench robustness-bench robustness-check vectorized-bench serving-bench adaptive-bench storage-bench durability-bench compression-bench crash-check bench-smoke
+.PHONY: build test check bench-module-check exec-loc plan-bench bench harness parallel-bench analyze-bench robustness-bench robustness-check vectorized-bench serving-bench adaptive-bench storage-bench durability-bench compression-bench crash-check bench-smoke
 
 build:
 	go build ./...
@@ -26,6 +26,14 @@ bench-module-check:
 # executor" roadmap item tracks.
 exec-loc:
 	@ls internal/exec/*.go | grep -v _test.go | xargs cat | wc -l
+
+# Planner micro-benchmarks: one System-R Optimize call (fresh estimator and
+# optimizer per statement, as the engine builds them) on the adhoc_planning
+# statement shapes, with ns/op, B/op and allocs/op. PLAN_BENCHTIME=1x is the CI
+# smoke setting.
+PLAN_BENCHTIME ?= 1s
+plan-bench:
+	go test -run '^$$' -bench 'BenchmarkOptimize' -benchmem -benchtime $(PLAN_BENCHTIME) ./internal/systemr
 
 bench:
 	go test -bench=. -benchmem

@@ -404,14 +404,40 @@ func (h *Histogram) FilterRange(lo datum.D, loIncl bool, hi datum.D, hiIncl bool
 // histogrammed columns by aligning buckets (the "joining histograms" of
 // §5.1.3). Within an aligned fragment it applies the containment assumption:
 // each value of the smaller distinct set matches in the larger.
+//
+// Two buckets contribute only if their value ranges overlap, so each bucket
+// of a is joined with a window of b: from the first bucket whose Upper
+// reaches its Lower (binary-searched — bucket lists ascend by Upper) up to
+// where floor, the least Lower of all later buckets, passes its Upper
+// (Lowers alone need not ascend: a compressed histogram's singleton sits
+// before the bucket whose range surrounds it). The pairs left out would add
+// exactly zero and the rest are summed in bucket order, so the result is the
+// all-pairs sum bit for bit. A b not ascending by Upper is scanned from its
+// first bucket instead.
 func JoinCardinality(a, b *Histogram) float64 {
 	if a == nil || b == nil || len(a.Buckets) == 0 || len(b.Buckets) == 0 {
 		return 0
 	}
+	bb := b.Buckets
+	floor := make([]datum.D, len(bb))
+	ascending := true
+	for j := len(bb) - 1; j >= 0; j-- {
+		floor[j] = bb[j].Lower
+		if j+1 < len(bb) {
+			if datum.Compare(floor[j+1], floor[j]) < 0 {
+				floor[j] = floor[j+1]
+			}
+			ascending = ascending && datum.Compare(bb[j].Upper, bb[j+1].Upper) <= 0
+		}
+	}
 	total := 0.0
 	for _, ba := range a.Buckets {
-		for _, bb := range b.Buckets {
-			total += bucketJoin(ba, bb)
+		j := 0
+		if ascending {
+			j = sort.Search(len(bb), func(j int) bool { return datum.Compare(bb[j].Upper, ba.Lower) >= 0 })
+		}
+		for ; j < len(bb) && datum.Compare(floor[j], ba.Upper) <= 0; j++ {
+			total += bucketJoin(ba, bb[j])
 		}
 	}
 	return total

@@ -2,6 +2,7 @@ package logical
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -244,15 +245,16 @@ type Ordering []OrderSpec
 
 // Key returns a canonical map key for the ordering.
 func (o Ordering) Key() string {
-	var sb strings.Builder
+	buf := make([]byte, 0, 8*len(o))
 	for _, s := range o {
 		if s.Desc {
-			fmt.Fprintf(&sb, "-%d", int(s.Col))
+			buf = append(buf, '-')
 		} else {
-			fmt.Fprintf(&sb, "+%d", int(s.Col))
+			buf = append(buf, '+')
 		}
+		buf = strconv.AppendInt(buf, int64(s.Col), 10)
 	}
-	return sb.String()
+	return string(buf)
 }
 
 // SatisfiedBy reports whether an actual ordering provides the required one

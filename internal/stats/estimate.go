@@ -78,6 +78,11 @@ type Estimator struct {
 	// only for non-pruned segments.
 	ScanPages func(scan *logical.Scan, filters []logical.Scalar) float64
 	cache     map[logical.RelExpr]*RelStats
+	// histJoins memoizes histogram joins per pair of histograms. Column
+	// summaries pass through joins by pointer, so every expression that
+	// contains a join edge asks for the same pair: a join block of n
+	// relations joins n-1 pairs of histograms, not one per subset.
+	histJoins map[[2]*histogram.Histogram]float64
 }
 
 // NewEstimator returns an estimator with histograms enabled.
@@ -722,13 +727,26 @@ func (e *Estimator) joinPredSelectivity(p logical.Scalar, l, r *RelStats) float6
 		return DefaultRangeSel
 	}
 	if e.UseHistograms && ls.Hist != nil && rs.Hist != nil && ls.Hist.Total > 0 && rs.Hist.Total > 0 {
-		card := histogram.JoinCardinality(ls.Hist, rs.Hist)
+		card := e.joinCardinality(ls.Hist, rs.Hist)
 		denom := ls.Hist.Total * rs.Hist.Total
 		if denom > 0 {
 			return clamp01(card / denom)
 		}
 	}
 	return 1 / math.Max(1, math.Max(ls.Distinct, rs.Distinct))
+}
+
+func (e *Estimator) joinCardinality(a, b *histogram.Histogram) float64 {
+	key := [2]*histogram.Histogram{a, b}
+	card, ok := e.histJoins[key]
+	if !ok {
+		if e.histJoins == nil {
+			e.histJoins = map[[2]*histogram.Histogram]float64{}
+		}
+		card = histogram.JoinCardinality(a, b)
+		e.histJoins[key] = card
+	}
+	return card
 }
 
 // groupByStats estimates one row per group.

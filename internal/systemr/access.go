@@ -96,19 +96,17 @@ func hasParamOrd(ords []int) bool {
 }
 
 // accessPaths generates the candidate access paths for one base-table
-// occurrence under the given (already pushed-down) filters: a sequential
-// scan, qualified index scans, and full index scans that provide order.
-func (o *Optimizer) accessPaths(scan *logical.Scan, filters []logical.Scalar) []physical.Plan {
+// occurrence — a Scan, or a Select of (already pushed-down) filters over one:
+// a sequential scan, qualified index scans, and full index scans that
+// provide order.
+func (o *Optimizer) accessPaths(leaf logical.RelExpr) []physical.Plan {
+	scan, filters := scanOf(leaf)
 	// Page count reflects zone-map segment elimination under the pushed-down
 	// filters: pruned segments are never read, so the seq-scan candidate is
 	// charged only the pages a real scan would touch.
 	tableRows, tablePages := o.Est.TableShape(scan, filters)
 	// Output rows are a logical property — identical for all candidates.
-	var outRel logical.RelExpr = scan
-	if len(filters) > 0 {
-		outRel = &logical.Select{Input: scan, Filters: filters}
-	}
-	outRows := o.Est.Stats(outRel).Rows
+	outRows := o.Est.Stats(leaf).Rows
 	ords := o.scanOrds(scan.Cols)
 
 	var cands []physical.Plan
@@ -210,23 +208,4 @@ func (o *Optimizer) accessPaths(scan *logical.Scan, filters []logical.Scalar) []
 	}
 	o.Metrics.PlansCosted += len(cands)
 	return cands
-}
-
-// leafPlans returns candidate plans for a DP leaf. Scan-shaped leaves get
-// access-path alternatives; anything else is optimized recursively into a
-// single candidate.
-func (o *Optimizer) leafPlans(leaf logical.RelExpr, interesting logical.ColSet) ([]physical.Plan, error) {
-	switch t := leaf.(type) {
-	case *logical.Scan:
-		return o.accessPaths(t, nil), nil
-	case *logical.Select:
-		if scan, ok := t.Input.(*logical.Scan); ok {
-			return o.accessPaths(scan, t.Filters), nil
-		}
-	}
-	p, err := o.optimize(leaf, interesting)
-	if err != nil {
-		return nil, err
-	}
-	return []physical.Plan{p}, nil
 }

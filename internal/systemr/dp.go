@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/logical"
 	"repro/internal/physical"
@@ -17,11 +17,75 @@ type block struct {
 	graph  *logical.QueryGraph
 	// interesting is the set of columns whose orderings are worth keeping.
 	interesting logical.ColSet
-	// cardMemo caches subset cardinalities (a logical property shared by
-	// every plan for the subset).
-	cardMemo map[uint64]float64
-	// relMemo caches the canonical logical expression per subset.
+	// leafRels[i] is leaf i under its local predicates: one node per leaf, so
+	// the estimator's pointer cache derives each leaf's statistics once.
+	leafRels []logical.RelExpr
+	// cols is the union of the leaves' output columns.
+	cols logical.ColSet
+	// preds are the join predicates — edge predicates in graph order, then
+	// complex ones — each with the leaves it references.
+	preds []blockPred
+	// relMemo caches the canonical logical expression per subset. Its
+	// statistics (a logical property shared by every plan for the subset)
+	// are cached by the estimator under the same pointer.
 	relMemo map[uint64]logical.RelExpr
+}
+
+// blockPred is a join predicate with the bitmask of leaves it references. For
+// a column equality l = r between two leaves, lLeaf is the bit of the leaf
+// that owns l (else 0).
+type blockPred struct {
+	pred   logical.Scalar
+	leaves uint64
+	l, r   logical.ColumnID
+	lLeaf  uint64
+}
+
+// newBlock classifies the block's predicates once, so that per-subset
+// questions are bitmask tests.
+func (o *Optimizer) newBlock(leaves []logical.RelExpr, preds []logical.Scalar, interesting logical.ColSet) *block {
+	g := logical.BuildQueryGraph(leaves, preds)
+	b := &block{
+		opt: o, leaves: leaves, graph: g,
+		interesting: interesting.Copy(),
+		leafRels:    make([]logical.RelExpr, len(leaves)),
+		relMemo:     map[uint64]logical.RelExpr{},
+	}
+	for i, leaf := range leaves {
+		b.leafRels[i] = leaf
+		if len(g.Local[i]) > 0 {
+			b.leafRels[i] = &logical.Select{Input: leaf, Filters: g.Local[i]}
+		}
+		b.cols = b.cols.Union(g.NodeCols[i])
+	}
+	for _, e := range g.Edges {
+		for _, p := range e.Preds {
+			bp := blockPred{pred: p, leaves: 1<<uint(e.A) | 1<<uint(e.B)}
+			if l, r, ok := equiCols(p); ok {
+				bp.l, bp.r, bp.lLeaf = l, r, 1<<uint(e.B)
+				if g.NodeCols[e.A].Contains(l) {
+					bp.lLeaf = 1 << uint(e.A)
+				}
+			}
+			b.preds = append(b.preds, bp)
+		}
+	}
+	// A complex predicate applies where all its columns first meet; one that
+	// reaches outside the block never does.
+	for _, p := range g.Complex {
+		cols := logical.ScalarCols(p)
+		if !cols.SubsetOf(b.cols) {
+			continue
+		}
+		bp := blockPred{pred: p}
+		for i, nc := range g.NodeCols {
+			if cols.Intersects(nc) {
+				bp.leaves |= 1 << uint(i)
+			}
+		}
+		b.preds = append(b.preds, bp)
+	}
+	return b
 }
 
 // optimizeBlock runs DP join enumeration over an inner-join block.
@@ -30,51 +94,36 @@ func (o *Optimizer) optimizeBlock(root logical.RelExpr, interesting logical.ColS
 	if !ok {
 		return nil, fmt.Errorf("systemr: not a join block")
 	}
-	g := logical.BuildQueryGraph(leaves, preds)
-	b := &block{
-		opt:         o,
-		leaves:      leaves,
-		graph:       g,
-		interesting: interesting.Copy(),
-		cardMemo:    map[uint64]float64{},
-		relMemo:     map[uint64]logical.RelExpr{},
+	n := len(leaves)
+	if n > 63 {
+		return nil, fmt.Errorf("systemr: %d relations exceed the enumerable maximum", n)
 	}
+	b := o.newBlock(leaves, preds, interesting)
 	// Join columns are interesting orders (§3).
-	for _, e := range g.Edges {
-		for _, p := range e.Preds {
-			if l, r, ok := equiCols(p); ok {
-				b.interesting.Add(l)
-				b.interesting.Add(r)
-			}
+	for _, p := range b.preds {
+		if p.lLeaf != 0 {
+			b.interesting.Add(p.l)
+			b.interesting.Add(p.r)
 		}
 	}
-	n := len(leaves)
 	// Predicates with no column footprint inside the block (constants,
 	// uncorrelated subqueries) apply once, above the join.
 	var floating []logical.Scalar
-	var anchored []logical.Scalar
-	blockCols := b.subsetCols(uint64(1)<<uint(n) - 1)
-	for _, p := range g.Complex {
-		if logical.ScalarCols(p).Intersect(blockCols).Empty() {
+	for _, p := range b.graph.Complex {
+		if !logical.ScalarCols(p).Intersects(b.cols) {
 			floating = append(floating, p)
-		} else {
-			anchored = append(anchored, p)
 		}
 	}
-	g.Complex = anchored
 
 	var plan physical.Plan
 	var err error
-	switch {
-	case n == 1:
+	if n == 1 {
 		var plans []physical.Plan
 		plans, err = b.leafCandidates(0)
 		if err == nil {
 			plan = cheapest(plans)
 		}
-	case n > 63:
-		return nil, fmt.Errorf("systemr: %d relations exceed the enumerable maximum", n)
-	default:
+	} else {
 		plan, err = b.orderJoins(n)
 	}
 	if err != nil {
@@ -133,201 +182,242 @@ func equiCols(p logical.Scalar) (logical.ColumnID, logical.ColumnID, bool) {
 
 // leafCandidates generates access paths for leaf i with its local predicates.
 func (b *block) leafCandidates(i int) ([]physical.Plan, error) {
-	leaf := b.leaves[i]
-	local := b.graph.Local[i]
-	if scan, ok := leaf.(*logical.Scan); ok {
-		return b.opt.accessPaths(scan, local), nil
+	if scan, _ := scanOf(b.leafRels[i]); scan != nil {
+		return b.opt.accessPaths(b.leafRels[i]), nil
 	}
-	plans, err := b.opt.leafPlans(leaf, b.interesting)
+	p, err := b.opt.optimize(b.leaves[i], b.interesting)
 	if err != nil {
 		return nil, err
 	}
-	if len(local) > 0 {
-		for j, p := range plans {
-			plans[j] = b.opt.addFilter(p, local)
-		}
+	if local := b.graph.Local[i]; len(local) > 0 {
+		p = b.opt.addFilter(p, local)
 	}
-	return plans, nil
+	return []physical.Plan{p}, nil
 }
 
 // subsetRel returns the canonical logical expression for a subset: leaves
-// joined in index order with every applicable predicate.
+// joined left-deep in index order, each predicate attached at the first join
+// where both of its sides are available — the estimator then sees accurate
+// per-step selectivities instead of a cross product with a top filter. The
+// left input is the memoized expression of the subset without its highest
+// leaf, so deriving a subset's statistics costs one join estimate on top of
+// statistics the estimator already holds.
 func (b *block) subsetRel(mask uint64) logical.RelExpr {
 	if e, ok := b.relMemo[mask]; ok {
 		return e
 	}
-	// Build a left-deep join in index order, attaching each predicate at the
-	// first join where both of its sides are available — the estimator then
-	// sees accurate per-step selectivities instead of a cross product with
-	// a top filter.
-	var rel logical.RelExpr
-	var acc uint64
-	for i := 0; i < len(b.leaves); i++ {
-		bit := uint64(1) << uint(i)
-		if mask&bit == 0 {
-			continue
-		}
-		leaf := b.leaves[i]
-		if len(b.graph.Local[i]) > 0 {
-			leaf = &logical.Select{Input: leaf, Filters: b.graph.Local[i]}
-		}
-		if rel == nil {
-			rel = leaf
-		} else {
-			rel = &logical.Join{Kind: logical.InnerJoin, Left: rel, Right: leaf, On: b.joinPreds(acc, bit)}
-		}
-		acc |= bit
+	top := bits.Len64(mask) - 1
+	rel := b.leafRels[top]
+	if rest := mask &^ (1 << uint(top)); rest != 0 {
+		on := b.joinPreds(rest, 1<<uint(top)).preds
+		rel = &logical.Join{Kind: logical.InnerJoin, Left: b.subsetRel(rest), Right: rel, On: on}
 	}
 	b.relMemo[mask] = rel
 	return rel
 }
 
-func (b *block) subsetCols(mask uint64) logical.ColSet {
-	var cols logical.ColSet
-	for i := range b.leaves {
-		if mask&(1<<uint(i)) != 0 {
-			cols = cols.Union(b.graph.NodeCols[i])
-		}
-	}
-	return cols
-}
-
 // card returns the estimated cardinality of a subset's join result.
 func (b *block) card(mask uint64) float64 {
-	if c, ok := b.cardMemo[mask]; ok {
-		return c
-	}
-	c := b.opt.Est.Stats(b.subsetRel(mask)).Rows
-	b.cardMemo[mask] = c
-	return c
+	return b.opt.Est.Stats(b.subsetRel(mask)).Rows
 }
 
-// members lists the leaf indexes in a mask.
-func members(mask uint64) []int {
-	var out []int
-	for mask != 0 {
-		i := bits.TrailingZeros64(mask)
-		out = append(out, i)
-		mask &^= 1 << uint(i)
+// joinPreds returns the predicates that first become applicable when two
+// disjoint subsets are joined, split into equi-key pairs and residuals.
+func (b *block) joinPreds(left, right uint64) joinOn {
+	var on joinOn
+	for i := range b.preds {
+		p := &b.preds[i]
+		if p.leaves&^(left|right) != 0 || p.leaves&^left == 0 || p.leaves&^right == 0 {
+			continue
+		}
+		on.preds = append(on.preds, p.pred)
+		switch {
+		case p.lLeaf&left != 0:
+			on.keys = append(on.keys, keyPair{p.l, p.r})
+		case p.lLeaf&right != 0:
+			on.keys = append(on.keys, keyPair{p.r, p.l})
+		default:
+			on.extras = append(on.extras, p.pred)
+		}
+	}
+	return on
+}
+
+// connected reports whether the subset's relations form a connected subgraph
+// of the join edges.
+func (b *block) connected(mask uint64) bool {
+	reach := mask & -mask
+	for grown := true; grown; {
+		grown = false
+		for _, e := range b.graph.Edges {
+			ends := uint64(1)<<uint(e.A) | 1<<uint(e.B)
+			if ends&^mask == 0 && ends&reach != 0 && ends&^reach != 0 {
+				reach |= ends
+				grown = true
+			}
+		}
+	}
+	return reach == mask
+}
+
+// rightLeaf returns the logical leaf when the right side is a single
+// relation (enabling index nested-loop joins), else nil.
+func (b *block) rightLeaf(right uint64) logical.RelExpr {
+	if right&(right-1) != 0 {
+		return nil
+	}
+	return b.leafRels[bits.TrailingZeros64(right)]
+}
+
+// cand is a plan with the properties later steps read off it, derived once
+// instead of by walking the plan for every alternative built on top of it.
+type cand struct {
+	plan       physical.Plan
+	rows, cost float64
+	ord        logical.Ordering // plan.Ordering()
+}
+
+func newCand(p physical.Plan) cand {
+	rows, cost := p.Estimate()
+	return cand{plan: p, rows: rows, cost: cost, ord: p.Ordering()}
+}
+
+func toCands(plans []physical.Plan) []cand {
+	out := make([]cand, len(plans))
+	for i, p := range plans {
+		out[i] = newCand(p)
 	}
 	return out
 }
 
-// entryKey derives the interesting-order key of a plan: the longest prefix
-// of its output ordering consisting of interesting columns. Plans compare
-// only within the same key (§3).
-func (b *block) entryKey(p physical.Plan) string {
+// frontier holds the plans retained for one relation subset: the cheapest
+// per interesting-order key — the longest prefix of a plan's output ordering
+// made of interesting columns; plans compete only within a key (§3) — in the
+// order their keys were first seen. Among equal costs the plan enumerated
+// first stays, so the same statement always gets the same plan.
+type frontier struct {
+	// orders is the interesting-column set; when empty, every plan has the
+	// same key and the frontier keeps one plan, the cheapest.
+	orders logical.ColSet
+	cands  []cand
+}
+
+// frontier returns an empty frontier keyed by the block's interesting orders.
+func (b *block) frontier() frontier {
 	if !b.opt.Opts.InterestingOrders {
-		return ""
+		return frontier{}
 	}
-	var kept logical.Ordering
-	for _, s := range p.Ordering() {
-		if !b.interesting.Contains(s.Col) {
-			break
-		}
-		kept = append(kept, s)
-	}
-	return kept.Key()
+	return frontier{orders: b.interesting}
 }
 
-// dpTable maps subset mask → interesting-order key → best plan.
-type dpTable map[uint64]map[string]physical.Plan
-
-func (b *block) insert(t dpTable, mask uint64, p physical.Plan) {
-	key := b.entryKey(p)
-	m, ok := t[mask]
-	if !ok {
-		m = map[string]physical.Plan{}
-		t[mask] = m
+func (f *frontier) key(ord logical.Ordering) logical.Ordering {
+	k := 0
+	for k < len(ord) && f.orders.Contains(ord[k].Col) {
+		k++
 	}
-	_, newCost := p.Estimate()
-	if cur, ok := m[key]; ok {
-		if _, c := cur.Estimate(); c <= newCost {
-			return
-		}
-	}
-	m[key] = p
-	// Drop entries dominated by a cheaper plan with a stronger-or-equal
-	// key is unnecessary here: keys partition plans; the "" key holds the
-	// global cheapest unordered plan.
+	return ord[:k]
 }
 
-// dp runs the bottom-up enumeration.
+// find returns the index of the retained plan ord competes with, or -1.
+func (f *frontier) find(ord logical.Ordering) int {
+	key := f.key(ord)
+	for i := range f.cands {
+		if slices.Equal(f.key(f.cands[i].ord), key) {
+			return i
+		}
+	}
+	return -1
+}
+
+// beats reports whether a plan of this output ordering and cost would be
+// retained — asked before the plan is built, so losers are never allocated.
+func (f *frontier) beats(ord logical.Ordering, cost float64) bool {
+	i := f.find(ord)
+	return i < 0 || !(f.cands[i].cost <= cost)
+}
+
+// put retains c, which must beat the plan it competes with.
+func (f *frontier) put(c cand) {
+	if i := f.find(c.ord); i >= 0 {
+		f.cands[i] = c
+	} else {
+		f.cands = append(f.cands, c)
+	}
+}
+
+// nextRight steps through the right sides of a subset's (left, right)
+// splits, starting from the subset's lowest relation: linear mode extends a
+// (k-1)-subset by each single relation in turn (0 ends it); bushy mode tries
+// every proper sub-mask in ascending order (the mask itself ends it), which
+// yields both orders of each partition for the asymmetric join algorithms.
+func (b *block) nextRight(mask, right uint64) uint64 {
+	if b.opt.Opts.Bushy {
+		return ((right | ^mask) + 1) & mask
+	}
+	above := mask &^ (right<<1 - 1)
+	return above & -above
+}
+
+// dp runs the bottom-up enumeration. Ascending numeric order visits every
+// sub-mask before its super-masks.
 func (b *block) dp() (physical.Plan, error) {
 	n := len(b.leaves)
-	table := dpTable{}
+	table := make([]frontier, uint64(1)<<uint(n))
 	for i := 0; i < n; i++ {
-		cands, err := b.leafCandidates(i)
+		plans, err := b.leafCandidates(i)
 		if err != nil {
 			return nil, err
 		}
-		for _, p := range cands {
-			b.insert(table, 1<<uint(i), p)
+		f := b.frontier()
+		for _, p := range plans {
+			if c := newCand(p); f.beats(c.ord, c.cost) {
+				f.put(c)
+			}
 		}
+		table[1<<uint(i)] = f
 		b.opt.Metrics.SubsetsVisited++
 	}
 
 	full := uint64(1)<<uint(n) - 1
-	// Enumerate subsets in increasing popcount order.
-	masks := make([]uint64, 0, 1<<uint(n))
-	for m := uint64(1); m <= full; m++ {
-		if bits.OnesCount64(m) >= 2 {
-			masks = append(masks, m)
-		}
-	}
-	sort.Slice(masks, func(i, j int) bool {
-		pi, pj := bits.OnesCount64(masks[i]), bits.OnesCount64(masks[j])
-		if pi != pj {
-			return pi < pj
-		}
-		return masks[i] < masks[j]
-	})
-
 	// System R defers Cartesian products: when the full query graph is
 	// connected, no cross join is ever required, so pred-less splits are
 	// skipped entirely unless the knob enables them.
-	allMembers := members(full)
-	fullConnected := b.graph.Connected(allMembers)
-	for _, mask := range masks {
-		b.opt.Metrics.SubsetsVisited++
-		splits := b.splits(mask)
-		for _, sp := range splits {
-			left, right := sp[0], sp[1]
-			lp, lok := table[left]
-			rp, rok := table[right]
-			if !lok || !rok {
-				continue
-			}
-			preds := b.joinPreds(left, right)
-			if len(preds) == 0 && !b.opt.Opts.CartesianProducts && fullConnected {
-				continue
-			}
-			rows := b.card(mask)
-			rightLeaf := b.rightLeafLogical(right)
-			var leftPlans, rightPlans []physical.Plan
-			for _, p := range lp {
-				leftPlans = append(leftPlans, p)
-			}
-			for _, p := range rp {
-				rightPlans = append(rightPlans, p)
-			}
-			cands := b.opt.joinCandidates(logical.InnerJoin, leftPlans, rightPlans, rightLeaf, preds, rows)
-			for _, p := range cands {
-				b.insert(table, mask, p)
-			}
+	crossJoins := b.opt.Opts.CartesianProducts || !b.connected(full)
+	for mask := uint64(3); mask <= full; mask++ {
+		if mask&(mask-1) == 0 {
+			continue
 		}
+		b.opt.Metrics.SubsetsVisited++
+		// rows is derived at the first viable split: a subset no split
+		// reaches (a disconnected one) costs no estimate.
+		out, rows := b.frontier(), -1.0
+		for right := mask & -mask; right != 0 && right != mask; right = b.nextRight(mask, right) {
+			left := mask &^ right
+			lp, rp := table[left].cands, table[right].cands
+			if len(lp) == 0 || len(rp) == 0 {
+				continue
+			}
+			on := b.joinPreds(left, right)
+			if len(on.preds) == 0 && !crossJoins {
+				continue
+			}
+			if rows < 0 {
+				rows = b.card(mask)
+			}
+			b.opt.joinCandidates(logical.InnerJoin, lp, rp, b.rightLeaf(right), on, rows, &out)
+		}
+		table[mask] = out
 	}
-	final, ok := table[full]
-	if !ok || len(final) == 0 {
+	final := table[full].cands
+	if len(final) == 0 {
 		return nil, fmt.Errorf("systemr: DP found no plan (disconnected graph without Cartesian products?)")
 	}
 	// Final selection: when the query requires an order the block can
 	// provide, compare each retained plan's cost plus the sort it would
 	// still need — the payoff for keeping interesting-order entries.
-	blockCols := b.subsetCols(full)
 	required := b.opt.requiredOrder
 	for _, spec := range required {
-		if !blockCols.Contains(spec.Col) {
+		if !b.cols.Contains(spec.Col) {
 			required = nil
 			break
 		}
@@ -335,136 +425,58 @@ func (b *block) dp() (physical.Plan, error) {
 	var best physical.Plan
 	bestCost := math.Inf(1)
 	for _, p := range final {
-		_, c := p.Estimate()
-		if len(required) > 0 && !required.SatisfiedBy(p.Ordering()) {
-			rows, _ := p.Estimate()
-			c += b.opt.Model.Sort(rows)
+		c := p.cost
+		if len(required) > 0 && !required.SatisfiedBy(p.ord) {
+			c += b.opt.Model.Sort(p.rows)
 		}
 		if c < bestCost {
-			best, bestCost = p, c
+			best, bestCost = p.plan, c
 		}
 	}
-	for _, m := range table {
-		b.opt.Metrics.EntriesKept += len(m)
+	for _, f := range table {
+		b.opt.Metrics.EntriesKept += len(f.cands)
 	}
 	return best, nil
 }
 
-// splits enumerates the (left, right) partitions of a mask: linear mode
-// extends a (k-1)-subset by one relation; bushy mode tries every partition.
-func (b *block) splits(mask uint64) [][2]uint64 {
-	var out [][2]uint64
-	if b.opt.Opts.Bushy {
-		// Every proper sub-partition (left gets the lowest set bit to avoid
-		// mirrored duplicates; both orders are generated for the asymmetric
-		// join algorithms).
-		for sub := (mask - 1) & mask; sub != 0; sub = (sub - 1) & mask {
-			other := mask &^ sub
-			if other == 0 {
-				continue
-			}
-			out = append(out, [2]uint64{sub, other})
-		}
-		return out
-	}
-	for _, i := range members(mask) {
-		bit := uint64(1) << uint(i)
-		rest := mask &^ bit
-		if rest != 0 {
-			out = append(out, [2]uint64{rest, bit})
-		}
-	}
-	return out
-}
-
-// joinPreds returns the edge predicates connecting two disjoint masks plus
-// complex predicates that first become applicable at their union.
-func (b *block) joinPreds(left, right uint64) []logical.Scalar {
-	lm, rm := members(left), members(right)
-	preds := b.graph.EdgesBetween(lm, rm)
-	union := b.subsetCols(left | right)
-	lcols := b.subsetCols(left)
-	rcols := b.subsetCols(right)
-	for _, p := range b.graph.Complex {
-		cols := logical.ScalarCols(p)
-		if cols.SubsetOf(union) && !cols.SubsetOf(lcols) && !cols.SubsetOf(rcols) {
-			preds = append(preds, p)
-		}
-	}
-	return preds
-}
-
-// rightLeafLogical returns the logical leaf when the right side is a single
-// relation (enabling index nested-loop joins), else nil.
-func (b *block) rightLeafLogical(right uint64) logical.RelExpr {
-	if bits.OnesCount64(right) != 1 {
-		return nil
-	}
-	i := bits.TrailingZeros64(right)
-	leaf := b.leaves[i]
-	if len(b.graph.Local[i]) > 0 {
-		return &logical.Select{Input: leaf, Filters: b.graph.Local[i]}
-	}
-	return leaf
-}
-
 // greedy joins the cheapest pair repeatedly — the fallback beyond
-// MaxRelations.
+// MaxRelations and the adaptive fast path.
 func (b *block) greedy() (physical.Plan, error) {
 	type part struct {
 		mask uint64
-		plan physical.Plan
+		cand
 	}
 	var parts []part
 	for i := range b.leaves {
-		cands, err := b.leafCandidates(i)
+		plans, err := b.leafCandidates(i)
 		if err != nil {
 			return nil, err
 		}
-		parts = append(parts, part{mask: 1 << uint(i), plan: cheapest(cands)})
+		parts = append(parts, part{1 << uint(i), newCand(cheapest(plans))})
 	}
 	for len(parts) > 1 {
 		bestI, bestJ := -1, -1
-		var bestPlan physical.Plan
-		bestCost := math.Inf(1)
-		for i := 0; i < len(parts); i++ {
-			for j := 0; j < len(parts); j++ {
-				if i == j {
-					continue
-				}
-				preds := b.joinPreds(parts[i].mask, parts[j].mask)
-				if len(preds) == 0 && !b.opt.Opts.CartesianProducts && len(parts) > 2 {
-					continue
-				}
-				mask := parts[i].mask | parts[j].mask
-				rows := b.card(mask)
-				cands := b.opt.joinCandidates(logical.InnerJoin,
-					[]physical.Plan{parts[i].plan}, []physical.Plan{parts[j].plan},
-					b.rightLeafLogical(parts[j].mask), preds, rows)
-				if len(cands) == 0 {
-					continue
-				}
-				p := cheapest(cands)
-				if _, c := p.Estimate(); c < bestCost {
-					bestI, bestJ, bestPlan, bestCost = i, j, p, c
-				}
+		best := cand{cost: math.Inf(1)}
+		// Pairs without a connecting predicate wait for a second pass, taken
+		// only when nothing else combines: a forced Cartesian product.
+		for _, forced := range []bool{false, true} {
+			if bestI >= 0 {
+				break
 			}
-		}
-		if bestI < 0 {
-			// Forced Cartesian product.
-			for i := 0; i < len(parts); i++ {
-				for j := 0; j < len(parts); j++ {
+			for i := range parts {
+				for j := range parts {
 					if i == j {
 						continue
 					}
-					mask := parts[i].mask | parts[j].mask
-					rows := b.card(mask)
-					cands := b.opt.joinCandidates(logical.InnerJoin,
-						[]physical.Plan{parts[i].plan}, []physical.Plan{parts[j].plan},
-						b.rightLeafLogical(parts[j].mask), nil, rows)
-					p := cheapest(cands)
-					if _, c := p.Estimate(); c < bestCost {
-						bestI, bestJ, bestPlan, bestCost = i, j, p, c
+					on := b.joinPreds(parts[i].mask, parts[j].mask)
+					if len(on.preds) == 0 && !forced && !b.opt.Opts.CartesianProducts && len(parts) > 2 {
+						continue
+					}
+					var f frontier
+					b.opt.joinCandidates(logical.InnerJoin, []cand{parts[i].cand}, []cand{parts[j].cand},
+						b.rightLeaf(parts[j].mask), on, b.card(parts[i].mask|parts[j].mask), &f)
+					if len(f.cands) > 0 && f.cands[0].cost < best.cost {
+						bestI, bestJ, best = i, j, f.cands[0]
 					}
 				}
 			}
@@ -472,7 +484,7 @@ func (b *block) greedy() (physical.Plan, error) {
 		if bestI < 0 {
 			return nil, fmt.Errorf("systemr: greedy failed to combine partitions")
 		}
-		merged := part{mask: parts[bestI].mask | parts[bestJ].mask, plan: bestPlan}
+		merged := part{parts[bestI].mask | parts[bestJ].mask, best}
 		var next []part
 		for k, p := range parts {
 			if k != bestI && k != bestJ {

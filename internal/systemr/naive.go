@@ -78,15 +78,7 @@ func (o *Optimizer) naiveBlock(root logical.RelExpr, interesting logical.ColSet)
 	if n > 10 {
 		return nil, fmt.Errorf("systemr: naive enumeration of %d relations is infeasible", n)
 	}
-	g := logical.BuildQueryGraph(leaves, preds)
-	b := &block{
-		opt:         o,
-		leaves:      leaves,
-		graph:       g,
-		interesting: interesting.Copy(),
-		cardMemo:    map[uint64]float64{},
-		relMemo:     map[uint64]logical.RelExpr{},
-	}
+	b := o.newBlock(leaves, preds, interesting)
 	perm := make([]int, n)
 	for i := range perm {
 		perm[i] = i
@@ -127,16 +119,16 @@ func (o *Optimizer) naiveBlock(root logical.RelExpr, interesting logical.ColSet)
 // the cheapest algorithms at each step. It returns nil (not an error) for
 // orders requiring a Cartesian product when they are disabled.
 func (b *block) costPermutation(perm []int) (physical.Plan, error) {
-	cands, err := b.leafCandidates(perm[0])
+	plans, err := b.leafCandidates(perm[0])
 	if err != nil {
 		return nil, err
 	}
-	cur := cands
+	cur := toCands(plans)
 	mask := uint64(1) << uint(perm[0])
 	for _, next := range perm[1:] {
 		bit := uint64(1) << uint(next)
-		preds := b.joinPreds(mask, bit)
-		if len(preds) == 0 && !b.opt.Opts.CartesianProducts {
+		on := b.joinPreds(mask, bit)
+		if len(on.preds) == 0 && !b.opt.Opts.CartesianProducts {
 			return nil, nil
 		}
 		rightPlans, err := b.leafCandidates(next)
@@ -144,28 +136,20 @@ func (b *block) costPermutation(perm []int) (physical.Plan, error) {
 			return nil, err
 		}
 		mask |= bit
-		rows := b.card(mask)
-		joined := b.opt.joinCandidates(logical.InnerJoin, cur, rightPlans, b.rightLeafLogical(bit), preds, rows)
-		if len(joined) == 0 {
-			return nil, nil
-		}
 		// Keep the per-interesting-order frontier to mirror DP's pruning
 		// within a single permutation.
-		frontier := map[string]physical.Plan{}
-		for _, p := range joined {
-			key := b.entryKey(p)
-			if cur, ok := frontier[key]; ok {
-				_, cc := cur.Estimate()
-				if _, pc := p.Estimate(); pc >= cc {
-					continue
-				}
-			}
-			frontier[key] = p
+		joined := b.frontier()
+		b.opt.joinCandidates(logical.InnerJoin, cur, toCands(rightPlans), b.rightLeaf(bit), on, b.card(mask), &joined)
+		if len(joined.cands) == 0 {
+			return nil, nil
 		}
-		cur = cur[:0]
-		for _, p := range frontier {
-			cur = append(cur, p)
+		cur = joined.cands
+	}
+	best := cur[0]
+	for _, c := range cur[1:] {
+		if c.cost < best.cost {
+			best = c
 		}
 	}
-	return cheapest(cur), nil
+	return best.plan, nil
 }

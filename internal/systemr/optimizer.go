@@ -192,8 +192,7 @@ func (o *Optimizer) interestingCols(q *logical.Query) logical.ColSet {
 func (o *Optimizer) optimize(e logical.RelExpr, interesting logical.ColSet) (physical.Plan, error) {
 	switch t := e.(type) {
 	case *logical.Scan:
-		cands := o.accessPaths(t, nil)
-		return cheapest(cands), nil
+		return cheapest(o.accessPaths(t)), nil
 	case *logical.Values:
 		rows := float64(len(t.Rows))
 		return &physical.ValuesOp{
@@ -214,12 +213,13 @@ func (o *Optimizer) optimize(e logical.RelExpr, interesting logical.ColSet) (phy
 		if err != nil {
 			return nil, err
 		}
-		rows := o.Est.Stats(t).Rows
-		cands := o.joinCandidates(t.Kind, []physical.Plan{left}, []physical.Plan{right}, t.Right, t.On, rows)
-		if len(cands) == 0 {
+		var best frontier
+		o.joinCandidates(t.Kind, []cand{newCand(left)}, []cand{newCand(right)}, t.Right,
+			classifyJoinPreds(t.On, colSetOf(left.Columns()), colSetOf(right.Columns())), o.Est.Stats(t).Rows, &best)
+		if len(best.cands) == 0 {
 			return nil, fmt.Errorf("systemr: no join candidates for %v", t.Kind)
 		}
-		return cheapest(cands), nil
+		return best.cands[0].plan, nil
 	case *logical.Project:
 		in, err := o.optimize(t.Input, interesting)
 		if err != nil {
