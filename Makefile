@@ -22,10 +22,12 @@ bench-module-check:
 	go -C bench vet .
 	go -C bench test .
 
-# Non-test line count of the executor — the number the "one pipeline
-# executor" roadmap item tracks.
+# Non-test line counts of the executor and of the storage engine — the
+# numbers the "one pipeline executor" and "one table representation" roadmap
+# items track.
 exec-loc:
-	@ls internal/exec/*.go | grep -v _test.go | xargs cat | wc -l
+	@for d in internal/exec internal/storage; do \
+		echo "$$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)"; done
 
 # Planner micro-benchmarks: one System-R Optimize call (fresh estimator and
 # optimizer per statement, as the engine builds them) on the adhoc_planning

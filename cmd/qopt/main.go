@@ -36,8 +36,8 @@ func main() {
 	planCache := flag.String("plancache", "on", "parameterized plan cache for prepared statements: on | off")
 	greedyThreshold := flag.Int("greedy-threshold", 0, "adaptive greedy fast path: join blocks of up to this many relations skip DP (0 = off)")
 	replanQError := flag.Float64("replan-qerror", 0, "re-optimize a statement after an analyzed run whose worst q-error exceeds this (0 = off; implies feedback patching)")
-	storageDir := flag.String("storage-dir", "", "persist tables as columnar segments under this directory (empty = in-memory)")
-	segmentRows := flag.Int("segment-rows", 0, "rows per sealed segment with -storage-dir (0 = default 4096)")
+	storageDir := flag.String("storage-dir", "", "give sealed columnar segments files under this directory (empty = segments pinned in memory)")
+	segmentRows := flag.Int("segment-rows", 0, "rows per sealed segment, with or without -storage-dir (0 = default 4096)")
 	compression := flag.String("compression", "on", "dictionary/run-length encoding when sealing segments: on | off")
 	scrub := flag.Bool("scrub", false, "verify every checksum under -storage-dir and exit (0 = clean, 1 = corruption found)")
 	flag.Parse()

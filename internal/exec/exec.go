@@ -36,9 +36,9 @@ type Counters struct {
 	Spills        int64 // spill files written by budget-degraded operators
 	SpillBytes    int64 // bytes written to spill files
 
-	// Disk-backed storage (zero for in-memory tables): columnar segments a
-	// scan read vs eliminated by zone maps, and real segment-file bytes read
-	// from disk (cache misses only).
+	// Sealed columnar segments a scan read vs eliminated by zone maps (zero
+	// for tables that have sealed nothing yet), and real segment-file bytes
+	// read from disk (cache misses only; segments pinned in memory read none).
 	SegmentsRead   int64
 	SegmentsPruned int64
 	BytesRead      int64
@@ -95,9 +95,8 @@ type Ctx struct {
 	// every predicate, join and aggregate evaluates row-at-a-time — inside
 	// the same operators. NewCtx turns it on.
 	Vectorize bool
-	// NoPrune disables zone-map segment elimination on disk-backed tables
-	// (every segment is read and filtered) — the control arm of the storage
-	// benchmarks. No effect on in-memory tables.
+	// NoPrune disables zone-map segment elimination (every sealed segment is
+	// read and filtered) — the control arm of the storage benchmarks.
 	NoPrune bool
 	// Metrics, when non-nil, collects per-operator runtime metrics (EXPLAIN
 	// ANALYZE): actual rows, invocations, morsel batches, wall time, peak

@@ -1,4 +1,4 @@
-// Zone-map segment elimination for scans over disk-backed tables. The scan's
+// Zone-map segment elimination for scans over sealed segments. The scan's
 // pushed-down conjuncts are compiled to storage.ZonePred (base-table column
 // ordinal + constant), confronted with each sealed segment's min/max
 // zone maps and NULL counts, and every segment the predicate cannot match is
@@ -176,9 +176,9 @@ type scanPruner struct {
 }
 
 // buildPruner compiles the scan's filter against the table's segment zone
-// maps. Returns nil for tables without sealed segments (in-memory mode),
-// which keeps every scan operator on its historical path. Ctx.NoPrune leaves
-// the predicates uncompiled, so every segment reads as ZoneSome.
+// maps. Returns nil for tables without sealed segments (all rows still in
+// the tail). Ctx.NoPrune leaves the predicates uncompiled, so every segment
+// reads as ZoneSome.
 func (c *Ctx) buildPruner(tab *storage.Table, filter []logical.Scalar, cols []logical.ColumnID, colOrds []int) *scanPruner {
 	layout := tab.SegmentLayout()
 	if len(layout) == 0 {

@@ -43,22 +43,21 @@ func (o AnalyzeOptions) withDefaults() AnalyzeOptions {
 func Analyze(tab *storage.Table, opts AnalyzeOptions) error {
 	opts = opts.withDefaults()
 	def := tab.Def
-	rows, err := tab.Rows(nil)
-	if err != nil {
-		return err
-	}
+	n := tab.RowCount()
 	ts := &catalog.TableStats{
-		RowCount:  float64(len(rows)),
+		RowCount:  float64(n),
 		PageCount: float64(tab.PageCount()),
 		ColStats:  make(map[int]*catalog.ColumnStats),
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for ord := range def.Cols {
-		vals := make([]datum.D, len(rows))
+		vals, err := columnValues(tab, ord, n)
+		if err != nil {
+			return err
+		}
 		nulls := 0.0
-		for i, r := range rows {
-			vals[i] = r[ord]
-			if r[ord].IsNull() {
+		for _, d := range vals {
+			if d.IsNull() {
 				nulls++
 			}
 		}
@@ -86,14 +85,41 @@ func Analyze(tab *storage.Table, opts AnalyzeOptions) error {
 			}
 			continue
 		}
-		seen := make(map[uint64]struct{}, len(rows))
-		for _, r := range rows {
-			seen[r.Hash(ix.Cols)] = struct{}{}
+		keyCols := make([][]datum.D, len(ix.Cols))
+		at := make([]int, len(ix.Cols))
+		for j, ord := range ix.Cols {
+			var err error
+			if keyCols[j], err = columnValues(tab, ord, n); err != nil {
+				return err
+			}
+			at[j] = j
+		}
+		seen := make(map[uint64]struct{}, n)
+		key := make(datum.Row, len(ix.Cols))
+		for i := 0; i < n; i++ {
+			for j := range key {
+				key[j] = keyCols[j][i]
+			}
+			seen[key.Hash(at)] = struct{}{}
 		}
 		ix.DistinctKeys = float64(len(seen))
 	}
 	def.Stats = ts
 	return nil
+}
+
+// columnValues reads column ord of rows [0, n) — one column fill, not a
+// materialization of every row.
+func columnValues(tab *storage.Table, ord, n int) ([]datum.D, error) {
+	v := datum.NewVec(tab.Def.Cols[ord].Kind, n)
+	if err := tab.FillColumnRange(nil, ord, 0, n, v); err != nil {
+		return nil, err
+	}
+	vals := make([]datum.D, n)
+	for i := range vals {
+		vals[i] = v.D(i)
+	}
+	return vals, nil
 }
 
 // secondExtremes returns the second-lowest and second-highest non-NULL values
@@ -142,14 +168,14 @@ func AnalyzeJoint(tab *storage.Table, colA, colB string, kOuter, kInner int) err
 	if kInner <= 0 {
 		kInner = 16
 	}
-	rows, err := tab.Rows(nil)
+	n := tab.RowCount()
+	as, err := columnValues(tab, a, n)
 	if err != nil {
 		return err
 	}
-	as := make([]datum.D, len(rows))
-	bs := make([]datum.D, len(rows))
-	for i, r := range rows {
-		as[i], bs[i] = r[a], r[b]
+	bs, err := columnValues(tab, b, n)
+	if err != nil {
+		return err
 	}
 	if def.Stats == nil {
 		def.Stats = &catalog.TableStats{ColStats: map[int]*catalog.ColumnStats{}}

@@ -66,8 +66,8 @@ type Estimator struct {
 	// observed one. Estimates only — results are never affected.
 	Overrides *Overrides
 	// SegmentStats, when set, returns coarse statistics synthesized from a
-	// disk-backed table's segment footers (zone maps, NULL counts, distinct
-	// sketches). Consulted when a table has never been ANALYZEd, or when the
+	// table's segment footers (zone maps, NULL counts, distinct sketches).
+	// Consulted when a table has never been ANALYZEd, or when the
 	// ANALYZE-time row count has drifted ≥2x from the actual stored row
 	// count — segment metadata is always current, so it wins over stale
 	// statistics. Returns nil when no segment metadata exists.

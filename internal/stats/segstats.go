@@ -7,13 +7,12 @@ import (
 	"repro/internal/storage"
 )
 
-// SegmentTableStats synthesizes a coarse catalog.TableStats from the segment
-// footers of a disk-backed table: zone-map min/max stand in for the column
-// extremes, per-segment distinct sketches are unioned for a distinct estimate,
+// SegmentTableStats synthesizes a coarse catalog.TableStats from a table's
+// segment footers: zone-map min/max stand in for the column extremes,
+// per-segment distinct sketches are unioned for a distinct estimate,
 // and NULL counts sum exactly. It is far cheaper than ANALYZE (no data pages
 // are read) and, unlike ANALYZE output, can never be stale — it reflects what
-// is actually sealed on disk. Returns nil for in-memory tables or tables with
-// no sealed segments.
+// is actually sealed. Returns nil for tables with no sealed segments.
 func SegmentTableStats(tab *storage.Table) *catalog.TableStats {
 	_, totalRows, pages, cols, ok := tab.SegmentStats()
 	if !ok {

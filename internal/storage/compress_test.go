@@ -2,8 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -11,14 +9,11 @@ import (
 	"repro/internal/datum"
 )
 
-// sealedReprs seals rows into exactly one segment and returns the per-column
-// block representations from the decoded footer, plus the table for reads.
-func sealedReprs(t *testing.T, def *catalog.Table, rows []datum.Row, cfg StoreConfig) (*Table, []byte) {
+// sealedReprs seals rows into exactly one segment of a fresh table in s and
+// returns the table plus the segment's per-column block representations.
+func sealedReprs(t *testing.T, s *Store, def *catalog.Table, rows []datum.Row) (*Table, []byte) {
 	t.Helper()
-	if cfg.SegmentRows == 0 {
-		cfg.SegmentRows = len(rows)
-	}
-	s := NewStoreWith(cfg)
+	s.cfg.SegmentRows = len(rows)
 	tab, err := s.CreateTable(def)
 	if err != nil {
 		t.Fatal(err)
@@ -26,48 +21,17 @@ func sealedReprs(t *testing.T, def *catalog.Table, rows []datum.Row, cfg StoreCo
 	if err := tab.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	return tab, segReprs(t, cfg.Dir, def.Name, 0, 0)
+	return tab, reprsOf(tab, 0)
 }
 
-// segReprs reads one sealed segment file and returns each column's repr byte.
-func segReprs(t *testing.T, dir, table string, gen, id int) []byte {
-	t.Helper()
-	path := filepath.Join(dir, table, segFileName(gen, id))
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, err := decodeFooter(raw, path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reprs := make([]byte, len(sm.cols))
-	for i := range sm.cols {
-		reprs[i] = sm.cols[i].repr
+// reprsOf returns each column's repr byte in sealed segment si.
+func reprsOf(tab *Table, si int) []byte {
+	cols := tab.seg.segs[si].cols
+	reprs := make([]byte, len(cols))
+	for i := range cols {
+		reprs[i] = cols[i].repr
 	}
 	return reprs
-}
-
-// roundTrip reads every row back and compares datum-by-datum with bit-exact
-// semantics (Compare distinguishes nothing a query could; IsNull + Compare
-// suffice because inserts were canonical values).
-func roundTrip(t *testing.T, tab *Table, want []datum.Row) {
-	t.Helper()
-	got, err := tab.Rows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("round-trip rows = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		for j := range want[i] {
-			a, b := want[i][j], got[i][j]
-			if a.IsNull() != b.IsNull() || (!a.IsNull() && datum.Compare(a, b) != 0) {
-				t.Fatalf("row %d col %d: got %v, want %v", i, j, b, a)
-			}
-		}
-	}
 }
 
 func oneStrCol(name string) *catalog.Table {
@@ -75,8 +39,12 @@ func oneStrCol(name string) *catalog.Table {
 }
 
 // TestEncodingEdgeCases pins the seal-time encoding decision and its
-// round-trip on the format's corner shapes.
+// round-trip on the format's corner shapes, with and without segment files.
 func TestEncodingEdgeCases(t *testing.T) {
+	modes(t, 0, testEncodingEdgeCases)
+}
+
+func testEncodingEdgeCases(t *testing.T, s *Store) {
 	strRow := func(s string) datum.Row { return datum.Row{datum.NewString(s)} }
 
 	t.Run("all-null-long", func(t *testing.T) {
@@ -85,11 +53,11 @@ func TestEncodingEdgeCases(t *testing.T) {
 		for i := range rows {
 			rows[i] = datum.Row{datum.Null}
 		}
-		tab, reprs := sealedReprs(t, oneStrCol("an"), rows, StoreConfig{Dir: t.TempDir()})
+		tab, reprs := sealedReprs(t, s, oneStrCol("an"), rows)
 		if reprs[0] != reprRLE {
 			t.Fatalf("repr = %d, want RLE", reprs[0])
 		}
-		roundTrip(t, tab, rows)
+		sameRows(t, mustRows(t, tab), rows)
 	})
 
 	t.Run("all-null-short", func(t *testing.T) {
@@ -99,11 +67,11 @@ func TestEncodingEdgeCases(t *testing.T) {
 		for i := range rows {
 			rows[i] = datum.Row{datum.Null}
 		}
-		tab, reprs := sealedReprs(t, oneStrCol("ans"), rows, StoreConfig{Dir: t.TempDir()})
+		tab, reprs := sealedReprs(t, s, oneStrCol("ans"), rows)
 		if reprs[0] != reprTyped {
 			t.Fatalf("repr = %d, want plain typed", reprs[0])
 		}
-		roundTrip(t, tab, rows)
+		sameRows(t, mustRows(t, tab), rows)
 	})
 
 	t.Run("empty-strings", func(t *testing.T) {
@@ -119,11 +87,11 @@ func TestEncodingEdgeCases(t *testing.T) {
 				rows[i] = datum.Row{datum.Null}
 			}
 		}
-		tab, reprs := sealedReprs(t, oneStrCol("es"), rows, StoreConfig{Dir: t.TempDir()})
+		tab, reprs := sealedReprs(t, s, oneStrCol("es"), rows)
 		if reprs[0] != reprDict {
 			t.Fatalf("repr = %d, want dict", reprs[0])
 		}
-		roundTrip(t, tab, rows)
+		sameRows(t, mustRows(t, tab), rows)
 	})
 
 	t.Run("single-value-long", func(t *testing.T) {
@@ -132,11 +100,11 @@ func TestEncodingEdgeCases(t *testing.T) {
 		for i := range rows {
 			rows[i] = strRow("only")
 		}
-		tab, reprs := sealedReprs(t, oneStrCol("sv"), rows, StoreConfig{Dir: t.TempDir()})
+		tab, reprs := sealedReprs(t, s, oneStrCol("sv"), rows)
 		if reprs[0] != reprRLE {
 			t.Fatalf("repr = %d, want RLE", reprs[0])
 		}
-		roundTrip(t, tab, rows)
+		sameRows(t, mustRows(t, tab), rows)
 	})
 
 	t.Run("single-value-alternating-null", func(t *testing.T) {
@@ -150,11 +118,11 @@ func TestEncodingEdgeCases(t *testing.T) {
 				rows[i] = datum.Row{datum.Null}
 			}
 		}
-		tab, reprs := sealedReprs(t, oneStrCol("svn"), rows, StoreConfig{Dir: t.TempDir()})
+		tab, reprs := sealedReprs(t, s, oneStrCol("svn"), rows)
 		if reprs[0] != reprDict {
 			t.Fatalf("repr = %d, want dict", reprs[0])
 		}
-		roundTrip(t, tab, rows)
+		sameRows(t, mustRows(t, tab), rows)
 	})
 
 	// The dictionary threshold is an exact distinct count: 256 encodes, 257
@@ -168,11 +136,11 @@ func TestEncodingEdgeCases(t *testing.T) {
 			for i := range rows {
 				rows[i] = strRow(fmt.Sprintf("value-%03d", i%tc.ndv))
 			}
-			tab, reprs := sealedReprs(t, oneStrCol("nd"), rows, StoreConfig{Dir: t.TempDir()})
+			tab, reprs := sealedReprs(t, s, oneStrCol(fmt.Sprintf("nd%d", tc.ndv)), rows)
 			if reprs[0] != tc.want {
 				t.Fatalf("ndv %d: repr = %d, want %d", tc.ndv, reprs[0], tc.want)
 			}
-			roundTrip(t, tab, rows)
+			sameRows(t, mustRows(t, tab), rows)
 		})
 	}
 
@@ -181,12 +149,12 @@ func TestEncodingEdgeCases(t *testing.T) {
 		for i := range rows {
 			rows[i] = strRow("only")
 		}
-		tab, reprs := sealedReprs(t, oneStrCol("dc"), rows,
-			StoreConfig{Dir: t.TempDir(), DisableCompression: true})
+		s.cfg.DisableCompression = true
+		tab, reprs := sealedReprs(t, s, oneStrCol("dc"), rows)
 		if reprs[0] != reprTyped {
 			t.Fatalf("repr = %d, want plain typed under DisableCompression", reprs[0])
 		}
-		roundTrip(t, tab, rows)
+		sameRows(t, mustRows(t, tab), rows)
 	})
 }
 
@@ -194,12 +162,14 @@ func TestEncodingEdgeCases(t *testing.T) {
 // or plain blocks, but after SortBy physically reorders the heap the rewrite
 // re-runs the encoder and the now-constant runs seal as RLE.
 func TestRLEAfterSortBy(t *testing.T) {
-	dir := t.TempDir()
+	modes(t, 256, testRLEAfterSortBy)
+}
+
+func testRLEAfterSortBy(t *testing.T, s *Store) {
 	def := &catalog.Table{Name: "sb", Cols: []catalog.Column{
 		{Name: "k", Kind: datum.KindInt},
 		{Name: "s", Kind: datum.KindString},
 	}}
-	s := NewStoreWith(StoreConfig{Dir: dir, SegmentRows: 256})
 	tab, err := s.CreateTable(def)
 	if err != nil {
 		t.Fatal(err)
@@ -214,14 +184,14 @@ func TestRLEAfterSortBy(t *testing.T) {
 	if err := tab.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	before := segReprs(t, dir, "sb", 0, 0)
+	before := reprsOf(tab, 0)
 	if before[0] == reprRLE || before[1] == reprRLE {
 		t.Fatalf("unsorted seal picked RLE: %v", before)
 	}
 	if err := tab.SortBy([]datum.SortSpec{{Col: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	after := segReprs(t, dir, "sb", 1, 0)
+	after := reprsOf(tab, 0)
 	if after[0] != reprRLE || after[1] != reprRLE {
 		t.Fatalf("sorted seal reprs = %v, want RLE for both columns", after)
 	}
@@ -261,7 +231,7 @@ func TestCacheChargesStringPayload(t *testing.T) {
 		if err := tab.FillColumnRange(nil, 0, 0, 256, v); err != nil {
 			t.Fatal(err)
 		}
-		c := tab.cache()
+		c := tab.store.cache
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		return c.size
@@ -295,14 +265,14 @@ func TestDictCacheCharge(t *testing.T) {
 	if err := tab.InsertBatch(rows); err != nil {
 		t.Fatal(err)
 	}
-	if reprs := segReprs(t, dir, "dcc", 0, 0); reprs[0] != reprDict {
+	if reprs := reprsOf(tab, 0); reprs[0] != reprDict {
 		t.Fatalf("repr = %d, want dict", reprs[0])
 	}
 	v := datum.NewVec(datum.KindString, 1024)
 	if err := tab.FillColumnRange(nil, 0, 0, 1024, v); err != nil {
 		t.Fatal(err)
 	}
-	c := tab.cache()
+	c := tab.store.cache
 	c.mu.Lock()
 	size := c.size
 	c.mu.Unlock()

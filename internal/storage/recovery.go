@@ -63,7 +63,7 @@ func (t *Table) recoverLocked() (*RecoveryReport, error) {
 		}
 		t.seg.segs = append(t.seg.segs, sm)
 		t.seg.sealedRows += sm.rows
-		t.seg.diskBytes += sm.bytes
+		t.seg.sealedBytes += sm.bytes
 		if e.id > maxID {
 			maxID = e.id
 		}

@@ -13,9 +13,10 @@ import (
 	"sort"
 )
 
-// Scrub verifies every sealed segment of every disk-backed table and returns
-// one error per corruption found, with coordinates. An empty result means the
-// store's on-disk state is fully intact. In-memory stores scrub to nothing.
+// Scrub verifies every sealed segment file of every table and returns one
+// error per corruption found, with coordinates. An empty result means the
+// store's on-disk state is fully intact. Stores without a directory have no
+// files and scrub to nothing.
 func (s *Store) Scrub() []*CorruptError {
 	s.mu.RLock()
 	names := make([]string, 0, len(s.tables))
@@ -35,16 +36,16 @@ func (s *Store) Scrub() []*CorruptError {
 	return out
 }
 
-// Scrub verifies this table's sealed segments.
+// Scrub verifies this table's sealed segment files.
 func (t *Table) Scrub() []*CorruptError {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.seg == nil {
-		return nil
-	}
 	var out []*CorruptError
 	for si := range t.seg.segs {
 		sm := &t.seg.segs[si]
+		if sm.pinned != nil {
+			continue // no file to verify
+		}
 		if sm.corrupt != nil {
 			out = append(out, sm.corrupt)
 			continue

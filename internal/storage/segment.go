@@ -1,12 +1,12 @@
-// Columnar segment files: the persistent format behind disk-backed tables.
-// A segment holds a fixed row range of one table as typed column blocks
-// (mirroring datum.Vec: []int64 / []float64 / []string payloads plus a packed
-// NULL bitmap, with a boxed per-datum fallback for mixed-kind columns),
-// followed by a footer carrying per-column min/max zone maps, NULL counts and
-// a small linear-counting distinct sketch. Zone maps let scans eliminate
-// segments a predicate cannot match without touching their bytes, and the
-// footer metadata doubles as a coarse histogram for the optimizer when
-// table-level statistics are stale.
+// Columnar segments: the sealed format of every table, and the file format
+// of tables that have a directory. A segment holds a fixed row range of one
+// table as typed column blocks (mirroring datum.Vec: []int64 / []float64 /
+// []string payloads plus a packed NULL bitmap, with a boxed per-datum
+// fallback for mixed-kind columns), followed by a footer carrying per-column
+// min/max zone maps, NULL counts and a small linear-counting distinct sketch.
+// Zone maps let scans eliminate segments a predicate cannot match without
+// touching their bytes, and the footer metadata doubles as a coarse histogram
+// for the optimizer when table-level statistics are stale.
 //
 // Encoding reuses the spill-file conventions from internal/exec: uvarint
 // counts, varint integers, raw little-endian float bits (math.Float64bits,
@@ -147,9 +147,12 @@ type segMeta struct {
 	id       int
 	startRow int
 	rows     int
-	bytes    int64 // file size
+	bytes    int64 // encoded size (the file size, when there is a file)
 	fileCRC  uint32
 	cols     []colMeta
+	// pinned, when non-nil, holds the decoded columns of a segment that has
+	// no file (a table without a directory): the data itself, never evicted.
+	pinned []*datum.Vec
 	// corrupt, when non-nil, marks a manifest-listed segment whose file failed
 	// verification at recovery. The segment is soft-adopted — rows comes from
 	// the manifest so the table's row-id space stays intact and unaffected
@@ -527,22 +530,9 @@ func decodeColumn(block []byte, rows int) (*datum.Vec, error) {
 		return decodeRLE(r, datum.Kind(kb), n)
 	}
 	kind := datum.Kind(kb)
-	nn, err := r.uvarint()
+	nulls, numNulls, err := decodeNulls(r, n)
 	if err != nil {
 		return nil, err
-	}
-	numNulls := int(nn)
-	var nulls datum.Bitmap
-	if numNulls > 0 {
-		words := (n + 63) / 64
-		nulls = make(datum.Bitmap, words)
-		for w := 0; w < words; w++ {
-			b, err := r.take(8)
-			if err != nil {
-				return nil, err
-			}
-			nulls[w] = binary.LittleEndian.Uint64(b)
-		}
 	}
 	switch kind {
 	case datum.KindInt, datum.KindBool:
@@ -1265,9 +1255,6 @@ func newColCache(budget int64) *colCache {
 }
 
 func (c *colCache) get(k colKey) *datum.Vec {
-	if c == nil {
-		return nil
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.m[k]
@@ -1279,9 +1266,6 @@ func (c *colCache) get(k colKey) *datum.Vec {
 }
 
 func (c *colCache) put(k colKey, v *datum.Vec, bytes int64) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[k]; ok {
@@ -1301,9 +1285,6 @@ func (c *colCache) put(k colKey, v *datum.Vec, bytes int64) {
 
 // dropTable evicts every cached column of one table (table drop/rewrite).
 func (c *colCache) dropTable(t *Table) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.lru.Front(); el != nil; {

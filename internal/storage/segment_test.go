@@ -82,46 +82,6 @@ func sameRows(t *testing.T, got, want []datum.Row) {
 	}
 }
 
-// TestSegmentRoundTripAllKinds: rows of every kind with NULLs survive
-// seal + read across several segments plus an unsealed tail, bit-exact.
-func TestSegmentRoundTripAllKinds(t *testing.T) {
-	s := newDiskStore(t, 16)
-	tab, err := s.CreateTable(wideDef("rt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := randWideRows(100, 7) // 6 segments of 16 + 4-row tail
-	if err := tab.InsertBatch(want); err != nil {
-		t.Fatal(err)
-	}
-	if n := len(tab.SegmentLayout()); n != 6 {
-		t.Fatalf("segments = %d, want 6", n)
-	}
-	got, err := tab.Rows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, got, want)
-
-	// Arbitrary sub-ranges, including ones straddling segment boundaries.
-	for _, r := range [][2]int{{0, 100}, {5, 21}, {16, 32}, {15, 17}, {90, 100}, {40, 40}} {
-		got, err := tab.RowsRange(nil, r[0], r[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRows(t, got, want[r[0]:r[1]])
-	}
-
-	// Point lookups.
-	for _, id := range []int{0, 15, 16, 95, 99} {
-		r, err := tab.Row(nil, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameRows(t, []datum.Row{r}, []datum.Row{want[id]})
-	}
-}
-
 // TestSegmentReload: a fresh store over the same directory adopts the sealed
 // segments and serves identical rows; the unsealed tail is lost unless
 // Flush was called first.
@@ -155,42 +115,13 @@ func TestSegmentReload(t *testing.T) {
 	sameRows(t, got, want)
 }
 
-// TestSegmentSpecialFloats: NaN, infinities and -0.0 round-trip bit-exact,
-// and a segment containing NaN drops its zone map (never pruned, never
-// filter-skipped) rather than corrupting the comparison order.
-func TestSegmentSpecialFloats(t *testing.T) {
-	s := newDiskStore(t, 4)
-	def := &catalog.Table{Name: "sf", Cols: []catalog.Column{{Name: "f", Kind: datum.KindFloat}}}
-	tab, err := s.CreateTable(def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []datum.Row{
-		{datum.NewFloat(math.NaN())},
-		{datum.NewFloat(math.Inf(1))},
-		{datum.NewFloat(math.Inf(-1))},
-		{datum.NewFloat(math.Copysign(0, -1))},
-	}
-	if err := tab.InsertBatch(want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tab.Rows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, got, want)
-	// The NaN segment must report ZoneSome for any range predicate: pruning
-	// it (ZoneNone) would lose rows, ZoneAll would skip the filter.
-	disp := tab.SegmentDispositions([]ZonePred{{Ord: 0, Form: ZoneCmp, Op: ZoneGt, C: datum.NewFloat(1e300)}})
-	if len(disp) != 1 || disp[0] != ZoneSome {
-		t.Fatalf("disp over NaN segment = %v, want [ZoneSome]", disp)
-	}
-}
-
 // TestZoneDispositions: with values laid out sorted across segments, range,
 // equality, IN and IS NULL predicates classify segments exactly.
 func TestZoneDispositions(t *testing.T) {
-	s := newDiskStore(t, 4)
+	modes(t, 4, testZoneDispositions)
+}
+
+func testZoneDispositions(t *testing.T, s *Store) {
 	def := &catalog.Table{Name: "zd", Cols: []catalog.Column{{Name: "a", Kind: datum.KindInt}}}
 	tab, err := s.CreateTable(def)
 	if err != nil {
@@ -237,35 +168,13 @@ func TestZoneDispositions(t *testing.T) {
 	}
 }
 
-// TestBoxedColumnRoundTrip: an INT column holding floats (legal via numeric
-// coercion) forces the boxed per-datum encoding; kinds survive exactly.
-func TestBoxedColumnRoundTrip(t *testing.T) {
-	s := newDiskStore(t, 4)
-	def := &catalog.Table{Name: "bx", Cols: []catalog.Column{{Name: "n", Kind: datum.KindInt}}}
-	tab, err := s.CreateTable(def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []datum.Row{
-		{datum.NewInt(1)},
-		{datum.NewFloat(2.5)},
-		{datum.Null},
-		{datum.NewInt(-7)},
-	}
-	if err := tab.InsertBatch(want); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tab.Rows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameRows(t, got, want)
-}
-
 // TestSegmentStatsMeta: footer aggregation gives exact NULL counts, sane
 // distinct estimates and true extremes.
 func TestSegmentStatsMeta(t *testing.T) {
-	s := newDiskStore(t, 8)
+	modes(t, 8, testSegmentStatsMeta)
+}
+
+func testSegmentStatsMeta(t *testing.T, s *Store) {
 	def := &catalog.Table{Name: "sm", Cols: []catalog.Column{{Name: "a", Kind: datum.KindInt}}}
 	tab, err := s.CreateTable(def)
 	if err != nil {
@@ -303,70 +212,6 @@ func TestSegmentStatsMeta(t *testing.T) {
 	}
 	if !cs.HasZone || cs.Min.Int() != 0 || cs.Max.Int() != 19 {
 		t.Fatalf("zone = %v [%v, %v], want [0, 19]", cs.HasZone, cs.Min, cs.Max)
-	}
-}
-
-// TestFillColumnDiskVsMem: the typed bulk fills read from segments exactly
-// what the in-memory table produces, for ranges and ID lists.
-func TestFillColumnDiskVsMem(t *testing.T) {
-	rows := randWideRows(90, 23)
-	mem := NewTable(wideDef("m"))
-	if err := mem.InsertBatch(rows); err != nil {
-		t.Fatal(err)
-	}
-	s := newDiskStore(t, 16)
-	dsk, err := s.CreateTable(wideDef("m"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dsk.InsertBatch(rows); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	for ord := 0; ord < 4; ord++ {
-		kind := wideDef("m").Cols[ord].Kind
-		for trial := 0; trial < 20; trial++ {
-			lo := rng.Intn(90)
-			hi := lo + rng.Intn(90-lo+1)
-			a, b := datum.NewVec(kind, 0), datum.NewVec(kind, 0)
-			if err := mem.FillColumnRange(nil, ord, lo, hi, a); err != nil {
-				t.Fatal(err)
-			}
-			if err := dsk.FillColumnRange(nil, ord, lo, hi, b); err != nil {
-				t.Fatal(err)
-			}
-			compareVecs(t, a, b)
-
-			var ids []int
-			for i := lo; i < hi; i += 1 + rng.Intn(3) {
-				ids = append(ids, i)
-			}
-			a.Reset(kind)
-			b.Reset(kind)
-			if err := mem.FillColumnIDs(nil, ord, ids, a); err != nil {
-				t.Fatal(err)
-			}
-			if err := dsk.FillColumnIDs(nil, ord, ids, b); err != nil {
-				t.Fatal(err)
-			}
-			compareVecs(t, a, b)
-		}
-	}
-}
-
-func compareVecs(t *testing.T, a, b *datum.Vec) {
-	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("vec len %d vs %d", a.Len(), b.Len())
-	}
-	for i := 0; i < a.Len(); i++ {
-		da, db := a.D(i), b.D(i)
-		if da.IsNull() != db.IsNull() {
-			t.Fatalf("elem %d null mismatch", i)
-		}
-		if !da.IsNull() && datum.Compare(da, db) != 0 {
-			t.Fatalf("elem %d: %v vs %v", i, da, db)
-		}
 	}
 }
 
@@ -413,57 +258,6 @@ func TestSegmentFaultInjection(t *testing.T) {
 		if err := tab.InsertBatch(randWideRows(40, 3)); !errors.Is(err, boom) {
 			t.Fatalf("%s: got %v, want injected error", op, err)
 		}
-	}
-}
-
-// TestSortByDiskRewrite: sorting a disk-backed table rewrites its segments
-// in order, leaves no stale files behind, and survives a reload.
-func TestSortByDiskRewrite(t *testing.T) {
-	dir := t.TempDir()
-	s := NewStoreWith(StoreConfig{Dir: dir, SegmentRows: 8})
-	def := &catalog.Table{Name: "sb", Cols: []catalog.Column{{Name: "a", Kind: datum.KindInt}}}
-	tab, err := s.CreateTable(def)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	var rows []datum.Row
-	for i := 0; i < 50; i++ {
-		rows = append(rows, datum.Row{datum.NewInt(rng.Int63n(1000))})
-	}
-	if err := tab.InsertBatch(rows); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.SortBy([]datum.SortSpec{{Col: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := tab.Rows(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i-1][0].Int() > got[i][0].Int() {
-			t.Fatal("not sorted after SortBy")
-		}
-	}
-	// Exactly the sealed segments remain on disk — no leftovers.
-	files, err := filepath.Glob(filepath.Join(dir, "sb", "seg-*.seg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(files) != len(tab.SegmentLayout()) {
-		t.Fatalf("%d files for %d segments", len(files), len(tab.SegmentLayout()))
-	}
-	// After sorting, zone maps make a point predicate prune to few segments.
-	disp := tab.SegmentDispositions([]ZonePred{{Ord: 0, Form: ZoneCmp, Op: ZoneEq, C: got[0][0]}})
-	none := 0
-	for _, d := range disp {
-		if d == ZoneNone {
-			none++
-		}
-	}
-	if len(disp) > 2 && none == 0 {
-		t.Error("sorted table should prune segments for a point predicate")
 	}
 }
 
@@ -546,8 +340,8 @@ func TestCorruptSegmentRejected(t *testing.T) {
 	}
 }
 
-// BenchmarkFillColumnRange measures the typed bulk column fill against the
-// in-memory heap (the hot path of every vectorized scan).
+// BenchmarkFillColumnRange measures the typed bulk column fill out of pinned
+// segments (the hot path of every vectorized scan).
 func BenchmarkFillColumnRange(b *testing.B) {
 	const n = 65536
 	tab := NewTable(&catalog.Table{Name: "bench", Cols: []catalog.Column{

@@ -1,12 +1,13 @@
-// Package storage is the storage engine: heap tables with page accounting
-// and ordered (B-tree-like) secondary indexes, in two modes. The default
-// in-memory mode keeps rows on the heap with modeled page counts (see
-// DESIGN.md §4). Disk-backed mode (StoreConfig.Dir) additionally seals rows
-// into persistent columnar segment files (segment.go): inserts buffer in an
-// in-memory tail and every SegmentRows rows are written out as typed column
-// blocks with zone-map footers, which scans read back through a store-wide
-// decoded-column LRU cache. Row ids are positional across sealed segments
-// then the tail, so both modes expose the same id space.
+// Package storage is the storage engine: columnar tables with page accounting
+// and ordered (B-tree-like) secondary indexes. A table is a list of sealed
+// columnar segments (segment.go) plus an unsealed row tail: inserts buffer in
+// the tail and every SegmentRows rows are encoded as typed / dictionary /
+// run-length column blocks with zone-map footers. What StoreConfig.Dir decides
+// is only whether a segment has a file. With a directory the encoded bytes are
+// published crash-consistently and scans read them back through a store-wide
+// decoded-column LRU cache, so segments can be evicted; without one the
+// columns are decoded once at seal time and pinned on the segment. Row ids are
+// positional across sealed segments then the tail.
 package storage
 
 import (
@@ -25,8 +26,8 @@ import (
 	"repro/internal/faultfs"
 )
 
-// PageSize is the page size in bytes: modeled for in-memory tables, real for
-// segment files.
+// PageSize is the page size in bytes: sealed segments occupy their encoded
+// bytes, the unsealed tail its modeled row widths.
 const PageSize = 8192
 
 // DefaultSegmentRows is the sealed-segment row count when StoreConfig leaves
@@ -41,32 +42,33 @@ const defaultCacheBytes = 64 << 20
 // Table is the stored data for one catalog table.
 type Table struct {
 	Def *catalog.Table
-	// rows is the in-memory heap — all rows in in-memory mode, the unsealed
-	// tail in disk mode.
+	// rows is the unsealed tail: the rows inserted since the last seal.
 	rows []datum.Row
 	// bytes is the accumulated modeled width of the rows slice.
 	bytes int
 	// indexes are built lazily and invalidated by writes.
 	indexes map[string]*IndexData
 	mu      sync.RWMutex
-	// store owns the decoded-column cache and write-path fault injector;
-	// nil for standalone in-memory tables (NewTable).
+	// store owns the decoded-column cache, the write-path fault injector and
+	// the retry policy; a standalone table (NewTable) has one to itself.
 	store *Store
-	// seg holds the sealed-segment state; nil selects in-memory mode.
-	seg *segTable
+	seg   segTable
 }
 
-// segTable is the disk-backed half of a Table.
+// segTable is the sealed half of a Table.
 type segTable struct {
+	// dir holds the segment files and the manifest; empty when segments have
+	// no file and keep their decoded columns pinned instead.
 	dir     string
 	segRows int
-	// gen is bumped whenever segment files are rewritten (SortBy), so stale
+	// gen is bumped whenever the segments are rewritten (SortBy), so stale
 	// cache entries can never be read back.
 	gen        int
 	nextID     int
 	segs       []segMeta
 	sealedRows int
-	diskBytes  int64
+	// sealedBytes is the total encoded size of the sealed segments.
+	sealedBytes int64
 	// dicts interns decoded string dictionaries by content, so segments that
 	// sealed the same value set share one *StrDict pointer — which is what
 	// lets a multi-segment scan keep appending codes instead of materializing
@@ -99,9 +101,12 @@ func (st *segTable) internDict(d *datum.StrDict) *datum.StrDict {
 	return d
 }
 
-// NewTable creates empty in-memory storage for a catalog table.
-func NewTable(def *catalog.Table) *Table {
-	return &Table{Def: def, indexes: make(map[string]*IndexData)}
+// NewTable creates empty standalone storage for a catalog table: a default
+// store of its own, no directory.
+func NewTable(def *catalog.Table) *Table { return NewStore().newTable(def) }
+
+func (s *Store) newTable(def *catalog.Table) *Table {
+	return &Table{Def: def, indexes: make(map[string]*IndexData), store: s, seg: segTable{segRows: s.cfg.SegmentRows}}
 }
 
 // validateRow checks arity, kinds and NOT NULL against the table definition.
@@ -133,8 +138,8 @@ func (t *Table) Insert(row datum.Row) error {
 // InsertBatch inserts many rows atomically: every row is validated before any
 // is appended, the lock is taken once, and indexes are invalidated once —
 // not the insert-per-row loop this used to be, which re-allocated the index
-// map for every single row. In disk mode, full SegmentRows chunks of the tail
-// are sealed to segment files before the lock is released.
+// map for every single row. Full SegmentRows chunks of the tail are sealed
+// before the lock is released.
 func (t *Table) InsertBatch(rows []datum.Row) error {
 	for _, r := range rows {
 		if err := t.validateRow(r); err != nil {
@@ -153,94 +158,98 @@ func (t *Table) InsertBatch(rows []datum.Row) error {
 	if len(t.indexes) > 0 {
 		t.indexes = make(map[string]*IndexData) // invalidate
 	}
-	if t.seg != nil && len(t.rows) >= t.seg.segRows {
-		sizes := make([]int, len(t.rows)/t.seg.segRows)
-		for i := range sizes {
-			sizes[i] = t.seg.segRows
-		}
-		return t.sealChunksLocked(sizes)
-	}
-	return nil
+	return t.sealChunksLocked(t.chunkSizes(len(t.rows), false))
 }
 
-// Flush seals the unsealed tail of a disk-backed table into a (possibly
-// short) segment, making every row durable. A no-op for in-memory tables and
-// empty tails.
+// Flush seals the unsealed tail into a (possibly short) segment, making every
+// row durable. A durability operation only: a table without a directory has
+// nothing to make durable and keeps its tail.
 func (t *Table) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.seg == nil || len(t.rows) == 0 {
-		return nil
+	return t.sealChunksLocked(t.chunkSizes(len(t.rows), true))
+}
+
+// chunkSizes splits n rows into seal sizes: the full SegmentRows chunks, then
+// — when flush asks for it and the segments have files, so that a short
+// segment buys durability — one short chunk for the remainder. Without files
+// the remainder stays in the tail, which keeps tables smaller than
+// SegmentRows unsealed.
+func (t *Table) chunkSizes(n int, flush bool) []int {
+	sizes := make([]int, n/t.seg.segRows)
+	for i := range sizes {
+		sizes[i] = t.seg.segRows
 	}
-	return t.sealChunksLocked([]int{len(t.rows)})
+	if rem := n % t.seg.segRows; rem > 0 && flush && t.seg.dir != "" {
+		sizes = append(sizes, rem)
+	}
+	return sizes
 }
 
 // pendingSeg is one encoded-but-not-yet-adopted segment.
 type pendingSeg struct {
-	sm    segMeta
-	raw   []byte
-	entry manEntry
-}
-
-// faults returns the owning store's write-path injector (nil-safe).
-func (t *Table) faults() *faultfs.Injector {
-	if t.store == nil {
-		return nil
-	}
-	return t.store.cfg.Faults
-}
-
-// compress reports whether seal-time block compression is enabled (nil-safe).
-func (t *Table) compress() bool {
-	return t.store == nil || !t.store.cfg.DisableCompression
-}
-
-// retryIO applies the store's transient-fault retry policy (nil-safe).
-func (t *Table) retryIO(f func() error) error {
-	if t.store == nil {
-		return f()
-	}
-	return t.store.retryIO(f)
+	sm  segMeta
+	raw []byte
 }
 
 // encodeChunk encodes rows as one pending segment with the given id and
 // start row. Pure computation plus the historical "segment.create"/
 // "segment.write" encode fault streams; touches no table state.
-func (t *Table) encodeChunk(rows []datum.Row, gen, id, startRow int) (pendingSeg, error) {
+func (t *Table) encodeChunk(rows []datum.Row, id, startRow int) (pendingSeg, error) {
 	vecs := make([]*datum.Vec, len(t.Def.Cols))
 	for ci, col := range t.Def.Cols {
 		v := datum.NewVec(col.Kind, len(rows))
 		v.AppendRowsCol(rows, ci)
 		vecs[ci] = v
 	}
-	raw, metas, err := encodeSegment(vecs, t.faults(), t.compress())
+	raw, metas, err := encodeSegment(vecs, t.store.cfg.Faults, !t.store.cfg.DisableCompression)
 	if err != nil {
 		return pendingSeg{}, err
 	}
-	crc := crc32.Checksum(raw, crcTable)
-	sm := segMeta{id: id, startRow: startRow, rows: len(rows), bytes: int64(len(raw)), fileCRC: crc, cols: metas}
-	entry := manEntry{file: segFileName(gen, id), id: id, rows: len(rows), bytes: sm.bytes, crc: crc}
-	return pendingSeg{sm: sm, raw: raw, entry: entry}, nil
+	sm := segMeta{id: id, startRow: startRow, rows: len(rows), bytes: int64(len(raw)), cols: metas}
+	return pendingSeg{sm: sm, raw: raw}, nil
 }
 
-// publishLocked runs the durability protocol for a batch of pending
-// segments: each file is written to a temp sibling, fsynced and renamed;
-// the directory is fsynced once; then one manifest record (built by rec from
-// the entries) adopts them all. Any error leaves the table state untouched —
-// unpublished files are recovery's quarantine fodder. Transient faults are
-// retried per step. Caller holds t.mu.
-func (t *Table) publishLocked(pend []pendingSeg, rec func([]manEntry) string) error {
-	faults := t.faults()
+// publishLocked makes a batch of pending segments readable. Without a
+// directory that is decoding each column block once and pinning the vectors
+// on the segment; the encoded bytes are dropped. With one it is the
+// durability protocol: each file (named under generation gen) is checksummed,
+// written to a temp sibling, fsynced and renamed; the directory is fsynced
+// once; then one manifest record (built by rec from the entries) adopts them
+// all, and if that record switched generations the files of the one still
+// serving are deleted best-effort — the manifest no longer references them,
+// so a crash mid-delete only leaves quarantine fodder. Any error leaves the
+// table state untouched — unpublished files are recovery's quarantine fodder.
+// Transient faults are retried per step. Caller holds t.mu.
+func (t *Table) publishLocked(pend []pendingSeg, gen int, rec func([]manEntry) string) error {
+	if t.seg.dir == "" {
+		for i := range pend {
+			p := &pend[i]
+			p.sm.pinned = make([]*datum.Vec, len(p.sm.cols))
+			for ci, cm := range p.sm.cols {
+				v, err := decodeColumn(p.raw[cm.off:cm.off+cm.blockLen], p.sm.rows)
+				if err != nil {
+					return fmt.Errorf("storage: pinning %s segment %d column %d: %w", t.Def.Name, p.sm.id, ci, err)
+				}
+				p.sm.pinned[ci] = v
+			}
+			p.raw = nil
+		}
+		return nil
+	}
+	faults := t.store.cfg.Faults
 	entries := make([]manEntry, len(pend))
-	for i, p := range pend {
-		entries[i] = p.entry
-		path := filepath.Join(t.seg.dir, p.entry.file)
+	for i := range pend {
+		p := &pend[i]
+		p.sm.fileCRC = crc32.Checksum(p.raw, crcTable)
+		entries[i] = manEntry{file: segFileName(gen, p.sm.id), id: p.sm.id, rows: p.sm.rows, bytes: p.sm.bytes, crc: p.sm.fileCRC}
+		path := filepath.Join(t.seg.dir, entries[i].file)
 		raw := p.raw
-		if err := t.retryIO(func() error { return writeSegmentFile(path, raw, faults) }); err != nil {
+		if err := t.store.retryIO(func() error { return writeSegmentFile(path, raw, faults) }); err != nil {
 			return err
 		}
 	}
-	if err := t.retryIO(func() error { return syncDir(t.seg.dir, faults) }); err != nil {
+	if err := t.store.retryIO(func() error { return syncDir(t.seg.dir, faults) }); err != nil {
 		return err
 	}
 	// The base offset is captured once, outside the retry loop: each attempt
@@ -252,28 +261,55 @@ func (t *Table) publishLocked(pend []pendingSeg, rec func([]manEntry) string) er
 	if err != nil {
 		return err
 	}
-	return t.retryIO(func() error { return appendManifest(t.seg.dir, rec(entries), base, faults) })
+	if err := t.store.retryIO(func() error { return appendManifest(t.seg.dir, rec(entries), base, faults) }); err != nil {
+		return err
+	}
+	if gen != t.seg.gen {
+		for _, sm := range t.seg.segs {
+			os.Remove(t.segPath(sm.id))
+		}
+	}
+	return nil
+}
+
+// adoptLocked appends published segments to the table state. Caller holds
+// t.mu.
+func (t *Table) adoptLocked(pend []pendingSeg) {
+	for _, p := range pend {
+		for _, v := range p.sm.pinned {
+			if v.Dict != nil {
+				v.Dict = t.seg.internDict(v.Dict)
+			}
+		}
+		t.seg.segs = append(t.seg.segs, p.sm)
+		t.seg.nextID = p.sm.id + 1
+		t.seg.sealedRows += p.sm.rows
+		t.seg.sealedBytes += p.sm.bytes
+	}
 }
 
 // sealChunksLocked seals consecutive chunks from the front of the tail —
-// sizes[i] rows each — as one atomically-adopted batch: all files are
-// prepared and published under a single manifest record, and only then is
+// sizes[i] rows each — as one atomically-adopted batch: all segments are
+// prepared and published (under a single manifest record), and only then is
 // the in-memory state mutated. A failure anywhere leaves both the disk state
 // (a manifest generation) and the in-memory tail (every buffered row still
 // buffered, counted once) exactly as before the call, so a later Flush
 // simply retries. Caller holds t.mu.
 func (t *Table) sealChunksLocked(sizes []int) error {
+	if len(sizes) == 0 {
+		return nil
+	}
 	pend := make([]pendingSeg, len(sizes))
 	off := 0
 	for i, n := range sizes {
-		p, err := t.encodeChunk(t.rows[off:off+n], t.seg.gen, t.seg.nextID+i, t.seg.sealedRows+off)
+		p, err := t.encodeChunk(t.rows[off:off+n], t.seg.nextID+i, t.seg.sealedRows+off)
 		if err != nil {
 			return err
 		}
 		pend[i] = p
 		off += n
 	}
-	if err := t.publishLocked(pend, func(entries []manEntry) string {
+	if err := t.publishLocked(pend, t.seg.gen, func(entries []manEntry) string {
 		parts := make([]string, 1, len(entries)+1)
 		parts[0] = "add"
 		for _, e := range entries {
@@ -284,18 +320,13 @@ func (t *Table) sealChunksLocked(sizes []int) error {
 		return err
 	}
 	// Commit point passed: adopt in memory.
-	for _, p := range pend {
-		t.seg.segs = append(t.seg.segs, p.sm)
-		t.seg.nextID = p.sm.id + 1
-		t.seg.sealedRows += p.sm.rows
-		t.seg.diskBytes += p.sm.bytes
-	}
-	var w int
+	t.adoptLocked(pend)
 	for _, r := range t.rows[:off] {
-		w += r.Size()
+		t.bytes -= r.Size()
 	}
-	t.bytes -= w
-	t.rows = append(t.rows[:0], t.rows[off:]...)
+	// A fresh slice, not t.rows[:0]: the old backing array would keep every
+	// sealed row reachable.
+	t.rows = append([]datum.Row(nil), t.rows[off:]...)
 	return nil
 }
 
@@ -309,31 +340,27 @@ func (t *Table) segPath(id int) string {
 	return filepath.Join(t.seg.dir, segFileName(t.seg.gen, id))
 }
 
-// cache returns the owning store's decoded-column cache (nil-safe).
-func (t *Table) cache() *colCache {
-	if t.store == nil {
-		return nil
-	}
-	return t.store.cache
-}
-
-// readColumnLocked returns the decoded column ord of segment si, serving from
-// the cache when possible. Cache misses read, CRC-verify and decode the block
-// (so hot reads pay the checksum once), retrying transient faults. Segments
-// soft-adopted as corrupt at recovery fail immediately with their typed
-// error. Caller holds t.mu (read or write).
+// readColumnLocked returns the decoded column ord of segment si: the pinned
+// vector of a segment without a file, else from the cache when possible.
+// Cache misses read, CRC-verify and decode the block (so hot reads pay the
+// checksum once), retrying transient faults. Segments soft-adopted as corrupt
+// at recovery fail immediately with their typed error. Caller holds t.mu
+// (read or write).
 func (t *Table) readColumnLocked(sc *ScanCtx, si, ord int) (*datum.Vec, error) {
 	sm := &t.seg.segs[si]
+	if sm.pinned != nil {
+		return sm.pinned[ord], nil
+	}
 	if sm.corrupt != nil {
 		return nil, sm.corrupt
 	}
 	key := colKey{tab: t, gen: t.seg.gen, seg: sm.id, ord: ord}
-	if v := t.cache().get(key); v != nil {
+	if v := t.store.cache.get(key); v != nil {
 		return v, nil
 	}
-	verify := t.store == nil || !t.store.cfg.DisableChecksums
+	verify := !t.store.cfg.DisableChecksums
 	var v *datum.Vec
-	err := t.retryIO(func() error {
+	err := t.store.retryIO(func() error {
 		var rerr error
 		v, rerr = readColumnBlock(sc, t.segPath(sm.id), sm, ord, t.Def.Name, sm.id, verify)
 		return rerr
@@ -344,7 +371,7 @@ func (t *Table) readColumnLocked(sc *ScanCtx, si, ord int) (*datum.Vec, error) {
 	if v.Dict != nil {
 		v.Dict = t.seg.internDict(v.Dict)
 	}
-	t.cache().put(key, v, vecCacheBytes(v))
+	t.store.cache.put(key, v, vecCacheBytes(v))
 	return v, nil
 }
 
@@ -399,51 +426,30 @@ func (t *Table) RowCount() int {
 }
 
 func (t *Table) rowCountLocked() int {
-	if t.seg != nil {
-		return t.seg.sealedRows + len(t.rows)
-	}
-	return len(t.rows)
+	return t.seg.sealedRows + len(t.rows)
 }
 
-// PageCount returns the number of pages the table occupies: modeled from row
-// widths in in-memory mode, real file bytes (plus the modeled tail) in disk
-// mode.
+// PageCount returns the number of pages the table occupies: the encoded
+// bytes of the sealed segments plus the modeled width of the tail.
 func (t *Table) PageCount() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	total := int64(t.bytes)
-	if t.seg != nil {
-		total += t.seg.diskBytes
-	}
-	if total == 0 {
-		return 0
-	}
-	return int((total + PageSize - 1) / PageSize)
+	return pagesOf(t.seg.sealedBytes + int64(t.bytes))
 }
 
-// Rows materializes every stored row. Callers must not mutate them. For
-// in-memory tables this is the heap slice itself and cannot fail.
+func pagesOf(bytes int64) int {
+	return int((bytes + PageSize - 1) / PageSize)
+}
+
+// Rows materializes every stored row. Callers must not mutate them.
 func (t *Table) Rows(sc *ScanCtx) ([]datum.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.seg == nil {
-		return t.rows, nil
-	}
 	return t.rowsRangeLocked(sc, 0, t.rowCountLocked())
 }
 
-// RowsRange materializes rows [lo, hi). For in-memory tables this is a
-// subslice of the heap; for disk tables the range is gathered from decoded
-// segment columns and the tail.
-func (t *Table) RowsRange(sc *ScanCtx, lo, hi int) ([]datum.Row, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if t.seg == nil {
-		return t.rows[lo:hi], nil
-	}
-	return t.rowsRangeLocked(sc, lo, hi)
-}
-
+// rowsRangeLocked materializes rows [lo, hi), gathered from decoded segment
+// columns and the tail. Caller holds t.mu.
 func (t *Table) rowsRangeLocked(sc *ScanCtx, lo, hi int) ([]datum.Row, error) {
 	if hi <= lo {
 		return nil, nil
@@ -483,9 +489,6 @@ func (t *Table) rowsRangeLocked(sc *ScanCtx, lo, hi int) ([]datum.Row, error) {
 func (t *Table) Row(sc *ScanCtx, id int) (datum.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.seg == nil {
-		return t.rows[id], nil
-	}
 	if id >= t.seg.sealedRows {
 		return t.rows[id-t.seg.sealedRows], nil
 	}
@@ -507,9 +510,6 @@ func (t *Table) Row(sc *ScanCtx, id int) (datum.Row, error) {
 func (t *Table) ColValue(sc *ScanCtx, id, ord int) (datum.D, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.seg == nil {
-		return t.rows[id][ord], nil
-	}
 	if id >= t.seg.sealedRows {
 		return t.rows[id-t.seg.sealedRows][ord], nil
 	}
@@ -524,18 +524,18 @@ func (t *Table) ColValue(sc *ScanCtx, id, ord int) (datum.D, error) {
 // FillColumnRange appends column ord of rows [lo, hi) to v — the
 // batch-granular scan API of the vectorized execution path: one lock
 // acquisition and one column fill per morsel instead of a row-at-a-time
-// iterator. In-memory rows take the typed bulk-append fast path
-// (Vec.AppendRowsCol); disk rows bulk-copy out of decoded segment columns
-// (Vec.AppendRange). Values whose dynamic kind disagrees with v's kind
+// iterator. Sealed rows bulk-copy out of decoded segment columns
+// (Vec.AppendRange); tail rows take the typed bulk-append fast path
+// (Vec.AppendRowsCol). Values whose dynamic kind disagrees with v's kind
 // (numeric coercion allows that) switch v to its boxed representation, so
 // the fill itself never fails — only segment I/O can.
 func (t *Table) FillColumnRange(sc *ScanCtx, ord, lo, hi int, v *datum.Vec) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.seg == nil {
-		v.AppendRowsCol(t.rows[lo:hi], ord)
-		return nil
-	}
+	return t.fillColumnRangeLocked(sc, ord, lo, hi, v)
+}
+
+func (t *Table) fillColumnRangeLocked(sc *ScanCtx, ord, lo, hi int, v *datum.Vec) error {
 	pos := lo
 	for pos < hi && pos < t.seg.sealedRows {
 		si := t.segIndexLocked(pos)
@@ -560,12 +560,6 @@ func (t *Table) FillColumnRange(sc *ScanCtx, ord, lo, hi int, v *datum.Vec) erro
 func (t *Table) FillColumnIDs(sc *ScanCtx, ord int, ids []int, v *datum.Vec) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.seg == nil {
-		for _, id := range ids {
-			v.AppendD(t.rows[id][ord])
-		}
-		return nil
-	}
 	// Ids are usually ascending (selection vectors, index postings), so the
 	// decoded column of the previous id is cached locally across iterations.
 	curSeg := -1
@@ -588,59 +582,51 @@ func (t *Table) FillColumnIDs(sc *ScanCtx, ord int, ids []int, v *datum.Vec) err
 	return nil
 }
 
-// SortBy physically reorders the heap by the given sort spec — used to
-// realize a clustered index. Disk-backed tables are rewritten: all rows
-// (sealed and tail) are re-sealed from the sorted order under a new cache
-// generation, so SortBy also implies a Flush — the tail is empty afterwards
+// SortBy physically reorders the table by the given sort spec — used to
+// realize a clustered index. The table is rewritten: all rows (sealed and
+// tail) are re-sealed from the sorted order under a new cache generation.
+// With a directory SortBy also implies a Flush — the tail is empty afterwards
 // and no previously durable row loses durability.
 func (t *Table) SortBy(spec []datum.SortSpec) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.seg != nil {
-		all, err := t.rowsRangeLocked(nil, 0, t.rowCountLocked())
-		if err != nil {
-			return err
-		}
-		sort.SliceStable(all, func(i, j int) bool {
-			return datum.CompareRows(all[i], all[j], spec) < 0
-		})
-		if err := t.rewriteLocked(all); err != nil {
-			return err
-		}
-	} else {
-		sort.SliceStable(t.rows, func(i, j int) bool {
-			return datum.CompareRows(t.rows[i], t.rows[j], spec) < 0
-		})
+	all, err := t.rowsRangeLocked(nil, 0, t.rowCountLocked())
+	if err != nil {
+		return err
+	}
+	sort.SliceStable(all, func(i, j int) bool {
+		return datum.CompareRows(all[i], all[j], spec) < 0
+	})
+	if err := t.rewriteLocked(all); err != nil {
+		return err
 	}
 	t.indexes = make(map[string]*IndexData)
 	return nil
 }
 
 // rewriteLocked replaces all sealed segments and the tail with the given
-// rows: the new generation's files are fully written and published by one
-// manifest "switch" record before any in-memory state changes, so a failure
-// anywhere leaves the old generation serving untouched (new-gen orphans are
-// quarantined at the next recovery). Every row is sealed — full segments plus
-// a final short one for any remainder — because the switch record deletes the
-// old generation, and rows that were durable before the rewrite (a previously
-// Flushed short segment, now shuffled anywhere in the sorted order) must stay
-// durable after it. After the switch commits, the old generation's files are
-// deleted best-effort — the manifest no longer references them, so a crash
-// mid-delete only leaves quarantine fodder. Caller holds t.mu.
+// rows: the new generation is fully published (by one manifest "switch"
+// record) before any in-memory state changes, so a failure anywhere leaves
+// the old generation serving untouched (new-gen orphans are quarantined at
+// the next recovery). The chunking is a flush's — full segments plus, where
+// segments have files, a final short one for any remainder — because the
+// switch record deletes the old generation, and rows that were durable before
+// the rewrite (a previously Flushed short segment, now shuffled anywhere in
+// the sorted order) must stay durable after it. Caller holds t.mu.
 func (t *Table) rewriteLocked(all []datum.Row) error {
 	newGen := t.seg.gen + 1
-	pend := make([]pendingSeg, 0, len(all)/t.seg.segRows+1)
+	sizes := t.chunkSizes(len(all), true)
+	pend := make([]pendingSeg, len(sizes))
 	off := 0
-	for off < len(all) {
-		n := min(t.seg.segRows, len(all)-off)
-		p, err := t.encodeChunk(all[off:off+n], newGen, len(pend), off)
+	for i, n := range sizes {
+		p, err := t.encodeChunk(all[off:off+n], i, off)
 		if err != nil {
 			return err
 		}
-		pend = append(pend, p)
+		pend[i] = p
 		off += n
 	}
-	if err := t.publishLocked(pend, func(entries []manEntry) string {
+	if err := t.publishLocked(pend, newGen, func(entries []manEntry) string {
 		parts := make([]string, 2, len(entries)+2)
 		parts[0], parts[1] = "switch", fmt.Sprintf("%d", newGen)
 		for _, e := range entries {
@@ -651,39 +637,31 @@ func (t *Table) rewriteLocked(all []datum.Row) error {
 		return err
 	}
 	// Commit point passed: swap in the new generation.
-	oldFiles := make([]string, 0, len(t.seg.segs))
-	for _, sm := range t.seg.segs {
-		oldFiles = append(oldFiles, t.segPath(sm.id))
-	}
-	t.cache().dropTable(t)
+	t.store.cache.dropTable(t)
 	t.seg.dictMu.Lock()
 	t.seg.dicts = nil
 	t.seg.dictMu.Unlock()
 	t.seg.gen = newGen
-	t.seg.segs = t.seg.segs[:0]
+	t.seg.segs = nil
+	t.seg.nextID = 0
 	t.seg.sealedRows = 0
-	t.seg.diskBytes = 0
-	for _, p := range pend {
-		t.seg.segs = append(t.seg.segs, p.sm)
-		t.seg.sealedRows += p.sm.rows
-		t.seg.diskBytes += p.sm.bytes
-	}
-	t.seg.nextID = len(pend)
-	t.rows = t.rows[:0]
+	t.seg.sealedBytes = 0
+	t.adoptLocked(pend)
+	t.rows = append([]datum.Row(nil), all[off:]...)
 	t.bytes = 0
-	for _, f := range oldFiles {
-		os.Remove(f)
+	for _, r := range t.rows {
+		t.bytes += r.Size()
 	}
 	return nil
 }
 
-// SegmentLayout returns the sealed segments in row order, or nil for
-// in-memory tables. Rows at ids >= the last segment's end live in the
+// SegmentLayout returns the sealed segments in row order, or nil when
+// nothing is sealed yet. Rows at ids >= the last segment's end live in the
 // unsealed tail.
 func (t *Table) SegmentLayout() []SegmentInfo {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.seg == nil || len(t.seg.segs) == 0 {
+	if len(t.seg.segs) == 0 {
 		return nil
 	}
 	out := make([]SegmentInfo, len(t.seg.segs))
@@ -699,7 +677,7 @@ func (t *Table) SegmentLayout() []SegmentInfo {
 func (t *Table) SegmentDispositions(preds []ZonePred) []ZoneDisp {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.seg == nil || len(t.seg.segs) == 0 {
+	if len(t.seg.segs) == 0 {
 		return nil
 	}
 	out := make([]ZoneDisp, len(t.seg.segs))
@@ -720,7 +698,7 @@ func (t *Table) SegmentDispositions(preds []ZonePred) []ZoneDisp {
 func (t *Table) PrunedPageCount(preds []ZonePred) int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.seg == nil || len(t.seg.segs) == 0 {
+	if len(t.seg.segs) == 0 {
 		return -1
 	}
 	var bytes int64
@@ -730,10 +708,7 @@ func (t *Table) PrunedPageCount(preds []ZonePred) int {
 		}
 	}
 	bytes += int64(t.bytes) // unsealed tail is always read
-	if bytes == 0 {
-		return 0
-	}
-	return int((bytes + PageSize - 1) / PageSize)
+	return pagesOf(bytes)
 }
 
 // SegColStats is the per-column summary derived from sealed-segment footers.
@@ -754,7 +729,7 @@ type SegColStats struct {
 func (t *Table) SegmentStats() (rows, totalRows, pages int, cols []SegColStats, ok bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.seg == nil || len(t.seg.segs) == 0 {
+	if len(t.seg.segs) == 0 {
 		return 0, 0, 0, nil, false
 	}
 	ncols := len(t.Def.Cols)
@@ -786,9 +761,7 @@ func (t *Table) SegmentStats() (rows, totalRows, pages int, cols []SegColStats, 
 		cols[ci].Distinct = sketchDistinct(sketches[ci], float64(rows-cols[ci].NullCount))
 	}
 	totalRows = t.rowCountLocked()
-	total := t.seg.diskBytes + int64(t.bytes)
-	pages = int((total + PageSize - 1) / PageSize)
-	return rows, totalRows, pages, cols, true
+	return rows, totalRows, pagesOf(t.seg.sealedBytes + int64(t.bytes)), cols, true
 }
 
 // IndexData is a built (sorted) secondary index: key columns plus row ids,
@@ -800,9 +773,8 @@ type IndexData struct {
 	KeyCols []int
 }
 
-// Index returns (building if necessary) the named index's data. Disk-backed
-// tables materialize their rows for the build; the built index is cached
-// until the next write.
+// Index returns (building if necessary) the named index's data. The build
+// reads the key columns only; the built index is cached until the next write.
 func (t *Table) Index(name string) (*IndexData, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -820,44 +792,33 @@ func (t *Table) Index(name string) (*IndexData, error) {
 	if def == nil {
 		return nil, fmt.Errorf("storage: table %s has no index %q", t.Def.Name, name)
 	}
-	rows := t.rows
-	if t.seg != nil {
-		var err error
-		rows, err = t.rowsRangeLocked(nil, 0, t.rowCountLocked())
-		if err != nil {
+	n, width := t.rowCountLocked(), len(def.Cols)
+	flat := make([]datum.D, n*width)
+	for j, ord := range def.Cols {
+		v := datum.NewVec(t.Def.Cols[ord].Kind, n)
+		if err := t.fillColumnRangeLocked(nil, ord, 0, n, v); err != nil {
 			return nil, err
 		}
-	}
-	ix := &IndexData{Def: def, KeyCols: def.Cols}
-	ix.keys = make([]datum.Row, len(rows))
-	ix.rowIDs = make([]int, len(rows))
-	for i, r := range rows {
-		key := make(datum.Row, len(def.Cols))
-		for j, ord := range def.Cols {
-			key[j] = r[ord]
+		for i := 0; i < n; i++ {
+			flat[i*width+j] = v.D(i)
 		}
-		ix.keys[i] = key
+	}
+	key := func(id int) datum.Row { return flat[id*width : (id+1)*width : (id+1)*width] }
+	ix := &IndexData{Def: def, KeyCols: def.Cols, keys: make([]datum.Row, n), rowIDs: make([]int, n)}
+	for i := range ix.rowIDs {
 		ix.rowIDs[i] = i
 	}
-	order := make([]int, len(rows))
-	for i := range order {
-		order[i] = i
-	}
-	spec := fullSpec(len(def.Cols))
-	sort.SliceStable(order, func(a, b int) bool {
-		c := datum.CompareRows(ix.keys[order[a]], ix.keys[order[b]], spec)
+	spec := fullSpec(width)
+	sort.SliceStable(ix.rowIDs, func(a, b int) bool {
+		c := datum.CompareRows(key(ix.rowIDs[a]), key(ix.rowIDs[b]), spec)
 		if c != 0 {
 			return c < 0
 		}
-		return ix.rowIDs[order[a]] < ix.rowIDs[order[b]]
+		return ix.rowIDs[a] < ix.rowIDs[b]
 	})
-	sortedKeys := make([]datum.Row, len(order))
-	sortedIDs := make([]int, len(order))
-	for i, o := range order {
-		sortedKeys[i] = ix.keys[o]
-		sortedIDs[i] = ix.rowIDs[o]
+	for i, id := range ix.rowIDs {
+		ix.keys[i] = key(id)
 	}
-	ix.keys, ix.rowIDs = sortedKeys, sortedIDs
 	t.indexes[k] = ix
 	return ix, nil
 }
@@ -925,17 +886,17 @@ func (ix *IndexData) SeekRange(lo datum.D, loIncl bool, hi datum.D, hiIncl bool)
 	return out
 }
 
-// StoreConfig selects the storage mode and its knobs.
+// StoreConfig holds the storage knobs.
 type StoreConfig struct {
-	// Dir, when non-empty, makes tables disk-backed: each table seals its
-	// rows into columnar segment files under Dir/<table>/. Empty keeps the
-	// historical in-memory behavior.
+	// Dir, when non-empty, gives segments files: each table publishes its
+	// sealed segments under Dir/<table>/ and reads them back through the
+	// column cache. Empty keeps sealed segments decoded and pinned in memory.
 	Dir string
 	// SegmentRows is the sealed-segment row count (DefaultSegmentRows when
 	// zero). Should stay a multiple of the executor's morsel size.
 	SegmentRows int
 	// CacheBytes bounds the store-wide decoded-column LRU cache
-	// (defaultCacheBytes when zero).
+	// (defaultCacheBytes when zero). Only segments with files go through it.
 	CacheBytes int64
 	// Faults, when non-nil, injects errors into the segment write path
 	// (the "segment.create"/"segment.write" encode streams plus the
@@ -986,28 +947,26 @@ func (s *Store) retryIO(f func() error) error {
 	}
 }
 
-// NewStore returns an empty in-memory store.
+// NewStore returns an empty store without a directory.
 func NewStore() *Store { return NewStoreWith(StoreConfig{}) }
 
-// NewStoreWith returns an empty store in the mode cfg selects.
+// NewStoreWith returns an empty store configured by cfg.
 func NewStoreWith(cfg StoreConfig) *Store {
 	s := &Store{tables: make(map[string]*Table), cfg: cfg}
-	if cfg.Dir != "" {
-		if s.cfg.SegmentRows <= 0 {
-			s.cfg.SegmentRows = DefaultSegmentRows
-		}
-		if s.cfg.CacheBytes <= 0 {
-			s.cfg.CacheBytes = defaultCacheBytes
-		}
-		s.cache = newColCache(s.cfg.CacheBytes)
+	if s.cfg.SegmentRows <= 0 {
+		s.cfg.SegmentRows = DefaultSegmentRows
 	}
+	if s.cfg.CacheBytes <= 0 {
+		s.cfg.CacheBytes = defaultCacheBytes
+	}
+	s.cache = newColCache(s.cfg.CacheBytes)
 	return s
 }
 
-// DiskBacked reports whether tables seal rows into segment files.
+// DiskBacked reports whether sealed segments have files.
 func (s *Store) DiskBacked() bool { return s.cfg.Dir != "" }
 
-// CreateTable allocates storage for a catalog table. In disk mode, the
+// CreateTable allocates storage for a catalog table. With a directory, the
 // table's directory is *recovered*, not merely listed: the manifest is
 // replayed (truncating any torn tail), listed segments are verified and
 // adopted — corrupt ones softly, preserving the row-id space — and files
@@ -1021,14 +980,12 @@ func (s *Store) CreateTable(def *catalog.Table) (*Table, error) {
 	if _, ok := s.tables[k]; ok {
 		return nil, fmt.Errorf("storage: table %q already exists", def.Name)
 	}
-	t := NewTable(def)
-	t.store = s
+	t := s.newTable(def)
 	if s.cfg.Dir != "" {
-		dir := filepath.Join(s.cfg.Dir, k)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.seg.dir = filepath.Join(s.cfg.Dir, k)
+		if err := os.MkdirAll(t.seg.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("storage: creating table directory: %w", err)
 		}
-		t.seg = &segTable{dir: dir, segRows: s.cfg.SegmentRows}
 		rep, err := t.recoverLocked()
 		if err != nil {
 			return nil, err
@@ -1039,7 +996,7 @@ func (s *Store) CreateTable(def *catalog.Table) (*Table, error) {
 	return t, nil
 }
 
-// FlushAll seals every table's unsealed tail (no-op for in-memory stores).
+// FlushAll flushes every table (see Table.Flush).
 func (s *Store) FlushAll() error {
 	s.mu.RLock()
 	tables := make([]*Table, 0, len(s.tables))

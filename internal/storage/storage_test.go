@@ -79,6 +79,9 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
+// TestPageCountGrows: a standalone table (NewTable, outside any shared
+// store) seals at DefaultSegmentRows and serves the pinned segment, the tail
+// and an index across both.
 func TestPageCountGrows(t *testing.T) {
 	tab := NewTable(testDef())
 	for i := 0; i < 5000; i++ {
@@ -88,6 +91,18 @@ func TestPageCountGrows(t *testing.T) {
 	}
 	if tab.PageCount() < 2 {
 		t.Errorf("PageCount = %d, want several pages", tab.PageCount())
+	}
+	ix, err := tab.Index("t_a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{17, DefaultSegmentRows - 1, DefaultSegmentRows, 4999} {
+		if got := ix.SeekEq(datum.Row{datum.NewInt(int64(id))}); len(got) != 1 || got[0] != id || mustRow(t, tab, id)[0].Int() != int64(id) {
+			t.Errorf("row %d: index finds %v, read gives %v", id, got, mustRow(t, tab, id))
+		}
+	}
+	if len(tab.SegmentLayout()) != 1 || len(tab.Scrub()) != 0 {
+		t.Errorf("%d segments, scrub %v; want 1 pinned segment and nothing to scrub", len(tab.SegmentLayout()), tab.Scrub())
 	}
 }
 
@@ -208,22 +223,6 @@ func TestMultiColumnIndex(t *testing.T) {
 	}
 }
 
-func TestSortBy(t *testing.T) {
-	tab := NewTable(testDef())
-	for _, v := range []int64{3, 1, 2} {
-		tab.Insert(datum.Row{datum.NewInt(v), datum.Null})
-	}
-	if err := tab.SortBy([]datum.SortSpec{{Col: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	rows := mustRows(t, tab)
-	for i := 1; i < len(rows); i++ {
-		if rows[i-1][0].Int() > rows[i][0].Int() {
-			t.Fatal("SortBy did not order heap")
-		}
-	}
-}
-
 func TestStore(t *testing.T) {
 	s := NewStore()
 	if _, err := s.CreateTable(testDef()); err != nil {
@@ -309,4 +308,12 @@ func TestSeekRangeMatchesLinearQuick(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
 	}
+}
+
+// RowsRange is the locked range read the corruption matrices call; outside
+// tests every range read goes through the column fills.
+func (t *Table) RowsRange(sc *ScanCtx, lo, hi int) ([]datum.Row, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.rowsRangeLocked(sc, lo, hi)
 }

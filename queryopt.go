@@ -167,23 +167,28 @@ type Options struct {
 	// next ANALYZE. Default off: plans then see exactly the statistics the
 	// last ANALYZE built.
 	IncrementalStats bool
-	// StorageDir, when non-empty, makes tables disk-backed: rows seal into
-	// persistent columnar segment files (typed column blocks with min/max
-	// zone maps, NULL counts and distinct sketches per column) under
-	// StorageDir/<table>/, scans eliminate segments their predicates cannot
-	// match without touching disk, and segment metadata serves as coarse
-	// statistics when ANALYZE-built stats are missing or stale. Empty (the
-	// default) keeps the historical in-memory heap.
+	// StorageDir, when non-empty, gives sealed segments files: every table
+	// seals each SegmentRows rows into a columnar segment (typed, dictionary
+	// or run-length column blocks with min/max zone maps, NULL counts and
+	// distinct sketches per column) and scans eliminate segments their
+	// predicates cannot match; with a directory the segments are published
+	// crash-consistently under StorageDir/<table>/, read back through a
+	// bounded column cache, survive a restart, and their metadata serves as
+	// coarse statistics when ANALYZE-built stats are missing or stale. Empty
+	// (the default) keeps the same segments decoded and pinned in memory;
+	// Flush, Scrub and recovery then have nothing to do.
 	StorageDir string
-	// SegmentRows is the sealed-segment row count in disk-backed mode
-	// (default 4096 — a multiple of the executor's morsel size, so morsels
-	// never straddle segments).
+	// SegmentRows is the sealed-segment row count, with or without a
+	// directory (default 4096 — a multiple of the executor's morsel size, so
+	// morsels never straddle segments). Without a directory a table smaller
+	// than this never seals and keeps its modeled page count.
 	SegmentRows int
-	// SegmentCacheBytes bounds the decoded-column cache in disk-backed mode
-	// (default 64 MiB). Tests set it tiny to force every read cold.
+	// SegmentCacheBytes bounds the decoded-column cache that segment files
+	// are read through (default 64 MiB); pinned segments never enter it.
+	// Tests set it tiny to force every read cold.
 	SegmentCacheBytes int64
-	// DisableZoneMaps turns off zone-map segment elimination and pruned-page
-	// costing in disk-backed mode: every segment is read and filtered. The
+	// DisableZoneMaps turns off zone-map segment elimination, and with a
+	// directory pruned-page costing: every segment is read and filtered. The
 	// control arm of the storage benchmarks.
 	DisableZoneMaps bool
 	// IORetries is how many times a transient storage fault (one matching
@@ -202,7 +207,9 @@ type Options struct {
 	// DisableCompression seals every new segment with plain column blocks,
 	// skipping the dictionary and run-length encoders — the A/B control arm
 	// of the compression benchmarks. Seal-time only: already-sealed
-	// compressed segments still read fine either way.
+	// compressed segments still read fine either way. Applies without a
+	// StorageDir too: pinned columns are then plain vectors, never
+	// dictionary-coded.
 	DisableCompression bool
 }
 
@@ -429,10 +436,11 @@ type ExecStats struct {
 	// PeakMemBytes is the query's working-memory high-water mark against the
 	// memory account (reserved plus observed materialization points).
 	PeakMemBytes int64
-	// SegmentsRead / SegmentsPruned count disk-backed columnar segments the
-	// query's scans read vs eliminated via zone maps; BytesRead is real
-	// segment-file bytes read from disk (cache misses only — warm scans read
-	// zero). All zero for in-memory engines.
+	// SegmentsRead / SegmentsPruned count sealed columnar segments the
+	// query's scans read vs eliminated via zone maps (zero for tables smaller
+	// than SegmentRows, which have sealed nothing); BytesRead is real
+	// segment-file bytes read from disk (cache misses only — warm scans, and
+	// engines without a StorageDir, read zero).
 	SegmentsRead   int64
 	SegmentsPruned int64
 	BytesRead      int64
@@ -1009,9 +1017,9 @@ func (e *Engine) Catalog() *catalog.Catalog { return e.cat }
 // Store exposes the engine's storage for tooling and experiments.
 func (e *Engine) Store() *storage.Store { return e.store }
 
-// Flush seals every disk-backed table's unsealed tail into segment files,
-// making all inserted rows durable (and prunable). A no-op for in-memory
-// engines.
+// Flush seals every table's unsealed tail into segment files, making all
+// inserted rows durable (and prunable). A durability operation: a no-op
+// without a StorageDir.
 func (e *Engine) Flush() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -1032,10 +1040,10 @@ type RecoveryReport = storage.RecoveryReport
 // anywhere in the engine: block decodes, recovery reports, scrub findings.
 var ErrSegmentCorrupt = storage.ErrSegmentCorrupt
 
-// Scrub walks every sealed segment of every disk-backed table, verifying the
+// Scrub walks every sealed segment file of every table, verifying the
 // footer and every column block checksum, and returns one entry per
-// corruption found. Empty means the on-disk state is fully intact. In-memory
-// engines scrub to nothing.
+// corruption found. Empty means the on-disk state is fully intact. Engines
+// without a StorageDir have no files and scrub to nothing.
 func (e *Engine) Scrub() []*Corruption {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -1,9 +1,10 @@
 package queryopt
 
-// storage_equivalence_test.go proves the disk-backed columnar segment store
-// is invisible to query results: the same random query corpus, run against
-// an in-memory engine and a disk-backed engine over identical data, must
-// return bit-identical rows (floats compared as exact hex bits) at every
+// storage_equivalence_test.go proves sealed columnar segments are invisible
+// to query results: the same random query corpus, run against an engine whose
+// small tables never seal and against engines that seal every 32 rows —
+// pinned in memory, or in files compressed and plain — over identical data,
+// must return bit-identical rows (floats compared as exact hex bits) at every
 // parallelism degree, with zone-map pruning both on and off.
 
 import (
@@ -45,22 +46,26 @@ func canonRowsHex(res *Result) []string {
 	return out
 }
 
-// TestDiskStorageEquivalence: random queries agree between memory and disk
-// at parallelism 1, 4 and 8, with small segments so every query crosses
-// many segment boundaries, and with pruning disabled as a control arm.
+// TestDiskStorageEquivalence: random queries agree between the unsealed
+// memory engine and every sealed arm at parallelism 1, 4 and 8, with small
+// segments so every query crosses many segment boundaries (the schema's
+// low-cardinality string column makes dictionary encoding engage), and with
+// pruning and compression disabled as control arms.
 func TestDiskStorageEquivalence(t *testing.T) {
 	const trials = 40
 	for _, par := range []int{1, 4, 8} {
 		for seed := int64(1); seed <= 2; seed++ {
 			mem := randSchemaWith(t, Options{Optimizer: SystemR, Parallelism: par}, seed)
-			dsk := randSchemaWith(t, Options{
-				Optimizer: SystemR, Parallelism: par,
-				StorageDir: t.TempDir(), SegmentRows: 32,
-			}, seed)
-			noPrune := randSchemaWith(t, Options{
-				Optimizer: SystemR, Parallelism: par,
-				StorageDir: t.TempDir(), SegmentRows: 32, DisableZoneMaps: true,
-			}, seed)
+			sealed := func(o Options) *Engine {
+				o.Optimizer, o.Parallelism, o.SegmentRows = SystemR, par, 32
+				return randSchemaWith(t, o, seed)
+			}
+			arms := map[string]*Engine{
+				"pinned":       sealed(Options{}),
+				"disk":         sealed(Options{StorageDir: t.TempDir()}),
+				"disk-noprune": sealed(Options{StorageDir: t.TempDir(), DisableZoneMaps: true}),
+				"uncompressed": sealed(Options{StorageDir: t.TempDir(), DisableCompression: true}),
+			}
 			rng := rand.New(rand.NewSource(seed * 77))
 			for trial := 0; trial < trials; trial++ {
 				q := randQuery(rng)
@@ -69,7 +74,7 @@ func TestDiskStorageEquivalence(t *testing.T) {
 					t.Fatalf("par %d seed %d trial %d (mem): %v\nquery: %s", par, seed, trial, err, q)
 				}
 				base := canonRowsHex(want)
-				for name, e := range map[string]*Engine{"disk": dsk, "disk-noprune": noPrune} {
+				for name, e := range arms {
 					got, err := e.Exec(q)
 					if err != nil {
 						t.Fatalf("par %d seed %d trial %d (%s): %v\nquery: %s", par, seed, trial, name, err, q)
@@ -82,8 +87,9 @@ func TestDiskStorageEquivalence(t *testing.T) {
 				}
 			}
 			mem.Close()
-			dsk.Close()
-			noPrune.Close()
+			for _, e := range arms {
+				e.Close()
+			}
 		}
 	}
 }
@@ -120,9 +126,12 @@ func TestDiskStorageOrderedEquivalence(t *testing.T) {
 
 // TestSegmentPruningCounters: a selective range over a clustered (sorted)
 // key reads well under 10% of segments, an unselective one reads them all,
-// and DisableZoneMaps reads everything while returning the same rows.
+// and DisableZoneMaps reads everything while returning the same rows as the
+// pruned scan and as the naive Reference evaluator — whether the segments
+// are files or pinned in memory (which reads no bytes).
 func TestSegmentPruningCounters(t *testing.T) {
 	build := func(opts Options) *Engine {
+		opts.SegmentRows = 512
 		e := New(opts)
 		// No index: the range predicate must be answered by a sequential
 		// scan, so row elimination can only come from zone maps.
@@ -135,49 +144,43 @@ func TestSegmentPruningCounters(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.MustExec("ANALYZE")
+		t.Cleanup(func() { e.Close() })
 		return e
 	}
-	dsk := build(Options{StorageDir: t.TempDir(), SegmentRows: 512})
-	defer dsk.Close()
-
-	res, err := dsk.Exec("SELECT COUNT(*) FROM m WHERE k >= 100 AND k < 120")
-	if err != nil {
-		t.Fatal(err)
+	const selective = "SELECT k, v FROM m WHERE k >= 100 AND k < 120"
+	want := canonRowsHex(build(Options{Optimizer: Reference}).MustExec(selective))
+	if len(want) != 20 {
+		t.Fatalf("reference returns %d rows, want 20", len(want))
 	}
-	if res.Rows[0][0].(int64) != 20 {
-		t.Fatalf("selective count = %v, want 20", res.Rows[0][0])
-	}
-	read, pruned := res.Stats.SegmentsRead, res.Stats.SegmentsPruned
-	total := read + pruned
-	if total == 0 {
-		t.Fatal("no segment accounting on a disk-backed scan")
-	}
-	if read*10 >= total {
-		t.Fatalf("selective scan read %d of %d segments, want <10%%", read, total)
-	}
-
-	res, err = dsk.Exec("SELECT COUNT(*) FROM m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].(int64) != 20000 {
-		t.Fatalf("full count = %v", res.Rows[0][0])
-	}
-	if res.Stats.SegmentsPruned != 0 {
-		t.Fatalf("unfiltered scan pruned %d segments", res.Stats.SegmentsPruned)
-	}
-
-	off := build(Options{StorageDir: t.TempDir(), SegmentRows: 512, DisableZoneMaps: true})
-	defer off.Close()
-	res, err = off.Exec("SELECT COUNT(*) FROM m WHERE k >= 100 AND k < 120")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows[0][0].(int64) != 20 {
-		t.Fatalf("no-prune count = %v, want 20", res.Rows[0][0])
-	}
-	if res.Stats.SegmentsPruned != 0 {
-		t.Fatalf("DisableZoneMaps still pruned %d segments", res.Stats.SegmentsPruned)
+	for _, files := range []bool{true, false} {
+		dir := func() string {
+			if files {
+				return t.TempDir()
+			}
+			return ""
+		}
+		seg := build(Options{StorageDir: dir()})
+		res := seg.MustExec(selective)
+		read, pruned := res.Stats.SegmentsRead, res.Stats.SegmentsPruned
+		if total := read + pruned; pruned == 0 || read*10 >= total {
+			t.Fatalf("files=%v: selective scan read %d of %d segments, want <10%%", files, read, total)
+		}
+		if !files && res.Stats.BytesRead != 0 {
+			t.Fatalf("pinned segments read %d bytes", res.Stats.BytesRead)
+		}
+		off := build(Options{StorageDir: dir(), DisableZoneMaps: true}).MustExec(selective)
+		if off.Stats.SegmentsPruned != 0 {
+			t.Fatalf("files=%v: DisableZoneMaps still pruned %d segments", files, off.Stats.SegmentsPruned)
+		}
+		for name, got := range map[string]*Result{"pruned": res, "no-prune": off} {
+			if rows := canonRowsHex(got); strings.Join(rows, ";") != strings.Join(want, ";") {
+				t.Fatalf("files=%v %s: %v, want %v", files, name, rows, want)
+			}
+		}
+		res = seg.MustExec("SELECT COUNT(*) FROM m")
+		if res.Rows[0][0].(int64) != 20000 || res.Stats.SegmentsPruned != 0 {
+			t.Fatalf("files=%v: full count = %v with %d segments pruned", files, res.Rows[0][0], res.Stats.SegmentsPruned)
+		}
 	}
 }
 
