@@ -1,4 +1,4 @@
-.PHONY: build test check bench-module-check exec-loc plan-bench bench harness parallel-bench analyze-bench robustness-bench robustness-check vectorized-bench serving-bench adaptive-bench storage-bench durability-bench compression-bench crash-check bench-smoke
+.PHONY: build test check bench-module-check exec-loc plan-bench exec-bench bench harness parallel-bench analyze-bench robustness-bench robustness-check vectorized-bench serving-bench adaptive-bench storage-bench durability-bench compression-bench crash-check bench-smoke
 
 build:
 	go build ./...
@@ -36,6 +36,15 @@ exec-loc:
 PLAN_BENCHTIME ?= 1s
 plan-bench:
 	go test -run '^$$' -bench 'BenchmarkOptimize' -benchmem -benchtime $(PLAN_BENCHTIME) ./internal/systemr
+
+# Kernel-operator micro-benchmarks in internal/exec: hash aggregation at 8 /
+# 1000 / 20 000 groups over one and three keys, the hash-join probe, and
+# filtered-scan late materialization at 10 % and 85 % selectivity over pinned
+# and file-backed segments — ns/row plus B/op and allocs/op.
+# EXEC_BENCHTIME=1x is the CI smoke setting.
+EXEC_BENCHTIME ?= 1s
+exec-bench:
+	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkFilteredScan' -benchmem -benchtime $(EXEC_BENCHTIME) ./internal/exec
 
 bench:
 	go test -bench=. -benchmem

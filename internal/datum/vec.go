@@ -5,7 +5,10 @@
 // directly from heap rows.
 package datum
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // StrDict is a sorted string dictionary shared by dictionary-encoded vectors.
 // Vals is sorted ascending and free of duplicates, so a code comparison
@@ -87,10 +90,10 @@ func (b *Bitmap) Set(i int) {
 // decodes transparently.
 type Vec struct {
 	kind Kind
-	n    int
 	// anyKind marks the boxed representation; kind is then the kind of the
 	// first non-null value, for diagnostics only.
 	anyKind bool
+	n       int
 
 	Ints   []int64
 	Floats []float64
@@ -103,14 +106,18 @@ type Vec struct {
 
 	nulls    Bitmap
 	numNulls int
+
+	// reserve is the row capacity NewVec was asked for and has not allocated
+	// yet: the payload slice is chosen by the first append, which is when the
+	// representation is known (a string column filled from a dictionary
+	// segment needs codes, not strings).
+	reserve int
 }
 
 // NewVec returns an empty vector of the given kind with room for capacity
-// rows.
+// rows, allocated by the first append.
 func NewVec(k Kind, capacity int) *Vec {
-	v := &Vec{kind: k}
-	v.grow(capacity)
-	return v
+	return &Vec{kind: k, reserve: capacity}
 }
 
 // NewAnyVec returns an empty boxed-representation vector.
@@ -157,22 +164,28 @@ func (v *Vec) materializeDict() {
 	v.Dict = nil
 }
 
-func (v *Vec) grow(capacity int) {
-	if capacity <= 0 {
+// alloc allocates the capacity reserved by NewVec for the representation the
+// vector has now. Every append calls it once that is decided (after a
+// dictionary was adopted or dropped).
+func (v *Vec) alloc() {
+	n := v.reserve
+	if n == 0 {
 		return
 	}
-	switch v.kind {
-	case KindInt, KindBool:
+	v.reserve = 0
+	switch {
+	case v.anyKind:
+	case v.Dict != nil, v.kind == KindInt, v.kind == KindBool:
 		if v.Ints == nil {
-			v.Ints = make([]int64, 0, capacity)
+			v.Ints = make([]int64, 0, n)
 		}
-	case KindFloat:
+	case v.kind == KindFloat:
 		if v.Floats == nil {
-			v.Floats = make([]float64, 0, capacity)
+			v.Floats = make([]float64, 0, n)
 		}
-	case KindString:
+	case v.kind == KindString:
 		if v.Strs == nil {
-			v.Strs = make([]string, 0, capacity)
+			v.Strs = make([]string, 0, n)
 		}
 	}
 }
@@ -230,6 +243,7 @@ func (v *Vec) Reset(k Kind) {
 
 // AppendNull appends a NULL row.
 func (v *Vec) AppendNull() {
+	v.alloc()
 	if v.anyKind {
 		v.Ds = append(v.Ds, Null)
 		v.n++
@@ -269,6 +283,7 @@ func (v *Vec) AppendD(d D) {
 	if v.Dict != nil {
 		if d.k == KindString {
 			if code, ok := v.Dict.Code(d.s); ok {
+				v.alloc()
 				v.Ints = append(v.Ints, code)
 				v.n++
 				return
@@ -288,6 +303,7 @@ func (v *Vec) AppendD(d D) {
 		v.AppendD(d)
 		return
 	}
+	v.alloc()
 	switch v.kind {
 	case KindInt, KindBool:
 		v.Ints = append(v.Ints, d.i)
@@ -367,6 +383,7 @@ func (v *Vec) canAdoptDict(dict *StrDict) bool {
 func (v *Vec) AppendVec(src *Vec, i int) {
 	if src.Dict != nil && v.canAdoptDict(src.Dict) {
 		v.Dict = src.Dict
+		v.alloc()
 		if src.numNulls > 0 && src.nulls.Get(i) {
 			v.nulls.Set(v.n)
 			v.numNulls++
@@ -376,6 +393,71 @@ func (v *Vec) AppendVec(src *Vec, i int) {
 		return
 	}
 	v.AppendD(src.D(i))
+}
+
+// AppendGather appends rows idx[k]-base of src to v, in idx order; a negative
+// index appends NULL (the outer-join padding). It is the gather kernel behind
+// join output and late scan materialization: when v and src share a typed
+// representation, or v can adopt src's dictionary, the kind, dictionary and
+// NULL dispatch happen once and the payload moves in one typed loop. Boxed,
+// mismatched and non-adoptable-dictionary pairs append element-wise through
+// AppendVec, which upgrades v as needed.
+func AppendGather[I int | int32](v, src *Vec, idx []I, base I) {
+	if len(idx) == 0 {
+		return
+	}
+	var pad bool
+	switch {
+	case src.Dict != nil && v.canAdoptDict(src.Dict):
+		v.Dict = src.Dict
+		v.alloc()
+		v.Ints, pad = gatherPayload(v.Ints, src.Ints, idx, base)
+	case v.Dict != nil || src.Dict != nil || v.anyKind || src.anyKind || v.kind != src.kind || v.kind == KindNull:
+		for _, i := range idx {
+			if i < 0 {
+				v.AppendNull()
+			} else {
+				v.AppendVec(src, int(i-base))
+			}
+		}
+		return
+	case v.kind == KindFloat:
+		v.alloc()
+		v.Floats, pad = gatherPayload(v.Floats, src.Floats, idx, base)
+	case v.kind == KindString:
+		v.alloc()
+		v.Strs, pad = gatherPayload(v.Strs, src.Strs, idx, base)
+	default: // KindInt, KindBool
+		v.alloc()
+		v.Ints, pad = gatherPayload(v.Ints, src.Ints, idx, base)
+	}
+	if srcNulls := src.Nulls(); pad || srcNulls != nil {
+		for k, i := range idx {
+			if i < 0 || srcNulls.Get(int(i-base)) {
+				v.nulls.Set(v.n + k)
+				v.numNulls++
+			}
+		}
+	}
+	v.n += len(idx)
+}
+
+// gatherPayload appends src[idx[k]-base] to dst for every k, the zero value
+// where idx[k] is negative, and reports whether any index was.
+func gatherPayload[T any, I int | int32](dst, src []T, idx []I, base I) ([]T, bool) {
+	n := len(dst)
+	dst = slices.Grow(dst, len(idx))[:n+len(idx)]
+	out := dst[n:]
+	var zero T
+	pad := false
+	for k, i := range idx {
+		if i < 0 {
+			out[k], pad = zero, true
+			continue
+		}
+		out[k] = src[i-base]
+	}
+	return dst, pad
 }
 
 // AppendRange appends rows [lo, hi) of src to v. When both vectors share the
@@ -391,6 +473,7 @@ func (v *Vec) AppendRange(src *Vec, lo, hi int) {
 			// Same (or adoptable) code space: bulk-copy the codes and walk
 			// only the NULL bits — the scan stays encoded across segments.
 			v.Dict = src.Dict
+			v.alloc()
 			v.Ints = append(v.Ints, src.Ints[lo:hi]...)
 			if src.numNulls > 0 {
 				for i := lo; i < hi; i++ {
@@ -419,6 +502,7 @@ func (v *Vec) AppendRange(src *Vec, lo, hi int) {
 		}
 		return
 	}
+	v.alloc()
 	switch v.kind {
 	case KindInt, KindBool:
 		v.Ints = append(v.Ints, src.Ints[lo:hi]...)
@@ -447,6 +531,7 @@ func (v *Vec) AppendRowsCol(rows []Row, ord int) {
 	if v.Dict != nil {
 		v.materializeDict()
 	}
+	v.alloc()
 	if v.anyKind {
 		for _, r := range rows {
 			v.Ds = append(v.Ds, r[ord])

@@ -60,6 +60,7 @@ type sumAcc struct {
 	isFloat bool
 	i       int64
 	f       compSum
+	wide    wideSums
 }
 
 func (a *sumAcc) add(v datum.D) {
@@ -69,7 +70,7 @@ func (a *sumAcc) add(v datum.D) {
 	a.any = true
 	if v.Kind() == datum.KindFloat || a.isFloat {
 		a.promote()
-		a.f.add(v.Float())
+		a.f.add(v.Float(), &a.wide)
 		return
 	}
 	a.i += v.Int()
@@ -79,7 +80,7 @@ func (a *sumAcc) add(v datum.D) {
 // integer partial sum into the expansion.
 func (a *sumAcc) promote() {
 	if !a.isFloat {
-		a.f.add(float64(a.i))
+		a.f.add(float64(a.i), &a.wide)
 		a.isFloat = true
 	}
 }
@@ -93,9 +94,9 @@ func (a *sumAcc) merge(o aggAcc) {
 	if b.isFloat || a.isFloat {
 		a.promote()
 		if b.isFloat {
-			a.f.merge(&b.f)
+			a.f.merge(&b.f, b.wide, &a.wide)
 		} else {
-			a.f.add(float64(b.i))
+			a.f.add(float64(b.i), &a.wide)
 		}
 		return
 	}
@@ -107,7 +108,7 @@ func (a *sumAcc) result() datum.D {
 		return datum.Null
 	}
 	if a.isFloat {
-		return datum.NewFloat(a.f.value())
+		return datum.NewFloat(a.f.value(a.wide))
 	}
 	return datum.NewInt(a.i)
 }
@@ -116,8 +117,9 @@ func (a *sumAcc) result() datum.D {
 // once at result time over the order-independent exact sum, so parallel and
 // serial AVG agree to the bit.
 type avgAcc struct {
-	n   int64
-	sum compSum
+	n    int64
+	sum  compSum
+	wide wideSums
 }
 
 func (a *avgAcc) add(v datum.D) {
@@ -125,20 +127,20 @@ func (a *avgAcc) add(v datum.D) {
 		return
 	}
 	a.n++
-	a.sum.add(v.Float())
+	a.sum.add(v.Float(), &a.wide)
 }
 
 func (a *avgAcc) merge(o aggAcc) {
 	b := o.(*avgAcc)
 	a.n += b.n
-	a.sum.merge(&b.sum)
+	a.sum.merge(&b.sum, b.wide, &a.wide)
 }
 
 func (a *avgAcc) result() datum.D {
 	if a.n == 0 {
 		return datum.Null
 	}
-	return datum.NewFloat(a.sum.value() / float64(a.n))
+	return datum.NewFloat(a.sum.value(a.wide) / float64(a.n))
 }
 
 type minmaxAcc struct {

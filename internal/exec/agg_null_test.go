@@ -188,7 +188,7 @@ func TestVecAggWorkerNullFold(t *testing.T) {
 		}}
 		workers := make([]*vecAggWorker, 2)
 		for w := range workers {
-			wk := &vecAggWorker{groups: vecGroups{byHash: map[uint64][]int32{}, keyOff: []int{0}, nAggs: len(items)}}
+			wk := &vecAggWorker{groups: newVecGroups(in, []int{0}, len(items), 0, nil)}
 			for _, it := range items {
 				wk.accs = append(wk.accs, newVecAccumulator(it, in.Vecs[1]))
 			}
@@ -200,10 +200,10 @@ func TestVecAggWorkerNullFold(t *testing.T) {
 			hashInit(hs)
 			hashCombineVec(in.Vecs[0], sel, hs)
 			for k, i := range sel {
-				gids[k], _ = wk.groups.assign(in, int(i), hs[k])
+				gids[k], _ = wk.groups.assign(i, mixHash(hs[k]))
 			}
 			for _, acc := range wk.accs {
-				acc.ensure(len(wk.groups.keys))
+				acc.ensure(len(wk.groups.firstRow), 0)
 				acc.accumulate(in.Vecs[1], sel, gids)
 			}
 			workers[w] = wk
@@ -216,12 +216,12 @@ func TestVecAggWorkerNullFold(t *testing.T) {
 		if lone.IsNull() {
 			want[1] = []string{"1", "0", "NULL", "NULL", "NULL", "NULL"}
 		}
-		if got := len(workers[0].groups.keys); got != 2 {
+		if got := len(workers[0].groups.firstRow); got != 2 {
 			t.Fatalf("folded table has %d groups, want 2", got)
 		}
 		for g, row := range want {
 			for ai, w := range row {
-				if got := workers[0].accs[ai].result(g).String(); got != w {
+				if got := workers[0].accs[ai].emit(2).D(g).String(); got != w {
 					t.Errorf("lone=%v group %d aggregate %d = %s, want %s", lone, g, ai, got, w)
 				}
 			}

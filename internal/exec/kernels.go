@@ -595,14 +595,56 @@ func hashCombineD(h uint64, d datum.D) uint64 {
 // called once per batch (one interface dispatch per batch, not per row); the
 // inner loops are typed. gids maps each selected row to its group id.
 type vecAccumulator interface {
-	ensure(nGroups int)
+	// ensure makes room for groups [0, nGroups); called once per morsel, after
+	// the morsel's new groups are known. capHint is the group count the table
+	// was sized for: an array that has to grow grows at least that far, so a
+	// well-estimated aggregation allocates its state once.
+	ensure(nGroups, capHint int)
 	accumulate(v *datum.Vec, sel []int32, gids []int32)
 	// merge folds another worker's accumulator of the same concrete type into
 	// this one at the pipeline barrier: o's group g lands in group gids[g],
 	// which ensure has already made room for. Sums merge through
 	// compSum.merge, so the folded result is the exact serial one.
 	merge(o vecAccumulator, gids []int32)
-	result(g int) datum.D
+	// emit returns the results of groups [0, nGroups) as the output column,
+	// handing the state arrays over where they already are the payload; the
+	// accumulator must not be used afterwards.
+	emit(nGroups int) *datum.Vec
+}
+
+// growTo extends s with zero values to length n. When the backing array is
+// too short the new one holds at least capHint elements and at least twice
+// the old capacity, so growth costs a bounded multiple of the final size. It
+// relies on s's spare capacity being zero, which holds for a slice that is
+// only ever extended (by growTo or append), never truncated and regrown.
+func growTo[T any](s []T, n, capHint int) []T {
+	if n <= len(s) {
+		return s
+	}
+	if n > cap(s) {
+		grown := make([]T, len(s), max(n, capHint, 2*cap(s)))
+		copy(grown, s)
+		s = grown
+	}
+	return s[:n]
+}
+
+// nullsWhere returns the NULL bitmap and count of the groups [0, n) that saw
+// no value: seen holds false, or a zero count, for them.
+func nullsWhere[T comparable](seen []T, n int) (datum.Bitmap, int) {
+	var nulls datum.Bitmap
+	var none T
+	nn := 0
+	for g, v := range seen[:n] {
+		if v == none {
+			if nulls == nil {
+				nulls = datum.NewBitmap(n)
+			}
+			nulls.Set(g)
+			nn++
+		}
+	}
+	return nulls, nn
 }
 
 // newVecAccumulator picks the typed accumulator for an aggregate given the
@@ -672,11 +714,7 @@ type countVecAcc struct {
 	n    []int64
 }
 
-func (a *countVecAcc) ensure(n int) {
-	for len(a.n) < n {
-		a.n = append(a.n, 0)
-	}
-}
+func (a *countVecAcc) ensure(n, hint int) { a.n = growTo(a.n, n, hint) }
 
 func (a *countVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 	if a.star {
@@ -698,7 +736,9 @@ func (a *countVecAcc) merge(o vecAccumulator, gids []int32) {
 	}
 }
 
-func (a *countVecAcc) result(g int) datum.D { return datum.NewInt(a.n[g]) }
+func (a *countVecAcc) emit(n int) *datum.Vec {
+	return datum.NewTypedVec(datum.KindInt, n, a.n[:n], nil, nil, nil, 0)
+}
 
 // sumIntVecAcc sums an INT column exactly in int64 (a typed vector cannot
 // contain floats, so the row path's float promotion can never trigger).
@@ -707,11 +747,8 @@ type sumIntVecAcc struct {
 	sums []int64
 }
 
-func (a *sumIntVecAcc) ensure(n int) {
-	for len(a.any) < n {
-		a.any = append(a.any, false)
-		a.sums = append(a.sums, 0)
-	}
+func (a *sumIntVecAcc) ensure(n, hint int) {
+	a.any, a.sums = growTo(a.any, n, hint), growTo(a.sums, n, hint)
 }
 
 func (a *sumIntVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -736,11 +773,9 @@ func (a *sumIntVecAcc) merge(o vecAccumulator, gids []int32) {
 	}
 }
 
-func (a *sumIntVecAcc) result(g int) datum.D {
-	if !a.any[g] {
-		return datum.Null
-	}
-	return datum.NewInt(a.sums[g])
+func (a *sumIntVecAcc) emit(n int) *datum.Vec {
+	nulls, nn := nullsWhere(a.any, n)
+	return datum.NewTypedVec(datum.KindInt, n, a.sums[:n], nil, nil, nulls, nn)
 }
 
 // sumFloatVecAcc sums a FLOAT column with the same compensated summation as
@@ -749,13 +784,11 @@ func (a *sumIntVecAcc) result(g int) datum.D {
 type sumFloatVecAcc struct {
 	any  []bool
 	sums []compSum
+	wide wideSums
 }
 
-func (a *sumFloatVecAcc) ensure(n int) {
-	for len(a.any) < n {
-		a.any = append(a.any, false)
-		a.sums = append(a.sums, compSum{})
-	}
+func (a *sumFloatVecAcc) ensure(n, hint int) {
+	a.any, a.sums = growTo(a.any, n, hint), growTo(a.sums, n, hint)
 }
 
 func (a *sumFloatVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -767,9 +800,9 @@ func (a *sumFloatVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 		g := gids[k]
 		if !a.any[g] {
 			a.any[g] = true
-			a.sums[g].add(0)
+			a.sums[g].add(0, &a.wide)
 		}
-		a.sums[g].add(v.Floats[i])
+		a.sums[g].add(v.Floats[i], &a.wide)
 	}
 }
 
@@ -778,16 +811,20 @@ func (a *sumFloatVecAcc) merge(o vecAccumulator, gids []int32) {
 	for g, ok := range b.any {
 		if ok {
 			a.any[gids[g]] = true
-			a.sums[gids[g]].merge(&b.sums[g])
+			a.sums[gids[g]].merge(&b.sums[g], b.wide, &a.wide)
 		}
 	}
 }
 
-func (a *sumFloatVecAcc) result(g int) datum.D {
-	if !a.any[g] {
-		return datum.Null
+func (a *sumFloatVecAcc) emit(n int) *datum.Vec {
+	nulls, nn := nullsWhere(a.any, n)
+	vals := make([]float64, n)
+	for g := range vals {
+		if a.any[g] {
+			vals[g] = a.sums[g].value(a.wide)
+		}
 	}
-	return datum.NewFloat(a.sums[g].value())
+	return datum.NewTypedVec(datum.KindFloat, n, nil, vals, nil, nulls, nn)
 }
 
 // avgVecAcc mirrors avgAcc: exact order-independent sum, one division at
@@ -795,13 +832,11 @@ func (a *sumFloatVecAcc) result(g int) datum.D {
 type avgVecAcc struct {
 	n    []int64
 	sums []compSum
+	wide wideSums
 }
 
-func (a *avgVecAcc) ensure(n int) {
-	for len(a.n) < n {
-		a.n = append(a.n, 0)
-		a.sums = append(a.sums, compSum{})
-	}
+func (a *avgVecAcc) ensure(n, hint int) {
+	a.n, a.sums = growTo(a.n, n, hint), growTo(a.sums, n, hint)
 }
 
 func (a *avgVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -813,7 +848,7 @@ func (a *avgVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 			}
 			g := gids[k]
 			a.n[g]++
-			a.sums[g].add(float64(v.Ints[i]))
+			a.sums[g].add(float64(v.Ints[i]), &a.wide)
 		}
 		return
 	}
@@ -823,7 +858,7 @@ func (a *avgVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 		}
 		g := gids[k]
 		a.n[g]++
-		a.sums[g].add(v.Floats[i])
+		a.sums[g].add(v.Floats[i], &a.wide)
 	}
 }
 
@@ -831,15 +866,19 @@ func (a *avgVecAcc) merge(o vecAccumulator, gids []int32) {
 	b := o.(*avgVecAcc)
 	for g, n := range b.n {
 		a.n[gids[g]] += n
-		a.sums[gids[g]].merge(&b.sums[g])
+		a.sums[gids[g]].merge(&b.sums[g], b.wide, &a.wide)
 	}
 }
 
-func (a *avgVecAcc) result(g int) datum.D {
-	if a.n[g] == 0 {
-		return datum.Null
+func (a *avgVecAcc) emit(n int) *datum.Vec {
+	nulls, nn := nullsWhere(a.n, n)
+	vals := make([]float64, n)
+	for g := range vals {
+		if a.n[g] != 0 {
+			vals[g] = a.sums[g].value(a.wide) / float64(a.n[g])
+		}
 	}
-	return datum.NewFloat(a.sums[g].value() / float64(a.n[g]))
+	return datum.NewTypedVec(datum.KindFloat, n, nil, vals, nil, nulls, nn)
 }
 
 // mergeMinMax folds another worker's per-group extremes into (any, vals) with
@@ -864,11 +903,8 @@ type minmaxIntVecAcc struct {
 	vals []int64
 }
 
-func (a *minmaxIntVecAcc) ensure(n int) {
-	for len(a.any) < n {
-		a.any = append(a.any, false)
-		a.vals = append(a.vals, 0)
-	}
+func (a *minmaxIntVecAcc) ensure(n, hint int) {
+	a.any, a.vals = growTo(a.any, n, hint), growTo(a.vals, n, hint)
 }
 
 func (a *minmaxIntVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -894,14 +930,9 @@ func (a *minmaxIntVecAcc) merge(o vecAccumulator, gids []int32) {
 	mergeMinMax(a.min, a.any, a.vals, b.any, b.vals, gids)
 }
 
-func (a *minmaxIntVecAcc) result(g int) datum.D {
-	if !a.any[g] {
-		return datum.Null
-	}
-	if a.kind == datum.KindBool {
-		return datum.NewBool(a.vals[g] != 0)
-	}
-	return datum.NewInt(a.vals[g])
+func (a *minmaxIntVecAcc) emit(n int) *datum.Vec {
+	nulls, nn := nullsWhere(a.any, n)
+	return datum.NewTypedVec(a.kind, n, a.vals[:n], nil, nil, nulls, nn)
 }
 
 // minmaxFloatVecAcc tracks MIN/MAX over FLOAT columns; strict < / >
@@ -912,11 +943,8 @@ type minmaxFloatVecAcc struct {
 	vals []float64
 }
 
-func (a *minmaxFloatVecAcc) ensure(n int) {
-	for len(a.any) < n {
-		a.any = append(a.any, false)
-		a.vals = append(a.vals, 0)
-	}
+func (a *minmaxFloatVecAcc) ensure(n, hint int) {
+	a.any, a.vals = growTo(a.any, n, hint), growTo(a.vals, n, hint)
 }
 
 func (a *minmaxFloatVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -942,11 +970,9 @@ func (a *minmaxFloatVecAcc) merge(o vecAccumulator, gids []int32) {
 	mergeMinMax(a.min, a.any, a.vals, b.any, b.vals, gids)
 }
 
-func (a *minmaxFloatVecAcc) result(g int) datum.D {
-	if !a.any[g] {
-		return datum.Null
-	}
-	return datum.NewFloat(a.vals[g])
+func (a *minmaxFloatVecAcc) emit(n int) *datum.Vec {
+	nulls, nn := nullsWhere(a.any, n)
+	return datum.NewTypedVec(datum.KindFloat, n, nil, a.vals[:n], nil, nulls, nn)
 }
 
 // minmaxStrVecAcc tracks MIN/MAX over VARCHAR columns.
@@ -956,11 +982,8 @@ type minmaxStrVecAcc struct {
 	vals []string
 }
 
-func (a *minmaxStrVecAcc) ensure(n int) {
-	for len(a.any) < n {
-		a.any = append(a.any, false)
-		a.vals = append(a.vals, "")
-	}
+func (a *minmaxStrVecAcc) ensure(n, hint int) {
+	a.any, a.vals = growTo(a.any, n, hint), growTo(a.vals, n, hint)
 }
 
 func (a *minmaxStrVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -1007,25 +1030,29 @@ func (a *minmaxStrVecAcc) merge(o vecAccumulator, gids []int32) {
 	mergeMinMax(a.min, a.any, a.vals, b.any, b.vals, gids)
 }
 
-func (a *minmaxStrVecAcc) result(g int) datum.D {
-	if !a.any[g] {
-		return datum.Null
-	}
-	return datum.NewString(a.vals[g])
+func (a *minmaxStrVecAcc) emit(n int) *datum.Vec {
+	nulls, nn := nullsWhere(a.any, n)
+	return datum.NewTypedVec(datum.KindString, n, nil, nil, a.vals[:n], nulls, nn)
 }
 
 // nullArgVecAcc handles aggregates whose argument column is entirely NULL:
 // every SUM/AVG/MIN/MAX over it is NULL.
 type nullArgVecAcc struct{ n int }
 
-func (a *nullArgVecAcc) ensure(n int) {
+func (a *nullArgVecAcc) ensure(n, _ int) {
 	if n > a.n {
 		a.n = n
 	}
 }
 func (a *nullArgVecAcc) accumulate(*datum.Vec, []int32, []int32) {}
 func (a *nullArgVecAcc) merge(vecAccumulator, []int32)           {}
-func (a *nullArgVecAcc) result(int) datum.D                      { return datum.Null }
+func (a *nullArgVecAcc) emit(n int) *datum.Vec {
+	v := datum.NewVec(datum.KindNull, 0)
+	for g := 0; g < n; g++ {
+		v.AppendNull()
+	}
+	return v
+}
 
 // boxedVecAcc replays the row engine's accumulator per value for mixed-kind
 // (boxed) argument columns — correctness fallback, not a fast path.
@@ -1034,7 +1061,7 @@ type boxedVecAcc struct {
 	accs []aggAcc
 }
 
-func (a *boxedVecAcc) ensure(n int) {
+func (a *boxedVecAcc) ensure(n, _ int) {
 	for len(a.accs) < n {
 		a.accs = append(a.accs, newAgg(a.item))
 	}
@@ -1052,4 +1079,10 @@ func (a *boxedVecAcc) merge(o vecAccumulator, gids []int32) {
 	}
 }
 
-func (a *boxedVecAcc) result(g int) datum.D { return a.accs[g].result() }
+func (a *boxedVecAcc) emit(n int) *datum.Vec {
+	ds := make([]datum.D, n)
+	for g := range ds {
+		ds[g] = a.accs[g].result()
+	}
+	return datum.NewBoxedVec(ds)
+}

@@ -279,7 +279,7 @@ func TestVecAccumulatorsMatchRowAccumulators(t *testing.T) {
 					if acc == nil {
 						t.Fatalf("%s: no accumulator", label)
 					}
-					acc.ensure(nGroups)
+					acc.ensure(nGroups, 0)
 					acc.accumulate(vec, sel, gids)
 					ref := make([]aggAcc, nGroups)
 					for g := range ref {
@@ -289,7 +289,7 @@ func TestVecAccumulatorsMatchRowAccumulators(t *testing.T) {
 						ref[gids[k]].add(vec.D(int(i)))
 					}
 					for g := 0; g < nGroups; g++ {
-						got, want := acc.result(g), ref[g].result()
+						got, want := acc.emit(nGroups).D(g), ref[g].result()
 						if got.String() != want.String() {
 							t.Fatalf("%s group %d: kernel %s, row engine %s", label, g, got, want)
 						}
@@ -298,8 +298,8 @@ func TestVecAccumulatorsMatchRowAccumulators(t *testing.T) {
 					// split at an odd position, the second worker numbering
 					// its groups in reverse, merged into the first.
 					left, right := newVecAccumulator(tc.item, vec), newVecAccumulator(tc.item, vec)
-					left.ensure(nGroups)
-					right.ensure(nGroups)
+					left.ensure(nGroups, 0)
+					right.ensure(nGroups, 0)
 					const cut = 50
 					rgids, remap := make([]int32, n-cut), make([]int32, nGroups)
 					for k := range rgids {
@@ -312,17 +312,17 @@ func TestVecAccumulatorsMatchRowAccumulators(t *testing.T) {
 					right.accumulate(vec, sel[cut:], rgids)
 					left.merge(right, remap)
 					for g := 0; g < nGroups; g++ {
-						if got, want := left.result(g), ref[g].result(); got.String() != want.String() {
+						if got, want := left.emit(nGroups).D(g), ref[g].result(); got.String() != want.String() {
 							t.Fatalf("%s group %d: merged kernel partials %s, row engine %s", label, g, got, want)
 						}
 					}
 					// Empty selection vector: every group stays at its
 					// initial state (NULL, or 0 for COUNT).
 					fresh := newVecAccumulator(tc.item, vec)
-					fresh.ensure(nGroups)
+					fresh.ensure(nGroups, 0)
 					fresh.accumulate(vec, nil, nil)
 					for g := 0; g < nGroups; g++ {
-						if got, want := fresh.result(g), newAgg(tc.item).result(); got.String() != want.String() {
+						if got, want := fresh.emit(nGroups).D(g), newAgg(tc.item).result(); got.String() != want.String() {
 							t.Fatalf("%s group %d after empty sel: kernel %s, fresh row acc %s", label, g, got, want)
 						}
 					}
@@ -414,7 +414,7 @@ func BenchmarkVectorizedAgg(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		acc := newVecAccumulator(item, v)
-		acc.ensure(nGroups)
+		acc.ensure(nGroups, 0)
 		acc.accumulate(v, sel, gids)
 	}
 }

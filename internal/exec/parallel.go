@@ -452,16 +452,7 @@ func (c *Ctx) notePartitionRows(t *physical.Exchange, b *Batch, rows []datum.Row
 		degree = c.Parallelism
 	}
 	counts := make([]int64, degree)
-	// The key hash is FNV over a number's float encoding, whose low mantissa
-	// bits are zero for small integers: only the top bits of the product tell
-	// such keys apart, so they are mixed down (the 64-bit murmur finalizer)
-	// before the partition is taken.
-	note := func(h uint64) {
-		h ^= h >> 33
-		h *= 0xff51afd7ed558ccd
-		h ^= h >> 33
-		counts[h%uint64(degree)]++
-	}
+	note := func(h uint64) { counts[mixHash(h)%uint64(degree)]++ }
 	if b == nil {
 		for _, r := range rows {
 			h := fnvOffset64
@@ -471,9 +462,9 @@ func (c *Ctx) notePartitionRows(t *physical.Exchange, b *Batch, rows []datum.Row
 			note(h)
 		}
 	} else {
-		sel := b.liveSel()
-		for lo := 0; lo < len(sel); lo += MorselSize {
-			chunk := sel[lo:min(lo+MorselSize, len(sel))]
+		sels := newSelBufs(1)
+		for lo, n := 0, b.NumRows(); lo < n; lo += MorselSize {
+			chunk := sels.morsel(b, 0, lo, min(lo+MorselSize, n))
 			hs := getHashBuf(len(chunk))
 			hashInit(hs)
 			for _, o := range pOff {

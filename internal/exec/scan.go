@@ -97,8 +97,14 @@ type span struct {
 }
 
 // coalesce merges the per-morsel survivor spans into as few storage calls as
-// possible: adjacent position ranges fuse, adjacent id lists concatenate.
+// possible: adjacent position ranges fuse, adjacent id lists concatenate —
+// into one backing array sized by a first pass, so merging never reallocates.
 func coalesce(keeps []span) (spans []span, total int) {
+	nIDs := 0
+	for _, k := range keeps {
+		nIDs += len(k.ids)
+	}
+	ids := make([]int, 0, nIDs)
 	for _, k := range keeps {
 		n := len(k.ids)
 		if k.ids == nil {
@@ -108,13 +114,20 @@ func coalesce(keeps []span) (spans []span, total int) {
 			continue
 		}
 		total += n
+		if k.ids != nil {
+			// Consecutive id lists land next to each other in ids, so
+			// extending the previous span over this one is a reslice.
+			at := len(ids)
+			ids = append(ids, k.ids...)
+			k.ids = ids[at:]
+		}
 		if last := len(spans) - 1; last >= 0 {
 			switch prev := &spans[last]; {
 			case k.ids == nil && prev.ids == nil && prev.hi == k.lo:
 				prev.hi = k.hi
 				continue
 			case k.ids != nil && prev.ids != nil:
-				prev.ids = append(prev.ids, k.ids...)
+				prev.ids = prev.ids[:len(prev.ids)+n]
 				continue
 			}
 		}
@@ -346,14 +359,16 @@ func (c *Ctx) runFilter(t *physical.Filter) (*Batch, error) {
 	if len(compiled) > 0 {
 		c.noteVectorized()
 	}
-	sel := in.liveSel()
+	n := in.NumRows()
 	// Each morsel writes its survivors into its own stretch of out, which is
 	// compacted after the barrier.
-	out := make([]int32, len(sel))
-	kept := make([]int, numMorsels(len(sel)))
-	err = c.forMorsels(len(sel), func(wc *Ctx, m, lo, hi int) error {
+	out := make([]int32, n)
+	kept := make([]int, numMorsels(n))
+	nw := c.morselWorkers(n)
+	sels := newSelBufs(nw)
+	err = c.forMorsels(n, func(wc *Ctx, m, lo, hi int) error {
 		wc.Counters.RowsProcessed += int64(hi - lo)
-		cur, dst := sel[lo:hi], out[lo:lo:hi]
+		cur, dst := sels.morsel(in, m%nw, lo, hi), out[lo:lo:hi]
 		for _, p := range compiled {
 			if cur = applyPred(in, p, cur, dst); len(cur) == 0 {
 				return nil
@@ -365,18 +380,18 @@ func (c *Ctx) runFilter(t *physical.Filter) (*Batch, error) {
 				return err
 			}
 		}
-		// With no conjunct at all cur still aliases sel.
+		// With no conjunct at all cur is still the input's selection.
 		kept[m] = copy(out[lo:hi], cur)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	n := 0
+	live := 0
 	for m, k := range kept {
-		n += copy(out[n:], out[m*MorselSize:m*MorselSize+k])
+		live += copy(out[live:], out[m*MorselSize:m*MorselSize+k])
 	}
-	return &Batch{Cols: in.Cols, Vecs: in.Vecs, Sel: out[:n], n: in.n}, nil
+	return &Batch{Cols: in.Cols, Vecs: in.Vecs, Sel: out[:live], n: in.n}, nil
 }
 
 // --- project ---
@@ -413,18 +428,22 @@ func (c *Ctx) runProject(t *physical.Project) (*Batch, error) {
 	}
 	// Expression results are dense (one per live row), so the shared column
 	// vectors are gathered to the same positions.
-	sel := in.liveSel()
+	n := in.NumRows()
 	vals := make([][]datum.D, len(t.Items))
 	for _, i := range exprs {
-		vals[i] = make([]datum.D, len(sel))
+		vals[i] = make([]datum.D, n)
 	}
-	err = c.forMorsels(len(sel), func(wc *Ctx, m, lo, hi int) error {
+	err = c.forMorsels(n, func(wc *Ctx, m, lo, hi int) error {
 		wc.Counters.RowsProcessed += int64(hi - lo)
 		e := rowEnv(layout)
 		ectx := wc.evalCtx(e)
 		for k := lo; k < hi; k++ {
+			row := k
+			if in.Sel != nil {
+				row = int(in.Sel[k])
+			}
 			for j, v := range in.Vecs {
-				e.row[j] = v.D(int(sel[k]))
+				e.row[j] = v.D(row)
 			}
 			for _, i := range exprs {
 				v, err := logical.Eval(t.Items[i].Expr, ectx)
@@ -444,8 +463,8 @@ func (c *Ctx) runProject(t *physical.Project) (*Batch, error) {
 		case vals[i] != nil:
 			vecs[i] = datum.NewBoxedVec(vals[i])
 		case in.Sel != nil:
-			vecs[i] = gatherVec(vecs[i], sel)
+			vecs[i] = gatherVec(vecs[i], in.Sel)
 		}
 	}
-	return &Batch{Cols: t.Columns(), Vecs: vecs, n: len(sel)}, nil
+	return &Batch{Cols: t.Columns(), Vecs: vecs, n: n}, nil
 }

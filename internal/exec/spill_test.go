@@ -396,11 +396,49 @@ func TestKernelGroupByBudgetTripInWorker(t *testing.T) {
 		{ID: 102, Fn: logical.AggAvg, Arg: &logical.Col{ID: fl}},
 		{ID: 103, Fn: logical.AggMax, Arg: &logical.Col{ID: v}},
 	}
-	for _, groupCols := range [][]logical.ColumnID{{fl}, {k}} { // ~1000 groups, 41 groups
+	for _, in := range []struct {
+		groupCols []logical.ColumnID
+		// tiny says the 4 KiB run applies: with four aggregates a partition of
+		// the 6000-group inputs outgrows spillGroupBy's floor under so small a
+		// budget, in row mode exactly as here.
+		tiny bool
+	}{
+		{[]logical.ColumnID{fl}, true},     // ~1000 groups
+		{[]logical.ColumnID{k}, true},      // 41 groups
+		{[]logical.ColumnID{v}, false},     // 6000 dense integer keys
+		{[]logical.ColumnID{k, fl}, false}, // two keys
+	} {
+		groupCols, tiny := in.groupCols, in.tiny
 		plan := &physical.HashGroupBy{Input: f.rScan, GroupCols: groupCols, Aggs: aggs}
 		want, err := Run(plan, f.ctx(t, 1))
 		if err != nil {
 			t.Fatal(err)
+		}
+		// The trip point is the row path's: a budget of exactly its one-worker
+		// peak fits in both modes, one byte less spills in both.
+		unbudgeted := f.ctx(t, 1)
+		unbudgeted.Vectorize, unbudgeted.Mem = false, NewMemAccount(0)
+		if _, err := Run(plan, unbudgeted); err != nil {
+			t.Fatal(err)
+		}
+		peak := unbudgeted.Mem.Peak()
+		for _, vectorize := range []bool{false, true} {
+			for _, tc := range []struct {
+				budget int64
+				spills bool
+			}{{peak, false}, {peak - 1, true}} {
+				c := f.ctx(t, 1)
+				c.Vectorize, c.Mem, c.TempDir = vectorize, NewMemAccount(tc.budget), t.TempDir()
+				if _, err := Run(plan, c); err != nil {
+					t.Fatalf("%d groups, vectorize %v, budget %d: %v", len(want.Rows), vectorize, tc.budget, err)
+				}
+				if spilled := c.Counters.Spills > 0; spilled != tc.spills {
+					t.Errorf("%d groups, vectorize %v, budget %d of peak %d: spilled %v, want %v", len(want.Rows), vectorize, tc.budget, peak, spilled, tc.spills)
+				}
+			}
+		}
+		if !tiny {
+			continue
 		}
 		for _, degree := range []int{1, 4} {
 			c := f.ctx(t, degree)

@@ -7,7 +7,20 @@
 // iter.go. Claimed operators replicate the row implementation's observable
 // behaviour exactly: the same counters (RowsProcessed, HashOps), the same
 // memory reservations with the same spill fallbacks, and bit-identical
-// output rows.
+// output rows in the same order.
+//
+// Inside, nothing is per row except typed loops over arrays. Both operators
+// index their keys with the flat hashTable of hashtable.go — int32 bucket
+// and chain arrays plus a stored hash per entry, bucket taken from the
+// finalized hash, keys compared column-wise on the typed payloads — where
+// the join's entries are its build rows and the aggregation's are its
+// groups. Group state is columnar: a group is the input row that first
+// showed its key (firstRow), its aggregates are slots in per-aggregate
+// arrays that grow once per morsel and become the output vectors, and the
+// output key columns are one typed gather of the input's key columns.
+// Output is materialized by datum.AppendGather, one typed loop per column
+// and index list. Live rows are walked morsel by morsel (selBufs); no
+// batch-sized identity vector is built.
 package exec
 
 import (
@@ -25,13 +38,39 @@ func identSel(n int) []int32 {
 	return s
 }
 
-// liveSel returns the batch's live row indices, materializing the identity
-// when no selection vector is present.
-func (b *Batch) liveSel() []int32 {
+// selBufs hands each worker of a morsel loop the live row indices of its
+// morsels without ever materializing a batch-sized identity vector: a slice
+// of the batch's selection vector, or — when every row is live — the run
+// lo..hi-1 written into the worker's one morsel of scratch.
+type selBufs [][]int32
+
+func newSelBufs(workers int) selBufs { return make(selBufs, workers) }
+
+// morsel returns the row indices at selection positions [lo, hi), valid until
+// worker w asks for its next morsel.
+func (s selBufs) morsel(b *Batch, w, lo, hi int) []int32 {
 	if b.Sel != nil {
-		return b.Sel
+		return b.Sel[lo:hi]
 	}
-	return identSel(b.n)
+	if s[w] == nil {
+		s[w] = make([]int32, min(b.n, MorselSize))
+	}
+	buf := s[w][:hi-lo]
+	for k := range buf {
+		buf[k] = int32(lo + k)
+	}
+	return buf
+}
+
+// keyNullable reports whether a key column may hold a NULL, so the per-row
+// NULL-key test is worth running.
+func keyNullable(vecs []*datum.Vec, offs []int) bool {
+	for _, o := range offs {
+		if v := vecs[o]; v.Boxed() || v.Kind() == datum.KindNull || v.HasNulls() {
+			return true
+		}
+	}
+	return false
 }
 
 // vecNullAt reports whether any of the key columns is NULL at row i.
@@ -46,16 +85,41 @@ func vecNullAt(vecs []*datum.Vec, offs []int, i int) bool {
 
 // --- vectorized hash aggregation ---
 
-// vecGroups is the batch path's group table: hash-bucketed group ids over
-// interned key rows, charged to the memory account with the row path's exact
+// vecGroups is the batch path's group table: a hashTable whose entry ids are
+// the group ids, dense and in first-appearance order. A group's key is never
+// copied out while aggregating — firstRow names the input row that created
+// the group, key equality compares the input's key columns against
+// themselves at that row, and the output key columns are one typed gather of
+// firstRow at the end. Every table over one input shares that row space, so
+// folding another worker's table needs neither the key values nor a rehash.
+// Groups are charged to the memory account with the row path's exact
 // per-entry model so both trip the budget at the same input.
 type vecGroups struct {
-	byHash  map[uint64][]int32
-	keys    []datum.Row
-	keyOff  []int
-	nAggs   int
-	mem     *MemAccount
-	charged int64
+	table    hashTable
+	firstRow []int32
+	keys     keyEqs // the input's key columns, each compared with itself
+	nAggs    int
+	mem      *MemAccount
+	charged  int64
+}
+
+func newVecGroups(in *Batch, keyOff []int, nAggs, hint int, mem *MemAccount) vecGroups {
+	g := vecGroups{nAggs: nAggs, mem: mem}
+	if len(keyOff) == 0 {
+		// Like newGroupTable, the single global group of a scalar aggregation
+		// exists before any accounting and is never charged.
+		g.firstRow = []int32{0}
+		return g
+	}
+	// A table sized for hint groups holds that many without reallocating.
+	g.table.hash = make([]uint64, 0, hint)
+	g.table.relink(hint)
+	g.firstRow = make([]int32, 0, hint)
+	g.keys = make(keyEqs, len(keyOff))
+	for kc, ko := range keyOff {
+		g.keys[kc] = newKeyEq(in.Vecs[ko], in.Vecs[ko], true)
+	}
+	return g
 }
 
 func (g *vecGroups) release() {
@@ -65,57 +129,25 @@ func (g *vecGroups) release() {
 	}
 }
 
-// assign returns the group id of batch row i, creating (and charging) the
-// group on first sight. Group ids are dense and in first-appearance order, so
-// emitting groups by id reproduces the row path's insertion order.
-func (g *vecGroups) assign(in *Batch, i int, h uint64) (int32, error) {
-	for _, gid := range g.byHash[h] {
-		key := g.keys[gid]
-		match := true
-		for kc, ko := range g.keyOff {
-			if !datum.Equal(in.Vecs[ko].D(i), key[kc]) {
-				match = false
-				break
-			}
-		}
-		if match {
-			return gid, nil
+// assign returns the id of the group whose key is input row i's (h is the
+// row's finalized key hash), creating and charging the group on first sight.
+func (g *vecGroups) assign(i int32, h uint64) (int32, error) {
+	t := &g.table
+	for e := t.first(h); e >= 0; e = t.after(e) {
+		if t.hash[e] == h && g.keys.equal(i, g.firstRow[e]) {
+			return e, nil
 		}
 	}
-	key := make(datum.Row, len(g.keyOff))
-	for kc, ko := range g.keyOff {
-		key[kc] = in.Vecs[ko].D(i)
+	n := int64(entryOverhead + 48*g.nAggs)
+	for kc := range g.keys {
+		n += int64(g.keys[kc].a.D(int(i)).Size())
 	}
-	return g.insert(key, h)
-}
-
-// adopt returns the id of the group with a key another worker's table
-// interned, creating (and charging) it when this table has not seen the key.
-// hashCombineD encodes a datum exactly like hashCombineVec encodes its vector
-// slot, so the key rehashes to the bucket assign would have used.
-func (g *vecGroups) adopt(key datum.Row) (int32, error) {
-	h := fnvOffset64
-	for _, d := range key {
-		h = hashCombineD(h, d)
-	}
-	for _, gid := range g.byHash[h] {
-		if keysEqual(g.keys[gid], key) {
-			return gid, nil
-		}
-	}
-	return g.insert(key, h)
-}
-
-func (g *vecGroups) insert(key datum.Row, h uint64) (int32, error) {
-	n := int64(key.Size()) + entryOverhead + int64(48*g.nAggs)
 	if err := g.mem.GrowFloor("hash aggregation", n, g.charged, 0); err != nil {
 		return 0, err
 	}
 	g.charged += n
-	gid := int32(len(g.keys))
-	g.keys = append(g.keys, key)
-	g.byHash[h] = append(g.byHash[h], gid)
-	return gid, nil
+	g.firstRow = append(g.firstRow, i)
+	return t.insert(h), nil
 }
 
 // vecAggWorker is one worker's thread-local aggregation state: its group
@@ -128,20 +160,20 @@ type vecAggWorker struct {
 }
 
 // fold merges another worker's table into a's: every group of o is looked up
-// (or created) in a by key, then each accumulator merges o's per-group state
-// into the mapped groups.
+// (or created) in a under its stored hash and first row, then each
+// accumulator merges o's per-group state into the mapped groups.
 func (a *vecAggWorker) fold(o *vecAggWorker) error {
-	gids := make([]int32, len(o.groups.keys)) // o's group id -> a's
-	if len(a.groups.keyOff) > 0 {             // a scalar aggregation's one group is 0 in both
-		for g, key := range o.groups.keys {
+	gids := make([]int32, len(o.groups.firstRow)) // o's group id -> a's
+	if len(a.groups.keys) > 0 {                   // a scalar aggregation's one group is 0 in both
+		for g, row := range o.groups.firstRow {
 			var err error
-			if gids[g], err = a.groups.adopt(key); err != nil {
+			if gids[g], err = a.groups.assign(row, o.groups.table.hash[g]); err != nil {
 				return err
 			}
 		}
 	}
 	for ai, acc := range a.accs {
-		acc.ensure(len(a.groups.keys))
+		acc.ensure(len(a.groups.firstRow), 0)
 		acc.merge(o.accs[ai], gids)
 	}
 	return nil
@@ -193,23 +225,19 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, bool, error) {
 		}
 	}
 	scalar := len(keyOff) == 0
-	sel := in.liveSel()
-	nw := c.morselWorkers(len(sel))
-	// Pre-size hash buckets from the optimizer's group-count estimate, capped
-	// (also by the rows one worker sees) so that neither a wild overestimate
-	// nor the number of thread-local tables makes the presize itself the cost.
-	hint := max(0, min(int(t.Rows), 1<<20, (len(sel)+nw-1)/nw))
+	n := in.NumRows()
+	nw := c.morselWorkers(n)
+	// Pre-size the bucket arrays from the optimizer's group-count estimate,
+	// capped (also by the rows one worker sees) so that neither a wild
+	// overestimate nor the number of thread-local tables makes the presize
+	// itself the cost.
+	hint := max(0, min(int(t.Rows), 1<<20, (n+nw-1)/nw))
 	workers := make([]*vecAggWorker, nw)
 	for w := range workers {
 		wk := &vecAggWorker{
-			groups: vecGroups{byHash: make(map[uint64][]int32, hint), keyOff: keyOff, nAggs: len(t.Aggs), mem: c.Mem},
+			groups: newVecGroups(in, keyOff, len(t.Aggs), hint, c.Mem),
 			accs:   make([]vecAccumulator, len(t.Aggs)),
-			gids:   make([]int32, min(len(sel), MorselSize)),
-		}
-		if scalar {
-			// Like newGroupTable, the single global group of a scalar aggregation
-			// exists before any accounting and is never charged.
-			wk.groups.keys = append(wk.groups.keys, nil)
+			gids:   make([]int32, min(n, MorselSize)),
 		}
 		for i, a := range t.Aggs {
 			if wk.accs[i] = newVecAccumulator(a, args[i]); wk.accs[i] == nil {
@@ -225,9 +253,10 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, bool, error) {
 	}
 	defer release()
 
-	err = c.forMorsels(len(sel), func(wc *Ctx, m, lo, hi int) error {
-		wk := workers[m%len(workers)]
-		chunk := sel[lo:hi]
+	sels := newSelBufs(nw)
+	err = c.forMorsels(n, func(wc *Ctx, m, lo, hi int) error {
+		wk := workers[m%nw]
+		chunk := sels.morsel(in, m%nw, lo, hi)
 		wc.Counters.RowsProcessed += int64(len(chunk))
 		wc.Counters.HashOps += int64(len(chunk))
 		gids := wk.gids[:len(chunk)]
@@ -241,7 +270,7 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, bool, error) {
 			}
 			var err error
 			for k, i := range chunk {
-				if gids[k], err = wk.groups.assign(in, int(i), hs[k]); err != nil {
+				if gids[k], err = wk.groups.assign(i, mixHash(hs[k])); err != nil {
 					break
 				}
 			}
@@ -251,7 +280,7 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, bool, error) {
 			}
 		}
 		for ai, acc := range wk.accs {
-			acc.ensure(len(wk.groups.keys))
+			acc.ensure(len(wk.groups.firstRow), hint)
 			acc.accumulate(args[ai], chunk, gids)
 		}
 		return nil
@@ -274,31 +303,25 @@ func (c *Ctx) vecGroupBy(t *physical.HashGroupBy) (*Batch, bool, error) {
 	if err != nil {
 		return nil, true, err
 	}
-	groups := final.groups.keys
+	groups := final.groups.firstRow
 	var tableRows, tableBytes int64
 	for _, wk := range workers {
-		tableRows += int64(len(wk.groups.keys))
+		tableRows += int64(len(wk.groups.firstRow))
 		tableBytes += wk.groups.charged
 	}
 	c.noteMem(tableRows)
 	c.noteMemBytes(tableBytes)
 
+	// The key columns are the input's key columns gathered at each group's
+	// first row; the aggregate columns are the accumulators' own arrays.
 	outCols := t.Columns()
 	vecs := make([]*datum.Vec, len(outCols))
-	for kc := range keyOff {
-		v := datum.NewVec(datum.KindNull, len(groups))
-		for _, key := range groups {
-			v.AppendD(key[kc])
-		}
-		vecs[kc] = v
+	for kc, ko := range keyOff {
+		vecs[kc] = gatherVec(in.Vecs[ko], groups)
 	}
 	for ai, acc := range final.accs {
-		acc.ensure(len(groups)) // scalar agg over empty input still emits
-		v := datum.NewVec(datum.KindNull, len(groups))
-		for gid := range groups {
-			v.AppendD(acc.result(gid))
-		}
-		vecs[len(keyOff)+ai] = v
+		acc.ensure(len(groups), 0) // scalar agg over empty input still emits
+		vecs[len(keyOff)+ai] = acc.emit(len(groups))
 	}
 	return &Batch{Cols: outCols, Vecs: vecs, n: len(groups)}, true, nil
 }
@@ -320,26 +343,9 @@ func gatherVec(src *datum.Vec, parts ...[]int32) *datum.Vec {
 		out = datum.NewVec(src.Kind(), n)
 	}
 	for _, idx := range parts {
-		for _, i := range idx {
-			if i < 0 {
-				out.AppendNull()
-			} else {
-				out.AppendVec(src, int(i))
-			}
-		}
+		datum.AppendGather(out, src, idx, 0)
 	}
 	return out
-}
-
-// vecKeysEqual reports whether the join keys match, with the row path's
-// datum.EqualOn semantics (NULLs are pre-filtered by the callers).
-func vecKeysEqual(l *Batch, lOff []int, li int, r *Batch, rOff []int, ri int) bool {
-	for k := range lOff {
-		if !datum.Equal(l.Vecs[lOff[k]].D(li), r.Vecs[rOff[k]].D(ri)) {
-			return false
-		}
-	}
-	return true
 }
 
 // vecHashJoin builds one hash table on the right input, shared read-only by
@@ -381,39 +387,51 @@ func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, bool, error) {
 	defer c.Mem.Shrink(buildBytes)
 	c.noteMemBytes(buildBytes)
 
-	// Build on the right: bucket lists hold batch row indices in selection
-	// order, so every probe sees its matches in the serial row order.
-	rsel := right.liveSel()
-	build := make(map[uint64][]int32, len(rsel))
-	for lo := 0; lo < len(rsel); lo += MorselSize {
-		hi := min(lo+MorselSize, len(rsel))
-		chunk := rsel[lo:hi]
+	// Build on the right: entry e of the table is the e-th build row with a
+	// non-NULL key, in selection order, and chains keep that order, so every
+	// probe sees its matches in the serial row order.
+	nr := right.NumRows()
+	var build hashTable
+	build.hash = make([]uint64, 0, nr)
+	buildRows := make([]int32, 0, nr)
+	rNullable := keyNullable(right.Vecs, rOff)
+	rsels := newSelBufs(1)
+	for lo := 0; lo < nr; lo += MorselSize {
+		chunk := rsels.morsel(right, 0, lo, min(lo+MorselSize, nr))
 		hs := getHashBuf(len(chunk))
 		hashInit(hs)
 		for _, ro := range rOff {
 			hashCombineVec(right.Vecs[ro], chunk, hs)
 		}
 		for k, ri := range chunk {
-			if vecNullAt(right.Vecs, rOff, int(ri)) {
+			if rNullable && vecNullAt(right.Vecs, rOff, int(ri)) {
 				continue // NULL keys never match; FullOuter emits them below
 			}
-			c.Counters.HashOps++
-			build[hs[k]] = append(build[hs[k]], ri)
+			build.hash = append(build.hash, mixHash(hs[k]))
+			buildRows = append(buildRows, ri)
 		}
 		putHashBuf(hs)
 	}
-	c.noteMem(int64(right.NumRows()))
+	c.Counters.HashOps += int64(len(buildRows))
+	build.relink(len(buildRows))
+	c.noteMem(int64(nr))
+	keys := make(keyEqs, len(lOff))
+	for k := range lOff {
+		keys[k] = newKeyEq(left.Vecs[lOff[k]], right.Vecs[rOff[k]], false)
+	}
 
 	// Probe the left in selection order, emitting (left, right) index pairs
 	// per morsel; ri = -1 pads unmatched outer rows with NULLs at gather time.
 	// Semi and anti joins emit no right side.
-	lsel := left.liveSel()
+	nl := left.NumRows()
 	semiShape := t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin
-	nm, nw := numMorsels(len(lsel)), c.morselWorkers(len(lsel))
+	nm, nw := numMorsels(nl), c.morselWorkers(nl)
 	lParts, rParts := make([][]int32, nm, nm+1), make([][]int32, nm, nm+1)
 	matched := newMatchedSets(t.Kind, nw, right.n)
-	err = c.forMorsels(len(lsel), func(wc *Ctx, m, lo, hi int) error {
-		chunk := lsel[lo:hi]
+	lNullable := keyNullable(left.Vecs, lOff)
+	lsels := newSelBufs(nw)
+	err = c.forMorsels(nl, func(wc *Ctx, m, lo, hi int) error {
+		chunk := lsels.morsel(left, m%nw, lo, hi)
 		hs := getHashBuf(len(chunk))
 		hashInit(hs)
 		for _, lo2 := range lOff {
@@ -426,10 +444,12 @@ func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, bool, error) {
 		}
 		for k, li := range chunk {
 			found := false
-			if !vecNullAt(left.Vecs, lOff, int(li)) {
+			if !lNullable || !vecNullAt(left.Vecs, lOff, int(li)) {
 				wc.Counters.HashOps++
-				for _, ri := range build[hs[k]] {
-					if !vecKeysEqual(left, lOff, int(li), right, rOff, int(ri)) {
+				h := mixHash(hs[k])
+				for e := build.first(h); e >= 0; e = build.after(e) {
+					ri := buildRows[e]
+					if build.hash[e] != h || !keys.equal(li, ri) {
 						continue
 					}
 					wc.Counters.RowsProcessed++
@@ -468,10 +488,12 @@ func (c *Ctx) vecHashJoin(t *physical.HashJoin) (*Batch, bool, error) {
 	}
 	if matched != nil {
 		var lIdx, rIdx []int32
-		for _, ri := range rsel {
-			if !matched.any(int(ri)) {
-				lIdx = append(lIdx, -1)
-				rIdx = append(rIdx, ri)
+		for lo := 0; lo < nr; lo += MorselSize {
+			for _, ri := range rsels.morsel(right, 0, lo, min(lo+MorselSize, nr)) {
+				if !matched.any(int(ri)) {
+					lIdx = append(lIdx, -1)
+					rIdx = append(rIdx, ri)
+				}
 			}
 		}
 		lParts, rParts = append(lParts, lIdx), append(rParts, rIdx)

@@ -41,8 +41,8 @@ func vecRows(v *datum.Vec) []datum.Row {
 
 // checkReads drives every read entry point of tab and requires exactly the
 // datums of want (floats by bits): whole-table and point reads, range fills,
-// id gathers in ascending, shuffled and tail-straddling order, and every
-// declared index.
+// id gathers in ascending, shuffled, tail-straddling and segment-hopping
+// order, and every declared index.
 func checkReads(t *testing.T, tab *Table, want []datum.Row) {
 	t.Helper()
 	n := len(want)
@@ -65,7 +65,16 @@ func checkReads(t *testing.T, tab *Table, want []datum.Row) {
 		shuffled := append([]int(nil), asc...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 		straddle := []int{n - 1, 0, min(tab.seg.sealedRows, n-1), max(tab.seg.sealedRows-1, 0)}
-		for _, ids := range [][]int{asc, shuffled, straddle} {
+		// Round-robin over the segments (and the tail): every id lies in
+		// another segment than the one before it, so each gather run is one
+		// element long.
+		var hop []int
+		for k := 0; k < tab.seg.segRows; k++ {
+			for id := k; id < n; id += tab.seg.segRows {
+				hop = append(hop, id)
+			}
+		}
+		for _, ids := range [][]int{asc, shuffled, straddle, hop} {
 			v := datum.NewVec(col.Kind, 0)
 			if err := tab.FillColumnIDs(nil, ord, ids, v); err != nil {
 				t.Fatal(err)

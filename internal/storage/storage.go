@@ -556,28 +556,32 @@ func (t *Table) fillColumnRangeLocked(sc *ScanCtx, ord, lo, hi int, v *datum.Vec
 
 // FillColumnIDs appends column ord of the rows with the given ids to v, in
 // id order — the gather form of the batch scan API used by index scans and
-// late materialization of filtered scans.
+// late materialization of filtered scans. Ids are usually ascending (selection
+// vectors, index postings), so the list is walked in runs that stay inside one
+// segment: one column read and one typed gather per run. Ids in any other
+// order only make the runs shorter; tail rows append one by one.
 func (t *Table) FillColumnIDs(sc *ScanCtx, ord int, ids []int, v *datum.Vec) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	// Ids are usually ascending (selection vectors, index postings), so the
-	// decoded column of the previous id is cached locally across iterations.
-	curSeg := -1
-	var cur *datum.Vec
-	for _, id := range ids {
+	for len(ids) > 0 {
+		id := ids[0]
 		if id >= t.seg.sealedRows {
 			v.AppendD(t.rows[id-t.seg.sealedRows][ord])
+			ids = ids[1:]
 			continue
 		}
 		si := t.segIndexLocked(id)
-		if si != curSeg {
-			col, err := t.readColumnLocked(sc, si, ord)
-			if err != nil {
-				return err
-			}
-			curSeg, cur = si, col
+		sm := &t.seg.segs[si]
+		n, lo, hi := 1, sm.startRow, sm.startRow+sm.rows
+		for n < len(ids) && ids[n] >= lo && ids[n] < hi {
+			n++
 		}
-		v.AppendVec(cur, id-t.seg.segs[si].startRow)
+		col, err := t.readColumnLocked(sc, si, ord)
+		if err != nil {
+			return err
+		}
+		datum.AppendGather(v, col, ids[:n], sm.startRow)
+		ids = ids[n:]
 	}
 	return nil
 }
