@@ -37,14 +37,15 @@ PLAN_BENCHTIME ?= 1s
 plan-bench:
 	go test -run '^$$' -bench 'BenchmarkOptimize' -benchmem -benchtime $(PLAN_BENCHTIME) ./internal/systemr
 
-# Kernel-operator micro-benchmarks in internal/exec: hash aggregation at 8 /
-# 1000 / 20 000 groups over one and three keys, the hash-join probe, and
-# filtered-scan late materialization at 10 % and 85 % selectivity over pinned
-# and file-backed segments — ns/row plus B/op and allocs/op.
+# Executor micro-benchmarks in internal/exec: hash aggregation at 8 / 1000 /
+# 20 000 groups over one and three keys, the hash-join probe, filtered scans
+# collected at 10 % and 85 % selectivity, and whole pipelines (filtered scalar
+# aggregate, 1000-group aggregation, three-dimension star join) — over pinned
+# and file-backed segments; ns/row plus B/op and allocs/op.
 # EXEC_BENCHTIME=1x is the CI smoke setting.
 EXEC_BENCHTIME ?= 1s
 exec-bench:
-	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkFilteredScan' -benchmem -benchtime $(EXEC_BENCHTIME) ./internal/exec
+	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkFilteredScan|BenchmarkPipeline' -benchmem -benchtime $(EXEC_BENCHTIME) ./internal/exec
 
 bench:
 	go test -bench=. -benchmem

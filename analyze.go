@@ -47,6 +47,10 @@ type NodeAnalysis struct {
 	// Batches counts the morsels the operator processed; it depends on the
 	// input size only, not on parallelism or vectorization.
 	Batches int64
+	// Pipeline is the executor pipeline the node ran in: nodes with the same
+	// number ran fused per morsel; a different number than the input's marks
+	// a breaker.
+	Pipeline int
 	// Vectorized reports that at least one predicate conjunct, hash or
 	// aggregate of the node ran on a typed kernel.
 	Vectorized bool
@@ -96,6 +100,7 @@ func buildNodeAnalysis(p physical.Plan, md *logical.Metadata, rm *physical.RunMe
 		n.QError = physical.QError(est, float64(m.ActualRows))
 		n.Invocations = m.Invocations
 		n.Batches = m.Batches
+		n.Pipeline = m.Pipeline
 		n.Vectorized = m.Vectorized
 		n.WallNanos = m.WallNanos
 		n.PeakMemRows = m.PeakMemRows

@@ -266,3 +266,44 @@ func TestAnalyzeOffNoMetrics(t *testing.T) {
 		t.Errorf("unanalyzed plan text carries metrics:\n%s", res.Plan)
 	}
 }
+
+// TestExplainAnalyzePipelineTags: every executed node carries a pipeline tag;
+// a stage shares the tag of the input it streams from — a hash join its
+// probe side, an aggregation, exchange or scan-fed stage its input — and a
+// breaker starts another: the join's build side, the input of a sort.
+func TestExplainAnalyzePipelineTags(t *testing.T) {
+	f := newAnalyzeFixture(t, 4)
+	res, pa, err := f.eng.QueryAnalyze(`SELECT x.g, COUNT(*) FROM x, y WHERE x.b = y.pk AND x.v >= 0 GROUP BY x.g ORDER BY x.g`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 10 || !strings.Contains(pa.Text, "pipeline=") {
+		t.Fatalf("%d rows, want 10 and pipeline tags:\n%s", len(res.Rows), pa.Text)
+	}
+	var joins, sorts, fused int
+	pa.Root.Walk(func(n *NodeAnalysis) {
+		if !n.Executed || n.Pipeline == 0 {
+			t.Errorf("node %q has no pipeline tag:\n%s", n.Op, pa.Text)
+			return
+		}
+		switch {
+		case strings.Contains(n.Op, "hash-inner-join"):
+			joins++
+			if n.Children[0].Pipeline != n.Pipeline || n.Children[1].Pipeline == n.Pipeline {
+				t.Errorf("join %d: probe side %d should share its tag, build side %d should not", n.Pipeline, n.Children[0].Pipeline, n.Children[1].Pipeline)
+			}
+		case strings.Contains(n.Op, "sort"):
+			sorts++
+			if n.Children[0].Pipeline == n.Pipeline {
+				t.Errorf("sort shares pipeline %d with its input", n.Pipeline)
+			}
+		case strings.Contains(n.Op, "hash-group-by"), strings.Contains(n.Op, "exchange degree=4 hash"):
+			if n.Children[0].Pipeline == n.Pipeline {
+				fused++
+			}
+		}
+	})
+	if joins == 0 || sorts == 0 || fused < 3 {
+		t.Errorf("%d joins, %d sorts, %d stages fused with their input; want a join, a sort and fused stages:\n%s", joins, sorts, fused, pa.Text)
+	}
+}

@@ -392,6 +392,21 @@ func (v *Vec) AppendVec(src *Vec, i int) {
 		v.n++
 		return
 	}
+	if v.kind == src.kind && !v.anyKind && !src.anyKind && v.Dict == nil && src.Dict == nil &&
+		v.kind != KindNull && !(src.numNulls > 0 && src.nulls.Get(i)) {
+		// Same plain typed representation, value not NULL: move the payload.
+		v.alloc()
+		switch v.kind {
+		case KindFloat:
+			v.Floats = append(v.Floats, src.Floats[i])
+		case KindString:
+			v.Strs = append(v.Strs, src.Strs[i])
+		default:
+			v.Ints = append(v.Ints, src.Ints[i])
+		}
+		v.n++
+		return
+	}
 	v.AppendD(src.D(i))
 }
 

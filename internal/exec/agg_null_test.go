@@ -188,9 +188,10 @@ func TestVecAggWorkerNullFold(t *testing.T) {
 		}}
 		workers := make([]*vecAggWorker, 2)
 		for w := range workers {
-			wk := &vecAggWorker{groups: newVecGroups(in, []int{0}, len(items), 0, nil)}
+			wk := &vecAggWorker{groups: newVecGroups(1, len(items), 0, nil)}
 			for _, it := range items {
 				wk.accs = append(wk.accs, newVecAccumulator(it, in.Vecs[1]))
+				wk.sigs = append(wk.sigs, reprSig(in.Vecs[1]))
 			}
 			sel := []int32{0, 1, 2}
 			if w == 1 {
@@ -199,11 +200,12 @@ func TestVecAggWorkerNullFold(t *testing.T) {
 			hs, gids := make([]uint64, len(sel)), make([]int32, len(sel))
 			hashInit(hs)
 			hashCombineVec(in.Vecs[0], sel, hs)
+			wk.groups.bind(in.Vecs, []int{0})
 			for k, i := range sel {
-				gids[k], _ = wk.groups.assign(i, mixHash(hs[k]))
+				gids[k] = wk.groups.assign(i, mixHash(hs[k]))
 			}
 			for _, acc := range wk.accs {
-				acc.ensure(len(wk.groups.firstRow), 0)
+				acc.ensure(wk.groups.n, 0)
 				acc.accumulate(in.Vecs[1], sel, gids)
 			}
 			workers[w] = wk
@@ -216,7 +218,7 @@ func TestVecAggWorkerNullFold(t *testing.T) {
 		if lone.IsNull() {
 			want[1] = []string{"1", "0", "NULL", "NULL", "NULL", "NULL"}
 		}
-		if got := len(workers[0].groups.firstRow); got != 2 {
+		if got := workers[0].groups.n; got != 2 {
 			t.Fatalf("folded table has %d groups, want 2", got)
 		}
 		for g, row := range want {

@@ -1,23 +1,23 @@
-// Columnar batches for the vectorized execution path (§5.2's CPU-per-row
-// constant attacked directly): a Batch is a set of typed column vectors plus
-// an optional selection vector naming the live rows. Scans produce batches
-// straight from storage, kernels in kernels.go filter/hash/aggregate them
-// without per-row interface dispatch, and ToRows materializes the boundary
-// for operators that consume rows.
+// Columnar batches (§5.2's CPU-per-row constant attacked directly): a Batch is
+// a set of typed column vectors plus an optional selection vector naming the
+// live rows. It is both what flows between the stages of a pipeline — one
+// morsel at a time, over worker scratch — and what a pipeline's collect sink
+// materializes; kernels in kernels.go filter/hash/aggregate it without
+// per-row interface dispatch, and ToRows materializes the boundary for
+// operators that consume rows.
 package exec
 
 import (
-	"sync"
-
 	"repro/internal/datum"
 	"repro/internal/logical"
 )
 
-// Batch is a columnar morsel: one vector per output column, all the same
-// length, plus a selection vector. A nil Sel means every row is live;
-// otherwise Sel holds the live row indices in ascending order. Kernels
-// refine Sel instead of copying survivors, so a filter costs one index
-// write per passing row.
+// Batch is one vector per output column, all the same length n, plus a
+// selection vector. A nil Sel means every row is live; otherwise Sel holds
+// the live row indices in ascending order. Kernels refine Sel instead of
+// copying survivors, so a filter costs one index write per passing row. In a
+// pipeline a column no later stage reads may be missing (a nil or stale
+// vector).
 type Batch struct {
 	Cols []logical.ColumnID
 	Vecs []*datum.Vec
@@ -99,24 +99,4 @@ func batchRowBytes(b *Batch) int64 {
 		total += v.DataBytes(b.Sel)
 	}
 	return total + int64(b.NumRows())*entryOverhead
-}
-
-// --- scratch pools ---
-
-// hashPool recycles per-chunk hash scratch for join/agg probes.
-var hashPool = sync.Pool{New: func() any { h := make([]uint64, 0, MorselSize); return &h }}
-
-func getHashBuf(n int) []uint64 {
-	h := (*hashPool.Get().(*[]uint64))[:0]
-	if cap(h) < n {
-		h = make([]uint64, 0, n)
-	}
-	return h[:n]
-}
-
-func putHashBuf(h []uint64) {
-	if cap(h) == 0 {
-		return
-	}
-	hashPool.Put(&h)
 }

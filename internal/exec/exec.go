@@ -1,15 +1,20 @@
-// Package exec implements query execution: a materializing morsel executor
-// over physical plans (Figure 1 of the paper) and a naive recursive evaluator
-// over logical trees. Each physical operator runs its input to completion and
-// then processes it as one loop body over ~1024-row morsels; the scheduler in
-// parallel.go runs that body inline (serial execution is one worker) or on a
-// worker pool. Scans, filters and projections exchange columnar batches;
-// predicate conjuncts with a typed kernel run on the column vectors and the
-// remaining conjuncts run row-at-a-time over the kernels' survivors
-// (scan.go). The naive evaluator serves three roles: the reference
-// implementation for correctness tests, the tuple-iteration semantics used to
-// evaluate correlated subqueries that were not unnested (the baseline §4.2
-// improves on), and the executor for Values rows.
+// Package exec implements query execution: a push-based morsel executor over
+// physical plans (Figure 1 of the paper: a tree of operators data flows
+// through as a pipeline) and a naive recursive evaluator over logical trees.
+// A plan is cut at its breakers — hash-join build sides, hash aggregations,
+// and the hand-off to row operators (sorts, nested-loop, index and merge
+// joins, limits, unions) or to the result — and everything between two
+// breakers runs fused: one loop over ~1024-row morsels carries each morsel
+// from its source through filter, projection, exchange and join-probe stages
+// into an aggregate or collect sink, materializing nothing in between
+// (pipeline.go). The scheduler in parallel.go runs that loop inline (serial
+// execution is one worker) or on a worker pool. Predicate conjuncts with a
+// typed kernel run on the column vectors and the remaining conjuncts run
+// row-at-a-time over the kernels' survivors (scan.go). The naive evaluator
+// serves three roles: the reference implementation for correctness tests, the
+// tuple-iteration semantics used to evaluate correlated subqueries that were
+// not unnested (the baseline §4.2 improves on), and the executor for Values
+// rows.
 package exec
 
 import (
@@ -100,13 +105,16 @@ type Ctx struct {
 	NoPrune bool
 	// Metrics, when non-nil, collects per-operator runtime metrics (EXPLAIN
 	// ANALYZE): actual rows, invocations, morsel batches, wall time, peak
-	// buffered rows and per-worker row counts. Enable with EnableAnalyze.
-	// When nil — the default — the analyze hooks cost one pointer check per
-	// operator invocation, so the instrumented engine stays as fast as the
-	// uninstrumented one (BenchmarkExecAnalyzeOff/On measures this).
+	// buffered rows and per-worker row counts — per plan node, also for the
+	// stages fused into one pipeline. Enable with EnableAnalyze. When nil —
+	// the default — the analyze hooks cost one pointer check per operator
+	// invocation and per morsel, and no clock read, so the instrumented engine
+	// stays as fast as the uninstrumented one (BenchmarkExecAnalyzeOff/On
+	// measures this).
 	Metrics *physical.RunMetrics
 	// curNode is the metrics record of the operator currently executing on
-	// the coordinating goroutine. Workers never touch it: per-worker stats
+	// the coordinating goroutine (nil inside a pipeline's morsel loop, whose
+	// nodes are metered per stage). Workers never touch it: per-worker stats
 	// travel through child contexts and are folded in at pipeline barriers.
 	curNode *physical.NodeMetrics
 	// bar is the abort barrier of the runWorkers call this (child) context
@@ -207,13 +215,6 @@ func (c *Ctx) rowAt(tab *storage.Table, id int) (datum.Row, error) {
 	r, err := tab.Row(&sc, id)
 	c.noteScan(&sc)
 	return r, err
-}
-
-func (c *Ctx) colValue(tab *storage.Table, id, ord int) (datum.D, error) {
-	sc := storage.ScanCtx{Faults: c.Faults}
-	d, err := tab.ColValue(&sc, id, ord)
-	c.noteScan(&sc)
-	return d, err
 }
 
 func (c *Ctx) fillRange(tab *storage.Table, ord, lo, hi int, v *datum.Vec) error {
@@ -355,10 +356,17 @@ func (c *Ctx) touchPage(table string, page int) {
 	}
 }
 
-// touchRow charges the page holding a row id.
-func (c *Ctx) touchRow(tab *storage.Table, rowID int) {
-	rpp := rowsPerPage(tab)
-	c.touchPage(tab.Def.Name, rowID/rpp)
+// touchRows charges the pages holding the given row ids, in id order. A page
+// is touched once per run of ids on it: touching it again right away would be
+// a hit that changes nothing in the FIFO buffer.
+func (c *Ctx) touchRows(tab *storage.Table, ids []int) {
+	rpp, last := rowsPerPage(tab), -1
+	for _, id := range ids {
+		if page := id / rpp; page != last {
+			c.touchPage(tab.Def.Name, page)
+			last = page
+		}
+	}
 }
 
 func rowsPerPage(tab *storage.Table) int {

@@ -66,23 +66,36 @@ func (c *Ctx) sortResult(res *Result, by logical.Ordering) error {
 	return err
 }
 
-// run executes one operator and returns its output in the form the operator
-// produced it: a columnar batch (scans, filter, project, the kernel join and
-// aggregation) or rows (everything else) — exactly one of the two is set.
+// run executes one operator and returns its materialized output: a columnar
+// batch (everything that streams — the pipeline ending at p, collected or
+// aggregated) or rows (the row operators) — exactly one of the two is set.
 // Every operator entry doubles as a cancellation checkpoint. Analyze mode
-// meters the operator here, once for both forms; the nil check is the entire
-// cost of the instrumentation when analyze is off.
+// meters row operators here and pipelines per stage (pipeline.go); the nil
+// check is the entire cost of the instrumentation when analyze is off.
 func (c *Ctx) run(p physical.Plan) (*Batch, []datum.Row, error) {
 	if err := c.canceled(); err != nil {
 		return nil, nil, err
+	}
+	if g, ok := p.(*physical.HashGroupBy); ok && c.Vectorize {
+		if sink := newAggSink(g); sink != nil {
+			return batchOf(c.aggregate(g, sink))
+		}
+	}
+	if c.streams(p) {
+		pl, err := c.open(p)
+		if err != nil {
+			return nil, nil, err
+		}
+		defer pl.close()
+		return batchOf(pl.collect())
 	}
 	if c.Metrics == nil {
 		return c.execPlan(p)
 	}
 	m := c.Metrics.Node(p)
 	m.Invocations++
-	prev := c.curNode
-	c.curNode = m
+	m.Pipeline = c.Metrics.NewPipeline()
+	defer c.leave(c.enter(p))
 	start := time.Now()
 	b, rows, err := c.execPlan(p)
 	m.WallNanos += time.Since(start).Nanoseconds()
@@ -91,9 +104,21 @@ func (c *Ctx) run(p physical.Plan) (*Batch, []datum.Row, error) {
 	} else {
 		m.ActualRows += int64(len(rows))
 	}
-	c.curNode = prev
 	return b, rows, err
 }
+
+// enter makes p the operator being analyzed — what noteMem, noteSpill and
+// their like report to — and returns the previous one for leave. Without
+// analyze both do nothing.
+func (c *Ctx) enter(p physical.Plan) *physical.NodeMetrics {
+	prev := c.curNode
+	if c.Metrics != nil {
+		c.curNode = c.Metrics.Node(p)
+	}
+	return prev
+}
+
+func (c *Ctx) leave(prev *physical.NodeMetrics) { c.curNode = prev }
 
 // runPlan is run for row consumers: batch output is materialized to rows.
 func (c *Ctx) runPlan(p physical.Plan) ([]datum.Row, error) {
@@ -124,32 +149,85 @@ func (c *Ctx) noteVectorized() {
 	}
 }
 
-// rowsOf and batchOf lift an operator's single-form result into execPlan's
+// rowsOf and batchOf lift an operator's single-form result into run's
 // (batch, rows, error) return.
 func rowsOf(rows []datum.Row, err error) (*Batch, []datum.Row, error) { return nil, rows, err }
 func batchOf(b *Batch, err error) (*Batch, []datum.Row, error)        { return b, nil, err }
 
-// execPlan dispatches on the operator type. Operators materialize their
-// output; inner operators of joins may be re-materialized only once (the
-// engine caches nothing across calls — joins materialize inputs explicitly).
-// Ctx.Vectorize is consulted here and in compilePreds only: it decides
-// whether kernels are compiled, never which operator implementation runs.
-func (c *Ctx) execPlan(p physical.Plan) (*Batch, []datum.Row, error) {
+// streams reports whether p is a pipeline stage rather than a breaker: a
+// scan, a filter or a projection, an exchange over a streaming input, a hash
+// join the kernels cover. Ctx.Vectorize is consulted here, in run and in
+// compilePreds only: it decides whether kernels are compiled — a hash join or
+// aggregation without them is a row operator — never how a stage runs.
+func (c *Ctx) streams(p physical.Plan) bool {
+	switch t := p.(type) {
+	case *physical.TableScan, *physical.IndexScan, *physical.Filter, *physical.Project:
+		return true
+	case *physical.Exchange:
+		return c.streams(t.Input)
+	case *physical.HashJoin:
+		_, _, ok := kernelJoinKeys(t)
+		return ok && c.Vectorize
+	}
+	return false
+}
+
+// open returns the pipeline whose last stage is p: p's input pipeline with p
+// on top when p streams, and otherwise — p is a breaker — p run to completion
+// as the source of a new one. Nothing of a pipeline runs before its sink
+// drives it, except what a stage needs first: an index scan's posting list, a
+// hash join's build side.
+func (c *Ctx) open(p physical.Plan) (*pipeline, error) {
+	var st stage
+	var in physical.Plan
 	switch t := p.(type) {
 	case *physical.TableScan:
-		return batchOf(c.scanTable(t))
+		return c.openTableScan(t)
 	case *physical.IndexScan:
-		return batchOf(c.scanIndex(t))
+		return c.openIndexScan(t)
+	case *physical.Filter:
+		in, st = t.Input, c.newFilterStage(t)
+	case *physical.Project:
+		in, st = t.Input, newProjectStage(t)
+	case *physical.Exchange:
+		x, err := c.newExchangeStage(t)
+		if err != nil {
+			return nil, err
+		}
+		in, st = t.Input, x
+	case *physical.HashJoin:
+		if lOff, rOff, ok := kernelJoinKeys(t); ok && c.Vectorize {
+			return c.openJoin(t, lOff, rOff)
+		}
+	}
+	if st == nil {
+		began := c.tick()
+		b, err := c.inputBatch(p)
+		if err != nil {
+			return nil, err
+		}
+		pl := c.newPipeline(p, &batchSource{in: b}, began)
+		pl.srcDone = true
+		return pl, nil
+	}
+	pl, err := c.open(in)
+	if err != nil {
+		return nil, err
+	}
+	return pl.add(p, st), nil
+}
+
+// execPlan dispatches a row operator, which materializes its inputs (inner
+// operators of joins may be re-materialized only once — the engine caches
+// nothing across calls) and its output.
+func (c *Ctx) execPlan(p physical.Plan) (*Batch, []datum.Row, error) {
+	switch t := p.(type) {
 	case *physical.ValuesOp:
 		res, err := c.naiveValues(&logical.Values{Cols: t.Cols, Rows: t.Rows}, nil)
 		if err != nil {
 			return nil, nil, err
 		}
 		return nil, res.Rows, nil
-	case *physical.Filter:
-		return batchOf(c.runFilter(t))
-	case *physical.Project:
-		return batchOf(c.runProject(t))
 	case *physical.Sort:
 		in, err := c.runPlan(t.Input)
 		if err != nil {
@@ -167,20 +245,8 @@ func (c *Ctx) execPlan(p physical.Plan) (*Batch, []datum.Row, error) {
 	case *physical.MergeJoin:
 		return rowsOf(c.runMergeJoin(t))
 	case *physical.HashJoin:
-		if c.Vectorize {
-			if b, ok, err := c.vecHashJoin(t); ok {
-				c.noteVectorized()
-				return batchOf(b, err)
-			}
-		}
 		return rowsOf(c.runHashJoin(t))
 	case *physical.HashGroupBy:
-		if c.Vectorize {
-			if b, ok, err := c.vecGroupBy(t); ok {
-				c.noteVectorized()
-				return batchOf(b, err)
-			}
-		}
 		return rowsOf(c.runGroupBy(t.Input, t.GroupCols, t.Aggs, true, t.Rows))
 	case *physical.StreamGroupBy:
 		return rowsOf(c.runGroupBy(t.Input, t.GroupCols, t.Aggs, false, t.Rows))
@@ -302,14 +368,17 @@ func (c *Ctx) probeJoin(kind logical.JoinKind, left, right []datum.Row, leftCols
 	matched := newMatchedSets(kind, nw, len(right))
 	outs := make([][]datum.Row, numMorsels(len(left)))
 	err := c.forMorsels(len(left), func(wc *Ctx, m, lo, hi int) error {
+		// The candidate pair is tested in one reused row; only a pair that
+		// joins is copied out.
 		e := newEnv(combined, nil)
+		ectx := wc.evalCtx(e)
 		var out []datum.Row
 		var lr datum.Row
 		var found bool
 		visit := func(ri int, rr datum.Row) (bool, error) {
 			wc.Counters.RowsProcessed++
-			e.row = lr.Concat(rr)
-			ok, err := wc.filterRow(on, e)
+			e.row = append(append(e.row[:0], lr...), rr...)
+			ok, err := allTrue(on, ectx)
 			if err != nil || !ok {
 				return false, err
 			}
@@ -393,9 +462,7 @@ func (c *Ctx) runINLJoin(t *physical.INLJoin) ([]datum.Row, error) {
 			}
 			wc.Counters.IndexSeeks++
 			ids := ix.SeekEq(key)
-			for _, id := range ids {
-				wc.touchRow(tab, id)
-			}
+			wc.touchRows(tab, ids)
 			for _, id := range ids {
 				ir, err := wc.rowAt(tab, id)
 				if err != nil {

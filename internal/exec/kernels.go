@@ -596,9 +596,10 @@ func hashCombineD(h uint64, d datum.D) uint64 {
 // inner loops are typed. gids maps each selected row to its group id.
 type vecAccumulator interface {
 	// ensure makes room for groups [0, nGroups); called once per morsel, after
-	// the morsel's new groups are known. capHint is the group count the table
-	// was sized for: an array that has to grow grows at least that far, so a
-	// well-estimated aggregation allocates its state once.
+	// the morsel's new groups are known. capHint is the group count the caller
+	// expects in the end: an array that has to grow is allocated for exactly
+	// that many while the expectation holds, so a well-estimated aggregation
+	// allocates its state once and a fold reserves the merged count.
 	ensure(nGroups, capHint int)
 	accumulate(v *datum.Vec, sel []int32, gids []int32)
 	// merge folds another worker's accumulator of the same concrete type into
@@ -613,16 +614,21 @@ type vecAccumulator interface {
 }
 
 // growTo extends s with zero values to length n. When the backing array is
-// too short the new one holds at least capHint elements and at least twice
-// the old capacity, so growth costs a bounded multiple of the final size. It
-// relies on s's spare capacity being zero, which holds for a slice that is
-// only ever extended (by growTo or append), never truncated and regrown.
+// too short the new one holds capHint elements while that still covers n —
+// the caller's size is exact (the fold) or an estimate that holds so far —
+// and otherwise twice the old capacity, so growth past a wrong estimate costs
+// a bounded multiple of the final size. It relies on s's spare capacity
+// being zero, which holds for a slice that is only ever extended (by growTo
+// or append), never truncated and regrown.
 func growTo[T any](s []T, n, capHint int) []T {
 	if n <= len(s) {
 		return s
 	}
 	if n > cap(s) {
-		grown := make([]T, len(s), max(n, capHint, 2*cap(s)))
+		if capHint < n {
+			capHint = max(n, 2*cap(s))
+		}
+		grown := make([]T, len(s), capHint)
 		copy(grown, s)
 		s = grown
 	}

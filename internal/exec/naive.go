@@ -309,12 +309,17 @@ func presentation(res *Result, q *logical.Query) (*Result, error) {
 		offsets[i] = off
 	}
 	out := &Result{Cols: q.ResultCols}
-	for _, r := range res.Rows {
-		nr := make(datum.Row, len(offsets))
+	if len(res.Rows) == 0 {
+		return out, nil
+	}
+	// One backing array for all cells, like Batch.ToRows.
+	out.Rows = make([]datum.Row, len(res.Rows))
+	cells := make(datum.Row, len(res.Rows)*len(offsets))
+	for k, r := range res.Rows {
+		out.Rows[k], cells = cells[:len(offsets):len(offsets)], cells[len(offsets):]
 		for i, off := range offsets {
-			nr[i] = r[off]
+			out.Rows[k][i] = r[off]
 		}
-		out.Rows = append(out.Rows, nr)
 	}
 	return out, nil
 }

@@ -1,26 +1,26 @@
-// The morsel scheduler (§7.1 made real): every operator loop in this package
-// is written once, as a body over morsels of ~1024 rows, and this file decides
-// how many workers run it. One worker is the serial engine — the body runs
-// inline on the calling goroutine; more workers claim morsels from a shared
-// pool. The partitioning §7.1 describes happens inside the operators: hash
-// joins probe one shared build table morsel-wise (the row join partitions a
-// large build side and builds one table per partition), hash aggregation
-// pre-aggregates into thread-local tables folded at the pipeline barrier,
-// and scans and joins materialize their output one column per worker. An
-// Exchange operator is therefore not a data movement here: in one address
-// space no tuple has to travel, so it forwards its input untouched and stays
-// in the plan as the partitioning-property boundary whose communication cost
-// internal/parallel models. With one worker every combining step is skipped
-// inside the same function.
+// The morsel scheduler (§7.1 made real): every loop in this package is written
+// once, as a body over morsels of ~1024 rows — a whole pipeline's (pipeline.go)
+// or a row operator's — and this file decides how many workers run it. One
+// worker is the serial engine — the body runs inline on the calling goroutine;
+// more workers claim morsels from a shared pool. The partitioning §7.1
+// describes happens inside the operators: hash joins probe one shared build
+// table morsel-wise (the row join partitions a large build side and builds
+// one table per partition), hash aggregation pre-aggregates into thread-local
+// tables folded at the pipeline barrier. An Exchange operator is therefore
+// not a data movement here: in one address space no tuple has to travel, so
+// it forwards its input untouched and stays in the plan as the
+// partitioning-property boundary whose communication cost internal/parallel
+// models. With one worker every combining step is skipped inside the same
+// function.
 //
 // Every pool worker gets a private Ctx (counters, simulated buffer) merged
 // into the parent at the barrier, so the engine is race-free under
 // `go test -race`. Operators emit the same rows in the same order at every
-// worker count wherever the order is observable: scans, filters, projections,
-// nested-loop and hash joins keep per-morsel outputs in morsel order, sorts
-// reproduce the stable order exactly, and exchanges pass their input's order
-// through. Hash aggregation on several workers emits groups in a
-// deterministic but worker-count-specific order (group output is unordered
+// worker count wherever the order is observable: a pipeline's collected
+// output and nested-loop and hash joins keep per-morsel outputs in morsel
+// order, sorts reproduce the stable order exactly, and exchanges pass their
+// input's order through. Hash aggregation on several workers emits groups in
+// a deterministic but worker-count-specific order (group output is unordered
 // in SQL).
 package exec
 
@@ -253,11 +253,12 @@ func firstError(errs []error) error {
 func numMorsels(n int) int { return (n + MorselSize - 1) / MorselSize }
 
 // morselWorkers is the one worker-count decision of the engine: how many
-// workers an operator over n input rows runs on. Serial execution is
+// workers a loop over n input rows runs on. Serial execution is
 // Parallelism <= 1; inputs under minParallelRows stay on one worker at any
-// degree because the fan-out would cost more than the work. forMorsels runs
-// morsel m on worker m % morselWorkers(n), so operators index per-worker
-// state (scan scratch, thread-local group tables) by that.
+// degree because the fan-out would cost more than the work — such a pipeline
+// runs inline, with no pool submit. forMorsels runs morsel m on worker
+// m % morselWorkers(n), so per-worker state (stage scratch, thread-local
+// group tables) is indexed by that.
 func (c *Ctx) morselWorkers(n int) int {
 	if c.Parallelism <= 1 || n < minParallelRows {
 		return 1
@@ -282,6 +283,17 @@ func (c *Ctx) forMorsels(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
 	if c.curNode != nil {
 		c.curNode.Batches += int64(nm)
 	}
+	if nm == 1 {
+		// One morsel is one worker's one turn: run it here, as runWorkers
+		// would, without building the worker loop.
+		if c.bar.aborted() {
+			return errBarrierAborted
+		}
+		if err := c.canceled(); err != nil {
+			return err
+		}
+		return fn(c, 0, 0, n)
+	}
 	w := c.morselWorkers(n)
 	return c.runWorkers(w, func(wk int, wc *Ctx) error {
 		for m := wk; m < nm; m += w {
@@ -301,9 +313,9 @@ func (c *Ctx) forMorsels(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
 }
 
 // forColumns runs fn once per output column of a rows-row result, one column
-// per worker turn: columns are independent vectors, so gathering or decoding
-// them needs no coordination. The worker count follows the row count like
-// every other operator loop, capped by the number of columns.
+// per worker turn: columns are independent vectors, so stitching them together
+// needs no coordination. The worker count follows the row count like every
+// other loop, capped by the number of columns.
 func (c *Ctx) forColumns(rows, nCols int, fn func(wc *Ctx, ci int) error) error {
 	nw := min(c.morselWorkers(rows), nCols)
 	return c.runWorkers(nw, func(w int, wc *Ctx) error {
@@ -408,75 +420,96 @@ func mergeRuns(rows []datum.Row, runs [][]int, spec []datum.SortSpec, counters *
 
 // --- exchange ---
 
-// runExchange is the §7.1 partitioning boundary inside one process: nothing
-// has to move between workers that share an address space, so the input is
-// forwarded in the form it arrives — same vectors, same selection, same
-// order — and only counted. That order is the answer every exchange the
-// planner emits asks for: a MergeOrdering promises the input's sort order
-// back, and without one any order is a valid bag. The operators above the
-// exchange do the partitioned work themselves (shared build table and
-// morsel-wise probe, thread-local pre-aggregation). The plan's contract is
-// still checked: partition and merge columns must exist in the input layout.
-func (c *Ctx) runExchange(t *physical.Exchange) (*Batch, []datum.Row, error) {
-	b, rows, err := c.run(t.Input)
-	if err != nil {
-		return nil, nil, err
-	}
+// exchangeStage is the §7.1 partitioning boundary inside one process: nothing
+// has to move between workers that share an address space, so a morsel passes
+// through in the form it arrives — same vectors, same selection, same order —
+// and is only counted. That order is the answer every exchange the planner
+// emits asks for: a MergeOrdering promises the input's sort order back, and
+// without one any order is a valid bag. The stages above the exchange do the
+// partitioned work themselves (shared build table and morsel-wise probe,
+// thread-local pre-aggregation). The plan's contract is still checked:
+// partition and merge columns must exist in the input layout.
+type exchangeStage struct {
+	pOff []int
+	// Under EXPLAIN ANALYZE of a parallel execution a hash exchange records
+	// the skew signal: parts[w][p] is how many of worker w's rows the p-th of
+	// its degree hash partitions would receive.
+	skew   bool
+	parts  [][]int64
+	degree int
+}
+
+func (c *Ctx) newExchangeStage(t *physical.Exchange) (*exchangeStage, error) {
 	layout := t.Input.Columns()
 	pOff, err := offsetsOf(layout, t.PartitionCols)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	for _, o := range t.MergeOrdering {
 		if (&Result{Cols: layout}).ColIndex(o.Col) < 0 {
-			return nil, nil, fmt.Errorf("exec: exchange merge column @%d not in layout", int(o.Col))
+			return nil, fmt.Errorf("exec: exchange merge column @%d not in layout", int(o.Col))
 		}
 	}
-	n := len(rows)
-	if b != nil {
-		n = b.NumRows()
+	x := &exchangeStage{pOff: pOff, degree: t.Degree, skew: c.Metrics != nil && len(pOff) > 0 && c.Parallelism > 1}
+	if x.degree < 2 {
+		x.degree = c.Parallelism
 	}
-	c.Counters.ExchangedRows += int64(n)
-	if c.curNode != nil && len(pOff) > 0 && c.morselWorkers(n) > 1 {
-		c.notePartitionRows(t, b, rows, pOff)
-	}
-	return b, rows, nil
+	return x, nil
 }
 
-// notePartitionRows records, for EXPLAIN ANALYZE only, how many rows each of
-// the exchange's hash partitions would receive — the skew signal: a
-// partitioning key that lands most rows in one stream shows up here.
-func (c *Ctx) notePartitionRows(t *physical.Exchange, b *Batch, rows []datum.Row, pOff []int) {
-	degree := t.Degree
-	if degree < 2 {
-		degree = c.Parallelism
+func (x *exchangeStage) bind(need []bool, workers int) []bool {
+	if !x.skew {
+		return need
 	}
-	counts := make([]int64, degree)
-	note := func(h uint64) { counts[mixHash(h)%uint64(degree)]++ }
-	if b == nil {
-		for _, r := range rows {
-			h := fnvOffset64
-			for _, o := range pOff {
-				h = hashCombineD(h, r[o])
-			}
-			note(h)
+	x.parts = make([][]int64, workers)
+	in := append([]bool(nil), need...)
+	for _, o := range x.pOff {
+		in[o] = true
+	}
+	return in
+}
+
+func (x *exchangeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error) {
+	wc.Counters.ExchangedRows += int64(in.NumRows())
+	if x.skew {
+		if x.parts[w] == nil {
+			x.parts[w] = make([]int64, x.degree)
 		}
-	} else {
-		sels := newSelBufs(1)
-		for lo, n := 0, b.NumRows(); lo < n; lo += MorselSize {
-			chunk := sels.morsel(b, 0, lo, min(lo+MorselSize, n))
-			hs := getHashBuf(len(chunk))
-			hashInit(hs)
-			for _, o := range pOff {
-				hashCombineVec(b.Vecs[o], chunk, hs)
-			}
-			for _, h := range hs {
-				note(h)
-			}
-			putHashBuf(hs)
+		chunk := pw.live(in)
+		hs := pw.hashes(len(chunk))
+		for _, o := range x.pOff {
+			hashCombineVec(in.Vecs[o], chunk, hs)
+		}
+		for _, h := range hs {
+			x.parts[w][mixHash(h)%uint64(x.degree)]++
 		}
 	}
-	for p, n := range counts {
-		c.curNode.AddWorkerRows(p, n)
+	return in, nil
+}
+
+// report records the partition sizes of an input large enough to have been
+// partitioned across workers at all.
+func (x *exchangeStage) report(m *physical.NodeMetrics, rows int64) {
+	if rows < minParallelRows {
+		return
 	}
+	for _, counts := range x.parts {
+		for p, n := range counts {
+			m.AddWorkerRows(p, n)
+		}
+	}
+}
+
+// runExchange is the exchange over an input that does not stream — a sort, a
+// row join: the materialized rows or batch pass through as they are.
+func (c *Ctx) runExchange(t *physical.Exchange) (*Batch, []datum.Row, error) {
+	if _, err := c.newExchangeStage(t); err != nil {
+		return nil, nil, err
+	}
+	b, rows, err := c.run(t.Input)
+	if b != nil {
+		c.Counters.ExchangedRows += int64(b.NumRows())
+	}
+	c.Counters.ExchangedRows += int64(len(rows))
+	return b, rows, err
 }

@@ -1,0 +1,486 @@
+package exec
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/catalog"
+	"repro/internal/datum"
+	"repro/internal/logical"
+	"repro/internal/physical"
+	"repro/internal/sql"
+	"repro/internal/storage"
+)
+
+// pipeFixture is the analytic schema at test size: a fact table sales (five
+// sealed segments of 1024 rows and an 880-row tail, k3 clustered so zone maps
+// prune), three 100-row dimensions, and a probe/build pair P/B with NULL keys,
+// an all-NULL column, duplicate build keys and floats spanning sixteen orders
+// of magnitude. P keeps a row tail beside its sealed segments.
+type pipeFixture struct {
+	cat   *catalog.Catalog
+	store *storage.Store
+	md    *logical.Metadata
+	tabs  map[string]*catalog.Table
+	cols  map[string][]logical.ColumnID
+}
+
+const (
+	pipeSalesRows = 6000
+	pipeDimRows   = 100
+)
+
+func newPipeFixture(t testing.TB) *pipeFixture {
+	t.Helper()
+	f := &pipeFixture{
+		cat: catalog.New(), store: storage.NewStoreWith(storage.StoreConfig{SegmentRows: 1024}),
+		md: logical.NewMetadata(), tabs: map[string]*catalog.Table{}, cols: map[string][]logical.ColumnID{},
+	}
+	rng := rand.New(rand.NewSource(20))
+	regions := []string{"north", "south", "east", "west", "central"}
+	intCol := func(name string) catalog.Column { return catalog.Column{Name: name, Kind: datum.KindInt} }
+	add := func(def *catalog.Table, flush bool, n int, row func(i int) datum.Row) {
+		if err := f.cat.AddTable(def); err != nil {
+			t.Fatal(err)
+		}
+		tab, err := f.store.CreateTable(def)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]datum.Row, n)
+		for i := range rows {
+			rows[i] = row(i)
+		}
+		if err := tab.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		if flush {
+			if err := tab.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.tabs[def.Name] = def
+		f.cols[def.Name] = f.md.AddTable(def, def.Name)
+	}
+	add(&catalog.Table{Name: "sales", Cols: []catalog.Column{
+		{Name: "id", Kind: datum.KindInt, NotNull: true}, intCol("k1"), intCol("k2"), intCol("k3"), intCol("cust"),
+		{Name: "region", Kind: datum.KindString}, intCol("qty"), {Name: "amount", Kind: datum.KindFloat},
+	}, Indexes: []*catalog.Index{
+		{Name: "sales_pkey", Cols: []int{0}, Unique: true, Clustered: true},
+		{Name: "sales_cust", Cols: []int{4}},
+		{Name: "sales_cust_qty", Cols: []int{4, 6}},
+	}}, true, pipeSalesRows, func(i int) datum.Row {
+		// amount is a multiple of 1/4, so sums of partial sums (the eager
+		// aggregates of the star plans) are exact like the direct sum.
+		return datum.Row{
+			datum.NewInt(int64(i)), datum.NewInt(int64(rng.Intn(pipeDimRows))), datum.NewInt(int64(rng.Intn(pipeDimRows))),
+			datum.NewInt(int64(i * pipeDimRows / pipeSalesRows)), datum.NewInt(int64(rng.Intn(60))),
+			datum.NewString(regions[rng.Intn(len(regions))]), datum.NewInt(int64(1 + rng.Intn(20))),
+			datum.NewFloat(float64(rng.Intn(100000)) / 4),
+		}
+	})
+	for d := 1; d <= 3; d++ {
+		name := fmt.Sprintf("dim%d", d)
+		add(&catalog.Table{Name: name, Cols: []catalog.Column{
+			{Name: "k", Kind: datum.KindInt, NotNull: true}, {Name: "attr", Kind: datum.KindString}, intCol("filt"),
+		}, Indexes: []*catalog.Index{{Name: name + "_pkey", Cols: []int{0}, Unique: true, Clustered: true}}},
+			false, pipeDimRows, func(i int) datum.Row {
+				return datum.Row{datum.NewInt(int64(i)), datum.NewString(fmt.Sprintf("d%d_%02d", d, i%20)), datum.NewInt(int64(rng.Intn(10)))}
+			})
+	}
+	add(&catalog.Table{Name: "P", Cols: []catalog.Column{intCol("k"), intCol("nk"), intCol("v"), {Name: "f", Kind: datum.KindFloat}}},
+		false, 3000, func(i int) datum.Row {
+			k := datum.NewInt(int64(rng.Intn(150)))
+			if rng.Intn(10) == 0 {
+				k = datum.Null
+			}
+			scale := []float64{1e-8, 1e-4, 1, 1e4, 1e8}[i%5]
+			return datum.Row{k, datum.Null, datum.NewInt(int64(i)), datum.NewFloat(float64((i*7919)%100003) / 7 * scale)}
+		})
+	add(&catalog.Table{Name: "B", Cols: []catalog.Column{intCol("k"), intCol("nk"), intCol("w")}},
+		false, 270, func(i int) datum.Row {
+			k := datum.NewInt(int64(i % 130)) // every key twice: a 1:N probe
+			if i >= 260 {
+				k = datum.Null
+			}
+			return datum.Row{k, datum.Null, datum.NewInt(int64(i * 3))}
+		})
+	// M.v is an INT column holding FLOAT strays in its third segment only: the
+	// vectors of most morsels are typed, those of a few boxed.
+	add(&catalog.Table{Name: "M", Cols: []catalog.Column{intCol("g"), intCol("v")}}, false, 4500, func(i int) datum.Row {
+		v := datum.NewInt(int64(i % 97))
+		if i >= 2100 && i < 2900 && i%3 == 0 {
+			v = datum.NewFloat(float64(i%97) + 0.5)
+		}
+		return datum.Row{datum.NewInt(int64(i % 7)), v}
+	})
+	return f
+}
+
+func (f *pipeFixture) col(table, name string) logical.ColumnID {
+	for i, c := range f.tabs[table].Cols {
+		if c.Name == name {
+			return f.cols[table][i]
+		}
+	}
+	panic("no column " + table + "." + name)
+}
+
+// scan returns a table scan of the named columns under the given filter.
+func (f *pipeFixture) scan(table string, filter []logical.Scalar, names ...string) *physical.TableScan {
+	s := &physical.TableScan{Table: f.tabs[table], Binding: table, Filter: filter}
+	for _, n := range names {
+		for i, c := range f.tabs[table].Cols {
+			if c.Name == n {
+				s.Cols, s.ColOrds = append(s.Cols, f.cols[table][i]), append(s.ColOrds, i)
+			}
+		}
+	}
+	return s
+}
+
+func (f *pipeFixture) index(table, name string) *catalog.Index {
+	for _, ix := range f.tabs[table].Indexes {
+		if ix.Name == name {
+			return ix
+		}
+	}
+	panic("no index " + name)
+}
+
+func cmpConst(op logical.CmpOp, col logical.ColumnID, v any) logical.Scalar {
+	var d datum.D
+	switch x := v.(type) {
+	case int:
+		d = datum.NewInt(int64(x))
+	case float64:
+		d = datum.NewFloat(x)
+	case string:
+		d = datum.NewString(x)
+	}
+	return &logical.Cmp{Op: op, L: &logical.Col{ID: col}, R: &logical.Const{Val: d}}
+}
+
+func aggOf(id int, fn logical.AggFn, arg logical.ColumnID) logical.AggItem {
+	it := logical.AggItem{ID: logical.ColumnID(id), Fn: fn}
+	if arg != 0 {
+		it.Arg = &logical.Col{ID: arg}
+	}
+	return it
+}
+
+func exchange(in physical.Plan, cols ...logical.ColumnID) *physical.Exchange {
+	return &physical.Exchange{Input: in, Degree: 2, PartitionCols: cols}
+}
+
+// pipeCase is one statement shape: the hand-built physical plan, the SQL the
+// naive evaluator answers it from (select list in the plan's output layout),
+// and whether the row sequence is part of the answer.
+type pipeCase struct {
+	name    string
+	plan    physical.Plan
+	sql     string
+	ordered bool
+}
+
+func pipeCases(f *pipeFixture) []pipeCase {
+	s := func(n string) logical.ColumnID { return f.col("sales", n) }
+	grp := func(in physical.Plan, keys []logical.ColumnID, aggs ...logical.AggItem) *physical.HashGroupBy {
+		return &physical.HashGroupBy{Input: in, GroupCols: keys, Aggs: aggs}
+	}
+	keys := func(ids ...logical.ColumnID) []logical.ColumnID { return ids }
+	join := func(kind logical.JoinKind, l, r physical.Plan, lk, rk logical.ColumnID) *physical.HashJoin {
+		return &physical.HashJoin{Kind: kind, Left: l, Right: r, LeftKeys: keys(lk), RightKeys: keys(rk)}
+	}
+	k2ne := cmpConst(logical.CmpNe, s("k2"), 17)
+	count, sumAmount := aggOf(1000, logical.AggCount, 0), aggOf(1001, logical.AggSum, s("amount"))
+
+	// star_3dim, as the optimizer plans it: two joins, an eager aggregate,
+	// the third join, the final aggregate, an exchange on every edge.
+	d := func(n int, col string) logical.ColumnID { return f.col(fmt.Sprintf("dim%d", n), col) }
+	dimScan := func(n int, filter []logical.Scalar) physical.Plan {
+		return &physical.Exchange{Input: f.scan(fmt.Sprintf("dim%d", n), filter, "k", "filt"), Degree: 2,
+			PartitionCols: keys(d(n, "k")), MergeOrdering: logical.Ordering{{Col: d(n, "k")}}}
+	}
+	fact := f.scan("sales", []logical.Scalar{cmpConst(logical.CmpNe, s("cust"), 7)}, "k1", "k2", "k3", "cust", "amount")
+	j1 := join(logical.InnerJoin, exchange(fact, s("k1")), dimScan(1, []logical.Scalar{cmpConst(logical.CmpLt, d(1, "filt"), 3)}), s("k1"), d(1, "k"))
+	j2 := join(logical.InnerJoin, exchange(j1, s("k2")), dimScan(2, nil), s("k2"), d(2, "k"))
+	eager := grp(exchange(j2, d(1, "filt"), d(2, "filt"), s("k3")), keys(d(1, "filt"), d(2, "filt"), s("k3")), aggOf(1010, logical.AggSum, s("amount")))
+	j3 := join(logical.InnerJoin, exchange(eager, s("k3")), dimScan(3, nil), s("k3"), d(3, "k"))
+	star3 := grp(exchange(j3, d(1, "filt"), d(2, "filt"), d(3, "filt")), keys(d(1, "filt"), d(2, "filt"), d(3, "filt")), aggOf(1011, logical.AggSum, 1010))
+
+	// star_1dim: eager aggregate on the join key, then an index nested-loop
+	// join into the filtered dimension.
+	eager1 := grp(exchange(f.scan("sales", []logical.Scalar{k2ne}, "k1", "k2", "amount"), s("k1")), keys(s("k1")), aggOf(1020, logical.AggSum, s("amount")))
+	inl := &physical.INLJoin{Kind: logical.InnerJoin, Left: eager1, Table: f.tabs["dim1"], Index: f.index("dim1", "dim1_pkey"),
+		Binding: "dim1", Cols: keys(d(1, "k"), d(1, "attr"), d(1, "filt")), ColOrds: []int{0, 1, 2}, LeftKeys: keys(s("k1")),
+		ExtraOn: []logical.Scalar{cmpConst(logical.CmpLt, d(1, "filt"), 5)}}
+	star1 := grp(exchange(inl, d(1, "attr")), keys(d(1, "attr")), aggOf(1021, logical.AggSum, 1020))
+
+	p, b := func(n string) logical.ColumnID { return f.col("P", n) }, func(n string) logical.ColumnID { return f.col("B", n) }
+	pScan, bScan := f.scan("P", nil, "k", "nk", "v", "f"), f.scan("B", nil, "k", "nk", "w")
+	never := []logical.Scalar{cmpConst(logical.CmpLt, s("qty"), 0)}
+	// A predicate no kernel compiles (arithmetic), between a join and the
+	// aggregate above it.
+	residual := &physical.Filter{Input: join(logical.InnerJoin, pScan, bScan, p("k"), b("k")), Preds: []logical.Scalar{&logical.Cmp{
+		Op: logical.CmpGt, L: &logical.Arith{Op: logical.ArithAdd, L: &logical.Col{ID: p("v")}, R: &logical.Col{ID: b("w")}}, R: &logical.Const{Val: datum.NewInt(1500)}}}}
+
+	return []pipeCase{
+		{name: "filter_agg", plan: grp(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpGt, s("qty"), 10), k2ne}, "k2", "qty", "amount"), nil, count, sumAmount),
+			sql: `SELECT COUNT(*), SUM(amount) FROM sales WHERE qty > 10 AND k2 <> 17`},
+		{name: "string_filter", plan: grp(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpEq, s("region"), "east")}, "region", "qty"), nil, count, aggOf(1002, logical.AggSum, s("qty"))),
+			sql: `SELECT COUNT(*), SUM(qty) FROM sales WHERE region = 'east'`},
+		{name: "groupby_low_ndv", plan: grp(exchange(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpLe, s("qty"), 16), k2ne}, "k2", "region", "qty", "amount"), s("region")), keys(s("region")), count, sumAmount),
+			sql: `SELECT region, COUNT(*), SUM(amount) FROM sales WHERE qty <= 16 AND k2 <> 17 GROUP BY region`},
+		{name: "groupby_1000", plan: grp(exchange(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpGt, s("qty"), 3), k2ne}, "k1", "k2", "qty", "amount"), s("k1")), keys(s("k1")), count, sumAmount),
+			sql: `SELECT k1, COUNT(*), SUM(amount) FROM sales WHERE qty > 3 AND k2 <> 17 GROUP BY k1`},
+		{name: "pk_range", plan: grp(&physical.IndexScan{Table: f.tabs["sales"], Index: f.index("sales", "sales_pkey"), Binding: "sales",
+			Cols: keys(s("id"), s("amount")), ColOrds: []int{0, 7}, Lo: datum.NewInt(1500), LoIncl: true, Hi: datum.NewInt(4100)}, nil, count, sumAmount),
+			sql: `SELECT COUNT(*), SUM(amount) FROM sales WHERE id >= 1500 AND id < 4100`},
+		{name: "index_lookup", ordered: true, plan: &physical.Exchange{Degree: 2, MergeOrdering: logical.Ordering{{Col: s("id")}},
+			Input: &physical.Sort{By: logical.Ordering{{Col: s("id")}}, Input: &physical.IndexScan{Table: f.tabs["sales"], Index: f.index("sales", "sales_cust"),
+				Binding: "sales", Cols: keys(s("id"), s("amount")), ColOrds: []int{0, 7}, EqKey: datum.Row{datum.NewInt(7)}}}},
+			sql: `SELECT id, amount FROM sales WHERE cust = 7 ORDER BY id`},
+		{name: "index_eq_range", plan: grp(&physical.IndexScan{Table: f.tabs["sales"], Index: f.index("sales", "sales_cust_qty"), Binding: "sales",
+			Cols: keys(s("id"), s("amount")), ColOrds: []int{0, 7}, EqKey: datum.Row{datum.NewInt(7)}, Lo: datum.NewInt(5), Hi: datum.NewInt(15), HiIncl: true}, nil, count, sumAmount),
+			sql: `SELECT COUNT(*), SUM(amount) FROM sales WHERE cust = 7 AND qty > 5 AND qty <= 15`},
+		{name: "star_1dim", plan: star1,
+			sql: `SELECT d.attr, SUM(s.amount) FROM sales s JOIN dim1 d ON s.k1 = d.k WHERE d.filt < 5 AND s.k2 <> 17 GROUP BY d.attr`},
+		{name: "star_3dim", plan: star3,
+			sql: `SELECT d1.filt, d2.filt, d3.filt, SUM(s.amount) FROM sales s JOIN dim1 d1 ON s.k1 = d1.k JOIN dim2 d2 ON s.k2 = d2.k JOIN dim3 d3 ON s.k3 = d3.k WHERE d1.filt < 3 AND s.cust <> 7 GROUP BY d1.filt, d2.filt, d3.filt`},
+		{name: "topn", ordered: true, plan: &physical.LimitOp{N: 10, Input: &physical.Exchange{Degree: 2, MergeOrdering: logical.Ordering{{Col: s("amount"), Desc: true}, {Col: s("id")}},
+			Input: &physical.Sort{By: logical.Ordering{{Col: s("amount"), Desc: true}, {Col: s("id")}}, Input: &physical.Project{Input: f.scan("sales", []logical.Scalar{cmpConst(logical.CmpEq, s("qty"), 7)}, "id", "qty", "amount"),
+				Items: []logical.ProjectItem{{ID: s("id"), Expr: &logical.Col{ID: s("id")}}, {ID: s("amount"), Expr: &logical.Col{ID: s("amount")}}}}}}},
+			sql: `SELECT id, amount FROM sales WHERE qty = 7 ORDER BY amount DESC, id LIMIT 10`},
+		{name: "having", plan: &physical.Filter{Preds: []logical.Scalar{cmpConst(logical.CmpGt, 1001, 750000.0)},
+			Input: grp(exchange(f.scan("sales", nil, "k2", "amount"), s("k2")), keys(s("k2")), sumAmount)},
+			sql: `SELECT k2, SUM(amount) FROM sales GROUP BY k2 HAVING SUM(amount) > 750000`},
+		{name: "clustered_range_agg", plan: grp(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpGe, s("k3"), 20), cmpConst(logical.CmpLt, s("k3"), 30)}, "k3", "qty", "amount"), nil,
+			aggOf(1003, logical.AggMin, s("amount")), aggOf(1004, logical.AggMax, s("amount")), aggOf(1005, logical.AggAvg, s("qty"))),
+			sql: `SELECT MIN(amount), MAX(amount), AVG(qty) FROM sales WHERE k3 >= 20 AND k3 < 30`},
+		{name: "groupby_two_keys", plan: grp(exchange(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpLt, s("amount"), 3000.5), k2ne}, "k2", "region", "qty", "amount"), s("region"), s("qty")), keys(s("region"), s("qty")), count),
+			sql: `SELECT region, qty, COUNT(*) FROM sales WHERE amount < 3000.5 AND k2 <> 17 GROUP BY region, qty`},
+
+		{name: "left_outer", plan: join(logical.LeftOuterJoin, pScan, bScan, p("k"), b("k")),
+			sql: `SELECT P.k, P.nk, P.v, P.f, B.k, B.nk, B.w FROM P LEFT OUTER JOIN B ON P.k = B.k`},
+		{name: "full_outer_agg", plan: grp(join(logical.FullOuterJoin, pScan, bScan, p("k"), b("k")), keys(b("k")), count, aggOf(1030, logical.AggSum, p("f")), aggOf(1031, logical.AggMax, b("w"))),
+			sql: `SELECT B.k, COUNT(*), SUM(P.f), MAX(B.w) FROM P FULL OUTER JOIN B ON P.k = B.k GROUP BY B.k`},
+		{name: "semi", plan: join(logical.SemiJoin, pScan, bScan, p("k"), b("k")),
+			sql: `SELECT P.k, P.nk, P.v, P.f FROM P WHERE EXISTS (SELECT 1 FROM B WHERE B.k = P.k)`},
+		{name: "anti", plan: join(logical.AntiJoin, pScan, bScan, p("k"), b("k")),
+			sql: `SELECT P.k, P.nk, P.v, P.f FROM P WHERE NOT EXISTS (SELECT 1 FROM B WHERE B.k = P.k)`},
+		{name: "expanding_join_agg", plan: grp(exchange(join(logical.InnerJoin, pScan, bScan, p("k"), b("k")), b("w")), keys(b("w")), count, aggOf(1032, logical.AggSum, p("f")), aggOf(1033, logical.AggAvg, p("f"))),
+			sql: `SELECT B.w, COUNT(*), SUM(P.f), AVG(P.f) FROM P JOIN B ON P.k = B.k GROUP BY B.w`},
+		{name: "empty_scalar", plan: grp(f.scan("sales", never, "qty", "amount"), nil, count, sumAmount),
+			sql: `SELECT COUNT(*), SUM(amount) FROM sales WHERE qty < 0`},
+		{name: "empty_grouped", plan: grp(join(logical.InnerJoin, f.scan("sales", never, "k1", "qty", "amount"), f.scan("dim1", nil, "k", "filt"), s("k1"), d(1, "k")), keys(d(1, "filt")), count, sumAmount),
+			sql: `SELECT d.filt, COUNT(*), SUM(s.amount) FROM sales s JOIN dim1 d ON s.k1 = d.k WHERE s.qty < 0 GROUP BY d.filt`},
+		{name: "null_keys", plan: grp(join(logical.LeftOuterJoin, pScan, bScan, p("nk"), b("nk")), keys(p("nk")), count, aggOf(1034, logical.AggSum, p("f")), aggOf(1035, logical.AggMin, b("w"))),
+			sql: `SELECT P.nk, COUNT(*), SUM(P.f), MIN(B.w) FROM P LEFT OUTER JOIN B ON P.nk = B.nk GROUP BY P.nk`},
+		{name: "pruned_to_nothing", plan: grp(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpGt, s("k3"), 500)}, "k3", "amount"), keys(s("k3")), count, sumAmount),
+			sql: `SELECT k3, COUNT(*), SUM(amount) FROM sales WHERE k3 > 500 GROUP BY k3`},
+		{name: "residual_mid_pipeline", plan: grp(residual, keys(b("w")), count, aggOf(1036, logical.AggSum, p("f"))),
+			sql: `SELECT B.w, COUNT(*), SUM(P.f) FROM P JOIN B ON P.k = B.k WHERE P.v + B.w > 1500 GROUP BY B.w`},
+		{name: "mixed_representation", plan: grp(f.scan("M", nil, "g", "v"), keys(f.col("M", "g")), count, aggOf(1050, logical.AggSum, f.col("M", "v")), aggOf(1051, logical.AggMin, f.col("M", "v")), aggOf(1052, logical.AggAvg, f.col("M", "v"))),
+			sql: `SELECT g, COUNT(*), SUM(v), MIN(v), AVG(v) FROM M GROUP BY g`},
+		{name: "limit_no_agg", ordered: true, plan: &physical.LimitOp{N: 2500, Input: &physical.Project{
+			Input: f.scan("sales", []logical.Scalar{cmpConst(logical.CmpGt, s("qty"), 5)}, "id", "qty", "amount"),
+			Items: []logical.ProjectItem{{ID: s("id"), Expr: &logical.Col{ID: s("id")}}, {ID: 1040, Expr: &logical.Arith{Op: logical.ArithMul, L: &logical.Col{ID: s("amount")}, R: &logical.Col{ID: s("qty")}}}}}},
+			sql: `SELECT id, amount * qty FROM sales WHERE qty > 5 LIMIT 2500`},
+	}
+}
+
+// pipeWant pins each case's logical work at the parent commit (operator-at-
+// a-time execution), unlimited budget: RowsProcessed, HashOps, ExchangedRows,
+// SegmentsRead, SegmentsPruned.
+var pipeWant = map[string][5]int64{
+	"filter_agg":            {9085, 3085, 0, 5, 0},
+	"string_filter":         {7207, 1207, 0, 5, 0},
+	"groupby_low_ndv":       {10740, 4740, 4740, 5, 0},
+	"groupby_1000":          {11072, 5072, 5072, 5, 0},
+	"pk_range":              {5200, 2600, 0, 0, 0},
+	"index_lookup":          {104, 0, 104, 0, 0},
+	"index_eq_range":        {112, 56, 0, 0, 0},
+	"star_1dim":             {12089, 5989, 5989, 5, 0},
+	"star_3dim":             {13903, 12029, 12029, 5, 0},
+	"topn":                  {6305, 0, 305, 5, 0},
+	"having":                {12100, 6000, 6000, 5, 0},
+	"clustered_range_agg":   {2504, 600, 0, 1, 4},
+	"groupby_two_keys":      {6743, 743, 743, 5, 0},
+	"left_outer":            {8008, 2964, 0, 2, 0},
+	"full_outer_agg":        {13387, 8343, 0, 2, 0},
+	"semi":                  {5639, 2964, 0, 2, 0},
+	"anti":                  {5639, 2964, 0, 2, 0},
+	"expanding_join_agg":    {12746, 7702, 4738, 2, 0},
+	"empty_scalar":          {880, 0, 0, 0, 5},
+	"empty_grouped":         {980, 100, 0, 0, 5},
+	"null_keys":             {6270, 3000, 0, 2, 0},
+	"pruned_to_nothing":     {880, 0, 0, 0, 5},
+	"residual_mid_pipeline": {15723, 5941, 0, 2, 0},
+	"mixed_representation":  {9000, 4500, 0, 4, 0},
+	"limit_no_agg":          {10579, 0, 0, 5, 0},
+}
+
+func pipeCounters(c *Ctx) [5]int64 {
+	cs := c.Counters
+	return [5]int64{cs.RowsProcessed, cs.HashOps, cs.ExchangedRows, cs.SegmentsRead, cs.SegmentsPruned}
+}
+
+// TestPipelineEquivalence: every statement shape of the analytic workload,
+// the join kinds and the degenerate inputs, at 1/2/8 workers × kernels on/off
+// × unlimited/4 KiB budget. The rows are the naive evaluator's — as a bag
+// with exact float bits, as a sequence where the statement orders them — and
+// the logical work counters are the same at every worker count, and with an
+// unlimited budget the same as operator-at-a-time execution reported.
+func TestPipelineEquivalence(t *testing.T) {
+	f := newPipeFixture(t)
+	tmp := t.TempDir()
+	for _, tc := range pipeCases(f) {
+		sel, err := sql.ParseSelect(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		q, err := logical.NewBuilder(f.cat).Build(sel)
+		if err != nil {
+			t.Fatalf("%s: build: %v", tc.name, err)
+		}
+		ref, err := NewCtx(f.store, q.Meta).RunQuery(q)
+		if err != nil {
+			t.Fatalf("%s: naive: %v", tc.name, err)
+		}
+		want := hexRowsInOrder(ref)
+		if !tc.ordered {
+			sort.Strings(want)
+		}
+		for _, budget := range []int64{0, 4 << 10} {
+			for _, vectorize := range []bool{true, false} {
+				var first [5]int64
+				for _, workers := range []int{1, 2, 8} {
+					label := fmt.Sprintf("%s budget=%d vectorize=%v workers=%d", tc.name, budget, vectorize, workers)
+					c := NewCtx(f.store, f.md)
+					c.Parallelism, c.Vectorize, c.Mem, c.TempDir = workers, vectorize, NewMemAccount(budget), tmp
+					res, err := Run(tc.plan, c)
+					c.Close()
+					if err != nil {
+						t.Errorf("%s: %v", label, err)
+						continue
+					}
+					got := hexRowsInOrder(res)
+					if !tc.ordered {
+						sort.Strings(got)
+					}
+					if len(got) != len(want) {
+						t.Errorf("%s: %d rows, naive evaluator %d", label, len(got), len(want))
+						continue
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Errorf("%s: row %d = %s, naive evaluator %s", label, i, got[i], want[i])
+							break
+						}
+					}
+					if used := c.Mem.Used(); used != 0 {
+						t.Errorf("%s: %d bytes still reserved after the run", label, used)
+					}
+					cs := pipeCounters(c)
+					if workers == 1 {
+						first = cs
+						if pinned, ok := pipeWant[tc.name]; budget == 0 && (!ok || cs != pinned) {
+							t.Errorf("%s: counters %v, pinned %v", label, cs, pinned)
+						}
+					} else if cs != first && (budget == 0 || vectorize) {
+						// A row aggregation that trips the budget on several
+						// workers stops them at whatever morsel each has reached.
+						t.Errorf("%s: counters %v, one worker %v", label, cs, first)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTouchRowsMatchesPerIDTouches: skipping the touch of a page the previous
+// id already touched leaves PagesRead what one touchPage per id makes it —
+// over an ascending posting list and a shuffled one, through a buffer small
+// enough to evict.
+func TestTouchRowsMatchesPerIDTouches(t *testing.T) {
+	f := newPipeFixture(t)
+	tab, _ := f.store.Table("sales")
+	asc := make([]int, 0, 2000)
+	for id := 1000; id < 5000; id += 2 {
+		asc = append(asc, id)
+	}
+	shuffled := append([]int(nil), asc...)
+	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	for name, ids := range map[string][]int{"ascending": asc, "shuffled": shuffled} {
+		got, want := NewCtx(f.store, f.md), NewCtx(f.store, f.md)
+		got.Buffer, want.Buffer = NewPageBuffer(3), NewPageBuffer(3)
+		got.touchRows(tab, ids)
+		rpp := rowsPerPage(tab)
+		for _, id := range ids {
+			want.touchPage(tab.Def.Name, id/rpp)
+		}
+		if got.Counters.PagesRead != want.Counters.PagesRead || want.Counters.PagesRead == 0 {
+			t.Errorf("%s: PagesRead %d, one touch per id %d", name, got.Counters.PagesRead, want.Counters.PagesRead)
+		}
+		// The buffers end in the same state: the next touches agree too.
+		for page := 0; page < 8; page++ {
+			if got.Buffer.Touch(tab.Def.Name, page) != want.Buffer.Touch(tab.Def.Name, page) {
+				t.Errorf("%s: buffers disagree on page %d afterwards", name, page)
+			}
+		}
+	}
+}
+
+// TestFilterIDsByRange: the vector comparison keeps exactly the ids a
+// datum.Compare per value keeps — NULL values never, NULL bounds open, each
+// end inclusive or not — over an INT column with NULLs and a FLOAT column
+// compared against INT bounds, sealed rows and tail rows.
+func TestFilterIDsByRange(t *testing.T) {
+	f := newPipeFixture(t)
+	tab, _ := f.store.Table("P")
+	ids := make([]int, 0, 1500)
+	for id := 2999; id >= 0; id -= 2 {
+		ids = append(ids, id)
+	}
+	c := NewCtx(f.store, f.md)
+	null := datum.Null
+	for _, ord := range []int{0, 3} { // k: INT with NULLs; f: FLOAT
+		bounds := [][2]datum.D{{datum.NewInt(20), datum.NewInt(90)}, {null, datum.NewInt(90)}, {datum.NewInt(20), null}, {datum.NewInt(90), datum.NewInt(20)}}
+		if ord == 3 {
+			bounds = append(bounds, [2]datum.D{datum.NewFloat(0.5), datum.NewFloat(1e6)})
+		}
+		for _, b := range bounds {
+			for incl := 0; incl < 4; incl++ {
+				loIncl, hiIncl := incl&1 != 0, incl&2 != 0
+				var want []int
+				for _, id := range ids {
+					row, err := c.rowAt(tab, id)
+					if err != nil {
+						t.Fatal(err)
+					}
+					v := row[ord]
+					lo, hi := 1, -1
+					if !b[0].IsNull() {
+						lo = datum.Compare(v, b[0])
+					}
+					if !b[1].IsNull() {
+						hi = datum.Compare(v, b[1])
+					}
+					if !v.IsNull() && (lo > 0 || (lo == 0 && loIncl)) && (hi < 0 || (hi == 0 && hiIncl)) {
+						want = append(want, id)
+					}
+				}
+				got, err := c.filterIDsByRange(tab, ids, ord, b[0], loIncl, b[1], hiIncl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("column %d bounds %v incl %v/%v: %d ids, want %d", ord, b, loIncl, hiIncl, len(got), len(want))
+				}
+			}
+		}
+	}
+}

@@ -1,12 +1,13 @@
-// Scan, filter and project: one implementation each, at every setting. The
-// three share one shape — a loop body over morsels handed to forMorsels
-// (which runs it inline on one worker or fanned out on the pool) — and one
-// way of evaluating a conjunction: the conjuncts compilePreds can turn into
-// typed kernels refine a selection vector over column vectors first, and the
-// residual conjuncts (LIKE, arithmetic, IN, subqueries, UDFs — or everything
-// when Ctx.Vectorize is off) run row-at-a-time over the kernels' survivors
-// through the row adapter, filterSel. Operators exchange columnar batches;
-// run's callers convert to rows where a row operator consumes them.
+// The streaming stages of a pipeline below the joins: the scan sources, the
+// filter and the projection — one implementation each, at every setting.
+// They share one way of evaluating a conjunction: the conjuncts compilePreds
+// can turn into typed kernels refine a selection vector over column vectors
+// first, and the residual conjuncts (LIKE, arithmetic, IN, subqueries, UDFs —
+// or everything when Ctx.Vectorize is off) run row-at-a-time over the
+// kernels' survivors through the row adapter, filterSel. A morsel leaves a
+// stage as its input's column vectors under a narrower selection; the rows a
+// filter rejects are never copied, and a scan loads a column once per morsel,
+// when the first stage that reads it is reached.
 package exec
 
 import (
@@ -19,15 +20,15 @@ import (
 )
 
 // filterSel is the row adapter between column vectors and the row-at-a-time
-// expression evaluator: each row named by sel is rebuilt into e's one reused
-// row and kept when every predicate is TRUE. Survivors are appended to dst,
-// which may share sel's storage (a survivor is never written ahead of the
-// read position).
-func (c *Ctx) filterSel(preds []logical.Scalar, e *env, vecs []*datum.Vec, sel, dst []int32) ([]int32, error) {
+// expression evaluator: for each row named by sel, the columns the predicates
+// read (offs) are rebuilt into e's one reused row, and the row is kept when
+// every predicate is TRUE. Survivors are appended to dst, which may share
+// sel's storage (a survivor is never written ahead of the read position).
+func (c *Ctx) filterSel(preds []logical.Scalar, e *env, vecs []*datum.Vec, offs []int, sel, dst []int32) ([]int32, error) {
 	ectx := c.evalCtx(e)
 	for _, i := range sel {
-		for j, v := range vecs {
-			e.row[j] = v.D(int(i))
+		for _, j := range offs {
+			e.row[j] = vecs[j].D(int(i))
 		}
 		ok, err := allTrue(preds, ectx)
 		if err != nil {
@@ -47,249 +48,239 @@ func rowEnv(layout []logical.ColumnID) *env {
 	return e
 }
 
-// --- scan ---
-
-// scanScratch is one worker's working state across the morsels of a filtered
-// scan: a reusable vector per scan column (loaded on demand, so a morsel the
-// kernels empty never touches the other columns), the selection buffers and
-// the row adapter's env.
-type scanScratch struct {
-	kinds  []datum.Kind
-	vecs   []*datum.Vec
-	loaded []bool
-	ident  []int32 // identity selection over one morsel
-	sel    []int32 // the current morsel's survivors
-	env    *env
-}
-
-// newScanScratch sizes the buffers for morsels of up to rows rows; vectors
-// and the env are created on first use.
-func newScanScratch(kinds []datum.Kind, rows int) *scanScratch {
-	return &scanScratch{
-		kinds:  kinds,
-		vecs:   make([]*datum.Vec, len(kinds)),
-		loaded: make([]bool, len(kinds)),
-		ident:  identSel(rows),
-		sel:    make([]int32, 0, rows),
+// colsRead returns the offsets in layout of the columns the scalars read,
+// correlated references of their subqueries included.
+func colsRead(layout []logical.ColumnID, scalars ...logical.Scalar) []int {
+	var set logical.ColSet
+	for _, s := range scalars {
+		set = set.Union(logical.ScalarCols(s))
 	}
-}
-
-// fresh returns column ci's vector, emptied, when the current morsel has not
-// loaded it yet, and nil when it has.
-func (s *scanScratch) fresh(ci int) *datum.Vec {
-	if s.loaded[ci] {
-		return nil
-	}
-	if s.vecs[ci] == nil {
-		s.vecs[ci] = datum.NewVec(s.kinds[ci], len(s.ident))
-	} else {
-		s.vecs[ci].Reset(s.kinds[ci])
-	}
-	s.loaded[ci] = true
-	return s.vecs[ci]
-}
-
-// span is a run of scan survivors in scan order: the contiguous scan
-// positions [lo, hi) when ids is nil, the listed row ids otherwise.
-type span struct {
-	lo, hi int
-	ids    []int
-}
-
-// coalesce merges the per-morsel survivor spans into as few storage calls as
-// possible: adjacent position ranges fuse, adjacent id lists concatenate —
-// into one backing array sized by a first pass, so merging never reallocates.
-func coalesce(keeps []span) (spans []span, total int) {
-	nIDs := 0
-	for _, k := range keeps {
-		nIDs += len(k.ids)
-	}
-	ids := make([]int, 0, nIDs)
-	for _, k := range keeps {
-		n := len(k.ids)
-		if k.ids == nil {
-			n = k.hi - k.lo
+	var offs []int
+	for j, id := range layout {
+		if set.Contains(id) {
+			offs = append(offs, j)
 		}
-		if n == 0 {
-			continue
+	}
+	return offs
+}
+
+// conjunction is a filter's predicate split for evaluation: the conjuncts with
+// a kernel, the residual ones, and the columns the residual ones read.
+type conjunction struct {
+	layout   []logical.ColumnID
+	compiled []compiledPred
+	residual []logical.Scalar
+	resCols  []int
+}
+
+func (c *Ctx) newConjunction(preds []logical.Scalar, layout []logical.ColumnID) conjunction {
+	j := conjunction{layout: layout}
+	j.compiled, j.residual = c.compilePreds(preds, layout)
+	j.resCols = colsRead(layout, j.residual...)
+	return j
+}
+
+// empty reports that there is no conjunct: every row passes.
+func (j *conjunction) empty() bool { return len(j.compiled)+len(j.residual) == 0 }
+
+// reads marks the columns the conjunction reads in need.
+func (j *conjunction) reads(need []bool) {
+	for _, p := range j.compiled {
+		for _, ci := range p.cols() {
+			need[ci] = true
 		}
-		total += n
-		if k.ids != nil {
-			// Consecutive id lists land next to each other in ids, so
-			// extending the previous span over this one is a reslice.
-			at := len(ids)
-			ids = append(ids, k.ids...)
-			k.ids = ids[at:]
-		}
-		if last := len(spans) - 1; last >= 0 {
-			switch prev := &spans[last]; {
-			case k.ids == nil && prev.ids == nil && prev.hi == k.lo:
-				prev.hi = k.hi
-				continue
-			case k.ids != nil && prev.ids != nil:
-				prev.ids = prev.ids[:len(prev.ids)+n]
-				continue
+	}
+	for _, ci := range j.resCols {
+		need[ci] = true
+	}
+}
+
+// conjScratch is one worker's selection buffer and row adapter env.
+type conjScratch struct {
+	sel []int32
+	env *env
+}
+
+// apply narrows cur, the live rows of b, to those every conjunct holds for:
+// the compiled conjuncts first — load is called for the columns each one
+// reads before it runs, so a morsel the kernels empty never touches the other
+// columns — then the residual ones. The result lives in s.sel unless there
+// was no conjunct at all.
+func (j *conjunction) apply(wc *Ctx, s *conjScratch, b *Batch, cur []int32, load func(ci int) error) ([]int32, error) {
+	if s.sel == nil {
+		s.sel = make([]int32, 0, len(cur))
+	}
+	dst := s.sel[:0]
+	for _, p := range j.compiled {
+		for _, ci := range p.cols() {
+			if err := load(ci); err != nil {
+				return nil, err
 			}
 		}
-		spans = append(spans, k)
+		cur = applyPred(b, p, cur, dst)
+		if dst = cur[:0]; len(cur) == 0 {
+			break
+		}
 	}
-	return spans, total
-}
-
-// scanSource says which rows a scan visits: the posting list ids of an index
-// scan (byID), or every row position [0, RowCount) of the table.
-type scanSource struct {
-	tab  *storage.Table
-	ords []int // base-table ordinal of each scan column
-	ids  []int
-	byID bool
-}
-
-// fetch appends column ci of a span's rows to v.
-func (s scanSource) fetch(wc *Ctx, ci int, sp span, v *datum.Vec) error {
-	switch {
-	case sp.ids != nil:
-		return wc.fillIDs(s.tab, s.ords[ci], sp.ids, v)
-	case s.byID:
-		return wc.fillIDs(s.tab, s.ords[ci], s.ids[sp.lo:sp.hi], v)
+	if len(j.residual) > 0 && len(cur) > 0 {
+		for _, ci := range j.resCols {
+			if err := load(ci); err != nil {
+				return nil, err
+			}
+		}
+		if s.env == nil {
+			s.env = rowEnv(j.layout)
+		}
+		var err error
+		if cur, err = wc.filterSel(j.residual, s.env, b.Vecs, j.resCols, cur, dst); err != nil {
+			return nil, err
+		}
+		dst = cur[:0]
 	}
-	return wc.fillRange(s.tab, s.ords[ci], sp.lo, sp.hi, v)
+	s.sel = dst
+	return cur, nil
 }
 
-// scan is the one scan loop. Per morsel of the source's rows, in this order:
+// --- scan ---
+
+// scanSource is the morsel source over a table: every row position
+// [0, RowCount), or the posting list ids of an index scan (byID). Per morsel,
+// in this order:
 //
 //  1. the zone-map disposition (table scans over sealed segments): an
 //     eliminated morsel costs nothing — no I/O, no checkpoint — and a
 //     morsel every conjunct provably matches keeps all rows unevaluated;
 //  2. step("scan"): exactly one fault/cancel checkpoint per non-eliminated
 //     morsel, on absolute morsel boundaries;
-//  3. load the columns a compiled conjunct reads;
-//  4. run it, refining the selection — and repeat from 3 for the next one;
-//  5. load the remaining columns and run the residual conjuncts over the
-//     survivors through the row adapter;
-//  6. record the survivors — the output columns are late-materialized for
-//     all morsels at once after the barrier, one column per worker turn, so
-//     a column is never decoded for a row the filter rejects.
-func (c *Ctx) scan(src scanSource, cols []logical.ColumnID, filter []logical.Scalar) (*Batch, error) {
-	kinds := make([]datum.Kind, len(cols)) // static column kinds, from metadata
-	for i, id := range cols {
-		kinds[i] = c.Meta.Column(id).Kind
-	}
-	compiled, residual := c.compilePreds(filter, cols)
-	if len(compiled) > 0 {
+//  3. load the columns a compiled conjunct reads and run it, refining the
+//     selection — and again for the next one;
+//  4. load what the residual conjuncts read and run them over the survivors
+//     through the row adapter;
+//  5. load the columns a later stage reads that no conjunct did. A column
+//     is loaded at most once per morsel, into the worker's reused vector,
+//     and never for a morsel the filter empties.
+type scanSource struct {
+	tab    *storage.Table
+	ords   []int // base-table ordinal of each scan column
+	ids    []int
+	byID   bool
+	n      int
+	filter conjunction
+	pruner *scanPruner
+	need   []bool
+	ws     []scanScratch // per worker
+}
+
+// scanScratch is one worker's working state across the morsels of a scan: a
+// reusable vector per scan column, created by the first morsel that reads the
+// column and holding rows exactly while the current morsel has loaded it, the
+// filter's scratch and the batch handed to the next stage.
+type scanScratch struct {
+	vecs []*datum.Vec
+	conj conjScratch
+	out  Batch
+}
+
+func (c *Ctx) newScanSource(tab *storage.Table, cols []logical.ColumnID, ords []int, filter []logical.Scalar) *scanSource {
+	s := &scanSource{tab: tab, ords: ords}
+	if s.filter = c.newConjunction(filter, cols); len(s.filter.compiled) > 0 {
 		c.noteVectorized()
 	}
-	n := len(src.ids)
-	var pruner *scanPruner
-	if !src.byID {
-		n = src.tab.RowCount()
-		if pruner = c.buildPruner(src.tab, filter, cols, src.ords); pruner != nil {
-			c.notePruner(src.tab, pruner)
-		} else {
-			c.touchScan(src.tab)
-		}
-	}
-	scratch := make([]*scanScratch, c.morselWorkers(n)) // per worker, created by the first filtered morsel
-	keeps := make([]span, numMorsels(n))
-	err := c.forMorsels(n, func(wc *Ctx, m, lo, hi int) error {
-		disp := storage.ZoneSome
-		if pruner != nil {
-			disp = pruner.dispRange(lo, hi)
-		}
-		if disp == storage.ZoneNone {
-			return nil
-		}
-		if err := wc.step("scan"); err != nil {
-			return err
-		}
-		wc.Counters.RowsProcessed += int64(hi - lo)
-		if len(filter) == 0 || (disp == storage.ZoneAll && pruner.full) {
-			keeps[m] = span{lo: lo, hi: hi}
-			return nil
-		}
-		s := scratch[m%len(scratch)]
-		if s == nil {
-			s = newScanScratch(kinds, min(n, MorselSize))
-			scratch[m%len(scratch)] = s
-		}
-		clear(s.loaded)
-		load := func(ci int) error {
-			if v := s.fresh(ci); v != nil {
-				return src.fetch(wc, ci, span{lo: lo, hi: hi}, v)
-			}
-			return nil
-		}
-		sel := s.ident[:hi-lo]
-		b := &Batch{Vecs: s.vecs, n: hi - lo}
-		for _, p := range compiled {
-			for _, ci := range p.cols() {
-				if err := load(ci); err != nil {
-					return err
-				}
-			}
-			if sel = applyPred(b, p, sel, s.sel[:0]); len(sel) == 0 {
-				return nil
-			}
-		}
-		if len(residual) > 0 {
-			for ci := range cols {
-				if err := load(ci); err != nil {
-					return err
-				}
-			}
-			if s.env == nil {
-				s.env = rowEnv(cols)
-			}
-			var err error
-			if sel, err = wc.filterSel(residual, s.env, s.vecs, sel, s.sel[:0]); err != nil || len(sel) == 0 {
-				return err
-			}
-		}
-		keep := make([]int, len(sel))
-		for k, i := range sel {
-			keep[k] = lo + int(i)
-			if src.byID {
-				keep[k] = src.ids[lo+int(i)]
-			}
-		}
-		keeps[m] = span{ids: keep}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	spans, total := coalesce(keeps)
-	vecs := make([]*datum.Vec, len(cols))
-	err = c.forColumns(total, len(cols), func(wc *Ctx, ci int) error {
-		v := datum.NewVec(kinds[ci], total)
-		for _, sp := range spans {
-			if err := src.fetch(wc, ci, sp, v); err != nil {
-				return err
-			}
-		}
-		vecs[ci] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Batch{Cols: cols, Vecs: vecs, n: total}, nil
+	return s
 }
 
-func (c *Ctx) scanTable(t *physical.TableScan) (*Batch, error) {
+func (s *scanSource) rows() int { return s.n }
+
+func (s *scanSource) bind(need []bool, workers int) {
+	s.need, s.ws = need, make([]scanScratch, workers)
+}
+
+// load fills column ci of rows [lo, hi) into the worker's vector unless this
+// morsel already did.
+func (s *scanSource) load(wc *Ctx, sc *scanScratch, ci, lo, hi int) error {
+	v := sc.vecs[ci]
+	switch {
+	case v == nil:
+		v = datum.NewVec(wc.Meta.Column(s.filter.layout[ci]).Kind, min(s.n, MorselSize))
+		sc.vecs[ci] = v
+	case v.Len() > 0:
+		return nil
+	}
+	if s.byID {
+		return wc.fillIDs(s.tab, s.ords[ci], s.ids[lo:hi], v)
+	}
+	return wc.fillRange(s.tab, s.ords[ci], lo, hi, v)
+}
+
+func (s *scanSource) morsel(wc *Ctx, pw *pipeWorker, w, lo, hi int) (*Batch, error) {
+	disp := storage.ZoneSome
+	if s.pruner != nil {
+		disp = s.pruner.dispRange(lo, hi)
+	}
+	if disp == storage.ZoneNone {
+		return nil, nil
+	}
+	if err := wc.step("scan"); err != nil {
+		return nil, err
+	}
+	wc.Counters.RowsProcessed += int64(hi - lo)
+	sc := &s.ws[w]
+	if sc.vecs == nil {
+		sc.vecs = make([]*datum.Vec, len(s.ords))
+		sc.out.Cols, sc.out.Vecs = s.filter.layout, sc.vecs
+	}
+	for ci, v := range sc.vecs {
+		if v != nil {
+			v.Reset(wc.Meta.Column(s.filter.layout[ci]).Kind)
+		}
+	}
+	b := &sc.out
+	b.Sel, b.n = nil, hi-lo
+	load := func(ci int) error { return s.load(wc, sc, ci, lo, hi) }
+	if !s.filter.empty() && !(disp == storage.ZoneAll && s.pruner.full) {
+		sel, err := s.filter.apply(wc, &sc.conj, b, pw.identity(hi-lo), load)
+		if err != nil || len(sel) == 0 {
+			return nil, err
+		}
+		if len(sel) < hi-lo {
+			b.Sel = sel
+		}
+	}
+	for ci, need := range s.need {
+		if need {
+			if err := load(ci); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return b, nil
+}
+
+func (c *Ctx) openTableScan(t *physical.TableScan) (*pipeline, error) {
 	tab, ok := c.Store.Table(t.Table.Name)
 	if !ok {
 		return nil, fmt.Errorf("exec: no storage for table %s", t.Table.Name)
 	}
-	return c.scan(scanSource{tab: tab, ords: t.ColOrds}, t.Cols, t.Filter)
+	began := c.tick()
+	defer c.leave(c.enter(t))
+	src := c.newScanSource(tab, t.Cols, t.ColOrds, t.Filter)
+	src.n = tab.RowCount()
+	if src.pruner = c.buildPruner(tab, t.Filter, t.Cols, t.ColOrds); src.pruner != nil {
+		c.notePruner(tab, src.pruner)
+	} else {
+		c.touchScan(tab)
+	}
+	return c.newPipeline(t, src, began), nil
 }
 
-// scanIndex resolves the index condition to a posting list and scans it.
-func (c *Ctx) scanIndex(t *physical.IndexScan) (*Batch, error) {
+// openIndexScan resolves the index condition to a posting list and scans it.
+func (c *Ctx) openIndexScan(t *physical.IndexScan) (*pipeline, error) {
 	tab, ok := c.Store.Table(t.Table.Name)
 	if !ok {
 		return nil, fmt.Errorf("exec: no storage for table %s", t.Table.Name)
 	}
+	began := c.tick()
+	defer c.leave(c.enter(t))
 	ix, err := tab.Index(t.Index.Name)
 	if err != nil {
 		return nil, err
@@ -311,160 +302,228 @@ func (c *Ctx) scanIndex(t *physical.IndexScan) (*Batch, error) {
 	default:
 		ids = ix.SeekRange(t.Lo, t.LoIncl, t.Hi, t.HiIncl)
 	}
-	for _, id := range ids {
-		c.touchRow(tab, id)
-	}
-	return c.scan(scanSource{tab: tab, ords: t.ColOrds, ids: ids, byID: true}, t.Cols, t.Filter)
+	c.touchRows(tab, ids)
+	src := c.newScanSource(tab, t.Cols, t.ColOrds, t.Filter)
+	src.ids, src.byID, src.n = ids, true, len(ids)
+	return c.newPipeline(t, src, began), nil
 }
 
+// filterIDsByRange keeps the ids whose column ord lies within the bounds (a
+// NULL bound is open, a NULL value never within): one gather of the column
+// and the selection kernels' comparison, which is datum.Compare's.
 func (c *Ctx) filterIDsByRange(tab *storage.Table, ids []int, ord int, lo datum.D, loIncl bool, hi datum.D, hiIncl bool) ([]int, error) {
-	var out []int
-	for _, id := range ids {
-		v, err := c.colValue(tab, id, ord)
-		if err != nil {
-			return nil, err
+	v := datum.NewVec(tab.Def.Cols[ord].Kind, len(ids))
+	if err := c.fillIDs(tab, ord, ids, v); err != nil {
+		return nil, err
+	}
+	sel := identSel(len(ids))
+	if !lo.IsNull() {
+		op := logical.CmpGt
+		if loIncl {
+			op = logical.CmpGe
 		}
-		if v.IsNull() {
-			continue
+		sel = selColConst(v, op, lo, sel, sel[:0])
+	}
+	if !hi.IsNull() {
+		op := logical.CmpLt
+		if hiIncl {
+			op = logical.CmpLe
 		}
-		if !lo.IsNull() {
-			cmp := datum.Compare(v, lo)
-			if cmp < 0 || (cmp == 0 && !loIncl) {
-				continue
-			}
-		}
-		if !hi.IsNull() {
-			cmp := datum.Compare(v, hi)
-			if cmp > 0 || (cmp == 0 && !hiIncl) {
-				continue
-			}
-		}
-		out = append(out, id)
+		sel = selColConst(v, op, hi, sel, sel[:0])
+	}
+	out := make([]int, len(sel))
+	for k, i := range sel {
+		out[k] = ids[i]
 	}
 	return out, nil
 }
 
+// batchSource streams a materialized batch — the output of the breaker below
+// — morsel by morsel over its live rows, without copying: every morsel is the
+// batch's own vectors under a slice of its selection vector, or, when every
+// row is live, under the run lo..hi-1 written into the worker's scratch.
+type batchSource struct {
+	in *Batch
+	ws []batchScratch
+}
+
+type batchScratch struct {
+	out Batch
+	run []int32
+}
+
+func (s *batchSource) rows() int { return s.in.NumRows() }
+
+func (s *batchSource) bind(_ []bool, workers int) { s.ws = make([]batchScratch, workers) }
+
+func (s *batchSource) morsel(_ *Ctx, _ *pipeWorker, w, lo, hi int) (*Batch, error) {
+	sc := &s.ws[w]
+	sc.out = *s.in
+	switch {
+	case s.in.Sel != nil:
+		sc.out.Sel = s.in.Sel[lo:hi]
+	case hi-lo < s.in.n:
+		if sc.run == nil {
+			sc.run = make([]int32, MorselSize)
+		}
+		sc.out.Sel = sc.run[:hi-lo]
+		for k := range sc.out.Sel {
+			sc.out.Sel[k] = int32(lo + k)
+		}
+	}
+	return &sc.out, nil
+}
+
 // --- filter ---
 
-// runFilter refines the input batch's selection vector: per morsel of live
-// rows, the compiled conjuncts first, then the residual conjuncts through
-// the row adapter. The output shares the input's column vectors.
-func (c *Ctx) runFilter(t *physical.Filter) (*Batch, error) {
-	in, err := c.inputBatch(t.Input)
-	if err != nil {
+// filterStage refines the morsel's selection vector: the compiled conjuncts
+// first, then the residual ones through the row adapter. The output shares
+// the input's column vectors.
+type filterStage struct {
+	conj conjunction
+	ws   []filterScratch
+}
+
+type filterScratch struct {
+	conj conjScratch
+	out  Batch
+}
+
+func (c *Ctx) newFilterStage(t *physical.Filter) *filterStage {
+	f := &filterStage{conj: c.newConjunction(t.Preds, t.Input.Columns())}
+	if len(f.conj.compiled) > 0 && c.Metrics != nil {
+		c.Metrics.Node(t).Vectorized = true
+	}
+	return f
+}
+
+func (f *filterStage) bind(need []bool, workers int) []bool {
+	f.ws = make([]filterScratch, workers)
+	in := append([]bool(nil), need...)
+	f.conj.reads(in)
+	return in
+}
+
+func noLoad(int) error { return nil }
+
+func (f *filterStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error) {
+	wc.Counters.RowsProcessed += int64(in.NumRows())
+	sc := &f.ws[w]
+	sel, err := f.conj.apply(wc, &sc.conj, in, pw.live(in), noLoad)
+	if err != nil || len(sel) == 0 {
 		return nil, err
 	}
-	layout := t.Input.Columns()
-	compiled, residual := c.compilePreds(t.Preds, layout)
-	if len(compiled) > 0 {
-		c.noteVectorized()
+	sc.out = *in
+	if in.Sel != nil || len(sel) < in.n {
+		sc.out.Sel = sel
 	}
-	n := in.NumRows()
-	// Each morsel writes its survivors into its own stretch of out, which is
-	// compacted after the barrier.
-	out := make([]int32, n)
-	kept := make([]int, numMorsels(n))
-	nw := c.morselWorkers(n)
-	sels := newSelBufs(nw)
-	err = c.forMorsels(n, func(wc *Ctx, m, lo, hi int) error {
-		wc.Counters.RowsProcessed += int64(hi - lo)
-		cur, dst := sels.morsel(in, m%nw, lo, hi), out[lo:lo:hi]
-		for _, p := range compiled {
-			if cur = applyPred(in, p, cur, dst); len(cur) == 0 {
-				return nil
-			}
-		}
-		if len(residual) > 0 {
-			var err error
-			if cur, err = wc.filterSel(residual, rowEnv(layout), in.Vecs, cur, dst); err != nil {
-				return err
-			}
-		}
-		// With no conjunct at all cur is still the input's selection.
-		kept[m] = copy(out[lo:hi], cur)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	live := 0
-	for m, k := range kept {
-		live += copy(out[live:], out[m*MorselSize:m*MorselSize+k])
-	}
-	return &Batch{Cols: in.Cols, Vecs: in.Vecs, Sel: out[:live], n: in.n}, nil
+	return &sc.out, nil
 }
 
 // --- project ---
 
-// runProject computes the projection items. Column references share the
-// input's vectors; expressions are evaluated per morsel through the
-// row-at-a-time evaluator into one boxed vector per item.
-func (c *Ctx) runProject(t *physical.Project) (*Batch, error) {
-	in, err := c.inputBatch(t.Input)
-	if err != nil {
-		return nil, err
-	}
+// projectStage computes the projection items. Column references share the
+// input's vectors; expressions are evaluated through the row-at-a-time
+// evaluator into one boxed vector per item, dense over the live rows, and the
+// referenced columns a later stage reads are then gathered to the same
+// positions.
+type projectStage struct {
+	t     *physical.Project
+	src   []int // per item: the input column it references, -1 for an expression
+	exprs []int // the items that are expressions
+	reads []int // input columns the expressions read
+	need  []bool
+	ws    []projectScratch
+}
+
+type projectScratch struct {
+	out  Batch
+	env  *env
+	vals [][]datum.D  // per expression item: its values, reused
+	vecs []*datum.Vec // per referenced column: its gather target, reused
+}
+
+func newProjectStage(t *physical.Project) *projectStage {
 	layout := t.Input.Columns()
-	vecs := make([]*datum.Vec, len(t.Items))
-	var exprs []int // items that are not plain column references
+	p := &projectStage{t: t, src: make([]int, len(t.Items))}
+	var exprs []logical.Scalar
 	for i, it := range t.Items {
+		p.src[i] = -1
 		if col, ok := it.Expr.(*logical.Col); ok {
-			if off := in.colIndex(col.ID); off >= 0 {
-				vecs[i] = in.Vecs[off]
-				continue
-			}
+			p.src[i] = (&Result{Cols: layout}).ColIndex(col.ID)
 		}
-		exprs = append(exprs, i)
+		if p.src[i] < 0 {
+			p.exprs, exprs = append(p.exprs, i), append(exprs, it.Expr)
+		}
 	}
-	if len(exprs) == 0 {
+	p.reads = colsRead(layout, exprs...)
+	return p
+}
+
+func (p *projectStage) bind(need []bool, workers int) []bool {
+	p.need, p.ws = need, make([]projectScratch, workers)
+	in := make([]bool, len(p.t.Input.Columns()))
+	for i, off := range p.src {
+		if off >= 0 && need[i] {
+			in[off] = true
+		}
+	}
+	for _, off := range p.reads {
+		in[off] = true
+	}
+	return in
+}
+
+func (p *projectStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error) {
+	n := in.NumRows()
+	wc.Counters.RowsProcessed += int64(n)
+	sc := &p.ws[w]
+	if sc.out.Vecs == nil {
+		sc.out.Cols, sc.out.Vecs = p.t.Columns(), make([]*datum.Vec, len(p.src))
+		sc.vals, sc.vecs = make([][]datum.D, len(p.src)), make([]*datum.Vec, len(p.src))
+	}
+	b := &sc.out
+	b.Sel, b.n = in.Sel, in.n
+	for i, off := range p.src {
+		if off >= 0 {
+			b.Vecs[i] = in.Vecs[off]
+		}
+	}
+	if len(p.exprs) == 0 {
 		// Pure column selection: a projection costs len(items) pointer
 		// copies, not a row copy.
-		n := in.NumRows()
-		c.Counters.RowsProcessed += int64(n)
-		if c.curNode != nil {
-			c.curNode.Batches += int64(numMorsels(n))
+		return b, nil
+	}
+	if sc.env == nil {
+		sc.env = rowEnv(p.t.Input.Columns())
+	}
+	for _, i := range p.exprs {
+		if cap(sc.vals[i]) < n {
+			sc.vals[i] = make([]datum.D, pw.scratch(n))
 		}
-		return &Batch{Cols: t.Columns(), Vecs: vecs, Sel: in.Sel, n: in.n}, nil
+		sc.vals[i] = sc.vals[i][:n]
 	}
-	// Expression results are dense (one per live row), so the shared column
-	// vectors are gathered to the same positions.
-	n := in.NumRows()
-	vals := make([][]datum.D, len(t.Items))
-	for _, i := range exprs {
-		vals[i] = make([]datum.D, n)
-	}
-	err = c.forMorsels(n, func(wc *Ctx, m, lo, hi int) error {
-		wc.Counters.RowsProcessed += int64(hi - lo)
-		e := rowEnv(layout)
-		ectx := wc.evalCtx(e)
-		for k := lo; k < hi; k++ {
-			row := k
-			if in.Sel != nil {
-				row = int(in.Sel[k])
-			}
-			for j, v := range in.Vecs {
-				e.row[j] = v.D(row)
-			}
-			for _, i := range exprs {
-				v, err := logical.Eval(t.Items[i].Expr, ectx)
-				if err != nil {
-					return err
-				}
-				vals[i][k] = v
-			}
+	e, ectx := sc.env, wc.evalCtx(sc.env)
+	for k, row := range pw.live(in) {
+		for _, j := range p.reads {
+			e.row[j] = in.Vecs[j].D(int(row))
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		for _, i := range p.exprs {
+			v, err := logical.Eval(p.t.Items[i].Expr, ectx)
+			if err != nil {
+				return nil, err
+			}
+			sc.vals[i][k] = v
+		}
 	}
-	for i := range vecs {
+	for i, off := range p.src {
 		switch {
-		case vals[i] != nil:
-			vecs[i] = datum.NewBoxedVec(vals[i])
-		case in.Sel != nil:
-			vecs[i] = gatherVec(vecs[i], in.Sel)
+		case off < 0:
+			b.Vecs[i] = datum.NewBoxedVec(sc.vals[i])
+		case in.Sel != nil && p.need[i]:
+			b.Vecs[i] = gatherInto(&sc.vecs[i], in.Vecs[off], in.Sel)
 		}
 	}
-	return &Batch{Cols: t.Columns(), Vecs: vecs, n: n}, nil
+	b.Sel, b.n = nil, n
+	return b, nil
 }

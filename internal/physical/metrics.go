@@ -61,6 +61,11 @@ type NodeMetrics struct {
 	BlocksDict  int64
 	BlocksRLE   int64
 	BlocksPlain int64
+	// Pipeline tags the node with the executor pipeline it ran in, numbered
+	// in the order pipelines were opened: nodes sharing a tag ran fused per
+	// morsel, a change of tag between a node and its input is a breaker (a
+	// row operator is a pipeline of its own).
+	Pipeline int
 }
 
 // NoteMem records a buffered-rows observation, keeping the peak.
@@ -96,7 +101,14 @@ func (m *NodeMetrics) AddWorkerRows(w int, n int64) {
 // (workers report through per-worker contexts merged at barriers), so it
 // needs no locking.
 type RunMetrics struct {
-	nodes map[Plan]*NodeMetrics
+	nodes     map[Plan]*NodeMetrics
+	pipelines int
+}
+
+// NewPipeline returns the tag of the next pipeline the execution opens.
+func (r *RunMetrics) NewPipeline() int {
+	r.pipelines++
+	return r.pipelines
 }
 
 // NewRunMetrics returns an empty metrics collection.
@@ -173,6 +185,7 @@ func formatAnalyzeNode(sb *strings.Builder, p Plan, md *logical.Metadata, rm *Ru
 		if m.Invocations > 1 {
 			fmt.Fprintf(sb, " loops=%d", m.Invocations)
 		}
+		fmt.Fprintf(sb, " pipeline=%d", m.Pipeline)
 		if m.Batches > 0 {
 			fmt.Fprintf(sb, " batches=%d", m.Batches)
 		}
