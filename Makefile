@@ -37,15 +37,18 @@ PLAN_BENCHTIME ?= 1s
 plan-bench:
 	go test -run '^$$' -bench 'BenchmarkOptimize' -benchmem -benchtime $(PLAN_BENCHTIME) ./internal/systemr
 
-# Executor micro-benchmarks in internal/exec: hash aggregation at 8 / 1000 /
-# 20 000 groups over one and three keys, the hash-join probe, filtered scans
-# collected at 10 % and 85 % selectivity, and whole pipelines (filtered scalar
-# aggregate, 1000-group aggregation, three-dimension star join) — over pinned
-# and file-backed segments; ns/row plus B/op and allocs/op.
+# Executor and index micro-benchmarks. In internal/exec: hash aggregation at
+# 8 / 1000 / 20 000 groups over one and three keys, the hash-join probe,
+# filtered scans collected at 10 % and 85 % selectivity, and whole pipelines
+# (filtered scalar aggregate, 1000-group aggregation, three-dimension star
+# join) — over pinned and file-backed segments; ns/row plus B/op and
+# allocs/op. In internal/storage: one index Seek on a 20 000-entry index
+# (point, and a range at the start, middle and end) and one index build over
+# 100 000 rows (INT and string keys, loaded ascending or shuffled).
 # EXEC_BENCHTIME=1x is the CI smoke setting.
 EXEC_BENCHTIME ?= 1s
 exec-bench:
-	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkFilteredScan|BenchmarkPipeline' -benchmem -benchtime $(EXEC_BENCHTIME) ./internal/exec
+	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkFilteredScan|BenchmarkPipeline|BenchmarkIndex' -benchmem -benchtime $(EXEC_BENCHTIME) ./internal/exec ./internal/storage
 
 bench:
 	go test -bench=. -benchmem

@@ -461,7 +461,7 @@ func (c *Ctx) runINLJoin(t *physical.INLJoin) ([]datum.Row, error) {
 				}
 			}
 			wc.Counters.IndexSeeks++
-			ids := ix.SeekEq(key)
+			ids := ix.Seek(key, datum.Null, false, datum.Null, false)
 			wc.touchRows(tab, ids)
 			for _, id := range ids {
 				ir, err := wc.rowAt(tab, id)

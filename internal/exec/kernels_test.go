@@ -24,6 +24,15 @@ func mkVec(ds ...datum.D) *datum.Vec {
 	return v
 }
 
+// identSel returns the identity selection vector [0, n).
+func identSel(n int) []int32 {
+	s := make([]int32, n)
+	for i := range s {
+		s[i] = int32(i)
+	}
+	return s
+}
+
 // mkBoxed forces the boxed representation.
 func mkBoxed(ds ...datum.D) *datum.Vec {
 	v := datum.NewAnyVec(len(ds))

@@ -433,54 +433,3 @@ func TestTouchRowsMatchesPerIDTouches(t *testing.T) {
 		}
 	}
 }
-
-// TestFilterIDsByRange: the vector comparison keeps exactly the ids a
-// datum.Compare per value keeps — NULL values never, NULL bounds open, each
-// end inclusive or not — over an INT column with NULLs and a FLOAT column
-// compared against INT bounds, sealed rows and tail rows.
-func TestFilterIDsByRange(t *testing.T) {
-	f := newPipeFixture(t)
-	tab, _ := f.store.Table("P")
-	ids := make([]int, 0, 1500)
-	for id := 2999; id >= 0; id -= 2 {
-		ids = append(ids, id)
-	}
-	c := NewCtx(f.store, f.md)
-	null := datum.Null
-	for _, ord := range []int{0, 3} { // k: INT with NULLs; f: FLOAT
-		bounds := [][2]datum.D{{datum.NewInt(20), datum.NewInt(90)}, {null, datum.NewInt(90)}, {datum.NewInt(20), null}, {datum.NewInt(90), datum.NewInt(20)}}
-		if ord == 3 {
-			bounds = append(bounds, [2]datum.D{datum.NewFloat(0.5), datum.NewFloat(1e6)})
-		}
-		for _, b := range bounds {
-			for incl := 0; incl < 4; incl++ {
-				loIncl, hiIncl := incl&1 != 0, incl&2 != 0
-				var want []int
-				for _, id := range ids {
-					row, err := c.rowAt(tab, id)
-					if err != nil {
-						t.Fatal(err)
-					}
-					v := row[ord]
-					lo, hi := 1, -1
-					if !b[0].IsNull() {
-						lo = datum.Compare(v, b[0])
-					}
-					if !b[1].IsNull() {
-						hi = datum.Compare(v, b[1])
-					}
-					if !v.IsNull() && (lo > 0 || (lo == 0 && loIncl)) && (hi < 0 || (hi == 0 && hiIncl)) {
-						want = append(want, id)
-					}
-				}
-				got, err := c.filterIDsByRange(tab, ids, ord, b[0], loIncl, b[1], hiIncl)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if fmt.Sprint(got) != fmt.Sprint(want) {
-					t.Errorf("column %d bounds %v incl %v/%v: %d ids, want %d", ord, b, loIncl, hiIncl, len(got), len(want))
-				}
-			}
-		}
-	}
-}

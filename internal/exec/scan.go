@@ -286,56 +286,11 @@ func (c *Ctx) openIndexScan(t *physical.IndexScan) (*pipeline, error) {
 		return nil, err
 	}
 	c.Counters.IndexSeeks++
-	var ids []int
-	switch {
-	case len(t.EqKey) > 0 && (!t.Lo.IsNull() || !t.Hi.IsNull()):
-		// Equality prefix + range on the next column: fetch eq matches and
-		// post-filter on the range column.
-		ids = ix.SeekEq(t.EqKey)
-		rangeOrd := t.Index.Cols[len(t.EqKey)]
-		ids, err = c.filterIDsByRange(tab, ids, rangeOrd, t.Lo, t.LoIncl, t.Hi, t.HiIncl)
-		if err != nil {
-			return nil, err
-		}
-	case len(t.EqKey) > 0:
-		ids = ix.SeekEq(t.EqKey)
-	default:
-		ids = ix.SeekRange(t.Lo, t.LoIncl, t.Hi, t.HiIncl)
-	}
+	ids := ix.Seek(t.EqKey, t.Lo, t.LoIncl, t.Hi, t.HiIncl)
 	c.touchRows(tab, ids)
 	src := c.newScanSource(tab, t.Cols, t.ColOrds, t.Filter)
 	src.ids, src.byID, src.n = ids, true, len(ids)
 	return c.newPipeline(t, src, began), nil
-}
-
-// filterIDsByRange keeps the ids whose column ord lies within the bounds (a
-// NULL bound is open, a NULL value never within): one gather of the column
-// and the selection kernels' comparison, which is datum.Compare's.
-func (c *Ctx) filterIDsByRange(tab *storage.Table, ids []int, ord int, lo datum.D, loIncl bool, hi datum.D, hiIncl bool) ([]int, error) {
-	v := datum.NewVec(tab.Def.Cols[ord].Kind, len(ids))
-	if err := c.fillIDs(tab, ord, ids, v); err != nil {
-		return nil, err
-	}
-	sel := identSel(len(ids))
-	if !lo.IsNull() {
-		op := logical.CmpGt
-		if loIncl {
-			op = logical.CmpGe
-		}
-		sel = selColConst(v, op, lo, sel, sel[:0])
-	}
-	if !hi.IsNull() {
-		op := logical.CmpLt
-		if hiIncl {
-			op = logical.CmpLe
-		}
-		sel = selColConst(v, op, hi, sel, sel[:0])
-	}
-	out := make([]int, len(sel))
-	for k, i := range sel {
-		out[k] = ids[i]
-	}
-	return out, nil
 }
 
 // batchSource streams a materialized batch — the output of the breaker below

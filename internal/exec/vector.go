@@ -31,15 +31,6 @@ import (
 	"repro/internal/physical"
 )
 
-// identSel returns the identity selection vector [0, n).
-func identSel(n int) []int32 {
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = int32(i)
-	}
-	return s
-}
-
 // gatherInto gathers the src rows named by idx, in order, into the reused
 // scratch vector *dst; negative indices produce NULL (the outer-join padding).
 func gatherInto(dst **datum.Vec, src *datum.Vec, idx []int32) *datum.Vec {

@@ -272,15 +272,19 @@ func (o Ordering) SatisfiedBy(actual Ordering) bool {
 }
 
 func (o Ordering) String() string {
-	parts := make([]string, len(o))
+	var b []byte
 	for i, s := range o {
-		dir := "+"
-		if s.Desc {
-			dir = "-"
+		if i > 0 {
+			b = append(b, ',')
 		}
-		parts[i] = fmt.Sprintf("%s@%d", dir, int(s.Col))
+		if s.Desc {
+			b = append(b, "-@"...)
+		} else {
+			b = append(b, "+@"...)
+		}
+		b = strconv.AppendInt(b, int64(s.Col), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // Query is a fully built statement: the root relational expression plus

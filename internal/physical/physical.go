@@ -6,6 +6,7 @@ package physical
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/catalog"
@@ -452,11 +453,21 @@ func Format(p Plan, md *logical.Metadata) string {
 	return sb.String()
 }
 
+// formatPlan writes one line per node, "<indent><Describe>  (rows=%.0f
+// cost=%.1f)", children indented below their parent. Every execution renders
+// its plan (Result.Plan), so it is written with strconv, not fmt.
 func formatPlan(sb *strings.Builder, p Plan, md *logical.Metadata, depth int) {
-	indent := strings.Repeat("  ", depth)
+	for i := 0; i < depth; i++ {
+		sb.WriteString("  ")
+	}
+	describe(sb, p, md)
 	rows, cost := p.Estimate()
-	line := Describe(p, md)
-	fmt.Fprintf(sb, "%s%s  (rows=%.0f cost=%.1f)\n", indent, line, rows, cost)
+	var buf [48]byte
+	b := append(buf[:0], "  (rows="...)
+	b = strconv.AppendFloat(b, rows, 'f', 0, 64)
+	b = append(b, " cost="...)
+	b = strconv.AppendFloat(b, cost, 'f', 1, 64)
+	sb.Write(append(b, ")\n"...))
 	for _, c := range Children(p) {
 		formatPlan(sb, c, md, depth+1)
 	}
@@ -466,66 +477,103 @@ func formatPlan(sb *strings.Builder, p Plan, md *logical.Metadata, depth int) {
 // salient arguments) — shared by EXPLAIN, EXPLAIN ANALYZE and the feedback
 // report.
 func Describe(p Plan, md *logical.Metadata) string {
+	var sb strings.Builder
+	describe(&sb, p, md)
+	return sb.String()
+}
+
+func describe(sb *strings.Builder, p Plan, md *logical.Metadata) {
 	switch t := p.(type) {
 	case *TableScan:
-		s := fmt.Sprintf("table-scan %s", t.Table.Name)
-		if len(t.Filter) > 0 {
-			s += " filter=" + formatPreds(t.Filter, md)
-		}
-		return s
+		sb.WriteString("table-scan ")
+		sb.WriteString(t.Table.Name)
+		writeFilter(sb, t.Filter, md)
 	case *IndexScan:
-		s := fmt.Sprintf("index-scan %s.%s", t.Table.Name, t.Index.Name)
+		sb.WriteString("index-scan ")
+		sb.WriteString(t.Table.Name)
+		sb.WriteByte('.')
+		sb.WriteString(t.Index.Name)
 		if len(t.EqKey) > 0 {
-			s += fmt.Sprintf(" eq=%s", t.EqKey)
+			sb.WriteString(" eq=")
+			sb.WriteString(t.EqKey.String())
 		}
 		if !t.Lo.IsNull() || !t.Hi.IsNull() {
-			s += fmt.Sprintf(" range=[%s,%s]", t.Lo, t.Hi)
+			sb.WriteString(" range=[")
+			sb.WriteString(t.Lo.String())
+			sb.WriteByte(',')
+			sb.WriteString(t.Hi.String())
+			sb.WriteByte(']')
 		}
-		if len(t.Filter) > 0 {
-			s += " filter=" + formatPreds(t.Filter, md)
-		}
-		return s
+		writeFilter(sb, t.Filter, md)
 	case *ValuesOp:
-		return fmt.Sprintf("values (%d rows)", len(t.Rows))
+		sb.WriteString("values (")
+		sb.WriteString(strconv.Itoa(len(t.Rows)))
+		sb.WriteString(" rows)")
 	case *Filter:
-		return "filter " + formatPreds(t.Preds, md)
+		sb.WriteString("filter ")
+		sb.WriteString(formatPreds(t.Preds, md))
 	case *Project:
-		return "project"
+		sb.WriteString("project")
 	case *Sort:
-		return "sort " + t.By.String()
+		sb.WriteString("sort ")
+		sb.WriteString(t.By.String())
 	case *NLJoin:
-		return fmt.Sprintf("nested-loop-%s %s", t.Kind, formatPreds(t.On, md))
+		sb.WriteString("nested-loop-")
+		sb.WriteString(t.Kind.String())
+		sb.WriteByte(' ')
+		sb.WriteString(formatPreds(t.On, md))
 	case *INLJoin:
-		return fmt.Sprintf("index-nl-%s %s.%s", t.Kind, t.Table.Name, t.Index.Name)
+		sb.WriteString("index-nl-")
+		sb.WriteString(t.Kind.String())
+		sb.WriteByte(' ')
+		sb.WriteString(t.Table.Name)
+		sb.WriteByte('.')
+		sb.WriteString(t.Index.Name)
 	case *MergeJoin:
-		return fmt.Sprintf("merge-%s", t.Kind)
+		sb.WriteString("merge-")
+		sb.WriteString(t.Kind.String())
 	case *HashJoin:
-		return fmt.Sprintf("hash-%s", t.Kind)
+		sb.WriteString("hash-")
+		sb.WriteString(t.Kind.String())
 	case *HashGroupBy:
-		return "hash-group-by"
+		sb.WriteString("hash-group-by")
 	case *StreamGroupBy:
-		return "stream-group-by"
+		sb.WriteString("stream-group-by")
 	case *LimitOp:
-		return fmt.Sprintf("limit %d", t.N)
+		sb.WriteString("limit ")
+		sb.WriteString(strconv.FormatInt(t.N, 10))
 	case *Exchange:
-		s := fmt.Sprintf("exchange degree=%d", t.Degree)
+		sb.WriteString("exchange degree=")
+		sb.WriteString(strconv.Itoa(t.Degree))
 		if len(t.PartitionCols) > 0 {
-			parts := make([]string, len(t.PartitionCols))
+			sb.WriteString(" hash(")
 			for i, c := range t.PartitionCols {
-				parts[i] = logical.FormatScalar(&logical.Col{ID: c}, md)
+				if i > 0 {
+					sb.WriteByte(',')
+				}
+				sb.WriteString(logical.FormatScalar(&logical.Col{ID: c}, md))
 			}
-			s += " hash(" + strings.Join(parts, ",") + ")"
+			sb.WriteByte(')')
 		} else {
-			s += " round-robin"
+			sb.WriteString(" round-robin")
 		}
 		if len(t.MergeOrdering) > 0 {
-			s += " merge " + t.MergeOrdering.String()
+			sb.WriteString(" merge ")
+			sb.WriteString(t.MergeOrdering.String())
 		}
-		return s
 	case *UnionAll:
-		return "union-all"
+		sb.WriteString("union-all")
+	default:
+		sb.WriteString(fmt.Sprintf("%T", p))
 	}
-	return fmt.Sprintf("%T", p)
+}
+
+// writeFilter appends " filter=[...]" for a non-empty residual filter.
+func writeFilter(sb *strings.Builder, preds []logical.Scalar, md *logical.Metadata) {
+	if len(preds) > 0 {
+		sb.WriteString(" filter=")
+		sb.WriteString(formatPreds(preds, md))
+	}
 }
 
 func formatPreds(preds []logical.Scalar, md *logical.Metadata) string {

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -279,5 +280,48 @@ func TestDictCacheCharge(t *testing.T) {
 	materialized := int64(1024 * (16 + len(long) + 1))
 	if size >= materialized/4 {
 		t.Fatalf("dict column charged %d bytes, want well under materialized %d", size, materialized)
+	}
+}
+
+// TestDictInternedByEncoding: a dictionary block whose encoded dictionary a
+// table decoded before gets the interned *StrDict back without building a
+// string, whatever its codes; another value set gets its own dictionary.
+func TestDictInternedByEncoding(t *testing.T) {
+	block := func(vals ...string) []byte {
+		v := datum.NewVec(datum.KindString, len(vals))
+		for _, s := range vals {
+			v.AppendD(datum.NewString(s))
+		}
+		dict, codes, ok := buildDict(v)
+		if !ok {
+			t.Fatal("no dictionary")
+		}
+		var buf bytes.Buffer
+		encodeDict(&buf, v, dict, codes)
+		return buf.Bytes()
+	}
+	a := block("alpha", "bravo", "alpha", "charlie")
+	b := block("charlie", "charlie", "bravo", "alpha")
+	c := block("alpha", "delta", "alpha", "charlie")
+	var ds dictSet
+	decode := func(blk []byte, ds *dictSet) *datum.Vec {
+		v, err := decodeColumn(blk, 4, ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	va := decode(a, &ds)
+	if vb := decode(b, &ds); vb.Dict != va.Dict || vb.D(0).Str() != "charlie" {
+		t.Errorf("same value set: dictionary %p vs %p, row 0 %v", vb.Dict, va.Dict, vb.D(0))
+	}
+	if vc := decode(c, &ds); vc.Dict == va.Dict || vc.D(1).Str() != "delta" {
+		t.Errorf("another value set shares the dictionary, row 1 %v", vc.D(1))
+	}
+	fresh := testing.AllocsPerRun(20, func() { decode(a, &dictSet{}) })
+	interned := testing.AllocsPerRun(20, func() { decode(a, &ds) })
+	// Fresh: the map, its key, the StrDict, its Vals and three strings.
+	if interned > fresh-5 {
+		t.Errorf("decoding an interned dictionary block: %.0f allocations, %.0f with a fresh set", interned, fresh)
 	}
 }

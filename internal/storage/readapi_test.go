@@ -56,11 +56,6 @@ func checkReads(t *testing.T, tab *Table, want []datum.Row) {
 		var asc []int
 		for i := rng.Intn(3); i < n; i += 1 + rng.Intn(3) {
 			asc = append(asc, i)
-			d, err := tab.ColValue(nil, i, ord)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRows(t, []datum.Row{{d}}, colRows(want, ord, []int{i}))
 		}
 		shuffled := append([]int(nil), asc...)
 		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
@@ -99,15 +94,13 @@ func checkReads(t *testing.T, tab *Table, want []datum.Row) {
 		if ix.Len() != n {
 			t.Fatalf("index %s has %d entries, want %d", def.Name, ix.Len(), n)
 		}
-		spec := fullSpec(len(def.Cols))
 		for i := 0; i < n; i++ {
 			key, id := ix.Entry(i)
 			for j, ord := range def.Cols {
 				sameRows(t, []datum.Row{{key[j]}}, colRows(want, ord, []int{id}))
 			}
 			if i > 0 {
-				prev, prevID := ix.Entry(i - 1)
-				if c := datum.CompareRows(prev, key, spec); c > 0 || (c == 0 && prevID > id) {
+				if prev, prevID := ix.Entry(i - 1); cmpEntries(prev, prevID, key, id) >= 0 {
 					t.Fatalf("index %s out of order at %d", def.Name, i)
 				}
 			}

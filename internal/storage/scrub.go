@@ -92,7 +92,7 @@ func scrubFile(path, table string, seg int, wantBytes int64, wantCRC uint32) []*
 				Detail: fmt.Sprintf("block checksum %08x, want %08x", got, cm.crc)})
 			continue
 		}
-		if _, err := decodeColumn(block, sm.rows); err != nil {
+		if _, err := decodeColumn(block, sm.rows, nil); err != nil {
 			add(&CorruptError{Path: path, Region: RegionBlock, Column: ci, Offset: cm.off,
 				Detail: fmt.Sprintf("block decode: %v", err)})
 		}

@@ -201,9 +201,16 @@ type byteReader struct {
 	off int
 }
 
+var (
+	errTruncated = errors.New("storage: truncated segment data")
+	// errVarintOverflow is the error binary.ReadUvarint reports for a varint
+	// longer than 64 bits.
+	errVarintOverflow = errors.New("binary: varint overflows a 64-bit integer")
+)
+
 func (r *byteReader) ReadByte() (byte, error) {
 	if r.off >= len(r.b) {
-		return 0, fmt.Errorf("storage: truncated segment data")
+		return 0, errTruncated
 	}
 	c := r.b[r.off]
 	r.off++
@@ -212,19 +219,37 @@ func (r *byteReader) ReadByte() (byte, error) {
 
 func (r *byteReader) take(n int) ([]byte, error) {
 	if n < 0 || r.off+n > len(r.b) {
-		return nil, fmt.Errorf("storage: truncated segment data")
+		return nil, errTruncated
 	}
 	s := r.b[r.off : r.off+n]
 	r.off += n
 	return s, nil
 }
 
+// uvarint decodes a uvarint in place, with the errors binary.ReadUvarint
+// gives over ReadByte: ten continuation bytes overflow even at the end of the
+// data, fewer are truncated.
 func (r *byteReader) uvarint() (uint64, error) {
-	return binary.ReadUvarint(r)
+	rest := r.b[r.off:]
+	x, n := binary.Uvarint(rest)
+	switch {
+	case n > 0:
+		r.off += n
+		return x, nil
+	case n < 0 || len(rest) >= binary.MaxVarintLen64:
+		return 0, errVarintOverflow
+	}
+	return 0, errTruncated
 }
 
+// varint decodes a zig-zag varint, as binary.ReadVarint does.
 func (r *byteReader) varint() (int64, error) {
-	return binary.ReadVarint(r)
+	ux, err := r.uvarint()
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x, err
 }
 
 func decodeD(r *byteReader) (datum.D, error) {
@@ -495,8 +520,10 @@ func encodeRLE(buf *bytes.Buffer, v *datum.Vec, runs int) {
 }
 
 // decodeColumn rebuilds a column block into a Vec. rows is the segment's row
-// count, used to validate the block.
-func decodeColumn(block []byte, rows int) (*datum.Vec, error) {
+// count, used to validate the block; a dictionary block takes its dictionary
+// from dicts (nil: a private one). Every payload is copied out, so block is
+// free for reuse once decodeColumn returns.
+func decodeColumn(block []byte, rows int, dicts *dictSet) (*datum.Vec, error) {
 	r := &byteReader{b: block}
 	repr, err := r.ReadByte()
 	if err != nil {
@@ -524,7 +551,7 @@ func decodeColumn(block []byte, rows int) (*datum.Vec, error) {
 		return datum.NewBoxedVec(ds), nil
 	}
 	if repr == reprDict {
-		return decodeDict(r, datum.Kind(kb), n)
+		return decodeDict(r, datum.Kind(kb), n, dicts)
 	}
 	if repr == reprRLE {
 		return decodeRLE(r, datum.Kind(kb), n)
@@ -602,8 +629,10 @@ func decodeNulls(r *byteReader, n int) (datum.Bitmap, int, error) {
 // the codes stay encoded all the way into the executor; only kernels that
 // need the strings consult the dictionary. The sort order and code range are
 // validated so a block that passes its CRC but was written wrong still
-// surfaces as corruption, not as silent misreads.
-func decodeDict(r *byteReader, kind datum.Kind, n int) (*datum.Vec, error) {
+// surfaces as corruption, not as silent misreads. The dictionary's encoded
+// bytes are checked and interned in dicts before any string is built: a
+// dictionary seen before costs no allocation.
+func decodeDict(r *byteReader, kind datum.Kind, n int, dicts *dictSet) (*datum.Vec, error) {
 	if kind != datum.KindString {
 		return nil, fmt.Errorf("storage: dictionary block with non-string kind byte %d", kind)
 	}
@@ -611,6 +640,7 @@ func decodeDict(r *byteReader, kind datum.Kind, n int) (*datum.Vec, error) {
 	if err != nil {
 		return nil, err
 	}
+	start := r.off
 	dl, err := r.uvarint()
 	if err != nil {
 		return nil, err
@@ -619,21 +649,17 @@ func decodeDict(r *byteReader, kind datum.Kind, n int) (*datum.Vec, error) {
 	if dictLen <= 0 || dictLen > n {
 		return nil, fmt.Errorf("storage: dictionary with %d entries in a %d-row block", dictLen, n)
 	}
-	vals := make([]string, dictLen)
-	for i := range vals {
-		ln, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		b, err := r.take(int(ln))
-		if err != nil {
-			return nil, err
-		}
-		vals[i] = string(b)
-		if i > 0 && vals[i] <= vals[i-1] {
-			return nil, fmt.Errorf("storage: dictionary entry %d out of order", i)
-		}
+	if err := dictEntries(r, dictLen, nil); err != nil {
+		return nil, err
 	}
+	dict := dicts.intern(r.b[start:r.off], func(enc []byte) *datum.StrDict {
+		vals := make([]string, 0, dictLen)
+		er := &byteReader{b: enc}
+		// The bytes were checked above: neither read can fail.
+		_, _ = er.uvarint()
+		_ = dictEntries(er, dictLen, func(b []byte) { vals = append(vals, string(b)) })
+		return &datum.StrDict{Vals: vals}
+	})
 	codes := make([]int64, n)
 	for i := range codes {
 		c, err := r.uvarint()
@@ -645,7 +671,71 @@ func decodeDict(r *byteReader, kind datum.Kind, n int) (*datum.Vec, error) {
 		}
 		codes[i] = int64(c)
 	}
-	return datum.NewDictVec(n, codes, &datum.StrDict{Vals: vals}, nulls, numNulls), nil
+	return datum.NewDictVec(n, codes, dict, nulls, numNulls), nil
+}
+
+// dictEntries reads dictLen uvarint-length dictionary entries from r,
+// requiring them to ascend strictly, and passes each one's bytes to each
+// (when non-nil).
+func dictEntries(r *byteReader, dictLen int, each func([]byte)) error {
+	var prev []byte
+	for i := 0; i < dictLen; i++ {
+		ln, err := r.uvarint()
+		if err != nil {
+			return err
+		}
+		b, err := r.take(int(ln))
+		if err != nil {
+			return err
+		}
+		if i > 0 && bytes.Compare(b, prev) <= 0 {
+			return fmt.Errorf("storage: dictionary entry %d out of order", i)
+		}
+		if each != nil {
+			each(b)
+		}
+		prev = b
+	}
+	return nil
+}
+
+// dictSet interns decoded string dictionaries by their encoded bytes, so the
+// segments of a table that sealed the same value set share one *StrDict
+// pointer — which is what lets a multi-segment scan keep appending codes
+// instead of materializing at every segment boundary (Vec.AppendRange's
+// same-dict fast path is pointer identity). Codes need no translation: equal
+// encodings list equal values in the same order. Safe for concurrent use,
+// because column reads hold only the table's read lock.
+type dictSet struct {
+	mu sync.Mutex
+	m  map[string]*datum.StrDict
+}
+
+// intern returns the dictionary interned for enc, the encoded dictionary
+// (entry count and entries) of a block, calling build(enc) the first time.
+// A nil set interns nothing.
+func (ds *dictSet) intern(enc []byte, build func(enc []byte) *datum.StrDict) *datum.StrDict {
+	if ds == nil {
+		return build(enc)
+	}
+	ds.mu.Lock()
+	defer ds.mu.Unlock()
+	if d, ok := ds.m[string(enc)]; ok {
+		return d
+	}
+	if ds.m == nil {
+		ds.m = make(map[string]*datum.StrDict)
+	}
+	d := build(enc)
+	ds.m[string(enc)] = d
+	return d
+}
+
+// reset forgets every interned dictionary.
+func (ds *dictSet) reset() {
+	ds.mu.Lock()
+	ds.m = nil
+	ds.mu.Unlock()
 }
 
 // decodeRLE expands a run-length block to the plain typed representation
@@ -999,13 +1089,17 @@ func decodeFooter(raw []byte, path string) (segMeta, error) {
 	return sm, nil
 }
 
+// blockBufs recycles the raw block buffers of readColumnBlock: decodeColumn
+// copies every payload out, so a buffer is dead once its block is decoded.
+var blockBufs sync.Pool
+
 // readColumnBlock reads, CRC-verifies and decodes one column block from a
 // segment file, checking the fault streams and charging the bytes to sc.
 // Verification runs on every call; the caller's column cache is what makes
 // hot reads pay the checksum only once. verify=false (Options.
 // DisableChecksums) is the benchmark A/B arm and the escape hatch for
-// salvage reads.
-func readColumnBlock(sc *ScanCtx, path string, sm *segMeta, ord int, table string, seg int, verify bool) (*datum.Vec, error) {
+// salvage reads. Dictionaries are interned in dicts.
+func readColumnBlock(sc *ScanCtx, path string, sm *segMeta, ord int, table string, seg int, verify bool, dicts *dictSet) (*datum.Vec, error) {
 	if err := sc.check("segment.open"); err != nil {
 		return nil, err
 	}
@@ -1018,7 +1112,13 @@ func readColumnBlock(sc *ScanCtx, path string, sm *segMeta, ord int, table strin
 		return nil, err
 	}
 	cm := &sm.cols[ord]
-	block := make([]byte, cm.blockLen)
+	buf, _ := blockBufs.Get().(*[]byte)
+	if buf == nil || int64(cap(*buf)) < cm.blockLen {
+		buf = new([]byte)
+		*buf = make([]byte, cm.blockLen)
+	}
+	defer blockBufs.Put(buf)
+	block := (*buf)[:cm.blockLen]
 	if _, err := f.ReadAt(block, cm.off); err != nil {
 		return nil, fmt.Errorf("storage: reading %s column %d: %w", path, ord, err)
 	}
@@ -1032,7 +1132,7 @@ func readColumnBlock(sc *ScanCtx, path string, sm *segMeta, ord int, table strin
 			return nil, blockErr("block checksum %08x, want %08x", got, cm.crc)
 		}
 	}
-	v, err := decodeColumn(block, sm.rows)
+	v, err := decodeColumn(block, sm.rows, dicts)
 	if err != nil {
 		return nil, blockErr("block decode: %v", err)
 	}

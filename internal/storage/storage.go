@@ -69,36 +69,9 @@ type segTable struct {
 	sealedRows int
 	// sealedBytes is the total encoded size of the sealed segments.
 	sealedBytes int64
-	// dicts interns decoded string dictionaries by content, so segments that
-	// sealed the same value set share one *StrDict pointer — which is what
-	// lets a multi-segment scan keep appending codes instead of materializing
-	// at every segment boundary (Vec.AppendRange's same-dict fast path is
-	// pointer identity). Guarded by its own mutex because column reads hold
-	// only the table's read lock.
-	dictMu sync.Mutex
-	dicts  map[string]*datum.StrDict
-}
-
-// internDict returns the canonical *StrDict for d's contents, registering d
-// as canonical on first sight. Codes need no translation: equal contents
-// sort identically, so equal dictionaries assign equal codes.
-func (st *segTable) internDict(d *datum.StrDict) *datum.StrDict {
-	var sb strings.Builder
-	for _, s := range d.Vals {
-		fmt.Fprintf(&sb, "%d:", len(s))
-		sb.WriteString(s)
-	}
-	key := sb.String()
-	st.dictMu.Lock()
-	defer st.dictMu.Unlock()
-	if st.dicts == nil {
-		st.dicts = make(map[string]*datum.StrDict)
-	}
-	if e, ok := st.dicts[key]; ok {
-		return e
-	}
-	st.dicts[key] = d
-	return d
+	// dicts interns the dictionaries of the decoded dictionary blocks of
+	// this generation.
+	dicts dictSet
 }
 
 // NewTable creates empty standalone storage for a catalog table: a default
@@ -227,7 +200,7 @@ func (t *Table) publishLocked(pend []pendingSeg, gen int, rec func([]manEntry) s
 			p := &pend[i]
 			p.sm.pinned = make([]*datum.Vec, len(p.sm.cols))
 			for ci, cm := range p.sm.cols {
-				v, err := decodeColumn(p.raw[cm.off:cm.off+cm.blockLen], p.sm.rows)
+				v, err := decodeColumn(p.raw[cm.off:cm.off+cm.blockLen], p.sm.rows, &t.seg.dicts)
 				if err != nil {
 					return fmt.Errorf("storage: pinning %s segment %d column %d: %w", t.Def.Name, p.sm.id, ci, err)
 				}
@@ -276,11 +249,6 @@ func (t *Table) publishLocked(pend []pendingSeg, gen int, rec func([]manEntry) s
 // t.mu.
 func (t *Table) adoptLocked(pend []pendingSeg) {
 	for _, p := range pend {
-		for _, v := range p.sm.pinned {
-			if v.Dict != nil {
-				v.Dict = t.seg.internDict(v.Dict)
-			}
-		}
 		t.seg.segs = append(t.seg.segs, p.sm)
 		t.seg.nextID = p.sm.id + 1
 		t.seg.sealedRows += p.sm.rows
@@ -362,14 +330,11 @@ func (t *Table) readColumnLocked(sc *ScanCtx, si, ord int) (*datum.Vec, error) {
 	var v *datum.Vec
 	err := t.store.retryIO(func() error {
 		var rerr error
-		v, rerr = readColumnBlock(sc, t.segPath(sm.id), sm, ord, t.Def.Name, sm.id, verify)
+		v, rerr = readColumnBlock(sc, t.segPath(sm.id), sm, ord, t.Def.Name, sm.id, verify, &t.seg.dicts)
 		return rerr
 	})
 	if err != nil {
 		return nil, err
-	}
-	if v.Dict != nil {
-		v.Dict = t.seg.internDict(v.Dict)
 	}
 	t.store.cache.put(key, v, vecCacheBytes(v))
 	return v, nil
@@ -505,22 +470,6 @@ func (t *Table) Row(sc *ScanCtx, id int) (datum.Row, error) {
 	return r, nil
 }
 
-// ColValue returns one column of one row — the point-lookup form used by
-// index-range post-filters, which would waste work materializing whole rows.
-func (t *Table) ColValue(sc *ScanCtx, id, ord int) (datum.D, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if id >= t.seg.sealedRows {
-		return t.rows[id-t.seg.sealedRows][ord], nil
-	}
-	si := t.segIndexLocked(id)
-	v, err := t.readColumnLocked(sc, si, ord)
-	if err != nil {
-		return datum.Null, err
-	}
-	return v.D(id - t.seg.segs[si].startRow), nil
-}
-
 // FillColumnRange appends column ord of rows [lo, hi) to v — the
 // batch-granular scan API of the vectorized execution path: one lock
 // acquisition and one column fill per morsel instead of a row-at-a-time
@@ -619,6 +568,10 @@ func (t *Table) SortBy(spec []datum.SortSpec) error {
 // the sorted order) must stay durable after it. Caller holds t.mu.
 func (t *Table) rewriteLocked(all []datum.Row) error {
 	newGen := t.seg.gen + 1
+	// The new generation's pinned columns decode while it is published:
+	// forget the old generation's dictionaries first. Interning only shares
+	// pointers, so a failed rewrite merely shares fewer.
+	t.seg.dicts.reset()
 	sizes := t.chunkSizes(len(all), true)
 	pend := make([]pendingSeg, len(sizes))
 	off := 0
@@ -642,9 +595,6 @@ func (t *Table) rewriteLocked(all []datum.Row) error {
 	}
 	// Commit point passed: swap in the new generation.
 	t.store.cache.dropTable(t)
-	t.seg.dictMu.Lock()
-	t.seg.dicts = nil
-	t.seg.dictMu.Unlock()
 	t.seg.gen = newGen
 	t.seg.segs = nil
 	t.seg.nextID = 0
@@ -766,128 +716,6 @@ func (t *Table) SegmentStats() (rows, totalRows, pages int, cols []SegColStats, 
 	}
 	totalRows = t.rowCountLocked()
 	return rows, totalRows, pagesOf(t.seg.sealedBytes + int64(t.bytes)), cols, true
-}
-
-// IndexData is a built (sorted) secondary index: key columns plus row ids,
-// ordered by key then row id. Lookups binary-search, modeling a B-tree.
-type IndexData struct {
-	Def     *catalog.Index
-	keys    []datum.Row // projected key columns
-	rowIDs  []int
-	KeyCols []int
-}
-
-// Index returns (building if necessary) the named index's data. The build
-// reads the key columns only; the built index is cached until the next write.
-func (t *Table) Index(name string) (*IndexData, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	k := strings.ToLower(name)
-	if ix, ok := t.indexes[k]; ok {
-		return ix, nil
-	}
-	var def *catalog.Index
-	for _, ix := range t.Def.Indexes {
-		if strings.EqualFold(ix.Name, name) {
-			def = ix
-			break
-		}
-	}
-	if def == nil {
-		return nil, fmt.Errorf("storage: table %s has no index %q", t.Def.Name, name)
-	}
-	n, width := t.rowCountLocked(), len(def.Cols)
-	flat := make([]datum.D, n*width)
-	for j, ord := range def.Cols {
-		v := datum.NewVec(t.Def.Cols[ord].Kind, n)
-		if err := t.fillColumnRangeLocked(nil, ord, 0, n, v); err != nil {
-			return nil, err
-		}
-		for i := 0; i < n; i++ {
-			flat[i*width+j] = v.D(i)
-		}
-	}
-	key := func(id int) datum.Row { return flat[id*width : (id+1)*width : (id+1)*width] }
-	ix := &IndexData{Def: def, KeyCols: def.Cols, keys: make([]datum.Row, n), rowIDs: make([]int, n)}
-	for i := range ix.rowIDs {
-		ix.rowIDs[i] = i
-	}
-	spec := fullSpec(width)
-	sort.SliceStable(ix.rowIDs, func(a, b int) bool {
-		c := datum.CompareRows(key(ix.rowIDs[a]), key(ix.rowIDs[b]), spec)
-		if c != 0 {
-			return c < 0
-		}
-		return ix.rowIDs[a] < ix.rowIDs[b]
-	})
-	for i, id := range ix.rowIDs {
-		ix.keys[i] = key(id)
-	}
-	t.indexes[k] = ix
-	return ix, nil
-}
-
-func fullSpec(n int) []datum.SortSpec {
-	spec := make([]datum.SortSpec, n)
-	for i := range spec {
-		spec[i] = datum.SortSpec{Col: i}
-	}
-	return spec
-}
-
-// Len returns the number of index entries.
-func (ix *IndexData) Len() int { return len(ix.keys) }
-
-// Entry returns the i-th (key, rowID) pair in index order.
-func (ix *IndexData) Entry(i int) (datum.Row, int) { return ix.keys[i], ix.rowIDs[i] }
-
-// SeekEq returns the row ids whose leading key columns equal the prefix key.
-func (ix *IndexData) SeekEq(prefix datum.Row) []int {
-	lo := ix.lowerBound(prefix, true)
-	hi := ix.lowerBound(prefix, false)
-	out := make([]int, 0, hi-lo)
-	out = append(out, ix.rowIDs[lo:hi]...)
-	return out
-}
-
-// lowerBound returns the first index position whose key prefix is >= prefix
-// (incl=true) or > prefix (incl=false).
-func (ix *IndexData) lowerBound(prefix datum.Row, incl bool) int {
-	spec := fullSpec(len(prefix))
-	return sort.Search(len(ix.keys), func(i int) bool {
-		c := datum.CompareRows(ix.keys[i][:len(prefix)], prefix, spec)
-		if incl {
-			return c >= 0
-		}
-		return c > 0
-	})
-}
-
-// SeekRange returns the row ids whose leading key column lies in the range
-// [lo, hi] with the given inclusivity; NULL bounds mean unbounded. NULL keys
-// (which sort first) are excluded, matching SQL predicate semantics.
-func (ix *IndexData) SeekRange(lo datum.D, loIncl bool, hi datum.D, hiIncl bool) []int {
-	var out []int
-	for i, k := range ix.keys {
-		v := k[0]
-		if v.IsNull() {
-			continue
-		}
-		if !lo.IsNull() {
-			c := datum.Compare(v, lo)
-			if c < 0 || (c == 0 && !loIncl) {
-				continue
-			}
-		}
-		if !hi.IsNull() {
-			c := datum.Compare(v, hi)
-			if c > 0 || (c == 0 && !hiIncl) {
-				break
-			}
-		}
-		out = append(out, ix.rowIDs[i])
-	}
-	return out
 }
 
 // StoreConfig holds the storage knobs.

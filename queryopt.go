@@ -985,12 +985,23 @@ func (e *Engine) finish(q *logical.Query, plan physical.Plan, res *exec.Result, 
 		out.Plan = physical.Format(plan, q.Meta)
 		out.EstRows, out.EstCost = plan.Estimate()
 	}
-	for _, r := range res.Rows {
-		row := make([]any, len(r))
-		for i, d := range r {
-			row[i] = toGo(d)
+	if len(res.Rows) > 0 {
+		// One backing array for every row's values; each row is capped so an
+		// append to it cannot run into the next.
+		n := 0
+		for _, r := range res.Rows {
+			n += len(r)
 		}
-		out.Rows = append(out.Rows, row)
+		vals := make([]any, n)
+		out.Rows = make([][]any, len(res.Rows))
+		for k, r := range res.Rows {
+			row := vals[:len(r):len(r)]
+			vals = vals[len(r):]
+			for i, d := range r {
+				row[i] = toGo(d)
+			}
+			out.Rows[k] = row
+		}
 	}
 	return out
 }
