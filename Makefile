@@ -9,7 +9,7 @@ test:
 # check is the strict gate: formatting, vet, and the full suite under the race
 # detector. The parallel executor (internal/exec) is explicitly designed to be
 # race-clean; run this before sending changes.
-check: bench-module-check
+check: bench-module-check exec-loc
 	@unformatted="$$(gofmt -l .)"; test -z "$$unformatted" || { echo "gofmt -l . lists:"; echo "$$unformatted"; exit 1; }
 	go vet ./...
 	go test -race ./...
@@ -24,10 +24,16 @@ bench-module-check:
 
 # Non-test line counts of the executor and of the storage engine — the
 # numbers the "one pipeline executor" and "one table representation" roadmap
-# items track.
+# items track. The executor's count may not exceed EXEC_LOC_CEILING, so it
+# cannot creep back up unnoticed; `make check` runs this. A change that
+# shrinks the executor lowers the ceiling to the new count.
+EXEC_LOC_CEILING := 6700
 exec-loc:
 	@for d in internal/exec internal/storage; do \
 		echo "$$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)"; done
+	@n=$$(ls internal/exec/*.go | grep -v _test.go | xargs cat | wc -l); \
+	test $$n -le $(EXEC_LOC_CEILING) || { \
+		echo "internal/exec: $$n non-test lines, above the ceiling of $(EXEC_LOC_CEILING)"; exit 1; }
 
 # Planner micro-benchmarks: one System-R Optimize call (fresh estimator and
 # optimizer per statement, as the engine builds them) on the adhoc_planning
@@ -70,8 +76,8 @@ analyze-bench:
 robustness-bench:
 	go run ./cmd/benchharness robustness
 
-# Row-vs-vectorized execution of identical plans (scan+filter, hash agg,
-# hash join); writes BENCH_vectorized.json. E24 at full size.
+# Kernels off vs on over identical plans (scan+filter, hash agg); writes
+# BENCH_vectorized.json. E24 at full size.
 vectorized-bench:
 	go run ./cmd/benchharness vectorized
 
@@ -117,7 +123,7 @@ crash-check:
 		./internal/storage
 	GOMAXPROCS=4 go test -race -count=1 -run 'TestRecoveredEngineEquivalence|TestEngineChecksumOptions' .
 
-# bench-smoke is the fast perf gate: a reduced-size E24 run (row-vs-vectorized
+# bench-smoke is the fast perf gate: a reduced-size E24 run (kernels off vs on
 # must still report identical results), a tiny E25 serving sweep under the
 # race detector (all three modes must still report identical results), a
 # reduced E26 adaptive sweep under the race detector (greedy and DP arms must

@@ -11,7 +11,7 @@
 //	go run ./cmd/benchharness robustness # memory-budget/spill overhead and
 //	                                     # cancellation latency → BENCH_robustness.json
 //	go run ./cmd/benchharness vectorized [rows]
-//	                                     # row-vs-vectorized execution of identical
+//	                                     # kernels off vs on over identical
 //	                                     # plans → BENCH_vectorized.json
 //	go run ./cmd/benchharness serving [rows] [perSession]
 //	                                     # concurrent sessions: exec-literal vs
@@ -123,10 +123,10 @@ func robustnessBench() error {
 	return nil
 }
 
-// vectorizedBench runs the large row-vs-vectorized comparison and writes
-// BENCH_vectorized.json: rows/sec for both execution models on the
-// scan+filter, hash-aggregation and hash-join microworkloads, plus the
-// `identical` flag certifying bit-equal results.
+// vectorizedBench runs the large kernels-off-vs-on comparison and writes
+// BENCH_vectorized.json: rows/sec for both settings on the scan+filter and
+// hash-aggregation microworkloads, plus the `identical` flag certifying
+// bit-equal results.
 func vectorizedBench(rows int) error {
 	res := experiments.RunVectorizedBench(rows, 3)
 	for _, w := range res.Workloads {

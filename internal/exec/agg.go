@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/logical"
@@ -245,21 +246,6 @@ func newGroupTable(groupLen int, aggs []logical.AggItem) *groupTable {
 	return gt
 }
 
-// presize pre-allocates the hash buckets and insertion-order slice for an
-// expected group count — the optimizer's cardinality estimate, so a
-// well-estimated aggregation never rehashes while growing. Call before the
-// first add; no-op for scalar tables (their single group already exists).
-func (gt *groupTable) presize(hint int) {
-	if gt.scalar || hint <= 0 {
-		return
-	}
-	if hint > 1<<20 {
-		hint = 1 << 20 // a wild overestimate must not make presizing the cost
-	}
-	gt.groups = make(map[uint64][]*groupEntry, hint)
-	gt.order = make([]*groupEntry, 0, hint)
-}
-
 // entryBytes models the footprint of one group: key data plus bookkeeping
 // plus a fixed per-accumulator cost.
 func (gt *groupTable) entryBytes(key datum.Row) int64 {
@@ -276,7 +262,7 @@ func (gt *groupTable) release() {
 
 func (gt *groupTable) ensure(key datum.Row, hash uint64) (*groupEntry, error) {
 	for _, e := range gt.groups[hash] {
-		if keysEqual(e.key, key) {
+		if slices.EqualFunc(e.key, key, datum.Equal) {
 			return e, nil
 		}
 	}
@@ -296,18 +282,6 @@ func (gt *groupTable) ensure(key datum.Row, hash uint64) (*groupEntry, error) {
 	return e, nil
 }
 
-func keysEqual(a, b datum.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !datum.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // add feeds one input row: key values plus the evaluated aggregate arguments
 // (one per agg; COUNT(*) entries get a non-NULL placeholder). It fails only
 // when creating the group would exceed the memory budget.
@@ -321,25 +295,6 @@ func (gt *groupTable) add(key datum.Row, hash uint64, argVals []datum.D) error {
 	}
 	for i := range gt.aggs {
 		e.accs[i].add(argVals[i])
-	}
-	return nil
-}
-
-// mergeFrom folds another table's groups into gt (same group layout and
-// aggregates) — the merge phase of two-phase parallel aggregation.
-func (gt *groupTable) mergeFrom(o *groupTable) error {
-	for _, e := range o.order {
-		var h uint64
-		if !gt.scalar && len(e.key) > 0 {
-			h = e.key.Hash(seqOffsets(len(e.key)))
-		}
-		dst, err := gt.ensure(e.key, h)
-		if err != nil {
-			return err
-		}
-		for i := range gt.aggs {
-			dst.accs[i].merge(e.accs[i])
-		}
 	}
 	return nil
 }

@@ -5,7 +5,7 @@ package exec
 // SUM/AVG/MIN/MAX return NULL — identically whether the accumulator sees rows
 // serially (add), is a parallel thread-local partial, or is the merge target
 // of partials at the two-phase barrier (merge), with and without DISTINCT, in
-// the row group table and in the kernel aggregation's per-worker tables.
+// the row accumulators and in the aggregation's per-worker tables.
 
 import (
 	"testing"
@@ -109,122 +109,129 @@ func TestAggNullMergePaths(t *testing.T) {
 	}
 }
 
-// TestGroupTableNullMerge drives the same semantics through groupTable's
-// two-phase mergeFrom — the path runGroupByParallel actually takes.
+// testAggWorker builds one aggregation worker's table over the rows sel of
+// in, grouped on column 0 with every aggregate's argument in column 1.
+func testAggWorker(s *aggSink, in *Batch, sel []int32) *vecAggWorker {
+	wk := &vecAggWorker{groups: newVecGroups(1, len(s.aggs), 0, nil)}
+	argCol := func(ai int) *datum.Vec {
+		if s.aggs[ai].Arg == nil {
+			return nil
+		}
+		return in.Vecs[1]
+	}
+	for ai := range s.aggs {
+		acc, sig := s.newAcc(ai, argCol(ai))
+		wk.accs, wk.sigs = append(wk.accs, acc), append(wk.sigs, sig)
+	}
+	hs, gids := make([]uint64, len(sel)), make([]int32, len(sel))
+	hashInit(hs)
+	hashCombineVec(in.Vecs[0], sel, hs)
+	wk.groups.bind(in.Vecs, []int{0})
+	for k, i := range sel {
+		gids[k] = wk.groups.assign(i, mixHash(hs[k]))
+	}
+	for ai, acc := range wk.accs {
+		acc.ensure(wk.groups.n, 0)
+		acc.accumulate(argCol(ai), sel, gids)
+	}
+	return wk
+}
+
+// TestGroupTableNullMerge drives the row accumulators through the
+// aggregation's two-phase merge: 4 NULL rows of one group in a single table
+// (serial) must give exactly what the same rows split 3/1 across two
+// workers' tables and folded at the barrier give, for every aggregate with
+// and without DISTINCT.
 func TestGroupTableNullMerge(t *testing.T) {
+	arg := &logical.Col{ID: 2}
 	items := aggItems()
-	argVals := func(v datum.D) []datum.D {
-		vals := make([]datum.D, len(items))
-		for i, it := range items {
-			if it.Fn == logical.AggCount && it.Arg == nil {
-				vals[i] = datum.NewInt(1) // COUNT(*) placeholder
-			} else {
-				vals[i] = v
-			}
-		}
-		return vals
-	}
-	key := datum.Row{datum.NewInt(7)}
-	hash := key.Hash(seqOffsets(1))
-
-	// Serial: 4 NULL rows in one table.
-	serial := newGroupTable(1, items)
-	for i := 0; i < 4; i++ {
-		serial.add(key, hash, argVals(datum.Null))
-	}
-	// Parallel: the same 4 NULL rows split 3/1 across partials, merged.
-	p1, p2 := newGroupTable(1, items), newGroupTable(1, items)
-	for i := 0; i < 3; i++ {
-		p1.add(key, hash, argVals(datum.Null))
-	}
-	p2.add(key, hash, argVals(datum.Null))
-	final := newGroupTable(1, items)
-	final.mergeFrom(p1)
-	final.mergeFrom(p2)
-
-	srows, frows := serial.rows(), final.rows()
-	if len(srows) != 1 || len(frows) != 1 {
-		t.Fatalf("group counts differ: serial=%d merged=%d", len(srows), len(frows))
-	}
-	for c := range srows[0] {
-		s, f := srows[0][c], frows[0][c]
-		if s.IsNull() != f.IsNull() || (!s.IsNull() && !datum.Equal(s, f)) {
-			t.Errorf("column %d differs: serial=%v merged=%v", c, s, f)
+	for i := range items {
+		if items[i].Arg != nil {
+			items[i].Arg = arg
 		}
 	}
-	// And the values themselves are right: group key 7, COUNT(*)=4, both
-	// COUNT(x) forms 0, every SUM/AVG/MIN/MAX NULL. Layout mirrors aggItems:
-	// key, COUNT(*), COUNT(x), SUM, AVG, MIN, MAX, COUNT(DISTINCT),
-	// SUM(DISTINCT), AVG(DISTINCT).
-	want := []string{"7", "4", "0", "NULL", "NULL", "NULL", "NULL", "0", "NULL", "NULL"}
-	for i, w := range want {
-		got := srows[0][i].String()
-		if srows[0][i].IsNull() {
-			got = "NULL"
+	s := &aggSink{aggs: items, boxed: make([]bool, len(items))}
+	for ai := range s.boxed {
+		s.boxed[ai] = true
+	}
+	seven, null := datum.NewInt(7), datum.Null
+	in := &Batch{n: 4, Vecs: []*datum.Vec{
+		mkVec(seven, seven, seven, seven),
+		mkVec(null, null, null, null),
+	}}
+	serial := testAggWorker(s, in, []int32{0, 1, 2, 3})
+	merged := testAggWorker(s, in, []int32{0, 1, 2})
+	if err := merged.fold(testAggWorker(s, in, []int32{3})); err != nil {
+		t.Fatal(err)
+	}
+	if serial.groups.n != 1 || merged.groups.n != 1 {
+		t.Fatalf("group counts differ: serial=%d merged=%d", serial.groups.n, merged.groups.n)
+	}
+	// Layout mirrors aggItems: COUNT(*), COUNT(x), SUM, AVG, MIN, MAX,
+	// COUNT(DISTINCT), SUM(DISTINCT), AVG(DISTINCT).
+	want := []string{"4", "0", "NULL", "NULL", "NULL", "NULL", "0", "NULL", "NULL"}
+	for ai, w := range want {
+		sv, mv := serial.accs[ai].emit(1).D(0), merged.accs[ai].emit(1).D(0)
+		if sv.IsNull() != mv.IsNull() || (!sv.IsNull() && !datum.Equal(sv, mv)) {
+			t.Errorf("aggregate %d differs: serial=%v merged=%v", ai, sv, mv)
 		}
-		if got != w {
-			t.Errorf("column %d = %s, want %s", i, got, w)
+		if got := mv.String(); got != w {
+			t.Errorf("aggregate %d = %s, want %s", ai, got, w)
 		}
 	}
 }
 
-// TestVecAggWorkerNullFold is TestGroupTableNullMerge for the kernel
-// aggregation: 4 all-NULL rows of one group split 3/1 across two workers'
-// tables, plus a group only the second worker saw, folded by key. Over a
-// typed argument column the typed accumulators fold, over an all-NULL one
-// the NULL-argument accumulator does.
+// TestVecAggWorkerNullFold drives the same semantics through the
+// aggregation's two-phase fold: 4 all-NULL rows of one group split 3/1
+// across two workers' tables, plus a group only the second worker saw,
+// folded by key — with kernels on, where a typed argument column folds the
+// typed accumulators, an all-NULL one the NULL-argument accumulator and
+// DISTINCT the row accumulators, and with kernels off, where every aggregate
+// folds the row accumulators.
 func TestVecAggWorkerNullFold(t *testing.T) {
 	arg := &logical.Col{ID: 2}
 	items := []logical.AggItem{
 		{Fn: logical.AggCount}, {Fn: logical.AggCount, Arg: arg}, {Fn: logical.AggSum, Arg: arg},
 		{Fn: logical.AggAvg, Arg: arg}, {Fn: logical.AggMin, Arg: arg}, {Fn: logical.AggMax, Arg: arg},
+		{Fn: logical.AggCount, Arg: arg, Distinct: true}, {Fn: logical.AggSum, Arg: arg, Distinct: true},
+		{Fn: logical.AggAvg, Arg: arg, Distinct: true},
 	}
 	null, seven, eight := datum.Null, datum.NewInt(7), datum.NewInt(8)
-	for _, lone := range []datum.D{datum.NewFloat(2.5), null} {
-		// Rows 0-2 go to worker 0, rows 3-4 to worker 1; key 8 is worker 1's own.
-		in := &Batch{n: 5, Vecs: []*datum.Vec{
-			mkVec(seven, seven, seven, seven, eight),
-			mkVec(null, null, null, null, lone),
-		}}
-		workers := make([]*vecAggWorker, 2)
-		for w := range workers {
-			wk := &vecAggWorker{groups: newVecGroups(1, len(items), 0, nil)}
-			for _, it := range items {
-				wk.accs = append(wk.accs, newVecAccumulator(it, in.Vecs[1]))
-				wk.sigs = append(wk.sigs, reprSig(in.Vecs[1]))
-			}
-			sel := []int32{0, 1, 2}
-			if w == 1 {
-				sel = []int32{3, 4}
-			}
-			hs, gids := make([]uint64, len(sel)), make([]int32, len(sel))
-			hashInit(hs)
-			hashCombineVec(in.Vecs[0], sel, hs)
-			wk.groups.bind(in.Vecs, []int{0})
-			for k, i := range sel {
-				gids[k] = wk.groups.assign(i, mixHash(hs[k]))
-			}
-			for _, acc := range wk.accs {
-				acc.ensure(wk.groups.n, 0)
-				acc.accumulate(in.Vecs[1], sel, gids)
-			}
-			workers[w] = wk
+	for _, kernels := range []bool{true, false} {
+		s := &aggSink{aggs: items, boxed: make([]bool, len(items))}
+		for ai, it := range items {
+			s.boxed[ai] = !kernels || it.Distinct
 		}
-		if err := workers[0].fold(workers[1]); err != nil {
-			t.Fatal(err)
-		}
-		// Layout mirrors items: COUNT(*), COUNT(x), SUM, AVG, MIN, MAX.
-		want := [][]string{{"4", "0", "NULL", "NULL", "NULL", "NULL"}, {"1", "1", "2.5", "2.5", "2.5", "2.5"}}
-		if lone.IsNull() {
-			want[1] = []string{"1", "0", "NULL", "NULL", "NULL", "NULL"}
-		}
-		if got := workers[0].groups.n; got != 2 {
-			t.Fatalf("folded table has %d groups, want 2", got)
-		}
-		for g, row := range want {
-			for ai, w := range row {
-				if got := workers[0].accs[ai].emit(2).D(g).String(); got != w {
-					t.Errorf("lone=%v group %d aggregate %d = %s, want %s", lone, g, ai, got, w)
+		for _, lone := range []datum.D{datum.NewFloat(2.5), null} {
+			// Rows 0-2 go to worker 0, rows 3-4 to worker 1; key 8 is worker 1's own.
+			in := &Batch{n: 5, Vecs: []*datum.Vec{
+				mkVec(seven, seven, seven, seven, eight),
+				mkVec(null, null, null, null, lone),
+			}}
+			workers := []*vecAggWorker{
+				testAggWorker(s, in, []int32{0, 1, 2}),
+				testAggWorker(s, in, []int32{3, 4}),
+			}
+			if err := workers[0].fold(workers[1]); err != nil {
+				t.Fatal(err)
+			}
+			// Layout mirrors items: COUNT(*), COUNT(x), SUM, AVG, MIN, MAX,
+			// COUNT(DISTINCT), SUM(DISTINCT), AVG(DISTINCT).
+			want := [][]string{
+				{"4", "0", "NULL", "NULL", "NULL", "NULL", "0", "NULL", "NULL"},
+				{"1", "1", "2.5", "2.5", "2.5", "2.5", "1", "2.5", "2.5"},
+			}
+			if lone.IsNull() {
+				want[1] = []string{"1", "0", "NULL", "NULL", "NULL", "NULL", "0", "NULL", "NULL"}
+			}
+			if got := workers[0].groups.n; got != 2 {
+				t.Fatalf("folded table has %d groups, want 2", got)
+			}
+			for g, row := range want {
+				for ai, w := range row {
+					if got := workers[0].accs[ai].emit(2).D(g).String(); got != w {
+						t.Errorf("kernels=%v lone=%v group %d aggregate %d = %s, want %s", kernels, lone, g, ai, got, w)
+					}
 				}
 			}
 		}

@@ -33,16 +33,6 @@ func (b *Batch) NumRows() int {
 	return b.n
 }
 
-// colIndex returns the vector offset of a column ID, or -1.
-func (b *Batch) colIndex(id logical.ColumnID) int {
-	for i, c := range b.Cols {
-		if c == id {
-			return i
-		}
-	}
-	return -1
-}
-
 // ToRows materializes the live rows in selection order.
 func (b *Batch) ToRows() []datum.Row {
 	nr := b.NumRows()
@@ -91,8 +81,8 @@ func batchFromRows(layout []logical.ColumnID, rows []datum.Row) *Batch {
 }
 
 // batchRowBytes models the batch's live rows exactly like rowSetBytes models
-// materialized rows, so vectorized operators trip the same memory-budget
-// thresholds as their row-mode counterparts.
+// materialized rows, so a hash join's build charges what the rows its grace
+// fallback partitions would.
 func batchRowBytes(b *Batch) int64 {
 	var total int64
 	for _, v := range b.Vecs {

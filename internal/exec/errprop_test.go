@@ -34,7 +34,7 @@ func TestFirstErrorWinsDeterministically(t *testing.T) {
 			earlyRaised := make(chan struct{})
 			c := NewCtx(nil, nil)
 			c.Parallelism = degree
-			err := c.forMorsels(20*MorselSize, func(wc *Ctx, m, lo, hi int) error {
+			err := c.forMorsels(20*MorselSize, c.morselWorkers(20*MorselSize), func(wc *Ctx, m, lo, hi int) error {
 				switch m {
 				case 4:
 					close(earlyRaised)

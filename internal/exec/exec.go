@@ -93,12 +93,11 @@ type Ctx struct {
 	Faults *faultfs.Injector
 	// TempDir overrides the directory for spill files (default os.TempDir).
 	TempDir string
-	// Vectorize permits compiling typed kernels: predicate conjuncts that
-	// have one run over column vectors (the rest of the conjunction runs
-	// row-at-a-time over the survivors), and hash joins and aggregations
-	// whose shape has kernels use them. When false no kernel is compiled and
-	// every predicate, join and aggregate evaluates row-at-a-time — inside
-	// the same operators. NewCtx turns it on.
+	// Vectorize says whether kernels are compiled: off, no predicate conjunct
+	// gets a typed kernel (every conjunction runs row-at-a-time) and every
+	// aggregate accumulates through the row accumulators. It never selects
+	// an operator — scans, filters, joins and aggregations are the same
+	// either way, and so are their results. NewCtx turns it on.
 	Vectorize bool
 	// NoPrune disables zone-map segment elimination (every sealed segment is
 	// read and filtered) — the control arm of the storage benchmarks.

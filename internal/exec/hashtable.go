@@ -1,4 +1,4 @@
-// The one hash index of the kernel operators: vecHashJoin's build side and
+// The one hash index of the engine: the hash join's build side and
 // vecGroups' group lookup are both a hashTable plus typed key comparators.
 // Entries are dense int32 ids in insertion order — a build row's position, a
 // group id — so everything keyed by entry (stored hashes, chain links, the
@@ -50,8 +50,8 @@ func (t *hashTable) after(e int32) int32  { return t.next[e] - 1 }
 // insert appends an entry with finalized hash h, links it at the tail of its
 // chain and returns its id. The bucket array doubles when the load passes one.
 // A chain therefore always lists its entries in insertion order: the first
-// match a lookup meets is the oldest, which is the row implementation's
-// bucket-list order and decides the outcome where key equality is not
+// match a lookup meets is the oldest — the order a row-at-a-time scan of the
+// input meets them in — which decides the outcome where key equality is not
 // transitive (1 = 1.0 across INT and FLOAT near 2^53, NaN).
 func (t *hashTable) insert(h uint64) int32 {
 	if len(t.hash) >= len(t.slots) {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/datum"
@@ -76,10 +77,9 @@ func (c *Ctx) run(p physical.Plan) (*Batch, []datum.Row, error) {
 	if err := c.canceled(); err != nil {
 		return nil, nil, err
 	}
-	if g, ok := p.(*physical.HashGroupBy); ok && c.Vectorize {
-		if sink := newAggSink(g); sink != nil {
-			return batchOf(c.aggregate(g, sink))
-		}
+	switch p.(type) {
+	case *physical.HashGroupBy, *physical.StreamGroupBy:
+		return batchOf(c.aggregate(p))
 	}
 	if c.streams(p) {
 		pl, err := c.open(p)
@@ -141,10 +141,23 @@ func (c *Ctx) inputBatch(p physical.Plan) (*Batch, error) {
 	return b, nil
 }
 
+// noteFallback meters an operator that finished on materialized rows — a
+// spilling fallback, which its pipeline never reports — with the rows it
+// produced and the time since began.
+func (c *Ctx) noteFallback(pl *pipeline, began time.Time, rows int) {
+	if m := c.curNode; m != nil {
+		m.Invocations++
+		m.ActualRows += int64(rows)
+		m.Pipeline = pl.an.id
+		m.WallNanos += time.Since(began).Nanoseconds()
+	}
+}
+
 // noteVectorized marks the operator being analyzed as having run at least one
-// predicate conjunct, hash or aggregate on a typed kernel.
+// predicate conjunct, hash or aggregate on a typed kernel — which a hash join
+// or aggregation does exactly when kernels are on.
 func (c *Ctx) noteVectorized() {
-	if c.curNode != nil {
+	if c.curNode != nil && c.Vectorize {
 		c.curNode.Vectorized = true
 	}
 }
@@ -155,19 +168,15 @@ func rowsOf(rows []datum.Row, err error) (*Batch, []datum.Row, error) { return n
 func batchOf(b *Batch, err error) (*Batch, []datum.Row, error)        { return b, nil, err }
 
 // streams reports whether p is a pipeline stage rather than a breaker: a
-// scan, a filter or a projection, an exchange over a streaming input, a hash
-// join the kernels cover. Ctx.Vectorize is consulted here, in run and in
-// compilePreds only: it decides whether kernels are compiled — a hash join or
-// aggregation without them is a row operator — never how a stage runs.
+// scan, a filter or a projection, an exchange over a streaming input, the
+// probe of a hash join. It depends on the plan alone: Ctx.Vectorize decides
+// which kernels the stages compile, never which operators run.
 func (c *Ctx) streams(p physical.Plan) bool {
 	switch t := p.(type) {
-	case *physical.TableScan, *physical.IndexScan, *physical.Filter, *physical.Project:
+	case *physical.TableScan, *physical.IndexScan, *physical.Filter, *physical.Project, *physical.HashJoin:
 		return true
 	case *physical.Exchange:
 		return c.streams(t.Input)
-	case *physical.HashJoin:
-		_, _, ok := kernelJoinKeys(t)
-		return ok && c.Vectorize
 	}
 	return false
 }
@@ -196,9 +205,7 @@ func (c *Ctx) open(p physical.Plan) (*pipeline, error) {
 		}
 		in, st = t.Input, x
 	case *physical.HashJoin:
-		if lOff, rOff, ok := kernelJoinKeys(t); ok && c.Vectorize {
-			return c.openJoin(t, lOff, rOff)
-		}
+		return c.openJoin(t)
 	}
 	if st == nil {
 		began := c.tick()
@@ -244,12 +251,6 @@ func (c *Ctx) execPlan(p physical.Plan) (*Batch, []datum.Row, error) {
 		return rowsOf(c.runINLJoin(t))
 	case *physical.MergeJoin:
 		return rowsOf(c.runMergeJoin(t))
-	case *physical.HashJoin:
-		return rowsOf(c.runHashJoin(t))
-	case *physical.HashGroupBy:
-		return rowsOf(c.runGroupBy(t.Input, t.GroupCols, t.Aggs, true, t.Rows))
-	case *physical.StreamGroupBy:
-		return rowsOf(c.runGroupBy(t.Input, t.GroupCols, t.Aggs, false, t.Rows))
 	case *physical.LimitOp:
 		in, err := c.runPlan(t.Input)
 		if err != nil {
@@ -356,7 +357,7 @@ func emitUnmatched(kind logical.JoinKind, out []datum.Row, lr datum.Row, rightWi
 // bookkeeping) and stops when visit reports the outer row is done.
 type candidates func(wc *Ctx, lr datum.Row, visit func(ri int, rr datum.Row) (done bool, err error)) error
 
-// probeJoin is the probe loop of the nested-loop, index-nested-loop and hash
+// probeJoin is the probe loop of the nested-loop and index-nested-loop
 // joins: for each outer row of a morsel, the rows cand proposes are tested
 // against the join predicate on and emitted per the join kind. Per-morsel
 // outputs concatenate in morsel order, so the outer order is kept at every
@@ -367,7 +368,7 @@ func (c *Ctx) probeJoin(kind logical.JoinKind, left, right []datum.Row, leftCols
 	nw := c.morselWorkers(len(left))
 	matched := newMatchedSets(kind, nw, len(right))
 	outs := make([][]datum.Row, numMorsels(len(left)))
-	err := c.forMorsels(len(left), func(wc *Ctx, m, lo, hi int) error {
+	err := c.forMorsels(len(left), nw, func(wc *Ctx, m, lo, hi int) error {
 		// The candidate pair is tested in one reused row; only a pair that
 		// joins is copied out.
 		e := newEnv(combined, nil)
@@ -403,7 +404,9 @@ func (c *Ctx) probeJoin(kind logical.JoinKind, left, right []datum.Row, leftCols
 	if err != nil {
 		return nil, err
 	}
-	return matched.appendUnmatched(concatMorsels(outs), len(leftCols), right), nil
+	// Per-morsel outputs concatenate in morsel order: the same row order at
+	// every worker count.
+	return matched.appendUnmatched(slices.Concat(outs...), len(leftCols), right), nil
 }
 
 func (c *Ctx) runNLJoin(t *physical.NLJoin) ([]datum.Row, error) {
@@ -584,242 +587,4 @@ func compareKeys(a datum.Row, aOff []int, b datum.Row, bOff []int, counters *Cou
 		}
 	}
 	return 0
-}
-
-// runHashJoin builds hash tables on the right input and probes them with the
-// left. Bucket lists preserve the build side's row order, so each probe row
-// sees its matches in the same order at every worker count.
-func (c *Ctx) runHashJoin(t *physical.HashJoin) ([]datum.Row, error) {
-	left, err := c.runPlan(t.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := c.runPlan(t.Right)
-	if err != nil {
-		return nil, err
-	}
-	leftLayout, rightLayout := t.Left.Columns(), t.Right.Columns()
-	lOff, err := offsetsOf(leftLayout, t.LeftKeys)
-	if err != nil {
-		return nil, err
-	}
-	rOff, err := offsetsOf(rightLayout, t.RightKeys)
-	if err != nil {
-		return nil, err
-	}
-	buildBytes := rowSetBytes(right)
-	if err := c.Mem.Grow("hash join build", buildBytes); err != nil {
-		// The build side does not fit the budget: degrade to a grace hash
-		// join, which partitions it to disk and emits the identical rows.
-		return c.graceHashJoin(t, left, right, lOff, rOff)
-	}
-	defer c.Mem.Shrink(buildBytes)
-	c.noteMemBytes(buildBytes)
-	builds, err := c.buildHashTables(right, rOff)
-	if err != nil {
-		return nil, err
-	}
-	c.noteMem(int64(len(right)))
-
-	return c.probeJoin(t.Kind, left, right, leftLayout, rightLayout, t.ExtraOn,
-		func(wc *Ctx, lr datum.Row, visit func(int, datum.Row) (bool, error)) error {
-			if hasNullAt(lr, lOff) {
-				return nil
-			}
-			wc.Counters.HashOps++
-			h := lr.Hash(lOff)
-			for _, ri := range builds[h%uint64(len(builds))][h] {
-				rr := right[ri]
-				if !datum.EqualOn(lr, rr, lOff, rOff) {
-					continue
-				}
-				if done, err := visit(ri, rr); done || err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-}
-
-// buildHashTables hashes the build rows (NULL keys never match and are left
-// out; FULL OUTER emits them afterwards) into one table per worker, selected
-// at probe time by hash % len(tables). One worker builds its single table
-// directly. More workers first hash-partition the rows morsel-wise and then
-// build one partition each; concatenating the morsels' partition lists in
-// morsel order keeps every bucket in build-row order.
-func (c *Ctx) buildHashTables(right []datum.Row, rOff []int) ([]map[uint64][]int, error) {
-	nParts := c.morselWorkers(len(right))
-	builds := make([]map[uint64][]int, nParts)
-	if nParts == 1 {
-		b := make(map[uint64][]int, len(right))
-		for i, rr := range right {
-			if hasNullAt(rr, rOff) {
-				continue
-			}
-			c.Counters.HashOps++
-			h := rr.Hash(rOff)
-			b[h] = append(b[h], i)
-		}
-		builds[0] = b
-		return builds, nil
-	}
-	nmBuild := numMorsels(len(right))
-	parts := make([][][]int, nmBuild)
-	err := c.forMorsels(len(right), func(wc *Ctx, m, lo, hi int) error {
-		loc := make([][]int, nParts)
-		for i := lo; i < hi; i++ {
-			rr := right[i]
-			if hasNullAt(rr, rOff) {
-				continue
-			}
-			wc.Counters.HashOps++
-			p := int(rr.Hash(rOff) % uint64(nParts))
-			loc[p] = append(loc[p], i)
-		}
-		parts[m] = loc
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	err = c.runWorkers(nParts, func(w int, wc *Ctx) error {
-		// Pre-size for an even partition split: rehash churn on the build is
-		// pure overhead, and skew only makes one map larger than its hint.
-		b := make(map[uint64][]int, len(right)/nParts+1)
-		for m := 0; m < nmBuild; m++ {
-			if m%64 == 0 {
-				if wc.bar.aborted() {
-					return errBarrierAborted
-				}
-				if err := wc.canceled(); err != nil {
-					return err
-				}
-			}
-			for _, i := range parts[m][w] {
-				h := right[i].Hash(rOff)
-				b[h] = append(b[h], i)
-			}
-		}
-		builds[w] = b
-		return nil
-	})
-	return builds, err
-}
-
-// runGroupBy aggregates its input into a group table, degrading to the
-// partition-and-spill aggregation when the hash table does not fit the
-// memory budget.
-func (c *Ctx) runGroupBy(input physical.Plan, groupCols []logical.ColumnID, aggs []logical.AggItem, hash bool, estGroups float64) ([]datum.Row, error) {
-	in, err := c.runPlan(input)
-	if err != nil {
-		return nil, err
-	}
-	layout := input.Columns()
-	keyOff, err := offsetsOf(layout, groupCols)
-	if err != nil {
-		return nil, err
-	}
-	out, err := c.aggregateRows(in, layout, keyOff, groupCols, aggs, hash, estGroups)
-	if err != nil && isBudgetErr(err) {
-		return c.spillGroupBy(in, layout, keyOff, groupCols, aggs)
-	}
-	return out, err
-}
-
-// aggregateRows pre-aggregates morsels into one group table per worker and
-// merges the tables at the barrier — the classic two-phase aggregation. One
-// worker has nothing to merge: its table is the result, with groups in
-// first-appearance order. Stream aggregation always runs on one worker, and
-// its table is not budgeted: over sorted input a real iterator engine holds
-// one group at a time. Every reservation is released on return, so a caller
-// that sees a budget error can spill with the whole budget available.
-func (c *Ctx) aggregateRows(in []datum.Row, layout []logical.ColumnID, keyOff []int, groupCols []logical.ColumnID, aggs []logical.AggItem, hash bool, estGroups float64) ([]datum.Row, error) {
-	nW := 1
-	if hash {
-		nW = c.morselWorkers(len(in))
-	}
-	newTable := func() *groupTable {
-		gt := newGroupTable(len(groupCols), aggs)
-		if hash {
-			// All tables draw on the query's shared account.
-			gt.mem = c.Mem
-			gt.memOp = "hash aggregation"
-		}
-		return gt
-	}
-	nm := numMorsels(len(in))
-	tables := make([]*groupTable, nW)
-	defer func() {
-		for _, gt := range tables {
-			if gt != nil {
-				gt.release()
-			}
-		}
-	}()
-	err := c.runWorkers(nW, func(w int, wc *Ctx) error {
-		gt := newTable()
-		if nW == 1 {
-			gt.presize(int(estGroups))
-		}
-		tables[w] = gt
-		e := newEnv(layout, nil)
-		ectx := wc.evalCtx(e)
-		for m := w; m < nm; m += nW {
-			if wc.bar.aborted() {
-				return errBarrierAborted
-			}
-			if err := wc.canceled(); err != nil {
-				return &seqError{seq: m, err: err}
-			}
-			lo := m * MorselSize
-			for _, r := range in[lo:min(lo+MorselSize, len(in))] {
-				wc.Counters.RowsProcessed++
-				if hash {
-					wc.Counters.HashOps++
-				}
-				e.row = r
-				key := make(datum.Row, len(keyOff))
-				for i, off := range keyOff {
-					key[i] = r[off]
-				}
-				args := make([]datum.D, len(aggs))
-				for i, a := range aggs {
-					if a.Arg == nil {
-						args[i] = datum.NewInt(1)
-						continue
-					}
-					v, err := logical.Eval(a.Arg, ectx)
-					if err != nil {
-						return err
-					}
-					args[i] = v
-				}
-				if err := gt.add(key, key.Hash(seqOffsets(len(key))), args); err != nil {
-					return &seqError{seq: m, err: err}
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	final := tables[0]
-	var partialRows, partialBytes int64
-	if nW > 1 {
-		// The thread-local tables coexist with the merged one until the merge
-		// completes; the peak is their sum.
-		final = newTable()
-		defer final.release()
-		for _, gt := range tables {
-			partialRows += int64(len(gt.order))
-			partialBytes += gt.charged
-			if err := final.mergeFrom(gt); err != nil {
-				return nil, err
-			}
-		}
-	}
-	c.noteMem(partialRows + int64(len(final.order)))
-	c.noteMemBytes(partialBytes + final.charged)
-	return final.rows(), nil
 }

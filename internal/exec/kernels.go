@@ -1,11 +1,11 @@
-// Typed kernels for the vectorized path: predicate filtering over raw
-// []int64/[]float64/[]string column slices writing selection vectors, hash
-// computation for join/aggregation probes, and the accumulate loops of
-// SUM/COUNT/MIN/MAX/AVG. Every kernel replicates the row engine's SQL
-// semantics exactly — three-valued comparison (a NULL operand is never
-// TRUE), the INT/FLOAT comparison family of datum.Compare (so 1 = 1.0), and
-// fsum's compensated summation — which is what makes the vectorized output
-// bit-identical to serial row-mode execution.
+// Typed kernels: predicate filtering over raw []int64/[]float64/[]string
+// column slices writing selection vectors, hash computation for join and
+// aggregation probes, and the accumulate loops of SUM/COUNT/MIN/MAX/AVG.
+// Every kernel replicates the row accumulators' and the reference
+// evaluator's SQL semantics exactly — three-valued comparison (a NULL operand
+// is never TRUE), the INT/FLOAT comparison family of datum.Compare (so
+// 1 = 1.0), and fsum's compensated summation — which is what makes output
+// with kernels on bit-identical to output with them off.
 package exec
 
 import (
@@ -653,23 +653,13 @@ func nullsWhere[T comparable](seen []T, n int) (datum.Bitmap, int) {
 	return nulls, nn
 }
 
-// newVecAccumulator picks the typed accumulator for an aggregate given the
-// argument vector's runtime representation (nil arg means COUNT(*)). It
-// returns nil when no kernel applies (DISTINCT, boxed arguments, or kinds
-// the aggregate's typed loops do not cover) — the caller then falls back to
-// row-mode aggregation.
+// newVecAccumulator picks the typed accumulator for a non-DISTINCT aggregate
+// given the argument vector's runtime representation (nil arg means
+// COUNT(*)). Boxed arguments and kinds the aggregate's typed loops do not
+// cover accumulate through the row accumulators (boxedVecAcc).
 func newVecAccumulator(item logical.AggItem, arg *datum.Vec) vecAccumulator {
-	if item.Distinct {
-		return nil
-	}
 	if item.Arg == nil {
-		if item.Fn != logical.AggCount {
-			return nil
-		}
 		return &countVecAcc{star: true}
-	}
-	if arg == nil {
-		return nil
 	}
 	if arg.Boxed() {
 		// Mixed-kind columns replay the row accumulators value-wise; the
@@ -747,7 +737,7 @@ func (a *countVecAcc) emit(n int) *datum.Vec {
 }
 
 // sumIntVecAcc sums an INT column exactly in int64 (a typed vector cannot
-// contain floats, so the row path's float promotion can never trigger).
+// contain floats, so sumAcc's float promotion can never trigger).
 type sumIntVecAcc struct {
 	any  []bool
 	sums []int64
@@ -785,7 +775,7 @@ func (a *sumIntVecAcc) emit(n int) *datum.Vec {
 }
 
 // sumFloatVecAcc sums a FLOAT column with the same compensated summation as
-// the row path's sumAcc — including the initial 0.0 carried in by its
+// the row accumulator sumAcc — including the initial 0.0 carried in by its
 // int→float promotion — so results are bit-identical.
 type sumFloatVecAcc struct {
 	any  []bool
@@ -1060,8 +1050,10 @@ func (a *nullArgVecAcc) emit(n int) *datum.Vec {
 	return v
 }
 
-// boxedVecAcc replays the row engine's accumulator per value for mixed-kind
-// (boxed) argument columns — correctness fallback, not a fast path.
+// boxedVecAcc replays the row accumulators (agg.go) per value: the
+// accumulator of DISTINCT and expression arguments, of mixed-kind (boxed)
+// argument columns, and of every aggregate when kernels are off — not a fast
+// path. COUNT(*)'s missing argument column reads as NULL, which it counts.
 type boxedVecAcc struct {
 	item logical.AggItem
 	accs []aggAcc
@@ -1075,7 +1067,11 @@ func (a *boxedVecAcc) ensure(n, _ int) {
 
 func (a *boxedVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 	for k, i := range sel {
-		a.accs[gids[k]].add(v.D(int(i)))
+		d := datum.Null
+		if v != nil {
+			d = v.D(int(i))
+		}
+		a.accs[gids[k]].add(d)
 	}
 }
 

@@ -202,7 +202,7 @@ func TestFilterKernelSelColCol(t *testing.T) {
 
 // TestHashKernelMatchesBoxed: the typed hash loops must produce exactly the
 // value hashCombineD produces for the reconstructed datum — that identity is
-// what makes vectorized hash tables agree with row-mode spill partitioning.
+// what makes the hash tables agree with the row-based spill partitioning.
 func TestHashKernelMatchesBoxed(t *testing.T) {
 	const n = 129
 	sel := identSel(n)
@@ -338,33 +338,6 @@ func TestVecAccumulatorsMatchRowAccumulators(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestGroupTablePresize: pre-sizing from a cardinality estimate must not
-// change grouping results, and the scalar table ignores hints.
-func TestGroupTablePresize(t *testing.T) {
-	aggs := []logical.AggItem{{Fn: logical.AggCount}}
-	plain := newGroupTable(1, aggs)
-	sized := newGroupTable(1, aggs)
-	sized.presize(64)
-	for i := 0; i < 100; i++ {
-		key := datum.Row{datum.NewInt(int64(i % 10))}
-		h := hashCombineD(fnvOffset64, key[0])
-		if _, err := plain.ensure(key, h); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sized.ensure(key, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(plain.order) != len(sized.order) {
-		t.Fatalf("presized table found %d groups, plain %d", len(sized.order), len(plain.order))
-	}
-	scalar := newGroupTable(0, aggs)
-	scalar.presize(1 << 30) // must not allocate for the scalar group
-	if !scalar.scalar {
-		t.Fatal("scalar flag lost")
 	}
 }
 

@@ -152,12 +152,15 @@ func (c *Ctx) naiveJoin(t *logical.Join, outer *env) (*Result, error) {
 	rightWidth := len(right.Cols)
 	rightMatched := make([]bool, len(right.Rows)) // for FULL OUTER
 
+	// Every pair is tested in one reused row; only a pair that joins is
+	// copied out.
+	ectx := c.evalCtx(e)
 	for _, lr := range left.Rows {
 		matched := false
 		for ri, rr := range right.Rows {
 			c.Counters.RowsProcessed++
-			e.row = lr.Concat(rr)
-			ok, err := c.filterRow(t.On, e)
+			e.row = append(append(e.row[:0], lr...), rr...)
+			ok, err := allTrue(t.On, ectx)
 			if err != nil {
 				return nil, err
 			}

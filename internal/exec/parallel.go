@@ -4,8 +4,7 @@
 // worker is the serial engine — the body runs inline on the calling goroutine;
 // more workers claim morsels from a shared pool. The partitioning §7.1
 // describes happens inside the operators: hash joins probe one shared build
-// table morsel-wise (the row join partitions a large build side and builds
-// one table per partition), hash aggregation pre-aggregates into thread-local
+// table morsel-wise, hash aggregation pre-aggregates into thread-local
 // tables folded at the pipeline barrier. An Exchange operator is therefore
 // not a data movement here: in one address space no tuple has to travel, so
 // it forwards its input untouched and stays in the plan as the
@@ -21,7 +20,8 @@
 // order, sorts reproduce the stable order exactly, and exchanges pass their
 // input's order through. Hash aggregation on several workers emits groups in
 // a deterministic but worker-count-specific order (group output is unordered
-// in SQL).
+// in SQL); stream aggregation runs on one worker and emits them in input
+// order.
 package exec
 
 import (
@@ -266,16 +266,18 @@ func (c *Ctx) morselWorkers(n int) int {
 	return min(c.Parallelism, numMorsels(n))
 }
 
-// forMorsels runs fn over n items cut into morsels. Morsels are assigned by
-// static striding (worker w takes morsels w, w+W, ...), which keeps every
-// run deterministic. fn receives the morsel index and its [lo, hi) bounds.
+// forMorsels runs fn over n items cut into morsels on w workers — usually
+// morselWorkers(n); 1 keeps the loop in morsel order on one worker. Morsels
+// are assigned by static striding (worker k takes morsels k, k+w, ...), which
+// keeps every run deterministic. fn receives the morsel index and its
+// [lo, hi) bounds.
 //
 // Each morsel boundary is a governor checkpoint: workers stop when the query
 // is canceled or a sibling worker has already failed, so errors and
 // cancellations surface within about one morsel of work. Errors are tagged
 // with their morsel index, making "first error wins" mean first in morsel
 // order, not first in wall-clock order.
-func (c *Ctx) forMorsels(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
+func (c *Ctx) forMorsels(n, w int, fn func(wc *Ctx, m, lo, hi int) error) error {
 	nm := numMorsels(n)
 	if nm == 0 {
 		return nil
@@ -294,7 +296,6 @@ func (c *Ctx) forMorsels(n int, fn func(wc *Ctx, m, lo, hi int) error) error {
 		}
 		return fn(c, 0, 0, n)
 	}
-	w := c.morselWorkers(n)
 	return c.runWorkers(w, func(wk int, wc *Ctx) error {
 		for m := wk; m < nm; m += w {
 			if wc.bar.aborted() {
@@ -329,23 +330,6 @@ func (c *Ctx) forColumns(rows, nCols int, fn func(wc *Ctx, ci int) error) error 
 		}
 		return nil
 	})
-}
-
-// concatMorsels flattens per-morsel outputs in morsel order, so operators emit
-// the same row order at every worker count.
-func concatMorsels(outs [][]datum.Row) []datum.Row {
-	total := 0
-	for _, o := range outs {
-		total += len(o)
-	}
-	if total == 0 {
-		return nil
-	}
-	flat := make([]datum.Row, 0, total)
-	for _, o := range outs {
-		flat = append(flat, o...)
-	}
-	return flat
 }
 
 // --- sort ---

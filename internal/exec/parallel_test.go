@@ -276,11 +276,11 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 			logical.SemiJoin, logical.AntiJoin,
 		} {
 			plan := &physical.HashJoin{Kind: kind, Left: in.left, Right: in.right, LeftKeys: in.leftKeys, RightKeys: in.rightKeys}
-			rowMode := in.f.ctx(t, 1)
-			rowMode.Vectorize, rowMode.Mem = false, NewMemAccount(0)
-			res, err := Run(plan, rowMode)
+			kernelsOff := in.f.ctx(t, 1)
+			kernelsOff.Vectorize, kernelsOff.Mem = false, NewMemAccount(0)
+			res, err := Run(plan, kernelsOff)
 			if err != nil {
-				t.Fatalf("%s %v row mode: %v", in.name, kind, err)
+				t.Fatalf("%s %v kernels off: %v", in.name, kind, err)
 			}
 			want := hexRowsInOrder(res)
 			if len(want) == 0 {
@@ -299,17 +299,17 @@ func TestParallelHashJoinMatchesSerial(t *testing.T) {
 				}
 				got := hexRowsInOrder(res)
 				if len(got) != len(want) {
-					t.Fatalf("%s %v degree %d: %d rows, row mode %d", in.name, kind, degree, len(got), len(want))
+					t.Fatalf("%s %v degree %d: %d rows, kernels off %d", in.name, kind, degree, len(got), len(want))
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("%s %v degree %d: row %d = %s, row mode %s", in.name, kind, degree, i, got[i], want[i])
+						t.Fatalf("%s %v degree %d: row %d = %s, kernels off %s", in.name, kind, degree, i, got[i], want[i])
 					}
 				}
-				if c.Counters.HashOps != rowMode.Counters.HashOps || c.Counters.RowsProcessed != rowMode.Counters.RowsProcessed || c.Mem.Peak() != rowMode.Mem.Peak() {
-					t.Errorf("%s %v degree %d: HashOps %d RowsProcessed %d peak %d, row mode %d %d %d", in.name, kind, degree,
+				if c.Counters.HashOps != kernelsOff.Counters.HashOps || c.Counters.RowsProcessed != kernelsOff.Counters.RowsProcessed || c.Mem.Peak() != kernelsOff.Mem.Peak() {
+					t.Errorf("%s %v degree %d: HashOps %d RowsProcessed %d peak %d, kernels off %d %d %d", in.name, kind, degree,
 						c.Counters.HashOps, c.Counters.RowsProcessed, c.Mem.Peak(),
-						rowMode.Counters.HashOps, rowMode.Counters.RowsProcessed, rowMode.Mem.Peak())
+						kernelsOff.Counters.HashOps, kernelsOff.Counters.RowsProcessed, kernelsOff.Mem.Peak())
 				}
 			}
 		}
@@ -517,15 +517,15 @@ func TestParallelKernelGroupByMatchesRowMode(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, degree := range []int{1, 2, 4, 8} {
-			// Row mode at the same degree is the reference: both paths assign
-			// morsel m to worker m mod degree and fold the workers' tables in
-			// worker order, so even the group order must agree.
-			rowMode := NewCtx(nil, nil)
-			rowMode.Vectorize, rowMode.Parallelism, rowMode.Mem = false, degree, NewMemAccount(0)
-			res, err := Run(tc.plan, rowMode)
-			rowMode.Close()
+			// Kernels off at the same degree is the reference: both settings
+			// assign morsel m to worker m mod degree and fold the workers'
+			// tables in worker order, so even the group order must agree.
+			kernelsOff := NewCtx(nil, nil)
+			kernelsOff.Vectorize, kernelsOff.Parallelism, kernelsOff.Mem = false, degree, NewMemAccount(0)
+			res, err := Run(tc.plan, kernelsOff)
+			kernelsOff.Close()
 			if err != nil {
-				t.Fatalf("%s row mode degree %d: %v", tc.name, degree, err)
+				t.Fatalf("%s kernels off degree %d: %v", tc.name, degree, err)
 			}
 			want := hexRowsInOrder(res)
 			if len(want) != tc.groups {
@@ -545,18 +545,15 @@ func TestParallelKernelGroupByMatchesRowMode(t *testing.T) {
 			got := hexRowsInOrder(res)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s degree %d: row %d = %s, row mode %s", tc.name, degree, i, got[i], want[i])
+					t.Fatalf("%s degree %d: row %d = %s, kernels off %s", tc.name, degree, i, got[i], want[i])
 				}
 			}
-			if c.Counters.RowsProcessed != rowMode.Counters.RowsProcessed || c.Counters.HashOps != rowMode.Counters.HashOps {
-				t.Errorf("%s degree %d: RowsProcessed %d HashOps %d, row mode %d %d", tc.name, degree,
-					c.Counters.RowsProcessed, c.Counters.HashOps, rowMode.Counters.RowsProcessed, rowMode.Counters.HashOps)
+			if c.Counters.RowsProcessed != kernelsOff.Counters.RowsProcessed || c.Counters.HashOps != kernelsOff.Counters.HashOps {
+				t.Errorf("%s degree %d: RowsProcessed %d HashOps %d, kernels off %d %d", tc.name, degree,
+					c.Counters.RowsProcessed, c.Counters.HashOps, kernelsOff.Counters.RowsProcessed, kernelsOff.Counters.HashOps)
 			}
-			// On several workers the row path also charges the table it
-			// merges into, the kernels fold into worker 0's; one worker has
-			// one table either way.
-			if degree == 1 && c.Mem.Peak() != rowMode.Mem.Peak() {
-				t.Errorf("%s: peak memory %d bytes, row mode %d", tc.name, c.Mem.Peak(), rowMode.Mem.Peak())
+			if c.Mem.Peak() != kernelsOff.Mem.Peak() {
+				t.Errorf("%s degree %d: peak memory %d bytes, kernels off %d", tc.name, degree, c.Mem.Peak(), kernelsOff.Mem.Peak())
 			}
 		}
 	}

@@ -12,7 +12,8 @@
 //
 // There are two sinks. collect concatenates the morsels' survivors in morsel
 // order into the materialized Batch a breaker above consumes; the aggregate
-// sink (vector.go) feeds thread-local group tables folded at the one barrier.
+// sink (vector.go) feeds thread-local group tables folded at the one barrier
+// — or, for stream aggregation, one table fed in morsel order.
 // A hash join's build side is a collected batch with a hashTable over it.
 package exec
 
@@ -108,6 +109,7 @@ type pipeline struct {
 	release []func() // reservations held while the pipeline can run (join builds)
 	expands bool     // a stage may emit more rows than it is given
 	srcDone bool     // nodes[0] is a breaker that has reported itself to EXPLAIN ANALYZE
+	serial  bool     // run on one worker, morsels in order (stream aggregation)
 	workers []pipeWorker
 	an      *pipeAnalysis // nil unless analyzing
 
@@ -166,11 +168,18 @@ func (p *pipeline) close() {
 // layout is the pipeline's output layout.
 func (p *pipeline) layout() []logical.ColumnID { return p.nodes[len(p.nodes)-1].Columns() }
 
+// degree is the number of workers run drives the morsels on.
+func (p *pipeline) degree() int {
+	if p.serial {
+		return 1
+	}
+	return p.c.morselWorkers(p.src.rows())
+}
+
 // run pushes every morsel through the stages into sk. need marks the output
 // columns the sink reads.
 func (p *pipeline) run(need []bool, sk sink) error {
-	c, n := p.c, p.src.rows()
-	nw := c.morselWorkers(n)
+	c, n, nw := p.c, p.src.rows(), p.degree()
 	for i := len(p.stages) - 1; i >= 0; i-- {
 		need = p.stages[i].bind(need, nw)
 	}
@@ -190,7 +199,7 @@ func (p *pipeline) run(need []bool, sk sink) error {
 	prev := c.curNode
 	c.curNode = nil
 	defer func() { c.curNode = prev }()
-	return c.forMorsels(n, func(wc *Ctx, m, lo, hi int) error {
+	return c.forMorsels(n, nw, func(wc *Ctx, m, lo, hi int) error {
 		w := m % len(p.workers)
 		pw, timed := &p.workers[w], p.an != nil
 		var t0 time.Time
@@ -292,7 +301,7 @@ func (h *handOver) consume(_ *Ctx, _ *pipeWorker, _, _ int, b *Batch) error {
 // stitched together afterwards, one column per worker turn.
 func (p *pipeline) collect() (*Batch, error) {
 	c, cols, n := p.c, p.layout(), p.src.rows()
-	nm, nw := numMorsels(n), c.morselWorkers(n)
+	nm, nw := numMorsels(n), p.degree()
 	need := make([]bool, len(cols))
 	for i := range need {
 		need[i] = true

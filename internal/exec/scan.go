@@ -4,7 +4,9 @@
 // can turn into typed kernels refine a selection vector over column vectors
 // first, and the residual conjuncts (LIKE, arithmetic, IN, subqueries, UDFs —
 // or everything when Ctx.Vectorize is off) run row-at-a-time over the
-// kernels' survivors through the row adapter, filterSel. A morsel leaves a
+// kernels' survivors through the row adapter, filterSel; expressions that
+// compute values (projection items, aggregate arguments) run through its
+// other half, evalLive. A morsel leaves a
 // stage as its input's column vectors under a narrower selection; the rows a
 // filter rejects are never copied, and a scan loads a column once per morsel,
 // when the first stage that reads it is reached.
@@ -39,6 +41,34 @@ func (c *Ctx) filterSel(preds []logical.Scalar, e *env, vecs []*datum.Vec, offs 
 		}
 	}
 	return dst, nil
+}
+
+// evalLive is the row adapter's other half: it evaluates exprs over the live
+// rows of b, reading the columns reads into e's reused row, so that vals[x][k]
+// is exprs[x] over row k of the selection. vals[x] is resized to the live row
+// count, reusing its storage.
+func (c *Ctx) evalLive(pw *pipeWorker, e *env, exprs []logical.Scalar, reads []int, b *Batch, vals [][]datum.D) error {
+	live := pw.live(b)
+	for x := range vals {
+		if cap(vals[x]) < len(live) {
+			vals[x] = make([]datum.D, pw.scratch(len(live)))
+		}
+		vals[x] = vals[x][:len(live)]
+	}
+	ectx := c.evalCtx(e)
+	for k, row := range live {
+		for _, j := range reads {
+			e.row[j] = b.Vecs[j].D(int(row))
+		}
+		for x, ex := range exprs {
+			v, err := logical.Eval(ex, ectx)
+			if err != nil {
+				return err
+			}
+			vals[x][k] = v
+		}
+	}
+	return nil
 }
 
 // rowEnv returns an env over layout with a reusable row for filterSel.
@@ -378,15 +408,14 @@ func (f *filterStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, er
 // --- project ---
 
 // projectStage computes the projection items. Column references share the
-// input's vectors; expressions are evaluated through the row-at-a-time
-// evaluator into one boxed vector per item, dense over the live rows, and the
-// referenced columns a later stage reads are then gathered to the same
-// positions.
+// input's vectors; expressions are evaluated through the row adapter into one
+// boxed vector per item, dense over the live rows, and the referenced columns
+// a later stage reads are then gathered to the same positions.
 type projectStage struct {
 	t     *physical.Project
-	src   []int // per item: the input column it references, -1 for an expression
-	exprs []int // the items that are expressions
-	reads []int // input columns the expressions read
+	src   []int            // per item: the input column it references, -1 for an expression
+	exprs []logical.Scalar // the expression items, in item order
+	reads []int            // input columns the expressions read
 	need  []bool
 	ws    []projectScratch
 }
@@ -394,24 +423,23 @@ type projectStage struct {
 type projectScratch struct {
 	out  Batch
 	env  *env
-	vals [][]datum.D  // per expression item: its values, reused
+	vals [][]datum.D  // per expression: its values, reused
 	vecs []*datum.Vec // per referenced column: its gather target, reused
 }
 
 func newProjectStage(t *physical.Project) *projectStage {
 	layout := t.Input.Columns()
 	p := &projectStage{t: t, src: make([]int, len(t.Items))}
-	var exprs []logical.Scalar
 	for i, it := range t.Items {
 		p.src[i] = -1
 		if col, ok := it.Expr.(*logical.Col); ok {
 			p.src[i] = (&Result{Cols: layout}).ColIndex(col.ID)
 		}
 		if p.src[i] < 0 {
-			p.exprs, exprs = append(p.exprs, i), append(exprs, it.Expr)
+			p.exprs = append(p.exprs, it.Expr)
 		}
 	}
-	p.reads = colsRead(layout, exprs...)
+	p.reads = colsRead(layout, p.exprs...)
 	return p
 }
 
@@ -435,7 +463,7 @@ func (p *projectStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, e
 	sc := &p.ws[w]
 	if sc.out.Vecs == nil {
 		sc.out.Cols, sc.out.Vecs = p.t.Columns(), make([]*datum.Vec, len(p.src))
-		sc.vals, sc.vecs = make([][]datum.D, len(p.src)), make([]*datum.Vec, len(p.src))
+		sc.vals, sc.vecs = make([][]datum.D, len(p.exprs)), make([]*datum.Vec, len(p.src))
 	}
 	b := &sc.out
 	b.Sel, b.n = in.Sel, in.n
@@ -452,29 +480,15 @@ func (p *projectStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, e
 	if sc.env == nil {
 		sc.env = rowEnv(p.t.Input.Columns())
 	}
-	for _, i := range p.exprs {
-		if cap(sc.vals[i]) < n {
-			sc.vals[i] = make([]datum.D, pw.scratch(n))
-		}
-		sc.vals[i] = sc.vals[i][:n]
+	if err := wc.evalLive(pw, sc.env, p.exprs, p.reads, in, sc.vals); err != nil {
+		return nil, err
 	}
-	e, ectx := sc.env, wc.evalCtx(sc.env)
-	for k, row := range pw.live(in) {
-		for _, j := range p.reads {
-			e.row[j] = in.Vecs[j].D(int(row))
-		}
-		for _, i := range p.exprs {
-			v, err := logical.Eval(p.t.Items[i].Expr, ectx)
-			if err != nil {
-				return nil, err
-			}
-			sc.vals[i][k] = v
-		}
-	}
+	x := 0
 	for i, off := range p.src {
 		switch {
 		case off < 0:
-			b.Vecs[i] = datum.NewBoxedVec(sc.vals[i])
+			b.Vecs[i] = datum.NewBoxedVec(sc.vals[x])
+			x++
 		case in.Sel != nil && p.need[i]:
 			b.Vecs[i] = gatherInto(&sc.vecs[i], in.Vecs[off], in.Sel)
 		}

@@ -155,40 +155,32 @@ func TestExternalSortMatchesStableSort(t *testing.T) {
 	}
 }
 
-// buildHashJoinFixture returns a hash-join node plus materialized inputs over
-// two synthetic tables (left probe, right build).
-func buildHashJoinFixture(kind logical.JoinKind, left, right []datum.Row) (*physical.HashJoin, []int, []int) {
-	lCols := []logical.ColumnID{1, 2, 3}
-	rCols := []logical.ColumnID{4, 5}
-	lv := &physical.ValuesOp{Cols: lCols}
-	rv := &physical.ValuesOp{Cols: rCols}
-	hj := &physical.HashJoin{
-		Kind: kind, Left: lv, Right: rv,
-		LeftKeys: lCols[:1], RightKeys: rCols[:1],
-	}
-	return hj, []int{0}, []int{0}
-}
-
 // TestGraceHashJoinMatchesInMemory: for every join kind, the grace join's
-// output must equal the in-memory hash join's rows in the identical order.
+// output must equal the in-memory hash join's — Run of the same plan with an
+// unlimited budget — in the identical order.
 func TestGraceHashJoinMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	left := randSpillRows(rng, 3000)
 	right := randSpillRows(rng, 2500)
+	lCols, rCols := []logical.ColumnID{1, 2, 3}, []logical.ColumnID{4, 5, 6}
 	kinds := []logical.JoinKind{
 		logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin,
 		logical.SemiJoin, logical.AntiJoin,
 	}
 	for _, kind := range kinds {
-		hj, lOff, rOff := buildHashJoinFixture(kind, left, right)
-		// In-memory truth via the serial hash join body (unlimited budget).
+		hj := &physical.HashJoin{
+			Kind: kind, Left: valuesOf(lCols, left), Right: valuesOf(rCols, right),
+			LeftKeys: lCols[:1], RightKeys: rCols[:1],
+		}
 		truth := NewCtx(nil, nil)
-		want, err := truth.hashJoinRows(hj, left, right, lOff, rOff)
+		truth.Mem = NewMemAccount(0)
+		res, err := Run(hj, truth)
 		if err != nil {
 			t.Fatalf("%v in-memory: %v", kind, err)
 		}
+		want := res.Rows
 		c := spillCtx(t, 1) // any build fails -> grace join, floor keeps partitions alive
-		got, err := c.graceHashJoin(hj, left, right, lOff, rOff)
+		got, err := c.graceHashJoin(hj, left, right, []int{0}, []int{0})
 		if err != nil {
 			t.Fatalf("%v grace: %v", kind, err)
 		}
@@ -200,6 +192,9 @@ func TestGraceHashJoinMatchesInMemory(t *testing.T) {
 				t.Fatalf("%v: row %d = %s, want %s", kind, i, got[i], want[i])
 			}
 		}
+		if truth.Counters.Spills != 0 {
+			t.Fatalf("%v: the unbudgeted join spilled", kind)
+		}
 		if c.Counters.Spills == 0 {
 			t.Fatalf("%v: grace join spilled nothing", kind)
 		}
@@ -207,73 +202,6 @@ func TestGraceHashJoinMatchesInMemory(t *testing.T) {
 			t.Fatalf("%v: leaked %d reserved bytes", kind, c.Mem.Used())
 		}
 	}
-}
-
-// hashJoinRows runs the serial in-memory hash join over materialized inputs —
-// test helper mirroring runHashJoin's post-materialization body.
-func (c *Ctx) hashJoinRows(t *physical.HashJoin, left, right []datum.Row, lOff, rOff []int) ([]datum.Row, error) {
-	build := make(map[uint64][]int, len(right))
-	for i, rr := range right {
-		if hasNullAt(rr, rOff) {
-			continue
-		}
-		build[rr.Hash(rOff)] = append(build[rr.Hash(rOff)], i)
-	}
-	leftLayout, rightLayout := t.Left.Columns(), t.Right.Columns()
-	combined := append(append([]logical.ColumnID{}, leftLayout...), rightLayout...)
-	e := newEnv(combined, nil)
-	rightWidth := len(rightLayout)
-	rightMatched := make([]bool, len(right))
-	var out []datum.Row
-	for _, lr := range left {
-		matched := false
-		if !hasNullAt(lr, lOff) {
-			for _, ri := range build[lr.Hash(lOff)] {
-				rr := right[ri]
-				if !datum.EqualOn(lr, rr, lOff, rOff) {
-					continue
-				}
-				e.row = lr.Concat(rr)
-				ok, err := c.filterRow(t.ExtraOn, e)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				matched = true
-				rightMatched[ri] = true
-				switch t.Kind {
-				case logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin:
-					out = append(out, lr.Concat(rr))
-				case logical.SemiJoin:
-					out = append(out, lr)
-				}
-				if t.Kind == logical.SemiJoin || t.Kind == logical.AntiJoin {
-					break
-				}
-			}
-		}
-		switch t.Kind {
-		case logical.LeftOuterJoin, logical.FullOuterJoin:
-			if !matched {
-				out = append(out, lr.Concat(nullRow(rightWidth)))
-			}
-		case logical.AntiJoin:
-			if !matched {
-				out = append(out, lr)
-			}
-		}
-	}
-	if t.Kind == logical.FullOuterJoin {
-		leftWidth := len(leftLayout)
-		for ri, rr := range right {
-			if !rightMatched[ri] {
-				out = append(out, nullRow(leftWidth).Concat(rr))
-			}
-		}
-	}
-	return out, nil
 }
 
 // TestGraceHashJoinSkewFailsTyped: a build side whose keys are all equal
@@ -400,7 +328,7 @@ func TestKernelGroupByBudgetTripInWorker(t *testing.T) {
 		groupCols []logical.ColumnID
 		// tiny says the 4 KiB run applies: with four aggregates a partition of
 		// the 6000-group inputs outgrows spillGroupBy's floor under so small a
-		// budget, in row mode exactly as here.
+		// budget, with kernels on or off.
 		tiny bool
 	}{
 		{[]logical.ColumnID{fl}, true},     // ~1000 groups
@@ -414,8 +342,8 @@ func TestKernelGroupByBudgetTripInWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The trip point is the row path's: a budget of exactly its one-worker
-		// peak fits in both modes, one byte less spills in both.
+		// The trip point does not depend on kernels: a budget of exactly the
+		// one-worker peak fits with them on or off, one byte less spills.
 		unbudgeted := f.ctx(t, 1)
 		unbudgeted.Vectorize, unbudgeted.Mem = false, NewMemAccount(0)
 		if _, err := Run(plan, unbudgeted); err != nil {

@@ -1,13 +1,15 @@
-// The kernel hash aggregation and hash join as pipeline parts: the aggregation
-// is a sink, the join a build over the collected right input plus a probe
-// stage on the left's pipeline, all on the typed hash and accumulate kernels
-// of kernels.go. Whether they claim a HashGroupBy or HashJoin node depends
-// only on Ctx.Vectorize and the plan node — aggregate shapes, ExtraOn — never
-// on the parallelism degree; an unclaimed node is a row operator (iter.go), a
-// breaker fed by a collected pipeline. Claimed operators replicate the row
-// implementation's observable behaviour exactly: the same counters
-// (RowsProcessed, HashOps), the same memory reservations with the same spill
-// fallbacks, and bit-identical output rows in the same order.
+// The hash aggregation and hash join as pipeline parts: the aggregation is a
+// sink, the join a build over the collected right input plus a probe stage on
+// the left's pipeline, both on the hash and accumulate kernels of kernels.go.
+// They are the engine's only hash join and aggregation and claim every
+// HashJoin, HashGroupBy and StreamGroupBy node at every setting: the probe
+// tests an extra join predicate per key-equal candidate, DISTINCT and
+// expression arguments accumulate through the row accumulators (boxedVecAcc),
+// stream aggregation is the sink on one worker, and with Ctx.Vectorize off no
+// predicate kernel is compiled and every aggregate accumulates through the
+// row accumulators. The counters (RowsProcessed, HashOps), the memory
+// reservations with their spill fallbacks, and the output rows, bit for bit
+// and in order, are the same at every worker count and setting.
 //
 // Inside, nothing is per row except typed loops over arrays. Both operators
 // index their keys with the flat hashTable of hashtable.go — int32 bucket
@@ -73,8 +75,8 @@ func vecNullAt(vecs []*datum.Vec, offs []int, i int) bool {
 // own — keyCols[k] row e is group e's k-th key value, appended when the group
 // is created, in the representation its first source had (codes under the
 // source's dictionary included). Groups are charged to the memory account
-// with the row path's exact per-entry model, once per morsel, so both trip
-// the budget at the same input.
+// with the per-entry model of the row group table spillGroupBy builds, once
+// per morsel.
 type vecGroups struct {
 	table   hashTable
 	n       int // groups; a scalar aggregation's one group always exists
@@ -145,9 +147,11 @@ func (g *vecGroups) assign(i int32, h uint64) int32 {
 	return t.insert(h)
 }
 
-// charge reserves the groups created since the last call.
+// charge reserves the groups created since the last call; a table without an
+// account (stream aggregation's) charges nothing.
 func (g *vecGroups) charge() error {
-	if g.pending == 0 {
+	if g.pending == 0 || g.mem == nil {
+		g.pending = 0
 		return nil
 	}
 	n := g.pending
@@ -169,12 +173,15 @@ func (g *vecGroups) release() {
 // vecAggWorker is one worker's thread-local aggregation state: its group
 // table, one accumulator per aggregate over that table's group ids — created
 // by the worker's first morsel for the representation (sigs) its argument
-// columns have there — and the per-morsel group-id scratch.
+// columns have there — the per-morsel group-id scratch, and the expression
+// arguments' row adapter and values.
 type vecAggWorker struct {
 	groups vecGroups
 	accs   []vecAccumulator
 	sigs   []uint8
 	gids   []int32
+	env    *env
+	vals   [][]datum.D
 }
 
 // errMixedRepr reports that an aggregate's argument column changed its
@@ -183,6 +190,10 @@ type vecAggWorker struct {
 // re-runs over the collected input, whose vectors have one representation.
 var errMixedRepr = errors.New("exec: aggregate argument changed representation")
 
+// sigBoxed is the representation signature of a boxed argument column, and of
+// every argument that accumulates through the row accumulators.
+const sigBoxed = 0x80
+
 // reprSig tells apart the argument representations newVecAccumulator
 // distinguishes; 0 is COUNT(*)'s missing argument.
 func reprSig(v *datum.Vec) uint8 {
@@ -190,7 +201,7 @@ func reprSig(v *datum.Vec) uint8 {
 	case v == nil:
 		return 0
 	case v.Boxed():
-		return 0x80
+		return sigBoxed
 	}
 	return 1 + uint8(v.Kind())
 }
@@ -224,46 +235,68 @@ func (a *vecAggWorker) fold(o *vecAggWorker) error {
 	return nil
 }
 
-// aggSink is two-phase aggregation as a pipeline sink: every worker
-// pre-aggregates its morsels into a thread-local table, and at the barrier
-// the other workers' tables fold into the first's by key, accumulators
-// merging exactly (compSum), so SUM and AVG are bit-identical at every worker
-// count. One worker has nothing to fold: its table is the result, with
-// groups in first-appearance order. All tables charge the query's shared
-// memory account.
+// aggSink is hash and stream aggregation as a pipeline sink. Hash aggregation
+// is two-phase: every worker pre-aggregates its morsels into a thread-local
+// table, and at the barrier the other workers' tables fold into the first's
+// by key, accumulators merging exactly (compSum), so SUM and AVG are
+// bit-identical at every worker count. One worker has nothing to fold: its
+// table is the result, with groups in first-appearance order. All tables
+// charge the query's shared memory account. Stream aggregation is the sink
+// on one worker, uncharged: its groups come out in the input's order.
 type aggSink struct {
-	t              *physical.HashGroupBy
-	keyOff, argOff []int // offsets in the input layout; argOff -1 is COUNT(*)
-	hint           int
-	workers        []vecAggWorker
+	node   physical.Plan // the HashGroupBy or StreamGroupBy
+	input  physical.Plan
+	keys   []logical.ColumnID
+	aggs   []logical.AggItem
+	est    float64 // the optimizer's group-count estimate
+	stream bool
+	keyOff []int
+	// argOff is each aggregate's argument: an input column, argCountStar, or
+	// the input width plus the index in exprs of an expression, which is
+	// evaluated per morsel into its worker's values, dense over the live rows.
+	argOff   []int
+	exprs    []logical.Scalar
+	exprCols []int  // input columns the expressions read
+	boxed    []bool // per aggregate: accumulate through the row accumulators
+	width    int    // input columns
+	hint     int
+	workers  []vecAggWorker
 }
 
-// newAggSink returns the sink for t, or nil when the kernels do not cover it:
-// a grouping column missing from the input, DISTINCT, or an argument that is
-// not a plain column.
-func newAggSink(t *physical.HashGroupBy) *aggSink {
-	layout := t.Input.Columns()
-	keyOff, err := offsetsOf(layout, t.GroupCols)
-	if err != nil {
-		return nil
+const argCountStar = -1
+
+// newAggSink returns the sink of a HashGroupBy or StreamGroupBy. A grouping
+// column missing from the input is an execution error; an argument column
+// missing from it is an expression, which fails to evaluate like any
+// unbound reference.
+func (c *Ctx) newAggSink(p physical.Plan) (*aggSink, error) {
+	s := &aggSink{node: p}
+	switch t := p.(type) {
+	case *physical.HashGroupBy:
+		s.input, s.keys, s.aggs, s.est = t.Input, t.GroupCols, t.Aggs, t.Rows
+	case *physical.StreamGroupBy:
+		s.input, s.keys, s.aggs, s.est, s.stream = t.Input, t.GroupCols, t.Aggs, t.Rows, true
 	}
-	s := &aggSink{t: t, keyOff: keyOff, argOff: make([]int, len(t.Aggs))}
-	for i, a := range t.Aggs {
-		col, isCol := a.Arg.(*logical.Col)
-		switch {
-		case a.Distinct:
-			return nil
-		case a.Arg == nil && a.Fn == logical.AggCount:
-			s.argOff[i] = -1
-		case !isCol:
-			return nil
+	layout := s.input.Columns()
+	var err error
+	if s.keyOff, err = offsetsOf(layout, s.keys); err != nil {
+		return nil, err
+	}
+	s.width, s.argOff, s.boxed = len(layout), make([]int, len(s.aggs)), make([]bool, len(s.aggs))
+	find := (&Result{Cols: layout}).ColIndex
+	for i, a := range s.aggs {
+		switch col, isCol := a.Arg.(*logical.Col); {
+		case a.Arg == nil:
+			s.argOff[i] = argCountStar
+		case isCol && find(col.ID) >= 0:
+			s.argOff[i] = find(col.ID)
 		default:
-			if s.argOff[i] = (&Result{Cols: layout}).ColIndex(col.ID); s.argOff[i] < 0 {
-				return nil
-			}
+			s.argOff[i], s.exprs = s.width+len(s.exprs), append(s.exprs, a.Arg)
 		}
+		s.boxed[i] = !c.Vectorize || a.Distinct || s.argOff[i] >= s.width
 	}
-	return s
+	s.exprCols = colsRead(layout, s.exprs...)
+	return s, nil
 }
 
 func (s *aggSink) release() {
@@ -272,12 +305,27 @@ func (s *aggSink) release() {
 	}
 }
 
-// arg returns aggregate ai's argument column in b, nil for COUNT(*).
-func (s *aggSink) arg(b *Batch, ai int) *datum.Vec {
-	if s.argOff[ai] < 0 {
-		return nil
+// newAcc returns aggregate ai's accumulator and representation signature
+// for argument column arg (nil for COUNT(*)).
+func (s *aggSink) newAcc(ai int, arg *datum.Vec) (vecAccumulator, uint8) {
+	if s.boxed[ai] {
+		return &boxedVecAcc{item: s.aggs[ai]}, sigBoxed
 	}
-	return b.Vecs[s.argOff[ai]]
+	return newVecAccumulator(s.aggs[ai], arg), reprSig(arg)
+}
+
+// arg returns aggregate ai's argument column in morsel b of worker wk and the
+// selection to read it under: the live rows of an input column, all rows of
+// an evaluated expression's dense values.
+func (s *aggSink) arg(pw *pipeWorker, wk *vecAggWorker, b *Batch, chunk []int32, ai int) (*datum.Vec, []int32) {
+	switch off := s.argOff[ai]; {
+	case off == argCountStar:
+		return nil, chunk
+	case off < s.width:
+		return b.Vecs[off], chunk
+	default:
+		return datum.NewBoxedVec(wk.vals[off-s.width]), pw.identity(len(chunk))
+	}
 }
 
 // consume aggregates one morsel into worker w's table.
@@ -285,16 +333,33 @@ func (s *aggSink) consume(wc *Ctx, pw *pipeWorker, w, _ int, b *Batch) error {
 	wk := &s.workers[w]
 	chunk := pw.live(b)
 	wc.Counters.RowsProcessed += int64(len(chunk))
-	wc.Counters.HashOps += int64(len(chunk))
-	if wk.accs == nil {
-		wk.groups = newVecGroups(len(s.keyOff), len(s.t.Aggs), s.hint, wc.Mem)
-		wk.accs, wk.sigs = make([]vecAccumulator, len(s.t.Aggs)), make([]uint8, len(s.t.Aggs))
-		for ai, a := range s.t.Aggs {
-			wk.accs[ai], wk.sigs[ai] = newVecAccumulator(a, s.arg(b, ai)), reprSig(s.arg(b, ai))
+	if !s.stream {
+		wc.Counters.HashOps += int64(len(chunk))
+	}
+	if len(s.exprs) > 0 {
+		if wk.env == nil {
+			wk.env, wk.vals = rowEnv(s.input.Columns()), make([][]datum.D, len(s.exprs))
+		}
+		if err := wc.evalLive(pw, wk.env, s.exprs, s.exprCols, b, wk.vals); err != nil {
+			return err
 		}
 	}
-	for ai := range wk.sigs {
-		if reprSig(s.arg(b, ai)) != wk.sigs[ai] {
+	if wk.accs == nil {
+		mem := wc.Mem
+		if s.stream {
+			mem = nil
+		}
+		wk.groups = newVecGroups(len(s.keyOff), len(s.aggs), s.hint, mem)
+		wk.accs, wk.sigs = make([]vecAccumulator, len(s.aggs)), make([]uint8, len(s.aggs))
+		for ai := range s.aggs {
+			arg, _ := s.arg(pw, wk, b, chunk, ai)
+			wk.accs[ai], wk.sigs[ai] = s.newAcc(ai, arg)
+		}
+	}
+	for ai, sig := range wk.sigs {
+		// The row accumulators take any representation; a typed one only its
+		// own.
+		if arg, _ := s.arg(pw, wk, b, chunk, ai); sig != sigBoxed && reprSig(arg) != sig {
 			return errMixedRepr
 		}
 	}
@@ -319,7 +384,8 @@ func (s *aggSink) consume(wc *Ctx, pw *pipeWorker, w, _ int, b *Batch) error {
 	}
 	for ai, acc := range wk.accs {
 		acc.ensure(wk.groups.n, s.hint)
-		acc.accumulate(s.arg(b, ai), chunk, gids)
+		arg, sel := s.arg(pw, wk, b, chunk, ai)
+		acc.accumulate(arg, sel, gids)
 	}
 	return nil
 }
@@ -328,13 +394,12 @@ func (s *aggSink) consume(wc *Ctx, pw *pipeWorker, w, _ int, b *Batch) error {
 // reservation is released on return, so a caller that sees a budget error can
 // spill with the whole budget available.
 func (s *aggSink) run(c *Ctx, pl *pipeline) (*Batch, error) {
-	n := pl.src.rows()
-	nw := c.morselWorkers(n)
+	n, nw := pl.src.rows(), pl.degree()
 	// Pre-size the bucket arrays from the optimizer's group-count estimate,
 	// capped (also by the rows one worker sees) so that neither a wild
 	// overestimate nor the number of thread-local tables makes the presize
 	// itself the cost.
-	s.hint = max(0, min(int(s.t.Rows), 1<<20, (n+nw-1)/nw))
+	s.hint = max(0, min(int(s.est), 1<<20, (n+nw-1)/nw))
 	s.workers = make([]vecAggWorker, nw)
 	defer s.release()
 	need := make([]bool, len(pl.layout()))
@@ -342,9 +407,12 @@ func (s *aggSink) run(c *Ctx, pl *pipeline) (*Batch, error) {
 		need[o] = true
 	}
 	for _, o := range s.argOff {
-		if o >= 0 {
+		if o >= 0 && o < s.width {
 			need[o] = true
 		}
+	}
+	for _, o := range s.exprCols {
+		need[o] = true
 	}
 	if err := pl.run(need, s); err != nil {
 		return nil, err
@@ -367,14 +435,15 @@ func (s *aggSink) run(c *Ctx, pl *pipeline) (*Batch, error) {
 	if final == nil {
 		// No row arrived: no group, or the empty scalar group.
 		final = &s.workers[0]
-		final.groups = newVecGroups(len(s.keyOff), len(s.t.Aggs), 0, c.Mem)
+		final.groups = newVecGroups(len(s.keyOff), len(s.aggs), 0, nil)
 		null := datum.NewVec(datum.KindNull, 0)
-		for ai, a := range s.t.Aggs {
+		for ai := range s.aggs {
 			arg := null
-			if s.argOff[ai] < 0 {
+			if s.argOff[ai] == argCountStar {
 				arg = nil
 			}
-			final.accs = append(final.accs, newVecAccumulator(a, arg))
+			acc, _ := s.newAcc(ai, arg)
+			final.accs = append(final.accs, acc)
 		}
 		tableRows = int64(final.groups.n)
 	}
@@ -384,7 +453,7 @@ func (s *aggSink) run(c *Ctx, pl *pipeline) (*Batch, error) {
 	// The key columns are the table's own; the aggregate columns are the
 	// accumulators' arrays.
 	groups := final.groups.n
-	out := &Batch{Cols: s.t.Columns(), n: groups}
+	out := &Batch{Cols: s.node.Columns(), n: groups}
 	for _, v := range final.groups.keyCols {
 		if v == nil {
 			v = datum.NewVec(datum.KindNull, 0)
@@ -395,24 +464,30 @@ func (s *aggSink) run(c *Ctx, pl *pipeline) (*Batch, error) {
 		acc.ensure(groups, groups) // scalar agg over empty input still emits
 		out.Vecs = append(out.Vecs, acc.emit(groups))
 	}
-	pl.report(s.t, groups)
+	pl.report(s.node, groups)
 	return out, nil
 }
 
-// aggregate executes a kernel aggregation: the input's pipeline run into the
-// aggregate sink. A budget trip in any worker, or in the fold, releases every
-// table, re-runs the same pipeline into the collect sink and takes the
-// partition-and-spill aggregation over that, like the row path; an argument
-// column that changed representation mid-stream re-aggregates the collected
-// input instead. The logical work of an aborted pass is rewound: the plan's
-// work is the pass that completed.
-func (c *Ctx) aggregate(t *physical.HashGroupBy, sink *aggSink) (*Batch, error) {
-	pl, err := c.open(t.Input)
+// aggregate executes a HashGroupBy or StreamGroupBy: the input's pipeline run
+// into the aggregate sink. A budget trip in any worker, or in the fold,
+// releases every table, re-runs the same pipeline into the collect sink and
+// takes the partition-and-spill aggregation over that; an argument column
+// that changed representation mid-stream re-aggregates the collected input
+// instead. The logical work of an aborted pass is rewound: the plan's work is
+// the pass that completed.
+func (c *Ctx) aggregate(p physical.Plan) (*Batch, error) {
+	sink, err := c.newAggSink(p)
 	if err != nil {
 		return nil, err
 	}
+	began := c.tick()
+	pl, err := c.open(sink.input)
+	if err != nil {
+		return nil, err
+	}
+	pl.serial = sink.stream
 	defer pl.close()
-	defer c.leave(c.enter(t))
+	defer c.leave(c.enter(p))
 	c.noteVectorized()
 	work := c.Counters
 	rewind := func() {
@@ -430,33 +505,32 @@ func (c *Ctx) aggregate(t *physical.HashGroupBy, sink *aggSink) (*Batch, error) 
 	pl.close()
 	if !isBudgetErr(err) {
 		work = c.Counters
-		again := c.newPipeline(t.Input, &batchSource{in: in}, c.tick())
-		again.srcDone = true
+		again := c.newPipeline(sink.input, &batchSource{in: in}, c.tick())
+		again.srcDone, again.serial = true, sink.stream
 		if out, err = sink.run(c, again); !isBudgetErr(err) {
 			return out, err
 		}
 		rewind()
 	}
-	rows, err := c.spillGroupBy(in.ToRows(), t.Input.Columns(), sink.keyOff, t.GroupCols, t.Aggs)
-	if m := c.curNode; m != nil {
-		m.Invocations++
-		m.ActualRows += int64(len(rows))
-		m.Pipeline = pl.an.id
-		m.WallNanos += time.Since(pl.an.start).Nanoseconds()
-	}
+	rows, err := c.spillGroupBy(in.ToRows(), sink.input.Columns(), sink.keyOff, sink.keys, sink.aggs)
+	c.noteFallback(pl, began, len(rows))
 	if err != nil {
 		return nil, err
 	}
-	return batchFromRows(t.Columns(), rows), nil
+	return batchFromRows(p.Columns(), rows), nil
 }
 
 // --- hash join ---
 
-// probeStage is the probe side of a kernel hash join: one hash table on the
+// probeStage is the probe side of a hash join: one hash table on the
 // collected right input, shared read-only by every worker, probed with the
 // left's morsels as they stream by. A morsel emits its (left, right) index
 // pairs in probe order and gathers from them the columns a later stage reads,
-// so the output row sequence is the same at every worker count.
+// so the output row sequence is the same at every worker count. A join
+// predicate beside the keys (ExtraOn) is tested on each key-equal candidate,
+// in chain order, before it counts as a match — a semi or anti join stops at
+// its first match — so exactly the pairs a row-at-a-time probe tests are
+// evaluated.
 type probeStage struct {
 	t          *physical.HashJoin
 	lOff, rOff []int
@@ -464,38 +538,40 @@ type probeStage struct {
 	table      hashTable
 	buildRows  []int32 // per table entry: its row in right
 	nLeft      int     // columns of the left layout
+	extra      conjunction
+	extraReads []bool // columns of the left+right layout extra reads
 	need       []bool
 	matched    matchedSets
 	ws         []probeScratch
 }
 
 // probeScratch is one worker's index pairs, key comparators and output
-// vectors.
+// vectors, and the one-pair batch the extra predicate is tested on.
 type probeScratch struct {
 	lIdx, rIdx []int32
 	keys       keyEqs
 	vecs       []*datum.Vec
 	out        Batch
-}
-
-// kernelJoinKeys returns the key offsets of a join the kernels cover: no extra
-// predicate, every key column present in its input.
-func kernelJoinKeys(t *physical.HashJoin) (lOff, rOff []int, ok bool) {
-	if len(t.ExtraOn) > 0 {
-		return nil, nil, false
-	}
-	lOff, lerr := offsetsOf(t.Left.Columns(), t.LeftKeys)
-	rOff, rerr := offsetsOf(t.Right.Columns(), t.RightKeys)
-	return lOff, rOff, lerr == nil && rerr == nil
+	pair       Batch    // over the left+right layout; its vectors are gather scratch
+	pairIdx    [2]int32 // the pair's left and right row
+	conj       conjScratch
 }
 
 // openJoin opens the left input's pipeline and puts the probe of t on it,
 // after running the right input to completion and building the table. A
-// build side over budget degrades to the grace hash join on materialized
-// rows, exactly like the row path, and a FULL OUTER join ends its pipeline —
-// its unmatched build rows follow the last morsel — so both hand the stages
-// above a materialized batch.
-func (c *Ctx) openJoin(t *physical.HashJoin, lOff, rOff []int) (*pipeline, error) {
+// key column missing from its input is an execution error. A build side
+// over budget degrades to the grace hash join on materialized rows, and a
+// FULL OUTER join ends its pipeline — its unmatched build rows follow the
+// last morsel — so both hand the stages above a materialized batch.
+func (c *Ctx) openJoin(t *physical.HashJoin) (*pipeline, error) {
+	lOff, err := offsetsOf(t.Left.Columns(), t.LeftKeys)
+	if err != nil {
+		return nil, err
+	}
+	rOff, err := offsetsOf(t.Right.Columns(), t.RightKeys)
+	if err != nil {
+		return nil, err
+	}
 	began := c.tick()
 	pl, err := c.open(t.Left)
 	if err != nil {
@@ -526,12 +602,7 @@ func (c *Ctx) openJoin(t *physical.HashJoin, lOff, rOff []int) (*pipeline, error
 		}
 		pl.close()
 		rows, err := c.graceHashJoin(t, left.ToRows(), right.ToRows(), lOff, rOff)
-		if m := c.curNode; m != nil {
-			m.Invocations++
-			m.ActualRows += int64(len(rows))
-			m.Pipeline = pl.an.id
-			m.WallNanos += time.Since(began).Nanoseconds()
-		}
+		c.noteFallback(pl, began, len(rows))
 		if err != nil {
 			return nil, err
 		}
@@ -544,6 +615,11 @@ func (c *Ctx) openJoin(t *physical.HashJoin, lOff, rOff []int) (*pipeline, error
 	// non-NULL key, in selection order, and chains keep that order, so every
 	// probe sees its matches in the serial row order.
 	st := &probeStage{t: t, lOff: lOff, rOff: rOff, right: right, nLeft: len(t.Left.Columns())}
+	if len(t.ExtraOn) > 0 {
+		pair := append(append([]logical.ColumnID{}, t.Left.Columns()...), t.Right.Columns()...)
+		st.extra, st.extraReads = c.newConjunction(t.ExtraOn, pair), make([]bool, len(pair))
+		st.extra.reads(st.extraReads)
+	}
 	nr := right.NumRows()
 	st.table.hash = make([]uint64, 0, nr)
 	st.buildRows = make([]int32, 0, nr)
@@ -596,7 +672,33 @@ func (p *probeStage) bind(need []bool, workers int) []bool {
 	for _, o := range p.lOff {
 		in[o] = true
 	}
+	for o, read := range p.extraReads {
+		if read && o < p.nLeft {
+			in[o] = true
+		}
+	}
 	return in
+}
+
+// holds tests the extra predicate on the pair of left row li of in and right
+// row ri: the columns it reads are gathered into the worker's one-row pair
+// batch, and the conjunction runs over that.
+func (p *probeStage) holds(wc *Ctx, pw *pipeWorker, sc *probeScratch, in *Batch, li, ri int32) (bool, error) {
+	if sc.pair.Vecs == nil {
+		sc.pair = Batch{Cols: p.extra.layout, Vecs: make([]*datum.Vec, len(p.extraReads)), n: 1}
+	}
+	sc.pairIdx = [2]int32{li, ri}
+	for ci, read := range p.extraReads {
+		switch {
+		case !read:
+		case ci < p.nLeft:
+			gatherInto(&sc.pair.Vecs[ci], in.Vecs[ci], sc.pairIdx[:1])
+		default:
+			gatherInto(&sc.pair.Vecs[ci], p.right.Vecs[ci-p.nLeft], sc.pairIdx[1:])
+		}
+	}
+	sel, err := p.extra.apply(wc, &sc.conj, &sc.pair, pw.identity(1), noLoad)
+	return len(sel) > 0, err
 }
 
 func (p *probeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error) {
@@ -629,6 +731,15 @@ func (p *probeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, err
 					continue
 				}
 				wc.Counters.RowsProcessed++
+				if p.extraReads != nil {
+					ok, err := p.holds(wc, pw, sc, in, li, ri)
+					if err != nil {
+						return nil, err
+					}
+					if !ok {
+						continue
+					}
+				}
 				found = true
 				p.matched.mark(w, int(ri))
 				if semiShape {

@@ -1,13 +1,15 @@
 package experiments
 
-// e_vectorized.go measures the vectorized batch execution path (columnar
-// batches + typed kernels, exec/vector.go) against row-at-a-time execution of
-// the *same physical plans*: scan+filter, hash aggregation and hash join
-// microworkloads over the star schema, single-threaded, best-of-reps wall
-// clock. Plans are constructed by hand so the shapes are fixed — the
-// comparison isolates the execution model, not plan choice. RunVectorizedBench
-// is shared by experiment E24 (small workload) and `benchharness vectorized`,
-// which writes the larger run to BENCH_vectorized.json.
+// e_vectorized.go measures kernels on against kernels off on the *same
+// physical plans* — scan+filter and hash aggregation microworkloads over the
+// star schema, single-threaded, best-of-reps wall clock. Both settings run
+// the same operators: off, no predicate compiles to a typed kernel and every
+// aggregate accumulates through the row accumulators, so the comparison
+// isolates row-at-a-time interpretation, not plan choice or operator
+// choice. (A hash join runs identically either way and is not measured.)
+// RunVectorizedBench is shared by experiment E24 (small workload) and
+// `benchharness vectorized`, which writes the larger run to
+// BENCH_vectorized.json.
 
 import (
 	"fmt"
@@ -21,7 +23,7 @@ import (
 	"repro/internal/workload"
 )
 
-// VectorizedBenchRow is one microworkload's row-vs-vectorized measurement.
+// VectorizedBenchRow is one microworkload's kernels-off-vs-on measurement.
 type VectorizedBenchRow struct {
 	Workload      string  `json:"workload"`
 	InputRows     int     `json:"input_rows"`
@@ -45,16 +47,14 @@ type VectorizedBenchResult struct {
 	Workloads  []VectorizedBenchRow `json:"workloads"`
 }
 
-// RunVectorizedBench executes the three microworkloads with vectorization off
-// and on (same plans, same serial context otherwise), best-of-reps.
+// RunVectorizedBench executes the microworkloads with kernels off ("row") and
+// on ("vec") — same plans, same serial context otherwise — best-of-reps.
 func RunVectorizedBench(factRows, reps int) *VectorizedBenchResult {
 	db := workload.Star(workload.StarConfig{FactRows: factRows, DimRows: []int{1000}, Seed: 24})
 	sales, _ := db.Cat.Table("sales")
-	dim1, _ := db.Cat.Table("dim1")
 
 	md := logical.NewMetadata()
 	salesCols := md.AddTable(sales, "sales") // k1, qty, amount
-	dimCols := md.AddTable(dim1, "dim1")     // k, attr, filt
 	k1, qty, amount := salesCols[0], salesCols[1], salesCols[2]
 	newCol := func(name string, k datum.Kind) logical.ColumnID {
 		return md.AddColumn(logical.ColumnMeta{Name: name, Kind: k})
@@ -81,12 +81,6 @@ func RunVectorizedBench(factRows, reps int) *VectorizedBenchResult {
 			{ID: newCol("max_amt", datum.KindFloat), Fn: logical.AggMax, Arg: &logical.Col{ID: amount}},
 			{ID: newCol("avg_amt", datum.KindFloat), Fn: logical.AggAvg, Arg: &logical.Col{ID: amount}},
 		},
-	}
-	hashJoin := &physical.HashJoin{
-		Kind: logical.InnerJoin, Left: salesScan(nil),
-		Right:     &physical.TableScan{Table: dim1, Binding: "dim1", Cols: dimCols, ColOrds: []int{0, 1, 2}},
-		LeftKeys:  []logical.ColumnID{k1},
-		RightKeys: []logical.ColumnID{dimCols[0]},
 	}
 
 	timed := func(p physical.Plan, vectorize bool) (float64, []datum.Row) {
@@ -119,7 +113,6 @@ func RunVectorizedBench(factRows, reps int) *VectorizedBenchResult {
 	}{
 		{"scan+filter", scanFilter},
 		{"hash-agg", hashAgg},
-		{"hash-join", hashJoin},
 	} {
 		rowSec, rowRows := timed(w.plan, false)
 		vecSec, vecRows := timed(w.plan, true)
@@ -147,13 +140,13 @@ func RunVectorizedBench(factRows, reps int) *VectorizedBenchResult {
 	return out
 }
 
-// E24Vectorized compares row-at-a-time and vectorized execution of identical
-// plans (§5.2's CPU cost term attacked at the execution layer): the per-row
-// interpretation overhead — interface dispatch, datum boxing, per-row filter
-// evaluation — is what columnar batches and typed kernels eliminate, so the
-// speedup column is a direct measurement of that overhead. Single-threaded by
-// construction; the `identical` column certifies the vectorized rows matched
-// the row engine's exactly (floats bit-exact).
+// E24Vectorized compares kernels off and on over identical plans (§5.2's CPU
+// cost term attacked at the execution layer): the per-row interpretation
+// overhead — datum boxing, per-row predicate and accumulator dispatch — is
+// what typed kernels over columnar batches eliminate, so the speedup column
+// is a direct measurement of that overhead. Single-threaded by construction;
+// the `identical` column certifies both settings emitted the same rows
+// (floats bit-exact).
 func E24Vectorized() Table {
 	t := Table{
 		ID:      "E24",

@@ -113,12 +113,12 @@ func TestHeadlineInvariants(t *testing.T) {
 		t.Errorf("E15: expected a large pushdown penalty, got %v", pen)
 	}
 
-	// E24: vectorized results must be identical to row mode on every
+	// E24: results with kernels on must be identical to kernels off on every
 	// workload, and the scan+filter kernels must actually win.
 	e24 := E24Vectorized()
 	for _, r := range e24.Rows {
 		if r[len(r)-1] != "true" {
-			t.Errorf("E24: %s not bit-identical to row mode: %v", r[0], r)
+			t.Errorf("E24: %s not bit-identical with kernels off: %v", r[0], r)
 		}
 	}
 	if sp := atof(t, e24.Rows[0][7]); sp <= 1 {

@@ -53,6 +53,13 @@ func exactRows(res *Result) []string {
 // bigRandSchema is randSchema scaled past the morsel threshold (~2k rows).
 func bigRandSchema(t *testing.T, opts Options, seed int64) *Engine {
 	t.Helper()
+	return sizedRandSchema(t, opts, seed, 5000, 2000, 400)
+}
+
+// sizedRandSchema is bigRandSchema with rRows, tRows and uRows rows in r, t
+// and u; r.fk ranges over t's keys, t.fk over u's.
+func sizedRandSchema(t *testing.T, opts Options, seed int64, rRows, tRows, uRows int) *Engine {
+	t.Helper()
 	e := New(opts)
 	t.Cleanup(e.Close)
 	e.MustExec(`CREATE TABLE r (pk INT NOT NULL, fk INT, a INT, s VARCHAR, f FLOAT, PRIMARY KEY (pk))`)
@@ -92,9 +99,9 @@ func bigRandSchema(t *testing.T, opts Options, seed int64) *Engine {
 			t.Fatal(err)
 		}
 	}
-	load("r", 5000, 2000, true)
-	load("t", 2000, 400, true)
-	load("u", 400, 0, false)
+	load("r", rRows, tRows, true)
+	load("t", tRows, uRows, true)
+	load("u", uRows, 0, false)
 	e.MustExec("ANALYZE")
 	return e
 }

@@ -112,12 +112,13 @@ type Options struct {
 	MemBudget int64
 	// TempDir is where spill files are created (empty = os.TempDir()).
 	TempDir string
-	// Vectorize decides whether the executor compiles typed kernels. The
-	// default (VectorizeAuto) runs every predicate conjunct, hash join and
-	// aggregation that has a kernel over column vectors and the rest
-	// row-at-a-time, inside the same operators; VectorizeOff compiles no
-	// kernels, so the same operators evaluate everything row-at-a-time.
-	// Results are identical either way.
+	// Vectorize decides whether the executor compiles kernels. The default
+	// (VectorizeAuto) runs every predicate conjunct that has a typed kernel
+	// over column vectors and every aggregate over a typed column on a typed
+	// accumulator; VectorizeOff compiles none, so predicates evaluate
+	// row-at-a-time and aggregates accumulate through the row accumulators.
+	// Either way the same scan, join and aggregation operators run, and the
+	// results are identical.
 	Vectorize VectorizeMode
 	// TotalMemBudget caps the working memory of all concurrently running
 	// queries combined, in modeled bytes: each query's account (capped at
@@ -214,14 +215,15 @@ type Options struct {
 }
 
 // VectorizeMode says whether the executor may compile typed kernels. It does
-// not select an executor: both modes run the same operators.
+// not select an executor or an operator: both modes run the same operators.
 type VectorizeMode uint8
 
 const (
 	// VectorizeAuto (the default) compiles a kernel for every predicate
-	// conjunct, hash join and aggregation that has one.
+	// conjunct and aggregate that has one.
 	VectorizeAuto VectorizeMode = iota
-	// VectorizeOff compiles no kernels: everything evaluates row-at-a-time.
+	// VectorizeOff compiles no kernels: predicates evaluate row-at-a-time
+	// and aggregates accumulate through the row accumulators.
 	VectorizeOff
 )
 

@@ -1,12 +1,11 @@
 package queryopt
 
-// vectorized_equivalence_test.go extends the equivalence net to the columnar
-// batch path: for the same random query corpus, engines running with
-// vectorization enabled (the default) must return exactly what a
-// vectorization-off engine returns — bit-identical floats, compared in exact
-// hexadecimal form — at parallelism 1, 4 and 8. Operators without a typed
-// kernel fall back to row mode transparently, so every corpus query must
-// succeed regardless of which path each operator takes.
+// vectorized_equivalence_test.go extends the equivalence net to the kernel
+// settings: for the same random query corpus, engines running with kernels on
+// (the default) and off must return exactly what the reference evaluator
+// (EvalLogical) returns — bit-identical floats, compared in exact hexadecimal
+// form — at parallelism 1, 4 and 8. Both settings run the same operators,
+// so the baseline is the one executor that shares none of them.
 
 import (
 	"fmt"
@@ -15,13 +14,17 @@ import (
 	"testing"
 )
 
-// kernelQueries are the fixed head of the corpus: shapes the kernel hash join
-// and the kernel aggregation claim, over r's five morsels, so at degrees 4 and
-// 8 they run on several workers — every outer/semi/anti join kind with NULL
-// and unmatched keys, groups first seen by a later worker (a thousand fk
-// values over three morsels; more would not fit a spill partition of the
-// budgeted arm), a NULL group, SUM/AVG over floats, MIN/MAX over strings, and
-// a scalar aggregate over no rows.
+// The corpus runs on r, t and u of these sizes: r spans three morsels, so
+// at degrees 4 and 8 the statements run on several workers, and the
+// reference evaluator's nested-loop joins stay affordable.
+const equivRRows, equivTRows, equivURows = 3000, 800, 200
+
+// kernelQueries are the fixed head of the corpus: shapes the hash join and
+// the hash aggregation kernels cover, over r's three morsels — every
+// outer/semi/anti join kind with NULL and unmatched keys, groups first seen
+// by a later worker (the 800 fk values over three morsels), a NULL group,
+// SUM/AVG over floats, MIN/MAX over strings, and a scalar aggregate over no
+// rows.
 var kernelQueries = []string{
 	"SELECT x.pk, x.f, y.pk, y.s FROM r x JOIN t y ON x.a = y.fk",
 	"SELECT x.pk, x.f, y.pk, y.s FROM r x LEFT OUTER JOIN t y ON x.a = y.fk",
@@ -35,11 +38,11 @@ var kernelQueries = []string{
 	"SELECT COUNT(*), SUM(x.f), AVG(x.f), MIN(x.s), MAX(x.f) FROM r x WHERE x.a > 100",
 }
 
-// TestVectorizedQueryEquivalence: the row-mode engine is the baseline; the
-// vectorized engines — at each degree, and once more at degree 4 under a
-// 4 KiB memory budget, where the kernel operators trip inside a worker and
-// spill — must agree on the multiset of rows (and on row order whenever the
-// query has an ORDER BY).
+// TestVectorizedQueryEquivalence: the reference evaluator is the baseline;
+// the engines with kernels on — at each degree, and once more at degree 4
+// under a 4 KiB memory budget, where the hash join and aggregation trip
+// inside a worker and spill — and with kernels off must agree on the
+// multiset of rows (and on row order whenever the query has an ORDER BY).
 func TestVectorizedQueryEquivalence(t *testing.T) {
 	const trials = 25
 	arms := []Options{
@@ -47,12 +50,13 @@ func TestVectorizedQueryEquivalence(t *testing.T) {
 		{Optimizer: SystemR, Parallelism: 4},
 		{Optimizer: SystemR, Parallelism: 8},
 		{Optimizer: SystemR, Parallelism: 4, MemBudget: spillBudget},
+		{Optimizer: SystemR, Parallelism: 4, Vectorize: VectorizeOff},
 	}
 	for seed := int64(1); seed <= 2; seed++ {
-		rowEng := bigRandSchema(t, Options{Optimizer: SystemR, Vectorize: VectorizeOff}, seed)
-		vecEngines := make([]*Engine, len(arms))
+		ref := sizedRandSchema(t, Options{Optimizer: Reference}, seed, equivRRows, equivTRows, equivURows)
+		engines := make([]*Engine, len(arms))
 		for i, opts := range arms {
-			vecEngines[i] = bigRandSchema(t, opts, seed)
+			engines[i] = sizedRandSchema(t, opts, seed, equivRRows, equivTRows, equivURows)
 		}
 		rng := rand.New(rand.NewSource(seed * 77))
 		for trial := 0; trial < len(kernelQueries)+trials; trial++ {
@@ -62,9 +66,9 @@ func TestVectorizedQueryEquivalence(t *testing.T) {
 			} else {
 				q = randQuery(rng)
 			}
-			res, err := rowEng.Exec(q)
+			res, err := ref.Exec(q)
 			if err != nil {
-				t.Fatalf("seed %d trial %d row-mode: %v\nquery: %s", seed, trial, err, q)
+				t.Fatalf("seed %d trial %d reference: %v\nquery: %s", seed, trial, err, q)
 			}
 			baseline := exactRows(res)
 			ordered := strings.Contains(q, "ORDER BY")
@@ -75,14 +79,14 @@ func TestVectorizedQueryEquivalence(t *testing.T) {
 				}
 			}
 			for i, opts := range arms {
-				arm := fmt.Sprintf("degree %d budget %d", opts.Parallelism, opts.MemBudget)
-				vres, err := vecEngines[i].Exec(q)
+				arm := fmt.Sprintf("degree %d budget %d kernels %v", opts.Parallelism, opts.MemBudget, opts.Vectorize == VectorizeAuto)
+				vres, err := engines[i].Exec(q)
 				if err != nil {
-					t.Fatalf("seed %d trial %d vectorized %s: %v\nquery: %s", seed, trial, arm, err, q)
+					t.Fatalf("seed %d trial %d %s: %v\nquery: %s", seed, trial, arm, err, q)
 				}
 				got := exactRows(vres)
 				if strings.Join(got, ";") != strings.Join(baseline, ";") {
-					t.Fatalf("seed %d trial %d: vectorized %s disagrees with row mode\nquery: %s\nrow mode (%d rows): %.500v\ngot      (%d rows): %.500v\nplan:\n%s",
+					t.Fatalf("seed %d trial %d: %s disagrees with EvalLogical\nquery: %s\nreference (%d rows): %.500v\ngot       (%d rows): %.500v\nplan:\n%s",
 						seed, trial, arm, q, len(baseline), baseline, len(got), got, vres.Plan)
 				}
 				if ordered {
@@ -91,7 +95,7 @@ func TestVectorizedQueryEquivalence(t *testing.T) {
 						rows = append(rows, exactRow(r))
 					}
 					if strings.Join(rows, ";") != strings.Join(orderedBaseline, ";") {
-						t.Fatalf("seed %d trial %d: vectorized %s row order differs under ORDER BY\nquery: %s\nplan:\n%s",
+						t.Fatalf("seed %d trial %d: %s row order differs under ORDER BY\nquery: %s\nplan:\n%s",
 							seed, trial, arm, q, vres.Plan)
 					}
 				}
@@ -101,52 +105,68 @@ func TestVectorizedQueryEquivalence(t *testing.T) {
 }
 
 // TestVectorizedAnalyzeMarksNodes: EXPLAIN ANALYZE reports vectorized=true on
-// operators that ran on the batch path, and never reports it when
-// vectorization is off.
+// operators that ran a kernel, and never reports it when kernels are off —
+// on a scan+filter and on a hash join under a hash aggregation — while both
+// settings return the reference evaluator's rows and the same batches.
 func TestVectorizedAnalyzeMarksNodes(t *testing.T) {
+	ref := bigRandSchema(t, Options{Optimizer: Reference}, 3)
 	on := bigRandSchema(t, Options{Optimizer: SystemR}, 3)
-	q := "SELECT x.a, x.f FROM r x WHERE x.a < 10"
-	_, an, err := on.QueryAnalyze(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(an.Text, "vectorized=true") {
-		t.Errorf("analyzed scan+filter not marked vectorized:\n%s", an.Text)
-	}
-	var marked int
-	an.Root.Walk(func(n *NodeAnalysis) {
-		if n.Vectorized {
-			marked++
-		}
-	})
-	if marked == 0 {
-		t.Error("no NodeAnalysis has Vectorized set")
-	}
+	off := bigRandSchema(t, Options{Optimizer: SystemR, Vectorize: VectorizeOff}, 3)
 	batches := func(an *PlanAnalysis) (n int64) {
 		an.Root.Walk(func(na *NodeAnalysis) { n += na.Batches })
 		return n
 	}
-	onBatches := batches(an)
-	if onBatches == 0 {
-		t.Errorf("analyzed scan reports no batches:\n%s", an.Text)
-	}
-
-	off := bigRandSchema(t, Options{Optimizer: SystemR, Vectorize: VectorizeOff}, 3)
-	_, an, err = off.QueryAnalyze(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(an.Text, "vectorized=true") {
-		t.Errorf("VectorizeOff run still marked vectorized:\n%s", an.Text)
-	}
-	if got := batches(an); got != onBatches {
-		t.Errorf("VectorizeOff run reports batches=%d, vectorized run %d:\n%s", got, onBatches, an.Text)
-	}
-	an.Root.Walk(func(n *NodeAnalysis) {
-		if n.Vectorized {
-			t.Errorf("VectorizeOff run set Vectorized on %s", n.Op)
+	for _, q := range []string{
+		"SELECT x.a, x.f FROM r x WHERE x.a < 10",
+		"SELECT x.a, COUNT(*), SUM(y.f) FROM r x JOIN t y ON x.s = y.s WHERE x.pk < 300 AND y.pk < 200 GROUP BY x.a",
+	} {
+		want, err := ref.Exec(q)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
+		res, an, err := on.QueryAnalyze(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(an.Text, "vectorized=true") {
+			t.Errorf("analyzed plan not marked vectorized:\n%s", an.Text)
+		}
+		var marked int
+		an.Root.Walk(func(n *NodeAnalysis) {
+			if n.Vectorized {
+				marked++
+			}
+		})
+		if marked == 0 {
+			t.Error("no NodeAnalysis has Vectorized set")
+		}
+		onBatches := batches(an)
+		if onBatches == 0 {
+			t.Errorf("analyzed scan reports no batches:\n%s", an.Text)
+		}
+		if g, w := exactRows(res), exactRows(want); strings.Join(g, ";") != strings.Join(w, ";") {
+			t.Errorf("kernels on disagree with EvalLogical\nquery: %s", q)
+		}
+
+		res, an, err = off.QueryAnalyze(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(an.Text, "vectorized=true") {
+			t.Errorf("VectorizeOff run still marked vectorized:\n%s", an.Text)
+		}
+		if got := batches(an); got != onBatches {
+			t.Errorf("VectorizeOff run reports batches=%d, vectorized run %d:\n%s", got, onBatches, an.Text)
+		}
+		an.Root.Walk(func(n *NodeAnalysis) {
+			if n.Vectorized {
+				t.Errorf("VectorizeOff run set Vectorized on %s", n.Op)
+			}
+		})
+		if g, w := exactRows(res), exactRows(want); strings.Join(g, ";") != strings.Join(w, ";") {
+			t.Errorf("kernels off disagree with EvalLogical\nquery: %s", q)
+		}
+	}
 }
 
 // TestCompiledResidualSplitEquivalence: a conjunction that mixes one conjunct
