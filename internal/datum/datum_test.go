@@ -195,17 +195,14 @@ func TestRowCloneConcat(t *testing.T) {
 	}
 }
 
-func TestRowHashEqualOn(t *testing.T) {
+func TestRowHash(t *testing.T) {
 	a := Row{NewInt(1), NewString("x"), Null}
 	b := Row{NewString("x"), NewInt(1), Null}
-	if !EqualOn(a, b, []int{0, 1, 2}, []int{1, 0, 2}) {
-		t.Error("EqualOn should match with remapped cols (NULL = NULL)")
+	if a.Hash([]int{0, 1, 2}) != b.Hash([]int{1, 0, 2}) {
+		t.Error("hash should agree on equal column sequences (NULL = NULL)")
 	}
-	if a.Hash([]int{0, 1}) != b.Hash([]int{1, 0}) {
-		t.Error("hash should agree on equal column sequences")
-	}
-	if EqualOn(a, b, []int{0}, []int{0}) {
-		t.Error("1 vs 'x' should differ")
+	if a.Hash([]int{0}) == b.Hash([]int{0}) {
+		t.Error("1 vs 'x' should hash apart")
 	}
 }
 
@@ -222,5 +219,46 @@ func TestCompareRows(t *testing.T) {
 	}
 	if CompareRows(a, a, spec) != 0 {
 		t.Error("reflexive")
+	}
+}
+
+// TestSizeAtMatchesDatumSize: SizeAt and DataBytes, which read the modeled
+// width off the payload, agree with D.Size of the reconstructed datum in
+// every representation — typed with and without NULLs, dictionary, boxed,
+// all-NULL.
+func TestSizeAtMatchesDatumSize(t *testing.T) {
+	typed := func(ds ...D) *Vec {
+		v := NewVec(KindNull, len(ds))
+		for _, d := range ds {
+			v.AppendD(d)
+		}
+		return v
+	}
+	vecs := map[string]*Vec{
+		"int":    typed(NewInt(1), Null, NewInt(-7)),
+		"float":  typed(NewFloat(0.5), NewFloat(-1), Null),
+		"bool":   typed(NewBool(true), Null, NewBool(false)),
+		"string": typed(NewString(""), NewString("abc"), Null),
+		"dict":   NewDictVec(3, []int64{1, 0, 0}, &StrDict{Vals: []string{"a", "long value"}}, Bitmap{1 << 2}, 1),
+		"boxed":  typed(NewInt(1), NewString("xy"), Null),
+		"null":   typed(Null, Null, Null),
+	}
+	for name, v := range vecs {
+		var want int64
+		for i := 0; i < v.Len(); i++ {
+			if got, w := v.SizeAt(i), v.D(i).Size(); got != w {
+				t.Errorf("%s row %d: SizeAt %d, D.Size %d", name, i, got, w)
+			}
+			want += int64(v.D(i).Size())
+		}
+		if got := v.DataBytes(nil); got != want {
+			t.Errorf("%s: DataBytes %d, want %d", name, got, want)
+		}
+		if got, w := v.DataBytes([]int32{2, 0}), int64(v.D(2).Size()+v.D(0).Size()); got != w {
+			t.Errorf("%s: DataBytes over a selection %d, want %d", name, got, w)
+		}
+	}
+	if !vecs["boxed"].Boxed() {
+		t.Fatal("the mixed-kind vector is not boxed")
 	}
 }

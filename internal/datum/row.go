@@ -58,17 +58,6 @@ func (r Row) Hash(cols []int) uint64 {
 	return h.Sum64()
 }
 
-// EqualOn reports whether rows a and b agree on the given column offsets
-// (NULL = NULL, the grouping interpretation).
-func EqualOn(a, b Row, acols, bcols []int) bool {
-	for i := range acols {
-		if !Equal(a[acols[i]], b[bcols[i]]) {
-			return false
-		}
-	}
-	return true
-}
-
 // SortSpec describes one sort key: a column offset and direction.
 type SortSpec struct {
 	Col  int

@@ -605,6 +605,22 @@ func (v *Vec) appendRowsColSlow(rows []Row, ord int) {
 	}
 }
 
+// SizeAt is D.Size of row i, read off the payload without reconstructing
+// the datum.
+func (v *Vec) SizeAt(i int) int {
+	switch {
+	case v.anyKind:
+		return v.Ds[i].Size()
+	case v.kind == KindNull || v.kind == KindBool || (v.numNulls > 0 && v.nulls.Get(i)):
+		return 1
+	case v.Dict != nil:
+		return 1 + len(v.Dict.Vals[v.Ints[i]])
+	case v.kind == KindString:
+		return 1 + len(v.Strs[i])
+	}
+	return 8
+}
+
 // DataBytes returns the modeled width of the rows selected by sel (all rows
 // when sel is nil), matching D.Size over the reconstructed datums — used so
 // batch memory reservations agree with the row path's accounting.
@@ -612,12 +628,12 @@ func (v *Vec) DataBytes(sel []int32) int64 {
 	var total int64
 	if sel == nil {
 		for i := 0; i < v.n; i++ {
-			total += int64(v.D(i).Size())
+			total += int64(v.SizeAt(i))
 		}
 		return total
 	}
 	for _, i := range sel {
-		total += int64(v.D(int(i)).Size())
+		total += int64(v.SizeAt(int(i)))
 	}
 	return total
 }

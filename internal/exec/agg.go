@@ -211,20 +211,14 @@ func (a *distinctAcc) merge(o aggAcc) {
 
 func (a *distinctAcc) result() datum.D { return a.inner.result() }
 
-// groupTable accumulates groups keyed by grouping-column values. When mem is
-// set, every new group reserves its modeled footprint from the account and
-// add/ensure fail with the budget error instead of growing — the caller then
-// degrades to spillGroupBy.
+// groupTable accumulates groups keyed by grouping-column values — the
+// reference evaluator's aggregation (EvalLogical), fed one row at a time.
 type groupTable struct {
 	aggs     []logical.AggItem
 	groups   map[uint64][]*groupEntry
 	order    []*groupEntry // insertion order for determinism
 	scalar   bool          // no group cols: always exactly one group
 	groupLen int
-	mem      *MemAccount // optional memory account, charged per group
-	memOp    string      // operator name reported on budget errors
-	floor    int64       // minimal working set always granted (spill partitions)
-	charged  int64       // bytes reserved so far; returned by release
 }
 
 type groupEntry struct {
@@ -240,38 +234,16 @@ func newGroupTable(groupLen int, aggs []logical.AggItem) *groupTable {
 		groupLen: groupLen,
 	}
 	if gt.scalar {
-		// mem is never set this early, so the single global group cannot fail.
 		gt.ensure(nil, 0)
 	}
 	return gt
 }
 
-// entryBytes models the footprint of one group: key data plus bookkeeping
-// plus a fixed per-accumulator cost.
-func (gt *groupTable) entryBytes(key datum.Row) int64 {
-	return int64(key.Size()) + entryOverhead + int64(48*len(gt.aggs))
-}
-
-// release returns every byte this table reserved to the account.
-func (gt *groupTable) release() {
-	if gt.mem != nil && gt.charged > 0 {
-		gt.mem.Shrink(gt.charged)
-		gt.charged = 0
-	}
-}
-
-func (gt *groupTable) ensure(key datum.Row, hash uint64) (*groupEntry, error) {
+func (gt *groupTable) ensure(key datum.Row, hash uint64) *groupEntry {
 	for _, e := range gt.groups[hash] {
 		if slices.EqualFunc(e.key, key, datum.Equal) {
-			return e, nil
+			return e
 		}
-	}
-	if gt.mem != nil {
-		n := gt.entryBytes(key)
-		if err := gt.mem.GrowFloor(gt.memOp, n, gt.charged, gt.floor); err != nil {
-			return nil, err
-		}
-		gt.charged += n
 	}
 	e := &groupEntry{key: key, accs: make([]aggAcc, len(gt.aggs))}
 	for i, a := range gt.aggs {
@@ -279,24 +251,19 @@ func (gt *groupTable) ensure(key datum.Row, hash uint64) (*groupEntry, error) {
 	}
 	gt.groups[hash] = append(gt.groups[hash], e)
 	gt.order = append(gt.order, e)
-	return e, nil
+	return e
 }
 
 // add feeds one input row: key values plus the evaluated aggregate arguments
-// (one per agg; COUNT(*) entries get a non-NULL placeholder). It fails only
-// when creating the group would exceed the memory budget.
-func (gt *groupTable) add(key datum.Row, hash uint64, argVals []datum.D) error {
+// (one per agg; COUNT(*) entries get a non-NULL placeholder).
+func (gt *groupTable) add(key datum.Row, hash uint64, argVals []datum.D) {
 	if gt.scalar {
 		key, hash = nil, 0 // single global group
 	}
-	e, err := gt.ensure(key, hash)
-	if err != nil {
-		return err
-	}
+	e := gt.ensure(key, hash)
 	for i := range gt.aggs {
 		e.accs[i].add(argVals[i])
 	}
-	return nil
 }
 
 // rows emits one output row per group: key columns then aggregate results.

@@ -81,8 +81,8 @@ func batchFromRows(layout []logical.ColumnID, rows []datum.Row) *Batch {
 }
 
 // batchRowBytes models the batch's live rows exactly like rowSetBytes models
-// materialized rows, so a hash join's build charges what the rows its grace
-// fallback partitions would.
+// materialized rows: a hash join's build, or one partition of it, charges
+// what its rows would.
 func batchRowBytes(b *Batch) int64 {
 	var total int64
 	for _, v := range b.Vecs {

@@ -83,9 +83,9 @@ type Ctx struct {
 	Context context.Context
 	// Mem is the query's memory account (shared by all workers). Sort
 	// buffers, hash-join builds and hash-aggregation tables reserve their
-	// working memory here; when the reservation fails, the operator degrades
-	// to its spilling implementation (external merge sort, grace hash join,
-	// partitioned aggregation). Nil means no accounting.
+	// working memory here; when the reservation fails, the operator spills
+	// (spill.go): sort merges sorted runs, and hash join and aggregation run
+	// once per hash partition of their input. Nil means no accounting.
 	Mem *MemAccount
 	// Faults, when non-nil, injects errors and latency into storage-scan
 	// batches and spill I/O — the fault harness used to prove clean error

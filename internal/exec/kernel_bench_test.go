@@ -184,6 +184,42 @@ func BenchmarkPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkSpill times the operators that spill, on one worker under a 1 MiB
+// budget: a grace hash join whose build side is the fact table (5000 rows
+// out) and a 20 000-group aggregation. Spill files go to the benchmark's
+// temporary directory.
+func BenchmarkSpill(b *testing.B) {
+	f := newBenchFixture(b, storage.NewStore(), 20000)
+	aggs := []logical.AggItem{{ID: 100, Fn: logical.AggCount}, {ID: 101, Fn: logical.AggSum, Arg: &logical.Col{ID: f.fc[6]}}}
+	plans := []struct {
+		name string
+		plan physical.Plan
+		rows int
+	}{
+		{"GraceJoin", &physical.HashJoin{Kind: logical.InnerJoin, Left: f.dScan, Right: f.fScan, LeftKeys: f.dc[:1], RightKeys: f.fc[:1]}, 5000},
+		{"GroupBy20000", &physical.HashGroupBy{Props: physical.Props{Rows: 20000}, Input: f.fScan, GroupCols: f.fc[:1], Aggs: aggs}, 20000},
+	}
+	for _, p := range plans {
+		b.Run(p.name, func(b *testing.B) {
+			c := NewCtx(f.store, f.md)
+			c.TempDir = b.TempDir()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.Mem, c.Counters = NewMemAccount(1<<20), Counters{}
+				batch, err := c.inputBatch(p.plan)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if batch.NumRows() != p.rows || c.Counters.Spills == 0 {
+					b.Fatalf("%d rows, %d spills; want %d rows and a spill", batch.NumRows(), c.Counters.Spills, p.rows)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchFactRows, "ns/row")
+		})
+	}
+}
+
 // TestPipelineAllocCeiling pins what a pipeline allocates per run: its
 // workers' morsel scratch, the build and group tables and the result — not
 // the intermediate results. Measured on one worker over 100 000 pinned rows:

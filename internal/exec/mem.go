@@ -88,15 +88,15 @@ func (a *MemAccount) Peak() int64 {
 	return a.peak.Load()
 }
 
-// Available returns how many more bytes fit under the budget; unlimited
-// accounts (and nil) report a large positive number.
+// Available returns how many more bytes fit under the budget and the parent
+// pool's; unlimited accounts (and nil) report a large positive number.
 func (a *MemAccount) Available() int64 {
-	if a == nil || a.budget <= 0 {
+	if a == nil {
 		return int64(1) << 62
 	}
-	av := a.budget - a.used.Load()
-	if av < 0 {
-		av = 0
+	av := a.parent.Available()
+	if a.budget > 0 {
+		av = min(av, max(a.budget-a.used.Load(), 0))
 	}
 	return av
 }

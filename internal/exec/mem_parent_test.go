@@ -59,3 +59,27 @@ func TestMemAccountFloorChargesParent(t *testing.T) {
 		t.Fatalf("pool.Used after release = %d, want 0", pool.Used())
 	}
 }
+
+// TestMemAccountAvailableHonorsParent: what a spilling operator sizes its
+// partitions by is the room under both budgets — an unlimited query account
+// under a nearly full pool has almost none.
+func TestMemAccountAvailableHonorsParent(t *testing.T) {
+	pool := NewMemAccount(1000)
+	unlimited, capped := NewMemAccountWithParent(0, pool), NewMemAccountWithParent(300, pool)
+	if err := unlimited.Grow("op", 800); err != nil {
+		t.Fatal(err)
+	}
+	if got := unlimited.Available(); got != 200 {
+		t.Errorf("unlimited query under the pool: Available = %d, want 200", got)
+	}
+	if got := capped.Available(); got != 200 {
+		t.Errorf("300-byte query under the pool: Available = %d, want 200", got)
+	}
+	unlimited.Shrink(800)
+	if got := capped.Available(); got != 300 {
+		t.Errorf("300-byte query under an empty pool: Available = %d, want 300", got)
+	}
+	if got := NewMemAccount(0).Available(); got != 1<<62 {
+		t.Errorf("unlimited account without a pool: Available = %d", got)
+	}
+}

@@ -247,9 +247,7 @@ func (c *Ctx) naiveGroupBy(t *logical.GroupBy, outer *env) (*Result, error) {
 			args[i] = v
 		}
 		c.Counters.HashOps++
-		if err := gt.add(key, key.Hash(seqOffsets(len(key))), args); err != nil {
-			return nil, err
-		}
+		gt.add(key, key.Hash(seqOffsets(len(key))), args)
 	}
 	// Layout is group cols then aggs, matching gt.rows().
 	out := &Result{

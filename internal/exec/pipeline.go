@@ -383,15 +383,14 @@ type nodeReporter interface {
 // pipeline was opened. sink is the plan node of the sink, which emitted
 // sinkRows rows — nil for collect, whose time goes to the top stage.
 func (p *pipeline) report(sink physical.Plan, sinkRows int) {
-	rm := p.c.Metrics
-	if rm == nil {
+	rm, an := p.c.Metrics, p.an
+	if an == nil {
 		return
 	}
 	top := len(p.nodes) - 1
 	if sink != nil {
 		top++
 	}
-	an := p.an
 	wall := time.Since(an.start).Nanoseconds()
 	var below int64
 	for i := 0; i <= top; i++ {

@@ -375,15 +375,26 @@ func pipeCounters(c *Ctx) [5]int64 {
 	return [5]int64{cs.RowsProcessed, cs.HashOps, cs.ExchangedRows, cs.SegmentsRead, cs.SegmentsPruned}
 }
 
+// spillCases are the pipeCases whose join build or group table outgrows a
+// 4 KiB budget at one worker: every join kind, with and without a predicate
+// beside the key, and aggregations over typed and expression arguments.
+var spillCases = []string{
+	"groupby_1000", "star_1dim", "star_3dim", "having", "groupby_two_keys", "left_outer", "full_outer_agg",
+	"semi", "anti", "expanding_join_agg", "null_keys", "residual_mid_pipeline", "extra_inner",
+	"extra_left", "extra_full", "extra_semi", "extra_anti", "sum_expr",
+}
+
 // TestPipelineEquivalence: every statement shape of the analytic workload,
 // the join kinds and the degenerate inputs, at 1/2/8 workers × kernels on/off
 // × unlimited/4 KiB budget. The rows are the naive evaluator's — as a bag
 // with exact float bits, as a sequence where the statement orders them — and
-// the logical work counters are the same at every worker count, and with an
-// unlimited budget the same as operator-at-a-time execution reported.
+// the logical work counters are the ones operator-at-a-time execution
+// reported, at every worker count and budget: spilling partitions the work,
+// it does not add to it.
 func TestPipelineEquivalence(t *testing.T) {
 	f := newPipeFixture(t)
 	tmp := t.TempDir()
+	spilled := map[string]bool{}
 	for _, tc := range pipeCases(f) {
 		sel, err := sql.ParseSelect(tc.sql)
 		if err != nil {
@@ -432,9 +443,12 @@ func TestPipelineEquivalence(t *testing.T) {
 						t.Errorf("%s: %d bytes still reserved after the run", label, used)
 					}
 					cs := pipeCounters(c)
+					if workers == 1 && c.Counters.Spills > 0 {
+						spilled[tc.name] = true
+					}
 					if workers == 1 {
 						first = cs
-						if pinned, ok := pipeWant[tc.name]; budget == 0 && (!ok || cs != pinned) {
+						if pinned, ok := pipeWant[tc.name]; !ok || cs != pinned {
 							t.Errorf("%s: counters %v, pinned %v", label, cs, pinned)
 						}
 					} else if cs != first {
@@ -442,6 +456,11 @@ func TestPipelineEquivalence(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+	for _, name := range spillCases {
+		if !spilled[name] {
+			t.Errorf("%s never spilled under the 4 KiB budget", name)
 		}
 	}
 }

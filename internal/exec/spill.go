@@ -1,40 +1,47 @@
-// Spill-to-disk graceful degradation (the resource governor's answer to §5.2's
-// buffer-dependent operator costs): when an operator's working memory cannot
-// be reserved from the query's MemAccount, it degrades instead of failing —
+// Spilling (the resource governor's answer to §5.2's buffer-dependent operator
+// costs): when an operator's working memory cannot be reserved from the
+// query's MemAccount, it partitions its input to disk instead of failing.
+// Spilling is partitioning, not a second implementation of any operator —
 //
-//   - Sort runs an external merge sort: budget-sized runs are sorted in
-//     memory, spilled to temp files, and k-way merged back.
-//   - Hash join runs a grace hash join: the build side is hash-partitioned to
-//     temp files and each partition is built and probed on its own, so only
-//     one partition's hash table is ever in memory.
-//   - Hash aggregation partitions its input rows to temp files by group-key
-//     hash and aggregates one partition at a time.
+//   - Sort cuts its input into budget-sized runs, sorts each in memory,
+//     spills it, and k-way merges the runs back.
+//   - Hash join is a grace hash join: both inputs are hash-partitioned on the
+//     join key and the one hash join runs once per partition — a hashTable
+//     built over the build partition, the probe stage driven over the probe
+//     partition — so only one partition's table is ever in memory.
+//   - Hash aggregation hash-partitions its input on the group key and runs
+//     the one aggregate sink once per partition.
 //
-// All three degraded paths emit exactly the rows, in exactly the order, of
-// their in-memory counterparts (runs and probes carry original row indexes,
-// and partition outputs are merged back by them), so a query under a 64 KiB
-// budget is bit-identical to the same query with no budget at all. Only when
-// even a single partition cannot fit — e.g. a hash join whose build keys are
-// all equal — does the query fail, with ErrMemoryBudgetExceeded.
+// A partitioned row carries its row index in the operator's input as a tag
+// column, and the partitions' outputs are put back in the in-memory order by
+// it, so a query under a 64 KiB budget returns the rows of the same query with
+// no budget, bit for bit and in order. Only when even a single partition
+// cannot fit — e.g. a hash join whose build keys are all equal — does the
+// query fail, with ErrMemoryBudgetExceeded.
 //
-// Spill files live in Ctx.TempDir (default os.TempDir) and every create,
-// write and read passes through the fault injector under the operation names
+// A spill file is a sequence of blocks of up to MorselSize rows, each block
+// one column block per column in the segment format of internal/storage. Spill
+// files live in Ctx.TempDir (default os.TempDir) and every create, block write
+// and block read passes through the fault injector under the operation names
 // "spill.create", "spill.write" and "spill.read".
 package exec
 
 import (
 	"bufio"
+	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/datum"
 	"repro/internal/logical"
 	"repro/internal/physical"
+	"repro/internal/storage"
 )
 
 // minSpillChunk is the minimum working set a degraded operator uses even when
@@ -55,18 +62,8 @@ const maxSpillFanout = 64
 // spillFanout picks the partition count that makes one partition's working
 // set about half the available budget.
 func spillFanout(totalBytes, avail int64) int {
-	target := avail / 2
-	if target < minSpillChunk {
-		target = minSpillChunk
-	}
-	p := int((totalBytes + target - 1) / target)
-	if p < 2 {
-		p = 2
-	}
-	if p > maxSpillFanout {
-		p = maxSpillFanout
-	}
-	return p
+	target := max(avail/2, minSpillChunk)
+	return min(max(int((totalBytes+target-1)/target), 2), maxSpillFanout)
 }
 
 // rowSetBytes is the modeled working-memory footprint of holding rows in an
@@ -80,20 +77,28 @@ func rowSetBytes(rows []datum.Row) int64 {
 	return n
 }
 
+// isBudgetErr reports whether an operator failed on a memory reservation —
+// the signal to spill.
+func isBudgetErr(err error) bool { return errors.Is(err, ErrMemoryBudgetExceeded) }
+
 // --- spill files ---
 
-// spillWriter writes (tag, row) records to a temp file through the fault
-// injector. Tags carry original row indexes so readers can restore the
-// in-memory row order.
-type spillWriter struct {
-	c     *Ctx
-	f     *os.File
-	w     *bufio.Writer
-	bytes int64
-	rows  int64
+// spillFile is one temp file of blocks. A block is its uvarint row count, then
+// per column a uvarint length and the column block. Blocks are written, the
+// file is finished, and the blocks are read back in order.
+type spillFile struct {
+	c       *Ctx
+	f       *os.File
+	w       *bufio.Writer
+	r       *bufio.Reader
+	buf     bytes.Buffer
+	blk     []byte
+	scratch []*datum.Vec // write's gather targets
+	bytes   int64
+	blocks  int // written, and not yet read
 }
 
-func (c *Ctx) newSpillWriter() (*spillWriter, error) {
+func (c *Ctx) newSpillFile() (*spillFile, error) {
 	if err := c.step("spill.create"); err != nil {
 		return nil, err
 	}
@@ -101,215 +106,356 @@ func (c *Ctx) newSpillWriter() (*spillWriter, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exec: create spill file: %w", err)
 	}
-	return &spillWriter{c: c, f: f, w: bufio.NewWriterSize(f, 16<<10)}, nil
+	return &spillFile{c: c, f: f, w: bufio.NewWriterSize(f, 16<<10)}, nil
 }
 
-// discard removes the spill file (writer or reader side may call it once).
-func (sw *spillWriter) discard() {
-	if sw == nil || sw.f == nil {
+// discard removes the file; safe to call on nil and more than once.
+func (sf *spillFile) discard() {
+	if sf == nil || sf.f == nil {
 		return
 	}
-	name := sw.f.Name()
-	sw.f.Close()
+	name := sf.f.Name()
+	sf.f.Close()
 	os.Remove(name)
-	sw.f = nil
+	sf.f = nil
 }
 
-func (sw *spillWriter) writeRow(tag int64, r datum.Row) error {
-	if err := sw.c.step("spill.write"); err != nil {
+func discardAll(files []*spillFile) {
+	for _, sf := range files {
+		sf.discard()
+	}
+}
+
+// write appends b's live rows to the file as one block.
+func (sf *spillFile) write(b *Batch) error {
+	if err := sf.c.step("spill.write"); err != nil {
 		return err
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], tag)
-	if _, err := sw.w.Write(buf[:n]); err != nil {
+	if sf.scratch == nil {
+		sf.scratch = make([]*datum.Vec, len(b.Vecs))
+	}
+	var tmp [binary.MaxVarintLen64]byte
+	put := func(p []byte) error {
+		sf.bytes += int64(len(p))
+		if _, err := sf.w.Write(p); err != nil {
+			return fmt.Errorf("exec: write spill file: %w", err)
+		}
+		return nil
+	}
+	if err := put(tmp[:binary.PutUvarint(tmp[:], uint64(b.NumRows()))]); err != nil {
 		return err
 	}
-	sw.bytes += int64(n)
-	n2, err := encodeRow(sw.w, r)
-	if err != nil {
-		return err
+	for ci, v := range b.Vecs {
+		if b.Sel != nil {
+			v = gatherInto(&sf.scratch[ci], v, b.Sel)
+		}
+		sf.buf.Reset()
+		storage.AppendColumnBlock(&sf.buf, v)
+		if err := put(tmp[:binary.PutUvarint(tmp[:], uint64(sf.buf.Len()))]); err != nil {
+			return err
+		}
+		if err := put(sf.buf.Bytes()); err != nil {
+			return err
+		}
 	}
-	sw.bytes += n2
-	sw.rows++
+	sf.blocks++
 	return nil
 }
 
-// finish flushes the file and records the spill against the counters and the
-// current operator's metrics. A writer with zero rows still counts: the
-// partition existed, it was just empty.
-func (sw *spillWriter) finish() error {
-	if err := sw.w.Flush(); err != nil {
+// finish flushes the file, records the spill against the counters and the
+// operator being analyzed, and rewinds the file for reading. A file with no
+// block still counts: the partition existed, it was just empty.
+func (sf *spillFile) finish() error {
+	if err := sf.w.Flush(); err != nil {
 		return fmt.Errorf("exec: flush spill file: %w", err)
 	}
-	sw.c.noteSpill(1, sw.bytes)
+	sf.c.noteSpill(1, sf.bytes)
+	if _, err := sf.f.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("exec: rewind spill file: %w", err)
+	}
+	sf.r = bufio.NewReaderSize(sf.f, 16<<10)
 	return nil
 }
 
-// reader rewinds the file and returns a record reader over it.
-func (sw *spillWriter) reader() (*spillReader, error) {
-	if _, err := sw.f.Seek(0, io.SeekStart); err != nil {
+// read returns the next block as a batch over cols, or nil after the last.
+func (sf *spillFile) read(cols []logical.ColumnID) (*Batch, error) {
+	if sf.blocks == 0 {
+		return nil, nil
+	}
+	if err := sf.c.step("spill.read"); err != nil {
 		return nil, err
 	}
-	return &spillReader{c: sw.c, r: bufio.NewReaderSize(sw.f, 16<<10), left: sw.rows}, nil
-}
-
-// spillReader streams (tag, row) records back.
-type spillReader struct {
-	c    *Ctx
-	r    *bufio.Reader
-	left int64
-}
-
-// next returns the next record, or ok=false at end of stream.
-func (sr *spillReader) next() (int64, datum.Row, bool, error) {
-	if sr.left == 0 {
-		return 0, nil, false, nil
-	}
-	if err := sr.c.step("spill.read"); err != nil {
-		return 0, nil, false, err
-	}
-	tag, err := binary.ReadVarint(sr.r)
+	rows, err := binary.ReadUvarint(sf.r)
 	if err != nil {
-		return 0, nil, false, fmt.Errorf("exec: read spill record: %w", err)
+		return nil, fmt.Errorf("exec: read spill block: %w", err)
 	}
-	row, err := decodeRow(sr.r)
-	if err != nil {
-		return 0, nil, false, err
-	}
-	sr.left--
-	return tag, row, true, nil
-}
-
-// encodeRow writes a row as: uvarint column count, then one kind byte and
-// payload per datum. Floats are stored as raw IEEE bits, so a spilled row
-// decodes bit-identically.
-func encodeRow(w *bufio.Writer, r datum.Row) (int64, error) {
-	var buf [binary.MaxVarintLen64]byte
-	var written int64
-	put := func(b []byte) error {
-		_, err := w.Write(b)
-		written += int64(len(b))
-		return err
-	}
-	if err := put(buf[:binary.PutUvarint(buf[:], uint64(len(r)))]); err != nil {
-		return written, err
-	}
-	for _, d := range r {
-		if err := w.WriteByte(byte(d.Kind())); err != nil {
-			return written, err
+	b := &Batch{Cols: cols, Vecs: make([]*datum.Vec, len(cols)), n: int(rows)}
+	for ci := range b.Vecs {
+		ln, err := binary.ReadUvarint(sf.r)
+		if err != nil {
+			return nil, fmt.Errorf("exec: read spill block: %w", err)
 		}
-		written++
-		switch d.Kind() {
-		case datum.KindNull:
-		case datum.KindBool:
-			b := byte(0)
-			if d.Bool() {
-				b = 1
-			}
-			if err := w.WriteByte(b); err != nil {
-				return written, err
-			}
-			written++
-		case datum.KindInt:
-			if err := put(buf[:binary.PutVarint(buf[:], d.Int())]); err != nil {
-				return written, err
-			}
-		case datum.KindFloat:
-			binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(d.Float()))
-			if err := put(buf[:8]); err != nil {
-				return written, err
-			}
-		case datum.KindString:
-			s := d.Str()
-			if err := put(buf[:binary.PutUvarint(buf[:], uint64(len(s)))]); err != nil {
-				return written, err
-			}
-			if _, err := w.WriteString(s); err != nil {
-				return written, err
-			}
-			written += int64(len(s))
-		default:
-			return written, fmt.Errorf("exec: cannot spill datum kind %v", d.Kind())
+		sf.blk = slices.Grow(sf.blk[:0], int(ln))[:ln]
+		if _, err := io.ReadFull(sf.r, sf.blk); err != nil {
+			return nil, fmt.Errorf("exec: read spill block: %w", err)
+		}
+		if b.Vecs[ci], err = storage.DecodeColumnBlock(sf.blk, b.n); err != nil {
+			return nil, fmt.Errorf("exec: read spill block: %w", err)
 		}
 	}
-	return written, nil
+	sf.blocks--
+	return b, nil
 }
 
-func decodeRow(r *bufio.Reader) (datum.Row, error) {
-	n, err := binary.ReadUvarint(r)
+// readAll returns every remaining block as one batch over cols.
+func (sf *spillFile) readAll(cols []logical.ColumnID) (*Batch, error) {
+	out := emptyBatch(cols)
+	for {
+		b, err := sf.read(cols)
+		if err != nil || b == nil {
+			return out, err
+		}
+		for ci, v := range b.Vecs {
+			if out.n == 0 {
+				out.Vecs[ci] = v
+			} else {
+				out.Vecs[ci].AppendRange(v, 0, b.n)
+			}
+		}
+		out.n += b.n
+	}
+}
+
+// --- partitioning ---
+
+// tagCol is the column ID of a partitioned row's tag. 0 is no column's ID, so
+// no expression reads it.
+const tagCol logical.ColumnID = 0
+
+// spillPartitions writes the live rows of b to nParts spill files, each row to
+// the partition of its key hash and followed by its row index in b as an INT
+// tag column. Rows keep their order within a partition. The partition is
+// taken from the top bits of the finalized hash, so a partition's hash table
+// still spreads over all of its buckets. With spreadNulls — a join's build
+// side — a row with a NULL key, which joins nothing, goes to the partition
+// of its position instead, so that the NULL keys do not all charge one
+// partition. Partitioning is I/O, counted as spills: the logical work
+// (RowsProcessed, HashOps) is the operator's, the same whether it ran once or
+// once per partition. The files are returned even with an error, for the
+// caller to discard.
+func (c *Ctx) spillPartitions(b *Batch, keyOff []int, nParts int, spreadNulls bool) ([]*spillFile, error) {
+	live := new(pipeWorker).live(b)
+	hs := make([]uint64, len(live))
+	hashInit(hs)
+	for _, o := range keyOff {
+		hashCombineVec(b.Vecs[o], live, hs)
+	}
+	spreadNulls = spreadNulls && keyNullable(b.Vecs, keyOff)
+	part := make([]uint8, len(live))
+	for k, i := range live {
+		if spreadNulls && vecNullAt(b.Vecs, keyOff, int(i)) {
+			part[k] = uint8(k % nParts)
+		} else {
+			part[k] = uint8((mixHash(hs[k]) >> 32) * uint64(nParts) >> 32)
+		}
+	}
+	ids := make([]int64, b.n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	tagged := &Batch{Vecs: append(slices.Clip(b.Vecs), datum.NewTypedVec(datum.KindInt, b.n, ids, nil, nil, nil, 0))}
+	files := make([]*spillFile, nParts)
+	sel := make([]int32, 0, MorselSize)
+	for p := range files {
+		sf, err := c.newSpillFile()
+		if err != nil {
+			return files, err
+		}
+		files[p] = sf
+		for k, q := range part {
+			if int(q) == p {
+				sel = append(sel, live[k])
+			}
+			if len(sel) == MorselSize || (k == len(part)-1 && len(sel) > 0) {
+				tagged.Sel = sel
+				if err := sf.write(tagged); err != nil {
+					return files, err
+				}
+				sel = sel[:0]
+			}
+		}
+		if err := sf.finish(); err != nil {
+			return files, err
+		}
+	}
+	return files, nil
+}
+
+// spillPipeline is a serial pipeline over b, a partition read back from its
+// spill file as the output of node. EXPLAIN ANALYZE does not see it: the
+// operator that spilled is metered as a whole.
+func (c *Ctx) spillPipeline(node physical.Plan, b *Batch) *pipeline {
+	p := &pipeline{c: c, src: &batchSource{in: b}, serial: true}
+	p.nodes, p.stages = append(p.nodeBuf[:0], node), p.stageBuf[:0]
+	return p
+}
+
+// unpartition concatenates the partitions' outputs, each laid out as layout,
+// in the order of key — stably, so rows of one key keep their partition order
+// — and without the tag columns.
+func unpartition(outs []*Batch, layout []logical.ColumnID, key func(b *Batch, i int) int64) *Batch {
+	type at struct {
+		key  int64
+		p, i int32
+	}
+	var order []at
+	for p, b := range outs {
+		for _, i := range new(pipeWorker).live(b) {
+			order = append(order, at{key(b, int(i)), int32(p), i})
+		}
+	}
+	slices.SortStableFunc(order, func(a, b at) int { return cmp.Compare(a.key, b.key) })
+	res := &Batch{n: len(order)}
+	for ci, id := range layout {
+		if id == tagCol {
+			continue
+		}
+		v := datum.NewVec(datum.KindNull, len(order))
+		for _, o := range order {
+			v.AppendVec(outs[o.p].Vecs[ci], int(o.i))
+		}
+		res.Cols, res.Vecs = append(res.Cols, id), append(res.Vecs, v)
+	}
+	return res
+}
+
+// --- grace hash join ---
+
+// graceJoin is t over a build side right that does not fit the budget. Both
+// inputs are partitioned on the join key, and per partition the build rows
+// are charged with the spill floor, a probe stage is built over them and the
+// probe rows are driven through it. All matches of a probe row are in its
+// partition, in build order, because equal keys hash equally, so ordering
+// the outputs by the probe row's tag restores the in-memory emission order;
+// a FULL OUTER join's unmatched build rows follow, by theirs.
+func (c *Ctx) graceJoin(t *physical.HashJoin, left, right *Batch, lOff, rOff []int) (*Batch, error) {
+	part := &physical.HashJoin{Kind: t.Kind, LeftKeys: t.LeftKeys, RightKeys: t.RightKeys, ExtraOn: t.ExtraOn,
+		Left:  &physical.ValuesOp{Cols: append(slices.Clip(t.Left.Columns()), tagCol)},
+		Right: &physical.ValuesOp{Cols: append(slices.Clip(t.Right.Columns()), tagCol)}}
+	nParts := spillFanout(batchRowBytes(right), c.Mem.Available())
+	builds, err := c.spillPartitions(right, rOff, nParts, true)
+	defer discardAll(builds)
 	if err != nil {
 		return nil, err
 	}
-	row := make(datum.Row, n)
-	for i := range row {
-		kb, err := r.ReadByte()
+	probes, err := c.spillPartitions(left, lOff, nParts, false)
+	defer discardAll(probes)
+	if err != nil {
+		return nil, err
+	}
+	outs := make([]*Batch, nParts)
+	for p := range outs {
+		if outs[p], err = c.joinPartition(part, builds[p], probes[p], lOff, rOff); err != nil {
+			return nil, err
+		}
+	}
+	lTag, nLeft := len(t.Left.Columns()), int64(left.n)
+	return unpartition(outs, part.Columns(), func(b *Batch, i int) int64 {
+		if v := b.Vecs[lTag]; !v.Null(i) {
+			return v.D(i).Int()
+		}
+		return nLeft + b.Vecs[len(b.Vecs)-1].D(i).Int()
+	}), nil
+}
+
+// joinPartition runs the partition join part over one build and one probe
+// partition file.
+func (c *Ctx) joinPartition(part *physical.HashJoin, build, probe *spillFile, lOff, rOff []int) (*Batch, error) {
+	right, err := build.readAll(part.Right.Columns())
+	if err != nil {
+		return nil, err
+	}
+	nCols := len(right.Vecs) - 1
+	bytes := batchRowBytes(&Batch{Vecs: right.Vecs[:nCols], n: right.n})
+	if err := c.Mem.GrowFloor("hash join build partition", bytes, 0, spillFloor); err != nil {
+		return nil, err
+	}
+	defer c.Mem.Shrink(bytes)
+	c.noteMemBytes(bytes)
+	left, err := probe.readAll(part.Left.Columns())
+	if err != nil {
+		return nil, err
+	}
+	st := c.newProbeStage(part, right, lOff, rOff)
+	out, err := c.spillPipeline(part.Left, left).add(part, st).collect()
+	if err != nil || part.Kind != logical.FullOuterJoin {
+		return out, err
+	}
+	return st.withUnmatched(out), nil
+}
+
+// --- partitioned hash aggregation ---
+
+// spillAggregate is s over its collected input in when the groups do not fit
+// the budget. in is partitioned on the group key and the one aggregate sink
+// runs per partition, serially, its groups charged with the spill floor. A
+// group's first row decides its place in the in-memory output, so each
+// partition also aggregates the MIN of the tag column, uncharged, and the
+// groups of all partitions are ordered by it.
+func (c *Ctx) spillAggregate(s *aggSink, in *Batch) (*Batch, error) {
+	cols := append(slices.Clip(s.input.Columns()), tagCol)
+	first := logical.AggItem{ID: tagCol, Fn: logical.AggMin, Arg: &logical.Col{ID: tagCol}}
+	part, err := c.newAggSink(&physical.HashGroupBy{Input: &physical.ValuesOp{Cols: cols}, GroupCols: s.keys, Aggs: append(slices.Clip(s.aggs), first)})
+	if err != nil {
+		return nil, err
+	}
+	part.partition = true
+	files, err := c.spillPartitions(in, s.keyOff, spillFanout(batchRowBytes(in), c.Mem.Available()), false)
+	defer discardAll(files)
+	if err != nil {
+		return nil, err
+	}
+	var outs []*Batch
+	for _, sf := range files {
+		b, err := sf.readAll(cols)
 		if err != nil {
 			return nil, err
 		}
-		switch datum.Kind(kb) {
-		case datum.KindNull:
-			row[i] = datum.Null
-		case datum.KindBool:
-			b, err := r.ReadByte()
-			if err != nil {
-				return nil, err
-			}
-			row[i] = datum.NewBool(b != 0)
-		case datum.KindInt:
-			v, err := binary.ReadVarint(r)
-			if err != nil {
-				return nil, err
-			}
-			row[i] = datum.NewInt(v)
-		case datum.KindFloat:
-			var buf [8]byte
-			if _, err := io.ReadFull(r, buf[:]); err != nil {
-				return nil, err
-			}
-			row[i] = datum.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(buf[:])))
-		case datum.KindString:
-			ln, err := binary.ReadUvarint(r)
-			if err != nil {
-				return nil, err
-			}
-			buf := make([]byte, ln)
-			if _, err := io.ReadFull(r, buf); err != nil {
-				return nil, err
-			}
-			row[i] = datum.NewString(string(buf))
-		default:
-			return nil, fmt.Errorf("exec: corrupt spill record: kind %d", kb)
+		if b.n == 0 {
+			continue
 		}
+		out, err := part.run(c, c.spillPipeline(part.input, b))
+		if err != nil {
+			return nil, err
+		}
+		outs = append(outs, out)
 	}
-	return row, nil
-}
-
-// discardAll removes a set of spill files.
-func discardAll(ws []*spillWriter) {
-	for _, w := range ws {
-		w.discard()
-	}
+	out := unpartition(outs, part.node.Columns(), func(b *Batch, i int) int64 {
+		return b.Vecs[len(b.Vecs)-1].D(i).Int()
+	})
+	c.noteMem(int64(out.NumRows()))
+	return out, nil
 }
 
 // --- external merge sort ---
 
 // externalSortRows sorts rows by spec using budget-sized sorted runs spilled
-// to temp files and an order-preserving k-way merge. Ties break on the
-// original row index, so the output is exactly the serial stable sort.
+// to temp files and a k-way merge. Runs hold consecutive input rows, each
+// sorted with ties broken on the input index, so taking the earliest run's
+// row among equal heads gives exactly the serial stable sort.
 func (c *Ctx) externalSortRows(rows []datum.Row, spec []datum.SortSpec) ([]datum.Row, error) {
-	runBytes := c.Mem.Available() / 2
-	if runBytes < minSpillChunk {
-		runBytes = minSpillChunk
+	if len(rows) == 0 {
+		return rows, nil
 	}
+	runBytes := max(c.Mem.Available()/2, minSpillChunk)
+	cols := make([]logical.ColumnID, len(rows[0]))
 	var maxRun int64
-
-	var writers []*spillWriter
-	defer func() { discardAll(writers) }()
+	var runs []*spillFile
+	defer func() { discardAll(runs) }()
 
 	// Cut the input into runs of about runBytes, sort each by (spec, index),
 	// and spill it in sorted order.
-	lo := 0
-	for lo < len(rows) {
+	for lo := 0; lo < len(rows); {
 		if err := c.canceled(); err != nil {
 			return nil, err
 		}
@@ -319,9 +465,7 @@ func (c *Ctx) externalSortRows(rows []datum.Row, spec []datum.SortSpec) ([]datum
 			sz += int64(rows[hi].Size()) + entryOverhead
 			hi++
 		}
-		if sz > maxRun {
-			maxRun = sz
-		}
+		maxRun = max(maxRun, sz)
 		run := make([]int, hi-lo)
 		for i := range run {
 			run[i] = lo + i
@@ -334,45 +478,55 @@ func (c *Ctx) externalSortRows(rows []datum.Row, spec []datum.SortSpec) ([]datum
 			}
 			return run[a] < run[b]
 		})
-		w, err := c.newSpillWriter()
+		sorted := make([]datum.Row, len(run))
+		for k, idx := range run {
+			sorted[k] = rows[idx]
+		}
+		sf, err := c.newSpillFile()
 		if err != nil {
 			return nil, err
 		}
-		writers = append(writers, w)
-		for _, idx := range run {
-			if err := w.writeRow(int64(idx), rows[idx]); err != nil {
+		runs = append(runs, sf)
+		for k := 0; k < len(sorted); k += MorselSize {
+			if err := sf.write(batchFromRows(cols, sorted[k:min(k+MorselSize, len(sorted))])); err != nil {
 				return nil, err
 			}
 		}
-		if err := w.finish(); err != nil {
+		if err := sf.finish(); err != nil {
 			return nil, err
 		}
 		lo = hi
 	}
-	// The sort's real working set is one run buffer (plus run heads during
-	// the merge); report it without reserving — runs always complete.
+	// The sort's real working set is one run buffer (plus a block per run
+	// during the merge); report it without reserving — runs always complete.
 	c.Mem.NotePeak(maxRun)
 	c.noteMemBytes(maxRun)
 
-	// K-way merge by (key, original index): each run is sorted by it, so a
-	// linear tournament over the run heads reproduces the stable order.
+	// K-way merge over the run heads, a linear tournament. heads stays in run
+	// order, so keeping the first of equal heads keeps the input order.
 	type head struct {
-		tag int64
-		row datum.Row
-		sr  *spillReader
+		rows []datum.Row // the current block of the run
+		at   int
+		sf   *spillFile
 	}
-	heads := make([]*head, 0, len(writers))
-	for _, w := range writers {
-		sr, err := w.reader()
-		if err != nil {
-			return nil, err
+	advance := func(h *head) (bool, error) {
+		if h.at++; h.at < len(h.rows) {
+			return true, nil
 		}
-		tag, row, ok, err := sr.next()
-		if err != nil {
-			return nil, err
+		b, err := h.sf.read(cols)
+		if err != nil || b == nil {
+			return false, err
 		}
-		if ok {
-			heads = append(heads, &head{tag: tag, row: row, sr: sr})
+		h.rows, h.at = b.ToRows(), 0
+		return true, nil
+	}
+	heads := make([]*head, 0, len(runs))
+	for _, sf := range runs {
+		h := &head{sf: sf}
+		if ok, err := advance(h); err != nil {
+			return nil, err
+		} else if ok {
+			heads = append(heads, h)
 		}
 	}
 	out := make([]datum.Row, 0, len(rows))
@@ -380,328 +534,24 @@ func (c *Ctx) externalSortRows(rows []datum.Row, spec []datum.SortSpec) ([]datum
 		best := 0
 		for i := 1; i < len(heads); i++ {
 			c.Counters.Comparisons++
-			cmp := datum.CompareRows(heads[i].row, heads[best].row, spec)
-			if cmp < 0 || (cmp == 0 && heads[i].tag < heads[best].tag) {
+			if datum.CompareRows(heads[i].rows[heads[i].at], heads[best].rows[heads[best].at], spec) < 0 {
 				best = i
 			}
 		}
 		h := heads[best]
-		out = append(out, h.row)
+		out = append(out, h.rows[h.at])
 		if len(out)%MorselSize == 0 {
 			if err := c.canceled(); err != nil {
 				return nil, err
 			}
 		}
-		tag, row, ok, err := h.sr.next()
+		ok, err := advance(h)
 		if err != nil {
 			return nil, err
 		}
-		if ok {
-			h.tag, h.row = tag, row
-		} else {
-			heads = append(heads[:best], heads[best+1:]...)
+		if !ok {
+			heads = slices.Delete(heads, best, best+1)
 		}
 	}
 	return out, nil
 }
-
-// --- grace hash join ---
-
-// graceHashJoin executes a hash join whose build side does not fit the
-// budget: build rows are hash-partitioned to temp files, then each partition
-// is loaded, built and probed on its own, and the per-partition outputs are
-// merged back into the exact serial emission order using the original left
-// row indexes (all matches of one probe row live in one partition, because
-// equal keys hash equally).
-func (c *Ctx) graceHashJoin(t *physical.HashJoin, left, right []datum.Row, lOff, rOff []int) ([]datum.Row, error) {
-	leftLayout, rightLayout := t.Left.Columns(), t.Right.Columns()
-	combined := append(append([]logical.ColumnID{}, leftLayout...), rightLayout...)
-	leftWidth, rightWidth := len(leftLayout), len(rightLayout)
-	needMatched := t.Kind == logical.FullOuterJoin
-
-	nParts := spillFanout(rowSetBytes(right), c.Mem.Available())
-
-	// Partition the build side to disk. NULL build keys never match; they go
-	// straight to the full-outer leftovers.
-	writers := make([]*spillWriter, nParts)
-	defer func() { discardAll(writers) }()
-	for p := range writers {
-		w, err := c.newSpillWriter()
-		if err != nil {
-			return nil, err
-		}
-		writers[p] = w
-	}
-	type tagged struct {
-		tag int64
-		row datum.Row
-	}
-	var leftovers []tagged // unmatched right rows for FULL OUTER, by tag
-	for i, rr := range right {
-		if hasNullAt(rr, rOff) {
-			if needMatched {
-				leftovers = append(leftovers, tagged{int64(i), rr})
-			}
-			continue
-		}
-		c.Counters.HashOps++
-		p := int(rr.Hash(rOff) % uint64(nParts))
-		if err := writers[p].writeRow(int64(i), rr); err != nil {
-			return nil, err
-		}
-	}
-	for _, w := range writers {
-		if err := w.finish(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Assign each probe row to its partition (-1 for NULL keys, handled
-	// directly in the merge).
-	leftPart := make([]int32, len(left))
-	for i, lr := range left {
-		if hasNullAt(lr, lOff) {
-			leftPart[i] = -1
-			continue
-		}
-		leftPart[i] = int32(lr.Hash(lOff) % uint64(nParts))
-	}
-
-	// Build and probe one partition at a time. outs[p] holds that
-	// partition's emissions keyed by ascending left index (or, for rows a
-	// full outer join emits from the build side, recorded into leftovers).
-	type emission struct {
-		li   int64
-		rows []datum.Row
-	}
-	outs := make([][]emission, nParts)
-	e := newEnv(combined, nil)
-	var outTotal int
-	for p := 0; p < nParts; p++ {
-		if err := c.canceled(); err != nil {
-			return nil, err
-		}
-		sr, err := writers[p].reader()
-		if err != nil {
-			return nil, err
-		}
-		var tags []int64
-		var rows []datum.Row
-		var partBytes int64
-		for {
-			tag, row, ok, err := sr.next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			tags = append(tags, tag)
-			rows = append(rows, row)
-			partBytes += int64(row.Size()) + entryOverhead
-		}
-		if err := c.Mem.GrowFloor("hash join build partition", partBytes, 0, spillFloor); err != nil {
-			return nil, err
-		}
-		c.noteMemBytes(partBytes)
-		build := make(map[uint64][]int, len(rows))
-		for i, rr := range rows {
-			c.Counters.HashOps++
-			h := rr.Hash(rOff)
-			build[h] = append(build[h], i)
-		}
-		matched := make([]bool, len(rows))
-		var out []emission
-		for li, lr := range left {
-			if int(leftPart[li]) != p {
-				continue
-			}
-			if li%MorselSize == 0 {
-				if err := c.canceled(); err != nil {
-					c.Mem.Shrink(partBytes)
-					return nil, err
-				}
-			}
-			c.Counters.HashOps++
-			h := lr.Hash(lOff)
-			var emitted []datum.Row
-			lrMatched := false
-			for _, ri := range build[h] {
-				rr := rows[ri]
-				if !datum.EqualOn(lr, rr, lOff, rOff) {
-					continue
-				}
-				c.Counters.RowsProcessed++
-				e.row = lr.Concat(rr)
-				ok, err := c.filterRow(t.ExtraOn, e)
-				if err != nil {
-					c.Mem.Shrink(partBytes)
-					return nil, err
-				}
-				if !ok {
-					continue
-				}
-				lrMatched = true
-				matched[ri] = true
-				var done bool
-				if emitted, done = emitJoined(t.Kind, emitted, lr, rr); done {
-					break
-				}
-			}
-			if !lrMatched {
-				emitted = emitUnmatched(t.Kind, emitted, lr, rightWidth)
-			}
-			if len(emitted) > 0 {
-				out = append(out, emission{li: int64(li), rows: emitted})
-				outTotal += len(emitted)
-			}
-		}
-		if needMatched {
-			for ri := range rows {
-				if !matched[ri] {
-					leftovers = append(leftovers, tagged{tags[ri], rows[ri]})
-				}
-			}
-		}
-		outs[p] = out
-		c.Mem.Shrink(partBytes)
-	}
-
-	// Merge partition outputs back into the serial emission order: left rows
-	// in ascending index, each contributing its partition's emissions; NULL-
-	// key left rows are handled inline exactly as the in-memory join would.
-	cursors := make([]int, nParts)
-	out := make([]datum.Row, 0, outTotal)
-	for li := range left {
-		p := leftPart[li]
-		if p < 0 {
-			out = emitUnmatched(t.Kind, out, left[li], rightWidth)
-			continue
-		}
-		if cur := cursors[p]; cur < len(outs[p]) && outs[p][cur].li == int64(li) {
-			out = append(out, outs[p][cur].rows...)
-			cursors[p]++
-		}
-	}
-	if needMatched {
-		// The serial join appends unmatched build rows in build order.
-		sort.Slice(leftovers, func(a, b int) bool { return leftovers[a].tag < leftovers[b].tag })
-		for _, lv := range leftovers {
-			out = append(out, nullRow(leftWidth).Concat(lv.row))
-		}
-	}
-	return out, nil
-}
-
-// --- spilling hash aggregation ---
-
-// spillGroupBy executes hash aggregation whose group table does not fit the
-// budget: input rows are hash-partitioned to temp files by group key (tagged
-// with their original index), each partition is aggregated on its own, and
-// the final groups are ordered by the index of their first input row — which
-// is exactly the in-memory table's first-seen emission order.
-func (c *Ctx) spillGroupBy(in []datum.Row, layout []logical.ColumnID, keyOff []int, groupCols []logical.ColumnID, aggs []logical.AggItem) ([]datum.Row, error) {
-	nParts := spillFanout(rowSetBytes(in), c.Mem.Available())
-	writers := make([]*spillWriter, nParts)
-	defer func() { discardAll(writers) }()
-	for p := range writers {
-		w, err := c.newSpillWriter()
-		if err != nil {
-			return nil, err
-		}
-		writers[p] = w
-	}
-	key := make(datum.Row, len(keyOff))
-	for i, r := range in {
-		c.Counters.HashOps++
-		for j, off := range keyOff {
-			key[j] = r[off]
-		}
-		p := int(key.Hash(seqOffsets(len(key))) % uint64(nParts))
-		if err := writers[p].writeRow(int64(i), r); err != nil {
-			return nil, err
-		}
-	}
-	for _, w := range writers {
-		if err := w.finish(); err != nil {
-			return nil, err
-		}
-	}
-
-	type taggedGroup struct {
-		tag int64
-		row datum.Row
-	}
-	var groups []taggedGroup
-	e := newEnv(layout, nil)
-	ectx := c.evalCtx(e)
-	for p := 0; p < nParts; p++ {
-		if err := c.canceled(); err != nil {
-			return nil, err
-		}
-		sr, err := writers[p].reader()
-		if err != nil {
-			return nil, err
-		}
-		gt := newGroupTable(len(groupCols), aggs)
-		gt.mem = c.Mem
-		gt.memOp = "hash aggregation partition"
-		gt.floor = spillFloor
-		var tags []int64
-		for {
-			tag, r, ok, err := sr.next()
-			if err != nil {
-				gt.release()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			c.Counters.RowsProcessed++
-			e.row = r
-			k := make(datum.Row, len(keyOff))
-			for j, off := range keyOff {
-				k[j] = r[off]
-			}
-			args := make([]datum.D, len(aggs))
-			for j, a := range aggs {
-				if a.Arg == nil {
-					args[j] = datum.NewInt(1)
-					continue
-				}
-				v, err := logical.Eval(a.Arg, ectx)
-				if err != nil {
-					gt.release()
-					return nil, err
-				}
-				args[j] = v
-			}
-			before := len(gt.order)
-			if err := gt.add(k, k.Hash(seqOffsets(len(k))), args); err != nil {
-				gt.release()
-				return nil, err
-			}
-			if len(gt.order) > before {
-				// Rows arrive in ascending tag order, so the creation tag is
-				// the group's global first occurrence.
-				tags = append(tags, tag)
-			}
-		}
-		for i, row := range gt.rows() {
-			groups = append(groups, taggedGroup{tags[i], row})
-		}
-		c.noteMemBytes(gt.charged)
-		gt.release()
-	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].tag < groups[b].tag })
-	out := make([]datum.Row, len(groups))
-	for i, g := range groups {
-		out[i] = g.row
-	}
-	c.noteMem(int64(len(out)))
-	return out, nil
-}
-
-// isBudgetErr reports whether an operator failed on a memory reservation —
-// the signal to degrade to its spilling implementation.
-func isBudgetErr(err error) bool { return errors.Is(err, ErrMemoryBudgetExceeded) }

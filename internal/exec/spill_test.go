@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -48,59 +49,58 @@ func randSpillRows(rng *rand.Rand, n int) []datum.Row {
 
 func TestSpillFileRoundTripIsBitExact(t *testing.T) {
 	c := spillCtx(t, 0)
-	rows := []datum.Row{
-		{datum.Null, datum.NewBool(true), datum.NewBool(false)},
-		{datum.NewInt(-1 << 62), datum.NewInt(0), datum.NewInt(1<<62 - 1)},
-		{datum.NewFloat(0.1), datum.NewFloat(-0.0), datum.NewFloat(math.MaxFloat64)},
-		{datum.NewFloat(math.SmallestNonzeroFloat64), datum.NewString(""), datum.NewString("héllo\x00world")},
-		{},
-	}
-	w, err := c.newSpillWriter()
+	dict := &datum.StrDict{Vals: []string{"", "héllo\x00world", "zeta"}}
+	in := &Batch{n: 5, Vecs: []*datum.Vec{
+		mkVec(datum.Null, datum.NewBool(true), datum.NewBool(false), datum.Null, datum.NewBool(true)),
+		mkVec(datum.NewInt(-1<<62), datum.NewInt(0), datum.Null, datum.NewInt(1<<62-1), datum.NewInt(7)),
+		mkVec(datum.NewFloat(0.1), datum.NewFloat(math.Copysign(0, -1)), datum.NewFloat(math.MaxFloat64),
+			datum.NewFloat(math.SmallestNonzeroFloat64), datum.NewFloat(math.NaN())),
+		datum.NewDictVec(5, []int64{1, 0, 0, 2, 1}, dict, datum.Bitmap{1 << 2}, 1),
+		mkVec(datum.NewInt(1), datum.NewFloat(1.5), datum.NewString("x"), datum.Null, datum.NewBool(true)), // boxed
+		mkVec(datum.Null, datum.Null, datum.Null, datum.Null, datum.Null),
+	}}
+	cols := make([]logical.ColumnID, len(in.Vecs))
+	sf, err := c.newSpillFile()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.discard()
-	for i, r := range rows {
-		if err := w.writeRow(int64(i*7), r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.finish(); err != nil {
+	defer sf.discard()
+	// The whole batch as one block, then its rows 4, 1 and 3 gathered as a second.
+	if err := sf.write(in); err != nil {
 		t.Fatal(err)
 	}
-	sr, err := w.reader()
+	sel := []int32{1, 3, 4}
+	if err := sf.write(&Batch{Vecs: in.Vecs, Sel: sel, n: in.n}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sf.finish(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sf.readAll(cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, want := range rows {
-		tag, got, ok, err := sr.next()
-		if err != nil || !ok {
-			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
-		}
-		if tag != int64(i*7) {
-			t.Fatalf("record %d tag = %d", i, tag)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("record %d width %d != %d", i, len(got), len(want))
-		}
-		for j := range want {
-			if got[j].Kind() != want[j].Kind() {
-				t.Fatalf("record %d col %d kind %v != %v", i, j, got[j].Kind(), want[j].Kind())
+	want := append(in.ToRows(), (&Batch{Vecs: in.Vecs, Sel: sel, n: in.n}).ToRows()...)
+	if got.NumRows() != len(want) {
+		t.Fatalf("read %d rows, wrote %d", got.NumRows(), len(want))
+	}
+	for i, row := range got.ToRows() {
+		for j, d := range row {
+			w := want[i][j]
+			same := d.Kind() == w.Kind() && (w.IsNull() || datum.Compare(d, w) == 0)
+			if w.Kind() == datum.KindFloat {
+				same = d.Kind() == datum.KindFloat && math.Float64bits(d.Float()) == math.Float64bits(w.Float())
 			}
-			if want[j].Kind() == datum.KindFloat {
-				if math.Float64bits(got[j].Float()) != math.Float64bits(want[j].Float()) {
-					t.Fatalf("record %d col %d float bits differ", i, j)
-				}
-			} else if !want[j].IsNull() && datum.Compare(got[j], want[j]) != 0 {
-				t.Fatalf("record %d col %d = %v, want %v", i, j, got[j], want[j])
+			if !same {
+				t.Fatalf("row %d col %d = %v, want %v", i, j, d, w)
 			}
 		}
 	}
-	if _, _, ok, _ := sr.next(); ok {
-		t.Fatal("reader returned extra record")
+	if b, err := sf.read(cols); b != nil || err != nil {
+		t.Fatalf("read past the last block: %v, %v", b, err)
 	}
-	if c.Counters.Spills != 1 || c.Counters.SpillBytes != w.bytes {
-		t.Fatalf("spill counters = %d/%d", c.Counters.Spills, c.Counters.SpillBytes)
+	if c.Counters.Spills != 1 || c.Counters.SpillBytes != sf.bytes || sf.bytes == 0 {
+		t.Fatalf("spill counters = %d/%d, file %d bytes", c.Counters.Spills, c.Counters.SpillBytes, sf.bytes)
 	}
 }
 
@@ -155,51 +155,76 @@ func TestExternalSortMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestGraceHashJoinMatchesInMemory: for every join kind, the grace join's
-// output must equal the in-memory hash join's — Run of the same plan with an
-// unlimited budget — in the identical order.
+// runSpilled runs plan once with no budget and once under budget at each
+// degree, and requires the same rows in the same order, floats to the bit,
+// and the same logical work from a run that spilled and released everything
+// it reserved.
+func runSpilled(t *testing.T, label string, plan physical.Plan, budget int64) {
+	t.Helper()
+	truth := NewCtx(nil, nil)
+	truth.Mem = NewMemAccount(0)
+	want, err := Run(plan, truth)
+	if err != nil {
+		t.Fatalf("%s in memory: %v", label, err)
+	}
+	if truth.Counters.Spills != 0 {
+		t.Fatalf("%s: the unbudgeted run spilled", label)
+	}
+	for _, degree := range []int{1, 4} {
+		c := spillCtx(t, budget)
+		c.Parallelism = degree
+		got, err := Run(plan, c)
+		c.Close()
+		if err != nil {
+			t.Fatalf("%s degree %d: %v", label, degree, err)
+		}
+		if c.Counters.Spills == 0 {
+			t.Fatalf("%s degree %d: nothing spilled", label, degree)
+		}
+		if c.Mem.Used() != 0 {
+			t.Fatalf("%s degree %d: leaked %d reserved bytes", label, degree, c.Mem.Used())
+		}
+		if cw, cg := truth.Counters, c.Counters; cg.RowsProcessed != cw.RowsProcessed || cg.HashOps != cw.HashOps {
+			t.Fatalf("%s degree %d: rows processed %d, hash ops %d; in memory %d, %d", label, degree, cg.RowsProcessed, cg.HashOps, cw.RowsProcessed, cw.HashOps)
+		}
+		w, g := hexRowsInOrder(want), hexRowsInOrder(got)
+		if len(g) != len(w) {
+			t.Fatalf("%s degree %d: %d rows, want %d", label, degree, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("%s degree %d: row %d = %s, want %s", label, degree, i, g[i], w[i])
+			}
+		}
+	}
+}
+
+// TestGraceHashJoinMatchesInMemory: for every join kind, with and without a
+// predicate beside the key, the grace join's output must equal the in-memory
+// hash join's — Run of the same plan with an unlimited budget — in the
+// identical order. The key column mixes INT, STRING and NULL, so both sides
+// hash and compare boxed keys.
 func TestGraceHashJoinMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	left := randSpillRows(rng, 3000)
-	right := randSpillRows(rng, 2500)
+	left := randSpillRows(rng, 2000)
+	right := randSpillRows(rng, 1500)
 	lCols, rCols := []logical.ColumnID{1, 2, 3}, []logical.ColumnID{4, 5, 6}
+	// R.f < L.f compiles to a kernel; L.v + R.v > 1500 runs row-at-a-time.
+	extra := []logical.Scalar{
+		&logical.Cmp{Op: logical.CmpLt, L: &logical.Col{ID: 6}, R: &logical.Col{ID: 3}},
+		&logical.Cmp{Op: logical.CmpGt, L: &logical.Arith{Op: logical.ArithAdd, L: &logical.Col{ID: 2}, R: &logical.Col{ID: 5}}, R: &logical.Const{Val: datum.NewInt(1500)}},
+	}
 	kinds := []logical.JoinKind{
 		logical.InnerJoin, logical.LeftOuterJoin, logical.FullOuterJoin,
 		logical.SemiJoin, logical.AntiJoin,
 	}
 	for _, kind := range kinds {
-		hj := &physical.HashJoin{
-			Kind: kind, Left: valuesOf(lCols, left), Right: valuesOf(rCols, right),
-			LeftKeys: lCols[:1], RightKeys: rCols[:1],
-		}
-		truth := NewCtx(nil, nil)
-		truth.Mem = NewMemAccount(0)
-		res, err := Run(hj, truth)
-		if err != nil {
-			t.Fatalf("%v in-memory: %v", kind, err)
-		}
-		want := res.Rows
-		c := spillCtx(t, 1) // any build fails -> grace join, floor keeps partitions alive
-		got, err := c.graceHashJoin(hj, left, right, []int{0}, []int{0})
-		if err != nil {
-			t.Fatalf("%v grace: %v", kind, err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%v: %d rows, want %d", kind, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].String() != want[i].String() {
-				t.Fatalf("%v: row %d = %s, want %s", kind, i, got[i], want[i])
+		for _, on := range [][]logical.Scalar{nil, extra} {
+			hj := &physical.HashJoin{
+				Kind: kind, Left: valuesOf(lCols, left), Right: valuesOf(rCols, right),
+				LeftKeys: lCols[:1], RightKeys: rCols[:1], ExtraOn: on,
 			}
-		}
-		if truth.Counters.Spills != 0 {
-			t.Fatalf("%v: the unbudgeted join spilled", kind)
-		}
-		if c.Counters.Spills == 0 {
-			t.Fatalf("%v: grace join spilled nothing", kind)
-		}
-		if c.Mem.Used() != 0 {
-			t.Fatalf("%v: leaked %d reserved bytes", kind, c.Mem.Used())
+			runSpilled(t, fmt.Sprintf("%v extra=%d", kind, len(on)), hj, 1)
 		}
 	}
 }
@@ -219,11 +244,11 @@ func TestGraceHashJoinSkewFailsTyped(t *testing.T) {
 	rCols := []logical.ColumnID{4, 5}
 	hj := &physical.HashJoin{
 		Kind: logical.InnerJoin,
-		Left: &physical.ValuesOp{Cols: lCols}, Right: &physical.ValuesOp{Cols: rCols},
+		Left: valuesOf(lCols, left), Right: valuesOf(rCols, right),
 		LeftKeys: lCols[:1], RightKeys: rCols[:1],
 	}
 	c := spillCtx(t, 32<<10)
-	_, err := c.graceHashJoin(hj, left, right, []int{0}, []int{0})
+	_, err := Run(hj, c)
 	if err == nil {
 		t.Fatal("skewed grace join under tiny budget succeeded")
 	}
@@ -243,44 +268,46 @@ func TestGraceHashJoinSkewFailsTyped(t *testing.T) {
 }
 
 // TestSpillGroupByMatchesInMemory: partitioned aggregation must reproduce the
-// in-memory group table's rows in first-seen order, bit-identical floats.
+// in-memory aggregation's groups in first-seen order, bit-identical floats —
+// over a key mixing INT, STRING and NULL, with DISTINCT and expression
+// arguments, which accumulate through the row accumulators.
 func TestSpillGroupByMatchesInMemory(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	in := randSpillRows(rng, 4000)
 	layout := []logical.ColumnID{1, 2, 3}
-	groupCols := layout[:1]
 	aggs := []logical.AggItem{
 		{ID: 10, Fn: logical.AggCount},
 		{ID: 11, Fn: logical.AggSum, Arg: &logical.Col{ID: 3}},
 		{ID: 12, Fn: logical.AggMin, Arg: &logical.Col{ID: 2}},
+		{ID: 13, Fn: logical.AggAvg, Arg: &logical.Col{ID: 3}},
+		{ID: 14, Fn: logical.AggCount, Arg: &logical.Col{ID: 3}, Distinct: true},
+		{ID: 15, Fn: logical.AggSum, Arg: &logical.Arith{Op: logical.ArithMul, L: &logical.Col{ID: 2}, R: &logical.Col{ID: 3}}},
 	}
-	truth := NewCtx(nil, nil)
-	want, err := truth.memGroupBy(in, layout, []int{0}, groupCols, aggs)
+	plan := &physical.HashGroupBy{Input: valuesOf(layout, in), GroupCols: layout[:1], Aggs: aggs}
+	runSpilled(t, "group by", plan, 1)
+
+	// The reference evaluator's row group table agrees, in order.
+	want, err := NewCtx(nil, nil).memGroupBy(in, layout, []int{0}, layout[:1], aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := spillCtx(t, 1)
-	got, err := c.spillGroupBy(in, layout, []int{0}, groupCols, aggs)
+	got, err := Run(plan, spillCtx(t, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d groups, want %d", len(got), len(want))
+	w, g := hexRowsInOrder(&Result{Rows: want}), hexRowsInOrder(got)
+	if len(g) != len(w) {
+		t.Fatalf("%d groups, want %d", len(g), len(w))
 	}
-	for i := range want {
-		if got[i].String() != want[i].String() {
-			t.Fatalf("group %d = %s, want %s", i, got[i], want[i])
+	for i := range w {
+		if g[i] != w[i] {
+			t.Fatalf("group %d = %s, want %s", i, g[i], w[i])
 		}
-	}
-	if c.Counters.Spills == 0 {
-		t.Fatal("spill aggregation spilled nothing")
-	}
-	if c.Mem.Used() != 0 {
-		t.Fatalf("leaked %d reserved bytes", c.Mem.Used())
 	}
 }
 
-// memGroupBy is the in-memory truth: an uncharged group table fed serially.
+// memGroupBy is the in-memory truth: the reference evaluator's group table
+// fed serially.
 func (c *Ctx) memGroupBy(in []datum.Row, layout []logical.ColumnID, keyOff []int, groupCols []logical.ColumnID, aggs []logical.AggItem) ([]datum.Row, error) {
 	gt := newGroupTable(len(groupCols), aggs)
 	e := newEnv(layout, nil)
@@ -303,9 +330,7 @@ func (c *Ctx) memGroupBy(in []datum.Row, layout []logical.ColumnID, keyOff []int
 			}
 			args[i] = v
 		}
-		if err := gt.add(key, key.Hash(seqOffsets(len(key))), args); err != nil {
-			return nil, err
-		}
+		gt.add(key, key.Hash(seqOffsets(len(key))), args)
 	}
 	return gt.rows(), nil
 }
@@ -313,7 +338,7 @@ func (c *Ctx) memGroupBy(in []datum.Row, layout []logical.ColumnID, keyOff []int
 // TestKernelGroupByBudgetTripInWorker: the kernel aggregation's per-worker
 // tables all charge one 4 KiB account, so at degree 4 the trip happens inside
 // some worker (or, when the partials just fit, in the fold). Either way every
-// table is released and the partition-and-spill aggregation runs once,
+// table is released and the aggregation runs once per spilled partition,
 // returning the unbudgeted serial rows in the same order, floats included.
 func TestKernelGroupByBudgetTripInWorker(t *testing.T) {
 	f := newParFixture(t, 6000, 0, 21)
@@ -327,7 +352,7 @@ func TestKernelGroupByBudgetTripInWorker(t *testing.T) {
 	for _, in := range []struct {
 		groupCols []logical.ColumnID
 		// tiny says the 4 KiB run applies: with four aggregates a partition of
-		// the 6000-group inputs outgrows spillGroupBy's floor under so small a
+		// the 6000-group inputs outgrows the spill floor under so small a
 		// budget, with kernels on or off.
 		tiny bool
 	}{

@@ -75,8 +75,8 @@ func vecNullAt(vecs []*datum.Vec, offs []int, i int) bool {
 // own — keyCols[k] row e is group e's k-th key value, appended when the group
 // is created, in the representation its first source had (codes under the
 // source's dictionary included). Groups are charged to the memory account
-// with the per-entry model of the row group table spillGroupBy builds, once
-// per morsel.
+// once per morsel, each with its key bytes, a per-entry overhead and a fixed
+// cost per aggregate.
 type vecGroups struct {
 	table   hashTable
 	n       int // groups; a scalar aggregation's one group always exists
@@ -85,6 +85,7 @@ type vecGroups struct {
 	hint    int
 	nAggs   int
 	mem     *MemAccount
+	floor   int64 // a spilled partition's minimal working set (MemAccount.GrowFloor)
 	charged int64
 	pending int64 // bytes of groups created since the last charge
 }
@@ -114,21 +115,6 @@ func (g *vecGroups) bind(vecs []*datum.Vec, keyOff []int) {
 	}
 }
 
-// keySize is D.Size of row i of v, read off the payload.
-func keySize(v *datum.Vec, i int) int64 {
-	switch {
-	case v.Boxed():
-		return int64(v.Ds[i].Size())
-	case v.Null(i) || v.Kind() == datum.KindBool:
-		return 1
-	case v.Dict != nil:
-		return 1 + int64(len(v.Dict.Vals[v.Ints[i]]))
-	case v.Kind() == datum.KindString:
-		return 1 + int64(len(v.Strs[i]))
-	}
-	return 8
-}
-
 // assign returns the id of the group whose key is row i of the bound vectors
 // (h is the row's finalized key hash), creating it on first sight.
 func (g *vecGroups) assign(i int32, h uint64) int32 {
@@ -141,7 +127,7 @@ func (g *vecGroups) assign(i int32, h uint64) int32 {
 	g.pending += int64(entryOverhead + 48*g.nAggs)
 	for kc := range g.keys {
 		g.keyCols[kc].AppendVec(g.keys[kc].a, int(i))
-		g.pending += keySize(g.keyCols[kc], g.n)
+		g.pending += int64(g.keyCols[kc].SizeAt(g.n))
 	}
 	g.n++
 	return t.insert(h)
@@ -154,9 +140,12 @@ func (g *vecGroups) charge() error {
 		g.pending = 0
 		return nil
 	}
-	n := g.pending
+	n, op := g.pending, "hash aggregation"
 	g.pending = 0
-	if err := g.mem.GrowFloor("hash aggregation", n, g.charged, 0); err != nil {
+	if g.floor > 0 {
+		op = "hash aggregation partition"
+	}
+	if err := g.mem.GrowFloor(op, n, g.charged, g.floor); err != nil {
 		return err
 	}
 	g.charged += n
@@ -260,7 +249,11 @@ type aggSink struct {
 	boxed    []bool // per aggregate: accumulate through the row accumulators
 	width    int    // input columns
 	hint     int
-	workers  []vecAggWorker
+	// partition marks a spilled partition's sink: its groups are charged with
+	// the spill floor, and its last aggregate, the first-row tag that orders
+	// the groups, is bookkeeping the per-group model does not charge.
+	partition bool
+	workers   []vecAggWorker
 }
 
 const argCountStar = -1
@@ -350,6 +343,9 @@ func (s *aggSink) consume(wc *Ctx, pw *pipeWorker, w, _ int, b *Batch) error {
 			mem = nil
 		}
 		wk.groups = newVecGroups(len(s.keyOff), len(s.aggs), s.hint, mem)
+		if s.partition {
+			wk.groups.nAggs, wk.groups.floor = len(s.aggs)-1, spillFloor
+		}
 		wk.accs, wk.sigs = make([]vecAccumulator, len(s.aggs)), make([]uint8, len(s.aggs))
 		for ai := range s.aggs {
 			arg, _ := s.arg(pw, wk, b, chunk, ai)
@@ -471,7 +467,7 @@ func (s *aggSink) run(c *Ctx, pl *pipeline) (*Batch, error) {
 // aggregate executes a HashGroupBy or StreamGroupBy: the input's pipeline run
 // into the aggregate sink. A budget trip in any worker, or in the fold,
 // releases every table, re-runs the same pipeline into the collect sink and
-// takes the partition-and-spill aggregation over that; an argument column
+// runs the sink per partition of that (spillAggregate); an argument column
 // that changed representation mid-stream re-aggregates the collected input
 // instead. The logical work of an aborted pass is rewound: the plan's work is
 // the pass that completed.
@@ -512,12 +508,11 @@ func (c *Ctx) aggregate(p physical.Plan) (*Batch, error) {
 		}
 		rewind()
 	}
-	rows, err := c.spillGroupBy(in.ToRows(), sink.input.Columns(), sink.keyOff, sink.keys, sink.aggs)
-	c.noteFallback(pl, began, len(rows))
-	if err != nil {
+	if out, err = c.spillAggregate(sink, in); err != nil {
 		return nil, err
 	}
-	return batchFromRows(p.Columns(), rows), nil
+	c.noteFallback(pl, began, out.NumRows())
+	return out, nil
 }
 
 // --- hash join ---
@@ -560,9 +555,9 @@ type probeScratch struct {
 // openJoin opens the left input's pipeline and puts the probe of t on it,
 // after running the right input to completion and building the table. A
 // key column missing from its input is an execution error. A build side
-// over budget degrades to the grace hash join on materialized rows, and a
-// FULL OUTER join ends its pipeline — its unmatched build rows follow the
-// last morsel — so both hand the stages above a materialized batch.
+// over budget runs the same join per partition (graceJoin), and a FULL OUTER
+// join ends its pipeline — its unmatched build rows follow the last morsel —
+// so both hand the stages above a materialized batch.
 func (c *Ctx) openJoin(t *physical.HashJoin) (*pipeline, error) {
 	lOff, err := offsetsOf(t.Left.Columns(), t.LeftKeys)
 	if err != nil {
@@ -596,53 +591,20 @@ func (c *Ctx) openJoin(t *physical.HashJoin) (*pipeline, error) {
 	buildBytes := batchRowBytes(right)
 	if err := c.Mem.Grow("hash join build", buildBytes); err != nil {
 		left, err := pl.collect()
-		if err != nil {
-			pl.close()
-			return nil, err
-		}
 		pl.close()
-		rows, err := c.graceHashJoin(t, left.ToRows(), right.ToRows(), lOff, rOff)
-		c.noteFallback(pl, began, len(rows))
 		if err != nil {
 			return nil, err
 		}
-		return handOff(batchFromRows(t.Columns(), rows)), nil
+		out, err := c.graceJoin(t, left, right, lOff, rOff)
+		if err != nil {
+			return nil, err
+		}
+		c.noteFallback(pl, began, out.NumRows())
+		return handOff(out), nil
 	}
 	pl.release = append(pl.release, func() { c.Mem.Shrink(buildBytes) })
 	c.noteMemBytes(buildBytes)
-
-	// Build on the right: entry e of the table is the e-th build row with a
-	// non-NULL key, in selection order, and chains keep that order, so every
-	// probe sees its matches in the serial row order.
-	st := &probeStage{t: t, lOff: lOff, rOff: rOff, right: right, nLeft: len(t.Left.Columns())}
-	if len(t.ExtraOn) > 0 {
-		pair := append(append([]logical.ColumnID{}, t.Left.Columns()...), t.Right.Columns()...)
-		st.extra, st.extraReads = c.newConjunction(t.ExtraOn, pair), make([]bool, len(pair))
-		st.extra.reads(st.extraReads)
-	}
-	nr := right.NumRows()
-	st.table.hash = make([]uint64, 0, nr)
-	st.buildRows = make([]int32, 0, nr)
-	rNullable := keyNullable(right.Vecs, rOff)
-	var pw pipeWorker
-	live := pw.live(right)
-	for lo := 0; lo < nr; lo += MorselSize {
-		chunk := live[lo:min(lo+MorselSize, nr)]
-		hs := pw.hashes(len(chunk))
-		for _, ro := range rOff {
-			hashCombineVec(right.Vecs[ro], chunk, hs)
-		}
-		for k, ri := range chunk {
-			if rNullable && vecNullAt(right.Vecs, rOff, int(ri)) {
-				continue // NULL keys never match; FullOuter emits them below
-			}
-			st.table.hash = append(st.table.hash, mixHash(hs[k]))
-			st.buildRows = append(st.buildRows, ri)
-		}
-	}
-	c.Counters.HashOps += int64(len(st.buildRows))
-	st.table.relink(len(st.buildRows))
-	c.noteMem(int64(nr))
+	st := c.newProbeStage(t, right, lOff, rOff)
 	pl.add(t, st)
 	if pl.an != nil {
 		pl.an.outside[len(pl.an.outside)-1] = time.Since(built).Nanoseconds()
@@ -663,6 +625,43 @@ func (c *Ctx) openJoin(t *physical.HashJoin) (*pipeline, error) {
 		return handOff(out), nil
 	}
 	return pl, nil
+}
+
+// newProbeStage builds t's hash table over the build rows right: entry e of
+// the table is the e-th build row with a non-NULL key, in selection order,
+// and chains keep that order, so every probe sees its matches in the serial
+// row order.
+func (c *Ctx) newProbeStage(t *physical.HashJoin, right *Batch, lOff, rOff []int) *probeStage {
+	st := &probeStage{t: t, lOff: lOff, rOff: rOff, right: right, nLeft: len(t.Left.Columns())}
+	if len(t.ExtraOn) > 0 {
+		pair := append(append([]logical.ColumnID{}, t.Left.Columns()...), t.Right.Columns()...)
+		st.extra, st.extraReads = c.newConjunction(t.ExtraOn, pair), make([]bool, len(pair))
+		st.extra.reads(st.extraReads)
+	}
+	nr := right.NumRows()
+	st.table.hash = make([]uint64, 0, nr)
+	st.buildRows = make([]int32, 0, nr)
+	rNullable := keyNullable(right.Vecs, rOff)
+	var pw pipeWorker
+	live := pw.live(right)
+	for lo := 0; lo < nr; lo += MorselSize {
+		chunk := live[lo:min(lo+MorselSize, nr)]
+		hs := pw.hashes(len(chunk))
+		for _, ro := range rOff {
+			hashCombineVec(right.Vecs[ro], chunk, hs)
+		}
+		for k, ri := range chunk {
+			if rNullable && vecNullAt(right.Vecs, rOff, int(ri)) {
+				continue // NULL keys never match; FullOuter emits them after the probe
+			}
+			st.table.hash = append(st.table.hash, mixHash(hs[k]))
+			st.buildRows = append(st.buildRows, ri)
+		}
+	}
+	c.Counters.HashOps += int64(len(st.buildRows))
+	st.table.relink(len(st.buildRows))
+	c.noteMem(int64(nr))
+	return st
 }
 
 func (p *probeStage) bind(need []bool, workers int) []bool {

@@ -8,10 +8,11 @@
 // touching their bytes, and the footer metadata doubles as a coarse histogram
 // for the optimizer when table-level statistics are stale.
 //
-// Encoding reuses the spill-file conventions from internal/exec: uvarint
-// counts, varint integers, raw little-endian float bits (math.Float64bits,
-// so every NaN payload and signed zero round-trips exactly), uvarint-length
-// strings, and a kind byte per boxed datum.
+// Encoding: uvarint counts, varint integers, raw little-endian float bits
+// (math.Float64bits, so every NaN payload and signed zero round-trips
+// exactly), uvarint-length strings, and a kind byte per boxed datum. The
+// executor's spill files are sequences of the same column blocks
+// (AppendColumnBlock, DecodeColumnBlock).
 package storage
 
 import (
@@ -474,6 +475,17 @@ func encodeColumn(buf *bytes.Buffer, v *datum.Vec, cm *colMeta, compress bool) {
 	case datum.KindNull:
 		// all-NULL column: the bitmap already says everything
 	}
+}
+
+// AppendColumnBlock appends v's column block to buf in the uncompressed
+// layout: typed payload plus NULL bitmap, or per-datum for a boxed vector. A
+// dictionary-encoded vector is written as its strings.
+func AppendColumnBlock(buf *bytes.Buffer, v *datum.Vec) { encodeColumn(buf, v, &colMeta{}, false) }
+
+// DecodeColumnBlock decodes a column block of rows rows into a vector that
+// owns its payload.
+func DecodeColumnBlock(block []byte, rows int) (*datum.Vec, error) {
+	return decodeColumn(block, rows, nil)
 }
 
 // encodeDict writes a dictionary block: NULL header, the sorted dictionary
