@@ -187,7 +187,7 @@ func BenchmarkExecGroupBy(b *testing.B) {
 
 // BenchmarkExecAnalyzeOff / BenchmarkExecAnalyzeOn compare the same query with
 // instrumentation disabled and enabled. The off path must stay near the
-// pre-instrumentation baseline: runPlan's only added work is a nil check.
+// pre-instrumentation baseline: the executor's only added work is a nil check.
 func BenchmarkExecAnalyzeOff(b *testing.B) {
 	e := benchDB(b, 20000)
 	q := "SELECT did, COUNT(*), AVG(sal) FROM emp WHERE sal > 100 GROUP BY did"
@@ -214,12 +214,8 @@ func BenchmarkExecAnalyzeOn(b *testing.B) {
 // statement allocates on the index-served shapes of the oltp_prepared
 // workload, over 20 000 rows: a primary-key point lookup, a secondary-index
 // lookup of four rows ordered by id, and a 20-key primary-key range ordered by
-// id. Measured: pk_point 3224 B in 42 allocations, index_lookup 4792 B in 61,
-// short_range 9136 B in 78; the ceilings are 1.2x that. The parent commit —
-// whose seeks copied (point) or appended (range) the row ids, whose
-// Result.Plan went through fmt and whose result rows were allocated one by
-// one — allocated 3442 B in 53, 5120 B in 83 and 10874 B in 116, over every
-// allocation ceiling.
+// id. Measured: pk_point 3048 B in 40 allocations, index_lookup 4160 B in 61,
+// short_range 6832 B in 76; the ceilings are 1.2x that.
 func TestIndexLookupAllocs(t *testing.T) {
 	const n = 20000
 	e := New(Options{})
@@ -239,9 +235,9 @@ func TestIndexLookupAllocs(t *testing.T) {
 		rows          int
 		bytes, allocs float64
 	}{
-		{"pk_point", `SELECT id, owner, bal FROM acct WHERE id = ?`, []any{12345}, 1, 3224 * 1.2, 42 * 1.2},
-		{"index_lookup", `SELECT id, bal FROM acct WHERE owner = ? ORDER BY id`, []any{1234}, 4, 4792 * 1.2, 61 * 1.2},
-		{"short_range", `SELECT id, bal FROM acct WHERE id >= ? AND id < ? ORDER BY id`, []any{15000, 15020}, 20, 9136 * 1.2, 78 * 1.2},
+		{"pk_point", `SELECT id, owner, bal FROM acct WHERE id = ?`, []any{12345}, 1, 3048 * 1.2, 40 * 1.2},
+		{"index_lookup", `SELECT id, bal FROM acct WHERE owner = ? ORDER BY id`, []any{1234}, 4, 4160 * 1.2, 61 * 1.2},
+		{"short_range", `SELECT id, bal FROM acct WHERE id >= ? AND id < ? ORDER BY id`, []any{15000, 15020}, 20, 6832 * 1.2, 76 * 1.2},
 	} {
 		st, err := e.Prepare(tc.sql)
 		if err != nil {

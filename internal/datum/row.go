@@ -64,10 +64,11 @@ type SortSpec struct {
 	Desc bool
 }
 
-// CompareRows compares a and b under the given sort specification.
+// CompareRows compares a and b under the given sort specification, each
+// column in the key order of CompareKeys.
 func CompareRows(a, b Row, spec []SortSpec) int {
 	for _, s := range spec {
-		c := Compare(a[s.Col], b[s.Col])
+		c := CompareKeys(a[s.Col], b[s.Col])
 		if c != 0 {
 			if s.Desc {
 				return -c

@@ -1,10 +1,9 @@
 // Columnar batches (§5.2's CPU-per-row constant attacked directly): a Batch is
 // a set of typed column vectors plus an optional selection vector naming the
 // live rows. It is both what flows between the stages of a pipeline — one
-// morsel at a time, over worker scratch — and what a pipeline's collect sink
-// materializes; kernels in kernels.go filter/hash/aggregate it without
-// per-row interface dispatch, and ToRows materializes the boundary for
-// operators that consume rows.
+// morsel at a time, over worker scratch — and what a breaker hands on; kernels
+// in kernels.go filter/hash/aggregate it without per-row interface dispatch,
+// and ToRows materializes the result.
 package exec
 
 import (
@@ -14,10 +13,11 @@ import (
 
 // Batch is one vector per output column, all the same length n, plus a
 // selection vector. A nil Sel means every row is live; otherwise Sel holds
-// the live row indices in ascending order. Kernels refine Sel instead of
-// copying survivors, so a filter costs one index write per passing row. In a
-// pipeline a column no later stage reads may be missing (a nil or stale
-// vector).
+// the live row indices in order: ascending, except that a sort's output is
+// its input's vectors under the sorted permutation. Kernels refine
+// Sel instead of copying survivors, so a filter costs one index write per
+// passing row. In a pipeline a column no later stage reads may be missing (a
+// nil or stale vector).
 type Batch struct {
 	Cols []logical.ColumnID
 	Vecs []*datum.Vec
@@ -58,31 +58,10 @@ func (b *Batch) ToRows() []datum.Row {
 	return out
 }
 
-// batchFromRows converts row-engine output to a batch. Column kinds are
-// inferred from the data (mixed-kind columns fall back to the boxed vector
-// representation), so the conversion never fails.
-func batchFromRows(layout []logical.ColumnID, rows []datum.Row) *Batch {
-	b := &Batch{Cols: layout, Vecs: make([]*datum.Vec, len(layout)), n: len(rows)}
-	for ci := range layout {
-		kind := datum.KindNull
-		for _, r := range rows {
-			if k := r[ci].Kind(); k != datum.KindNull {
-				kind = k
-				break
-			}
-		}
-		v := datum.NewVec(kind, len(rows))
-		for _, r := range rows {
-			v.AppendD(r[ci])
-		}
-		b.Vecs[ci] = v
-	}
-	return b
-}
-
-// batchRowBytes models the batch's live rows exactly like rowSetBytes models
-// materialized rows: a hash join's build, or one partition of it, charges
-// what its rows would.
+// batchRowBytes is the modeled working-memory footprint of holding the
+// batch's live rows in an operator-owned structure (a hash join's build or
+// one partition of it, a sort buffer): their datums' D.Size plus a per-entry
+// overhead.
 func batchRowBytes(b *Batch) int64 {
 	var total int64
 	for _, v := range b.Vecs {

@@ -141,8 +141,8 @@ func TestInjectedSpillFaultPropagates(t *testing.T) {
 	for _, op := range []string{"spill.create", "spill.write", "spill.read"} {
 		c := spillCtx(t, 1)
 		c.Faults = faultfs.New(faultfs.Rule{Op: op, After: 1, Err: boom})
-		rows := randSpillRows(rand.New(rand.NewSource(99)), 3000)
-		_, err := c.externalSortRows(rows, []datum.SortSpec{{Col: 1}})
+		in := rowsBatch(randSpillRows(rand.New(rand.NewSource(99)), 3000), 3)
+		_, err := c.externalSort(in, []datum.SortSpec{{Col: 1}})
 		if !errors.Is(err, boom) {
 			t.Fatalf("op %s: got %v, want injected error", op, err)
 		}

@@ -1,20 +1,18 @@
 // Package exec implements query execution: a push-based morsel executor over
 // physical plans (Figure 1 of the paper: a tree of operators data flows
 // through as a pipeline) and a naive recursive evaluator over logical trees.
-// A plan is cut at its breakers — hash-join build sides, hash aggregations,
-// and the hand-off to row operators (sorts, nested-loop, index and merge
-// joins, limits, unions) or to the result — and everything between two
-// breakers runs fused: one loop over ~1024-row morsels carries each morsel
-// from its source through filter, projection, exchange and join-probe stages
-// into an aggregate or collect sink, materializing nothing in between
-// (pipeline.go). The scheduler in parallel.go runs that loop inline (serial
-// execution is one worker) or on a worker pool. Predicate conjuncts with a
-// typed kernel run on the column vectors and the remaining conjuncts run
-// row-at-a-time over the kernels' survivors (scan.go). The naive evaluator
-// serves three roles: the reference implementation for correctness tests, the
-// tuple-iteration semantics used to evaluate correlated subqueries that were
-// not unnested (the baseline §4.2 improves on), and the executor for Values
-// rows.
+// A plan is cut at its breakers — join build sides, aggregations, sorts,
+// limits and unions — and everything between two breakers runs fused: one
+// loop over ~1024-row morsels carries each morsel from its source through
+// filter, projection, exchange and join-probe stages into an aggregate or
+// collect sink, materializing nothing in between (pipeline.go). Every
+// operator runs on column batches; a plan's output becomes rows only at the
+// result (Run, RunPlanQuery). The scheduler in parallel.go runs that loop
+// inline (serial execution is one worker) or on a worker pool. The naive
+// evaluator serves three roles: the reference implementation for correctness
+// tests, the tuple-iteration semantics used to evaluate correlated subqueries
+// that were not unnested (the baseline §4.2 improves on), and the executor of
+// the Reference optimizer mode.
 package exec
 
 import (
@@ -167,34 +165,20 @@ func (c *Ctx) noteSegments(read, pruned int64) {
 	}
 }
 
-// noteReadBytes records real segment-file bytes a storage call read from
-// disk. Workers accumulate into their private counters; the coordinator's
-// runWorkers barrier folds the total into the analyzed node.
-func (c *Ctx) noteReadBytes(n int64) {
-	if n == 0 {
-		return
-	}
-	c.Counters.BytesRead += n
-	if c.curNode != nil {
-		c.curNode.BytesRead += n
-	}
-}
-
-// noteScan folds one storage call's ScanCtx observations — bytes read from
-// disk and column blocks decoded, by representation — into the counters and
-// the analyzed node.
+// noteScan folds one storage call's ScanCtx observations — real segment-file
+// bytes read from disk and column blocks decoded, by representation — into
+// the counters and the analyzed node. Workers have no analyzed node: the
+// runWorkers barrier credits it with their counters.
 func (c *Ctx) noteScan(sc *storage.ScanCtx) {
-	c.noteReadBytes(sc.BytesRead)
-	if sc.BlocksDict == 0 && sc.BlocksRLE == 0 && sc.BlocksPlain == 0 {
-		return
-	}
+	c.Counters.BytesRead += sc.BytesRead
 	c.Counters.BlocksDict += sc.BlocksDict
 	c.Counters.BlocksRLE += sc.BlocksRLE
 	c.Counters.BlocksPlain += sc.BlocksPlain
-	if c.curNode != nil {
-		c.curNode.BlocksDict += sc.BlocksDict
-		c.curNode.BlocksRLE += sc.BlocksRLE
-		c.curNode.BlocksPlain += sc.BlocksPlain
+	if m := c.curNode; m != nil {
+		m.BytesRead += sc.BytesRead
+		m.BlocksDict += sc.BlocksDict
+		m.BlocksRLE += sc.BlocksRLE
+		m.BlocksPlain += sc.BlocksPlain
 	}
 }
 
@@ -207,13 +191,6 @@ func (c *Ctx) tableRows(tab *storage.Table) ([]datum.Row, error) {
 	rows, err := tab.Rows(&sc)
 	c.noteScan(&sc)
 	return rows, err
-}
-
-func (c *Ctx) rowAt(tab *storage.Table, id int) (datum.Row, error) {
-	sc := storage.ScanCtx{Faults: c.Faults}
-	r, err := tab.Row(&sc, id)
-	c.noteScan(&sc)
-	return r, err
 }
 
 func (c *Ctx) fillRange(tab *storage.Table, ord, lo, hi int, v *datum.Vec) error {

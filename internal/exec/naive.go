@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/logical"
@@ -216,13 +217,9 @@ func (c *Ctx) naiveGroupBy(t *logical.GroupBy, outer *env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	keyOffsets := make([]int, len(t.GroupCols))
-	for i, gcol := range t.GroupCols {
-		off := in.ColIndex(gcol)
-		if off < 0 {
-			return nil, fmt.Errorf("exec: group column @%d not in input", int(gcol))
-		}
-		keyOffsets[i] = off
+	keyOffsets, err := colOffsets(in.Cols, t.GroupCols, "group")
+	if err != nil {
+		return nil, err
 	}
 	gt := newGroupTable(len(t.GroupCols), t.Aggs)
 	e := newEnv(in.Cols, outer)
@@ -299,15 +296,23 @@ func (c *Ctx) RunQuery(q *logical.Query) (*Result, error) {
 	return presentation(res, q)
 }
 
+// sortResult sorts the reference evaluator's rows in place, stably, by the
+// ordering over the result layout — the key order of datum.CompareKeys, like
+// every sort of the engine.
+func (c *Ctx) sortResult(res *Result, by logical.Ordering) error {
+	spec, err := sortSpec(res.Cols, by)
+	if err != nil {
+		return err
+	}
+	slices.SortStableFunc(res.Rows, func(a, b datum.Row) int { return datum.CompareRows(a, b, spec) })
+	return nil
+}
+
 // presentation projects a result to the query's declared output columns.
 func presentation(res *Result, q *logical.Query) (*Result, error) {
-	offsets := make([]int, len(q.ResultCols))
-	for i, id := range q.ResultCols {
-		off := res.ColIndex(id)
-		if off < 0 {
-			return nil, fmt.Errorf("exec: result column @%d missing from plan output", int(id))
-		}
-		offsets[i] = off
+	offsets, err := colOffsets(res.Cols, q.ResultCols, "result")
+	if err != nil {
+		return nil, err
 	}
 	out := &Result{Cols: q.ResultCols}
 	if len(res.Rows) == 0 {

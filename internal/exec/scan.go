@@ -24,9 +24,10 @@ import (
 // filterSel is the row adapter between column vectors and the row-at-a-time
 // expression evaluator: for each row named by sel, the columns the predicates
 // read (offs) are rebuilt into e's one reused row, and the row is kept when
-// every predicate is TRUE. Survivors are appended to dst, which may share
-// sel's storage (a survivor is never written ahead of the read position).
-func (c *Ctx) filterSel(preds []logical.Scalar, e *env, vecs []*datum.Vec, offs []int, sel, dst []int32) ([]int32, error) {
+// every predicate is TRUE — with first, only the first such row, and no row
+// after it is evaluated. Survivors are appended to dst, which may share sel's
+// storage (a survivor is never written ahead of the read position).
+func (c *Ctx) filterSel(preds []logical.Scalar, e *env, vecs []*datum.Vec, offs []int, sel, dst []int32, first bool) ([]int32, error) {
 	ectx := c.evalCtx(e)
 	for _, i := range sel {
 		for _, j := range offs {
@@ -37,7 +38,9 @@ func (c *Ctx) filterSel(preds []logical.Scalar, e *env, vecs []*datum.Vec, offs 
 			return nil, err
 		}
 		if ok {
-			dst = append(dst, i)
+			if dst = append(dst, i); first {
+				break
+			}
 		}
 	}
 	return dst, nil
@@ -134,9 +137,10 @@ type conjScratch struct {
 // apply narrows cur, the live rows of b, to those every conjunct holds for:
 // the compiled conjuncts first — load is called for the columns each one
 // reads before it runs, so a morsel the kernels empty never touches the other
-// columns — then the residual ones. The result lives in s.sel unless there
-// was no conjunct at all.
-func (j *conjunction) apply(wc *Ctx, s *conjScratch, b *Batch, cur []int32, load func(ci int) error) ([]int32, error) {
+// columns — then the residual ones; with first, the residual ones stop at the
+// first row that passes (a semi or anti join's first match). The result lives
+// in s.sel unless there was no conjunct at all.
+func (j *conjunction) apply(wc *Ctx, s *conjScratch, b *Batch, cur []int32, load func(ci int) error, first bool) ([]int32, error) {
 	if s.sel == nil {
 		s.sel = make([]int32, 0, len(cur))
 	}
@@ -162,7 +166,7 @@ func (j *conjunction) apply(wc *Ctx, s *conjScratch, b *Batch, cur []int32, load
 			s.env = rowEnv(j.layout)
 		}
 		var err error
-		if cur, err = wc.filterSel(j.residual, s.env, b.Vecs, j.resCols, cur, dst); err != nil {
+		if cur, err = wc.filterSel(j.residual, s.env, b.Vecs, j.resCols, cur, dst, first); err != nil {
 			return nil, err
 		}
 		dst = cur[:0]
@@ -268,7 +272,7 @@ func (s *scanSource) morsel(wc *Ctx, pw *pipeWorker, w, lo, hi int) (*Batch, err
 	b.Sel, b.n = nil, hi-lo
 	load := func(ci int) error { return s.load(wc, sc, ci, lo, hi) }
 	if !s.filter.empty() && !(disp == storage.ZoneAll && s.pruner.full) {
-		sel, err := s.filter.apply(wc, &sc.conj, b, pw.identity(hi-lo), load)
+		sel, err := s.filter.apply(wc, &sc.conj, b, pw.identity(hi-lo), load, false)
 		if err != nil || len(sel) == 0 {
 			return nil, err
 		}
@@ -394,7 +398,7 @@ func noLoad(int) error { return nil }
 func (f *filterStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error) {
 	wc.Counters.RowsProcessed += int64(in.NumRows())
 	sc := &f.ws[w]
-	sel, err := f.conj.apply(wc, &sc.conj, in, pw.live(in), noLoad)
+	sel, err := f.conj.apply(wc, &sc.conj, in, pw.live(in), noLoad, false)
 	if err != nil || len(sel) == 0 {
 		return nil, err
 	}

@@ -76,8 +76,8 @@ func TestSpillFileRoundTripIsBitExact(t *testing.T) {
 	if err := sf.finish(); err != nil {
 		t.Fatal(err)
 	}
-	got, err := sf.readAll(cols)
-	if err != nil {
+	got := emptyBatch(cols)
+	if err := sf.readAll(got); err != nil {
 		t.Fatal(err)
 	}
 	want := append(in.ToRows(), (&Batch{Vecs: in.Vecs, Sel: sel, n: in.n}).ToRows()...)
@@ -121,23 +121,44 @@ func TestSpillFanoutBounds(t *testing.T) {
 	}
 }
 
+// rowsBatch is rows as a batch, a vector per column: typed where a column
+// holds one kind, boxed where it mixes them.
+func rowsBatch(rows []datum.Row, width int) *Batch {
+	b := &Batch{Cols: make([]logical.ColumnID, width), Vecs: make([]*datum.Vec, width), n: len(rows)}
+	for ci := range b.Vecs {
+		b.Vecs[ci] = datum.NewVec(datum.KindNull, len(rows))
+		for _, r := range rows {
+			b.Vecs[ci].AppendD(r[ci])
+		}
+	}
+	return b
+}
+
 // TestExternalSortMatchesStableSort: the degraded sort must reproduce the
 // in-memory stable sort exactly — same keys, same tie order — at several
-// budgets so both single-run and many-run merges are covered.
+// budgets so both single-run and many-run merges are covered, over a batch
+// whose selection skips every seventh row.
 func TestExternalSortMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	rows := randSpillRows(rng, 5000)
+	in := rowsBatch(rows, 3)
+	for i := range rows {
+		if i%7 != 3 {
+			in.Sel = append(in.Sel, int32(i))
+		}
+	}
 	spec := []datum.SortSpec{{Col: 0}, {Col: 2, Desc: true}}
-	want := append([]datum.Row(nil), rows...)
+	want := in.ToRows()
 	sort.SliceStable(want, func(i, j int) bool {
 		return datum.CompareRows(want[i], want[j], spec) < 0
 	})
 	for _, budget := range []int64{1, 4 << 10, 1 << 20} {
 		c := spillCtx(t, budget)
-		got, err := c.externalSortRows(append([]datum.Row(nil), rows...), spec)
+		out, err := c.externalSort(in, spec)
 		if err != nil {
 			t.Fatalf("budget %d: %v", budget, err)
 		}
+		got := out.ToRows()
 		if len(got) != len(want) {
 			t.Fatalf("budget %d: %d rows, want %d", budget, len(got), len(want))
 		}

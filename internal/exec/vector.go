@@ -1,32 +1,24 @@
-// The hash aggregation and hash join as pipeline parts: the aggregation is a
-// sink, the join a build over the collected right input plus a probe stage on
-// the left's pipeline, both on the hash and accumulate kernels of kernels.go.
-// They are the engine's only hash join and aggregation and claim every
-// HashJoin, HashGroupBy and StreamGroupBy node at every setting: the probe
-// tests an extra join predicate per key-equal candidate, DISTINCT and
+// The hash aggregation as a pipeline sink, on the hash and accumulate kernels
+// of kernels.go. It is the engine's only aggregation and claims every
+// HashGroupBy and StreamGroupBy node at every setting: DISTINCT and
 // expression arguments accumulate through the row accumulators (boxedVecAcc),
-// stream aggregation is the sink on one worker, and with Ctx.Vectorize off no
-// predicate kernel is compiled and every aggregate accumulates through the
-// row accumulators. The counters (RowsProcessed, HashOps), the memory
-// reservations with their spill fallbacks, and the output rows, bit for bit
-// and in order, are the same at every worker count and setting.
+// stream aggregation is the sink on one worker, and with Ctx.Vectorize off
+// every aggregate accumulates through the row accumulators. The counters
+// (RowsProcessed, HashOps), the memory reservations with their spill
+// fallback, and the output rows, bit for bit and in order, are the same at
+// every worker count and setting.
 //
-// Inside, nothing is per row except typed loops over arrays. Both operators
-// index their keys with the flat hashTable of hashtable.go — int32 bucket
-// and chain arrays plus a stored hash per entry, bucket taken from the
-// finalized hash, keys compared column-wise on the typed payloads — where
-// the join's entries are its build rows and the aggregation's are its
-// groups. Group state is columnar and owned by the table: a pipeline's input
-// row space lives for one morsel, so a new group's key is appended to the
-// table's own typed key columns, which become the output key columns as they
-// are; its aggregates are slots in per-aggregate arrays that grow once per
-// morsel and become the output vectors. A probe gathers the columns a later
-// stage reads, and only those, into its worker's scratch vectors.
+// Inside, nothing is per row except typed loops over arrays. Groups are
+// indexed by the flat hashTable of hashtable.go, whose entries are the group
+// ids. Group state is columnar and owned by the table: a pipeline's input row
+// space lives for one morsel, so a new group's key is appended to the table's
+// own typed key columns, which become the output key columns as they are; its
+// aggregates are slots in per-aggregate arrays that grow once per morsel and
+// become the output vectors.
 package exec
 
 import (
 	"errors"
-	"time"
 
 	"repro/internal/datum"
 	"repro/internal/logical"
@@ -272,7 +264,7 @@ func (c *Ctx) newAggSink(p physical.Plan) (*aggSink, error) {
 	}
 	layout := s.input.Columns()
 	var err error
-	if s.keyOff, err = offsetsOf(layout, s.keys); err != nil {
+	if s.keyOff, err = colOffsets(layout, s.keys, "key"); err != nil {
 		return nil, err
 	}
 	s.width, s.argOff, s.boxed = len(layout), make([]int, len(s.aggs)), make([]bool, len(s.aggs))
@@ -513,292 +505,4 @@ func (c *Ctx) aggregate(p physical.Plan) (*Batch, error) {
 	}
 	c.noteFallback(pl, began, out.NumRows())
 	return out, nil
-}
-
-// --- hash join ---
-
-// probeStage is the probe side of a hash join: one hash table on the
-// collected right input, shared read-only by every worker, probed with the
-// left's morsels as they stream by. A morsel emits its (left, right) index
-// pairs in probe order and gathers from them the columns a later stage reads,
-// so the output row sequence is the same at every worker count. A join
-// predicate beside the keys (ExtraOn) is tested on each key-equal candidate,
-// in chain order, before it counts as a match — a semi or anti join stops at
-// its first match — so exactly the pairs a row-at-a-time probe tests are
-// evaluated.
-type probeStage struct {
-	t          *physical.HashJoin
-	lOff, rOff []int
-	right      *Batch
-	table      hashTable
-	buildRows  []int32 // per table entry: its row in right
-	nLeft      int     // columns of the left layout
-	extra      conjunction
-	extraReads []bool // columns of the left+right layout extra reads
-	need       []bool
-	matched    matchedSets
-	ws         []probeScratch
-}
-
-// probeScratch is one worker's index pairs, key comparators and output
-// vectors, and the one-pair batch the extra predicate is tested on.
-type probeScratch struct {
-	lIdx, rIdx []int32
-	keys       keyEqs
-	vecs       []*datum.Vec
-	out        Batch
-	pair       Batch    // over the left+right layout; its vectors are gather scratch
-	pairIdx    [2]int32 // the pair's left and right row
-	conj       conjScratch
-}
-
-// openJoin opens the left input's pipeline and puts the probe of t on it,
-// after running the right input to completion and building the table. A
-// key column missing from its input is an execution error. A build side
-// over budget runs the same join per partition (graceJoin), and a FULL OUTER
-// join ends its pipeline — its unmatched build rows follow the last morsel —
-// so both hand the stages above a materialized batch.
-func (c *Ctx) openJoin(t *physical.HashJoin) (*pipeline, error) {
-	lOff, err := offsetsOf(t.Left.Columns(), t.LeftKeys)
-	if err != nil {
-		return nil, err
-	}
-	rOff, err := offsetsOf(t.Right.Columns(), t.RightKeys)
-	if err != nil {
-		return nil, err
-	}
-	began := c.tick()
-	pl, err := c.open(t.Left)
-	if err != nil {
-		return nil, err
-	}
-	defer c.leave(c.enter(t))
-	c.noteVectorized()
-	built := c.tick()
-	right, err := c.inputBatch(t.Right)
-	if err != nil {
-		pl.close()
-		return nil, err
-	}
-	// handOff ends the join at a materialized batch, the source of whatever
-	// streams above it.
-	handOff := func(b *Batch) *pipeline {
-		pl.close()
-		out := c.newPipeline(t, &batchSource{in: b}, began)
-		out.srcDone = true
-		return out
-	}
-	buildBytes := batchRowBytes(right)
-	if err := c.Mem.Grow("hash join build", buildBytes); err != nil {
-		left, err := pl.collect()
-		pl.close()
-		if err != nil {
-			return nil, err
-		}
-		out, err := c.graceJoin(t, left, right, lOff, rOff)
-		if err != nil {
-			return nil, err
-		}
-		c.noteFallback(pl, began, out.NumRows())
-		return handOff(out), nil
-	}
-	pl.release = append(pl.release, func() { c.Mem.Shrink(buildBytes) })
-	c.noteMemBytes(buildBytes)
-	st := c.newProbeStage(t, right, lOff, rOff)
-	pl.add(t, st)
-	if pl.an != nil {
-		pl.an.outside[len(pl.an.outside)-1] = time.Since(built).Nanoseconds()
-	}
-	switch t.Kind {
-	case logical.InnerJoin, logical.LeftOuterJoin:
-		pl.expands = true
-	case logical.FullOuterJoin:
-		probed, err := pl.collect()
-		if err != nil {
-			pl.close()
-			return nil, err
-		}
-		out := st.withUnmatched(probed)
-		if m := c.curNode; m != nil {
-			m.ActualRows += int64(out.NumRows() - probed.NumRows())
-		}
-		return handOff(out), nil
-	}
-	return pl, nil
-}
-
-// newProbeStage builds t's hash table over the build rows right: entry e of
-// the table is the e-th build row with a non-NULL key, in selection order,
-// and chains keep that order, so every probe sees its matches in the serial
-// row order.
-func (c *Ctx) newProbeStage(t *physical.HashJoin, right *Batch, lOff, rOff []int) *probeStage {
-	st := &probeStage{t: t, lOff: lOff, rOff: rOff, right: right, nLeft: len(t.Left.Columns())}
-	if len(t.ExtraOn) > 0 {
-		pair := append(append([]logical.ColumnID{}, t.Left.Columns()...), t.Right.Columns()...)
-		st.extra, st.extraReads = c.newConjunction(t.ExtraOn, pair), make([]bool, len(pair))
-		st.extra.reads(st.extraReads)
-	}
-	nr := right.NumRows()
-	st.table.hash = make([]uint64, 0, nr)
-	st.buildRows = make([]int32, 0, nr)
-	rNullable := keyNullable(right.Vecs, rOff)
-	var pw pipeWorker
-	live := pw.live(right)
-	for lo := 0; lo < nr; lo += MorselSize {
-		chunk := live[lo:min(lo+MorselSize, nr)]
-		hs := pw.hashes(len(chunk))
-		for _, ro := range rOff {
-			hashCombineVec(right.Vecs[ro], chunk, hs)
-		}
-		for k, ri := range chunk {
-			if rNullable && vecNullAt(right.Vecs, rOff, int(ri)) {
-				continue // NULL keys never match; FullOuter emits them after the probe
-			}
-			st.table.hash = append(st.table.hash, mixHash(hs[k]))
-			st.buildRows = append(st.buildRows, ri)
-		}
-	}
-	c.Counters.HashOps += int64(len(st.buildRows))
-	st.table.relink(len(st.buildRows))
-	c.noteMem(int64(nr))
-	return st
-}
-
-func (p *probeStage) bind(need []bool, workers int) []bool {
-	p.need, p.ws = need, make([]probeScratch, workers)
-	p.matched = newMatchedSets(p.t.Kind, workers, p.right.n)
-	in := append([]bool(nil), need[:p.nLeft]...)
-	for _, o := range p.lOff {
-		in[o] = true
-	}
-	for o, read := range p.extraReads {
-		if read && o < p.nLeft {
-			in[o] = true
-		}
-	}
-	return in
-}
-
-// holds tests the extra predicate on the pair of left row li of in and right
-// row ri: the columns it reads are gathered into the worker's one-row pair
-// batch, and the conjunction runs over that.
-func (p *probeStage) holds(wc *Ctx, pw *pipeWorker, sc *probeScratch, in *Batch, li, ri int32) (bool, error) {
-	if sc.pair.Vecs == nil {
-		sc.pair = Batch{Cols: p.extra.layout, Vecs: make([]*datum.Vec, len(p.extraReads)), n: 1}
-	}
-	sc.pairIdx = [2]int32{li, ri}
-	for ci, read := range p.extraReads {
-		switch {
-		case !read:
-		case ci < p.nLeft:
-			gatherInto(&sc.pair.Vecs[ci], in.Vecs[ci], sc.pairIdx[:1])
-		default:
-			gatherInto(&sc.pair.Vecs[ci], p.right.Vecs[ci-p.nLeft], sc.pairIdx[1:])
-		}
-	}
-	sel, err := p.extra.apply(wc, &sc.conj, &sc.pair, pw.identity(1), noLoad)
-	return len(sel) > 0, err
-}
-
-func (p *probeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error) {
-	sc := &p.ws[w]
-	if sc.vecs == nil {
-		sc.vecs, sc.keys = make([]*datum.Vec, len(p.need)), make(keyEqs, len(p.lOff))
-		sc.out.Cols, sc.out.Vecs = p.t.Columns(), make([]*datum.Vec, len(p.need))
-	}
-	chunk := pw.live(in)
-	hs := pw.hashes(len(chunk))
-	for k, lo := range p.lOff {
-		hashCombineVec(in.Vecs[lo], chunk, hs)
-		sc.keys[k] = newKeyEq(in.Vecs[lo], p.right.Vecs[p.rOff[k]], false)
-	}
-	// Emit (left, right) index pairs in probe order; ri = -1 pads unmatched
-	// outer rows with NULLs at gather time. Semi and anti joins emit no right
-	// side.
-	kind, build, keys := p.t.Kind, &p.table, sc.keys
-	semiShape := kind == logical.SemiJoin || kind == logical.AntiJoin
-	lNullable := keyNullable(in.Vecs, p.lOff)
-	lIdx, rIdx := sc.lIdx[:0], sc.rIdx[:0]
-	for k, li := range chunk {
-		found := false
-		if !lNullable || !vecNullAt(in.Vecs, p.lOff, int(li)) {
-			wc.Counters.HashOps++
-			h := mixHash(hs[k])
-			for e := build.first(h); e >= 0; e = build.after(e) {
-				ri := p.buildRows[e]
-				if build.hash[e] != h || !keys.equal(li, ri) {
-					continue
-				}
-				wc.Counters.RowsProcessed++
-				if p.extraReads != nil {
-					ok, err := p.holds(wc, pw, sc, in, li, ri)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						continue
-					}
-				}
-				found = true
-				p.matched.mark(w, int(ri))
-				if semiShape {
-					break
-				}
-				lIdx, rIdx = append(lIdx, li), append(rIdx, ri)
-			}
-		}
-		switch {
-		case semiShape:
-			if found == (kind == logical.SemiJoin) {
-				lIdx = append(lIdx, li)
-			}
-		case !found && kind != logical.InnerJoin:
-			lIdx, rIdx = append(lIdx, li), append(rIdx, -1)
-		}
-	}
-	sc.lIdx, sc.rIdx = lIdx, rIdx
-	b := &sc.out
-	b.n = len(lIdx)
-	for ci, need := range p.need {
-		switch {
-		case !need:
-		case ci < p.nLeft:
-			b.Vecs[ci] = gatherInto(&sc.vecs[ci], in.Vecs[ci], lIdx)
-		default:
-			b.Vecs[ci] = gatherInto(&sc.vecs[ci], p.right.Vecs[ci-p.nLeft], rIdx)
-		}
-	}
-	return b, nil
-}
-
-// withUnmatched appends to a FULL OUTER join's collected probe output the
-// build rows no worker matched, NULL-padded on the left, in build order.
-func (p *probeStage) withUnmatched(out *Batch) *Batch {
-	var rIdx []int32
-	for _, ri := range new(pipeWorker).live(p.right) {
-		if !p.matched.any(int(ri)) {
-			rIdx = append(rIdx, ri)
-		}
-	}
-	if len(rIdx) == 0 {
-		return out
-	}
-	pad := make([]int32, len(rIdx))
-	for k := range pad {
-		pad[k] = -1
-	}
-	res := &Batch{Cols: out.Cols, Vecs: make([]*datum.Vec, len(out.Vecs)), n: out.NumRows() + len(rIdx)}
-	for ci, v := range out.Vecs {
-		// The collected rows first (compacted if they carry a selection), then
-		// the padding: left columns all NULL, right columns the build rows.
-		nv := newVecLike(v, res.n)
-		appendLive(nv, v, out)
-		if ci < p.nLeft {
-			datum.AppendGather(nv, v, pad, 0)
-		} else {
-			datum.AppendGather(nv, p.right.Vecs[ci-p.nLeft], rIdx, 0)
-		}
-		res.Vecs[ci] = nv
-	}
-	return res
 }

@@ -64,7 +64,7 @@ type NodeMetrics struct {
 	// Pipeline tags the node with the executor pipeline it ran in, numbered
 	// in the order pipelines were opened: nodes sharing a tag ran fused per
 	// morsel, a change of tag between a node and its input is a breaker (a
-	// row operator is a pipeline of its own).
+	// sort, a limit or a union is a pipeline of its own).
 	Pipeline int
 }
 

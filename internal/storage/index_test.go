@@ -17,7 +17,7 @@ import (
 // wherever Compare is a total order. It is not one for a float NaN (equal to
 // every number) or for an INT against a FLOAT past 2^53 (compared through
 // float64); there the index puts NaN below every other number and compares
-// exactly, which big.Float reproduces here independently of keyCompare.
+// exactly, which big.Float reproduces here independently of datum.CompareKeys.
 func oracleCompare(a, b datum.D) int {
 	numeric := func(d datum.D) bool { return d.Kind() == datum.KindInt || d.Kind() == datum.KindFloat }
 	if !numeric(a) || !numeric(b) || (a.Kind() == datum.KindInt && b.Kind() == datum.KindInt) {
@@ -316,15 +316,15 @@ func TestKeyCompareAgreesWithCompare(t *testing.T) {
 	nan := func(d datum.D) bool { return d.Kind() == datum.KindFloat && math.IsNaN(d.Float()) }
 	for _, a := range vals {
 		for _, b := range vals {
-			got := keyCompare(a, b)
+			got := datum.CompareKeys(a, b)
 			if want := oracleCompare(a, b); got != want {
-				t.Errorf("keyCompare(%v, %v) = %d, oracle %d", a, b, got, want)
+				t.Errorf("CompareKeys(%v, %v) = %d, oracle %d", a, b, got, want)
 			}
 			if nan(a) || nan(b) || ((past53(a) || past53(b)) && a.Kind() != b.Kind()) {
 				continue
 			}
 			if want := datum.Compare(a, b); got != want {
-				t.Errorf("keyCompare(%v, %v) = %d, Compare %d", a, b, got, want)
+				t.Errorf("CompareKeys(%v, %v) = %d, Compare %d", a, b, got, want)
 			}
 		}
 	}
