@@ -6,46 +6,30 @@ package datum
 // generic baseline it replaced for the hot same-kind cases.
 
 import (
+	"cmp"
 	"math/rand"
 	"testing"
 )
 
-// genericCompare is the pre-fast-path implementation: always resolve the
-// comparison family via rank(), then dispatch. Kept here as the benchmark
-// baseline and the reference the fast path must agree with.
+// genericCompare is the order without the same-kind fast path: always
+// resolve the comparison family via rank(), then dispatch. Kept here as the
+// benchmark baseline and the reference the fast path must agree with.
 func genericCompare(a, b D) int {
 	ra, rb := rank(a.k), rank(b.k)
 	if ra != rb {
-		if ra < rb {
-			return -1
-		}
-		return 1
+		return cmp.Compare(ra, rb)
 	}
-	switch a.k {
-	case KindNull:
-		return 0
-	case KindBool:
-		return cmpInt64(a.i, b.i)
-	case KindInt:
-		if b.k == KindFloat {
-			return cmpFloat64(float64(a.i), b.f)
-		}
-		return cmpInt64(a.i, b.i)
-	case KindFloat:
-		if b.k == KindInt {
-			return cmpFloat64(a.f, float64(b.i))
-		}
-		return cmpFloat64(a.f, b.f)
-	case KindString:
-		switch {
-		case a.s < b.s:
-			return -1
-		case a.s > b.s:
-			return 1
-		}
-		return 0
+	switch {
+	case a.k == KindInt && b.k == KindFloat:
+		return CompareIntFloat(a.i, b.f)
+	case a.k == KindFloat && b.k == KindInt:
+		return -CompareIntFloat(b.i, a.f)
+	case a.k == KindFloat:
+		return cmp.Compare(a.f, b.f)
+	case a.k == KindString:
+		return cmp.Compare(a.s, b.s)
 	}
-	return 0
+	return cmp.Compare(a.i, b.i) // NULL's i is 0
 }
 
 func randCmpDatum(rng *rand.Rand) D {

@@ -4,9 +4,8 @@
 // Datums are small value types (no pointers except for strings) so that rows
 // can be copied cheaply and stored compactly in the in-memory storage engine.
 // SQL three-valued comparison semantics live in the expression evaluator; this
-// package provides the comparison they build on (Compare) and the one total
-// key order (NULL first) that sorting, merge joins and index structures share
-// (CompareKeys).
+// package provides the one total order (NULL first) they build on and that
+// sorting, grouping, hashing, joins and index structures share (Compare).
 package datum
 
 import (
@@ -15,6 +14,7 @@ import (
 	"hash/maphash"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind identifies the dynamic type of a Datum.
@@ -141,132 +141,53 @@ func (d D) String() string {
 	}
 }
 
-// Compare orders datums by family — NULL < BOOL < numeric < STRING — and
-// within one by value; integers and floats compare by numeric value, through
-// float64. It returns -1, 0 or +1, and is what SQL comparison predicates,
-// MIN/MAX and grouping equality build on (NULL semantics are handled above
-// this layer). It is not a total order in two places: a float NaN compares
-// equal to every number, and an INT/FLOAT pair past 2^53 compares inexactly.
-// Anything that puts rows in order uses CompareKeys instead.
+// Compare is the engine's one order: SQL comparison predicates and IN,
+// MIN/MAX, grouping and hash-key equality, ORDER BY, merge-join inputs,
+// index entries, zone maps and histograms all answer from it. Datums order by
+// family — NULL < BOOL < numeric < STRING — and within one by value, and the
+// order is total: a float NaN equals itself and sorts below every other
+// number, -0 equals +0, and an INT/FLOAT pair compares exactly (INT 2^53+1 is
+// above FLOAT 2^53). It returns -1, 0 or +1. NULL sorts first and equals NULL
+// here; the three-valued logic of SQL comparisons lives above this layer.
 func Compare(a, b D) int {
-	// Same-kind fast path: the overwhelmingly common case in sorts, merge
-	// joins and group-key checks skips the rank() family resolution entirely
+	// Same kind — the common case in sorts and key checks — skips rank()
 	// (BenchmarkDatumCompare measures the delta against the generic path).
 	if a.k == b.k {
 		switch a.k {
-		case KindInt:
-			return cmpInt64(a.i, b.i)
+		case KindInt, KindBool:
+			return cmp.Compare(a.i, b.i)
 		case KindFloat:
-			return cmpFloat64(a.f, b.f)
+			return cmp.Compare(a.f, b.f)
 		case KindString:
-			switch {
-			case a.s < b.s:
-				return -1
-			case a.s > b.s:
-				return 1
-			}
-			return 0
-		case KindBool:
-			return cmpInt64(a.i, b.i)
-		case KindNull:
-			return 0
+			return strings.Compare(a.s, b.s)
 		}
+		return 0
 	}
-	ra, rb := rank(a.k), rank(b.k)
-	if ra != rb {
-		if ra < rb {
-			return -1
-		}
+	if ra, rb := rank(a.k), rank(b.k); ra != rb {
+		return cmp.Compare(ra, rb)
+	}
+	if a.k == KindInt {
+		return CompareIntFloat(a.i, b.f)
+	}
+	return -CompareIntFloat(b.i, a.f)
+}
+
+// CompareIntFloat is Compare(NewInt(i), NewFloat(f)), for loops over typed
+// INT and FLOAT payloads: exact, with a NaN below every integer. Rounding i
+// to a float keeps every strict inequality with f, a float itself; only a tie
+// needs the integers compared.
+func CompareIntFloat(i int64, f float64) int {
+	switch x := float64(i); {
+	case x < f:
+		return -1
+	case x > f || f != f:
 		return 1
-	}
-	switch a.k {
-	case KindNull:
-		return 0
-	case KindBool:
-		return cmpInt64(a.i, b.i)
-	case KindInt:
-		if b.k == KindFloat {
-			return cmpFloat64(float64(a.i), b.f)
-		}
-		return cmpInt64(a.i, b.i)
-	case KindFloat:
-		if b.k == KindInt {
-			return cmpFloat64(a.f, float64(b.i))
-		}
-		return cmpFloat64(a.f, b.f)
-	case KindString:
-		switch {
-		case a.s < b.s:
-			return -1
-		case a.s > b.s:
-			return 1
-		}
-		return 0
+	case x == 1<<63 || i < int64(f): // a tie: f is integral, and 2^63 is above every int64
+		return -1
+	case i > int64(f):
+		return 1
 	}
 	return 0
-}
-
-// CompareKeys is the engine's one key order — ORDER BY, the external sort's
-// runs, merge-join inputs and index entries all sort by it: Compare, made a
-// total order where it is not one. A float NaN sorts below every other number
-// and equal to itself, as cmp.Compare orders floats, and an INT/FLOAT pair
-// compares exactly. -0 and +0 are equal, NULL sorts first. Every other pair —
-// any two INTs, any two non-NaN FLOATs, an INT and a FLOAT within ±2^53 —
-// compares as in Compare.
-func CompareKeys(a, b D) int {
-	switch {
-	case a.k == KindFloat && b.k == KindFloat:
-		return cmp.Compare(a.f, b.f)
-	case a.k == KindInt && b.k == KindFloat:
-		return cmpIntFloat(a.i, b.f)
-	case a.k == KindFloat && b.k == KindInt:
-		return -cmpIntFloat(b.i, a.f)
-	}
-	return Compare(a, b)
-}
-
-// EqualKeys is = as a search over the CompareKeys order answers it:
-// Compare's equality, except that a NaN equals a NaN only, not every number.
-func EqualKeys(a, b D) bool {
-	return Compare(a, b) == 0 && a.isNaN() == b.isNaN()
-}
-
-func (d D) isNaN() bool { return d.k == KindFloat && math.IsNaN(d.f) }
-
-// EqualSpan returns the interval of the CompareKeys order that holds every
-// datum EqualKeys calls equal to d — [lo, hi], or (lo, hi) when open. An
-// INT's equals are itself and the FLOAT it rounds to; a FLOAT past 2^53 also
-// equals the INTs that round to it, which lie strictly between its
-// neighbouring floats. The span may hold values that are not d's equals
-// (between an INT past 2^53 and its FLOAT lie other INTs), never the reverse.
-func EqualSpan(d D) (lo, hi D, open bool) {
-	switch {
-	case d.k == KindInt:
-		f := NewFloat(float64(d.i))
-		if CompareKeys(f, d) < 0 {
-			return f, d, false
-		}
-		return d, f, false
-	case d.k == KindFloat && math.Abs(d.f) >= 1<<53 && !math.IsInf(d.f, 0):
-		return NewFloat(math.Nextafter(d.f, math.Inf(-1))), NewFloat(math.Nextafter(d.f, math.Inf(1))), true
-	}
-	return d, d, false
-}
-
-// cmpIntFloat compares an integer with a float exactly; a NaN is below every
-// integer.
-func cmpIntFloat(i int64, f float64) int {
-	switch {
-	case math.IsNaN(f), f < -(1 << 63):
-		return 1
-	case f >= 1<<63:
-		return -1
-	}
-	t := math.Trunc(f)
-	if c := cmp.Compare(i, int64(t)); c != 0 {
-		return c
-	}
-	return cmp.Compare(t, f) // i is f's integer part: f's fraction decides
 }
 
 // rank groups kinds into comparison families; INT and FLOAT share a family so
@@ -285,34 +206,15 @@ func rank(k Kind) int {
 	return 4
 }
 
-func cmpInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-func cmpFloat64(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
 // Equal reports a == b under Compare. NULL equals NULL here (used for
 // grouping and duplicate elimination, which treat NULLs as equal per SQL).
 func Equal(a, b D) bool { return Compare(a, b) == 0 }
 
 var hashSeed = maphash.MakeSeed()
 
-// HashInto mixes the datum into h. Datums that compare equal hash equally
-// (in particular 1 and 1.0).
+// HashInto mixes the datum into h. Datums that compare equal hash equally:
+// numbers hash their HashBits, so 1 and 1.0, -0 and +0, and any two NaNs
+// collide.
 func (d D) HashInto(h *maphash.Hash) {
 	switch d.k {
 	case KindNull:
@@ -322,14 +224,29 @@ func (d D) HashInto(h *maphash.Hash) {
 		h.WriteByte(byte(d.i))
 	case KindInt:
 		h.WriteByte(2)
-		writeUint64(h, math.Float64bits(float64(d.i)))
+		writeUint64(h, HashBits(float64(d.i)))
 	case KindFloat:
 		h.WriteByte(2)
-		writeUint64(h, math.Float64bits(d.f))
+		writeUint64(h, HashBits(d.f))
 	case KindString:
 		h.WriteByte(3)
 		h.WriteString(d.s)
 	}
+}
+
+// HashBits is the bit pattern a number hashes as: its float64 encoding with
+// -0 as +0 and every NaN as one NaN, so that numbers Compare calls equal hash
+// equally. An INT hashes as its float64, which is never -0 or NaN — 3 and 3.0
+// collide, and so do INTs past 2^53 that round to one float, which Compare
+// tells apart.
+func HashBits(f float64) uint64 {
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return 0x7ff8000000000001 // math.NaN()'s encoding
+	}
+	return math.Float64bits(f)
 }
 
 func writeUint64(h *maphash.Hash, v uint64) {

@@ -82,6 +82,11 @@ func TestCompare(t *testing.T) {
 		{NewBool(true), NewInt(0), -1}, // bool family < numeric family
 		{NewInt(1), NewString(""), -1}, // numeric family < string family
 		{Null, Null, 0},
+		{NewFloat(math.NaN()), NewFloat(1), -1}, // NaN is below every number
+		{NewFloat(math.NaN()), NewInt(-1 << 60), -1},
+		{NewFloat(math.NaN()), NewFloat(math.NaN()), 0},
+		{NewFloat(math.Copysign(0, -1)), NewInt(0), 0},
+		{NewInt(1<<53 + 1), NewFloat(1 << 53), 1}, // exact, not through float64
 	}
 	for _, c := range cases {
 		if got := Compare(c.a, c.b); got != c.want {
@@ -109,8 +114,17 @@ func randDatum(r *rand.Rand) D {
 }
 
 // Property: Compare is a total order (transitive via sort consistency) and
-// Equal datums hash identically.
+// Equal datums hash identically — NaNs of any payload, both zeros, an INT and
+// its FLOAT included.
 func TestCompareHashProperty(t *testing.T) {
+	vals := append(keyOrderValues(), NewFloat(math.Float64frombits(0x7ff0000000000abc)), NewFloat(-math.NaN()), NewFloat(-2.5), NewInt(-3))
+	for _, a := range vals {
+		for _, b := range vals {
+			if Equal(a, b) && a.Hash() != b.Hash() {
+				t.Errorf("equal datums with different hashes: %s, %s", a, b)
+			}
+		}
+	}
 	r := rand.New(rand.NewSource(1))
 	for iter := 0; iter < 200; iter++ {
 		ds := make([]D, 30)
@@ -276,20 +290,20 @@ func keyOrderValues() []D {
 	}
 }
 
-// TestCompareKeysIsTotalOrder: CompareKeys is antisymmetric and transitive
-// over every pair and triple of key values — where Compare is not (NaN equal
-// to every number; 2^53 = 2^53.0 = 2^53+1 through float64) — and puts NULL
-// first, NaN below every other number, -0 beside +0, and the exact numeric
-// order on an INT/FLOAT pair.
+// TestCompareKeysIsTotalOrder: Compare is antisymmetric and transitive over
+// every pair and triple of key values — NaN and 2^53 = 2^53.0 = 2^53+1
+// through float64 are where a comparison through float64 is not — and puts
+// NULL first, NaN below every other number, -0 beside +0, and the exact
+// numeric order on an INT/FLOAT pair.
 func TestCompareKeysIsTotalOrder(t *testing.T) {
 	vals := keyOrderValues()
 	for _, a := range vals {
 		for _, b := range vals {
-			if CompareKeys(a, b) != -CompareKeys(b, a) {
-				t.Fatalf("CompareKeys(%v, %v) = %d, reversed %d", a, b, CompareKeys(a, b), CompareKeys(b, a))
+			if Compare(a, b) != -Compare(b, a) {
+				t.Fatalf("Compare(%v, %v) = %d, reversed %d", a, b, Compare(a, b), Compare(b, a))
 			}
 			for _, c := range vals {
-				if CompareKeys(a, b) <= 0 && CompareKeys(b, c) <= 0 && CompareKeys(a, c) > 0 {
+				if Compare(a, b) <= 0 && Compare(b, c) <= 0 && Compare(a, c) > 0 {
 					t.Fatalf("not transitive: %v <= %v <= %v, yet %v > %v", a, b, c, a, c)
 				}
 			}
@@ -310,17 +324,16 @@ func TestCompareKeysIsTotalOrder(t *testing.T) {
 		{NewInt(math.MaxInt64), NewFloat(1 << 63), -1},
 		{NewFloat(math.Inf(1)), NewString(""), -1},
 	} {
-		if got := CompareKeys(tc.a, tc.b); got != tc.want {
-			t.Errorf("CompareKeys(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
+		if got := Compare(tc.a, tc.b); got != tc.want {
+			t.Errorf("Compare(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
 		}
 	}
 }
 
-// TestKeyOrderMatchesCompareKeys: KeyOrder compares every pair of rows of
+// TestKeyOrderMatchesCompareKeys: KeyOrders compares every pair of rows of
 // every pair of representations — typed, NULL-bearing, dictionary-coded
-// (one dictionary and two), boxed, all-NULL — as CompareKeys does their
-// datums, and reverses it when descending — Func as well; a typed order's
-// equality is EqualKeys.
+// (one dictionary and two), boxed, all-NULL — as Compare does their datums,
+// and reverses it when descending, and so does KeyOrder.Func.
 func TestKeyOrderMatchesCompareKeys(t *testing.T) {
 	fromDs := func(ds ...D) *Vec {
 		v := NewVec(KindNull, len(ds))
@@ -351,54 +364,19 @@ func TestKeyOrderMatchesCompareKeys(t *testing.T) {
 				k := NewKeyOrder(a, b, desc)
 				for i := 0; i < a.Len(); i++ {
 					for j := 0; j < b.Len(); j++ {
-						want := CompareKeys(a.D(i), b.D(j))
+						want := Compare(a.D(i), b.D(j))
 						if desc {
 							want = -want
 						}
-						if got := k.Compare(i, j); got != want {
-							t.Errorf("%s[%d] vs %s[%d] desc=%v: %d, CompareKeys %d", an, i, bn, j, desc, got, want)
+						if got := (KeyOrders{k}).Compare(i, j); got != want {
+							t.Errorf("%s[%d] vs %s[%d] desc=%v: KeyOrders.Compare %d, Compare %d", an, i, bn, j, desc, got, want)
 						}
 						if got := k.Func()(i, j); got != want {
-							t.Errorf("%s[%d] vs %s[%d] desc=%v: Func %d, CompareKeys %d", an, i, bn, j, desc, got, want)
-						}
-						if eq := EqualKeys(a.D(i), b.D(j)); k.Typed() && (k.Compare(i, j) == 0) != eq {
-							t.Errorf("%s[%d] vs %s[%d]: typed order equal %v, EqualKeys %v", an, i, bn, j, !eq, eq)
+							t.Errorf("%s[%d] vs %s[%d] desc=%v: Func %d, Compare %d", an, i, bn, j, desc, got, want)
 						}
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestEqualSpanHoldsEqualKeys: every value EqualKeys calls equal to d lies in
-// d's span of the key order — INT/FLOAT pairs around 2^53 and 2^63, where an
-// INT's equals are not contiguous, included — and EqualKeys is Compare's
-// equality but for a NaN.
-func TestEqualSpanHoldsEqualKeys(t *testing.T) {
-	vals := append(keyOrderValues(), NewInt(1<<53-1), NewInt(1<<53+2), NewInt(1<<53+3), NewFloat(1<<53+2),
-		NewFloat(1<<53+4), NewInt(-(1<<53 + 1)), NewFloat(-(1 << 53)), NewInt(math.MaxInt64-1), NewFloat(1<<63), NewFloat(1.5))
-	in := func(x, lo, hi D, open bool) bool {
-		a, b := CompareKeys(lo, x), CompareKeys(x, hi)
-		if open {
-			return a < 0 && b < 0
-		}
-		return a <= 0 && b <= 0
-	}
-	nan := func(d D) bool { return d.Kind() == KindFloat && math.IsNaN(d.Float()) }
-	for _, d := range vals {
-		lo, hi, open := EqualSpan(d)
-		for _, x := range vals {
-			eq := EqualKeys(d, x)
-			if eq && !in(x, lo, hi, open) {
-				t.Errorf("EqualKeys(%v, %v), yet %v is outside the span (%v, %v, open %v)", d, x, x, lo, hi, open)
-			}
-			if want := Compare(d, x) == 0 && nan(d) == nan(x); eq != want {
-				t.Errorf("EqualKeys(%v, %v) = %v", d, x, eq)
-			}
-		}
-	}
-	if !EqualKeys(NewInt(1<<53+1), NewFloat(1<<53)) || EqualKeys(NewInt(1<<53+1), NewInt(1<<53)) || EqualKeys(NewFloat(math.NaN()), NewInt(1)) {
-		t.Error("EqualKeys: want 2^53+1 = 2^53.0, 2^53+1 <> 2^53 and NaN <> 1")
 	}
 }

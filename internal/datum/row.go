@@ -65,10 +65,10 @@ type SortSpec struct {
 }
 
 // CompareRows compares a and b under the given sort specification, each
-// column in the key order of CompareKeys.
+// column under Compare.
 func CompareRows(a, b Row, spec []SortSpec) int {
 	for _, s := range spec {
-		c := CompareKeys(a[s.Col], b[s.Col])
+		c := Compare(a[s.Col], b[s.Col])
 		if c != 0 {
 			if s.Desc {
 				return -c

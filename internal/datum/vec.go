@@ -640,11 +640,13 @@ func (v *Vec) DataBytes(sel []int32) int64 {
 	return total
 }
 
-// KeyOrder compares row i of one vector with row j of another — often of the
-// same one — in the key order of CompareKeys, reversed when desc: NULL first,
-// then by value. Where both vectors share a typed representation it compares
+// KeyOrder is the order of row i of one vector against row j of another —
+// often of the same one — under Compare, reversed when desc: NULL first,
+// then by value. KeyOrders compares under it: it is the vector form of
+// Compare, for order and equality alike (sorts, merge joins, hash-key
+// equality). Where both vectors share a typed representation it compares
 // payloads (FLOAT by cmp.Compare, which puts NaN first and -0 beside +0 as
-// CompareKeys does; dictionary codes, since a dictionary is sorted), and
+// Compare does; dictionary codes, since a dictionary is sorted), and
 // reconstructed datums otherwise — boxed or all-NULL vectors, INT against
 // FLOAT, strings under two dictionaries.
 type KeyOrder struct {
@@ -682,30 +684,40 @@ func NewKeyOrder(a, b *Vec, desc bool) KeyOrder {
 	return k
 }
 
-// Typed reports whether the order compares payloads of one representation:
-// then it calls two rows equal exactly when EqualKeys does.
-func (k *KeyOrder) Typed() bool { return k.form != orderDatums }
+// Vecs returns the vectors whose rows the order compares: a's row i with b's
+// row j.
+func (k *KeyOrder) Vecs() (a, b *Vec) { return k.a, k.b }
 
-// Compare returns -1, 0 or +1 as row i of a sorts before, with or after row j
-// of b.
-func (k *KeyOrder) Compare(i, j int) int {
-	var c int
-	switch {
-	case k.form == orderDatums:
-		c = CompareKeys(k.a.D(i), k.b.D(j))
-	case k.nulls && (k.a.Null(i) || k.b.Null(j)):
-		c = btoi(k.b.Null(j)) - btoi(k.a.Null(i))
-	case k.form == orderInts:
-		c = cmp.Compare(k.a.Ints[i], k.b.Ints[j])
-	case k.form == orderFloats:
-		c = cmp.Compare(k.a.Floats[i], k.b.Floats[j])
-	default:
-		c = strings.Compare(k.a.Strs[i], k.b.Strs[j])
+// KeyOrders orders rows of several column pairs — a sort key, a join or
+// group key — column by column, the first unequal column deciding. A hash
+// table's key comparison is Compare(i, j) == 0.
+type KeyOrders []KeyOrder
+
+// Compare returns -1, 0 or +1 as row i sorts before, with or after row j.
+func (ks KeyOrders) Compare(i, j int) int {
+	for x := range ks {
+		k := &ks[x]
+		var c int
+		switch {
+		case k.form == orderDatums:
+			c = Compare(k.a.D(i), k.b.D(j))
+		case k.nulls && (k.a.Null(i) || k.b.Null(j)):
+			c = btoi(k.b.Null(j)) - btoi(k.a.Null(i))
+		case k.form == orderInts:
+			c = cmp.Compare(k.a.Ints[i], k.b.Ints[j])
+		case k.form == orderFloats:
+			c = cmp.Compare(k.a.Floats[i], k.b.Floats[j])
+		default:
+			c = strings.Compare(k.a.Strs[i], k.b.Strs[j])
+		}
+		if c != 0 {
+			if k.desc {
+				return -c
+			}
+			return c
+		}
 	}
-	if k.desc {
-		return -c
-	}
-	return c
+	return 0
 }
 
 // Func returns Compare as a function specialized to the order's form, for a
@@ -725,7 +737,7 @@ func (k KeyOrder) Func() func(i, j int) int {
 			return func(i, j int) int { return strings.Compare(x[i], y[j]) }
 		}
 	}
-	return k.Compare
+	return KeyOrders{k}.Compare
 }
 
 func btoi(b bool) int {

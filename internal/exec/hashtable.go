@@ -1,11 +1,10 @@
 // The one hash index of the engine: the hash join's build side and
-// vecGroups' group lookup are both a hashTable plus typed key comparators.
+// vecGroups' group lookup are both a hashTable plus a datum.KeyOrders, whose
+// datum.KeyOrder columns decide key equality (Compare == 0).
 // Entries are dense int32 ids in insertion order — a build row's position, a
 // group id — so everything keyed by entry (stored hashes, chain links, the
 // caller's row or key arrays) is a flat array and the table holds no pointer.
 package exec
-
-import "repro/internal/datum"
 
 // mixHash is the 64-bit murmur finalizer. The key hash is FNV over a number's
 // float encoding, whose low mantissa bits are zero for small integers: only
@@ -49,10 +48,9 @@ func (t *hashTable) after(e int32) int32  { return t.next[e] - 1 }
 
 // insert appends an entry with finalized hash h, links it at the tail of its
 // chain and returns its id. The bucket array doubles when the load passes one.
-// A chain therefore always lists its entries in insertion order: the first
-// match a lookup meets is the oldest — the order a row-at-a-time scan of the
-// input meets them in — which decides the outcome where key equality is not
-// transitive (1 = 1.0 across INT and FLOAT near 2^53, NaN).
+// A chain therefore always lists its entries in insertion order: the matches
+// a lookup meets come in the order a row-at-a-time scan of the input meets
+// them in.
 func (t *hashTable) insert(h uint64) int32 {
 	if len(t.hash) >= len(t.slots) {
 		t.relink(2 * len(t.slots))
@@ -81,86 +79,4 @@ func (t *hashTable) relink(nSlots int) {
 		t.next[e] = *s
 		*s = int32(e) + 1
 	}
-}
-
-// Comparison forms of one key column pair.
-const (
-	eqGeneric uint8 = iota // datum.Equal over reconstructed datums
-	eqInts                 // INT, BOOL, or codes of one shared dictionary
-	eqFloats
-	eqStrs
-)
-
-// keyEq compares one key column between row i of a and row j of b with
-// datum.Equal's outcome. The typed forms apply only where they provably are
-// that outcome — same kind and representation on both sides, where Compare
-// takes its same-kind path: exact integer and string equality, and floats
-// equal when neither is smaller (so NaN equals everything, as in cmpFloat64).
-// Anything else — boxed or all-NULL vectors, INT against FLOAT, strings under
-// two dictionaries — reconstructs the datums.
-type keyEq struct {
-	a, b  *datum.Vec
-	form  uint8
-	nulls bool // a typed form must check the NULL bitmaps first
-}
-
-// newKeyEq picks the comparison form. nullable says whether a NULL can reach
-// the comparison at all: joins filter NULL keys out before probing.
-func newKeyEq(a, b *datum.Vec, nullable bool) keyEq {
-	k := keyEq{a: a, b: b, nulls: nullable && (a.HasNulls() || b.HasNulls())}
-	if a.Boxed() || b.Boxed() || a.Kind() != b.Kind() || a.Dict != b.Dict {
-		return k
-	}
-	switch a.Kind() {
-	case datum.KindInt, datum.KindBool:
-		k.form = eqInts
-	case datum.KindFloat:
-		k.form = eqFloats
-	case datum.KindString:
-		k.form = eqStrs
-		if a.Dict != nil {
-			k.form = eqInts
-		}
-	}
-	return k
-}
-
-// keyEqs is the comparator of a whole key: one keyEq per key column.
-type keyEqs []keyEq
-
-// equal reports whether every key column matches; NULL equals NULL, as
-// grouping requires.
-func (keys keyEqs) equal(i, j int32) bool {
-	for c := range keys {
-		k := &keys[c]
-		if k.form == eqGeneric {
-			if !datum.Equal(k.a.D(int(i)), k.b.D(int(j))) {
-				return false
-			}
-			continue
-		}
-		if k.nulls {
-			if an, bn := k.a.Null(int(i)), k.b.Null(int(j)); an || bn {
-				if an != bn {
-					return false
-				}
-				continue
-			}
-		}
-		switch k.form {
-		case eqInts:
-			if k.a.Ints[i] != k.b.Ints[j] {
-				return false
-			}
-		case eqFloats:
-			if x, y := k.a.Floats[i], k.b.Floats[j]; x < y || y < x {
-				return false
-			}
-		case eqStrs:
-			if k.a.Strs[i] != k.b.Strs[j] {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -86,7 +86,7 @@ type pairJoin struct {
 type probeScratch struct {
 	lIdx, rIdx []int32
 	found      bool // the current left row has matched
-	keys       keyEqs
+	keys       datum.KeyOrders
 	vecs       []*datum.Vec
 	out        Batch
 	pair       Batch    // over the left+right layout; its vectors are gather scratch
@@ -405,13 +405,13 @@ func (c *Ctx) newProbeStage(t *physical.HashJoin, right *Batch, lOff, rOff []int
 func (p *probeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error) {
 	sc := p.scratch(w)
 	if sc.keys == nil {
-		sc.keys = make(keyEqs, len(p.lKeys))
+		sc.keys = make(datum.KeyOrders, len(p.lKeys))
 	}
 	chunk := pw.live(in)
 	hs := pw.hashes(len(chunk))
 	for k, lo := range p.lKeys {
 		hashCombineVec(in.Vecs[lo], chunk, hs)
-		sc.keys[k] = newKeyEq(in.Vecs[lo], p.right.Vecs[p.rKeys[k]], false)
+		sc.keys[k] = datum.NewKeyOrder(in.Vecs[lo], p.right.Vecs[p.rKeys[k]], false)
 	}
 	build, keys := &p.table, sc.keys
 	lNullable := keyNullable(in.Vecs, p.lKeys)
@@ -422,7 +422,7 @@ func (p *probeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, err
 			h := mixHash(hs[k])
 			for e := build.first(h); e >= 0; e = build.after(e) {
 				ri := p.buildRows[e]
-				if build.hash[e] != h || !keys.equal(li, ri) {
+				if build.hash[e] != h || keys.Compare(int(li), int(ri)) != 0 {
 					continue
 				}
 				if done, err := p.try(wc, pw, w, sc, in, p.right, li, ri); err != nil {
@@ -628,23 +628,16 @@ func (p *inlStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error
 // --- merge join ---
 
 // mergeStage is the merge join: the right input arrives ordered on its keys
-// (a sort or an index scan below it, in datum.CompareKeys order), so a left
-// row's candidates are a range of the right, which binary searches find, key
-// column by key column. The merge's right cursor becomes a search so that the
-// left's morsels run on any worker, like every other join's.
-//
-// A match is a pair that = joins, as datum.EqualKeys decides it, which the
-// key order refines: where a column pair is typed the two agree and the range
-// of the left key is the match. Elsewhere — INT against FLOAT, boxed vectors
-// — an INT past 2^53 equals the FLOAT it rounds to but not its INT
-// neighbours, so the left key's equals need not be contiguous: the range
-// searched is datum.EqualSpan's, and from the first column whose span holds
-// more than one key on, its rows are tested with EqualKeys.
+// (a sort or an index scan below it, in datum.Compare order), so a left row's
+// matches — the right rows whose keys Compare calls equal — are a range of
+// the right, which binary searches find, key column by key column. The
+// merge's right cursor becomes a search so that the left's morsels run on
+// any worker, like every other join's.
 type mergeStage struct {
 	pairJoin
 	rKeys  []int
-	rows   []int32  // the right's live rows, in key order
-	orders []rowCmp // per worker
+	rows   []int32           // the right's live rows, in key order
+	orders []datum.KeyOrders // per worker
 }
 
 func (c *Ctx) newMergeStage(t *physical.MergeJoin, right *Batch) (*mergeStage, error) {
@@ -659,14 +652,14 @@ func (c *Ctx) newMergeStage(t *physical.MergeJoin, right *Batch) (*mergeStage, e
 }
 
 func (p *mergeStage) bind(need []bool, workers int) []bool {
-	p.orders = make([]rowCmp, workers)
+	p.orders = make([]datum.KeyOrders, workers)
 	return p.pairJoin.bind(need, workers)
 }
 
 func (p *mergeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error) {
 	sc, keys := p.scratch(w), p.orders[w]
 	if keys == nil {
-		keys = make(rowCmp, len(p.lKeys))
+		keys = make(datum.KeyOrders, len(p.lKeys))
 		p.orders[w] = keys
 	}
 	for k := range keys {
@@ -676,12 +669,8 @@ func (p *mergeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, err
 	for _, li := range pw.live(in) {
 		sc.found = false
 		if !lNullable || !vecNullAt(in.Vecs, p.lKeys, int(li)) { // NULL keys match nothing
-			lo, hi, loose := p.candidates(wc, keys, in, li)
-			for x := lo; x < hi; x++ {
-				ri := p.rows[x]
-				if loose >= 0 && !p.equal(in, li, ri, loose) {
-					continue
-				}
+			lo, hi := p.candidates(wc, keys, li)
+			for _, ri := range p.rows[lo:hi] {
 				if done, err := p.try(wc, pw, w, sc, in, p.right, li, ri); err != nil {
 					return nil, err
 				} else if done {
@@ -694,11 +683,10 @@ func (p *mergeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, err
 	return p.output(sc, in, p.right), nil
 }
 
-// candidates narrows the right's rows to left row li's candidates [lo, hi),
-// one key column at a time: within the range of the columns before it, the
-// rows are ordered on the next. loose is the first key column from which on a
-// candidate must be tested with equal, or -1 when every candidate matches.
-func (p *mergeStage) candidates(wc *Ctx, keys rowCmp, in *Batch, li int32) (lo, hi, loose int) {
+// candidates narrows the right's rows to left row li's matches [lo, hi), one
+// key column at a time: within the range of the columns before it, the rows
+// are ordered on the next.
+func (p *mergeStage) candidates(wc *Ctx, keys datum.KeyOrders, li int32) (lo, hi int) {
 	search := func(lo, hi int, past func(r int32) bool) int {
 		for lo < hi {
 			wc.Counters.Comparisons++
@@ -712,34 +700,9 @@ func (p *mergeStage) candidates(wc *Ctx, keys rowCmp, in *Batch, li int32) (lo, 
 	}
 	lo, hi = 0, len(p.rows)
 	for k := range keys {
-		if keys[k].Typed() {
-			lo = search(lo, hi, func(r int32) bool { return keys[k].Compare(int(li), int(r)) <= 0 })
-			hi = search(lo, hi, func(r int32) bool { return keys[k].Compare(int(li), int(r)) < 0 })
-			continue
-		}
-		d, rv := in.Vecs[p.lKeys[k]].D(int(li)), p.right.Vecs[p.rKeys[k]]
-		from, to, open := datum.EqualSpan(d)
-		lo = search(lo, hi, func(r int32) bool { c := datum.CompareKeys(rv.D(int(r)), from); return c > 0 || c == 0 && !open })
-		hi = search(lo, hi, func(r int32) bool { c := datum.CompareKeys(rv.D(int(r)), to); return c > 0 || c == 0 && open })
-		if lo == hi {
-			break
-		}
-		if first := rv.D(int(p.rows[lo])); datum.CompareKeys(first, rv.D(int(p.rows[hi-1]))) != 0 {
-			return lo, hi, k // the span holds several keys
-		} else if !datum.EqualKeys(d, first) {
-			return lo, lo, -1
-		}
+		key := keys[k : k+1]
+		lo = search(lo, hi, func(r int32) bool { return key.Compare(int(li), int(r)) <= 0 })
+		hi = search(lo, hi, func(r int32) bool { return key.Compare(int(li), int(r)) < 0 })
 	}
-	return lo, hi, -1
-}
-
-// equal reports whether left row li and right row ri are equal keys on the
-// key columns from the k-th on.
-func (p *mergeStage) equal(in *Batch, li, ri int32, k int) bool {
-	for ; k < len(p.lKeys); k++ {
-		if !datum.EqualKeys(in.Vecs[p.lKeys[k]].D(int(li)), p.right.Vecs[p.rKeys[k]].D(int(ri))) {
-			return false
-		}
-	}
-	return true
+	return lo, hi
 }

@@ -3,12 +3,14 @@
 // aggregation probes, and the accumulate loops of SUM/COUNT/MIN/MAX/AVG.
 // Every kernel replicates the row accumulators' and the reference
 // evaluator's SQL semantics exactly — three-valued comparison (a NULL operand
-// is never TRUE), the INT/FLOAT comparison family of datum.Compare (so
-// 1 = 1.0), and fsum's compensated summation — which is what makes output
-// with kernels on bit-identical to output with them off.
+// is never TRUE) over datum.Compare's one total order (1 = 1.0, -0 = +0, NaN
+// equal to itself and below every number), and fsum's compensated summation
+// — which is what makes output with kernels on bit-identical to output with
+// them off.
 package exec
 
 import (
+	"cmp"
 	"math"
 
 	"repro/internal/datum"
@@ -190,19 +192,18 @@ func applyPred(b *Batch, p compiledPred, sel []int32, out []int32) []int32 {
 
 // selColConst selects rows where col op const is TRUE.
 func selColConst(v *datum.Vec, op logical.CmpOp, c datum.D, sel, out []int32) []int32 {
-	if v.Boxed() {
+	vk := v.Kind()
+	if vk == datum.KindInt && c.Kind() == datum.KindFloat && !v.Boxed() && !numericAs(&c, vk) {
+		return selIntFloatConst(v.Ints, v.Nulls(), op, c.Float(), sel, out)
+	}
+	if v.Boxed() || (vk != c.Kind() && family(vk) == family(c.Kind()) && !numericAs(&c, vk)) {
 		for _, i := range sel {
-			l := v.D(int(i))
-			if l.IsNull() {
-				continue
-			}
-			if cmpMatches(op, datum.Compare(l, c)) {
+			if l := v.D(int(i)); !l.IsNull() && cmpMatches(op, datum.Compare(l, c)) {
 				out = append(out, i)
 			}
 		}
 		return out
 	}
-	vk := v.Kind()
 	if vk == datum.KindNull {
 		return out
 	}
@@ -210,7 +211,7 @@ func selColConst(v *datum.Vec, op logical.CmpOp, c datum.D, sel, out []int32) []
 		// Cross-family comparisons have a fixed outcome for every non-NULL
 		// value (datum.Compare orders whole families), so the predicate
 		// collapses to "IS NOT NULL" or "never".
-		if cmpMatches(op, cmpInts(family(vk), family(c.Kind()))) {
+		if cmpMatches(op, cmp.Compare(family(vk), family(c.Kind()))) {
 			for _, i := range sel {
 				if !v.Null(int(i)) {
 					out = append(out, i)
@@ -222,9 +223,6 @@ func selColConst(v *datum.Vec, op logical.CmpOp, c datum.D, sel, out []int32) []
 	nulls := v.Nulls()
 	switch vk {
 	case datum.KindInt:
-		if c.Kind() == datum.KindFloat {
-			return selIntColFloatConst(v.Ints, nulls, op, c.Float(), sel, out)
-		}
 		return selOrd(v.Ints, nulls, op, c.Int(), sel, out)
 	case datum.KindFloat:
 		return selOrd(v.Floats, nulls, op, c.Float(), sel, out)
@@ -241,6 +239,24 @@ func selColConst(v *datum.Vec, op logical.CmpOp, c datum.D, sel, out []int32) []
 		return selOrd(v.Ints, nulls, op, ci, sel, out)
 	}
 	return out
+}
+
+// numericAs turns the number *c into kind k — an INT into a FLOAT, a FLOAT
+// into an INT — where that keeps its place in Compare's order against every
+// value of kind k, and reports whether it could: an INT within ±2^53 is
+// exactly a float, a FLOAT is an INT when it is integral within ±2^53.
+func numericAs(c *datum.D, k datum.Kind) bool {
+	const exact = 1 << 53
+	if k == datum.KindFloat {
+		if i := c.Int(); -exact <= i && i <= exact {
+			*c = datum.NewFloat(float64(i))
+			return true
+		}
+	} else if f := c.Float(); f == math.Trunc(f) && math.Abs(f) <= exact {
+		*c = datum.NewInt(int64(f))
+		return true
+	}
+	return false
 }
 
 // selDictConst compares a dictionary-encoded string column against a string
@@ -296,142 +312,82 @@ func selDictConst(v *datum.Vec, op logical.CmpOp, c string, sel, out []int32) []
 
 // selColCol selects rows where colA op colB is TRUE.
 func selColCol(a, b *datum.Vec, op logical.CmpOp, sel, out []int32) []int32 {
-	if a.Boxed() || b.Boxed() {
-		for _, i := range sel {
-			l, r := a.D(int(i)), b.D(int(i))
-			if l.IsNull() || r.IsNull() {
-				continue
-			}
-			if cmpMatches(op, datum.Compare(l, r)) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	ak, bk := a.Kind(), b.Kind()
-	if ak == datum.KindNull || bk == datum.KindNull {
-		return out
-	}
-	if family(ak) != family(bk) {
-		if cmpMatches(op, cmpInts(family(ak), family(bk))) {
-			for _, i := range sel {
-				if !a.Null(int(i)) && !b.Null(int(i)) {
-					out = append(out, i)
+	if ak, bk := a.Kind(), b.Kind(); !a.Boxed() && !b.Boxed() {
+		an, bn := a.Nulls(), b.Nulls()
+		switch {
+		case ak == datum.KindNull || bk == datum.KindNull:
+			return out
+		case family(ak) != family(bk):
+			if cmpMatches(op, cmp.Compare(family(ak), family(bk))) {
+				for _, i := range sel {
+					if !a.Null(int(i)) && !b.Null(int(i)) {
+						out = append(out, i)
+					}
 				}
 			}
+			return out
+		case ak == datum.KindInt && bk == datum.KindFloat:
+			return selIntFloat2(a.Ints, b.Floats, an, bn, op, sel, out)
+		case ak == datum.KindFloat && bk == datum.KindInt:
+			return selIntFloat2(b.Ints, a.Floats, bn, an, op.Commute(), sel, out)
+		case a.Dict != b.Dict: // two dictionaries
+		case ak == datum.KindFloat:
+			return selOrd2(a.Floats, b.Floats, an, bn, op, sel, out)
+		case ak == datum.KindString && a.Dict == nil:
+			return selOrd2(a.Strs, b.Strs, an, bn, op, sel, out)
+		default:
+			// INT, BOOL, or codes of one dictionary: the sorted dictionary
+			// makes code order string order.
+			return selOrd2(a.Ints, b.Ints, an, bn, op, sel, out)
 		}
-		return out
 	}
-	if a.Dict != nil || b.Dict != nil {
-		if a.Dict != nil && a.Dict == b.Dict {
-			// Same code space: the sorted dictionary makes code order string
-			// order, so the whole comparison runs on integers.
-			return selOrd2(a.Ints, b.Ints, a.Nulls(), b.Nulls(), op, sel, out)
+	for _, i := range sel {
+		l, r := a.D(int(i)), b.D(int(i))
+		if !l.IsNull() && !r.IsNull() && cmpMatches(op, datum.Compare(l, r)) {
+			out = append(out, i)
 		}
-		for _, i := range sel {
-			if a.Null(int(i)) || b.Null(int(i)) {
-				continue
-			}
-			if cmpMatches(op, datum.Compare(a.D(int(i)), b.D(int(i)))) {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	an, bn := a.Nulls(), b.Nulls()
-	switch {
-	case ak == datum.KindInt && bk == datum.KindInt:
-		return selOrd2(a.Ints, b.Ints, an, bn, op, sel, out)
-	case ak == datum.KindFloat && bk == datum.KindFloat:
-		return selOrd2(a.Floats, b.Floats, an, bn, op, sel, out)
-	case ak == datum.KindString && bk == datum.KindString:
-		return selOrd2(a.Strs, b.Strs, an, bn, op, sel, out)
-	case ak == datum.KindBool && bk == datum.KindBool:
-		return selOrd2(a.Ints, b.Ints, an, bn, op, sel, out)
-	case ak == datum.KindInt && bk == datum.KindFloat:
-		for _, i := range sel {
-			if an.Get(int(i)) || bn.Get(int(i)) {
-				continue
-			}
-			if cmpMatches(op, cmpF(float64(a.Ints[i]), b.Floats[i])) {
-				out = append(out, i)
-			}
-		}
-		return out
-	case ak == datum.KindFloat && bk == datum.KindInt:
-		for _, i := range sel {
-			if an.Get(int(i)) || bn.Get(int(i)) {
-				continue
-			}
-			if cmpMatches(op, cmpF(a.Floats[i], float64(b.Ints[i]))) {
-				out = append(out, i)
-			}
-		}
-		return out
 	}
 	return out
 }
 
-func cmpInts(a, b int) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
-// cmpF replicates datum's cmpFloat64 (NaN compares "equal" to everything,
-// matching the row engine).
-func cmpF(a, b float64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
-}
-
 // selOrd is the column-vs-constant selection kernel over an ordered element
-// type. All comparisons are expressed through < only, so float semantics
-// match datum.Compare's three-way result (including NaN behaviour) exactly.
+// type. All comparisons are expressed through cmp.Less, which orders floats
+// as datum.Compare does: NaN equal to itself and below every number, -0 = +0.
 func selOrd[T int64 | float64 | string](vals []T, nulls datum.Bitmap, op logical.CmpOp, c T, sel, out []int32) []int32 {
 	switch op {
 	case logical.CmpEq:
 		for _, i := range sel {
-			if v := vals[i]; !nulls.Get(int(i)) && !(v < c) && !(c < v) {
+			if v := vals[i]; !nulls.Get(int(i)) && !cmp.Less(v, c) && !cmp.Less(c, v) {
 				out = append(out, i)
 			}
 		}
 	case logical.CmpNe:
 		for _, i := range sel {
-			if v := vals[i]; !nulls.Get(int(i)) && (v < c || c < v) {
+			if v := vals[i]; !nulls.Get(int(i)) && (cmp.Less(v, c) || cmp.Less(c, v)) {
 				out = append(out, i)
 			}
 		}
 	case logical.CmpLt:
 		for _, i := range sel {
-			if vals[i] < c && !nulls.Get(int(i)) {
+			if cmp.Less(vals[i], c) && !nulls.Get(int(i)) {
 				out = append(out, i)
 			}
 		}
 	case logical.CmpLe:
 		for _, i := range sel {
-			if !(c < vals[i]) && !nulls.Get(int(i)) {
+			if !cmp.Less(c, vals[i]) && !nulls.Get(int(i)) {
 				out = append(out, i)
 			}
 		}
 	case logical.CmpGt:
 		for _, i := range sel {
-			if c < vals[i] && !nulls.Get(int(i)) {
+			if cmp.Less(c, vals[i]) && !nulls.Get(int(i)) {
 				out = append(out, i)
 			}
 		}
 	case logical.CmpGe:
 		for _, i := range sel {
-			if !(vals[i] < c) && !nulls.Get(int(i)) {
+			if !cmp.Less(vals[i], c) && !nulls.Get(int(i)) {
 				out = append(out, i)
 			}
 		}
@@ -439,14 +395,21 @@ func selOrd[T int64 | float64 | string](vals []T, nulls datum.Bitmap, op logical
 	return out
 }
 
-// selIntColFloatConst compares an INT column against a FLOAT constant by
-// numeric value, like datum.Compare's shared INT/FLOAT family.
-func selIntColFloatConst(vals []int64, nulls datum.Bitmap, op logical.CmpOp, c float64, sel, out []int32) []int32 {
+// selIntFloatConst selects rows where an INT column op the FLOAT constant c
+// is TRUE, over the payloads, compared exactly (datum.CompareIntFloat).
+func selIntFloatConst(vals []int64, nulls datum.Bitmap, op logical.CmpOp, c float64, sel, out []int32) []int32 {
 	for _, i := range sel {
-		if nulls.Get(int(i)) {
-			continue
+		if !nulls.Get(int(i)) && cmpMatches(op, datum.CompareIntFloat(vals[i], c)) {
+			out = append(out, i)
 		}
-		if cmpMatches(op, cmpF(float64(vals[i]), c)) {
+	}
+	return out
+}
+
+// selIntFloat2 selects rows where INT column a op FLOAT column b is TRUE.
+func selIntFloat2(a []int64, b []float64, an, bn datum.Bitmap, op logical.CmpOp, sel, out []int32) []int32 {
+	for _, i := range sel {
+		if !an.Get(int(i)) && !bn.Get(int(i)) && cmpMatches(op, datum.CompareIntFloat(a[i], b[i])) {
 			out = append(out, i)
 		}
 	}
@@ -459,13 +422,14 @@ func selOrd2[T int64 | float64 | string](a, b []T, an, bn datum.Bitmap, op logic
 		if an.Get(int(i)) || bn.Get(int(i)) {
 			continue
 		}
-		l, r := a[i], b[i]
 		var c int
-		switch {
+		switch l, r := a[i], b[i]; {
 		case l < r:
 			c = -1
 		case r < l:
 			c = 1
+		case l != r: // a NaN, equal only to a NaN and below every number
+			c = cmp.Compare(l, r)
 		}
 		if cmpMatches(op, c) {
 			out = append(out, i)
@@ -492,7 +456,8 @@ func hashInit(h []uint64) {
 
 // hashCombineVec folds one key column into the per-row hashes. The encoding
 // mirrors datum.HashInto — a family tag, then INT and FLOAT both hashed as
-// the float's bit pattern — so rows that compare equal (1 and 1.0, NULL and
+// datum.HashBits (an INT's float64 needs no canonical form: it is never -0 or
+// NaN) — so rows that compare equal (1 and 1.0, -0 and +0, two NaNs, NULL and
 // NULL) hash equal, exactly like the row engine's key hashing.
 func hashCombineVec(v *datum.Vec, sel []int32, h []uint64) {
 	if v.Boxed() || v.Kind() == datum.KindNull {
@@ -517,7 +482,7 @@ func hashCombineVec(v *datum.Vec, sel []int32, h []uint64) {
 				h[k] = fnvMix(h[k], 0)
 				continue
 			}
-			h[k] = fnvMix(fnvMix(h[k], 2), math.Float64bits(v.Floats[i]))
+			h[k] = fnvMix(fnvMix(h[k], 2), datum.HashBits(v.Floats[i]))
 		}
 	case datum.KindString:
 		if v.Dict != nil {
@@ -577,7 +542,7 @@ func hashCombineD(h uint64, d datum.D) uint64 {
 	case datum.KindInt:
 		return fnvMix(fnvMix(h, 2), math.Float64bits(float64(d.Int())))
 	case datum.KindFloat:
-		return fnvMix(fnvMix(h, 2), math.Float64bits(d.Float()))
+		return fnvMix(fnvMix(h, 2), datum.HashBits(d.Float()))
 	case datum.KindString:
 		x := fnvMix(h, 3)
 		s := d.Str()
@@ -690,9 +655,9 @@ func newVecAccumulator(item logical.AggItem, arg *datum.Vec) vecAccumulator {
 		min := item.Fn == logical.AggMin
 		switch k {
 		case datum.KindInt, datum.KindBool:
-			return &minmaxIntVecAcc{min: min, kind: k}
+			return &minmaxVecAcc[int64]{min: min, kind: k}
 		case datum.KindFloat:
-			return &minmaxFloatVecAcc{min: min}
+			return &minmaxVecAcc[float64]{min: min, kind: k}
 		case datum.KindString:
 			return &minmaxStrVecAcc{min: min}
 		case datum.KindNull:
@@ -878,97 +843,71 @@ func (a *avgVecAcc) emit(n int) *datum.Vec {
 }
 
 // mergeMinMax folds another worker's per-group extremes into (any, vals) with
-// the accumulate loops' strict < / > replacement.
+// the accumulate loops' strict replacement.
 func mergeMinMax[T int64 | float64 | string](min bool, any []bool, vals []T, oAny []bool, oVals []T, gids []int32) {
 	for g, ok := range oAny {
 		if !ok {
 			continue
 		}
 		d, x := gids[g], oVals[g]
-		if !any[d] || (min && x < vals[d]) || (!min && x > vals[d]) {
+		if !any[d] || (min && cmp.Less(x, vals[d])) || (!min && cmp.Less(vals[d], x)) {
 			any[d], vals[d] = true, x
 		}
 	}
 }
 
-// minmaxIntVecAcc tracks MIN/MAX over INT (or BOOL, stored 0/1) columns.
-type minmaxIntVecAcc struct {
+// minmaxVecAcc tracks MIN/MAX over INT (or BOOL, stored 0/1) or FLOAT
+// columns. A group's value is replaced on a strict cmp.Less only, which
+// orders floats as datum.Compare does, so of equal values (-0 and +0) the
+// first stays, as in the row accumulator.
+type minmaxVecAcc[T int64 | float64] struct {
 	min  bool
 	kind datum.Kind
 	any  []bool
-	vals []int64
+	vals []T
 }
 
-func (a *minmaxIntVecAcc) ensure(n, hint int) {
+func (a *minmaxVecAcc[T]) ensure(n, hint int) {
 	a.any, a.vals = growTo(a.any, n, hint), growTo(a.vals, n, hint)
 }
 
-func (a *minmaxIntVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
-	nulls := v.Nulls()
+func (a *minmaxVecAcc[T]) accumulate(v *datum.Vec, sel []int32, gids []int32) {
+	nulls, xs := v.Nulls(), payload[T](v)
 	for k, i := range sel {
 		if nulls.Get(int(i)) {
 			continue
 		}
 		g := gids[k]
-		x := v.Ints[i]
+		x := xs[i]
 		if !a.any[g] {
 			a.any[g], a.vals[g] = true, x
 			continue
 		}
-		if (a.min && x < a.vals[g]) || (!a.min && x > a.vals[g]) {
+		if (a.min && cmp.Less(x, a.vals[g])) || (!a.min && cmp.Less(a.vals[g], x)) {
 			a.vals[g] = x
 		}
 	}
 }
 
-func (a *minmaxIntVecAcc) merge(o vecAccumulator, gids []int32) {
-	b := o.(*minmaxIntVecAcc)
+func (a *minmaxVecAcc[T]) merge(o vecAccumulator, gids []int32) {
+	b := o.(*minmaxVecAcc[T])
 	mergeMinMax(a.min, a.any, a.vals, b.any, b.vals, gids)
 }
 
-func (a *minmaxIntVecAcc) emit(n int) *datum.Vec {
+func (a *minmaxVecAcc[T]) emit(n int) *datum.Vec {
 	nulls, nn := nullsWhere(a.any, n)
-	return datum.NewTypedVec(a.kind, n, a.vals[:n], nil, nil, nulls, nn)
-}
-
-// minmaxFloatVecAcc tracks MIN/MAX over FLOAT columns; strict < / >
-// replacement matches datum.Compare's NaN behaviour in the row accumulator.
-type minmaxFloatVecAcc struct {
-	min  bool
-	any  []bool
-	vals []float64
-}
-
-func (a *minmaxFloatVecAcc) ensure(n, hint int) {
-	a.any, a.vals = growTo(a.any, n, hint), growTo(a.vals, n, hint)
-}
-
-func (a *minmaxFloatVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
-	nulls := v.Nulls()
-	for k, i := range sel {
-		if nulls.Get(int(i)) {
-			continue
-		}
-		g := gids[k]
-		x := v.Floats[i]
-		if !a.any[g] {
-			a.any[g], a.vals[g] = true, x
-			continue
-		}
-		if (a.min && x < a.vals[g]) || (!a.min && x > a.vals[g]) {
-			a.vals[g] = x
-		}
+	if vals, ok := any(a.vals[:n]).([]float64); ok {
+		return datum.NewTypedVec(a.kind, n, nil, vals, nil, nulls, nn)
 	}
+	return datum.NewTypedVec(a.kind, n, any(a.vals[:n]).([]int64), nil, nil, nulls, nn)
 }
 
-func (a *minmaxFloatVecAcc) merge(o vecAccumulator, gids []int32) {
-	b := o.(*minmaxFloatVecAcc)
-	mergeMinMax(a.min, a.any, a.vals, b.any, b.vals, gids)
-}
-
-func (a *minmaxFloatVecAcc) emit(n int) *datum.Vec {
-	nulls, nn := nullsWhere(a.any, n)
-	return datum.NewTypedVec(datum.KindFloat, n, nil, a.vals[:n], nil, nulls, nn)
+// payload is v's typed payload: its INT (or BOOL) or its FLOAT values.
+func payload[T int64 | float64](v *datum.Vec) []T {
+	if xs, ok := any(v.Floats).([]T); ok {
+		return xs
+	}
+	return any(v.Ints).([]T)
 }
 
 // minmaxStrVecAcc tracks MIN/MAX over VARCHAR columns.

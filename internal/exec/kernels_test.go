@@ -7,6 +7,7 @@ package exec
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/datum"
@@ -75,6 +76,29 @@ func floatCol(n int) []datum.D {
 	return ds
 }
 
+// edgeInts and edgeFloats hold the values where an INT/FLOAT comparison is
+// not a float comparison: INTs past 2^53 that round to a FLOAT they are not
+// equal to, NaN, both zeros and FLOATs past the INT range.
+var (
+	edgeInts   = []int64{0, -1, 1 << 53, 1<<53 + 1, -(1<<53 + 1), math.MaxInt64, math.MinInt64, 5}
+	edgeFloats = []float64{math.NaN(), math.Copysign(0, -1), 1 << 53, -(1 << 53), 1 << 63, -(1 << 63), math.Inf(1), 5.5}
+)
+
+// edgeCol cycles through edgeInts row by row, or through edgeFloats every
+// len(edgeInts) rows, so that an INT and a FLOAT edge column side by side
+// pair every INT with every FLOAT.
+func edgeCol(n int, float bool) []datum.D {
+	ds := make([]datum.D, n)
+	for i := range ds {
+		if float {
+			ds[i] = datum.NewFloat(edgeFloats[i/len(edgeInts)%len(edgeFloats)])
+		} else {
+			ds[i] = datum.NewInt(edgeInts[i%len(edgeInts)])
+		}
+	}
+	return ds
+}
+
 func strCol(n int) []datum.D {
 	words := []string{"ant", "bee", "cat", "dog", "elk"}
 	ds := make([]datum.D, n)
@@ -138,7 +162,14 @@ func TestFilterKernelSelColConst(t *testing.T) {
 		datum.NewInt(5), datum.NewFloat(5.5), datum.NewFloat(5),
 		datum.NewString("cat"), datum.NewBool(true),
 	}
-	cols := map[string][]datum.D{"int": intCol(n), "float": floatCol(n), "str": strCol(n)}
+	for _, f := range edgeFloats {
+		consts = append(consts, datum.NewFloat(f))
+	}
+	for _, i := range edgeInts {
+		consts = append(consts, datum.NewInt(i))
+	}
+	cols := map[string][]datum.D{"int": intCol(n), "float": floatCol(n), "str": strCol(n),
+		"int-edge": edgeCol(n, false), "float-edge": edgeCol(n, true)}
 	for colName, dense := range cols {
 		for _, pattern := range []string{"dense", "allnull", "alternate"} {
 			ds := nullPattern(pattern, dense)
@@ -167,14 +198,21 @@ func TestFilterKernelSelColCol(t *testing.T) {
 	const n = 129
 	sel := identSel(n)
 	// Pairs cover same-kind, INT/FLOAT mixed-family-representation, and
-	// cross-family (int vs string) columns.
+	// cross-family (int vs string) columns, and every pair of edge values.
+	rowFloats := make([]datum.D, n)
+	for i := range rowFloats {
+		rowFloats[i] = datum.NewFloat(edgeFloats[i%len(edgeFloats)])
+	}
 	pairs := [][2][]datum.D{
+		{edgeCol(n, true), rowFloats},
 		{intCol(n), intCol(n)},
 		{floatCol(n), floatCol(n)},
 		{strCol(n), strCol(n)},
 		{intCol(n), floatCol(n)},
 		{floatCol(n), intCol(n)},
 		{intCol(n), strCol(n)},
+		{edgeCol(n, false), edgeCol(n, true)},
+		{edgeCol(n, true), edgeCol(n, false)},
 	}
 	for pi, pair := range pairs {
 		for _, pa := range []string{"dense", "allnull", "alternate"} {
@@ -351,19 +389,35 @@ func benchIntVec(n int) *datum.Vec {
 	return v
 }
 
+// BenchmarkFilterKernel times column-vs-constant and column-vs-column
+// selection over an INT column of 0..1023, against an INT constant, a
+// non-integral FLOAT constant and a FLOAT column (INT/FLOAT compare exactly).
 func BenchmarkFilterKernel(b *testing.B) {
 	const n = 65536
 	v := benchIntVec(n)
+	f := datum.NewVec(datum.KindFloat, n)
+	for i := 0; i < n; i++ {
+		f.AppendD(datum.NewFloat(511.5))
+	}
 	sel := identSel(n)
 	out := make([]int32, 0, n)
-	c := datum.NewInt(512)
-	b.SetBytes(int64(n * 8))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out = selColConst(v, logical.CmpLt, c, sel, out[:0])
-	}
-	if len(out) != n/2 {
-		b.Fatalf("selectivity drifted: %d of %d", len(out), n)
+	for _, bc := range []struct {
+		name string
+		run  func() []int32
+	}{
+		{"int_const", func() []int32 { return selColConst(v, logical.CmpLt, datum.NewInt(512), sel, out[:0]) }},
+		{"int_float_const", func() []int32 { return selColConst(v, logical.CmpLt, datum.NewFloat(511.5), sel, out[:0]) }},
+		{"int_float_col", func() []int32 { return selColCol(v, f, logical.CmpLt, sel, out[:0]) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(n * 8))
+			for i := 0; i < b.N; i++ {
+				out = bc.run()
+			}
+			if len(out) != n/2 {
+				b.Fatalf("selectivity drifted: %d of %d", len(out), n)
+			}
+		})
 	}
 }
 

@@ -297,8 +297,8 @@ func (c *Ctx) RunQuery(q *logical.Query) (*Result, error) {
 }
 
 // sortResult sorts the reference evaluator's rows in place, stably, by the
-// ordering over the result layout — the key order of datum.CompareKeys, like
-// every sort of the engine.
+// ordering over the result layout — under datum.Compare, like every sort of
+// the engine.
 func (c *Ctx) sortResult(res *Result, by logical.Ordering) error {
 	spec, err := sortSpec(res.Cols, by)
 	if err != nil {

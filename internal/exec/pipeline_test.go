@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/catalog"
@@ -290,8 +291,8 @@ func pipeCases(f *pipeFixture) []pipeCase {
 	// spilled or not.
 	top600 := &physical.LimitOp{N: 600, Input: &physical.Sort{Input: pScan, By: logical.Ordering{{Col: p("v"), Desc: true}}}}
 	bByW := &physical.Sort{Input: bScan, By: logical.Ordering{{Col: b("w"), Desc: true}}}
-	// Merge joins of O with itself on n, whose INT 2^53+1 equals the FLOAT
-	// 2^53 but not the INT 2^53 between the two in key order.
+	// Merge joins of O with itself on n, whose INT 2^53 equals the FLOAT 2^53
+	// and whose INT 2^53+1, which rounds to that FLOAT, equals neither.
 	o2 := f.md.AddTable(f.tabs["O"], "O2")
 	oIn := func(cols []logical.ColumnID, filter ...logical.Scalar) *physical.Sort {
 		return &physical.Sort{By: logical.Ordering{{Col: cols[2]}},
@@ -301,6 +302,28 @@ func pipeCases(f *pipeFixture) []pipeCase {
 		return &physical.MergeJoin{Kind: kind, LeftKeys: keys(o("n")), RightKeys: keys(o2[2]),
 			Left: oIn(f.cols["O"], cmpConst(logical.CmpLt, o("id"), 40)), Right: oIn(o2, append(right, cmpConst(logical.CmpLt, o2[0], 600))...)}
 	}
+	// The laws one order makes hold over O's odd keys, each stated as a plan
+	// and the statement the naive evaluator answers it from: MIN and MAX are
+	// the first row of the ascending and descending sort, and the hash,
+	// nested-loop and merge joins of O with O2 on x (and on n) are one bag,
+	// whose size is the sum over the key's groups of left count × right count.
+	extreme := func(fn logical.AggFn, col string) *physical.HashGroupBy {
+		return grp(oScan, nil, aggOf(1080, fn, o(col)))
+	}
+	oLeft := f.scan("O", []logical.Scalar{cmpConst(logical.CmpLt, o("id"), 40)}, "id", "x", "n")
+	oRight := &physical.TableScan{Table: f.tabs["O"], Binding: "O", Cols: o2, ColOrds: []int{0, 1, 2}, Filter: []logical.Scalar{cmpConst(logical.CmpLt, o2[0], 600)}}
+	oEq := func(col int) logical.Scalar {
+		return &logical.Cmp{Op: logical.CmpEq, L: &logical.Col{ID: f.cols["O"][col]}, R: &logical.Col{ID: o2[col]}}
+	}
+	oHash := func(col int) *physical.HashJoin {
+		return join(logical.InnerJoin, oLeft, oRight, f.cols["O"][col], o2[col])
+	}
+	oBy := func(in physical.Plan, col logical.ColumnID) *physical.Sort {
+		return &physical.Sort{Input: in, By: logical.Ordering{{Col: col}}}
+	}
+	const oLR = `SELECT L.id, L.x, L.n, R.id, R.x, R.n FROM (SELECT id, x, n FROM O WHERE id < 40) L JOIN (SELECT id, x, n FROM O WHERE id < 600) R`
+	const oJoinX, oJoinN = oLR + ` ON L.x = R.x`, oLR + ` ON L.n = R.n`
+	const oGroupProduct = `SELECT SUM(l.c * r.c) FROM (SELECT x, COUNT(*) AS c FROM O WHERE id < 40 GROUP BY x) l JOIN (SELECT x, COUNT(*) AS c FROM O WHERE id < 600 GROUP BY x) r ON l.x = r.x`
 
 	return []pipeCase{
 		{name: "filter_agg", plan: grp(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpGt, s("qty"), 10), k2ne}, "k2", "qty", "amount"), nil, count, sumAmount),
@@ -419,6 +442,17 @@ func pipeCases(f *pipeFixture) []pipeCase {
 			sql: `SELECT L.id, L.x, L.n, R.id, R.x, R.n FROM O L JOIN O R ON L.n = R.n WHERE L.id < 40 AND R.id < 600`},
 		{name: "merge_left_mixed", plan: oMerge(logical.LeftOuterJoin, cmpConst(logical.CmpNe, o2[2], 1<<53+2)),
 			sql: `SELECT L.id, L.x, L.n, R.id, R.x, R.n FROM O L LEFT OUTER JOIN O R ON L.n = R.n AND R.id < 600 AND R.n <> 9007199254740994 WHERE L.id < 40`},
+		{name: "max_x_is_top1", plan: extreme(logical.AggMax, "x"), sql: `SELECT x FROM O WHERE x IS NOT NULL ORDER BY x DESC LIMIT 1`},
+		{name: "min_x_is_top1", plan: extreme(logical.AggMin, "x"), sql: `SELECT x FROM O WHERE x IS NOT NULL ORDER BY x LIMIT 1`},
+		{name: "max_n_is_top1", plan: extreme(logical.AggMax, "n"), sql: `SELECT n FROM O ORDER BY n DESC, id LIMIT 1`},
+		{name: "min_n_is_top1", plan: extreme(logical.AggMin, "n"), sql: `SELECT n FROM O ORDER BY n, id LIMIT 1`},
+		{name: "hash_join_x", plan: oHash(1), sql: oJoinX},
+		{name: "nl_join_x", plan: &physical.NLJoin{Kind: logical.InnerJoin, Left: oLeft, Right: oRight, On: []logical.Scalar{oEq(1)}}, sql: oJoinX},
+		{name: "merge_join_x", plan: &physical.MergeJoin{Kind: logical.InnerJoin, LeftKeys: keys(o("x")), RightKeys: keys(o2[1]),
+			Left: oBy(oLeft, o("x")), Right: oBy(oRight, o2[1])}, sql: oJoinX},
+		{name: "hash_join_n", plan: oHash(2), sql: oJoinN},
+		{name: "nl_join_n", plan: &physical.NLJoin{Kind: logical.InnerJoin, Left: oLeft, Right: oRight, On: []logical.Scalar{oEq(2)}}, sql: oJoinN},
+		{name: "join_count_x", plan: grp(oHash(1), nil, count), sql: oGroupProduct},
 		// The index orders its entries as a sort does: an ORDER BY the index
 		// answers is the ORDER BY a sort answers.
 		{name: "index_order_odd_keys", ordered: true, plan: &physical.IndexScan{Table: f.tabs["O"], Index: f.index("O", "o_x"), Binding: "O",
@@ -481,8 +515,18 @@ var pipeWant = map[string][5]int64{
 	"index_order_odd_keys":  {2727, 0, 0, 0, 0},
 	"join_sorted_probe":     {4208, 800, 0, 2, 0},
 	"full_sorted_inputs":    {4208, 800, 0, 2, 0},
-	"merge_inner_mixed":     {12178, 0, 0, 2, 2},
-	"merge_left_mixed":      {9578, 0, 0, 2, 2},
+	"merge_inner_mixed":     {11955, 0, 0, 2, 2},
+	"merge_left_mixed":      {9355, 0, 0, 2, 2},
+	"max_x_is_top1":         {6000, 3000, 0, 2, 0},
+	"min_x_is_top1":         {6000, 3000, 0, 2, 0},
+	"max_n_is_top1":         {6000, 3000, 0, 2, 0},
+	"min_n_is_top1":         {6000, 3000, 0, 2, 0},
+	"hash_join_x":           {7017, 581, 0, 2, 2},
+	"nl_join_x":             {27952, 0, 0, 2, 2},
+	"merge_join_x":          {7017, 0, 0, 2, 2},
+	"hash_join_n":           {11955, 640, 0, 2, 2},
+	"nl_join_n":             {27952, 0, 0, 2, 2},
+	"join_count_x":          {10082, 3646, 0, 2, 2},
 }
 
 func pipeCounters(c *Ctx) [5]int64 {
@@ -581,6 +625,63 @@ func TestPipelineEquivalence(t *testing.T) {
 	for _, name := range spillCases {
 		if !spilled[name] {
 			t.Errorf("%s never spilled under the 4 KiB budget", name)
+		}
+	}
+}
+
+// TestGroupsAreCompareClasses: GROUP BY and DISTINCT over O.x make one group
+// per class of datum.Compare — NULL, NaN, the two zeros together, each other
+// value — of the size counted here in plain Go, at 1/2/8 workers, kernels on
+// and off: equal keys hash equally, whatever their float bits.
+func TestGroupsAreCompareClasses(t *testing.T) {
+	f := newPipeFixture(t)
+	x := f.col("O", "x")
+	scan := f.scan("O", nil, "x")
+	all, err := Run(scan, NewCtx(f.store, f.md))
+	if err != nil {
+		t.Fatal(err)
+	}
+	class := func(d datum.D) string {
+		if d.IsNull() {
+			return "NULL"
+		}
+		switch v := d.Float(); {
+		case v != v:
+			return "NaN"
+		case v == 0:
+			return "0"
+		default:
+			return strconv.FormatFloat(v, 'g', -1, 64)
+		}
+	}
+	want := map[string]int64{}
+	for _, r := range all.Rows {
+		want[class(r[0])]++
+	}
+	if want["0"] == 0 || want["NaN"] == 0 {
+		t.Fatal("O.x holds no zero or no NaN")
+	}
+	groupBy := &physical.HashGroupBy{Input: scan, GroupCols: []logical.ColumnID{x}, Aggs: []logical.AggItem{aggOf(1000, logical.AggCount, 0)}}
+	distinct := &physical.HashGroupBy{Input: scan, GroupCols: []logical.ColumnID{x}}
+	for _, vectorize := range []bool{true, false} {
+		for _, workers := range []int{1, 2, 8} {
+			for name, plan := range map[string]physical.Plan{"group by": groupBy, "distinct": distinct} {
+				c := NewCtx(f.store, f.md)
+				c.Parallelism, c.Vectorize = workers, vectorize
+				res, err := Run(plan, c)
+				c.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) != len(want) {
+					t.Errorf("%s vectorize=%v workers=%d: %d groups, %d classes of Compare", name, vectorize, workers, len(res.Rows), len(want))
+				}
+				for _, r := range res.Rows {
+					if name == "group by" && r[1].Int() != want[class(r[0])] {
+						t.Errorf("vectorize=%v workers=%d: group %v counts %d rows, its class %d", vectorize, workers, r[0], r[1].Int(), want[class(r[0])])
+					}
+				}
+			}
 		}
 	}
 }

@@ -9,7 +9,6 @@
 package exec
 
 import (
-	"math"
 	"sort"
 
 	"repro/internal/datum"
@@ -34,13 +33,6 @@ func zoneOpOf(op logical.CmpOp) (storage.ZoneOp, bool) {
 		return storage.ZoneGe, true
 	}
 	return 0, false
-}
-
-// zoneConstOK rejects constants zone maps cannot reason about: NaN floats
-// compare as equal to everything under datum.Compare's float ordering, so a
-// min/max range says nothing about them.
-func zoneConstOK(d datum.D) bool {
-	return !(d.Kind() == datum.KindFloat && math.IsNaN(d.Float()))
 }
 
 // compileZonePreds translates pushed-down conjuncts into zone predicates over
@@ -81,7 +73,7 @@ func compileZonePreds(filters []logical.Scalar, ordOf func(logical.ColumnID) (in
 				continue
 			}
 			zop, ok := zoneOpOf(op)
-			if !ok || !zoneConstOK(cst.Val) {
+			if !ok {
 				full = false
 				continue
 			}
@@ -121,7 +113,7 @@ func compileZonePreds(filters []logical.Scalar, ordOf func(logical.ColumnID) (in
 			usable := true
 			for _, e := range t.List {
 				k, ok := e.(*logical.Const)
-				if !ok || k.Val.IsNull() || !zoneConstOK(k.Val) {
+				if !ok || k.Val.IsNull() {
 					usable = false
 					break
 				}

@@ -1,7 +1,7 @@
 // Order on batches. Everything that puts rows in order — the Sort operator,
 // ORDER BY at the result, the external sort's runs, the merge join's key
-// comparison — compares in the one key order of datum.CompareKeys, which is
-// also the order of an index scan — both compare vectors with datum.KeyOrder —
+// comparison — compares in the one order of datum.Compare, which is also the
+// order of an index scan — both compare vectors with datum.KeyOrder —
 // so a plan that answers ORDER BY from an index and one that sorts return the
 // same sequence. A sort never moves a value: it sorts a permutation of its
 // input's live rows, on typed key payloads, and hands on the input's vectors
@@ -16,25 +16,14 @@ import (
 	"repro/internal/logical"
 )
 
-// rowCmp compares rows of two batches — often one batch with itself — by a
+// newRowCmp orders rows of two batches — often one batch with itself — by a
 // sort specification over their common layout.
-type rowCmp []datum.KeyOrder
-
-func newRowCmp(a, b *Batch, spec []datum.SortSpec) rowCmp {
-	r := make(rowCmp, len(spec))
+func newRowCmp(a, b *Batch, spec []datum.SortSpec) datum.KeyOrders {
+	r := make(datum.KeyOrders, len(spec))
 	for x, s := range spec {
 		r[x] = datum.NewKeyOrder(a.Vecs[s.Col], b.Vecs[s.Col], s.Desc)
 	}
 	return r
-}
-
-func (r rowCmp) cmp(i, j int32) int {
-	for x := range r {
-		if c := r[x].Compare(int(i), int(j)); c != 0 {
-			return c
-		}
-	}
-	return 0
 }
 
 // sortSpec resolves an ordering to column offsets in layout. An ORDER BY
@@ -90,7 +79,7 @@ func (c *Ctx) sortBatch(b *Batch, spec []datum.SortSpec) (*Batch, error) {
 	}
 	order := newRowCmp(b, b, spec)
 	compare := func(x, y int32) int {
-		if r := order.cmp(x, y); r != 0 {
+		if r := order.Compare(int(x), int(y)); r != 0 {
 			return r
 		}
 		if rank != nil {

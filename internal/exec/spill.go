@@ -458,7 +458,7 @@ func (c *Ctx) externalSort(b *Batch, spec []datum.SortSpec) (*Batch, error) {
 		run := slices.Clone(live[lo:hi])
 		slices.SortStableFunc(run, func(x, y int32) int {
 			c.Counters.Comparisons++
-			return order.cmp(x, y)
+			return order.Compare(int(x), int(y))
 		})
 		sf, err := c.newSpillFile()
 		if err != nil {
@@ -494,7 +494,7 @@ func (c *Ctx) externalSort(b *Batch, spec []datum.SortSpec) (*Batch, error) {
 	merged := newRowCmp(out, out, spec)
 	out.Sel = mergeRuns(runs, n, func(x, y int32) bool {
 		c.Counters.Comparisons++
-		r := merged.cmp(x, y)
+		r := merged.Compare(int(x), int(y))
 		return r < 0 || (r == 0 && x < y)
 	})
 	return out, nil

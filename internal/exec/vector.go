@@ -73,7 +73,7 @@ type vecGroups struct {
 	table   hashTable
 	n       int // groups; a scalar aggregation's one group always exists
 	keyCols []*datum.Vec
-	keys    keyEqs // a: the key columns being assigned from, b: keyCols
+	keys    datum.KeyOrders // the key columns being assigned from against keyCols
 	hint    int
 	nAggs   int
 	mem     *MemAccount
@@ -93,7 +93,7 @@ func newVecGroups(nKeys, nAggs, hint int, mem *MemAccount) vecGroups {
 	// A table sized for hint groups holds that many without reallocating.
 	g.table.hash = make([]uint64, 0, hint)
 	g.table.relink(hint)
-	g.keyCols, g.keys = make([]*datum.Vec, nKeys), make(keyEqs, nKeys)
+	g.keyCols, g.keys = make([]*datum.Vec, nKeys), make(datum.KeyOrders, nKeys)
 	return g
 }
 
@@ -103,7 +103,7 @@ func (g *vecGroups) bind(vecs []*datum.Vec, keyOff []int) {
 		if g.keyCols[kc] == nil {
 			g.keyCols[kc] = newVecLike(vecs[ko], g.hint)
 		}
-		g.keys[kc] = newKeyEq(vecs[ko], g.keyCols[kc], true)
+		g.keys[kc] = datum.NewKeyOrder(vecs[ko], g.keyCols[kc], false)
 	}
 }
 
@@ -112,13 +112,14 @@ func (g *vecGroups) bind(vecs []*datum.Vec, keyOff []int) {
 func (g *vecGroups) assign(i int32, h uint64) int32 {
 	t := &g.table
 	for e := t.first(h); e >= 0; e = t.after(e) {
-		if t.hash[e] == h && g.keys.equal(i, e) {
+		if t.hash[e] == h && g.keys.Compare(int(i), int(e)) == 0 {
 			return e
 		}
 	}
 	g.pending += int64(entryOverhead + 48*g.nAggs)
 	for kc := range g.keys {
-		g.keyCols[kc].AppendVec(g.keys[kc].a, int(i))
+		src, _ := g.keys[kc].Vecs()
+		g.keyCols[kc].AppendVec(src, int(i))
 		g.pending += int64(g.keyCols[kc].SizeAt(g.n))
 	}
 	g.n++
@@ -199,8 +200,8 @@ func (a *vecAggWorker) fold(o *vecAggWorker) error {
 	}
 	gids := make([]int32, o.groups.n) // o's group id -> a's
 	if len(a.groups.keys) > 0 {       // a scalar aggregation's one group is 0 in both
-		for kc := range a.groups.keys {
-			a.groups.keys[kc] = newKeyEq(o.groups.keyCols[kc], a.groups.keyCols[kc], true)
+		for kc, v := range o.groups.keyCols {
+			a.groups.keys[kc] = datum.NewKeyOrder(v, a.groups.keyCols[kc], false)
 		}
 		for g := range gids {
 			gids[g] = a.groups.assign(int32(g), o.groups.table.hash[g])

@@ -313,7 +313,10 @@ func overlapFraction(b Bucket, lo datum.D, loIncl bool, hi datum.D, hiIncl bool)
 	if b.Lower.Kind().Numeric() && b.Upper.Kind().Numeric() {
 		lowEnd, highEnd := b.Lower.Float(), b.Upper.Float()
 		width := highEnd - lowEnd
-		if width <= 0 {
+		switch {
+		case math.IsNaN(width):
+			return 0.5 // a NaN end, or both ends infinite: no spread to interpolate
+		case width <= 0:
 			return 1
 		}
 		l, r := lowEnd, highEnd

@@ -403,3 +403,40 @@ func TestFilterShrinksQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestNaNColumnHistograms: over a FLOAT column that is 20 % NaN, both
+// histogram kinds list their buckets in ascending datum.Compare order (NaN is
+// the least number), report the true maximum, and estimate a range over the
+// numbers as a finite fraction.
+func TestNaNColumnHistograms(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	vals := make([]datum.D, 5000)
+	for i := range vals {
+		if i%5 == 0 {
+			vals[i] = datum.NewFloat(math.NaN())
+		} else {
+			vals[i] = datum.NewFloat(float64(rng.Intn(1000)))
+		}
+	}
+	vals[17] = datum.NewFloat(999)
+	for _, h := range []*Histogram{BuildEquiDepth(vals, 20), BuildCompressed(vals, 20, 4)} {
+		for i, b := range h.Buckets {
+			if datum.Compare(b.Lower, b.Upper) > 0 {
+				t.Errorf("%s: bucket %d runs from %v down to %v", h.Kind, i, b.Lower, b.Upper)
+			}
+			if i > 0 && datum.Compare(h.Buckets[i-1].Upper, b.Upper) > 0 {
+				t.Errorf("%s: bucket %d ends at %v, before bucket %d's %v", h.Kind, i, b.Upper, i-1, h.Buckets[i-1].Upper)
+			}
+		}
+		if got := h.Max(); !datum.Equal(got, datum.NewFloat(999)) {
+			t.Errorf("%s: Max() = %v, want 999", h.Kind, got)
+		}
+		if got := h.Min(); got.Kind() != datum.KindFloat || !math.IsNaN(got.Float()) {
+			t.Errorf("%s: Min() = %v, want NaN", h.Kind, got)
+		}
+		sel := h.SelectivityRange(datum.NewFloat(0), true, datum.NewFloat(100), true)
+		if math.IsNaN(sel) || sel <= 0 || sel >= 0.5 {
+			t.Errorf("%s: SelectivityRange([0, 100]) = %v, want about 0.08", h.Kind, sel)
+		}
+	}
+}

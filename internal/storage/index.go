@@ -13,7 +13,7 @@ import (
 
 // IndexData is a built (sorted) secondary index: one typed key column per
 // index column plus the row ids, all in index order — key ascending under
-// datum.CompareKeys, the order every sort of the engine uses, ties by row id.
+// datum.Compare, the order every sort of the engine uses, ties by row id.
 // Lookups binary-search the key columns, modeling a B-tree: an equality or
 // range seek is two O(log n) descents. INT, BOOL, FLOAT and dictionary-coded
 // key columns hold no pointers.
@@ -108,7 +108,7 @@ func (ix *IndexData) Entry(i int) (datum.Row, int) {
 // len(eq) key columns equal eq and — when lo or hi bounds it, or eq is empty
 // — whose next key column is not NULL and lies between lo and hi: a NULL
 // bound is open, loIncl and hiIncl make an end inclusive. Keys compare by
-// datum.CompareKeys. One binary search over (prefix, range column) finds each
+// datum.Compare. One binary search over (prefix, range column) finds each
 // end, and the result is a subslice of the index: read-only, valid for as
 // long as the caller holds the *IndexData, and not allocated.
 func (ix *IndexData) Seek(eq datum.Row, lo datum.D, loIncl bool, hi datum.D, hiIncl bool) []int {
@@ -148,7 +148,7 @@ func (ix *IndexData) cmpPrefix(i int, eq datum.Row) int {
 	return 0
 }
 
-// cmpKeyAt compares row i of key column v with d under datum.CompareKeys, on
+// cmpKeyAt compares row i of key column v with d under datum.Compare, on
 // the typed payload when both are plain INTs or plain FLOATs.
 func cmpKeyAt(v *datum.Vec, i int, d datum.D) int {
 	if !v.Boxed() && v.Dict == nil && !v.HasNulls() && v.Kind() == d.Kind() {
@@ -159,5 +159,5 @@ func cmpKeyAt(v *datum.Vec, i int, d datum.D) int {
 			return cmp.Compare(v.Floats[i], d.Float())
 		}
 	}
-	return datum.CompareKeys(v.D(i), d)
+	return datum.Compare(v.D(i), d)
 }

@@ -34,15 +34,22 @@ import (
 // segMagic trails every segment file; it doubles as a format version tag.
 // Version 2 added CRC32C integrity: one checksum per column block and one
 // over the footer, both verified on decode. Version 3 adds compressed block
-// representations (dictionary and run-length). New segments are written as
-// version 3; version-2 files decode unchanged (they simply never contain the
-// new reprs), so stores sealed before the upgrade keep serving without a
-// rewrite. Version-1 files fail the magic check and are quarantined at
-// recovery rather than trusted.
-const segMagic = "QOPTSEG3"
+// representations (dictionary and run-length). Version 4 chooses zone bounds
+// under datum.Compare's exact INT/FLOAT order; before it, an INT was rounded
+// to a float, so a numeric bound of magnitude 2^53 or more may stand for an
+// unequal INT that rounds to it, and decodeFooter drops such a zone from a
+// version-2 or -3 file. New segments are written as version 4; older files
+// otherwise decode unchanged (they simply never contain the newer reprs), so
+// stores sealed before an upgrade keep serving without a rewrite. Version-1
+// files fail the magic check and are quarantined at recovery rather than
+// trusted.
+const segMagic = "QOPTSEG4"
 
-// segMagicV2 is the previous format version, still accepted on read.
-const segMagicV2 = "QOPTSEG2"
+// Earlier format versions, still accepted on read.
+const (
+	segMagicV2 = "QOPTSEG2"
+	segMagicV3 = "QOPTSEG3"
+)
 
 // crcTable is the Castagnoli polynomial shared by every storage checksum
 // (column blocks, footers, whole files in the manifest, manifest records) —
@@ -134,10 +141,9 @@ type colMeta struct {
 	blockLen  int64
 	crc       uint32 // CRC32C of the block bytes, verified on decode
 	nullCount int
-	// hasZone reports whether min/max form a usable zone map. It is false
-	// when the column has no non-NULL values and when any value is a float
-	// NaN (datum.Compare does not totally order NaN, so range reasoning over
-	// such a column would be unsound).
+	// hasZone reports whether min/max form a usable zone map: whether the
+	// column has a non-NULL value. min and max are under datum.Compare, where
+	// a NaN is the least number.
 	hasZone  bool
 	min, max datum.D
 	sketch   [sketchBytes]byte
@@ -804,17 +810,13 @@ func decodeRLE(r *byteReader, kind datum.Kind, n int) (*datum.Vec, error) {
 
 // zoneOf computes the footer statistics of one column vector: NULL count,
 // min/max zone bounds and the distinct sketch. hasZone is withheld for
-// columns with no non-NULL values and for columns containing a float NaN.
+// columns with no non-NULL values.
 func zoneOf(v *datum.Vec) (nullCount int, hasZone bool, minD, maxD datum.D, sketch [sketchBytes]byte) {
-	sawNaN := false
 	for i := 0; i < v.Len(); i++ {
 		d := v.D(i)
 		if d.IsNull() {
 			nullCount++
 			continue
-		}
-		if d.Kind() == datum.KindFloat && math.IsNaN(d.Float()) {
-			sawNaN = true
 		}
 		if !hasZone {
 			minD, maxD, hasZone = d, d, true
@@ -829,18 +831,14 @@ func zoneOf(v *datum.Vec) (nullCount int, hasZone bool, minD, maxD datum.D, sket
 		h := sketchHash(d)
 		sketch[(h%256)>>3] |= 1 << (h % 8)
 	}
-	if sawNaN {
-		hasZone = false
-		minD, maxD = datum.Null, datum.Null
-	}
 	return
 }
 
 // sketchHash is a deterministic FNV-1a over a family tag plus a canonical
 // payload. It must be stable across processes (sketches are persisted), so it
 // cannot use datum.Hash's per-process maphash seed. Numerics hash their
-// float64 bits so 1 and 1.0 count as one distinct value, matching the
-// engine's cross-kind equality.
+// datum.HashBits so 1 and 1.0, -0 and +0, or two NaNs count as one distinct
+// value, as datum.Compare calls them equal.
 func sketchHash(d datum.D) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -869,7 +867,7 @@ func sketchHash(d datum.D) uint64 {
 		step64(math.Float64bits(float64(d.Int())))
 	case datum.KindFloat:
 		step(2)
-		step64(math.Float64bits(d.Float()))
+		step64(datum.HashBits(d.Float()))
 	case datum.KindString:
 		step(3)
 		s := d.Str()
@@ -946,15 +944,21 @@ func encodeSegment(vecs []*datum.Vec, faults *faultfs.Injector, compress bool) (
 		cm.crc = crc32.Checksum(buf.Bytes()[off:], crcTable)
 		metas[ci] = cm
 	}
-	// Footer: rows, ncols, then one entry per column. The trailer after the
-	// footer is fixed-width — CRC32C(footer), footer length, magic — so the
-	// reader can locate and verify the footer from the file tail alone.
-	var tmp [binary.MaxVarintLen64]byte
-	footerOff := buf.Len()
 	rows := 0
 	if len(vecs) > 0 {
 		rows = vecs[0].Len()
 	}
+	appendFooter(&buf, rows, metas, segMagic)
+	return buf.Bytes(), metas, nil
+}
+
+// appendFooter writes a segment's footer after its column blocks: rows,
+// ncols, then one entry per column. The trailer after the footer is
+// fixed-width — CRC32C(footer), footer length, magic — so the reader can
+// locate and verify the footer from the file tail alone.
+func appendFooter(buf *bytes.Buffer, rows int, metas []colMeta, magic string) {
+	var tmp [binary.MaxVarintLen64]byte
+	footerOff := buf.Len()
 	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(rows))])
 	buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(len(metas)))])
 	for _, cm := range metas {
@@ -968,8 +972,8 @@ func encodeSegment(vecs []*datum.Vec, faults *faultfs.Injector, compress bool) (
 		buf.Write(tmp[:binary.PutUvarint(tmp[:], uint64(cm.nullCount))])
 		if cm.hasZone {
 			buf.WriteByte(1)
-			appendD(&buf, cm.min)
-			appendD(&buf, cm.max)
+			appendD(buf, cm.min)
+			appendD(buf, cm.max)
 		} else {
 			buf.WriteByte(0)
 		}
@@ -981,8 +985,7 @@ func encodeSegment(vecs []*datum.Vec, faults *faultfs.Injector, compress bool) (
 	buf.Write(tmp[:4])
 	binary.LittleEndian.PutUint32(tmp[:4], uint32(footerLen))
 	buf.Write(tmp[:4])
-	buf.WriteString(segMagic)
-	return buf.Bytes(), metas, nil
+	buf.WriteString(magic)
 }
 
 // readSegmentFooter opens a segment file and decodes its footer into a
@@ -1018,8 +1021,9 @@ func decodeFooter(raw []byte, path string) (segMeta, error) {
 	if len(raw) < tail {
 		return bad(RegionFile, 0, "file is %d bytes, shorter than the %d-byte trailer", len(raw), tail)
 	}
-	if got := string(raw[len(raw)-len(segMagic):]); got != segMagic && got != segMagicV2 {
-		return bad(RegionMagic, int64(len(raw)-len(segMagic)), "magic %q, want %q", got, segMagic)
+	magic := string(raw[len(raw)-len(segMagic):])
+	if magic != segMagic && magic != segMagicV3 && magic != segMagicV2 {
+		return bad(RegionMagic, int64(len(raw)-len(segMagic)), "magic %q, want %q", magic, segMagic)
 	}
 	footerCRC := binary.LittleEndian.Uint32(raw[len(raw)-tail : len(raw)-tail+4])
 	footerLen := int(binary.LittleEndian.Uint32(raw[len(raw)-tail+4 : len(raw)-len(segMagic)]))
@@ -1091,6 +1095,9 @@ func decodeFooter(raw []byte, path string) (segMeta, error) {
 			if cm.max, err = decodeD(r); err != nil {
 				return fail(err)
 			}
+			if magic != segMagic && (roundedBound(cm.min) || roundedBound(cm.max)) {
+				cm.hasZone, cm.min, cm.max = false, datum.Null, datum.Null
+			}
 		}
 		sk, err := r.take(sketchBytes)
 		if err != nil {
@@ -1099,6 +1106,19 @@ func decodeFooter(raw []byte, path string) (segMeta, error) {
 		copy(cm.sketch[:], sk)
 	}
 	return sm, nil
+}
+
+// roundedBound reports whether a zone bound written before version 4 may be
+// off under the exact order: a number of magnitude 2^53 or more, where
+// rounding an INT to a float could tie unequal values.
+func roundedBound(d datum.D) bool {
+	switch d.Kind() {
+	case datum.KindInt:
+		return d.Int() >= 1<<53 || d.Int() <= -1<<53
+	case datum.KindFloat:
+		return math.Abs(d.Float()) >= 1<<53
+	}
+	return false
 }
 
 // blockBufs recycles the raw block buffers of readColumnBlock: decodeColumn

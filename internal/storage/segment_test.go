@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -113,6 +115,80 @@ func TestSegmentReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRows(t, got, want)
+}
+
+// TestOldZonesReopen: a store sealed before format version 4 chose zone
+// bounds rounding an INT to a float, so a column holding FLOAT 2^53 before
+// INT 2^53+1 may have stored FLOAT 2^53 as its max. Reopened, that zone is
+// dropped — the segment is read, not pruned, for n = 2^53+1 — while a zone
+// of small numbers in the same file still prunes.
+func TestOldZonesReopen(t *testing.T) {
+	dir := t.TempDir()
+	def := &catalog.Table{Name: "oz", Cols: []catalog.Column{{Name: "n", Kind: datum.KindInt}, {Name: "k", Kind: datum.KindInt}}}
+	big := datum.NewInt(1<<53 + 1)
+	rows := []datum.Row{
+		{datum.NewFloat(1 << 53), datum.NewInt(1)},
+		{big, datum.NewInt(2)},
+		{datum.NewInt(1), datum.NewInt(3)},
+		{datum.NewInt(2), datum.NewInt(4)},
+	}
+	tab, err := NewStoreWith(StoreConfig{Dir: dir, SegmentRows: 4}).CreateTable(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.InsertBatch(rows); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the one segment as a version-3 writer would have: n's max is
+	// the first of the two values the rounded order tied. Publish the new
+	// file size and checksum in the manifest.
+	tdir := filepath.Join(dir, "oz")
+	ms, _, err := replayManifest(filepath.Join(tdir, manifestName), false)
+	if err != nil || len(ms.entries) != 1 {
+		t.Fatalf("manifest: %v, %d entries", err, len(ms.entries))
+	}
+	e := ms.entries[0]
+	raw, err := os.ReadFile(filepath.Join(tdir, e.file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := decodeFooter(raw, e.file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if datum.Compare(sm.cols[0].max, big) != 0 {
+		t.Fatalf("version-4 max %v, want %v", sm.cols[0].max, big)
+	}
+	sm.cols[0].max = datum.NewFloat(1 << 53)
+	blocks := sm.cols[len(sm.cols)-1].off + sm.cols[len(sm.cols)-1].blockLen
+	old := bytes.NewBuffer(append([]byte(nil), raw[:blocks]...))
+	appendFooter(old, sm.rows, sm.cols, segMagicV3)
+	if err := os.WriteFile(filepath.Join(tdir, e.file), old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e.bytes, e.crc = int64(old.Len()), crc32.Checksum(old.Bytes(), crcTable)
+	if err := os.WriteFile(filepath.Join(tdir, manifestName), []byte(frameRecord("add "+e.String())), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	tab, err = NewStoreWith(StoreConfig{Dir: dir, SegmentRows: 4}).CreateTable(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tab.RowCount() != 4 {
+		t.Fatalf("reopened RowCount = %d, want 4", tab.RowCount())
+	}
+	for _, c := range []struct {
+		pred ZonePred
+		want ZoneDisp
+	}{
+		{ZonePred{Ord: 0, Form: ZoneCmp, Op: ZoneEq, C: big}, ZoneSome},
+		{ZonePred{Ord: 1, Form: ZoneCmp, Op: ZoneEq, C: datum.NewInt(7)}, ZoneNone},
+	} {
+		if got := tab.SegmentDispositions([]ZonePred{c.pred}); len(got) != 1 || got[0] != c.want {
+			t.Errorf("column %d = %v: %v, want [%v]", c.pred.Ord, c.pred.C, got, c.want)
+		}
+	}
 }
 
 // TestZoneDispositions: with values laid out sorted across segments, range,
