@@ -27,7 +27,7 @@ bench-module-check:
 # items track. The executor's count may not exceed EXEC_LOC_CEILING, so it
 # cannot creep back up unnoticed; `make check` runs this. A change that
 # shrinks the executor lowers the ceiling to the new count.
-EXEC_LOC_CEILING := 6435
+EXEC_LOC_CEILING := 6414
 exec-loc:
 	@for d in internal/exec internal/storage; do \
 		echo "$$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)"; done

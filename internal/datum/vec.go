@@ -485,58 +485,67 @@ func (v *Vec) AppendRange(src *Vec, lo, hi int) {
 	if hi <= lo {
 		return
 	}
-	if v.Dict != nil || src.Dict != nil {
-		if src.Dict != nil && v.canAdoptDict(src.Dict) {
-			// Same (or adoptable) code space: bulk-copy the codes and walk
-			// only the NULL bits — the scan stays encoded across segments.
-			v.Dict = src.Dict
-			v.alloc()
-			v.Ints = append(v.Ints, src.Ints[lo:hi]...)
-			if src.numNulls > 0 {
-				for i := lo; i < hi; i++ {
-					if src.nulls.Get(i) {
-						v.nulls.Set(v.n + i - lo)
-						v.numNulls++
-					}
-				}
+	if v.Dict != nil && src.Dict == nil && !src.anyKind && src.kind == KindString {
+		v.materializeDict() // plain strings after codes: decode v, then copy
+	}
+	if !src.anyKind {
+		if ok, _ := v.AppendDecoded(src.kind, src.Dict, src.Nulls(), lo, hi, func(v *Vec) error {
+			switch {
+			case src.Dict != nil, src.kind == KindInt, src.kind == KindBool:
+				v.Ints = append(v.Ints, src.Ints[lo:hi]...)
+			case src.kind == KindFloat:
+				v.Floats = append(v.Floats, src.Floats[lo:hi]...)
+			default:
+				v.Strs = append(v.Strs, src.Strs[lo:hi]...)
 			}
-			v.n += hi - lo
-			return
-		}
-		if v.Dict != nil {
-			v.materializeDict()
-		}
-		if src.Dict != nil {
-			for i := lo; i < hi; i++ {
-				v.AppendD(src.D(i))
-			}
+			return nil
+		}); ok {
 			return
 		}
 	}
-	if v.anyKind || src.anyKind || v.kind != src.kind || v.kind == KindNull {
-		for i := lo; i < hi; i++ {
-			v.AppendD(src.D(i))
+	if v.Dict != nil {
+		v.materializeDict()
+	}
+	for i := lo; i < hi; i++ {
+		v.AppendD(src.D(i))
+	}
+}
+
+// AppendDecoded is AppendRange for a source that exists only as encoded
+// bytes: it appends rows [lo, hi) of a column of kind k — dictionary codes
+// under dict when dict is non-nil — that are NULL where nulls is set. When v
+// holds, or being empty can adopt, that typed representation, fill must
+// append hi-lo values straight to the payload slice it uses (Ints for INT,
+// BOOL and codes, Floats, or Strs; zero at NULL rows), and AppendDecoded
+// marks the NULLs; after a fill error v must be discarded. Otherwise it
+// changes nothing and returns false, and the caller appends the rows as
+// AppendRange would from a decoded vector.
+func (v *Vec) AppendDecoded(k Kind, dict *StrDict, nulls Bitmap, lo, hi int, fill func(*Vec) error) (bool, error) {
+	if hi <= lo {
+		return true, nil
+	}
+	if dict != nil {
+		if !v.canAdoptDict(dict) {
+			return false, nil
 		}
-		return
+		v.Dict = dict
+	} else if v.Dict != nil || v.anyKind || v.kind != k || k == KindNull {
+		return false, nil
 	}
 	v.alloc()
-	switch v.kind {
-	case KindInt, KindBool:
-		v.Ints = append(v.Ints, src.Ints[lo:hi]...)
-	case KindFloat:
-		v.Floats = append(v.Floats, src.Floats[lo:hi]...)
-	case KindString:
-		v.Strs = append(v.Strs, src.Strs[lo:hi]...)
+	if err := fill(v); err != nil {
+		return true, err
 	}
-	if src.numNulls > 0 {
+	if nulls != nil {
 		for i := lo; i < hi; i++ {
-			if src.nulls.Get(i) {
+			if nulls.Get(i) {
 				v.nulls.Set(v.n + i - lo)
 				v.numNulls++
 			}
 		}
 	}
 	v.n += hi - lo
+	return true, nil
 }
 
 // AppendRowsCol appends column ord of each row to v — the bulk form of

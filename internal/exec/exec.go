@@ -40,17 +40,13 @@ type Counters struct {
 	SpillBytes    int64 // bytes written to spill files
 
 	// Sealed columnar segments a scan read vs eliminated by zone maps (zero
-	// for tables that have sealed nothing yet), and real segment-file bytes
-	// read from disk (cache misses only; segments pinned in memory read none).
+	// for tables that have sealed nothing yet).
 	SegmentsRead   int64
 	SegmentsPruned int64
-	BytesRead      int64
 
-	// Column-block decodes by representation (cold reads only, like
-	// BytesRead): dictionary, run-length, and plain typed/boxed blocks.
-	BlocksDict  int64
-	BlocksRLE   int64
-	BlocksPlain int64
+	// What the column reads of segment files did: bytes read and blocks read
+	// by representation on cache misses, cache hits.
+	storage.ReadStats
 }
 
 // Ctx is the runtime context shared by all operators of one execution.
@@ -165,20 +161,14 @@ func (c *Ctx) noteSegments(read, pruned int64) {
 	}
 }
 
-// noteScan folds one storage call's ScanCtx observations — real segment-file
-// bytes read from disk and column blocks decoded, by representation — into
-// the counters and the analyzed node. Workers have no analyzed node: the
-// runWorkers barrier credits it with their counters.
+// noteScan folds one storage call's ScanCtx observations — segment-file
+// bytes and blocks read, cache hits — into the counters and the analyzed
+// node. Workers have no analyzed node: the runWorkers barrier credits it
+// with their counters.
 func (c *Ctx) noteScan(sc *storage.ScanCtx) {
-	c.Counters.BytesRead += sc.BytesRead
-	c.Counters.BlocksDict += sc.BlocksDict
-	c.Counters.BlocksRLE += sc.BlocksRLE
-	c.Counters.BlocksPlain += sc.BlocksPlain
+	c.Counters.ReadStats.Add(sc.ReadStats)
 	if m := c.curNode; m != nil {
-		m.BytesRead += sc.BytesRead
-		m.BlocksDict += sc.BlocksDict
-		m.BlocksRLE += sc.BlocksRLE
-		m.BlocksPlain += sc.BlocksPlain
+		m.ReadStats.Add(sc.ReadStats)
 	}
 }
 
@@ -272,10 +262,7 @@ func (cs *Counters) add(o Counters) {
 	cs.SpillBytes += o.SpillBytes
 	cs.SegmentsRead += o.SegmentsRead
 	cs.SegmentsPruned += o.SegmentsPruned
-	cs.BytesRead += o.BytesRead
-	cs.BlocksDict += o.BlocksDict
-	cs.BlocksRLE += o.BlocksRLE
-	cs.BlocksPlain += o.BlocksPlain
+	cs.ReadStats.Add(o.ReadStats)
 }
 
 // PageBuffer is a FIFO page cache keyed by (table, page number).

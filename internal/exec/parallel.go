@@ -213,13 +213,9 @@ func (c *Ctx) runWorkers(n int, fn func(w int, wc *Ctx) error) error {
 		if wc.Counters.RowsProcessed > 0 {
 			c.curNode.AddWorkerRows(w, wc.Counters.RowsProcessed)
 		}
-		// Workers have no curNode, so their segment-file bytes and block
-		// decodes only reached their private counters; credit the analyzed
-		// node here.
-		c.curNode.BytesRead += wc.Counters.BytesRead
-		c.curNode.BlocksDict += wc.Counters.BlocksDict
-		c.curNode.BlocksRLE += wc.Counters.BlocksRLE
-		c.curNode.BlocksPlain += wc.Counters.BlocksPlain
+		// Workers have no curNode, so their segment-file reads only reached
+		// their private counters; credit the analyzed node here.
+		c.curNode.ReadStats.Add(wc.Counters.ReadStats)
 	}
 	return firstError(errs)
 }

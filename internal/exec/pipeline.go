@@ -422,11 +422,7 @@ func (p *pipeline) report(sink physical.Plan, sinkRows int) {
 			// A scan counts the morsels of its table, like every metric of its
 			// input size, and all storage reads of the loop are its.
 			m.Batches += int64(numMorsels(p.src.rows())) - batches
-			d := &p.c.Counters
-			m.BytesRead += d.BytesRead - an.readBase.BytesRead
-			m.BlocksDict += d.BlocksDict - an.readBase.BlocksDict
-			m.BlocksRLE += d.BlocksRLE - an.readBase.BlocksRLE
-			m.BlocksPlain += d.BlocksPlain - an.readBase.BlocksPlain
+			m.ReadStats.Add(p.c.Counters.ReadStats.Since(an.readBase.ReadStats))
 		}
 		if len(p.workers) > 1 {
 			for w := range p.workers {

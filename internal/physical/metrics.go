@@ -11,6 +11,7 @@ import (
 	"strings"
 
 	"repro/internal/logical"
+	"repro/internal/storage"
 )
 
 // NodeMetrics aggregates the measured runtime behaviour of one plan node
@@ -52,15 +53,10 @@ type NodeMetrics struct {
 	// Both stay zero for in-memory tables.
 	SegmentsRead   int64
 	SegmentsPruned int64
-	// BytesRead is real segment-file bytes read from disk (cache misses
-	// only — a warm scan reads zero).
-	BytesRead int64
-	// BlocksDict / BlocksRLE / BlocksPlain count column blocks the node
-	// decoded from disk by representation: dictionary-encoded, run-length
-	// encoded, and plain typed/boxed. Cache hits add nothing, like BytesRead.
-	BlocksDict  int64
-	BlocksRLE   int64
-	BlocksPlain int64
+	// ReadStats counts the node's column reads of segment files: bytes and
+	// blocks read from disk by representation on cache misses (a warm scan
+	// reads none), and block cache hits.
+	storage.ReadStats
 	// Pipeline tags the node with the executor pipeline it ran in, numbered
 	// in the order pipelines were opened: nodes sharing a tag ran fused per
 	// morsel, a change of tag between a node and its input is a breaker (a
@@ -210,6 +206,9 @@ func formatAnalyzeNode(sb *strings.Builder, p Plan, md *logical.Metadata, rm *Ru
 		if m.BlocksDict > 0 || m.BlocksRLE > 0 || m.BlocksPlain > 0 {
 			fmt.Fprintf(sb, " blocks_dict=%d blocks_rle=%d blocks_plain=%d",
 				m.BlocksDict, m.BlocksRLE, m.BlocksPlain)
+		}
+		if m.BlockHits > 0 {
+			fmt.Fprintf(sb, " block_hits=%d", m.BlockHits)
 		}
 		if len(m.WorkerRows) > 0 {
 			parts := make([]string, len(m.WorkerRows))

@@ -305,7 +305,7 @@ func TestDictInternedByEncoding(t *testing.T) {
 	c := block("alpha", "delta", "alpha", "charlie")
 	var ds dictSet
 	decode := func(blk []byte, ds *dictSet) *datum.Vec {
-		v, err := decodeColumn(blk, 4, ds)
+		v, err := decodeBlock(blk, 4, ds)
 		if err != nil {
 			t.Fatal(err)
 		}

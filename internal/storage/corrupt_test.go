@@ -2,6 +2,8 @@ package storage
 
 import (
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -275,5 +277,73 @@ func TestCorruptionMatrixEncoded(t *testing.T) {
 	}
 	if found, err := ScrubDir(dir); err != nil || len(found) != 0 {
 		t.Fatalf("restored directory should scrub clean: %v %v", found, err)
+	}
+}
+
+// TestCorruptValuesPassingCRC: a block whose checksum matches but whose
+// values were written wrong — a dictionary code past the end of its
+// dictionary, a varint cut off by the end of its block — fails every read
+// that reaches the damage with a typed *CorruptError and its coordinates:
+// the read that caches the block, a later read served from the cache (under
+// a budget that keeps blocks encoded), and a gather. The neighbor segment
+// keeps serving.
+func TestCorruptValuesPassingCRC(t *testing.T) {
+	for _, budget := range []int64{1, 0} {
+		dir := t.TempDir()
+		s := NewStoreWith(StoreConfig{Dir: dir, SegmentRows: 512, CacheBytes: budget})
+		tab, err := s.CreateTable(&catalog.Table{Name: "cv", Cols: []catalog.Column{
+			{Name: "d", Kind: datum.KindString}, {Name: "i", Kind: datum.KindInt}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make([]datum.Row, 1024)
+		for i := range rows {
+			rows[i] = datum.Row{datum.NewString([]string{"ant", "bee", "cat"}[i%3]), datum.NewInt(int64(i % 50))}
+		}
+		if err := tab.InsertBatch(rows); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "cv", segFileName(0, 1))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm := &tab.seg.segs[1]
+		if sm.cols[0].repr != reprDict || sm.cols[1].repr != reprTyped {
+			t.Fatalf("reprs %d, %d, want dictionary and plain", sm.cols[0].repr, sm.cols[1].repr)
+		}
+		// The last byte of each block is the last row's one-byte value: a
+		// code of 127 over a 3-entry dictionary, and a varint whose
+		// continuation bit runs past the block. The checksums follow.
+		for ord, damage := range []func(byte) byte{func(byte) byte { return 0x7f }, func(b byte) byte { return b | 0x80 }} {
+			cm := &sm.cols[ord]
+			raw[cm.off+cm.blockLen-1] = damage(raw[cm.off+cm.blockLen-1])
+			cm.crc = crc32.Checksum(raw[cm.off:cm.off+cm.blockLen], crcTable)
+		}
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for ord, col := range tab.Def.Cols {
+			for attempt, read := range []func(sc *ScanCtx) error{
+				func(sc *ScanCtx) error { return tab.FillColumnRange(sc, ord, 512, 1024, datum.NewVec(col.Kind, 0)) },
+				func(sc *ScanCtx) error { return tab.FillColumnRange(sc, ord, 900, 1024, datum.NewVec(col.Kind, 0)) },
+				func(sc *ScanCtx) error {
+					return tab.FillColumnIDs(sc, ord, []int{520, 1023}, datum.NewVec(col.Kind, 0))
+				},
+			} {
+				sc := &ScanCtx{}
+				var ce *CorruptError
+				if err := read(sc); !errors.As(err, &ce) || ce.Table != "cv" || ce.Segment != 1 ||
+					ce.Region != RegionBlock || ce.Column != ord || ce.Offset != sm.cols[ord].off {
+					t.Fatalf("budget %d column %d read %d: got %v, want a block corruption at cv/1 column %d", budget, ord, attempt, err, ord)
+				}
+				if budget == 1 && attempt > 0 && sc.BlockHits != 1 {
+					t.Fatalf("column %d read %d was not served from the cache: %+v", ord, attempt, sc.ReadStats)
+				}
+			}
+			if err := tab.FillColumnRange(nil, ord, 0, 512, datum.NewVec(col.Kind, 0)); err != nil {
+				t.Fatalf("segment 0 should serve: %v", err)
+			}
+		}
 	}
 }

@@ -333,7 +333,7 @@ func TestTransientFaultRetry(t *testing.T) {
 	// A permanent fault is never retried: one occurrence, one failure.
 	perm := faultfs.New(faultfs.Rule{Op: "segment.read", After: 1})
 	sc = &ScanCtx{Faults: perm}
-	s.cache = newColCache(s.cfg.CacheBytes) // drop cached columns to force the read
+	s.cache = newBlockCache(s.cfg.CacheBytes) // drop cached blocks to force the read
 	if _, err := tab.Rows(sc); !errors.Is(err, faultfs.ErrInjected) {
 		t.Fatalf("permanent read fault: got %v, want ErrInjected", err)
 	}

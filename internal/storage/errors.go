@@ -1,5 +1,5 @@
 // Typed integrity errors of the storage layer. Every detected corruption —
-// at recovery, on block decode behind the column cache, or during a Scrub
+// at recovery, on a block read through the block cache, or during a Scrub
 // walk — surfaces as a *CorruptError carrying exact coordinates (table,
 // segment, region, column), and matches ErrSegmentCorrupt under errors.Is so
 // callers can distinguish "the bytes are wrong" from transient I/O failures.

@@ -1,6 +1,6 @@
 // Scrub: full offline verification of segment files — every magic, footer
 // CRC, block CRC and block decode, plus the manifest's whole-file checksum.
-// Reads raw file bytes, never the column cache, so it finds damage that
+// Reads raw file bytes, never the block cache, so it finds damage that
 // happened after adoption. Two entry points: Store.Scrub for a live store,
 // ScrubDir for a storage directory without a catalog (qopt -scrub).
 package storage
@@ -92,7 +92,7 @@ func scrubFile(path, table string, seg int, wantBytes int64, wantCRC uint32) []*
 				Detail: fmt.Sprintf("block checksum %08x, want %08x", got, cm.crc)})
 			continue
 		}
-		if _, err := decodeColumn(block, sm.rows, nil); err != nil {
+		if _, err := decodeBlock(block, sm.rows, nil); err != nil {
 			add(&CorruptError{Path: path, Region: RegionBlock, Column: ci, Offset: cm.off,
 				Detail: fmt.Sprintf("block decode: %v", err)})
 		}

@@ -17,15 +17,19 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
 	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"os"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/datum"
 	"repro/internal/faultfs"
@@ -88,22 +92,43 @@ const (
 // ScanCtx threads fault injection and real-I/O accounting from the executor
 // into storage reads. A nil ScanCtx disables both, so internal callers
 // (index builds, stats collection) can pass nil. One ScanCtx belongs to one
-// goroutine; parallel workers each carry their own and fold BytesRead into
-// their counters at pipeline barriers.
+// goroutine; parallel workers each carry their own and fold its ReadStats
+// into their counters at pipeline barriers.
 type ScanCtx struct {
 	// Faults, when non-nil, is checked on the "segment.open" and
 	// "segment.read" operation streams before the corresponding syscalls.
 	Faults *faultfs.Injector
-	// BytesRead accumulates bytes actually read from segment files. Column
-	// blocks served from the decoded-column cache add nothing, which is what
-	// makes cold-vs-warm benchmarks honest.
-	BytesRead int64
-	// BlocksDict / BlocksRLE / BlocksPlain count cold column-block reads by
-	// representation (cache hits add nothing, same as BytesRead), so EXPLAIN
-	// ANALYZE can report how much of a scan ran over encoded data.
+	ReadStats
+}
+
+// ReadStats counts the column reads of segments with files. BytesRead is the
+// bytes actually read from segment files, and BlocksDict / BlocksRLE /
+// BlocksPlain count those reads (cache misses) by block representation, so
+// EXPLAIN ANALYZE can report how much of a scan ran over encoded data;
+// BlockHits counts the column reads the block cache served, in either form.
+// Pinned segments count nowhere, which is what makes cold-vs-warm
+// benchmarks honest.
+type ReadStats struct {
+	BytesRead   int64
+	BlockHits   int64
 	BlocksDict  int64
 	BlocksRLE   int64
 	BlocksPlain int64
+}
+
+// Add adds o's counts to s.
+func (s *ReadStats) Add(o ReadStats) {
+	s.BytesRead += o.BytesRead
+	s.BlockHits += o.BlockHits
+	s.BlocksDict += o.BlocksDict
+	s.BlocksRLE += o.BlocksRLE
+	s.BlocksPlain += o.BlocksPlain
+}
+
+// Since returns the counts s gained after it held base.
+func (s ReadStats) Since(base ReadStats) ReadStats {
+	return ReadStats{s.BytesRead - base.BytesRead, s.BlockHits - base.BlockHits,
+		s.BlocksDict - base.BlocksDict, s.BlocksRLE - base.BlocksRLE, s.BlocksPlain - base.BlocksPlain}
 }
 
 func (sc *ScanCtx) check(op string) error {
@@ -113,16 +138,12 @@ func (sc *ScanCtx) check(op string) error {
 	return sc.Faults.Check(op)
 }
 
-func (sc *ScanCtx) addBytes(n int64) {
-	if sc != nil {
-		sc.BytesRead += n
-	}
-}
-
-func (sc *ScanCtx) addBlock(repr byte) {
+// addMiss counts a block read from its file: its bytes and representation.
+func (sc *ScanCtx) addMiss(bytes int64, repr byte) {
 	if sc == nil {
 		return
 	}
+	sc.BytesRead += bytes
 	switch repr {
 	case reprDict:
 		sc.BlocksDict++
@@ -130,6 +151,12 @@ func (sc *ScanCtx) addBlock(repr byte) {
 		sc.BlocksRLE++
 	default:
 		sc.BlocksPlain++
+	}
+}
+
+func (sc *ScanCtx) addHit() {
+	if sc != nil {
+		sc.BlockHits++
 	}
 }
 
@@ -237,26 +264,42 @@ func (r *byteReader) take(n int) ([]byte, error) {
 // gives over ReadByte: ten continuation bytes overflow even at the end of the
 // data, fewer are truncated.
 func (r *byteReader) uvarint() (uint64, error) {
-	rest := r.b[r.off:]
-	x, n := binary.Uvarint(rest)
-	switch {
-	case n > 0:
-		r.off += n
-		return x, nil
-	case n < 0 || len(rest) >= binary.MaxVarintLen64:
-		return 0, errVarintOverflow
+	x, off := uvarint(r.b, r.off)
+	if off < 0 {
+		return 0, varintErr(off)
 	}
-	return 0, errTruncated
+	r.off = off
+	return x, nil
 }
 
 // varint decodes a zig-zag varint, as binary.ReadVarint does.
 func (r *byteReader) varint() (int64, error) {
 	ux, err := r.uvarint()
-	x := int64(ux >> 1)
-	if ux&1 != 0 {
-		x = ^x
+	return unzigzag(ux), err
+}
+
+func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
+
+// uvarint decodes the uvarint at b[off:], returning it and the offset past
+// it, or a negative offset: -1 when b ends first, -2 when the varint
+// overflows 64 bits. The decode loop of integer blocks inlines its one- and
+// two-byte cases.
+func uvarint(b []byte, off int) (uint64, int) {
+	x, n := binary.Uvarint(b[min(off, len(b)):])
+	switch {
+	case n > 0:
+		return x, off + n
+	case n < 0 || len(b)-off >= binary.MaxVarintLen64:
+		return 0, -2
 	}
-	return x, err
+	return 0, -1
+}
+
+func varintErr(off int) error {
+	if off == -2 {
+		return errVarintOverflow
+	}
+	return errTruncated
 }
 
 func decodeD(r *byteReader) (datum.D, error) {
@@ -491,7 +534,7 @@ func AppendColumnBlock(buf *bytes.Buffer, v *datum.Vec) { encodeColumn(buf, v, &
 // DecodeColumnBlock decodes a column block of rows rows into a vector that
 // owns its payload.
 func DecodeColumnBlock(block []byte, rows int) (*datum.Vec, error) {
-	return decodeColumn(block, rows, nil)
+	return decodeBlock(block, rows, nil)
 }
 
 // encodeDict writes a dictionary block: NULL header, the sorted dictionary
@@ -535,161 +578,6 @@ func encodeRLE(buf *bytes.Buffer, v *datum.Vec, runs int) {
 		appendD(buf, d)
 		i = j
 	}
-}
-
-// decodeColumn rebuilds a column block into a Vec. rows is the segment's row
-// count, used to validate the block; a dictionary block takes its dictionary
-// from dicts (nil: a private one). Every payload is copied out, so block is
-// free for reuse once decodeColumn returns.
-func decodeColumn(block []byte, rows int, dicts *dictSet) (*datum.Vec, error) {
-	r := &byteReader{b: block}
-	repr, err := r.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	kb, err := r.ReadByte()
-	if err != nil {
-		return nil, err
-	}
-	nu, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	n := int(nu)
-	if n != rows {
-		return nil, fmt.Errorf("storage: column block has %d rows, segment has %d", n, rows)
-	}
-	if repr == reprBoxed {
-		ds := make([]datum.D, n)
-		for i := range ds {
-			if ds[i], err = decodeD(r); err != nil {
-				return nil, err
-			}
-		}
-		return datum.NewBoxedVec(ds), nil
-	}
-	if repr == reprDict {
-		return decodeDict(r, datum.Kind(kb), n, dicts)
-	}
-	if repr == reprRLE {
-		return decodeRLE(r, datum.Kind(kb), n)
-	}
-	kind := datum.Kind(kb)
-	nulls, numNulls, err := decodeNulls(r, n)
-	if err != nil {
-		return nil, err
-	}
-	switch kind {
-	case datum.KindInt, datum.KindBool:
-		ints := make([]int64, n)
-		for i := range ints {
-			if ints[i], err = r.varint(); err != nil {
-				return nil, err
-			}
-		}
-		return datum.NewTypedVec(kind, n, ints, nil, nil, nulls, numNulls), nil
-	case datum.KindFloat:
-		floats := make([]float64, n)
-		for i := range floats {
-			b, err := r.take(8)
-			if err != nil {
-				return nil, err
-			}
-			floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b))
-		}
-		return datum.NewTypedVec(kind, n, nil, floats, nil, nulls, numNulls), nil
-	case datum.KindString:
-		strs := make([]string, n)
-		for i := range strs {
-			ln, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			b, err := r.take(int(ln))
-			if err != nil {
-				return nil, err
-			}
-			strs[i] = string(b)
-		}
-		return datum.NewTypedVec(kind, n, nil, nil, strs, nulls, numNulls), nil
-	case datum.KindNull:
-		return datum.NewTypedVec(datum.KindNull, n, nil, nil, nil, nulls, numNulls), nil
-	}
-	return nil, fmt.Errorf("storage: unknown column kind byte %d", kb)
-}
-
-// decodeNulls reads the uvarint NULL count and bitmap written by writeNulls.
-func decodeNulls(r *byteReader, n int) (datum.Bitmap, int, error) {
-	nn, err := r.uvarint()
-	if err != nil {
-		return nil, 0, err
-	}
-	numNulls := int(nn)
-	if numNulls > n {
-		return nil, 0, fmt.Errorf("storage: %d NULLs in a %d-row block", numNulls, n)
-	}
-	var nulls datum.Bitmap
-	if numNulls > 0 {
-		words := (n + 63) / 64
-		nulls = make(datum.Bitmap, words)
-		for w := 0; w < words; w++ {
-			b, err := r.take(8)
-			if err != nil {
-				return nil, 0, err
-			}
-			nulls[w] = binary.LittleEndian.Uint64(b)
-		}
-	}
-	return nulls, numNulls, nil
-}
-
-// decodeDict rebuilds a dictionary block into a dictionary-encoded Vec —
-// the codes stay encoded all the way into the executor; only kernels that
-// need the strings consult the dictionary. The sort order and code range are
-// validated so a block that passes its CRC but was written wrong still
-// surfaces as corruption, not as silent misreads. The dictionary's encoded
-// bytes are checked and interned in dicts before any string is built: a
-// dictionary seen before costs no allocation.
-func decodeDict(r *byteReader, kind datum.Kind, n int, dicts *dictSet) (*datum.Vec, error) {
-	if kind != datum.KindString {
-		return nil, fmt.Errorf("storage: dictionary block with non-string kind byte %d", kind)
-	}
-	nulls, numNulls, err := decodeNulls(r, n)
-	if err != nil {
-		return nil, err
-	}
-	start := r.off
-	dl, err := r.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	dictLen := int(dl)
-	if dictLen <= 0 || dictLen > n {
-		return nil, fmt.Errorf("storage: dictionary with %d entries in a %d-row block", dictLen, n)
-	}
-	if err := dictEntries(r, dictLen, nil); err != nil {
-		return nil, err
-	}
-	dict := dicts.intern(r.b[start:r.off], func(enc []byte) *datum.StrDict {
-		vals := make([]string, 0, dictLen)
-		er := &byteReader{b: enc}
-		// The bytes were checked above: neither read can fail.
-		_, _ = er.uvarint()
-		_ = dictEntries(er, dictLen, func(b []byte) { vals = append(vals, string(b)) })
-		return &datum.StrDict{Vals: vals}
-	})
-	codes := make([]int64, n)
-	for i := range codes {
-		c, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if c >= uint64(dictLen) {
-			return nil, fmt.Errorf("storage: row %d code %d exceeds dictionary of %d", i, c, dictLen)
-		}
-		codes[i] = int64(c)
-	}
-	return datum.NewDictVec(n, codes, dict, nulls, numNulls), nil
 }
 
 // dictEntries reads dictLen uvarint-length dictionary entries from r,
@@ -756,54 +644,464 @@ func (ds *dictSet) reset() {
 	ds.mu.Unlock()
 }
 
-// decodeRLE expands a run-length block to the plain typed representation
-// (run values share storage, so the expansion is cheap); the decoded vector
-// is what the column cache holds, trading RLE's bytes-on-disk win for plain
-// kernel speed in memory.
-func decodeRLE(r *byteReader, kind datum.Kind, n int) (*datum.Vec, error) {
+// --- column blocks: parsed once, decoded by row range ---
+
+// markStride is the row distance between the body offsets a block records
+// as reads pass them: varints and strings have no random access, so a read
+// walks from the closest recorded mark at or below its first row.
+const markStride = 128
+
+// block is a column block with its header parsed and its values still
+// encoded in body — what the block cache holds when the decoded column does
+// not fit, and the one decode path: a whole column is the rows [0, rows).
+// Concurrent readers share a block; only marks change, atomically.
+type block struct {
+	repr     byte
+	kind     datum.Kind
+	rows     int
+	nulls    datum.Bitmap // a run-length block's NULL runs too
+	numNulls int
+	dict     *datum.StrDict // interned
+	body     []byte         // varints, float bits, strings or codes
+	// runs holds the value of each run of a run-length block, and ends the
+	// row each run ends before.
+	runs *datum.Vec
+	ends []int32
+	// vec is the column of a boxed or all-NULL block, decoded at parse.
+	vec *datum.Vec
+	// marks[k] is the body offset of row k*markStride once a read passed it,
+	// 0 before (every row takes a byte, so only row 0 is at offset 0).
+	marks []atomic.Int32
+}
+
+// parseBlock parses a column block of rows rows, interning its dictionary in
+// dicts (nil: a private one). Only runs and boxed datums, which are few or
+// rare, are decoded here: other values are checked as reads decode them, so
+// a block that passes its CRC but was written wrong fails the read that
+// reaches the damage.
+func parseBlock(raw []byte, rows int, dicts *dictSet) (*block, error) {
+	r := &byteReader{b: raw}
+	repr, err := r.ReadByte()
+	if err != nil {
+		return nil, err
+	}
+	kb, err := r.ReadByte()
+	if err != nil {
+		return nil, err
+	}
+	if n, err := r.uvarint(); err != nil || n != uint64(rows) {
+		return nil, cmp.Or(err, fmt.Errorf("storage: column block has %d rows, segment has %d", n, rows))
+	}
+	b := &block{repr: repr, kind: datum.Kind(kb), rows: rows}
+	switch {
+	case repr == reprBoxed:
+		ds := make([]datum.D, rows)
+		for i := 0; i < rows && err == nil; i++ {
+			ds[i], err = decodeD(r)
+		}
+		b.vec = datum.NewBoxedVec(ds)
+	case b.kind > datum.KindString || repr > reprRLE:
+		return nil, fmt.Errorf("storage: unknown column kind %d or representation %d", kb, repr)
+	case repr == reprRLE:
+		err = b.parseRuns(r)
+	default:
+		if b.nulls, b.numNulls, err = decodeNulls(r, rows); err == nil && repr == reprDict {
+			err = b.parseDict(r, dicts)
+		} else if err == nil && b.kind == datum.KindFloat && len(raw)-r.off < 8*rows {
+			err = errTruncated
+		}
+	}
+	if b.kind == datum.KindNull && b.vec == nil {
+		b.vec = datum.NewVec(datum.KindNull, rows)
+		for i := 0; i < rows; i++ {
+			b.vec.AppendNull()
+		}
+	}
+	if b.vec == nil && b.runs == nil {
+		b.body = raw[r.off:]
+		if b.kind != datum.KindFloat && rows > markStride {
+			b.marks = make([]atomic.Int32, (rows-1)/markStride+1)
+		}
+	}
+	return b, err
+}
+
+// decodeNulls reads the uvarint NULL count and bitmap written by writeNulls.
+func decodeNulls(r *byteReader, n int) (datum.Bitmap, int, error) {
 	nn, err := r.uvarint()
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	numNulls := int(nn)
+	if numNulls > n {
+		return nil, 0, fmt.Errorf("storage: %d NULLs in a %d-row block", numNulls, n)
+	}
+	var nulls datum.Bitmap
+	if numNulls > 0 {
+		words := (n + 63) / 64
+		nulls = make(datum.Bitmap, words)
+		for w := 0; w < words; w++ {
+			b, err := r.take(8)
+			if err != nil {
+				return nil, 0, err
+			}
+			nulls[w] = binary.LittleEndian.Uint64(b)
+		}
+	}
+	return nulls, numNulls, nil
+}
+
+// parseDict reads the dictionary of a dictionary block, whose codes stay
+// encoded all the way into the executor: only kernels that need the strings
+// consult the dictionary. The entries must ascend strictly; their encoded
+// bytes are checked and interned in dicts before any string is built, so a
+// dictionary seen before costs no allocation.
+func (b *block) parseDict(r *byteReader, dicts *dictSet) error {
+	if b.kind != datum.KindString {
+		return fmt.Errorf("storage: dictionary block with non-string kind byte %d", b.kind)
+	}
+	start := r.off
+	dl, err := r.uvarint()
+	if err != nil {
+		return err
+	}
+	dictLen := int(dl)
+	if dictLen <= 0 || dictLen > b.rows {
+		return fmt.Errorf("storage: dictionary with %d entries in a %d-row block", dictLen, b.rows)
+	}
+	if err := dictEntries(r, dictLen, nil); err != nil {
+		return err
+	}
+	b.dict = dicts.intern(r.b[start:r.off], func(enc []byte) *datum.StrDict {
+		vals := make([]string, 0, dictLen)
+		er := &byteReader{b: enc}
+		// The bytes were checked above: neither read can fail.
+		_, _ = er.uvarint()
+		_ = dictEntries(er, dictLen, func(b []byte) { vals = append(vals, string(b)) })
+		return &datum.StrDict{Vals: vals}
+	})
+	return nil
+}
+
+// parseRuns reads the runs of a run-length block, marking its NULL runs in
+// the bitmap.
+func (b *block) parseRuns(r *byteReader) error {
+	nn, err := r.uvarint()
+	if err != nil {
+		return err
+	}
 	ru, err := r.uvarint()
+	if err != nil || ru == 0 || ru > uint64(b.rows) {
+		return cmp.Or(err, fmt.Errorf("storage: %d runs in a %d-row block", ru, b.rows))
+	}
+	b.runs, b.ends = datum.NewVec(b.kind, int(ru)), make([]int32, ru)
+	total := 0
+	for ri := range b.ends {
+		ln, err := r.uvarint()
+		if err != nil || ln == 0 || ln > uint64(b.rows-total) {
+			return cmp.Or(err, fmt.Errorf("storage: run %d of length %d overflows %d-row block", ri, ln, b.rows))
+		}
+		d, err := decodeD(r)
+		if err != nil || !d.IsNull() && d.Kind() != b.kind {
+			return cmp.Or(err, fmt.Errorf("storage: run %d value kind %d, want %d", ri, d.Kind(), b.kind))
+		}
+		b.runs.AppendD(d)
+		for end := total + int(ln); total < end; total++ {
+			if d.IsNull() {
+				b.nulls.Set(total)
+				b.numNulls++
+			}
+		}
+		b.ends[ri] = int32(total)
+	}
+	if total != b.rows || b.numNulls != int(nn) {
+		return fmt.Errorf("storage: runs cover %d of %d rows, %d NULLs of %d", total, b.rows, b.numNulls, nn)
+	}
+	return nil
+}
+
+// decodeBlock decodes a whole column block of rows rows into a vector that
+// owns its payload, interning a dictionary in dicts.
+func decodeBlock(raw []byte, rows int, dicts *dictSet) (*datum.Vec, error) {
+	b, err := parseBlock(raw, rows, dicts)
 	if err != nil {
 		return nil, err
 	}
-	runs := int(ru)
-	if runs <= 0 || runs > n {
-		return nil, fmt.Errorf("storage: %d runs in a %d-row block", runs, n)
+	return b.decode()
+}
+
+// decode returns the whole column decoded.
+func (b *block) decode() (*datum.Vec, error) {
+	if b.vec != nil {
+		return b.vec, nil
 	}
-	v := datum.NewVec(kind, n)
-	total := 0
-	for ri := 0; ri < runs; ri++ {
-		ln, err := r.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		runLen := int(ln)
-		if runLen <= 0 || total+runLen > n {
-			return nil, fmt.Errorf("storage: run %d of length %d overflows %d-row block", ri, runLen, n)
-		}
-		d, err := decodeD(r)
-		if err != nil {
-			return nil, err
-		}
-		if !d.IsNull() && d.Kind() != kind {
-			return nil, fmt.Errorf("storage: run %d value kind %d, want %d", ri, d.Kind(), kind)
-		}
-		for i := 0; i < runLen; i++ {
-			v.AppendD(d)
-		}
-		total += runLen
+	v := datum.NewVec(b.kind, b.rows)
+	return v, b.read(v, rowSet{hi: b.rows})
+}
+
+// rowSet is the rows a read decodes: [lo, hi), or ids[k]-lo when ids is
+// non-nil.
+type rowSet struct {
+	lo, hi int
+	ids    []int
+}
+
+func (rs rowSet) n() int {
+	if rs.ids != nil {
+		return len(rs.ids)
 	}
-	if total != n {
-		return nil, fmt.Errorf("storage: runs cover %d of %d rows", total, n)
+	return rs.hi - rs.lo
+}
+
+func (rs rowSet) row(k int) int {
+	if rs.ids != nil {
+		return rs.ids[k] - rs.lo
 	}
-	if v.NumNulls() != numNulls {
-		return nil, fmt.Errorf("storage: block declares %d NULLs, runs carry %d", numNulls, v.NumNulls())
+	return rs.lo + k
+}
+
+// read appends rows rs of the block to v exactly as appending them from the
+// decoded column would — by Vec.AppendRange, or datum.AppendGather for ids.
+// Only those rows are decoded: straight into v's payload when v holds (or
+// can take) the block's representation, else into a vector of their own
+// that v appends from.
+func (b *block) read(v *datum.Vec, rs rowSet) error {
+	switch {
+	case b.vec != nil && rs.ids == nil:
+		v.AppendRange(b.vec, rs.lo, rs.hi)
+		return nil
+	case b.vec != nil:
+		datum.AppendGather(v, b.vec, rs.ids, rs.lo)
+		return nil
 	}
-	return v, nil
+	if ok, err := b.fill(v, rs); ok || err != nil {
+		return err
+	}
+	n := rs.n()
+	tmp := datum.NewVec(b.kind, n)
+	if _, err := b.fill(tmp, rs); err != nil {
+		return err
+	}
+	if rs.ids == nil {
+		v.AppendRange(tmp, 0, n)
+	}
+	for k := 0; k < n && rs.ids != nil; k++ {
+		v.AppendVec(tmp, k) // as AppendGather does for such a pair
+	}
+	return nil
+}
+
+// fill decodes rows rs straight into v's payload through Vec.AppendDecoded,
+// or reports false when v's representation cannot take the block's as it
+// is.
+func (b *block) fill(v *datum.Vec, rs rowSet) (bool, error) {
+	n, nulls, lo := rs.n(), b.nulls, rs.lo
+	if rs.ids != nil {
+		nulls, lo = nil, 0
+		for k := 0; k < n && b.numNulls > 0; k++ {
+			if b.nulls.Get(rs.row(k)) {
+				nulls.Set(k)
+			}
+		}
+	}
+	return v.AppendDecoded(b.kind, b.dict, nulls, lo, lo+n, func(v *datum.Vec) (err error) {
+		c := cursor{b: b}
+		switch {
+		case b.runs != nil && b.kind == datum.KindFloat:
+			v.Floats = runValues(v.Floats, b.runs.Floats, b.ends, rs)
+		case b.runs != nil && b.kind == datum.KindString:
+			v.Strs = runValues(v.Strs, b.runs.Strs, b.ends, rs)
+		case b.runs != nil:
+			v.Ints = runValues(v.Ints, b.runs.Ints, b.ends, rs)
+		case b.kind == datum.KindFloat:
+			dst := slices.Grow(v.Floats, n)
+			for k := 0; k < n; k++ {
+				dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(b.body[8*rs.row(k):])))
+			}
+			v.Floats = dst
+		case b.kind == datum.KindString && b.dict == nil:
+			for k := 0; k < n && err == nil; k++ {
+				var s []byte
+				if err = c.to(rs.row(k)); err == nil {
+					s, c.off, err = str(b.body, c.off)
+					v.Strs = append(v.Strs, string(s))
+					c.row++
+				}
+			}
+		default:
+			v.Ints, err = c.ints(v.Ints, rs)
+		}
+		return err
+	})
+}
+
+// runValues appends the values of rows rs of a run-length column to dst:
+// vals[r] for the rows of run r, which ends before row ends[r].
+func runValues[T any](dst, vals []T, ends []int32, rs rowSet) []T {
+	dst = slices.Grow(dst, rs.n())
+	for k, n := 0, rs.n(); k < n; {
+		r, _ := slices.BinarySearch(ends, int32(rs.row(k)+1))
+		start := int32(0)
+		if r > 0 {
+			start = ends[r-1]
+		}
+		for ; k < n && int32(rs.row(k)) >= start && int32(rs.row(k)) < ends[r]; k++ {
+			dst = append(dst, vals[r])
+		}
+	}
+	return dst
+}
+
+// cursor is a position in a block body: the offset off of row row.
+type cursor struct {
+	b        *block
+	row, off int
+}
+
+// to moves the cursor to row — from the closest recorded mark at or below
+// row when that is nearer, then by skipping rows — recording the marks it
+// passes and reaches.
+func (c *cursor) to(row int) (err error) {
+	if row < c.row {
+		c.row, c.off = 0, 0
+	}
+	for k := min(row/markStride, len(c.b.marks)-1); k*markStride > c.row; k-- {
+		if off := c.b.marks[k].Load(); off != 0 {
+			c.row, c.off = k*markStride, int(off)
+			break
+		}
+	}
+	body, at, off := c.b.body, c.row, c.off
+	for strs := c.b.kind == datum.KindString && c.b.dict == nil; at < row && err == nil; {
+		if !strs && off+8 <= len(body) {
+			// Eight bytes at a time: the varints that end in them.
+			ends := ^binary.LittleEndian.Uint64(body[off:]) & 0x8080808080808080
+			if n := bits.OnesCount64(ends); n > 0 && at+n <= row {
+				at, off = at+n, off+(63-bits.LeadingZeros64(ends))/8+1
+				continue
+			}
+		}
+		c.b.mark(at, off)
+		if at++; strs {
+			_, off, err = str(body, off)
+			continue
+		}
+		for off < len(body) && body[off] >= 0x80 {
+			off++
+		}
+		if off++; off > len(body) {
+			err = errTruncated
+		}
+	}
+	c.row, c.off = at, off
+	c.b.mark(at, off)
+	return err
+}
+
+// mark records off as the body offset of row when row starts a stride.
+func (b *block) mark(row, off int) {
+	if k := row / markStride; row%markStride == 0 && k < len(b.marks) && b.marks[k].Load() == 0 {
+		b.marks[k].Store(int32(off))
+	}
+}
+
+// ints appends rows rs of an INT, BOOL or dictionary block to dst: its
+// uvarints, zig-zag decoded or checked against the dictionary. A range
+// decodes stride by stride, recording a mark at each stride it starts.
+func (c *cursor) ints(dst []int64, rs rowSet) (_ []int64, err error) {
+	start, n := len(dst), rs.n()
+	dst = slices.Grow(dst, n)
+	for k := 0; k < n && err == nil; {
+		if err = c.to(rs.row(k)); err != nil {
+			break
+		}
+		step := 1
+		if rs.ids == nil {
+			step = min(n-k, markStride-c.row%markStride)
+		}
+		dst, c.off, err = varints(dst, c.b.body, c.off, step)
+		c.row, k = c.row+step, k+step
+	}
+	for i, x := range dst[start:] {
+		switch dict := c.b.dict; {
+		case dict == nil:
+			dst[start+i] = unzigzag(uint64(x))
+		case uint64(x) >= uint64(len(dict.Vals)):
+			err = cmp.Or(err, fmt.Errorf("storage: code %d exceeds dictionary of %d", uint64(x), len(dict.Vals)))
+		}
+	}
+	return dst, err
+}
+
+// varints appends the n uvarints at body[off:] to dst and returns the offset
+// past them. One- and two-byte varints decode inline.
+func varints(dst []int64, body []byte, off, n int) ([]int64, int, error) {
+	for ; n > 0; n-- {
+		if off+1 < len(body) {
+			if b0 := body[off]; b0 < 0x80 {
+				dst, off = append(dst, int64(b0)), off+1
+				continue
+			} else if b1 := body[off+1]; b1 < 0x80 {
+				dst, off = append(dst, int64(b0&0x7f)|int64(b1)<<7), off+2
+				continue
+			}
+		}
+		x, k := binary.Uvarint(body[off:])
+		if k <= 0 {
+			_, next := uvarint(body, off)
+			return dst, off, varintErr(next)
+		}
+		dst, off = append(dst, int64(x)), off+k
+	}
+	return dst, off, nil
+}
+
+// str reads the uvarint-length string at body[off:], returning it and the
+// offset past it.
+func str(body []byte, off int) ([]byte, int, error) {
+	n, next := uvarint(body, off)
+	if next < 0 {
+		return nil, off, varintErr(next)
+	}
+	if n > uint64(len(body)-next) {
+		return nil, off, errTruncated
+	}
+	return body[next : next+int(n)], next + int(n), nil
+}
+
+// decodedBytes is what vecCacheBytes charges for the block decoded, so the
+// cache can pick a form before decoding: exact for fixed-width values and
+// dictionaries, a bound from above for plain strings (length bytes count as
+// payload) and an estimate for runs of strings.
+func (b *block) decodedBytes() int64 {
+	n, x := int64(b.rows), int64(0)
+	switch {
+	case b.runs != nil:
+		x = vecCacheBytes(b.runs) * n / int64(len(b.ends))
+	case b.dict != nil:
+		x = 8*n + b.dict.Bytes()
+	case b.kind == datum.KindString:
+		x = 16*n + int64(len(b.body))
+	default:
+		x = 8 * n
+	}
+	if b.numNulls > 0 {
+		x += (n + 63) / 64 * 8
+	}
+	return x
+}
+
+// cacheBytes is the cache charge of the block held encoded: its body, NULL
+// bitmap, marks, dictionary and runs.
+func (b *block) cacheBytes() int64 {
+	x := int64(len(b.body) + 8*len(b.nulls) + 4*len(b.marks) + 4*len(b.ends))
+	if b.dict != nil {
+		x += b.dict.Bytes()
+	}
+	if b.runs != nil {
+		x += vecCacheBytes(b.runs)
+	}
+	return x
 }
 
 // --- zone maps and distinct sketches ---
@@ -1121,57 +1419,6 @@ func roundedBound(d datum.D) bool {
 	return false
 }
 
-// blockBufs recycles the raw block buffers of readColumnBlock: decodeColumn
-// copies every payload out, so a buffer is dead once its block is decoded.
-var blockBufs sync.Pool
-
-// readColumnBlock reads, CRC-verifies and decodes one column block from a
-// segment file, checking the fault streams and charging the bytes to sc.
-// Verification runs on every call; the caller's column cache is what makes
-// hot reads pay the checksum only once. verify=false (Options.
-// DisableChecksums) is the benchmark A/B arm and the escape hatch for
-// salvage reads. Dictionaries are interned in dicts.
-func readColumnBlock(sc *ScanCtx, path string, sm *segMeta, ord int, table string, seg int, verify bool, dicts *dictSet) (*datum.Vec, error) {
-	if err := sc.check("segment.open"); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if err := sc.check("segment.read"); err != nil {
-		return nil, err
-	}
-	cm := &sm.cols[ord]
-	buf, _ := blockBufs.Get().(*[]byte)
-	if buf == nil || int64(cap(*buf)) < cm.blockLen {
-		buf = new([]byte)
-		*buf = make([]byte, cm.blockLen)
-	}
-	defer blockBufs.Put(buf)
-	block := (*buf)[:cm.blockLen]
-	if _, err := f.ReadAt(block, cm.off); err != nil {
-		return nil, fmt.Errorf("storage: reading %s column %d: %w", path, ord, err)
-	}
-	sc.addBytes(cm.blockLen)
-	blockErr := func(format string, a ...any) error {
-		return &CorruptError{Table: table, Segment: seg, Path: path, Region: RegionBlock,
-			Column: ord, Offset: cm.off, Detail: fmt.Sprintf(format, a...)}
-	}
-	if verify {
-		if got := crc32.Checksum(block, crcTable); got != cm.crc {
-			return nil, blockErr("block checksum %08x, want %08x", got, cm.crc)
-		}
-	}
-	v, err := decodeColumn(block, sm.rows, dicts)
-	if err != nil {
-		return nil, blockErr("block decode: %v", err)
-	}
-	sc.addBlock(cm.repr)
-	return v, nil
-}
-
 // --- zone-map predicates and segment dispositions ---
 
 // ZoneOp mirrors the executor's comparison operators for zone-map reasoning
@@ -1354,74 +1601,99 @@ func dispSegment(sm *segMeta, preds []ZonePred) ZoneDisp {
 	return disp
 }
 
-// --- decoded-column cache ---
+// --- block cache ---
 
-// colKey identifies one decoded column block: table identity, rewrite
-// generation (SortBy bumps it), segment and column ordinal.
-type colKey struct {
+// blockKey identifies one column block: table identity, rewrite generation
+// (SortBy bumps it), segment and column ordinal.
+type blockKey struct {
 	tab *Table
 	gen int
 	seg int
 	ord int
 }
 
-type colEntry struct {
-	key   colKey
+// cacheEntry holds one column block in one form, never both: enc, verified
+// and parsed, or vec, the decoded column. Entries are immutable once cached.
+type cacheEntry struct {
+	key   blockKey
+	enc   *block
 	vec   *datum.Vec
 	bytes int64
 }
 
-// colCache is the store-wide LRU of decoded column vectors, bounded by a byte
-// budget. Cached vectors are shared read-only; everyone copies out of them
-// via AppendRange/D, never mutates.
-type colCache struct {
+// blockCache is the store-wide LRU of the column blocks read from segment
+// files, bounded by a byte budget. A miss chooses the form of its entry once:
+// decoded when the decoded column fits in the room the budget has left,
+// encoded otherwise, evicting the least recently used entries. Decoded
+// vectors are shared read-only, as encoded blocks are.
+type blockCache struct {
 	mu     sync.Mutex
 	budget int64
 	size   int64
-	lru    *list.List // front = most recently used; values are *colEntry
-	m      map[colKey]*list.Element
+	lru    *list.List // front = most recently used; values are *cacheEntry
+	m      map[blockKey]*list.Element
+	// loading holds the misses being read, closed once each is cached.
+	loading map[blockKey]chan struct{}
 }
 
-func newColCache(budget int64) *colCache {
-	return &colCache{budget: budget, lru: list.New(), m: make(map[colKey]*list.Element)}
+func newBlockCache(budget int64) *blockCache {
+	return &blockCache{budget: budget, lru: list.New(), m: make(map[blockKey]*list.Element),
+		loading: make(map[blockKey]chan struct{})}
 }
 
-func (c *colCache) get(k colKey) *datum.Vec {
+// load returns the entry of k and whether the cache held it; on a miss it
+// caches what read makes. Concurrent misses of one block wait for the first
+// one's read, so parallel workers entering a segment read each block once.
+func (c *blockCache) load(k blockKey, read func() (*cacheEntry, error)) (e *cacheEntry, hit bool, err error) {
+	c.mu.Lock()
+	if el, ok := c.m[k]; ok {
+		c.lru.MoveToFront(el)
+		c.mu.Unlock()
+		return el.Value.(*cacheEntry), true, nil
+	}
+	if wait, ok := c.loading[k]; ok {
+		c.mu.Unlock()
+		<-wait
+		return c.load(k, read)
+	}
+	done := make(chan struct{})
+	c.loading[k] = done
+	c.mu.Unlock()
+	defer func() { // also when read panics, so that no waiter hangs
+		c.mu.Lock()
+		delete(c.loading, k)
+		if e != nil && err == nil {
+			c.m[k] = c.lru.PushFront(e)
+			c.size += e.bytes
+			for c.size > c.budget && c.lru.Len() > 1 {
+				back := c.lru.Back()
+				old := back.Value.(*cacheEntry)
+				c.lru.Remove(back)
+				delete(c.m, old.key)
+				c.size -= old.bytes
+			}
+		}
+		c.mu.Unlock()
+		close(done)
+	}()
+	e, err = read()
+	return e, false, err
+}
+
+// fits reports whether bytes more fit in the budget without an eviction.
+func (c *blockCache) fits(bytes int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[k]
-	if !ok {
-		return nil
-	}
-	c.lru.MoveToFront(el)
-	return el.Value.(*colEntry).vec
+	return c.size+bytes <= c.budget
 }
 
-func (c *colCache) put(k colKey, v *datum.Vec, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[k]; ok {
-		return // a concurrent reader decoded it first; keep theirs
-	}
-	el := c.lru.PushFront(&colEntry{key: k, vec: v, bytes: bytes})
-	c.m[k] = el
-	c.size += bytes
-	for c.size > c.budget && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		e := back.Value.(*colEntry)
-		c.lru.Remove(back)
-		delete(c.m, e.key)
-		c.size -= e.bytes
-	}
-}
-
-// dropTable evicts every cached column of one table (table drop/rewrite).
-func (c *colCache) dropTable(t *Table) {
+// dropTable evicts every cached block of one table (table drop/rewrite).
+func (c *blockCache) dropTable(t *Table) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
-		e := el.Value.(*colEntry)
+		e := el.Value.(*cacheEntry)
 		if e.key.tab == t {
 			c.lru.Remove(el)
 			delete(c.m, e.key)

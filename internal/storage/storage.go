@@ -5,9 +5,11 @@
 // run-length column blocks with zone-map footers. What StoreConfig.Dir decides
 // is only whether a segment has a file. With a directory the encoded bytes are
 // published crash-consistently and scans read them back through a store-wide
-// decoded-column LRU cache, so segments can be evicted; without one the
-// columns are decoded once at seal time and pinned on the segment. Row ids are
-// positional across sealed segments then the tail.
+// LRU block cache, so segments can be evicted: a block enters it verified,
+// held decoded when the decoded column fits in the room left, else held
+// encoded and decoded by row range, straight into each reader's vector.
+// Without a directory the columns are decoded once at seal time and pinned on
+// the segment. Row ids are positional across sealed segments then the tail.
 package storage
 
 import (
@@ -35,8 +37,8 @@ const PageSize = 8192
 // never straddle a segment boundary.
 const DefaultSegmentRows = 4096
 
-// defaultCacheBytes bounds the decoded-column cache when StoreConfig leaves
-// CacheBytes zero.
+// defaultCacheBytes bounds the block cache when StoreConfig leaves CacheBytes
+// zero.
 const defaultCacheBytes = 64 << 20
 
 // Table is the stored data for one catalog table.
@@ -49,7 +51,7 @@ type Table struct {
 	// indexes are built lazily and invalidated by writes.
 	indexes map[string]*IndexData
 	mu      sync.RWMutex
-	// store owns the decoded-column cache, the write-path fault injector and
+	// store owns the block cache, the write-path fault injector and
 	// the retry policy; a standalone table (NewTable) has one to itself.
 	store *Store
 	seg   segTable
@@ -69,8 +71,8 @@ type segTable struct {
 	sealedRows int
 	// sealedBytes is the total encoded size of the sealed segments.
 	sealedBytes int64
-	// dicts interns the dictionaries of the decoded dictionary blocks of
-	// this generation.
+	// dicts interns the dictionaries of the dictionary blocks of this
+	// generation read or pinned so far.
 	dicts dictSet
 }
 
@@ -200,7 +202,7 @@ func (t *Table) publishLocked(pend []pendingSeg, gen int, rec func([]manEntry) s
 			p := &pend[i]
 			p.sm.pinned = make([]*datum.Vec, len(p.sm.cols))
 			for ci, cm := range p.sm.cols {
-				v, err := decodeColumn(p.raw[cm.off:cm.off+cm.blockLen], p.sm.rows, &t.seg.dicts)
+				v, err := decodeBlock(p.raw[cm.off:cm.off+cm.blockLen], p.sm.rows, &t.seg.dicts)
 				if err != nil {
 					return fmt.Errorf("storage: pinning %s segment %d column %d: %w", t.Def.Name, p.sm.id, ci, err)
 				}
@@ -308,36 +310,88 @@ func (t *Table) segPath(id int) string {
 	return filepath.Join(t.seg.dir, segFileName(t.seg.gen, id))
 }
 
-// readColumnLocked returns the decoded column ord of segment si: the pinned
-// vector of a segment without a file, else from the cache when possible.
-// Cache misses read, CRC-verify and decode the block (so hot reads pay the
-// checksum once), retrying transient faults. Segments soft-adopted as corrupt
-// at recovery fail immediately with their typed error. Caller holds t.mu
-// (read or write).
-func (t *Table) readColumnLocked(sc *ScanCtx, si, ord int) (*datum.Vec, error) {
+// columnLocked returns column ord of segment si: decoded — the pinned vector
+// of a segment without a file, or a decoded cache entry — or as an encoded
+// block from the cache, which the caller decodes by range. A miss reads the
+// block (retrying transient faults) and caches it in the form the cache
+// chooses. Segments soft-adopted as corrupt at recovery fail immediately
+// with their typed error. Caller holds t.mu (read or write).
+func (t *Table) columnLocked(sc *ScanCtx, si, ord int) (*datum.Vec, *block, error) {
 	sm := &t.seg.segs[si]
 	if sm.pinned != nil {
-		return sm.pinned[ord], nil
+		return sm.pinned[ord], nil, nil
 	}
 	if sm.corrupt != nil {
-		return nil, sm.corrupt
+		return nil, nil, sm.corrupt
 	}
-	key := colKey{tab: t, gen: t.seg.gen, seg: sm.id, ord: ord}
-	if v := t.store.cache.get(key); v != nil {
-		return v, nil
-	}
-	verify := !t.store.cfg.DisableChecksums
-	var v *datum.Vec
-	err := t.store.retryIO(func() error {
-		var rerr error
-		v, rerr = readColumnBlock(sc, t.segPath(sm.id), sm, ord, t.Def.Name, sm.id, verify, &t.seg.dicts)
-		return rerr
+	cache := t.store.cache
+	key := blockKey{tab: t, gen: t.seg.gen, seg: sm.id, ord: ord}
+	e, hit, err := cache.load(key, func() (*cacheEntry, error) {
+		var b *block
+		if err := t.store.retryIO(func() (err error) {
+			b, err = t.readBlock(sc, sm, ord)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		if b.vec == nil && !cache.fits(b.decodedBytes()) {
+			return &cacheEntry{key: key, enc: b, bytes: b.cacheBytes()}, nil
+		}
+		v, err := b.decode()
+		if err != nil {
+			return nil, t.blockErr(sm, ord, "block decode: %v", err)
+		}
+		return &cacheEntry{key: key, vec: v, bytes: vecCacheBytes(v)}, nil
 	})
+	if err != nil {
+		return nil, nil, err
+	}
+	if hit {
+		sc.addHit()
+	}
+	return e.vec, e.enc, nil
+}
+
+// readBlock reads, CRC-verifies and parses column ord of segment sm from its
+// file, checking the fault streams and counting the read in sc. The block
+// cache makes a block pay its checksum once. StoreConfig.DisableChecksums is
+// the benchmark A/B arm and the escape hatch for salvage reads.
+func (t *Table) readBlock(sc *ScanCtx, sm *segMeta, ord int) (*block, error) {
+	if err := sc.check("segment.open"); err != nil {
+		return nil, err
+	}
+	path := t.segPath(sm.id)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	t.store.cache.put(key, v, vecCacheBytes(v))
-	return v, nil
+	defer f.Close()
+	if err := sc.check("segment.read"); err != nil {
+		return nil, err
+	}
+	cm := &sm.cols[ord]
+	raw := make([]byte, cm.blockLen)
+	if _, err := f.ReadAt(raw, cm.off); err != nil {
+		return nil, fmt.Errorf("storage: reading %s column %d: %w", path, ord, err)
+	}
+	if !t.store.cfg.DisableChecksums {
+		if got := crc32.Checksum(raw, crcTable); got != cm.crc {
+			return nil, t.blockErr(sm, ord, "block checksum %08x, want %08x", got, cm.crc)
+		}
+	}
+	b, err := parseBlock(raw, sm.rows, &t.seg.dicts)
+	if err != nil {
+		return nil, t.blockErr(sm, ord, "block decode: %v", err)
+	}
+	sc.addMiss(cm.blockLen, cm.repr)
+	return b, nil
+}
+
+// blockErr reports corruption of column ord of segment sm, with its
+// coordinates.
+func (t *Table) blockErr(sm *segMeta, ord int, format string, a ...any) error {
+	return &CorruptError{Table: t.Def.Name, Segment: sm.id, Path: t.segPath(sm.id), Region: RegionBlock,
+		Column: ord, Offset: sm.cols[ord].off, Detail: fmt.Sprintf(format, a...)}
 }
 
 // vecCacheBytes is the cache charge of a decoded column vector: the actual
@@ -345,8 +399,8 @@ func (t *Table) readColumnLocked(sc *ScanCtx, si, ord int) (*datum.Vec, error) {
 // tables (a string column charges the sum of its string lengths plus a
 // header per slot, not the encoded block length). Dictionary columns charge
 // 8 bytes per code plus the dictionary payload — the compression win shows
-// up as more columns fitting in the same budget. RLE columns are cached
-// expanded, and charge the expanded size.
+// up as more columns fitting in the same budget. A run-length column decodes
+// expanded and charges the expanded size; held encoded, it charges its runs.
 func vecCacheBytes(v *datum.Vec) int64 {
 	n := int64(v.Len())
 	var b int64
@@ -413,39 +467,26 @@ func (t *Table) Rows(sc *ScanCtx) ([]datum.Row, error) {
 	return t.rowsRangeLocked(sc, 0, t.rowCountLocked())
 }
 
-// rowsRangeLocked materializes rows [lo, hi), gathered from decoded segment
-// columns and the tail. Caller holds t.mu.
+// rowsRangeLocked materializes rows [lo, hi) from one range fill per column.
+// Caller holds t.mu.
 func (t *Table) rowsRangeLocked(sc *ScanCtx, lo, hi int) ([]datum.Row, error) {
 	if hi <= lo {
 		return nil, nil
 	}
-	out := make([]datum.Row, 0, hi-lo)
 	ncols := len(t.Def.Cols)
-	pos := lo
-	for pos < hi && pos < t.seg.sealedRows {
-		si := t.segIndexLocked(pos)
-		sm := &t.seg.segs[si]
-		segLo := pos - sm.startRow
-		segHi := min(hi-sm.startRow, sm.rows)
-		cols := make([]*datum.Vec, ncols)
-		for ci := 0; ci < ncols; ci++ {
-			v, err := t.readColumnLocked(sc, si, ci)
-			if err != nil {
-				return nil, err
-			}
-			cols[ci] = v
+	cols := make([]*datum.Vec, ncols)
+	for ci, col := range t.Def.Cols {
+		cols[ci] = datum.NewVec(col.Kind, hi-lo)
+		if err := t.fillColumnRangeLocked(sc, ci, lo, hi, cols[ci]); err != nil {
+			return nil, err
 		}
-		for i := segLo; i < segHi; i++ {
-			r := make(datum.Row, ncols)
-			for ci := 0; ci < ncols; ci++ {
-				r[ci] = cols[ci].D(i)
-			}
-			out = append(out, r)
-		}
-		pos = sm.startRow + segHi
 	}
-	for ; pos < hi; pos++ {
-		out = append(out, t.rows[pos-t.seg.sealedRows])
+	out := make([]datum.Row, hi-lo)
+	for i := range out {
+		out[i] = make(datum.Row, ncols)
+		for ci, v := range cols {
+			out[i][ci] = v.D(i)
+		}
 	}
 	return out, nil
 }
@@ -454,30 +495,22 @@ func (t *Table) rowsRangeLocked(sc *ScanCtx, lo, hi int) ([]datum.Row, error) {
 func (t *Table) Row(sc *ScanCtx, id int) (datum.Row, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if id >= t.seg.sealedRows {
-		return t.rows[id-t.seg.sealedRows], nil
+	rows, err := t.rowsRangeLocked(sc, id, id+1)
+	if err != nil {
+		return nil, err
 	}
-	si := t.segIndexLocked(id)
-	sm := &t.seg.segs[si]
-	r := make(datum.Row, len(t.Def.Cols))
-	for ci := range r {
-		v, err := t.readColumnLocked(sc, si, ci)
-		if err != nil {
-			return nil, err
-		}
-		r[ci] = v.D(id - sm.startRow)
-	}
-	return r, nil
+	return rows[0], nil
 }
 
 // FillColumnRange appends column ord of rows [lo, hi) to v — the
 // batch-granular scan API of the vectorized execution path: one lock
 // acquisition and one column fill per morsel instead of a row-at-a-time
 // iterator. Sealed rows bulk-copy out of decoded segment columns
-// (Vec.AppendRange); tail rows take the typed bulk-append fast path
-// (Vec.AppendRowsCol). Values whose dynamic kind disagrees with v's kind
-// (numeric coercion allows that) switch v to its boxed representation, so
-// the fill itself never fails — only segment I/O can.
+// (Vec.AppendRange) or decode from cached encoded blocks straight into v;
+// tail rows take the typed bulk-append fast path (Vec.AppendRowsCol). Values
+// whose dynamic kind disagrees with v's kind (numeric coercion allows that)
+// switch v to its boxed representation, so the fill itself never fails —
+// only segment I/O and decoding can.
 func (t *Table) FillColumnRange(sc *ScanCtx, ord, lo, hi int, v *datum.Vec) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -489,12 +522,16 @@ func (t *Table) fillColumnRangeLocked(sc *ScanCtx, ord, lo, hi int, v *datum.Vec
 	for pos < hi && pos < t.seg.sealedRows {
 		si := t.segIndexLocked(pos)
 		sm := &t.seg.segs[si]
-		col, err := t.readColumnLocked(sc, si, ord)
+		segHi := min(hi-sm.startRow, sm.rows)
+		col, blk, err := t.columnLocked(sc, si, ord)
 		if err != nil {
 			return err
 		}
-		segHi := min(hi-sm.startRow, sm.rows)
-		v.AppendRange(col, pos-sm.startRow, segHi)
+		if blk == nil {
+			v.AppendRange(col, pos-sm.startRow, segHi)
+		} else if err := blk.read(v, rowSet{lo: pos - sm.startRow, hi: segHi}); err != nil {
+			return t.blockErr(sm, ord, "block decode: %v", err)
+		}
 		pos = sm.startRow + segHi
 	}
 	if pos < hi {
@@ -507,8 +544,9 @@ func (t *Table) fillColumnRangeLocked(sc *ScanCtx, ord, lo, hi int, v *datum.Vec
 // id order — the gather form of the batch scan API used by index scans and
 // late materialization of filtered scans. Ids are usually ascending (selection
 // vectors, index postings), so the list is walked in runs that stay inside one
-// segment: one column read and one typed gather per run. Ids in any other
-// order only make the runs shorter; tail rows append one by one.
+// segment: one column read and one typed gather per run, which decodes only
+// the rows of its ids from an encoded block. Ids in any other order only make
+// the runs shorter; tail rows append one by one.
 func (t *Table) FillColumnIDs(sc *ScanCtx, ord int, ids []int, v *datum.Vec) error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -525,11 +563,15 @@ func (t *Table) FillColumnIDs(sc *ScanCtx, ord int, ids []int, v *datum.Vec) err
 		for n < len(ids) && ids[n] >= lo && ids[n] < hi {
 			n++
 		}
-		col, err := t.readColumnLocked(sc, si, ord)
+		col, blk, err := t.columnLocked(sc, si, ord)
 		if err != nil {
 			return err
 		}
-		datum.AppendGather(v, col, ids[:n], sm.startRow)
+		if blk == nil {
+			datum.AppendGather(v, col, ids[:n], sm.startRow)
+		} else if err := blk.read(v, rowSet{lo: sm.startRow, ids: ids[:n]}); err != nil {
+			return t.blockErr(sm, ord, "block decode: %v", err)
+		}
 		ids = ids[n:]
 	}
 	return nil
@@ -722,13 +764,17 @@ func (t *Table) SegmentStats() (rows, totalRows, pages int, cols []SegColStats, 
 type StoreConfig struct {
 	// Dir, when non-empty, gives segments files: each table publishes its
 	// sealed segments under Dir/<table>/ and reads them back through the
-	// column cache. Empty keeps sealed segments decoded and pinned in memory.
+	// block cache. Empty keeps sealed segments decoded and pinned in memory.
 	Dir string
 	// SegmentRows is the sealed-segment row count (DefaultSegmentRows when
 	// zero). Should stay a multiple of the executor's morsel size.
 	SegmentRows int
-	// CacheBytes bounds the store-wide decoded-column LRU cache
-	// (defaultCacheBytes when zero). Only segments with files go through it.
+	// CacheBytes bounds the store-wide LRU block cache (defaultCacheBytes
+	// when zero). Only segments with files go through it. A block read from
+	// its file is CRC-checked once and cached decoded when the decoded column
+	// fits in the room left without an eviction, else encoded — its bytes,
+	// NULL bitmap and interned dictionary, charged at that size — and decoded
+	// by row range on every read. No entry holds both forms.
 	CacheBytes int64
 	// Faults, when non-nil, injects errors into the segment write path
 	// (the "segment.create"/"segment.write" encode streams plus the
@@ -759,7 +805,7 @@ type Store struct {
 	mu       sync.RWMutex
 	tables   map[string]*Table
 	cfg      StoreConfig
-	cache    *colCache
+	cache    *blockCache
 	recovery []*RecoveryReport
 }
 
@@ -791,7 +837,7 @@ func NewStoreWith(cfg StoreConfig) *Store {
 	if s.cfg.CacheBytes <= 0 {
 		s.cfg.CacheBytes = defaultCacheBytes
 	}
-	s.cache = newColCache(s.cfg.CacheBytes)
+	s.cache = newBlockCache(s.cfg.CacheBytes)
 	return s
 }
 

@@ -174,7 +174,7 @@ type Options struct {
 	// distinct sketches per column) and scans eliminate segments their
 	// predicates cannot match; with a directory the segments are published
 	// crash-consistently under StorageDir/<table>/, read back through a
-	// bounded column cache, survive a restart, and their metadata serves as
+	// bounded block cache, survive a restart, and their metadata serves as
 	// coarse statistics when ANALYZE-built stats are missing or stale. Empty
 	// (the default) keeps the same segments decoded and pinned in memory;
 	// Flush, Scrub and recovery then have nothing to do.
@@ -184,9 +184,10 @@ type Options struct {
 	// morsels never straddle segments). Without a directory a table smaller
 	// than this never seals and keeps its modeled page count.
 	SegmentRows int
-	// SegmentCacheBytes bounds the decoded-column cache that segment files
-	// are read through (default 64 MiB); pinned segments never enter it.
-	// Tests set it tiny to force every read cold.
+	// SegmentCacheBytes bounds the block cache that segment files are read
+	// through (default 64 MiB): a block is held decoded when that fits in the
+	// room left, else encoded and decoded by morsel range; pinned segments
+	// never enter it. Tests set it tiny so that nearly every read misses.
 	SegmentCacheBytes int64
 	// DisableZoneMaps turns off zone-map segment elimination, and with a
 	// directory pruned-page costing: every segment is read and filtered. The
@@ -446,12 +447,14 @@ type ExecStats struct {
 	SegmentsRead   int64
 	SegmentsPruned int64
 	BytesRead      int64
-	// BlocksDict / BlocksRLE / BlocksPlain count column blocks decoded from
+	// BlocksDict / BlocksRLE / BlocksPlain count column blocks read from
 	// disk by representation (dictionary, run-length, plain typed/boxed).
-	// Cache hits add nothing, same as BytesRead.
+	// Cache hits add nothing, same as BytesRead; BlockHits counts them: the
+	// column reads the block cache served, decoded or encoded.
 	BlocksDict  int64
 	BlocksRLE   int64
 	BlocksPlain int64
+	BlockHits   int64
 }
 
 // RegisterPredicate registers a user-defined predicate callable from SQL
@@ -981,6 +984,7 @@ func (e *Engine) finish(q *logical.Query, plan physical.Plan, res *exec.Result, 
 			BlocksDict:     ctx.Counters.BlocksDict,
 			BlocksRLE:      ctx.Counters.BlocksRLE,
 			BlocksPlain:    ctx.Counters.BlocksPlain,
+			BlockHits:      ctx.Counters.BlockHits,
 		},
 	}
 	if plan != nil {

@@ -285,3 +285,87 @@ func TestStaleStatsUseSegmentMetadata(t *testing.T) {
 		t.Fatalf("scan estimate did not pick up segment metadata (want rows=5500):\nplan:\n%s", plan.String())
 	}
 }
+
+// blockCacheEngine loads 3 segments of 4096 rows — a small INT column and a
+// dictionary string column — into an engine configured by opts.
+func blockCacheEngine(t *testing.T, opts Options) *Engine {
+	t.Helper()
+	e := New(opts)
+	e.MustExec(`CREATE TABLE bc (i INT, d VARCHAR)`)
+	var rows [][]any
+	for k := 0; k < 3*4096; k++ {
+		rows = append(rows, []any{k * 7 % 60, []string{"ant", "bee", "cat", "dog"}[k*k%4]})
+	}
+	if err := e.LoadRows("bc", rows); err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// TestBlockHitsCountColumnReads: every column read of a scan is a block
+// cache hit or a miss counted by representation, so hits plus misses equal
+// the column reads the scan made — one per referenced column and morsel —
+// cold, warm, and under a budget that keeps blocks encoded; EXPLAIN ANALYZE
+// shows the hits.
+func TestBlockHitsCountColumnReads(t *testing.T) {
+	const reads = 3 * 4 * 2 // segments × morsels per segment × columns
+	for _, budget := range []int64{0, 30000} {
+		e := blockCacheEngine(t, Options{Optimizer: SystemR, StorageDir: t.TempDir(), SegmentCacheBytes: budget})
+		for run := 0; run < 3; run++ {
+			res, err := e.Exec(`SELECT SUM(i), COUNT(d) FROM bc`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			if misses := st.BlocksDict + st.BlocksRLE + st.BlocksPlain; st.BlockHits+misses != reads {
+				t.Fatalf("budget %d run %d: %d hits + %d misses, want %d column reads", budget, run, st.BlockHits, misses, reads)
+			}
+			if run > 0 && (st.BlockHits != reads || st.BytesRead != 0) {
+				t.Fatalf("budget %d run %d: warm scan %+v, want every read a hit", budget, run, st)
+			}
+		}
+		res, err := e.Exec(`EXPLAIN ANALYZE SELECT SUM(i), COUNT(d) FROM bc`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(res.Plan, fmt.Sprintf("block_hits=%d", reads)) {
+			t.Fatalf("budget %d: no block_hits=%d in plan:\n%s", budget, reads, res.Plan)
+		}
+		e.Close()
+	}
+}
+
+// TestParallelScansShareEncodedBlocks: two workers decode ranges and gathers
+// of the same encoded blocks at once — a budget below one decoded column
+// keeps every block encoded — and agree with the in-memory engine. Run under
+// -race this checks the blocks' shared marks.
+func TestParallelScansShareEncodedBlocks(t *testing.T) {
+	mem := blockCacheEngine(t, Options{Optimizer: SystemR})
+	defer mem.Close()
+	disk := blockCacheEngine(t, Options{Optimizer: SystemR, Parallelism: 2, StorageDir: t.TempDir(), SegmentCacheBytes: 30000})
+	defer disk.Close()
+	queries := []string{
+		`SELECT SUM(i), COUNT(*) FROM bc WHERE d = 'bee'`,
+		`SELECT d, COUNT(*), SUM(i) FROM bc WHERE i < 20 GROUP BY d`,
+		`SELECT i, d FROM bc WHERE i = 59`,
+		`SELECT d, MIN(i), MAX(i) FROM bc GROUP BY d`,
+	}
+	for round := 0; round < 3; round++ {
+		for _, q := range queries {
+			want, err := mem.Exec(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := disk.Exec(q)
+			if err != nil {
+				t.Fatalf("%s: %v", q, err)
+			}
+			if a, b := strings.Join(canonRowsHex(got), ";"), strings.Join(canonRowsHex(want), ";"); a != b {
+				t.Fatalf("%s: disk %.300s, memory %.300s", q, a, b)
+			}
+			if round > 0 && got.Stats.BytesRead != 0 {
+				t.Fatalf("%s: round %d read %d bytes, want every block held encoded", q, round, got.Stats.BytesRead)
+			}
+		}
+	}
+}
