@@ -24,7 +24,8 @@ func encodeVec(v *datum.Vec, compress bool) ([]byte, byte) {
 
 // BenchmarkDecodeBlock decodes 4096-row blocks whole and by 1024-row range
 // into a reused vector: plain INT blocks whose varints take 1, 2 and 3 bytes,
-// a dictionary block, a run-length block and a FLOAT block.
+// a dictionary block, a run-length block, a FLOAT block and a plain STRING
+// block.
 func BenchmarkDecodeBlock(b *testing.B) {
 	const rows = 4096
 	rng := rand.New(rand.NewSource(1))
@@ -49,6 +50,7 @@ func BenchmarkDecodeBlock(b *testing.B) {
 		{"dict", gen(datum.KindString, func(int) datum.D { return datum.NewString(fmt.Sprintf("v%02d", rng.Intn(50))) }), reprDict},
 		{"rle", gen(datum.KindInt, func(i int) datum.D { return datum.NewInt(int64(i / 64)) }), reprRLE},
 		{"float", gen(datum.KindFloat, func(int) datum.D { return datum.NewFloat(rng.Float64()) }), reprTyped},
+		{"str", gen(datum.KindString, func(int) datum.D { return datum.NewString(fmt.Sprintf("s%06d", rng.Intn(1e6))) }), reprTyped},
 	}
 	for _, tc := range cases {
 		raw, repr := encodeVec(tc.v, true)
@@ -169,8 +171,7 @@ func blockSources(rng *rand.Rand, n int) map[string]struct {
 // lists, and every kind of target vector, decoding only the rows asked for
 // into the target equals decoding the whole block and appending from it with
 // AppendRange or AppendGather — representation included. One parsed block
-// serves every read, in random order, so reads start from the marks earlier
-// reads left.
+// serves every read, in random order.
 func TestBlockReadMatchesDecoded(t *testing.T) {
 	const n = 700
 	rng := rand.New(rand.NewSource(3))
@@ -298,11 +299,11 @@ func cacheForms(t *testing.T, s *Store) (enc, dec int) {
 	s.cache.mu.Lock()
 	defer s.cache.mu.Unlock()
 	for el := s.cache.lru.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if (e.enc == nil) == (e.vec == nil) {
-			t.Fatalf("cache entry %+v holds both forms or neither", e.key)
+		b := el.Value.(*cacheEntry).blk
+		if encoded := b.body != nil || b.runs != nil; encoded == (b.vec != nil) {
+			t.Fatalf("cache entry %+v holds both forms or neither", el.Value.(*cacheEntry).key)
 		}
-		if e.enc != nil {
+		if b.vec == nil {
 			enc++
 		} else {
 			dec++

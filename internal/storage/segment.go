@@ -29,7 +29,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/datum"
 	"repro/internal/faultfs"
@@ -186,7 +185,7 @@ type segMeta struct {
 	cols     []colMeta
 	// pinned, when non-nil, holds the decoded columns of a segment that has
 	// no file (a table without a directory): the data itself, never evicted.
-	pinned []*datum.Vec
+	pinned []*block
 	// corrupt, when non-nil, marks a manifest-listed segment whose file failed
 	// verification at recovery. The segment is soft-adopted — rows comes from
 	// the manifest so the table's row-id space stays intact and unaffected
@@ -264,12 +263,9 @@ func (r *byteReader) take(n int) ([]byte, error) {
 // gives over ReadByte: ten continuation bytes overflow even at the end of the
 // data, fewer are truncated.
 func (r *byteReader) uvarint() (uint64, error) {
-	x, off := uvarint(r.b, r.off)
-	if off < 0 {
-		return 0, varintErr(off)
-	}
+	x, off, err := uvarint(r.b, r.off)
 	r.off = off
-	return x, nil
+	return x, err
 }
 
 // varint decodes a zig-zag varint, as binary.ReadVarint does.
@@ -281,25 +277,17 @@ func (r *byteReader) varint() (int64, error) {
 func unzigzag(ux uint64) int64 { return int64(ux>>1) ^ -int64(ux&1) }
 
 // uvarint decodes the uvarint at b[off:], returning it and the offset past
-// it, or a negative offset: -1 when b ends first, -2 when the varint
-// overflows 64 bits. The decode loop of integer blocks inlines its one- and
-// two-byte cases.
-func uvarint(b []byte, off int) (uint64, int) {
+// it (off on an error). The decode loop of integer blocks inlines its one-
+// and two-byte cases.
+func uvarint(b []byte, off int) (uint64, int, error) {
 	x, n := binary.Uvarint(b[min(off, len(b)):])
 	switch {
 	case n > 0:
-		return x, off + n
+		return x, off + n, nil
 	case n < 0 || len(b)-off >= binary.MaxVarintLen64:
-		return 0, -2
+		return 0, off, errVarintOverflow
 	}
-	return 0, -1
-}
-
-func varintErr(off int) error {
-	if off == -2 {
-		return errVarintOverflow
-	}
-	return errTruncated
+	return 0, off, errTruncated
 }
 
 func decodeD(r *byteReader) (datum.D, error) {
@@ -646,17 +634,11 @@ func (ds *dictSet) reset() {
 
 // --- column blocks: parsed once, decoded by row range ---
 
-// markStride is the row distance between the body offsets a block records
-// as reads pass them: varints and strings have no random access, so a read
-// walks from the closest recorded mark at or below its first row.
-const markStride = 128
-
 // block is a column block with its header parsed and its values still
 // encoded in body — what the block cache holds when the decoded column does
 // not fit, and the one decode path: a whole column is the rows [0, rows).
-// Concurrent readers share a block; only marks change, atomically.
+// Concurrent readers share a block, which reads do not change.
 type block struct {
-	repr     byte
 	kind     datum.Kind
 	rows     int
 	nulls    datum.Bitmap // a run-length block's NULL runs too
@@ -667,11 +649,10 @@ type block struct {
 	// row each run ends before.
 	runs *datum.Vec
 	ends []int32
-	// vec is the column of a boxed or all-NULL block, decoded at parse.
+	// vec is the decoded column of a block without a body: a boxed or
+	// all-NULL block, decoded at parse, or one held decoded — pinned, or a
+	// decoded cache entry.
 	vec *datum.Vec
-	// marks[k] is the body offset of row k*markStride once a read passed it,
-	// 0 before (every row takes a byte, so only row 0 is at offset 0).
-	marks []atomic.Int32
 }
 
 // parseBlock parses a column block of rows rows, interning its dictionary in
@@ -692,7 +673,7 @@ func parseBlock(raw []byte, rows int, dicts *dictSet) (*block, error) {
 	if n, err := r.uvarint(); err != nil || n != uint64(rows) {
 		return nil, cmp.Or(err, fmt.Errorf("storage: column block has %d rows, segment has %d", n, rows))
 	}
-	b := &block{repr: repr, kind: datum.Kind(kb), rows: rows}
+	b := &block{kind: datum.Kind(kb), rows: rows}
 	switch {
 	case repr == reprBoxed:
 		ds := make([]datum.D, rows)
@@ -719,9 +700,6 @@ func parseBlock(raw []byte, rows int, dicts *dictSet) (*block, error) {
 	}
 	if b.vec == nil && b.runs == nil {
 		b.body = raw[r.off:]
-		if b.kind != datum.KindFloat && rows > markStride {
-			b.marks = make([]atomic.Int32, (rows-1)/markStride+1)
-		}
 	}
 	return b, err
 }
@@ -958,56 +936,46 @@ type cursor struct {
 	row, off int
 }
 
-// to moves the cursor to row — from the closest recorded mark at or below
-// row when that is nearer, then by skipping rows — recording the marks it
-// passes and reaches.
+// to moves the cursor forward to row, from row 0 when row is behind it.
+// Varints and strings have no random access, so the rows between are
+// skipped: strings by their lengths, varints eight bytes at a time by
+// counting the bytes that end one.
 func (c *cursor) to(row int) (err error) {
 	if row < c.row {
 		c.row, c.off = 0, 0
 	}
-	for k := min(row/markStride, len(c.b.marks)-1); k*markStride > c.row; k-- {
-		if off := c.b.marks[k].Load(); off != 0 {
-			c.row, c.off = k*markStride, int(off)
-			break
-		}
-	}
-	body, at, off := c.b.body, c.row, c.off
-	for strs := c.b.kind == datum.KindString && c.b.dict == nil; at < row && err == nil; {
-		if !strs && off+8 <= len(body) {
-			// Eight bytes at a time: the varints that end in them.
-			ends := ^binary.LittleEndian.Uint64(body[off:]) & 0x8080808080808080
-			if n := bits.OnesCount64(ends); n > 0 && at+n <= row {
-				at, off = at+n, off+(63-bits.LeadingZeros64(ends))/8+1
-				continue
+	body, off, n := c.b.body, c.off, row-c.row
+	if c.b.kind == datum.KindString && c.b.dict == nil {
+		for ; n > 0 && err == nil; n-- {
+			if off < len(body) && body[off] < 0x80 {
+				off += 1 + int(body[off]) // a length below 128
+			} else {
+				_, off, err = str(body, off)
 			}
 		}
-		c.b.mark(at, off)
-		if at++; strs {
-			_, off, err = str(body, off)
-			continue
+	} else {
+		// A word holds at most eight varint ends, so while eight or more
+		// rows are left, every word is passed whole; a varint the last word
+		// cut is the first row the byte loop passes.
+		for ; n >= 8 && off+8 <= len(body); off += 8 {
+			n -= bits.OnesCount64(^binary.LittleEndian.Uint64(body[off:]) & 0x8080808080808080)
 		}
-		for off < len(body) && body[off] >= 0x80 {
+		for ; n > 0 && off < len(body); n-- {
+			for off < len(body) && body[off] >= 0x80 {
+				off++
+			}
 			off++
 		}
-		if off++; off > len(body) {
-			err = errTruncated
-		}
 	}
-	c.row, c.off = at, off
-	c.b.mark(at, off)
+	if n > 0 || off > len(body) {
+		err = cmp.Or(err, errTruncated)
+	}
+	c.row, c.off = row, off
 	return err
 }
 
-// mark records off as the body offset of row when row starts a stride.
-func (b *block) mark(row, off int) {
-	if k := row / markStride; row%markStride == 0 && k < len(b.marks) && b.marks[k].Load() == 0 {
-		b.marks[k].Store(int32(off))
-	}
-}
-
 // ints appends rows rs of an INT, BOOL or dictionary block to dst: its
-// uvarints, zig-zag decoded or checked against the dictionary. A range
-// decodes stride by stride, recording a mark at each stride it starts.
+// uvarints, zig-zag decoded or checked against the dictionary.
 func (c *cursor) ints(dst []int64, rs rowSet) (_ []int64, err error) {
 	start, n := len(dst), rs.n()
 	dst = slices.Grow(dst, n)
@@ -1017,7 +985,7 @@ func (c *cursor) ints(dst []int64, rs rowSet) (_ []int64, err error) {
 		}
 		step := 1
 		if rs.ids == nil {
-			step = min(n-k, markStride-c.row%markStride)
+			step = n
 		}
 		dst, c.off, err = varints(dst, c.b.body, c.off, step)
 		c.row, k = c.row+step, k+step
@@ -1048,8 +1016,8 @@ func varints(dst []int64, body []byte, off, n int) ([]int64, int, error) {
 		}
 		x, k := binary.Uvarint(body[off:])
 		if k <= 0 {
-			_, next := uvarint(body, off)
-			return dst, off, varintErr(next)
+			_, _, err := uvarint(body, off)
+			return dst, off, err
 		}
 		dst, off = append(dst, int64(x)), off+k
 	}
@@ -1059,12 +1027,12 @@ func varints(dst []int64, body []byte, off, n int) ([]int64, int, error) {
 // str reads the uvarint-length string at body[off:], returning it and the
 // offset past it.
 func str(body []byte, off int) ([]byte, int, error) {
-	n, next := uvarint(body, off)
-	if next < 0 {
-		return nil, off, varintErr(next)
+	n, next, err := uvarint(body, off)
+	if err == nil && n > uint64(len(body)-next) {
+		err = errTruncated
 	}
-	if n > uint64(len(body)-next) {
-		return nil, off, errTruncated
+	if err != nil {
+		return nil, off, err
 	}
 	return body[next : next+int(n)], next + int(n), nil
 }
@@ -1092,9 +1060,9 @@ func (b *block) decodedBytes() int64 {
 }
 
 // cacheBytes is the cache charge of the block held encoded: its body, NULL
-// bitmap, marks, dictionary and runs.
+// bitmap, dictionary and runs.
 func (b *block) cacheBytes() int64 {
-	x := int64(len(b.body) + 8*len(b.nulls) + 4*len(b.marks) + 4*len(b.ends))
+	x := int64(len(b.body) + 8*len(b.nulls) + 4*len(b.ends))
 	if b.dict != nil {
 		x += b.dict.Bytes()
 	}
@@ -1612,12 +1580,12 @@ type blockKey struct {
 	ord int
 }
 
-// cacheEntry holds one column block in one form, never both: enc, verified
-// and parsed, or vec, the decoded column. Entries are immutable once cached.
+// cacheEntry holds one column block in one form, never both: verified and
+// parsed with its values encoded, or decoded (blk.vec, no body). Entries are
+// immutable once cached.
 type cacheEntry struct {
 	key   blockKey
-	enc   *block
-	vec   *datum.Vec
+	blk   *block
 	bytes int64
 }
 
@@ -1632,52 +1600,38 @@ type blockCache struct {
 	size   int64
 	lru    *list.List // front = most recently used; values are *cacheEntry
 	m      map[blockKey]*list.Element
-	// loading holds the misses being read, closed once each is cached.
-	loading map[blockKey]chan struct{}
 }
 
 func newBlockCache(budget int64) *blockCache {
-	return &blockCache{budget: budget, lru: list.New(), m: make(map[blockKey]*list.Element),
-		loading: make(map[blockKey]chan struct{})}
+	return &blockCache{budget: budget, lru: list.New(), m: make(map[blockKey]*list.Element)}
 }
 
-// load returns the entry of k and whether the cache held it; on a miss it
-// caches what read makes. Concurrent misses of one block wait for the first
-// one's read, so parallel workers entering a segment read each block once.
-func (c *blockCache) load(k blockKey, read func() (*cacheEntry, error)) (e *cacheEntry, hit bool, err error) {
+func (c *blockCache) get(k blockKey) *cacheEntry {
 	c.mu.Lock()
-	if el, ok := c.m[k]; ok {
-		c.lru.MoveToFront(el)
-		c.mu.Unlock()
-		return el.Value.(*cacheEntry), true, nil
+	defer c.mu.Unlock()
+	el, ok := c.m[k]
+	if !ok {
+		return nil
 	}
-	if wait, ok := c.loading[k]; ok {
-		c.mu.Unlock()
-		<-wait
-		return c.load(k, read)
+	c.lru.MoveToFront(el)
+	return el.Value.(*cacheEntry)
+}
+
+func (c *blockCache) put(e *cacheEntry) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.m[e.key]; ok {
+		return // a concurrent reader cached it first; keep theirs
 	}
-	done := make(chan struct{})
-	c.loading[k] = done
-	c.mu.Unlock()
-	defer func() { // also when read panics, so that no waiter hangs
-		c.mu.Lock()
-		delete(c.loading, k)
-		if e != nil && err == nil {
-			c.m[k] = c.lru.PushFront(e)
-			c.size += e.bytes
-			for c.size > c.budget && c.lru.Len() > 1 {
-				back := c.lru.Back()
-				old := back.Value.(*cacheEntry)
-				c.lru.Remove(back)
-				delete(c.m, old.key)
-				c.size -= old.bytes
-			}
-		}
-		c.mu.Unlock()
-		close(done)
-	}()
-	e, err = read()
-	return e, false, err
+	c.m[e.key] = c.lru.PushFront(e)
+	c.size += e.bytes
+	for c.size > c.budget && c.lru.Len() > 1 {
+		back := c.lru.Back()
+		old := back.Value.(*cacheEntry)
+		c.lru.Remove(back)
+		delete(c.m, old.key)
+		c.size -= old.bytes
+	}
 }
 
 // fits reports whether bytes more fit in the budget without an eviction.

@@ -200,13 +200,13 @@ func (t *Table) publishLocked(pend []pendingSeg, gen int, rec func([]manEntry) s
 	if t.seg.dir == "" {
 		for i := range pend {
 			p := &pend[i]
-			p.sm.pinned = make([]*datum.Vec, len(p.sm.cols))
+			p.sm.pinned = make([]*block, len(p.sm.cols))
 			for ci, cm := range p.sm.cols {
 				v, err := decodeBlock(p.raw[cm.off:cm.off+cm.blockLen], p.sm.rows, &t.seg.dicts)
 				if err != nil {
 					return fmt.Errorf("storage: pinning %s segment %d column %d: %w", t.Def.Name, p.sm.id, ci, err)
 				}
-				p.sm.pinned[ci] = v
+				p.sm.pinned[ci] = &block{vec: v}
 			}
 			p.raw = nil
 		}
@@ -310,46 +310,43 @@ func (t *Table) segPath(id int) string {
 	return filepath.Join(t.seg.dir, segFileName(t.seg.gen, id))
 }
 
-// columnLocked returns column ord of segment si: decoded — the pinned vector
-// of a segment without a file, or a decoded cache entry — or as an encoded
-// block from the cache, which the caller decodes by range. A miss reads the
-// block (retrying transient faults) and caches it in the form the cache
-// chooses. Segments soft-adopted as corrupt at recovery fail immediately
-// with their typed error. Caller holds t.mu (read or write).
-func (t *Table) columnLocked(sc *ScanCtx, si, ord int) (*datum.Vec, *block, error) {
+// columnLocked returns column ord of segment si as a block to read rows
+// from: decoded — the pinned column of a segment without a file, or a
+// decoded cache entry — or encoded, from the cache. A miss reads the block
+// (retrying transient faults) and caches it in the form the cache chooses.
+// Segments soft-adopted as corrupt at recovery fail immediately with their
+// typed error. Caller holds t.mu (read or write).
+func (t *Table) columnLocked(sc *ScanCtx, si, ord int) (*block, error) {
 	sm := &t.seg.segs[si]
 	if sm.pinned != nil {
-		return sm.pinned[ord], nil, nil
+		return sm.pinned[ord], nil
 	}
 	if sm.corrupt != nil {
-		return nil, nil, sm.corrupt
+		return nil, sm.corrupt
 	}
 	cache := t.store.cache
 	key := blockKey{tab: t, gen: t.seg.gen, seg: sm.id, ord: ord}
-	e, hit, err := cache.load(key, func() (*cacheEntry, error) {
-		var b *block
-		if err := t.store.retryIO(func() (err error) {
-			b, err = t.readBlock(sc, sm, ord)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		if b.vec == nil && !cache.fits(b.decodedBytes()) {
-			return &cacheEntry{key: key, enc: b, bytes: b.cacheBytes()}, nil
-		}
+	if e := cache.get(key); e != nil {
+		sc.addHit()
+		return e.blk, nil
+	}
+	var b *block
+	if err := t.store.retryIO(func() (err error) {
+		b, err = t.readBlock(sc, sm, ord)
+		return err
+	}); err != nil {
+		return nil, err
+	}
+	e := &cacheEntry{key: key, blk: b, bytes: b.cacheBytes()}
+	if b.vec != nil || cache.fits(b.decodedBytes()) {
 		v, err := b.decode()
 		if err != nil {
 			return nil, t.blockErr(sm, ord, "block decode: %v", err)
 		}
-		return &cacheEntry{key: key, vec: v, bytes: vecCacheBytes(v)}, nil
-	})
-	if err != nil {
-		return nil, nil, err
+		e = &cacheEntry{key: key, blk: &block{vec: v}, bytes: vecCacheBytes(v)}
 	}
-	if hit {
-		sc.addHit()
-	}
-	return e.vec, e.enc, nil
+	cache.put(e)
+	return e.blk, nil
 }
 
 // readBlock reads, CRC-verifies and parses column ord of segment sm from its
@@ -523,13 +520,11 @@ func (t *Table) fillColumnRangeLocked(sc *ScanCtx, ord, lo, hi int, v *datum.Vec
 		si := t.segIndexLocked(pos)
 		sm := &t.seg.segs[si]
 		segHi := min(hi-sm.startRow, sm.rows)
-		col, blk, err := t.columnLocked(sc, si, ord)
+		blk, err := t.columnLocked(sc, si, ord)
 		if err != nil {
 			return err
 		}
-		if blk == nil {
-			v.AppendRange(col, pos-sm.startRow, segHi)
-		} else if err := blk.read(v, rowSet{lo: pos - sm.startRow, hi: segHi}); err != nil {
+		if err := blk.read(v, rowSet{lo: pos - sm.startRow, hi: segHi}); err != nil {
 			return t.blockErr(sm, ord, "block decode: %v", err)
 		}
 		pos = sm.startRow + segHi
@@ -563,13 +558,11 @@ func (t *Table) FillColumnIDs(sc *ScanCtx, ord int, ids []int, v *datum.Vec) err
 		for n < len(ids) && ids[n] >= lo && ids[n] < hi {
 			n++
 		}
-		col, blk, err := t.columnLocked(sc, si, ord)
+		blk, err := t.columnLocked(sc, si, ord)
 		if err != nil {
 			return err
 		}
-		if blk == nil {
-			datum.AppendGather(v, col, ids[:n], sm.startRow)
-		} else if err := blk.read(v, rowSet{lo: sm.startRow, ids: ids[:n]}); err != nil {
+		if err := blk.read(v, rowSet{lo: sm.startRow, ids: ids[:n]}); err != nil {
 			return t.blockErr(sm, ord, "block decode: %v", err)
 		}
 		ids = ids[n:]

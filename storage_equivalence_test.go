@@ -338,7 +338,7 @@ func TestBlockHitsCountColumnReads(t *testing.T) {
 // TestParallelScansShareEncodedBlocks: two workers decode ranges and gathers
 // of the same encoded blocks at once — a budget below one decoded column
 // keeps every block encoded — and agree with the in-memory engine. Run under
-// -race this checks the blocks' shared marks.
+// -race this checks that reads share cached blocks without writing them.
 func TestParallelScansShareEncodedBlocks(t *testing.T) {
 	mem := blockCacheEngine(t, Options{Optimizer: SystemR})
 	defer mem.Close()
