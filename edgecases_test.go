@@ -6,6 +6,7 @@ package queryopt
 
 import (
 	"fmt"
+	"math/big"
 	"testing"
 )
 
@@ -197,5 +198,58 @@ func TestManyJoinsGreedyPath(t *testing.T) {
 	}
 	if res.Rows[0][0].(int64) != 40 {
 		t.Errorf("chain of 8 joins count = %v, want 40", res.Rows[0][0])
+	}
+}
+
+// TestSumNearMaxFloat64: a FLOAT SUM whose running total passes MaxFloat64
+// on the way to a finite answer, and one whose exact sum rounds to +Inf,
+// return the correctly rounded math/big answer at every parallelism degree
+// with kernels on and off — never a NaN from an intermediate overflow.
+func TestSumNearMaxFloat64(t *testing.T) {
+	at := map[int]float64{7: 4.567004089022277e+307, 1907: 2.65797520472452e+307, 3807: 7.32793269513411e+307,
+		5707: 3.570790706803777e+307, 7607: -3.1582221052763156e+306}
+	exact := func(vals ...float64) float64 {
+		acc := new(big.Float).SetPrec(2200)
+		for _, v := range vals {
+			acc.Add(acc, new(big.Float).SetFloat64(v))
+		}
+		f, _ := acc.Float64()
+		return f
+	}
+	var wide []float64
+	for _, v := range at {
+		wide = append(wide, v)
+	}
+	want := map[string]float64{"SELECT SUM(x) FROM t": exact(wide...), "SELECT SUM(x) FROM u": exact(1e308, 1e308)}
+	if w := want["SELECT SUM(x) FROM t"]; w != 1.7807880485157054e+308 {
+		t.Fatalf("reference sum %v", w)
+	}
+	for _, par := range []int{1, 2, 4} {
+		for _, vec := range []VectorizeMode{VectorizeAuto, VectorizeOff} {
+			e := New(Options{Parallelism: par, Vectorize: vec})
+			t.Cleanup(e.Close)
+			e.MustExec("CREATE TABLE t (id INT NOT NULL, x FLOAT, PRIMARY KEY (id))")
+			e.MustExec("CREATE TABLE u (id INT NOT NULL, x FLOAT, PRIMARY KEY (id))")
+			rows := make([][]any, 8192)
+			for i := range rows {
+				rows[i] = []any{i, at[i]} // 0 where at has no entry
+			}
+			if err := e.LoadRows("t", rows); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.LoadRows("u", [][]any{{1, 1e308}, {2, 1e308}}); err != nil {
+				t.Fatal(err)
+			}
+			e.MustExec("ANALYZE")
+			for q, w := range want {
+				res, err := e.Exec(q)
+				if err != nil {
+					t.Fatalf("parallelism %d kernels %v: %s: %v", par, vec == VectorizeAuto, q, err)
+				}
+				if got := res.Rows[0][0].(float64); got != w {
+					t.Errorf("parallelism %d kernels %v: %s = %v, want %v", par, vec == VectorizeAuto, q, got, w)
+				}
+			}
+		}
 	}
 }

@@ -53,15 +53,14 @@ func (a *countAcc) add(v datum.D) {
 func (a *countAcc) merge(o aggAcc)  { a.n += o.(*countAcc).n }
 func (a *countAcc) result() datum.D { return datum.NewInt(a.n) }
 
-// sumAcc sums ints exactly in int64; float inputs switch it to a compensated
-// exact float sum so the result is bit-identical whether rows arrive in one
-// serial stream or as morsel partials merged at any parallelism degree.
+// sumAcc sums ints exactly in int64; float inputs switch it to an exact
+// float sum so the result is bit-identical whether rows arrive in one serial
+// stream or as morsel partials merged at any parallelism degree.
 type sumAcc struct {
 	any     bool
 	isFloat bool
 	i       int64
-	f       compSum
-	wide    wideSums
+	f       exactSums // one group
 }
 
 func (a *sumAcc) add(v datum.D) {
@@ -71,17 +70,18 @@ func (a *sumAcc) add(v datum.D) {
 	a.any = true
 	if v.Kind() == datum.KindFloat || a.isFloat {
 		a.promote()
-		a.f.add(v.Float(), &a.wide)
+		a.f.add(0, v.Float())
 		return
 	}
 	a.i += v.Int()
 }
 
 // promote switches an int-typed accumulator to the float path, carrying the
-// integer partial sum into the expansion.
+// integer partial sum into the exact sum.
 func (a *sumAcc) promote() {
 	if !a.isFloat {
-		a.f.add(float64(a.i), &a.wide)
+		a.f.ensure(1, 1)
+		a.f.add(0, float64(a.i))
 		a.isFloat = true
 	}
 }
@@ -95,9 +95,9 @@ func (a *sumAcc) merge(o aggAcc) {
 	if b.isFloat || a.isFloat {
 		a.promote()
 		if b.isFloat {
-			a.f.merge(&b.f, b.wide, &a.wide)
+			a.f.merge(0, &b.f, 0)
 		} else {
-			a.f.add(float64(b.i), &a.wide)
+			a.f.add(0, float64(b.i))
 		}
 		return
 	}
@@ -109,7 +109,7 @@ func (a *sumAcc) result() datum.D {
 		return datum.Null
 	}
 	if a.isFloat {
-		return datum.NewFloat(a.f.value(a.wide))
+		return datum.NewFloat(a.f.value(0))
 	}
 	return datum.NewInt(a.i)
 }
@@ -118,9 +118,8 @@ func (a *sumAcc) result() datum.D {
 // once at result time over the order-independent exact sum, so parallel and
 // serial AVG agree to the bit.
 type avgAcc struct {
-	n    int64
-	sum  compSum
-	wide wideSums
+	n   int64
+	sum exactSums // one group
 }
 
 func (a *avgAcc) add(v datum.D) {
@@ -128,20 +127,25 @@ func (a *avgAcc) add(v datum.D) {
 		return
 	}
 	a.n++
-	a.sum.add(v.Float(), &a.wide)
+	a.sum.ensure(1, 1)
+	a.sum.add(0, v.Float())
 }
 
 func (a *avgAcc) merge(o aggAcc) {
 	b := o.(*avgAcc)
+	if b.n == 0 {
+		return
+	}
 	a.n += b.n
-	a.sum.merge(&b.sum, b.wide, &a.wide)
+	a.sum.ensure(1, 1)
+	a.sum.merge(0, &b.sum, 0)
 }
 
 func (a *avgAcc) result() datum.D {
 	if a.n == 0 {
 		return datum.Null
 	}
-	return datum.NewFloat(a.sum.value(a.wide) / float64(a.n))
+	return datum.NewFloat(a.sum.value(0) / float64(a.n))
 }
 
 type minmaxAcc struct {

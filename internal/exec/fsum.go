@@ -1,126 +1,208 @@
 package exec
 
-import "math"
+import (
+	"math"
+	"math/big"
+	"math/bits"
+)
 
-// compSum is an exact floating-point accumulator: it maintains the running
-// sum as a list of non-overlapping partials (Shewchuk's expansion arithmetic,
-// the algorithm behind CPython's math.fsum) and rounds only once, when the
-// value is read. Because the retained expansion is the exact real-number sum
-// of everything added, the rounded result is independent of the order values
-// arrive in — summing morsel partials merged at a pipeline barrier yields the
-// same bits as one serial left-to-right pass. That makes parallel SUM/AVG
+// exactSums holds the float sums of a vector of groups, each exact until it is
+// read and then rounded once, half-even. The result is the same bits in
+// whatever order and partition the values arrive, so morsel partials merged
+// at a pipeline barrier give the serial pass's bits and parallel SUM/AVG are
 // bit-identical to serial at every degree, where a plain (or even Kahan)
-// running sum would drift with the partition boundaries.
-type compSum struct {
-	// The first partials live inline, so a []compSum of per-group sums is one
-	// pointer-free allocation. Values of similar magnitude keep two or three
-	// partials; an expansion that outgrows the inline array moves to its
-	// owner's wideSums and stays there.
-	inline [inlinePartials]float64
-	n      int32 // inline partials in use
-	wide   int32 // 1 + index of the expansion in the owner's wideSums; 0 while inline
-	// special accumulates infinities and NaNs outside the expansion (two-sum
-	// algebra is only exact for finite values).
-	special    float64
-	hasSpecial bool
+// running sum would drift with the partition boundaries. A group is a 128-bit
+// fixed-point window (Neal's small superaccumulator, cut down) until a value
+// does not fit it; the group then moves to a slot with no range limit. An
+// exact zero is -0 only when every value added was -0, as in an IEEE left
+// fold that starts at -0.
+type exactSums struct {
+	g     []exactSum
+	slots []*sumSlot
 }
 
-const inlinePartials = 4
+// exactSum is one group's window: A = hi:lo in two's complement, times 2^s,
+// with |A| < 2^125 and s ≥ -1074, so its value is a multiple of the smallest
+// subnormal. The first nonzero value sets s 11 bits below its lowest bit; a
+// value with bits below s lowers s while A has the headroom.
+type exactSum struct {
+	lo, hi uint64
+	s      int32
+	state  int32 // stateNegZero, stateWindow, or stateSlot+i: moved to slots[i]
+}
 
-// wideSums stores the expansions of the compSums of one owner (an
-// accumulator, or a vector of per-group accumulators) that outgrew their
-// inline partials. Every method of a compSum takes the store of its owner.
-type wideSums [][]float64
+const (
+	stateNegZero = iota // every value added was -0, or none was
+	stateWindow
+	stateSlot
+)
 
-// partials returns the expansion: the inline prefix, capped so that an append
-// past it reallocates, or the wide slice.
-func (c *compSum) partials(w wideSums) []float64 {
-	if c.wide > 0 {
-		return w[c.wide-1]
+// sumSlot is a group the window could not hold: the exact sum of its finite
+// values in units of 2^-1074, and the sum of its infinities and NaNs, which is
+// nonzero once there is one.
+type sumSlot struct {
+	n, t    big.Int // t is scratch
+	special float64
+}
+
+func (f *exactSums) ensure(n, hint int) { f.g = growTo(f.g, n, hint) }
+
+// add adds x to group g. The common case — a normal value at most 72 bits
+// above the scale of a window holding a nonzero sum — is one 128-bit add
+// (Go shifts of 64 or more give 0, so the shift needs no branch).
+func (f *exactSums) add(g int32, x float64) {
+	w := &f.g[g]
+	b := math.Float64bits(x)
+	exp := int32(b >> 52 & 0x7ff)
+	if sh := uint64(exp - 1075 - w.s); uint32(exp-1) < 0x7fe && sh <= 125-53 && w.state == stateWindow && w.lo|w.hi != 0 {
+		m, neg := b&(1<<52-1)|1<<52, uint64(int64(b)>>63)
+		lo, c := bits.Add64(w.lo, m<<sh^neg, neg&1)
+		hi, _ := bits.Add64(w.hi, (m>>(64-sh)|m<<(sh-64))^neg, c)
+		if uint64(int64(hi)>>61+1) <= 1 {
+			w.lo, w.hi = lo, hi
+			return
+		}
 	}
-	return c.inline[:c.n:inlinePartials]
+	f.addSlow(g, x)
 }
 
-// add folds x into the expansion, keeping partials non-overlapping and
-// ordered by increasing magnitude.
-func (c *compSum) add(x float64, w *wideSums) {
-	if math.IsInf(x, 0) || math.IsNaN(x) {
-		c.special += x
-		c.hasSpecial = true
+func (f *exactSums) addSlow(g int32, x float64) {
+	w, b := &f.g[g], math.Float64bits(x)
+	m, e, neg := b&(1<<52-1)|1<<52, int32(b>>52&0x7ff)-1075, uint64(int64(b)>>63)
+	if b>>52&0x7ff == 0 {
+		m, e = b&(1<<52-1), -1074
+	}
+	switch {
+	case math.IsInf(x, 0) || math.IsNaN(x):
+		f.slot(g).special += x
+		return
+	case x == 0:
+		if neg == 0 && w.state == stateNegZero {
+			w.state = stateWindow
+		}
+		return
+	case w.state < stateSlot && w.lo|w.hi == 0:
+		k := min(11, e+1074) // the first value: s 11 bits below it
+		m, e = m<<k, e-k
+	default:
+		tz := int32(bits.TrailingZeros64(m)) // lower s no further than x needs
+		m, e = m>>tz, e+tz
+	}
+	f.addWindow(g, exactSum{lo: m ^ neg - neg, hi: neg, s: e, state: stateWindow})
+}
+
+// addWindow adds window b to group g, moving the group to its slot when its
+// window cannot hold the sum.
+func (f *exactSums) addWindow(g int32, b exactSum) {
+	w := &f.g[g]
+	switch {
+	case w.state >= stateSlot:
+	case w.lo|w.hi == 0:
+		*w = b
+		return
+	case b.lo|b.hi == 0 || w.addAt(b.lo, b.hi, b.s):
 		return
 	}
-	p := c.partials(*w)
-	i := 0
-	for _, y := range p {
-		if math.Abs(x) < math.Abs(y) {
-			x, y = y, x
+	s := f.slot(g)
+	b.addTo(&s.n, &s.t)
+}
+
+// addAt adds the two's-complement hi:lo times 2^e to the window, lowering s to
+// e first if e is below it, and reports false, having changed at most the
+// scale, when the window cannot hold the result.
+func (w *exactSum) addAt(lo, hi uint64, e int32) bool {
+	if e < w.s {
+		alo, ahi, ok := widen(w.lo, w.hi, w.s-e)
+		if !ok {
+			return false
 		}
-		hi := x + y
-		lo := y - (hi - x)
-		if lo != 0 {
-			p[i] = lo
-			i++
-		}
-		x = hi
+		w.lo, w.hi, w.s = alo, ahi, e
 	}
-	p = append(p[:i], x)
-	switch {
-	case c.wide > 0:
-		(*w)[c.wide-1] = p
-	case len(p) <= inlinePartials:
-		c.n = int32(len(p)) // written in place
+	lo, hi, ok := widen(lo, hi, e-w.s)
+	lo, c := bits.Add64(w.lo, lo, 0)
+	hi, _ = bits.Add64(w.hi, hi, c)
+	if !ok || uint64(int64(hi)>>61+1) > 1 {
+		return false
+	}
+	w.lo, w.hi = lo, hi
+	return true
+}
+
+// merge adds group og of o into group g.
+func (f *exactSums) merge(g int32, o *exactSums, og int32) {
+	switch b := o.g[og]; {
+	case b.state == stateNegZero:
+	case b.state >= stateSlot:
+		os, s := o.slots[b.state-stateSlot], f.slot(g)
+		s.n.Add(&s.n, &os.n)
+		s.special += os.special
 	default:
-		*w = append(*w, p)
-		c.wide = int32(len(*w))
+		f.addWindow(g, b)
 	}
 }
 
-// merge folds another accumulator's exact state into this one. Partials are
-// themselves ordinary floats, so replaying them through add preserves
-// exactness.
-func (c *compSum) merge(o *compSum, ow wideSums, w *wideSums) {
-	for _, p := range o.partials(ow) {
-		c.add(p, w)
+// slot returns group g's slot, moving the group there first.
+func (f *exactSums) slot(g int32) *sumSlot {
+	w := &f.g[g]
+	if w.state < stateSlot {
+		s := &sumSlot{}
+		w.addTo(&s.n, &s.t)
+		f.slots = append(f.slots, s)
+		*w = exactSum{state: stateSlot + int32(len(f.slots)-1)}
 	}
-	if o.hasSpecial {
-		c.special += o.special
-		c.hasSpecial = true
-	}
+	return f.slots[w.state-stateSlot]
 }
 
-// value returns the correctly rounded (round-half-even) sum of the expansion.
-func (c *compSum) value(w wideSums) float64 {
-	if c.hasSpecial {
-		return c.special
-	}
-	partials := c.partials(w)
-	n := len(partials)
-	if n == 0 {
-		return 0
-	}
-	// Sum from largest to smallest; stop at the first partial that does not
-	// fit, then nudge for a half-ulp tie so the result is the exact sum
-	// rounded once (CPython fsum's rounding step).
-	i := n - 1
-	hi := partials[i]
-	var lo float64
-	for i > 0 {
-		x := hi
-		i--
-		y := partials[i]
-		hi = x + y
-		yr := hi - x
-		lo = y - yr
-		if lo != 0 {
-			break
+func (f *exactSums) value(g int32) float64 {
+	w := f.g[g]
+	switch {
+	case w.state >= stateSlot:
+		s := f.slots[w.state-stateSlot]
+		if s.special != 0 {
+			return s.special
 		}
+		var v big.Float // rounds half-even, subnormals and overflow to ±Inf included
+		r, _ := v.SetMantExp(v.SetInt(&s.n), -1074).Float64()
+		return r
+	case w.lo|w.hi == 0 && w.state == stateNegZero:
+		return math.Copysign(0, -1)
 	}
-	if i > 0 && ((lo < 0 && partials[i-1] < 0) || (lo > 0 && partials[i-1] > 0)) {
-		y := lo * 2
-		x := hi + y
-		if y == x-hi {
-			hi = x
-		}
+	// |A| folded to 64 bits with a sticky bit converts to float64 rounded as
+	// |A| itself would be, and scaling by 2^e is then exact: e ≤ 1021, as
+	// s ≤ 960, and an |A| short of 53 bits, the only one that can land in
+	// the subnormal range, converts exactly as s ≥ -1074.
+	neg := uint64(int64(w.hi) >> 63)
+	lo, c := bits.Add64(w.lo^neg, 0, neg&1)
+	hi, e := w.hi^neg+c, int(w.s)
+	if hi != 0 {
+		k := 64 - bits.LeadingZeros64(hi)
+		lo, e = lo>>k|hi<<(64-k)|min(lo<<(64-k), 1), e+k
 	}
-	return hi
+	p := math.Float64frombits(uint64(e+1023) << 52)
+	if e < -1022 {
+		p = math.Float64frombits(1 << (e + 1074))
+	}
+	return math.Float64frombits(math.Float64bits(float64(lo)*p) | neg<<63)
+}
+
+// addTo adds the window's A·2^(s+1074) to n, using t as scratch.
+func (w *exactSum) addTo(n, t *big.Int) {
+	sh := uint(w.s + 1074)
+	n.Add(n, t.SetInt64(int64(w.hi)).Lsh(t, 64+sh))
+	n.Add(n, t.SetUint64(w.lo).Lsh(t, sh))
+}
+
+// widen returns the two's-complement hi:lo times 2^k, k ≥ 0, if its magnitude
+// stays below 2^125.
+func widen(lo, hi uint64, k int32) (uint64, uint64, bool) {
+	sign := uint64(int64(hi) >> 63)
+	lz := bits.LeadingZeros64(hi ^ sign)
+	if lz == 64 {
+		lz += bits.LeadingZeros64(lo ^ sign)
+	}
+	if k > int32(lz)-3 {
+		return 0, 0, false
+	}
+	n := uint64(k)
+	return lo << n, hi<<n | lo>>(64-n) | lo<<(n-64), true
 }

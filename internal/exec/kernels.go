@@ -569,8 +569,8 @@ type vecAccumulator interface {
 	accumulate(v *datum.Vec, sel []int32, gids []int32)
 	// merge folds another worker's accumulator of the same concrete type into
 	// this one at the pipeline barrier: o's group g lands in group gids[g],
-	// which ensure has already made room for. Sums merge through
-	// compSum.merge, so the folded result is the exact serial one.
+	// which ensure has already made room for. Sums merge exactly
+	// (exactSums.merge), so the folded result is the exact serial one.
 	merge(o vecAccumulator, gids []int32)
 	// emit returns the results of groups [0, nGroups) as the output column,
 	// handing the state arrays over where they already are the payload; the
@@ -739,17 +739,17 @@ func (a *sumIntVecAcc) emit(n int) *datum.Vec {
 	return datum.NewTypedVec(datum.KindInt, n, a.sums[:n], nil, nil, nulls, nn)
 }
 
-// sumFloatVecAcc sums a FLOAT column with the same compensated summation as
-// the row accumulator sumAcc — including the initial 0.0 carried in by its
+// sumFloatVecAcc sums a FLOAT column with the same exact sum as the row
+// accumulator sumAcc — including the initial 0.0 carried in by its
 // int→float promotion — so results are bit-identical.
 type sumFloatVecAcc struct {
 	any  []bool
-	sums []compSum
-	wide wideSums
+	sums exactSums
 }
 
 func (a *sumFloatVecAcc) ensure(n, hint int) {
-	a.any, a.sums = growTo(a.any, n, hint), growTo(a.sums, n, hint)
+	a.any = growTo(a.any, n, hint)
+	a.sums.ensure(n, hint)
 }
 
 func (a *sumFloatVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -761,9 +761,9 @@ func (a *sumFloatVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 		g := gids[k]
 		if !a.any[g] {
 			a.any[g] = true
-			a.sums[g].add(0, &a.wide)
+			a.sums.add(g, 0)
 		}
-		a.sums[g].add(v.Floats[i], &a.wide)
+		a.sums.add(g, v.Floats[i])
 	}
 }
 
@@ -772,7 +772,7 @@ func (a *sumFloatVecAcc) merge(o vecAccumulator, gids []int32) {
 	for g, ok := range b.any {
 		if ok {
 			a.any[gids[g]] = true
-			a.sums[gids[g]].merge(&b.sums[g], b.wide, &a.wide)
+			a.sums.merge(gids[g], &b.sums, int32(g))
 		}
 	}
 }
@@ -782,7 +782,7 @@ func (a *sumFloatVecAcc) emit(n int) *datum.Vec {
 	vals := make([]float64, n)
 	for g := range vals {
 		if a.any[g] {
-			vals[g] = a.sums[g].value(a.wide)
+			vals[g] = a.sums.value(int32(g))
 		}
 	}
 	return datum.NewTypedVec(datum.KindFloat, n, nil, vals, nil, nulls, nn)
@@ -792,12 +792,12 @@ func (a *sumFloatVecAcc) emit(n int) *datum.Vec {
 // result time.
 type avgVecAcc struct {
 	n    []int64
-	sums []compSum
-	wide wideSums
+	sums exactSums
 }
 
 func (a *avgVecAcc) ensure(n, hint int) {
-	a.n, a.sums = growTo(a.n, n, hint), growTo(a.sums, n, hint)
+	a.n = growTo(a.n, n, hint)
+	a.sums.ensure(n, hint)
 }
 
 func (a *avgVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
@@ -809,7 +809,7 @@ func (a *avgVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 			}
 			g := gids[k]
 			a.n[g]++
-			a.sums[g].add(float64(v.Ints[i]), &a.wide)
+			a.sums.add(g, float64(v.Ints[i]))
 		}
 		return
 	}
@@ -819,7 +819,7 @@ func (a *avgVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 		}
 		g := gids[k]
 		a.n[g]++
-		a.sums[g].add(v.Floats[i], &a.wide)
+		a.sums.add(g, v.Floats[i])
 	}
 }
 
@@ -827,7 +827,7 @@ func (a *avgVecAcc) merge(o vecAccumulator, gids []int32) {
 	b := o.(*avgVecAcc)
 	for g, n := range b.n {
 		a.n[gids[g]] += n
-		a.sums[gids[g]].merge(&b.sums[g], b.wide, &a.wide)
+		a.sums.merge(gids[g], &b.sums, int32(g))
 	}
 }
 
@@ -836,7 +836,7 @@ func (a *avgVecAcc) emit(n int) *datum.Vec {
 	vals := make([]float64, n)
 	for g := range vals {
 		if a.n[g] != 0 {
-			vals[g] = a.sums[g].value(a.wide) / float64(a.n[g])
+			vals[g] = a.sums.value(int32(g)) / float64(a.n[g])
 		}
 	}
 	return datum.NewTypedVec(datum.KindFloat, n, nil, vals, nil, nulls, nn)

@@ -220,7 +220,7 @@ func (a *vecAggWorker) fold(o *vecAggWorker) error {
 // aggSink is hash and stream aggregation as a pipeline sink. Hash aggregation
 // is two-phase: every worker pre-aggregates its morsels into a thread-local
 // table, and at the barrier the other workers' tables fold into the first's
-// by key, accumulators merging exactly (compSum), so SUM and AVG are
+// by key, accumulators merging exactly (exactSums), so SUM and AVG are
 // bit-identical at every worker count. One worker has nothing to fold: its
 // table is the result, with groups in first-appearance order. All tables
 // charge the query's shared memory account. Stream aggregation is the sink

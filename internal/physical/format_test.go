@@ -3,7 +3,9 @@ package physical
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -163,6 +165,34 @@ func TestFormatMatchesFmt(t *testing.T) {
 			n := &LimitOp{Props: Props{Rows: r, Cost: c}, N: 1, Input: &ValuesOp{}}
 			if got, want := Format(n, md), fmtFormat(n, md); got != want {
 				t.Errorf("Format = %q, fmt gives %q", got, want)
+			}
+		}
+	}
+	// The integer rounding of estimates below 2^53 against strconv: exact
+	// .5 and .x5 ties and their neighbours, the ends of the fast range,
+	// subnormals, and random values of every magnitude and bit pattern.
+	vals := []float64{0.05, 0.15, 0.25, 0.35, 0.45, 0.75, 0.95, 9.95, 99.95, 1.125, 1 << 52, 1<<52 + 0.5,
+		1<<53 - 1, 1 << 53, 1<<53 + 2, 5e-324, 2.2250738585072014e-308, 1e-300, 0.049999999999999996}
+	for k := 0; k < 200; k++ {
+		vals = append(vals, float64(k)+0.5, float64(k)/4+1.0/8, float64(k)/20)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 60000; i++ {
+		switch i % 3 {
+		case 0:
+			vals = append(vals, rng.Float64()*math.Pow(10, float64(rng.Intn(20)-3)))
+		case 1:
+			vals = append(vals, math.Float64frombits(rng.Uint64()))
+		default:
+			vals = append(vals, float64(rng.Int63n(1<<53))/float64(int64(1)<<rng.Intn(60)))
+		}
+	}
+	for _, v := range vals {
+		for _, x := range []float64{v, math.Nextafter(v, 0), math.Nextafter(v, math.Inf(1))} {
+			for prec := 0; prec <= 1; prec++ {
+				if got, want := string(appendFixed(nil, x, prec)), strconv.FormatFloat(x, 'f', prec, 64); got != want {
+					t.Fatalf("appendFixed(%v (%x), %d) = %s, strconv gives %s", x, math.Float64bits(x), prec, got, want)
+				}
 			}
 		}
 	}

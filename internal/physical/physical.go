@@ -6,6 +6,7 @@ package physical
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -464,13 +465,46 @@ func formatPlan(sb *strings.Builder, p Plan, md *logical.Metadata, depth int) {
 	rows, cost := p.Estimate()
 	var buf [48]byte
 	b := append(buf[:0], "  (rows="...)
-	b = strconv.AppendFloat(b, rows, 'f', 0, 64)
+	b = appendFixed(b, rows, 0)
 	b = append(b, " cost="...)
-	b = strconv.AppendFloat(b, cost, 'f', 1, 64)
+	b = appendFixed(b, cost, 1)
 	sb.Write(append(b, ")\n"...))
 	for _, c := range Children(p) {
 		formatPlan(sb, c, md, depth+1)
 	}
+}
+
+// appendFixed appends strconv.AppendFloat(b, x, 'f', prec, 64) for prec 0 or
+// 1. strconv takes its multiprecision path for every fixed precision, so an
+// x in [0, 2^53) is rounded here instead: x = m·2^e exactly, and x·10^prec
+// rounds half-even in integer arithmetic, since 10m < 2^57.
+func appendFixed(b []byte, x float64, prec int) []byte {
+	if !(x >= 0 && x < 1<<53) || math.Signbit(x) {
+		return strconv.AppendFloat(b, x, 'f', prec, 64)
+	}
+	bits := math.Float64bits(x)
+	m, e := bits&(1<<52-1)|1<<52, int(bits>>52)-1075
+	if bits>>52 == 0 {
+		m, e = bits, -1074
+	}
+	if prec == 1 {
+		m *= 10
+	}
+	var q uint64
+	switch {
+	case e >= 0:
+		q = m << e
+	case e > -58: // below that, x·10^prec < 2^57·2^-58 rounds to 0
+		q = m >> -e
+		rest, half := m&(1<<-e-1), uint64(1)<<(-e-1)
+		if rest > half || rest == half && q&1 == 1 {
+			q++
+		}
+	}
+	if prec == 0 {
+		return strconv.AppendUint(b, q, 10)
+	}
+	return append(strconv.AppendUint(b, q/10, 10), '.', byte('0'+q%10))
 }
 
 // Describe renders one plan node as a single line (operator name plus its
