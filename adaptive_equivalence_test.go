@@ -14,6 +14,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/systemr"
 )
 
 func TestAdaptiveQueryEquivalence(t *testing.T) {
@@ -26,7 +28,7 @@ func TestAdaptiveQueryEquivalence(t *testing.T) {
 			engines[i] = bigRandSchema(t, Options{
 				Optimizer:             SystemR,
 				Parallelism:           d,
-				GreedyJoinThreshold:   8,
+				SystemR:               systemr.Options{GreedyThreshold: 8},
 				FeedbackPatching:      true,
 				ReplanQErrorThreshold: 2,
 			}, seed)

@@ -15,6 +15,7 @@ import (
 	"repro/internal/datum"
 	"repro/internal/logical"
 	"repro/internal/physical"
+	"repro/internal/systemr"
 )
 
 // staleStatsEngine builds an engine whose statistics for table a are badly
@@ -144,7 +145,7 @@ func TestReplanTriggerReoptimizesOnce(t *testing.T) {
 // on EXPLAIN output; engines without adaptive options keep their EXPLAIN text
 // byte-identical to before.
 func TestPlannerTierSurfaced(t *testing.T) {
-	greedy := staleStatsEngine(t, Options{Optimizer: SystemR, GreedyJoinThreshold: 8})
+	greedy := staleStatsEngine(t, Options{Optimizer: SystemR, SystemR: systemr.Options{GreedyThreshold: 8}})
 	plain := staleStatsEngine(t, Options{Optimizer: SystemR})
 
 	if res := greedy.MustExec(staleJoin); res.PlannerTier != "greedy" {

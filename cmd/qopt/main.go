@@ -20,6 +20,7 @@ import (
 	"time"
 
 	queryopt "repro"
+	"repro/internal/systemr"
 )
 
 func main() {
@@ -66,7 +67,7 @@ func main() {
 
 	opts := queryopt.Options{
 		UseMaterializedViews: *useMV, Parallelism: *par, MemBudget: *memBudget,
-		GreedyJoinThreshold:   *greedyThreshold,
+		SystemR:               systemr.Options{GreedyThreshold: *greedyThreshold},
 		ReplanQErrorThreshold: *replanQError,
 		StorageDir:            *storageDir,
 		SegmentRows:           *segmentRows,

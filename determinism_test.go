@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/systemr"
 )
 
 // planEngine builds the adhoc_planning schema of the standing benchmark at
@@ -95,7 +97,7 @@ func TestPlanChoiceIsDeterministic(t *testing.T) {
 		opts Options
 	}{
 		{"dp", Options{}},
-		{"greedy", Options{GreedyJoinThreshold: 8}},
+		{"greedy", Options{SystemR: systemr.Options{GreedyThreshold: 8}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			engines := []*Engine{planEngine(t, tc.opts), planEngine(t, tc.opts)}

@@ -34,6 +34,9 @@ type Box struct {
 	Plan physical.Plan
 	// Query carries the metadata execution needs.
 	Query *logical.Query
+	// View names the materialized view the plan reads instead of base
+	// tables, if any. Add leaves it to the caller.
+	View string
 	// Signature is the structural fingerprint shared by the box.
 	Signature string
 	// EstCost is the optimizer's estimate at the probe vector.

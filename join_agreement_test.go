@@ -146,3 +146,30 @@ func usesJoin(plan, prefix string) bool {
 	}
 	return false
 }
+
+// New fills in only the search budget of a partly filled SystemR options
+// struct: the join methods the caller turned off stay off.
+func TestPartialSystemROptions(t *testing.T) {
+	e := New(Options{SystemR: systemr.Options{DisableHashJoin: true, DisableMergeJoin: true, DisableINLJoin: true}})
+	e.MustExec("CREATE TABLE a (id INT NOT NULL, k INT, PRIMARY KEY (id))")
+	e.MustExec("CREATE TABLE b (id INT NOT NULL, k INT, PRIMARY KEY (id))")
+	for _, name := range []string{"a", "b"} {
+		rows := make([][]any, 2000)
+		for i := range rows {
+			rows[i] = []any{i, i % 500}
+		}
+		if err := e.LoadRows(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.MustExec("ANALYZE")
+	res := e.MustExec("SELECT COUNT(*) FROM a, b WHERE a.k = b.k")
+	for _, op := range []string{"hash-", "merge-", "index-nl-"} {
+		if usesJoin(res.Plan, op) {
+			t.Errorf("the plan joins with %sjoin:\n%s", op, res.Plan)
+		}
+	}
+	if got := res.Rows[0][0].(int64); got != 2000*4 {
+		t.Errorf("%d pairs, want %d", got, 2000*4)
+	}
+}

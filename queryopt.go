@@ -81,11 +81,18 @@ type Options struct {
 	// DisableRewrites turns off the §4 transformations (unnesting etc.) for
 	// SystemR/Cascades runs; Starburst always runs its rewrite phase.
 	DisableRewrites bool
-	// UseMaterializedViews enables transparent view answering (§7.3).
+	// UseMaterializedViews enables transparent view answering (§7.3): every
+	// SELECT — ad hoc, EXPLAINed or prepared — also plans its rewritings over
+	// the catalog's materialized views and runs the cheapest.
 	UseMaterializedViews bool
-	// SystemR tunes the DP search space when Optimizer is SystemR/Starburst.
+	// SystemR tunes the DP search space when Optimizer is SystemR/Starburst,
+	// including the adaptive greedy fast path (GreedyThreshold,
+	// GreedyCostThreshold). A zero MaxRelations fills in MaxRelations and
+	// InterestingOrders from systemr.DefaultOptions; every other field is
+	// kept as given.
 	SystemR systemr.Options
-	// Cascades tunes the memo search when Optimizer is Cascades.
+	// Cascades tunes the memo search when Optimizer is Cascades. A zero
+	// MaxExprs fills in MaxExprs and Pruning from cascades.DefaultOptions.
 	Cascades cascadesopt.Options
 	// Cost overrides the cost model (zero value = DefaultModel).
 	Cost *cost.Model
@@ -99,10 +106,6 @@ type Options struct {
 	// worker, inline. Engines used with parallelism should be Closed to
 	// release the pool.
 	Parallelism int
-	// FeedbackCapacity sizes the ring buffer of (plan node, estimated rows,
-	// actual rows) observations recorded by analyzed executions (EXPLAIN
-	// ANALYZE / QueryAnalyze). 0 selects the default of 1024 entries.
-	FeedbackCapacity int
 	// MemBudget caps each query's working memory (hash-join builds,
 	// hash-aggregation tables, sort buffers) in modeled bytes. Operators that
 	// exceed it degrade gracefully — external-merge sort, grace hash join,
@@ -137,19 +140,6 @@ type Options struct {
 	// default of 128; negative disables the cache, so every Stmt execution
 	// re-optimizes at its bindings.
 	PlanCacheSize int
-	// GreedyJoinThreshold enables the adaptive greedy fast path: join blocks
-	// of up to this many relations are ordered by the O(k²) greedy heuristic
-	// instead of System-R dynamic programming, trading a possibly worse join
-	// order for much cheaper planning on short statements. Result.PlannerTier
-	// and EXPLAIN record which tier planned each query. 0 disables (DP runs
-	// for every block within SystemR.MaxRelations).
-	GreedyJoinThreshold int
-	// GreedyCostThreshold > 0 makes every join block try the greedy order
-	// first and keep it when its estimated cost is at or below the threshold;
-	// costlier blocks fall through to full DP. Complements
-	// GreedyJoinThreshold: one gates on block width, the other on how much
-	// execution is estimated to be at stake.
-	GreedyCostThreshold float64
 	// FeedbackPatching promotes analyzed-execution observations (EXPLAIN
 	// ANALYZE / QueryAnalyze) into per-(table, predicate) cardinality
 	// overrides the estimator consults before histogram estimates, closing
@@ -294,6 +284,10 @@ type Engine struct {
 	replan   map[string]struct{}
 }
 
+// feedbackCapacity is how many (plan node, estimated rows, actual rows)
+// observations the feedback ring keeps from analyzed executions.
+const feedbackCapacity = 1024
+
 type udf struct {
 	name string
 	cost float64
@@ -304,21 +298,12 @@ type udf struct {
 // New returns an empty engine.
 func New(opts Options) *Engine {
 	if opts.SystemR.MaxRelations == 0 {
-		opts.SystemR = systemr.DefaultOptions()
+		def := systemr.DefaultOptions()
+		opts.SystemR.MaxRelations, opts.SystemR.InterestingOrders = def.MaxRelations, def.InterestingOrders
 	}
 	if opts.Cascades.MaxExprs == 0 {
-		opts.Cascades = cascadesopt.DefaultOptions()
-	}
-	if opts.FeedbackCapacity == 0 {
-		opts.FeedbackCapacity = 1024
-	}
-	// The adaptive greedy fast path lives in the System-R enumerator; the
-	// engine-level knobs map onto its options.
-	if opts.GreedyJoinThreshold > 0 {
-		opts.SystemR.GreedyThreshold = opts.GreedyJoinThreshold
-	}
-	if opts.GreedyCostThreshold > 0 {
-		opts.SystemR.GreedyCostThreshold = opts.GreedyCostThreshold
+		def := cascadesopt.DefaultOptions()
+		opts.Cascades.MaxExprs, opts.Cascades.Pruning = def.MaxExprs, def.Pruning
 	}
 	eng := &Engine{
 		opts: opts,
@@ -332,7 +317,7 @@ func New(opts Options) *Engine {
 			DisableChecksums:   opts.DisableChecksums,
 			DisableCompression: opts.DisableCompression,
 		}),
-		feedback: physical.NewFeedbackRing(opts.FeedbackCapacity),
+		feedback: physical.NewFeedbackRing(feedbackCapacity),
 		replan:   make(map[string]struct{}),
 	}
 	if opts.FeedbackPatching {
@@ -568,7 +553,8 @@ func (e *Engine) execStmt(ctx context.Context, stmt sql.Statement, explain bool,
 		}
 		return e.execStmt(ctx, t.Stmt, true, text)
 	case *sql.SelectStmt:
-		return e.query(ctx, t, explain, text)
+		res, _, err := e.run(ctx, t, explain, false, text)
+		return res, err
 	}
 	return nil, fmt.Errorf("queryopt: unsupported statement %T", stmt)
 }
@@ -717,13 +703,30 @@ func (e *Engine) analyze(t *sql.AnalyzeStmt) (*Result, error) {
 	return &Result{}, nil
 }
 
-// Build compiles a SELECT into a logical query (rewrites applied per the
-// engine options). Exposed for tooling and the experiment harness.
-func (e *Engine) Build(sel *sql.SelectStmt) (*logical.Query, error) {
+// compiled is one SELECT made ready to run: the logical query whose metadata
+// execution needs, the physical plan (nil in reference mode), the planning
+// tier that produced it (see Result.PlannerTier) and the materialized view it
+// reads instead of base tables, if any.
+type compiled struct {
+	q    *logical.Query
+	plan physical.Plan
+	tier string
+	view string
+}
+
+// compile is the one statement path: ad-hoc statements, EXPLAIN, EXPLAIN
+// ANALYZE, QueryAnalyze and prepared statements all come through here. It
+// builds the query (substituting binds as parameter-tagged constants, so the
+// plan can be re-bound later), normalizes and rewrites it (§4), adds its
+// materialized-view rewritings as alternatives (§7.3), optimizes every
+// alternative and keeps the cheapest plan, then plans the exchanges (§7.1).
+// Reference mode stops after the rewrites. Callers hold the shared latch.
+func (e *Engine) compile(sel *sql.SelectStmt, binds []datum.D) (*compiled, error) {
 	b := logical.NewBuilder(e.cat)
 	for _, u := range e.udfs {
 		b.RegisterUDP(u.name, u.cost, u.sel, u.fn)
 	}
+	b.BindParams(binds)
 	q, err := b.Build(sel)
 	if err != nil {
 		return nil, err
@@ -736,21 +739,44 @@ func (e *Engine) Build(sel *sql.SelectStmt) (*logical.Query, error) {
 		rewrite.PushDownGroupBy(q)
 		logical.NormalizeQuery(q, logical.DefaultNormalize())
 	}
-	return q, nil
+	if e.opts.Optimizer == Reference {
+		logical.PruneColumns(q)
+		return &compiled{q: q}, nil
+	}
+
+	alts := []compiled{{q: q}}
+	if e.opts.UseMaterializedViews {
+		for _, rw := range matview.RewriteWithViews(q, e.cat) {
+			alts = append(alts, compiled{q: rw.Query, view: rw.MV.Name})
+		}
+	}
+	var best *compiled
+	var bestCost float64
+	for i := range alts {
+		alt := &alts[i]
+		logical.PruneColumns(alt.q)
+		if alt.plan, alt.tier, err = e.optimizeOne(alt.q); err != nil {
+			return nil, err
+		}
+		if _, est := alt.plan.Estimate(); best == nil || est < bestCost {
+			best, bestCost = alt, est
+		}
+	}
+
+	// The exchanges are part of the plan: the plan cache keeps the
+	// parallelized plan, and BindParams copies Exchange nodes like any other.
+	if e.opts.Parallelism > 1 {
+		model := e.costModel()
+		best.plan = parallel.Parallelize(best.plan, parallel.Config{
+			Degree:         e.opts.Parallelism,
+			CommCostPerRow: model.CommCostPerRow,
+		}, model).Plan
+	}
+	return best, nil
 }
 
-func (e *Engine) query(ctx context.Context, sel *sql.SelectStmt, explain bool, text string) (*Result, error) {
-	res, _, err := e.run(ctx, sel, explain, false, text)
-	return res, err
-}
-
-// run optimizes and (unless explain) executes one SELECT. With analyze set,
-// execution collects per-operator runtime metrics, the metrics tree is
-// returned alongside the result, every (node, est, actual) pair is recorded
-// into the engine's feedback ring, and — when the adaptive options are on —
-// scan observations are harvested into cardinality overrides and bad plans
-// are marked for re-optimization. text is the original statement text, used
-// to key the feedback by statement family.
+// run compiles one SELECT and executes it, or with explain renders its plan.
+// Reference mode executes the logical tree with the naive evaluator.
 func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, explain, analyze bool, text string) (*Result, *PlanAnalysis, error) {
 	// Admission first (queue without holding any latch), then the shared
 	// latch for the whole build-optimize-execute span: a SELECT never
@@ -764,109 +790,72 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, explain, analyze 
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 
-	q, err := e.Build(sel)
+	c, err := e.compile(sel, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-
-	// Materialized-view answering: collect alternatives, optimize each, and
-	// keep the cheapest plan (§7.3).
-	type alternative struct {
-		q  *logical.Query
-		mv string
-	}
-	alts := []alternative{{q: q}}
-	if e.opts.UseMaterializedViews {
-		for _, rw := range matview.RewriteWithViews(q, e.cat) {
-			alts = append(alts, alternative{q: rw.Query, mv: rw.MV.Name})
-		}
-	}
-
 	if e.opts.Optimizer == Reference {
 		if analyze {
 			return nil, nil, fmt.Errorf("queryopt: EXPLAIN ANALYZE requires an optimized plan (reference mode executes logical trees)")
 		}
-		logical.PruneColumns(q)
-		ec := e.newExecCtx(ctx, q.Meta)
-		res, err := ec.RunQuery(q)
+		ec := e.newExecCtx(ctx, c.q.Meta)
+		res, err := ec.RunQuery(c.q)
 		if err != nil {
 			return nil, nil, err
 		}
-		return e.finish(q, nil, res, ec, ""), nil, nil
+		return e.finish(c, res, ec), nil, nil
 	}
-
-	var bestPlan physical.Plan
-	var bestQ *logical.Query
-	bestMV, bestTier := "", ""
-	for _, alt := range alts {
-		logical.PruneColumns(alt.q)
-		plan, tier, err := e.optimizeOne(alt.q)
-		if err != nil {
-			return nil, nil, err
-		}
-		_, c := plan.Estimate()
-		if bestPlan == nil {
-			bestPlan, bestQ, bestMV, bestTier = plan, alt.q, alt.mv, tier
-			continue
-		}
-		if _, bc := bestPlan.Estimate(); c < bc {
-			bestPlan, bestQ, bestMV, bestTier = plan, alt.q, alt.mv, tier
-		}
-	}
-
-	// Parallel execution: plan the exchanges (§7.1), then run on the
-	// morsel-driven engine over the engine's shared worker pool.
-	if e.opts.Parallelism > 1 {
-		model := e.costModel()
-		par := parallel.Parallelize(bestPlan, parallel.Config{
-			Degree:         e.opts.Parallelism,
-			CommCostPerRow: model.CommCostPerRow,
-		}, model)
-		bestPlan = par.Plan
-	}
-
 	if explain {
-		res := &Result{Columns: []string{"plan"}, PlannerTier: bestTier}
+		res := &Result{Columns: []string{"plan"}, PlannerTier: c.tier, UsedMaterializedView: c.view}
 		// With an adaptive fast path configured, EXPLAIN says which tier
 		// planned the query; without one, the output is unchanged.
-		if e.opts.GreedyJoinThreshold > 0 || e.opts.GreedyCostThreshold > 0 {
-			res.Rows = append(res.Rows, []any{"-- planner: " + bestTier})
+		if e.opts.SystemR.GreedyThreshold > 0 || e.opts.SystemR.GreedyCostThreshold > 0 {
+			res.Rows = append(res.Rows, []any{"-- planner: " + c.tier})
 		}
-		for _, line := range strings.Split(strings.TrimRight(physical.Format(bestPlan, bestQ.Meta), "\n"), "\n") {
+		for _, line := range strings.Split(strings.TrimRight(physical.Format(c.plan, c.q.Meta), "\n"), "\n") {
 			res.Rows = append(res.Rows, []any{line})
 		}
-		res.EstRows, res.EstCost = bestPlan.Estimate()
-		res.UsedMaterializedView = bestMV
+		res.EstRows, res.EstCost = c.plan.Estimate()
 		return res, nil, nil
 	}
-	ec := e.newExecCtx(ctx, bestQ.Meta)
+	return e.execute(ctx, c, analyze, text)
+}
+
+// execute runs a compiled plan under the engine's resource governor. With
+// analyze set, execution collects per-operator runtime metrics, returned as
+// the analysis alongside the result; every (node, est, actual) pair is
+// recorded into the engine's feedback ring keyed by the statement family of
+// text, and — when the adaptive options are on — scan observations are
+// harvested into cardinality overrides and bad plans are marked for
+// re-optimization. Callers hold the shared latch.
+func (e *Engine) execute(ctx context.Context, c *compiled, analyze bool, text string) (*Result, *PlanAnalysis, error) {
+	ec := e.newExecCtx(ctx, c.q.Meta)
 	var metrics *physical.RunMetrics
 	if analyze {
 		metrics = ec.EnableAnalyze()
 	}
-	res, err := exec.RunPlanQuery(bestPlan, bestQ, ec)
+	res, err := exec.RunPlanQuery(c.plan, c.q, ec)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := e.finish(bestQ, bestPlan, res, ec, bestMV)
-	out.PlannerTier = bestTier
-	var pa *PlanAnalysis
-	if analyze {
-		fp, fpErr := sql.Fingerprint(text)
-		if fpErr != nil || fp == "" {
-			fp = text
-		}
-		pa = buildAnalysis(bestPlan, bestQ.Meta, metrics)
-		e.feedback.RecordPlan(bestPlan, bestQ.Meta, metrics, fp)
-		if e.overrides != nil && e.harvestOverrides(bestPlan, bestQ.Meta, metrics) {
-			// A materially changed override invalidates cached plan diagrams
-			// the same way DDL/ANALYZE do. catVersion is atomic, so bumping
-			// under the shared latch is safe.
-			e.catVersion.Add(1)
-		}
-		if thr := e.opts.ReplanQErrorThreshold; thr > 1 && pa.WorstQError > thr {
-			e.markReplan(fp)
-		}
+	out := e.finish(c, res, ec)
+	if !analyze {
+		return out, nil, nil
+	}
+	fp, fpErr := sql.Fingerprint(text)
+	if fpErr != nil || fp == "" {
+		fp = text
+	}
+	pa := buildAnalysis(c.plan, c.q.Meta, metrics)
+	e.feedback.RecordPlan(c.plan, c.q.Meta, metrics, fp)
+	if e.overrides != nil && e.harvestOverrides(c.plan, c.q.Meta, metrics) {
+		// A materially changed override invalidates cached plan diagrams
+		// the same way DDL/ANALYZE do. catVersion is atomic, so bumping
+		// under the shared latch is safe.
+		e.catVersion.Add(1)
+	}
+	if thr := e.opts.ReplanQErrorThreshold; thr > 1 && pa.WorstQError > thr {
+		e.markReplan(fp)
 	}
 	return out, pa, nil
 }
@@ -964,10 +953,13 @@ func (e *Engine) optimizeOne(q *logical.Query) (physical.Plan, string, error) {
 	return nil, "", fmt.Errorf("queryopt: unknown optimizer %v", e.opts.Optimizer)
 }
 
-func (e *Engine) finish(q *logical.Query, plan physical.Plan, res *exec.Result, ctx *exec.Ctx, mv string) *Result {
+// finish converts an execution's rows and counters into a Result stamped
+// with the compiled statement's plan, estimates, tier and view.
+func (e *Engine) finish(c *compiled, res *exec.Result, ctx *exec.Ctx) *Result {
 	out := &Result{
-		Columns:              q.ColNames,
-		UsedMaterializedView: mv,
+		Columns:              c.q.ColNames,
+		UsedMaterializedView: c.view,
+		PlannerTier:          c.tier,
 		Stats: ExecStats{
 			PagesRead:      ctx.Counters.PagesRead,
 			RowsProcessed:  ctx.Counters.RowsProcessed,
@@ -987,9 +979,9 @@ func (e *Engine) finish(q *logical.Query, plan physical.Plan, res *exec.Result, 
 			BlockHits:      ctx.Counters.BlockHits,
 		},
 	}
-	if plan != nil {
-		out.Plan = physical.Format(plan, q.Meta)
-		out.EstRows, out.EstCost = plan.Estimate()
+	if c.plan != nil {
+		out.Plan = physical.Format(c.plan, c.q.Meta)
+		out.EstRows, out.EstCost = c.plan.Estimate()
 	}
 	if len(res.Rows) > 0 {
 		// One backing array for every row's values; each row is capped so an

@@ -1,6 +1,10 @@
 package queryopt
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -241,5 +245,41 @@ func TestDisableRewrites(t *testing.T) {
 	// Without unnesting, tuple-iteration must have evaluated subqueries.
 	if res.Stats.SubqueryEvals == 0 {
 		t.Error("expected tuple-iteration subquery evaluation")
+	}
+}
+
+// TestOneStatementPath pins the one statement path: every SELECT — ad hoc,
+// EXPLAINed, analyzed or prepared — is rewritten, answered from views,
+// optimized and parallelized by the same calls, so each has exactly one call
+// site among the package's non-test files.
+func TestOneStatementPath(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := map[string]int{}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if call, ok := n.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+					calls[sel.Sel.Name]++
+				}
+			}
+			return true
+		})
+	}
+	for _, fn := range []string{"UnnestSubqueries", "AssociateJoinOuterjoin", "MovePredicates", "PushDownGroupBy",
+		"RewriteWithViews", "optimizeOne", "Parallelize"} {
+		if calls[fn] != 1 {
+			t.Errorf("%s has %d call sites, want 1", fn, calls[fn])
+		}
 	}
 }

@@ -17,12 +17,8 @@ import (
 	"sync"
 
 	"repro/internal/datum"
-	"repro/internal/exec"
-	"repro/internal/logical"
-	"repro/internal/parallel"
 	"repro/internal/parametric"
 	"repro/internal/physical"
-	"repro/internal/rewrite"
 	"repro/internal/sql"
 )
 
@@ -112,135 +108,82 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 	// statistics) instead of dispatching the cached diagram.
 	replan := e.consumeReplan(s.fp)
 
-	if e.plans == nil {
-		e.cacheMisses.Add(1)
-		q, plan, tier, err := e.planBound(s.sel, binds)
-		if err != nil {
-			return nil, err
-		}
-		return e.executePlanTier(ctx, plan, q, tier)
-	}
-
+	var ce *cacheEntry
 	ver := e.catVersion.Load()
-	slot, _ := e.plans.GetOrPut(s.norm+"\x00"+typeSig(binds), func() any { return &cacheEntry{version: ver} })
-	ce := slot.(*cacheEntry)
-
-	ce.mu.Lock()
-	if ce.version != ver || replan {
-		// DDL, ANALYZE or a material feedback override moved the catalog
-		// since this diagram was built, or the replan trigger fired: every
-		// cached plan may now be invalid or stale — drop and regrow.
-		ce.diagram = nil
-		ce.uncacheable = false
-		ce.version = ver
-	}
-	var box *parametric.Box
-	if ce.diagram != nil {
-		box = ce.diagram.Find(binds)
-	}
-	uncacheable := ce.uncacheable
-	ce.mu.Unlock()
-
-	if box != nil {
-		e.cacheHits.Add(1)
-		// Re-bind, never mutate: the cached plan is shared by every
-		// concurrent execution of this entry.
-		bound := physical.BindParams(box.Plan, binds)
-		return e.executePlanTier(ctx, bound, box.Query, "cached")
+	uncacheable := false
+	if e.plans != nil {
+		slot, _ := e.plans.GetOrPut(s.norm+"\x00"+typeSig(binds), func() any { return &cacheEntry{version: ver} })
+		ce = slot.(*cacheEntry)
+		ce.mu.Lock()
+		if ce.version != ver || replan {
+			// DDL, ANALYZE or a material feedback override moved the catalog
+			// since this diagram was built, or the replan trigger fired: every
+			// cached plan may now be invalid or stale — drop and regrow.
+			ce.diagram = nil
+			ce.uncacheable = false
+			ce.version = ver
+		}
+		var hit compiled
+		if ce.diagram != nil {
+			if box := ce.diagram.Find(binds); box != nil {
+				hit = compiled{q: box.Query, plan: box.Plan, tier: "cached", view: box.View}
+			}
+		}
+		uncacheable = ce.uncacheable
+		ce.mu.Unlock()
+		if hit.plan != nil {
+			e.cacheHits.Add(1)
+			// Re-bind, never mutate: the cached plan is shared by every
+			// concurrent execution of this entry.
+			hit.plan = physical.BindParams(hit.plan, binds)
+			res, _, err := e.execute(ctx, &hit, false, "")
+			return res, err
+		}
 	}
 
 	e.cacheMisses.Add(1)
-	q, plan, tier, err := e.planBound(s.sel, binds)
+	c, err := e.compile(s.sel, binds)
 	if err != nil {
 		return nil, err
 	}
-	if !uncacheable {
-		if physical.HasSubqueryScalar(plan) {
-			// Subquery scalars embed logical subplans the binder does not
-			// descend into; executions of this entry always re-optimize.
-			ce.mu.Lock()
-			ce.uncacheable = true
-			ce.mu.Unlock()
-		} else {
-			sig := parametric.Signature(plan)
-			_, estCost := plan.Estimate()
-			ce.mu.Lock()
-			if ce.version == ver && !ce.uncacheable {
-				if ce.diagram == nil {
-					ce.diagram = parametric.NewDiagram(s.nParams)
-				}
-				// Add extends a same-signature box to cover these bindings,
-				// so nearby future bindings hit without re-optimizing.
-				if _, err := ce.diagram.Add(binds, plan, q, sig, estCost); err != nil {
-					ce.mu.Unlock()
-					return nil, err
-				}
-			}
-			ce.mu.Unlock()
+	if ce != nil && !uncacheable {
+		if err := ce.add(ver, binds, c); err != nil {
+			return nil, err
 		}
 	}
-	return e.executePlanTier(ctx, plan, q, tier)
+	res, _, err := e.execute(ctx, c, false, "")
+	return res, err
 }
 
-// planBound builds, rewrites and optimizes the statement at concrete
-// bindings, leaving parameter tags on every substituted constant so the
-// resulting plan can be re-bound later. It also reports the planning tier
-// that produced the plan. Callers hold the shared latch.
-func (e *Engine) planBound(sel *sql.SelectStmt, binds []datum.D) (*logical.Query, physical.Plan, string, error) {
-	b := logical.NewBuilder(e.cat)
-	for _, u := range e.udfs {
-		b.RegisterUDP(u.name, u.cost, u.sel, u.fn)
+// add records a plan compiled at binds in the entry's diagram, unless the
+// catalog moved on since version ver was read.
+func (ce *cacheEntry) add(ver uint64, binds []datum.D, c *compiled) error {
+	if physical.HasSubqueryScalar(c.plan) {
+		// Subquery scalars embed logical subplans the binder does not
+		// descend into; executions of this entry always re-optimize.
+		ce.mu.Lock()
+		ce.uncacheable = true
+		ce.mu.Unlock()
+		return nil
 	}
-	b.BindParams(binds)
-	q, err := b.Build(sel)
+	sig := parametric.Signature(c.plan)
+	_, estCost := c.plan.Estimate()
+	ce.mu.Lock()
+	defer ce.mu.Unlock()
+	if ce.version != ver || ce.uncacheable {
+		return nil
+	}
+	if ce.diagram == nil {
+		ce.diagram = parametric.NewDiagram(len(binds))
+	}
+	// Add extends a same-signature box to cover these bindings, so nearby
+	// future bindings hit without re-optimizing.
+	box, err := ce.diagram.Add(binds, c.plan, c.q, sig, estCost)
 	if err != nil {
-		return nil, nil, "", err
+		return err
 	}
-	logical.NormalizeQuery(q, logical.DefaultNormalize())
-	if !e.opts.DisableRewrites && e.opts.Optimizer != Starburst {
-		rewrite.UnnestSubqueries(q)
-		rewrite.AssociateJoinOuterjoin(q)
-		rewrite.MovePredicates(q)
-		rewrite.PushDownGroupBy(q)
-		logical.NormalizeQuery(q, logical.DefaultNormalize())
-	}
-	logical.PruneColumns(q)
-	plan, tier, err := e.optimizeOne(q)
-	if err != nil {
-		return nil, nil, "", err
-	}
-	// Cache the post-Parallelize plan: BindParams copies Exchange nodes like
-	// any other, and executions skip re-planning the exchanges too.
-	if e.opts.Parallelism > 1 {
-		model := e.costModel()
-		plan = parallel.Parallelize(plan, parallel.Config{
-			Degree:         e.opts.Parallelism,
-			CommCostPerRow: model.CommCostPerRow,
-		}, model).Plan
-	}
-	return q, plan, tier, nil
-}
-
-// executePlan runs an already-optimized plan under the engine's resource
-// governor. Callers hold the shared latch.
-func (e *Engine) executePlan(ctx context.Context, plan physical.Plan, q *logical.Query) (*Result, error) {
-	ec := e.newExecCtx(ctx, q.Meta)
-	res, err := exec.RunPlanQuery(plan, q, ec)
-	if err != nil {
-		return nil, err
-	}
-	return e.finish(q, plan, res, ec, ""), nil
-}
-
-// executePlanTier is executePlan with the planning tier stamped on the
-// result ("cached" for plan-cache dispatches).
-func (e *Engine) executePlanTier(ctx context.Context, plan physical.Plan, q *logical.Query, tier string) (*Result, error) {
-	res, err := e.executePlan(ctx, plan, q)
-	if err != nil {
-		return nil, err
-	}
-	res.PlannerTier = tier
-	return res, nil
+	box.View = c.view
+	return nil
 }
 
 // typeSig fingerprints the parameter kinds: bindings with different type

@@ -194,21 +194,43 @@ func TestPreparedMatchesUnprepared(t *testing.T) {
 		param   string
 		literal string
 		args    []any
+		views   bool // run on the engines that answer from emp_by_dept
 	}
+	const byDept = "SELECT e.did, COUNT(*) FROM emp e GROUP BY e.did"
 	cases := []tc{
 		{"SELECT name FROM emp WHERE sal > ? ORDER BY name",
-			"SELECT name FROM emp WHERE sal > 100 ORDER BY name", []any{int64(100)}},
+			"SELECT name FROM emp WHERE sal > 100 ORDER BY name", []any{int64(100)}, false},
 		{"SELECT e.name, d.dname FROM emp e, dept d WHERE e.did = d.did AND d.loc = ? ORDER BY e.name",
-			"SELECT e.name, d.dname FROM emp e, dept d WHERE e.did = d.did AND d.loc = 'Denver' ORDER BY e.name", []any{"Denver"}},
+			"SELECT e.name, d.dname FROM emp e, dept d WHERE e.did = d.did AND d.loc = 'Denver' ORDER BY e.name", []any{"Denver"}, false},
 		{"SELECT d.loc, COUNT(*) FROM emp e, dept d WHERE e.did = d.did AND e.sal > ? GROUP BY d.loc ORDER BY d.loc",
-			"SELECT d.loc, COUNT(*) FROM emp e, dept d WHERE e.did = d.did AND e.sal > 90 GROUP BY d.loc ORDER BY d.loc", []any{int64(90)}},
+			"SELECT d.loc, COUNT(*) FROM emp e, dept d WHERE e.did = d.did AND e.sal > 90 GROUP BY d.loc ORDER BY d.loc", []any{int64(90)}, false},
 		{"SELECT name FROM emp WHERE did = $1 AND sal > $2 ORDER BY name",
-			"SELECT name FROM emp WHERE did = 10 AND sal > 100 ORDER BY name", []any{int64(10), int64(100)}},
+			"SELECT name FROM emp WHERE did = 10 AND sal > 100 ORDER BY name", []any{int64(10), int64(100)}, false},
+		// With views on, prepared statements answer from the view exactly as
+		// Exec does, on the miss and on the hit.
+		{byDept, byDept, nil, true},
+		{"SELECT e.did, COUNT(*) FROM emp e WHERE e.did > ? GROUP BY e.did",
+			"SELECT e.did, COUNT(*) FROM emp e WHERE e.did > 10 GROUP BY e.did", []any{int64(10)}, true},
+		{"SELECT e.did, COUNT(*) FROM emp e WHERE e.did > ? GROUP BY e.did",
+			"SELECT e.did, COUNT(*) FROM emp e WHERE e.did > 0 GROUP BY e.did", []any{int64(0)}, true},
 	}
 	cacheOn := demoEngine(t, Options{Optimizer: SystemR})
 	cacheOff := demoEngine(t, Options{Optimizer: SystemR, PlanCacheSize: -1})
+	viewsOn := demoEngine(t, Options{Optimizer: SystemR, UseMaterializedViews: true})
+	viewsOff := demoEngine(t, Options{Optimizer: SystemR, UseMaterializedViews: true, PlanCacheSize: -1})
+	for _, e := range []*Engine{viewsOn, viewsOff} {
+		e.MustExec("CREATE MATERIALIZED VIEW emp_by_dept AS SELECT e.did AS did, COUNT(*) AS cnt FROM emp e GROUP BY e.did")
+		e.MustExec("ANALYZE emp_by_dept")
+	}
+	if res := viewsOn.MustExec(byDept); res.UsedMaterializedView != "emp_by_dept" {
+		t.Fatalf("Exec did not answer from the view:\n%s", res.Plan)
+	}
 	for _, c := range cases {
-		want, err := cacheOn.Exec(c.literal)
+		on, off := cacheOn, cacheOff
+		if c.views {
+			on, off = viewsOn, viewsOff
+		}
+		want, err := on.Exec(c.literal)
 		if err != nil {
 			t.Fatalf("%s: %v", c.literal, err)
 		}
@@ -232,16 +254,24 @@ func TestPreparedMatchesUnprepared(t *testing.T) {
 						t.Fatalf("[%s] %s row %d: %q, want %q", label, c.param, j, got[j], wantRows[j])
 					}
 				}
+				if c.param == c.literal && (res.Plan != want.Plan || res.UsedMaterializedView != want.UsedMaterializedView) {
+					t.Fatalf("[%s] %s execution %d: view %q plan\n%s\nwant view %q plan\n%s",
+						label, c.param, i, res.UsedMaterializedView, res.Plan, want.UsedMaterializedView, want.Plan)
+				}
 			}
 		}
-		check(cacheOn, "cache-on")
-		check(cacheOff, "cache-off")
+		check(on, "cache-on")
+		check(off, "cache-off")
 	}
-	if s := cacheOff.PlanCacheStats(); s.Hits != 0 || s.Entries != 0 {
-		t.Fatalf("disabled cache recorded hits: %+v", s)
+	for _, e := range []*Engine{cacheOff, viewsOff} {
+		if s := e.PlanCacheStats(); s.Hits != 0 || s.Entries != 0 {
+			t.Fatalf("disabled cache recorded hits: %+v", s)
+		}
 	}
-	if s := cacheOn.PlanCacheStats(); s.Hits == 0 {
-		t.Fatalf("enabled cache never hit: %+v", s)
+	for _, e := range []*Engine{cacheOn, viewsOn} {
+		if s := e.PlanCacheStats(); s.Hits == 0 {
+			t.Fatalf("enabled cache never hit: %+v", s)
+		}
 	}
 }
 
