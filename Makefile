@@ -1,4 +1,4 @@
-.PHONY: build test check bench-module-check exec-loc plan-bench exec-bench bench harness parallel-bench analyze-bench robustness-bench robustness-check vectorized-bench serving-bench adaptive-bench storage-bench durability-bench compression-bench crash-check bench-smoke
+.PHONY: build test check bench-module-check exec-loc plan-bench exec-bench bench experiments crash-check robustness-check
 
 build:
 	go build ./...
@@ -60,60 +60,16 @@ EXEC_BENCHTIME ?= 1s
 exec-bench:
 	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkFilteredScan|BenchmarkPipeline|BenchmarkOrdered|BenchmarkSpill|BenchmarkIndex' -benchmem -benchtime $(EXEC_BENCHTIME) ./internal/exec ./internal/storage
 
+# Every root benchmark — the experiment wrappers and the engine
+# micro-benchmarks — with B/op and allocs/op; -run '^$' skips the tests.
 bench:
-	go test -bench=. -benchmem
+	go test -run '^$$' -bench=. -benchmem
 
-harness:
-	go run ./cmd/benchharness
-
-# Serial-vs-parallel wall-clock sweep; writes BENCH_parallel.json.
-parallel-bench:
-	go run ./cmd/benchharness parallel
-
-# Random query corpus under EXPLAIN ANALYZE; writes BENCH_analyze.json
-# (estimate-vs-actual q-error distribution).
-analyze-bench:
-	go run ./cmd/benchharness analyze
-
-# Resource-governor sweep: spill overhead under memory budgets plus
-# cancellation latency; writes BENCH_robustness.json.
-robustness-bench:
-	go run ./cmd/benchharness robustness
-
-# Kernels off vs on over identical plans (scan+filter, hash agg); writes
-# BENCH_vectorized.json. E24 at full size.
-vectorized-bench:
-	go run ./cmd/benchharness vectorized
-
-# Concurrent serving sweep: exec-literal vs prepared-reoptimize vs
-# prepared-cached at 1/8/64/256 sessions; writes BENCH_serving.json. E25 at
-# full size.
-serving-bench:
-	go run ./cmd/benchharness serving
-
-# Adaptive planning tradeoff: greedy fast path vs full DP planning and
-# execution time over the short-statement corpus; writes BENCH_adaptive.json.
-# E26 at full size.
-adaptive-bench:
-	go run ./cmd/benchharness adaptive
-
-# Disk-backed columnar segment sweep: cold/warm scans at selectivities
-# 0.001/0.1/1.0 with zone-map pruning on and off; writes BENCH_storage.json.
-# E27 at full size.
-storage-bench:
-	go run ./cmd/benchharness storage
-
-# Crash-consistency cost sweep: checksum verification overhead on cold/warm
-# scans plus recovery and scrub time vs segment count; writes
-# BENCH_durability.json. E28 at full size.
-durability-bench:
-	go run ./cmd/benchharness durability
-
-# Compressed columnar sweep: dictionary/RLE encoded segments vs the
-# DisableCompression control — scan+filter throughput, bytes read and block
-# counts at parallelism 1/4/8; writes BENCH_compression.json. E29 at full size.
-compression-bench:
-	go run ./cmd/benchharness compression
+# Prints every experiment table (E1–E24, E26–E29; see DESIGN.md §2) by
+# running each BenchmarkE* wrapper once under -v. For a subset, narrow the
+# -bench regex, e.g. -bench '^BenchmarkE2[3-9]'.
+experiments:
+	go test -run '^$$' -bench '^BenchmarkE[0-9]' -benchtime 1x -v .
 
 # crash-check is the durability gate: every kill point of the crash matrix
 # (InsertBatch, Flush, SortBy killed at each injection site and occurrence,
@@ -126,23 +82,6 @@ crash-check:
 		-run 'TestCrashMatrix|TestCorruptionMatrix|TestCorruptSegment|TestSealFailure|TestTransientFaultRetry' \
 		./internal/storage
 	GOMAXPROCS=4 go test -race -count=1 -run 'TestRecoveredEngineEquivalence|TestEngineChecksumOptions' .
-
-# bench-smoke is the fast perf gate: a reduced-size E24 run (kernels off vs on
-# must still report identical results), a tiny E25 serving sweep under the
-# race detector (all three modes must still report identical results), a
-# reduced E26 adaptive sweep under the race detector (greedy and DP arms must
-# still report identical results), a reduced E27 storage sweep under the race
-# detector (disk reads must be bit-identical to memory), a reduced E29
-# compression sweep under the race detector (encoded blocks must decode to
-# bit-identical results), and the executor suite under -race. CI runs this on every push; it finishes in well under a
-# minute.
-bench-smoke:
-	go run ./cmd/benchharness vectorized 20000
-	GOMAXPROCS=4 go run -race ./cmd/benchharness serving 1000 8
-	GOMAXPROCS=4 go run -race ./cmd/benchharness adaptive 40 2000
-	GOMAXPROCS=4 go run -race ./cmd/benchharness storage 30000
-	GOMAXPROCS=4 go run -race ./cmd/benchharness compression 30000
-	go test -race -count=1 ./internal/exec/...
 
 # Fault-injection, cancellation, spill and goroutine-leak suites under the
 # race detector at a fixed GOMAXPROCS, so worker interleavings are exercised

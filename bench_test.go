@@ -1,12 +1,12 @@
 package queryopt
 
-// bench_test.go exposes every experiment of the reproduction (E1–E24, one
-// per figure/claim of the paper — see DESIGN.md §2) as a testing.B benchmark,
-// plus micro-benchmarks of the engine's hot paths. Regenerate the experiment
-// tables with:
+// bench_test.go exposes every experiment of the reproduction (E1–E24 and
+// E26–E29, one per figure/claim of the paper — see DESIGN.md §2) as a
+// testing.B benchmark, plus micro-benchmarks of the engine's hot paths.
+// Print the experiment tables with:
 //
-//	go test -bench=. -benchmem
-//	go run ./cmd/benchharness        # tables only, faster
+//	make experiments                                   # all 28 tables
+//	go test -run '^$' -bench '^BenchmarkE2[6-9]' -benchtime 1x -v .   # a subset
 import (
 	"fmt"
 	"runtime"
@@ -79,6 +79,12 @@ func BenchmarkE23Robustness(b *testing.B) {
 func BenchmarkE24Vectorized(b *testing.B) {
 	benchExperiment(b, experiments.E24Vectorized)
 }
+func BenchmarkE26AdaptivePlanning(b *testing.B) {
+	benchExperiment(b, experiments.E26AdaptivePlanning)
+}
+func BenchmarkE27Storage(b *testing.B)     { benchExperiment(b, experiments.E27Storage) }
+func BenchmarkE28Durability(b *testing.B)  { benchExperiment(b, experiments.E28Durability) }
+func BenchmarkE29Compression(b *testing.B) { benchExperiment(b, experiments.E29Compression) }
 
 // --- engine micro-benchmarks ---
 

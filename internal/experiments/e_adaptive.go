@@ -6,9 +6,7 @@ package experiments
 // the greedy orderer, and the planning-time saving is confronted with the
 // execution-time cost of the (possibly worse) greedy join orders. Results
 // must be identical between arms — tier selection is a planning-quality
-// decision, never a correctness one. RunAdaptiveBench is shared by
-// experiment E26 and `benchharness adaptive`, which writes
-// BENCH_adaptive.json.
+// decision, never a correctness one.
 
 import (
 	"fmt"
@@ -25,38 +23,33 @@ import (
 	"repro/internal/workload"
 )
 
-// AdaptiveArm is one planning configuration measured over the corpus.
-type AdaptiveArm struct {
-	Name string `json:"name"`
+// adaptiveArm is one planning configuration measured over the corpus.
+type adaptiveArm struct {
+	Name string
 	// PlanNanos and ExecNanos are wall-time totals over the whole corpus.
-	PlanNanos int64 `json:"plan_nanos"`
-	ExecNanos int64 `json:"exec_nanos"`
+	PlanNanos int64
+	ExecNanos int64
 	// MeanPlanMicros and MeanExecMicros are per-statement means.
-	MeanPlanMicros float64 `json:"mean_plan_micros"`
-	MeanExecMicros float64 `json:"mean_exec_micros"`
+	MeanPlanMicros float64
+	MeanExecMicros float64
 	// Tiers counts statements by the planning tier that produced their plan.
-	Tiers map[string]int `json:"tiers"`
+	Tiers map[string]int
 	// TotalEstCost sums the optimizer's cost estimates (plan quality proxy).
-	TotalEstCost float64 `json:"total_est_cost"`
+	TotalEstCost float64
 }
 
-// AdaptiveBenchResult is the full planning-vs-execution tradeoff run.
-type AdaptiveBenchResult struct {
-	Queries    int   `json:"queries"`
-	EmpRows    int   `json:"emp_rows"`
-	Seed       int64 `json:"seed"`
-	Reps       int   `json:"plan_reps"`
-	GOMAXPROCS int   `json:"gomaxprocs"`
-	NumCPU     int   `json:"num_cpu"`
+// adaptiveResult is the full planning-vs-execution tradeoff run.
+type adaptiveResult struct {
+	Queries int
 	// IdenticalResults reports that both arms produced bit-identical row
 	// multisets for every statement in the corpus.
-	IdenticalResults bool `json:"identical_results"`
+	IdenticalResults bool
 	// PlanSpeedup is DP planning time over greedy planning time (>1 means
 	// the fast path planned faster); ExecRegression is greedy execution time
 	// over DP execution time (>1 means greedy join orders executed slower).
-	PlanSpeedup    float64       `json:"plan_speedup"`
-	ExecRegression float64       `json:"exec_regression"`
-	Arms           []AdaptiveArm `json:"arms"`
+	PlanSpeedup    float64
+	ExecRegression float64
+	Arms           []adaptiveArm
 }
 
 // exactDatum renders a datum so that float equality is bit-exact.
@@ -105,17 +98,15 @@ func adaptiveCorpus(n int, rng *rand.Rand) []string {
 	return qs
 }
 
-// RunAdaptiveBench plans and executes the random corpus under both arms. Each
-// statement is planned reps times per arm (planning a short statement is
-// microseconds; repetition keeps the timer out of the noise) and executed
-// once.
-func RunAdaptiveBench(queries, empRows, reps int, seed int64) *AdaptiveBenchResult {
-	db := workload.EmpDept(workload.EmpDeptConfig{Emps: empRows, Depts: 100, Seed: seed})
+// adaptiveBench plans and executes a 60-statement random corpus over 5000
+// employees under both arms. Each statement is planned 5 times per arm
+// (planning a short statement is microseconds; repetition keeps the timer out
+// of the noise) and executed once.
+func adaptiveBench() *adaptiveResult {
+	const queries, reps, seed = 60, 5, 7
+	db := workload.EmpDept(workload.EmpDeptConfig{Emps: 5000, Depts: 100, Seed: seed})
 	db.Analyze(stats.AnalyzeOptions{})
 	corpus := adaptiveCorpus(queries, rand.New(rand.NewSource(seed)))
-	if reps < 1 {
-		reps = 1
-	}
 
 	greedyOpts := systemr.DefaultOptions()
 	greedyOpts.GreedyThreshold = 63
@@ -127,14 +118,10 @@ func RunAdaptiveBench(queries, empRows, reps int, seed int64) *AdaptiveBenchResu
 		{"greedy", greedyOpts},
 	}
 
-	out := &AdaptiveBenchResult{
-		Queries: queries, EmpRows: empRows, Seed: seed, Reps: reps,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(),
-		IdenticalResults: true,
-	}
+	out := &adaptiveResult{Queries: queries, IdenticalResults: true}
 	keys := make([][]string, len(arms))
 	for ai, arm := range arms {
-		pt := AdaptiveArm{Name: arm.name, Tiers: map[string]int{}}
+		pt := adaptiveArm{Name: arm.name, Tiers: map[string]int{}}
 		for _, text := range corpus {
 			q := mustBuild(db, text)
 			t0 := time.Now()
@@ -173,12 +160,12 @@ func RunAdaptiveBench(queries, empRows, reps int, seed int64) *AdaptiveBenchResu
 // ordering cuts planning time on short statements while execution time stays
 // bounded (§3's enumeration cost vs. §4's plan quality, resolved adaptively).
 func E26AdaptivePlanning() Table {
-	r := RunAdaptiveBench(60, 5000, 5, 7)
+	r := adaptiveBench()
 	t := Table{
 		ID:      "E26",
 		Title:   "Adaptive planning: greedy fast path vs full DP",
 		Claim:   "for short statements, greedy join ordering planned faster than DP enumeration with bounded execution-time regression and identical results",
-		Headers: []string{"arm", "mean plan (µs)", "mean exec (µs)", "total est cost", "tiers"},
+		Headers: []string{"arm", "mean plan (µs)", "mean exec (µs)", "total est cost", "tiers", "identical"},
 	}
 	for _, a := range r.Arms {
 		var tiers []string
@@ -188,9 +175,10 @@ func E26AdaptivePlanning() Table {
 		sort.Strings(tiers)
 		t.Rows = append(t.Rows, []string{
 			a.Name, f1(a.MeanPlanMicros), f1(a.MeanExecMicros), f0(a.TotalEstCost), strings.Join(tiers, " "),
+			fmt.Sprintf("%v", r.IdenticalResults),
 		})
 	}
-	t.Notes = fmt.Sprintf("plan speedup %.2fx, exec regression %.2fx, identical results: %v (%d statements, GOMAXPROCS=%d)",
-		r.PlanSpeedup, r.ExecRegression, r.IdenticalResults, r.Queries, r.GOMAXPROCS)
+	t.Notes = fmt.Sprintf("plan speedup %.2fx, exec regression %.2fx (%d statements, GOMAXPROCS=%d); identical = both arms returned the same rows for every statement",
+		r.PlanSpeedup, r.ExecRegression, r.Queries, runtime.GOMAXPROCS(0))
 	return t
 }

@@ -4,8 +4,7 @@ package experiments
 // executor (the machinery behind EXPLAIN ANALYZE) and aggregates per-operator
 // estimate-vs-actual q-errors. The resulting distribution quantifies how far
 // the §5 statistical model drifts from runtime truth across operator kinds —
-// the execution-feedback signal. RunAnalyzeBench is shared by experiment E22
-// and `benchharness analyze`, which writes BENCH_analyze.json.
+// the execution-feedback signal.
 
 import (
 	"fmt"
@@ -29,36 +28,20 @@ func parallelize(plan physical.Plan, degree int) physical.Plan {
 	return par.Plan
 }
 
-// AnalyzeOffender is one worst-misestimation observation in the report.
-type AnalyzeOffender struct {
-	Node   string  `json:"node"`
-	Est    float64 `json:"est_rows"`
-	Actual float64 `json:"actual_rows"`
-	QError float64 `json:"q_error"`
-}
-
-// AnalyzeBenchPoint is the q-error distribution at one parallelism degree.
-type AnalyzeBenchPoint struct {
-	Degree        int     `json:"degree"`
-	Nodes         int     `json:"nodes"`
-	MeanQError    float64 `json:"mean_q_error"`
-	GeoMeanQError float64 `json:"geomean_q_error"`
-	P50QError     float64 `json:"p50_q_error"`
-	P90QError     float64 `json:"p90_q_error"`
-	P99QError     float64 `json:"p99_q_error"`
-	MaxQError     float64 `json:"max_q_error"`
+// analyzePoint is the q-error distribution at one parallelism degree.
+type analyzePoint struct {
+	Degree        int
+	Nodes         int
+	GeoMeanQError float64
+	P50QError     float64
+	P90QError     float64
+	P99QError     float64
+	MaxQError     float64
 	// WithinFactor2 is the fraction of plan nodes whose estimate is within a
 	// factor of two of the measured cardinality.
-	WithinFactor2  float64           `json:"within_factor_2"`
-	WorstOffenders []AnalyzeOffender `json:"worst_offenders"`
-}
-
-// AnalyzeBenchResult is the full corpus run.
-type AnalyzeBenchResult struct {
-	Queries int                 `json:"queries"`
-	EmpRows int                 `json:"emp_rows"`
-	Seed    int64               `json:"seed"`
-	Points  []AnalyzeBenchPoint `json:"points"`
+	WithinFactor2 float64
+	// Worst is the node with the largest q-error.
+	Worst *physical.FeedbackEntry
 }
 
 // analyzeCorpus generates n seeded random SPJ/aggregate/ORDER BY queries over
@@ -93,27 +76,19 @@ func analyzeCorpus(n int, rng *rand.Rand) []string {
 	return qs
 }
 
-// RunAnalyzeBench executes the random corpus with per-operator metrics
-// enabled at each degree and aggregates the q-error distribution per degree.
-func RunAnalyzeBench(queries, empRows int, degrees []int, seed int64) *AnalyzeBenchResult {
-	db := workload.EmpDept(workload.EmpDeptConfig{Emps: empRows, Depts: 100, Seed: seed})
+// analyzeBench executes a 60-statement random corpus over 8000 employees with
+// per-operator metrics enabled at degrees 1 and 4 and aggregates the q-error
+// distribution per degree.
+func analyzeBench() []analyzePoint {
+	const queries, seed = 60, 22
+	db := workload.EmpDept(workload.EmpDeptConfig{Emps: 8000, Depts: 100, Seed: seed})
 	db.Analyze(stats.AnalyzeOptions{})
 	corpus := analyzeCorpus(queries, rand.New(rand.NewSource(seed)))
+	pool := exec.NewPool(4)
+	defer pool.Close()
 
-	maxDeg := 1
-	for _, d := range degrees {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	var pool *exec.Pool
-	if maxDeg > 1 {
-		pool = exec.NewPool(maxDeg)
-		defer pool.Close()
-	}
-
-	out := &AnalyzeBenchResult{Queries: queries, EmpRows: empRows, Seed: seed}
-	for _, deg := range degrees {
+	var out []analyzePoint
+	for _, deg := range []int{1, 4} {
 		ring := physical.NewFeedbackRing(queries * 32)
 		for _, text := range corpus {
 			q := mustBuild(db, text)
@@ -132,19 +107,18 @@ func RunAnalyzeBench(queries, empRows int, degrees []int, seed int64) *AnalyzeBe
 			}
 			ring.RecordPlan(plan, q.Meta, rm, text)
 		}
-		out.Points = append(out.Points, summarizeQErrors(deg, ring))
+		out = append(out, summarizeQErrors(deg, ring))
 	}
 	return out
 }
 
 // summarizeQErrors reduces the ring's observations to a distribution point.
-func summarizeQErrors(degree int, ring *physical.FeedbackRing) AnalyzeBenchPoint {
+func summarizeQErrors(degree int, ring *physical.FeedbackRing) analyzePoint {
 	entries := ring.Entries()
 	qs := make([]float64, len(entries))
-	sum, logSum, within2 := 0.0, 0.0, 0
+	logSum, within2 := 0.0, 0
 	for i, e := range entries {
 		qs[i] = e.QError
-		sum += e.QError
 		logSum += math.Log(e.QError)
 		if e.QError <= 2 {
 			within2++
@@ -158,9 +132,8 @@ func summarizeQErrors(degree int, ring *physical.FeedbackRing) AnalyzeBenchPoint
 		i := int(p * float64(len(qs)-1))
 		return qs[i]
 	}
-	pt := AnalyzeBenchPoint{Degree: degree, Nodes: len(entries)}
+	pt := analyzePoint{Degree: degree, Nodes: len(entries)}
 	if len(entries) > 0 {
-		pt.MeanQError = sum / float64(len(entries))
 		pt.GeoMeanQError = math.Exp(logSum / float64(len(entries)))
 		pt.P50QError = pctile(0.50)
 		pt.P90QError = pctile(0.90)
@@ -168,10 +141,8 @@ func summarizeQErrors(degree int, ring *physical.FeedbackRing) AnalyzeBenchPoint
 		pt.MaxQError = qs[len(qs)-1]
 		pt.WithinFactor2 = float64(within2) / float64(len(entries))
 	}
-	for _, w := range ring.WorstOffenders(5) {
-		pt.WorstOffenders = append(pt.WorstOffenders, AnalyzeOffender{
-			Node: w.Node, Est: w.Est, Actual: w.Actual, QError: w.QError,
-		})
+	if worst := ring.WorstOffenders(1); len(worst) > 0 {
+		pt.Worst = &worst[0]
 	}
 	return pt
 }
@@ -188,16 +159,15 @@ func E22AnalyzeFeedback() Table {
 		Claim:   "fresh stats keep median q-error ~1; misestimation concentrates in conjunctive and post-join nodes",
 		Headers: []string{"degree", "nodes", "geomean", "p50", "p90", "p99", "max", "within 2x"},
 	}
-	res := RunAnalyzeBench(60, 8000, []int{1, 4}, 22)
-	for _, p := range res.Points {
+	points := analyzeBench()
+	for _, p := range points {
 		t.Rows = append(t.Rows, []string{
 			d(p.Degree), d(p.Nodes),
 			f2(p.GeoMeanQError), f2(p.P50QError), f2(p.P90QError), f2(p.P99QError), f2(p.MaxQError),
 			pct(p.WithinFactor2),
 		})
 	}
-	if len(res.Points) > 0 && len(res.Points[0].WorstOffenders) > 0 {
-		w := res.Points[0].WorstOffenders[0]
+	if w := points[0].Worst; w != nil {
 		t.Notes = fmt.Sprintf("worst offender: %s est=%.0f actual=%.0f q_err=%.1f",
 			w.Node, w.Est, w.Actual, w.QError)
 	}

@@ -8,9 +8,7 @@ package experiments
 // of the bytes (encoded blocks on disk), filter without decoding (string
 // equality becomes one integer compare per row against a translated
 // dictionary code), and return bit-identical rows at every parallelism
-// degree. RunCompressionBench is shared by experiment E29 (small workload)
-// and `benchharness compression`, which writes the larger run to
-// BENCH_compression.json.
+// degree.
 
 import (
 	"fmt"
@@ -27,40 +25,40 @@ import (
 	"repro/internal/storage"
 )
 
-// CompressionBenchRow is one (parallelism, arm) measurement.
-type CompressionBenchRow struct {
-	Parallelism int `json:"parallelism"`
+// compressionRow is one (parallelism, arm) measurement.
+type compressionRow struct {
+	Parallelism int
 	// Arm is "compressed" (dictionary/RLE encoding on) or "uncompressed"
 	// (plain blocks, the DisableCompression control).
-	Arm           string  `json:"arm"`
-	ColdWallSec   float64 `json:"cold_wall_seconds"`
-	WarmWallSec   float64 `json:"warm_wall_seconds"`
-	MemWallSec    float64 `json:"mem_wall_seconds"`
-	ColdBytesRead int64   `json:"cold_bytes_read"`
-	BlocksDict    int64   `json:"blocks_dict"`
-	BlocksRLE     int64   `json:"blocks_rle"`
-	BlocksPlain   int64   `json:"blocks_plain"`
+	Arm           string
+	ColdWallSec   float64
+	WarmWallSec   float64
+	MemWallSec    float64
+	ColdBytesRead int64
+	BlocksDict    int64
+	BlocksRLE     int64
+	BlocksPlain   int64
 	// WarmRowsPerSec is scan+filter throughput with the column cache hot —
 	// the kernel-speed comparison, free of disk noise.
-	WarmRowsPerSec float64 `json:"warm_rows_per_sec"`
-	OutputRows     int     `json:"output_rows"`
+	WarmRowsPerSec float64
+	OutputRows     int
 	// Identical certifies the disk arm returned exactly the in-memory
 	// engine's rows, in order, floats bit-exact.
-	Identical bool `json:"identical"`
+	Identical bool
 }
 
-// CompressionBenchResult is the full sweep plus host information and the
+// compressionResult is the full sweep plus host information and the
 // headline ratios (parallelism 1).
-type CompressionBenchResult struct {
-	Rows        int                   `json:"rows"`
-	SegmentRows int                   `json:"segment_rows"`
-	GOMAXPROCS  int                   `json:"gomaxprocs"`
-	CPUs        int                   `json:"cpus"`
-	Workloads   []CompressionBenchRow `json:"workloads"`
+type compressionResult struct {
+	Rows        int
+	SegmentRows int
+	GOMAXPROCS  int
+	CPUs        int
+	Workloads   []compressionRow
 	// BytesReduction is uncompressed/compressed cold bytes read; Speedup is
 	// compressed/uncompressed warm scan+filter throughput (both serial).
-	BytesReduction float64 `json:"bytes_reduction"`
-	Speedup        float64 `json:"speedup"`
+	BytesReduction float64
+	Speedup        float64
 }
 
 func compressionBenchDef() *catalog.Table {
@@ -75,16 +73,14 @@ func compressionBenchDef() *catalog.Table {
 	}
 }
 
-// RunCompressionBench loads a corpus whose string column has 8 distinct
-// values sharing a long prefix (the realistic worst case for plain string
-// compares, the best case for dictionary codes) and whose status column is
-// sorted (long constant runs), then runs a string-equality scan+filter on
-// compressed and uncompressed stores at each parallelism degree. Best of
-// reps.
-func RunCompressionBench(rows, segRows, reps int) *CompressionBenchResult {
-	if segRows <= 0 {
-		segRows = storage.DefaultSegmentRows
-	}
+// compressionBench loads a 40 000-row corpus in 1024-row segments whose
+// string column has 8 distinct values sharing a long prefix (the realistic
+// worst case for plain string compares, the best case for dictionary codes)
+// and whose status column is sorted (long constant runs), then runs a
+// string-equality scan+filter on compressed and uncompressed stores at
+// parallelism 1, 4 and 8. Best of 2.
+func compressionBench() *compressionResult {
+	const rows, segRows, reps = 40000, 1024, 2
 	def := compressionBenchDef()
 	cities := make([]string, 8)
 	for i := range cities {
@@ -156,14 +152,14 @@ func RunCompressionBench(rows, segRows, reps int) *CompressionBenchResult {
 		return sec, &ctx.Counters, res.Rows
 	}
 
-	out := &CompressionBenchResult{
+	out := &compressionResult{
 		Rows: rows, SegmentRows: segRows,
 		GOMAXPROCS: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(),
 	}
 	for _, par := range []int{1, 4, 8} {
 		memSec, _, memRows := run(memStore, par)
 		for _, arm := range []string{"compressed", "uncompressed"} {
-			var best CompressionBenchRow
+			var best compressionRow
 			for rep := 0; rep < reps; rep++ {
 				// Cold: a fresh store over the same directory starts with an
 				// empty column cache.
@@ -174,16 +170,7 @@ func RunCompressionBench(rows, segRows, reps int) *CompressionBenchResult {
 				coldSec, coldCtr, _ := run(store, par)
 				warmSec, _, warmRows := run(store, par)
 				if rep == 0 || warmSec < best.WarmWallSec {
-					identical := len(warmRows) == len(memRows)
-					if identical {
-						for i := range warmRows {
-							if warmRows[i].String() != memRows[i].String() {
-								identical = false
-								break
-							}
-						}
-					}
-					best = CompressionBenchRow{
+					best = compressionRow{
 						Parallelism: par, Arm: arm,
 						ColdWallSec: coldSec, WarmWallSec: warmSec, MemWallSec: memSec,
 						ColdBytesRead:  coldCtr.BytesRead,
@@ -191,7 +178,7 @@ func RunCompressionBench(rows, segRows, reps int) *CompressionBenchResult {
 						BlocksRLE:      coldCtr.BlocksRLE,
 						BlocksPlain:    coldCtr.BlocksPlain,
 						WarmRowsPerSec: float64(rows) / warmSec,
-						OutputRows:     len(warmRows), Identical: identical,
+						OutputRows:     len(warmRows), Identical: sameRows(warmRows, memRows),
 					}
 				}
 			}
@@ -231,7 +218,7 @@ func E29Compression() Table {
 		Claim:   "encoded blocks cut scan bytes and string filters run as code compares, at identical results",
 		Headers: []string{"par", "arm", "cold ms", "warm ms", "mem ms", "cold bytes", "dict/rle/plain", "out rows", "identical"},
 	}
-	res := RunCompressionBench(40000, 1024, 2)
+	res := compressionBench()
 	for _, w := range res.Workloads {
 		t.Rows = append(t.Rows, []string{
 			d(w.Parallelism),

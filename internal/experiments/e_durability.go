@@ -5,9 +5,7 @@ package experiments
 // (verification happens once per block decode, so a hot column cache should
 // amortize it to ~nothing), recovery time — manifest replay plus full segment
 // verification — as a function of segment count, and a full-directory scrub
-// over the same state. RunDurabilityBench is shared by experiment E28 (small
-// workload) and `benchharness durability`, which writes the larger run to
-// BENCH_durability.json.
+// over the same state.
 
 import (
 	"fmt"
@@ -23,52 +21,50 @@ import (
 	"repro/internal/storage"
 )
 
-// DurabilityScanRow is one checksum arm of the full-scan comparison.
-type DurabilityScanRow struct {
+// durabilityScan is one checksum arm of the full-scan comparison.
+type durabilityScan struct {
 	// Arm is "checksum" (verify-on-decode, the default) or "nochecksum"
 	// (DisableChecksums, trust the bytes).
-	Arm         string  `json:"arm"`
-	ColdWallSec float64 `json:"cold_wall_seconds"`
-	WarmWallSec float64 `json:"warm_wall_seconds"`
-	OutputRows  int     `json:"output_rows"`
+	Arm         string
+	ColdWallSec float64
+	WarmWallSec float64
+	OutputRows  int
 	// Identical certifies this arm returned exactly the in-memory engine's
 	// rows, in order, floats bit-exact.
-	Identical bool `json:"identical"`
+	Identical bool
 }
 
-// DurabilityRecoveryRow is one point of the recovery-time sweep.
-type DurabilityRecoveryRow struct {
-	Segments       int     `json:"segments"`
-	Rows           int     `json:"rows"`
-	RecoverWallSec float64 `json:"recover_wall_seconds"`
-	ScrubWallSec   float64 `json:"scrub_wall_seconds"`
+// durabilityRecovery is one point of the recovery-time sweep.
+type durabilityRecovery struct {
+	Segments       int
+	Rows           int
+	RecoverWallSec float64
+	ScrubWallSec   float64
 	// Clean certifies recovery adopted every segment with no quarantine, no
 	// manifest repair and no corruption, and the scrub found nothing.
-	Clean bool `json:"clean"`
+	Clean bool
 }
 
-// DurabilityBenchResult is the full sweep plus host information.
-type DurabilityBenchResult struct {
-	Rows        int `json:"rows"`
-	SegmentRows int `json:"segment_rows"`
-	GOMAXPROCS  int `json:"gomaxprocs"`
-	CPUs        int `json:"cpus"`
+// durabilityResult is the full sweep plus host information.
+type durabilityResult struct {
+	SegmentRows int
+	GOMAXPROCS  int
+	CPUs        int
 	// ColdOverhead and WarmOverhead are checksum/nochecksum wall-clock
 	// ratios for the full scan (1.0 = free).
-	ColdOverhead float64                 `json:"cold_overhead"`
-	WarmOverhead float64                 `json:"warm_overhead"`
-	Scans        []DurabilityScanRow     `json:"scans"`
-	Recovery     []DurabilityRecoveryRow `json:"recovery"`
+	ColdOverhead float64
+	WarmOverhead float64
+	Scans        []durabilityScan
+	Recovery     []durabilityRecovery
 }
 
-// RunDurabilityBench loads one table, seals it, and (a) full-scans it cold
-// and warm with verification on and off, against the in-memory heap as the
-// correctness baseline; (b) reopens directories of recoveryCounts segments
-// each, timing recovery and a follow-up scrub. Best of reps.
-func RunDurabilityBench(rows, segRows, reps int, recoveryCounts []int) *DurabilityBenchResult {
-	if segRows <= 0 {
-		segRows = storage.DefaultSegmentRows
-	}
+// durabilityBench loads one 20 000-row table, seals it into 1024-row
+// segments, and (a) full-scans it cold and warm with verification on and
+// off, against the in-memory heap as the correctness baseline; (b) reopens
+// directories of 4, 16 and 64 segments, timing recovery and a follow-up
+// scrub. Best of 2.
+func durabilityBench() *durabilityResult {
+	const rows, segRows, reps = 20000, 1024, 2
 	def := storageBenchDef()
 	rng := rand.New(rand.NewSource(28))
 	data := make([]datum.Row, rows)
@@ -120,15 +116,14 @@ func RunDurabilityBench(rows, segRows, reps int, recoveryCounts []int) *Durabili
 	}
 	_, memRows := run(memStore)
 
-	out := &DurabilityBenchResult{
-		Rows: rows, SegmentRows: segRows,
-		GOMAXPROCS: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(),
+	out := &durabilityResult{
+		SegmentRows: segRows, GOMAXPROCS: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(),
 	}
 	arms := []struct {
 		name    string
 		disable bool
 	}{{"checksum", false}, {"nochecksum", true}}
-	best := make([]DurabilityScanRow, len(arms))
+	best := make([]durabilityScan, len(arms))
 	// Arms interleave within each rep (and GC before every timed run) so both
 	// see the same allocator and page-cache state; best of reps per metric,
 	// since cold and warm vary independently at millisecond scales.
@@ -148,18 +143,9 @@ func RunDurabilityBench(rows, segRows, reps int, recoveryCounts []int) *Durabili
 				warmSec = s
 			}
 			if rep == 0 {
-				identical := len(warmRows) == len(memRows)
-				if identical {
-					for i := range warmRows {
-						if warmRows[i].String() != memRows[i].String() {
-							identical = false
-							break
-						}
-					}
-				}
-				best[ai] = DurabilityScanRow{
+				best[ai] = durabilityScan{
 					Arm: arm.name, ColdWallSec: coldSec, WarmWallSec: warmSec,
-					OutputRows: len(warmRows), Identical: identical,
+					OutputRows: len(warmRows), Identical: sameRows(warmRows, memRows),
 				}
 				continue
 			}
@@ -179,7 +165,7 @@ func RunDurabilityBench(rows, segRows, reps int, recoveryCounts []int) *Durabili
 		out.WarmOverhead = out.Scans[0].WarmWallSec / out.Scans[1].WarmWallSec
 	}
 
-	for _, nseg := range recoveryCounts {
+	for _, nseg := range []int{4, 16, 64} {
 		rdir, err := os.MkdirTemp("", "qopt-durability-recover-*")
 		if err != nil {
 			panic(fmt.Sprintf("experiments: durability bench: %v", err))
@@ -190,7 +176,7 @@ func RunDurabilityBench(rows, segRows, reps int, recoveryCounts []int) *Durabili
 			rdata[i] = datum.Row{datum.NewInt(int64(i)), datum.NewFloat(float64(i))}
 		}
 		fill(rdir, rdata)
-		var row DurabilityRecoveryRow
+		var row durabilityRecovery
 		for rep := 0; rep < reps; rep++ {
 			start := time.Now()
 			s := storage.NewStoreWith(storage.StoreConfig{Dir: rdir, SegmentRows: segRows})
@@ -206,7 +192,7 @@ func RunDurabilityBench(rows, segRows, reps int, recoveryCounts []int) *Durabili
 				clean = clean && rep.Clean()
 			}
 			if rep == 0 || recSec < row.RecoverWallSec {
-				row = DurabilityRecoveryRow{
+				row = durabilityRecovery{
 					Segments: nseg, Rows: n,
 					RecoverWallSec: recSec, ScrubWallSec: scrubSec, Clean: clean,
 				}
@@ -231,7 +217,7 @@ func E28Durability() Table {
 		Claim:   "verified reads cost ~nothing warm; recovery is linear in segment count",
 		Headers: []string{"measurement", "arm", "cold ms", "warm ms", "out rows", "identical/clean"},
 	}
-	res := RunDurabilityBench(20000, 1024, 2, []int{4, 16, 64})
+	res := durabilityBench()
 	for _, w := range res.Scans {
 		t.Rows = append(t.Rows, []string{
 			"full scan", w.Arm,

@@ -3,9 +3,7 @@ package experiments
 // e_parallel.go measures the morsel-driven parallel executor: the same
 // optimized plan is run serially and at increasing degrees through
 // parallel.Parallelize, and wall-clock throughput is compared against the
-// cost model's predicted ResponseTime (§7.1). RunParallelBench is shared by
-// experiment E21 (small workload) and `benchharness parallel`, which writes
-// the larger run to BENCH_parallel.json.
+// cost model's predicted ResponseTime (§7.1).
 
 import (
 	"fmt"
@@ -21,58 +19,49 @@ import (
 	"repro/internal/workload"
 )
 
-// ParallelBenchPoint is one measured degree of the serial-vs-parallel sweep.
-type ParallelBenchPoint struct {
-	Degree              int     `json:"degree"`
-	WallSeconds         float64 `json:"wall_seconds"`
-	RowsPerSec          float64 `json:"rows_per_sec"`
-	Speedup             float64 `json:"speedup_vs_serial"`
-	ModeledResponseTime float64 `json:"modeled_response_time"`
-	ExchangedRows       int64   `json:"exchanged_rows"`
+// parallelPoint is one measured degree of the serial-vs-parallel sweep.
+type parallelPoint struct {
+	Degree              int
+	WallSeconds         float64
+	RowsPerSec          float64
+	Speedup             float64
+	ModeledResponseTime float64
+	ExchangedRows       int64
 }
 
-// ParallelBenchResult is the full sweep, with enough host information to
+// parallelResult is the full sweep, with enough host information to
 // interpret the speedups (degree > GOMAXPROCS cannot show real scaling).
-type ParallelBenchResult struct {
-	FactRows                 int                  `json:"fact_rows"`
-	OutputRows               int                  `json:"output_rows"`
-	GOMAXPROCS               int                  `json:"gomaxprocs"`
-	CPUs                     int                  `json:"cpus"`
-	DefaultCommCostPerRow    float64              `json:"default_comm_cost_per_row"`
-	CalibratedCommCostPerRow float64              `json:"calibrated_comm_cost_per_row"`
-	Points                   []ParallelBenchPoint `json:"points"`
+type parallelResult struct {
+	GOMAXPROCS               int
+	CPUs                     int
+	DefaultCommCostPerRow    float64
+	CalibratedCommCostPerRow float64
+	Points                   []parallelPoint
 }
 
-// RunParallelBench optimizes one large star join serially, then executes it
-// at each degree on the morsel engine, best-of-`reps` wall clock. It also
-// calibrates the cost model's CommCostPerRow from the measured exchange
-// overhead.
-func RunParallelBench(factRows int, degrees []int, reps int) *ParallelBenchResult {
+// parallelBench optimizes one star join over 30 000 fact rows serially, then
+// executes it at degrees 1/2/4/8 on the morsel engine, best-of-3 wall clock.
+// It also calibrates the cost model's CommCostPerRow from the measured
+// exchange overhead.
+func parallelBench() *parallelResult {
+	const factRows, reps = 30000, 3
 	db := workload.Star(workload.StarConfig{FactRows: factRows, DimRows: []int{60, 60}, Seed: 21})
 	db.Analyze(stats.AnalyzeOptions{})
 	q := mustBuild(db, workload.StarQuery(2, 30))
 	plan, _ := optimize(db, q, systemr.DefaultOptions())
 	model := cost.DefaultModel()
 
-	maxDeg := 1
-	for _, d := range degrees {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	pool := exec.NewPool(maxDeg)
+	pool := exec.NewPool(8)
 	defer pool.Close()
 
-	out := &ParallelBenchResult{
-		FactRows:              factRows,
+	out := &parallelResult{
 		GOMAXPROCS:            runtime.GOMAXPROCS(0),
 		CPUs:                  runtime.NumCPU(),
 		DefaultCommCostPerRow: model.CommCostPerRow,
 	}
 
-	timeRun := func(p physical.Plan, degree int) (float64, *exec.Result, exec.Counters) {
+	timeRun := func(p physical.Plan, degree int) (float64, exec.Counters) {
 		best := -1.0
-		var res *exec.Result
 		var counters exec.Counters
 		for rep := 0; rep < reps; rep++ {
 			ctx := exec.NewCtx(db.Store, q.Meta)
@@ -81,20 +70,20 @@ func RunParallelBench(factRows int, degrees []int, reps int) *ParallelBenchResul
 				ctx.Pool = pool
 			}
 			start := time.Now()
-			r, err := exec.RunPlanQuery(p, q, ctx)
+			_, err := exec.RunPlanQuery(p, q, ctx)
 			sec := time.Since(start).Seconds()
 			if err != nil {
 				panic(fmt.Sprintf("experiments: parallel bench: %v", err))
 			}
 			if best < 0 || sec < best {
-				best, res, counters = sec, r, ctx.Counters
+				best, counters = sec, ctx.Counters
 			}
 		}
-		return best, res, counters
+		return best, counters
 	}
 
 	var serialSec float64
-	for _, d := range degrees {
+	for _, d := range []int{1, 2, 4, 8} {
 		runPlan := plan
 		modeled, _ := plan.Estimate()
 		if d > 1 {
@@ -102,20 +91,18 @@ func RunParallelBench(factRows int, degrees []int, reps int) *ParallelBenchResul
 			runPlan = par.Plan
 			modeled = par.ResponseTime
 		}
-		sec, res, counters := timeRun(runPlan, d)
-		if d == 1 || serialSec == 0 {
+		sec, counters := timeRun(runPlan, d)
+		if d == 1 {
 			serialSec = sec
 		}
-		out.OutputRows = len(res.Rows)
-		pt := ParallelBenchPoint{
+		out.Points = append(out.Points, parallelPoint{
 			Degree:              d,
 			WallSeconds:         sec,
 			RowsPerSec:          float64(factRows) / sec,
 			Speedup:             serialSec / sec,
 			ModeledResponseTime: modeled,
 			ExchangedRows:       counters.ExchangedRows,
-		}
-		out.Points = append(out.Points, pt)
+		})
 	}
 
 	out.CalibratedCommCostPerRow = calibrateComm(db, pool, reps)
@@ -183,7 +170,7 @@ func E21ParallelExecution() Table {
 		Claim:   "morsel-parallel operators deliver wall-clock speedup bounded by cores; modeled response time tracks 1/degree",
 		Headers: []string{"degree", "wall ms", "rows/sec", "speedup", "modeled response", "exchanged rows"},
 	}
-	res := RunParallelBench(30000, []int{1, 2, 4, 8}, 3)
+	res := parallelBench()
 	for _, p := range res.Points {
 		t.Rows = append(t.Rows, []string{
 			d(p.Degree),

@@ -6,14 +6,11 @@ package experiments
 // execution is compared against the in-memory run, row-for-row identical.
 // The second half measures cancellation latency: how long a mid-flight query
 // takes to unwind after its context fires, at increasing parallelism.
-// RunRobustnessBench is shared by experiment E23 and `benchharness
-// robustness`, which writes the larger run to BENCH_robustness.json.
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -26,57 +23,43 @@ import (
 	"repro/internal/workload"
 )
 
-// SpillBenchPoint is one budget level of the graceful-degradation sweep.
-type SpillBenchPoint struct {
+// spillPoint is one budget level of the graceful-degradation sweep.
+type spillPoint struct {
 	// BudgetBytes is the per-query memory cap; 0 means unlimited (the
 	// baseline row).
-	BudgetBytes  int64   `json:"budget_bytes"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	Spills       int64   `json:"spills"`
-	SpillBytes   int64   `json:"spill_bytes"`
-	PeakMemBytes int64   `json:"peak_mem_bytes"`
+	BudgetBytes  int64
+	WallSeconds  float64
+	Spills       int64
+	SpillBytes   int64
+	PeakMemBytes int64
 	// OverheadVsInMemory is WallSeconds relative to the unlimited run.
-	OverheadVsInMemory float64 `json:"overhead_vs_in_memory"`
-	OutputRows         int     `json:"output_rows"`
+	OverheadVsInMemory float64
 	// RowsIdentical records that the budgeted run returned exactly the
 	// baseline's rows in the baseline's order.
-	RowsIdentical bool `json:"rows_identical"`
+	RowsIdentical bool
 }
 
-// CancelBenchPoint is one degree of the cancellation-latency sweep.
-type CancelBenchPoint struct {
-	Degree int `json:"degree"`
+// cancelPoint is one degree of the cancellation-latency sweep.
+type cancelPoint struct {
+	Degree int
 	// LatencySeconds is the wall time from the context firing mid-query to
 	// the executor returning context.Canceled.
-	LatencySeconds float64 `json:"latency_seconds"`
+	LatencySeconds float64
 	// QuerySeconds is the uncanceled wall time at the same degree, for scale.
-	QuerySeconds float64 `json:"query_seconds"`
+	QuerySeconds float64
 }
 
-// RobustnessBenchResult is the full governor sweep.
-type RobustnessBenchResult struct {
-	FactRows     int                `json:"fact_rows"`
-	GOMAXPROCS   int                `json:"gomaxprocs"`
-	CPUs         int                `json:"cpus"`
-	SpillPoints  []SpillBenchPoint  `json:"spill_points"`
-	CancelPoints []CancelBenchPoint `json:"cancel_points"`
-}
-
-// RunRobustnessBench optimizes one star join, runs it unbudgeted and then
-// under each budget (best-of-reps wall clock), verifying the budgeted rows
-// are identical to the baseline, and finally measures cancellation latency
-// at each degree by firing a context mid-query.
-func RunRobustnessBench(factRows int, budgets []int64, degrees []int, reps int) *RobustnessBenchResult {
-	db := workload.Star(workload.StarConfig{FactRows: factRows, DimRows: []int{60, 60}, Seed: 23})
+// robustnessBench optimizes one star join over 30 000 fact rows, runs it
+// unbudgeted and then under 1 MiB, 64 KiB and 4 KiB budgets (best of 3 wall
+// clock), verifying the budgeted rows are identical to the baseline, and
+// finally measures cancellation latency at degrees 1/4/8 by firing a context
+// mid-query.
+func robustnessBench() ([]spillPoint, []cancelPoint) {
+	const reps = 3
+	db := workload.Star(workload.StarConfig{FactRows: 30000, DimRows: []int{60, 60}, Seed: 23})
 	db.Analyze(stats.AnalyzeOptions{})
 	q := mustBuild(db, workload.StarQuery(2, 30)+" ORDER BY 3")
 	plan, _ := optimize(db, q, systemr.DefaultOptions())
-
-	out := &RobustnessBenchResult{
-		FactRows:   factRows,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-	}
 
 	timeRun := func(budget int64) (float64, *exec.Result, exec.Counters, int64) {
 		best := -1.0
@@ -100,48 +83,34 @@ func RunRobustnessBench(factRows int, budgets []int64, degrees []int, reps int) 
 	}
 
 	baseSec, baseRes, _, basePeak := timeRun(0)
-	out.SpillPoints = append(out.SpillPoints, SpillBenchPoint{
+	spills := []spillPoint{{
 		WallSeconds: baseSec, PeakMemBytes: basePeak,
-		OverheadVsInMemory: 1, OutputRows: len(baseRes.Rows), RowsIdentical: true,
-	})
-	for _, b := range budgets {
+		OverheadVsInMemory: 1, RowsIdentical: true,
+	}}
+	for _, b := range []int64{1 << 20, 64 << 10, 4 << 10} {
 		sec, res, counters, peak := timeRun(b)
-		identical := len(res.Rows) == len(baseRes.Rows)
-		if identical {
-			for i := range baseRes.Rows {
-				if baseRes.Rows[i].String() != res.Rows[i].String() {
-					identical = false
-					break
-				}
-			}
-		}
-		out.SpillPoints = append(out.SpillPoints, SpillBenchPoint{
+		spills = append(spills, spillPoint{
 			BudgetBytes: b, WallSeconds: sec,
 			Spills: counters.Spills, SpillBytes: counters.SpillBytes, PeakMemBytes: peak,
 			OverheadVsInMemory: sec / baseSec,
-			OutputRows:         len(res.Rows), RowsIdentical: identical,
+			RowsIdentical:      sameRows(res.Rows, baseRes.Rows),
 		})
 	}
 
-	maxDeg := 1
-	for _, d := range degrees {
-		if d > maxDeg {
-			maxDeg = d
-		}
-	}
-	pool := exec.NewPool(maxDeg)
+	pool := exec.NewPool(8)
 	defer pool.Close()
-	for _, d := range degrees {
-		out.CancelPoints = append(out.CancelPoints, measureCancel(db, q, plan, pool, d, reps))
+	var cancels []cancelPoint
+	for _, d := range []int{1, 4, 8} {
+		cancels = append(cancels, measureCancel(db, q, plan, pool, d, reps))
 	}
-	return out
+	return spills, cancels
 }
 
 // measureCancel times one uncanceled run for scale, then reruns the query
 // firing the context roughly a quarter of the way through, reporting the wall
 // time from the firing to the executor's return. Attempts where the query
 // finished before the timer fired are retried with an earlier trigger.
-func measureCancel(db *workload.DB, q *logical.Query, plan physical.Plan, pool *exec.Pool, degree, reps int) CancelBenchPoint {
+func measureCancel(db *workload.DB, q *logical.Query, plan physical.Plan, pool *exec.Pool, degree, reps int) cancelPoint {
 	newCtx := func() *exec.Ctx {
 		ctx := exec.NewCtx(db.Store, q.Meta)
 		if degree > 1 {
@@ -186,7 +155,7 @@ func measureCancel(db *workload.DB, q *logical.Query, plan physical.Plan, pool *
 	if best < 0 {
 		best = 0 // query too fast to catch mid-flight at this scale
 	}
-	return CancelBenchPoint{Degree: degree, LatencySeconds: best, QuerySeconds: querySec}
+	return cancelPoint{Degree: degree, LatencySeconds: best, QuerySeconds: querySec}
 }
 
 // E23Robustness runs the governor sweep on a small workload: graceful
@@ -200,14 +169,14 @@ func E23Robustness() Table {
 		Claim:   "budgeted queries degrade to disk with identical results; cancellation unwinds promptly at any degree",
 		Headers: []string{"budget", "wall ms", "spills", "spill KB", "peak KB", "overhead", "identical"},
 	}
-	res := RunRobustnessBench(30000, []int64{1 << 20, 64 << 10, 4 << 10}, []int{1, 4, 8}, 3)
+	spills, cancels := robustnessBench()
 	budgetLabel := func(b int64) string {
 		if b == 0 {
 			return "unlimited"
 		}
 		return fmt.Sprintf("%dKB", b>>10)
 	}
-	for _, p := range res.SpillPoints {
+	for _, p := range spills {
 		t.Rows = append(t.Rows, []string{
 			budgetLabel(p.BudgetBytes),
 			f2(p.WallSeconds * 1000),
@@ -220,7 +189,7 @@ func E23Robustness() Table {
 	}
 	var notes strings.Builder
 	fmt.Fprintf(&notes, "cancellation latency:")
-	for _, c := range res.CancelPoints {
+	for _, c := range cancels {
 		fmt.Fprintf(&notes, " degree %d = %.2fms (query %.1fms);", c.Degree, c.LatencySeconds*1000, c.QuerySeconds*1000)
 	}
 	t.Notes = notes.String()

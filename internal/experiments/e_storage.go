@@ -6,8 +6,6 @@ package experiments
 // segment elimination on and off, against the in-memory heap as the
 // correctness baseline. The pruned arm must read a small fraction of the
 // segments at high selectivity while returning bit-identical rows.
-// RunStorageBench is shared by experiment E27 (small workload) and
-// `benchharness storage`, which writes the larger run to BENCH_storage.json.
 
 import (
 	"fmt"
@@ -24,30 +22,29 @@ import (
 	"repro/internal/storage"
 )
 
-// StorageBenchRow is one (selectivity, arm) measurement.
-type StorageBenchRow struct {
-	Selectivity float64 `json:"selectivity"`
+// storageRow is one (selectivity, arm) measurement.
+type storageRow struct {
+	Selectivity float64
 	// Arm is "pruned" (zone maps on) or "unpruned" (every segment read).
-	Arm            string  `json:"arm"`
-	ColdWallSec    float64 `json:"cold_wall_seconds"`
-	WarmWallSec    float64 `json:"warm_wall_seconds"`
-	MemWallSec     float64 `json:"mem_wall_seconds"`
-	SegmentsRead   int64   `json:"segments_read"`
-	SegmentsPruned int64   `json:"segments_pruned"`
-	ColdBytesRead  int64   `json:"cold_bytes_read"`
-	OutputRows     int     `json:"output_rows"`
+	Arm            string
+	ColdWallSec    float64
+	WarmWallSec    float64
+	MemWallSec     float64
+	SegmentsRead   int64
+	SegmentsPruned int64
+	OutputRows     int
 	// Identical certifies the disk arm returned exactly the in-memory
 	// engine's rows, in order, floats bit-exact.
-	Identical bool `json:"identical"`
+	Identical bool
 }
 
-// StorageBenchResult is the full sweep plus host information.
-type StorageBenchResult struct {
-	Rows        int               `json:"rows"`
-	SegmentRows int               `json:"segment_rows"`
-	GOMAXPROCS  int               `json:"gomaxprocs"`
-	CPUs        int               `json:"cpus"`
-	Workloads   []StorageBenchRow `json:"workloads"`
+// storageResult is the full sweep plus host information.
+type storageResult struct {
+	Rows        int
+	SegmentRows int
+	GOMAXPROCS  int
+	CPUs        int
+	Workloads   []storageRow
 }
 
 func storageBenchDef() *catalog.Table {
@@ -60,13 +57,12 @@ func storageBenchDef() *catalog.Table {
 	}
 }
 
-// RunStorageBench loads a table clustered on k (so zone maps carry tight,
-// disjoint ranges), then scans it with `k < rows*sel` for each selectivity:
-// cold and warm, pruned and unpruned, and in memory. Best of reps.
-func RunStorageBench(rows, segRows, reps int) *StorageBenchResult {
-	if segRows <= 0 {
-		segRows = storage.DefaultSegmentRows
-	}
+// storageBench loads 40 000 rows clustered on k (so zone maps carry tight,
+// disjoint ranges) into 1024-row segments, then scans them with
+// `k < rows*sel` for each selectivity: cold and warm, pruned and unpruned,
+// and in memory. Best of 2.
+func storageBench() *storageResult {
+	const rows, segRows, reps = 40000, 1024, 2
 	dir, err := os.MkdirTemp("", "qopt-storage-bench-*")
 	if err != nil {
 		panic(fmt.Sprintf("experiments: storage bench: %v", err))
@@ -123,7 +119,7 @@ func RunStorageBench(rows, segRows, reps int) *StorageBenchResult {
 		return sec, &ctx.Counters, res.Rows
 	}
 
-	out := &StorageBenchResult{
+	out := &storageResult{
 		Rows: rows, SegmentRows: segRows,
 		GOMAXPROCS: runtime.GOMAXPROCS(0), CPUs: runtime.NumCPU(),
 	}
@@ -134,7 +130,7 @@ func RunStorageBench(rows, segRows, reps int) *StorageBenchResult {
 			name    string
 			noPrune bool
 		}{{"pruned", false}, {"unpruned", true}} {
-			var best StorageBenchRow
+			var best storageRow
 			for rep := 0; rep < reps; rep++ {
 				// Cold: a fresh store over the same directory starts with an
 				// empty column cache; only segment footers are read at open.
@@ -142,24 +138,14 @@ func RunStorageBench(rows, segRows, reps int) *StorageBenchResult {
 				if _, err := coldStore.CreateTable(def); err != nil {
 					panic(fmt.Sprintf("experiments: storage bench: %v", err))
 				}
-				coldSec, coldCtr, _ := run(coldStore, p, arm.noPrune)
+				coldSec, _, _ := run(coldStore, p, arm.noPrune)
 				warmSec, warmCtr, warmRows := run(coldStore, p, arm.noPrune)
 				if rep == 0 || coldSec < best.ColdWallSec {
-					identical := len(warmRows) == len(memRows)
-					if identical {
-						for i := range warmRows {
-							if warmRows[i].String() != memRows[i].String() {
-								identical = false
-								break
-							}
-						}
-					}
-					best = StorageBenchRow{
+					best = storageRow{
 						Selectivity: sel, Arm: arm.name,
 						ColdWallSec: coldSec, WarmWallSec: warmSec, MemWallSec: memSec,
 						SegmentsRead: warmCtr.SegmentsRead, SegmentsPruned: warmCtr.SegmentsPruned,
-						ColdBytesRead: coldCtr.BytesRead,
-						OutputRows:    len(warmRows), Identical: identical,
+						OutputRows: len(warmRows), Identical: sameRows(warmRows, memRows),
 					}
 				}
 			}
@@ -182,7 +168,7 @@ func E27Storage() Table {
 		Claim:   "segment elimination makes scan I/O track selectivity, at identical results",
 		Headers: []string{"selectivity", "arm", "segs read", "segs pruned", "cold ms", "warm ms", "mem ms", "out rows", "identical"},
 	}
-	res := RunStorageBench(40000, 1024, 2)
+	res := storageBench()
 	for _, w := range res.Workloads {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.3f", w.Selectivity),

@@ -7,9 +7,6 @@ package experiments
 // aggregate accumulates through the row accumulators, so the comparison
 // isolates row-at-a-time interpretation, not plan choice or operator
 // choice. (A hash join runs identically either way and is not measured.)
-// RunVectorizedBench is shared by experiment E24 (small workload) and
-// `benchharness vectorized`, which writes the larger run to
-// BENCH_vectorized.json.
 
 import (
 	"fmt"
@@ -23,33 +20,26 @@ import (
 	"repro/internal/workload"
 )
 
-// VectorizedBenchRow is one microworkload's kernels-off-vs-on measurement.
-type VectorizedBenchRow struct {
-	Workload      string  `json:"workload"`
-	InputRows     int     `json:"input_rows"`
-	OutputRows    int     `json:"output_rows"`
-	RowWallSec    float64 `json:"row_wall_seconds"`
-	VecWallSec    float64 `json:"vec_wall_seconds"`
-	RowRowsPerSec float64 `json:"row_rows_per_sec"`
-	VecRowsPerSec float64 `json:"vec_rows_per_sec"`
-	Speedup       float64 `json:"speedup"`
+// vectorizedRow is one microworkload's kernels-off-vs-on measurement.
+type vectorizedRow struct {
+	Workload      string
+	InputRows     int
+	OutputRows    int
+	RowWallSec    float64
+	VecWallSec    float64
+	RowRowsPerSec float64
+	VecRowsPerSec float64
+	Speedup       float64
 	// Identical is the exactness guarantee: the vectorized run emitted the
-	// same rows in the same order, floats compared by shortest round-trip
-	// representation (i.e. bit-exact up to NaN payloads).
-	Identical bool `json:"identical"`
+	// same rows in the same order (sameRows).
+	Identical bool
 }
 
-// VectorizedBenchResult is the full comparison plus host information.
-type VectorizedBenchResult struct {
-	FactRows   int                  `json:"fact_rows"`
-	GOMAXPROCS int                  `json:"gomaxprocs"`
-	CPUs       int                  `json:"cpus"`
-	Workloads  []VectorizedBenchRow `json:"workloads"`
-}
-
-// RunVectorizedBench executes the microworkloads with kernels off ("row") and
-// on ("vec") — same plans, same serial context otherwise — best-of-reps.
-func RunVectorizedBench(factRows, reps int) *VectorizedBenchResult {
+// vectorizedBench executes the microworkloads with kernels off ("row") and
+// on ("vec") over 30 000 fact rows — same plans, same serial context
+// otherwise — best of 3.
+func vectorizedBench() []vectorizedRow {
+	const factRows, reps = 30000, 3
 	db := workload.Star(workload.StarConfig{FactRows: factRows, DimRows: []int{1000}, Seed: 24})
 	sales, _ := db.Cat.Table("sales")
 
@@ -102,11 +92,7 @@ func RunVectorizedBench(factRows, reps int) *VectorizedBenchResult {
 		return best, rows
 	}
 
-	out := &VectorizedBenchResult{
-		FactRows:   factRows,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		CPUs:       runtime.NumCPU(),
-	}
+	var out []vectorizedRow
 	for _, w := range []struct {
 		name string
 		plan physical.Plan
@@ -116,16 +102,7 @@ func RunVectorizedBench(factRows, reps int) *VectorizedBenchResult {
 	} {
 		rowSec, rowRows := timed(w.plan, false)
 		vecSec, vecRows := timed(w.plan, true)
-		identical := len(rowRows) == len(vecRows)
-		if identical {
-			for i := range rowRows {
-				if rowRows[i].String() != vecRows[i].String() {
-					identical = false
-					break
-				}
-			}
-		}
-		out.Workloads = append(out.Workloads, VectorizedBenchRow{
+		out = append(out, vectorizedRow{
 			Workload:      w.name,
 			InputRows:     factRows,
 			OutputRows:    len(vecRows),
@@ -134,7 +111,7 @@ func RunVectorizedBench(factRows, reps int) *VectorizedBenchResult {
 			RowRowsPerSec: float64(factRows) / rowSec,
 			VecRowsPerSec: float64(factRows) / vecSec,
 			Speedup:       rowSec / vecSec,
-			Identical:     identical,
+			Identical:     sameRows(rowRows, vecRows),
 		})
 	}
 	return out
@@ -154,8 +131,7 @@ func E24Vectorized() Table {
 		Claim:   "typed kernels over columnar batches beat per-row interpretation at equal results",
 		Headers: []string{"workload", "rows", "out rows", "row ms", "vec ms", "row rows/s", "vec rows/s", "speedup", "identical"},
 	}
-	res := RunVectorizedBench(30000, 3)
-	for _, w := range res.Workloads {
+	for _, w := range vectorizedBench() {
 		t.Rows = append(t.Rows, []string{
 			w.Workload,
 			d(w.InputRows),
@@ -169,6 +145,6 @@ func E24Vectorized() Table {
 		})
 	}
 	t.Notes = fmt.Sprintf("gomaxprocs=%d cpus=%d; single-threaded comparison (speedup is per-core CPU efficiency, not parallelism)",
-		res.GOMAXPROCS, res.CPUs)
+		runtime.GOMAXPROCS(0), runtime.NumCPU())
 	return t
 }

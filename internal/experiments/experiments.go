@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one experiment
 // per figure/claim of the paper (see DESIGN.md §2 for the E1–E21 map). Every
-// experiment returns a Table whose rows are recorded in EXPERIMENTS.md; the
-// cmd/benchharness binary prints them and bench_test.go wraps each in a
-// testing.B benchmark.
+// experiment returns a Table whose rows are recorded in EXPERIMENTS.md;
+// bench_test.go wraps each in a testing.B benchmark that prints it under -v
+// (`make experiments`).
 package experiments
 
 import (
@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	"repro/internal/cost"
+	"repro/internal/datum"
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/physical"
@@ -166,6 +167,21 @@ func runNaive(db *workload.DB, q *logical.Query) (*exec.Result, exec.Counters) {
 		panic(fmt.Sprintf("experiments: naive execute: %v", err))
 	}
 	return res, ctx.Counters
+}
+
+// sameRows reports whether two results hold the same rows in the same order,
+// floats compared by shortest round-trip representation (bit-exact up to NaN
+// payloads).
+func sameRows(a, b []datum.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].String() != b[i].String() {
+			return false
+		}
+	}
+	return true
 }
 
 func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }

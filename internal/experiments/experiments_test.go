@@ -113,6 +113,13 @@ func TestHeadlineInvariants(t *testing.T) {
 		t.Errorf("E15: expected a large pushdown penalty, got %v", pen)
 	}
 
+	// E23: every budgeted run must return the unbudgeted rows in order.
+	for _, r := range E23Robustness().Rows {
+		if r[len(r)-1] != "true" {
+			t.Errorf("E23: budget %s not identical to the unbudgeted run: %v", r[0], r)
+		}
+	}
+
 	// E24: results with kernels on must be identical to kernels off on every
 	// workload, and the scan+filter kernels must actually win.
 	e24 := E24Vectorized()
@@ -123,6 +130,14 @@ func TestHeadlineInvariants(t *testing.T) {
 	}
 	if sp := atof(t, e24.Rows[0][7]); sp <= 1 {
 		t.Errorf("E24: scan+filter shows no vectorized speedup: %v", e24.Rows[0])
+	}
+
+	// E26: the greedy and DP arms must return the same rows for every
+	// statement.
+	for _, r := range E26AdaptivePlanning().Rows {
+		if r[len(r)-1] != "true" {
+			t.Errorf("E26: %s arm disagrees with the other arm's results: %v", r[0], r)
+		}
 	}
 
 	// E27: disk results must be bit-identical to memory on every row, and

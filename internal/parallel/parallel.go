@@ -14,7 +14,7 @@
 // pre-aggregation folded at the barrier. What the paper charges for is what
 // processors that do not share memory would have to ship. The cost model here
 // remains the phase-one/phase-two modeling the paper describes; measured
-// wall-clock comparisons live in cmd/benchharness (BENCH_parallel.json).
+// wall-clock comparisons are experiment E21 and the analytic_mem workload.
 package parallel
 
 import (

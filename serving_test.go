@@ -137,53 +137,61 @@ func TestPreparedStmtCacheHits(t *testing.T) {
 	}
 }
 
-// One cached Stmt executed concurrently with different bindings must give
-// each caller the bit-identical result of its own binding — the cached plan
-// is re-bound per execution, never mutated.
+// One Stmt executed concurrently with different bindings must give each
+// caller the bit-identical result of its own binding — with the plan cache
+// on, the cached plan is re-bound per execution, never mutated; with it off
+// (PlanCacheSize: -1), every execution compiles its own plan.
 func TestPreparedStmtConcurrentBindings(t *testing.T) {
-	e := demoEngine(t, Options{Optimizer: SystemR})
-	st, err := e.Prepare("SELECT name FROM emp WHERE did = ? ORDER BY name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	dids := []int64{10, 20, 30}
-	want := map[int64][]string{}
-	for _, did := range dids {
-		res, err := e.Exec(fmt.Sprintf("SELECT name FROM emp WHERE did = %d ORDER BY name", did))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[did] = exactRows(res)
-	}
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				did := dids[(g+i)%len(dids)]
-				res, err := st.Exec(did)
-				if err != nil {
-					t.Errorf("Exec(%d): %v", did, err)
-					return
-				}
-				got := exactRows(res)
-				if len(got) != len(want[did]) {
-					t.Errorf("Exec(%d): %v, want %v", did, got, want[did])
-					return
-				}
-				for j := range got {
-					if got[j] != want[did][j] {
-						t.Errorf("Exec(%d) row %d: %q, want %q", did, j, got[j], want[did][j])
-						return
-					}
-				}
+	for _, tc := range []struct {
+		name      string
+		cacheSize int
+	}{{"cache=on", 0}, {"cache=off", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := demoEngine(t, Options{Optimizer: SystemR, PlanCacheSize: tc.cacheSize})
+			st, err := e.Prepare("SELECT name FROM emp WHERE did = ? ORDER BY name")
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(g)
-	}
-	wg.Wait()
-	if s := e.PlanCacheStats(); s.Hits == 0 {
-		t.Fatalf("concurrent executions never hit the cache: %+v", s)
+			dids := []int64{10, 20, 30}
+			want := map[int64][]string{}
+			for _, did := range dids {
+				res, err := e.Exec(fmt.Sprintf("SELECT name FROM emp WHERE did = %d ORDER BY name", did))
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[did] = exactRows(res)
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 16; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 50; i++ {
+						did := dids[(g+i)%len(dids)]
+						res, err := st.Exec(did)
+						if err != nil {
+							t.Errorf("Exec(%d): %v", did, err)
+							return
+						}
+						got := exactRows(res)
+						if len(got) != len(want[did]) {
+							t.Errorf("Exec(%d): %v, want %v", did, got, want[did])
+							return
+						}
+						for j := range got {
+							if got[j] != want[did][j] {
+								t.Errorf("Exec(%d) row %d: %q, want %q", did, j, got[j], want[did][j])
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			if s := e.PlanCacheStats(); tc.cacheSize == 0 && s.Hits == 0 {
+				t.Fatalf("concurrent executions never hit the cache: %+v", s)
+			}
+		})
 	}
 }
 
