@@ -35,13 +35,13 @@ exec-loc:
 	test $$n -le $(EXEC_LOC_CEILING) || { \
 		echo "internal/exec: $$n non-test lines, above the ceiling of $(EXEC_LOC_CEILING)"; exit 1; }
 
-# Planner micro-benchmarks: one System-R Optimize call (fresh estimator and
-# optimizer per statement, as the engine builds them) on the adhoc_planning
-# statement shapes, with ns/op, B/op and allocs/op. PLAN_BENCHTIME=1x is the CI
-# smoke setting.
+# Planner micro-benchmarks: one Optimize call (fresh estimator and optimizer
+# per statement, as the engine builds them) — System-R on the adhoc_planning
+# statement shapes, Cascades on a 7-way chain and a 3-dimension star — with
+# ns/op, B/op and allocs/op. PLAN_BENCHTIME=1x is the CI smoke setting.
 PLAN_BENCHTIME ?= 1s
 plan-bench:
-	go test -run '^$$' -bench 'BenchmarkOptimize' -benchmem -benchtime $(PLAN_BENCHTIME) ./internal/systemr
+	go test -run '^$$' -bench 'BenchmarkOptimize' -benchmem -benchtime $(PLAN_BENCHTIME) ./internal/systemr ./internal/cascades
 
 # Executor and index micro-benchmarks. In internal/exec: hash aggregation at
 # 8 / 1000 / 20 000 groups over one and three keys, FLOAT SUM aggregation at

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/datum"
 	"repro/internal/exec"
@@ -13,11 +14,10 @@ import (
 	"repro/internal/physical"
 	"repro/internal/sql"
 	"repro/internal/stats"
-	"repro/internal/systemr"
 	"repro/internal/workload"
 )
 
-func buildQuery(t *testing.T, db *workload.DB, q string) *logical.Query {
+func buildQuery(t testing.TB, db *workload.DB, q string) *logical.Query {
 	t.Helper()
 	sel, err := sql.ParseSelect(q)
 	if err != nil {
@@ -111,31 +111,14 @@ func TestCascadesExploresJoinOrders(t *testing.T) {
 	verifyPlan(t, db, q, plan)
 }
 
+// TestCascadesMatchesSystemRPlanQuality: bushy System-R DP without Cartesian
+// products searches the space commutativity and associativity generate, through
+// the same implementation layer, so the two optima are equal.
 func TestCascadesMatchesSystemRPlanQuality(t *testing.T) {
 	db := workload.Chain(workload.ChainConfig{Tables: 5, RowsPer: []int{3000, 400, 1500, 100, 600}, Seed: 5})
 	db.Analyze(stats.AnalyzeOptions{})
 	q := buildQuery(t, db, workload.ChainQuery(5))
-
-	casc := New(stats.NewEstimator(q.Meta), cost.DefaultModel(), DefaultOptions())
-	cPlan, err := casc.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bushy System-R search covers Cascades' space (commute+assoc generate
-	// bushy shapes too).
-	sys := systemr.New(stats.NewEstimator(q.Meta), cost.DefaultModel(),
-		systemr.Options{Bushy: true, InterestingOrders: true, MaxRelations: 16})
-	sPlan, err := sys.Optimize(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, cc := cPlan.Estimate()
-	_, sc := sPlan.Estimate()
-	ratio := cc / sc
-	if ratio > 1.5 || ratio < 1/1.5 {
-		t.Errorf("plan quality diverges: cascades %v vs systemr %v\ncascades:\n%s\nsystemr:\n%s",
-			cc, sc, physical.Format(cPlan, q.Meta), physical.Format(sPlan, q.Meta))
-	}
+	cPlan, _ := bothOptima(t, q, workload.ChainQuery(5))
 	verifyPlan(t, db, q, cPlan)
 }
 
@@ -236,4 +219,110 @@ func TestCascadesStreamGroupByOnIndex(t *testing.T) {
 	if !found {
 		t.Errorf("grouping on the clustered key should stream:\n%s", physical.Format(plan, q.Meta))
 	}
+}
+
+// planNodes returns every node of the plan, root first.
+func planNodes(p physical.Plan) []physical.Plan {
+	out := []physical.Plan{p}
+	for _, c := range physical.Children(p) {
+		out = append(out, planNodes(c)...)
+	}
+	return out
+}
+
+// TestCascadesRangeIndexScan: a selective BETWEEN on the clustered key is
+// answered by a range index scan, as System-R's access-path selection does.
+func TestCascadesRangeIndexScan(t *testing.T) {
+	db := workload.EmpDept(workload.EmpDeptConfig{Emps: 20000, Depts: 200})
+	db.Analyze(stats.AnalyzeOptions{})
+	q := buildQuery(t, db, "SELECT name FROM Emp WHERE eid BETWEEN 100 AND 140")
+	plan, err := New(stats.NewEstimator(q.Meta), cost.DefaultModel(), DefaultOptions()).Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, n := range planNodes(plan) {
+		if ix, ok := n.(*physical.IndexScan); ok && !ix.Lo.IsNull() && !ix.Hi.IsNull() {
+			found = true
+		}
+	}
+	if !found {
+		t.Errorf("a selective range on the clustered key should range-scan the index:\n%s", physical.Format(plan, q.Meta))
+	}
+	verifyPlan(t, db, q, plan)
+
+	// Several bounds on one side of the index column: the scan takes one of
+	// them and the others stay residual filters, in either order.
+	for _, text := range []string{
+		"SELECT name FROM Emp WHERE eid > 19990 AND eid > 100",
+		"SELECT name FROM Emp WHERE eid > 100 AND eid > 19990",
+		"SELECT name FROM Emp WHERE eid > 19990 AND eid >= 19990",
+		"SELECT name FROM Emp WHERE eid >= 19990 AND eid > 19990",
+		"SELECT name FROM Emp WHERE eid < 10 AND eid < 500",
+		"SELECT name FROM Emp WHERE eid <= 500 AND eid < 10 AND eid > 3",
+	} {
+		q := buildQuery(t, db, text)
+		plan, err := New(stats.NewEstimator(q.Meta), cost.DefaultModel(), DefaultOptions()).Optimize(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verifyPlan(t, db, q, plan)
+	}
+}
+
+// orderDB is one table t(pk, k, n, v) of 5000 rows: a clustered primary
+// key, a NOT NULL unique k and a nullable n (every 7th row NULL), each with a
+// secondary index.
+func orderDB() *workload.DB {
+	db := workload.NewDB()
+	st := db.MustAddTable(&catalog.Table{
+		Name: "t", PrimaryKey: []int{0},
+		Cols: []catalog.Column{{Name: "pk", Kind: datum.KindInt, NotNull: true}, {Name: "k", Kind: datum.KindInt, NotNull: true},
+			{Name: "n", Kind: datum.KindInt}, {Name: "v", Kind: datum.KindInt}},
+		Indexes: []*catalog.Index{{Name: "t_pk", Cols: []int{0}, Unique: true, Clustered: true},
+			{Name: "t_k", Cols: []int{1}, Unique: true}, {Name: "t_n", Cols: []int{2}}},
+	})
+	for i := 0; i < 5000; i++ {
+		n := datum.NewInt(int64(i % 100))
+		if i%7 == 0 {
+			n = datum.Null
+		}
+		if err := st.Insert(datum.Row{datum.NewInt(int64(i)), datum.NewInt(int64(i * 7919 % 5000)), n, datum.NewInt(int64(i % 50))}); err != nil {
+			panic(err)
+		}
+	}
+	db.Analyze(stats.AnalyzeOptions{})
+	return db
+}
+
+// TestCascadesOrderedIndexScan: ORDER BY an indexed NOT NULL column under a
+// filter the index does not answer is delivered by a full scan of that
+// index — no Sort. A full scan of an index on a nullable column would skip
+// the NULL keys, so ordering by one keeps every row.
+func TestCascadesOrderedIndexScan(t *testing.T) {
+	db := orderDB()
+	q := buildQuery(t, db, "SELECT pk, k FROM t WHERE v > 10 ORDER BY k LIMIT 10")
+	plan, err := New(stats.NewEstimator(q.Meta), cost.DefaultModel(), DefaultOptions()).Optimize(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ordered := false
+	for _, n := range planNodes(plan) {
+		switch n := n.(type) {
+		case *physical.Sort:
+			t.Errorf("the index delivers the order; no Sort expected:\n%s", physical.Format(plan, q.Meta))
+		case *physical.IndexScan:
+			ordered = ordered || n.Index.Name == "t_k"
+		}
+	}
+	if !ordered {
+		t.Errorf("ORDER BY k should scan t_k:\n%s", physical.Format(plan, q.Meta))
+	}
+	verifyPlan(t, db, q, plan)
+
+	q = buildQuery(t, db, "SELECT pk, n FROM t WHERE v > 10 ORDER BY n")
+	if plan, err = New(stats.NewEstimator(q.Meta), cost.DefaultModel(), DefaultOptions()).Optimize(q); err != nil {
+		t.Fatal(err)
+	}
+	verifyPlan(t, db, q, plan)
 }

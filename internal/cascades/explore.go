@@ -83,8 +83,8 @@ func (o *Optimizer) applyAssociate(g *Group, e *MExpr) {
 				rest = append(rest, p)
 			}
 		}
-		if len(inner) == 0 && !o.Opts.CartesianProducts {
-			continue
+		if len(inner) == 0 || len(rest) == 0 {
+			continue // one of the two joins would be a Cartesian product
 		}
 		innerExpr := &MExpr{
 			Kind:     opJoin,
@@ -98,10 +98,6 @@ func (o *Optimizer) applyAssociate(g *Group, e *MExpr) {
 			Children: []GroupID{x.ID, innerGroup.ID},
 			JoinKind: logical.InnerJoin,
 			On:       rest,
-		}
-		if len(rest) == 0 && !o.Opts.CartesianProducts {
-			// The top join would be a Cartesian product; skip.
-			continue
 		}
 		if o.memo.insert(g, ne) {
 			o.Metrics.RulesFired++

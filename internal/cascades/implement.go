@@ -3,10 +3,9 @@ package cascades
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/cost"
-	"repro/internal/datum"
+	"repro/internal/implement"
 	"repro/internal/logical"
 	"repro/internal/physical"
 	"repro/internal/stats"
@@ -14,8 +13,6 @@ import (
 
 // Options tunes the Cascades search.
 type Options struct {
-	// CartesianProducts admits cross joins during exploration.
-	CartesianProducts bool
 	// MaxExprs caps memo growth (a search budget "knob", §6).
 	MaxExprs int
 	// Pruning enables cost-bound (branch and bound) pruning guided by the
@@ -31,15 +28,21 @@ func DefaultOptions() Options {
 // Metrics counts the work done (E14 compares these with System-R's).
 type Metrics struct {
 	RulesFired  int // transformation rule applications producing new exprs
-	TasksRun    int // optimizeGroup invocations (tasks)
+	TasksRun    int // optGroup invocations (tasks)
 	PlansCosted int // physical alternatives costed
 	WinnerHits  int // memoized (group, property) lookups served from cache
 }
 
-// winner is the memoized best plan of a group for one required property.
+// winner is the memoized outcome of optimizing a group for one required
+// ordering.
 type winner struct {
-	plan physical.Plan
-	cost float64
+	// native is the cheapest alternative that delivers the ordering by
+	// itself (Plan nil if none does) — what an order-consuming parent (a
+	// merge join input, an order-preserving join's outer side) builds on.
+	native implement.Cand
+	// best is the cheapest plan delivering the ordering: native, or the Sort
+	// enforcer over the group's cheapest plan for no requirement.
+	best implement.Cand
 }
 
 // Optimizer is a Volcano/Cascades-style optimizer instance.
@@ -49,6 +52,7 @@ type Optimizer struct {
 	Model   cost.Model
 	Opts    Options
 	Metrics Metrics
+	impl    implement.Space
 }
 
 // New returns an optimizer sharing the estimator and cost model types used
@@ -57,7 +61,9 @@ func New(est *stats.Estimator, model cost.Model, opts Options) *Optimizer {
 	if opts.MaxExprs <= 0 {
 		opts.MaxExprs = 200000
 	}
-	return &Optimizer{memo: NewMemo(), Est: est, Model: model, Opts: opts}
+	o := &Optimizer{memo: NewMemo(), Est: est, Model: model, Opts: opts}
+	o.impl = implement.Space{Est: est, Model: model, OrderedIndexScans: true, Costed: &o.Metrics.PlansCosted}
+	return o
 }
 
 // Memo exposes the memo for inspection (metrics, tests).
@@ -72,6 +78,7 @@ func (o *Optimizer) Optimize(q *logical.Query) (physical.Plan, error) {
 		root = lim.Input
 		limitN = lim.N
 	}
+	o.impl.NonNull = implement.NullRejected(root)
 	g, err := o.memo.Build(root)
 	if err != nil {
 		return nil, err
@@ -80,7 +87,7 @@ func (o *Optimizer) Optimize(q *logical.Query) (physical.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	plan := w.plan
+	plan := w.best.Plan
 	if limitN >= 0 {
 		rows, c := plan.Estimate()
 		if float64(limitN) < rows {
@@ -94,9 +101,37 @@ func (o *Optimizer) Optimize(q *logical.Query) (physical.Plan, error) {
 	return plan, nil
 }
 
-// optGroup returns the cheapest plan for the group under the required
-// ordering, memoized per (group, ordering) — the "table of plans that have
-// been optimized in the past" of §6.2.
+// groupSink keeps the cheapest alternative of one group that delivers the
+// required ordering by itself.
+type groupSink struct {
+	required logical.Ordering
+	best     implement.Cand
+}
+
+func (s *groupSink) Beats(ord logical.Ordering, cost float64) bool {
+	return cost < s.best.Cost && s.required.SatisfiedBy(ord)
+}
+
+func (s *groupSink) Put(c implement.Cand) { s.best = c }
+
+// pruned reports whether an alternative whose own operator costs at least
+// promise can be skipped: bound pruning against the best plan found so far.
+func (o *Optimizer) pruned(s *groupSink, promise float64) bool {
+	return o.Opts.Pruning && s.best.Plan != nil && promise >= s.best.Cost
+}
+
+// offer prices a built plan into the sink.
+func (o *Optimizer) offer(s *groupSink, p physical.Plan) {
+	o.Metrics.PlansCosted++
+	if c := implement.NewCand(p); s.Beats(c.Ord, c.Cost) {
+		s.Put(c)
+	}
+}
+
+// optGroup optimizes the group for the required ordering, memoized per
+// (group, ordering) — the "table of plans that have been optimized in the
+// past" of §6.2. The Sort enforcer goes over the group's cheapest plan for
+// no requirement.
 func (o *Optimizer) optGroup(g *Group, required logical.Ordering) (*winner, error) {
 	key := required.Key()
 	if w, ok := g.winners[key]; ok {
@@ -107,76 +142,63 @@ func (o *Optimizer) optGroup(g *Group, required logical.Ordering) (*winner, erro
 	o.exploreGroup(g)
 
 	rows := o.Est.Stats(o.memo.Repr(g)).Rows
-	best := &winner{cost: math.Inf(1)}
-	consider := func(p physical.Plan) {
-		if p == nil {
-			return
-		}
-		o.Metrics.PlansCosted++
-		p = o.enforce(p, required)
-		if _, c := p.Estimate(); c < best.cost {
-			best.plan = p
-			best.cost = c
-		}
-	}
-
+	s := &groupSink{required: required, best: implement.Cand{Cost: math.Inf(1)}}
 	for _, e := range g.Exprs {
-		if err := o.implement(g, e, rows, required, best, consider); err != nil {
+		if err := o.implement(e, rows, s); err != nil {
 			return nil, err
 		}
 	}
-	if best.plan == nil {
+	w := &winner{native: s.best, best: s.best}
+	if len(required) > 0 {
+		u, err := o.optGroup(g, nil)
+		if err != nil {
+			return nil, err
+		}
+		o.Metrics.PlansCosted++
+		if c := u.best.Cost + o.Model.Sort(u.best.Rows); c < w.best.Cost {
+			w.best = implement.Cand{Rows: u.best.Rows, Cost: c, Ord: required, Plan: &physical.Sort{
+				Props: physical.Props{Rows: u.best.Rows, Cost: c},
+				Input: u.best.Plan, By: required,
+			}}
+		}
+	}
+	if w.best.Plan == nil {
 		return nil, fmt.Errorf("cascades: no plan for group %d", int(g.ID))
 	}
-	g.winners[key] = best
-	return best, nil
+	g.winners[key] = w
+	return w, nil
 }
 
-// enforce adds a Sort when the plan does not provide the required ordering.
-func (o *Optimizer) enforce(p physical.Plan, required logical.Ordering) physical.Plan {
-	if len(required) == 0 || required.SatisfiedBy(p.Ordering()) {
-		return p
-	}
-	rows, c := p.Estimate()
-	return &physical.Sort{
-		Props: physical.Props{Rows: rows, Cost: c + o.Model.Sort(rows)},
-		Input: p, By: required,
-	}
-}
-
-// implement generates the physical alternatives for one memo expression.
-func (o *Optimizer) implement(g *Group, e *MExpr, rows float64, required logical.Ordering, best *winner, consider func(physical.Plan)) error {
+// implement offers the physical alternatives for one memo expression.
+func (o *Optimizer) implement(e *MExpr, rows float64, s *groupSink) error {
+	required := s.required
 	switch e.Kind {
 	case opScan:
-		for _, p := range o.scanPaths(e.Scan, nil, rows) {
-			consider(p)
-		}
+		o.impl.Leaf(e.Scan, nil, rows, s)
 	case opValues:
 		n := float64(len(e.Values.Rows))
-		consider(&physical.ValuesOp{
+		o.offer(s, &physical.ValuesOp{
 			Props: physical.Props{Rows: n, Cost: o.Model.Values(n)},
 			Cols:  e.Values.Cols, Rows: e.Values.Rows,
 		})
 	case opSelect:
 		child := o.memo.Group(e.Children[0])
-		// Fused access paths when the child is a base table.
+		// Over a base table the filters fuse into its access paths.
 		for _, ce := range child.Exprs {
 			if ce.Kind == opScan {
-				for _, p := range o.scanPaths(ce.Scan, e.Filters, rows) {
-					consider(p)
-				}
+				o.impl.Leaf(ce.Scan, e.Filters, rows, s)
+				return nil
 			}
 		}
-		// Generic filter over the child's best plan (ordering preserved, so
-		// the requirement pushes down).
+		// Otherwise a filter over the child's best plan (ordering preserved,
+		// so the requirement pushes down).
 		w, err := o.optGroup(child, required)
 		if err != nil {
 			return err
 		}
-		cr, cc := w.plan.Estimate()
-		consider(&physical.Filter{
-			Props: physical.Props{Rows: rows, Cost: cc + o.Model.Filter(cr, len(e.Filters))},
-			Input: w.plan, Preds: e.Filters,
+		o.offer(s, &physical.Filter{
+			Props: physical.Props{Rows: rows, Cost: w.best.Cost + o.Model.Filter(w.best.Rows, len(e.Filters))},
+			Input: w.best.Plan, Preds: e.Filters,
 		})
 	case opProject:
 		child := o.memo.Group(e.Children[0])
@@ -189,8 +211,8 @@ func (o *Optimizer) implement(g *Group, e *MExpr, rows float64, required logical
 				passthrough[it.ID] = true
 			}
 		}
-		for _, s := range required {
-			if !passthrough[s.Col] {
+		for _, sp := range required {
+			if !passthrough[sp.Col] {
 				childReq = nil
 				break
 			}
@@ -199,26 +221,24 @@ func (o *Optimizer) implement(g *Group, e *MExpr, rows float64, required logical
 		if err != nil {
 			return err
 		}
-		cr, cc := w.plan.Estimate()
-		consider(&physical.Project{
-			Props: physical.Props{Rows: cr, Cost: cc + o.Model.Project(cr, len(e.Items))},
-			Input: w.plan, Items: e.Items,
+		cr := w.best.Rows
+		o.offer(s, &physical.Project{
+			Props: physical.Props{Rows: cr, Cost: w.best.Cost + o.Model.Project(cr, len(e.Items))},
+			Input: w.best.Plan, Items: e.Items,
 		})
 	case opJoin:
-		return o.implementJoin(e, rows, best, consider)
+		return o.implementJoin(e, rows, s)
 	case opGroupBy:
-		return o.implementGroupBy(e, rows, consider)
+		return o.implementGroupBy(e, rows, s)
 	case opLimit:
-		child := o.memo.Group(e.Children[0])
-		w, err := o.optGroup(child, required)
+		w, err := o.optGroup(o.memo.Group(e.Children[0]), required)
 		if err != nil {
 			return err
 		}
-		cr, cc := w.plan.Estimate()
-		out := math.Min(cr, float64(e.N))
-		consider(&physical.LimitOp{
-			Props: physical.Props{Rows: out, Cost: cc + o.Model.Limit(out)},
-			Input: w.plan, N: e.N,
+		out := math.Min(w.best.Rows, float64(e.N))
+		o.offer(s, &physical.LimitOp{
+			Props: physical.Props{Rows: out, Cost: w.best.Cost + o.Model.Limit(out)},
+			Input: w.best.Plan, N: e.N,
 		})
 	case opUnion:
 		lw, err := o.optGroup(o.memo.Group(e.Children[0]), nil)
@@ -229,368 +249,116 @@ func (o *Optimizer) implement(g *Group, e *MExpr, rows float64, required logical
 		if err != nil {
 			return err
 		}
-		lr, lc := lw.plan.Estimate()
-		rr, rc := rw.plan.Estimate()
-		total := lr + rr
-		consider(&physical.UnionAll{
-			Props: physical.Props{Rows: total, Cost: lc + rc + total*o.Model.CPUTuple},
-			Left:  lw.plan, Right: rw.plan,
+		total := lw.best.Rows + rw.best.Rows
+		o.offer(s, &physical.UnionAll{
+			Props: physical.Props{Rows: total, Cost: lw.best.Cost + rw.best.Cost + total*o.Model.CPUTuple},
+			Left:  lw.best.Plan, Right: rw.best.Plan,
 			LeftCols: e.UnionLeft, RightCols: e.UnionRight, Cols: e.UnionCols,
 		})
 	}
 	return nil
 }
 
-// scanPaths mirrors access-path selection for a (possibly filtered) scan.
-func (o *Optimizer) scanPaths(scan *logical.Scan, filters []logical.Scalar, outRows float64) []physical.Plan {
-	// TableShape charges the seq-scan only the pages left after zone-map
-	// segment elimination under these filters.
-	tableRows, tablePages := o.Est.TableShape(scan, filters)
-	ords := make([]int, len(scan.Cols))
-	for i, id := range scan.Cols {
-		ords[i] = o.Est.Meta.Column(id).BaseOrd
+// withNative appends the group's cheapest plan that delivers the ordering by
+// itself, unless there is none or it is already among the candidates.
+func (o *Optimizer) withNative(cands []implement.Cand, g *Group, ord logical.Ordering) ([]implement.Cand, error) {
+	w, err := o.optGroup(g, ord)
+	if err != nil || w.native.Plan == nil {
+		return cands, err
 	}
-	var out []physical.Plan
-	out = append(out, &physical.TableScan{
-		Props: physical.Props{Rows: outRows, Cost: o.Model.SeqScan(tablePages, tableRows, len(filters))},
-		Table: scan.Table, Binding: scan.Binding, Cols: scan.Cols, ColOrds: ords, Filter: filters,
-	})
-	scanStats := o.Est.Stats(scan)
-	for _, ix := range scan.Table.Indexes {
-		var eqKey datum.Row
-		var eqParams []int
-		anyParam := false
-		matched := map[logical.Scalar]bool{}
-		sel := 1.0
-		for _, ord := range ix.Cols {
-			col, ok := colForOrd(o, scan, ord)
-			if !ok {
-				break
-			}
-			found := false
-			for _, f := range filters {
-				if matched[f] {
-					continue
-				}
-				if v, prm, ok := constEqScalar(f, col); ok {
-					eqKey = append(eqKey, v)
-					eqParams = append(eqParams, prm)
-					if prm != 0 {
-						anyParam = true
-					}
-					matched[f] = true
-					sel *= o.Est.Selectivity(f, scanStats)
-					found = true
-					break
-				}
-			}
-			if !found {
-				break
-			}
+	for _, c := range cands {
+		if c.Plan == w.native.Plan {
+			return cands, nil
 		}
-		if !anyParam {
-			eqParams = nil
-		}
-		matchRows := tableRows * sel
-		var residual []logical.Scalar
-		for _, f := range filters {
-			if !matched[f] {
-				residual = append(residual, f)
-			}
-		}
-		if len(eqKey) == 0 && len(residual) == len(filters) && len(filters) > 0 {
-			continue // unqualified index scan under filters rarely helps
-		}
-		out = append(out, &physical.IndexScan{
-			Props: physical.Props{
-				Rows: outRows,
-				Cost: o.Model.IndexScan(matchRows, tableRows, tablePages, ix.Clustered) + o.Model.Filter(matchRows, len(residual)),
-			},
-			Table: scan.Table, Index: ix, Binding: scan.Binding,
-			Cols: scan.Cols, ColOrds: ords, EqKey: eqKey, EqKeyParams: eqParams,
-			Filter: residual,
-		})
 	}
-	return out
+	return append(cands, w.native), nil
 }
 
-func colForOrd(o *Optimizer, scan *logical.Scan, ord int) (logical.ColumnID, bool) {
-	for _, id := range scan.Cols {
-		if o.Est.Meta.Column(id).BaseOrd == ord {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// constEqScalar extracts col = const, returning the constant's value and the
-// parameter ordinal behind it (0 for a plain literal).
-func constEqScalar(p logical.Scalar, col logical.ColumnID) (datum.D, int, bool) {
-	cmp, ok := p.(*logical.Cmp)
-	if !ok || cmp.Op != logical.CmpEq {
-		return datum.Null, 0, false
-	}
-	if c, ok := cmp.L.(*logical.Col); ok && c.ID == col {
-		if k, ok := cmp.R.(*logical.Const); ok {
-			return k.Val, k.Param, true
-		}
-	}
-	if c, ok := cmp.R.(*logical.Col); ok && c.ID == col {
-		if k, ok := cmp.L.(*logical.Const); ok {
-			return k.Val, k.Param, true
-		}
-	}
-	return datum.Null, 0, false
-}
-
-// implementJoin generates NL, hash and merge alternatives, ordering them by
-// promise (a quick lower-bound estimate) so bound pruning can skip the rest.
-func (o *Optimizer) implementJoin(e *MExpr, rows float64, best *winner, consider func(physical.Plan)) error {
+// implementJoin offers the join methods of the implementation layer over
+// the children's cheapest plans, plus the plans that deliver an ordering by
+// themselves where one pays: the merge keys' order on both sides, and the
+// required order on the outer side, which nested-loop, hash and index
+// nested-loop joins preserve. Promises — a method's own cost, a lower bound
+// of any plan using it — decide, against the best plan found so far, whether
+// the children are optimized at all and whether ordered inputs are sought.
+func (o *Optimizer) implementJoin(e *MExpr, rows float64, s *groupSink) error {
 	left := o.memo.Group(e.Children[0])
 	right := o.memo.Group(e.Children[1])
-	lStats := o.Est.Stats(o.memo.Repr(left))
-	rStats := o.Est.Stats(o.memo.Repr(right))
+	on := implement.SplitOn(e.On, left.Cols, right.Cols)
+	lRows := o.Est.Stats(o.memo.Repr(left)).Rows
+	rRows := o.Est.Stats(o.memo.Repr(right)).Rows
 
-	// Classify equi keys.
-	var lKeys, rKeys []logical.ColumnID
-	var extras []logical.Scalar
-	for _, p := range e.On {
-		if cmp, ok := p.(*logical.Cmp); ok && cmp.Op == logical.CmpEq {
-			l, lok := cmp.L.(*logical.Col)
-			r, rok := cmp.R.(*logical.Col)
-			if lok && rok {
-				switch {
-				case left.Cols.Contains(l.ID) && right.Cols.Contains(r.ID):
-					lKeys = append(lKeys, l.ID)
-					rKeys = append(rKeys, r.ID)
-					continue
-				case left.Cols.Contains(r.ID) && right.Cols.Contains(l.ID):
-					lKeys = append(lKeys, r.ID)
-					rKeys = append(rKeys, l.ID)
-					continue
-				}
-			}
-		}
-		extras = append(extras, p)
+	var rightLeaf logical.RelExpr
+	keyed := len(on.Keys) > 0
+	merge := keyed && e.JoinKind != logical.FullOuterJoin
+	var lOrd, rOrd logical.Ordering
+	if merge {
+		lOrd, rOrd = implement.OrderOf(on.LeftKeys()), implement.OrderOf(on.RightKeys())
 	}
-
-	type alt struct {
-		promise float64
-		build   func() (physical.Plan, error)
+	// Only order-preserving methods over an outer side that delivers the
+	// order, or a merge on keys that start with it, can satisfy a requirement.
+	outerOrder := len(s.required) > 0
+	for _, sp := range s.required {
+		outerOrder = outerOrder && left.Cols.Contains(sp.Col)
 	}
-	var alts []alt
-	if len(lKeys) > 0 {
-		alts = append(alts, alt{
-			promise: o.Model.HashJoin(lStats.Rows, rStats.Rows),
-			build: func() (physical.Plan, error) {
-				lw, err := o.optGroup(left, nil)
-				if err != nil {
-					return nil, err
-				}
-				rw, err := o.optGroup(right, nil)
-				if err != nil {
-					return nil, err
-				}
-				return &physical.HashJoin{
-					Props: physical.Props{Rows: rows, Cost: lw.cost + rw.cost + o.Model.HashJoin(lStats.Rows, rStats.Rows)},
-					Kind:  e.JoinKind, Left: lw.plan, Right: rw.plan,
-					LeftKeys: lKeys, RightKeys: rKeys, ExtraOn: extras,
-				}, nil
-			},
-		})
-		if e.JoinKind != logical.FullOuterJoin {
-			alts = append(alts, alt{
-				promise: o.Model.MergeJoin(lStats.Rows, rStats.Rows),
-				build: func() (physical.Plan, error) {
-					var lOrd, rOrd logical.Ordering
-					for i := range lKeys {
-						lOrd = append(lOrd, logical.OrderSpec{Col: lKeys[i]})
-						rOrd = append(rOrd, logical.OrderSpec{Col: rKeys[i]})
-					}
-					lw, err := o.optGroup(left, lOrd)
-					if err != nil {
-						return nil, err
-					}
-					rw, err := o.optGroup(right, rOrd)
-					if err != nil {
-						return nil, err
-					}
-					return &physical.MergeJoin{
-						Props: physical.Props{Rows: rows, Cost: lw.cost + rw.cost + o.Model.MergeJoin(lStats.Rows, rStats.Rows)},
-						Kind:  e.JoinKind, Left: lw.plan, Right: rw.plan,
-						LeftKeys: lKeys, RightKeys: rKeys, ExtraOn: extras,
-					}, nil
-				},
-			})
-		}
-		// Index nested-loop: the right group must hold a base-table scan
-		// (optionally under a Select).
-		if scan, filters, ok := o.groupScan(right); ok &&
-			(e.JoinKind == logical.InnerJoin || e.JoinKind == logical.LeftOuterJoin ||
-				e.JoinKind == logical.SemiJoin || e.JoinKind == logical.AntiJoin) {
-			alts = append(alts, alt{
-				promise: 0,
-				build: func() (physical.Plan, error) {
-					lw, err := o.optGroup(left, nil)
-					if err != nil {
-						return nil, err
-					}
-					return o.inlPlan(e.JoinKind, lw, scan, filters, lKeys, rKeys, extras, rows), nil
-				},
-			})
+	if len(s.required) > 0 && !outerOrder && !s.required.SatisfiedBy(lOrd) {
+		return nil
+	}
+	promise := lRows * rRows * o.Model.CPUEval // nested loop
+	if keyed {
+		promise = math.Min(promise, o.Model.HashJoin(lRows, rRows))
+		if scan, _ := implement.ScanOf(o.memo.Repr(right)); scan != nil {
+			rightLeaf = o.memo.Repr(right)
+			promise = 0 // an index probe may cost next to nothing
 		}
 	}
-	alts = append(alts, alt{
-		promise: lStats.Rows * rStats.Rows * o.Model.CPUEval,
-		build: func() (physical.Plan, error) {
-			lw, err := o.optGroup(left, nil)
-			if err != nil {
-				return nil, err
-			}
-			rw, err := o.optGroup(right, nil)
-			if err != nil {
-				return nil, err
-			}
-			return &physical.NLJoin{
-				Props: physical.Props{Rows: rows, Cost: lw.cost + o.Model.NLJoin(lStats.Rows, rStats.Rows, rw.cost)},
-				Kind:  e.JoinKind, Left: lw.plan, Right: rw.plan, On: e.On,
-			}, nil
-		},
-	})
-
-	sort.Slice(alts, func(i, j int) bool { return alts[i].promise < alts[j].promise })
-	for _, a := range alts {
-		if o.Opts.Pruning && best.plan != nil && a.promise >= best.cost {
-			continue // the operator alone already exceeds the best full plan
-		}
-		p, err := a.build()
-		if err != nil {
+	if merge {
+		promise = math.Min(promise, o.Model.MergeJoin(lRows, rRows))
+	}
+	if o.pruned(s, promise) {
+		return nil
+	}
+	lw, err := o.optGroup(left, nil)
+	if err != nil {
+		return err
+	}
+	rw, err := o.optGroup(right, nil)
+	if err != nil {
+		return err
+	}
+	lc, rc := []implement.Cand{lw.best}, []implement.Cand{rw.best}
+	if outerOrder {
+		if lc, err = o.withNative(lc, left, s.required); err != nil {
 			return err
 		}
-		consider(p)
 	}
+	if merge && !o.pruned(s, o.Model.MergeJoin(lRows, rRows)) {
+		if lc, err = o.withNative(lc, left, lOrd); err != nil {
+			return err
+		}
+		if rc, err = o.withNative(rc, right, rOrd); err != nil {
+			return err
+		}
+	}
+	o.impl.Join(e.JoinKind, lc, rc, rightLeaf, on, rows, s)
 	return nil
 }
 
-// groupScan finds a Scan (or Select over Scan) expression in the group.
-func (o *Optimizer) groupScan(g *Group) (*logical.Scan, []logical.Scalar, bool) {
-	for _, e := range g.Exprs {
-		if e.Kind == opScan {
-			return e.Scan, nil, true
-		}
-		if e.Kind == opSelect {
-			child := o.memo.Group(e.Children[0])
-			for _, ce := range child.Exprs {
-				if ce.Kind == opScan {
-					return ce.Scan, e.Filters, true
-				}
-			}
-		}
-	}
-	return nil, nil, false
-}
-
-// inlPlan builds an index nested-loop plan if an index matches, else nil.
-func (o *Optimizer) inlPlan(kind logical.JoinKind, lw *winner, scan *logical.Scan, filters []logical.Scalar,
-	lKeys, rKeys []logical.ColumnID, extras []logical.Scalar, rows float64) physical.Plan {
-	// Index probes fetch by row ID; pruning does not apply, so no filters.
-	tableRows, tablePages := o.Est.TableShape(scan, nil)
-	rStats := o.Est.Stats(scan)
-	var bestPlan physical.Plan
-	bestCost := math.Inf(1)
-	for _, ix := range scan.Table.Indexes {
-		var outerKeys []logical.ColumnID
-		used := map[int]bool{}
-		for _, ord := range ix.Cols {
-			col, ok := colForOrd(o, scan, ord)
-			if !ok {
-				break
-			}
-			found := -1
-			for ki := range rKeys {
-				if !used[ki] && rKeys[ki] == col {
-					found = ki
-					break
-				}
-			}
-			if found < 0 {
-				break
-			}
-			used[found] = true
-			outerKeys = append(outerKeys, lKeys[found])
-		}
-		if len(outerKeys) == 0 {
-			continue
-		}
-		var residual []logical.Scalar
-		for ki := range rKeys {
-			if !used[ki] {
-				residual = append(residual, &logical.Cmp{Op: logical.CmpEq,
-					L: &logical.Col{ID: lKeys[ki]}, R: &logical.Col{ID: rKeys[ki]}})
-			}
-		}
-		residual = append(residual, extras...)
-		residual = append(residual, filters...)
-		dist := ix.DistinctKeys
-		if dist <= 0 {
-			if col, ok := colForOrd(o, scan, ix.Cols[0]); ok {
-				if cs, ok := rStats.Cols[col]; ok && cs != nil {
-					dist = cs.Distinct
-				}
-			}
-		}
-		if dist <= 0 {
-			dist = 1
-		}
-		lRows, _ := lw.plan.Estimate()
-		matchPerOuter := tableRows / dist
-		c := lw.cost + o.Model.INLJoin(lRows, matchPerOuter, tableRows, tablePages, ix.Clustered) +
-			o.Model.Filter(lRows*matchPerOuter, len(residual))
-		if c >= bestCost {
-			continue
-		}
-		bestCost = c
-		ords := make([]int, len(scan.Cols))
-		for i, id := range scan.Cols {
-			ords[i] = o.Est.Meta.Column(id).BaseOrd
-		}
-		bestPlan = &physical.INLJoin{
-			Props: physical.Props{Rows: rows, Cost: c},
-			Kind:  kind, Left: lw.plan,
-			Table: scan.Table, Index: ix, Binding: scan.Binding,
-			Cols: scan.Cols, ColOrds: ords,
-			LeftKeys: outerKeys, ExtraOn: residual,
-		}
-	}
-	return bestPlan
-}
-
-// implementGroupBy generates hash and stream aggregation.
-func (o *Optimizer) implementGroupBy(e *MExpr, rows float64, consider func(physical.Plan)) error {
+// implementGroupBy offers hash and stream aggregation over the child's
+// cheapest plan and over its cheapest plan already ordered on the grouping
+// columns.
+func (o *Optimizer) implementGroupBy(e *MExpr, rows float64, s *groupSink) error {
 	child := o.memo.Group(e.Children[0])
 	w, err := o.optGroup(child, nil)
 	if err != nil {
 		return err
 	}
-	cr, _ := w.plan.Estimate()
-	consider(&physical.HashGroupBy{
-		Props: physical.Props{Rows: rows, Cost: w.cost + o.Model.HashGroupBy(cr, len(e.Aggs))},
-		Input: w.plan, GroupCols: e.GroupCols, Aggs: e.Aggs,
-	})
+	in := []implement.Cand{w.best}
 	if len(e.GroupCols) > 0 {
-		var want logical.Ordering
-		for _, c := range e.GroupCols {
-			want = append(want, logical.OrderSpec{Col: c})
-		}
-		sw, err := o.optGroup(child, want)
-		if err != nil {
+		if in, err = o.withNative(in, child, implement.OrderOf(e.GroupCols)); err != nil {
 			return err
 		}
-		scr, _ := sw.plan.Estimate()
-		consider(&physical.StreamGroupBy{
-			Props: physical.Props{Rows: rows, Cost: sw.cost + o.Model.StreamGroupBy(scr, len(e.Aggs))},
-			Input: sw.plan, GroupCols: e.GroupCols, Aggs: e.Aggs,
-		})
 	}
+	o.impl.GroupBy(e.GroupCols, e.Aggs, in, rows, s)
 	return nil
 }

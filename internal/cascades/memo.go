@@ -3,8 +3,9 @@
 // application with memoization ("optimize this group for this required
 // property"), transformation rules (join commutativity/associativity),
 // implementation rules (scan/join/aggregate algorithms) and enforcers (sort).
-// It shares the cost model and statistics framework with the System-R
-// optimizer so E14 compares search strategies, not cost models.
+// Its implementation rules call internal/implement, as the System-R
+// optimizer's enumerators do, over the same cost model and statistics, so
+// E14 compares search strategies, not cost models or plan spaces.
 package cascades
 
 import (

@@ -70,6 +70,14 @@ func TestHeadlineInvariants(t *testing.T) {
 		}
 	}
 
+	// E14: Cascades' best cost must equal bushy System-R DP's in every chain
+	// width.
+	for _, r := range E14Architectures().Rows {
+		if r[1] == "cascades" && r[len(r)-1] != "true" {
+			t.Errorf("E14: Cascades' optimum differs from bushy DP's at %s relations: %v", r[0], r)
+		}
+	}
+
 	// E3: penalty factor ≥ 1 in every row, > 1 in at least one.
 	e3 := E3InterestingOrders()
 	sawGain := false

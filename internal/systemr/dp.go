@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"repro/internal/implement"
 	"repro/internal/logical"
 	"repro/internal/physical"
 )
@@ -61,7 +62,7 @@ func (o *Optimizer) newBlock(leaves []logical.RelExpr, preds []logical.Scalar, i
 	for _, e := range g.Edges {
 		for _, p := range e.Preds {
 			bp := blockPred{pred: p, leaves: 1<<uint(e.A) | 1<<uint(e.B)}
-			if l, r, ok := equiCols(p); ok {
+			if l, r, ok := implement.EquiCols(p); ok {
 				bp.l, bp.r, bp.lLeaf = l, r, 1<<uint(e.B)
 				if g.NodeCols[e.A].Contains(l) {
 					bp.lLeaf = 1 << uint(e.A)
@@ -118,10 +119,9 @@ func (o *Optimizer) optimizeBlock(root logical.RelExpr, interesting logical.ColS
 	var plan physical.Plan
 	var err error
 	if n == 1 {
-		var plans []physical.Plan
-		plans, err = b.leafCandidates(0)
-		if err == nil {
-			plan = cheapest(plans)
+		var f frontier
+		if err = b.leafCands(0, &f); err == nil {
+			plan = f.cands[0].Plan
 		}
 	} else {
 		plan, err = b.orderJoins(n)
@@ -136,14 +136,17 @@ func (o *Optimizer) optimizeBlock(root logical.RelExpr, interesting logical.ColS
 }
 
 // orderJoins picks the enumeration tier for an n-relation block (n >= 2):
-// greedy beyond MaxRelations (the classical overflow fallback), greedy for
-// blocks at or below GreedyThreshold or whose greedy-ordered plan already
-// costs no more than GreedyCostThreshold (the adaptive fast-path — planning
-// time traded against join-order quality on statements too cheap to deserve
-// DP), and full DP enumeration otherwise.
+// every permutation under OptimizeNaive; greedy beyond MaxRelations (the
+// classical overflow fallback), greedy for blocks at or below
+// GreedyThreshold or whose greedy-ordered plan already costs no more than
+// GreedyCostThreshold (the adaptive fast-path — planning time traded against
+// join-order quality on statements too cheap to deserve DP), and full DP
+// enumeration otherwise.
 func (b *block) orderJoins(n int) (physical.Plan, error) {
 	o := b.opt
 	switch {
+	case o.naive:
+		return b.naiveOrder()
 	case n > o.Opts.MaxRelations:
 		o.noteTier(TierGreedyFallback)
 		return b.greedy()
@@ -166,33 +169,24 @@ func (b *block) orderJoins(n int) (physical.Plan, error) {
 	return b.dp()
 }
 
-// equiCols extracts (leftCol, rightCol) from an equality between two columns.
-func equiCols(p logical.Scalar) (logical.ColumnID, logical.ColumnID, bool) {
-	cmp, ok := p.(*logical.Cmp)
-	if !ok || cmp.Op != logical.CmpEq {
-		return 0, 0, false
-	}
-	l, lok := cmp.L.(*logical.Col)
-	r, rok := cmp.R.(*logical.Col)
-	if !lok || !rok {
-		return 0, 0, false
-	}
-	return l.ID, r.ID, true
-}
-
-// leafCandidates generates access paths for leaf i with its local predicates.
-func (b *block) leafCandidates(i int) ([]physical.Plan, error) {
-	if scan, _ := scanOf(b.leafRels[i]); scan != nil {
-		return b.opt.accessPaths(b.leafRels[i]), nil
+// leafCands offers leaf i's plans under its local predicates to out: the
+// access paths of a base table, else the leaf's own optimized plan.
+func (b *block) leafCands(i int, out implement.Sink) error {
+	if scan, filters := implement.ScanOf(b.leafRels[i]); scan != nil {
+		b.opt.impl.Leaf(scan, filters, b.opt.Est.Stats(b.leafRels[i]).Rows, out)
+		return nil
 	}
 	p, err := b.opt.optimize(b.leaves[i], b.interesting)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if local := b.graph.Local[i]; len(local) > 0 {
 		p = b.opt.addFilter(p, local)
 	}
-	return []physical.Plan{p}, nil
+	if c := implement.NewCand(p); out.Beats(c.Ord, c.Cost) {
+		out.Put(c)
+	}
+	return nil
 }
 
 // subsetRel returns the canonical logical expression for a subset: leaves
@@ -209,7 +203,7 @@ func (b *block) subsetRel(mask uint64) logical.RelExpr {
 	top := bits.Len64(mask) - 1
 	rel := b.leafRels[top]
 	if rest := mask &^ (1 << uint(top)); rest != 0 {
-		on := b.joinPreds(rest, 1<<uint(top)).preds
+		on := b.joinPreds(rest, 1<<uint(top)).Preds
 		rel = &logical.Join{Kind: logical.InnerJoin, Left: b.subsetRel(rest), Right: rel, On: on}
 	}
 	b.relMemo[mask] = rel
@@ -223,21 +217,21 @@ func (b *block) card(mask uint64) float64 {
 
 // joinPreds returns the predicates that first become applicable when two
 // disjoint subsets are joined, split into equi-key pairs and residuals.
-func (b *block) joinPreds(left, right uint64) joinOn {
-	var on joinOn
+func (b *block) joinPreds(left, right uint64) implement.On {
+	var on implement.On
 	for i := range b.preds {
 		p := &b.preds[i]
 		if p.leaves&^(left|right) != 0 || p.leaves&^left == 0 || p.leaves&^right == 0 {
 			continue
 		}
-		on.preds = append(on.preds, p.pred)
+		on.Preds = append(on.Preds, p.pred)
 		switch {
 		case p.lLeaf&left != 0:
-			on.keys = append(on.keys, keyPair{p.l, p.r})
+			on.Keys = append(on.Keys, implement.KeyPair{L: p.l, R: p.r})
 		case p.lLeaf&right != 0:
-			on.keys = append(on.keys, keyPair{p.r, p.l})
+			on.Keys = append(on.Keys, implement.KeyPair{L: p.r, R: p.l})
 		default:
-			on.extras = append(on.extras, p.pred)
+			on.Extras = append(on.Extras, p.pred)
 		}
 	}
 	return on
@@ -269,26 +263,8 @@ func (b *block) rightLeaf(right uint64) logical.RelExpr {
 	return b.leafRels[bits.TrailingZeros64(right)]
 }
 
-// cand is a plan with the properties later steps read off it, derived once
-// instead of by walking the plan for every alternative built on top of it.
-type cand struct {
-	plan       physical.Plan
-	rows, cost float64
-	ord        logical.Ordering // plan.Ordering()
-}
-
-func newCand(p physical.Plan) cand {
-	rows, cost := p.Estimate()
-	return cand{plan: p, rows: rows, cost: cost, ord: p.Ordering()}
-}
-
-func toCands(plans []physical.Plan) []cand {
-	out := make([]cand, len(plans))
-	for i, p := range plans {
-		out[i] = newCand(p)
-	}
-	return out
-}
+// cand is a costed plan with its rows and output ordering.
+type cand = implement.Cand
 
 // frontier holds the plans retained for one relation subset: the cheapest
 // per interesting-order key — the longest prefix of a plan's output ordering
@@ -322,23 +298,23 @@ func (f *frontier) key(ord logical.Ordering) logical.Ordering {
 func (f *frontier) find(ord logical.Ordering) int {
 	key := f.key(ord)
 	for i := range f.cands {
-		if slices.Equal(f.key(f.cands[i].ord), key) {
+		if slices.Equal(f.key(f.cands[i].Ord), key) {
 			return i
 		}
 	}
 	return -1
 }
 
-// beats reports whether a plan of this output ordering and cost would be
+// Beats reports whether a plan of this output ordering and cost would be
 // retained — asked before the plan is built, so losers are never allocated.
-func (f *frontier) beats(ord logical.Ordering, cost float64) bool {
+func (f *frontier) Beats(ord logical.Ordering, cost float64) bool {
 	i := f.find(ord)
-	return i < 0 || !(f.cands[i].cost <= cost)
+	return i < 0 || !(f.cands[i].Cost <= cost)
 }
 
-// put retains c, which must beat the plan it competes with.
-func (f *frontier) put(c cand) {
-	if i := f.find(c.ord); i >= 0 {
+// Put retains c, which must beat the plan it competes with.
+func (f *frontier) Put(c cand) {
+	if i := f.find(c.Ord); i >= 0 {
 		f.cands[i] = c
 	} else {
 		f.cands = append(f.cands, c)
@@ -364,17 +340,10 @@ func (b *block) dp() (physical.Plan, error) {
 	n := len(b.leaves)
 	table := make([]frontier, uint64(1)<<uint(n))
 	for i := 0; i < n; i++ {
-		plans, err := b.leafCandidates(i)
-		if err != nil {
+		table[1<<uint(i)] = b.frontier()
+		if err := b.leafCands(i, &table[1<<uint(i)]); err != nil {
 			return nil, err
 		}
-		f := b.frontier()
-		for _, p := range plans {
-			if c := newCand(p); f.beats(c.ord, c.cost) {
-				f.put(c)
-			}
-		}
-		table[1<<uint(i)] = f
 		b.opt.Metrics.SubsetsVisited++
 	}
 
@@ -390,7 +359,8 @@ func (b *block) dp() (physical.Plan, error) {
 		b.opt.Metrics.SubsetsVisited++
 		// rows is derived at the first viable split: a subset no split
 		// reaches (a disconnected one) costs no estimate.
-		out, rows := b.frontier(), -1.0
+		table[mask] = b.frontier()
+		rows := -1.0
 		for right := mask & -mask; right != 0 && right != mask; right = b.nextRight(mask, right) {
 			left := mask &^ right
 			lp, rp := table[left].cands, table[right].cands
@@ -398,15 +368,14 @@ func (b *block) dp() (physical.Plan, error) {
 				continue
 			}
 			on := b.joinPreds(left, right)
-			if len(on.preds) == 0 && !crossJoins {
+			if len(on.Preds) == 0 && !crossJoins {
 				continue
 			}
 			if rows < 0 {
 				rows = b.card(mask)
 			}
-			b.opt.joinCandidates(logical.InnerJoin, lp, rp, b.rightLeaf(right), on, rows, &out)
+			b.opt.impl.Join(logical.InnerJoin, lp, rp, b.rightLeaf(right), on, rows, &table[mask])
 		}
-		table[mask] = out
 	}
 	final := table[full].cands
 	if len(final) == 0 {
@@ -425,12 +394,12 @@ func (b *block) dp() (physical.Plan, error) {
 	var best physical.Plan
 	bestCost := math.Inf(1)
 	for _, p := range final {
-		c := p.cost
-		if len(required) > 0 && !required.SatisfiedBy(p.ord) {
-			c += b.opt.Model.Sort(p.rows)
+		c := p.Cost
+		if len(required) > 0 && !required.SatisfiedBy(p.Ord) {
+			c += b.opt.Model.Sort(p.Rows)
 		}
 		if c < bestCost {
-			best, bestCost = p.plan, c
+			best, bestCost = p.Plan, c
 		}
 	}
 	for _, f := range table {
@@ -447,16 +416,19 @@ func (b *block) greedy() (physical.Plan, error) {
 		cand
 	}
 	var parts []part
+	// f collects one step's alternatives: with no orders it keeps only the
+	// cheapest.
+	var f frontier
 	for i := range b.leaves {
-		plans, err := b.leafCandidates(i)
-		if err != nil {
+		f.cands = f.cands[:0]
+		if err := b.leafCands(i, &f); err != nil {
 			return nil, err
 		}
-		parts = append(parts, part{1 << uint(i), newCand(cheapest(plans))})
+		parts = append(parts, part{1 << uint(i), f.cands[0]})
 	}
 	for len(parts) > 1 {
 		bestI, bestJ := -1, -1
-		best := cand{cost: math.Inf(1)}
+		best := cand{Cost: math.Inf(1)}
 		// Pairs without a connecting predicate wait for a second pass, taken
 		// only when nothing else combines: a forced Cartesian product.
 		for _, forced := range []bool{false, true} {
@@ -469,13 +441,13 @@ func (b *block) greedy() (physical.Plan, error) {
 						continue
 					}
 					on := b.joinPreds(parts[i].mask, parts[j].mask)
-					if len(on.preds) == 0 && !forced && !b.opt.Opts.CartesianProducts && len(parts) > 2 {
+					if len(on.Preds) == 0 && !forced && !b.opt.Opts.CartesianProducts && len(parts) > 2 {
 						continue
 					}
-					var f frontier
-					b.opt.joinCandidates(logical.InnerJoin, []cand{parts[i].cand}, []cand{parts[j].cand},
+					f.cands = f.cands[:0]
+					b.opt.impl.Join(logical.InnerJoin, []cand{parts[i].cand}, []cand{parts[j].cand},
 						b.rightLeaf(parts[j].mask), on, b.card(parts[i].mask|parts[j].mask), &f)
-					if len(f.cands) > 0 && f.cands[0].cost < best.cost {
+					if len(f.cands) > 0 && f.cands[0].Cost < best.Cost {
 						bestI, bestJ, best = i, j, f.cands[0]
 					}
 				}
@@ -493,5 +465,5 @@ func (b *block) greedy() (physical.Plan, error) {
 		}
 		parts = append(next, merged)
 	}
-	return parts[0].plan, nil
+	return parts[0].Plan, nil
 }

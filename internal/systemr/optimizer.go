@@ -1,8 +1,9 @@
 // Package systemr implements the System-R optimizer of Section 3 of the
 // paper: bottom-up dynamic-programming join enumeration over linear (or,
-// optionally, bushy) join sequences, cost-based access path selection, and
-// pruning moderated by interesting orders. A naive O(n!) enumerator is
-// included as the baseline the paper compares DP against.
+// optionally, bushy) join sequences, and pruning moderated by interesting
+// orders. A naive O(n!) enumerator is included as the baseline the paper
+// compares DP against. The access paths and join methods it chooses among
+// come from internal/implement, which Cascades searches too.
 package systemr
 
 import (
@@ -10,6 +11,7 @@ import (
 	"math"
 
 	"repro/internal/cost"
+	"repro/internal/implement"
 	"repro/internal/logical"
 	"repro/internal/physical"
 	"repro/internal/stats"
@@ -104,6 +106,12 @@ type Optimizer struct {
 	// compares order-providing plans against cheapest-plus-sort (§3's
 	// payoff for retaining interesting orders).
 	requiredOrder logical.Ordering
+	// impl prices the physical alternatives (access paths, join methods,
+	// aggregation) under Opts.
+	impl implement.Space
+	// naive orders every join block by exhaustive permutation
+	// (OptimizeNaive) instead of by the tiers.
+	naive bool
 }
 
 // New returns an optimizer over the given estimator and cost model.
@@ -118,11 +126,10 @@ func New(est *stats.Estimator, model cost.Model, opts Options) *Optimizer {
 // treated as an interesting order: if the chosen plan does not provide it,
 // a Sort enforcer is added at the root.
 func (o *Optimizer) Optimize(q *logical.Query) (physical.Plan, error) {
-	interesting := o.interestingCols(q)
 	o.requiredOrder = q.OrderBy
 	o.Tier = TierTrivial
 	defer func() { o.requiredOrder = nil }()
-	return o.optimizeRoot(q, interesting, o.optimize)
+	return o.optimizeRoot(q)
 }
 
 // noteTier records the planning tier one join block used, keeping the most
@@ -135,15 +142,24 @@ func (o *Optimizer) noteTier(t Tier) {
 
 // optimizeRoot applies the ORDER BY enforcer in the right place relative to
 // a root LIMIT (SQL sorts before limiting).
-func (o *Optimizer) optimizeRoot(q *logical.Query, interesting logical.ColSet,
-	inner func(logical.RelExpr, logical.ColSet) (physical.Plan, error)) (physical.Plan, error) {
+func (o *Optimizer) optimizeRoot(q *logical.Query) (physical.Plan, error) {
+	o.impl = implement.Space{
+		Est: o.Est, Model: o.Model,
+		NonNull:           implement.NullRejected(q.Root),
+		OrderedIndexScans: o.Opts.InterestingOrders,
+		NoINL:             o.Opts.DisableINLJoin,
+		NoMerge:           o.Opts.DisableMergeJoin,
+		NoHash:            o.Opts.DisableHashJoin,
+		Costed:            &o.Metrics.PlansCosted,
+	}
+	interesting := o.interestingCols(q)
 	root := q.Root
 	var limitN int64 = -1
 	if lim, ok := root.(*logical.Limit); ok && len(q.OrderBy) > 0 {
 		root = lim.Input
 		limitN = lim.N
 	}
-	plan, err := inner(root, interesting)
+	plan, err := o.optimize(root, interesting)
 	if err != nil {
 		return nil, err
 	}
@@ -192,7 +208,9 @@ func (o *Optimizer) interestingCols(q *logical.Query) logical.ColSet {
 func (o *Optimizer) optimize(e logical.RelExpr, interesting logical.ColSet) (physical.Plan, error) {
 	switch t := e.(type) {
 	case *logical.Scan:
-		return cheapest(o.accessPaths(t)), nil
+		var best frontier
+		o.impl.Leaf(t, nil, o.Est.Stats(t).Rows, &best)
+		return best.cands[0].Plan, nil
 	case *logical.Values:
 		rows := float64(len(t.Rows))
 		return &physical.ValuesOp{
@@ -214,12 +232,12 @@ func (o *Optimizer) optimize(e logical.RelExpr, interesting logical.ColSet) (phy
 			return nil, err
 		}
 		var best frontier
-		o.joinCandidates(t.Kind, []cand{newCand(left)}, []cand{newCand(right)}, t.Right,
-			classifyJoinPreds(t.On, colSetOf(left.Columns()), colSetOf(right.Columns())), o.Est.Stats(t).Rows, &best)
+		on := implement.SplitOn(t.On, logical.MakeColSet(left.Columns()...), logical.MakeColSet(right.Columns()...))
+		o.impl.Join(t.Kind, []cand{implement.NewCand(left)}, []cand{implement.NewCand(right)}, t.Right, on, o.Est.Stats(t).Rows, &best)
 		if len(best.cands) == 0 {
 			return nil, fmt.Errorf("systemr: no join candidates for %v", t.Kind)
 		}
-		return best.cands[0].plan, nil
+		return best.cands[0].Plan, nil
 	case *logical.Project:
 		in, err := o.optimize(t.Input, interesting)
 		if err != nil {
@@ -264,13 +282,6 @@ func (o *Optimizer) optimize(e logical.RelExpr, interesting logical.ColSet) (phy
 	return nil, fmt.Errorf("systemr: cannot optimize %T", e)
 }
 
-// blockRoot reports whether e roots an inner-join block with more than one
-// relation (worth DP enumeration).
-func blockRoot(e logical.RelExpr) bool {
-	leaves, _, ok := logical.ExtractJoinBlock(e)
-	return ok && len(leaves) > 1
-}
-
 // addFilter wraps a plan with a Filter node (costed).
 func (o *Optimizer) addFilter(in physical.Plan, preds []logical.Scalar) physical.Plan {
 	rows, c := in.Estimate()
@@ -296,50 +307,7 @@ func (o *Optimizer) optimizeGroupBy(g *logical.GroupBy, interesting logical.ColS
 	if err != nil {
 		return nil, err
 	}
-	inRows, inCost := in.Estimate()
-	outRows := o.Est.Stats(g).Rows
-
-	hash := &physical.HashGroupBy{
-		Props: physical.Props{Rows: outRows, Cost: inCost + o.Model.HashGroupBy(inRows, len(g.Aggs))},
-		Input: in, GroupCols: g.GroupCols, Aggs: g.Aggs,
-	}
-	o.Metrics.PlansCosted++
-	var want logical.Ordering
-	for _, c := range g.GroupCols {
-		want = append(want, logical.OrderSpec{Col: c})
-	}
-	var stream physical.Plan
-	if len(g.GroupCols) > 0 {
-		src := in
-		srcCost := inCost
-		if !want.SatisfiedBy(in.Ordering()) {
-			srcCost += o.Model.Sort(inRows)
-			src = &physical.Sort{Props: physical.Props{Rows: inRows, Cost: srcCost}, Input: in, By: want}
-		}
-		stream = &physical.StreamGroupBy{
-			Props: physical.Props{Rows: outRows, Cost: srcCost + o.Model.StreamGroupBy(inRows, len(g.Aggs))},
-			Input: src, GroupCols: g.GroupCols, Aggs: g.Aggs,
-		}
-		o.Metrics.PlansCosted++
-	}
-	if stream != nil {
-		_, hc := hash.Estimate()
-		_, sc := stream.Estimate()
-		if sc < hc {
-			return stream, nil
-		}
-	}
-	return hash, nil
-}
-
-// cheapest returns the lowest-cost plan of a non-empty candidate list.
-func cheapest(cands []physical.Plan) physical.Plan {
-	best := cands[0]
-	_, bestCost := best.Estimate()
-	for _, c := range cands[1:] {
-		if _, cc := c.Estimate(); cc < bestCost {
-			best, bestCost = c, cc
-		}
-	}
-	return best
+	var best frontier
+	o.impl.GroupBy(g.GroupCols, g.Aggs, []cand{implement.NewCand(in)}, o.Est.Stats(g).Rows, &best)
+	return best.cands[0].Plan, nil
 }

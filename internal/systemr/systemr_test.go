@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/cost"
 	"repro/internal/datum"
 	"repro/internal/exec"
@@ -302,6 +303,14 @@ func TestOptimizeManyQueriesAgainstReference(t *testing.T) {
 		"SELECT e1.name FROM Emp e1, Emp e2 WHERE e1.did = e2.did AND e2.eid = 5",
 		"SELECT COUNT(*) FROM Emp WHERE age BETWEEN 30 AND 40",
 		"SELECT d.dname, SUM(e.sal) FROM Dept d LEFT OUTER JOIN Emp e ON d.did = e.did GROUP BY d.dname",
+		// Two lower or two upper bounds on the clustered key: a range scan
+		// seeks one and keeps the other as a residual filter.
+		"SELECT name FROM Emp WHERE eid > 1990 AND eid > 100",
+		"SELECT name FROM Emp WHERE eid > 100 AND eid > 1990",
+		"SELECT name FROM Emp WHERE eid > 1990 AND eid >= 1990",
+		"SELECT name FROM Emp WHERE eid >= 1990 AND eid > 1990",
+		"SELECT name FROM Emp WHERE eid < 10 AND eid < 500",
+		"SELECT name FROM Emp WHERE eid <= 500 AND eid < 10 AND eid > 3",
 	}
 	for _, qs := range queries {
 		q := buildQuery(t, db, qs)
@@ -398,5 +407,41 @@ func TestOrderByExploitsRetainedOrder(t *testing.T) {
 	}
 	if len(res.Rows) != 30000 {
 		t.Errorf("FK join should return one row per r1 tuple, got %d", len(res.Rows))
+	}
+}
+
+// TestOrderByNullableIndexKeepsNulls: a full scan of an index skips NULL
+// keys, so it may deliver an ORDER BY on its column only when the column is
+// NOT NULL or no row holding NULL there reaches the result. Here n is
+// nullable and only the ORDER BY names it: every row must come back.
+func TestOrderByNullableIndexKeepsNulls(t *testing.T) {
+	db := workload.NewDB()
+	st := db.MustAddTable(&catalog.Table{
+		Name: "t", PrimaryKey: []int{0},
+		Cols: []catalog.Column{{Name: "pk", Kind: datum.KindInt, NotNull: true}, {Name: "k", Kind: datum.KindInt},
+			{Name: "n", Kind: datum.KindInt}},
+		Indexes: []*catalog.Index{{Name: "t_pk", Cols: []int{0}, Unique: true, Clustered: true},
+			{Name: "t_n", Cols: []int{2}}},
+	})
+	for i := 0; i < 1000; i++ {
+		n := datum.NewInt(int64(i % 100))
+		if i%7 == 0 {
+			n = datum.Null
+		}
+		if err := st.Insert(datum.Row{datum.NewInt(int64(i)), datum.NewInt(int64(i * 7 % 1000)), n}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Analyze(stats.AnalyzeOptions{})
+	for _, qs := range []string{
+		"SELECT a.pk, a.n FROM t a, t b WHERE a.k = b.pk ORDER BY a.n",
+		"SELECT a.pk, a.n, b.n FROM t a, t b WHERE a.k = b.pk AND b.pk < 200 ORDER BY a.n",
+	} {
+		q := buildQuery(t, db, qs)
+		plan, err := optimizer(q, DefaultOptions()).Optimize(q)
+		if err != nil {
+			t.Fatalf("%s: %v", qs, err)
+		}
+		verifyPlan(t, db, q, plan)
 	}
 }

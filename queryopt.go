@@ -93,6 +93,9 @@ type Options struct {
 	SystemR systemr.Options
 	// Cascades tunes the memo search when Optimizer is Cascades. A zero
 	// MaxExprs fills in MaxExprs and Pruning from cascades.DefaultOptions.
+	// Exploration never adds a Cartesian product the query does not already
+	// contain — System-R's default space, which Cascades searches through
+	// the same access paths and join methods (internal/implement).
 	Cascades cascadesopt.Options
 	// Cost overrides the cost model (zero value = DefaultModel).
 	Cost *cost.Model
