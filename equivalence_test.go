@@ -13,6 +13,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/physical"
+	"repro/internal/sql"
 )
 
 // randSchema builds one engine with seeded random data.
@@ -276,4 +279,95 @@ func TestRandomOrderedQueries(t *testing.T) {
 			}
 		}
 	}
+}
+
+// subqueryShapes are the subqueries the §4 rewrites leave in place, run by
+// nested iteration over an optimized sub-plan: EXISTS under OR, NOT IN over a
+// nullable column, a scalar subquery in the select list and in HAVING, a
+// two-level correlation whose innermost block reads the outermost, a
+// correlated subquery in a join's ON, a correlated predicate over three of
+// the body's tables, which a join block applies where they meet, and a filter
+// on outer columns only over a scalar aggregate, which must stay above it: the
+// aggregate returns a row even when the filter rejects all of its input.
+var subqueryShapes = []string{
+	"SELECT x.pk FROM r x WHERE x.a = 3 OR EXISTS (SELECT 1 FROM t y WHERE y.fk = x.pk AND y.f > x.f)",
+	"SELECT x.pk FROM r x WHERE x.a < 4 OR NOT EXISTS (SELECT 1 FROM t y, u z WHERE y.a = z.pk AND z.s = x.s AND y.fk = x.fk)",
+	"SELECT x.pk FROM r x WHERE x.a NOT IN (SELECT y.a FROM t y WHERE y.s = 'cat')",
+	"SELECT x.pk FROM r x WHERE x.a NOT IN (SELECT y.a FROM t y WHERE y.fk = x.fk)",
+	"SELECT x.pk, (SELECT COUNT(*) FROM t y WHERE y.fk = x.pk) FROM r x",
+	"SELECT x.pk, (SELECT MAX(z.a) FROM u z WHERE z.s = x.s) FROM r x WHERE x.a > 10",
+	"SELECT x.a, COUNT(*) FROM r x GROUP BY x.a HAVING COUNT(*) > (SELECT COUNT(*) FROM u z WHERE z.a = 7)",
+	"SELECT x.a, SUM(x.f) FROM r x GROUP BY x.a HAVING COUNT(*) >= (SELECT COUNT(*) FROM t y WHERE y.a = x.a)",
+	"SELECT x.pk FROM r x WHERE EXISTS (SELECT 1 FROM t y WHERE y.fk = x.pk AND EXISTS (SELECT 1 FROM u z WHERE z.pk = y.a AND z.a = x.a))",
+	"SELECT x.pk, y.pk FROM r x JOIN t y ON x.fk = y.pk AND EXISTS (SELECT 1 FROM u z WHERE z.pk = x.a AND z.a = y.a)",
+	"SELECT x.pk, y.pk FROM r x LEFT OUTER JOIN t y ON x.fk = y.pk AND y.a > (SELECT MIN(z.a) FROM u z WHERE z.pk = x.a)",
+	"SELECT x.pk FROM r x WHERE x.pk < 12 AND (x.a < 3 OR EXISTS (SELECT 1 FROM u y, u z, u w WHERE y.a = z.pk AND z.a = w.pk AND y.a + z.a + w.a > x.a + 20))",
+	"SELECT x.pk FROM r x WHERE x.a = 3 OR EXISTS (SELECT 1 FROM (SELECT COUNT(*) AS c FROM t y) g WHERE x.a > 5)",
+	"SELECT x.pk, (SELECT g.c FROM (SELECT COUNT(*) AS c FROM t y) g WHERE x.a > 5) FROM r x",
+}
+
+// TestSubqueryShapesEquivalence: every optimizer returns the reference
+// evaluator's rows for the subqueryShapes at one and four workers, with the
+// rewrites on and off, and after compile every subquery reachable from the
+// plan — in sub-plans too — carries its optimized body.
+func TestSubqueryShapesEquivalence(t *testing.T) {
+	for _, disable := range []bool{false, true} {
+		ref := randSchemaWith(t, Options{Optimizer: Reference, DisableRewrites: disable}, 5)
+		want := make([][]string, len(subqueryShapes))
+		for i, q := range subqueryShapes {
+			want[i] = canonRows(ref.MustExec(q))
+		}
+		for _, kind := range []OptimizerKind{SystemR, Starburst, Cascades} {
+			for _, par := range []int{1, 4} {
+				e := randSchemaWith(t, Options{Optimizer: kind, Parallelism: par, DisableRewrites: disable}, 5)
+				for i, q := range subqueryShapes {
+					label := fmt.Sprintf("%v parallel=%d rewrites-off=%v: %s", kind, par, disable, q)
+					res, err := e.Exec(q)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if got := canonRows(res); strings.Join(got, ";") != strings.Join(want[i], ";") {
+						t.Fatalf("%s: disagrees with reference\nref (%d rows): %.300v\ngot (%d rows): %.300v\nplan:\n%s",
+							label, len(want[i]), want[i], len(got), got, res.Plan)
+					}
+					sel, err := sql.ParseSelect(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					c, err := e.compile(sel, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					subs, missing := subPlans(c.plan)
+					if missing > 0 {
+						t.Errorf("%s: %d of %d subqueries carry no sub-plan", label, missing, subs)
+					}
+					if disable && kind != Starburst && subs == 0 {
+						t.Errorf("%s: rewrites off, yet no subquery is left", label)
+					}
+				}
+				e.Close()
+			}
+		}
+	}
+}
+
+// subPlans counts the subqueries reachable from p, inside sub-plans too, and
+// those without a sub-plan.
+func subPlans(p physical.Plan) (subs, missing int) {
+	for _, sub := range physical.Subqueries(p) {
+		subs++
+		body, ok := sub.Body.(physical.Plan)
+		if !ok {
+			missing++
+			continue
+		}
+		s, m := subPlans(body)
+		subs, missing = subs+s, missing+m
+	}
+	for _, c := range physical.Children(p) {
+		s, m := subPlans(c)
+		subs, missing = subs+s, missing+m
+	}
+	return subs, missing
 }

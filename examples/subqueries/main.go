@@ -1,6 +1,6 @@
 // Command subqueries demonstrates §4.2 of the paper: nested SQL queries
-// executed with tuple-iteration semantics versus the unnested (merged)
-// forms — semijoins for IN/EXISTS, and the outerjoin + group-by form for
+// executed by tuple iteration — the subquery's optimized sub-plan run once
+// per outer row, as System R does — versus the unnested (merged) forms — semijoins for IN/EXISTS, and the outerjoin + group-by form for
 // correlated aggregates, including the COUNT bug the paper warns about.
 package main
 

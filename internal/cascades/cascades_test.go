@@ -12,6 +12,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/physical"
+	"repro/internal/reference"
 	"repro/internal/sql"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -59,12 +60,11 @@ func verifyPlan(t *testing.T, db *workload.DB, q *logical.Query, plan physical.P
 	if err != nil {
 		t.Fatalf("execute: %v\n%s", err, physical.Format(plan, q.Meta))
 	}
-	ref := exec.NewCtx(db.Store, q.Meta)
-	want, err := ref.RunQuery(q)
+	want, err := reference.New(db.Store, q.Meta).RunQuery(q)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	g, w := rowStrings(got), rowStrings(want)
+	g, w := rowStrings(got), rowStrings(&exec.Result{Rows: want.Rows})
 	if strings.Join(g, ";") != strings.Join(w, ";") {
 		t.Fatalf("results disagree\nplan: %.300v\nref:  %.300v\n%s", g, w, physical.Format(plan, q.Meta))
 	}

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/logical"
@@ -214,72 +213,3 @@ func (a *distinctAcc) merge(o aggAcc) {
 }
 
 func (a *distinctAcc) result() datum.D { return a.inner.result() }
-
-// groupTable accumulates groups keyed by grouping-column values — the
-// reference evaluator's aggregation (EvalLogical), fed one row at a time.
-type groupTable struct {
-	aggs     []logical.AggItem
-	groups   map[uint64][]*groupEntry
-	order    []*groupEntry // insertion order for determinism
-	scalar   bool          // no group cols: always exactly one group
-	groupLen int
-}
-
-type groupEntry struct {
-	key  datum.Row
-	accs []aggAcc
-}
-
-func newGroupTable(groupLen int, aggs []logical.AggItem) *groupTable {
-	gt := &groupTable{
-		aggs:     aggs,
-		groups:   map[uint64][]*groupEntry{},
-		scalar:   groupLen == 0,
-		groupLen: groupLen,
-	}
-	if gt.scalar {
-		gt.ensure(nil, 0)
-	}
-	return gt
-}
-
-func (gt *groupTable) ensure(key datum.Row, hash uint64) *groupEntry {
-	for _, e := range gt.groups[hash] {
-		if slices.EqualFunc(e.key, key, datum.Equal) {
-			return e
-		}
-	}
-	e := &groupEntry{key: key, accs: make([]aggAcc, len(gt.aggs))}
-	for i, a := range gt.aggs {
-		e.accs[i] = newAgg(a)
-	}
-	gt.groups[hash] = append(gt.groups[hash], e)
-	gt.order = append(gt.order, e)
-	return e
-}
-
-// add feeds one input row: key values plus the evaluated aggregate arguments
-// (one per agg; COUNT(*) entries get a non-NULL placeholder).
-func (gt *groupTable) add(key datum.Row, hash uint64, argVals []datum.D) {
-	if gt.scalar {
-		key, hash = nil, 0 // single global group
-	}
-	e := gt.ensure(key, hash)
-	for i := range gt.aggs {
-		e.accs[i].add(argVals[i])
-	}
-}
-
-// rows emits one output row per group: key columns then aggregate results.
-func (gt *groupTable) rows() []datum.Row {
-	out := make([]datum.Row, 0, len(gt.order))
-	for _, e := range gt.order {
-		row := make(datum.Row, 0, gt.groupLen+len(gt.aggs))
-		row = append(row, e.key...)
-		for _, acc := range e.accs {
-			row = append(row, acc.result())
-		}
-		out = append(out, row)
-	}
-	return out
-}

@@ -1,18 +1,18 @@
 // Package exec implements query execution: a push-based morsel executor over
 // physical plans (Figure 1 of the paper: a tree of operators data flows
-// through as a pipeline) and a naive recursive evaluator over logical trees.
-// A plan is cut at its breakers — join build sides, aggregations, sorts,
-// limits and unions — and everything between two breakers runs fused: one
-// loop over ~1024-row morsels carries each morsel from its source through
-// filter, projection, exchange and join-probe stages into an aggregate or
-// collect sink, materializing nothing in between (pipeline.go). Every
-// operator runs on column batches; a plan's output becomes rows only at the
-// result (Run, RunPlanQuery). The scheduler in parallel.go runs that loop
-// inline (serial execution is one worker) or on a worker pool. The naive
-// evaluator serves three roles: the reference implementation for correctness
-// tests, the tuple-iteration semantics used to evaluate correlated subqueries
-// that were not unnested (the baseline §4.2 improves on), and the executor of
-// the Reference optimizer mode.
+// through as a pipeline). A plan is cut at its breakers — join build sides,
+// aggregations, sorts, limits and unions — and everything between two
+// breakers runs fused: one loop over ~1024-row morsels carries each morsel
+// from its source through filter, projection, exchange and join-probe stages
+// into an aggregate or collect sink, materializing nothing in between
+// (pipeline.go). Every operator runs on column batches; a plan's output
+// becomes rows only at the result (Run, RunPlanQuery). The scheduler in
+// parallel.go runs that loop inline (serial execution is one worker) or on a
+// worker pool. A subquery the rewrites left in a scalar runs by nested
+// iteration, as in System R: its optimized sub-plan (logical.Subquery.Body)
+// is run once per outer row, on the worker evaluating the scalar, with the
+// outer row's columns bound (evalSubquery). internal/reference holds the
+// naive evaluator the tests check this package against.
 package exec
 
 import (
@@ -32,7 +32,7 @@ type Counters struct {
 	PagesRead     int64 // simulated page touches
 	RowsProcessed int64 // rows flowing through operators
 	IndexSeeks    int64
-	SubqueryEvals int64 // naive (tuple-iteration) subquery executions
+	SubqueryEvals int64 // sub-plan runs of nested-iteration subqueries
 	Comparisons   int64 // sort/merge comparisons
 	HashOps       int64 // hash table inserts + probes
 	ExchangedRows int64 // rows crossing exchange operators
@@ -113,6 +113,10 @@ type Ctx struct {
 	// bar is the abort barrier of the runWorkers call this (child) context
 	// belongs to; nil on the coordinating context.
 	bar *barrier
+	// outer binds the columns of the enclosing query's row while this
+	// context runs a subquery's sub-plan: every env the plan's scalars are
+	// evaluated in chains to it. Nil for a top-level plan.
+	outer *env
 }
 
 // EnableAnalyze turns on per-operator metrics collection for executions
@@ -176,13 +180,6 @@ func (c *Ctx) noteScan(sc *storage.ScanCtx) {
 // and returning real bytes read; these wrappers thread both ends so
 // operators keep one-line call sites.
 
-func (c *Ctx) tableRows(tab *storage.Table) ([]datum.Row, error) {
-	sc := storage.ScanCtx{Faults: c.Faults}
-	rows, err := tab.Rows(&sc)
-	c.noteScan(&sc)
-	return rows, err
-}
-
 func (c *Ctx) fillRange(tab *storage.Table, ord, lo, hi int, v *datum.Vec) error {
 	sc := storage.ScanCtx{Faults: c.Faults}
 	err := tab.FillColumnRange(&sc, ord, lo, hi, v)
@@ -237,14 +234,14 @@ func (c *Ctx) Close() {
 
 // child returns a per-worker context sharing the store, metadata and the
 // governor state (cancellation context, memory account, fault injector) but
-// owning private counters and a private simulated buffer pool, so workers
-// never race on mutable state. Anything a worker runs through its own context
-// stays inline on that worker (Parallelism 0).
-func (c *Ctx) child() *Ctx {
+// owning private counters and the simulated buffer pool buf — a private one
+// per pool worker, so workers never race on mutable state. Anything a worker
+// runs through its own context stays inline on that worker (Parallelism 0).
+func (c *Ctx) child(buf *PageBuffer) *Ctx {
 	return &Ctx{
-		Store: c.Store, Meta: c.Meta, Buffer: NewPageBuffer(c.Buffer.Cap()),
+		Store: c.Store, Meta: c.Meta, Buffer: buf,
 		Context: c.Context, Mem: c.Mem, Faults: c.Faults, TempDir: c.TempDir,
-		Vectorize: c.Vectorize, NoPrune: c.NoPrune,
+		Vectorize: c.Vectorize, NoPrune: c.NoPrune, outer: c.outer,
 	}
 }
 
@@ -397,7 +394,7 @@ func (e *env) lookup(id logical.ColumnID) (datum.D, error) {
 }
 
 // evalCtx builds a logical.EvalContext over an env, wiring subquery
-// evaluation to the naive evaluator.
+// evaluation to evalSubquery.
 func (c *Ctx) evalCtx(e *env) *logical.EvalContext {
 	return &logical.EvalContext{
 		Lookup: e.lookup,
@@ -407,11 +404,22 @@ func (c *Ctx) evalCtx(e *env) *logical.EvalContext {
 	}
 }
 
-// evalSubquery executes a subquery with tuple-iteration semantics against the
-// current bindings.
+// evalSubquery evaluates a subquery for the row bound in e by nested
+// iteration: its sub-plan runs to completion on this worker at degree 1 —
+// never re-entering the pool — under the statement's cancellation, memory
+// account and fault injector, sharing the worker's simulated buffer pool,
+// with e as the outer binding of its correlated columns. Its rows become the
+// subquery's value under three-valued logic.
 func (c *Ctx) evalSubquery(sub *logical.Subquery, e *env) (datum.D, error) {
+	body, ok := sub.Body.(physical.Plan)
+	if !ok {
+		return datum.Null, fmt.Errorf("exec: subquery %s has no sub-plan", sub)
+	}
 	c.Counters.SubqueryEvals++
-	res, err := c.EvalLogical(sub.Plan, e)
+	sc := c.child(c.Buffer)
+	sc.bar, sc.outer = c.bar, e
+	res, err := Run(body, sc)
+	c.Counters.add(sc.Counters)
 	if err != nil {
 		return datum.Null, err
 	}
@@ -458,11 +466,6 @@ func (c *Ctx) evalSubquery(sub *logical.Subquery, e *env) (datum.D, error) {
 	return datum.Null, fmt.Errorf("exec: unknown subquery mode %v", sub.Mode)
 }
 
-// filterRow reports whether the row passes all predicates (TRUE only).
-func (c *Ctx) filterRow(preds []logical.Scalar, e *env) (bool, error) {
-	return allTrue(preds, c.evalCtx(e))
-}
-
 // allTrue evaluates a conjunction against an evaluation context, stopping at
 // the first conjunct that is not TRUE.
 func allTrue(preds []logical.Scalar, ectx *logical.EvalContext) (bool, error) {
@@ -476,25 +479,6 @@ func allTrue(preds []logical.Scalar, ectx *logical.EvalContext) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// scanLayoutOrds maps a list of query column IDs to base-table ordinals via
-// metadata.
-func (c *Ctx) scanOrds(cols []logical.ColumnID) []int {
-	ords := make([]int, len(cols))
-	for i, id := range cols {
-		ords[i] = c.Meta.Column(id).BaseOrd
-	}
-	return ords
-}
-
-// projectRow builds the scan output row from a stored row.
-func projectRow(stored datum.Row, ords []int) datum.Row {
-	out := make(datum.Row, len(ords))
-	for i, o := range ords {
-		out[i] = stored[o]
-	}
-	return out
 }
 
 // subqueryCol locates the subquery's value column in the result layout.

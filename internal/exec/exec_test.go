@@ -7,11 +7,15 @@ import (
 	"testing"
 
 	"repro/internal/catalog"
+	"repro/internal/cost"
 	"repro/internal/datum"
 	"repro/internal/logical"
 	"repro/internal/physical"
+	"repro/internal/reference"
 	"repro/internal/sql"
+	"repro/internal/stats"
 	"repro/internal/storage"
+	"repro/internal/systemr"
 )
 
 type fixture struct {
@@ -84,13 +88,52 @@ func (f *fixture) query(t *testing.T, q string) *logical.Query {
 	return query
 }
 
+// optimize normalizes and column-prunes q and plans it with System-R, the
+// bodies of its subqueries first, as the engine does.
+func optimize(t *testing.T, q *logical.Query) physical.Plan {
+	t.Helper()
+	logical.NormalizeQuery(q, logical.DefaultNormalize())
+	logical.PruneColumns(q)
+	opt := func(q *logical.Query) (physical.Plan, error) {
+		return systemr.New(stats.NewEstimator(q.Meta), cost.DefaultModel(), systemr.DefaultOptions()).Optimize(q)
+	}
+	err := logical.PlanSubqueries(q.Root, q.Meta, func(body *logical.Query) (logical.SubPlan, error) { return opt(body) })
+	if err != nil {
+		t.Fatalf("plan subqueries: %v", err)
+	}
+	plan, err := opt(q)
+	if err != nil {
+		t.Fatalf("optimize: %v", err)
+	}
+	return plan
+}
+
+// run answers q with the executor over a System-R plan, at one and at four
+// workers, and checks both answers against the reference evaluator's as a
+// bag.
 func (f *fixture) run(t *testing.T, q string) *Result {
 	t.Helper()
 	query := f.query(t, q)
-	ctx := NewCtx(f.store, query.Meta)
-	res, err := ctx.RunQuery(query)
+	ref, err := reference.New(f.store, query.Meta).RunQuery(query)
 	if err != nil {
-		t.Fatalf("run %q: %v", q, err)
+		t.Fatalf("reference %q: %v", q, err)
+	}
+	plan := optimize(t, query)
+	var res *Result
+	for _, workers := range []int{1, 4} {
+		ctx := NewCtx(f.store, query.Meta)
+		ctx.Parallelism = workers
+		got, err := RunPlanQuery(plan, query, ctx)
+		ctx.Close()
+		if err != nil {
+			t.Fatalf("run %q at %d workers: %v\n%s", q, workers, err, physical.Format(plan, query.Meta))
+		}
+		if a, b := rowStrings(got), rowStrings(&Result{Rows: ref.Rows}); strings.Join(a, ";") != strings.Join(b, ";") {
+			t.Fatalf("%q at %d workers: %v, reference evaluator %v", q, workers, a, b)
+		}
+		if res == nil {
+			res = got
+		}
 	}
 	return res
 }
@@ -118,6 +161,11 @@ func expectRows(t *testing.T, res *Result, want ...string) {
 		}
 	}
 }
+
+// The TestNaive* cases are the statements the reference evaluator's own tests
+// pin (internal/reference), answered here by the executor: f.run checks every
+// answer against the evaluator's too, and the subquery cases run their
+// sub-plans by nested iteration.
 
 func TestNaiveSelectProject(t *testing.T) {
 	f := newFixture(t)
@@ -226,6 +274,33 @@ func TestNaiveInSubqueryNullSemantics(t *testing.T) {
 	res := f.run(t, `SELECT d.dname FROM Dept d WHERE d.did NOT IN (SELECT e.did FROM Emp e)`)
 	if len(res.Rows) != 0 {
 		t.Errorf("NOT IN over NULL-containing set must be empty, got %v", rowStrings(res))
+	}
+}
+
+// TestSubqueryWithoutSubPlanFails: a subquery that reaches the executor
+// without its optimized body is an execution error, at any worker count.
+func TestSubqueryWithoutSubPlanFails(t *testing.T) {
+	f := newFixture(t)
+	q := f.query(t, `SELECT d.dname FROM Dept d WHERE d.did = 40 OR EXISTS (SELECT 1 FROM Emp e WHERE e.did = d.did)`)
+	var sub *logical.Subquery
+	logical.VisitRel(q.Root, func(e logical.RelExpr) {
+		for _, s := range logical.Scalars(e) {
+			logical.VisitScalar(s, func(sc logical.Scalar) {
+				if s, ok := sc.(*logical.Subquery); ok {
+					sub = s
+				}
+			})
+		}
+	})
+	plan := &physical.Filter{Input: scanPlan(t, q, "d"), Preds: []logical.Scalar{sub}}
+	for _, workers := range []int{1, 4} {
+		c := NewCtx(f.store, q.Meta)
+		c.Parallelism = workers
+		_, err := Run(plan, c)
+		c.Close()
+		if err == nil || !strings.Contains(err.Error(), "has no sub-plan") {
+			t.Fatalf("%d workers: got %v, want a missing sub-plan error", workers, err)
+		}
 	}
 }
 

@@ -220,7 +220,7 @@ func (c *Ctx) execPlan(p physical.Plan) (*Batch, error) {
 func (c *Ctx) values(t *physical.ValuesOp) (*Batch, error) {
 	b := emptyBatch(t.Cols)
 	b.n = len(t.Rows)
-	ectx := c.evalCtx(newEnv(nil, nil))
+	ectx := c.evalCtx(newEnv(nil, c.outer))
 	for _, row := range t.Rows {
 		for ci, s := range row {
 			v, err := logical.Eval(s, ectx)

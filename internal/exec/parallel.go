@@ -176,7 +176,7 @@ func (c *Ctx) runWorkers(n int, fn func(w int, wc *Ctx) error) error {
 	wg.Add(n)
 	for w := 0; w < n; w++ {
 		w := w
-		wc := c.child()
+		wc := c.child(NewPageBuffer(c.Buffer.Cap()))
 		wc.bar = bar
 		children[w] = wc
 		if err := pool.submit(func() {

@@ -635,8 +635,7 @@ func TestParallelWorkerPanicBecomesError(t *testing.T) {
 func TestSortResultMissingColumnError(t *testing.T) {
 	f := newParFixture(t, 10, 0, 14)
 	c := f.ctx(t, 1)
-	res := &Result{Cols: f.rCols, Rows: []datum.Row{{datum.NewInt(1), datum.NewInt(2), datum.NewFloat(3)}}}
-	err := c.sortResult(res, logical.Ordering{{Col: 9999}})
+	_, err := Run(&physical.Sort{Input: f.rScan, By: logical.Ordering{{Col: 9999}}}, c)
 	if err == nil || !strings.Contains(err.Error(), "ORDER BY column") {
 		t.Fatalf("want missing-column error, got %v", err)
 	}

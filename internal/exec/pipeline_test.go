@@ -12,6 +12,7 @@ import (
 	"repro/internal/datum"
 	"repro/internal/logical"
 	"repro/internal/physical"
+	"repro/internal/reference"
 	"repro/internal/sql"
 	"repro/internal/storage"
 )
@@ -193,7 +194,7 @@ func exchange(in physical.Plan, cols ...logical.ColumnID) *physical.Exchange {
 }
 
 // pipeCase is one statement shape: the hand-built physical plan, the SQL the
-// naive evaluator answers it from (select list in the plan's output layout),
+// reference evaluator answers it from (select list in the plan's output layout),
 // and whether the row sequence is part of the answer.
 type pipeCase struct {
 	name    string
@@ -303,7 +304,7 @@ func pipeCases(f *pipeFixture) []pipeCase {
 			Left: oIn(f.cols["O"], cmpConst(logical.CmpLt, o("id"), 40)), Right: oIn(o2, append(right, cmpConst(logical.CmpLt, o2[0], 600))...)}
 	}
 	// The laws one order makes hold over O's odd keys, each stated as a plan
-	// and the statement the naive evaluator answers it from: MIN and MAX are
+	// and the statement the reference evaluator answers it from: MIN and MAX are
 	// the first row of the ascending and descending sort, and the hash,
 	// nested-loop and merge joins of O with O2 on x (and on n) are one bag,
 	// whose size is the sum over the key's groups of left count × right count.
@@ -550,7 +551,7 @@ var spillCases = []string{
 // the join kinds of every join operator, unions, sorts and top-N over keys
 // holding NULL, NaN, both zeros and INT/FLOAT pairs past 2^53, and the
 // degenerate inputs, at 1/2/8 workers × kernels on/off × unlimited/4 KiB
-// budget. The rows are the naive evaluator's — as a bag with exact float
+// budget. The rows are the reference evaluator's — as a bag with exact float
 // bits, as a sequence where the statement orders them, which an index scan
 // delivers in the order a sort does — and the logical work counters are the
 // ones operator-at-a-time execution over rows reported, at every worker count
@@ -568,11 +569,11 @@ func TestPipelineEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: build: %v", tc.name, err)
 		}
-		ref, err := NewCtx(f.store, q.Meta).RunQuery(q)
+		ref, err := reference.New(f.store, q.Meta).RunQuery(q)
 		if err != nil {
-			t.Fatalf("%s: naive: %v", tc.name, err)
+			t.Fatalf("%s: reference: %v", tc.name, err)
 		}
-		want := hexRowsInOrder(ref)
+		want := hexRowsInOrder(&Result{Rows: ref.Rows})
 		if !tc.ordered {
 			sort.Strings(want)
 		}
@@ -594,12 +595,12 @@ func TestPipelineEquivalence(t *testing.T) {
 						sort.Strings(got)
 					}
 					if len(got) != len(want) {
-						t.Errorf("%s: %d rows, naive evaluator %d", label, len(got), len(want))
+						t.Errorf("%s: %d rows, reference evaluator %d", label, len(got), len(want))
 						continue
 					}
 					for i := range want {
 						if got[i] != want[i] {
-							t.Errorf("%s: row %d = %s, naive evaluator %s", label, i, got[i], want[i])
+							t.Errorf("%s: row %d = %s, reference evaluator %s", label, i, got[i], want[i])
 							break
 						}
 					}

@@ -74,9 +74,10 @@ func (c *Ctx) evalLive(pw *pipeWorker, e *env, exprs []logical.Scalar, reads []i
 	return nil
 }
 
-// rowEnv returns an env over layout with a reusable row for filterSel.
-func rowEnv(layout []logical.ColumnID) *env {
-	e := newEnv(layout, nil)
+// rowEnv returns an env over layout with a reusable row for filterSel,
+// chained to the outer row when c runs a subquery's sub-plan.
+func (c *Ctx) rowEnv(layout []logical.ColumnID) *env {
+	e := newEnv(layout, c.outer)
 	e.row = make(datum.Row, len(layout))
 	return e
 }
@@ -163,7 +164,7 @@ func (j *conjunction) apply(wc *Ctx, s *conjScratch, b *Batch, cur []int32, load
 			}
 		}
 		if s.env == nil {
-			s.env = rowEnv(j.layout)
+			s.env = wc.rowEnv(j.layout)
 		}
 		var err error
 		if cur, err = wc.filterSel(j.residual, s.env, b.Vecs, j.resCols, cur, dst, first); err != nil {
@@ -482,7 +483,7 @@ func (p *projectStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, e
 		return b, nil
 	}
 	if sc.env == nil {
-		sc.env = rowEnv(p.t.Input.Columns())
+		sc.env = wc.rowEnv(p.t.Input.Columns())
 	}
 	if err := wc.evalLive(pw, sc.env, p.exprs, p.reads, in, sc.vals); err != nil {
 		return nil, err

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/datum"
 	"repro/internal/logical"
 	"repro/internal/physical"
+	"repro/internal/reference"
 )
 
 // spillCtx is a minimal context for driving the spill machinery directly.
@@ -308,7 +310,7 @@ func TestSpillGroupByMatchesInMemory(t *testing.T) {
 	runSpilled(t, "group by", plan, 1)
 
 	// The reference evaluator's row group table agrees, in order.
-	want, err := NewCtx(nil, nil).memGroupBy(in, layout, []int{0}, layout[:1], aggs)
+	want, err := memGroupBy(in, layout, layout[:1], aggs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,33 +329,26 @@ func TestSpillGroupByMatchesInMemory(t *testing.T) {
 	}
 }
 
-// memGroupBy is the in-memory truth: the reference evaluator's group table
-// fed serially.
-func (c *Ctx) memGroupBy(in []datum.Row, layout []logical.ColumnID, keyOff []int, groupCols []logical.ColumnID, aggs []logical.AggItem) ([]datum.Row, error) {
-	gt := newGroupTable(len(groupCols), aggs)
-	e := newEnv(layout, nil)
-	ectx := c.evalCtx(e)
+// memGroupBy is the in-memory truth: the reference evaluator's aggregation
+// over the rows as literal values, groups in first-seen order.
+func memGroupBy(in []datum.Row, layout, groupCols []logical.ColumnID, aggs []logical.AggItem) ([]datum.Row, error) {
+	vals := &logical.Values{Cols: layout}
 	for _, r := range in {
-		e.row = r
-		key := make(datum.Row, len(keyOff))
-		for i, off := range keyOff {
-			key[i] = r[off]
+		row := make([]logical.Scalar, len(r))
+		for i, d := range r {
+			row[i] = &logical.Const{Val: d}
 		}
-		args := make([]datum.D, len(aggs))
-		for i, a := range aggs {
-			if a.Arg == nil {
-				args[i] = datum.NewInt(1)
-				continue
-			}
-			v, err := logical.Eval(a.Arg, ectx)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		gt.add(key, key.Hash(seqOffsets(len(key))), args)
+		vals.Rows = append(vals.Rows, row)
 	}
-	return gt.rows(), nil
+	q := &logical.Query{Root: &logical.GroupBy{Input: vals, GroupCols: groupCols, Aggs: aggs}, ResultCols: slices.Clone(groupCols)}
+	for _, a := range aggs {
+		q.ResultCols = append(q.ResultCols, a.ID)
+	}
+	res, err := reference.New(nil, nil).RunQuery(q)
+	if err != nil {
+		return nil, err
+	}
+	return res.Rows, nil
 }
 
 // TestKernelGroupByBudgetTripInWorker: the kernel aggregation's per-worker

@@ -324,7 +324,7 @@ func (s *aggSink) consume(wc *Ctx, pw *pipeWorker, w, _ int, b *Batch) error {
 	}
 	if len(s.exprs) > 0 {
 		if wk.env == nil {
-			wk.env, wk.vals = rowEnv(s.input.Columns()), make([][]datum.D, len(s.exprs))
+			wk.env, wk.vals = wc.rowEnv(s.input.Columns()), make([][]datum.D, len(s.exprs))
 		}
 		if err := wc.evalLive(pw, wk.env, s.exprs, s.exprCols, b, wk.vals); err != nil {
 			return err

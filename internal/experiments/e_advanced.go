@@ -10,6 +10,7 @@ import (
 	"repro/internal/matview"
 	"repro/internal/parallel"
 	"repro/internal/qgm"
+	"repro/internal/reference"
 	"repro/internal/stats"
 	"repro/internal/systemr"
 	"repro/internal/udp"
@@ -157,7 +158,7 @@ func E16MatViews() Table {
 	db := workload.Star(workload.StarConfig{FactRows: 60000, DimRows: []int{50}, Seed: 16})
 	db.Analyze(stats.AnalyzeOptions{})
 	if _, err := matview.Materialize(db.Cat, db.Store, "sales_by_k1",
-		"SELECT s.k1 AS k1, COUNT(*) AS cnt, SUM(s.amount) AS amt FROM sales s GROUP BY s.k1"); err != nil {
+		"SELECT s.k1 AS k1, COUNT(*) AS cnt, SUM(s.amount) AS amt FROM sales s GROUP BY s.k1", reference.Compute(db.Cat, db.Store)); err != nil {
 		panic(err)
 	}
 	if tab, ok := db.Store.Table("sales_by_k1"); ok {

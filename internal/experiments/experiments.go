@@ -14,6 +14,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/physical"
+	"repro/internal/reference"
 	"repro/internal/sql"
 	"repro/internal/stats"
 	"repro/internal/systemr"
@@ -160,13 +161,15 @@ func runPlan(db *workload.DB, q *logical.Query, plan physical.Plan) (*exec.Resul
 	return res, ctx.Counters
 }
 
-func runNaive(db *workload.DB, q *logical.Query) (*exec.Result, exec.Counters) {
-	ctx := exec.NewCtx(db.Store, q.Meta)
-	res, err := ctx.RunQuery(q)
+// runNaive executes q with the reference evaluator: no optimization, nested
+// loops, and every subquery by tuple iteration over its logical tree.
+func runNaive(db *workload.DB, q *logical.Query) (*reference.Result, reference.Counters) {
+	ev := reference.New(db.Store, q.Meta)
+	res, err := ev.RunQuery(q)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: naive execute: %v", err))
 	}
-	return res, ctx.Counters
+	return res, ev.Counters
 }
 
 // sameRows reports whether two results hold the same rows in the same order,

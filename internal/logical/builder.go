@@ -871,6 +871,16 @@ func (b *Builder) buildGroupedScalar(e sql.Expr, sc *scope, post map[string]Colu
 		if c, ok := built.(*Col); ok {
 			return nil, fmt.Errorf("logical: column %s is not in GROUP BY", b.md.QualifiedName(c.ID))
 		}
+		// So must every column a subquery reads from outside itself.
+		if sub, ok := built.(*Subquery); ok {
+			grouped := true
+			ScalarCols(sub).ForEach(func(c ColumnID) {
+				grouped = grouped && post[(&Col{ID: c}).String()] == c
+			})
+			if grouped {
+				return sub, nil
+			}
+		}
 	}
 	// Recurse structurally.
 	switch t := e.(type) {

@@ -19,6 +19,10 @@ type NormalizeOptions struct {
 	// SimplifyOuterJoins converts outer joins to inner joins under
 	// null-rejecting predicates.
 	SimplifyOuterJoins bool
+
+	// outer is the query's Query.Outer: columns a predicate may read and
+	// still be pushed as if they were constants.
+	outer ColSet
 }
 
 // DefaultNormalize enables every rule.
@@ -44,8 +48,9 @@ func Normalize(e RelExpr, opts NormalizeOptions) RelExpr {
 	return e
 }
 
-// NormalizeQuery normalizes q.Root in place.
+// NormalizeQuery normalizes q.Root in place, treating q.Outer as constants.
 func NormalizeQuery(q *Query, opts NormalizeOptions) {
+	opts.outer = q.Outer
 	q.Root = Normalize(q.Root, opts)
 }
 
@@ -184,6 +189,16 @@ func foldConstantsNode(e RelExpr, changed *bool) RelExpr {
 	return e
 }
 
+// predCols returns the columns f reads that are not constants: those of
+// Query.Outer are.
+func (opts NormalizeOptions) predCols(f Scalar) ColSet {
+	cols := ScalarCols(f)
+	if opts.outer.Empty() {
+		return cols
+	}
+	return cols.Difference(opts.outer)
+}
+
 // substituteCols replaces column references with the given expressions. It
 // returns nil if a subquery prevents safe substitution.
 func substituteCols(s Scalar, sub map[ColumnID]Scalar) Scalar {
@@ -247,7 +262,7 @@ func pushSelect(sel *Select, opts NormalizeOptions) (RelExpr, bool) {
 		var toLeft, toRight, toOn, stay []Scalar
 		kind := in.Kind
 		for _, f := range sel.Filters {
-			cols := ScalarCols(f)
+			cols := opts.predCols(f)
 			switch {
 			case cols.SubsetOf(leftCols):
 				if kind == FullOuterJoin {
@@ -314,9 +329,14 @@ func pushSelect(sel *Select, opts NormalizeOptions) (RelExpr, bool) {
 		for _, c := range in.GroupCols {
 			groupSet.Add(c)
 		}
+		if len(in.GroupCols) == 0 {
+			// A scalar aggregate returns a row even over empty input, so no
+			// filter may move below it, not even one on constants alone.
+			return sel, false
+		}
 		var pushed, stay []Scalar
 		for _, f := range sel.Filters {
-			if ScalarCols(f).SubsetOf(groupSet) && !HasSubquery(f) {
+			if opts.predCols(f).SubsetOf(groupSet) && !HasSubquery(f) {
 				pushed = append(pushed, f)
 			} else {
 				stay = append(stay, f)
@@ -459,4 +479,38 @@ func pruneRel(e RelExpr, needed ColSet) RelExpr {
 		return &cp
 	}
 	return e
+}
+
+// PlanSubqueries attaches a Body to every subquery in the tree that has none,
+// nested ones first: each body is Plan normalized as a query whose result
+// column is OutCol and whose correlated columns are constants (Query.Outer),
+// column-pruned, then optimized by optimize.
+func PlanSubqueries(e RelExpr, md *Metadata, optimize func(*Query) (SubPlan, error)) error {
+	var err error
+	for _, s := range Scalars(e) {
+		VisitScalar(s, func(sc Scalar) {
+			sub, ok := sc.(*Subquery)
+			if !ok || sub.Body != nil || err != nil {
+				return
+			}
+			body := &Query{Meta: md, Root: sub.Plan, Outer: sub.OuterCols}
+			if sub.OutCol != 0 {
+				body.ResultCols = []ColumnID{sub.OutCol}
+			}
+			NormalizeQuery(body, DefaultNormalize())
+			PruneColumns(body)
+			if err = PlanSubqueries(body.Root, md, optimize); err == nil {
+				sub.Body, err = optimize(body)
+			}
+		})
+		if err != nil {
+			return err
+		}
+	}
+	for _, c := range Children(e) {
+		if err := PlanSubqueries(c, md, optimize); err != nil {
+			return err
+		}
+	}
+	return nil
 }

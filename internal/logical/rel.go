@@ -299,6 +299,10 @@ type Query struct {
 	// OrderBy is the required ordering of the final result (a physical
 	// property of the root, not a logical operator).
 	OrderBy Ordering
+	// Outer holds the columns an enclosing block binds when the query is a
+	// subquery's body — its correlated references. They are constants for
+	// one evaluation, and normalization places predicates accordingly.
+	Outer ColSet
 }
 
 // --- Tree utilities ---

@@ -201,15 +201,21 @@ func (m SubqueryMode) String() string {
 // Subquery embeds a relational subplan in a scalar expression. Correlated
 // column references appear as Col nodes whose IDs are produced outside Plan
 // (the OuterCols). Before optimization the unnesting rewrites of §4.2 remove
-// Subquery nodes where possible; the executor can also evaluate them directly
-// with tuple-iteration semantics — the baseline the paper's unnesting work
-// improves on.
+// Subquery nodes where possible; for every one they leave, the engine
+// optimizes Plan into Body (PlanSubqueries), and the executor evaluates the
+// subquery with nested iteration as System R does: Body runs once per outer
+// row, the outer row's values bound to the OuterCols — the baseline the
+// paper's unnesting work improves on.
 type Subquery struct {
 	Mode SubqueryMode
 	// Scalar is the left operand for SubIn; nil otherwise.
 	Scalar Scalar
 	// Plan is the subquery's relational plan.
 	Plan RelExpr
+	// Body is Plan optimized: a physical plan whose output holds OutCol, nil
+	// until PlanSubqueries attaches it. Copies of the node share it; a copy
+	// whose Plan is remapped drops it.
+	Body SubPlan
 	// OutCol is the column of Plan holding the compared/returned value for
 	// SubIn/SubScalar (zero when the subquery produces no columns).
 	OutCol ColumnID
@@ -217,6 +223,12 @@ type Subquery struct {
 	// by the enclosing query.
 	OuterCols ColSet
 	Negated   bool
+}
+
+// SubPlan is the optimized body of a subquery — a physical.Plan, which this
+// package cannot name, as physical imports it.
+type SubPlan interface {
+	Columns() []ColumnID
 }
 
 func (*Subquery) scalar() {}
@@ -375,7 +387,7 @@ func RemapScalar(s Scalar, mapping map[ColumnID]ColumnID) Scalar {
 				}
 			})
 			cp.OuterCols = outer
-			cp.Plan = RemapRel(sub.Plan, mapping)
+			cp.Plan, cp.Body = RemapRel(sub.Plan, mapping), nil
 			if to, ok := mapping[sub.OutCol]; ok {
 				cp.OutCol = to
 			}

@@ -4,27 +4,27 @@ import (
 	"fmt"
 
 	"repro/internal/catalog"
-	"repro/internal/exec"
+	"repro/internal/datum"
 	"repro/internal/logical"
 	"repro/internal/sql"
 	"repro/internal/storage"
 )
 
-// Materialize computes a view's result and stores it as a backing table,
-// registering the materialized view in the catalog. The backing table is
-// named like the view and carries the view's result column names and kinds.
-func Materialize(cat *catalog.Catalog, store *storage.Store, name, sqlText string) (*catalog.MaterializedView, error) {
+// Compute runs a view's defining query and returns the query it planned —
+// whose ResultCols, ColNames and metadata describe the result — and the rows
+// in ResultCols order.
+type Compute func(sel *sql.SelectStmt) (*logical.Query, []datum.Row, error)
+
+// Materialize computes a view's result with compute and stores it as a
+// backing table, registering the materialized view in the catalog. The
+// backing table is named like the view and carries the view's result column
+// names and kinds.
+func Materialize(cat *catalog.Catalog, store *storage.Store, name, sqlText string, compute Compute) (*catalog.MaterializedView, error) {
 	sel, err := sql.ParseSelect(sqlText)
 	if err != nil {
 		return nil, fmt.Errorf("matview %s: %w", name, err)
 	}
-	q, err := logical.NewBuilder(cat).Build(sel)
-	if err != nil {
-		return nil, fmt.Errorf("matview %s: %w", name, err)
-	}
-	logical.NormalizeQuery(q, logical.DefaultNormalize())
-	ctx := exec.NewCtx(store, q.Meta)
-	res, err := ctx.RunQuery(q)
+	q, rows, err := compute(sel)
 	if err != nil {
 		return nil, fmt.Errorf("matview %s: %w", name, err)
 	}
@@ -38,7 +38,7 @@ func Materialize(cat *catalog.Catalog, store *storage.Store, name, sqlText strin
 	// Computed kinds can drift from declared ones (e.g. SUM over ints yields
 	// INTEGER where metadata guessed FLOAT); trust the data.
 	for i := range def.Cols {
-		for _, r := range res.Rows {
+		for _, r := range rows {
 			if !r[i].IsNull() {
 				def.Cols[i].Kind = r[i].Kind()
 				break
@@ -52,7 +52,7 @@ func Materialize(cat *catalog.Catalog, store *storage.Store, name, sqlText strin
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range res.Rows {
+	for _, r := range rows {
 		if err := tab.Insert(r); err != nil {
 			return nil, err
 		}

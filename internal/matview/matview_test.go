@@ -7,8 +7,8 @@ import (
 	"testing"
 
 	"repro/internal/datum"
-	"repro/internal/exec"
 	"repro/internal/logical"
+	"repro/internal/reference"
 	"repro/internal/sql"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -28,10 +28,14 @@ func buildQuery(t *testing.T, db *workload.DB, q string) *logical.Query {
 	return query
 }
 
+// naive computes a view's rows with the reference evaluator.
+func naive(db *workload.DB) Compute {
+	return reference.Compute(db.Cat, db.Store)
+}
+
 func runRows(t *testing.T, db *workload.DB, q *logical.Query) []string {
 	t.Helper()
-	ctx := exec.NewCtx(db.Store, q.Meta)
-	res, err := ctx.RunQuery(q)
+	res, err := reference.New(db.Store, q.Meta).RunQuery(q)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, logical.Format(q.Root, q.Meta))
 	}
@@ -58,7 +62,7 @@ func TestMaterializeAndMatchSPJ(t *testing.T) {
 	db := workload.EmpDept(workload.EmpDeptConfig{Emps: 800, Depts: 40})
 	db.Analyze(stats.AnalyzeOptions{})
 	mv, err := Materialize(db.Cat, db.Store, "denver_emps",
-		"SELECT e.eid AS eid, e.name AS name, e.sal AS sal, e.did AS did FROM Emp e, Dept d WHERE e.did = d.did AND d.loc = 'Denver'")
+		"SELECT e.eid AS eid, e.name AS name, e.sal AS sal, e.did AS did FROM Emp e, Dept d WHERE e.did = d.did AND d.loc = 'Denver'", naive(db))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +104,7 @@ func TestMaterializeAndMatchSPJ(t *testing.T) {
 func TestNoMatchWhenPredicatesNotContained(t *testing.T) {
 	db := workload.EmpDept(workload.EmpDeptConfig{Emps: 300, Depts: 20})
 	if _, err := Materialize(db.Cat, db.Store, "rich_emps",
-		"SELECT e.eid AS eid, e.did AS did FROM Emp e WHERE e.sal > 15000"); err != nil {
+		"SELECT e.eid AS eid, e.did AS did FROM Emp e WHERE e.sal > 15000", naive(db)); err != nil {
 		t.Fatal(err)
 	}
 	// Query wants MORE rows than the view holds: no rewrite.
@@ -113,7 +117,7 @@ func TestNoMatchWhenPredicatesNotContained(t *testing.T) {
 func TestNoMatchWhenColumnMissing(t *testing.T) {
 	db := workload.EmpDept(workload.EmpDeptConfig{Emps: 300, Depts: 20})
 	if _, err := Materialize(db.Cat, db.Store, "emp_ids",
-		"SELECT e.eid AS eid FROM Emp e WHERE e.sal > 100"); err != nil {
+		"SELECT e.eid AS eid FROM Emp e WHERE e.sal > 100", naive(db)); err != nil {
 		t.Fatal(err)
 	}
 	// Query needs e.name, which the view does not expose.
@@ -126,7 +130,7 @@ func TestNoMatchWhenColumnMissing(t *testing.T) {
 func TestAggregateExactMatch(t *testing.T) {
 	db := workload.EmpDept(workload.EmpDeptConfig{Emps: 600, Depts: 30})
 	if _, err := Materialize(db.Cat, db.Store, "dept_stats",
-		"SELECT e.did AS did, COUNT(*) AS cnt, SUM(e.sal) AS total FROM Emp e GROUP BY e.did"); err != nil {
+		"SELECT e.did AS did, COUNT(*) AS cnt, SUM(e.sal) AS total FROM Emp e GROUP BY e.did", naive(db)); err != nil {
 		t.Fatal(err)
 	}
 	qs := "SELECT e.did, COUNT(*), SUM(e.sal) FROM Emp e GROUP BY e.did"
@@ -155,7 +159,7 @@ func TestAggregateExactMatch(t *testing.T) {
 func TestAggregateRollup(t *testing.T) {
 	db := workload.Star(workload.StarConfig{FactRows: 3000, DimRows: []int{30}, Seed: 3})
 	if _, err := Materialize(db.Cat, db.Store, "sales_by_k1_qty",
-		"SELECT s.k1 AS k1, s.qty AS qty, COUNT(*) AS cnt, SUM(s.amount) AS amt FROM sales s GROUP BY s.k1, s.qty"); err != nil {
+		"SELECT s.k1 AS k1, s.qty AS qty, COUNT(*) AS cnt, SUM(s.amount) AS amt FROM sales s GROUP BY s.k1, s.qty", naive(db)); err != nil {
 		t.Fatal(err)
 	}
 	// Coarser grouping: roll the view up.
@@ -176,7 +180,7 @@ func TestAggregateRollup(t *testing.T) {
 func TestAggregateRollupRejectsAvg(t *testing.T) {
 	db := workload.Star(workload.StarConfig{FactRows: 1000, DimRows: []int{10}, Seed: 5})
 	if _, err := Materialize(db.Cat, db.Store, "avg_view",
-		"SELECT s.k1 AS k1, s.qty AS qty, AVG(s.amount) AS a FROM sales s GROUP BY s.k1, s.qty"); err != nil {
+		"SELECT s.k1 AS k1, s.qty AS qty, AVG(s.amount) AS a FROM sales s GROUP BY s.k1, s.qty", naive(db)); err != nil {
 		t.Fatal(err)
 	}
 	q := buildQuery(t, db, "SELECT s.k1, AVG(s.amount) FROM sales s GROUP BY s.k1")
@@ -188,7 +192,7 @@ func TestAggregateRollupRejectsAvg(t *testing.T) {
 func TestSelfJoinRejected(t *testing.T) {
 	db := workload.EmpDept(workload.EmpDeptConfig{Emps: 100, Depts: 10})
 	if _, err := Materialize(db.Cat, db.Store, "emp_all",
-		"SELECT e.eid AS eid, e.did AS did FROM Emp e"); err != nil {
+		"SELECT e.eid AS eid, e.did AS did FROM Emp e", naive(db)); err != nil {
 		t.Fatal(err)
 	}
 	q := buildQuery(t, db, "SELECT e1.eid FROM Emp e1, Emp e2 WHERE e1.did = e2.did")
@@ -200,7 +204,7 @@ func TestSelfJoinRejected(t *testing.T) {
 func TestExtraPredOnViewOutput(t *testing.T) {
 	db := workload.EmpDept(workload.EmpDeptConfig{Emps: 500, Depts: 25})
 	if _, err := Materialize(db.Cat, db.Store, "emp_slim",
-		"SELECT e.eid AS eid, e.sal AS sal, e.did AS did FROM Emp e WHERE e.age < 40"); err != nil {
+		"SELECT e.eid AS eid, e.sal AS sal, e.did AS did FROM Emp e WHERE e.age < 40", naive(db)); err != nil {
 		t.Fatal(err)
 	}
 	qs := "SELECT e.eid FROM Emp e WHERE e.age < 40 AND e.sal > 12000"

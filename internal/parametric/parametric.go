@@ -55,7 +55,8 @@ type DynamicPlan struct {
 }
 
 // Signature fingerprints a plan's structure: operator kinds, join algorithms
-// and access paths, ignoring constants and cardinalities.
+// and access paths, its subqueries' sub-plans included, ignoring constants
+// and cardinalities.
 func Signature(p physical.Plan) string {
 	var sb strings.Builder
 	var walk func(p physical.Plan)
@@ -89,6 +90,13 @@ func Signature(p physical.Plan) string {
 			sb.WriteString("values")
 		case *physical.Exchange:
 			sb.WriteString("exchange(")
+		}
+		for _, sub := range physical.Subqueries(p) {
+			if body, ok := sub.Body.(physical.Plan); ok {
+				sb.WriteString("sub(")
+				walk(body)
+				sb.WriteByte(')')
+			}
 		}
 		ch := physical.Children(p)
 		for i, c := range ch {

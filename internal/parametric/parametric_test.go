@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/datum"
-	"repro/internal/exec"
 	"repro/internal/logical"
+	"repro/internal/reference"
 	"repro/internal/sql"
 	"repro/internal/stats"
 	"repro/internal/systemr"
@@ -59,7 +59,7 @@ func TestDynamicExecutionCorrect(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := referenceRows(t, db, v)
-		got := sortedNames(res)
+		got := sortedNames(res.Rows)
 		if strings.Join(got, ",") != strings.Join(want, ",") {
 			t.Fatalf("param %d: dynamic plan returned %d rows, reference %d", v, len(got), len(want))
 		}
@@ -131,17 +131,16 @@ func referenceRows(t *testing.T, db *workload.DB, v int64) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := exec.NewCtx(db.Store, q.Meta)
-	res, err := ctx.RunQuery(q)
+	res, err := reference.New(db.Store, q.Meta).RunQuery(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sortedNames(res)
+	return sortedNames(res.Rows)
 }
 
-func sortedNames(res *exec.Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
+func sortedNames(rows []datum.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
 		out[i] = r[0].Str()
 	}
 	sort.Strings(out)
@@ -177,8 +176,7 @@ func TestJoinTemplateSubstitution(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := exec.NewCtx(db.Store, q.Meta)
-		want, err := ctx.RunQuery(q)
+		want, err := reference.New(db.Store, q.Meta).RunQuery(q)
 		if err != nil {
 			t.Fatal(err)
 		}

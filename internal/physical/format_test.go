@@ -197,3 +197,38 @@ func TestFormatMatchesFmt(t *testing.T) {
 		}
 	}
 }
+
+// subqueryPlan is a filter whose predicate holds a correlated EXISTS with a
+// sub-plan, and a NOT IN whose body is an uncorrelated scan with a parameter
+// in its filter.
+func subqueryPlan() (*logical.Metadata, Plan) {
+	md, scan, _ := fixturePlans()
+	inner := md.AddTable(scan.Table, "u")
+	a, ua, ub := scan.Cols[0], inner[0], inner[1]
+	body := &TableScan{Props: Props{Rows: 2, Cost: 3}, Table: scan.Table, Binding: "u", Cols: inner, ColOrds: []int{0, 1},
+		Filter: []logical.Scalar{&logical.Cmp{Op: logical.CmpEq, L: &logical.Col{ID: ub}, R: &logical.Col{ID: a}}}}
+	exists := &logical.Subquery{Mode: logical.SubExists, OutCol: ua, Body: body}
+	exists.OuterCols.Add(a)
+	param := &TableScan{Props: Props{Rows: 4, Cost: 3}, Table: scan.Table, Binding: "u", Cols: inner, ColOrds: []int{0, 1},
+		Filter: []logical.Scalar{&logical.Cmp{Op: logical.CmpGt, L: &logical.Col{ID: ub}, R: &logical.Const{Val: datum.NewInt(5), Param: 1}}}}
+	notIn := &logical.Subquery{Mode: logical.SubIn, Negated: true, Scalar: &logical.Col{ID: a}, OutCol: ua, Body: param}
+	return md, &Filter{Props: Props{Rows: 50, Cost: 20}, Input: scan,
+		Preds: []logical.Scalar{&logical.Or{L: exists, R: notIn}}}
+}
+
+// TestFormatSubPlans: a subquery's sub-plan renders under the operator whose
+// scalar holds it, one level in, below a line naming its mode and its
+// correlated columns.
+func TestFormatSubPlans(t *testing.T) {
+	md, plan := subqueryPlan()
+	want := `filter [(EXISTS <subquery corr=(1)> OR (t.a NOT IN <subquery>))]  (rows=50 cost=20.0)
+  subquery EXISTS corr=(t.a)
+    table-scan t filter=[(u.b = t.a)]  (rows=2 cost=3.0)
+  subquery NOT IN corr=()
+    table-scan t filter=[(u.b > $1)]  (rows=4 cost=3.0)
+  table-scan t  (rows=100 cost=10.0)
+`
+	if got := Format(plan, md); got != want {
+		t.Errorf("Format:\n%s\nwant:\n%s", got, want)
+	}
+}

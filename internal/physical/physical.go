@@ -414,6 +414,54 @@ func (e *Exchange) Columns() []logical.ColumnID { return e.Input.Columns() }
 // Ordering: only preserved when merging sorted streams.
 func (e *Exchange) Ordering() logical.Ordering { return e.MergeOrdering }
 
+// Subqueries returns the subqueries in p's own scalars — not in its inputs,
+// nor in the subqueries' bodies.
+func Subqueries(p Plan) []*logical.Subquery {
+	var out []*logical.Subquery
+	visit := func(ss ...logical.Scalar) {
+		for _, s := range ss {
+			logical.VisitScalar(s, func(sc logical.Scalar) {
+				if sub, ok := sc.(*logical.Subquery); ok {
+					out = append(out, sub)
+				}
+			})
+		}
+	}
+	switch t := p.(type) {
+	case *TableScan:
+		visit(t.Filter...)
+	case *IndexScan:
+		visit(t.Filter...)
+	case *ValuesOp:
+		for _, r := range t.Rows {
+			visit(r...)
+		}
+	case *Filter:
+		visit(t.Preds...)
+	case *Project:
+		for _, it := range t.Items {
+			visit(it.Expr)
+		}
+	case *NLJoin:
+		visit(t.On...)
+	case *INLJoin:
+		visit(t.ExtraOn...)
+	case *HashJoin:
+		visit(t.ExtraOn...)
+	case *MergeJoin:
+		visit(t.ExtraOn...)
+	case *HashGroupBy:
+		for _, a := range t.Aggs {
+			visit(a.Arg)
+		}
+	case *StreamGroupBy:
+		for _, a := range t.Aggs {
+			visit(a.Arg)
+		}
+	}
+	return out
+}
+
 // Children returns the plan children of p.
 func Children(p Plan) []Plan {
 	switch t := p.(type) {
@@ -455,12 +503,12 @@ func Format(p Plan, md *logical.Metadata) string {
 }
 
 // formatPlan writes one line per node, "<indent><Describe>  (rows=%.0f
-// cost=%.1f)", children indented below their parent. Every execution renders
-// its plan (Result.Plan), so it is written with strconv, not fmt.
+// cost=%.1f)", children indented below their parent. The sub-plans of the
+// subqueries in a node's scalars come first, each under a "subquery <mode>
+// corr=(<outer columns>)" line one level below the node. Every execution
+// renders its plan (Result.Plan), so it is written with strconv, not fmt.
 func formatPlan(sb *strings.Builder, p Plan, md *logical.Metadata, depth int) {
-	for i := 0; i < depth; i++ {
-		sb.WriteString("  ")
-	}
+	writeIndent(sb, depth)
 	describe(sb, p, md)
 	rows, cost := p.Estimate()
 	var buf [48]byte
@@ -469,8 +517,33 @@ func formatPlan(sb *strings.Builder, p Plan, md *logical.Metadata, depth int) {
 	b = append(b, " cost="...)
 	b = appendFixed(b, cost, 1)
 	sb.Write(append(b, ")\n"...))
+	for _, sub := range Subqueries(p) {
+		writeIndent(sb, depth+1)
+		sb.WriteString("subquery ")
+		if sub.Negated {
+			sb.WriteString("NOT ")
+		}
+		sb.WriteString(sub.Mode.String())
+		sb.WriteString(" corr=(")
+		sep := ""
+		sub.OuterCols.ForEach(func(c logical.ColumnID) {
+			sb.WriteString(sep)
+			sb.WriteString(md.QualifiedName(c))
+			sep = ", "
+		})
+		sb.WriteString(")\n")
+		if body, ok := sub.Body.(Plan); ok {
+			formatPlan(sb, body, md, depth+2)
+		}
+	}
 	for _, c := range Children(p) {
 		formatPlan(sb, c, md, depth+1)
+	}
+}
+
+func writeIndent(sb *strings.Builder, depth int) {
+	for i := 0; i < depth; i++ {
+		sb.WriteString("  ")
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 
 // BindParams returns a copy of p with every parameter-tagged constant
 // replaced by its fresh binding: binds[n-1] substitutes for parameter $n in
-// scalars (filters, join conditions, projections, aggregate arguments) and in
-// index-scan key fields (EqKey/Lo/Hi threaded through EqKeyParams and
-// Lo/HiParam). The input plan is never mutated — the copy shares only
+// scalars (filters, join conditions, projections, aggregate arguments, the
+// bodies of their subqueries) and in index-scan key fields (EqKey/Lo/Hi
+// threaded through EqKeyParams and Lo/HiParam). The input plan is never mutated — the copy shares only
 // immutable state (catalog pointers, column layouts, estimates) — so one
 // cached plan can be re-bound and executed by many goroutines concurrently.
 // Ordinals without a binding (n > len(binds)) keep their probe value.
@@ -32,8 +32,17 @@ func (b binder) datum(d datum.D, param int) datum.D {
 
 func (b binder) scalar(s logical.Scalar) logical.Scalar {
 	return logical.RewriteScalar(s, func(sc logical.Scalar) logical.Scalar {
-		if k, ok := sc.(*logical.Const); ok && k.Param >= 1 && k.Param <= len(b) {
-			return &logical.Const{Val: b[k.Param-1], Param: k.Param}
+		switch t := sc.(type) {
+		case *logical.Const:
+			if t.Param >= 1 && t.Param <= len(b) {
+				return &logical.Const{Val: b[t.Param-1], Param: t.Param}
+			}
+		case *logical.Subquery:
+			// RewriteScalar hands over a copy of the node: its body can be
+			// replaced by a re-bound copy in place.
+			if body, ok := t.Body.(Plan); ok {
+				t.Body = b.plan(body)
+			}
 		}
 		return sc
 	})
@@ -160,62 +169,4 @@ func (b binder) plan(p Plan) Plan {
 		return &cp
 	}
 	return p
-}
-
-// HasSubqueryScalar reports whether any scalar anywhere in the plan contains
-// a subquery. Subquery scalars embed logical subplans the parameter binder
-// does not descend into, so plans containing them are not eligible for the
-// prepared-statement plan cache (the engine re-optimizes those per execute).
-func HasSubqueryScalar(p Plan) bool {
-	found := false
-	var walk func(Plan)
-	check := func(ss ...logical.Scalar) {
-		for _, s := range ss {
-			if s != nil && logical.HasSubquery(s) {
-				found = true
-			}
-		}
-	}
-	walk = func(p Plan) {
-		if found || p == nil {
-			return
-		}
-		switch t := p.(type) {
-		case *TableScan:
-			check(t.Filter...)
-		case *IndexScan:
-			check(t.Filter...)
-		case *ValuesOp:
-			for _, r := range t.Rows {
-				check(r...)
-			}
-		case *Filter:
-			check(t.Preds...)
-		case *Project:
-			for _, it := range t.Items {
-				check(it.Expr)
-			}
-		case *NLJoin:
-			check(t.On...)
-		case *INLJoin:
-			check(t.ExtraOn...)
-		case *HashJoin:
-			check(t.ExtraOn...)
-		case *MergeJoin:
-			check(t.ExtraOn...)
-		case *HashGroupBy:
-			for _, a := range t.Aggs {
-				check(a.Arg)
-			}
-		case *StreamGroupBy:
-			for _, a := range t.Aggs {
-				check(a.Arg)
-			}
-		}
-		for _, c := range Children(p) {
-			walk(c)
-		}
-	}
-	walk(p)
-	return found
 }

@@ -81,3 +81,21 @@ func TestBindParamsKeepsUnboundOrdinals(t *testing.T) {
 		t.Fatalf("partial bind wrong: eq=%v lo=%v", scan.EqKey[0], scan.Lo)
 	}
 }
+
+// TestBindParamsRebindsSubPlans: a parameter inside a subquery's sub-plan is
+// re-bound like one in the plan itself, and the cached plan keeps its probe
+// value.
+func TestBindParamsRebindsSubPlans(t *testing.T) {
+	_, plan := subqueryPlan()
+	bound := BindParams(plan, []datum.D{datum.NewInt(9)})
+	param := func(p Plan) int64 {
+		body := Subqueries(p)[1].Body.(*TableScan)
+		return body.Filter[0].(*logical.Cmp).R.(*logical.Const).Val.Int()
+	}
+	if got := param(bound); got != 9 {
+		t.Errorf("bound sub-plan compares with %d, want 9", got)
+	}
+	if got := param(plan); got != 5 {
+		t.Errorf("cached sub-plan compares with %d, want 5", got)
+	}
+}

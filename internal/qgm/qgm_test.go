@@ -9,6 +9,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/physical"
+	"repro/internal/reference"
 	"repro/internal/sql"
 	"repro/internal/stats"
 	"repro/internal/systemr"
@@ -135,13 +136,12 @@ func TestStarburstTwoPhaseEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: execute: %v\n%s", qs, err, physical.Format(plan, q.Meta))
 		}
-		refCtx := exec.NewCtx(db.Store, ref.Meta)
-		want, err := refCtx.RunQuery(ref)
+		want, err := reference.New(db.Store, ref.Meta).RunQuery(ref)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g := rowSet(got)
-		w := rowSet(want)
+		w := rowSet(&exec.Result{Rows: want.Rows})
 		if strings.Join(g, ";") != strings.Join(w, ";") {
 			t.Errorf("%s: results disagree\ngot:  %.300v\nwant: %.300v", qs, g, w)
 		}

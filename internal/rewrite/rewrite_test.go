@@ -8,8 +8,8 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
-	"repro/internal/exec"
 	"repro/internal/logical"
+	"repro/internal/reference"
 	"repro/internal/sql"
 	"repro/internal/workload"
 )
@@ -30,8 +30,7 @@ func buildQuery(t *testing.T, db *workload.DB, q string) *logical.Query {
 
 func runQ(t *testing.T, db *workload.DB, q *logical.Query) []string {
 	t.Helper()
-	ctx := exec.NewCtx(db.Store, q.Meta)
-	res, err := ctx.RunQuery(q)
+	res, err := reference.New(db.Store, q.Meta).RunQuery(q)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, logical.Format(q.Root, q.Meta))
 	}
@@ -196,13 +195,13 @@ func TestUnnestReducesSubqueryEvals(t *testing.T) {
 	qs := `SELECT d.dname FROM Dept d WHERE EXISTS
 		(SELECT 1 FROM Emp e WHERE e.did = d.did)`
 	nested := buildQuery(t, db, qs)
-	ctxN := exec.NewCtx(db.Store, nested.Meta)
+	ctxN := reference.New(db.Store, nested.Meta)
 	if _, err := ctxN.RunQuery(nested); err != nil {
 		t.Fatal(err)
 	}
 	flat := buildQuery(t, db, qs)
 	UnnestSubqueries(flat)
-	ctxF := exec.NewCtx(db.Store, flat.Meta)
+	ctxF := reference.New(db.Store, flat.Meta)
 	if _, err := ctxF.RunQuery(flat); err != nil {
 		t.Fatal(err)
 	}
@@ -244,13 +243,13 @@ func TestPushDownGroupByReducesWork(t *testing.T) {
 	qs := `SELECT dim1.attr, SUM(sales.amount) FROM sales, dim1
 		WHERE sales.k1 = dim1.k GROUP BY dim1.attr`
 	plain := buildQuery(t, db, qs)
-	ctxP := exec.NewCtx(db.Store, plain.Meta)
+	ctxP := reference.New(db.Store, plain.Meta)
 	if _, err := ctxP.RunQuery(plain); err != nil {
 		t.Fatal(err)
 	}
 	pushed := buildQuery(t, db, qs)
 	PushDownGroupBy(pushed)
-	ctxQ := exec.NewCtx(db.Store, pushed.Meta)
+	ctxQ := reference.New(db.Store, pushed.Meta)
 	if _, err := ctxQ.RunQuery(pushed); err != nil {
 		t.Fatal(err)
 	}
@@ -339,14 +338,14 @@ func TestApplyMagicReducesWork(t *testing.T) {
 		WHERE e.did = d.did AND e.did = v.did
 		AND e.age < 24 AND d.budget > 950 AND e.sal > v.avgsal`
 	plain := buildQuery(t, db, qs)
-	ctxP := exec.NewCtx(db.Store, plain.Meta)
+	ctxP := reference.New(db.Store, plain.Meta)
 	resP, err := ctxP.RunQuery(plain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	magic := buildQuery(t, db, qs)
 	ApplyMagic(magic)
-	ctxM := exec.NewCtx(db.Store, magic.Meta)
+	ctxM := reference.New(db.Store, magic.Meta)
 	resM, err := ctxM.RunQuery(magic)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ type UnnestStats struct {
 	SemiJoins     int // IN / EXISTS turned into semijoins
 	AntiJoins     int // NOT IN / NOT EXISTS turned into antijoins
 	OuterJoinAggs int // correlated scalar-aggregate subqueries turned into LOJ + group-by
-	Remaining     int // subqueries left for tuple-iteration execution
+	Remaining     int // subqueries left for nested-iteration execution
 }
 
 // UnnestSubqueries rewrites nested subqueries in filters into joins where the
@@ -23,8 +23,9 @@ type UnnestStats struct {
 //     (the Muralikrishna/Dayal form; COUNT(*) becomes a count over a marker
 //     column so empty groups count zero)
 //
-// Subqueries that do not match a safe pattern are left in place; the executor
-// evaluates them with tuple-iteration semantics.
+// Subqueries that do not match a safe pattern are left in place; the engine
+// optimizes each one's body into a sub-plan, and the executor runs it once
+// per outer row (nested iteration).
 func UnnestSubqueries(q *logical.Query) UnnestStats {
 	var st UnnestStats
 	q.Root = unnestRel(q.Root, q.Meta, &st)

@@ -71,11 +71,13 @@ func (o *Optimizer) newBlock(leaves []logical.RelExpr, preds []logical.Scalar, i
 			b.preds = append(b.preds, bp)
 		}
 	}
-	// A complex predicate applies where all its columns first meet; one that
-	// reaches outside the block never does.
+	// A complex predicate applies where all its columns in the block first
+	// meet; a column outside the block is bound by an enclosing query (a
+	// subquery body's correlated column). One with columns but none in the
+	// block floats above the join (optimizeBlock).
 	for _, p := range g.Complex {
 		cols := logical.ScalarCols(p)
-		if !cols.SubsetOf(b.cols) {
+		if !cols.Empty() && !cols.Intersects(b.cols) {
 			continue
 		}
 		bp := blockPred{pred: p}

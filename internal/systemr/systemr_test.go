@@ -12,6 +12,7 @@ import (
 	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/physical"
+	"repro/internal/reference"
 	"repro/internal/sql"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -45,12 +46,11 @@ func verifyPlan(t *testing.T, db *workload.DB, q *logical.Query, plan physical.P
 	if err != nil {
 		t.Fatalf("execute plan: %v\n%s", err, physical.Format(plan, q.Meta))
 	}
-	refCtx := exec.NewCtx(db.Store, q.Meta)
-	want, err := refCtx.RunQuery(q)
+	want, err := reference.New(db.Store, q.Meta).RunQuery(q)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-	gs, ws := rowStrings(got), rowStrings(want)
+	gs, ws := rowStrings(got), rowStrings(&exec.Result{Rows: want.Rows})
 	if strings.Join(gs, ";") != strings.Join(ws, ";") {
 		t.Fatalf("plan and reference disagree\nplan (%d rows): %.300v\nref  (%d rows): %.300v\n%s",
 			len(gs), gs, len(ws), ws, physical.Format(plan, q.Meta))
@@ -282,8 +282,15 @@ func TestOptimizeOuterAndSemiJoins(t *testing.T) {
 		"SELECT d.dname FROM Dept d WHERE EXISTS (SELECT 1 FROM Emp e WHERE e.did = d.did AND e.sal > 10000)",
 	} {
 		q := buildQuery(t, db, qs)
-		o := optimizer(q, DefaultOptions())
-		plan, err := o.Optimize(q)
+		// The EXISTS stays a subquery: its body is planned first, as the
+		// engine does, and runs once per Dept row.
+		err := logical.PlanSubqueries(q.Root, q.Meta, func(body *logical.Query) (logical.SubPlan, error) {
+			return optimizer(body, DefaultOptions()).Optimize(body)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", qs, err)
+		}
+		plan, err := optimizer(q, DefaultOptions()).Optimize(q)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}
@@ -314,8 +321,15 @@ func TestOptimizeManyQueriesAgainstReference(t *testing.T) {
 	}
 	for _, qs := range queries {
 		q := buildQuery(t, db, qs)
-		o := optimizer(q, DefaultOptions())
-		plan, err := o.Optimize(q)
+		// The EXISTS stays a subquery: its body is planned first, as the
+		// engine does, and runs once per Dept row.
+		err := logical.PlanSubqueries(q.Root, q.Meta, func(body *logical.Query) (logical.SubPlan, error) {
+			return optimizer(body, DefaultOptions()).Optimize(body)
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", qs, err)
+		}
+		plan, err := optimizer(q, DefaultOptions()).Optimize(q)
 		if err != nil {
 			t.Fatalf("%s: %v", qs, err)
 		}

@@ -36,6 +36,7 @@ import (
 	"repro/internal/physical"
 	"repro/internal/plancache"
 	"repro/internal/qgm"
+	"repro/internal/reference"
 	"repro/internal/rewrite"
 	"repro/internal/sql"
 	"repro/internal/stats"
@@ -57,7 +58,8 @@ const (
 	// Cascades: single-phase top-down memo search (§6.2).
 	Cascades
 	// Reference executes the normalized logical tree directly with the
-	// naive evaluator (no optimization) — the correctness baseline.
+	// naive evaluator of internal/reference (no optimization) — the
+	// correctness baseline.
 	Reference
 )
 
@@ -628,7 +630,15 @@ func (e *Engine) createIndex(t *sql.CreateIndexStmt) (*Result, error) {
 
 func (e *Engine) createView(t *sql.CreateViewStmt) (*Result, error) {
 	if t.Materialized {
-		if _, err := matview.Materialize(e.cat, e.store, t.Name, t.SQL); err != nil {
+		compute := func(sel *sql.SelectStmt) (*logical.Query, []datum.Row, error) {
+			c, err := e.compile(sel, nil)
+			if err != nil {
+				return nil, nil, err
+			}
+			rows, _, _, err := e.runCompiled(context.Background(), c, false)
+			return c.q, rows, err
+		}
+		if _, err := matview.Materialize(e.cat, e.store, t.Name, t.SQL, compute); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -722,8 +732,9 @@ type compiled struct {
 // builds the query (substituting binds as parameter-tagged constants, so the
 // plan can be re-bound later), normalizes and rewrites it (§4), adds its
 // materialized-view rewritings as alternatives (§7.3), optimizes every
-// alternative and keeps the cheapest plan, then plans the exchanges (§7.1).
-// Reference mode stops after the rewrites. Callers hold the shared latch.
+// alternative — the bodies of the subqueries the rewrites leave included —
+// and keeps the cheapest plan, then plans the exchanges (§7.1). Reference
+// mode stops after the rewrites. Callers hold the shared latch.
 func (e *Engine) compile(sel *sql.SelectStmt, binds []datum.D) (*compiled, error) {
 	b := logical.NewBuilder(e.cat)
 	for _, u := range e.udfs {
@@ -779,7 +790,6 @@ func (e *Engine) compile(sel *sql.SelectStmt, binds []datum.D) (*compiled, error
 }
 
 // run compiles one SELECT and executes it, or with explain renders its plan.
-// Reference mode executes the logical tree with the naive evaluator.
 func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, explain, analyze bool, text string) (*Result, *PlanAnalysis, error) {
 	// Admission first (queue without holding any latch), then the shared
 	// latch for the whole build-optimize-execute span: a SELECT never
@@ -797,18 +807,7 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, explain, analyze 
 	if err != nil {
 		return nil, nil, err
 	}
-	if e.opts.Optimizer == Reference {
-		if analyze {
-			return nil, nil, fmt.Errorf("queryopt: EXPLAIN ANALYZE requires an optimized plan (reference mode executes logical trees)")
-		}
-		ec := e.newExecCtx(ctx, c.q.Meta)
-		res, err := ec.RunQuery(c.q)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e.finish(c, res, ec), nil, nil
-	}
-	if explain {
+	if explain && c.plan != nil {
 		res := &Result{Columns: []string{"plan"}, PlannerTier: c.tier, UsedMaterializedView: c.view}
 		// With an adaptive fast path configured, EXPLAIN says which tier
 		// planned the query; without one, the output is unchanged.
@@ -824,24 +823,19 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, explain, analyze 
 	return e.execute(ctx, c, analyze, text)
 }
 
-// execute runs a compiled plan under the engine's resource governor. With
-// analyze set, execution collects per-operator runtime metrics, returned as
-// the analysis alongside the result; every (node, est, actual) pair is
+// execute runs a compiled statement (runCompiled) and converts its result.
+// With analyze set, execution collects per-operator runtime metrics, returned
+// as the analysis alongside the result; every (node, est, actual) pair is
 // recorded into the engine's feedback ring keyed by the statement family of
 // text, and — when the adaptive options are on — scan observations are
 // harvested into cardinality overrides and bad plans are marked for
 // re-optimization. Callers hold the shared latch.
 func (e *Engine) execute(ctx context.Context, c *compiled, analyze bool, text string) (*Result, *PlanAnalysis, error) {
-	ec := e.newExecCtx(ctx, c.q.Meta)
-	var metrics *physical.RunMetrics
-	if analyze {
-		metrics = ec.EnableAnalyze()
-	}
-	res, err := exec.RunPlanQuery(c.plan, c.q, ec)
+	rows, st, metrics, err := e.runCompiled(ctx, c, analyze)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := e.finish(c, res, ec)
+	out := e.finish(c, rows, st)
 	if !analyze {
 		return out, nil, nil
 	}
@@ -861,6 +855,56 @@ func (e *Engine) execute(ctx context.Context, c *compiled, analyze bool, text st
 		e.markReplan(fp)
 	}
 	return out, pa, nil
+}
+
+// runCompiled executes a compiled statement: its plan under the engine's
+// resource governor or, in Reference mode, which compiles no plan, its
+// logical tree with the reference evaluator.
+func (e *Engine) runCompiled(ctx context.Context, c *compiled, analyze bool) ([]datum.Row, ExecStats, *physical.RunMetrics, error) {
+	if c.plan == nil {
+		if analyze {
+			return nil, ExecStats{}, nil, fmt.Errorf("queryopt: EXPLAIN ANALYZE requires an optimized plan (reference mode executes logical trees)")
+		}
+		ev := reference.New(e.store, c.q.Meta)
+		res, err := ev.RunQuery(c.q)
+		if err != nil {
+			return nil, ExecStats{}, nil, err
+		}
+		n := ev.Counters
+		return res.Rows, ExecStats{
+			RowsProcessed: n.RowsProcessed, HashOps: n.HashOps, SubqueryEvals: n.SubqueryEvals,
+			BytesRead: n.BytesRead, BlocksDict: n.BlocksDict, BlocksRLE: n.BlocksRLE,
+			BlocksPlain: n.BlocksPlain, BlockHits: n.BlockHits,
+		}, nil, nil
+	}
+	ec := e.newExecCtx(ctx, c.q.Meta)
+	var metrics *physical.RunMetrics
+	if analyze {
+		metrics = ec.EnableAnalyze()
+	}
+	res, err := exec.RunPlanQuery(c.plan, c.q, ec)
+	if err != nil {
+		return nil, ExecStats{}, nil, err
+	}
+	n := ec.Counters
+	return res.Rows, ExecStats{
+		PagesRead:      n.PagesRead,
+		RowsProcessed:  n.RowsProcessed,
+		IndexSeeks:     n.IndexSeeks,
+		SubqueryEvals:  n.SubqueryEvals,
+		HashOps:        n.HashOps,
+		Comparisons:    n.Comparisons,
+		Spills:         n.Spills,
+		SpillBytes:     n.SpillBytes,
+		PeakMemBytes:   ec.Mem.Peak(),
+		SegmentsRead:   n.SegmentsRead,
+		SegmentsPruned: n.SegmentsPruned,
+		BytesRead:      n.BytesRead,
+		BlocksDict:     n.BlocksDict,
+		BlocksRLE:      n.BlocksRLE,
+		BlocksPlain:    n.BlocksPlain,
+		BlockHits:      n.BlockHits,
+	}, metrics, nil
 }
 
 // newExecCtx builds the execution context for one query under the engine's
@@ -932,22 +976,32 @@ func (e *Engine) newEstimator(md *logical.Metadata) *stats.Estimator {
 }
 
 // optimizeOne optimizes a logical query and reports the planning tier that
-// produced the plan (see Result.PlannerTier).
+// produced the plan (see Result.PlannerTier). Starburst runs its QGM rewrite
+// phase first (§6.1). Every subquery left in the query then gets its body
+// planned by the same optimizer (logical.PlanSubqueries), so that the
+// executor runs an optimized sub-plan per outer row.
 func (e *Engine) optimizeOne(q *logical.Query) (physical.Plan, string, error) {
+	if e.opts.Optimizer == Starburst {
+		qgm.DefaultEngine().Run(q)
+	}
+	err := logical.PlanSubqueries(q.Root, q.Meta, func(body *logical.Query) (logical.SubPlan, error) {
+		plan, _, err := e.optimizeBlock(body)
+		return plan, err
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	return e.optimizeBlock(q)
+}
+
+// optimizeBlock plans one query block with the engine's optimizer.
+func (e *Engine) optimizeBlock(q *logical.Query) (physical.Plan, string, error) {
 	model := e.costModel()
 	switch e.opts.Optimizer {
-	case SystemR:
+	case SystemR, Starburst:
 		opt := systemr.New(e.newEstimator(q.Meta), model, e.opts.SystemR)
 		plan, err := opt.Optimize(q)
 		return plan, string(opt.Tier), err
-	case Starburst:
-		inner := systemr.New(e.newEstimator(q.Meta), model, e.opts.SystemR)
-		opt := &qgm.Optimizer{
-			Engine: qgm.DefaultEngine(),
-			Plan:   inner,
-		}
-		plan, _, err := opt.Optimize(q)
-		return plan, string(inner.Tier), err
 	case Cascades:
 		opt := cascadesopt.New(e.newEstimator(q.Meta), model, e.opts.Cascades)
 		plan, err := opt.Optimize(q)
@@ -958,44 +1012,27 @@ func (e *Engine) optimizeOne(q *logical.Query) (physical.Plan, string, error) {
 
 // finish converts an execution's rows and counters into a Result stamped
 // with the compiled statement's plan, estimates, tier and view.
-func (e *Engine) finish(c *compiled, res *exec.Result, ctx *exec.Ctx) *Result {
+func (e *Engine) finish(c *compiled, rows []datum.Row, st ExecStats) *Result {
 	out := &Result{
 		Columns:              c.q.ColNames,
 		UsedMaterializedView: c.view,
 		PlannerTier:          c.tier,
-		Stats: ExecStats{
-			PagesRead:      ctx.Counters.PagesRead,
-			RowsProcessed:  ctx.Counters.RowsProcessed,
-			IndexSeeks:     ctx.Counters.IndexSeeks,
-			SubqueryEvals:  ctx.Counters.SubqueryEvals,
-			HashOps:        ctx.Counters.HashOps,
-			Comparisons:    ctx.Counters.Comparisons,
-			Spills:         ctx.Counters.Spills,
-			SpillBytes:     ctx.Counters.SpillBytes,
-			PeakMemBytes:   ctx.Mem.Peak(),
-			SegmentsRead:   ctx.Counters.SegmentsRead,
-			SegmentsPruned: ctx.Counters.SegmentsPruned,
-			BytesRead:      ctx.Counters.BytesRead,
-			BlocksDict:     ctx.Counters.BlocksDict,
-			BlocksRLE:      ctx.Counters.BlocksRLE,
-			BlocksPlain:    ctx.Counters.BlocksPlain,
-			BlockHits:      ctx.Counters.BlockHits,
-		},
+		Stats:                st,
 	}
 	if c.plan != nil {
 		out.Plan = physical.Format(c.plan, c.q.Meta)
 		out.EstRows, out.EstCost = c.plan.Estimate()
 	}
-	if len(res.Rows) > 0 {
+	if len(rows) > 0 {
 		// One backing array for every row's values; each row is capped so an
 		// append to it cannot run into the next.
 		n := 0
-		for _, r := range res.Rows {
+		for _, r := range rows {
 			n += len(r)
 		}
 		vals := make([]any, n)
-		out.Rows = make([][]any, len(res.Rows))
-		for k, r := range res.Rows {
+		out.Rows = make([][]any, len(rows))
+		for k, r := range rows {
 			row := vals[:len(r):len(r)]
 			vals = vals[len(r):]
 			for i, d := range r {

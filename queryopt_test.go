@@ -1,6 +1,7 @@
 package queryopt
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -280,6 +281,60 @@ func TestOneStatementPath(t *testing.T) {
 		"RewriteWithViews", "optimizeOne", "Parallelize"} {
 		if calls[fn] != 1 {
 			t.Errorf("%s has %d call sites, want 1", fn, calls[fn])
+		}
+	}
+}
+
+// TestCorrelatedPredicateOnScan: normalizing a subquery's body treats its
+// correlated columns as constants, so a conjunct over one inner table and the
+// outer row is pushed to that table's scan — by System-R and Cascades alike —
+// instead of staying on the join above it.
+func TestCorrelatedPredicateOnScan(t *testing.T) {
+	for _, kind := range []OptimizerKind{SystemR, Cascades} {
+		e := demoEngine(t, Options{Optimizer: kind})
+		plan, err := e.Explain(`SELECT d.dname FROM dept d WHERE d.did > 20 OR EXISTS
+			(SELECT 1 FROM emp e, dept d2 WHERE e.did = d2.did AND d2.loc = d.loc AND e.sal > 100)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "scan dept filter=[(d2.loc = d.loc)]") {
+			t.Errorf("%v: d2.loc = d.loc is not on the scan of dept d2:\n%s", kind, plan)
+		}
+	}
+}
+
+// TestNaiveSubqueryCasesThroughEngine runs the reference evaluator's four
+// subquery cases through every optimizer, with the rewrites on and off and at
+// one and four workers: unnested or run as sub-plans, the rows are the same.
+func TestNaiveSubqueryCasesThroughEngine(t *testing.T) {
+	cases := []struct{ sql, want string }{
+		// CorrelatedIn: the paper's §4.2.2 pattern.
+		{`SELECT e.name FROM emp e WHERE e.did IN
+			(SELECT d.did FROM dept d WHERE d.dname = 'eng' AND e.sal > 50) ORDER BY e.name`, "[[alice] [bob]]"},
+		// ExistsAndNotExists.
+		{`SELECT d.dname FROM dept d WHERE EXISTS (SELECT 1 FROM emp e WHERE e.did = d.did) ORDER BY d.dname`,
+			"[[eng] [ops] [sales]]"},
+		{`SELECT d.dname FROM dept d WHERE NOT EXISTS (SELECT 1 FROM emp e WHERE e.did = d.did)`, "[]"},
+		// ScalarSubquery: the average salary is 118.875.
+		{`SELECT e.name FROM emp e WHERE e.sal > (SELECT AVG(e2.sal) FROM emp e2) ORDER BY e.name`, "[[alice] [carol]]"},
+		// InSubqueryNullSemantics: NOT IN over a set holding NULL is never TRUE.
+		{`SELECT d.dname FROM dept d WHERE d.did NOT IN (SELECT e.did FROM emp e)`, "[]"},
+	}
+	for _, kind := range allKinds() {
+		for _, disable := range []bool{false, true} {
+			for _, par := range []int{1, 4} {
+				e := demoEngine(t, Options{Optimizer: kind, DisableRewrites: disable, Parallelism: par})
+				for _, c := range cases {
+					res, err := e.Exec(c.sql)
+					if err != nil {
+						t.Fatalf("%v rewrites-off=%v parallel=%d: %s: %v", kind, disable, par, c.sql, err)
+					}
+					if got := fmt.Sprint(res.Rows); got != c.want {
+						t.Errorf("%v rewrites-off=%v parallel=%d: %s = %s, want %s\n%s", kind, disable, par, c.sql, got, c.want, res.Plan)
+					}
+				}
+				e.Close()
+			}
 		}
 	}
 }

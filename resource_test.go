@@ -10,6 +10,7 @@ package queryopt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -262,5 +263,90 @@ func TestExplainAnalyzeShowsMemoryAndSpills(t *testing.T) {
 	}
 	if !strings.Contains(res.Plan, "spills=") || !strings.Contains(res.Plan, "spill_bytes=") {
 		t.Fatalf("budgeted plan reports no spills:\n%s", res.Plan)
+	}
+}
+
+// nestedBig is an engine over big, a 5000-row table that no index serves,
+// and small, 40 rows of big's key domain; the nested statements below keep
+// their subquery under OR, so it runs once per outer row.
+func nestedBig(t *testing.T, opts Options) *Engine {
+	t.Helper()
+	e := New(opts)
+	t.Cleanup(e.Close)
+	e.MustExec(`CREATE TABLE big (x INT, y INT, pad VARCHAR)`)
+	e.MustExec(`CREATE TABLE small (x INT, y INT)`)
+	rows := make([][]any, 5000)
+	for i := range rows {
+		rows[i] = []any{i, i % 97, fmt.Sprintf("p%05d", (i*7919)%5000)}
+	}
+	if err := e.LoadRows("big", rows); err != nil {
+		t.Fatal(err)
+	}
+	rows = rows[:40]
+	for i := range rows {
+		rows[i] = []any{i * 125, i % 7}
+	}
+	if err := e.LoadRows("small", rows); err != nil {
+		t.Fatal(err)
+	}
+	e.MustExec("ANALYZE")
+	return e
+}
+
+// TestNestedSubPlanCancelAndBudget: a subquery's sub-plan runs under its
+// statement's controls. The 5000 × 5000-row OR EXISTS statement stops within
+// a second of its 20 ms deadline instead of running to the end, and a
+// sub-plan that aggregates reserves memory in the statement's budgeted
+// account, at one and at four workers.
+func TestNestedSubPlanCancelAndBudget(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		e := nestedBig(t, Options{MemBudget: 256 << 10, Parallelism: par})
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		_, err := e.ExecContext(ctx, `SELECT COUNT(*) FROM big a WHERE a.x = -1 OR EXISTS
+			(SELECT 1 FROM big b WHERE b.y = a.y AND b.pad > a.pad)`)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("parallel=%d: got %v, want context.DeadlineExceeded", par, err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("parallel=%d: the deadline took %v to take effect", par, d)
+		}
+
+		res, err := e.Exec(`SELECT s.x FROM small s WHERE s.x = -1 OR s.y <
+			(SELECT COUNT(*) FROM (SELECT b.y FROM big b WHERE b.x < s.x GROUP BY b.y) g)`)
+		if err != nil {
+			t.Fatalf("parallel=%d: %v", par, err)
+		}
+		if res.Stats.SubqueryEvals != 40 || res.Stats.PeakMemBytes == 0 {
+			t.Fatalf("parallel=%d: %d subquery evaluations, peak %d bytes; want 40 and a reservation\n%s",
+				par, res.Stats.SubqueryEvals, res.Stats.PeakMemBytes, res.Plan)
+		}
+	}
+}
+
+// TestNestedSubPlanParallelWorkers: over 5000 outer rows the subquery's
+// sub-plan runs inside the parallel pipeline's workers, each on its own
+// context, and the rows and work counters are the serial run's and the
+// reference evaluator's rows.
+func TestNestedSubPlanParallelWorkers(t *testing.T) {
+	const q = `SELECT a.x, a.pad FROM big a WHERE a.x < 10 OR EXISTS
+		(SELECT 1 FROM small s WHERE s.x = a.x AND s.y > a.y - 90)`
+	want := canonRows(nestedBig(t, Options{Optimizer: Reference}).MustExec(q))
+	var serial ExecStats
+	for _, par := range []int{1, 4} {
+		res := nestedBig(t, Options{Parallelism: par}).MustExec(q)
+		if got := canonRows(res); strings.Join(got, ";") != strings.Join(want, ";") {
+			t.Fatalf("parallel=%d: %d rows, reference %d", par, len(got), len(want))
+		}
+		if par == 1 {
+			serial = res.Stats
+		} else if res.Stats.SubqueryEvals != serial.SubqueryEvals || res.Stats.RowsProcessed != serial.RowsProcessed {
+			t.Fatalf("parallel=%d: %d evaluations over %d rows, serial %d over %d", par,
+				res.Stats.SubqueryEvals, res.Stats.RowsProcessed, serial.SubqueryEvals, serial.RowsProcessed)
+		}
+	}
+	if serial.SubqueryEvals < 4990 || len(want) <= 10 {
+		t.Fatalf("%d subquery evaluations, %d rows: the statement does not exercise nested iteration", serial.SubqueryEvals, len(want))
 	}
 }

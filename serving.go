@@ -74,10 +74,9 @@ func (s *Stmt) Exec(args ...any) (*Result, error) {
 // cacheEntry is one plan-cache slot: the diagram for one (normalized text,
 // type signature) pair, stamped with the catalog version it was built under.
 type cacheEntry struct {
-	mu          sync.Mutex
-	version     uint64
-	diagram     *parametric.Diagram
-	uncacheable bool
+	mu      sync.Mutex
+	version uint64
+	diagram *parametric.Diagram
 }
 
 // ExecContext is Exec under a context. Execution follows the same admission
@@ -110,7 +109,6 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 
 	var ce *cacheEntry
 	ver := e.catVersion.Load()
-	uncacheable := false
 	if e.plans != nil {
 		slot, _ := e.plans.GetOrPut(s.norm+"\x00"+typeSig(binds), func() any { return &cacheEntry{version: ver} })
 		ce = slot.(*cacheEntry)
@@ -120,7 +118,6 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 			// since this diagram was built, or the replan trigger fired: every
 			// cached plan may now be invalid or stale — drop and regrow.
 			ce.diagram = nil
-			ce.uncacheable = false
 			ce.version = ver
 		}
 		var hit compiled
@@ -129,7 +126,6 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 				hit = compiled{q: box.Query, plan: box.Plan, tier: "cached", view: box.View}
 			}
 		}
-		uncacheable = ce.uncacheable
 		ce.mu.Unlock()
 		if hit.plan != nil {
 			e.cacheHits.Add(1)
@@ -146,7 +142,7 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ce != nil && !uncacheable {
+	if ce != nil {
 		if err := ce.add(ver, binds, c); err != nil {
 			return nil, err
 		}
@@ -158,19 +154,11 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 // add records a plan compiled at binds in the entry's diagram, unless the
 // catalog moved on since version ver was read.
 func (ce *cacheEntry) add(ver uint64, binds []datum.D, c *compiled) error {
-	if physical.HasSubqueryScalar(c.plan) {
-		// Subquery scalars embed logical subplans the binder does not
-		// descend into; executions of this entry always re-optimize.
-		ce.mu.Lock()
-		ce.uncacheable = true
-		ce.mu.Unlock()
-		return nil
-	}
 	sig := parametric.Signature(c.plan)
 	_, estCost := c.plan.Estimate()
 	ce.mu.Lock()
 	defer ce.mu.Unlock()
-	if ce.version != ver || ce.uncacheable {
+	if ce.version != ver {
 		return nil
 	}
 	if ce.diagram == nil {

@@ -486,3 +486,36 @@ func TestPrepareRejectsNonSelect(t *testing.T) {
 		t.Fatal("Prepare in reference mode succeeded")
 	}
 }
+
+// TestPreparedNestedSubqueryCached: a statement whose subquery stays nested
+// (under OR) is cached like any other — the parameter inside the subquery's
+// sub-plan is re-bound on every hit, so the two repeats hit one plan that
+// was compiled for one of the two bindings — and each execution returns the
+// ad-hoc statement's rows.
+func TestPreparedNestedSubqueryCached(t *testing.T) {
+	for _, kind := range []OptimizerKind{SystemR, Cascades} {
+		e := demoEngine(t, Options{Optimizer: kind})
+		const text = "SELECT d.dname FROM dept d WHERE d.loc = 'Austin' OR EXISTS (SELECT 1 FROM emp e WHERE e.did = d.did AND e.sal > %s) ORDER BY d.dname"
+		st, err := e.Prepare(fmt.Sprintf(text, "?"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, sal := range []int64{100, 200, 100, 200} {
+			before := e.PlanCacheStats().Hits
+			got, err := st.Exec(sal)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := e.MustExec(fmt.Sprintf(text, fmt.Sprint(sal)))
+			if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+				t.Fatalf("%v sal > %d: prepared %v, ad hoc %v", kind, sal, got.Rows, want.Rows)
+			}
+			if i >= 2 && e.PlanCacheStats().Hits != before+1 {
+				t.Fatalf("%v: repeated binding %d missed the cache: %+v", kind, sal, e.PlanCacheStats())
+			}
+		}
+		if got := fmt.Sprint(e.MustExec(fmt.Sprintf(text, "200")).Rows); got != "[[sales]]" {
+			t.Fatalf("%v: sal > 200 returns %s", kind, got)
+		}
+	}
+}
