@@ -90,10 +90,7 @@ func (e *Engine) maintainStats(def *catalog.Table, row datum.Row) {
 		st.PageCount += st.PageCount / st.RowCount
 	}
 	st.RowCount++
-	buckets := e.opts.Analyze.Buckets
-	if buckets <= 0 {
-		buckets = 32
-	}
+	const buckets = 32 // ANALYZE's default bucket budget
 	for ord, cs := range st.ColStats {
 		if ord >= len(row) {
 			continue

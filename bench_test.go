@@ -220,8 +220,8 @@ func BenchmarkExecAnalyzeOn(b *testing.B) {
 // statement allocates on the index-served shapes of the oltp_prepared
 // workload, over 20 000 rows: a primary-key point lookup, a secondary-index
 // lookup of four rows ordered by id, and a 20-key primary-key range ordered by
-// id. Measured: pk_point 3048 B in 40 allocations, index_lookup 4160 B in 61,
-// short_range 6832 B in 76; the ceilings are 1.2x that.
+// id. Measured: pk_point 2640 B in 36 allocations, index_lookup 3608 B in 55,
+// short_range 6424 B in 72; the ceilings are 1.2x that.
 func TestIndexLookupAllocs(t *testing.T) {
 	const n = 20000
 	e := New(Options{})
@@ -241,9 +241,9 @@ func TestIndexLookupAllocs(t *testing.T) {
 		rows          int
 		bytes, allocs float64
 	}{
-		{"pk_point", `SELECT id, owner, bal FROM acct WHERE id = ?`, []any{12345}, 1, 3048 * 1.2, 40 * 1.2},
-		{"index_lookup", `SELECT id, bal FROM acct WHERE owner = ? ORDER BY id`, []any{1234}, 4, 4160 * 1.2, 61 * 1.2},
-		{"short_range", `SELECT id, bal FROM acct WHERE id >= ? AND id < ? ORDER BY id`, []any{15000, 15020}, 20, 6832 * 1.2, 76 * 1.2},
+		{"pk_point", `SELECT id, owner, bal FROM acct WHERE id = ?`, []any{12345}, 1, 2640 * 1.2, 36 * 1.2},
+		{"index_lookup", `SELECT id, bal FROM acct WHERE owner = ? ORDER BY id`, []any{1234}, 4, 3608 * 1.2, 55 * 1.2},
+		{"short_range", `SELECT id, bal FROM acct WHERE id >= ? AND id < ? ORDER BY id`, []any{15000, 15020}, 20, 6424 * 1.2, 72 * 1.2},
 	} {
 		st, err := e.Prepare(tc.sql)
 		if err != nil {

@@ -273,8 +273,8 @@ func runStmt(eng *queryopt.Engine, stmt string, analyze bool, timeout time.Durat
 	}
 	if len(res.Rows) > 0 || len(res.Columns) > 0 {
 		fmt.Printf("(%d rows, %s", len(res.Rows), time.Since(start).Round(time.Microsecond))
-		if res.Stats.PagesRead > 0 {
-			fmt.Printf(", %d simulated pages", res.Stats.PagesRead)
+		if res.Stats.BytesRead > 0 || res.Stats.BlockHits > 0 {
+			fmt.Printf(", %d bytes read, %d block hits", res.Stats.BytesRead, res.Stats.BlockHits)
 		}
 		if res.Stats.Spills > 0 {
 			fmt.Printf(", %d spills (%d bytes)", res.Stats.Spills, res.Stats.SpillBytes)

@@ -286,9 +286,10 @@ func TestRandomOrderedQueries(t *testing.T) {
 // nullable column, a scalar subquery in the select list and in HAVING, a
 // two-level correlation whose innermost block reads the outermost, a
 // correlated subquery in a join's ON, a correlated predicate over three of
-// the body's tables, which a join block applies where they meet, and a filter
-// on outer columns only over a scalar aggregate, which must stay above it: the
-// aggregate returns a row even when the filter rejects all of its input.
+// the body's tables, which a join block applies where they meet, a filter
+// on outer columns only over a scalar aggregate, which must stay above it (the
+// aggregate returns a row even when the filter rejects all of its input), and
+// an outer column in a grouped body's HAVING, a constant within each group.
 var subqueryShapes = []string{
 	"SELECT x.pk FROM r x WHERE x.a = 3 OR EXISTS (SELECT 1 FROM t y WHERE y.fk = x.pk AND y.f > x.f)",
 	"SELECT x.pk FROM r x WHERE x.a < 4 OR NOT EXISTS (SELECT 1 FROM t y, u z WHERE y.a = z.pk AND z.s = x.s AND y.fk = x.fk)",
@@ -301,9 +302,10 @@ var subqueryShapes = []string{
 	"SELECT x.pk FROM r x WHERE EXISTS (SELECT 1 FROM t y WHERE y.fk = x.pk AND EXISTS (SELECT 1 FROM u z WHERE z.pk = y.a AND z.a = x.a))",
 	"SELECT x.pk, y.pk FROM r x JOIN t y ON x.fk = y.pk AND EXISTS (SELECT 1 FROM u z WHERE z.pk = x.a AND z.a = y.a)",
 	"SELECT x.pk, y.pk FROM r x LEFT OUTER JOIN t y ON x.fk = y.pk AND y.a > (SELECT MIN(z.a) FROM u z WHERE z.pk = x.a)",
-	"SELECT x.pk FROM r x WHERE x.pk < 12 AND (x.a < 3 OR EXISTS (SELECT 1 FROM u y, u z, u w WHERE y.a = z.pk AND z.a = w.pk AND y.a + z.a + w.a > x.a + 20))",
+	"SELECT x.pk FROM r x WHERE x.a < 3 OR EXISTS (SELECT 1 FROM u y, u z, u w WHERE y.a = z.pk AND z.a = w.pk AND y.a + z.a + w.a > x.a + 20)",
 	"SELECT x.pk FROM r x WHERE x.a = 3 OR EXISTS (SELECT 1 FROM (SELECT COUNT(*) AS c FROM t y) g WHERE x.a > 5)",
 	"SELECT x.pk, (SELECT g.c FROM (SELECT COUNT(*) AS c FROM t y) g WHERE x.a > 5) FROM r x",
+	"SELECT x.pk FROM r x WHERE EXISTS (SELECT y.a FROM t y WHERE y.fk = x.fk GROUP BY y.a HAVING COUNT(*) > x.a - 18)",
 }
 
 // TestSubqueryShapesEquivalence: every optimizer returns the reference

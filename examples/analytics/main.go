@@ -60,8 +60,8 @@ func main() {
 		eng := buildStar(queryopt.Options{Optimizer: kind})
 		res, err := eng.Exec(query)
 		must(err)
-		fmt.Printf("--- %v: est cost %.1f, pages %d, rows processed %d\n",
-			kind, res.EstCost, res.Stats.PagesRead, res.Stats.RowsProcessed)
+		fmt.Printf("--- %v: est cost %.1f, rows processed %d, hash operations %d\n",
+			kind, res.EstCost, res.Stats.RowsProcessed, res.Stats.HashOps)
 		fmt.Println(res.Plan)
 	}
 
@@ -92,7 +92,7 @@ func main() {
 	fmt.Println(plan)
 	res, err := eng.Exec(star)
 	must(err)
-	fmt.Printf("%d result groups, %d simulated pages read\n", len(res.Rows), res.Stats.PagesRead)
+	fmt.Printf("%d result groups, %d rows processed\n", len(res.Rows), res.Stats.RowsProcessed)
 
 	fmt.Println("\n== CUBE: subtotals at every grouping level (§7.4, [24]) ==")
 	cube, err := eng.Exec(`SELECT s.city, p.category, SUM(f.amount)

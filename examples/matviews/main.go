@@ -47,8 +47,8 @@ func main() {
 		if used == "" {
 			used = "(base table)"
 		}
-		fmt.Printf("%-26s -> answered from %-15s rows=%-6d pages=%-6d est cost=%.1f\n",
-			q.label, used, len(res.Rows), res.Stats.PagesRead, res.EstCost)
+		fmt.Printf("%-26s -> answered from %-15s rows=%-6d rows processed=%-6d est cost=%.1f\n",
+			q.label, used, len(res.Rows), res.Stats.RowsProcessed, res.EstCost)
 	}
 
 	fmt.Println("\n== the same rollup without the view ==")
@@ -62,19 +62,12 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("base-table rollup: pages=%d, est cost=%.1f\n", res.Stats.PagesRead, res.EstCost)
+	fmt.Printf("base-table rollup: rows processed=%d, est cost=%.1f\n", res.Stats.RowsProcessed, res.EstCost)
 	withView, err := eng.Exec(`SELECT s.day, COUNT(*), SUM(s.amount) FROM sales s GROUP BY s.day`)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("view-based rollup: pages=%d, est cost=%.1f  (%.0fx fewer pages)\n",
-		withView.Stats.PagesRead, withView.EstCost,
-		float64(res.Stats.PagesRead)/float64(max64(withView.Stats.PagesRead, 1)))
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	fmt.Printf("view-based rollup: rows processed=%d, est cost=%.1f  (%.0fx fewer rows processed)\n",
+		withView.Stats.RowsProcessed, withView.EstCost,
+		float64(res.Stats.RowsProcessed)/float64(max(withView.Stats.RowsProcessed, 1)))
 }

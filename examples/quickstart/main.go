@@ -57,8 +57,8 @@ func main() {
 	for _, r := range res.Rows {
 		fmt.Printf("%-10s %8d %12.2f\n", r[0], r[1], r[2])
 	}
-	fmt.Printf("\nmeasured: %d simulated pages read, %d rows processed\n",
-		res.Stats.PagesRead, res.Stats.RowsProcessed)
+	fmt.Printf("\nmeasured: %d rows processed, %d index seeks\n",
+		res.Stats.RowsProcessed, res.Stats.IndexSeeks)
 	fmt.Printf("estimated: %.0f rows, cost %.1f\n", res.EstRows, res.EstCost)
 }
 

@@ -45,8 +45,8 @@ func must(err error) {
 func run(label string, eng *queryopt.Engine, q string) *queryopt.Result {
 	res, err := eng.Exec(q)
 	must(err)
-	fmt.Printf("%-22s rows=%-5d subquery-evals=%-6d rows-processed=%-8d pages=%d\n",
-		label, len(res.Rows), res.Stats.SubqueryEvals, res.Stats.RowsProcessed, res.Stats.PagesRead)
+	fmt.Printf("%-22s rows=%-5d subquery-evals=%-6d rows-processed=%-8d index-seeks=%d\n",
+		label, len(res.Rows), res.Stats.SubqueryEvals, res.Stats.RowsProcessed, res.Stats.IndexSeeks)
 	return res
 }
 

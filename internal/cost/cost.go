@@ -60,10 +60,10 @@ func (m Model) pages(rows float64) float64 {
 	return math.Ceil(rows / m.RowsPerPage)
 }
 
-// hitRatio returns the fraction of page re-reads served by the buffer pool
+// HitRatio returns the fraction of page re-reads served by the buffer pool
 // when cycling over `pages` pages — the simplified Mackert/Lohman model. With
 // BufferPages == 0 the buffer model is off and re-reads always pay I/O.
-func (m Model) hitRatio(pages float64) float64 {
+func (m Model) HitRatio(pages float64) float64 {
 	if m.BufferPages <= 0 || pages <= 0 {
 		return 0
 	}
@@ -95,7 +95,7 @@ func (m Model) IndexScan(matchRows, tableRows, tablePages float64, clustered boo
 		return height*m.RandPage + math.Ceil(tablePages*frac)*m.SeqPage + cpu
 	}
 	// Non-clustered: one random page per matching row, except buffer hits.
-	fetches := matchRows * (1 - m.hitRatio(tablePages))
+	fetches := matchRows * (1 - m.HitRatio(tablePages))
 	// Even with a perfect buffer the first tablePages reads are cold.
 	minFetches := math.Min(matchRows, tablePages)
 	if fetches < minFetches {
@@ -143,7 +143,7 @@ func (m Model) NLJoin(outerRows, innerRows, innerCost float64) float64 {
 		outerRows = 1
 	}
 	innerPages := m.pages(innerRows)
-	hit := m.hitRatio(innerPages)
+	hit := m.HitRatio(innerPages)
 	// First pass pays full inner cost; re-scans pay only the miss fraction
 	// of the I/O plus full CPU.
 	rescan := innerCost*(1-hit) + innerRows*m.CPUTuple
@@ -160,7 +160,7 @@ func (m Model) INLJoin(outerRows, matchPerOuter, tableRows, tablePages float64, 
 	if outerRows <= 1 {
 		return probe + outerRows*m.CPUTuple
 	}
-	hit := m.hitRatio(tablePages)
+	hit := m.HitRatio(tablePages)
 	var warm float64
 	if clustered {
 		warm = probe*(1-hit) + matchPerOuter*m.CPUTuple

@@ -117,14 +117,14 @@ func TestGroupByAndMisc(t *testing.T) {
 
 func TestHitRatio(t *testing.T) {
 	m := DefaultModel()
-	if m.hitRatio(100) != 1 {
+	if m.HitRatio(100) != 1 {
 		t.Error("table smaller than buffer should fully hit")
 	}
-	if h := m.hitRatio(512); h <= 0 || h >= 1 {
+	if h := m.HitRatio(512); h <= 0 || h >= 1 {
 		t.Errorf("partial hit ratio = %v", h)
 	}
 	m.BufferPages = 0
-	if m.hitRatio(10) != 0 {
+	if m.HitRatio(10) != 0 {
 		t.Error("disabled buffer model should never hit")
 	}
 }

@@ -26,10 +26,9 @@ import (
 	"repro/internal/storage"
 )
 
-// Counters tallies simulated resource usage during execution, letting
-// experiments compare measured work against the cost model's predictions.
+// Counters tallies the work an execution did, letting experiments compare
+// measured work against the cost model's predictions.
 type Counters struct {
-	PagesRead     int64 // simulated page touches
 	RowsProcessed int64 // rows flowing through operators
 	IndexSeeks    int64
 	SubqueryEvals int64 // sub-plan runs of nested-iteration subqueries
@@ -54,9 +53,6 @@ type Ctx struct {
 	Store    *storage.Store
 	Meta     *logical.Metadata
 	Counters Counters
-	// Buffer simulates the buffer pool: page touches served from it do not
-	// count as PagesRead, mirroring the cost model's §5.2 buffer modeling.
-	Buffer *PageBuffer
 	// Parallelism is the worker count of the morsel scheduler (§7.1 made
 	// real): values > 1 run scans, filters, joins, hash aggregation and sorts
 	// over large enough inputs on that many pool workers. 0 or 1 runs the
@@ -216,10 +212,9 @@ func (c *Ctx) step(op string) error {
 	return c.canceled()
 }
 
-// NewCtx returns a context over the given store and metadata, with a buffer
-// pool sized like cost.DefaultModel (256 pages).
+// NewCtx returns a context over the given store and metadata, kernels on.
 func NewCtx(store *storage.Store, md *logical.Metadata) *Ctx {
-	return &Ctx{Store: store, Meta: md, Buffer: NewPageBuffer(256), Vectorize: true}
+	return &Ctx{Store: store, Meta: md, Vectorize: true}
 }
 
 // Close releases a lazily created worker pool. It is safe to call on any
@@ -234,12 +229,12 @@ func (c *Ctx) Close() {
 
 // child returns a per-worker context sharing the store, metadata and the
 // governor state (cancellation context, memory account, fault injector) but
-// owning private counters and the simulated buffer pool buf — a private one
-// per pool worker, so workers never race on mutable state. Anything a worker
-// runs through its own context stays inline on that worker (Parallelism 0).
-func (c *Ctx) child(buf *PageBuffer) *Ctx {
+// owning private counters, so workers never race on mutable state. Anything
+// a worker runs through its own context stays inline on that worker
+// (Parallelism 0).
+func (c *Ctx) child() *Ctx {
 	return &Ctx{
-		Store: c.Store, Meta: c.Meta, Buffer: buf,
+		Store: c.Store, Meta: c.Meta,
 		Context: c.Context, Mem: c.Mem, Faults: c.Faults, TempDir: c.TempDir,
 		Vectorize: c.Vectorize, NoPrune: c.NoPrune, outer: c.outer,
 	}
@@ -248,7 +243,6 @@ func (c *Ctx) child(buf *PageBuffer) *Ctx {
 // add folds another worker's counters into c — called only at pipeline
 // barriers, after the worker has finished.
 func (cs *Counters) add(o Counters) {
-	cs.PagesRead += o.PagesRead
 	cs.RowsProcessed += o.RowsProcessed
 	cs.IndexSeeks += o.IndexSeeks
 	cs.SubqueryEvals += o.SubqueryEvals
@@ -260,93 +254,6 @@ func (cs *Counters) add(o Counters) {
 	cs.SegmentsRead += o.SegmentsRead
 	cs.SegmentsPruned += o.SegmentsPruned
 	cs.ReadStats.Add(o.ReadStats)
-}
-
-// PageBuffer is a FIFO page cache keyed by (table, page number).
-type PageBuffer struct {
-	cap   int
-	m     map[pageKey]struct{}
-	order []pageKey
-	next  int
-}
-
-type pageKey struct {
-	table string
-	page  int
-}
-
-// NewPageBuffer returns a buffer holding up to capacity pages (0 disables
-// caching: every touch is a read).
-func NewPageBuffer(capacity int) *PageBuffer {
-	return &PageBuffer{cap: capacity, m: make(map[pageKey]struct{})}
-}
-
-// Cap returns the buffer's configured capacity in pages.
-func (b *PageBuffer) Cap() int {
-	if b == nil {
-		return 0
-	}
-	return b.cap
-}
-
-// Touch accesses a page, returning true on a buffer hit.
-func (b *PageBuffer) Touch(table string, page int) bool {
-	if b == nil || b.cap <= 0 {
-		return false
-	}
-	k := pageKey{table, page}
-	if _, ok := b.m[k]; ok {
-		return true
-	}
-	if len(b.order) < b.cap {
-		b.order = append(b.order, k)
-	} else {
-		delete(b.m, b.order[b.next])
-		b.order[b.next] = k
-		b.next = (b.next + 1) % b.cap
-	}
-	b.m[k] = struct{}{}
-	return false
-}
-
-// touchPage charges one page access through the buffer.
-func (c *Ctx) touchPage(table string, page int) {
-	if !c.Buffer.Touch(table, page) {
-		c.Counters.PagesRead++
-	}
-}
-
-// touchRows charges the pages holding the given row ids, in id order. A page
-// is touched once per run of ids on it: touching it again right away would be
-// a hit that changes nothing in the FIFO buffer.
-func (c *Ctx) touchRows(tab *storage.Table, ids []int) {
-	rpp, last := rowsPerPage(tab), -1
-	for _, id := range ids {
-		if page := id / rpp; page != last {
-			c.touchPage(tab.Def.Name, page)
-			last = page
-		}
-	}
-}
-
-func rowsPerPage(tab *storage.Table) int {
-	rc, pc := tab.RowCount(), tab.PageCount()
-	if rc == 0 || pc == 0 {
-		return 1
-	}
-	rpp := (rc + pc - 1) / pc
-	if rpp < 1 {
-		rpp = 1
-	}
-	return rpp
-}
-
-// touchScan charges a full sequential scan of the table.
-func (c *Ctx) touchScan(tab *storage.Table) {
-	pages := tab.PageCount()
-	for p := 0; p < pages; p++ {
-		c.touchPage(tab.Def.Name, p)
-	}
 }
 
 // Result is a materialized relation: a layout and rows in that layout.
@@ -407,16 +314,15 @@ func (c *Ctx) evalCtx(e *env) *logical.EvalContext {
 // evalSubquery evaluates a subquery for the row bound in e by nested
 // iteration: its sub-plan runs to completion on this worker at degree 1 —
 // never re-entering the pool — under the statement's cancellation, memory
-// account and fault injector, sharing the worker's simulated buffer pool,
-// with e as the outer binding of its correlated columns. Its rows become the
-// subquery's value under three-valued logic.
+// account and fault injector, with e as the outer binding of its correlated
+// columns. Its rows become the subquery's value under three-valued logic.
 func (c *Ctx) evalSubquery(sub *logical.Subquery, e *env) (datum.D, error) {
 	body, ok := sub.Body.(physical.Plan)
 	if !ok {
 		return datum.Null, fmt.Errorf("exec: subquery %s has no sub-plan", sub)
 	}
 	c.Counters.SubqueryEvals++
-	sc := c.child(c.Buffer)
+	sc := c.child()
 	sc.bar, sc.outer = c.bar, e
 	res, err := Run(body, sc)
 	c.Counters.add(sc.Counters)

@@ -590,7 +590,6 @@ func (p *inlStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error
 		}
 		wc.Counters.IndexSeeks++
 		ids := p.ix.Seek(sc.key, datum.Null, false, datum.Null, false)
-		wc.touchRows(p.tab, ids)
 		sc.ids = append(sc.ids, ids...)
 	}
 	sc.start = append(sc.start, int32(len(sc.ids)))

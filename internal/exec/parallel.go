@@ -11,7 +11,7 @@
 // partitioning-property boundary whose communication cost internal/parallel
 // models.
 //
-// Every pool worker gets a private Ctx (counters, simulated buffer) merged
+// Every pool worker gets a private Ctx (its counters) merged
 // into the parent at the barrier, so the engine is race-free under
 // `go test -race`. Operators emit the same rows in the same order at every
 // worker count wherever the order is observable: a pipeline's collected
@@ -176,7 +176,7 @@ func (c *Ctx) runWorkers(n int, fn func(w int, wc *Ctx) error) error {
 	wg.Add(n)
 	for w := 0; w < n; w++ {
 		w := w
-		wc := c.child(NewPageBuffer(c.Buffer.Cap()))
+		wc := c.child()
 		wc.bar = bar
 		children[w] = wc
 		if err := pool.submit(func() {

@@ -686,36 +686,3 @@ func TestGroupsAreCompareClasses(t *testing.T) {
 		}
 	}
 }
-
-// TestTouchRowsMatchesPerIDTouches: skipping the touch of a page the previous
-// id already touched leaves PagesRead what one touchPage per id makes it —
-// over an ascending posting list and a shuffled one, through a buffer small
-// enough to evict.
-func TestTouchRowsMatchesPerIDTouches(t *testing.T) {
-	f := newPipeFixture(t)
-	tab, _ := f.store.Table("sales")
-	asc := make([]int, 0, 2000)
-	for id := 1000; id < 5000; id += 2 {
-		asc = append(asc, id)
-	}
-	shuffled := append([]int(nil), asc...)
-	rand.New(rand.NewSource(7)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	for name, ids := range map[string][]int{"ascending": asc, "shuffled": shuffled} {
-		got, want := NewCtx(f.store, f.md), NewCtx(f.store, f.md)
-		got.Buffer, want.Buffer = NewPageBuffer(3), NewPageBuffer(3)
-		got.touchRows(tab, ids)
-		rpp := rowsPerPage(tab)
-		for _, id := range ids {
-			want.touchPage(tab.Def.Name, id/rpp)
-		}
-		if got.Counters.PagesRead != want.Counters.PagesRead || want.Counters.PagesRead == 0 {
-			t.Errorf("%s: PagesRead %d, one touch per id %d", name, got.Counters.PagesRead, want.Counters.PagesRead)
-		}
-		// The buffers end in the same state: the next touches agree too.
-		for page := 0; page < 8; page++ {
-			if got.Buffer.Touch(tab.Def.Name, page) != want.Buffer.Touch(tab.Def.Name, page) {
-				t.Errorf("%s: buffers disagree on page %d afterwards", name, page)
-			}
-		}
-	}
-}

@@ -231,35 +231,16 @@ func (p *scanPruner) dispRange(lo, hi int) storage.ZoneDisp {
 	return disp
 }
 
-// notePruner records the elimination outcome once per scan operator: segment
-// read/pruned counts, and buffer-pool page touches for the segments (and
-// tail) the scan will read — eliminated segments charge nothing, which is how
-// pruning shows up in PagesRead. Called on the coordinating goroutine only.
-func (c *Ctx) notePruner(tab *storage.Table, p *scanPruner) {
+// notePruner records the elimination outcome once per scan operator: how
+// many sealed segments the scan reads and how many zone maps eliminated.
+// Called on the coordinating goroutine only.
+func (c *Ctx) notePruner(p *scanPruner) {
 	var read, pruned int64
-	page := 0
-	name := tab.Def.Name
-	for i, seg := range p.layout {
-		pages := int((seg.Bytes + storage.PageSize - 1) / storage.PageSize)
-		if pages < 1 {
-			pages = 1
-		}
+	for i := range p.layout {
 		if p.disp[i] == storage.ZoneNone {
 			pruned++
-			page += pages
-			continue
-		}
-		read++
-		for k := 0; k < pages; k++ {
-			c.touchPage(name, page+k)
-		}
-		page += pages
-	}
-	if p.total > p.sealed {
-		rpp := rowsPerPage(tab)
-		tailPages := (p.total - p.sealed + rpp - 1) / rpp
-		for k := 0; k < tailPages; k++ {
-			c.touchPage(name, page+k)
+		} else {
+			read++
 		}
 	}
 	c.noteSegments(read, pruned)

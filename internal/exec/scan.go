@@ -301,9 +301,7 @@ func (c *Ctx) openTableScan(t *physical.TableScan) (*pipeline, error) {
 	src := c.newScanSource(tab, t.Cols, t.ColOrds, t.Filter)
 	src.n = tab.RowCount()
 	if src.pruner = c.buildPruner(tab, t.Filter, t.Cols, t.ColOrds); src.pruner != nil {
-		c.notePruner(tab, src.pruner)
-	} else {
-		c.touchScan(tab)
+		c.notePruner(src.pruner)
 	}
 	return c.newPipeline(t, src, began), nil
 }
@@ -322,7 +320,6 @@ func (c *Ctx) openIndexScan(t *physical.IndexScan) (*pipeline, error) {
 	}
 	c.Counters.IndexSeeks++
 	ids := ix.Seek(t.EqKey, t.Lo, t.LoIncl, t.Hi, t.HiIncl)
-	c.touchRows(tab, ids)
 	src := c.newScanSource(tab, t.Cols, t.ColOrds, t.Filter)
 	src.ids, src.byID, src.n = ids, true, len(ids)
 	return c.newPipeline(t, src, began), nil

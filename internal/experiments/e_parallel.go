@@ -120,9 +120,8 @@ func calibrateComm(db *workload.DB, pool *exec.Pool, reps int) float64 {
 	scanPlan, _ := optimize(db, q, systemr.DefaultOptions())
 	const degree = 4
 
-	timed := func(p physical.Plan, parallelism int) (float64, exec.Counters, int) {
+	timed := func(p physical.Plan, parallelism int) (float64, int) {
 		best := -1.0
-		var counters exec.Counters
 		rows := 0
 		for rep := 0; rep < reps; rep++ {
 			ctx := exec.NewCtx(db.Store, q.Meta)
@@ -137,22 +136,23 @@ func calibrateComm(db *workload.DB, pool *exec.Pool, reps int) float64 {
 				panic(fmt.Sprintf("experiments: calibrate: %v", err))
 			}
 			if best < 0 || sec < best {
-				best, counters, rows = sec, ctx.Counters, len(res.Rows)
+				best, rows = sec, len(res.Rows)
 			}
 		}
-		return best, counters, rows
+		return best, rows
 	}
 
-	scanSec, counters, rows := timed(scanPlan, 1)
-	if counters.PagesRead == 0 || rows == 0 {
+	scanSec, rows := timed(scanPlan, 1)
+	sales, _ := db.Store.Table("sales")
+	if sales.PageCount() == 0 || rows == 0 {
 		return cost.DefaultModel().CommCostPerRow
 	}
-	scanSecPerPage := scanSec / float64(counters.PagesRead)
+	scanSecPerPage := scanSec / float64(sales.PageCount())
 
 	// The exchange's marginal cost = (scan+exchange) - scan, both parallel.
-	scan4Sec, _, _ := timed(scanPlan, degree)
+	scan4Sec, _ := timed(scanPlan, degree)
 	ex := &physical.Exchange{Input: scanPlan, Degree: degree, PartitionCols: scanPlan.Columns()[:1]}
-	exSec, _, _ := timed(ex, degree)
+	exSec, _ := timed(ex, degree)
 	perRow := (exSec - scan4Sec) / float64(rows)
 	return cost.CalibrateCommPerRow(perRow, scanSecPerPage)
 }

@@ -7,6 +7,7 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"strings"
 
 	"repro/internal/cost"
@@ -159,6 +160,29 @@ func runPlan(db *workload.DB, q *logical.Query, plan physical.Plan) (*exec.Resul
 		panic(fmt.Sprintf("experiments: execute: %v\n%s", err, physical.Format(plan, q.Meta)))
 	}
 	return res, ctx.Counters
+}
+
+// saveTemp writes db into a new temporary directory (see workload.SaveTo)
+// and returns it; the caller removes it.
+func saveTemp(db *workload.DB) string {
+	dir, err := os.MkdirTemp("", "qopt-experiment-*")
+	if err != nil {
+		panic(err)
+	}
+	if err := db.SaveTo(dir); err != nil {
+		os.RemoveAll(dir)
+		panic(fmt.Sprintf("experiments: save: %v", err))
+	}
+	return dir
+}
+
+// openCold opens db's copy in dir over an empty block cache of cacheBytes.
+func openCold(db *workload.DB, dir string, cacheBytes int64) *workload.DB {
+	cold, err := db.Open(dir, cacheBytes)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: open: %v", err))
+	}
+	return cold
 }
 
 // runNaive executes q with the reference evaluator: no optimization, nested

@@ -111,6 +111,17 @@ func (s *scope) resolve(table, name string) (ColumnID, bool) {
 	return 0, false
 }
 
+// local reports whether the scope binds column id itself, not through an
+// enclosing query block.
+func (s *scope) local(id ColumnID) bool {
+	for _, c := range s.cols {
+		if c.id == id {
+			return true
+		}
+	}
+	return false
+}
+
 func (s *scope) ambiguous(table, name string) bool {
 	matches := 0
 	for _, c := range s.cols {
@@ -851,9 +862,9 @@ func aggCallKey(fc *sql.FuncCall, item AggItem) string {
 }
 
 // buildGroupedScalar builds an expression in the post-GROUP BY environment:
-// aggregate calls and group-by expressions are replaced by column references;
-// any other column reference is an error (not functionally determined by the
-// group).
+// aggregate calls and group-by expressions are replaced by column references,
+// and an enclosing block's column is a constant within every group; any other
+// column reference is an error (not functionally determined by the group).
 func (b *Builder) buildGroupedScalar(e sql.Expr, sc *scope, post map[string]ColumnID) (Scalar, error) {
 	// Aggregate call?
 	if fc, ok := e.(*sql.FuncCall); ok && fc.IsAggregate() {
@@ -867,15 +878,18 @@ func (b *Builder) buildGroupedScalar(e sql.Expr, sc *scope, post map[string]Colu
 		if id, ok := post[built.String()]; ok {
 			return &Col{ID: id}, nil
 		}
-		// A bare column must be a grouping column.
+		// A bare column of this block must be a grouping column.
 		if c, ok := built.(*Col); ok {
+			if !sc.local(c.ID) {
+				return c, nil
+			}
 			return nil, fmt.Errorf("logical: column %s is not in GROUP BY", b.md.QualifiedName(c.ID))
 		}
-		// So must every column a subquery reads from outside itself.
+		// So must every column of this block a subquery reads.
 		if sub, ok := built.(*Subquery); ok {
 			grouped := true
 			ScalarCols(sub).ForEach(func(c ColumnID) {
-				grouped = grouped && post[(&Col{ID: c}).String()] == c
+				grouped = grouped && (!sc.local(c) || post[(&Col{ID: c}).String()] == c)
 			})
 			if grouped {
 				return sub, nil

@@ -120,25 +120,7 @@ func (v *Evaluator) eval(rel logical.RelExpr, outer *env) (*Result, error) {
 		}
 		return out, nil
 	case *logical.Select:
-		in, err := v.eval(t.Input, outer)
-		if err != nil {
-			return nil, err
-		}
-		out := &Result{Cols: in.Cols}
-		e := newEnv(in.Cols, outer)
-		ectx := v.evalCtx(e)
-		for _, r := range in.Rows {
-			e.row = r
-			ok, err := allTrue(t.Filters, ectx)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				out.Rows = append(out.Rows, r)
-			}
-		}
-		v.Counters.RowsProcessed += int64(len(in.Rows))
-		return out, nil
+		return v.where(t.Input, t.Filters, outer)
 	case *logical.Project:
 		in, err := v.eval(t.Input, outer)
 		if err != nil {
@@ -217,7 +199,59 @@ func (v *Evaluator) scan(t *logical.Scan) (*Result, error) {
 	return out, nil
 }
 
-// join tests the ON conjunction on every pair of rows.
+// where evaluates rel under the conjuncts preds. Each conjunct is applied at
+// the lowest inner join whose inputs bind its columns (a column neither input
+// binds belongs to an enclosing block), so a WHERE clause over a
+// comma-separated FROM list joins as it goes instead of filtering the
+// Cartesian product of its tables; above anything else preds filter rel's
+// rows.
+func (v *Evaluator) where(rel logical.RelExpr, preds []logical.Scalar, outer *env) (*Result, error) {
+	if j, ok := rel.(*logical.Join); ok && j.Kind == logical.InnerJoin {
+		lcols, rcols := j.Left.OutputCols(), j.Right.OutputCols()
+		var lp, rp, on []logical.Scalar
+		for _, p := range preds {
+			cols := logical.ScalarCols(p).Intersect(lcols.Union(rcols))
+			switch {
+			case cols.SubsetOf(lcols):
+				lp = append(lp, p)
+			case cols.SubsetOf(rcols):
+				rp = append(rp, p)
+			default:
+				on = append(on, p)
+			}
+		}
+		left, err := v.where(j.Left, lp, outer)
+		if err != nil {
+			return nil, err
+		}
+		right, err := v.where(j.Right, rp, outer)
+		if err != nil {
+			return nil, err
+		}
+		return v.joinRows(j.Kind, left, right, slices.Concat(j.On, on), outer)
+	}
+	in, err := v.eval(rel, outer)
+	if err != nil || len(preds) == 0 {
+		return in, err
+	}
+	out := &Result{Cols: in.Cols}
+	e := newEnv(in.Cols, outer)
+	ectx := v.evalCtx(e)
+	for _, r := range in.Rows {
+		e.row = r
+		ok, err := allTrue(preds, ectx)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			out.Rows = append(out.Rows, r)
+		}
+	}
+	v.Counters.RowsProcessed += int64(len(in.Rows))
+	return out, nil
+}
+
+// join evaluates both inputs and joins them.
 func (v *Evaluator) join(t *logical.Join, outer *env) (*Result, error) {
 	left, err := v.eval(t.Left, outer)
 	if err != nil {
@@ -227,9 +261,14 @@ func (v *Evaluator) join(t *logical.Join, outer *env) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return v.joinRows(t.Kind, left, right, t.On, outer)
+}
+
+// joinRows tests the conjunction on on every pair of rows.
+func (v *Evaluator) joinRows(kind logical.JoinKind, left, right *Result, on []logical.Scalar, outer *env) (*Result, error) {
 	combined := slices.Concat(left.Cols, right.Cols)
 	out := &Result{Cols: left.Cols}
-	if t.Kind.PreservesRight() {
+	if kind.PreservesRight() {
 		out.Cols = combined
 	}
 	e := newEnv(combined, outer)
@@ -240,7 +279,7 @@ func (v *Evaluator) join(t *logical.Join, outer *env) (*Result, error) {
 		for ri, rr := range right.Rows {
 			v.Counters.RowsProcessed++
 			e.row = append(append(e.row[:0], lr...), rr...)
-			ok, err := allTrue(t.On, ectx)
+			ok, err := allTrue(on, ectx)
 			if err != nil {
 				return nil, err
 			}
@@ -248,19 +287,19 @@ func (v *Evaluator) join(t *logical.Join, outer *env) (*Result, error) {
 				continue
 			}
 			matched, rightMatched[ri] = true, true
-			if !t.Kind.PreservesRight() {
+			if !kind.PreservesRight() {
 				break // a semi or anti join needs one match
 			}
 			out.Rows = append(out.Rows, lr.Concat(rr))
 		}
 		switch {
-		case t.Kind == logical.SemiJoin && matched, t.Kind == logical.AntiJoin && !matched:
+		case kind == logical.SemiJoin && matched, kind == logical.AntiJoin && !matched:
 			out.Rows = append(out.Rows, lr)
-		case (t.Kind == logical.LeftOuterJoin || t.Kind == logical.FullOuterJoin) && !matched:
+		case (kind == logical.LeftOuterJoin || kind == logical.FullOuterJoin) && !matched:
 			out.Rows = append(out.Rows, lr.Concat(nullRow(len(right.Cols))))
 		}
 	}
-	if t.Kind == logical.FullOuterJoin {
+	if kind == logical.FullOuterJoin {
 		for ri, rr := range right.Rows {
 			if !rightMatched[ri] {
 				out.Rows = append(out.Rows, nullRow(len(left.Cols)).Concat(rr))

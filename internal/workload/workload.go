@@ -44,6 +44,44 @@ func (db *DB) MustAddTable(t *catalog.Table) *storage.Table {
 	return st
 }
 
+// Open returns db's catalog, statistics included, over a new store that
+// recovers each table's segments from dir and reads them through an empty
+// block cache of cacheBytes: a restart, as far as the cache is concerned.
+func (db *DB) Open(dir string, cacheBytes int64) (*DB, error) {
+	out := &DB{Cat: db.Cat, Store: storage.NewStoreWith(storage.StoreConfig{Dir: dir, CacheBytes: cacheBytes})}
+	for _, t := range db.Cat.Tables() {
+		if _, err := out.Store.CreateTable(t); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// SaveTo writes every table of db into segment files under the empty
+// directory dir, flushed so that no row stays in a volatile tail; Open then
+// reads them back with the same row ids.
+func (db *DB) SaveTo(dir string) error {
+	disk, err := db.Open(dir, 0)
+	if err != nil {
+		return err
+	}
+	for _, def := range db.Cat.Tables() {
+		src, ok := db.Store.Table(def.Name)
+		if !ok {
+			return fmt.Errorf("workload: no storage for table %s", def.Name)
+		}
+		dst, _ := disk.Store.Table(def.Name) // Open created every catalog table
+		rows, err := src.Rows(nil)
+		if err != nil {
+			return err
+		}
+		if err := dst.InsertBatch(rows); err != nil {
+			return err
+		}
+	}
+	return disk.Store.FlushAll()
+}
+
 // EmpDeptConfig sizes the paper's Emp/Dept schema.
 type EmpDeptConfig struct {
 	Emps  int

@@ -147,3 +147,41 @@ func TestChainAndQueries(t *testing.T) {
 }
 
 func contains(s, sub string) bool { return strings.Contains(s, sub) }
+
+// TestSaveToOpen: a copy saved to segment files reopens over the same
+// catalog with an empty block cache, and with every row under its old row id.
+func TestSaveToOpen(t *testing.T) {
+	db := EmpDept(EmpDeptConfig{Emps: 5000, Depts: 50})
+	dir := t.TempDir()
+	if err := db.SaveTo(dir); err != nil {
+		t.Fatal(err)
+	}
+	disk, err := db.Open(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !disk.Store.DiskBacked() || disk.Cat != db.Cat {
+		t.Fatal("Open should share the catalog over a directory-backed store")
+	}
+	emp, _ := disk.Store.Table("Emp")
+	var sc storage.ScanCtx
+	if err := emp.FillColumnRange(&sc, 0, 0, 10, datum.NewVec(datum.KindInt, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if sc.BytesRead == 0 || sc.BlockHits != 0 {
+		t.Errorf("first read of a reopened copy: %d bytes read, %d hits; want a miss", sc.BytesRead, sc.BlockHits)
+	}
+	for _, name := range []string{"Emp", "Dept"} {
+		src, _ := db.Store.Table(name)
+		dst, _ := disk.Store.Table(name)
+		want, got := mustRows(t, src), mustRows(t, dst)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows reopened, %d saved", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].String() != want[i].String() {
+				t.Fatalf("%s row %d: %v reopened, %v saved", name, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -99,10 +99,6 @@ type Options struct {
 	// contain — System-R's default space, which Cascades searches through
 	// the same access paths and join methods (internal/implement).
 	Cascades cascadesopt.Options
-	// Cost overrides the cost model (zero value = DefaultModel).
-	Cost *cost.Model
-	// Analyze configures statistics collection for ANALYZE statements.
-	Analyze stats.AnalyzeOptions
 	// Parallelism > 1 runs the executor's morsel loops on that many workers
 	// (§7.1): optimized plans pass through parallel.Parallelize, which plans
 	// the Exchange operators — the partitioning boundaries and their modeled
@@ -188,14 +184,6 @@ type Options struct {
 	// directory pruned-page costing: every segment is read and filtered. The
 	// control arm of the storage benchmarks.
 	DisableZoneMaps bool
-	// IORetries is how many times a transient storage fault (one matching
-	// faultfs.ErrTransient) is retried before the error propagates to the
-	// query. 0 (the default) disables retries; permanent faults are never
-	// retried.
-	IORetries int
-	// IORetryBackoff is the sleep before the first transient-fault retry,
-	// doubling on each further attempt.
-	IORetryBackoff time.Duration
 	// DisableChecksums skips CRC32C verification when segment column blocks
 	// are decoded. Writes still record checksums; this is the benchmark
 	// control arm for measuring verification overhead and an escape hatch
@@ -317,8 +305,6 @@ func New(opts Options) *Engine {
 			Dir:                opts.StorageDir,
 			SegmentRows:        opts.SegmentRows,
 			CacheBytes:         opts.SegmentCacheBytes,
-			IORetries:          opts.IORetries,
-			IORetryBackoff:     opts.IORetryBackoff,
 			DisableChecksums:   opts.DisableChecksums,
 			DisableCompression: opts.DisableCompression,
 		}),
@@ -414,9 +400,8 @@ type Result struct {
 	PlannerTier string
 }
 
-// ExecStats are measured execution counters (simulated I/O model).
+// ExecStats are measured execution counters.
 type ExecStats struct {
-	PagesRead     int64
 	RowsProcessed int64
 	IndexSeeks    int64
 	SubqueryEvals int64
@@ -701,7 +686,7 @@ func buildConstExpr(e sql.Expr) (logical.Scalar, error) {
 
 func (e *Engine) analyze(t *sql.AnalyzeStmt) (*Result, error) {
 	if t.Table == "" {
-		if err := stats.AnalyzeAll(e.store, e.cat, e.opts.Analyze); err != nil {
+		if err := stats.AnalyzeAll(e.store, e.cat, stats.AnalyzeOptions{}); err != nil {
 			return nil, err
 		}
 		return &Result{}, nil
@@ -710,7 +695,7 @@ func (e *Engine) analyze(t *sql.AnalyzeStmt) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("queryopt: unknown table %q", t.Table)
 	}
-	if err := stats.Analyze(tab, e.opts.Analyze); err != nil {
+	if err := stats.Analyze(tab, stats.AnalyzeOptions{}); err != nil {
 		return nil, err
 	}
 	return &Result{}, nil
@@ -780,7 +765,7 @@ func (e *Engine) compile(sel *sql.SelectStmt, binds []datum.D) (*compiled, error
 	// The exchanges are part of the plan: the plan cache keeps the
 	// parallelized plan, and BindParams copies Exchange nodes like any other.
 	if e.opts.Parallelism > 1 {
-		model := e.costModel()
+		model := cost.DefaultModel()
 		best.plan = parallel.Parallelize(best.plan, parallel.Config{
 			Degree:         e.opts.Parallelism,
 			CommCostPerRow: model.CommCostPerRow,
@@ -888,7 +873,6 @@ func (e *Engine) runCompiled(ctx context.Context, c *compiled, analyze bool) ([]
 	}
 	n := ec.Counters
 	return res.Rows, ExecStats{
-		PagesRead:      n.PagesRead,
 		RowsProcessed:  n.RowsProcessed,
 		IndexSeeks:     n.IndexSeeks,
 		SubqueryEvals:  n.SubqueryEvals,
@@ -926,14 +910,6 @@ func (e *Engine) newExecCtx(ctx context.Context, meta *logical.Metadata) *exec.C
 		ec.Pool = e.pool
 	}
 	return ec
-}
-
-// costModel resolves the engine's cost model (options override or default).
-func (e *Engine) costModel() cost.Model {
-	if e.opts.Cost != nil {
-		return *e.opts.Cost
-	}
-	return cost.DefaultModel()
 }
 
 // newEstimator builds the statistics estimator for one query, wired to the
@@ -996,7 +972,7 @@ func (e *Engine) optimizeOne(q *logical.Query) (physical.Plan, string, error) {
 
 // optimizeBlock plans one query block with the engine's optimizer.
 func (e *Engine) optimizeBlock(q *logical.Query) (physical.Plan, string, error) {
-	model := e.costModel()
+	model := cost.DefaultModel()
 	switch e.opts.Optimizer {
 	case SystemR, Starburst:
 		opt := systemr.New(e.newEstimator(q.Meta), model, e.opts.SystemR)

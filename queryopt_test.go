@@ -146,7 +146,7 @@ func TestResultStatsAndEstimates(t *testing.T) {
 	if res.EstCost <= 0 || res.Plan == "" {
 		t.Error("plan and estimates should be populated")
 	}
-	if res.Stats.PagesRead == 0 {
+	if res.Stats.RowsProcessed == 0 {
 		t.Error("execution counters should be populated")
 	}
 }
