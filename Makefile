@@ -54,11 +54,13 @@ plan-bench:
 # spilling operators under a 1 MiB budget (grace join, 20 000-group
 # aggregation); ns/row plus B/op and allocs/op. In internal/storage: one index Seek on a 20 000-entry index
 # (point, and a range at the start, middle and end) and one index build over
-# 100 000 rows (INT and string keys, loaded ascending or shuffled).
-# EXEC_BENCHTIME=1x is the CI smoke setting.
+# 100 000 rows (INT and string keys, loaded ascending or shuffled). In
+# internal/stats: BenchmarkAnalyze, one full ANALYZE of a 100 000-row
+# sales-shaped table in memory and on flushed segments (ns/row, B/op,
+# allocs/op). EXEC_BENCHTIME=1x is the CI smoke setting.
 EXEC_BENCHTIME ?= 1s
 exec-bench:
-	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkFilteredScan|BenchmarkPipeline|BenchmarkOrdered|BenchmarkSpill|BenchmarkIndex' -benchmem -benchtime $(EXEC_BENCHTIME) ./internal/exec ./internal/storage
+	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkFilteredScan|BenchmarkPipeline|BenchmarkOrdered|BenchmarkSpill|BenchmarkIndex|BenchmarkAnalyze' -benchmem -benchtime $(EXEC_BENCHTIME) ./internal/exec ./internal/storage ./internal/stats
 
 # Every root benchmark — the experiment wrappers and the engine
 # micro-benchmarks — with B/op and allocs/op; -run '^$' skips the tests.

@@ -172,22 +172,31 @@ func (c *Ctx) noteScan(sc *storage.ScanCtx) {
 	}
 }
 
-// The storage read API takes a per-call ScanCtx carrying the fault injector
-// and returning real bytes read; these wrappers thread both ends so
-// operators keep one-line call sites.
+// The storage read API — column fills and the lazy build of an index — takes
+// a per-call ScanCtx carrying the fault injector and returning real bytes
+// read; these wrappers thread both ends so operators keep one-line calls.
 
 func (c *Ctx) fillRange(tab *storage.Table, ord, lo, hi int, v *datum.Vec) error {
 	sc := storage.ScanCtx{Faults: c.Faults}
-	err := tab.FillColumnRange(&sc, ord, lo, hi, v)
-	c.noteScan(&sc)
-	return err
+	defer c.noteScan(&sc)
+	return tab.FillColumnRange(&sc, ord, lo, hi, v)
 }
 
 func (c *Ctx) fillIDs(tab *storage.Table, ord int, ids []int, v *datum.Vec) error {
 	sc := storage.ScanCtx{Faults: c.Faults}
-	err := tab.FillColumnIDs(&sc, ord, ids, v)
-	c.noteScan(&sc)
-	return err
+	defer c.noteScan(&sc)
+	return tab.FillColumnIDs(&sc, ord, ids, v)
+}
+
+func (c *Ctx) index(table, name string) (*storage.Table, *storage.IndexData, error) {
+	tab, ok := c.Store.Table(table)
+	if !ok {
+		return nil, nil, fmt.Errorf("exec: no storage for table %s", table)
+	}
+	sc := storage.ScanCtx{Faults: c.Faults}
+	defer c.noteScan(&sc)
+	ix, err := tab.Index(&sc, name)
+	return tab, ix, err
 }
 
 // canceled returns the context's error once the execution has been canceled

@@ -21,7 +21,6 @@
 package exec
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -550,11 +549,7 @@ type inlStage struct {
 }
 
 func (c *Ctx) newINLStage(t *physical.INLJoin) (*inlStage, error) {
-	tab, ok := c.Store.Table(t.Table.Name)
-	if !ok {
-		return nil, fmt.Errorf("exec: no storage for table %s", t.Table.Name)
-	}
-	ix, err := tab.Index(t.Index.Name)
+	tab, ix, err := c.index(t.Table.Name, t.Index.Name)
 	if err != nil {
 		return nil, err
 	}

@@ -308,13 +308,9 @@ func (c *Ctx) openTableScan(t *physical.TableScan) (*pipeline, error) {
 
 // openIndexScan resolves the index condition to a posting list and scans it.
 func (c *Ctx) openIndexScan(t *physical.IndexScan) (*pipeline, error) {
-	tab, ok := c.Store.Table(t.Table.Name)
-	if !ok {
-		return nil, fmt.Errorf("exec: no storage for table %s", t.Table.Name)
-	}
 	began := c.tick()
 	defer c.leave(c.enter(t))
-	ix, err := tab.Index(t.Index.Name)
+	tab, ix, err := c.index(t.Table.Name, t.Index.Name)
 	if err != nil {
 		return nil, err
 	}

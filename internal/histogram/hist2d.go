@@ -2,7 +2,7 @@ package histogram
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/datum"
 )
@@ -40,48 +40,21 @@ func Build2D(as, bs []datum.D, kOuter, kInner int) *Hist2D {
 		}
 		pairs = append(pairs, pair{as[i], bs[i]})
 	}
-	h := &Hist2D{}
-	n := len(pairs)
-	if n == 0 {
-		return h
-	}
-	sort.Slice(pairs, func(i, j int) bool { return datum.Compare(pairs[i].a, pairs[j].a) < 0 })
-	if kOuter < 1 {
-		kOuter = 1
-	}
-	if kOuter > n {
-		kOuter = n
-	}
-	per := n / kOuter
-	rem := n % kOuter
+	// The slices are the equi-depth buckets of the first column, so equal
+	// first-column values never split across slices.
+	slices.SortFunc(pairs, func(x, y pair) int { return datum.Compare(x.a, y.a) })
+	outer := EquiDepthSorted(pairs, kOuter,
+		func(x, y pair) bool { return datum.Equal(x.a, y.a) }, func(p pair) datum.D { return p.a })
+	h := &Hist2D{Total: outer.Total}
 	i := 0
-	for s := 0; s < kOuter && i < n; s++ {
-		size := per
-		if s < rem {
-			size++
-		}
-		j := i + size
-		if j > n {
-			j = n
-		}
-		// Never split equal first-column values across slices.
-		for j < n && datum.Equal(pairs[j].a, pairs[j-1].a) {
-			j++
-		}
+	for _, b := range outer.Buckets {
+		j := i + int(b.Count)
 		bVals := make([]datum.D, 0, j-i)
-		for k := i; k < j; k++ {
-			bVals = append(bVals, pairs[k].b)
+		for _, p := range pairs[i:j] {
+			bVals = append(bVals, p.b)
 		}
-		h.Slices = append(h.Slices, Slice2D{
-			Lower: pairs[i].a,
-			Upper: pairs[j-1].a,
-			Count: float64(j - i),
-			Inner: BuildEquiDepth(bVals, kInner),
-		})
+		h.Slices = append(h.Slices, Slice2D{Lower: b.Lower, Upper: b.Upper, Count: b.Count, Inner: BuildEquiDepth(bVals, kInner)})
 		i = j
-	}
-	for _, s := range h.Slices {
-		h.Total += s.Count
 	}
 	return h
 }

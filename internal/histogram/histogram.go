@@ -10,6 +10,7 @@ package histogram
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -84,8 +85,7 @@ func (h *Histogram) Max() datum.D {
 // BuildEquiDepth constructs a k-bucket equi-depth histogram over values.
 // NULLs in the input are ignored. The input slice is not modified.
 func BuildEquiDepth(values []datum.D, k int) *Histogram {
-	vals := sortedNonNull(values)
-	return buildEquiDepthSorted(vals, k, EquiDepth)
+	return EquiDepthSorted(sortedNonNull(values), k, datum.Equal, boxed)
 }
 
 // BuildCompressed constructs a compressed histogram: values whose frequency
@@ -146,7 +146,7 @@ func BuildCompressed(values []datum.D, k, maxSingletons int) *Histogram {
 	if budget < 1 {
 		budget = 1
 	}
-	base := buildEquiDepthSorted(rest, budget, Compressed)
+	base := EquiDepthSorted(rest, budget, datum.Equal, boxed)
 	base.Kind = Compressed
 	base.Buckets = mergeSorted(base.Buckets, singles)
 	base.Total = 0
@@ -174,6 +174,7 @@ func mergeSorted(a, b []Bucket) []Bucket {
 	return out
 }
 
+// sortedNonNull returns the non-NULL values in datum.Compare order.
 func sortedNonNull(values []datum.D) []datum.D {
 	vals := make([]datum.D, 0, len(values))
 	for _, v := range values {
@@ -181,43 +182,47 @@ func sortedNonNull(values []datum.D) []datum.D {
 			vals = append(vals, v)
 		}
 	}
-	sort.Slice(vals, func(i, j int) bool { return datum.Compare(vals[i], vals[j]) < 0 })
+	slices.SortFunc(vals, datum.Compare)
 	return vals
 }
 
-func buildEquiDepthSorted(vals []datum.D, k int, kind Kind) *Histogram {
-	h := &Histogram{Kind: kind}
+func boxed(d datum.D) datum.D { return d }
+
+// EquiDepthSorted cuts a k-bucket equi-depth histogram from vals, a column's
+// non-NULL values sorted in datum.Compare order in whatever payload the
+// caller holds them: boxed datums, or a typed slice (INT, BOOL or dictionary
+// codes, FLOAT, strings) whose equal agrees with datum.Equal on the values
+// box turns them into. It is the one bucket-cutting loop: every histogram
+// built from full data or a sample goes through it. One pass counts each
+// bucket's distinct values — a bucket is extended over every duplicate of its
+// upper bound, so no value straddles two buckets and Distinct is the exact
+// number of distinct values — and only the bucket bounds are boxed.
+func EquiDepthSorted[T any](vals []T, k int, equal func(a, b T) bool, box func(T) datum.D) *Histogram {
+	h := &Histogram{Kind: EquiDepth}
 	n := len(vals)
 	if n == 0 {
 		return h
 	}
-	if k < 1 {
-		k = 1
-	}
-	if k > n {
-		k = n
-	}
-	per := n / k
-	rem := n % k
-	i := 0
-	for b := 0; b < k && i < n; b++ {
-		size := per
+	k = max(1, min(k, n))
+	per, rem := n/k, n%k
+	for b, i := 0, 0; b < k && i < n; b++ {
+		j := i + per
 		if b < rem {
-			size++
-		}
-		j := i + size
-		if j > n {
-			j = n
-		}
-		// Extend bucket to include all duplicates of the boundary value so a
-		// single value never straddles buckets.
-		for j < n && datum.Equal(vals[j], vals[j-1]) {
 			j++
 		}
-		distinct := countDistinctSorted(vals[i:j])
+		j = min(j, n)
+		for j < n && equal(vals[j], vals[j-1]) {
+			j++
+		}
+		distinct := 1
+		for x := i + 1; x < j; x++ {
+			if !equal(vals[x], vals[x-1]) {
+				distinct++
+			}
+		}
 		h.Buckets = append(h.Buckets, Bucket{
-			Lower:    vals[i],
-			Upper:    vals[j-1],
+			Lower:    box(vals[i]),
+			Upper:    box(vals[j-1]),
 			Count:    float64(j - i),
 			Distinct: float64(distinct),
 		})
@@ -228,19 +233,6 @@ func buildEquiDepthSorted(vals []datum.D, k int, kind Kind) *Histogram {
 		h.Distinct += b.Distinct
 	}
 	return h
-}
-
-func countDistinctSorted(vals []datum.D) int {
-	if len(vals) == 0 {
-		return 0
-	}
-	n := 1
-	for i := 1; i < len(vals); i++ {
-		if !datum.Equal(vals[i], vals[i-1]) {
-			n++
-		}
-	}
-	return n
 }
 
 // EstimateEq estimates the number of rows with value v.

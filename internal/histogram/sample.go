@@ -11,22 +11,29 @@ import (
 // values, using the provided source for reproducibility. If m >= len(values)
 // the whole input is returned (copied).
 func Sample(values []datum.D, m int, rng *rand.Rand) []datum.D {
-	n := len(values)
-	if m >= n {
-		out := make([]datum.D, n)
-		copy(out, values)
-		return out
-	}
-	// Reservoir sampling keeps memory proportional to the sample.
-	out := make([]datum.D, m)
-	copy(out, values[:m])
-	for i := m; i < n; i++ {
-		j := rng.Intn(i + 1)
-		if j < m {
-			out[j] = values[i]
-		}
+	pos := SamplePositions(len(values), m, rng)
+	out := make([]datum.D, len(pos))
+	for k, i := range pos {
+		out[k] = values[i]
 	}
 	return out
+}
+
+// SamplePositions draws min(m, n) of the positions [0, n) uniformly without
+// replacement. Reservoir sampling keeps memory proportional to the sample,
+// and a caller holding a column in another form than boxed values samples
+// it by position with the same draws as Sample.
+func SamplePositions(n, m int, rng *rand.Rand) []int {
+	pos := make([]int, min(m, n))
+	for i := range pos {
+		pos[i] = i
+	}
+	for i := m; i < n; i++ {
+		if j := rng.Intn(i + 1); j < m {
+			pos[j] = i
+		}
+	}
+	return pos
 }
 
 // BuildFromSample constructs a k-bucket equi-depth histogram from a sample of
@@ -116,19 +123,26 @@ func distinctCount(values []datum.D) int {
 	return len(valueFrequencies(values))
 }
 
-func valueFrequencies(values []datum.D) map[uint64]int {
-	freq := make(map[uint64]int)
-	for _, v := range values {
-		if v.IsNull() {
-			continue
+// valueFrequencies returns how often each distinct non-NULL value occurs, in
+// value order. Values are told apart by datum.Compare, the order the
+// histograms sort by — not by hash, under which INTs past 2^53 that round to
+// one float64 would count once.
+func valueFrequencies(values []datum.D) []int {
+	vals := sortedNonNull(values)
+	var freq []int
+	for i := 0; i < len(vals); {
+		j := i + 1
+		for j < len(vals) && datum.Equal(vals[j], vals[i]) {
+			j++
 		}
-		freq[v.Hash()]++
+		freq = append(freq, j-i)
+		i = j
 	}
 	return freq
 }
 
-// ExactDistinct counts distinct non-NULL values exactly (ground truth for
-// experiments).
+// ExactDistinct counts distinct non-NULL values exactly under datum.Compare
+// (ground truth for experiments).
 func ExactDistinct(values []datum.D) float64 {
 	return float64(distinctCount(values))
 }

@@ -6,9 +6,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
@@ -20,9 +21,6 @@ import (
 type AnalyzeOptions struct {
 	// Buckets is the histogram bucket budget per column (default 32).
 	Buckets int
-	// Compressed selects compressed (end-biased) histograms instead of
-	// plain equi-depth.
-	Compressed bool
 	// SampleRows, when > 0, builds histograms from a random sample of this
 	// many rows instead of a full scan (§5.1.2).
 	SampleRows int
@@ -39,7 +37,9 @@ func (o AnalyzeOptions) withDefaults() AnalyzeOptions {
 
 // Analyze collects statistics for one stored table into its catalog entry:
 // row and page counts and, per column, null count, distinct count,
-// second-min/second-max and a histogram.
+// second-min/second-max and a histogram. Each column is filled into a typed
+// vector whose non-NULL payload is sorted in datum.Compare order; one pass
+// over it yields everything but the null count, which the vector keeps.
 func Analyze(tab *storage.Table, opts AnalyzeOptions) error {
 	opts = opts.withDefaults()
 	def := tab.Def
@@ -50,69 +50,54 @@ func Analyze(tab *storage.Table, opts AnalyzeOptions) error {
 		ColStats:  make(map[int]*catalog.ColumnStats),
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
+	sampled := opts.SampleRows > 0 && opts.SampleRows < n
 	for ord := range def.Cols {
-		vals, err := columnValues(tab, ord, n)
+		v, err := fillColumn(tab, ord, n)
 		if err != nil {
 			return err
 		}
-		nulls := 0.0
-		for _, d := range vals {
-			if d.IsNull() {
-				nulls++
-			}
+		var sample []datum.D
+		if sampled {
+			sample = sampleRows(v, opts.SampleRows, rng)
 		}
-		cs := &catalog.ColumnStats{NullCount: nulls}
-		cs.SecondMin, cs.SecondMax = secondExtremes(vals)
-		if opts.SampleRows > 0 && opts.SampleRows < len(vals) {
-			sample := histogram.Sample(vals, opts.SampleRows, rng)
-			cs.Hist = histogram.BuildFromSample(sample, len(vals)-int(nulls), opts.Buckets)
-			cs.DistinctCount = histogram.DistinctGEE(sample, len(vals))
-		} else {
-			if opts.Compressed {
-				cs.Hist = histogram.BuildCompressed(vals, opts.Buckets, opts.Buckets/4)
-			} else {
-				cs.Hist = histogram.BuildEquiDepth(vals, opts.Buckets)
-			}
-			cs.DistinctCount = histogram.ExactDistinct(vals)
+		cs := summarizeColumn(v, opts.Buckets)
+		if sampled {
+			cs.Hist = histogram.BuildFromSample(sample, n-int(cs.NullCount), opts.Buckets)
+			cs.DistinctCount = histogram.DistinctGEE(sample, n)
 		}
 		ts.ColStats[ord] = cs
 	}
 	// Multi-column index statistics: distinct key combinations (§5.1.1).
 	for _, ix := range def.Indexes {
-		if len(ix.Cols) < 2 {
-			if len(ix.Cols) == 1 {
-				ix.DistinctKeys = ts.ColStats[ix.Cols[0]].DistinctCount
-			}
-			continue
-		}
-		keyCols := make([][]datum.D, len(ix.Cols))
-		at := make([]int, len(ix.Cols))
-		for j, ord := range ix.Cols {
-			var err error
-			if keyCols[j], err = columnValues(tab, ord, n); err != nil {
+		switch len(ix.Cols) {
+		case 0:
+		case 1:
+			ix.DistinctKeys = ts.ColStats[ix.Cols[0]].DistinctCount
+		default:
+			d, err := distinctKeys(tab, ix.Cols, n)
+			if err != nil {
 				return err
 			}
-			at[j] = j
+			ix.DistinctKeys = d
 		}
-		seen := make(map[uint64]struct{}, n)
-		key := make(datum.Row, len(ix.Cols))
-		for i := 0; i < n; i++ {
-			for j := range key {
-				key[j] = keyCols[j][i]
-			}
-			seen[key.Hash(at)] = struct{}{}
-		}
-		ix.DistinctKeys = float64(len(seen))
 	}
 	def.Stats = ts
 	return nil
 }
 
-// columnValues reads column ord of rows [0, n) — one column fill, not a
-// materialization of every row.
-func columnValues(tab *storage.Table, ord, n int) ([]datum.D, error) {
+// fillColumn reads column ord of rows [0, n) into a vector of its own.
+func fillColumn(tab *storage.Table, ord, n int) (*datum.Vec, error) {
 	v := datum.NewVec(tab.Def.Cols[ord].Kind, n)
 	if err := tab.FillColumnRange(nil, ord, 0, n, v); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// columnValues reads column ord of rows [0, n) as datums.
+func columnValues(tab *storage.Table, ord, n int) ([]datum.D, error) {
+	v, err := fillColumn(tab, ord, n)
+	if err != nil {
 		return nil, err
 	}
 	vals := make([]datum.D, n)
@@ -122,35 +107,131 @@ func columnValues(tab *storage.Table, ord, n int) ([]datum.D, error) {
 	return vals, nil
 }
 
-// secondExtremes returns the second-lowest and second-highest non-NULL values
-// (the paper notes min/max themselves are often outliers). With fewer than
-// two distinct values both fall back to the extremes.
-func secondExtremes(vals []datum.D) (datum.D, datum.D) {
-	var nonNull []datum.D
-	for _, v := range vals {
-		if !v.IsNull() {
-			nonNull = append(nonNull, v)
+// sampleRows boxes m rows of v drawn as histogram.Sample draws them from the
+// boxed column, so a seed selects the same rows.
+func sampleRows(v *datum.Vec, m int, rng *rand.Rand) []datum.D {
+	pos := histogram.SamplePositions(v.Len(), m, rng)
+	sample := make([]datum.D, len(pos))
+	for k, i := range pos {
+		sample[k] = v.D(i)
+	}
+	return sample
+}
+
+// summarizeColumn sorts v's non-NULL payload in place, in datum.Compare
+// order, and reads the column's statistics off it. INT, BOOL and dictionary
+// codes sort as int64 (a dictionary is sorted, so code order is string
+// order), FLOAT as float64 (NaN first, -0 beside +0, as datum.Compare
+// orders them) and plain strings as strings; only a boxed vector sorts by
+// datum.Compare itself.
+func summarizeColumn(v *datum.Vec, k int) *catalog.ColumnStats {
+	null := v.Null
+	if !v.HasNulls() {
+		null = nil
+	}
+	switch {
+	case v.Boxed():
+		vals := nonNull(v.Ds, v.Null)
+		slices.SortFunc(vals, datum.Compare)
+		return summarize(vals, v.Len()-len(vals), k, datum.Equal, func(d datum.D) datum.D { return d })
+	case v.Kind() == datum.KindNull:
+		return summarize([]datum.D(nil), v.Len(), k, datum.Equal, nil)
+	case v.Dict != nil:
+		dict := v.Dict.Vals
+		return summarizeOrdered(nonNull(v.Ints, null), v.NumNulls(), k,
+			func(c int64) datum.D { return datum.NewString(dict[c]) })
+	case v.Kind() == datum.KindInt:
+		return summarizeOrdered(nonNull(v.Ints, null), v.NumNulls(), k, datum.NewInt)
+	case v.Kind() == datum.KindBool:
+		return summarizeOrdered(nonNull(v.Ints, null), v.NumNulls(), k,
+			func(b int64) datum.D { return datum.NewBool(b != 0) })
+	case v.Kind() == datum.KindFloat:
+		return summarizeOrdered(nonNull(v.Floats, null), v.NumNulls(), k, datum.NewFloat)
+	default:
+		return summarizeOrdered(nonNull(v.Strs, null), v.NumNulls(), k, datum.NewString)
+	}
+}
+
+// nonNull moves the payload of the rows null does not mark to the front of
+// vals, keeping their order, and returns that prefix; a nil null keeps vals.
+func nonNull[T any](vals []T, null func(i int) bool) []T {
+	if null == nil {
+		return vals
+	}
+	out := vals[:0]
+	for i, x := range vals {
+		if !null(i) {
+			out = append(out, x)
 		}
 	}
-	if len(nonNull) == 0 {
-		return datum.Null, datum.Null
+	return out
+}
+
+// summarizeOrdered sorts a typed payload — cmp.Compare is datum.Compare on
+// one kind's payload, NaN and -0 included — and summarizes it.
+func summarizeOrdered[T cmp.Ordered](vals []T, nulls, k int, box func(T) datum.D) *catalog.ColumnStats {
+	slices.Sort(vals)
+	return summarize(vals, nulls, k, func(a, b T) bool { return cmp.Compare(a, b) == 0 }, box)
+}
+
+// summarize reads a column's statistics off its sorted non-NULL values: the
+// equi-depth histogram, whose distinct count is the exact number of values
+// distinct under datum.Compare, and the second-lowest and second-highest
+// values (the paper notes min/max themselves are often outliers), which fall
+// back to the extremes with fewer than two distinct values. Only the bucket
+// bounds and the two extremes are boxed.
+func summarize[T any](vals []T, nulls, k int, equal func(a, b T) bool, box func(T) datum.D) *catalog.ColumnStats {
+	h := histogram.EquiDepthSorted(vals, k, equal, box)
+	cs := &catalog.ColumnStats{NullCount: float64(nulls), DistinctCount: h.Distinct, Hist: h}
+	if n := len(vals); n > 0 {
+		lo := 1
+		for lo < n && equal(vals[lo], vals[0]) {
+			lo++
+		}
+		hi := n - 2
+		for hi >= 0 && equal(vals[hi], vals[n-1]) {
+			hi--
+		}
+		if lo == n {
+			lo, hi = 0, n-1
+		}
+		cs.SecondMin, cs.SecondMax = box(vals[lo]), box(vals[hi])
 	}
-	sort.Slice(nonNull, func(i, j int) bool { return datum.Compare(nonNull[i], nonNull[j]) < 0 })
-	lo := nonNull[0]
-	for _, v := range nonNull {
-		if datum.Compare(v, lo) > 0 {
-			lo = v
-			break
+	return cs
+}
+
+// distinctKeys counts the distinct combinations of the given columns over
+// rows [0, n): row positions sorted by the columns' datum.KeyOrders, one run
+// per combination.
+func distinctKeys(tab *storage.Table, cols []int, n int) (float64, error) {
+	orders := make([]func(i, j int) int, len(cols))
+	for x, ord := range cols {
+		v, err := fillColumn(tab, ord, n)
+		if err != nil {
+			return 0, err
+		}
+		orders[x] = datum.NewKeyOrder(v, v, false).Func()
+	}
+	order := func(i, j int) int {
+		for _, c := range orders {
+			if r := c(i, j); r != 0 {
+				return r
+			}
+		}
+		return 0
+	}
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	slices.SortFunc(ids, order)
+	runs := 0
+	for x := range ids {
+		if x == 0 || order(ids[x-1], ids[x]) != 0 {
+			runs++
 		}
 	}
-	hi := nonNull[len(nonNull)-1]
-	for i := len(nonNull) - 1; i >= 0; i-- {
-		if datum.Compare(nonNull[i], hi) < 0 {
-			hi = nonNull[i]
-			break
-		}
-	}
-	return lo, hi
+	return float64(runs), nil
 }
 
 // AnalyzeJoint collects a two-dimensional histogram for a column pair,

@@ -3,10 +3,12 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
+	"repro/internal/histogram"
 	"repro/internal/logical"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -135,6 +137,22 @@ func TestAnalyzeSampled(t *testing.T) {
 	}
 	if cs.DistinctCount < 50 || cs.DistinctCount > 400 {
 		t.Errorf("GEE distinct estimate = %v, want near 100", cs.DistinctCount)
+	}
+	// Each column's sample is the one histogram.Sample draws from the boxed
+	// column, the seeded source running through the columns in order.
+	tab, _ := f.store.Table("Emp")
+	rng := rand.New(rand.NewSource(3))
+	for ord := range emp.Cols {
+		vals, err := columnValues(tab, ord, 10000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample := histogram.Sample(vals, 500, rng)
+		got := ts.ColStats[ord]
+		want := histogram.BuildFromSample(sample, 10000-int(got.NullCount), 20)
+		if !reflect.DeepEqual(got.Hist, want) || got.DistinctCount != histogram.DistinctGEE(sample, 10000) {
+			t.Errorf("column %d: sampled histogram\n%s want\n%s", ord, got.Hist, want)
+		}
 	}
 }
 

@@ -27,8 +27,10 @@ type IndexData struct {
 // Index returns (building if necessary) the named index's data. A cached
 // index is found under the read lock; a build takes the write lock and
 // checks the cache again, so concurrent first lookups build once. The build
-// reads the key columns only; the built index is cached until the next write.
-func (t *Table) Index(name string) (*IndexData, error) {
+// reads the key columns only, under sc — the reads count in the ReadStats of
+// the operator whose lookup builds the index, and no other; the built index
+// is cached until the next write.
+func (t *Table) Index(sc *ScanCtx, name string) (*IndexData, error) {
 	k := strings.ToLower(name)
 	t.mu.RLock()
 	ix := t.indexes[k]
@@ -43,7 +45,7 @@ func (t *Table) Index(name string) (*IndexData, error) {
 	}
 	for _, def := range t.Def.Indexes {
 		if strings.EqualFold(def.Name, name) {
-			ix, err := t.buildIndexLocked(def)
+			ix, err := t.buildIndexLocked(sc, def)
 			if err != nil {
 				return nil, err
 			}
@@ -59,13 +61,13 @@ func (t *Table) Index(name string) (*IndexData, error) {
 // column's representation — and gathers each column into index order once. A
 // permutation already in order — a key loaded ascending, as primary keys
 // usually are — is neither sorted nor gathered. Caller holds t.mu.
-func (t *Table) buildIndexLocked(def *catalog.Index) (*IndexData, error) {
+func (t *Table) buildIndexLocked(sc *ScanCtx, def *catalog.Index) (*IndexData, error) {
 	n := t.rowCountLocked()
 	keys := make([]*datum.Vec, len(def.Cols))
 	orders := make([]func(a, b int) int, len(def.Cols))
 	for j, ord := range def.Cols {
 		keys[j] = datum.NewVec(t.Def.Cols[ord].Kind, n)
-		if err := t.fillColumnRangeLocked(nil, ord, 0, n, keys[j]); err != nil {
+		if err := t.fillColumnRangeLocked(sc, ord, 0, n, keys[j]); err != nil {
 			return nil, err
 		}
 		orders[j] = datum.NewKeyOrder(keys[j], keys[j], false).Func()

@@ -194,7 +194,7 @@ func TestSeekMatchesBruteForce(t *testing.T) {
 				}
 				rows := mustRows(t, tab)
 				for _, idef := range def.Indexes {
-					ix, err := tab.Index(idef.Name)
+					ix, err := tab.Index(nil, idef.Name)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -356,7 +356,7 @@ func TestIndexSeekDuringInsert(t *testing.T) {
 						stop = true // one more round over the final table
 					default:
 					}
-					ix, err := tab.Index("cc_k")
+					ix, err := tab.Index(nil, "cc_k")
 					if err != nil {
 						t.Error(err)
 						return
@@ -413,7 +413,7 @@ var seekSink []int
 func BenchmarkIndexSeek(b *testing.B) {
 	const n = 20000
 	tab := benchTable(b, n, DefaultSegmentRows, func(i int) int64 { return int64(i) }, func(int) string { return "" })
-	ix, err := tab.Index("bx_k")
+	ix, err := tab.Index(nil, "bx_k")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -478,7 +478,7 @@ func BenchmarkIndexBuild(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tab.mu.Lock()
-				ix, err := tab.buildIndexLocked(def)
+				ix, err := tab.buildIndexLocked(nil, def)
 				tab.mu.Unlock()
 				if err != nil || ix.Len() != n {
 					b.Fatalf("%v, %d entries", err, ix.Len())

@@ -87,7 +87,7 @@ func checkReads(t *testing.T, tab *Table, want []datum.Row) {
 		}
 	}
 	for _, def := range tab.Def.Indexes {
-		ix, err := tab.Index(def.Name)
+		ix, err := tab.Index(nil, def.Name)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -95,7 +95,7 @@ func TestPageCountGrows(t *testing.T) {
 	if tab.PageCount() < 2 {
 		t.Errorf("PageCount = %d, want several pages", tab.PageCount())
 	}
-	ix, err := tab.Index("t_a")
+	ix, err := tab.Index(nil, "t_a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestIndexSeekEq(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := tab.Index("T_A")
+	ix, err := tab.Index(nil, "T_A")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestIndexSeekRange(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ix, err := tab.Index("t_a")
+	ix, err := tab.Index(nil, "t_a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestIndexSkipsNullKeysInRange(t *testing.T) {
 	tab = NewTable(def2)
 	tab.Insert(datum.Row{datum.Null})
 	tab.Insert(datum.Row{datum.NewInt(1)})
-	ix, err := tab.Index("ix")
+	ix, err := tab.Index(nil, "ix")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,12 +187,12 @@ func TestIndexSkipsNullKeysInRange(t *testing.T) {
 func TestIndexInvalidation(t *testing.T) {
 	tab := NewTable(testDef())
 	tab.Insert(datum.Row{datum.NewInt(1), datum.Null})
-	ix1, _ := tab.Index("t_a")
+	ix1, _ := tab.Index(nil, "t_a")
 	if ix1.Len() != 1 {
 		t.Fatal("expected 1 entry")
 	}
 	tab.Insert(datum.Row{datum.NewInt(2), datum.Null})
-	ix2, _ := tab.Index("t_a")
+	ix2, _ := tab.Index(nil, "t_a")
 	if ix2.Len() != 2 {
 		t.Error("index should rebuild after insert")
 	}
@@ -200,7 +200,7 @@ func TestIndexInvalidation(t *testing.T) {
 
 func TestIndexMissing(t *testing.T) {
 	tab := NewTable(testDef())
-	if _, err := tab.Index("nope"); err == nil {
+	if _, err := tab.Index(nil, "nope"); err == nil {
 		t.Error("missing index should error")
 	}
 }
@@ -210,7 +210,7 @@ func TestMultiColumnIndex(t *testing.T) {
 	tab.Insert(datum.Row{datum.NewInt(1), datum.NewString("x")})
 	tab.Insert(datum.Row{datum.NewInt(2), datum.NewString("x")})
 	tab.Insert(datum.Row{datum.NewInt(1), datum.NewString("y")})
-	ix, err := tab.Index("t_ba")
+	ix, err := tab.Index(nil, "t_ba")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"repro/internal/faultfs"
+	"repro/internal/systemr"
 )
 
 // canonRowsHex renders rows with floats as exact hexadecimal bit patterns,
@@ -332,6 +333,36 @@ func TestBlockHitsCountColumnReads(t *testing.T) {
 			t.Fatalf("budget %d: no block_hits=%d in plan:\n%s", budget, reads, res.Plan)
 		}
 		e.Close()
+	}
+}
+
+// TestLazyIndexBuildCountsReads: an index nested-loop join into a
+// directory-backed table whose index is not built yet builds it inside the
+// statement, and the build's reads of the key column — one per segment —
+// count in the statement's block reads like any other column read: the first
+// run makes exactly those three reads more than a run over the cached index.
+func TestLazyIndexBuildCountsReads(t *testing.T) {
+	e := blockCacheEngine(t, Options{Optimizer: SystemR, StorageDir: t.TempDir(),
+		SystemR: systemr.Options{DisableHashJoin: true, DisableMergeJoin: true}})
+	defer e.Close()
+	e.MustExec(`CREATE INDEX bc_i ON bc (i)`)
+	e.MustExec(`CREATE TABLE o (k INT)`)
+	if err := e.LoadRows("o", [][]any{{3}, {17}, {59}}); err != nil {
+		t.Fatal(err)
+	}
+	e.MustExec("ANALYZE")
+	const q = `SELECT COUNT(*) FROM o, bc WHERE o.k = bc.i`
+	var reads [2]int64
+	for run := range reads {
+		res := e.MustExec(q)
+		if !usesJoin(res.Plan, "index-nl-") {
+			t.Fatalf("want an index nested-loop join:\n%s", res.Plan)
+		}
+		st := res.Stats
+		reads[run] = st.BlockHits + st.BlocksDict + st.BlocksRLE + st.BlocksPlain
+	}
+	if reads[0]-reads[1] != 3 {
+		t.Fatalf("column reads: %d building the index, %d with it built; want the build to add 3 (one per segment of bc.i)", reads[0], reads[1])
 	}
 }
 
