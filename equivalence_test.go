@@ -9,8 +9,10 @@ package queryopt
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -372,4 +374,74 @@ func subPlans(p physical.Plan) (subs, missing int) {
 		subs, missing = subs+s, missing+m
 	}
 	return subs, missing
+}
+
+// TestStarSumsIgnoreRewrites runs star queries through System-R, Starburst
+// (which always rewrites) and Cascades with the rewrites on and off: every
+// answer must be System-R's without rewrites to the bit. Eager aggregation
+// may not split a FLOAT sum, since adding partial sums already rounded to
+// float64 rounds the answer a second time, nor an AVG, whose exact float sum
+// an INT partial sum matches only below 2^53; each dimension attribute
+// combines two join keys, so two partials. The INT column holds values past
+// 2^53 and near MaxInt64, whose SUM wraps alike split or not.
+func TestStarSumsIgnoreRewrites(t *testing.T) {
+	stmts := []string{
+		`SELECT d.attr, SUM(s.amount), AVG(s.amount), COUNT(*), SUM(s.qty)
+			FROM sales s, dim d WHERE s.k1 = d.k GROUP BY d.attr ORDER BY d.attr`,
+		`SELECT d.attr, SUM(s.big), COUNT(*), MIN(s.big) FROM sales s, dim d WHERE s.k1 = d.k GROUP BY d.attr ORDER BY d.attr`,
+		`SELECT d.attr, AVG(s.big), AVG(s.qty) FROM sales s, dim d WHERE s.k1 = d.k GROUP BY d.attr ORDER BY d.attr`,
+	}
+	rng := rand.New(rand.NewSource(1))
+	var fact, dim [][]any
+	for i := 0; i < 20000; i++ {
+		big := int64(1)<<53 + 1 + int64(rng.Intn(3))
+		if i%2 == 1 {
+			big = math.MaxInt64 - int64(rng.Intn(1000))
+		}
+		fact = append(fact, []any{i, rng.Intn(400), 1 + rng.Intn(20), float64(rng.Intn(100000)) / 100, big})
+	}
+	for k := 0; k < 400; k++ {
+		dim = append(dim, []any{k, fmt.Sprintf("a%03d", k/2)})
+	}
+	run := func(kind OptimizerKind, disable bool, qs string) (string, string) {
+		e := New(Options{Optimizer: kind, DisableRewrites: disable})
+		defer e.Close()
+		e.MustExec(`CREATE TABLE sales (id INT NOT NULL, k1 INT, qty INT, amount FLOAT, big INT, PRIMARY KEY (id))`)
+		e.MustExec(`CREATE TABLE dim (k INT NOT NULL, attr VARCHAR, PRIMARY KEY (k))`)
+		if err := e.LoadRows("sales", fact); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.LoadRows("dim", dim); err != nil {
+			t.Fatal(err)
+		}
+		e.MustExec("ANALYZE")
+		res, err := e.Exec(qs)
+		if err != nil {
+			t.Fatalf("%v rewrites-off=%v: %v", kind, disable, err)
+		}
+		var sb strings.Builder
+		for _, r := range res.Rows {
+			for _, v := range r {
+				if f, ok := v.(float64); ok {
+					sb.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
+				} else {
+					fmt.Fprint(&sb, v)
+				}
+				sb.WriteByte('|')
+			}
+			sb.WriteByte('\n')
+		}
+		return sb.String(), res.Plan
+	}
+	for _, qs := range stmts {
+		want, _ := run(SystemR, true, qs)
+		for _, kind := range []OptimizerKind{SystemR, Starburst, Cascades} {
+			for _, disable := range []bool{false, true} {
+				if got, plan := run(kind, disable, qs); got != want {
+					t.Errorf("%v rewrites-off=%v: the answer differs from System-R's without rewrites\n%s\nwant:\n%.300s\ngot:\n%.300s\nplan:\n%s",
+						kind, disable, qs, want, got, plan)
+				}
+			}
+		}
+	}
 }

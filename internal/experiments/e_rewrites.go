@@ -25,7 +25,7 @@ func E6GroupByPushdown() Table {
 		for _, dimRows := range []int{10, 100} {
 			db := workload.Star(workload.StarConfig{FactRows: factRows, DimRows: []int{dimRows}, Seed: 6})
 			db.Analyze(stats.AnalyzeOptions{})
-			qs := `SELECT dim1.attr, SUM(sales.amount), COUNT(*) FROM sales, dim1
+			qs := `SELECT dim1.attr, SUM(sales.qty), COUNT(*) FROM sales, dim1
 				WHERE sales.k1 = dim1.k GROUP BY dim1.attr`
 			plain := mustBuild(db, qs)
 			_, plainCounters := runNaive(db, plain)

@@ -12,8 +12,16 @@ import (
 // and a combining aggregate above. This is valid because every row of a
 // partial group carries identical join keys, so the join multiplies whole
 // partitions uniformly; COUNT combines by SUM, SUM by SUM, MIN/MAX by
-// themselves, and AVG is split into SUM and COUNT (recombined by a projection
-// above). DISTINCT aggregates are not splittable and block the rewrite.
+// themselves.
+//
+// The split is made only where it is exact: the combined answer must equal
+// the unstaged one to the bit. COUNT, MIN, MAX and SUM over INT (int64
+// addition, wrapping alike in any grouping) are; SUM over FLOAT is not, since
+// the combining SUM adds partial sums already rounded to float64 and so
+// rounds the answer twice; nor is AVG, whose accumulator adds float64(x) to
+// an exact float sum, which an INT partial sum matches only while the values
+// and their sum stay below 2^53. An inexact or DISTINCT aggregate blocks the
+// rewrite.
 //
 // It returns whether the tree changed.
 func PushDownGroupBy(q *logical.Query) bool {
@@ -56,6 +64,22 @@ func eagerAggregate(g *logical.GroupBy, join *logical.Join, md *logical.Metadata
 	return nil, false
 }
 
+// exactSplit reports whether a partial and a combining aggregate reproduce
+// a's result to the bit.
+func exactSplit(a logical.AggItem, md *logical.Metadata) bool {
+	switch a.Fn {
+	case logical.AggCount, logical.AggMin, logical.AggMax:
+		return true
+	case logical.AggSum:
+		return md.Column(a.ID).Kind == datum.KindInt // a SUM has its argument's kind
+	}
+	return false
+}
+
+// partialName names the partial aggregate's output column.
+var partialName = map[logical.AggFn]string{logical.AggCount: "cnt1", logical.AggSum: "sum1",
+	logical.AggMin: "min1", logical.AggMax: "max1"}
+
 func eagerAggregateSide(g *logical.GroupBy, join *logical.Join, md *logical.Metadata, left bool) (logical.RelExpr, bool) {
 	target := join.Left
 	if !left {
@@ -69,10 +93,10 @@ func eagerAggregateSide(g *logical.GroupBy, join *logical.Join, md *logical.Meta
 	}
 	targetCols := target.OutputCols()
 
-	// Every aggregate argument must come from the target side; DISTINCT
-	// blocks staging.
+	// Every aggregate argument must come from the target side; DISTINCT and
+	// inexact combinations block staging.
 	for _, a := range g.Aggs {
-		if a.Distinct {
+		if a.Distinct || !exactSplit(a, md) {
 			return nil, false
 		}
 		if a.Arg != nil && !logical.ScalarCols(a.Arg).SubsetOf(targetCols) {
@@ -121,53 +145,17 @@ func eagerAggregateSide(g *logical.GroupBy, join *logical.Join, md *logical.Meta
 		return nil, false
 	}
 
-	// Build partial aggregates and the combining forms.
-	var partialAggs []logical.AggItem
-	var finalAggs []logical.AggItem
-	// avgFix maps an original AVG output to (sumCol, cntCol) for the
-	// recombination projection.
-	type avgParts struct{ sum, cnt logical.ColumnID }
-	avgFix := map[logical.ColumnID]avgParts{}
-
-	newCol := func(name string, kind datum.Kind) logical.ColumnID {
-		return md.AddColumn(logical.ColumnMeta{Name: name, Kind: kind})
-	}
-
+	// Build partial aggregates and the combining forms, which keep the
+	// original output column IDs.
+	var partialAggs, finalAggs []logical.AggItem
 	for _, a := range g.Aggs {
-		switch a.Fn {
-		case logical.AggCount:
-			p := newCol("cnt1", datum.KindInt)
-			partialAggs = append(partialAggs, logical.AggItem{ID: p, Fn: logical.AggCount, Arg: a.Arg})
-			finalAggs = append(finalAggs, logical.AggItem{ID: a.ID, Fn: logical.AggSum, Arg: &logical.Col{ID: p}})
-		case logical.AggSum:
-			p := newCol("sum1", md.Column(a.ID).Kind)
-			partialAggs = append(partialAggs, logical.AggItem{ID: p, Fn: logical.AggSum, Arg: a.Arg})
-			finalAggs = append(finalAggs, logical.AggItem{ID: a.ID, Fn: logical.AggSum, Arg: &logical.Col{ID: p}})
-		case logical.AggMin:
-			p := newCol("min1", md.Column(a.ID).Kind)
-			partialAggs = append(partialAggs, logical.AggItem{ID: p, Fn: logical.AggMin, Arg: a.Arg})
-			finalAggs = append(finalAggs, logical.AggItem{ID: a.ID, Fn: logical.AggMin, Arg: &logical.Col{ID: p}})
-		case logical.AggMax:
-			p := newCol("max1", md.Column(a.ID).Kind)
-			partialAggs = append(partialAggs, logical.AggItem{ID: p, Fn: logical.AggMax, Arg: a.Arg})
-			finalAggs = append(finalAggs, logical.AggItem{ID: a.ID, Fn: logical.AggMax, Arg: &logical.Col{ID: p}})
-		case logical.AggAvg:
-			ps := newCol("avgsum1", datum.KindFloat)
-			pc := newCol("avgcnt1", datum.KindInt)
-			fs := newCol("avgsum", datum.KindFloat)
-			fc := newCol("avgcnt", datum.KindInt)
-			partialAggs = append(partialAggs,
-				logical.AggItem{ID: ps, Fn: logical.AggSum, Arg: a.Arg},
-				logical.AggItem{ID: pc, Fn: logical.AggCount, Arg: a.Arg},
-			)
-			finalAggs = append(finalAggs,
-				logical.AggItem{ID: fs, Fn: logical.AggSum, Arg: &logical.Col{ID: ps}},
-				logical.AggItem{ID: fc, Fn: logical.AggSum, Arg: &logical.Col{ID: pc}},
-			)
-			avgFix[a.ID] = avgParts{sum: fs, cnt: fc}
-		default:
-			return nil, false
+		combine := a.Fn
+		if a.Fn == logical.AggCount {
+			combine = logical.AggSum
 		}
+		p := md.AddColumn(logical.ColumnMeta{Name: partialName[a.Fn], Kind: md.Column(a.ID).Kind})
+		partialAggs = append(partialAggs, logical.AggItem{ID: p, Fn: a.Fn, Arg: a.Arg})
+		finalAggs = append(finalAggs, logical.AggItem{ID: a.ID, Fn: combine, Arg: &logical.Col{ID: p}})
 	}
 
 	partial := &logical.GroupBy{Input: target, GroupCols: partialGroup, Aggs: partialAggs}
@@ -177,25 +165,5 @@ func eagerAggregateSide(g *logical.GroupBy, join *logical.Join, md *logical.Meta
 	} else {
 		newJoin = &logical.Join{Kind: logical.InnerJoin, Left: join.Left, Right: partial, On: join.On}
 	}
-	final := &logical.GroupBy{Input: newJoin, GroupCols: g.GroupCols, Aggs: finalAggs}
-	if len(avgFix) == 0 {
-		return final, true
-	}
-	// Recombine AVG columns, preserving the original output column IDs.
-	var items []logical.ProjectItem
-	for _, c := range g.GroupCols {
-		items = append(items, logical.ProjectItem{ID: c, Expr: &logical.Col{ID: c}})
-	}
-	for _, a := range g.Aggs {
-		if parts, ok := avgFix[a.ID]; ok {
-			items = append(items, logical.ProjectItem{
-				ID: a.ID,
-				Expr: &logical.Arith{Op: logical.ArithDiv,
-					L: &logical.Col{ID: parts.sum}, R: &logical.Col{ID: parts.cnt}},
-			})
-		} else {
-			items = append(items, logical.ProjectItem{ID: a.ID, Expr: &logical.Col{ID: a.ID}})
-		}
-	}
-	return &logical.Project{Input: final, Items: items}, true
+	return &logical.GroupBy{Input: newJoin, GroupCols: g.GroupCols, Aggs: finalAggs}, true
 }
