@@ -57,17 +57,23 @@ func (e *Engine) OverrideCount() int { return e.overrides.Len() }
 func (e *Engine) markReplan(fp string) {
 	e.replanMu.Lock()
 	e.replan[fp] = struct{}{}
+	e.replanPending.Store(int64(len(e.replan)))
 	e.replanMu.Unlock()
 }
 
 // consumeReplan reports and clears the replan mark for a statement family.
 // The mark is consumed exactly once: the execution that observes it
 // re-optimizes (with feedback-patched statistics, if enabled) and re-caches.
+// Without a pending mark it takes no lock.
 func (e *Engine) consumeReplan(fp string) bool {
+	if e.replanPending.Load() == 0 {
+		return false
+	}
 	e.replanMu.Lock()
 	_, ok := e.replan[fp]
 	if ok {
 		delete(e.replan, fp)
+		e.replanPending.Store(int64(len(e.replan)))
 	}
 	e.replanMu.Unlock()
 	return ok

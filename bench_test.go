@@ -9,6 +9,7 @@ package queryopt
 //	go test -run '^$' -bench '^BenchmarkE2[6-9]' -benchtime 1x -v .   # a subset
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -216,34 +217,111 @@ func BenchmarkExecAnalyzeOn(b *testing.B) {
 	}
 }
 
-// TestIndexLookupAllocs pins what one execution of a cached prepared
-// statement allocates on the index-served shapes of the oltp_prepared
-// workload, over 20 000 rows: a primary-key point lookup, a secondary-index
-// lookup of four rows ordered by id, and a 20-key primary-key range ordered by
-// id. Measured: pk_point 2640 B in 36 allocations, index_lookup 3608 B in 55,
-// short_range 6424 B in 72; the ceilings are 1.2x that.
-func TestIndexLookupAllocs(t *testing.T) {
-	const n = 20000
-	e := New(Options{})
-	e.MustExec(`CREATE TABLE acct (id INT NOT NULL, owner INT, bal FLOAT, kind TEXT, PRIMARY KEY (id))`)
+// oltpTemplate is one statement template of the oltp_prepared workload, with
+// a binding drawn from rng over n acct rows.
+type oltpTemplate struct {
+	name, sql string
+	bind      func(rng *rand.Rand, n int) []any
+}
+
+// oltpTemplates are the six oltp_prepared statement templates.
+var oltpTemplates = []oltpTemplate{
+	{"pk_point", `SELECT id, owner, bal FROM acct WHERE id = ?`,
+		func(rng *rand.Rand, n int) []any { return []any{rng.Intn(n)} }},
+	{"index_lookup", `SELECT id, bal FROM acct WHERE owner = ? ORDER BY id`,
+		func(rng *rand.Rand, n int) []any { return []any{rng.Intn(n / 4)} }},
+	{"short_range", `SELECT id, bal FROM acct WHERE id >= ? AND id < ? ORDER BY id`,
+		func(rng *rand.Rand, n int) []any { lo := rng.Intn(n); return []any{lo, lo + 20} }},
+	{"row_aggregate", `SELECT COUNT(*), SUM(bal) FROM acct WHERE id >= ? AND id < ?`,
+		func(rng *rand.Rand, n int) []any { lo := rng.Intn(n); return []any{lo, lo + 50} }},
+	{"pk_join", `SELECT a.id, a.bal, b.name FROM acct a, branch b WHERE a.branch = b.id AND a.id = ?`,
+		func(rng *rand.Rand, n int) []any { return []any{rng.Intn(n)} }},
+	{"small_groupby", `SELECT kind, COUNT(*) FROM acct WHERE id >= ? AND id < ? GROUP BY kind ORDER BY kind`,
+		func(rng *rand.Rand, n int) []any { lo := rng.Intn(n); return []any{lo, lo + 100} }},
+}
+
+// oltpEngine builds the oltp_prepared schema over n acct rows and 100
+// branches from a fixed seed, analyzed: acct keyed on id with a secondary
+// index on owner, branch keyed on id.
+func oltpEngine(tb testing.TB, opts Options, n int) *Engine {
+	tb.Helper()
+	e := New(opts)
+	e.MustExec(`CREATE TABLE acct (id INT NOT NULL, owner INT, branch INT, bal FLOAT, kind TEXT, PRIMARY KEY (id))`)
 	e.MustExec(`CREATE INDEX acct_owner ON acct (owner)`)
-	rows := make([][]any, n)
-	for i := range rows {
-		rows[i] = []any{i, (i * 7919) % (n / 4), float64(i%1000) / 4, []string{"checking", "savings", "loan"}[i%3]}
+	e.MustExec(`CREATE TABLE branch (id INT NOT NULL, name TEXT, region INT, PRIMARY KEY (id))`)
+	rng := rand.New(rand.NewSource(36))
+	kinds := []string{"checking", "savings", "loan", "card", "broker"}
+	acct := make([][]any, n)
+	for i := range acct {
+		acct[i] = []any{i, rng.Intn(n / 4), rng.Intn(100), float64(rng.Intn(1000000)) / 100, kinds[rng.Intn(len(kinds))]}
 	}
-	if err := e.LoadRows("acct", rows); err != nil {
-		t.Fatal(err)
+	branch := make([][]any, 100)
+	for i := range branch {
+		branch[i] = []any{i, fmt.Sprintf("br%03d", i), rng.Intn(8)}
+	}
+	if err := e.LoadRows("acct", acct); err != nil {
+		tb.Fatal(err)
+	}
+	if err := e.LoadRows("branch", branch); err != nil {
+		tb.Fatal(err)
 	}
 	e.MustExec("ANALYZE")
+	return e
+}
+
+// BenchmarkPreparedExec times one cached execution of each oltp_prepared
+// template over 20 000 acct rows, cycling through 64 drawn bindings (ns/op,
+// B/op, allocs/op). `make serving-bench` runs it.
+func BenchmarkPreparedExec(b *testing.B) {
+	const n = 20000
+	e := oltpEngine(b, Options{}, n)
+	rng := rand.New(rand.NewSource(1))
+	for _, tpl := range oltpTemplates {
+		b.Run(tpl.name, func(b *testing.B) {
+			st, err := e.Prepare(tpl.sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			binds := make([][]any, 64)
+			for i := range binds {
+				binds[i] = tpl.bind(rng, n)
+				if _, err := st.Exec(binds[i]...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.Exec(binds[i%len(binds)]...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestIndexLookupAllocs pins what one execution of a cached prepared
+// statement allocates on the oltp_prepared shapes, over 20 000 rows: a
+// primary-key point lookup, a secondary-index lookup ordered by id, a 20-key
+// primary-key range ordered by id, a primary-key point joined to its branch
+// and a 100-key range grouped by kind. Measured: pk_point 1968 B in 18
+// allocations, index_lookup (8 rows) 2992 B in 41, short_range 3568 B in 54,
+// pk_join 10312 B in 60, small_groupby 6296 B in 55; the ceilings are 1.2x
+// that.
+func TestIndexLookupAllocs(t *testing.T) {
+	const n = 20000
+	e := oltpEngine(t, Options{}, n)
 	for _, tc := range []struct {
 		name, sql     string
 		args          []any
 		rows          int
 		bytes, allocs float64
 	}{
-		{"pk_point", `SELECT id, owner, bal FROM acct WHERE id = ?`, []any{12345}, 1, 2640 * 1.2, 36 * 1.2},
-		{"index_lookup", `SELECT id, bal FROM acct WHERE owner = ? ORDER BY id`, []any{1234}, 4, 3608 * 1.2, 55 * 1.2},
-		{"short_range", `SELECT id, bal FROM acct WHERE id >= ? AND id < ? ORDER BY id`, []any{15000, 15020}, 20, 6424 * 1.2, 72 * 1.2},
+		{"pk_point", `SELECT id, owner, bal FROM acct WHERE id = ?`, []any{12345}, 1, 1968 * 1.2, 18 * 1.2},
+		{"index_lookup", `SELECT id, bal FROM acct WHERE owner = ? ORDER BY id`, []any{1234}, 8, 2992 * 1.2, 41 * 1.2},
+		{"short_range", `SELECT id, bal FROM acct WHERE id >= ? AND id < ? ORDER BY id`, []any{15000, 15020}, 20, 3568 * 1.2, 54 * 1.2},
+		{"pk_join", `SELECT a.id, a.bal, b.name FROM acct a, branch b WHERE a.branch = b.id AND a.id = ?`, []any{12345}, 1, 10312 * 1.2, 60 * 1.2},
+		{"small_groupby", `SELECT kind, COUNT(*) FROM acct WHERE id >= ? AND id < ? GROUP BY kind ORDER BY kind`, []any{15000, 15100}, 5, 6296 * 1.2, 55 * 1.2},
 	} {
 		st, err := e.Prepare(tc.sql)
 		if err != nil {

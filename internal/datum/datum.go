@@ -141,6 +141,25 @@ func (d D) String() string {
 	}
 }
 
+// Append appends String's rendering of the datum to b without building the
+// string (TestString).
+func (d D) Append(b []byte) []byte {
+	switch d.k {
+	case KindNull:
+		return append(b, "NULL"...)
+	case KindBool:
+		return strconv.AppendBool(b, d.i != 0)
+	case KindInt:
+		return strconv.AppendInt(b, d.i, 10)
+	case KindFloat:
+		return strconv.AppendFloat(b, d.f, 'g', -1, 64)
+	case KindString:
+		b = append(b, '\'')
+		return append(append(b, d.s...), '\'')
+	}
+	return append(b, '?')
+}
+
 // Compare is the engine's one order: SQL comparison predicates and IN,
 // MIN/MAX, grouping and hash-key equality, ORDER BY, merge-join inputs,
 // index entries, zone maps and histograms all answer from it. Datums order by

@@ -163,18 +163,28 @@ func TestCompareReflexiveQuick(t *testing.T) {
 	}
 }
 
+// String and Append are the one value printer of EXPLAIN text: a cached
+// plan's text splices bindings in with Append.
 func TestString(t *testing.T) {
 	cases := map[string]D{
-		"NULL":  Null,
-		"true":  NewBool(true),
-		"false": NewBool(false),
-		"42":    NewInt(42),
-		"2.5":   NewFloat(2.5),
-		"'hi'":  NewString("hi"),
+		"NULL":                Null,
+		"true":                NewBool(true),
+		"false":               NewBool(false),
+		"42":                  NewInt(42),
+		"-9007199254740993":   NewInt(-(1<<53 + 1)),
+		"2.5":                 NewFloat(2.5),
+		"0.30000000000000004": NewFloat(0.30000000000000004),
+		"5e-324":              NewFloat(5e-324),
+		"1e+21":               NewFloat(1e21),
+		"'hi'":                NewString("hi"),
+		"'it's'":              NewString("it's"),
 	}
 	for want, d := range cases {
 		if got := d.String(); got != want {
 			t.Errorf("String() = %q, want %q", got, want)
+		}
+		if got := string(d.Append([]byte("x"))); got != "x"+want {
+			t.Errorf("Append = %q, want %q", got, "x"+want)
 		}
 	}
 }

@@ -18,6 +18,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/faultfs"
@@ -113,6 +114,10 @@ type Ctx struct {
 	// context runs a subquery's sub-plan: every env the plan's scalars are
 	// evaluated in chains to it. Nil for a top-level plan.
 	outer *env
+	// params are the statement's parameter bindings (Program.Run): every
+	// parameter-tagged constant and index key of the plan reads its value
+	// here. Nil runs the plan on the values it holds.
+	params []datum.D
 }
 
 // EnableAnalyze turns on per-operator metrics collection for executions
@@ -245,7 +250,7 @@ func (c *Ctx) child() *Ctx {
 	return &Ctx{
 		Store: c.Store, Meta: c.Meta,
 		Context: c.Context, Mem: c.Mem, Faults: c.Faults, TempDir: c.TempDir,
-		Vectorize: c.Vectorize, NoPrune: c.NoPrune, outer: c.outer,
+		Vectorize: c.Vectorize, NoPrune: c.NoPrune, outer: c.outer, params: c.params,
 	}
 }
 
@@ -269,16 +274,6 @@ func (cs *Counters) add(o Counters) {
 type Result struct {
 	Cols []logical.ColumnID
 	Rows []datum.Row
-}
-
-// ColIndex returns the row offset of a column ID, or -1.
-func (r *Result) ColIndex(id logical.ColumnID) int {
-	for i, c := range r.Cols {
-		if c == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // env binds column IDs to values for scalar evaluation; parent chains
@@ -317,6 +312,7 @@ func (c *Ctx) evalCtx(e *env) *logical.EvalContext {
 		EvalSubquery: func(sub *logical.Subquery, _ *logical.EvalContext) (datum.D, error) {
 			return c.evalSubquery(sub, e)
 		},
+		Params: c.params,
 	}
 }
 
@@ -346,7 +342,7 @@ func (c *Ctx) evalSubquery(sub *logical.Subquery, e *env) (datum.D, error) {
 		if err != nil {
 			return datum.Null, err
 		}
-		off := subqueryCol(res, sub)
+		off := max(slices.Index(res.Cols, sub.OutCol), 0)
 		sawNull := val.IsNull()
 		for _, r := range res.Rows {
 			if off >= len(r) {
@@ -369,7 +365,7 @@ func (c *Ctx) evalSubquery(sub *logical.Subquery, e *env) (datum.D, error) {
 		case 0:
 			return datum.Null, nil
 		case 1:
-			off := subqueryCol(res, sub)
+			off := max(slices.Index(res.Cols, sub.OutCol), 0)
 			if off >= len(res.Rows[0]) {
 				return datum.Null, nil
 			}
@@ -394,14 +390,4 @@ func allTrue(preds []logical.Scalar, ectx *logical.EvalContext) (bool, error) {
 		}
 	}
 	return true, nil
-}
-
-// subqueryCol locates the subquery's value column in the result layout.
-func subqueryCol(res *Result, sub *logical.Subquery) int {
-	if sub.OutCol != 0 {
-		if off := res.ColIndex(sub.OutCol); off >= 0 {
-			return off
-		}
-	}
-	return 0
 }

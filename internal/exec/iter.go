@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/datum"
@@ -12,40 +13,74 @@ import (
 // Run executes a physical plan to completion and returns the materialized
 // result in the plan's layout. It and RunPlanQuery are where a plan's output
 // becomes rows: every operator below them runs on batches.
-func Run(p physical.Plan, c *Ctx) (*Result, error) {
-	b, err := c.run(p)
+func Run(p physical.Plan, c *Ctx) (*Result, error) { return RunPlanQuery(p, nil, c) }
+
+// RunPlanQuery executes a physical plan for a query (nil: in the plan's
+// layout and order) under c's parameter bindings: Prepare, then Program.Run.
+func RunPlanQuery(p physical.Plan, q *logical.Query, c *Ctx) (*Result, error) {
+	b, err := Prepare(p, q).Run(c, c.params)
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Cols: p.Columns(), Rows: b.ToRows()}, nil
+	return &Result{Cols: b.Cols, Rows: b.ToRows()}, nil
 }
 
-// RunPlanQuery executes a physical plan for a query: run, order (unless the
-// plan's output already is), project to the query's output columns.
-func RunPlanQuery(p physical.Plan, q *logical.Query, c *Ctx) (*Result, error) {
-	b, err := c.run(p)
-	if err != nil {
-		return nil, err
-	}
+// Program is a plan made ready to run for a query (§7.4: optimized once, then
+// only dispatched per binding): what every run needs that depends on the
+// plan alone — the result's sort, when the plan does not deliver the query's
+// order, and the result columns' offsets in the plan's layout. Runs read
+// parameter values from their bindings, so a Program is immutable and
+// serves concurrent runs.
+type Program struct {
+	plan physical.Plan
+	cols []logical.ColumnID
+	sort []datum.SortSpec
+	offs []int // nil when the result columns are the layout
+	err  error // a result or order column missing from the layout, for Run
+}
+
+// Prepare makes plan p ready to run for q (nil: in p's layout and order).
+func Prepare(p physical.Plan, q *logical.Query) *Program {
 	layout := p.Columns()
+	pg := &Program{plan: p, cols: layout}
+	if q == nil {
+		return pg
+	}
 	if len(q.OrderBy) > 0 && !q.OrderBy.SatisfiedBy(p.Ordering()) {
-		spec, err := sortSpec(layout, q.OrderBy)
-		if err != nil {
-			return nil, err
-		}
-		if b, err = c.sortBatch(b, spec); err != nil {
-			return nil, err
+		if pg.sort, pg.err = sortSpec(layout, q.OrderBy); pg.err != nil {
+			return pg
 		}
 	}
-	offs, err := colOffsets(layout, q.ResultCols, "result")
+	if pg.cols, pg.offs = q.ResultCols, nil; !slices.Equal(layout, q.ResultCols) {
+		pg.offs, pg.err = colOffsets(layout, q.ResultCols, "result")
+	}
+	return pg
+}
+
+// Run executes the program under c, parameter $n bound to binds[n-1] (nil
+// runs it on the values the plan holds): run the plan, order, project to the
+// result columns. The batch it returns is the result.
+func (pg *Program) Run(c *Ctx, binds []datum.D) (*Batch, error) {
+	if pg.err != nil {
+		return nil, pg.err
+	}
+	c.params = binds
+	b, err := c.run(pg.plan)
+	if err == nil && pg.sort != nil {
+		b, err = c.sortBatch(b, pg.sort)
+	}
 	if err != nil {
 		return nil, err
 	}
-	out := &Batch{Vecs: make([]*datum.Vec, len(offs)), Sel: b.Sel, n: b.n}
-	for i, off := range offs {
-		out.Vecs[i] = b.Vecs[off]
+	out := b
+	if pg.offs != nil {
+		out = &Batch{Vecs: make([]*datum.Vec, len(pg.offs)), Sel: b.Sel, n: b.n}
+		for i, off := range pg.offs {
+			out.Vecs[i] = b.Vecs[off]
+		}
 	}
-	return &Result{Cols: q.ResultCols, Rows: out.ToRows()}, nil
+	out.Cols = pg.cols
+	return out, nil
 }
 
 // run executes one operator and returns its output as a batch: the pipeline
@@ -267,7 +302,7 @@ func (c *Ctx) runUnion(t *physical.UnionAll) (*Batch, error) {
 func colOffsets(layout, cols []logical.ColumnID, what string) ([]int, error) {
 	offs := make([]int, len(cols))
 	for i, id := range cols {
-		if offs[i] = (&Result{Cols: layout}).ColIndex(id); offs[i] < 0 {
+		if offs[i] = slices.Index(layout, id); offs[i] < 0 {
 			return nil, fmt.Errorf("exec: %s column @%d not in layout", what, int(id))
 		}
 	}

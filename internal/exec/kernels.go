@@ -12,6 +12,7 @@ package exec
 import (
 	"cmp"
 	"math"
+	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/logical"
@@ -54,13 +55,14 @@ func (p compiledPred) cols() []int {
 // subqueries, UDFs — stays residual and is evaluated row-at-a-time over the
 // kernels' survivors (a conjunction is commutative, so running the compiled
 // part first never changes the result). With Ctx.Vectorize off nothing
-// compiles and the whole conjunction is residual.
+// compiles and the whole conjunction is residual. A parameter-tagged
+// constant compiles to its binding in c.params.
 func (c *Ctx) compilePreds(preds []logical.Scalar, layout []logical.ColumnID) (compiled []compiledPred, residual []logical.Scalar) {
 	if !c.Vectorize {
 		return nil, preds
 	}
 	for _, p := range preds {
-		if cp, ok := compilePred(p, layout); ok {
+		if cp, ok := compilePred(p, layout, c.params); ok {
 			compiled = append(compiled, cp)
 		} else {
 			residual = append(residual, p)
@@ -71,49 +73,41 @@ func (c *Ctx) compilePreds(preds []logical.Scalar, layout []logical.ColumnID) (c
 
 // compilePred translates one conjunct into its kernel program, or reports
 // that it has none.
-func compilePred(p logical.Scalar, layout []logical.ColumnID) (compiledPred, bool) {
-	find := (&Result{Cols: layout}).ColIndex
+func compilePred(p logical.Scalar, layout []logical.ColumnID, params []datum.D) (compiledPred, bool) {
 	switch t := p.(type) {
 	case *logical.Cmp:
 		if t.Op == logical.CmpLike {
 			return compiledPred{}, false
 		}
-		lc, lIsCol := t.L.(*logical.Col)
-		rc, rIsCol := t.R.(*logical.Col)
-		lk, lIsConst := t.L.(*logical.Const)
-		rk, rIsConst := t.R.(*logical.Const)
-		switch {
-		case lIsCol && rIsCol:
-			a, b := find(lc.ID), find(rc.ID)
-			if a < 0 || b < 0 {
-				return compiledPred{}, false
+		l, r, op := t.L, t.R, t.Op
+		if _, lIsConst := l.(*logical.Const); lIsConst {
+			l, r, op = r, l, op.Commute()
+		}
+		lc, lIsCol := l.(*logical.Col)
+		if !lIsCol {
+			return compiledPred{}, false
+		}
+		a := slices.Index(layout, lc.ID)
+		switch rt := r.(type) {
+		case *logical.Col:
+			if b := slices.Index(layout, rt.ID); a >= 0 && b >= 0 {
+				return compiledPred{form: predColCol, col: a, col2: b, op: op}, true
 			}
-			return compiledPred{form: predColCol, col: a, col2: b, op: t.Op}, true
-		case lIsCol && rIsConst:
-			a := find(lc.ID)
-			if a < 0 {
-				return compiledPred{}, false
-			}
-			if rk.Val.IsNull() {
+		case *logical.Const:
+			switch v := rt.Bound(params); {
+			case a < 0:
+			case v.IsNull():
 				return compiledPred{form: predNever}, true
+			default:
+				return compiledPred{form: predColConst, col: a, op: op, c: v}, true
 			}
-			return compiledPred{form: predColConst, col: a, op: t.Op, c: rk.Val}, true
-		case lIsConst && rIsCol:
-			a := find(rc.ID)
-			if a < 0 {
-				return compiledPred{}, false
-			}
-			if lk.Val.IsNull() {
-				return compiledPred{form: predNever}, true
-			}
-			return compiledPred{form: predColConst, col: a, op: t.Op.Commute(), c: lk.Val}, true
 		}
 	case *logical.IsNull:
 		col, ok := t.E.(*logical.Col)
 		if !ok {
 			return compiledPred{}, false
 		}
-		a := find(col.ID)
+		a := slices.Index(layout, col.ID)
 		if a < 0 {
 			return compiledPred{}, false
 		}

@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -352,7 +353,7 @@ func (c *Ctx) newExchangeStage(t *physical.Exchange) (*exchangeStage, error) {
 		return nil, err
 	}
 	for _, o := range t.MergeOrdering {
-		if (&Result{Cols: layout}).ColIndex(o.Col) < 0 {
+		if !slices.Contains(layout, o.Col) {
 			return nil, fmt.Errorf("exec: exchange merge column @%d not in layout", int(o.Col))
 		}
 	}

@@ -97,9 +97,9 @@ func (pw *pipeWorker) hashes(n int) []uint64 {
 }
 
 // pipeline is a source and the stages above it. nodes[0] is the source's
-// plan node and nodes[i+1] stage i's. A pipeline of one or two nodes — every
-// short statement's — is one allocation: nodes and stages start out in the
-// struct's own arrays.
+// plan node and nodes[i+1] stage i's. A pipeline of one or two nodes on one
+// worker — every short statement's — is one allocation: nodes, stages and
+// workers start out in the struct's own arrays.
 type pipeline struct {
 	c       *Ctx
 	src     source
@@ -112,8 +112,10 @@ type pipeline struct {
 	workers []pipeWorker
 	an      *pipeAnalysis // nil unless analyzing
 
-	nodeBuf  [2]physical.Plan
-	stageBuf [1]stage
+	nodeBuf   [2]physical.Plan
+	stageBuf  [1]stage
+	workerBuf [1]pipeWorker
+	one       handOver // the sink of a single-morsel collect
 }
 
 // pipeAnalysis is what a pipeline keeps under EXPLAIN ANALYZE only: its tag,
@@ -183,7 +185,9 @@ func (p *pipeline) run(need []bool, sk sink) error {
 		need = p.stages[i].bind(need, nw)
 	}
 	p.src.bind(need, nw)
-	p.workers = make([]pipeWorker, nw)
+	if p.workers = p.workerBuf[:]; nw > 1 {
+		p.workers = make([]pipeWorker, nw)
+	}
 	for w := range p.workers {
 		p.workers[w].morsel = min(n, MorselSize)
 	}
@@ -301,21 +305,20 @@ func (h *handOver) consume(_ *Ctx, _ *pipeWorker, _, _ int, b *Batch) error {
 func (p *pipeline) collect() (*Batch, error) {
 	c, cols, n := p.c, p.layout(), p.src.rows()
 	nm, nw := numMorsels(n), p.degree()
-	need := make([]bool, len(cols))
-	for i := range need {
-		need[i] = true
+	need := everyCol[:min(len(cols), len(everyCol))]
+	for len(need) < len(cols) { // past everyCol's capacity: a copy
+		need = append(need, true)
 	}
 	if nm <= 1 {
-		var one handOver
-		if err := p.run(need, &one); err != nil {
+		if err := p.run(need, &p.one); err != nil {
 			return nil, err
 		}
 		p.report(nil, 0)
-		if one.b == nil {
+		if p.one.b == nil {
 			return emptyBatch(cols), nil
 		}
-		one.b.Cols = cols
-		return one.b, nil
+		p.one.b.Cols = cols
+		return p.one.b, nil
 	}
 	// Output vectors are sized from the optimizer's estimate, capped by what
 	// the source can deliver — which is also the size without an estimate.
@@ -357,6 +360,16 @@ func (p *pipeline) collect() (*Batch, error) {
 	p.report(nil, 0)
 	return out, err
 }
+
+// everyCol backs the need set of a collect, which reads every column. A
+// stage copies the need set it is given before it marks more, so one array
+// serves every pipeline.
+var everyCol = func() (a [64]bool) {
+	for i := range a {
+		a[i] = true
+	}
+	return a
+}()
 
 // emptyBatch returns a batch of no rows over cols.
 func emptyBatch(cols []logical.ColumnID) *Batch {

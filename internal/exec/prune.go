@@ -9,6 +9,7 @@
 package exec
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/datum"
@@ -35,102 +36,72 @@ func zoneOpOf(op logical.CmpOp) (storage.ZoneOp, bool) {
 	return 0, false
 }
 
-// compileZonePreds translates pushed-down conjuncts into zone predicates over
-// base-table ordinals (via ordOf). Conjuncts it cannot express are simply
-// dropped — pruning on the rest stays sound because dropping a conjunct only
-// widens what a segment may contain. full reports that every conjunct was
-// compiled, which is what permits skipping filter evaluation on full-match
-// segments.
-func compileZonePreds(filters []logical.Scalar, ordOf func(logical.ColumnID) (int, bool)) (preds []storage.ZonePred, full bool) {
+// compileZonePreds translates pushed-down conjuncts over a scan's columns
+// cols into zone predicates over base-table ordinals (ords parallels cols),
+// with parameter-tagged constants at their bindings in params. Conjuncts it
+// cannot express are simply dropped — pruning on the rest stays sound
+// because dropping a conjunct only widens what a segment may contain. full
+// reports that every conjunct was compiled, which is what permits skipping
+// filter evaluation on full-match segments.
+func compileZonePreds(filters []logical.Scalar, cols []logical.ColumnID, ords []int, params []datum.D) (preds []storage.ZonePred, full bool) {
+	// ordOf is the base-table ordinal of a column reference.
+	ordOf := func(s logical.Scalar) (int, bool) {
+		if col, ok := s.(*logical.Col); ok {
+			if i := slices.Index(cols, col.ID); i >= 0 {
+				return ords[i], true
+			}
+		}
+		return 0, false
+	}
 	full = true
 	for _, p := range filters {
+		var zp storage.ZonePred
+		ok := false
 		switch t := p.(type) {
 		case *logical.Cmp:
-			var colRef *logical.Col
-			var cst *logical.Const
-			op := t.Op
-			if lc, ok := t.L.(*logical.Col); ok {
-				if rk, ok := t.R.(*logical.Const); ok {
-					colRef, cst = lc, rk
-				}
-			} else if rc, ok := t.R.(*logical.Col); ok {
-				if lk, ok := t.L.(*logical.Const); ok {
-					colRef, cst, op = rc, lk, t.Op.Commute()
-				}
+			l, r, op := t.L, t.R, t.Op
+			if _, isConst := l.(*logical.Const); isConst {
+				l, r, op = r, l, op.Commute()
 			}
-			if colRef == nil || cst == nil {
-				full = false
-				continue
-			}
-			ord, ok := ordOf(colRef.ID)
-			if !ok {
-				full = false
-				continue
-			}
-			if cst.Val.IsNull() {
+			k, isConst := r.(*logical.Const)
+			zp.Ord, ok = ordOf(l)
+			zop, zok := zoneOpOf(op)
+			switch {
+			case !ok || !isConst:
+				ok = false
+			case k.Bound(params).IsNull():
 				// col <op> NULL is never TRUE: the whole scan is empty.
-				preds = append(preds, storage.ZonePred{Ord: ord, Form: storage.ZoneNever})
-				continue
+				zp.Form = storage.ZoneNever
+			case zok:
+				zp.Form, zp.Op, zp.C = storage.ZoneCmp, zop, k.Bound(params)
+			default:
+				ok = false
 			}
-			zop, ok := zoneOpOf(op)
-			if !ok {
-				full = false
-				continue
-			}
-			preds = append(preds, storage.ZonePred{Ord: ord, Form: storage.ZoneCmp, Op: zop, C: cst.Val})
 		case *logical.IsNull:
-			col, ok := t.E.(*logical.Col)
-			if !ok {
-				full = false
-				continue
+			zp.Ord, ok = ordOf(t.E)
+			if zp.Form = storage.ZoneIsNull; t.Negated {
+				zp.Form = storage.ZoneIsNotNull
 			}
-			ord, ok := ordOf(col.ID)
-			if !ok {
-				full = false
-				continue
-			}
-			form := storage.ZoneIsNull
-			if t.Negated {
-				form = storage.ZoneIsNotNull
-			}
-			preds = append(preds, storage.ZonePred{Ord: ord, Form: form})
 		case *logical.InList:
-			if t.Negated {
-				full = false
-				continue
+			zp.Ord, ok = ordOf(t.E)
+			ok = ok && !t.Negated
+			if zp.Form = storage.ZoneIn; len(t.List) == 0 {
+				zp.Form = storage.ZoneNever
 			}
-			col, ok := t.E.(*logical.Col)
-			if !ok {
-				full = false
-				continue
-			}
-			ord, ok := ordOf(col.ID)
-			if !ok {
-				full = false
-				continue
-			}
-			list := make([]datum.D, 0, len(t.List))
-			usable := true
 			for _, e := range t.List {
-				k, ok := e.(*logical.Const)
-				if !ok || k.Val.IsNull() {
-					usable = false
+				k, isConst := e.(*logical.Const)
+				if !isConst || k.Bound(params).IsNull() {
+					ok = false
 					break
 				}
-				list = append(list, k.Val)
+				zp.List = append(zp.List, k.Bound(params))
 			}
-			if !usable {
-				full = false
-				continue
-			}
-			if len(list) == 0 {
-				preds = append(preds, storage.ZonePred{Ord: ord, Form: storage.ZoneNever})
-				continue
-			}
-			preds = append(preds, storage.ZonePred{Ord: ord, Form: storage.ZoneIn, List: list})
-		default:
-			full = false
 		}
+		if !ok {
+			full = false
+			continue
+		}
+		preds = append(preds, zp)
 	}
 	return preds, full
 }
@@ -139,20 +110,8 @@ func compileZonePreds(filters []logical.Scalar, ordOf func(logical.ColumnID) (in
 // (the optimizer's pruned-page costing): ords maps each scan output column to
 // its base-table ordinal.
 func CompileScanZonePreds(filters []logical.Scalar, cols []logical.ColumnID, ords []int) []storage.ZonePred {
-	preds, _ := compileZonePreds(filters, scanOrdOf(cols, ords))
+	preds, _ := compileZonePreds(filters, cols, ords, nil)
 	return preds
-}
-
-// scanOrdOf maps a scan's output column IDs to base-table ordinals.
-func scanOrdOf(cols []logical.ColumnID, ords []int) func(logical.ColumnID) (int, bool) {
-	return func(id logical.ColumnID) (int, bool) {
-		for i, cid := range cols {
-			if cid == id {
-				return ords[i], true
-			}
-		}
-		return 0, false
-	}
 }
 
 // scanPruner is the per-scan elimination state: the table's sealed-segment
@@ -179,7 +138,7 @@ func (c *Ctx) buildPruner(tab *storage.Table, filter []logical.Scalar, cols []lo
 	var preds []storage.ZonePred
 	var full bool
 	if !c.NoPrune {
-		preds, full = compileZonePreds(filter, scanOrdOf(cols, colOrds))
+		preds, full = compileZonePreds(filter, cols, colOrds, c.params)
 	}
 	last := layout[len(layout)-1]
 	return &scanPruner{

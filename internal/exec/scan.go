@@ -14,6 +14,7 @@ package exec
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/logical"
@@ -204,16 +205,19 @@ type scanSource struct {
 	pruner *scanPruner
 	need   []bool
 	ws     []scanScratch // per worker
+	ws1    [1]scanScratch
 }
 
 // scanScratch is one worker's working state across the morsels of a scan: a
 // reusable vector per scan column, created by the first morsel that reads the
-// column and holding rows exactly while the current morsel has loaded it, the
-// filter's scratch and the batch handed to the next stage.
+// column and holding rows exactly while the current morsel has loaded it
+// (in vecBuf up to its size), the filter's scratch and the batch handed to
+// the next stage.
 type scanScratch struct {
-	vecs []*datum.Vec
-	conj conjScratch
-	out  Batch
+	vecs   []*datum.Vec
+	vecBuf [6]*datum.Vec
+	conj   conjScratch
+	out    Batch
 }
 
 func (c *Ctx) newScanSource(tab *storage.Table, cols []logical.ColumnID, ords []int, filter []logical.Scalar) *scanSource {
@@ -227,7 +231,9 @@ func (c *Ctx) newScanSource(tab *storage.Table, cols []logical.ColumnID, ords []
 func (s *scanSource) rows() int { return s.n }
 
 func (s *scanSource) bind(need []bool, workers int) {
-	s.need, s.ws = need, make([]scanScratch, workers)
+	if s.need, s.ws = need, s.ws1[:]; workers > 1 {
+		s.ws = make([]scanScratch, workers)
+	}
 }
 
 // load fills column ci of rows [lo, hi) into the worker's vector unless this
@@ -261,7 +267,9 @@ func (s *scanSource) morsel(wc *Ctx, pw *pipeWorker, w, lo, hi int) (*Batch, err
 	wc.Counters.RowsProcessed += int64(hi - lo)
 	sc := &s.ws[w]
 	if sc.vecs == nil {
-		sc.vecs = make([]*datum.Vec, len(s.ords))
+		if sc.vecs = sc.vecBuf[:min(len(s.ords), len(sc.vecBuf))]; len(s.ords) > len(sc.vecBuf) {
+			sc.vecs = make([]*datum.Vec, len(s.ords))
+		}
 		sc.out.Cols, sc.out.Vecs = s.filter.layout, sc.vecs
 	}
 	for ci, v := range sc.vecs {
@@ -315,7 +323,9 @@ func (c *Ctx) openIndexScan(t *physical.IndexScan) (*pipeline, error) {
 		return nil, err
 	}
 	c.Counters.IndexSeeks++
-	ids := ix.Seek(t.EqKey, t.Lo, t.LoIncl, t.Hi, t.HiIncl)
+	var buf [4]datum.D
+	eq, lo, hi := t.Keys(c.params, buf[:0])
+	ids := ix.Seek(eq, lo, t.LoIncl, hi, t.HiIncl)
 	src := c.newScanSource(tab, t.Cols, t.ColOrds, t.Filter)
 	src.ids, src.byID, src.n = ids, true, len(ids)
 	return c.newPipeline(t, src, began), nil
@@ -431,7 +441,7 @@ func newProjectStage(t *physical.Project) *projectStage {
 	for i, it := range t.Items {
 		p.src[i] = -1
 		if col, ok := it.Expr.(*logical.Col); ok {
-			p.src[i] = (&Result{Cols: layout}).ColIndex(col.ID)
+			p.src[i] = slices.Index(layout, col.ID)
 		}
 		if p.src[i] < 0 {
 			p.exprs = append(p.exprs, it.Expr)

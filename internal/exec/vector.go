@@ -19,6 +19,7 @@ package exec
 
 import (
 	"errors"
+	"slices"
 
 	"repro/internal/datum"
 	"repro/internal/logical"
@@ -269,13 +270,12 @@ func (c *Ctx) newAggSink(p physical.Plan) (*aggSink, error) {
 		return nil, err
 	}
 	s.width, s.argOff, s.boxed = len(layout), make([]int, len(s.aggs)), make([]bool, len(s.aggs))
-	find := (&Result{Cols: layout}).ColIndex
 	for i, a := range s.aggs {
 		switch col, isCol := a.Arg.(*logical.Col); {
 		case a.Arg == nil:
 			s.argOff[i] = argCountStar
-		case isCol && find(col.ID) >= 0:
-			s.argOff[i] = find(col.ID)
+		case isCol && slices.Contains(layout, col.ID):
+			s.argOff[i] = slices.Index(layout, col.ID)
 		default:
 			s.argOff[i], s.exprs = s.width+len(s.exprs), append(s.exprs, a.Arg)
 		}

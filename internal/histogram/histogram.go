@@ -60,12 +60,6 @@ type Histogram struct {
 	Distinct float64 // estimated total distinct values
 }
 
-// uniformWithin is the within-bucket assumption the paper discusses: values
-// inside a bucket occur with uniform spread between its endpoints.
-
-// TotalCount returns the number of rows summarized.
-func (h *Histogram) TotalCount() float64 { return h.Total }
-
 // Min returns the smallest summarized value, or NULL for an empty histogram.
 func (h *Histogram) Min() datum.D {
 	if len(h.Buckets) == 0 {

@@ -17,6 +17,9 @@ type EvalContext struct {
 	// (tuple-iteration semantics). It returns the scalar result: a boolean
 	// datum for EXISTS/IN, the single value for scalar subqueries.
 	EvalSubquery func(*Subquery, *EvalContext) (datum.D, error)
+	// Params are the statement's parameter bindings: a parameter-tagged
+	// constant evaluates to its binding here (Const.Bound).
+	Params []datum.D
 }
 
 // Eval evaluates s under SQL three-valued semantics. Boolean results are
@@ -24,7 +27,10 @@ type EvalContext struct {
 func Eval(s Scalar, ctx *EvalContext) (datum.D, error) {
 	switch t := s.(type) {
 	case *Const:
-		return t.Val, nil
+		if ctx == nil {
+			return t.Val, nil
+		}
+		return t.Bound(ctx.Params), nil
 	case *Col:
 		if ctx == nil || ctx.Lookup == nil {
 			return datum.Null, fmt.Errorf("logical: no binding for column @%d", int(t.ID))

@@ -700,7 +700,7 @@ func TestFormatAndRemapRel(t *testing.T) {
 	})
 }
 
-func TestFreeColsAndInputCols(t *testing.T) {
+func TestFreeCols(t *testing.T) {
 	c := paperCatalog(t)
 	q := build(t, c, `SELECT dname FROM Dept WHERE EXISTS (SELECT 1 FROM Emp WHERE Emp.did = Dept.did)`)
 	// The subquery plan has one free column (Dept.did).

@@ -35,9 +35,6 @@ func (s *Scan) OutputCols() ColSet {
 	return set
 }
 
-// ColFor returns the global column ID for a base-table ordinal.
-func (s *Scan) ColFor(ord int) ColumnID { return s.Cols[ord] }
-
 // Values produces literal rows (used for FROM-less selects and tests).
 type Values struct {
 	Cols []ColumnID
@@ -166,18 +163,6 @@ const (
 
 func (f AggFn) String() string {
 	return [...]string{"count", "sum", "avg", "min", "max"}[f]
-}
-
-// SplittableForStaging reports whether Agg(S ∪ S') is computable from partial
-// aggregates — the condition §4.1.3 requires for staged (two-phase)
-// aggregation. AVG is handled by splitting into SUM/COUNT at higher layers,
-// so it is not splittable by itself.
-func (f AggFn) SplittableForStaging() bool {
-	switch f {
-	case AggCount, AggSum, AggMin, AggMax:
-		return true
-	}
-	return false
 }
 
 // AggItem computes one aggregate output column.
@@ -413,22 +398,6 @@ func Scalars(e RelExpr) []Scalar {
 		return out
 	}
 	return nil
-}
-
-// InputCols returns the columns e consumes from below plus free (outer)
-// references: the union of column references in its scalars minus its own
-// synthesized outputs.
-func InputCols(e RelExpr) ColSet {
-	var set ColSet
-	for _, s := range Scalars(e) {
-		set = set.Union(ScalarCols(s))
-	}
-	if g, ok := e.(*GroupBy); ok {
-		for _, c := range g.GroupCols {
-			set.Add(c)
-		}
-	}
-	return set
 }
 
 // RemapRel rewrites the tree replacing column IDs per the mapping, both in

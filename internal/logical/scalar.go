@@ -21,13 +21,27 @@ func (c *Col) String() string { return fmt.Sprintf("@%d", int(c.ID)) }
 
 // Const is a literal value. Param, when non-zero, tags the constant as the
 // binding of statement parameter $Param: Val then holds the value the plan
-// was built (probed) at, and plan-cache execution substitutes fresh bindings
-// for it (physical.BindParams). Param-tagged constants are never folded into
-// derived constants — EvalConst refuses scalars containing them — so the tag
+// was built (probed) at, and a plan-cache execution reads its fresh binding
+// instead (Bound). Param-tagged constants are never folded into derived
+// constants — EvalConst refuses scalars containing them — so the tag
 // survives normalization and optimization into the physical plan.
 type Const struct {
 	Val   datum.D
 	Param int
+}
+
+// Bound is the constant's value under the bindings params: params[Param-1]
+// for a parameter that has one, Val otherwise.
+func (c *Const) Bound(params []datum.D) datum.D { return BoundParam(c.Val, c.Param, params) }
+
+// BoundParam is the value of a datum tagged with parameter ordinal param
+// (0 = a plain constant) under the bindings params: params[param-1] when
+// that binding exists, d otherwise.
+func BoundParam(d datum.D, param int, params []datum.D) datum.D {
+	if param >= 1 && param <= len(params) {
+		return params[param-1]
+	}
+	return d
 }
 
 func (*Const) scalar() {}

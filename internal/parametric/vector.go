@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/datum"
+	"repro/internal/exec"
 	"repro/internal/logical"
 	"repro/internal/physical"
 )
@@ -11,14 +12,17 @@ import (
 // This file generalizes the single-marker plan diagram of parametric.go to a
 // vector of parameters, for the prepared-statement plan cache: each cached
 // statement holds a Diagram whose boxes are axis-aligned regions of the
-// parameter space sharing one plan shape. Dispatch at execute time picks the
-// box containing the binding vector (or the nearest box when the binding
-// falls outside every box) and re-binds its plan via physical.BindParams.
+// parameter space sharing one plan shape. A box holds its plan, the plan
+// made ready to run (exec.Program) and its plan-text template
+// (physical.Template). Dispatch at execute time picks the box containing the
+// binding vector (or the nearest box when the binding falls outside every
+// box) and runs its Program with the bindings, rendering the template with
+// them; nothing of the plan is copied.
 //
 // Unlike Prepare, which probes a candidate grid eagerly, the Diagram is grown
 // online: every cache miss optimizes at the actual bindings and either
-// extends a same-signature box to cover them or adds a new box. Because
-// BindParams substitutes the real bindings into whichever plan is chosen, the
+// extends a same-signature box to cover them or adds a new box. Because the
+// executor reads the real bindings into whichever plan is chosen, the
 // dispatch affects plan *quality* only, never correctness.
 
 // Box is one axis-aligned region of parameter space sharing a plan shape.
@@ -30,13 +34,18 @@ type Box struct {
 	// Probe is the binding vector the stored plan was optimized for.
 	Probe []datum.D
 	// Plan is the physical plan optimized at Probe, with parameter-tagged
-	// constants still in place for BindParams.
+	// constants still in place for the executor to bind.
 	Plan physical.Plan
 	// Query carries the metadata execution needs.
 	Query *logical.Query
 	// View names the materialized view the plan reads instead of base
 	// tables, if any. Add leaves it to the caller.
 	View string
+	// Program is Plan made ready to run and Text its plan-text template
+	// (physical.NewTemplate): a dispatch runs and renders them under its
+	// bindings. Add leaves both to the caller.
+	Program *exec.Program
+	Text    *physical.Template
 	// Signature is the structural fingerprint shared by the box.
 	Signature string
 	// EstCost is the optimizer's estimate at the probe vector.

@@ -90,7 +90,7 @@ type IndexScan struct {
 	EqKey datum.Row
 	// EqKeyParams, when non-nil, parallels EqKey: entry i is the 1-based
 	// statement parameter whose binding produced EqKey[i], or 0 for a plain
-	// constant. BindParams substitutes fresh bindings through it.
+	// constant. Keys reads fresh bindings through it.
 	EqKeyParams []int
 	// Lo/Hi bound the column after the equality prefix (or the leading
 	// column when EqKey is empty); NULL means unbounded.
@@ -103,6 +103,18 @@ type IndexScan struct {
 }
 
 func (*IndexScan) phys() {}
+
+// Keys returns the scan's index condition under the parameter bindings
+// params: EqKey appended to eq, and Lo and Hi, each parameter-bound value
+// replaced by its binding (logical.BoundParam).
+func (i *IndexScan) Keys(params []datum.D, eq datum.Row) (datum.Row, datum.D, datum.D) {
+	n := len(eq)
+	eq = append(eq, i.EqKey...)
+	for k, ord := range i.EqKeyParams[:min(len(i.EqKeyParams), len(i.EqKey))] {
+		eq[n+k] = logical.BoundParam(eq[n+k], ord, params)
+	}
+	return eq, logical.BoundParam(i.Lo, i.LoParam, params), logical.BoundParam(i.Hi, i.HiParam, params)
+}
 
 // Columns returns the output layout.
 func (i *IndexScan) Columns() []logical.ColumnID { return i.Cols }
@@ -497,19 +509,83 @@ func Children(p Plan) []Plan {
 
 // Format renders the plan tree for EXPLAIN output.
 func Format(p Plan, md *logical.Metadata) string {
-	var sb strings.Builder
-	formatPlan(&sb, p, md, 0)
-	return sb.String()
+	var w planWriter
+	w.plan(p, md, 0)
+	return w.String()
 }
 
-// formatPlan writes one line per node, "<indent><Describe>  (rows=%.0f
+// Template is a plan's Format text with a slot wherever an index scan prints
+// a key that a statement parameter bound (EqKeyParams, LoParam, HiParam):
+// the only text of a plan that depends on parameter values, since a
+// parameter-tagged constant in a scalar prints as its "$n" tag. Render
+// splices bindings into the slots with the printer Format uses (datum's
+// Append), so Render(binds) equals Format(BindParams(p, binds), md) byte for
+// byte for bindings that are NULL where p's are — which bindings of one
+// plan-cache entry are, since the cache keys on the parameters' kinds — and
+// Render(nil) equals Format(p, md). A Template is immutable.
+type Template struct {
+	text  string // Format's text without the slotted values
+	slots []textSlot
+}
+
+// textSlot is a parameter-bound value printed at offset at of the text.
+type textSlot struct {
+	at    int
+	param int
+	val   datum.D // the value in the plan, printed when param has no binding
+}
+
+// NewTemplate renders p's plan text with its parameter slots.
+func NewTemplate(p Plan, md *logical.Metadata) *Template {
+	w := planWriter{t: &Template{}}
+	w.plan(p, md, 0)
+	w.t.text = w.String()
+	return w.t
+}
+
+// Render returns the plan text under the bindings binds.
+func (t *Template) Render(binds []datum.D) string {
+	if len(t.slots) == 0 {
+		return t.text
+	}
+	var buf [256]byte
+	b, prev := buf[:0], 0
+	for _, s := range t.slots {
+		b = append(b, t.text[prev:s.at]...)
+		b = logical.BoundParam(s.val, s.param, binds).Append(b)
+		prev = s.at
+	}
+	return string(append(b, t.text[prev:]...))
+}
+
+// planWriter accumulates plan text. With t set, a parameter-bound index key
+// becomes a slot of t instead of text.
+type planWriter struct {
+	strings.Builder
+	t *Template
+}
+
+// value prints d, bound from parameter param (0 = a plain constant).
+func (w *planWriter) value(d datum.D, param int) {
+	if w.t != nil && param > 0 {
+		w.t.slots = append(w.t.slots, textSlot{at: w.Len(), param: param, val: d})
+		return
+	}
+	var buf [32]byte
+	w.Write(d.Append(buf[:0]))
+}
+
+// plan writes one line per node, "<indent><Describe>  (rows=%.0f
 // cost=%.1f)", children indented below their parent. The sub-plans of the
 // subqueries in a node's scalars come first, each under a "subquery <mode>
-// corr=(<outer columns>)" line one level below the node. Every execution
-// renders its plan (Result.Plan), so it is written with strconv, not fmt.
-func formatPlan(sb *strings.Builder, p Plan, md *logical.Metadata, depth int) {
+// corr=(<outer columns>)" line one level below the node. Every ad-hoc
+// execution renders its plan (Result.Plan) and every new plan-cache box its
+// Template, so it is written with strconv, not fmt; a cache hit only renders
+// the box's Template.
+func (w *planWriter) plan(p Plan, md *logical.Metadata, depth int) {
+	sb := &w.Builder
 	writeIndent(sb, depth)
-	describe(sb, p, md)
+	w.describe(p, md)
 	rows, cost := p.Estimate()
 	var buf [48]byte
 	b := append(buf[:0], "  (rows="...)
@@ -533,11 +609,11 @@ func formatPlan(sb *strings.Builder, p Plan, md *logical.Metadata, depth int) {
 		})
 		sb.WriteString(")\n")
 		if body, ok := sub.Body.(Plan); ok {
-			formatPlan(sb, body, md, depth+2)
+			w.plan(body, md, depth+2)
 		}
 	}
 	for _, c := range Children(p) {
-		formatPlan(sb, c, md, depth+1)
+		w.plan(c, md, depth+1)
 	}
 }
 
@@ -584,12 +660,13 @@ func appendFixed(b []byte, x float64, prec int) []byte {
 // salient arguments) — shared by EXPLAIN, EXPLAIN ANALYZE and the feedback
 // report.
 func Describe(p Plan, md *logical.Metadata) string {
-	var sb strings.Builder
-	describe(&sb, p, md)
-	return sb.String()
+	var w planWriter
+	w.describe(p, md)
+	return w.String()
 }
 
-func describe(sb *strings.Builder, p Plan, md *logical.Metadata) {
+func (w *planWriter) describe(p Plan, md *logical.Metadata) {
+	sb := &w.Builder
 	switch t := p.(type) {
 	case *TableScan:
 		sb.WriteString("table-scan ")
@@ -601,14 +678,24 @@ func describe(sb *strings.Builder, p Plan, md *logical.Metadata) {
 		sb.WriteByte('.')
 		sb.WriteString(t.Index.Name)
 		if len(t.EqKey) > 0 {
-			sb.WriteString(" eq=")
-			sb.WriteString(t.EqKey.String())
+			sb.WriteString(" eq=(")
+			for i, d := range t.EqKey {
+				if i > 0 {
+					sb.WriteString(", ")
+				}
+				param := 0
+				if i < len(t.EqKeyParams) {
+					param = t.EqKeyParams[i]
+				}
+				w.value(d, param)
+			}
+			sb.WriteByte(')')
 		}
 		if !t.Lo.IsNull() || !t.Hi.IsNull() {
 			sb.WriteString(" range=[")
-			sb.WriteString(t.Lo.String())
+			w.value(t.Lo, t.LoParam)
 			sb.WriteByte(',')
-			sb.WriteString(t.Hi.String())
+			w.value(t.Hi, t.HiParam)
 			sb.WriteByte(']')
 		}
 		writeFilter(sb, t.Filter, md)

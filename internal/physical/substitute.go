@@ -9,10 +9,12 @@ import (
 // replaced by its fresh binding: binds[n-1] substitutes for parameter $n in
 // scalars (filters, join conditions, projections, aggregate arguments, the
 // bodies of their subqueries) and in index-scan key fields (EqKey/Lo/Hi
-// threaded through EqKeyParams and Lo/HiParam). The input plan is never mutated — the copy shares only
-// immutable state (catalog pointers, column layouts, estimates) — so one
-// cached plan can be re-bound and executed by many goroutines concurrently.
-// Ordinals without a binding (n > len(binds)) keep their probe value.
+// threaded through EqKeyParams and Lo/HiParam, IndexScan.Keys). The input
+// plan is never mutated — the copy shares only immutable state (catalog
+// pointers, column layouts, estimates). Ordinals without a binding
+// (n > len(binds)) keep their probe value. The plan cache does not copy: the
+// executor reads bindings at run time and Template renders them, and
+// BindParams is the substitution both must agree with.
 func BindParams(p Plan, binds []datum.D) Plan {
 	if len(binds) == 0 {
 		return p
@@ -22,13 +24,6 @@ func BindParams(p Plan, binds []datum.D) Plan {
 }
 
 type binder []datum.D
-
-func (b binder) datum(d datum.D, param int) datum.D {
-	if param >= 1 && param <= len(b) {
-		return b[param-1]
-	}
-	return d
-}
 
 func (b binder) scalar(s logical.Scalar) logical.Scalar {
 	return logical.RewriteScalar(s, func(sc logical.Scalar) logical.Scalar {
@@ -82,16 +77,7 @@ func (b binder) plan(p Plan) Plan {
 	case *IndexScan:
 		cp := *t
 		cp.Filter = b.scalars(t.Filter)
-		if len(t.EqKeyParams) > 0 {
-			cp.EqKey = append(datum.Row{}, t.EqKey...)
-			for i, ord := range t.EqKeyParams {
-				if i < len(cp.EqKey) {
-					cp.EqKey[i] = b.datum(cp.EqKey[i], ord)
-				}
-			}
-		}
-		cp.Lo = b.datum(t.Lo, t.LoParam)
-		cp.Hi = b.datum(t.Hi, t.HiParam)
+		cp.EqKey, cp.Lo, cp.Hi = t.Keys(b, nil)
 		return &cp
 	case *ValuesOp:
 		cp := *t

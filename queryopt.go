@@ -273,8 +273,11 @@ type Engine struct {
 	overrides *stats.Overrides
 	// replanMu guards replan: statement fingerprints marked by the q-error
 	// trigger for forced re-optimization, consumed by the next execution.
-	replanMu sync.Mutex
-	replan   map[string]struct{}
+	// replanPending mirrors len(replan), so an execution with no mark
+	// pending skips the lock.
+	replanMu      sync.Mutex
+	replan        map[string]struct{}
+	replanPending atomic.Int64
 }
 
 // feedbackCapacity is how many (plan node, estimated rows, actual rows)
@@ -620,8 +623,8 @@ func (e *Engine) createView(t *sql.CreateViewStmt) (*Result, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			rows, _, _, err := e.runCompiled(context.Background(), c, false)
-			return c.q, rows, err
+			out, _, _, err := e.runCompiled(context.Background(), c, false)
+			return c.q, out.datumRows(), err
 		}
 		if _, err := matview.Materialize(e.cat, e.store, t.Name, t.SQL, compute); err != nil {
 			return nil, err
@@ -704,12 +707,17 @@ func (e *Engine) analyze(t *sql.AnalyzeStmt) (*Result, error) {
 // compiled is one SELECT made ready to run: the logical query whose metadata
 // execution needs, the physical plan (nil in reference mode), the planning
 // tier that produced it (see Result.PlannerTier) and the materialized view it
-// reads instead of base tables, if any.
+// reads instead of base tables, if any. A plan-cache hit also carries the
+// cached box's Program and plan-text template, and the bindings both are
+// run and rendered under; otherwise execution prepares the plan itself.
 type compiled struct {
-	q    *logical.Query
-	plan physical.Plan
-	tier string
-	view string
+	q     *logical.Query
+	plan  physical.Plan
+	tier  string
+	view  string
+	prog  *exec.Program
+	text  *physical.Template
+	binds []datum.D
 }
 
 // compile is the one statement path: ad-hoc statements, EXPLAIN, EXPLAIN
@@ -816,11 +824,11 @@ func (e *Engine) run(ctx context.Context, sel *sql.SelectStmt, explain, analyze 
 // harvested into cardinality overrides and bad plans are marked for
 // re-optimization. Callers hold the shared latch.
 func (e *Engine) execute(ctx context.Context, c *compiled, analyze bool, text string) (*Result, *PlanAnalysis, error) {
-	rows, st, metrics, err := e.runCompiled(ctx, c, analyze)
+	run, st, metrics, err := e.runCompiled(ctx, c, analyze)
 	if err != nil {
 		return nil, nil, err
 	}
-	out := e.finish(c, rows, st)
+	out := e.finish(c, run, st)
 	if !analyze {
 		return out, nil, nil
 	}
@@ -842,21 +850,70 @@ func (e *Engine) execute(ctx context.Context, c *compiled, analyze bool, text st
 	return out, pa, nil
 }
 
-// runCompiled executes a compiled statement: its plan under the engine's
-// resource governor or, in Reference mode, which compiles no plan, its
-// logical tree with the reference evaluator.
-func (e *Engine) runCompiled(ctx context.Context, c *compiled, analyze bool) ([]datum.Row, ExecStats, *physical.RunMetrics, error) {
+// output is what one execution produced: the result batch of an optimized
+// plan, or in Reference mode the evaluator's rows.
+type output struct {
+	b    *exec.Batch
+	rows []datum.Row
+}
+
+func (o output) datumRows() []datum.Row {
+	if o.b != nil {
+		return o.b.ToRows()
+	}
+	return o.rows
+}
+
+// goRows converts the output to Result rows. A batch converts straight from
+// its column vectors into one backing array of values, each row capped so
+// an append to it cannot run into the next.
+func (o output) goRows() [][]any {
+	if o.b == nil {
+		var rows [][]any
+		for _, r := range o.rows {
+			row := make([]any, len(r))
+			for i, d := range r {
+				row[i] = toGo(d)
+			}
+			rows = append(rows, row)
+		}
+		return rows
+	}
+	nr, w := o.b.NumRows(), len(o.b.Vecs)
+	if nr == 0 {
+		return nil
+	}
+	vals, rows := make([]any, nr*w), make([][]any, nr)
+	for k := range rows {
+		rows[k] = vals[k*w : (k+1)*w : (k+1)*w]
+	}
+	for ci, v := range o.b.Vecs {
+		for k, row := range rows {
+			i := k
+			if o.b.Sel != nil {
+				i = int(o.b.Sel[k])
+			}
+			row[ci] = toGo(v.D(i))
+		}
+	}
+	return rows
+}
+
+// runCompiled executes a compiled statement: its plan's Program under the
+// engine's resource governor or, in Reference mode, which compiles no plan,
+// its logical tree with the reference evaluator.
+func (e *Engine) runCompiled(ctx context.Context, c *compiled, analyze bool) (output, ExecStats, *physical.RunMetrics, error) {
 	if c.plan == nil {
 		if analyze {
-			return nil, ExecStats{}, nil, fmt.Errorf("queryopt: EXPLAIN ANALYZE requires an optimized plan (reference mode executes logical trees)")
+			return output{}, ExecStats{}, nil, fmt.Errorf("queryopt: EXPLAIN ANALYZE requires an optimized plan (reference mode executes logical trees)")
 		}
 		ev := reference.New(e.store, c.q.Meta)
 		res, err := ev.RunQuery(c.q)
 		if err != nil {
-			return nil, ExecStats{}, nil, err
+			return output{}, ExecStats{}, nil, err
 		}
 		n := ev.Counters
-		return res.Rows, ExecStats{
+		return output{rows: res.Rows}, ExecStats{
 			RowsProcessed: n.RowsProcessed, HashOps: n.HashOps, SubqueryEvals: n.SubqueryEvals,
 			BytesRead: n.BytesRead, BlocksDict: n.BlocksDict, BlocksRLE: n.BlocksRLE,
 			BlocksPlain: n.BlocksPlain, BlockHits: n.BlockHits,
@@ -867,12 +924,16 @@ func (e *Engine) runCompiled(ctx context.Context, c *compiled, analyze bool) ([]
 	if analyze {
 		metrics = ec.EnableAnalyze()
 	}
-	res, err := exec.RunPlanQuery(c.plan, c.q, ec)
+	prog := c.prog
+	if prog == nil {
+		prog = exec.Prepare(c.plan, c.q)
+	}
+	b, err := prog.Run(ec, c.binds)
 	if err != nil {
-		return nil, ExecStats{}, nil, err
+		return output{}, ExecStats{}, nil, err
 	}
 	n := ec.Counters
-	return res.Rows, ExecStats{
+	return output{b: b}, ExecStats{
 		RowsProcessed:  n.RowsProcessed,
 		IndexSeeks:     n.IndexSeeks,
 		SubqueryEvals:  n.SubqueryEvals,
@@ -986,36 +1047,24 @@ func (e *Engine) optimizeBlock(q *logical.Query) (physical.Plan, string, error) 
 	return nil, "", fmt.Errorf("queryopt: unknown optimizer %v", e.opts.Optimizer)
 }
 
-// finish converts an execution's rows and counters into a Result stamped
+// finish converts an execution's output and counters into a Result stamped
 // with the compiled statement's plan, estimates, tier and view.
-func (e *Engine) finish(c *compiled, rows []datum.Row, st ExecStats) *Result {
+func (e *Engine) finish(c *compiled, run output, st ExecStats) *Result {
 	out := &Result{
 		Columns:              c.q.ColNames,
 		UsedMaterializedView: c.view,
 		PlannerTier:          c.tier,
 		Stats:                st,
+		Rows:                 run.goRows(),
+	}
+	switch {
+	case c.text != nil:
+		out.Plan = c.text.Render(c.binds)
+	case c.plan != nil:
+		out.Plan = physical.Format(c.plan, c.q.Meta)
 	}
 	if c.plan != nil {
-		out.Plan = physical.Format(c.plan, c.q.Meta)
 		out.EstRows, out.EstCost = c.plan.Estimate()
-	}
-	if len(rows) > 0 {
-		// One backing array for every row's values; each row is capped so an
-		// append to it cannot run into the next.
-		n := 0
-		for _, r := range rows {
-			n += len(r)
-		}
-		vals := make([]any, n)
-		out.Rows = make([][]any, len(rows))
-		for k, r := range rows {
-			row := vals[:len(r):len(r)]
-			vals = vals[len(r):]
-			for i, d := range r {
-				row[i] = toGo(d)
-			}
-			out.Rows[k] = row
-		}
 	}
 	return out
 }

@@ -3,20 +3,25 @@
 // SELECT containing `?`/`$n` placeholders; each execution binds concrete
 // values, and the engine keeps a bounded LRU of plan diagrams keyed on the
 // normalized text plus the parameter-type signature. A diagram box stores a
-// plan optimized at one binding vector with its parameter tags intact, so a
-// hit re-binds the cached plan via physical.BindParams (choose-plan
-// dispatch) instead of re-running the optimizer; a miss optimizes at the
-// actual bindings and grows the diagram online. Because substitution makes
-// every stored plan correct for any binding, dispatch can only affect plan
-// quality, never results.
+// plan optimized at one binding vector with its parameter tags intact, the
+// plan made ready to run (exec.Program) and its plan-text template
+// (physical.Template). A hit (choose-plan dispatch) neither re-optimizes nor
+// copies: it runs the box's Program with the bindings, which the executor
+// reads wherever the plan holds a parameter, and renders Result.Plan by
+// splicing them into the template. A miss optimizes at the actual bindings
+// and grows the diagram online. Because every stored plan reads its
+// bindings at run time, it is correct for any binding: dispatch can only
+// affect plan quality, never results.
 package queryopt
 
 import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/datum"
+	"repro/internal/exec"
 	"repro/internal/parametric"
 	"repro/internal/physical"
 	"repro/internal/sql"
@@ -31,6 +36,23 @@ type Stmt struct {
 	fp      string // statement-family fingerprint (replan-trigger key)
 	nParams int
 	sel     *sql.SelectStmt
+	// lastKey is the plan-cache key of the last type signature executed, so
+	// that a repeat signature builds no key.
+	lastKey atomic.Pointer[stmtKey]
+}
+
+// stmtKey is a plan-cache key: the normalized text and a type signature.
+type stmtKey struct{ sig, key string }
+
+// cacheKey returns the plan-cache key of the statement under binds.
+func (s *Stmt) cacheKey(binds []datum.D) string {
+	if k := s.lastKey.Load(); k != nil && sameSig(k.sig, binds) {
+		return k.key
+	}
+	sig := typeSig(binds)
+	k := &stmtKey{sig: sig, key: s.norm + "\x00" + sig}
+	s.lastKey.Store(k)
+	return k.key
 }
 
 // Text returns the original statement text.
@@ -79,6 +101,10 @@ type cacheEntry struct {
 	diagram *parametric.Diagram
 }
 
+// newCacheEntry returns an empty entry. Its version 0 is stale for any
+// catalog version but the first, where its diagram is empty anyway.
+func newCacheEntry() any { return &cacheEntry{} }
+
 // ExecContext is Exec under a context. Execution follows the same admission
 // and latching discipline as Engine.ExecContext.
 func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
@@ -110,7 +136,7 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 	var ce *cacheEntry
 	ver := e.catVersion.Load()
 	if e.plans != nil {
-		slot, _ := e.plans.GetOrPut(s.norm+"\x00"+typeSig(binds), func() any { return &cacheEntry{version: ver} })
+		slot, _ := e.plans.GetOrPut(s.cacheKey(binds), newCacheEntry)
 		ce = slot.(*cacheEntry)
 		ce.mu.Lock()
 		if ce.version != ver || replan {
@@ -123,15 +149,13 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 		var hit compiled
 		if ce.diagram != nil {
 			if box := ce.diagram.Find(binds); box != nil {
-				hit = compiled{q: box.Query, plan: box.Plan, tier: "cached", view: box.View}
+				hit = compiled{q: box.Query, plan: box.Plan, tier: "cached", view: box.View,
+					prog: box.Program, text: box.Text, binds: binds}
 			}
 		}
 		ce.mu.Unlock()
 		if hit.plan != nil {
 			e.cacheHits.Add(1)
-			// Re-bind, never mutate: the cached plan is shared by every
-			// concurrent execution of this entry.
-			hit.plan = physical.BindParams(hit.plan, binds)
 			res, _, err := e.execute(ctx, &hit, false, "")
 			return res, err
 		}
@@ -151,11 +175,14 @@ func (s *Stmt) ExecContext(ctx context.Context, args ...any) (*Result, error) {
 	return res, err
 }
 
-// add records a plan compiled at binds in the entry's diagram, unless the
-// catalog moved on since version ver was read.
+// add prepares c's Program and plan-text template, which the miss runs and
+// renders, and records the plan compiled at binds in the entry's diagram,
+// unless the catalog moved on since version ver was read. A new box keeps
+// the Program and template.
 func (ce *cacheEntry) add(ver uint64, binds []datum.D, c *compiled) error {
 	sig := parametric.Signature(c.plan)
 	_, estCost := c.plan.Estimate()
+	c.prog, c.text = exec.Prepare(c.plan, c.q), physical.NewTemplate(c.plan, c.q.Meta)
 	ce.mu.Lock()
 	defer ce.mu.Unlock()
 	if ce.version != ver {
@@ -171,6 +198,9 @@ func (ce *cacheEntry) add(ver uint64, binds []datum.D, c *compiled) error {
 		return err
 	}
 	box.View = c.view
+	if box.Plan == c.plan {
+		box.Program, box.Text = c.prog, c.text
+	}
 	return nil
 }
 
@@ -183,6 +213,19 @@ func typeSig(binds []datum.D) string {
 		sig[i] = byte('a' + int(d.Kind()))
 	}
 	return string(sig)
+}
+
+// sameSig reports whether binds have type signature sig.
+func sameSig(sig string, binds []datum.D) bool {
+	if len(sig) != len(binds) {
+		return false
+	}
+	for i, d := range binds {
+		if sig[i] != byte('a'+int(d.Kind())) {
+			return false
+		}
+	}
+	return true
 }
 
 // PlanCacheStats reports plan-cache effectiveness at plan granularity: a hit

@@ -10,9 +10,15 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/datum"
+	"repro/internal/physical"
 )
 
 // Exec must be safe from many goroutines at once: 32 workers over a mixed
@@ -518,4 +524,132 @@ func TestPreparedNestedSubqueryCached(t *testing.T) {
 			t.Fatalf("%v: sal > 200 returns %s", kind, got)
 		}
 	}
+}
+
+// ingestTemplates are the four prepared reads of the ingest_mixed workload,
+// over the ev table.
+var ingestTemplates = []oltpTemplate{
+	{"newest_point", `SELECT id, dev, val FROM ev WHERE id = ?`, nil},
+	{"newest_range", `SELECT id, val FROM ev WHERE id >= ? AND id < ? ORDER BY id`, nil},
+	{"table_agg", `SELECT COUNT(*), SUM(val) FROM ev WHERE val < ?`, nil},
+	{"table_groupby", `SELECT kind, COUNT(*), SUM(amt) FROM ev WHERE dev < ? GROUP BY kind`, nil},
+}
+
+// A plan-cache hit runs its box's Program on the bindings and renders the
+// box's plan-text template instead of copying and formatting the plan. Over
+// the oltp_prepared and ingest_mixed templates, 200 bindings each — NULL,
+// negative INTs, INTs past 2^53, floats whose shortest round trip has many
+// digits, strings holding a quote, values in range and far outside every
+// box — a hit's plan text must equal Format of the cached plan re-bound by
+// BindParams, byte for byte, and every execution's rows must equal those of
+// an engine without a plan cache, kernels on or off (off, every predicate
+// reads its bindings through the row evaluator). ev seals 512-row segments,
+// so its scans prune zones on bound parameters.
+func TestCachedPlanTextMatchesReboundPlan(t *testing.T) {
+	const n = 4000
+	engine := func(opts Options) *Engine {
+		e := oltpEngine(t, opts, n)
+		e.MustExec(`CREATE TABLE ev (id INT NOT NULL, dev INT, kind TEXT, val INT, amt FLOAT, PRIMARY KEY (id))`)
+		rng := rand.New(rand.NewSource(4))
+		kinds := []string{"open", "click", "view", "buy", "close", "error"}
+		rows := make([][]any, n)
+		for i := range rows {
+			rows[i] = []any{i, rng.Intn(500), kinds[rng.Intn(len(kinds))], rng.Intn(1000), float64(rng.Intn(100000)) / 100}
+		}
+		if err := e.LoadRows("ev", rows); err != nil {
+			t.Fatal(err)
+		}
+		e.MustExec("ANALYZE")
+		return e
+	}
+	plain := engine(Options{SegmentRows: 512, PlanCacheSize: -1})
+	for _, vec := range []VectorizeMode{VectorizeAuto, VectorizeOff} {
+		checkCachedPlanText(t, engine(Options{SegmentRows: 512, Vectorize: vec}), plain, n)
+	}
+}
+
+func checkCachedPlanText(t *testing.T, cached, plain *Engine, n int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(36))
+	value := func() any {
+		switch rng.Intn(10) {
+		case 0:
+			return nil
+		case 1:
+			return -int64(rng.Intn(1000)) - 1
+		case 2:
+			return int64(1)<<53 + int64(rng.Intn(1000))
+		case 3:
+			return []float64{0.30000000000000004, 1.0 / 3, 5e-324, 1e21, 123456.789e-3, -2.5e-7}[rng.Intn(6)]
+		case 4:
+			return []string{"it's", "'", "o''k", "a'b'c"}[rng.Intn(4)]
+		case 5:
+			return int64(1e12) + int64(rng.Intn(1000))
+		}
+		return int64(rng.Intn(n))
+	}
+	hits := 0
+	for _, tpl := range append(append([]oltpTemplate{}, oltpTemplates...), ingestTemplates...) {
+		cs, err := cached.Prepare(tpl.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps, err := plain.Prepare(tpl.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ordered := strings.Contains(tpl.sql, "ORDER BY")
+		for b := 0; b < 200; b++ {
+			args := make([]any, cs.NumParams())
+			for i := range args {
+				args[i] = value()
+			}
+			got, gerr := cs.Exec(args...)
+			want, werr := ps.Exec(args...)
+			if gerr != nil || werr != nil {
+				if fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("%s %v: error %v, without the cache %v", tpl.name, args, gerr, werr)
+				}
+				continue
+			}
+			if g, w := rowStrings(got.Rows, ordered), rowStrings(want.Rows, ordered); !slices.Equal(g, w) {
+				t.Fatalf("%s %v: rows %v, without the cache %v", tpl.name, args, g, w)
+			}
+			if got.PlannerTier != "cached" {
+				continue
+			}
+			hits++
+			binds := make([]datum.D, len(args))
+			for i, a := range args {
+				binds[i], _ = fromGo(a)
+			}
+			slot, ok := cached.plans.Get(cs.cacheKey(binds))
+			if !ok {
+				t.Fatalf("%s %v: hit without a cache entry", tpl.name, args)
+			}
+			ce := slot.(*cacheEntry)
+			ce.mu.Lock()
+			box := ce.diagram.Find(binds)
+			ce.mu.Unlock()
+			if want := physical.Format(physical.BindParams(box.Plan, binds), box.Query.Meta); got.Plan != want {
+				t.Fatalf("%s %v: cached plan text\n%s\nre-bound plan formats as\n%s", tpl.name, args, got.Plan, want)
+			}
+		}
+	}
+	t.Logf("%d of 2000 executions hit the cache", hits)
+	if hits < 1000 {
+		t.Errorf("%d of 2000 executions hit the cache; want at least 1000", hits)
+	}
+}
+
+// rowStrings renders result rows for comparison, sorted unless ordered.
+func rowStrings(rows [][]any, ordered bool) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		out[i] = fmt.Sprintf("%#v", r)
+	}
+	if !ordered {
+		slices.Sort(out)
+	}
+	return out
 }
