@@ -22,18 +22,25 @@ bench-module-check:
 	go -C bench vet .
 	go -C bench test .
 
-# Non-test line counts of the executor and of the storage engine — the
-# numbers the "one pipeline executor" and "one table representation" roadmap
-# items track. The executor's count may not exceed EXEC_LOC_CEILING, so it
-# cannot creep back up unnoticed; `make check` runs this. A change that
-# shrinks the executor lowers the ceiling to the new count.
-EXEC_LOC_CEILING := 5944
+# Non-test line counts of the executor, of the storage engine and of all Go
+# outside bench/ — the numbers the "one pipeline executor", "one table
+# representation" and "a removal counts as much as a feature" roadmap items
+# track. The executor's count may not exceed EXEC_LOC_CEILING and the whole
+# count may not exceed NONTEST_LOC_CEILING, so neither can creep back up
+# unnoticed; `make check` runs this. A change that shrinks either lowers its
+# ceiling to the new count.
+EXEC_LOC_CEILING := 5936
+NONTEST_LOC_CEILING := 31732
 exec-loc:
 	@for d in internal/exec internal/storage; do \
 		echo "$$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)"; done
 	@n=$$(ls internal/exec/*.go | grep -v _test.go | xargs cat | wc -l); \
 	test $$n -le $(EXEC_LOC_CEILING) || { \
 		echo "internal/exec: $$n non-test lines, above the ceiling of $(EXEC_LOC_CEILING)"; exit 1; }
+	@n=$$(find . -name '*.go' -not -path './bench/*' -not -name '*_test.go' | xargs cat | wc -l); \
+	echo "non-test Go outside bench/ $$n"; \
+	test $$n -le $(NONTEST_LOC_CEILING) || { \
+		echo "non-test Go outside bench/: $$n lines, above the ceiling of $(NONTEST_LOC_CEILING)"; exit 1; }
 
 # Planner micro-benchmarks: one Optimize call (fresh estimator and optimizer
 # per statement, as the engine builds them) — System-R on the adhoc_planning

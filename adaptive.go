@@ -1,14 +1,10 @@
 // Adaptive planning plumbing: harvesting analyzed-execution observations
-// into the estimator's cardinality overrides, the q-error replan trigger,
-// and incremental statistics maintenance on INSERT. The greedy fast path
-// itself lives in internal/systemr; this file is the engine-side feedback
-// loop that decides when plans should be revisited.
+// into the estimator's cardinality overrides and the q-error replan trigger.
+// The greedy fast path itself lives in internal/systemr; this file is the
+// engine-side feedback loop that decides when plans should be revisited.
 package queryopt
 
 import (
-	"repro/internal/catalog"
-	"repro/internal/datum"
-	"repro/internal/histogram"
 	"repro/internal/logical"
 	"repro/internal/physical"
 	"repro/internal/stats"
@@ -77,37 +73,4 @@ func (e *Engine) consumeReplan(fp string) bool {
 	}
 	e.replanMu.Unlock()
 	return ok
-}
-
-// maintainStats folds one inserted row into the table's statistics
-// (Options.IncrementalStats): row and page counts advance, null counts
-// track, and existing histograms absorb the value via incremental
-// widen/split/merge maintenance. Distinct counts are left to drift — they
-// cannot be maintained from inserts alone — and no catalog-version bump is
-// issued: incremental maintenance keeps cached plans fresher, it does not
-// invalidate them (the feedback loop handles plans that went stale anyway).
-// Tables never ANALYZEd have no statistics to maintain and are skipped.
-func (e *Engine) maintainStats(def *catalog.Table, row datum.Row) {
-	if def == nil || def.Stats == nil {
-		return
-	}
-	st := def.Stats
-	if st.RowCount > 0 {
-		st.PageCount += st.PageCount / st.RowCount
-	}
-	st.RowCount++
-	const buckets = 32 // ANALYZE's default bucket budget
-	for ord, cs := range st.ColStats {
-		if ord >= len(row) {
-			continue
-		}
-		d := row[ord]
-		if d.Kind() == datum.KindNull {
-			cs.NullCount++
-			continue
-		}
-		if cs.Hist != nil {
-			histogram.NewIncremental(cs.Hist, buckets).Insert(d)
-		}
-	}
 }

@@ -229,53 +229,6 @@ func TestHarvestOverridesGuards(t *testing.T) {
 	}
 }
 
-// Options.IncrementalStats folds INSERTs into existing statistics — row
-// counts advance and NULL counts track — while the default engine freezes
-// statistics between ANALYZE runs, and never-analyzed tables are skipped.
-func TestIncrementalStatsMaintenance(t *testing.T) {
-	e := New(Options{IncrementalStats: true})
-	defer e.Close()
-	e.MustExec("CREATE TABLE m (pk INT NOT NULL, v INT, PRIMARY KEY (pk))")
-	// Inserting before ANALYZE is fine: no statistics exist yet to maintain.
-	e.MustExec("INSERT INTO m VALUES (9999, 1)")
-	rows := make([][]any, 0, 30)
-	for i := 0; i < 30; i++ {
-		rows = append(rows, []any{int64(i), int64(i % 5)})
-	}
-	if err := e.LoadRows("m", rows); err != nil {
-		t.Fatal(err)
-	}
-	e.MustExec("ANALYZE")
-	tbl, ok := e.Catalog().Table("m")
-	if !ok || tbl.Stats == nil {
-		t.Fatal("table m should be analyzed")
-	}
-	rc := tbl.Stats.RowCount
-	nulls := tbl.Stats.ColStats[1].NullCount
-	e.MustExec("INSERT INTO m VALUES (1000, 7)")
-	e.MustExec("INSERT INTO m VALUES (1001, NULL)")
-	if tbl.Stats.RowCount != rc+2 {
-		t.Errorf("RowCount = %v, want %v after two maintained inserts", tbl.Stats.RowCount, rc+2)
-	}
-	if tbl.Stats.ColStats[1].NullCount != nulls+1 {
-		t.Errorf("NullCount = %v, want %v", tbl.Stats.ColStats[1].NullCount, nulls+1)
-	}
-
-	frozen := New(Options{})
-	defer frozen.Close()
-	frozen.MustExec("CREATE TABLE m (pk INT NOT NULL, v INT, PRIMARY KEY (pk))")
-	if err := frozen.LoadRows("m", rows); err != nil {
-		t.Fatal(err)
-	}
-	frozen.MustExec("ANALYZE")
-	ftbl, _ := frozen.Catalog().Table("m")
-	frc := ftbl.Stats.RowCount
-	frozen.MustExec("INSERT INTO m VALUES (1000, 7)")
-	if ftbl.Stats.RowCount != frc {
-		t.Errorf("default engine maintained statistics: RowCount %v, want frozen %v", ftbl.Stats.RowCount, frc)
-	}
-}
-
 // The engine-level feedback report must not repeat a hot statement: fifty
 // analyzed executions of one query collapse to one entry per plan node, each
 // carrying that pair's worst q-error.

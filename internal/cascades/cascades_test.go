@@ -183,12 +183,12 @@ func TestMemoDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := m.NumGroups()
+	n := len(m.groups)
 	g2, err := m.Build(q.Root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g1 != g2 || m.NumGroups() != n {
+	if g1 != g2 || len(m.groups) != n {
 		t.Error("identical trees must intern to the same groups")
 	}
 	if m.DedupHits == 0 {

@@ -147,9 +147,6 @@ func NewMemo() *Memo {
 // Group returns the group with the given id.
 func (m *Memo) Group(id GroupID) *Group { return m.groups[id] }
 
-// NumGroups returns the number of groups.
-func (m *Memo) NumGroups() int { return len(m.groups) }
-
 // NumExprs counts all memo expressions.
 func (m *Memo) NumExprs() int {
 	n := 0

@@ -61,26 +61,12 @@ func (t *Table) ClusteredIndex() *Index {
 	return nil
 }
 
-// IndexWithLeading returns indexes whose leading column is the given ordinal.
-func (t *Table) IndexWithLeading(ord int) []*Index {
-	var out []*Index
-	for _, ix := range t.Indexes {
-		if len(ix.Cols) > 0 && ix.Cols[0] == ord {
-			out = append(out, ix)
-		}
-	}
-	return out
-}
-
 // TableStats is the statistical summary of a stored table: row count, page
 // count and per-column statistics.
 type TableStats struct {
 	RowCount  float64
 	PageCount float64
 	ColStats  map[int]*ColumnStats // keyed by column ordinal
-	// Joint holds optional two-dimensional histograms capturing the joint
-	// distribution of column pairs (§5.1.1), keyed by ordinal pairs.
-	Joint map[[2]int]*histogram.Hist2D
 }
 
 // ColumnStats summarizes one column's data distribution.
@@ -222,18 +208,4 @@ func (c *Catalog) MaterializedViews() []*MaterializedView {
 		out = append(out, mv)
 	}
 	return out
-}
-
-// ColStats returns the stats for a column ordinal, creating the container if
-// needed.
-func (s *TableStats) ColStatsFor(ord int) *ColumnStats {
-	if s.ColStats == nil {
-		s.ColStats = make(map[int]*ColumnStats)
-	}
-	cs, ok := s.ColStats[ord]
-	if !ok {
-		cs = &ColumnStats{}
-		s.ColStats[ord] = cs
-	}
-	return cs
 }

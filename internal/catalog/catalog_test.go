@@ -41,9 +41,6 @@ func TestAddAndLookupTable(t *testing.T) {
 	if ci := tab.ClusteredIndex(); ci == nil || ci.Name != "emp_pk" {
 		t.Error("clustered index lookup failed")
 	}
-	if ixs := tab.IndexWithLeading(2); len(ixs) != 1 || ixs[0].Name != "emp_did" {
-		t.Error("IndexWithLeading(2) failed")
-	}
 	if len(c.Tables()) != 1 {
 		t.Error("Tables() should list one table")
 	}
@@ -111,14 +108,5 @@ func TestMaterializedViews(t *testing.T) {
 	}
 	if got := c.MaterializedViews(); len(got) != 1 || got[0].Name != "mv1" {
 		t.Error("MaterializedViews() wrong")
-	}
-}
-
-func TestColStatsFor(t *testing.T) {
-	s := &TableStats{}
-	cs := s.ColStatsFor(3)
-	cs.DistinctCount = 7
-	if s.ColStatsFor(3).DistinctCount != 7 {
-		t.Error("ColStatsFor should return the same container")
 	}
 }

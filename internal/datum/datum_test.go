@@ -264,7 +264,7 @@ func TestSizeAtMatchesDatumSize(t *testing.T) {
 		"float":  typed(NewFloat(0.5), NewFloat(-1), Null),
 		"bool":   typed(NewBool(true), Null, NewBool(false)),
 		"string": typed(NewString(""), NewString("abc"), Null),
-		"dict":   NewDictVec(3, []int64{1, 0, 0}, &StrDict{Vals: []string{"a", "long value"}}, Bitmap{1 << 2}, 1),
+		"dict":   dictVec(3, []int64{1, 0, 0}, &StrDict{Vals: []string{"a", "long value"}}, Bitmap{1 << 2}, 1),
 		"boxed":  typed(NewInt(1), NewString("xy"), Null),
 		"null":   typed(Null, Null, Null),
 	}
@@ -361,9 +361,9 @@ func TestKeyOrderMatchesCompareKeys(t *testing.T) {
 		"floats":      fromDs(nan, negZero, NewFloat(0), NewFloat(math.Inf(-1))),
 		"float-nulls": fromDs(Null, NewFloat(2.5), nan, NewFloat(1<<53)),
 		"strs":        fromDs(NewString("b"), NewString(""), Null, NewString("a")),
-		"dict":        NewDictVec(4, []int64{2, 0, 1, 0}, dict, Bitmap{1 << 3}, 1),
-		"dict-same":   NewDictVec(3, []int64{1, 2, 0}, dict, nil, 0),
-		"dict-other":  NewDictVec(3, []int64{1, 0, 1}, other, nil, 0),
+		"dict":        dictVec(4, []int64{2, 0, 1, 0}, dict, Bitmap{1 << 3}, 1),
+		"dict-same":   dictVec(3, []int64{1, 2, 0}, dict, nil, 0),
+		"dict-other":  dictVec(3, []int64{1, 0, 1}, other, nil, 0),
 		"bools":       fromDs(NewBool(true), NewBool(false), Null),
 		"boxed":       fromDs(NewInt(1<<53), NewFloat(1<<53), nan, NewString("a"), Null),
 		"all-null":    fromDs(Null, Null),
@@ -389,4 +389,10 @@ func TestKeyOrderMatchesCompareKeys(t *testing.T) {
 			}
 		}
 	}
+}
+
+// dictVec assembles a dictionary-encoded string vector from its parts: codes
+// index dict.Vals, and NULL rows hold code 0 and are marked in nulls.
+func dictVec(n int, codes []int64, dict *StrDict, nulls Bitmap, numNulls int) *Vec {
+	return &Vec{kind: KindString, n: n, Ints: codes, Dict: dict, nulls: nulls, numNulls: numNulls}
 }

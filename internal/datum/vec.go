@@ -141,13 +141,6 @@ func NewBoxedVec(ds []D) *Vec {
 	return &Vec{anyKind: true, n: len(ds), Ds: ds}
 }
 
-// NewDictVec assembles a dictionary-encoded string vector from its parts —
-// the decode path of dictionary column blocks. codes index dict.Vals; NULL
-// rows must hold code 0 and be marked in nulls.
-func NewDictVec(n int, codes []int64, dict *StrDict, nulls Bitmap, numNulls int) *Vec {
-	return &Vec{kind: KindString, n: n, Ints: codes, Dict: dict, nulls: nulls, numNulls: numNulls}
-}
-
 // materializeDict decodes a dictionary-encoded vector to the plain string
 // representation in place. Only caller-owned vectors may be materialized;
 // shared (cached) vectors are always the src side of an append.

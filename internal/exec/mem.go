@@ -72,14 +72,6 @@ func (a *MemAccount) Budget() int64 {
 	return a.budget
 }
 
-// Used returns the bytes currently reserved.
-func (a *MemAccount) Used() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.used.Load()
-}
-
 // Peak returns the high-water mark of reserved bytes.
 func (a *MemAccount) Peak() int64 {
 	if a == nil {

@@ -13,8 +13,8 @@ func TestMemAccountParentCharging(t *testing.T) {
 	if err := q1.Grow("op", 500); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Used() != 500 {
-		t.Fatalf("pool.Used = %d, want 500", pool.Used())
+	if pool.used.Load() != 500 {
+		t.Fatalf("pool.Used = %d, want 500", pool.used.Load())
 	}
 	// q2 fits its own budget but not the pool remainder: typed error, and the
 	// failed local reservation is rolled back.
@@ -22,20 +22,20 @@ func TestMemAccountParentCharging(t *testing.T) {
 	if !errors.Is(err, ErrMemoryBudgetExceeded) {
 		t.Fatalf("pool-exhausted Grow = %v, want ErrMemoryBudgetExceeded", err)
 	}
-	if q2.Used() != 0 {
-		t.Fatalf("q2.Used after failed Grow = %d, want 0 (rolled back)", q2.Used())
+	if q2.used.Load() != 0 {
+		t.Fatalf("q2.Used after failed Grow = %d, want 0 (rolled back)", q2.used.Load())
 	}
 	// A smaller reservation still fits.
 	if err := q2.Grow("op", 400); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Used() != 900 {
-		t.Fatalf("pool.Used = %d, want 900", pool.Used())
+	if pool.used.Load() != 900 {
+		t.Fatalf("pool.Used = %d, want 900", pool.used.Load())
 	}
 	// Shrink releases on both levels.
 	q1.Shrink(500)
-	if pool.Used() != 400 || q1.Used() != 0 {
-		t.Fatalf("after shrink: pool=%d q1=%d", pool.Used(), q1.Used())
+	if pool.used.Load() != 400 || q1.used.Load() != 0 {
+		t.Fatalf("after shrink: pool=%d q1=%d", pool.used.Load(), q1.used.Load())
 	}
 }
 
@@ -47,16 +47,16 @@ func TestMemAccountFloorChargesParent(t *testing.T) {
 	if err := q.GrowFloor("op", 150, 0, 200); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Used() != 150 || q.Used() != 150 {
-		t.Fatalf("floor grant not charged through: pool=%d q=%d", pool.Used(), q.Used())
+	if pool.used.Load() != 150 || q.used.Load() != 150 {
+		t.Fatalf("floor grant not charged through: pool=%d q=%d", pool.used.Load(), q.used.Load())
 	}
 	// Beyond the floor the pool budget applies again.
 	if err := q.GrowFloor("op", 100, 150, 200); !errors.Is(err, ErrMemoryBudgetExceeded) {
 		t.Fatalf("beyond-floor GrowFloor = %v, want ErrMemoryBudgetExceeded", err)
 	}
 	q.Shrink(150)
-	if pool.Used() != 0 {
-		t.Fatalf("pool.Used after release = %d, want 0", pool.Used())
+	if pool.used.Load() != 0 {
+		t.Fatalf("pool.Used after release = %d, want 0", pool.used.Load())
 	}
 }
 

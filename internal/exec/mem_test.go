@@ -14,7 +14,7 @@ func TestMemAccountGrowShrinkPeak(t *testing.T) {
 	if err := a.Grow("op", 300); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Used(); got != 900 {
+	if got := a.used.Load(); got != 900 {
 		t.Fatalf("used = %d, want 900", got)
 	}
 	err := a.Grow("hash join build", 200)
@@ -32,7 +32,7 @@ func TestMemAccountGrowShrinkPeak(t *testing.T) {
 		t.Fatalf("error fields wrong: %+v", be)
 	}
 	a.Shrink(500)
-	if got := a.Used(); got != 400 {
+	if got := a.used.Load(); got != 400 {
 		t.Fatalf("used after shrink = %d, want 400", got)
 	}
 	if got := a.Peak(); got != 900 {
@@ -62,7 +62,7 @@ func TestMemAccountUnlimitedAndNil(t *testing.T) {
 func TestMemAccountNotePeakDoesNotReserve(t *testing.T) {
 	a := NewMemAccount(100)
 	a.NotePeak(1 << 20)
-	if a.Used() != 0 {
+	if a.used.Load() != 0 {
 		t.Fatal("NotePeak reserved memory")
 	}
 	if a.Peak() != 1<<20 {
@@ -80,8 +80,8 @@ func TestMemAccountGrowFloor(t *testing.T) {
 	if err := a.GrowFloor("part", 5000, 0, 64<<10); err != nil {
 		t.Fatalf("floored grow failed: %v", err)
 	}
-	if a.Used() != 5000 {
-		t.Fatalf("used = %d", a.Used())
+	if a.used.Load() != 5000 {
+		t.Fatalf("used = %d", a.used.Load())
 	}
 	// Beyond the floor: back to budget enforcement.
 	if err := a.GrowFloor("part", 70<<10, 5000, 64<<10); err == nil {
@@ -102,7 +102,7 @@ func TestMemAccountConcurrentGrow(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				if err := a.Grow("op", 1024); err == nil {
-					if a.Used() > budget {
+					if a.used.Load() > budget {
 						t.Error("usage exceeded budget")
 					}
 					a.Shrink(1024)
@@ -111,7 +111,7 @@ func TestMemAccountConcurrentGrow(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if a.Used() != 0 {
-		t.Fatalf("unbalanced account: used = %d", a.Used())
+	if a.used.Load() != 0 {
+		t.Fatalf("unbalanced account: used = %d", a.used.Load())
 	}
 }

@@ -604,7 +604,7 @@ func TestPipelineEquivalence(t *testing.T) {
 							break
 						}
 					}
-					if used := c.Mem.Used(); used != 0 {
+					if used := c.Mem.used.Load(); used != 0 {
 						t.Errorf("%s: %d bytes still reserved after the run", label, used)
 					}
 					cs := pipeCounters(c)

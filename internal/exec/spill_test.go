@@ -49,6 +49,20 @@ func randSpillRows(rng *rand.Rand, n int) []datum.Row {
 	return rows
 }
 
+// dictVec builds a dictionary-encoded string vector the way a segment scan
+// decodes a dictionary block: codes index dict.Vals, NULL rows hold code 0.
+func dictVec(t *testing.T, codes []int64, dict *datum.StrDict, nulls datum.Bitmap) *datum.Vec {
+	v := datum.NewVec(datum.KindString, len(codes))
+	ok, err := v.AppendDecoded(datum.KindString, dict, nulls, 0, len(codes), func(v *datum.Vec) error {
+		v.Ints = append(v.Ints, codes...)
+		return nil
+	})
+	if !ok || err != nil || v.Dict != dict {
+		t.Fatalf("dictionary vector not built: ok=%v err=%v", ok, err)
+	}
+	return v
+}
+
 func TestSpillFileRoundTripIsBitExact(t *testing.T) {
 	c := spillCtx(t, 0)
 	dict := &datum.StrDict{Vals: []string{"", "héllo\x00world", "zeta"}}
@@ -57,7 +71,7 @@ func TestSpillFileRoundTripIsBitExact(t *testing.T) {
 		mkVec(datum.NewInt(-1<<62), datum.NewInt(0), datum.Null, datum.NewInt(1<<62-1), datum.NewInt(7)),
 		mkVec(datum.NewFloat(0.1), datum.NewFloat(math.Copysign(0, -1)), datum.NewFloat(math.MaxFloat64),
 			datum.NewFloat(math.SmallestNonzeroFloat64), datum.NewFloat(math.NaN())),
-		datum.NewDictVec(5, []int64{1, 0, 0, 2, 1}, dict, datum.Bitmap{1 << 2}, 1),
+		dictVec(t, []int64{1, 0, 0, 2, 1}, dict, datum.Bitmap{1 << 2}),
 		mkVec(datum.NewInt(1), datum.NewFloat(1.5), datum.NewString("x"), datum.Null, datum.NewBool(true)), // boxed
 		mkVec(datum.Null, datum.Null, datum.Null, datum.Null, datum.Null),
 	}}
@@ -172,8 +186,8 @@ func TestExternalSortMatchesStableSort(t *testing.T) {
 		if c.Counters.Spills == 0 {
 			t.Fatalf("budget %d: external sort wrote no runs", budget)
 		}
-		if c.Mem.Used() != 0 {
-			t.Fatalf("budget %d: leaked %d reserved bytes", budget, c.Mem.Used())
+		if c.Mem.used.Load() != 0 {
+			t.Fatalf("budget %d: leaked %d reserved bytes", budget, c.Mem.used.Load())
 		}
 	}
 }
@@ -204,8 +218,8 @@ func runSpilled(t *testing.T, label string, plan physical.Plan, budget int64) {
 		if c.Counters.Spills == 0 {
 			t.Fatalf("%s degree %d: nothing spilled", label, degree)
 		}
-		if c.Mem.Used() != 0 {
-			t.Fatalf("%s degree %d: leaked %d reserved bytes", label, degree, c.Mem.Used())
+		if c.Mem.used.Load() != 0 {
+			t.Fatalf("%s degree %d: leaked %d reserved bytes", label, degree, c.Mem.used.Load())
 		}
 		if cw, cg := truth.Counters, c.Counters; cg.RowsProcessed != cw.RowsProcessed || cg.HashOps != cw.HashOps {
 			t.Fatalf("%s degree %d: rows processed %d, hash ops %d; in memory %d, %d", label, degree, cg.RowsProcessed, cg.HashOps, cw.RowsProcessed, cw.HashOps)
@@ -285,8 +299,8 @@ func TestGraceHashJoinSkewFailsTyped(t *testing.T) {
 	if be.Op != "hash join build partition" {
 		t.Fatalf("error op = %q", be.Op)
 	}
-	if c.Mem.Used() != 0 {
-		t.Fatalf("failed join leaked %d reserved bytes", c.Mem.Used())
+	if c.Mem.used.Load() != 0 {
+		t.Fatalf("failed join leaked %d reserved bytes", c.Mem.used.Load())
 	}
 }
 
@@ -420,8 +434,8 @@ func TestKernelGroupByBudgetTripInWorker(t *testing.T) {
 			if c.Counters.Spills == 0 {
 				t.Fatalf("%d groups, degree %d: the 4 KiB budget never tripped", len(want.Rows), degree)
 			}
-			if c.Mem.Used() != 0 {
-				t.Fatalf("%d groups, degree %d: leaked %d reserved bytes", len(want.Rows), degree, c.Mem.Used())
+			if c.Mem.used.Load() != 0 {
+				t.Fatalf("%d groups, degree %d: leaked %d reserved bytes", len(want.Rows), degree, c.Mem.used.Load())
 			}
 			if len(got.Rows) != len(want.Rows) {
 				t.Fatalf("degree %d: %d groups, want %d", degree, len(got.Rows), len(want.Rows))

@@ -9,31 +9,17 @@ import (
 
 // Sample draws a uniform random sample of size m (without replacement) from
 // values, using the provided source for reproducibility. If m >= len(values)
-// the whole input is returned (copied).
+// the whole input is returned (copied). Reservoir sampling keeps memory
+// proportional to the sample.
 func Sample(values []datum.D, m int, rng *rand.Rand) []datum.D {
-	pos := SamplePositions(len(values), m, rng)
-	out := make([]datum.D, len(pos))
-	for k, i := range pos {
-		out[k] = values[i]
-	}
-	return out
-}
-
-// SamplePositions draws min(m, n) of the positions [0, n) uniformly without
-// replacement. Reservoir sampling keeps memory proportional to the sample,
-// and a caller holding a column in another form than boxed values samples
-// it by position with the same draws as Sample.
-func SamplePositions(n, m int, rng *rand.Rand) []int {
-	pos := make([]int, min(m, n))
-	for i := range pos {
-		pos[i] = i
-	}
-	for i := m; i < n; i++ {
+	out := make([]datum.D, min(m, len(values)))
+	copy(out, values)
+	for i := m; i < len(values); i++ {
 		if j := rng.Intn(i + 1); j < m {
-			pos[j] = i
+			out[j] = values[i]
 		}
 	}
-	return pos
+	return out
 }
 
 // BuildFromSample constructs a k-bucket equi-depth histogram from a sample of

@@ -145,11 +145,6 @@ func (s ColSet) Intersects(o ColSet) bool {
 	return false
 }
 
-// Equals reports set equality.
-func (s ColSet) Equals(o ColSet) bool {
-	return s.SubsetOf(o) && o.SubsetOf(s)
-}
-
 // Ordered returns the members in ascending order.
 func (s ColSet) Ordered() []ColumnID {
 	out := make([]ColumnID, 0, s.Len())
@@ -166,14 +161,6 @@ func (s ColSet) ForEach(f func(ColumnID)) {
 			w &^= 1 << uint(b)
 		}
 	}
-}
-
-// SingleCol returns the only member; it panics unless Len() == 1.
-func (s ColSet) SingleCol() ColumnID {
-	if s.Len() != 1 {
-		panic(fmt.Sprintf("logical: SingleCol on set of size %d", s.Len()))
-	}
-	return s.Ordered()[0]
 }
 
 // Copy returns an independent copy.

@@ -92,11 +92,11 @@ func TestColSetBasics(t *testing.T) {
 		t.Error("Union")
 	}
 	i := MakeColSet(1, 2, 3).Intersect(MakeColSet(2, 3, 4))
-	if !i.Equals(MakeColSet(2, 3)) {
+	if !sameCols(i, MakeColSet(2, 3)) {
 		t.Error("Intersect")
 	}
 	d := MakeColSet(1, 2, 3).Difference(MakeColSet(2))
-	if !d.Equals(MakeColSet(1, 3)) {
+	if !sameCols(d, MakeColSet(1, 3)) {
 		t.Error("Difference")
 	}
 	if !MakeColSet(1).SubsetOf(MakeColSet(1, 2)) || MakeColSet(3).SubsetOf(MakeColSet(1, 2)) {
@@ -113,9 +113,6 @@ func TestColSetBasics(t *testing.T) {
 	}
 	if MakeColSet(2, 1).String() != "(1,2)" {
 		t.Errorf("String = %q", MakeColSet(2, 1).String())
-	}
-	if MakeColSet(7).SingleCol() != 7 {
-		t.Error("SingleCol")
 	}
 	got := MakeColSet(9, 2, 5).Ordered()
 	if len(got) != 3 || got[0] != 2 || got[2] != 9 {
@@ -594,14 +591,11 @@ func TestQueryGraphPaperExample(t *testing.T) {
 	if localCount != 1 {
 		t.Errorf("local preds = %d, want 1", localCount)
 	}
-	if !g.Connected([]int{0, 1, 2}) {
-		t.Error("graph should be connected")
-	}
-	if g.Connected([]int{0, 2}) {
-		t.Error("e and e2 are not directly connected")
-	}
-	if between := g.EdgesBetween([]int{0}, []int{1}); len(between) != 1 {
-		t.Errorf("EdgesBetween = %d", len(between))
+	// e–d and d–e2: connected through d, with no edge between e and e2.
+	for i, want := range [][2]int{{0, 1}, {1, 2}} {
+		if e := g.Edges[i]; [2]int{min(e.A, e.B), max(e.A, e.B)} != want || len(e.Preds) != 1 {
+			t.Errorf("edge %d joins %d and %d with %d predicates, want %v with 1", i, e.A, e.B, len(e.Preds), want)
+		}
 	}
 }
 
@@ -636,22 +630,16 @@ func TestScalarUtilities(t *testing.T) {
 		L: &Cmp{Op: CmpEq, L: &Col{ID: 1}, R: &Col{ID: 2}},
 		R: &Cmp{Op: CmpGt, L: &Col{ID: 3}, R: &Const{Val: datum.NewInt(5)}},
 	}
-	if !ScalarCols(e).Equals(MakeColSet(1, 2, 3)) {
+	if !sameCols(ScalarCols(e), MakeColSet(1, 2, 3)) {
 		t.Error("ScalarCols")
 	}
 	conj := SplitConjunction(e)
 	if len(conj) != 2 {
 		t.Error("SplitConjunction")
 	}
-	if Conjoin(conj).String() != e.String() {
-		t.Error("Conjoin should rebuild")
-	}
-	if Conjoin(nil) != nil {
-		t.Error("Conjoin(nil)")
-	}
 	m := map[ColumnID]ColumnID{1: 10, 3: 30}
 	r := RemapScalar(e, m)
-	if !ScalarCols(r).Equals(MakeColSet(10, 2, 30)) {
+	if !sameCols(ScalarCols(r), MakeColSet(10, 2, 30)) {
 		t.Errorf("RemapScalar: %v", ScalarCols(r))
 	}
 	if CmpLt.Commute() != CmpGt || CmpEq.Commute() != CmpEq || CmpGe.Commute() != CmpLe {
@@ -720,7 +708,7 @@ func TestFreeCols(t *testing.T) {
 	if sub.OuterCols.Len() != 1 {
 		t.Errorf("OuterCols = %v", sub.OuterCols)
 	}
-	if got := FreeCols(sub.Plan); !got.Equals(sub.OuterCols) {
+	if got := FreeCols(sub.Plan); !sameCols(got, sub.OuterCols) {
 		t.Errorf("FreeCols = %v, want %v", got, sub.OuterCols)
 	}
 }

@@ -101,58 +101,6 @@ func BuildQueryGraph(leaves []RelExpr, preds []Scalar) *QueryGraph {
 	return g
 }
 
-// Connected reports whether the subset of nodes (by index) forms a connected
-// subgraph — used by enumerators to avoid Cartesian products.
-func (g *QueryGraph) Connected(subset []int) bool {
-	if len(subset) <= 1 {
-		return true
-	}
-	inSet := map[int]bool{}
-	for _, i := range subset {
-		inSet[i] = true
-	}
-	adj := map[int][]int{}
-	for _, e := range g.Edges {
-		if inSet[e.A] && inSet[e.B] {
-			adj[e.A] = append(adj[e.A], e.B)
-			adj[e.B] = append(adj[e.B], e.A)
-		}
-	}
-	seen := map[int]bool{subset[0]: true}
-	stack := []int{subset[0]}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, m := range adj[n] {
-			if !seen[m] {
-				seen[m] = true
-				stack = append(stack, m)
-			}
-		}
-	}
-	return len(seen) == len(subset)
-}
-
-// EdgesBetween returns the predicates connecting any node in a to any node
-// in b.
-func (g *QueryGraph) EdgesBetween(a, b []int) []Scalar {
-	inA := map[int]bool{}
-	for _, i := range a {
-		inA[i] = true
-	}
-	inB := map[int]bool{}
-	for _, i := range b {
-		inB[i] = true
-	}
-	var out []Scalar
-	for _, e := range g.Edges {
-		if (inA[e.A] && inB[e.B]) || (inA[e.B] && inB[e.A]) {
-			out = append(out, e.Preds...)
-		}
-	}
-	return out
-}
-
 // Star reports whether the graph is a star: one hub connected to every other
 // node, with no other edges — the decision-support shape §4.1.1 discusses.
 func (g *QueryGraph) Star() (hub int, ok bool) {

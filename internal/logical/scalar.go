@@ -2,6 +2,7 @@ package logical
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/datum"
@@ -17,7 +18,7 @@ type Scalar interface {
 type Col struct{ ID ColumnID }
 
 func (*Col) scalar()          {}
-func (c *Col) String() string { return fmt.Sprintf("@%d", int(c.ID)) }
+func (c *Col) String() string { return atRef(c.ID) }
 
 // Const is a literal value. Param, when non-zero, tags the constant as the
 // binding of statement parameter $Param: Val then holds the value the plan
@@ -111,7 +112,7 @@ type Cmp struct {
 }
 
 func (*Cmp) scalar()          {}
-func (c *Cmp) String() string { return fmt.Sprintf("(%s %s %s)", c.L, c.Op, c.R) }
+func (c *Cmp) String() string { return scalarString(c) }
 
 // ArithOp enumerates arithmetic operators.
 type ArithOp uint8
@@ -136,25 +137,25 @@ type Arith struct {
 }
 
 func (*Arith) scalar()          {}
-func (a *Arith) String() string { return fmt.Sprintf("(%s %s %s)", a.L, a.Op, a.R) }
+func (a *Arith) String() string { return scalarString(a) }
 
 // And is a conjunction (three-valued).
 type And struct{ L, R Scalar }
 
 func (*And) scalar()          {}
-func (a *And) String() string { return fmt.Sprintf("(%s AND %s)", a.L, a.R) }
+func (a *And) String() string { return scalarString(a) }
 
 // Or is a disjunction (three-valued).
 type Or struct{ L, R Scalar }
 
 func (*Or) scalar()          {}
-func (o *Or) String() string { return fmt.Sprintf("(%s OR %s)", o.L, o.R) }
+func (o *Or) String() string { return scalarString(o) }
 
 // Not is a negation (three-valued).
 type Not struct{ E Scalar }
 
 func (*Not) scalar()          {}
-func (n *Not) String() string { return fmt.Sprintf("NOT %s", n.E) }
+func (n *Not) String() string { return scalarString(n) }
 
 // IsNull tests for NULL; it never returns NULL itself.
 type IsNull struct {
@@ -162,13 +163,8 @@ type IsNull struct {
 	Negated bool
 }
 
-func (*IsNull) scalar() {}
-func (e *IsNull) String() string {
-	if e.Negated {
-		return fmt.Sprintf("(%s IS NOT NULL)", e.E)
-	}
-	return fmt.Sprintf("(%s IS NULL)", e.E)
-}
+func (*IsNull) scalar()          {}
+func (e *IsNull) String() string { return scalarString(e) }
 
 // InList tests membership in a literal list.
 type InList struct {
@@ -177,18 +173,8 @@ type InList struct {
 	Negated bool
 }
 
-func (*InList) scalar() {}
-func (e *InList) String() string {
-	var items []string
-	for _, it := range e.List {
-		items = append(items, it.String())
-	}
-	neg := ""
-	if e.Negated {
-		neg = "NOT "
-	}
-	return fmt.Sprintf("(%s %sIN (%s))", e.E, neg, strings.Join(items, ", "))
-}
+func (*InList) scalar()          {}
+func (e *InList) String() string { return scalarString(e) }
 
 // SubqueryMode distinguishes how a subquery is used in a scalar context.
 type SubqueryMode uint8
@@ -245,21 +231,8 @@ type SubPlan interface {
 	Columns() []ColumnID
 }
 
-func (*Subquery) scalar() {}
-func (s *Subquery) String() string {
-	neg := ""
-	if s.Negated {
-		neg = "NOT "
-	}
-	corr := ""
-	if !s.OuterCols.Empty() {
-		corr = " corr=" + s.OuterCols.String()
-	}
-	if s.Mode == SubIn {
-		return fmt.Sprintf("(%s %sIN <subquery%s>)", s.Scalar, neg, corr)
-	}
-	return fmt.Sprintf("%s%s <subquery%s>", neg, s.Mode, corr)
-}
+func (*Subquery) scalar()          {}
+func (s *Subquery) String() string { return scalarString(s) }
 
 // UDPRef is a user-defined predicate applied to columns (§7.2). Its cost and
 // selectivity are declared, not derived; EvalFn supplies executable behaviour
@@ -272,14 +245,8 @@ type UDPRef struct {
 	EvalFn       func([]datum.D) bool
 }
 
-func (*UDPRef) scalar() {}
-func (u *UDPRef) String() string {
-	var args []string
-	for _, a := range u.Args {
-		args = append(args, a.String())
-	}
-	return fmt.Sprintf("%s(%s)[cost=%.1f,sel=%.2f]", u.Name, strings.Join(args, ","), u.PerTupleCost, u.Selectivity)
-}
+func (*UDPRef) scalar()          {}
+func (u *UDPRef) String() string { return scalarString(u) }
 
 // --- Scalar utilities ---
 
@@ -422,19 +389,6 @@ func SplitConjunction(s Scalar) []Scalar {
 	return []Scalar{s}
 }
 
-// Conjoin combines conjuncts with AND; it returns nil for an empty list.
-func Conjoin(conjuncts []Scalar) Scalar {
-	var out Scalar
-	for _, c := range conjuncts {
-		if out == nil {
-			out = c
-		} else {
-			out = &And{L: out, R: c}
-		}
-	}
-	return out
-}
-
 // HasSubquery reports whether s contains any Subquery node.
 func HasSubquery(s Scalar) bool {
 	found := false
@@ -446,15 +400,111 @@ func HasSubquery(s Scalar) bool {
 	return found
 }
 
-// FormatScalar renders s with human-readable column names from md.
+// FormatScalar renders s with human-readable column names from md; a column
+// md does not know prints as @N, as String prints every column.
 func FormatScalar(s Scalar, md *Metadata) string {
 	if s == nil {
 		return ""
 	}
-	str := s.String()
-	// Replace @N with qualified names, longest IDs first to avoid @1 eating @12.
-	for id := md.NumColumns(); id >= 1; id-- {
-		str = strings.ReplaceAll(str, fmt.Sprintf("@%d", id), md.QualifiedName(ColumnID(id)))
+	var sb strings.Builder
+	writeScalar(&sb, s, func(id ColumnID) string {
+		if id >= 1 && int(id) <= md.NumColumns() {
+			return md.QualifiedName(id)
+		}
+		return atRef(id)
+	})
+	return sb.String()
+}
+
+// atRef is a column reference as String prints it: @ and the column ID.
+func atRef(id ColumnID) string { return "@" + strconv.Itoa(int(id)) }
+
+// scalarString is String for every scalar that has operands.
+func scalarString(s Scalar) string {
+	var sb strings.Builder
+	writeScalar(&sb, s, atRef)
+	return sb.String()
+}
+
+// writeScalar appends the text of s to sb, naming each column reference it
+// contains with col. Constants, string literals included, print as they
+// are: only Col nodes go through col.
+func writeScalar(sb *strings.Builder, s Scalar, col func(ColumnID) string) {
+	switch t := s.(type) {
+	case *Col:
+		sb.WriteString(col(t.ID))
+	case *Cmp:
+		writeInfix(sb, t.L, t.Op.String(), t.R, col)
+	case *Arith:
+		writeInfix(sb, t.L, t.Op.String(), t.R, col)
+	case *And:
+		writeInfix(sb, t.L, "AND", t.R, col)
+	case *Or:
+		writeInfix(sb, t.L, "OR", t.R, col)
+	case *Not:
+		sb.WriteString("NOT ")
+		writeScalar(sb, t.E, col)
+	case *IsNull:
+		sb.WriteByte('(')
+		writeScalar(sb, t.E, col)
+		if t.Negated {
+			sb.WriteString(" IS NOT NULL)")
+		} else {
+			sb.WriteString(" IS NULL)")
+		}
+	case *InList:
+		sb.WriteByte('(')
+		writeScalar(sb, t.E, col)
+		if t.Negated {
+			sb.WriteString(" NOT IN (")
+		} else {
+			sb.WriteString(" IN (")
+		}
+		for i, it := range t.List {
+			if i > 0 {
+				sb.WriteString(", ")
+			}
+			writeScalar(sb, it, col)
+		}
+		sb.WriteString("))")
+	case *Subquery:
+		neg := ""
+		if t.Negated {
+			neg = "NOT "
+		}
+		corr := ""
+		if !t.OuterCols.Empty() {
+			corr = " corr=" + t.OuterCols.String()
+		}
+		if t.Mode == SubIn {
+			sb.WriteByte('(')
+			writeScalar(sb, t.Scalar, col)
+			fmt.Fprintf(sb, " %sIN <subquery%s>)", neg, corr)
+		} else {
+			fmt.Fprintf(sb, "%s%s <subquery%s>", neg, t.Mode, corr)
+		}
+	case *UDPRef:
+		sb.WriteString(t.Name)
+		sb.WriteByte('(')
+		for i, a := range t.Args {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			writeScalar(sb, a, col)
+		}
+		fmt.Fprintf(sb, ")[cost=%.1f,sel=%.2f]", t.PerTupleCost, t.Selectivity)
+	default: // *Const: no operands and no columns
+		sb.WriteString(s.String())
 	}
-	return str
+}
+
+// writeInfix appends "(l op r)".
+func writeInfix(sb *strings.Builder, l Scalar, op string, r Scalar, col func(ColumnID) string) {
+	sb.WriteByte('(')
+	writeScalar(sb, l, col)
+	sb.WriteByte(' ')
+	sb.WriteString(op)
+	sb.WriteByte(' ')
+	writeScalar(sb, r, col)
+	sb.WriteByte(')')
 }

@@ -65,18 +65,6 @@ func (b *Box) Contains(vals []datum.D) bool {
 	return true
 }
 
-// containedDims counts the dimensions on which vals is inside the box —
-// the nearness measure for out-of-diagram dispatch.
-func (b *Box) containedDims(vals []datum.D) int {
-	n := 0
-	for i, v := range vals {
-		if i < len(b.Lo) && datum.Compare(v, b.Lo[i]) >= 0 && datum.Compare(v, b.Hi[i]) <= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // Diagram is a multi-parameter plan diagram: the boxes partition (an online,
 // growing subset of) the parameter space by plan shape.
 type Diagram struct {
@@ -98,23 +86,6 @@ func (d *Diagram) Find(vals []datum.D) *Box {
 		}
 	}
 	return nil
-}
-
-// Nearest returns the box covering vals on the most dimensions — the
-// choose-plan fallback for bindings outside every box. Ties go to the
-// earliest box. Returns nil only when the diagram is empty or the vector
-// has the wrong arity.
-func (d *Diagram) Nearest(vals []datum.D) *Box {
-	if len(vals) != d.NParams || len(d.Boxes) == 0 {
-		return nil
-	}
-	best, bestDims := 0, -1
-	for i := range d.Boxes {
-		if n := d.Boxes[i].containedDims(vals); n > bestDims {
-			best, bestDims = i, n
-		}
-	}
-	return &d.Boxes[best]
 }
 
 // Add records that optimizing at vals produced plan (with fingerprint sig).

@@ -41,28 +41,22 @@ func TestDiagramAddExtendsSameSignature(t *testing.T) {
 	}
 }
 
-func TestDiagramOutOfRangeFallsBackToNearest(t *testing.T) {
+// A binding outside every box finds none, even one inside a box on some
+// dimensions: the statement then compiles anew (a cache miss) and adds its
+// plan to the diagram.
+func TestDiagramFindOutsideEveryBox(t *testing.T) {
 	d := NewDiagram(2)
 	d.Add(ints(10, 10), nil, nil, "low", 1)
 	d.Add(ints(100, 100), nil, nil, "high", 1)
 	d.Add(ints(100, 10), nil, nil, "mixed", 1)
 
-	// Outside every box entirely.
-	if b := d.Find(ints(-5, 500)); b != nil {
-		t.Fatalf("Find outside all boxes = %v, want nil", b)
+	for _, vals := range [][]datum.D{ints(-5, 500), ints(100, 500), ints(10, 100)} {
+		if b := d.Find(vals); b != nil {
+			t.Fatalf("Find(%v) outside all boxes = %v, want nil", vals, b)
+		}
 	}
-	// Nearest prefers the box matching the most dimensions: (100, 500)
-	// matches "high" and "mixed" on dim 0 only — tie goes to the earlier.
-	if b := d.Nearest(ints(100, 500)); b == nil || b.Signature != "high" {
-		t.Fatalf("Nearest = %v, want high", b)
-	}
-	// (100, 10) exactly hits "mixed" on both dims.
-	if b := d.Nearest(ints(100, 10)); b == nil || b.Signature != "mixed" {
-		t.Fatalf("Nearest = %v, want mixed", b)
-	}
-	// Matching no dimension still returns some box (never nil).
-	if b := d.Nearest(ints(-5, 500)); b == nil {
-		t.Fatal("Nearest on fully-outside vector returned nil")
+	if b := d.Find(ints(100, 10)); b == nil || b.Signature != "mixed" {
+		t.Fatalf("Find(100, 10) = %v, want mixed", b)
 	}
 }
 
@@ -96,9 +90,6 @@ func TestDiagramArityMismatch(t *testing.T) {
 	d.Add(ints(1, 2), nil, nil, "s", 1)
 	if b := d.Find(ints(1)); b != nil {
 		t.Fatalf("Find with wrong arity = %v, want nil", b)
-	}
-	if b := d.Nearest(ints(1)); b != nil {
-		t.Fatalf("Nearest with wrong arity = %v, want nil", b)
 	}
 }
 

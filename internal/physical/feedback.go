@@ -42,13 +42,9 @@ func NewFeedbackRing(capacity int) *FeedbackRing {
 	return &FeedbackRing{buf: make([]FeedbackEntry, capacity)}
 }
 
-// Record appends one observation, evicting the oldest when full.
-func (r *FeedbackRing) Record(node string, est, actual float64) {
-	r.RecordStmt("", node, est, actual)
-}
-
-// RecordStmt is Record with the originating statement's normalized text, so
-// observations from different statements never alias.
+// RecordStmt appends one observation, tagged with the originating
+// statement's normalized text so observations from different statements
+// never alias, and evicts the oldest when full.
 func (r *FeedbackRing) RecordStmt(stmt, node string, est, actual float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -745,7 +745,7 @@ func (w *planWriter) describe(p Plan, md *logical.Metadata) {
 				if i > 0 {
 					sb.WriteByte(',')
 				}
-				sb.WriteString(logical.FormatScalar(&logical.Col{ID: c}, md))
+				sb.WriteString(md.QualifiedName(c))
 			}
 			sb.WriteByte(')')
 		} else {

@@ -85,24 +85,6 @@ func (c *Cache) evict() {
 	}
 }
 
-// Delete removes key if present.
-func (c *Cache) Delete(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.Remove(el)
-		delete(c.items, key)
-	}
-}
-
-// Clear removes every entry (does not count as evictions).
-func (c *Cache) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.items = make(map[string]*list.Element)
-}
-
 // Len returns the number of cached entries.
 func (c *Cache) Len() int {
 	c.mu.Lock()

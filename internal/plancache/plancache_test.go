@@ -35,21 +35,6 @@ func TestGetOrPutCanonical(t *testing.T) {
 	}
 }
 
-func TestDeleteClear(t *testing.T) {
-	c := New(4)
-	c.Put("a", 1)
-	c.Put("b", 2)
-	c.Delete("a")
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("deleted entry still present")
-	}
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Clear = %d", c.Len())
-	}
-	c.Delete("missing") // no-op
-}
-
 func TestConcurrentAccess(t *testing.T) {
 	c := New(16)
 	var wg sync.WaitGroup
@@ -62,7 +47,7 @@ func TestConcurrentAccess(t *testing.T) {
 				c.GetOrPut(k, func() any { return i })
 				c.Get(k)
 				if i%50 == 0 {
-					c.Delete(k)
+					c.Put(k, -i)
 				}
 			}
 		}(g)

@@ -282,9 +282,6 @@ func (op BinOp) String() string {
 	return "?"
 }
 
-// Comparison reports whether the operator is a comparison (=, <>, <, <=, >, >=).
-func (op BinOp) Comparison() bool { return op <= OpGe }
-
 // BinExpr is a binary operation.
 type BinExpr struct {
 	Op   BinOp

@@ -7,8 +7,6 @@ package stats
 
 import (
 	"cmp"
-	"fmt"
-	"math/rand"
 	"slices"
 
 	"repro/internal/catalog"
@@ -21,11 +19,6 @@ import (
 type AnalyzeOptions struct {
 	// Buckets is the histogram bucket budget per column (default 32).
 	Buckets int
-	// SampleRows, when > 0, builds histograms from a random sample of this
-	// many rows instead of a full scan (§5.1.2).
-	SampleRows int
-	// Seed drives sampling for reproducibility.
-	Seed int64
 }
 
 func (o AnalyzeOptions) withDefaults() AnalyzeOptions {
@@ -49,23 +42,12 @@ func Analyze(tab *storage.Table, opts AnalyzeOptions) error {
 		PageCount: float64(tab.PageCount()),
 		ColStats:  make(map[int]*catalog.ColumnStats),
 	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	sampled := opts.SampleRows > 0 && opts.SampleRows < n
 	for ord := range def.Cols {
 		v, err := fillColumn(tab, ord, n)
 		if err != nil {
 			return err
 		}
-		var sample []datum.D
-		if sampled {
-			sample = sampleRows(v, opts.SampleRows, rng)
-		}
-		cs := summarizeColumn(v, opts.Buckets)
-		if sampled {
-			cs.Hist = histogram.BuildFromSample(sample, n-int(cs.NullCount), opts.Buckets)
-			cs.DistinctCount = histogram.DistinctGEE(sample, n)
-		}
-		ts.ColStats[ord] = cs
+		ts.ColStats[ord] = summarizeColumn(v, opts.Buckets)
 	}
 	// Multi-column index statistics: distinct key combinations (§5.1.1).
 	for _, ix := range def.Indexes {
@@ -92,30 +74,6 @@ func fillColumn(tab *storage.Table, ord, n int) (*datum.Vec, error) {
 		return nil, err
 	}
 	return v, nil
-}
-
-// columnValues reads column ord of rows [0, n) as datums.
-func columnValues(tab *storage.Table, ord, n int) ([]datum.D, error) {
-	v, err := fillColumn(tab, ord, n)
-	if err != nil {
-		return nil, err
-	}
-	vals := make([]datum.D, n)
-	for i := range vals {
-		vals[i] = v.D(i)
-	}
-	return vals, nil
-}
-
-// sampleRows boxes m rows of v drawn as histogram.Sample draws them from the
-// boxed column, so a seed selects the same rows.
-func sampleRows(v *datum.Vec, m int, rng *rand.Rand) []datum.D {
-	pos := histogram.SamplePositions(v.Len(), m, rng)
-	sample := make([]datum.D, len(pos))
-	for k, i := range pos {
-		sample[k] = v.D(i)
-	}
-	return sample
 }
 
 // summarizeColumn sorts v's non-NULL payload in place, in datum.Compare
@@ -232,40 +190,6 @@ func distinctKeys(tab *storage.Table, cols []int, n int) (float64, error) {
 		}
 	}
 	return float64(runs), nil
-}
-
-// AnalyzeJoint collects a two-dimensional histogram for a column pair,
-// capturing the joint distribution the per-column histograms cannot (§5.1.1).
-// The table must have been analyzed first.
-func AnalyzeJoint(tab *storage.Table, colA, colB string, kOuter, kInner int) error {
-	def := tab.Def
-	a, b := def.Ordinal(colA), def.Ordinal(colB)
-	if a < 0 || b < 0 {
-		return fmt.Errorf("stats: unknown column in joint analyze (%q, %q)", colA, colB)
-	}
-	if kOuter <= 0 {
-		kOuter = 16
-	}
-	if kInner <= 0 {
-		kInner = 16
-	}
-	n := tab.RowCount()
-	as, err := columnValues(tab, a, n)
-	if err != nil {
-		return err
-	}
-	bs, err := columnValues(tab, b, n)
-	if err != nil {
-		return err
-	}
-	if def.Stats == nil {
-		def.Stats = &catalog.TableStats{ColStats: map[int]*catalog.ColumnStats{}}
-	}
-	if def.Stats.Joint == nil {
-		def.Stats.Joint = map[[2]int]*histogram.Hist2D{}
-	}
-	def.Stats.Joint[[2]int{a, b}] = histogram.Build2D(as, bs, kOuter, kInner)
-	return nil
 }
 
 // AnalyzeAll analyzes every table registered in both the store and catalog.

@@ -40,10 +40,6 @@ type ColStat struct {
 type RelStats struct {
 	Rows float64
 	Cols map[logical.ColumnID]*ColStat
-	// Joint holds 2-D histograms for column pairs (when collected),
-	// letting conjunctions over correlated columns sidestep the
-	// independence assumption (§5.1.1).
-	Joint map[[2]logical.ColumnID]*histogram.Hist2D
 }
 
 func (s *RelStats) col(id logical.ColumnID) *ColStat {
@@ -126,7 +122,7 @@ func (e *Estimator) compute(rel logical.RelExpr) *RelStats {
 		return out
 	case *logical.Project:
 		in := e.Stats(t.Input)
-		out := &RelStats{Rows: in.Rows, Cols: map[logical.ColumnID]*ColStat{}, Joint: in.Joint}
+		out := &RelStats{Rows: in.Rows, Cols: map[logical.ColumnID]*ColStat{}}
 		for _, it := range t.Items {
 			if c, ok := it.Expr.(*logical.Col); ok {
 				if cs := in.col(c.ID); cs != nil {
@@ -143,7 +139,7 @@ func (e *Estimator) compute(rel logical.RelExpr) *RelStats {
 		return e.groupByStats(t)
 	case *logical.Limit:
 		in := e.Stats(t.Input)
-		return &RelStats{Rows: math.Min(in.Rows, float64(t.N)), Cols: in.Cols, Joint: in.Joint}
+		return &RelStats{Rows: math.Min(in.Rows, float64(t.N)), Cols: in.Cols}
 	case *logical.Union:
 		l := e.Stats(t.Left)
 		r := e.Stats(t.Right)
@@ -219,16 +215,6 @@ func (e *Estimator) scanStats(t *logical.Scan) *RelStats {
 		return out
 	}
 	out.Rows = ts.RowCount
-	if len(ts.Joint) > 0 && e.UseHistograms {
-		out.Joint = map[[2]logical.ColumnID]*histogram.Hist2D{}
-		for pair, h2 := range ts.Joint {
-			a, aok := colIDForOrd(e.Meta, t, pair[0])
-			b, bok := colIDForOrd(e.Meta, t, pair[1])
-			if aok && bok {
-				out.Joint[[2]logical.ColumnID{a, b}] = h2
-			}
-		}
-	}
 	// Segment-footer stats back-fill columns ANALYZE did not cover: the
 	// footer's distinct sketch gives a real NDV where the fallback would
 	// otherwise assume every row is distinct (wildly over-selective for
@@ -301,92 +287,26 @@ func (e *Estimator) applyOverride(out *RelStats, scan *logical.Scan, filters []l
 	}
 }
 
-func colIDForOrd(md *logical.Metadata, t *logical.Scan, ord int) (logical.ColumnID, bool) {
-	for _, id := range t.Cols {
-		if md.Column(id).BaseOrd == ord {
-			return id, true
-		}
-	}
-	return 0, false
-}
-
-// colBound accumulates range restrictions on one column from conjuncts.
-type colBound struct {
-	lo, hi         datum.D
-	loIncl, hiIncl bool
-	idxs           []int
-}
-
 // filterStats applies a conjunction to input statistics, scaling row counts
-// and propagating per-column summaries (§5.1.3). When a 2-D histogram covers
-// a pair of restricted columns, the joint distribution replaces the
-// independence product for those conjuncts.
+// and propagating per-column summaries (§5.1.3). Conjuncts combine under the
+// independence assumption (or MostSelective): each contributes its own
+// selectivity, even two range conjuncts on one column, and a restriction on
+// one column never narrows the summary of another. histogram.Build2D
+// captures the joint distribution that would fix this; E20 measures it, but
+// ANALYZE collects none and this estimator reads none.
 func (e *Estimator) filterStats(in *RelStats, filters []logical.Scalar) *RelStats {
-	out := &RelStats{Rows: in.Rows, Cols: map[logical.ColumnID]*ColStat{}, Joint: in.Joint}
+	out := &RelStats{Rows: in.Rows, Cols: map[logical.ColumnID]*ColStat{}}
 	for id, cs := range in.Cols {
 		out.Cols[id] = cs
 	}
-	// Gather per-column bounds from simple conjuncts.
-	bounds := map[logical.ColumnID]*colBound{}
-	if len(in.Joint) > 0 {
-		for i, f := range filters {
-			cmp, ok := f.(*logical.Cmp)
-			if !ok {
-				continue
-			}
-			col, val, op, ok := normalizeCmp(cmp)
-			if !ok {
-				continue
-			}
-			b, ok := bounds[col]
-			if !ok {
-				b = &colBound{lo: datum.Null, hi: datum.Null}
-				bounds[col] = b
-			}
-			switch op {
-			case logical.CmpEq:
-				b.lo, b.loIncl, b.hi, b.hiIncl = val, true, val, true
-			case logical.CmpLt:
-				b.hi, b.hiIncl = val, false
-			case logical.CmpLe:
-				b.hi, b.hiIncl = val, true
-			case logical.CmpGt:
-				b.lo, b.loIncl = val, false
-			case logical.CmpGe:
-				b.lo, b.loIncl = val, true
-			default:
-				delete(bounds, col)
-				continue
-			}
-			b.idxs = append(b.idxs, i)
-		}
-	}
-	consumed := map[int]bool{}
 	sel := 1.0
 	minSel := 1.0
-	mul := func(s float64) {
+	for _, f := range filters {
+		s := e.Selectivity(f, in)
 		sel *= s
 		if s < minSel {
 			minSel = s
 		}
-	}
-	for pair, h2 := range in.Joint {
-		ba, aok := bounds[pair[0]]
-		bb, bok := bounds[pair[1]]
-		if !aok || !bok {
-			continue
-		}
-		mul(h2.SelectivityRanges(ba.lo, ba.loIncl, ba.hi, ba.hiIncl, bb.lo, bb.loIncl, bb.hi, bb.hiIncl))
-		for _, i := range append(ba.idxs, bb.idxs...) {
-			consumed[i] = true
-		}
-	}
-	for i, f := range filters {
-		if consumed[i] {
-			e.narrowColumn(out, f)
-			continue
-		}
-		mul(e.Selectivity(f, in))
 		// Narrow the summary of directly restricted columns.
 		e.narrowColumn(out, f)
 	}
@@ -394,9 +314,8 @@ func (e *Estimator) filterStats(in *RelStats, filters []logical.Scalar) *RelStat
 		sel = minSel
 	}
 	// The per-conjunct factors are individually clamped, but their product
-	// can still degrade (joint-histogram factors, UDP declarations); clamp
-	// the combined selectivity so the filter never amplifies rows or goes
-	// negative.
+	// can still degrade (UDP declarations); clamp the combined selectivity
+	// so the filter never amplifies rows or goes negative.
 	out.Rows = in.Rows * clamp01(sel)
 	// Cap distincts at the new row count.
 	for id, cs := range out.Cols {
@@ -614,7 +533,6 @@ func (e *Estimator) joinStats(j *logical.Join) *RelStats {
 	innerRows := cross * sel
 
 	out := &RelStats{Cols: map[logical.ColumnID]*ColStat{}}
-	out.Joint = mergeJoint(l.Joint, r.Joint)
 	switch j.Kind {
 	case logical.InnerJoin:
 		out.Rows = innerRows
@@ -640,23 +558,6 @@ func (e *Estimator) joinStats(j *logical.Join) *RelStats {
 		for id, cs := range r.Cols {
 			out.Cols[id] = capDistinct(cs, out.Rows)
 		}
-	}
-	return out
-}
-
-func mergeJoint(a, b map[[2]logical.ColumnID]*histogram.Hist2D) map[[2]logical.ColumnID]*histogram.Hist2D {
-	if len(a) == 0 {
-		return b
-	}
-	if len(b) == 0 {
-		return a
-	}
-	out := make(map[[2]logical.ColumnID]*histogram.Hist2D, len(a)+len(b))
-	for k, v := range a {
-		out[k] = v
-	}
-	for k, v := range b {
-		out[k] = v
 	}
 	return out
 }

@@ -3,12 +3,10 @@ package stats
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/catalog"
 	"repro/internal/datum"
-	"repro/internal/histogram"
 	"repro/internal/logical"
 	"repro/internal/sql"
 	"repro/internal/storage"
@@ -118,41 +116,6 @@ func TestAnalyzeBasics(t *testing.T) {
 	// Second extremes exist and are not the outliers themselves necessarily.
 	if didStats.SecondMin.IsNull() || didStats.SecondMax.IsNull() {
 		t.Error("second extremes missing")
-	}
-}
-
-func TestAnalyzeSampled(t *testing.T) {
-	f := newFixture(t, AnalyzeOptions{Buckets: 20, SampleRows: 500, Seed: 3})
-	emp, _ := f.cat.Table("Emp")
-	ts := emp.Stats
-	if ts.RowCount != 10000 {
-		t.Fatal("row count should still be exact")
-	}
-	cs := ts.ColStats[1]
-	if cs.Hist == nil {
-		t.Fatal("sampled histogram missing")
-	}
-	if math.Abs(cs.Hist.Total-9900) > 150 { // did has no nulls; scaled to non-null count estimate
-		// Total is scaled to len(vals)-nulls = 10000.
-	}
-	if cs.DistinctCount < 50 || cs.DistinctCount > 400 {
-		t.Errorf("GEE distinct estimate = %v, want near 100", cs.DistinctCount)
-	}
-	// Each column's sample is the one histogram.Sample draws from the boxed
-	// column, the seeded source running through the columns in order.
-	tab, _ := f.store.Table("Emp")
-	rng := rand.New(rand.NewSource(3))
-	for ord := range emp.Cols {
-		vals, err := columnValues(tab, ord, 10000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sample := histogram.Sample(vals, 500, rng)
-		got := ts.ColStats[ord]
-		want := histogram.BuildFromSample(sample, 10000-int(got.NullCount), 20)
-		if !reflect.DeepEqual(got.Hist, want) || got.DistinctCount != histogram.DistinctGEE(sample, 10000) {
-			t.Errorf("column %d: sampled histogram\n%s want\n%s", ord, got.Hist, want)
-		}
 	}
 }
 
@@ -314,70 +277,5 @@ func TestOuterJoinStats(t *testing.T) {
 	// All 100 Dept rows must be preserved even though no Emp matches.
 	if rows < 100 {
 		t.Errorf("left outer rows = %v, want >= 100", rows)
-	}
-}
-
-func TestJointHistogramEstimates(t *testing.T) {
-	// Two strongly correlated columns: sal tracks age. Joint stats fix the
-	// independence underestimate.
-	cat := catalog.New()
-	tbl := &catalog.Table{Name: "w", Cols: []catalog.Column{
-		{Name: "age", Kind: datum.KindInt},
-		{Name: "sal", Kind: datum.KindInt},
-	}}
-	if err := cat.AddTable(tbl); err != nil {
-		t.Fatal(err)
-	}
-	store := storage.NewStore()
-	wt, _ := store.CreateTable(tbl)
-	rng := rand.New(rand.NewSource(9))
-	exact := 0
-	n := 20000
-	for i := 0; i < n; i++ {
-		age := rng.Int63n(1000)
-		sal := age + rng.Int63n(20)
-		if age <= 300 && sal <= 300 {
-			exact++
-		}
-		wt.Insert(datum.Row{datum.NewInt(age), datum.NewInt(sal)})
-	}
-	Analyze(wt, AnalyzeOptions{Buckets: 30})
-	if err := AnalyzeJoint(wt, "age", "sal", 20, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := AnalyzeJoint(wt, "age", "nope", 4, 4); err == nil {
-		t.Error("unknown column should error")
-	}
-
-	sel, err := sql.ParseSelect("SELECT age FROM w WHERE age <= 300 AND sal <= 300")
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := logical.NewBuilder(cat).Build(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	logical.NormalizeQuery(q, logical.DefaultNormalize())
-
-	withJoint := NewEstimator(q.Meta)
-	gotJoint := withJoint.Stats(q.Root).Rows
-
-	// Remove the joint stats to measure the independence estimate.
-	saved := tbl.Stats.Joint
-	tbl.Stats.Joint = nil
-	indep := NewEstimator(q.Meta)
-	gotIndep := indep.Stats(q.Root).Rows
-	tbl.Stats.Joint = saved
-
-	exactF := float64(exact)
-	if math.Abs(gotJoint-exactF) > math.Abs(gotIndep-exactF) {
-		t.Errorf("joint estimate %v should beat independence %v (exact %v)", gotJoint, gotIndep, exactF)
-	}
-	if math.Abs(gotJoint-exactF)/exactF > 0.15 {
-		t.Errorf("joint estimate %v too far from exact %v", gotJoint, exactF)
-	}
-	// Independence must underestimate the correlated conjunction badly.
-	if gotIndep > exactF*0.6 {
-		t.Errorf("expected a gross independence underestimate, got %v vs exact %v", gotIndep, exactF)
 	}
 }

@@ -97,15 +97,6 @@ func (t *Table) buildIndexLocked(sc *ScanCtx, def *catalog.Index) (*IndexData, e
 // Len returns the number of index entries.
 func (ix *IndexData) Len() int { return len(ix.rowIDs) }
 
-// Entry returns the i-th key, as a fresh row, and its row id in index order.
-func (ix *IndexData) Entry(i int) (datum.Row, int) {
-	key := make(datum.Row, len(ix.keys))
-	for j, v := range ix.keys {
-		key[j] = v.D(i)
-	}
-	return key, ix.rowIDs[i]
-}
-
 // Seek returns the row ids, in index order, of the entries whose first
 // len(eq) key columns equal eq and — when lo or hi bounds it, or eq is empty
 // — whose next key column is not NULL and lies between lo and hi: a NULL

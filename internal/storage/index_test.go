@@ -231,7 +231,7 @@ func checkEntries(t *testing.T, ix *IndexData, rows []datum.Row) {
 	var prev datum.Row
 	prevID := -1
 	for e := 0; e < ix.Len(); e++ {
-		key, id := ix.Entry(e)
+		key, id := indexEntry(ix, e)
 		for j, c := range ix.KeyCols {
 			sameRows(t, []datum.Row{{key[j]}}, []datum.Row{{rows[id][c]}})
 		}
@@ -486,4 +486,14 @@ func BenchmarkIndexBuild(b *testing.B) {
 			}
 		})
 	}
+}
+
+// indexEntry returns the i-th key of ix, as a fresh row, and its row id in
+// index order.
+func indexEntry(ix *IndexData, i int) (datum.Row, int) {
+	key := make(datum.Row, len(ix.keys))
+	for j, v := range ix.keys {
+		key[j] = v.D(i)
+	}
+	return key, ix.rowIDs[i]
 }

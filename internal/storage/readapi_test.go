@@ -95,12 +95,12 @@ func checkReads(t *testing.T, tab *Table, want []datum.Row) {
 			t.Fatalf("index %s has %d entries, want %d", def.Name, ix.Len(), n)
 		}
 		for i := 0; i < n; i++ {
-			key, id := ix.Entry(i)
+			key, id := indexEntry(ix, i)
 			for j, ord := range def.Cols {
 				sameRows(t, []datum.Row{{key[j]}}, colRows(want, ord, []int{id}))
 			}
 			if i > 0 {
-				if prev, prevID := ix.Entry(i - 1); cmpEntries(prev, prevID, key, id) >= 0 {
+				if prev, prevID := indexEntry(ix, i-1); cmpEntries(prev, prevID, key, id) >= 0 {
 					t.Fatalf("index %s out of order at %d", def.Name, i)
 				}
 			}

@@ -25,7 +25,6 @@ import (
 	"hash/crc32"
 	"math"
 	"math/bits"
-	"os"
 	"slices"
 	"sort"
 	"sync"
@@ -1252,30 +1251,6 @@ func appendFooter(buf *bytes.Buffer, rows int, metas []colMeta, magic string) {
 	binary.LittleEndian.PutUint32(tmp[:4], uint32(footerLen))
 	buf.Write(tmp[:4])
 	buf.WriteString(magic)
-}
-
-// readSegmentFooter opens a segment file and decodes its footer into a
-// segMeta (startRow left to the caller). Corruption surfaces as a
-// *CorruptError with the table/segment coordinates filled in.
-func readSegmentFooter(path, table string, seg int) (segMeta, error) {
-	var sm segMeta
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return sm, err
-	}
-	sm, err = decodeFooter(raw, path)
-	sm.fileCRC = crc32.Checksum(raw, crcTable)
-	return sm, corruptAt(err, table, seg)
-}
-
-// corruptAt stamps table/segment coordinates onto a *CorruptError produced by
-// a path-only decoder; any other error passes through untouched.
-func corruptAt(err error, table string, seg int) error {
-	var ce *CorruptError
-	if errors.As(err, &ce) {
-		ce.Table, ce.Segment = table, seg
-	}
-	return err
 }
 
 func decodeFooter(raw []byte, path string) (segMeta, error) {

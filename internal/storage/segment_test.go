@@ -420,7 +420,7 @@ func TestCorruptSegmentRejected(t *testing.T) {
 // segments (the hot path of every vectorized scan).
 func BenchmarkFillColumnRange(b *testing.B) {
 	const n = 65536
-	tab := NewTable(&catalog.Table{Name: "bench", Cols: []catalog.Column{
+	tab := NewStore().newTable(&catalog.Table{Name: "bench", Cols: []catalog.Column{
 		{Name: "a", Kind: datum.KindInt},
 		{Name: "f", Kind: datum.KindFloat},
 	}})

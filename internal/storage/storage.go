@@ -76,10 +76,6 @@ type segTable struct {
 	dicts dictSet
 }
 
-// NewTable creates empty standalone storage for a catalog table: a default
-// store of its own, no directory.
-func NewTable(def *catalog.Table) *Table { return NewStore().newTable(def) }
-
 func (s *Store) newTable(def *catalog.Table) *Table {
 	return &Table{Def: def, indexes: make(map[string]*IndexData), store: s, seg: segTable{segRows: s.cfg.SegmentRows}}
 }

@@ -45,7 +45,7 @@ func mustRow(t *testing.T, tab *Table, id int) datum.Row {
 }
 
 func TestInsertAndScan(t *testing.T) {
-	tab := NewTable(testDef())
+	tab := NewStore().newTable(testDef())
 	rows := []datum.Row{
 		{datum.NewInt(3), datum.NewString("c")},
 		{datum.NewInt(1), datum.NewString("a")},
@@ -66,7 +66,7 @@ func TestInsertAndScan(t *testing.T) {
 }
 
 func TestInsertValidation(t *testing.T) {
-	tab := NewTable(testDef())
+	tab := NewStore().newTable(testDef())
 	if err := tab.Insert(datum.Row{datum.NewInt(1)}); err == nil {
 		t.Error("arity mismatch should fail")
 	}
@@ -86,7 +86,7 @@ func TestInsertValidation(t *testing.T) {
 // store) seals at DefaultSegmentRows and serves the pinned segment, the tail
 // and an index across both.
 func TestPageCountGrows(t *testing.T) {
-	tab := NewTable(testDef())
+	tab := NewStore().newTable(testDef())
 	for i := 0; i < 5000; i++ {
 		if err := tab.Insert(datum.Row{datum.NewInt(int64(i)), datum.NewString("some payload string")}); err != nil {
 			t.Fatal(err)
@@ -110,7 +110,7 @@ func TestPageCountGrows(t *testing.T) {
 }
 
 func TestIndexSeekEq(t *testing.T) {
-	tab := NewTable(testDef())
+	tab := NewStore().newTable(testDef())
 	vals := []int64{5, 3, 5, 1, 5, 2}
 	for i, v := range vals {
 		if err := tab.Insert(datum.Row{datum.NewInt(v), datum.NewString(string(rune('a' + i)))}); err != nil {
@@ -139,7 +139,7 @@ func TestIndexSeekEq(t *testing.T) {
 }
 
 func TestIndexSeekRange(t *testing.T) {
-	tab := NewTable(testDef())
+	tab := NewStore().newTable(testDef())
 	for _, v := range []int64{10, 20, 30, 40, 50} {
 		if err := tab.Insert(datum.Row{datum.NewInt(v), datum.Null}); err != nil {
 			t.Fatal(err)
@@ -164,7 +164,7 @@ func TestIndexSeekRange(t *testing.T) {
 }
 
 func TestIndexSkipsNullKeysInRange(t *testing.T) {
-	tab := NewTable(testDef())
+	tab := NewStore().newTable(testDef())
 	def2 := &catalog.Table{
 		Name: "t2",
 		Cols: []catalog.Column{{Name: "a", Kind: datum.KindInt}},
@@ -172,7 +172,7 @@ func TestIndexSkipsNullKeysInRange(t *testing.T) {
 			{Name: "ix", Cols: []int{0}},
 		},
 	}
-	tab = NewTable(def2)
+	tab = NewStore().newTable(def2)
 	tab.Insert(datum.Row{datum.Null})
 	tab.Insert(datum.Row{datum.NewInt(1)})
 	ix, err := tab.Index(nil, "ix")
@@ -185,7 +185,7 @@ func TestIndexSkipsNullKeysInRange(t *testing.T) {
 }
 
 func TestIndexInvalidation(t *testing.T) {
-	tab := NewTable(testDef())
+	tab := NewStore().newTable(testDef())
 	tab.Insert(datum.Row{datum.NewInt(1), datum.Null})
 	ix1, _ := tab.Index(nil, "t_a")
 	if ix1.Len() != 1 {
@@ -199,14 +199,14 @@ func TestIndexInvalidation(t *testing.T) {
 }
 
 func TestIndexMissing(t *testing.T) {
-	tab := NewTable(testDef())
+	tab := NewStore().newTable(testDef())
 	if _, err := tab.Index(nil, "nope"); err == nil {
 		t.Error("missing index should error")
 	}
 }
 
 func TestMultiColumnIndex(t *testing.T) {
-	tab := NewTable(testDef())
+	tab := NewStore().newTable(testDef())
 	tab.Insert(datum.Row{datum.NewInt(1), datum.NewString("x")})
 	tab.Insert(datum.Row{datum.NewInt(2), datum.NewString("x")})
 	tab.Insert(datum.Row{datum.NewInt(1), datum.NewString("y")})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -49,7 +50,12 @@ func oracleRel(g *logical.QueryGraph, mask uint64) logical.RelExpr {
 		if rel == nil {
 			rel = leaf
 		} else {
-			on := g.EdgesBetween(have, []int{i})
+			var on []logical.Scalar
+			for _, e := range g.Edges {
+				if (e.A == i && slices.Contains(have, e.B)) || (e.B == i && slices.Contains(have, e.A)) {
+					on = append(on, e.Preds...)
+				}
+			}
 			union := haveCols.Union(g.NodeCols[i])
 			for _, p := range g.Complex {
 				cols := logical.ScalarCols(p)

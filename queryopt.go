@@ -153,12 +153,6 @@ type Options struct {
 	// next execution of that statement family re-optimizes instead of
 	// dispatching from the plan-cache diagram.
 	ReplanQErrorThreshold float64
-	// IncrementalStats maintains statistics incrementally on INSERT/LoadRows
-	// (row and null counts, histogram insertions via incremental
-	// widen/split/merge maintenance) instead of leaving them frozen until the
-	// next ANALYZE. Default off: plans then see exactly the statistics the
-	// last ANALYZE built.
-	IncrementalStats bool
 	// StorageDir, when non-empty, gives sealed segments files: every table
 	// seals each SegmentRows rows into a columnar segment (typed, dictionary
 	// or run-length column blocks with min/max zone maps, NULL counts and
@@ -662,11 +656,6 @@ func (e *Engine) insert(t *sql.InsertStmt) (*Result, error) {
 	if err := tab.InsertBatch(rows); err != nil {
 		return nil, err
 	}
-	if e.opts.IncrementalStats {
-		for _, row := range rows {
-			e.maintainStats(tab.Def, row)
-		}
-	}
 	return &Result{}, nil
 }
 
@@ -1160,15 +1149,7 @@ func (e *Engine) LoadRows(table string, rows [][]any) error {
 		}
 		batch = append(batch, dr)
 	}
-	if err := tab.InsertBatch(batch); err != nil {
-		return err
-	}
-	if e.opts.IncrementalStats {
-		for _, dr := range batch {
-			e.maintainStats(tab.Def, dr)
-		}
-	}
-	return nil
+	return tab.InsertBatch(batch)
 }
 
 func fromGo(v any) (datum.D, error) {

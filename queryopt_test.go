@@ -94,6 +94,19 @@ func TestExplain(t *testing.T) {
 	}
 }
 
+// EXPLAIN names columns and leaves string literals as written, even one that
+// looks like a column reference.
+func TestExplainKeepsLiteralText(t *testing.T) {
+	e := demoEngine(t, Options{})
+	plan, err := e.Explain("SELECT eid FROM emp WHERE name = 'x@1' AND sal > 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(plan, "(emp.name = 'x@1')") || strings.Contains(plan, "xemp") {
+		t.Errorf("literal 'x@1' rewritten in plan text:\n%s", plan)
+	}
+}
+
 func TestOrdinaryViews(t *testing.T) {
 	e := demoEngine(t, Options{})
 	e.MustExec("CREATE VIEW denver AS SELECT e.name AS name, e.sal AS sal FROM emp e, dept d WHERE e.did = d.did AND d.loc = 'Denver'")
