@@ -29,8 +29,8 @@ bench-module-check:
 # count may not exceed NONTEST_LOC_CEILING, so neither can creep back up
 # unnoticed; `make check` runs this. A change that shrinks either lowers its
 # ceiling to the new count.
-EXEC_LOC_CEILING := 5936
-NONTEST_LOC_CEILING := 31732
+EXEC_LOC_CEILING := 5928
+NONTEST_LOC_CEILING := 31728
 exec-loc:
 	@for d in internal/exec internal/storage; do \
 		echo "$$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)"; done
@@ -70,14 +70,16 @@ serving-bench:
 # 10, sort, merge join, nested-loop join, result rows included) and the
 # spilling operators under a 1 MiB budget (grace join, 20 000-group
 # aggregation); ns/row plus B/op and allocs/op. In internal/storage: one index Seek on a 20 000-entry index
-# (point, and a range at the start, middle and end) and one index build over
-# 100 000 rows (INT and string keys, loaded ascending or shuffled). In
+# (point, and a range at the start, middle and end), one index build over
+# 100 000 rows (INT and string keys, loaded ascending or shuffled), and one
+# scan of a 16-segment FLOAT column through a block cache below one block, so
+# every block is a miss read into a recycled buffer (BenchmarkChurningScan). In
 # internal/stats: BenchmarkAnalyze, one full ANALYZE of a 100 000-row
 # sales-shaped table in memory and on flushed segments (ns/row, B/op,
 # allocs/op). EXEC_BENCHTIME=1x is the CI smoke setting.
 EXEC_BENCHTIME ?= 1s
 exec-bench:
-	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkFilteredScan|BenchmarkPipeline|BenchmarkOrdered|BenchmarkSpill|BenchmarkIndex|BenchmarkAnalyze' -benchmem -benchtime $(EXEC_BENCHTIME) ./internal/exec ./internal/storage ./internal/stats
+	go test -run '^$$' -bench 'BenchmarkKernel|BenchmarkFilteredScan|BenchmarkPipeline|BenchmarkOrdered|BenchmarkSpill|BenchmarkIndex|BenchmarkChurningScan|BenchmarkAnalyze' -benchmem -benchtime $(EXEC_BENCHTIME) ./internal/exec ./internal/storage ./internal/stats
 
 # Every root benchmark — the experiment wrappers and the engine
 # micro-benchmarks — with B/op and allocs/op; -run '^$' skips the tests.

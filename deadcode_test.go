@@ -44,30 +44,50 @@ var testOnlyAllowed = map[string]string{
 	// re-ANALYZEs instead, the histogram tests keep the model.
 	"internal/histogram.NewIncremental":        "paper model: incremental histogram maintenance",
 	"internal/histogram.(*Incremental).Insert": "paper model: incremental histogram maintenance",
+	// §7.1: the plan segments the first phase of two-phase parallel
+	// optimization cuts, which Makespan schedules.
+	"internal/parallel.Segments": "paper model: two-phase schedule segments",
+	// The plan cache renders a hit's plan text from a template and binds
+	// parameters at run time; this copy-and-substitute is the oracle both
+	// are checked against.
+	"internal/physical.BindParams": "test oracle: parameter substitution",
+	// Fault injection is a test harness: tests build injectors and hand
+	// them to the engine, and the crash matrix counts an operation's
+	// checks to enumerate its kill points.
+	"internal/faultfs.New":               "test harness: fault injector",
+	"internal/faultfs.(*Injector).Count": "test harness: fault check counts",
+	// The experiment harness's own test runs every table of this list.
+	"internal/experiments.All": "test harness: the list of experiment tables",
 }
 
-// harnessDir holds the experiment tables of the reproduction. `make
-// experiments` runs them through the benchmark wrappers in bench_test.go, so
-// every export there is reached from tests by design.
-const harnessDir = "internal/experiments"
+// harnessDir holds the experiment tables of the reproduction, and
+// harnessCaller the benchmark wrappers through which `make experiments` runs
+// them: an export of the harness is used where harnessCaller names it.
+const (
+	harnessDir    = "internal/experiments"
+	harnessCaller = "bench_test.go"
+)
 
 // TestNoTestOnlyExports keeps code that only tests reach out of the engine.
 // It parses every non-test Go file in the repository, bench/ included, and
-// fails on an exported function or method declared under internal/ whose
-// name appears in no non-test file other than in its own declaration. Such
-// a function serves no workload, example or command; delete it (and move
-// its test onto the live API), or, when a test needs it as an oracle or a
-// paper baseline, add it to testOnlyAllowed with the reason. Methods named
-// after a standard interface method, and the experiment harness, are exempt.
+// fails on an exported function or method declared under internal/ that no
+// non-test file uses. Such a function serves no workload, example or
+// command; delete it (and move its test onto the live API), or, when a test
+// needs it as an oracle or a paper baseline, add it to testOnlyAllowed with
+// the reason. Methods named after a standard interface method are exempt.
 //
-// Matching is by name: a dead method that shares its name with a live
-// function or method anywhere in the repository escapes this check.
+// A function is used where its package names it bare or another package
+// names it through that package's import. A method is used where a call
+// selects it by name from a value, not from an imported package name: a
+// type that shares the method's name (datum.Row beside (*Table).Row) and a
+// field read of the same name do not count. A dead method that shares its
+// name with a live method anywhere in the repository still escapes.
 func TestNoTestOnlyExports(t *testing.T) {
 	type decl struct {
-		key, name, pos string
+		key, use, pos string
 	}
 	var decls []decl
-	uses := map[string]int{}
+	uses, harnessUses := map[string]int{}, map[string]int{}
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -79,7 +99,7 @@ func TestNoTestOnlyExports(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") && path != harnessCaller {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -87,6 +107,17 @@ func TestNoTestOnlyExports(t *testing.T) {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
+		// imports maps the name a file gives each import to its directory
+		// in this module.
+		imports := map[string]string{}
+		for _, im := range f.Imports {
+			ipath := strings.Trim(im.Path.Value, `"`)
+			name := ipath[strings.LastIndex(ipath, "/")+1:]
+			if im.Name != nil {
+				name = im.Name.Name
+			}
+			imports[name] = strings.TrimPrefix(ipath, "repro/")
+		}
 		names := map[*ast.Ident]bool{}
 		for _, dd := range f.Decls {
 			fn, ok := dd.(*ast.FuncDecl)
@@ -94,21 +125,40 @@ func TestNoTestOnlyExports(t *testing.T) {
 				continue
 			}
 			names[fn.Name] = true
-			if !strings.HasPrefix(dir, "internal/") || dir == harnessDir || !fn.Name.IsExported() {
+			if !strings.HasPrefix(dir, "internal/") || !fn.Name.IsExported() {
 				continue
 			}
-			key := dir + "." + fn.Name.Name
+			key, use := dir+"."+fn.Name.Name, dir+"."+fn.Name.Name
 			if fn.Recv != nil {
 				if standardMethods[fn.Name.Name] {
 					continue
 				}
-				key = dir + "." + recvName(fn.Recv.List[0].Type) + "." + fn.Name.Name
+				key, use = dir+"."+recvName(fn.Recv.List[0].Type)+"."+fn.Name.Name, "."+fn.Name.Name
 			}
-			decls = append(decls, decl{key, fn.Name.Name, fset.Position(fn.Pos()).String()})
+			decls = append(decls, decl{key, use, fset.Position(fn.Pos()).String()})
 		}
+		uses := uses
+		if path == harnessCaller {
+			uses = harnessUses
+		}
+		selected := map[*ast.Ident]bool{}
 		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !names[id] {
-				uses[id.Name]++
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+					if x, ok := sel.X.(*ast.Ident); !ok || imports[x.Name] == "" {
+						uses["."+sel.Sel.Name]++
+					}
+				}
+			case *ast.SelectorExpr:
+				selected[n.Sel] = true
+				if x, ok := n.X.(*ast.Ident); ok && imports[x.Name] != "" {
+					uses[imports[x.Name]+"."+n.Sel.Name]++
+				}
+			case *ast.Ident:
+				if !names[n] && !selected[n] {
+					uses[dir+"."+n.Name]++
+				}
 			}
 			return true
 		})
@@ -121,7 +171,11 @@ func TestNoTestOnlyExports(t *testing.T) {
 	declared := map[string]bool{}
 	for _, d := range decls {
 		declared[d.key] = true
-		if _, ok := testOnlyAllowed[d.key]; ok || uses[d.name] > 0 {
+		n := uses[d.use]
+		if strings.HasPrefix(d.key, harnessDir+".") {
+			n += harnessUses[d.use]
+		}
+		if _, ok := testOnlyAllowed[d.key]; ok || n > 0 {
 			continue
 		}
 		dead = append(dead, d.pos+": "+d.key)

@@ -198,15 +198,6 @@ func (m Model) StreamGroupBy(rows float64, aggs int) float64 {
 	return rows*m.CPUTuple + rows*float64(aggs)*m.CPUEval
 }
 
-// Exchange costs repartitioning rows across degree workers (§7.1, Hasan's
-// communication cost).
-func (m Model) Exchange(rows float64, degree int) float64 {
-	if degree <= 1 {
-		return 0
-	}
-	return rows * m.CommCostPerRow
-}
-
 // Limit is free beyond passing tuples.
 func (m Model) Limit(rows float64) float64 { return rows * m.CPUTuple * 0.1 }
 

@@ -101,12 +101,6 @@ func TestGroupByAndMisc(t *testing.T) {
 	if m.HashGroupBy(1000, 2) <= m.StreamGroupBy(1000, 2) {
 		t.Error("stream group-by should be cheaper than hash")
 	}
-	if m.Exchange(1000, 1) != 0 {
-		t.Error("degree-1 exchange should be free")
-	}
-	if m.Exchange(1000, 4) <= 0 {
-		t.Error("repartitioning should cost")
-	}
 	if m.Limit(100) < 0 || m.Values(10) <= 0 {
 		t.Error("limit/values sanity")
 	}

@@ -64,14 +64,6 @@ func NewMemAccountWithParent(budget int64, parent *MemAccount) *MemAccount {
 	return a
 }
 
-// Budget returns the configured cap in bytes (0 = unlimited).
-func (a *MemAccount) Budget() int64 {
-	if a == nil {
-		return 0
-	}
-	return a.budget
-}
-
 // Peak returns the high-water mark of reserved bytes.
 func (a *MemAccount) Peak() int64 {
 	if a == nil {

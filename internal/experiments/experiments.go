@@ -105,16 +105,6 @@ func All() []Table {
 	}
 }
 
-// ByID returns the experiment with the given id (e.g. "E7").
-func ByID(id string) (Table, bool) {
-	for _, t := range All() {
-		if strings.EqualFold(t.ID, id) {
-			return t, true
-		}
-	}
-	return Table{}, false
-}
-
 // --- shared helpers ---
 
 func mustBuild(db *workload.DB, q string) *logical.Query {

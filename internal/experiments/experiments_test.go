@@ -35,19 +35,6 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 	}
 }
 
-func TestByID(t *testing.T) {
-	if testing.Short() {
-		t.Skip("slow")
-	}
-	tb, ok := ByID("e15")
-	if !ok || tb.ID != "E15" {
-		t.Fatal("ByID case-insensitive lookup failed")
-	}
-	if _, ok := ByID("E99"); ok {
-		t.Fatal("unknown id should fail")
-	}
-}
-
 // TestHeadlineInvariants spot-checks the quantitative shape of key
 // experiments so regressions in the optimizer show up as failures here, not
 // just as changed numbers in the harness output.

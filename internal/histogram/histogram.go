@@ -60,22 +60,6 @@ type Histogram struct {
 	Distinct float64 // estimated total distinct values
 }
 
-// Min returns the smallest summarized value, or NULL for an empty histogram.
-func (h *Histogram) Min() datum.D {
-	if len(h.Buckets) == 0 {
-		return datum.Null
-	}
-	return h.Buckets[0].Lower
-}
-
-// Max returns the largest summarized value, or NULL for an empty histogram.
-func (h *Histogram) Max() datum.D {
-	if len(h.Buckets) == 0 {
-		return datum.Null
-	}
-	return h.Buckets[len(h.Buckets)-1].Upper
-}
-
 // BuildEquiDepth constructs a k-bucket equi-depth histogram over values.
 // NULLs in the input are ignored. The input slice is not modified.
 func BuildEquiDepth(values []datum.D, k int) *Histogram {

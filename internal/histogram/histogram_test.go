@@ -90,9 +90,6 @@ func TestBuildEquiDepthEmpty(t *testing.T) {
 	if h.Total != 0 || len(h.Buckets) != 0 {
 		t.Fatal("empty histogram should have no buckets")
 	}
-	if !h.Min().IsNull() || !h.Max().IsNull() {
-		t.Fatal("empty histogram min/max should be NULL")
-	}
 	if h.EstimateEq(datum.NewInt(1)) != 0 {
 		t.Fatal("empty histogram estimates 0")
 	}
@@ -286,11 +283,11 @@ func TestFilterRangePropagation(t *testing.T) {
 	if math.Abs(f.Total-want)/want > 0.15 {
 		t.Errorf("filtered total %.0f vs exact %.0f", f.Total, want)
 	}
-	if datum.Compare(f.Min(), datum.NewInt(100)) < 0 {
-		t.Errorf("filtered min %s below bound", f.Min())
+	if lo := f.Buckets[0].Lower; datum.Compare(lo, datum.NewInt(100)) < 0 {
+		t.Errorf("filtered min %s below bound", lo)
 	}
-	if datum.Compare(f.Max(), datum.NewInt(299)) > 0 {
-		t.Errorf("filtered max %s above bound", f.Max())
+	if hi := f.Buckets[len(f.Buckets)-1].Upper; datum.Compare(hi, datum.NewInt(299)) > 0 {
+		t.Errorf("filtered max %s above bound", hi)
 	}
 	// Estimates on the filtered histogram should be sane.
 	got := f.EstimateRange(datum.NewInt(150), true, datum.NewInt(199), true)
@@ -428,11 +425,11 @@ func TestNaNColumnHistograms(t *testing.T) {
 				t.Errorf("%s: bucket %d ends at %v, before bucket %d's %v", h.Kind, i, b.Upper, i-1, h.Buckets[i-1].Upper)
 			}
 		}
-		if got := h.Max(); !datum.Equal(got, datum.NewFloat(999)) {
-			t.Errorf("%s: Max() = %v, want 999", h.Kind, got)
+		if got := h.Buckets[len(h.Buckets)-1].Upper; !datum.Equal(got, datum.NewFloat(999)) {
+			t.Errorf("%s: last upper bound = %v, want 999", h.Kind, got)
 		}
-		if got := h.Min(); got.Kind() != datum.KindFloat || !math.IsNaN(got.Float()) {
-			t.Errorf("%s: Min() = %v, want NaN", h.Kind, got)
+		if got := h.Buckets[0].Lower; got.Kind() != datum.KindFloat || !math.IsNaN(got.Float()) {
+			t.Errorf("%s: first lower bound = %v, want NaN", h.Kind, got)
 		}
 		sel := h.SelectivityRange(datum.NewFloat(0), true, datum.NewFloat(100), true)
 		if math.IsNaN(sel) || sel <= 0 || sel >= 0.5 {

@@ -619,9 +619,14 @@ func TestQueryGraphStar(t *testing.T) {
 		WHERE f.d1 = a.k AND f.d2 = b.k AND f.d3 = cc.k`)
 	leaves, preds, _ := ExtractJoinBlock(q.Root.(*Project).Input)
 	g := BuildQueryGraph(leaves, preds)
-	hub, ok := g.Star()
-	if !ok || hub != 0 {
-		t.Errorf("star detection: hub=%d ok=%v", hub, ok)
+	// A star: the fact table (node 0) joins each dimension, and nothing else.
+	if len(g.Edges) != 3 {
+		t.Fatalf("star has %d edges, want 3: %v", len(g.Edges), g.Edges)
+	}
+	for _, e := range g.Edges {
+		if e.A != 0 && e.B != 0 {
+			t.Errorf("edge %d-%d misses the hub", e.A, e.B)
+		}
 	}
 }
 

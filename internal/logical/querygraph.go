@@ -101,32 +101,6 @@ func BuildQueryGraph(leaves []RelExpr, preds []Scalar) *QueryGraph {
 	return g
 }
 
-// Star reports whether the graph is a star: one hub connected to every other
-// node, with no other edges — the decision-support shape §4.1.1 discusses.
-func (g *QueryGraph) Star() (hub int, ok bool) {
-	n := len(g.Nodes)
-	if n < 3 {
-		return 0, false
-	}
-	deg := make([]int, n)
-	for _, e := range g.Edges {
-		deg[e.A]++
-		deg[e.B]++
-	}
-	hub = -1
-	for i, d := range deg {
-		if d == n-1 {
-			hub = i
-		} else if d != 1 {
-			return 0, false
-		}
-	}
-	if hub < 0 {
-		return 0, false
-	}
-	return hub, len(g.Edges) == n-1
-}
-
 // String renders the graph for diagnostics.
 func (g *QueryGraph) String() string {
 	var sb strings.Builder

@@ -63,30 +63,22 @@ func (e manEntry) String() string {
 func parseManEntry(s string) (manEntry, error) {
 	var e manEntry
 	parts := strings.Split(s, ",")
-	if len(parts) != 5 {
-		return e, fmt.Errorf("entry %q has %d fields, want 5", s, len(parts))
+	if len(parts) != 5 || parts[0] == "" || strings.ContainsAny(parts[0], "/ ") {
+		return e, fmt.Errorf("entry %q is not file,id,rows,bytes,crc", s)
 	}
-	e.file = parts[0]
-	if e.file == "" || strings.ContainsAny(e.file, "/ ") {
-		return e, fmt.Errorf("entry %q has a bad file name", s)
+	var n [4]int64
+	for i, f := range parts[1:] {
+		base := 10
+		if i == 3 {
+			base = 16 // the crc, 32 bits
+		}
+		v, err := strconv.ParseInt(f, base, 64)
+		if err != nil || base == 16 && v>>32 != 0 {
+			return e, fmt.Errorf("entry %q: bad field %d: %v", s, i+1, err)
+		}
+		n[i] = v
 	}
-	id, err := strconv.Atoi(parts[1])
-	if err != nil {
-		return e, fmt.Errorf("entry %q: bad id: %v", s, err)
-	}
-	rows, err := strconv.Atoi(parts[2])
-	if err != nil {
-		return e, fmt.Errorf("entry %q: bad rows: %v", s, err)
-	}
-	bytes, err := strconv.ParseInt(parts[3], 10, 64)
-	if err != nil {
-		return e, fmt.Errorf("entry %q: bad bytes: %v", s, err)
-	}
-	crc, err := strconv.ParseUint(parts[4], 16, 32)
-	if err != nil {
-		return e, fmt.Errorf("entry %q: bad crc: %v", s, err)
-	}
-	e.id, e.rows, e.bytes, e.crc = id, rows, bytes, uint32(crc)
+	e.file, e.id, e.rows, e.bytes, e.crc = parts[0], int(n[0]), int(n[1]), n[2], uint32(n[3])
 	return e, nil
 }
 

@@ -94,7 +94,8 @@ const (
 // into their counters at pipeline barriers.
 type ScanCtx struct {
 	// Faults, when non-nil, is checked on the "segment.open" and
-	// "segment.read" operation streams before the corresponding syscalls.
+	// "segment.read" operation streams on every block miss, before the
+	// segment's file is opened (at its first miss only) and read.
 	Faults *faultfs.Injector
 	ReadStats
 }
@@ -644,6 +645,9 @@ type block struct {
 	numNulls int
 	dict     *datum.StrDict // interned
 	body     []byte         // varints, float bits, strings or codes
+	// raw is the buffer a block read from its file was read into, which
+	// body points into; the block cache reuses it after eviction.
+	raw []byte
 	// runs holds the value of each run of a run-length block, and ends the
 	// row each run ends before.
 	runs *datum.Vec
@@ -1058,10 +1062,10 @@ func (b *block) decodedBytes() int64 {
 	return x
 }
 
-// cacheBytes is the cache charge of the block held encoded: its body, NULL
-// bitmap, dictionary and runs.
+// cacheBytes is the cache charge of the block held encoded: the capacity of
+// the buffer its body points into, its NULL bitmap, dictionary and runs.
 func (b *block) cacheBytes() int64 {
-	x := int64(len(b.body) + 8*len(b.nulls) + 4*len(b.ends))
+	x := int64(cap(b.raw) + 8*len(b.nulls) + 4*len(b.ends))
 	if b.dict != nil {
 		x += b.dict.Bytes()
 	}
@@ -1282,69 +1286,54 @@ func decodeFooter(raw []byte, path string) (segMeta, error) {
 	fail := func(err error) (segMeta, error) {
 		return bad(RegionFooter, int64(footerOff), "footer decode: %v", err)
 	}
-	rows, err := r.uvarint()
+	// Reads after the first failure read nothing; the checks below report it.
+	var err error
+	uv := func() (x uint64) {
+		if err == nil {
+			x, err = r.uvarint()
+		}
+		return x
+	}
+	take := func(n int) (b []byte) {
+		if err == nil {
+			b, err = r.take(n)
+		}
+		return append(b, make([]byte, n-len(b))...)
+	}
+	datumAt := func() (d datum.D) {
+		if err == nil {
+			d, err = decodeD(r)
+		}
+		return d
+	}
+	rows, ncols := uv(), uv()
 	if err != nil {
 		return fail(err)
 	}
-	ncols, err := r.uvarint()
-	if err != nil {
-		return fail(err)
-	}
-	sm.rows = int(rows)
-	sm.bytes = int64(len(raw))
-	sm.cols = make([]colMeta, ncols)
+	sm.rows, sm.bytes, sm.cols = int(rows), int64(len(raw)), make([]colMeta, ncols)
 	for ci := range sm.cols {
 		cm := &sm.cols[ci]
-		if cm.repr, err = r.ReadByte(); err != nil {
-			return fail(err)
-		}
-		kb, err := r.ReadByte()
+		head := take(2)
+		cm.repr, cm.kind = head[0], datum.Kind(head[1])
+		cm.off, cm.blockLen = int64(uv()), int64(uv())
+		cm.crc = binary.LittleEndian.Uint32(take(4))
+		cm.nullCount = int(uv())
 		if err != nil {
 			return fail(err)
 		}
-		cm.kind = datum.Kind(kb)
-		off, err := r.uvarint()
-		if err != nil {
-			return fail(err)
-		}
-		blockLen, err := r.uvarint()
-		if err != nil {
-			return fail(err)
-		}
-		crcb, err := r.take(4)
-		if err != nil {
-			return fail(err)
-		}
-		cm.crc = binary.LittleEndian.Uint32(crcb)
-		nullCount, err := r.uvarint()
-		if err != nil {
-			return fail(err)
-		}
-		cm.off, cm.blockLen, cm.nullCount = int64(off), int64(blockLen), int(nullCount)
 		if cm.off < 0 || cm.blockLen < 0 || cm.off+cm.blockLen > int64(footerOff) {
 			return bad(RegionFooter, int64(footerOff), "column %d block [%d,+%d) outside data area of %d bytes", ci, cm.off, cm.blockLen, footerOff)
 		}
-		hz, err := r.ReadByte()
-		if err != nil {
-			return fail(err)
-		}
-		if hz != 0 {
-			cm.hasZone = true
-			if cm.min, err = decodeD(r); err != nil {
-				return fail(err)
-			}
-			if cm.max, err = decodeD(r); err != nil {
-				return fail(err)
-			}
+		if take(1)[0] != 0 {
+			cm.hasZone, cm.min, cm.max = true, datumAt(), datumAt()
 			if magic != segMagic && (roundedBound(cm.min) || roundedBound(cm.max)) {
 				cm.hasZone, cm.min, cm.max = false, datum.Null, datum.Null
 			}
 		}
-		sk, err := r.take(sketchBytes)
+		copy(cm.sketch[:], take(sketchBytes))
 		if err != nil {
 			return fail(err)
 		}
-		copy(cm.sketch[:], sk)
 	}
 	return sm, nil
 }
@@ -1556,31 +1545,46 @@ type blockKey struct {
 }
 
 // cacheEntry holds one column block in one form, never both: verified and
-// parsed with its values encoded, or decoded (blk.vec, no body). Entries are
-// immutable once cached.
+// parsed with its values encoded in blk.raw, or decoded (blk.vec, no body).
+// Entries are immutable once cached. pins counts the cache while it holds the
+// entry and each reader from the get or put that returned it to its release,
+// as a buffer manager fixes a page; the last unpin frees blk.raw for reuse.
 type cacheEntry struct {
 	key   blockKey
 	blk   *block
 	bytes int64
+	pins  int
 }
+
+// freeBuffers bounds the free list of block buffers, which the cache does not
+// charge. A free buffer serves a miss whose block fills at least 1/maxSlack
+// of it, so an entry charged by capacity is charged at most maxSlack times
+// its block's length.
+const (
+	freeBuffers = 8
+	maxSlack    = 4
+)
 
 // blockCache is the store-wide LRU of the column blocks read from segment
 // files, bounded by a byte budget. A miss chooses the form of its entry once:
 // decoded when the decoded column fits in the room the budget has left,
 // encoded otherwise, evicting the least recently used entries. Decoded
-// vectors are shared read-only, as encoded blocks are.
+// vectors are shared read-only, as encoded blocks are. Misses read into the
+// buffers of evicted encoded entries, kept on a short free list.
 type blockCache struct {
 	mu     sync.Mutex
 	budget int64
 	size   int64
 	lru    *list.List // front = most recently used; values are *cacheEntry
 	m      map[blockKey]*list.Element
+	free   [][]byte // ascending capacity
 }
 
 func newBlockCache(budget int64) *blockCache {
 	return &blockCache{budget: budget, lru: list.New(), m: make(map[blockKey]*list.Element)}
 }
 
+// get returns the cached entry of k pinned, or nil.
 func (c *blockCache) get(k blockKey) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1589,23 +1593,81 @@ func (c *blockCache) get(k blockKey) *cacheEntry {
 		return nil
 	}
 	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry)
+	e := el.Value.(*cacheEntry)
+	e.pins++
+	return e
 }
 
-func (c *blockCache) put(e *cacheEntry) {
+// put caches e and returns it pinned. When a concurrent reader cached the
+// block first, put frees e's buffer and returns theirs pinned.
+func (c *blockCache) put(e *cacheEntry) *cacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.m[e.key]; ok {
-		return // a concurrent reader cached it first; keep theirs
+	if el, ok := c.m[e.key]; ok {
+		c.recycleLocked(e.blk.raw)
+		e = el.Value.(*cacheEntry)
+		e.pins++
+		return e
 	}
+	e.pins = 2
 	c.m[e.key] = c.lru.PushFront(e)
 	c.size += e.bytes
 	for c.size > c.budget && c.lru.Len() > 1 {
-		back := c.lru.Back()
-		old := back.Value.(*cacheEntry)
-		c.lru.Remove(back)
-		delete(c.m, old.key)
-		c.size -= old.bytes
+		c.removeLocked(c.lru.Back())
+	}
+	return e
+}
+
+// release unpins an entry get or put returned; nil, a pinned segment's
+// column, has none.
+func (c *blockCache) release(e *cacheEntry) {
+	if e != nil {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.unpinLocked(e)
+	}
+}
+
+func (c *blockCache) unpinLocked(e *cacheEntry) {
+	if e.pins--; e.pins == 0 {
+		c.recycleLocked(e.blk.raw)
+	}
+}
+
+// removeLocked evicts an entry, dropping the cache's pin.
+func (c *blockCache) removeLocked(el *list.Element) {
+	e := c.lru.Remove(el).(*cacheEntry)
+	delete(c.m, e.key)
+	c.size -= e.bytes
+	c.unpinLocked(e)
+}
+
+// alloc returns a buffer of n bytes for a miss to read into: the smallest
+// free one that holds n, if n fills at least 1/maxSlack of it, else a new one.
+func (c *blockCache) alloc(n int64) []byte {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	i, _ := slices.BinarySearchFunc(c.free, n, capCmp)
+	if i == len(c.free) || int64(cap(c.free[i])) > maxSlack*n {
+		return make([]byte, n)
+	}
+	b := c.free[i]
+	c.free = slices.Delete(c.free, i, i+1)
+	return b[:n]
+}
+
+func capCmp(b []byte, n int64) int { return cmp.Compare(int64(cap(b)), n) }
+
+// recycleLocked puts a buffer nothing references on the free list, which is
+// ordered by capacity and, when full, drops its smallest buffer: larger ones
+// serve more misses.
+func (c *blockCache) recycleLocked(buf []byte) {
+	if buf == nil {
+		return
+	}
+	i, _ := slices.BinarySearchFunc(c.free, int64(cap(buf)), capCmp)
+	if c.free = slices.Insert(c.free, i, buf); len(c.free) > freeBuffers {
+		c.free = slices.Delete(c.free, 0, 1)
 	}
 }
 
@@ -1622,11 +1684,8 @@ func (c *blockCache) dropTable(t *Table) {
 	defer c.mu.Unlock()
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.key.tab == t {
-			c.lru.Remove(el)
-			delete(c.m, e.key)
-			c.size -= e.bytes
+		if el.Value.(*cacheEntry).key.tab == t {
+			c.removeLocked(el)
 		}
 		el = next
 	}

@@ -74,6 +74,19 @@ type segTable struct {
 	// dicts interns the dictionaries of the dictionary blocks of this
 	// generation read or pinned so far.
 	dicts dictSet
+	// files holds this generation's segment files by id, each open from its
+	// first block miss until a rewrite or Store.Close. Guarded by filesMu:
+	// column reads hold only the table's read lock.
+	files   map[int]*os.File
+	filesMu sync.Mutex
+}
+
+// closeFilesLocked closes the open segment files. Caller holds t.mu.Lock.
+func (t *Table) closeFilesLocked() {
+	for _, f := range t.seg.files {
+		f.Close()
+	}
+	clear(t.seg.files)
 }
 
 func (s *Store) newTable(def *catalog.Table) *Table {
@@ -163,22 +176,26 @@ type pendingSeg struct {
 	raw []byte
 }
 
-// encodeChunk encodes rows as one pending segment with the given id and
-// start row. Pure computation plus the historical "segment.create"/
+// encodeChunks encodes chunks from the front of rows, sizes[i] rows each, as
+// pending segments numbered from id starting at row startRow, and returns
+// them with the rows they took. Pure computation plus the "segment.create"/
 // "segment.write" encode fault streams; touches no table state.
-func (t *Table) encodeChunk(rows []datum.Row, id, startRow int) (pendingSeg, error) {
-	vecs := make([]*datum.Vec, len(t.Def.Cols))
-	for ci, col := range t.Def.Cols {
-		v := datum.NewVec(col.Kind, len(rows))
-		v.AppendRowsCol(rows, ci)
-		vecs[ci] = v
+func (t *Table) encodeChunks(rows []datum.Row, sizes []int, id, startRow int) ([]pendingSeg, int, error) {
+	pend, off := make([]pendingSeg, len(sizes)), 0
+	for i, n := range sizes {
+		vecs := make([]*datum.Vec, len(t.Def.Cols))
+		for ci, col := range t.Def.Cols {
+			vecs[ci] = datum.NewVec(col.Kind, n)
+			vecs[ci].AppendRowsCol(rows[off:off+n], ci)
+		}
+		raw, metas, err := encodeSegment(vecs, t.store.cfg.Faults, !t.store.cfg.DisableCompression)
+		if err != nil {
+			return nil, 0, err
+		}
+		pend[i] = pendingSeg{sm: segMeta{id: id + i, startRow: startRow + off, rows: n, bytes: int64(len(raw)), cols: metas}, raw: raw}
+		off += n
 	}
-	raw, metas, err := encodeSegment(vecs, t.store.cfg.Faults, !t.store.cfg.DisableCompression)
-	if err != nil {
-		return pendingSeg{}, err
-	}
-	sm := segMeta{id: id, startRow: startRow, rows: len(rows), bytes: int64(len(raw)), cols: metas}
-	return pendingSeg{sm: sm, raw: raw}, nil
+	return pend, off, nil
 }
 
 // publishLocked makes a batch of pending segments readable. Without a
@@ -186,13 +203,13 @@ func (t *Table) encodeChunk(rows []datum.Row, id, startRow int) (pendingSeg, err
 // on the segment; the encoded bytes are dropped. With one it is the
 // durability protocol: each file (named under generation gen) is checksummed,
 // written to a temp sibling, fsynced and renamed; the directory is fsynced
-// once; then one manifest record (built by rec from the entries) adopts them
-// all, and if that record switched generations the files of the one still
-// serving are deleted best-effort — the manifest no longer references them,
-// so a crash mid-delete only leaves quarantine fodder. Any error leaves the
-// table state untouched — unpublished files are recovery's quarantine fodder.
-// Transient faults are retried per step. Caller holds t.mu.
-func (t *Table) publishLocked(pend []pendingSeg, gen int, rec func([]manEntry) string) error {
+// once; then one manifest record, verb ("add" or "switch <gen>") and entries,
+// adopts them all, and if that record switched generations the files of the
+// one still serving are deleted best-effort: the manifest no longer
+// references them, so a crash mid-delete only leaves quarantine fodder. Any
+// error leaves the table state untouched — unpublished files are recovery's
+// quarantine fodder. Transient faults are retried per step. Caller holds t.mu.
+func (t *Table) publishLocked(pend []pendingSeg, gen int, verb string) error {
 	if t.seg.dir == "" {
 		for i := range pend {
 			p := &pend[i]
@@ -209,12 +226,13 @@ func (t *Table) publishLocked(pend []pendingSeg, gen int, rec func([]manEntry) s
 		return nil
 	}
 	faults := t.store.cfg.Faults
-	entries := make([]manEntry, len(pend))
+	record := verb
 	for i := range pend {
 		p := &pend[i]
 		p.sm.fileCRC = crc32.Checksum(p.raw, crcTable)
-		entries[i] = manEntry{file: segFileName(gen, p.sm.id), id: p.sm.id, rows: p.sm.rows, bytes: p.sm.bytes, crc: p.sm.fileCRC}
-		path := filepath.Join(t.seg.dir, entries[i].file)
+		e := manEntry{file: segFileName(gen, p.sm.id), id: p.sm.id, rows: p.sm.rows, bytes: p.sm.bytes, crc: p.sm.fileCRC}
+		record += " " + e.String()
+		path := filepath.Join(t.seg.dir, e.file)
 		raw := p.raw
 		if err := t.store.retryIO(func() error { return writeSegmentFile(path, raw, faults) }); err != nil {
 			return err
@@ -232,7 +250,7 @@ func (t *Table) publishLocked(pend []pendingSeg, gen int, rec func([]manEntry) s
 	if err != nil {
 		return err
 	}
-	if err := t.store.retryIO(func() error { return appendManifest(t.seg.dir, rec(entries), base, faults) }); err != nil {
+	if err := t.store.retryIO(func() error { return appendManifest(t.seg.dir, record, base, faults) }); err != nil {
 		return err
 	}
 	if gen != t.seg.gen {
@@ -265,24 +283,11 @@ func (t *Table) sealChunksLocked(sizes []int) error {
 	if len(sizes) == 0 {
 		return nil
 	}
-	pend := make([]pendingSeg, len(sizes))
-	off := 0
-	for i, n := range sizes {
-		p, err := t.encodeChunk(t.rows[off:off+n], t.seg.nextID+i, t.seg.sealedRows+off)
-		if err != nil {
-			return err
-		}
-		pend[i] = p
-		off += n
+	pend, off, err := t.encodeChunks(t.rows, sizes, t.seg.nextID, t.seg.sealedRows)
+	if err != nil {
+		return err
 	}
-	if err := t.publishLocked(pend, t.seg.gen, func(entries []manEntry) string {
-		parts := make([]string, 1, len(entries)+1)
-		parts[0] = "add"
-		for _, e := range entries {
-			parts = append(parts, e.String())
-		}
-		return strings.Join(parts, " ")
-	}); err != nil {
+	if err := t.publishLocked(pend, t.seg.gen, "add"); err != nil {
 		return err
 	}
 	// Commit point passed: adopt in memory.
@@ -310,62 +315,73 @@ func (t *Table) segPath(id int) string {
 // from: decoded — the pinned column of a segment without a file, or a
 // decoded cache entry — or encoded, from the cache. A miss reads the block
 // (retrying transient faults) and caches it in the form the cache chooses.
-// Segments soft-adopted as corrupt at recovery fail immediately with their
-// typed error. Caller holds t.mu (read or write).
-func (t *Table) columnLocked(sc *ScanCtx, si, ord int) (*block, error) {
+// A cached block comes with its entry pinned until the caller's
+// blockCache.release. Segments soft-adopted as corrupt at recovery fail
+// immediately with their typed error. Caller holds t.mu (read or write).
+func (t *Table) columnLocked(sc *ScanCtx, si, ord int) (*block, *cacheEntry, error) {
 	sm := &t.seg.segs[si]
 	if sm.pinned != nil {
-		return sm.pinned[ord], nil
+		return sm.pinned[ord], nil, nil
 	}
 	if sm.corrupt != nil {
-		return nil, sm.corrupt
+		return nil, nil, sm.corrupt
 	}
 	cache := t.store.cache
 	key := blockKey{tab: t, gen: t.seg.gen, seg: sm.id, ord: ord}
 	if e := cache.get(key); e != nil {
 		sc.addHit()
-		return e.blk, nil
+		return e.blk, e, nil
 	}
 	var b *block
 	if err := t.store.retryIO(func() (err error) {
 		b, err = t.readBlock(sc, sm, ord)
 		return err
 	}); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	e := &cacheEntry{key: key, blk: b, bytes: b.cacheBytes()}
+	// The miss pins its entry. Caching the block decoded drops it: decoding
+	// copies the values out of b.raw, so its release frees the buffer.
+	e := &cacheEntry{key: key, blk: b, bytes: b.cacheBytes(), pins: 1}
 	if b.vec != nil || cache.fits(b.decodedBytes()) {
 		v, err := b.decode()
+		cache.release(e)
 		if err != nil {
-			return nil, t.blockErr(sm, ord, "block decode: %v", err)
+			return nil, nil, t.blockErr(sm, ord, "block decode: %v", err)
 		}
 		e = &cacheEntry{key: key, blk: &block{vec: v}, bytes: vecCacheBytes(v)}
 	}
-	cache.put(e)
-	return e.blk, nil
+	e = cache.put(e)
+	return e.blk, e, nil
 }
 
-// readBlock reads, CRC-verifies and parses column ord of segment sm from its
-// file, checking the fault streams and counting the read in sc. The block
-// cache makes a block pay its checksum once. StoreConfig.DisableChecksums is
-// the benchmark A/B arm and the escape hatch for salvage reads.
+// readBlock reads column ord of segment sm into the block's raw buffer, from
+// the cache's free list, with one pread from the segment's open file, then
+// CRC-verifies and parses it, checking the fault streams and counting the
+// read in sc. The block cache makes a block pay its checksum once;
+// StoreConfig.DisableChecksums is the benchmark A/B arm and the escape hatch
+// for salvage reads.
 func (t *Table) readBlock(sc *ScanCtx, sm *segMeta, ord int) (*block, error) {
 	if err := sc.check("segment.open"); err != nil {
 		return nil, err
 	}
-	path := t.segPath(sm.id)
-	f, err := os.Open(path)
+	t.seg.filesMu.Lock()
+	f, err := t.seg.files[sm.id], error(nil)
+	if f == nil {
+		if f, err = os.Open(t.segPath(sm.id)); err == nil {
+			t.seg.files[sm.id] = f
+		}
+	}
+	t.seg.filesMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
 	if err := sc.check("segment.read"); err != nil {
 		return nil, err
 	}
 	cm := &sm.cols[ord]
-	raw := make([]byte, cm.blockLen)
+	raw := t.store.cache.alloc(cm.blockLen)
 	if _, err := f.ReadAt(raw, cm.off); err != nil {
-		return nil, fmt.Errorf("storage: reading %s column %d: %w", path, ord, err)
+		return nil, fmt.Errorf("storage: reading %s column %d: %w", t.segPath(sm.id), ord, err)
 	}
 	if !t.store.cfg.DisableChecksums {
 		if got := crc32.Checksum(raw, crcTable); got != cm.crc {
@@ -376,6 +392,7 @@ func (t *Table) readBlock(sc *ScanCtx, sm *segMeta, ord int) (*block, error) {
 	if err != nil {
 		return nil, t.blockErr(sm, ord, "block decode: %v", err)
 	}
+	b.raw = raw
 	sc.addMiss(cm.blockLen, cm.repr)
 	return b, nil
 }
@@ -484,17 +501,6 @@ func (t *Table) rowsRangeLocked(sc *ScanCtx, lo, hi int) ([]datum.Row, error) {
 	return out, nil
 }
 
-// Row returns the row with the given row id.
-func (t *Table) Row(sc *ScanCtx, id int) (datum.Row, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	rows, err := t.rowsRangeLocked(sc, id, id+1)
-	if err != nil {
-		return nil, err
-	}
-	return rows[0], nil
-}
-
 // FillColumnRange appends column ord of rows [lo, hi) to v — the
 // batch-granular scan API of the vectorized execution path: one lock
 // acquisition and one column fill per morsel instead of a row-at-a-time
@@ -516,11 +522,13 @@ func (t *Table) fillColumnRangeLocked(sc *ScanCtx, ord, lo, hi int, v *datum.Vec
 		si := t.segIndexLocked(pos)
 		sm := &t.seg.segs[si]
 		segHi := min(hi-sm.startRow, sm.rows)
-		blk, err := t.columnLocked(sc, si, ord)
+		blk, e, err := t.columnLocked(sc, si, ord)
 		if err != nil {
 			return err
 		}
-		if err := blk.read(v, rowSet{lo: pos - sm.startRow, hi: segHi}); err != nil {
+		err = blk.read(v, rowSet{lo: pos - sm.startRow, hi: segHi})
+		t.store.cache.release(e)
+		if err != nil {
 			return t.blockErr(sm, ord, "block decode: %v", err)
 		}
 		pos = sm.startRow + segHi
@@ -554,11 +562,13 @@ func (t *Table) FillColumnIDs(sc *ScanCtx, ord int, ids []int, v *datum.Vec) err
 		for n < len(ids) && ids[n] >= lo && ids[n] < hi {
 			n++
 		}
-		blk, err := t.columnLocked(sc, si, ord)
+		blk, e, err := t.columnLocked(sc, si, ord)
 		if err != nil {
 			return err
 		}
-		if err := blk.read(v, rowSet{lo: sm.startRow, ids: ids[:n]}); err != nil {
+		err = blk.read(v, rowSet{lo: sm.startRow, ids: ids[:n]})
+		t.store.cache.release(e)
+		if err != nil {
 			return t.blockErr(sm, ord, "block decode: %v", err)
 		}
 		ids = ids[n:]
@@ -603,29 +613,16 @@ func (t *Table) rewriteLocked(all []datum.Row) error {
 	// forget the old generation's dictionaries first. Interning only shares
 	// pointers, so a failed rewrite merely shares fewer.
 	t.seg.dicts.reset()
-	sizes := t.chunkSizes(len(all), true)
-	pend := make([]pendingSeg, len(sizes))
-	off := 0
-	for i, n := range sizes {
-		p, err := t.encodeChunk(all[off:off+n], i, off)
-		if err != nil {
-			return err
-		}
-		pend[i] = p
-		off += n
+	pend, off, err := t.encodeChunks(all, t.chunkSizes(len(all), true), 0, 0)
+	if err != nil {
+		return err
 	}
-	if err := t.publishLocked(pend, newGen, func(entries []manEntry) string {
-		parts := make([]string, 2, len(entries)+2)
-		parts[0], parts[1] = "switch", fmt.Sprintf("%d", newGen)
-		for _, e := range entries {
-			parts = append(parts, e.String())
-		}
-		return strings.Join(parts, " ")
-	}); err != nil {
+	if err := t.publishLocked(pend, newGen, fmt.Sprintf("switch %d", newGen)); err != nil {
 		return err
 	}
 	// Commit point passed: swap in the new generation.
 	t.store.cache.dropTable(t)
+	t.closeFilesLocked()
 	t.seg.gen = newGen
 	t.seg.segs = nil
 	t.seg.nextID = 0
@@ -761,9 +758,11 @@ type StoreConfig struct {
 	// CacheBytes bounds the store-wide LRU block cache (defaultCacheBytes
 	// when zero). Only segments with files go through it. A block read from
 	// its file is CRC-checked once and cached decoded when the decoded column
-	// fits in the room left without an eviction, else encoded — its bytes,
-	// NULL bitmap and interned dictionary, charged at that size — and decoded
-	// by row range on every read. No entry holds both forms.
+	// fits in the room left without an eviction, else encoded — its buffer,
+	// charged at its capacity, NULL bitmap and interned dictionary — and
+	// decoded by row range on every read. No entry holds both forms. Readers
+	// pin entries; a later miss reuses the buffer of an evicted, unpinned one
+	// through a free list of a few buffers the budget does not charge.
 	CacheBytes int64
 	// Faults, when non-nil, injects errors into the segment write path
 	// (the "segment.create"/"segment.write" encode streams plus the
@@ -830,6 +829,18 @@ func NewStoreWith(cfg StoreConfig) *Store {
 	return s
 }
 
+// Close closes the segment files the store's tables hold open, waiting for
+// reads in progress. A read after Close opens its file again.
+func (s *Store) Close() {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, t := range s.tables {
+		t.mu.Lock()
+		t.closeFilesLocked()
+		t.mu.Unlock()
+	}
+}
+
 // DiskBacked reports whether sealed segments have files.
 func (s *Store) DiskBacked() bool { return s.cfg.Dir != "" }
 
@@ -849,7 +860,7 @@ func (s *Store) CreateTable(def *catalog.Table) (*Table, error) {
 	}
 	t := s.newTable(def)
 	if s.cfg.Dir != "" {
-		t.seg.dir = filepath.Join(s.cfg.Dir, k)
+		t.seg.dir, t.seg.files = filepath.Join(s.cfg.Dir, k), make(map[int]*os.File)
 		if err := os.MkdirAll(t.seg.dir, 0o755); err != nil {
 			return nil, fmt.Errorf("storage: creating table directory: %w", err)
 		}

@@ -37,11 +37,15 @@ func seekEq(ix *IndexData, key ...datum.D) []int {
 
 func mustRow(t *testing.T, tab *Table, id int) datum.Row {
 	t.Helper()
-	r, err := tab.Row(nil, id)
-	if err != nil {
-		t.Fatal(err)
+	row := make(datum.Row, len(tab.Def.Cols))
+	for ci, col := range tab.Def.Cols {
+		v := datum.NewVec(col.Kind, 1)
+		if err := tab.FillColumnIDs(nil, ci, []int{id}, v); err != nil {
+			t.Fatal(err)
+		}
+		row[ci] = v.D(0)
 	}
-	return r
+	return row
 }
 
 func TestInsertAndScan(t *testing.T) {

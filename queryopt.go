@@ -333,14 +333,17 @@ func New(opts Options) *Engine {
 	return eng
 }
 
-// Close releases the engine's parallel worker pool, if one was created.
-// In-flight parallel queries drain before Close returns; queries submitted
-// after Close fail with an error matching ErrPoolClosed. Engines that never
-// executed with Parallelism > 1 need not call it.
+// Close releases the engine's parallel worker pool, if one was created, and
+// the segment files of a disk-backed engine (Options.StorageDir), which stay
+// open from a segment's first read until Close. In-flight parallel queries
+// drain before Close returns; queries submitted after Close fail with an
+// error matching ErrPoolClosed. An engine that never executed with
+// Parallelism > 1 and has no storage directory need not call it.
 func (e *Engine) Close() {
 	if e.pool != nil {
 		e.pool.Close()
 	}
+	e.store.Close()
 }
 
 // admit claims an execution slot, waiting up to AdmissionTimeout (and no

@@ -11,6 +11,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
@@ -248,6 +250,41 @@ func TestDiskEngineFaultsAndLeaks(t *testing.T) {
 	if n := runtime.NumGoroutine(); n > baseline {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("goroutines leaked: %d > baseline %d\n%s", n, baseline, buf[:runtime.Stack(buf, true)])
+	}
+}
+
+// openFilesUnder counts the files under dir this process holds open, from
+// the links in /proc/self/fd.
+func openFilesUnder(t *testing.T, dir string) int {
+	t.Helper()
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skip("no /proc/self/fd to count open files with")
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestEngineCloseClosesSegmentFiles: a disk-backed engine keeps the segment
+// files it has read open, and Close closes every one of them.
+func TestEngineCloseClosesSegmentFiles(t *testing.T) {
+	dir := t.TempDir()
+	openFilesUnder(t, dir)
+	e := blockCacheEngine(t, Options{Optimizer: SystemR, StorageDir: dir, SegmentCacheBytes: 1})
+	if _, err := e.Exec(`SELECT SUM(i), COUNT(d) FROM bc`); err != nil {
+		t.Fatal(err)
+	}
+	if n := openFilesUnder(t, dir); n != 3 {
+		t.Fatalf("after a scan of 3 segments %d files under the store are open, want 3", n)
+	}
+	e.Close()
+	if n := openFilesUnder(t, dir); n != 0 {
+		t.Fatalf("after Close %d files under the store are open", n)
 	}
 }
 
