@@ -30,7 +30,7 @@ bench-module-check:
 # unnoticed; `make check` runs this. A change that shrinks either lowers its
 # ceiling to the new count.
 EXEC_LOC_CEILING := 5928
-NONTEST_LOC_CEILING := 31728
+NONTEST_LOC_CEILING := 31441
 exec-loc:
 	@for d in internal/exec internal/storage; do \
 		echo "$$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)"; done

@@ -40,12 +40,12 @@ func TestAdaptiveQueryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d trial %d baseline: %v\nquery: %s", seed, trial, err, q)
 			}
-			want := exactRows(res)
+			want := canonRows(res)
 			ordered := strings.Contains(q, "ORDER BY")
 			var wantOrdered []string
 			if ordered {
 				for _, r := range res.Rows {
-					wantOrdered = append(wantOrdered, exactRow(r))
+					wantOrdered = append(wantOrdered, canonRow(r))
 				}
 			}
 			for i, d := range degrees {
@@ -59,7 +59,7 @@ func TestAdaptiveQueryEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d trial %d degree %d adaptive: %v\nquery: %s", seed, trial, d, err, q)
 				}
-				got := exactRows(ares)
+				got := canonRows(ares)
 				if strings.Join(got, ";") != strings.Join(want, ";") {
 					t.Fatalf("seed %d trial %d: adaptive degree %d disagrees with baseline\nquery: %s\nbaseline (%d rows): %.500v\ngot      (%d rows): %.500v\nplan:\n%s",
 						seed, trial, d, q, len(want), want, len(got), got, ares.Plan)
@@ -67,7 +67,7 @@ func TestAdaptiveQueryEquivalence(t *testing.T) {
 				if ordered {
 					var rows []string
 					for _, r := range ares.Rows {
-						rows = append(rows, exactRow(r))
+						rows = append(rows, canonRow(r))
 					}
 					if strings.Join(rows, ";") != strings.Join(wantOrdered, ";") {
 						t.Fatalf("seed %d trial %d: adaptive degree %d row order differs under ORDER BY\nquery: %s\nplan:\n%s",

@@ -134,7 +134,7 @@ func TestDictColumnThroughSpill(t *testing.T) {
 	if got.Stats.Spills == 0 {
 		t.Fatalf("256KB budget did not spill — the test exercises nothing: %+v", got.Stats)
 	}
-	a, b := canonRowsHex(want), canonRowsHex(got)
+	a, b := canonRows(want), canonRows(got)
 	if strings.Join(a, ";") != strings.Join(b, ";") {
 		t.Fatalf("spilled aggregation differs:\nwant %v\ngot  %v", a, b)
 	}

@@ -79,7 +79,7 @@ func TestRecoveredEngineEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("par %d trial %d (recovered): %v\nquery: %s", par, trial, err, q)
 			}
-			a, b := canonRowsHex(want), canonRowsHex(got)
+			a, b := canonRows(want), canonRows(got)
 			if strings.Join(a, ";") != strings.Join(b, ";") {
 				t.Fatalf("par %d trial %d: recovered engine differs from memory\nquery: %s\nmem (%d rows): %.500v\nrecovered (%d rows): %.500v\nplan:\n%s",
 					par, trial, q, len(a), a, len(b), b, got.Plan)

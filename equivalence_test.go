@@ -192,24 +192,31 @@ func randQuery(rng *rand.Rand) string {
 	return sb.String()
 }
 
+// canonRow renders one result row with floats as exact hexadecimal bit
+// patterns, so a difference in any bit fails a comparison.
+func canonRow(r []any) string {
+	var sb strings.Builder
+	for j, v := range r {
+		if j > 0 {
+			sb.WriteByte('|')
+		}
+		switch t := v.(type) {
+		case nil:
+			sb.WriteString("NULL")
+		case float64:
+			sb.WriteString(strconv.FormatFloat(t, 'x', -1, 64))
+		default:
+			fmt.Fprint(&sb, t)
+		}
+	}
+	return sb.String()
+}
+
+// canonRows is the multiset form: exact rows, sorted.
 func canonRows(res *Result) []string {
 	out := make([]string, len(res.Rows))
 	for i, r := range res.Rows {
-		var sb strings.Builder
-		for j, v := range r {
-			if j > 0 {
-				sb.WriteByte('|')
-			}
-			switch t := v.(type) {
-			case nil:
-				sb.WriteString("NULL")
-			case float64:
-				fmt.Fprintf(&sb, "%.6g", t)
-			default:
-				fmt.Fprint(&sb, t)
-			}
-		}
-		out[i] = sb.String()
+		out[i] = canonRow(r)
 	}
 	sort.Strings(out)
 	return out

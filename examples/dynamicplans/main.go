@@ -1,75 +1,23 @@
 // Command dynamicplans demonstrates parametric query optimization (§7.4 of
-// the paper, the Graefe/Ward and Ioannidis et al. direction): the optimal
-// plan for `did <= $1` changes with the parameter, a plan diagram captures
-// the crossover, and a plan frozen for the wrong parameter pays a large
-// penalty that choose-plan dispatch avoids. Both plans run over segment
-// files from a cold 256 KiB block cache, and the penalty is in bytes read.
+// the paper, the Graefe/Ward and Ioannidis et al. direction) by printing
+// experiment E19: the optimal plan for `did <= $1` changes with the
+// parameter, the plan diagram the plan cache keeps (parametric.Diagram)
+// captures the crossover, and a plan frozen for the wrong parameter pays a
+// large penalty that dispatch on the diagram avoids. Both plans run over
+// segment files from a cold 256 KiB block cache, and the penalty is in bytes
+// read.
 package main
 
 import (
 	"fmt"
-	"os"
 
-	"repro/internal/datum"
-	"repro/internal/parametric"
-	"repro/internal/stats"
-	"repro/internal/systemr"
-	"repro/internal/workload"
+	"repro/internal/experiments"
 )
 
 func main() {
 	fmt.Println("building Emp (100,000 rows, 2,000 departments) ...")
-	db := workload.EmpDept(workload.EmpDeptConfig{Emps: 100000, Depts: 2000})
-	db.Analyze(stats.AnalyzeOptions{Buckets: 40})
-
-	template := "SELECT name FROM Emp WHERE did <= $1"
-	var candidates []datum.D
-	for _, v := range []int64{1, 5, 20, 100, 400, 1000, 1999} {
-		candidates = append(candidates, datum.NewInt(v))
-	}
-	dp, err := parametric.Prepare(db, template, candidates, systemr.DefaultOptions())
-	if err != nil {
-		panic(err)
-	}
-
-	fmt.Printf("\n== plan diagram for %q ==\n", template)
-	for _, r := range dp.Ranges {
-		fmt.Printf("  $1 in [%s, %s]  (est cost %8.1f at probe %s):  %s\n",
-			r.Lo, r.Hi, r.EstCost, r.Probe, r.Signature)
-	}
-
-	dir, err := os.MkdirTemp("", "dynamicplans-*")
-	if err != nil {
-		panic(err)
-	}
-	defer os.RemoveAll(dir)
-	if err := db.SaveTo(dir); err != nil {
-		panic(err)
-	}
-	cold := func() *workload.DB {
-		c, err := db.Open(dir, 256<<10)
-		if err != nil {
-			panic(err)
-		}
-		return c
-	}
-
-	fmt.Println("\n== static plan (frozen at $1 = 1) vs dynamic dispatch, cold 256 KiB block cache ==")
-	rep := datum.NewInt(1)
-	fmt.Printf("%-12s %-20s %-20s %s\n", "$1", "dynamic bytes read", "static bytes read", "regret")
-	for _, v := range []int64{1, 20, 400, 1999} {
-		val := datum.NewInt(v)
-		_, dyn, err := dp.Execute(cold(), val)
-		if err != nil {
-			panic(err)
-		}
-		_, static, err := dp.ExecuteStatic(cold(), rep, val)
-		if err != nil {
-			panic(err)
-		}
-		regret := float64(static.BytesRead) / float64(max(dyn.BytesRead, 1))
-		fmt.Printf("%-12d %-20d %-20d %.1fx\n", v, dyn.BytesRead, static.BytesRead, regret)
-	}
+	t := experiments.E19Parametric()
+	fmt.Print(t.Format())
 	fmt.Println("\nthe frozen plan keeps probing the secondary index long after a scan is cheaper,")
 	fmt.Println("re-reading the blocks the cache evicted between probes —")
 	fmt.Println("exactly the risk §7.4 says dynamic plans were invented to avoid.")

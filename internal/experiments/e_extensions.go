@@ -6,6 +6,7 @@ import (
 	"os"
 
 	"repro/internal/datum"
+	"repro/internal/exec"
 	"repro/internal/histogram"
 	"repro/internal/parametric"
 	"repro/internal/stats"
@@ -15,11 +16,15 @@ import (
 
 // E19Parametric exercises the §7.4 "future work" direction the paper points
 // to: parametric / dynamic query optimization ([19,33]) — defer the plan
-// choice until the parameter value is known. Both plans run on a flushed,
-// directory-backed copy of the data, each from a cold block cache smaller
-// than the columns they read, so the regret is in bytes read from segment
-// files: a static index plan fetches rows in key order and re-reads the
-// blocks the cache evicted in between.
+// choice until the parameter value is known. The template is planned at each
+// candidate with $1 bound by tag, as a plan-cache miss plans it, and each plan
+// is added to a plan diagram (parametric.Diagram). The dynamic run dispatches
+// the box containing the actual value; the static run takes the box of one
+// representative value and runs its plan under the actual value. Both run on
+// a flushed, directory-backed copy of the data, each from a cold block cache
+// smaller than the columns they read, so the regret is in bytes read from
+// segment files: a static index plan fetches rows in key order and re-reads
+// the blocks the cache evicted in between.
 func E19Parametric() Table {
 	t := Table{
 		ID:      "E19",
@@ -32,38 +37,37 @@ func E19Parametric() Table {
 	dir := saveTemp(db)
 	defer os.RemoveAll(dir)
 	const cacheBytes = 256 << 10
-	var candidates []datum.D
+	sel := mustParse("SELECT name FROM Emp WHERE did <= $1")
+	dg := parametric.NewDiagram(1)
 	for _, v := range []int64{1, 5, 20, 100, 400, 1000, 1999} {
-		candidates = append(candidates, datum.NewInt(v))
+		binds := []datum.D{datum.NewInt(v)}
+		q := buildStmt(db, sel, binds...)
+		plan, _ := optimize(db, q, systemr.DefaultOptions())
+		_, estCost := plan.Estimate()
+		if _, err := dg.Add(binds, plan, q, parametric.Signature(plan), estCost); err != nil {
+			panic(err)
+		}
 	}
-	dp, err := parametric.Prepare(db, "SELECT name FROM Emp WHERE did <= $1", candidates, systemr.DefaultOptions())
-	if err != nil {
-		panic(err)
+	// run executes box's plan under the binding v over a cold block cache.
+	run := func(box *parametric.Box, v datum.D) exec.Counters {
+		ctx := exec.NewCtx(openCold(db, dir, cacheBytes).Store, box.Query.Meta)
+		if _, err := exec.Prepare(box.Plan, box.Query).Run(ctx, []datum.D{v}); err != nil {
+			panic(fmt.Sprintf("experiments: execute: %v", err))
+		}
+		return ctx.Counters
 	}
-	rep := datum.NewInt(1) // static plan frozen for the most selective case
+	static := dg.Find([]datum.D{datum.NewInt(1)}) // frozen for the most selective case
 	for _, v := range []int64{1, 20, 400, 1999} {
 		val := datum.NewInt(v)
-		_, dyn, err := dp.Execute(openCold(db, dir, cacheBytes), val)
-		if err != nil {
-			panic(err)
-		}
-		_, static, err := dp.ExecuteStatic(openCold(db, dir, cacheBytes), rep, val)
-		if err != nil {
-			panic(err)
-		}
-		sig := "?"
-		for _, r := range dp.Ranges {
-			if datum.Compare(val, r.Lo) >= 0 && datum.Compare(val, r.Hi) <= 0 {
-				sig = shortSig(r.Signature)
-			}
-		}
+		box := dg.Find([]datum.D{val})
+		dyn, st := run(box, val), run(static, val)
 		t.Rows = append(t.Rows, []string{
-			d(int(v)), sig, d64(dyn.BytesRead), d64(static.BytesRead),
-			fmt.Sprintf("%.1fx", float64(static.BytesRead)/float64(max64(dyn.BytesRead, 1))),
+			d(int(v)), shortSig(box.Signature), d64(dyn.BytesRead), d64(st.BytesRead),
+			fmt.Sprintf("%.1fx", float64(st.BytesRead)/float64(max64(dyn.BytesRead, 1))),
 		})
 	}
-	t.Notes = fmt.Sprintf("plan diagram has %d distinct plans over the parameter space; the static plan was frozen at did<=1; "+
-		"each run from a cold %d KiB block cache over segment files", dp.NumPlans(), cacheBytes>>10)
+	t.Notes = fmt.Sprintf("plan diagram has %d boxes over the parameter space; the static plan was frozen at did<=1; "+
+		"each run from a cold %d KiB block cache over segment files", dg.NumPlans(), cacheBytes>>10)
 	return t
 }
 

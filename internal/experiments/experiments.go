@@ -107,14 +107,26 @@ func All() []Table {
 
 // --- shared helpers ---
 
-func mustBuild(db *workload.DB, q string) *logical.Query {
+// mustParse parses one SELECT statement.
+func mustParse(q string) *sql.SelectStmt {
 	sel, err := sql.ParseSelect(q)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: parse %q: %v", q, err))
 	}
-	query, err := logical.NewBuilder(db.Cat).Build(sel)
+	return sel
+}
+
+func mustBuild(db *workload.DB, q string) *logical.Query { return buildStmt(db, mustParse(q)) }
+
+// buildStmt builds a parsed statement with $n bound to binds[n-1] (a
+// parameter-tagged constant, as the plan cache builds it), normalized and
+// column-pruned.
+func buildStmt(db *workload.DB, sel *sql.SelectStmt, binds ...datum.D) *logical.Query {
+	b := logical.NewBuilder(db.Cat)
+	b.BindParams(binds)
+	query, err := b.Build(sel)
 	if err != nil {
-		panic(fmt.Sprintf("experiments: build %q: %v", q, err))
+		panic(fmt.Sprintf("experiments: build: %v", err))
 	}
 	logical.NormalizeQuery(query, logical.DefaultNormalize())
 	logical.PruneColumns(query)
@@ -123,11 +135,7 @@ func mustBuild(db *workload.DB, q string) *logical.Query {
 
 // buildRaw skips normalization (for experiments that compare against it).
 func buildRaw(db *workload.DB, q string) *logical.Query {
-	sel, err := sql.ParseSelect(q)
-	if err != nil {
-		panic(err)
-	}
-	query, err := logical.NewBuilder(db.Cat).Build(sel)
+	query, err := logical.NewBuilder(db.Cat).Build(mustParse(q))
 	if err != nil {
 		panic(err)
 	}

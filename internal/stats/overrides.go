@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/datum"
 	"repro/internal/logical"
+	"repro/internal/physical"
 )
 
 // materialChange is the q-error between an existing override and a new
@@ -68,7 +69,7 @@ func (o *Overrides) Set(table, pred string, rows float64) bool {
 	if !ok {
 		return true
 	}
-	return qerr(old, rows) > materialChange
+	return physical.QError(old, rows) > materialChange
 }
 
 // Len reports how many overrides are recorded.
@@ -79,21 +80,6 @@ func (o *Overrides) Len() int {
 	o.mu.RLock()
 	defer o.mu.RUnlock()
 	return len(o.m)
-}
-
-// qerr mirrors physical.QError without the import cycle: the symmetric
-// misestimation factor with both sides floored at one row.
-func qerr(a, b float64) float64 {
-	if a < 1 {
-		a = 1
-	}
-	if b < 1 {
-		b = 1
-	}
-	if a > b {
-		return a / b
-	}
-	return b / a
 }
 
 // FingerprintFilters canonicalizes a conjunction applied directly to a scan

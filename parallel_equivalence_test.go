@@ -11,44 +11,10 @@ package queryopt
 // path below the morsel threshold.
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
 )
-
-// exactRow renders one result row with floats in exact hexadecimal form —
-// no rounding workaround. Parallel float aggregates use exact compensated
-// summation, so every bit must match the serial run.
-func exactRow(r []any) string {
-	var sb strings.Builder
-	for j, v := range r {
-		if j > 0 {
-			sb.WriteByte('|')
-		}
-		switch t := v.(type) {
-		case nil:
-			sb.WriteString("NULL")
-		case float64:
-			sb.WriteString(strconv.FormatFloat(t, 'x', -1, 64))
-		default:
-			sb.WriteString(fmt.Sprint(t))
-		}
-	}
-	return sb.String()
-}
-
-// exactRows is the multiset form: exact rows, sorted.
-func exactRows(res *Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
-		out[i] = exactRow(r)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // bigRandSchema is randSchema scaled past the morsel threshold (~2k rows).
 func bigRandSchema(t *testing.T, opts Options, seed int64) *Engine {
@@ -125,12 +91,12 @@ func TestParallelQueryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d trial %d serial: %v\nquery: %s", seed, trial, err, q)
 			}
-			baseline := exactRows(res)
+			baseline := canonRows(res)
 			ordered := strings.Contains(q, "ORDER BY")
 			var orderedBaseline []string
 			if ordered {
 				for _, r := range res.Rows {
-					orderedBaseline = append(orderedBaseline, exactRow(r))
+					orderedBaseline = append(orderedBaseline, canonRow(r))
 				}
 			}
 			for i, d := range degrees {
@@ -138,7 +104,7 @@ func TestParallelQueryEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d trial %d degree %d: %v\nquery: %s", seed, trial, d, err, q)
 				}
-				got := exactRows(pres)
+				got := canonRows(pres)
 				if strings.Join(got, ";") != strings.Join(baseline, ";") {
 					t.Fatalf("seed %d trial %d: degree %d disagrees with serial\nquery: %s\nserial (%d rows): %.500v\ngot    (%d rows): %.500v\nplan:\n%s",
 						seed, trial, d, q, len(baseline), baseline, len(got), got, pres.Plan)
@@ -146,7 +112,7 @@ func TestParallelQueryEquivalence(t *testing.T) {
 				if ordered {
 					var rows []string
 					for _, r := range pres.Rows {
-						rows = append(rows, exactRow(r))
+						rows = append(rows, canonRow(r))
 					}
 					if strings.Join(rows, ";") != strings.Join(orderedBaseline, ";") {
 						t.Fatalf("seed %d trial %d: degree %d row order differs under ORDER BY\nquery: %s\nplan:\n%s",
@@ -211,7 +177,7 @@ func TestParallelAllNullAggregates(t *testing.T) {
 			t.Fatalf("parallelism %d: %d rows, serial has %d", par, len(pres.Rows), len(sres.Rows))
 		}
 		for i := range sres.Rows {
-			if exactRow(pres.Rows[i]) != exactRow(sres.Rows[i]) {
+			if canonRow(pres.Rows[i]) != canonRow(sres.Rows[i]) {
 				t.Errorf("parallelism %d row %d: got %v, serial %v", par, i, pres.Rows[i], sres.Rows[i])
 			}
 		}

@@ -61,13 +61,13 @@ func TestSpillEquivalence(t *testing.T) {
 							seed, trial, labels[i], len(got.Rows), len(want.Rows), q)
 					}
 					for j := range want.Rows {
-						if w, g := exactRow(want.Rows[j]), exactRow(got.Rows[j]); w != g {
+						if w, g := canonRow(want.Rows[j]), canonRow(got.Rows[j]); w != g {
 							t.Fatalf("seed %d trial %d %s row %d:\n  got  %s\n  want %s\nquery: %s",
 								seed, trial, labels[i], j, g, w, q)
 						}
 					}
 				} else {
-					w, g := exactRows(want), exactRows(got)
+					w, g := canonRows(want), canonRows(got)
 					for j := range w {
 						if j >= len(g) || w[j] != g[j] {
 							t.Fatalf("seed %d trial %d %s: multiset mismatch at %d\nquery: %s",
@@ -106,7 +106,7 @@ FROM r, t WHERE r.fk = t.pk GROUP BY r.a ORDER BY r.a`
 		t.Fatalf("rows: %d vs %d", len(got.Rows), len(want.Rows))
 	}
 	for i := range want.Rows {
-		if w, g := exactRow(want.Rows[i]), exactRow(got.Rows[i]); w != g {
+		if w, g := canonRow(want.Rows[i]), canonRow(got.Rows[i]); w != g {
 			t.Fatalf("row %d: got %s want %s", i, g, w)
 		}
 	}

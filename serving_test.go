@@ -165,7 +165,7 @@ func TestPreparedStmtConcurrentBindings(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want[did] = exactRows(res)
+				want[did] = canonRows(res)
 			}
 			var wg sync.WaitGroup
 			for g := 0; g < 16; g++ {
@@ -179,7 +179,7 @@ func TestPreparedStmtConcurrentBindings(t *testing.T) {
 							t.Errorf("Exec(%d): %v", did, err)
 							return
 						}
-						got := exactRows(res)
+						got := canonRows(res)
 						if len(got) != len(want[did]) {
 							t.Errorf("Exec(%d): %v, want %v", did, got, want[did])
 							return
@@ -248,7 +248,7 @@ func TestPreparedMatchesUnprepared(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.literal, err)
 		}
-		wantRows := exactRows(want)
+		wantRows := canonRows(want)
 		check := func(e *Engine, label string) {
 			st, err := e.Prepare(c.param)
 			if err != nil {
@@ -259,7 +259,7 @@ func TestPreparedMatchesUnprepared(t *testing.T) {
 				if err != nil {
 					t.Fatalf("[%s] %s: %v", label, c.param, err)
 				}
-				got := exactRows(res)
+				got := canonRows(res)
 				if len(got) != len(wantRows) {
 					t.Fatalf("[%s] %s: %v, want %v", label, c.param, got, wantRows)
 				}
@@ -434,7 +434,7 @@ func TestTotalMemBudgetSharedPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, g := exactRows(want), exactRows(got)
+	w, g := canonRows(want), canonRows(got)
 	if len(w) != len(g) {
 		t.Fatalf("row counts differ: %d vs %d", len(g), len(w))
 	}

@@ -14,8 +14,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -23,31 +21,6 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/systemr"
 )
-
-// canonRowsHex renders rows with floats as exact hexadecimal bit patterns,
-// so any rounding introduced by the storage layer fails the comparison.
-func canonRowsHex(res *Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, r := range res.Rows {
-		var sb strings.Builder
-		for j, v := range r {
-			if j > 0 {
-				sb.WriteByte('|')
-			}
-			switch t := v.(type) {
-			case nil:
-				sb.WriteString("NULL")
-			case float64:
-				sb.WriteString(strconv.FormatFloat(t, 'x', -1, 64))
-			default:
-				fmt.Fprint(&sb, t)
-			}
-		}
-		out[i] = sb.String()
-	}
-	sort.Strings(out)
-	return out
-}
 
 // TestDiskStorageEquivalence: random queries agree between the unsealed
 // memory engine and every sealed arm at parallelism 1, 4 and 8, with small
@@ -76,13 +49,13 @@ func TestDiskStorageEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("par %d seed %d trial %d (mem): %v\nquery: %s", par, seed, trial, err, q)
 				}
-				base := canonRowsHex(want)
+				base := canonRows(want)
 				for name, e := range arms {
 					got, err := e.Exec(q)
 					if err != nil {
 						t.Fatalf("par %d seed %d trial %d (%s): %v\nquery: %s", par, seed, trial, name, err, q)
 					}
-					rows := canonRowsHex(got)
+					rows := canonRows(got)
 					if strings.Join(rows, ";") != strings.Join(base, ";") {
 						t.Fatalf("par %d seed %d trial %d: %s differs from memory\nquery: %s\nmem (%d rows): %.500v\n%s (%d rows): %.500v\nplan:\n%s",
 							par, seed, trial, name, q, len(base), base, name, len(rows), rows, got.Plan)
@@ -151,7 +124,7 @@ func TestSegmentPruningCounters(t *testing.T) {
 		return e
 	}
 	const selective = "SELECT k, v FROM m WHERE k >= 100 AND k < 120"
-	want := canonRowsHex(build(Options{Optimizer: Reference}).MustExec(selective))
+	want := canonRows(build(Options{Optimizer: Reference}).MustExec(selective))
 	if len(want) != 20 {
 		t.Fatalf("reference returns %d rows, want 20", len(want))
 	}
@@ -176,7 +149,7 @@ func TestSegmentPruningCounters(t *testing.T) {
 			t.Fatalf("files=%v: DisableZoneMaps still pruned %d segments", files, off.Stats.SegmentsPruned)
 		}
 		for name, got := range map[string]*Result{"pruned": res, "no-prune": off} {
-			if rows := canonRowsHex(got); strings.Join(rows, ";") != strings.Join(want, ";") {
+			if rows := canonRows(got); strings.Join(rows, ";") != strings.Join(want, ";") {
 				t.Fatalf("files=%v %s: %v, want %v", files, name, rows, want)
 			}
 		}
@@ -428,7 +401,7 @@ func TestParallelScansShareEncodedBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", q, err)
 			}
-			if a, b := strings.Join(canonRowsHex(got), ";"), strings.Join(canonRowsHex(want), ";"); a != b {
+			if a, b := strings.Join(canonRows(got), ";"), strings.Join(canonRows(want), ";"); a != b {
 				t.Fatalf("%s: disk %.300s, memory %.300s", q, a, b)
 			}
 			if round > 0 && got.Stats.BytesRead != 0 {

@@ -70,12 +70,12 @@ func TestVectorizedQueryEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d trial %d reference: %v\nquery: %s", seed, trial, err, q)
 			}
-			baseline := exactRows(res)
+			baseline := canonRows(res)
 			ordered := strings.Contains(q, "ORDER BY")
 			var orderedBaseline []string
 			if ordered {
 				for _, r := range res.Rows {
-					orderedBaseline = append(orderedBaseline, exactRow(r))
+					orderedBaseline = append(orderedBaseline, canonRow(r))
 				}
 			}
 			for i, opts := range arms {
@@ -84,7 +84,7 @@ func TestVectorizedQueryEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d trial %d %s: %v\nquery: %s", seed, trial, arm, err, q)
 				}
-				got := exactRows(vres)
+				got := canonRows(vres)
 				if strings.Join(got, ";") != strings.Join(baseline, ";") {
 					t.Fatalf("seed %d trial %d: %s disagrees with EvalLogical\nquery: %s\nreference (%d rows): %.500v\ngot       (%d rows): %.500v\nplan:\n%s",
 						seed, trial, arm, q, len(baseline), baseline, len(got), got, vres.Plan)
@@ -92,7 +92,7 @@ func TestVectorizedQueryEquivalence(t *testing.T) {
 				if ordered {
 					var rows []string
 					for _, r := range vres.Rows {
-						rows = append(rows, exactRow(r))
+						rows = append(rows, canonRow(r))
 					}
 					if strings.Join(rows, ";") != strings.Join(orderedBaseline, ";") {
 						t.Fatalf("seed %d trial %d: %s row order differs under ORDER BY\nquery: %s\nplan:\n%s",
@@ -144,7 +144,7 @@ func TestVectorizedAnalyzeMarksNodes(t *testing.T) {
 		if onBatches == 0 {
 			t.Errorf("analyzed scan reports no batches:\n%s", an.Text)
 		}
-		if g, w := exactRows(res), exactRows(want); strings.Join(g, ";") != strings.Join(w, ";") {
+		if g, w := canonRows(res), canonRows(want); strings.Join(g, ";") != strings.Join(w, ";") {
 			t.Errorf("kernels on disagree with EvalLogical\nquery: %s", q)
 		}
 
@@ -163,7 +163,7 @@ func TestVectorizedAnalyzeMarksNodes(t *testing.T) {
 				t.Errorf("VectorizeOff run set Vectorized on %s", n.Op)
 			}
 		})
-		if g, w := exactRows(res), exactRows(want); strings.Join(g, ";") != strings.Join(w, ";") {
+		if g, w := canonRows(res), canonRows(want); strings.Join(g, ";") != strings.Join(w, ";") {
 			t.Errorf("kernels off disagree with EvalLogical\nquery: %s", q)
 		}
 	}
@@ -234,7 +234,7 @@ func TestCompiledResidualSplitEquivalence(t *testing.T) {
 			if !strings.Contains(got.Plan, tc.op) {
 				t.Fatalf("%s: plan lost the %q the case is about\nquery: %s\nplan:\n%s", a.name, tc.op, tc.query, got.Plan)
 			}
-			if g, w := exactRows(got), exactRows(want); strings.Join(g, ";") != strings.Join(w, ";") {
+			if g, w := canonRows(got), canonRows(want); strings.Join(g, ";") != strings.Join(w, ";") {
 				t.Errorf("%s disagrees with EvalLogical\nquery: %s\nwant (%d rows): %.300v\ngot  (%d rows): %.300v\nplan:\n%s",
 					a.name, tc.query, len(w), w, len(g), g, got.Plan)
 			}
