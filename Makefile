@@ -63,8 +63,10 @@ serving-bench:
 # Executor and index micro-benchmarks. In internal/exec: hash aggregation at
 # 8 / 1000 / 20 000 groups over one and three keys, FLOAT SUM aggregation at
 # 1 / 1000 / 20 000 groups over money-like and wide-exponent values, the
-# hash-join probe,
-# filtered scans collected at 10 % and 85 % selectivity, and whole pipelines
+# selection, hash and SUM kernels on their own (BenchmarkKernelFilter,
+# among its cases a random 1-in-8 equality on INTs and on dictionary codes;
+# BenchmarkKernelHash; BenchmarkKernelVectorizedAgg), the hash-join probe
+# over dense-unique, sparse and duplicate build keys, filtered scans collected at 10 % and 85 % selectivity, and whole pipelines
 # (filtered scalar aggregate, 1000-group aggregation, three-dimension star
 # join) — over pinned and file-backed segments —, the ordered operators (top
 # 10, sort, merge join, nested-loop join, result rows included) and the

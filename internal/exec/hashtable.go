@@ -1,10 +1,12 @@
 // The one hash index of the engine: the hash join's build side and
-// vecGroups' group lookup are both a hashTable plus a datum.KeyOrders, whose
-// datum.KeyOrder columns decide key equality (Compare == 0).
+// vecGroups' group lookup are both a hashTable plus a keyMatch, which decides
+// key equality.
 // Entries are dense int32 ids in insertion order — a build row's position, a
 // group id — so everything keyed by entry (stored hashes, chain links, the
 // caller's row or key arrays) is a flat array and the table holds no pointer.
 package exec
+
+import "repro/internal/datum"
 
 // mixHash is the 64-bit murmur finalizer. The key hash is FNV over a number's
 // float encoding, whose low mantissa bits are zero for small integers: only
@@ -79,4 +81,33 @@ func (t *hashTable) relink(nSlots int) {
 		t.next[e] = *s
 		*s = int32(e) + 1
 	}
+}
+
+// keyMatch is a lookup's key equality: row i of the key columns looked up
+// against row j of the columns the entries' keys are in, equal when
+// datum.Compare calls every column equal (1 = 1.0, -0 = +0, NaN = NaN, NULL
+// = NULL; a join drops NULL keys before it looks up). One unboxed INT or BOOL
+// column on both sides, neither with a NULL when bound, compares as int64;
+// every other key — FLOAT, INT against FLOAT, dictionary codes, strings,
+// boxed vectors, several columns — compares under datum.KeyOrders.
+type keyMatch struct {
+	keys datum.KeyOrders
+	ints bool
+}
+
+// bind aims key column k at the looked-up vector a and the entries' vector b;
+// a lookup binds every key column, in order, before it compares.
+func (m *keyMatch) bind(k int, a, b *datum.Vec) {
+	m.keys = append(m.keys[:k], datum.NewKeyOrder(a, b, false))
+	m.ints = len(m.keys) == 1 && a.Kind() == b.Kind() && (a.Kind() == datum.KindInt || a.Kind() == datum.KindBool) &&
+		!a.Boxed() && !b.Boxed() && !a.HasNulls() && !b.HasNulls()
+}
+
+// eq reports whether row i's key equals row j's.
+func (m *keyMatch) eq(i, j int) bool {
+	if m.ints {
+		a, b := m.keys[0].Vecs()
+		return a.Ints[i] == b.Ints[j]
+	}
+	return m.keys.Compare(i, j) == 0
 }

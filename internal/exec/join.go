@@ -85,7 +85,7 @@ type pairJoin struct {
 type probeScratch struct {
 	lIdx, rIdx []int32
 	found      bool // the current left row has matched
-	keys       datum.KeyOrders
+	keys       keyMatch
 	vecs       []*datum.Vec
 	out        Batch
 	pair       Batch    // over the left+right layout; its vectors are gather scratch
@@ -319,9 +319,11 @@ func (c *Ctx) openJoin(node physical.Plan) (*pipeline, error) {
 			c.noteFallback(pl, began, out.NumRows())
 			return handOff(out), nil
 		}
-		pl.release = append(pl.release, func() { c.Mem.Shrink(buildBytes) })
-		c.noteMemBytes(buildBytes)
-		st = c.newProbeStage(t, rb, lOff, rOff)
+		ps := c.newProbeStage(t, rb, lOff, rOff)
+		held := buildBytes + ps.directBytes
+		pl.release = append(pl.release, func() { c.Mem.Shrink(held) })
+		c.noteMemBytes(held)
+		st = ps
 	case *physical.NLJoin:
 		st = c.newNLStage(t, rb)
 	case *physical.MergeJoin:
@@ -360,12 +362,21 @@ func (c *Ctx) openJoin(node physical.Plan) (*pipeline, error) {
 // collected right input, shared read-only by every worker, probed with the
 // left's morsels as they stream by. A key-equal candidate is tested against
 // the extra predicate in chain order — a semi or anti join stops at its first
-// match — so exactly the pairs a row-at-a-time probe tests are evaluated.
+// match — so exactly the pairs a row-at-a-time probe tests are evaluated; an
+// inner join without one emits its candidates as they come.
+//
+// A single INT build key whose entries are unique and dense is also mapped
+// directly: direct[k-lo] is 1 + the entry of key k in [lo, hi], 0 where no
+// entry has it. A left INT key then finds its one candidate, if any, by a
+// range test and an index, without hashing or walking a chain.
 type probeStage struct {
 	pairJoin
-	rKeys     []int
-	table     hashTable
-	buildRows []int32 // per table entry: its row in right
+	rKeys       []int
+	table       hashTable
+	buildRows   []int32 // per table entry: its row in right
+	direct      []int32
+	lo, hi      int64
+	directBytes int64 // direct's reservation on the memory account
 }
 
 // newProbeStage builds t's hash table over the build rows right: entry e of
@@ -397,42 +408,94 @@ func (c *Ctx) newProbeStage(t *physical.HashJoin, right *Batch, lOff, rOff []int
 	}
 	c.Counters.HashOps += int64(len(st.buildRows))
 	st.table.relink(len(st.buildRows))
+	st.mapDirect(c)
 	c.noteMem(int64(nr))
 	return st
 }
 
+// mapDirect builds p.direct when the build key is one unboxed INT column
+// whose entries are unique and span (max − min, taken as uint64, so MinInt64
+// to MaxInt64 does not overflow) fewer than four slots per entry, and the
+// array's bytes fit the memory account; otherwise every probe hashes.
+func (p *probeStage) mapDirect(c *Ctx) {
+	if len(p.rKeys) != 1 || len(p.buildRows) == 0 {
+		return
+	}
+	v := p.right.Vecs[p.rKeys[0]]
+	if v.Boxed() || v.Kind() != datum.KindInt {
+		return
+	}
+	lo, hi := v.Ints[p.buildRows[0]], v.Ints[p.buildRows[0]]
+	for _, ri := range p.buildRows {
+		lo, hi = min(lo, v.Ints[ri]), max(hi, v.Ints[ri])
+	}
+	span := uint64(hi) - uint64(lo)
+	if span >= 4*uint64(len(p.buildRows)) {
+		return
+	}
+	direct := make([]int32, span+1)
+	for e, ri := range p.buildRows {
+		slot := &direct[uint64(v.Ints[ri])-uint64(lo)]
+		if *slot != 0 {
+			return // a duplicate key
+		}
+		*slot = int32(e) + 1
+	}
+	if bytes := 4 * int64(len(direct)); c.Mem.Grow("hash join build", bytes) == nil {
+		p.direct, p.lo, p.hi, p.directBytes = direct, lo, hi, bytes
+	}
+}
+
 func (p *probeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error) {
 	sc := p.scratch(w)
-	if sc.keys == nil {
-		sc.keys = make(datum.KeyOrders, len(p.lKeys))
-	}
 	chunk := pw.live(in)
-	hs := pw.hashes(len(chunk))
-	for k, lo := range p.lKeys {
-		hashCombineVec(in.Vecs[lo], chunk, hs)
-		sc.keys[k] = datum.NewKeyOrder(in.Vecs[lo], p.right.Vecs[p.rKeys[k]], false)
+	var lk []int64 // the left key's payloads when it probes p.direct
+	var hs []uint64
+	if p.direct != nil && !in.Vecs[p.lKeys[0]].Boxed() && in.Vecs[p.lKeys[0]].Kind() == datum.KindInt {
+		lk = in.Vecs[p.lKeys[0]].Ints
+	} else {
+		hs = pw.hashes(len(chunk))
+		for k, lo := range p.lKeys {
+			hashCombineVec(in.Vecs[lo], chunk, hs)
+			sc.keys.bind(k, in.Vecs[lo], p.right.Vecs[p.rKeys[k]])
+		}
 	}
-	build, keys := &p.table, sc.keys
+	build, plain := &p.table, p.kind == logical.InnerJoin && p.extraReads == nil
 	lNullable := keyNullable(in.Vecs, p.lKeys)
+	var pairs int64
 	for k, li := range chunk {
 		sc.found = false
 		if !lNullable || !vecNullAt(in.Vecs, p.lKeys, int(li)) {
 			wc.Counters.HashOps++
-			h := mixHash(hs[k])
-			for e := build.first(h); e >= 0; e = build.after(e) {
+			var h uint64
+			e := int32(-1)
+			if lk == nil {
+				h = mixHash(hs[k])
+				e = build.first(h)
+			} else if x := lk[li]; x >= p.lo && x <= p.hi {
+				e = p.direct[uint64(x)-uint64(p.lo)] - 1
+			}
+			for ; e >= 0; e = build.after(e) {
 				ri := p.buildRows[e]
-				if build.hash[e] != h || keys.Compare(int(li), int(ri)) != 0 {
+				if lk == nil && (build.hash[e] != h || !sc.keys.eq(int(li), int(ri))) {
 					continue
 				}
-				if done, err := p.try(wc, pw, w, sc, in, p.right, li, ri); err != nil {
+				if plain {
+					pairs++
+					sc.lIdx, sc.rIdx = append(sc.lIdx, li), append(sc.rIdx, ri)
+				} else if done, err := p.try(wc, pw, w, sc, in, p.right, li, ri); err != nil {
 					return nil, err
 				} else if done {
 					break
+				}
+				if lk != nil {
+					break // a directly mapped key has one entry
 				}
 			}
 		}
 		p.end(sc, li)
 	}
+	wc.Counters.RowsProcessed += pairs
 	return p.output(sc, in, p.right), nil
 }
 
@@ -629,9 +692,8 @@ func (p *inlStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error
 // any worker, like every other join's.
 type mergeStage struct {
 	pairJoin
-	rKeys  []int
-	rows   []int32           // the right's live rows, in key order
-	orders []datum.KeyOrders // per worker
+	rKeys []int
+	rows  []int32 // the right's live rows, in key order
 }
 
 func (c *Ctx) newMergeStage(t *physical.MergeJoin, right *Batch) (*mergeStage, error) {
@@ -645,20 +707,12 @@ func (c *Ctx) newMergeStage(t *physical.MergeJoin, right *Batch) (*mergeStage, e
 	return st, err
 }
 
-func (p *mergeStage) bind(need []bool, workers int) []bool {
-	p.orders = make([]datum.KeyOrders, workers)
-	return p.pairJoin.bind(need, workers)
-}
-
 func (p *mergeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error) {
-	sc, keys := p.scratch(w), p.orders[w]
-	if keys == nil {
-		keys = make(datum.KeyOrders, len(p.lKeys))
-		p.orders[w] = keys
+	sc := p.scratch(w)
+	for k, lo := range p.lKeys {
+		sc.keys.bind(k, in.Vecs[lo], p.right.Vecs[p.rKeys[k]])
 	}
-	for k := range keys {
-		keys[k] = datum.NewKeyOrder(in.Vecs[p.lKeys[k]], p.right.Vecs[p.rKeys[k]], false)
-	}
+	keys := sc.keys.keys
 	lNullable := keyNullable(in.Vecs, p.lKeys)
 	for _, li := range pw.live(in) {
 		sc.found = false

@@ -42,24 +42,8 @@ func newBenchFixture(b testing.TB, store *storage.Store, groups int) *benchFixtu
 		{Name: "a", Kind: datum.KindInt}, {Name: "b", Kind: datum.KindInt}, {Name: "c", Kind: datum.KindInt},
 		{Name: "sel", Kind: datum.KindInt}, {Name: "s", Kind: datum.KindString}, {Name: "x", Kind: datum.KindFloat},
 	}}
-	dim := &catalog.Table{Name: "D", Cols: []catalog.Column{{Name: "k", Kind: datum.KindInt}, {Name: "v", Kind: datum.KindInt}}}
-	load := func(def *catalog.Table, n int, row func(i int) datum.Row) {
-		tab, err := store.CreateTable(def)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rows := make([]datum.Row, n)
-		for i := range rows {
-			rows[i] = row(i)
-		}
-		if err := tab.InsertBatch(rows); err != nil {
-			b.Fatal(err)
-		}
-		if err := tab.Flush(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	load(fact, benchFactRows, func(i int) datum.Row {
+	dim := benchDim("D")
+	loadBenchTable(b, store, fact, benchFactRows, func(i int) datum.Row {
 		h := (i * 7919) % benchFactRows // scatter, so no column follows the row order
 		g := h % groups
 		return datum.Row{
@@ -68,13 +52,37 @@ func newBenchFixture(b testing.TB, store *storage.Store, groups int) *benchFixtu
 			datum.NewInt(int64(h % 100)), datum.NewString(fmt.Sprintf("region-%d", h%8)), datum.NewFloat(float64(h%977) / 4),
 		}
 	})
-	load(dim, 1000, func(i int) datum.Row { return datum.Row{datum.NewInt(int64(i)), datum.NewInt(int64(i * 3))} })
+	loadBenchTable(b, store, dim, 1000, func(i int) datum.Row { return datum.Row{datum.NewInt(int64(i)), datum.NewInt(int64(i * 3))} })
 	md := logical.NewMetadata()
 	f := &benchFixture{store: store, md: md}
 	f.fc, f.dc = md.AddTable(fact, "f"), md.AddTable(dim, "d")
 	f.fScan = &physical.TableScan{Table: fact, Binding: "f", Cols: f.fc, ColOrds: []int{0, 1, 2, 3, 4, 5, 6}}
 	f.dScan = &physical.TableScan{Table: dim, Binding: "d", Cols: f.dc, ColOrds: []int{0, 1}}
 	return f
+}
+
+// benchDim is a dimension table D(k, v).
+func benchDim(name string) *catalog.Table {
+	return &catalog.Table{Name: name, Cols: []catalog.Column{{Name: "k", Kind: datum.KindInt}, {Name: "v", Kind: datum.KindInt}}}
+}
+
+// loadBenchTable creates def in store with the rows row(0..n-1) and seals
+// them.
+func loadBenchTable(b testing.TB, store *storage.Store, def *catalog.Table, n int, row func(i int) datum.Row) {
+	tab, err := store.CreateTable(def)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := make([]datum.Row, n)
+	for i := range rows {
+		rows[i] = row(i)
+	}
+	if err := tab.InsertBatch(rows); err != nil {
+		b.Fatal(err)
+	}
+	if err := tab.Flush(); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // run times plan: wantRows guards against a plan that silently does less.
@@ -153,11 +161,28 @@ func BenchmarkKernelSum(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelHashJoinProbe probes a dimension with the fact table's
+// 1000-value column g. The dimension's keys are 0..999 (dense-unique: the
+// direct map), those and one more at 2^40 (sparse: hash chains), or 0..999
+// twice (duplicate: hash chains, two matches per probe).
 func BenchmarkKernelHashJoinProbe(b *testing.B) {
 	f := newBenchFixture(b, storage.NewStore(), 1000)
-	plan := &physical.HashJoin{Kind: logical.InnerJoin, Left: f.fScan, Right: f.dScan,
-		LeftKeys: f.fc[0:1], RightKeys: f.dc[0:1]}
-	f.run(b, plan, benchFactRows)
+	for _, bc := range []struct {
+		name        string
+		rows, match int // build rows, matches per probe
+		key         func(i int) int64
+	}{
+		{"dense-unique", 1000, 1, func(i int) int64 { return int64(i) }},
+		{"sparse", 1001, 1, func(i int) int64 { return int64(i) + int64(i/1000)<<40 }},
+		{"duplicate", 2000, 2, func(i int) int64 { return int64(i % 1000) }},
+	} {
+		dim := benchDim("D_" + bc.name)
+		loadBenchTable(b, f.store, dim, bc.rows, func(i int) datum.Row { return datum.Row{datum.NewInt(bc.key(i)), datum.NewInt(int64(i))} })
+		dc := f.md.AddTable(dim, "d_"+bc.name)
+		plan := &physical.HashJoin{Kind: logical.InnerJoin, Left: f.fScan, LeftKeys: f.fc[0:1], RightKeys: dc[0:1],
+			Right: &physical.TableScan{Table: dim, Binding: "d_" + bc.name, Cols: dc, ColOrds: []int{0, 1}}}
+		b.Run(bc.name, func(b *testing.B) { f.run(b, plan, benchFactRows*bc.match) })
+	}
 }
 
 // BenchmarkFilteredScan collects a filtered scan: the predicate reads one

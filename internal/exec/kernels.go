@@ -120,23 +120,20 @@ func compilePred(p logical.Scalar, layout []logical.ColumnID, params []datum.D) 
 	return compiledPred{}, false
 }
 
+// cmpMasks[op] has bit c+1 set where op holds for the three-way compare
+// result c (-1, 0 or +1); LIKE never holds on one.
+var cmpMasks = [...]uint{logical.CmpEq: 0b010, logical.CmpNe: 0b101, logical.CmpLt: 0b001,
+	logical.CmpLe: 0b011, logical.CmpGt: 0b100, logical.CmpGe: 0b110, logical.CmpLike: 0}
+
 // cmpMatches applies a comparison operator to a three-way compare result.
-func cmpMatches(op logical.CmpOp, c int) bool {
-	switch op {
-	case logical.CmpEq:
-		return c == 0
-	case logical.CmpNe:
-		return c != 0
-	case logical.CmpLt:
-		return c < 0
-	case logical.CmpLe:
-		return c <= 0
-	case logical.CmpGt:
-		return c > 0
-	case logical.CmpGe:
-		return c >= 0
+func cmpMatches(op logical.CmpOp, c int) bool { return cmpMasks[op]>>uint(c+1)&1 != 0 }
+
+// b2i is 1 for true and 0 for false, without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
 	}
-	return false
+	return 0
 }
 
 // family mirrors datum.Compare's rank(): NULL < BOOL < numeric < STRING.
@@ -187,10 +184,10 @@ func applyPred(b *Batch, p compiledPred, sel []int32, out []int32) []int32 {
 // selColConst selects rows where col op const is TRUE.
 func selColConst(v *datum.Vec, op logical.CmpOp, c datum.D, sel, out []int32) []int32 {
 	vk := v.Kind()
-	if vk == datum.KindInt && c.Kind() == datum.KindFloat && !v.Boxed() && !numericAs(&c, vk) {
-		return selIntFloatConst(v.Ints, v.Nulls(), op, c.Float(), sel, out)
+	if !v.Boxed() && vk != c.Kind() && family(vk) == family(c.Kind()) && !numericAs(&c, vk) {
+		return selIntFloatConst(v, op, c, sel, out)
 	}
-	if v.Boxed() || (vk != c.Kind() && family(vk) == family(c.Kind()) && !numericAs(&c, vk)) {
+	if v.Boxed() {
 		for _, i := range sel {
 			if l := v.D(int(i)); !l.IsNull() && cmpMatches(op, datum.Compare(l, c)) {
 				out = append(out, i)
@@ -262,46 +259,20 @@ func numericAs(c *datum.D, k datum.Kind) bool {
 // never occurs in a segment — and inequality bounds round to the adjacent
 // code interval.
 func selDictConst(v *datum.Vec, op logical.CmpOp, c string, sel, out []int32) []int32 {
-	nulls := v.Nulls()
-	dict := v.Dict
-	code, found := dict.Code(c)
-	switch op {
-	case logical.CmpEq:
-		if !found {
-			return out
-		}
-		return selOrd(v.Ints, nulls, logical.CmpEq, code, sel, out)
-	case logical.CmpNe:
-		if !found {
-			// Every non-NULL value differs from an absent constant.
-			for _, i := range sel {
-				if !nulls.Get(int(i)) {
-					out = append(out, i)
-				}
-			}
-			return out
-		}
-		return selOrd(v.Ints, nulls, logical.CmpNe, code, sel, out)
-	case logical.CmpLt:
-		// value < c  ⇔  code < |{entries < c}|.
-		return selOrd(v.Ints, nulls, logical.CmpLt, dict.CodeFloor(c), sel, out)
-	case logical.CmpGe:
-		return selOrd(v.Ints, nulls, logical.CmpGe, dict.CodeFloor(c), sel, out)
-	case logical.CmpLe:
-		// value <= c ⇔ code < |{entries <= c}|.
-		bound := dict.CodeFloor(c)
-		if found {
-			bound++
-		}
-		return selOrd(v.Ints, nulls, logical.CmpLt, bound, sel, out)
-	case logical.CmpGt:
-		bound := dict.CodeFloor(c)
-		if found {
-			bound++
-		}
-		return selOrd(v.Ints, nulls, logical.CmpGe, bound, sel, out)
+	bound := v.Dict.CodeFloor(c) // |{entries < c}|: c's own code when present
+	found := bound < int64(len(v.Dict.Vals)) && v.Dict.Vals[bound] == c
+	switch {
+	case !found && op == logical.CmpEq:
+		return out
+	case !found && op == logical.CmpNe:
+		op, bound = logical.CmpGe, 0 // every non-NULL row: codes are >= 0
+	case op == logical.CmpLe:
+		// value <= c ⇔ code < |{entries <= c}|, value > c ⇔ code >= it.
+		op, bound = logical.CmpLt, bound+int64(b2i(found))
+	case op == logical.CmpGt:
+		op, bound = logical.CmpGe, bound+int64(b2i(found))
 	}
-	return out
+	return selOrd(v.Ints, v.Nulls(), op, bound, sel, out)
 }
 
 // selColCol selects rows where colA op colB is TRUE.
@@ -345,55 +316,48 @@ func selColCol(a, b *datum.Vec, op logical.CmpOp, sel, out []int32) []int32 {
 }
 
 // selOrd is the column-vs-constant selection kernel over an ordered element
-// type. All comparisons are expressed through cmp.Less, which orders floats
-// as datum.Compare does: NaN equal to itself and below every number, -0 = +0.
+// type. A row compares through cmp.Less, which orders floats as
+// datum.Compare does (NaN equal to itself and below every number, -0 = +0),
+// into a bit of op's mask: every row id is written and the output advances
+// by that bit, so no row branches. A column with NULLs also clears the bit
+// of its NULL rows.
 func selOrd[T int64 | float64 | string](vals []T, nulls datum.Bitmap, op logical.CmpOp, c T, sel, out []int32) []int32 {
-	switch op {
-	case logical.CmpEq:
+	mask, n := cmpMasks[op], 0
+	out = slices.Grow(out, len(sel))[:len(sel)]
+	if nulls == nil {
 		for _, i := range sel {
-			if v := vals[i]; !nulls.Get(int(i)) && !cmp.Less(v, c) && !cmp.Less(c, v) {
-				out = append(out, i)
-			}
+			v := vals[i]
+			out[n] = i
+			n += int(mask>>(uint(1+b2i(cmp.Less(c, v))-b2i(cmp.Less(v, c)))&63)) & 1
 		}
-	case logical.CmpNe:
-		for _, i := range sel {
-			if v := vals[i]; !nulls.Get(int(i)) && (cmp.Less(v, c) || cmp.Less(c, v)) {
-				out = append(out, i)
-			}
-		}
-	case logical.CmpLt:
-		for _, i := range sel {
-			if cmp.Less(vals[i], c) && !nulls.Get(int(i)) {
-				out = append(out, i)
-			}
-		}
-	case logical.CmpLe:
-		for _, i := range sel {
-			if !cmp.Less(c, vals[i]) && !nulls.Get(int(i)) {
-				out = append(out, i)
-			}
-		}
-	case logical.CmpGt:
-		for _, i := range sel {
-			if cmp.Less(c, vals[i]) && !nulls.Get(int(i)) {
-				out = append(out, i)
-			}
-		}
-	case logical.CmpGe:
-		for _, i := range sel {
-			if !cmp.Less(vals[i], c) && !nulls.Get(int(i)) {
-				out = append(out, i)
-			}
-		}
+		return out[:n]
 	}
-	return out
+	for _, i := range sel {
+		v := vals[i]
+		out[n] = i
+		n += int(mask>>(uint(1+b2i(cmp.Less(c, v))-b2i(cmp.Less(v, c)))&63)) & 1 &^ b2i(nulls.Get(int(i)))
+	}
+	return out[:n]
 }
 
-// selIntFloatConst selects rows where an INT column op the FLOAT constant c
-// is TRUE, over the payloads, compared exactly (datum.CompareIntFloat).
-func selIntFloatConst(vals []int64, nulls datum.Bitmap, op logical.CmpOp, c float64, sel, out []int32) []int32 {
+// selIntFloatConst selects rows where the numeric column v op the constant c
+// of the other numeric kind is TRUE, over the payloads, compared exactly
+// (datum.CompareIntFloat): an INT column against a FLOAT constant, or a FLOAT
+// column against an INT constant past ±2^53, commuted.
+func selIntFloatConst(v *datum.Vec, op logical.CmpOp, c datum.D, sel, out []int32) []int32 {
+	nulls := v.Nulls()
+	if v.Kind() == datum.KindInt {
+		cf := c.Float()
+		for _, i := range sel {
+			if !nulls.Get(int(i)) && cmpMatches(op, datum.CompareIntFloat(v.Ints[i], cf)) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	ci, op := c.Int(), op.Commute()
 	for _, i := range sel {
-		if !nulls.Get(int(i)) && cmpMatches(op, datum.CompareIntFloat(vals[i], c)) {
+		if !nulls.Get(int(i)) && cmpMatches(op, datum.CompareIntFloat(ci, v.Floats[i])) {
 			out = append(out, i)
 		}
 	}
@@ -466,60 +430,49 @@ func hashCombineVec(v *datum.Vec, sel []int32, h []uint64) {
 		for k, i := range sel {
 			if nulls.Get(int(i)) {
 				h[k] = fnvMix(h[k], 0)
-				continue
+			} else {
+				h[k] = fnvMix(fnvMix(h[k], 2), math.Float64bits(float64(v.Ints[i])))
 			}
-			h[k] = fnvMix(fnvMix(h[k], 2), math.Float64bits(float64(v.Ints[i])))
 		}
 	case datum.KindFloat:
 		for k, i := range sel {
 			if nulls.Get(int(i)) {
 				h[k] = fnvMix(h[k], 0)
-				continue
+			} else {
+				h[k] = fnvMix(fnvMix(h[k], 2), datum.HashBits(v.Floats[i]))
 			}
-			h[k] = fnvMix(fnvMix(h[k], 2), datum.HashBits(v.Floats[i]))
 		}
 	case datum.KindString:
-		if v.Dict != nil {
-			// Hash through the dictionary: the codes stay encoded, the hashed
-			// bytes are the looked-up string with the usual family tag, so a
-			// dict-encoded build side meets a plain probe side (or a different
-			// dictionary) on equal hashes.
-			vals := v.Dict.Vals
-			for k, i := range sel {
-				if nulls.Get(int(i)) {
-					h[k] = fnvMix(h[k], 0)
-					continue
-				}
-				x := fnvMix(h[k], 3)
-				s := vals[v.Ints[i]]
-				for j := 0; j < len(s); j++ {
-					x = fnvMix(x, uint64(s[j]))
-				}
-				h[k] = x
-			}
-			return
-		}
+		// A dictionary column hashes the looked-up string, so its codes meet
+		// plain strings and other dictionaries on equal hashes.
 		for k, i := range sel {
-			if nulls.Get(int(i)) {
+			switch {
+			case nulls.Get(int(i)):
 				h[k] = fnvMix(h[k], 0)
-				continue
+			case v.Dict != nil:
+				h[k] = hashStr(h[k], v.Dict.Vals[v.Ints[i]])
+			default:
+				h[k] = hashStr(h[k], v.Strs[i])
 			}
-			x := fnvMix(h[k], 3)
-			s := v.Strs[i]
-			for j := 0; j < len(s); j++ {
-				x = fnvMix(x, uint64(s[j]))
-			}
-			h[k] = x
 		}
 	case datum.KindBool:
 		for k, i := range sel {
 			if nulls.Get(int(i)) {
 				h[k] = fnvMix(h[k], 0)
-				continue
+			} else {
+				h[k] = fnvMix(fnvMix(h[k], 1), uint64(v.Ints[i]))
 			}
-			h[k] = fnvMix(fnvMix(h[k], 1), uint64(v.Ints[i]))
 		}
 	}
+}
+
+// hashStr folds the string family tag and s's bytes into h.
+func hashStr(h uint64, s string) uint64 {
+	h = fnvMix(h, 3)
+	for j := 0; j < len(s); j++ {
+		h = fnvMix(h, uint64(s[j]))
+	}
+	return h
 }
 
 // hashCombineD is the boxed-representation fallback with the same encoding.
@@ -538,12 +491,7 @@ func hashCombineD(h uint64, d datum.D) uint64 {
 	case datum.KindFloat:
 		return fnvMix(fnvMix(h, 2), datum.HashBits(d.Float()))
 	case datum.KindString:
-		x := fnvMix(h, 3)
-		s := d.Str()
-		for j := 0; j < len(s); j++ {
-			x = fnvMix(x, uint64(s[j]))
-		}
-		return x
+		return hashStr(h, d.Str())
 	}
 	return h
 }
@@ -615,7 +563,8 @@ func nullsWhere[T comparable](seen []T, n int) (datum.Bitmap, int) {
 // newVecAccumulator picks the typed accumulator for a non-DISTINCT aggregate
 // given the argument vector's runtime representation (nil arg means
 // COUNT(*)). Boxed arguments and kinds the aggregate's typed loops do not
-// cover accumulate through the row accumulators (boxedVecAcc).
+// cover — an all-NULL column among them — accumulate through the row
+// accumulators (boxedVecAcc).
 func newVecAccumulator(item logical.AggItem, arg *datum.Vec) vecAccumulator {
 	if item.Arg == nil {
 		return &countVecAcc{star: true}
@@ -635,15 +584,11 @@ func newVecAccumulator(item logical.AggItem, arg *datum.Vec) vecAccumulator {
 			return &sumIntVecAcc{}
 		case datum.KindFloat:
 			return &sumFloatVecAcc{}
-		case datum.KindNull:
-			return &nullArgVecAcc{}
 		}
 	case logical.AggAvg:
 		switch k {
 		case datum.KindInt, datum.KindFloat:
 			return &avgVecAcc{}
-		case datum.KindNull:
-			return &nullArgVecAcc{}
 		}
 	case logical.AggMin, logical.AggMax:
 		min := item.Fn == logical.AggMin
@@ -654,8 +599,6 @@ func newVecAccumulator(item logical.AggItem, arg *datum.Vec) vecAccumulator {
 			return &minmaxVecAcc[float64]{min: min, kind: k}
 		case datum.KindString:
 			return &minmaxStrVecAcc{min: min}
-		case datum.KindNull:
-			return &nullArgVecAcc{}
 		}
 	}
 	// Combinations without a typed kernel (SUM over a string column, ...)
@@ -917,38 +860,22 @@ func (a *minmaxStrVecAcc) ensure(n, hint int) {
 
 func (a *minmaxStrVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 	nulls := v.Nulls()
-	if v.Dict != nil {
-		// Dictionary-encoded batches read candidates through the dictionary;
-		// the per-group best stays a string, so batches carrying different
-		// dictionaries still fold into one answer.
-		vals := v.Dict.Vals
-		for k, i := range sel {
-			if nulls.Get(int(i)) {
-				continue
-			}
-			g := gids[k]
-			x := vals[v.Ints[i]]
-			if !a.any[g] {
-				a.any[g], a.vals[g] = true, x
-				continue
-			}
-			if (a.min && x < a.vals[g]) || (!a.min && x > a.vals[g]) {
-				a.vals[g] = x
-			}
-		}
-		return
-	}
 	for k, i := range sel {
 		if nulls.Get(int(i)) {
 			continue
 		}
-		g := gids[k]
-		x := v.Strs[i]
+		// A dictionary column's candidates are read through the dictionary:
+		// the per-group best stays a string, so batches carrying different
+		// dictionaries still fold into one answer.
+		g, x := gids[k], ""
+		if v.Dict != nil {
+			x = v.Dict.Vals[v.Ints[i]]
+		} else {
+			x = v.Strs[i]
+		}
 		if !a.any[g] {
 			a.any[g], a.vals[g] = true, x
-			continue
-		}
-		if (a.min && x < a.vals[g]) || (!a.min && x > a.vals[g]) {
+		} else if (a.min && x < a.vals[g]) || (!a.min && x > a.vals[g]) {
 			a.vals[g] = x
 		}
 	}
@@ -962,25 +889,6 @@ func (a *minmaxStrVecAcc) merge(o vecAccumulator, gids []int32) {
 func (a *minmaxStrVecAcc) emit(n int) *datum.Vec {
 	nulls, nn := nullsWhere(a.any, n)
 	return datum.NewTypedVec(datum.KindString, n, nil, nil, a.vals[:n], nulls, nn)
-}
-
-// nullArgVecAcc handles aggregates whose argument column is entirely NULL:
-// every SUM/AVG/MIN/MAX over it is NULL.
-type nullArgVecAcc struct{ n int }
-
-func (a *nullArgVecAcc) ensure(n, _ int) {
-	if n > a.n {
-		a.n = n
-	}
-}
-func (a *nullArgVecAcc) accumulate(*datum.Vec, []int32, []int32) {}
-func (a *nullArgVecAcc) merge(vecAccumulator, []int32)           {}
-func (a *nullArgVecAcc) emit(n int) *datum.Vec {
-	v := datum.NewVec(datum.KindNull, 0)
-	for g := 0; g < n; g++ {
-		v.AppendNull()
-	}
-	return v
 }
 
 // boxedVecAcc replays the row accumulators (agg.go) per value: the

@@ -8,6 +8,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/datum"
@@ -189,6 +190,47 @@ func TestFilterKernelSelColConst(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestFilterKernelFloatColumnIntConst compares FLOAT columns, with and
+// without NULLs, against INT constants no float64 holds — 2^53 ± 1 and
+// beyond, ±MaxInt64, MinInt64 — which selColConst compares on its typed loop,
+// commuted, and checks every survivor against datum.Compare.
+func TestFilterKernelFloatColumnIntConst(t *testing.T) {
+	const two53 = 1 << 53
+	floats := []float64{two53 - 1, two53, two53 + 2, -two53, -(two53 + 2), 1 << 62, 1 << 63, -(1 << 63),
+		math.MaxFloat64, -math.MaxFloat64, math.Inf(1), math.Inf(-1), math.NaN(), 0, math.Copysign(0, -1), 0.5}
+	consts := []int64{two53 - 1, two53 + 1, -(two53 + 1), two53 + 3, 1<<62 + 1, math.MaxInt64, -math.MaxInt64, math.MinInt64}
+	holds := map[logical.CmpOp]func(c int) bool{
+		logical.CmpEq: func(c int) bool { return c == 0 }, logical.CmpNe: func(c int) bool { return c != 0 },
+		logical.CmpLt: func(c int) bool { return c < 0 }, logical.CmpLe: func(c int) bool { return c <= 0 },
+		logical.CmpGt: func(c int) bool { return c > 0 }, logical.CmpGe: func(c int) bool { return c >= 0 },
+	}
+	for _, withNull := range []bool{false, true} {
+		ds := make([]datum.D, 0, len(floats)+1)
+		for _, f := range floats {
+			ds = append(ds, datum.NewFloat(f))
+		}
+		if withNull {
+			ds = append(ds, datum.Null)
+		}
+		v, sel := mkVec(ds...), identSel(len(ds))
+		if v.Boxed() || v.Kind() != datum.KindFloat {
+			t.Fatal("fixture: want a typed FLOAT column")
+		}
+		for _, op := range allCmpOps {
+			for _, c := range consts {
+				want := []int32{}
+				for i, d := range ds {
+					if !d.IsNull() && holds[op](datum.Compare(d, datum.NewInt(c))) {
+						want = append(want, int32(i))
+					}
+				}
+				label := fmt.Sprintf("nulls=%v %v %d", withNull, op, c)
+				selEqual(t, label, selColConst(v, op, datum.NewInt(c), sel, nil), want)
 			}
 		}
 	}
@@ -389,39 +431,57 @@ func benchIntVec(n int) *datum.Vec {
 	return v
 }
 
-// BenchmarkFilterKernel times column-vs-constant and column-vs-column
+// BenchmarkKernelFilter times column-vs-constant and column-vs-column
 // selection over an INT column of 0..1023, against an INT constant, a
-// non-integral FLOAT constant and a FLOAT column (INT/FLOAT compare exactly).
-func BenchmarkFilterKernel(b *testing.B) {
+// non-integral FLOAT constant and a FLOAT column (INT/FLOAT compare exactly),
+// and a 1-in-8 equality on a column of random values 0..7, as INTs and as
+// dictionary codes — the shape of a filter on a low-cardinality string.
+func BenchmarkKernelFilter(b *testing.B) {
 	const n = 65536
 	v := benchIntVec(n)
 	f := datum.NewVec(datum.KindFloat, n)
 	for i := 0; i < n; i++ {
 		f.AppendD(datum.NewFloat(511.5))
 	}
+	rng := rand.New(rand.NewSource(8))
+	eighths, codes := datum.NewVec(datum.KindInt, n), make([]int64, n)
+	for i := range codes {
+		codes[i] = int64(rng.Intn(8))
+		eighths.AppendD(datum.NewInt(codes[i]))
+	}
+	dict := dictVec(b, codes, &datum.StrDict{Vals: []string{"apac", "central", "east", "emea", "latam", "north", "south", "west"}}, nil)
+	wantEq := 0
+	for _, c := range codes {
+		if c == 2 {
+			wantEq++
+		}
+	}
 	sel := identSel(n)
 	out := make([]int32, 0, n)
 	for _, bc := range []struct {
 		name string
+		want int
 		run  func() []int32
 	}{
-		{"int_const", func() []int32 { return selColConst(v, logical.CmpLt, datum.NewInt(512), sel, out[:0]) }},
-		{"int_float_const", func() []int32 { return selColConst(v, logical.CmpLt, datum.NewFloat(511.5), sel, out[:0]) }},
-		{"int_float_col", func() []int32 { return selColCol(v, f, logical.CmpLt, sel, out[:0]) }},
+		{"int_const", n / 2, func() []int32 { return selColConst(v, logical.CmpLt, datum.NewInt(512), sel, out[:0]) }},
+		{"int_float_const", n / 2, func() []int32 { return selColConst(v, logical.CmpLt, datum.NewFloat(511.5), sel, out[:0]) }},
+		{"int_float_col", n / 2, func() []int32 { return selColCol(v, f, logical.CmpLt, sel, out[:0]) }},
+		{"int_eq_random", wantEq, func() []int32 { return selColConst(eighths, logical.CmpEq, datum.NewInt(2), sel, out[:0]) }},
+		{"dict_eq_random", wantEq, func() []int32 { return selColConst(dict, logical.CmpEq, datum.NewString("east"), sel, out[:0]) }},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(n * 8))
 			for i := 0; i < b.N; i++ {
 				out = bc.run()
 			}
-			if len(out) != n/2 {
-				b.Fatalf("selectivity drifted: %d of %d", len(out), n)
+			if len(out) != bc.want {
+				b.Fatalf("selectivity drifted: %d of %d, want %d", len(out), n, bc.want)
 			}
 		})
 	}
 }
 
-func BenchmarkHashKernel(b *testing.B) {
+func BenchmarkKernelHash(b *testing.B) {
 	const n = 65536
 	v := benchIntVec(n)
 	sel := identSel(n)
@@ -434,7 +494,7 @@ func BenchmarkHashKernel(b *testing.B) {
 	}
 }
 
-func BenchmarkVectorizedAgg(b *testing.B) {
+func BenchmarkKernelVectorizedAgg(b *testing.B) {
 	const n, nGroups = 65536, 64
 	v := datum.NewVec(datum.KindFloat, n)
 	for i := 0; i < n; i++ {

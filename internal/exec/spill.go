@@ -375,6 +375,7 @@ func (c *Ctx) joinPartition(part *physical.HashJoin, build, probe *spillFile, lO
 		return nil, err
 	}
 	st := c.newProbeStage(part, right, lOff, rOff)
+	defer c.Mem.Shrink(st.directBytes)
 	out, err := c.spillPipeline(part.Left, left).add(part, st).collect()
 	if err != nil || part.Kind != logical.FullOuterJoin {
 		return out, err

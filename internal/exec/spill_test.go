@@ -51,7 +51,7 @@ func randSpillRows(rng *rand.Rand, n int) []datum.Row {
 
 // dictVec builds a dictionary-encoded string vector the way a segment scan
 // decodes a dictionary block: codes index dict.Vals, NULL rows hold code 0.
-func dictVec(t *testing.T, codes []int64, dict *datum.StrDict, nulls datum.Bitmap) *datum.Vec {
+func dictVec(t testing.TB, codes []int64, dict *datum.StrDict, nulls datum.Bitmap) *datum.Vec {
 	v := datum.NewVec(datum.KindString, len(codes))
 	ok, err := v.AppendDecoded(datum.KindString, dict, nulls, 0, len(codes), func(v *datum.Vec) error {
 		v.Ints = append(v.Ints, codes...)

@@ -74,7 +74,7 @@ type vecGroups struct {
 	table   hashTable
 	n       int // groups; a scalar aggregation's one group always exists
 	keyCols []*datum.Vec
-	keys    datum.KeyOrders // the key columns being assigned from against keyCols
+	keys    keyMatch // the key columns being assigned from against keyCols
 	hint    int
 	nAggs   int
 	mem     *MemAccount
@@ -94,7 +94,7 @@ func newVecGroups(nKeys, nAggs, hint int, mem *MemAccount) vecGroups {
 	// A table sized for hint groups holds that many without reallocating.
 	g.table.hash = make([]uint64, 0, hint)
 	g.table.relink(hint)
-	g.keyCols, g.keys = make([]*datum.Vec, nKeys), make(datum.KeyOrders, nKeys)
+	g.keyCols = make([]*datum.Vec, nKeys)
 	return g
 }
 
@@ -104,7 +104,7 @@ func (g *vecGroups) bind(vecs []*datum.Vec, keyOff []int) {
 		if g.keyCols[kc] == nil {
 			g.keyCols[kc] = newVecLike(vecs[ko], g.hint)
 		}
-		g.keys[kc] = datum.NewKeyOrder(vecs[ko], g.keyCols[kc], false)
+		g.keys.bind(kc, vecs[ko], g.keyCols[kc])
 	}
 }
 
@@ -113,13 +113,13 @@ func (g *vecGroups) bind(vecs []*datum.Vec, keyOff []int) {
 func (g *vecGroups) assign(i int32, h uint64) int32 {
 	t := &g.table
 	for e := t.first(h); e >= 0; e = t.after(e) {
-		if t.hash[e] == h && g.keys.Compare(int(i), int(e)) == 0 {
+		if t.hash[e] == h && g.keys.eq(int(i), int(e)) {
 			return e
 		}
 	}
 	g.pending += int64(entryOverhead + 48*g.nAggs)
-	for kc := range g.keys {
-		src, _ := g.keys[kc].Vecs()
+	for kc := range g.keys.keys {
+		src, _ := g.keys.keys[kc].Vecs()
 		g.keyCols[kc].AppendVec(src, int(i))
 		g.pending += int64(g.keyCols[kc].SizeAt(g.n))
 	}
@@ -200,9 +200,9 @@ func (a *vecAggWorker) fold(o *vecAggWorker) error {
 		}
 	}
 	gids := make([]int32, o.groups.n) // o's group id -> a's
-	if len(a.groups.keys) > 0 {       // a scalar aggregation's one group is 0 in both
+	if len(a.groups.keyCols) > 0 {    // a scalar aggregation's one group is 0 in both
 		for kc, v := range o.groups.keyCols {
-			a.groups.keys[kc] = datum.NewKeyOrder(v, a.groups.keyCols[kc], false)
+			a.groups.keys.bind(kc, v, a.groups.keyCols[kc])
 		}
 		for g := range gids {
 			gids[g] = a.groups.assign(int32(g), o.groups.table.hash[g])

@@ -117,3 +117,21 @@ func TestDiagramAddKeepsOtherProbes(t *testing.T) {
 		t.Fatalf("Find(200) = %v with %d boxes, want A's grown box of 3", b, d.NumPlans())
 	}
 }
+
+// TestDiagramAddKeepsBoxesDisjoint: a box never grows over a binding another
+// box absorbed, not only over its probe. B grows from its probe 400 down to
+// 300; A's box at 1 must not then grow to 350, which would cover 300 and,
+// being first, take it from B.
+func TestDiagramAddKeepsBoxesDisjoint(t *testing.T) {
+	d := NewDiagram(1)
+	d.Add(ints(1), nil, nil, "A", 1)
+	d.Add(ints(400), nil, nil, "B", 1)
+	d.Add(ints(300), nil, nil, "B", 1)
+	d.Add(ints(350), nil, nil, "A", 1)
+	if b := d.Find(ints(300)); b == nil || b.Signature != "B" {
+		t.Fatalf("Find(300) = %v, want B", b)
+	}
+	if b := d.Find(ints(1)); b == nil || b.Signature != "A" || d.NumPlans() != 3 {
+		t.Fatalf("Find(1) = %v with %d boxes, want A's point box of 3", b, d.NumPlans())
+	}
+}

@@ -96,12 +96,12 @@ func (d *Diagram) Find(vals []datum.D) *Box {
 
 // Add records that optimizing at vals produced plan (with fingerprint sig).
 // A box with the same signature is extended to cover vals (per-dimension
-// min/max) when the grown box contains no other box's probe; otherwise a new
-// point box is appended. The probe rule keeps every binding the optimizer
-// was asked about dispatching to the plan it chose there: a grown box never
-// shadows another box's probe, although Find returns the first box that
-// contains the bindings. Extension trades plan quality only, since any
-// stored plan runs correctly under any bindings. Returns the covering box.
+// min/max) when the grown box overlaps no other box; otherwise a new point
+// box is appended. Grown boxes stay disjoint, so a binding another box has
+// absorbed — its probe or any binding it grew over — keeps dispatching to
+// that box's plan, although Find returns the first box that contains the
+// bindings. Extension trades plan quality only, since any stored plan runs
+// correctly under any bindings. Returns the covering box.
 func (d *Diagram) Add(vals []datum.D, plan physical.Plan, q *logical.Query, sig string, estCost float64) (*Box, error) {
 	if len(vals) != d.NParams {
 		return nil, fmt.Errorf("parametric: binding arity %d, diagram has %d parameter(s)", len(vals), d.NParams)
@@ -120,7 +120,7 @@ func (d *Diagram) Add(vals []datum.D, plan physical.Plan, q *logical.Query, sig 
 				hi[dim] = v
 			}
 		}
-		if !d.shadowsProbe(i, lo, hi) {
+		if !d.overlaps(i, lo, hi) {
 			b.Lo, b.Hi = lo, hi
 			return b, nil
 		}
@@ -134,11 +134,15 @@ func (d *Diagram) Add(vals []datum.D, plan physical.Plan, q *logical.Query, sig 
 	return &d.Boxes[len(d.Boxes)-1], nil
 }
 
-// shadowsProbe reports whether [lo, hi] contains the probe of a box other
-// than box self.
-func (d *Diagram) shadowsProbe(self int, lo, hi []datum.D) bool {
+// overlaps reports whether [lo, hi] shares a binding with a box other than
+// box self: on every dimension, each interval starts before the other ends.
+func (d *Diagram) overlaps(self int, lo, hi []datum.D) bool {
 	for j := range d.Boxes {
-		if j != self && within(d.Boxes[j].Probe, lo, hi) {
+		b, shared := &d.Boxes[j], j != self
+		for dim := range lo {
+			shared = shared && datum.Compare(lo[dim], b.Hi[dim]) <= 0 && datum.Compare(b.Lo[dim], hi[dim]) <= 0
+		}
+		if shared {
 			return true
 		}
 	}
