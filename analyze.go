@@ -65,8 +65,8 @@ type NodeAnalysis struct {
 	// Spills counts temp files the node wrote when degrading under the
 	// memory budget; SpillBytes is their total size.
 	Spills, SpillBytes int64
-	// WorkerRows holds per-worker (per-partition for Exchange) row counts;
-	// imbalance here is partition skew.
+	// WorkerRows holds the rows each worker processed in this node when it
+	// ran on more than one worker; imbalance here is morsel skew.
 	WorkerRows []int64
 	// Children are the node's inputs in plan order.
 	Children []*NodeAnalysis

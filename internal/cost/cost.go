@@ -36,22 +36,6 @@ func DefaultModel() Model {
 	}
 }
 
-// CalibrateCommPerRow converts measured exchange overhead into the model's
-// cost units so CommCostPerRow can be set from a real run instead of guessed.
-// The model's unit is "one sequential page read", which the executor
-// approximates as the measured time to scan one page worth of rows; the
-// per-row exchange overhead divided by that unit is the calibrated
-// CommCostPerRow. Non-positive inputs fall back to the default — which is
-// what the shared-memory executor always measures: its exchanges move no
-// rows, so their marginal cost is zero up to timing noise, and the model
-// keeps the default that stands for processors that do ship tuples.
-func CalibrateCommPerRow(exchangeSecPerRow, scanSecPerPage float64) float64 {
-	if exchangeSecPerRow <= 0 || scanSecPerPage <= 0 {
-		return DefaultModel().CommCostPerRow
-	}
-	return exchangeSecPerRow / scanSecPerPage
-}
-
 // pages converts a row count to a page estimate.
 func (m Model) pages(rows float64) float64 {
 	if m.RowsPerPage <= 0 {

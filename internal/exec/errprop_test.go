@@ -185,7 +185,7 @@ func leakCheckedPlan(f *parFixture) physical.Plan {
 }
 
 // TestNoGoroutineLeaks: after normal completion, injected failure, and
-// cancellation of an Exchange-bearing plan at degrees 1, 4 and 8 — followed
+// cancellation of a parallel aggregation at degrees 1, 4 and 8 — followed
 // by pool shutdown — the process goroutine count returns to its baseline.
 // Pool.Close waits for worker exit, so this is deterministic up to runtime
 // background goroutines (hence the settle loop).

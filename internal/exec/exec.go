@@ -3,12 +3,12 @@
 // through as a pipeline). A plan is cut at its breakers — join build sides,
 // aggregations, sorts, limits and unions — and everything between two
 // breakers runs fused: one loop over ~1024-row morsels carries each morsel
-// from its source through filter, projection, exchange and join-probe stages
-// into an aggregate or collect sink, materializing nothing in between
-// (pipeline.go). Every operator runs on column batches; a plan's output
-// becomes rows only at the result (Run, RunPlanQuery). The scheduler in
-// parallel.go runs that loop inline (serial execution is one worker) or on a
-// worker pool. A subquery the rewrites left in a scalar runs by nested
+// from its source through filter, projection and join-probe stages into an
+// aggregate or collect sink, materializing nothing in between (pipeline.go).
+// Every operator runs on column batches; a plan's output becomes rows only at
+// the result (Run, RunPlanQuery). The scheduler in parallel.go runs that loop
+// inline (serial execution is one worker) or on a worker pool: parallelism is
+// a property of the run (Ctx.Parallelism), never of the plan. A subquery the rewrites left in a scalar runs by nested
 // iteration, as in System R: its optimized sub-plan (logical.Subquery.Body)
 // is run once per outer row, on the worker evaluating the scalar, with the
 // outer row's columns bound (evalSubquery). internal/reference holds the
@@ -35,7 +35,6 @@ type Counters struct {
 	SubqueryEvals int64 // sub-plan runs of nested-iteration subqueries
 	Comparisons   int64 // sort/merge comparisons
 	HashOps       int64 // hash table inserts + probes
-	ExchangedRows int64 // rows crossing exchange operators
 	Spills        int64 // spill files written by budget-degraded operators
 	SpillBytes    int64 // bytes written to spill files
 
@@ -262,7 +261,6 @@ func (cs *Counters) add(o Counters) {
 	cs.SubqueryEvals += o.SubqueryEvals
 	cs.Comparisons += o.Comparisons
 	cs.HashOps += o.HashOps
-	cs.ExchangedRows += o.ExchangedRows
 	cs.Spills += o.Spills
 	cs.SpillBytes += o.SpillBytes
 	cs.SegmentsRead += o.SegmentsRead

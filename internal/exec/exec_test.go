@@ -644,18 +644,3 @@ func TestCountersAccumulate(t *testing.T) {
 		t.Errorf("counters: %+v", ctx.Counters)
 	}
 }
-
-func TestExchangePassthrough(t *testing.T) {
-	f := newFixture(t)
-	q := f.query(t, "SELECT e.name FROM Emp e")
-	sc := scanPlan(t, q, "e")
-	ex := &physical.Exchange{Input: sc, Degree: 4}
-	ctx := NewCtx(f.store, q.Meta)
-	res, err := Run(ex, ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 5 || ctx.Counters.ExchangedRows != 5 {
-		t.Errorf("exchange: rows=%d counter=%d", len(res.Rows), ctx.Counters.ExchangedRows)
-	}
-}

@@ -96,7 +96,7 @@ func (c *Ctx) run(p physical.Plan) (*Batch, error) {
 	case *physical.HashGroupBy, *physical.StreamGroupBy:
 		return c.aggregate(p)
 	}
-	if c.streams(p) {
+	if streams(p) {
 		pl, err := c.open(p)
 		if err != nil {
 			return nil, err
@@ -155,16 +155,14 @@ func (c *Ctx) noteVectorized() {
 }
 
 // streams reports whether p is a pipeline stage rather than a breaker: a
-// scan, a filter, a projection, an exchange over a streaming input, the probe
-// of a join. It depends on the plan alone: Ctx.Vectorize decides which
-// kernels the stages compile, never which operators run.
-func (c *Ctx) streams(p physical.Plan) bool {
-	switch t := p.(type) {
+// scan, a filter, a projection, the probe of a join. It depends on the plan
+// alone: Ctx.Vectorize decides which kernels the stages compile, never which
+// operators run.
+func streams(p physical.Plan) bool {
+	switch p.(type) {
 	case *physical.TableScan, *physical.IndexScan, *physical.Filter, *physical.Project,
 		*physical.HashJoin, *physical.NLJoin, *physical.INLJoin, *physical.MergeJoin:
 		return true
-	case *physical.Exchange:
-		return c.streams(t.Input)
 	}
 	return false
 }
@@ -186,12 +184,6 @@ func (c *Ctx) open(p physical.Plan) (*pipeline, error) {
 		in, st = t.Input, c.newFilterStage(t)
 	case *physical.Project:
 		in, st = t.Input, newProjectStage(t)
-	case *physical.Exchange:
-		x, err := c.newExchangeStage(t)
-		if err != nil {
-			return nil, err
-		}
-		in, st = t.Input, x
 	case *physical.HashJoin, *physical.NLJoin, *physical.INLJoin, *physical.MergeJoin:
 		return c.openJoin(t)
 	}
@@ -234,16 +226,6 @@ func (c *Ctx) execPlan(p physical.Plan) (*Batch, error) {
 			return nil, err
 		}
 		return limitBatch(in, t.N), nil
-	case *physical.Exchange:
-		// Over a breaker the materialized batch passes through as it is.
-		if _, err := c.newExchangeStage(t); err != nil {
-			return nil, err
-		}
-		b, err := c.run(t.Input)
-		if b != nil {
-			c.Counters.ExchangedRows += int64(b.NumRows())
-		}
-		return b, err
 	case *physical.UnionAll:
 		return c.runUnion(t)
 	}

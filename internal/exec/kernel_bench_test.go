@@ -164,7 +164,9 @@ func BenchmarkKernelSum(b *testing.B) {
 // BenchmarkKernelHashJoinProbe probes a dimension with the fact table's
 // 1000-value column g. The dimension's keys are 0..999 (dense-unique: the
 // direct map), those and one more at 2^40 (sparse: hash chains), or 0..999
-// twice (duplicate: hash chains, two matches per probe).
+// twice (duplicate: hash chains, two matches per probe). collect gathers and
+// collects every column of the join output; count puts a COUNT(*) above the
+// join, which reads no column of it, so it times the probe itself.
 func BenchmarkKernelHashJoinProbe(b *testing.B) {
 	f := newBenchFixture(b, storage.NewStore(), 1000)
 	for _, bc := range []struct {
@@ -181,7 +183,9 @@ func BenchmarkKernelHashJoinProbe(b *testing.B) {
 		dc := f.md.AddTable(dim, "d_"+bc.name)
 		plan := &physical.HashJoin{Kind: logical.InnerJoin, Left: f.fScan, LeftKeys: f.fc[0:1], RightKeys: dc[0:1],
 			Right: &physical.TableScan{Table: dim, Binding: "d_" + bc.name, Cols: dc, ColOrds: []int{0, 1}}}
-		b.Run(bc.name, func(b *testing.B) { f.run(b, plan, benchFactRows*bc.match) })
+		b.Run(bc.name+"/collect", func(b *testing.B) { f.run(b, plan, benchFactRows*bc.match) })
+		count := &physical.HashGroupBy{Props: physical.Props{Rows: 1}, Input: plan, Aggs: []logical.AggItem{{ID: 100, Fn: logical.AggCount}}}
+		b.Run(bc.name+"/count", func(b *testing.B) { f.run(b, count, 1) })
 	}
 }
 

@@ -2,35 +2,32 @@
 // once, as a body over morsels of ~1024 rows — a whole pipeline's
 // (pipeline.go) or a sort run's — and this file decides how many workers run
 // it. One worker is the serial engine — the body runs inline on the calling
-// goroutine; more workers claim morsels from a shared pool. The partitioning
-// §7.1 describes happens inside the operators: joins probe one shared right
-// input morsel-wise, hash aggregation pre-aggregates into thread-local tables
-// folded at the pipeline barrier. An Exchange operator is therefore not a
-// data movement here: in one address space no tuple has to travel, so it
-// forwards its input untouched and stays in the plan as the
-// partitioning-property boundary whose communication cost internal/parallel
-// models.
+// goroutine; more workers claim morsels from a shared pool. The degree is a
+// property of the run (Ctx.Parallelism), not of the plan: one plan runs at
+// every degree. The partitioning §7.1 describes happens inside the
+// operators: joins probe one shared right input morsel-wise, hash
+// aggregation pre-aggregates into thread-local tables folded at the pipeline
+// barrier. In one address space no tuple has to travel between workers, so
+// there is no exchange operator; the repartitioning cost that processors
+// without shared memory would pay is internal/parallel's §7.1 model, which
+// the executor never consults.
 //
 // Every pool worker gets a private Ctx (its counters) merged
 // into the parent at the barrier, so the engine is race-free under
 // `go test -race`. Operators emit the same rows in the same order at every
 // worker count wherever the order is observable: a pipeline's collected
-// output keeps per-morsel outputs in morsel order, sorts reproduce the stable
-// order exactly, and exchanges pass their input's order through. Hash
-// aggregation on several workers emits groups in a deterministic but
-// worker-count-specific order (group output is unordered in SQL); stream
-// aggregation runs on one worker and emits them in input order.
+// output keeps per-morsel outputs in morsel order and sorts reproduce the
+// stable order exactly. Hash aggregation on several workers emits groups in a
+// deterministic but worker-count-specific order (group output is unordered in
+// SQL); stream aggregation runs on one worker and emits them in input order.
 package exec
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/physical"
 )
 
 // MorselSize is the number of rows a worker claims at a time. Small enough to
@@ -323,86 +320,4 @@ func (c *Ctx) forColumns(rows, nCols int, fn func(wc *Ctx, ci int) error) error 
 		}
 		return nil
 	})
-}
-
-// --- exchange ---
-
-// exchangeStage is the §7.1 partitioning boundary inside one process: nothing
-// has to move between workers that share an address space, so a morsel passes
-// through in the form it arrives — same vectors, same selection, same order —
-// and is only counted. That order is the answer every exchange the planner
-// emits asks for: a MergeOrdering promises the input's sort order back, and
-// without one any order is a valid bag. The stages above the exchange do the
-// partitioned work themselves (shared build table and morsel-wise probe,
-// thread-local pre-aggregation). The plan's contract is still checked:
-// partition and merge columns must exist in the input layout.
-type exchangeStage struct {
-	pOff []int
-	// Under EXPLAIN ANALYZE of a parallel execution a hash exchange records
-	// the skew signal: parts[w][p] is how many of worker w's rows the p-th of
-	// its degree hash partitions would receive.
-	skew   bool
-	parts  [][]int64
-	degree int
-}
-
-func (c *Ctx) newExchangeStage(t *physical.Exchange) (*exchangeStage, error) {
-	layout := t.Input.Columns()
-	pOff, err := colOffsets(layout, t.PartitionCols, "key")
-	if err != nil {
-		return nil, err
-	}
-	for _, o := range t.MergeOrdering {
-		if !slices.Contains(layout, o.Col) {
-			return nil, fmt.Errorf("exec: exchange merge column @%d not in layout", int(o.Col))
-		}
-	}
-	x := &exchangeStage{pOff: pOff, degree: t.Degree, skew: c.Metrics != nil && len(pOff) > 0 && c.Parallelism > 1}
-	if x.degree < 2 {
-		x.degree = c.Parallelism
-	}
-	return x, nil
-}
-
-func (x *exchangeStage) bind(need []bool, workers int) []bool {
-	if !x.skew {
-		return need
-	}
-	x.parts = make([][]int64, workers)
-	in := append([]bool(nil), need...)
-	for _, o := range x.pOff {
-		in[o] = true
-	}
-	return in
-}
-
-func (x *exchangeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, error) {
-	wc.Counters.ExchangedRows += int64(in.NumRows())
-	if x.skew {
-		if x.parts[w] == nil {
-			x.parts[w] = make([]int64, x.degree)
-		}
-		chunk := pw.live(in)
-		hs := pw.hashes(len(chunk))
-		for _, o := range x.pOff {
-			hashCombineVec(in.Vecs[o], chunk, hs)
-		}
-		for _, h := range hs {
-			x.parts[w][mixHash(h)%uint64(x.degree)]++
-		}
-	}
-	return in, nil
-}
-
-// report records the partition sizes of an input large enough to have been
-// partitioned across workers at all.
-func (x *exchangeStage) report(m *physical.NodeMetrics, rows int64) {
-	if rows < minParallelRows {
-		return
-	}
-	for _, counts := range x.parts {
-		for p, n := range counts {
-			m.AddWorkerRows(p, n)
-		}
-	}
 }

@@ -569,52 +569,6 @@ func TestParallelSortIsStable(t *testing.T) {
 	runBoth(t, f, plan, true, 2, 4, 8)
 }
 
-func TestParallelExchangeHashPartition(t *testing.T) {
-	f := newParFixture(t, 6000, 0, 9)
-	k := f.rCols[0]
-	// Hash exchange without a merge ordering: row multiset is preserved, and
-	// within each partition the input order is (verified via the serial run
-	// being a pass-through).
-	ex := &physical.Exchange{Input: f.rScan, Degree: 4, PartitionCols: []logical.ColumnID{k}}
-	sc, _ := runBoth(t, f, ex, false, 2, 4)
-	if sc.Counters.ExchangedRows != 6000 {
-		t.Errorf("ExchangedRows = %d, want 6000", sc.Counters.ExchangedRows)
-	}
-}
-
-func TestParallelExchangeMergePreservesOrder(t *testing.T) {
-	f := newParFixture(t, 6000, 0, 10)
-	k, v := f.rCols[0], f.rCols[1]
-	// Sorted input through a hash exchange with MergeOrdering: the output
-	// must be the exact sorted order, i.e. the exchange is order-preserving.
-	ex := &physical.Exchange{
-		Input:         &physical.Sort{Input: f.rScan, By: logical.Ordering{{Col: k}}},
-		Degree:        4,
-		PartitionCols: []logical.ColumnID{v},
-		MergeOrdering: logical.Ordering{{Col: k}},
-	}
-	runBoth(t, f, ex, true, 2, 4, 8)
-}
-
-func TestParallelExchangeRoundRobin(t *testing.T) {
-	f := newParFixture(t, 5000, 0, 11)
-	ex := &physical.Exchange{Input: f.rScan, Degree: 3}
-	runBoth(t, f, ex, false, 4)
-}
-
-func TestExchangeMergeColumnMissing(t *testing.T) {
-	f := newParFixture(t, 5000, 0, 12)
-	ex := &physical.Exchange{
-		Input:         f.rScan,
-		Degree:        4,
-		MergeOrdering: logical.Ordering{{Col: 9999}},
-	}
-	pc := f.ctx(t, 4)
-	if _, err := Run(ex, pc); err == nil || !strings.Contains(err.Error(), "merge column") {
-		t.Fatalf("want merge-column error, got %v", err)
-	}
-}
-
 // A predicate that panics in a worker must surface as an error, not kill the
 // process.
 func TestParallelWorkerPanicBecomesError(t *testing.T) {
@@ -665,8 +619,8 @@ func TestPoolReuseAcrossRuns(t *testing.T) {
 }
 
 // TestParallelPlanStaysColumnar guards the property that makes parallel plans
-// pay: between scan and result nothing is boxed into rows, copied for the
-// sake of an exchange or materialized between two stages, so what a run
+// pay: between scan and result nothing is boxed into rows, copied or
+// materialized between two stages, so what a run
 // allocates is per-worker morsel scratch and group tables — at Parallelism 2
 // about twice that of Parallelism 1, and at either degree less than the three
 // columns of input it reads would occupy.
@@ -674,14 +628,11 @@ func TestParallelPlanStaysColumnar(t *testing.T) {
 	f := newParFixture(t, 20000, 40, 16)
 	rk, rf, sk, sw := f.rCols[0], f.rCols[2], f.sCols[0], f.sCols[1]
 	plan := &physical.HashGroupBy{
-		Input: &physical.Exchange{
-			Degree: 2, PartitionCols: []logical.ColumnID{rk},
-			Input: &physical.HashJoin{
-				Kind:     logical.InnerJoin,
-				Left:     &physical.Exchange{Input: f.rScan, Degree: 2, PartitionCols: []logical.ColumnID{rk}},
-				Right:    &physical.Exchange{Input: f.sScan, Degree: 2, PartitionCols: []logical.ColumnID{sk}},
-				LeftKeys: []logical.ColumnID{rk}, RightKeys: []logical.ColumnID{sk},
-			},
+		Input: &physical.HashJoin{
+			Kind:     logical.InnerJoin,
+			Left:     f.rScan,
+			Right:    f.sScan,
+			LeftKeys: []logical.ColumnID{rk}, RightKeys: []logical.ColumnID{sk},
 		},
 		GroupCols: []logical.ColumnID{rk},
 		Aggs: []logical.AggItem{
@@ -804,14 +755,14 @@ func TestKernelOperatorAllocCeiling(t *testing.T) {
 	}
 }
 
-// TestExchangeReportsSkew: under EXPLAIN ANALYZE of a parallel run a hash
-// exchange reports how many of its rows each of its partitions would
-// receive, so repartitioning skew is visible; a serial run reports none.
-func TestExchangeReportsSkew(t *testing.T) {
+// TestPipelineReportsWorkerRows: under EXPLAIN ANALYZE of a parallel run
+// every stage of a pipeline reports how many rows each worker processed in
+// it, so morsel skew is visible; a serial run reports none.
+func TestPipelineReportsWorkerRows(t *testing.T) {
 	f := newPipeFixture(t)
 	k1 := f.col("sales", "k1")
-	x := exchange(f.scan("sales", nil, "k1", "amount"), k1)
-	plan := &physical.HashGroupBy{Input: x, GroupCols: []logical.ColumnID{k1}, Aggs: []logical.AggItem{aggOf(1000, logical.AggCount, 0)}}
+	scan := f.scan("sales", nil, "k1", "amount")
+	plan := &physical.HashGroupBy{Input: scan, GroupCols: []logical.ColumnID{k1}, Aggs: []logical.AggItem{aggOf(1000, logical.AggCount, 0)}}
 	for _, workers := range []int{1, 2} {
 		c := NewCtx(f.store, f.md)
 		c.Parallelism = workers
@@ -819,10 +770,10 @@ func TestExchangeReportsSkew(t *testing.T) {
 		if _, err := Run(plan, c); err != nil {
 			t.Fatal(err)
 		}
-		parts := c.Metrics.Node(x).WorkerRows
+		parts := c.Metrics.Node(scan).WorkerRows
 		if workers == 1 {
 			if parts != nil {
-				t.Errorf("serial run: exchange worker_rows %v", parts)
+				t.Errorf("serial run: scan worker_rows %v", parts)
 			}
 			continue
 		}
@@ -830,8 +781,8 @@ func TestExchangeReportsSkew(t *testing.T) {
 		for _, n := range parts {
 			sum += n
 		}
-		if len(parts) != x.Degree || sum != pipeSalesRows || slices.Contains(parts, 0) {
-			t.Errorf("exchange worker_rows %v: want %d partitions of %d rows in all", parts, x.Degree, pipeSalesRows)
+		if len(parts) != workers || sum != pipeSalesRows || slices.Contains(parts, 0) {
+			t.Errorf("scan worker_rows %v: want %d workers' rows, %d in all", parts, workers, pipeSalesRows)
 		}
 	}
 }

@@ -3,9 +3,9 @@
 // and everything between two breakers is one pipeline: one forMorsels loop
 // whose body carries a morsel from its source (a table or index scan, or the
 // materialized output of the breaker below) through the streaming stages
-// above it (filter, projection, the no-op exchange, the probe side of every
-// join up the spine) into one sink. Nothing is materialized between stages: a
-// stage hands the next a batch over its worker's scratch — the source's
+// above it (filter, projection, the probe side of every join up the spine)
+// into one sink. Nothing is materialized between stages: a stage hands the
+// next a batch over its worker's scratch — the source's
 // column vectors under a refined selection, or the columns a probe or an
 // expression projection gathered — and a column no later stage reads is never
 // loaded or gathered at all.
@@ -382,12 +382,6 @@ func emptyBatch(cols []logical.ColumnID) *Batch {
 
 // --- EXPLAIN ANALYZE ---
 
-// nodeReporter is a stage with more to tell its plan node than the rows and
-// time every stage is metered for; rows is the stage's output row count.
-type nodeReporter interface {
-	report(m *physical.NodeMetrics, rows int64)
-}
-
 // report folds the workers' per-node statistics of the run that just finished
 // into the plan nodes' metrics. A node's wall time is inclusive: the slowest
 // worker's time in the node itself, the work done for it outside the morsel
@@ -442,11 +436,6 @@ func (p *pipeline) report(sink physical.Plan, sinkRows int) {
 				if rp := an.stats[w][i].rowsProcessed; rp > 0 {
 					m.AddWorkerRows(w, rp)
 				}
-			}
-		}
-		if i > 0 && i < len(p.nodes) {
-			if r, ok := p.stages[i-1].(nodeReporter); ok {
-				r.report(m, rows)
 			}
 		}
 	}

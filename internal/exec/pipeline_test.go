@@ -189,10 +189,6 @@ func aggOf(id int, fn logical.AggFn, arg logical.ColumnID) logical.AggItem {
 	return it
 }
 
-func exchange(in physical.Plan, cols ...logical.ColumnID) *physical.Exchange {
-	return &physical.Exchange{Input: in, Degree: 2, PartitionCols: cols}
-}
-
 // pipeCase is one statement shape: the hand-built physical plan, the SQL the
 // reference evaluator answers it from (select list in the plan's output layout),
 // and whether the row sequence is part of the answer.
@@ -216,26 +212,25 @@ func pipeCases(f *pipeFixture) []pipeCase {
 	count, sumAmount := aggOf(1000, logical.AggCount, 0), aggOf(1001, logical.AggSum, s("amount"))
 
 	// star_3dim, as the optimizer plans it: two joins, an eager aggregate,
-	// the third join, the final aggregate, an exchange on every edge.
+	// the third join, the final aggregate.
 	d := func(n int, col string) logical.ColumnID { return f.col(fmt.Sprintf("dim%d", n), col) }
 	dimScan := func(n int, filter []logical.Scalar) physical.Plan {
-		return &physical.Exchange{Input: f.scan(fmt.Sprintf("dim%d", n), filter, "k", "filt"), Degree: 2,
-			PartitionCols: keys(d(n, "k")), MergeOrdering: logical.Ordering{{Col: d(n, "k")}}}
+		return f.scan(fmt.Sprintf("dim%d", n), filter, "k", "filt")
 	}
 	fact := f.scan("sales", []logical.Scalar{cmpConst(logical.CmpNe, s("cust"), 7)}, "k1", "k2", "k3", "cust", "amount")
-	j1 := join(logical.InnerJoin, exchange(fact, s("k1")), dimScan(1, []logical.Scalar{cmpConst(logical.CmpLt, d(1, "filt"), 3)}), s("k1"), d(1, "k"))
-	j2 := join(logical.InnerJoin, exchange(j1, s("k2")), dimScan(2, nil), s("k2"), d(2, "k"))
-	eager := grp(exchange(j2, d(1, "filt"), d(2, "filt"), s("k3")), keys(d(1, "filt"), d(2, "filt"), s("k3")), aggOf(1010, logical.AggSum, s("amount")))
-	j3 := join(logical.InnerJoin, exchange(eager, s("k3")), dimScan(3, nil), s("k3"), d(3, "k"))
-	star3 := grp(exchange(j3, d(1, "filt"), d(2, "filt"), d(3, "filt")), keys(d(1, "filt"), d(2, "filt"), d(3, "filt")), aggOf(1011, logical.AggSum, 1010))
+	j1 := join(logical.InnerJoin, fact, dimScan(1, []logical.Scalar{cmpConst(logical.CmpLt, d(1, "filt"), 3)}), s("k1"), d(1, "k"))
+	j2 := join(logical.InnerJoin, j1, dimScan(2, nil), s("k2"), d(2, "k"))
+	eager := grp(j2, keys(d(1, "filt"), d(2, "filt"), s("k3")), aggOf(1010, logical.AggSum, s("amount")))
+	j3 := join(logical.InnerJoin, eager, dimScan(3, nil), s("k3"), d(3, "k"))
+	star3 := grp(j3, keys(d(1, "filt"), d(2, "filt"), d(3, "filt")), aggOf(1011, logical.AggSum, 1010))
 
 	// star_1dim: eager aggregate on the join key, then an index nested-loop
 	// join into the filtered dimension.
-	eager1 := grp(exchange(f.scan("sales", []logical.Scalar{k2ne}, "k1", "k2", "amount"), s("k1")), keys(s("k1")), aggOf(1020, logical.AggSum, s("amount")))
+	eager1 := grp(f.scan("sales", []logical.Scalar{k2ne}, "k1", "k2", "amount"), keys(s("k1")), aggOf(1020, logical.AggSum, s("amount")))
 	inl := &physical.INLJoin{Kind: logical.InnerJoin, Left: eager1, Table: f.tabs["dim1"], Index: f.index("dim1", "dim1_pkey"),
 		Binding: "dim1", Cols: keys(d(1, "k"), d(1, "attr"), d(1, "filt")), ColOrds: []int{0, 1, 2}, LeftKeys: keys(s("k1")),
 		ExtraOn: []logical.Scalar{cmpConst(logical.CmpLt, d(1, "filt"), 5)}}
-	star1 := grp(exchange(inl, d(1, "attr")), keys(d(1, "attr")), aggOf(1021, logical.AggSum, 1020))
+	star1 := grp(inl, keys(d(1, "attr")), aggOf(1021, logical.AggSum, 1020))
 
 	p, b := func(n string) logical.ColumnID { return f.col("P", n) }, func(n string) logical.ColumnID { return f.col("B", n) }
 	pScan, bScan := f.scan("P", nil, "k", "nk", "v", "f"), f.scan("B", nil, "k", "nk", "w")
@@ -331,16 +326,15 @@ func pipeCases(f *pipeFixture) []pipeCase {
 			sql: `SELECT COUNT(*), SUM(amount) FROM sales WHERE qty > 10 AND k2 <> 17`},
 		{name: "string_filter", plan: grp(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpEq, s("region"), "east")}, "region", "qty"), nil, count, aggOf(1002, logical.AggSum, s("qty"))),
 			sql: `SELECT COUNT(*), SUM(qty) FROM sales WHERE region = 'east'`},
-		{name: "groupby_low_ndv", plan: grp(exchange(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpLe, s("qty"), 16), k2ne}, "k2", "region", "qty", "amount"), s("region")), keys(s("region")), count, sumAmount),
+		{name: "groupby_low_ndv", plan: grp(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpLe, s("qty"), 16), k2ne}, "k2", "region", "qty", "amount"), keys(s("region")), count, sumAmount),
 			sql: `SELECT region, COUNT(*), SUM(amount) FROM sales WHERE qty <= 16 AND k2 <> 17 GROUP BY region`},
-		{name: "groupby_1000", plan: grp(exchange(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpGt, s("qty"), 3), k2ne}, "k1", "k2", "qty", "amount"), s("k1")), keys(s("k1")), count, sumAmount),
+		{name: "groupby_1000", plan: grp(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpGt, s("qty"), 3), k2ne}, "k1", "k2", "qty", "amount"), keys(s("k1")), count, sumAmount),
 			sql: `SELECT k1, COUNT(*), SUM(amount) FROM sales WHERE qty > 3 AND k2 <> 17 GROUP BY k1`},
 		{name: "pk_range", plan: grp(&physical.IndexScan{Table: f.tabs["sales"], Index: f.index("sales", "sales_pkey"), Binding: "sales",
 			Cols: keys(s("id"), s("amount")), ColOrds: []int{0, 7}, Lo: datum.NewInt(1500), LoIncl: true, Hi: datum.NewInt(4100)}, nil, count, sumAmount),
 			sql: `SELECT COUNT(*), SUM(amount) FROM sales WHERE id >= 1500 AND id < 4100`},
-		{name: "index_lookup", ordered: true, plan: &physical.Exchange{Degree: 2, MergeOrdering: logical.Ordering{{Col: s("id")}},
-			Input: &physical.Sort{By: logical.Ordering{{Col: s("id")}}, Input: &physical.IndexScan{Table: f.tabs["sales"], Index: f.index("sales", "sales_cust"),
-				Binding: "sales", Cols: keys(s("id"), s("amount")), ColOrds: []int{0, 7}, EqKey: datum.Row{datum.NewInt(7)}}}},
+		{name: "index_lookup", ordered: true, plan: &physical.Sort{By: logical.Ordering{{Col: s("id")}}, Input: &physical.IndexScan{Table: f.tabs["sales"], Index: f.index("sales", "sales_cust"),
+			Binding: "sales", Cols: keys(s("id"), s("amount")), ColOrds: []int{0, 7}, EqKey: datum.Row{datum.NewInt(7)}}},
 			sql: `SELECT id, amount FROM sales WHERE cust = 7 ORDER BY id`},
 		{name: "index_eq_range", plan: grp(&physical.IndexScan{Table: f.tabs["sales"], Index: f.index("sales", "sales_cust_qty"), Binding: "sales",
 			Cols: keys(s("id"), s("amount")), ColOrds: []int{0, 7}, EqKey: datum.Row{datum.NewInt(7)}, Lo: datum.NewInt(5), Hi: datum.NewInt(15), HiIncl: true}, nil, count, sumAmount),
@@ -349,17 +343,17 @@ func pipeCases(f *pipeFixture) []pipeCase {
 			sql: `SELECT d.attr, SUM(s.amount) FROM sales s JOIN dim1 d ON s.k1 = d.k WHERE d.filt < 5 AND s.k2 <> 17 GROUP BY d.attr`},
 		{name: "star_3dim", plan: star3,
 			sql: `SELECT d1.filt, d2.filt, d3.filt, SUM(s.amount) FROM sales s JOIN dim1 d1 ON s.k1 = d1.k JOIN dim2 d2 ON s.k2 = d2.k JOIN dim3 d3 ON s.k3 = d3.k WHERE d1.filt < 3 AND s.cust <> 7 GROUP BY d1.filt, d2.filt, d3.filt`},
-		{name: "topn", ordered: true, plan: &physical.LimitOp{N: 10, Input: &physical.Exchange{Degree: 2, MergeOrdering: logical.Ordering{{Col: s("amount"), Desc: true}, {Col: s("id")}},
-			Input: &physical.Sort{By: logical.Ordering{{Col: s("amount"), Desc: true}, {Col: s("id")}}, Input: &physical.Project{Input: f.scan("sales", []logical.Scalar{cmpConst(logical.CmpEq, s("qty"), 7)}, "id", "qty", "amount"),
-				Items: []logical.ProjectItem{{ID: s("id"), Expr: &logical.Col{ID: s("id")}}, {ID: s("amount"), Expr: &logical.Col{ID: s("amount")}}}}}}},
+		{name: "topn", ordered: true, plan: &physical.LimitOp{N: 10, Input: &physical.Sort{By: logical.Ordering{{Col: s("amount"), Desc: true}, {Col: s("id")}},
+			Input: &physical.Project{Input: f.scan("sales", []logical.Scalar{cmpConst(logical.CmpEq, s("qty"), 7)}, "id", "qty", "amount"),
+				Items: []logical.ProjectItem{{ID: s("id"), Expr: &logical.Col{ID: s("id")}}, {ID: s("amount"), Expr: &logical.Col{ID: s("amount")}}}}}},
 			sql: `SELECT id, amount FROM sales WHERE qty = 7 ORDER BY amount DESC, id LIMIT 10`},
 		{name: "having", plan: &physical.Filter{Preds: []logical.Scalar{cmpConst(logical.CmpGt, 1001, 750000.0)},
-			Input: grp(exchange(f.scan("sales", nil, "k2", "amount"), s("k2")), keys(s("k2")), sumAmount)},
+			Input: grp(f.scan("sales", nil, "k2", "amount"), keys(s("k2")), sumAmount)},
 			sql: `SELECT k2, SUM(amount) FROM sales GROUP BY k2 HAVING SUM(amount) > 750000`},
 		{name: "clustered_range_agg", plan: grp(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpGe, s("k3"), 20), cmpConst(logical.CmpLt, s("k3"), 30)}, "k3", "qty", "amount"), nil,
 			aggOf(1003, logical.AggMin, s("amount")), aggOf(1004, logical.AggMax, s("amount")), aggOf(1005, logical.AggAvg, s("qty"))),
 			sql: `SELECT MIN(amount), MAX(amount), AVG(qty) FROM sales WHERE k3 >= 20 AND k3 < 30`},
-		{name: "groupby_two_keys", plan: grp(exchange(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpLt, s("amount"), 3000.5), k2ne}, "k2", "region", "qty", "amount"), s("region"), s("qty")), keys(s("region"), s("qty")), count),
+		{name: "groupby_two_keys", plan: grp(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpLt, s("amount"), 3000.5), k2ne}, "k2", "region", "qty", "amount"), keys(s("region"), s("qty")), count),
 			sql: `SELECT region, qty, COUNT(*) FROM sales WHERE amount < 3000.5 AND k2 <> 17 GROUP BY region, qty`},
 
 		{name: "left_outer", plan: join(logical.LeftOuterJoin, pScan, bScan, p("k"), b("k")),
@@ -370,7 +364,7 @@ func pipeCases(f *pipeFixture) []pipeCase {
 			sql: `SELECT P.k, P.nk, P.v, P.f FROM P WHERE EXISTS (SELECT 1 FROM B WHERE B.k = P.k)`},
 		{name: "anti", plan: join(logical.AntiJoin, pScan, bScan, p("k"), b("k")),
 			sql: `SELECT P.k, P.nk, P.v, P.f FROM P WHERE NOT EXISTS (SELECT 1 FROM B WHERE B.k = P.k)`},
-		{name: "expanding_join_agg", plan: grp(exchange(join(logical.InnerJoin, pScan, bScan, p("k"), b("k")), b("w")), keys(b("w")), count, aggOf(1032, logical.AggSum, p("f")), aggOf(1033, logical.AggAvg, p("f"))),
+		{name: "expanding_join_agg", plan: grp(join(logical.InnerJoin, pScan, bScan, p("k"), b("k")), keys(b("w")), count, aggOf(1032, logical.AggSum, p("f")), aggOf(1033, logical.AggAvg, p("f"))),
 			sql: `SELECT B.w, COUNT(*), SUM(P.f), AVG(P.f) FROM P JOIN B ON P.k = B.k GROUP BY B.w`},
 		{name: "empty_scalar", plan: grp(f.scan("sales", never, "qty", "amount"), nil, count, sumAmount),
 			sql: `SELECT COUNT(*), SUM(amount) FROM sales WHERE qty < 0`},
@@ -399,10 +393,10 @@ func pipeCases(f *pipeFixture) []pipeCase {
 			sql: `SELECT P.k, P.nk, P.v, P.f FROM P WHERE EXISTS (SELECT 1 FROM B WHERE ` + extraOn + `)`},
 		{name: "extra_anti", plan: extraJoin(logical.AntiJoin),
 			sql: `SELECT P.k, P.nk, P.v, P.f FROM P WHERE NOT EXISTS (SELECT 1 FROM B WHERE ` + extraOn + `)`},
-		{name: "distinct_aggs", plan: grp(exchange(f.scan("sales", []logical.Scalar{k2ne}, "k1", "k2", "region", "qty", "amount"), s("region")), keys(s("region")),
+		{name: "distinct_aggs", plan: grp(f.scan("sales", []logical.Scalar{k2ne}, "k1", "k2", "region", "qty", "amount"), keys(s("region")),
 			distinct(1060, logical.AggCount, s("k1")), distinct(1062, logical.AggSum, s("qty")), distinct(1063, logical.AggSum, s("amount"))),
 			sql: `SELECT region, COUNT(DISTINCT k1), SUM(DISTINCT qty), SUM(DISTINCT amount) FROM sales WHERE k2 <> 17 GROUP BY region`},
-		{name: "sum_expr", plan: grp(exchange(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpGt, s("qty"), 3)}, "k2", "qty", "amount"), s("k2")), keys(s("k2")), count, amountTimesQty),
+		{name: "sum_expr", plan: grp(f.scan("sales", []logical.Scalar{cmpConst(logical.CmpGt, s("qty"), 3)}, "k2", "qty", "amount"), keys(s("k2")), count, amountTimesQty),
 			sql: `SELECT k2, COUNT(*), SUM(amount * qty) FROM sales WHERE qty > 3 GROUP BY k2`},
 		{name: "stream_ordered", ordered: true, plan: stream,
 			sql: `SELECT cust, COUNT(*), SUM(amount) FROM sales WHERE cust >= 10 AND cust < 40 GROUP BY cust ORDER BY cust`},
@@ -465,74 +459,74 @@ func pipeCases(f *pipeFixture) []pipeCase {
 // pipeWant pins each case's logical work as operator-at-a-time execution —
 // and, for the nested-loop, index and merge joins, unions and sorts, the row
 // operators that preceded the batch ones — reported it, unlimited budget:
-// RowsProcessed, HashOps, ExchangedRows, SegmentsRead, SegmentsPruned.
-var pipeWant = map[string][5]int64{
-	"filter_agg":            {9085, 3085, 0, 5, 0},
-	"string_filter":         {7207, 1207, 0, 5, 0},
-	"groupby_low_ndv":       {10740, 4740, 4740, 5, 0},
-	"groupby_1000":          {11072, 5072, 5072, 5, 0},
-	"pk_range":              {5200, 2600, 0, 0, 0},
-	"index_lookup":          {104, 0, 104, 0, 0},
-	"index_eq_range":        {112, 56, 0, 0, 0},
-	"star_1dim":             {12089, 5989, 5989, 5, 0},
-	"star_3dim":             {13903, 12029, 12029, 5, 0},
-	"topn":                  {6305, 0, 305, 5, 0},
-	"having":                {12100, 6000, 6000, 5, 0},
-	"clustered_range_agg":   {2504, 600, 0, 1, 4},
-	"groupby_two_keys":      {6743, 743, 743, 5, 0},
-	"left_outer":            {8008, 2964, 0, 2, 0},
-	"full_outer_agg":        {13387, 8343, 0, 2, 0},
-	"semi":                  {5639, 2964, 0, 2, 0},
-	"anti":                  {5639, 2964, 0, 2, 0},
-	"expanding_join_agg":    {12746, 7702, 4738, 2, 0},
-	"empty_scalar":          {880, 0, 0, 0, 5},
-	"empty_grouped":         {980, 100, 0, 0, 5},
-	"null_keys":             {6270, 3000, 0, 2, 0},
-	"pruned_to_nothing":     {880, 0, 0, 0, 5},
-	"residual_mid_pipeline": {15723, 5941, 0, 2, 0},
-	"mixed_representation":  {9000, 4500, 0, 4, 0},
-	"limit_no_agg":          {10579, 0, 0, 5, 0},
-	"extra_inner":           {8008, 2964, 0, 2, 0},
-	"extra_left":            {8008, 2964, 0, 2, 0},
-	"extra_full":            {8008, 2964, 0, 2, 0},
-	"extra_semi":            {6674, 2964, 0, 2, 0},
-	"extra_anti":            {6674, 2964, 0, 2, 0},
-	"distinct_aggs":         {11944, 5944, 5944, 5, 0},
-	"sum_expr":              {11119, 5119, 5119, 5, 0},
-	"stream_ordered":        {5958, 0, 0, 0, 0},
-	"nl_inner":              {813270, 0, 0, 2, 0},
-	"nl_left":               {813270, 0, 0, 2, 0},
-	"nl_full":               {813270, 0, 0, 2, 0},
-	"nl_semi":               {520390, 0, 0, 2, 0},
-	"nl_anti":               {520390, 0, 0, 2, 0},
-	"inl_semi":              {11944, 0, 0, 5, 0},
-	"inl_anti":              {11944, 0, 0, 5, 0},
-	"merge_left":            {8008, 0, 0, 2, 0},
-	"merge_anti":            {6674, 0, 0, 2, 0},
-	"union_all":             {5040, 0, 0, 2, 0},
-	"sort_odd_keys":         {3000, 0, 0, 2, 0},
-	"sort_mixed_kinds":      {3000, 0, 0, 2, 0},
-	"topn_odd_keys":         {3000, 0, 0, 2, 0},
-	"index_order_odd_keys":  {2727, 0, 0, 0, 0},
-	"join_sorted_probe":     {4208, 800, 0, 2, 0},
-	"full_sorted_inputs":    {4208, 800, 0, 2, 0},
-	"merge_inner_mixed":     {11955, 0, 0, 2, 2},
-	"merge_left_mixed":      {9355, 0, 0, 2, 2},
-	"max_x_is_top1":         {6000, 3000, 0, 2, 0},
-	"min_x_is_top1":         {6000, 3000, 0, 2, 0},
-	"max_n_is_top1":         {6000, 3000, 0, 2, 0},
-	"min_n_is_top1":         {6000, 3000, 0, 2, 0},
-	"hash_join_x":           {7017, 581, 0, 2, 2},
-	"nl_join_x":             {27952, 0, 0, 2, 2},
-	"merge_join_x":          {7017, 0, 0, 2, 2},
-	"hash_join_n":           {11955, 640, 0, 2, 2},
-	"nl_join_n":             {27952, 0, 0, 2, 2},
-	"join_count_x":          {10082, 3646, 0, 2, 2},
+// RowsProcessed, HashOps, SegmentsRead, SegmentsPruned.
+var pipeWant = map[string][4]int64{
+	"filter_agg":            {9085, 3085, 5, 0},
+	"string_filter":         {7207, 1207, 5, 0},
+	"groupby_low_ndv":       {10740, 4740, 5, 0},
+	"groupby_1000":          {11072, 5072, 5, 0},
+	"pk_range":              {5200, 2600, 0, 0},
+	"index_lookup":          {104, 0, 0, 0},
+	"index_eq_range":        {112, 56, 0, 0},
+	"star_1dim":             {12089, 5989, 5, 0},
+	"star_3dim":             {13903, 12029, 5, 0},
+	"topn":                  {6305, 0, 5, 0},
+	"having":                {12100, 6000, 5, 0},
+	"clustered_range_agg":   {2504, 600, 1, 4},
+	"groupby_two_keys":      {6743, 743, 5, 0},
+	"left_outer":            {8008, 2964, 2, 0},
+	"full_outer_agg":        {13387, 8343, 2, 0},
+	"semi":                  {5639, 2964, 2, 0},
+	"anti":                  {5639, 2964, 2, 0},
+	"expanding_join_agg":    {12746, 7702, 2, 0},
+	"empty_scalar":          {880, 0, 0, 5},
+	"empty_grouped":         {980, 100, 0, 5},
+	"null_keys":             {6270, 3000, 2, 0},
+	"pruned_to_nothing":     {880, 0, 0, 5},
+	"residual_mid_pipeline": {15723, 5941, 2, 0},
+	"mixed_representation":  {9000, 4500, 4, 0},
+	"limit_no_agg":          {10579, 0, 5, 0},
+	"extra_inner":           {8008, 2964, 2, 0},
+	"extra_left":            {8008, 2964, 2, 0},
+	"extra_full":            {8008, 2964, 2, 0},
+	"extra_semi":            {6674, 2964, 2, 0},
+	"extra_anti":            {6674, 2964, 2, 0},
+	"distinct_aggs":         {11944, 5944, 5, 0},
+	"sum_expr":              {11119, 5119, 5, 0},
+	"stream_ordered":        {5958, 0, 0, 0},
+	"nl_inner":              {813270, 0, 2, 0},
+	"nl_left":               {813270, 0, 2, 0},
+	"nl_full":               {813270, 0, 2, 0},
+	"nl_semi":               {520390, 0, 2, 0},
+	"nl_anti":               {520390, 0, 2, 0},
+	"inl_semi":              {11944, 0, 5, 0},
+	"inl_anti":              {11944, 0, 5, 0},
+	"merge_left":            {8008, 0, 2, 0},
+	"merge_anti":            {6674, 0, 2, 0},
+	"union_all":             {5040, 0, 2, 0},
+	"sort_odd_keys":         {3000, 0, 2, 0},
+	"sort_mixed_kinds":      {3000, 0, 2, 0},
+	"topn_odd_keys":         {3000, 0, 2, 0},
+	"index_order_odd_keys":  {2727, 0, 0, 0},
+	"join_sorted_probe":     {4208, 800, 2, 0},
+	"full_sorted_inputs":    {4208, 800, 2, 0},
+	"merge_inner_mixed":     {11955, 0, 2, 2},
+	"merge_left_mixed":      {9355, 0, 2, 2},
+	"max_x_is_top1":         {6000, 3000, 2, 0},
+	"min_x_is_top1":         {6000, 3000, 2, 0},
+	"max_n_is_top1":         {6000, 3000, 2, 0},
+	"min_n_is_top1":         {6000, 3000, 2, 0},
+	"hash_join_x":           {7017, 581, 2, 2},
+	"nl_join_x":             {27952, 0, 2, 2},
+	"merge_join_x":          {7017, 0, 2, 2},
+	"hash_join_n":           {11955, 640, 2, 2},
+	"nl_join_n":             {27952, 0, 2, 2},
+	"join_count_x":          {10082, 3646, 2, 2},
 }
 
-func pipeCounters(c *Ctx) [5]int64 {
+func pipeCounters(c *Ctx) [4]int64 {
 	cs := c.Counters
-	return [5]int64{cs.RowsProcessed, cs.HashOps, cs.ExchangedRows, cs.SegmentsRead, cs.SegmentsPruned}
+	return [4]int64{cs.RowsProcessed, cs.HashOps, cs.SegmentsRead, cs.SegmentsPruned}
 }
 
 // spillCases are the pipeCases whose join build, group table or sort buffer
@@ -579,7 +573,7 @@ func TestPipelineEquivalence(t *testing.T) {
 		}
 		for _, budget := range []int64{0, 4 << 10} {
 			for _, vectorize := range []bool{true, false} {
-				var first [5]int64
+				var first [4]int64
 				for _, workers := range []int{1, 2, 8} {
 					label := fmt.Sprintf("%s budget=%d vectorize=%v workers=%d", tc.name, budget, vectorize, workers)
 					c := NewCtx(f.store, f.md)

@@ -480,7 +480,7 @@ func (c *Ctx) aggregate(p physical.Plan) (*Batch, error) {
 	c.noteVectorized()
 	work := c.Counters
 	rewind := func() {
-		c.Counters.RowsProcessed, c.Counters.HashOps, c.Counters.ExchangedRows = work.RowsProcessed, work.HashOps, work.ExchangedRows
+		c.Counters.RowsProcessed, c.Counters.HashOps = work.RowsProcessed, work.HashOps
 	}
 	out, err := sink.run(c, pl)
 	if !isBudgetErr(err) && !errors.Is(err, errMixedRepr) {

@@ -12,21 +12,12 @@ import (
 	"math/rand"
 	"sort"
 
-	"repro/internal/cost"
 	"repro/internal/exec"
-	"repro/internal/parallel"
 	"repro/internal/physical"
 	"repro/internal/stats"
 	"repro/internal/systemr"
 	"repro/internal/workload"
 )
-
-// parallelize plans the exchanges for one optimized plan at the given degree.
-func parallelize(plan physical.Plan, degree int) physical.Plan {
-	model := cost.DefaultModel()
-	par := parallel.Parallelize(plan, parallel.Config{Degree: degree, CommCostPerRow: model.CommCostPerRow}, model)
-	return par.Plan
-}
 
 // analyzePoint is the q-error distribution at one parallelism degree.
 type analyzePoint struct {
@@ -93,9 +84,6 @@ func analyzeBench() []analyzePoint {
 		for _, text := range corpus {
 			q := mustBuild(db, text)
 			plan, _ := optimize(db, q, systemr.DefaultOptions())
-			if deg > 1 {
-				plan = parallelize(plan, deg)
-			}
 			ctx := exec.NewCtx(db.Store, q.Meta)
 			if deg > 1 {
 				ctx.Parallelism = deg

@@ -1,20 +1,17 @@
-// Package parallel implements the parallel-database material of §7.1 of the
-// paper: two-phase optimization in the XPRS style (pick a serial plan first,
-// then parallelize and schedule it) and Hasan's refinement that accounts for
-// repartitioning (communication) cost when choosing the plan, treating the
-// partitioning of a data stream as a physical property.
+// Package parallel is the parallel-database material of §7.1 of the paper as
+// a cost model: two-phase optimization in the XPRS style (pick a serial plan
+// first, then parallelize and schedule it) and Hasan's refinement that
+// accounts for repartitioning (communication) cost when choosing the plan,
+// treating the partitioning of a data stream as a physical property.
 //
-// Plans annotated by Parallelize run on exec's morsel-driven worker pool
-// (exec.Ctx.Parallelism). The Exchange operators this package inserts mark
-// where a stream's partitioning property changes and carry the modeled
-// communication cost of that change; they print in EXPLAIN with it. The
-// executor shares one address space, so no tuple crosses an exchange: it
-// forwards its input as is, and the operators above it do the partitioned
-// work on the workers — a shared hash table probed morsel-wise, thread-local
-// pre-aggregation folded at the barrier. What the paper charges for is what
-// processors that do not share memory would have to ship. The cost model here
-// remains the phase-one/phase-two modeling the paper describes; measured
-// wall-clock comparisons are experiment E21 and the analytic_mem workload.
+// The model is of processors that do not share memory and ship tuples to one
+// another: Parallelize walks a serial plan's partitioning properties and
+// charges a repartitioning wherever an operator needs its input partitioned
+// differently, and Segments/Makespan schedule the plan's pipelines on
+// processors. The engine's executor is not such a machine. Its morsel workers
+// share one address space and run the serial plan unchanged at every degree
+// (exec.Ctx.Parallelism); nothing here is on its path. The model is exercised
+// by experiments E17 and E21 and by this package's tests.
 package parallel
 
 import (
@@ -37,9 +34,13 @@ type Config struct {
 	CommCostPerRow float64
 }
 
-// Result is a parallelized plan with its modeled execution metrics.
+// Result is a serial plan's modeled parallel execution.
 type Result struct {
-	Plan physical.Plan // with Exchange operators inserted
+	// Plan is the input plan, unchanged: the executor runs the serial plan at
+	// every degree. It is kept only for the bench module's replica of the
+	// statement path (bench/trace.go), which runs what Parallelize returns,
+	// until ROADMAP item 1(b) deletes that replica.
+	Plan physical.Plan
 	// TotalWork is the sum of all operator costs (what a serial machine
 	// would pay, §7.1 footnote: parallelism may increase total work).
 	TotalWork float64
@@ -48,13 +49,12 @@ type Result struct {
 	// ResponseTime is the modeled parallel response time:
 	// partitionable work / degree + serial fractions + communication.
 	ResponseTime float64
-	// ExchangedRows counts rows crossing exchange boundaries.
+	// ExchangedRows counts rows the model ships between processors.
 	ExchangedRows float64
 }
 
 // annotated carries parallelization state up the tree.
 type annotated struct {
-	plan physical.Plan
 	// part is the hash-partitioning key of the stream (nil = arbitrary
 	// round-robin partitioning; the stream is still spread over workers).
 	part []logical.ColumnID
@@ -63,16 +63,19 @@ type annotated struct {
 	rows float64
 }
 
-// Parallelize inserts exchange operators into a serial plan and models its
-// parallel cost under the configuration.
+// Parallelize models the parallel cost of a serial plan under the
+// configuration: where the plan's partitioning properties force a
+// repartitioning, and what that and the work cost at the given degree. An
+// operator's work is the cost the optimizer estimated for it; model is not
+// consulted.
 func Parallelize(plan physical.Plan, cfg Config, model cost.Model) *Result {
 	if cfg.Degree < 1 {
 		cfg.Degree = 1
 	}
-	p := &parallelizer{cfg: cfg, model: model}
+	p := &parallelizer{cfg: cfg}
 	a := p.rec(plan)
 	return &Result{
-		Plan:          a.plan,
+		Plan:          plan,
 		TotalWork:     a.work,
 		CommCost:      a.comm,
 		ResponseTime:  a.work/float64(cfg.Degree) + a.comm,
@@ -82,29 +85,15 @@ func Parallelize(plan physical.Plan, cfg Config, model cost.Model) *Result {
 
 type parallelizer struct {
 	cfg           Config
-	model         cost.Model
 	exchangedRows float64
 }
 
-// exchange repartitions a stream onto the given key. Exchanges are
-// order-preserving: any ordering the input stream carries survives the
-// repartitioning through a merging fan-in, so ordering properties the serial
-// plan established (and operators above that rely on them, e.g. Limit under
-// ORDER BY) remain valid when the exchange is actually executed.
-func (p *parallelizer) exchange(a annotated, key []logical.ColumnID, mergeOrder logical.Ordering) annotated {
-	if len(mergeOrder) == 0 {
-		mergeOrder = a.plan.Ordering()
-	}
+// exchange charges repartitioning a stream onto the given key (nil: merging
+// sorted partitions into one ordered stream).
+func (p *parallelizer) exchange(a annotated, key []logical.ColumnID) annotated {
 	comm := a.rows * p.cfg.CommCostPerRow
 	p.exchangedRows += a.rows
-	ex := &physical.Exchange{
-		Props:         physical.Props{Rows: a.rows, Cost: planCost(a.plan) + comm},
-		Input:         a.plan,
-		PartitionCols: key,
-		Degree:        p.cfg.Degree,
-		MergeOrdering: mergeOrder,
-	}
-	return annotated{plan: ex, part: key, work: a.work, comm: a.comm + comm, rows: a.rows}
+	return annotated{part: key, work: a.work, comm: a.comm + comm, rows: a.rows}
 }
 
 func planCost(p physical.Plan) float64 {
@@ -141,121 +130,79 @@ func samePartition(a, b []logical.ColumnID) bool {
 	return true
 }
 
+// over extends the input's state by plan's own operator on top of it.
+func over(in annotated, plan physical.Plan) annotated {
+	return annotated{part: in.part, work: in.work + opCost(plan), comm: in.comm, rows: planRows(plan)}
+}
+
 func (p *parallelizer) rec(plan physical.Plan) annotated {
 	switch t := plan.(type) {
 	case *physical.TableScan, *physical.IndexScan, *physical.ValuesOp:
 		// Base data is horizontally partitioned round-robin.
-		return annotated{plan: plan, part: nil, work: planCost(plan), rows: planRows(plan)}
-	case *physical.Filter:
-		in := p.rec(t.Input)
-		np := *t
-		np.Input = in.plan
-		return annotated{plan: &np, part: in.part, work: in.work + opCost(plan), comm: in.comm, rows: planRows(plan)}
-	case *physical.Project:
-		in := p.rec(t.Input)
-		np := *t
-		np.Input = in.plan
-		return annotated{plan: &np, part: in.part, work: in.work + opCost(plan), comm: in.comm, rows: planRows(plan)}
+		return annotated{part: nil, work: planCost(plan), rows: planRows(plan)}
+	case *physical.Filter, *physical.Project, *physical.LimitOp, *physical.INLJoin:
+		// An index join's inner table is available on every worker (shared
+		// storage); its probes stay local.
+		return over(p.rec(physical.Children(plan)[0]), plan)
 	case *physical.Sort:
-		in := p.rec(t.Input)
-		np := *t
-		np.Input = in.plan
 		// Local sorts merge through an order-preserving exchange.
-		a := annotated{plan: &np, part: in.part, work: in.work + opCost(plan), comm: in.comm, rows: planRows(plan)}
-		return p.exchange(a, nil, t.By)
-	case *physical.LimitOp:
-		in := p.rec(t.Input)
-		np := *t
-		np.Input = in.plan
-		return annotated{plan: &np, part: in.part, work: in.work + opCost(plan), comm: in.comm, rows: planRows(plan)}
+		return p.exchange(over(p.rec(t.Input), plan), nil)
 	case *physical.HashJoin:
-		return p.recKeyJoin(plan, t.Left, t.Right, t.LeftKeys, t.RightKeys, func(l, r physical.Plan) physical.Plan {
-			np := *t
-			np.Left, np.Right = l, r
-			return &np
-		})
+		return p.recKeyJoin(plan, t.Left, t.Right, t.LeftKeys, t.RightKeys)
 	case *physical.MergeJoin:
-		return p.recKeyJoin(plan, t.Left, t.Right, t.LeftKeys, t.RightKeys, func(l, r physical.Plan) physical.Plan {
-			np := *t
-			np.Left, np.Right = l, r
-			return &np
-		})
+		return p.recKeyJoin(plan, t.Left, t.Right, t.LeftKeys, t.RightKeys)
 	case *physical.NLJoin:
 		l := p.rec(t.Left)
 		r := p.rec(t.Right)
 		// The inner is broadcast to every worker.
 		bcast := r.rows * float64(p.cfg.Degree-1) * p.cfg.CommCostPerRow
 		p.exchangedRows += r.rows * float64(p.cfg.Degree-1)
-		np := *t
-		np.Left, np.Right = l.plan, r.plan
 		return annotated{
-			plan: &np, part: l.part,
+			part: l.part,
 			work: l.work + r.work + opCost(plan),
 			comm: l.comm + r.comm + bcast,
 			rows: planRows(plan),
 		}
-	case *physical.INLJoin:
-		l := p.rec(t.Left)
-		// The inner table's index is available on every worker (shared
-		// storage); probes stay local.
-		np := *t
-		np.Left = l.plan
-		return annotated{plan: &np, part: l.part, work: l.work + opCost(plan), comm: l.comm, rows: planRows(plan)}
 	case *physical.HashGroupBy:
 		in := p.rec(t.Input)
 		if len(t.GroupCols) > 0 && !samePartition(in.part, t.GroupCols) {
-			in = p.exchange(in, t.GroupCols, nil)
+			in = p.exchange(in, t.GroupCols)
 		}
-		np := *t
-		np.Input = in.plan
-		return annotated{plan: &np, part: in.part, work: in.work + opCost(plan), comm: in.comm, rows: planRows(plan)}
+		return over(in, plan)
 	case *physical.StreamGroupBy:
 		in := p.rec(t.Input)
 		if len(t.GroupCols) > 0 && !samePartition(in.part, t.GroupCols) {
-			var ord logical.Ordering
-			for _, c := range t.GroupCols {
-				ord = append(ord, logical.OrderSpec{Col: c})
-			}
-			in = p.exchange(in, t.GroupCols, ord)
+			in = p.exchange(in, t.GroupCols)
 		}
-		np := *t
-		np.Input = in.plan
-		return annotated{plan: &np, part: in.part, work: in.work + opCost(plan), comm: in.comm, rows: planRows(plan)}
+		return over(in, plan)
 	case *physical.UnionAll:
 		// Both arms run partitioned; concatenation needs no repartitioning but
 		// destroys any arm-local partitioning property.
 		l := p.rec(t.Left)
 		r := p.rec(t.Right)
-		np := *t
-		np.Left, np.Right = l.plan, r.plan
 		return annotated{
-			plan: &np, part: nil,
+			part: nil,
 			work: l.work + r.work + opCost(plan),
 			comm: l.comm + r.comm,
 			rows: planRows(plan),
 		}
-	case *physical.Exchange:
-		in := p.rec(t.Input)
-		return p.exchange(in, t.PartitionCols, t.MergeOrdering)
 	}
 	panic(fmt.Sprintf("parallel: unknown operator %T", plan))
 }
 
 // recKeyJoin repartitions both inputs onto the join keys unless they already
 // carry the right partitioning (the physical-property view of Hasan).
-func (p *parallelizer) recKeyJoin(plan physical.Plan, left, right physical.Plan,
-	lKeys, rKeys []logical.ColumnID, rebuild func(l, r physical.Plan) physical.Plan) annotated {
+func (p *parallelizer) recKeyJoin(plan, left, right physical.Plan, lKeys, rKeys []logical.ColumnID) annotated {
 	l := p.rec(left)
 	r := p.rec(right)
 	if !samePartition(l.part, lKeys) {
-		l = p.exchange(l, lKeys, nil)
+		l = p.exchange(l, lKeys)
 	}
 	if !samePartition(r.part, rKeys) {
-		r = p.exchange(r, rKeys, nil)
+		r = p.exchange(r, rKeys)
 	}
-	np := rebuild(l.plan, r.plan)
 	return annotated{
-		plan: np, part: lKeys,
+		part: lKeys,
 		work: l.work + r.work + opCost(plan),
 		comm: l.comm + r.comm,
 		rows: planRows(plan),
@@ -265,7 +212,7 @@ func (p *parallelizer) recKeyJoin(plan physical.Plan, left, right physical.Plan,
 // --- Phase 2: processor scheduling ---
 
 // Segment is a pipelined fragment of the plan: a maximal chain of operators
-// between blocking boundaries (sorts, build sides, exchanges).
+// between blocking boundaries (sorts, build sides, aggregations, unions).
 type Segment struct {
 	ID   int
 	Work float64
@@ -308,9 +255,6 @@ func build(plan physical.Plan, segs *[]Segment) int {
 	case *physical.Sort:
 		in := build(t.Input, segs)
 		return newSeg(opCost(plan), name, in) // sort blocks the pipeline
-	case *physical.Exchange:
-		in := build(t.Input, segs)
-		return newSeg(opCost(plan), name, in)
 	case *physical.NLJoin:
 		l := build(t.Left, segs)
 		r := build(t.Right, segs) // inner materializes before the probe starts
@@ -332,6 +276,11 @@ func build(plan physical.Plan, segs *[]Segment) int {
 		return newSeg(opCost(plan), name, in)
 	case *physical.StreamGroupBy:
 		return extend(build(t.Input, segs), opCost(plan), name)
+	case *physical.UnionAll:
+		// The executor cuts a pipeline at a union: it runs after both arms.
+		l := build(t.Left, segs)
+		r := build(t.Right, segs)
+		return newSeg(opCost(plan), name, l, r)
 	}
 	panic(fmt.Sprintf("parallel: unknown operator %T", plan))
 }

@@ -77,19 +77,11 @@ func TestExchangeInsertedForGroupBy(t *testing.T) {
 	db.Analyze(stats.AnalyzeOptions{})
 	_, plan := serialPlan(t, db, "SELECT did, COUNT(*) FROM Emp GROUP BY did")
 	par := Parallelize(plan, Config{Degree: 4, CommCostPerRow: 0.001}, cost.DefaultModel())
-	exchanges := 0
-	var walk func(p physical.Plan)
-	walk = func(p physical.Plan) {
-		if _, ok := p.(*physical.Exchange); ok {
-			exchanges++
-		}
-		for _, c := range physical.Children(p) {
-			walk(c)
-		}
+	if par.ExchangedRows <= 0 || par.CommCost <= 0 {
+		t.Errorf("group-by should be charged a repartitioning: %+v\n%s", par, physical.Format(plan, nil))
 	}
-	walk(par.Plan)
-	if exchanges == 0 {
-		t.Errorf("group-by should require a repartitioning exchange:\n%s", physical.Format(par.Plan, nil))
+	if par.Plan != plan {
+		t.Error("Parallelize must return the serial plan it was given")
 	}
 }
 
@@ -134,29 +126,41 @@ func TestCommAwareBeatsXPRSUnderExpensiveComm(t *testing.T) {
 func TestSegmentsAndMakespan(t *testing.T) {
 	db := workload.EmpDept(workload.EmpDeptConfig{Emps: 4000, Depts: 80})
 	db.Analyze(stats.AnalyzeOptions{})
-	_, plan := serialPlan(t, db, `SELECT d.loc, COUNT(*) FROM Emp e, Dept d WHERE e.did = d.did GROUP BY d.loc`)
-	segs := Segments(plan)
-	if len(segs) < 2 {
-		t.Fatalf("expected multiple pipeline segments, got %d", len(segs))
-	}
-	total := 0.0
-	for _, s := range segs {
-		if s.Work < 0 {
-			t.Errorf("segment %d negative work", s.ID)
+	for _, qs := range []string{
+		`SELECT d.loc, COUNT(*) FROM Emp e, Dept d WHERE e.did = d.did GROUP BY d.loc`,
+		`SELECT e.did FROM Emp e UNION ALL SELECT d.did FROM Dept d`,
+	} {
+		_, plan := serialPlan(t, db, qs)
+		segs := Segments(plan)
+		if len(segs) < 2 {
+			t.Fatalf("expected multiple pipeline segments, got %d", len(segs))
 		}
-		total += s.Work
-	}
-	m1 := Makespan(segs, 1)
-	m4 := Makespan(segs, 4)
-	if m4 > m1 {
-		t.Errorf("more processors should not increase makespan: %v vs %v", m4, m1)
-	}
-	if m1 < total*0.99 {
-		t.Errorf("single processor makespan %v should be ~total work %v", m1, total)
-	}
-	// Precedence must be honored: makespan at infinite processors is at
-	// least the critical path, which is > 0.
-	if Makespan(segs, 1000) <= 0 {
-		t.Error("critical path should be positive")
+		// The executor cuts a pipeline at a union: it is a segment of its
+		// own that waits for both arms.
+		if _, ok := plan.(*physical.UnionAll); ok {
+			if root := segs[len(segs)-1]; len(root.DependsOn) != 2 || root.Ops[0] != "UnionAll" {
+				t.Errorf("union segment %+v: want UnionAll depending on both arms", root)
+			}
+		}
+		total := 0.0
+		for _, s := range segs {
+			if s.Work < 0 {
+				t.Errorf("segment %d negative work", s.ID)
+			}
+			total += s.Work
+		}
+		m1 := Makespan(segs, 1)
+		m4 := Makespan(segs, 4)
+		if m4 > m1 {
+			t.Errorf("more processors should not increase makespan: %v vs %v", m4, m1)
+		}
+		if m1 < total*0.99 {
+			t.Errorf("single processor makespan %v should be ~total work %v", m1, total)
+		}
+		// Precedence must be honored: makespan at infinite processors is at
+		// least the critical path, which is > 0.
+		if Makespan(segs, 1000) <= 0 {
+			t.Error("critical path should be positive")
+		}
 	}
 }

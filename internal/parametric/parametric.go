@@ -186,8 +186,6 @@ func Signature(p physical.Plan) string {
 			sb.WriteString("limit(")
 		case *physical.ValuesOp:
 			sb.WriteString("values")
-		case *physical.Exchange:
-			sb.WriteString("exchange(")
 		}
 		for _, sub := range physical.Subqueries(p) {
 			if body, ok := sub.Body.(physical.Plan); ok {

@@ -83,21 +83,6 @@ func fmtDescribe(p Plan, md *logical.Metadata) string {
 		return "stream-group-by"
 	case *LimitOp:
 		return fmt.Sprintf("limit %d", t.N)
-	case *Exchange:
-		s := fmt.Sprintf("exchange degree=%d", t.Degree)
-		if len(t.PartitionCols) > 0 {
-			parts := make([]string, len(t.PartitionCols))
-			for i, c := range t.PartitionCols {
-				parts[i] = logical.FormatScalar(&logical.Col{ID: c}, md)
-			}
-			s += " hash(" + strings.Join(parts, ",") + ")"
-		} else {
-			s += " round-robin"
-		}
-		if len(t.MergeOrdering) > 0 {
-			s += " merge " + fmtOrdering(t.MergeOrdering)
-		}
-		return s
 	case *UnionAll:
 		return "union-all"
 	}
@@ -124,15 +109,15 @@ func TestFormatMatchesFmt(t *testing.T) {
 	by := logical.Ordering{{Col: a}, {Col: b, Desc: true}}
 	values := &ValuesOp{Cols: []logical.ColumnID{a}, Rows: [][]logical.Scalar{{&logical.Const{Val: datum.NewInt(1)}}, {&logical.Const{Val: datum.Null}}}}
 	var plan Plan = &UnionAll{
-		Left: &LimitOp{N: math.MaxInt64, Input: &Exchange{Degree: 4, PartitionCols: []logical.ColumnID{a, b}, MergeOrdering: by,
+		Left: &LimitOp{N: math.MaxInt64,
 			Input: &Sort{By: by, Input: &HashGroupBy{GroupCols: []logical.ColumnID{a},
 				Input: &NLJoin{Kind: logical.LeftOuterJoin, On: []logical.Scalar{cmp(logical.CmpEq, a, 7)},
 					Left:  &HashJoin{Kind: logical.SemiJoin, Left: &filtered, Right: &eqRange},
-					Right: &MergeJoin{Kind: logical.FullOuterJoin, Left: &rangeOnly, Right: values}}}}}},
-		Right: &LimitOp{N: 10, Input: &Exchange{Degree: 2, Input: &StreamGroupBy{
+					Right: &MergeJoin{Kind: logical.FullOuterJoin, Left: &rangeOnly, Right: values}}}}},
+		Right: &LimitOp{N: 10, Input: &StreamGroupBy{
 			Input: &Filter{Preds: filtered.Filter, Input: &Project{Input: &NLJoin{Kind: logical.AntiJoin,
 				Left:  &INLJoin{Kind: logical.InnerJoin, Left: scan, Table: ixScan.Table, Index: ixScan.Index},
-				Right: ixScan}}}}}},
+				Right: ixScan}}}}},
 	}
 	ests := []float64{0, math.Copysign(0, -1), 0.5, 1.5, 2.5, 0.05, 0.25, 1e300, -1e300, math.NaN(), math.Inf(1), math.Inf(-1), 123456789.987, 4.4e-9}
 	var nodes []Plan
@@ -153,8 +138,8 @@ func TestFormatMatchesFmt(t *testing.T) {
 			t.Errorf("Describe = %q, fmt gives %q", got, want)
 		}
 	}
-	if len(seen) != 15 {
-		t.Fatalf("the plan covers %d node kinds, want all 15", len(seen))
+	if len(seen) != 14 {
+		t.Fatalf("the plan covers %d node kinds, want all 14", len(seen))
 	}
 	if got, want := Format(plan, md), fmtFormat(plan, md); got != want {
 		t.Errorf("Format:\n%s\nfmt gives:\n%s", got, want)

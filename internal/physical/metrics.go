@@ -44,9 +44,8 @@ type NodeMetrics struct {
 	Spills int64
 	// SpillBytes is the total bytes written to those temp files.
 	SpillBytes int64
-	// WorkerRows are per-worker processed-row counts for parallel operators
-	// (for a hash Exchange, the rows each of its partitions would receive) —
-	// non-uniform values expose partition skew.
+	// WorkerRows are the rows each worker processed in this node when it ran
+	// on more than one worker — non-uniform values expose morsel skew.
 	WorkerRows []int64
 	// SegmentsRead / SegmentsPruned count disk-backed columnar segments a
 	// scan actually opened vs eliminated by zone maps without touching disk.

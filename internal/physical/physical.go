@@ -406,26 +406,6 @@ func (u *UnionAll) Columns() []logical.ColumnID { return u.Cols }
 // Ordering: concatenation destroys order.
 func (u *UnionAll) Ordering() logical.Ordering { return nil }
 
-// Exchange models a parallel repartitioning boundary (§7.1): its input runs
-// partitioned Degree ways on PartitionCols and is re-merged or re-hashed.
-type Exchange struct {
-	Props
-	Input Plan
-	// PartitionCols is the hash-partitioning key (empty = round robin).
-	PartitionCols []logical.ColumnID
-	Degree        int
-	// MergeOrdering, when set, merges sorted streams preserving the order.
-	MergeOrdering logical.Ordering
-}
-
-func (*Exchange) phys() {}
-
-// Columns passes through.
-func (e *Exchange) Columns() []logical.ColumnID { return e.Input.Columns() }
-
-// Ordering: only preserved when merging sorted streams.
-func (e *Exchange) Ordering() logical.Ordering { return e.MergeOrdering }
-
 // Subqueries returns the subqueries in p's own scalars — not in its inputs,
 // nor in the subqueries' bodies.
 func Subqueries(p Plan) []*logical.Subquery {
@@ -498,8 +478,6 @@ func Children(p Plan) []Plan {
 	case *StreamGroupBy:
 		return []Plan{t.Input}
 	case *LimitOp:
-		return []Plan{t.Input}
-	case *Exchange:
 		return []Plan{t.Input}
 	case *UnionAll:
 		return []Plan{t.Left, t.Right}
@@ -736,25 +714,6 @@ func (w *planWriter) describe(p Plan, md *logical.Metadata) {
 	case *LimitOp:
 		sb.WriteString("limit ")
 		sb.WriteString(strconv.FormatInt(t.N, 10))
-	case *Exchange:
-		sb.WriteString("exchange degree=")
-		sb.WriteString(strconv.Itoa(t.Degree))
-		if len(t.PartitionCols) > 0 {
-			sb.WriteString(" hash(")
-			for i, c := range t.PartitionCols {
-				if i > 0 {
-					sb.WriteByte(',')
-				}
-				sb.WriteString(md.QualifiedName(c))
-			}
-			sb.WriteByte(')')
-		} else {
-			sb.WriteString(" round-robin")
-		}
-		if len(t.MergeOrdering) > 0 {
-			sb.WriteString(" merge ")
-			sb.WriteString(t.MergeOrdering.String())
-		}
 	case *UnionAll:
 		sb.WriteString("union-all")
 	default:

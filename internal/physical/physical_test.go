@@ -143,16 +143,8 @@ func TestFormatIncludesEstimates(t *testing.T) {
 	}
 }
 
-func TestExchangeAndLimit(t *testing.T) {
+func TestLimitAndValues(t *testing.T) {
 	_, scan, _ := fixturePlans()
-	ex := &Exchange{Input: scan, Degree: 4, MergeOrdering: logical.Ordering{{Col: scan.Cols[0]}}}
-	if len(ex.Ordering()) != 1 {
-		t.Error("merging exchange preserves order")
-	}
-	ex2 := &Exchange{Input: scan, Degree: 4}
-	if len(ex2.Ordering()) != 0 {
-		t.Error("hash exchange destroys order")
-	}
 	l := &LimitOp{Input: scan, N: 5}
 	if len(l.Columns()) != 2 || len(l.Ordering()) != 1 {
 		t.Error("limit passthrough wrong")

@@ -149,10 +149,6 @@ func (b binder) plan(p Plan) Plan {
 		cp.Left = b.plan(t.Left)
 		cp.Right = b.plan(t.Right)
 		return &cp
-	case *Exchange:
-		cp := *t
-		cp.Input = b.plan(t.Input)
-		return &cp
 	}
 	return p
 }

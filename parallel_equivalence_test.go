@@ -14,6 +14,9 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/exec"
+	"repro/internal/systemr"
 )
 
 // bigRandSchema is randSchema scaled past the morsel threshold (~2k rows).
@@ -184,15 +187,55 @@ func TestParallelAllNullAggregates(t *testing.T) {
 	}
 }
 
-// TestParallelExplainShowsExchanges: parallel engines plan Exchange operators
-// that show up in EXPLAIN output.
-func TestParallelExplainShowsExchanges(t *testing.T) {
-	e := bigRandSchema(t, Options{Optimizer: SystemR, Parallelism: 4}, 7)
-	plan, err := e.Explain("SELECT x.a, COUNT(*), SUM(x.f) FROM r x GROUP BY x.a")
-	if err != nil {
-		t.Fatal(err)
+// TestParallelismKeepsPlan: the degree belongs to the executor, not the plan.
+// An engine at Parallelism 4 explains every statement shape — a star join
+// with GROUP BY, ORDER BY ... LIMIT, a merge join, UNION ALL, a correlated
+// subquery — in the same text as one at Parallelism 1, and EXPLAIN ANALYZE at
+// 4 reports per-worker rows on the pipeline stages that fanned out.
+func TestParallelismKeepsPlan(t *testing.T) {
+	stmts := []string{
+		`SELECT u.s, t.s, COUNT(*), SUM(r.f) FROM r, t, u WHERE r.fk = t.pk AND r.a = u.pk AND u.a < 8 GROUP BY u.s, t.s`,
+		`SELECT r.pk, r.f FROM r WHERE r.a > 3 ORDER BY r.f DESC, r.pk LIMIT 10`,
+		`SELECT r.pk, t.a FROM r, t WHERE r.fk = t.pk AND r.a < 5`,
+		`SELECT r.a FROM r WHERE r.f > 0 UNION ALL SELECT t.a FROM t WHERE t.s = 'cat'`,
+		`SELECT t.pk FROM t WHERE t.a < 3 OR EXISTS (SELECT 1 FROM r WHERE r.fk = t.pk AND r.f > t.f)`,
 	}
-	if !strings.Contains(plan, "exchange") {
-		t.Errorf("parallel EXPLAIN lacks Exchange operators:\n%s", plan)
+	merge := systemr.Options{DisableHashJoin: true, DisableINLJoin: true}
+	for _, sro := range []systemr.Options{{}, merge} {
+		serial := bigRandSchema(t, Options{SystemR: sro}, 7)
+		par := bigRandSchema(t, Options{SystemR: sro, Parallelism: 4}, 7)
+		for _, q := range stmts {
+			want, err := serial.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := par.Explain(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%s\nParallelism 4 plans\n%s\nParallelism 1 plans\n%s", q, got, want)
+			}
+			if sro == merge && q == stmts[2] && !strings.Contains(got, "merge-inner") {
+				t.Errorf("want a merge join:\n%s", got)
+			}
+		}
+		_, pa, err := par.QueryAnalyze(stmts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fanned := 0
+		pa.Root.Walk(func(n *NodeAnalysis) {
+			var in int64
+			for _, w := range n.WorkerRows {
+				in += w
+			}
+			if len(n.WorkerRows) > 1 && in >= 2*exec.MorselSize {
+				fanned++
+			}
+		})
+		if fanned == 0 || !strings.Contains(pa.Text, "worker_rows=") {
+			t.Errorf("no pipeline stage reports worker_rows over %d input rows:\n%s", 2*exec.MorselSize, pa.Text)
+		}
 	}
 }

@@ -32,7 +32,6 @@ import (
 	"repro/internal/faultfs"
 	"repro/internal/logical"
 	"repro/internal/matview"
-	"repro/internal/parallel"
 	"repro/internal/physical"
 	"repro/internal/plancache"
 	"repro/internal/qgm"
@@ -100,12 +99,10 @@ type Options struct {
 	// the same access paths and join methods (internal/implement).
 	Cascades cascadesopt.Options
 	// Parallelism > 1 runs the executor's morsel loops on that many workers
-	// (§7.1): optimized plans pass through parallel.Parallelize, which plans
-	// the Exchange operators — the partitioning boundaries and their modeled
-	// communication cost; in shared memory they move no rows — and execute on
-	// a shared worker pool of this degree. 0 or 1 runs the same loops on one
-	// worker, inline. Engines used with parallelism should be Closed to
-	// release the pool.
+	// of a shared pool; 0 or 1 runs the same loops on one worker, inline. The
+	// degree belongs to the executor, not the plan: the optimizer, the plan
+	// cache and EXPLAIN see the same plan at every degree. Engines used with
+	// parallelism should be Closed to release the pool.
 	Parallelism int
 	// MemBudget caps each query's working memory (hash-join builds,
 	// hash-aggregation tables, sort buffers) in modeled bytes. Operators that
@@ -718,8 +715,8 @@ type compiled struct {
 // plan can be re-bound later), normalizes and rewrites it (§4), adds its
 // materialized-view rewritings as alternatives (§7.3), optimizes every
 // alternative — the bodies of the subqueries the rewrites leave included —
-// and keeps the cheapest plan, then plans the exchanges (§7.1). Reference
-// mode stops after the rewrites. Callers hold the shared latch.
+// and keeps the cheapest plan. Reference mode stops after the rewrites.
+// Callers hold the shared latch.
 func (e *Engine) compile(sel *sql.SelectStmt, binds []datum.D) (*compiled, error) {
 	b := logical.NewBuilder(e.cat)
 	for _, u := range e.udfs {
@@ -760,16 +757,6 @@ func (e *Engine) compile(sel *sql.SelectStmt, binds []datum.D) (*compiled, error
 		if _, est := alt.plan.Estimate(); best == nil || est < bestCost {
 			best, bestCost = alt, est
 		}
-	}
-
-	// The exchanges are part of the plan: the plan cache keeps the
-	// parallelized plan, and BindParams copies Exchange nodes like any other.
-	if e.opts.Parallelism > 1 {
-		model := cost.DefaultModel()
-		best.plan = parallel.Parallelize(best.plan, parallel.Config{
-			Degree:         e.opts.Parallelism,
-			CommCostPerRow: model.CommCostPerRow,
-		}, model).Plan
 	}
 	return best, nil
 }

@@ -263,9 +263,11 @@ func TestDisableRewrites(t *testing.T) {
 }
 
 // TestOneStatementPath pins the one statement path: every SELECT — ad hoc,
-// EXPLAINed, analyzed or prepared — is rewritten, answered from views,
-// optimized and parallelized by the same calls, so each has exactly one call
-// site among the package's non-test files.
+// EXPLAINed, analyzed or prepared — is rewritten, answered from views and
+// optimized by the same calls, so each has exactly one call site among the
+// package's non-test files. No file imports internal/parallel: the degree of
+// parallelism is the executor's, and the statement path plans one plan for
+// every degree.
 func TestOneStatementPath(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -281,6 +283,11 @@ func TestOneStatementPath(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"repro/internal/parallel"` {
+				t.Errorf("%s imports internal/parallel", name)
+			}
+		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
@@ -291,7 +298,7 @@ func TestOneStatementPath(t *testing.T) {
 		})
 	}
 	for _, fn := range []string{"UnnestSubqueries", "AssociateJoinOuterjoin", "MovePredicates", "PushDownGroupBy",
-		"RewriteWithViews", "optimizeOne", "Parallelize"} {
+		"RewriteWithViews", "optimizeOne"} {
 		if calls[fn] != 1 {
 			t.Errorf("%s has %d call sites, want 1", fn, calls[fn])
 		}
