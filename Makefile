@@ -29,8 +29,8 @@ bench-module-check:
 # count may not exceed NONTEST_LOC_CEILING, so neither can creep back up
 # unnoticed; `make check` runs this. A change that shrinks either lowers its
 # ceiling to the new count.
-EXEC_LOC_CEILING := 5806
-NONTEST_LOC_CEILING := 31130
+EXEC_LOC_CEILING := 5805
+NONTEST_LOC_CEILING := 31113
 exec-loc:
 	@for d in internal/exec internal/storage; do \
 		echo "$$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)"; done
@@ -61,7 +61,10 @@ serving-bench:
 	go test -run '^$$' -bench 'BenchmarkPreparedExec' -benchmem -benchtime $(SERVING_BENCHTIME) .
 
 # Executor and index micro-benchmarks. In internal/exec: hash aggregation at
-# 8 / 1000 / 20 000 groups over one and three keys, FLOAT SUM aggregation at
+# 8 / 1000 / 20 000 groups over one and three keys, over the 8 values of a
+# dictionary-coded key, and at 20 000 groups under a one-group estimate, whose
+# group memo is capped below the key's span so every morsel hashes (past-cap),
+# FLOAT SUM aggregation at
 # 1 / 1000 / 20 000 groups over money-like and wide-exponent values, the
 # selection, hash and SUM kernels on their own (BenchmarkKernelFilter,
 # among its cases a random 1-in-8 equality on INTs and on dictionary codes;

@@ -12,10 +12,10 @@ import (
 )
 
 // genericCompare is the order without the same-kind fast path: always
-// resolve the comparison family via rank(), then dispatch. Kept here as the
+// resolve the comparison family via Family(), then dispatch. Kept here as the
 // benchmark baseline and the reference the fast path must agree with.
 func genericCompare(a, b D) int {
-	ra, rb := rank(a.k), rank(b.k)
+	ra, rb := a.k.Family(), b.k.Family()
 	if ra != rb {
 		return cmp.Compare(ra, rb)
 	}

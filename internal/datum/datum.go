@@ -11,7 +11,6 @@ package datum
 import (
 	"cmp"
 	"fmt"
-	"hash/maphash"
 	"math"
 	"strconv"
 	"strings"
@@ -169,7 +168,7 @@ func (d D) Append(b []byte) []byte {
 // above FLOAT 2^53). It returns -1, 0 or +1. NULL sorts first and equals NULL
 // here; the three-valued logic of SQL comparisons lives above this layer.
 func Compare(a, b D) int {
-	// Same kind — the common case in sorts and key checks — skips rank()
+	// Same kind — the common case in sorts and key checks — skips Family()
 	// (BenchmarkDatumCompare measures the delta against the generic path).
 	if a.k == b.k {
 		switch a.k {
@@ -182,7 +181,7 @@ func Compare(a, b D) int {
 		}
 		return 0
 	}
-	if ra, rb := rank(a.k), rank(b.k); ra != rb {
+	if ra, rb := a.k.Family(), b.k.Family(); ra != rb {
 		return cmp.Compare(ra, rb)
 	}
 	if a.k == KindInt {
@@ -209,9 +208,9 @@ func CompareIntFloat(i int64, f float64) int {
 	return 0
 }
 
-// rank groups kinds into comparison families; INT and FLOAT share a family so
-// that 1 == 1.0.
-func rank(k Kind) int {
+// Family groups kinds into Compare's families, ordered NULL < BOOL < number
+// < STRING; INT and FLOAT share one so that 1 == 1.0.
+func (k Kind) Family() int {
 	switch k {
 	case KindNull:
 		return 0
@@ -229,30 +228,6 @@ func rank(k Kind) int {
 // grouping and duplicate elimination, which treat NULLs as equal per SQL).
 func Equal(a, b D) bool { return Compare(a, b) == 0 }
 
-var hashSeed = maphash.MakeSeed()
-
-// HashInto mixes the datum into h. Datums that compare equal hash equally:
-// numbers hash their HashBits, so 1 and 1.0, -0 and +0, and any two NaNs
-// collide.
-func (d D) HashInto(h *maphash.Hash) {
-	switch d.k {
-	case KindNull:
-		h.WriteByte(0)
-	case KindBool:
-		h.WriteByte(1)
-		h.WriteByte(byte(d.i))
-	case KindInt:
-		h.WriteByte(2)
-		writeUint64(h, HashBits(float64(d.i)))
-	case KindFloat:
-		h.WriteByte(2)
-		writeUint64(h, HashBits(d.f))
-	case KindString:
-		h.WriteByte(3)
-		h.WriteString(d.s)
-	}
-}
-
 // HashBits is the bit pattern a number hashes as: its float64 encoding with
 // -0 as +0 and every NaN as one NaN, so that numbers Compare calls equal hash
 // equally. An INT hashes as its float64, which is never -0 or NaN — 3 and 3.0
@@ -266,22 +241,6 @@ func HashBits(f float64) uint64 {
 		return 0x7ff8000000000001 // math.NaN()'s encoding
 	}
 	return math.Float64bits(f)
-}
-
-func writeUint64(h *maphash.Hash, v uint64) {
-	var buf [8]byte
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(v >> (8 * i))
-	}
-	h.Write(buf[:])
-}
-
-// Hash returns a hash of the datum, consistent with Equal.
-func (d D) Hash() uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	d.HashInto(&h)
-	return h.Sum64()
 }
 
 // Size returns the modeled width of the datum in bytes, used by the cost

@@ -220,17 +220,6 @@ func TestRowCloneConcat(t *testing.T) {
 	}
 }
 
-func TestRowHash(t *testing.T) {
-	a := Row{NewInt(1), NewString("x"), Null}
-	b := Row{NewString("x"), NewInt(1), Null}
-	if a.Hash([]int{0, 1, 2}) != b.Hash([]int{1, 0, 2}) {
-		t.Error("hash should agree on equal column sequences (NULL = NULL)")
-	}
-	if a.Hash([]int{0}) == b.Hash([]int{0}) {
-		t.Error("1 vs 'x' should hash apart")
-	}
-}
-
 func TestCompareRows(t *testing.T) {
 	a := Row{NewInt(1), NewInt(5)}
 	b := Row{NewInt(1), NewInt(3)}
@@ -395,4 +384,31 @@ func TestKeyOrderMatchesCompareKeys(t *testing.T) {
 // index dict.Vals, and NULL rows hold code 0 and are marked in nulls.
 func dictVec(n int, codes []int64, dict *StrDict, nulls Bitmap, numNulls int) *Vec {
 	return &Vec{kind: KindString, n: n, Ints: codes, Dict: dict, nulls: nulls, numNulls: numNulls}
+}
+
+// TestKeyHashSpreadsSmallIntKeys: the 1000 three-column keys (a, b, c) over
+// 0..9 get 1000 distinct finalized key hashes. Folding the raw float64 bits
+// of such small INTs into the FNV product, whose multiply carries a bit only
+// upward, left 976.
+func TestKeyHashSpreadsSmallIntKeys(t *testing.T) {
+	cols := make([][]int64, 3)
+	for k := 0; k < 1000; k++ {
+		cols[0], cols[1], cols[2] = append(cols[0], int64(k%10)), append(cols[1], int64(k/10%10)), append(cols[2], int64(k/100))
+	}
+	sel := make([]int32, 1000)
+	for i := range sel {
+		sel[i] = int32(i)
+	}
+	h := make([]uint64, 1000)
+	HashInit(h)
+	for _, c := range cols {
+		NewTypedVec(KindInt, 1000, c, nil, nil, nil, 0).HashInto(sel, h)
+	}
+	seen := map[uint64]bool{}
+	for _, x := range h {
+		seen[MixHash(x)] = true
+	}
+	if len(seen) != 1000 {
+		t.Fatalf("%d distinct hashes for 1000 keys", len(seen))
+	}
 }

@@ -1,9 +1,6 @@
 package datum
 
-import (
-	"hash/maphash"
-	"strings"
-)
+import "strings"
 
 // Row is a tuple of datums. Rows flow between physical operators and are
 // stored in heap tables.
@@ -45,17 +42,6 @@ func (r Row) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// Hash hashes the datums of r at the given column offsets; it is consistent
-// with equality of those columns under Equal.
-func (r Row) Hash(cols []int) uint64 {
-	var h maphash.Hash
-	h.SetSeed(hashSeed)
-	for _, c := range cols {
-		r[c].HashInto(&h)
-	}
-	return h.Sum64()
 }
 
 // SortSpec describes one sort key: a column offset and direction.

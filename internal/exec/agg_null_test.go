@@ -124,11 +124,11 @@ func testAggWorker(s *aggSink, in *Batch, sel []int32) *vecAggWorker {
 		wk.accs, wk.sigs = append(wk.accs, acc), append(wk.sigs, sig)
 	}
 	hs, gids := make([]uint64, len(sel)), make([]int32, len(sel))
-	hashInit(hs)
-	hashCombineVec(in.Vecs[0], sel, hs)
+	datum.HashInit(hs)
+	in.Vecs[0].HashInto(sel, hs)
 	wk.groups.bind(in.Vecs, []int{0})
 	for k, i := range sel {
-		gids[k] = wk.groups.assign(i, mixHash(hs[k]))
+		gids[k] = wk.groups.assign(i, datum.MixHash(hs[k]))
 	}
 	for ai, acc := range wk.accs {
 		acc.ensure(wk.groups.n, 0)

@@ -8,18 +8,6 @@ package exec
 
 import "repro/internal/datum"
 
-// mixHash is the 64-bit murmur finalizer. The key hash is FNV over a number's
-// float encoding, whose low mantissa bits are zero for small integers: only
-// the top bits of the product tell such keys apart, so a bucket or partition
-// index is always taken from the finalized hash. The finalizer is a
-// bijection, so finalized hashes are equal exactly when the raw ones are.
-func mixHash(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return h
-}
-
 // hashTable chains entries off a power-of-two bucket array. Links are stored
 // as entry+1 so the zero value is the empty chain.
 type hashTable struct {
@@ -86,28 +74,72 @@ func (t *hashTable) relink(nSlots int) {
 // keyMatch is a lookup's key equality: row i of the key columns looked up
 // against row j of the columns the entries' keys are in, equal when
 // datum.Compare calls every column equal (1 = 1.0, -0 = +0, NaN = NaN, NULL
-// = NULL; a join drops NULL keys before it looks up). One unboxed INT or BOOL
-// column on both sides, neither with a NULL when bound, compares as int64;
-// every other key — FLOAT, INT against FLOAT, dictionary codes, strings,
-// boxed vectors, several columns — compares under datum.KeyOrders.
+// = NULL; a join drops NULL keys before it looks up). One unboxed key column
+// of one representation on both sides, neither with a NULL when bound,
+// compares its payloads: INT, BOOL and codes of one shared dictionary as
+// int64, plain strings with ==. Every other key — FLOAT, INT against FLOAT,
+// strings under two dictionaries or against codes, boxed vectors, several
+// columns — compares under datum.KeyOrders.
 type keyMatch struct {
-	keys datum.KeyOrders
-	ints bool
+	keys       datum.KeyOrders
+	ints, strs bool
 }
 
 // bind aims key column k at the looked-up vector a and the entries' vector b;
 // a lookup binds every key column, in order, before it compares.
 func (m *keyMatch) bind(k int, a, b *datum.Vec) {
 	m.keys = append(m.keys[:k], datum.NewKeyOrder(a, b, false))
-	m.ints = len(m.keys) == 1 && a.Kind() == b.Kind() && (a.Kind() == datum.KindInt || a.Kind() == datum.KindBool) &&
-		!a.Boxed() && !b.Boxed() && !a.HasNulls() && !b.HasNulls()
+	one := len(m.keys) == 1 && a.Kind() == b.Kind() && a.Dict == b.Dict && !a.Boxed() && !b.Boxed() && !a.HasNulls() && !b.HasNulls()
+	m.ints = one && (a.Kind() == datum.KindInt || a.Kind() == datum.KindBool || a.Dict != nil)
+	m.strs = one && a.Kind() == datum.KindString && a.Dict == nil
 }
 
 // eq reports whether row i's key equals row j's.
 func (m *keyMatch) eq(i, j int) bool {
-	if m.ints {
-		a, b := m.keys[0].Vecs()
+	switch a, b := m.keys[0].Vecs(); {
+	case m.ints:
 		return a.Ints[i] == b.Ints[j]
+	case m.strs:
+		return a.Strs[i] == b.Strs[j]
 	}
 	return m.keys.Compare(i, j) == 0
+}
+
+// denseMap is a direct-mapped array over a range of keys, each key's slot
+// found by a range test and an offset instead of a hash: slots[k] is 1 + the
+// entry of key k, 0 where none. Its bytes are reserved on a memory account
+// while it is held. The join probe maps a unique dense build key through
+// one; the aggregation's group memo is one.
+type denseMap struct {
+	slots []int32
+	mem   *MemAccount
+	bytes int64 // reserved on mem
+}
+
+// hold makes slots d's array, reserved on mem under op, and reports whether
+// the account granted them; otherwise d is left empty. Whatever d held before
+// is released.
+func (d *denseMap) hold(mem *MemAccount, op string, slots []int32) bool {
+	d.release()
+	n := 4 * int64(len(slots))
+	if mem.Grow(op, n) != nil {
+		return false
+	}
+	d.slots, d.mem, d.bytes = slots, mem, n
+	return true
+}
+
+func (d *denseMap) release() {
+	d.mem.Shrink(d.bytes)
+	*d = denseMap{}
+}
+
+// intBounds returns the least and greatest of vals at the rows sel names,
+// which must not be empty.
+func intBounds(vals []int64, sel []int32) (lo, hi int64) {
+	lo, hi = vals[sel[0]], vals[sel[0]]
+	for _, i := range sel {
+		lo, hi = min(lo, vals[i]), max(hi, vals[i])
+	}
+	return lo, hi
 }

@@ -320,7 +320,7 @@ func (c *Ctx) openJoin(node physical.Plan) (*pipeline, error) {
 			return handOff(out), nil
 		}
 		ps := c.newProbeStage(t, rb, lOff, rOff)
-		held := buildBytes + ps.directBytes
+		held := buildBytes + ps.direct.bytes
 		pl.release = append(pl.release, func() { c.Mem.Shrink(held) })
 		c.noteMemBytes(held)
 		st = ps
@@ -366,17 +366,16 @@ func (c *Ctx) openJoin(node physical.Plan) (*pipeline, error) {
 // inner join without one emits its candidates as they come.
 //
 // A single INT build key whose entries are unique and dense is also mapped
-// directly: direct[k-lo] is 1 + the entry of key k in [lo, hi], 0 where no
-// entry has it. A left INT key then finds its one candidate, if any, by a
+// directly: direct.slots[k-lo] is 1 + the entry of key k in [lo, hi], 0 where
+// no entry has it. A left INT key then finds its one candidate, if any, by a
 // range test and an index, without hashing or walking a chain.
 type probeStage struct {
 	pairJoin
-	rKeys       []int
-	table       hashTable
-	buildRows   []int32 // per table entry: its row in right
-	direct      []int32
-	lo, hi      int64
-	directBytes int64 // direct's reservation on the memory account
+	rKeys     []int
+	table     hashTable
+	buildRows []int32 // per table entry: its row in right
+	direct    denseMap
+	lo, hi    int64
 }
 
 // newProbeStage builds t's hash table over the build rows right: entry e of
@@ -396,13 +395,13 @@ func (c *Ctx) newProbeStage(t *physical.HashJoin, right *Batch, lOff, rOff []int
 		chunk := live[lo:min(lo+MorselSize, nr)]
 		hs := pw.hashes(len(chunk))
 		for _, ro := range rOff {
-			hashCombineVec(right.Vecs[ro], chunk, hs)
+			right.Vecs[ro].HashInto(chunk, hs)
 		}
 		for k, ri := range chunk {
 			if rNullable && vecNullAt(right.Vecs, rOff, int(ri)) {
 				continue // NULL keys never match; FullOuter emits them after the probe
 			}
-			st.table.hash = append(st.table.hash, mixHash(hs[k]))
+			st.table.hash = append(st.table.hash, datum.MixHash(hs[k]))
 			st.buildRows = append(st.buildRows, ri)
 		}
 	}
@@ -413,7 +412,7 @@ func (c *Ctx) newProbeStage(t *physical.HashJoin, right *Batch, lOff, rOff []int
 	return st
 }
 
-// mapDirect builds p.direct when the build key is one unboxed INT column
+// mapDirect fills p.direct when the build key is one unboxed INT column
 // whose entries are unique and span (max − min, taken as uint64, so MinInt64
 // to MaxInt64 does not overflow) fewer than four slots per entry, and the
 // array's bytes fit the memory account; otherwise every probe hashes.
@@ -425,10 +424,7 @@ func (p *probeStage) mapDirect(c *Ctx) {
 	if v.Boxed() || v.Kind() != datum.KindInt {
 		return
 	}
-	lo, hi := v.Ints[p.buildRows[0]], v.Ints[p.buildRows[0]]
-	for _, ri := range p.buildRows {
-		lo, hi = min(lo, v.Ints[ri]), max(hi, v.Ints[ri])
-	}
+	lo, hi := intBounds(v.Ints, p.buildRows)
 	span := uint64(hi) - uint64(lo)
 	if span >= 4*uint64(len(p.buildRows)) {
 		return
@@ -441,8 +437,8 @@ func (p *probeStage) mapDirect(c *Ctx) {
 		}
 		*slot = int32(e) + 1
 	}
-	if bytes := 4 * int64(len(direct)); c.Mem.Grow("hash join build", bytes) == nil {
-		p.direct, p.lo, p.hi, p.directBytes = direct, lo, hi, bytes
+	if p.direct.hold(c.Mem, "hash join build", direct) {
+		p.lo, p.hi = lo, hi
 	}
 }
 
@@ -451,12 +447,12 @@ func (p *probeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, err
 	chunk := pw.live(in)
 	var lk []int64 // the left key's payloads when it probes p.direct
 	var hs []uint64
-	if p.direct != nil && !in.Vecs[p.lKeys[0]].Boxed() && in.Vecs[p.lKeys[0]].Kind() == datum.KindInt {
+	if p.direct.slots != nil && !in.Vecs[p.lKeys[0]].Boxed() && in.Vecs[p.lKeys[0]].Kind() == datum.KindInt {
 		lk = in.Vecs[p.lKeys[0]].Ints
 	} else {
 		hs = pw.hashes(len(chunk))
 		for k, lo := range p.lKeys {
-			hashCombineVec(in.Vecs[lo], chunk, hs)
+			in.Vecs[lo].HashInto(chunk, hs)
 			sc.keys.bind(k, in.Vecs[lo], p.right.Vecs[p.rKeys[k]])
 		}
 	}
@@ -470,10 +466,10 @@ func (p *probeStage) run(wc *Ctx, pw *pipeWorker, w int, in *Batch) (*Batch, err
 			var h uint64
 			e := int32(-1)
 			if lk == nil {
-				h = mixHash(hs[k])
+				h = datum.MixHash(hs[k])
 				e = build.first(h)
 			} else if x := lk[li]; x >= p.lo && x <= p.hi {
-				e = p.direct[uint64(x)-uint64(p.lo)] - 1
+				e = p.direct.slots[uint64(x)-uint64(p.lo)] - 1
 			}
 			for ; e >= 0; e = build.after(e) {
 				ri := p.buildRows[e]

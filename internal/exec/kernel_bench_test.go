@@ -116,6 +116,18 @@ func BenchmarkKernelGroupBy(b *testing.B) {
 				f.run(b, plan, groups)
 			})
 		}
+		switch groups {
+		case 8: // the dictionary-coded s, whose 8 values are the groups at any count
+			b.Run("groups=8/keys=dict", func(b *testing.B) {
+				plan := &physical.HashGroupBy{Props: physical.Props{Rows: 8}, Input: f.fScan, GroupCols: f.fc[5:6], Aggs: aggs}
+				f.run(b, plan, 8)
+			})
+		case 20000: // an estimate of one group caps the memo below g's span: every morsel hashes
+			b.Run("groups=20000/keys=1/past-cap", func(b *testing.B) {
+				plan := &physical.HashGroupBy{Props: physical.Props{Rows: 1}, Input: f.fScan, GroupCols: f.fc[0:1], Aggs: aggs}
+				f.run(b, plan, groups)
+			})
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Typed kernels: predicate filtering over raw []int64/[]float64/[]string
-// column slices writing selection vectors, hash computation for join and
-// aggregation probes, and the accumulate loops of SUM/COUNT/MIN/MAX/AVG.
+// column slices writing selection vectors, and the accumulate loops of
+// SUM/COUNT/MIN/MAX/AVG (key hashing is datum's, Vec.HashInto).
 // Every kernel replicates the row accumulators' and the reference
 // evaluator's SQL semantics exactly — three-valued comparison (a NULL operand
 // is never TRUE) over datum.Compare's one total order (1 = 1.0, -0 = +0, NaN
@@ -136,21 +136,6 @@ func b2i(b bool) int {
 	return 0
 }
 
-// family mirrors datum.Compare's rank(): NULL < BOOL < numeric < STRING.
-func family(k datum.Kind) int {
-	switch k {
-	case datum.KindNull:
-		return 0
-	case datum.KindBool:
-		return 1
-	case datum.KindInt, datum.KindFloat:
-		return 2
-	case datum.KindString:
-		return 3
-	}
-	return 4
-}
-
 // applyPred refines sel by one compiled predicate, appending survivors to
 // out (which must be empty) and returning it.
 func applyPred(b *Batch, p compiledPred, sel []int32, out []int32) []int32 {
@@ -184,7 +169,7 @@ func applyPred(b *Batch, p compiledPred, sel []int32, out []int32) []int32 {
 // selColConst selects rows where col op const is TRUE.
 func selColConst(v *datum.Vec, op logical.CmpOp, c datum.D, sel, out []int32) []int32 {
 	vk := v.Kind()
-	if !v.Boxed() && vk != c.Kind() && family(vk) == family(c.Kind()) && !numericAs(&c, vk) {
+	if !v.Boxed() && vk != c.Kind() && vk.Family() == c.Kind().Family() && !numericAs(&c, vk) {
 		return selIntFloatConst(v, op, c, sel, out)
 	}
 	if v.Boxed() {
@@ -198,11 +183,11 @@ func selColConst(v *datum.Vec, op logical.CmpOp, c datum.D, sel, out []int32) []
 	if vk == datum.KindNull {
 		return out
 	}
-	if family(vk) != family(c.Kind()) {
+	if vk.Family() != c.Kind().Family() {
 		// Cross-family comparisons have a fixed outcome for every non-NULL
 		// value (datum.Compare orders whole families), so the predicate
 		// collapses to "IS NOT NULL" or "never".
-		if cmpMatches(op, cmp.Compare(family(vk), family(c.Kind()))) {
+		if cmpMatches(op, cmp.Compare(vk.Family(), c.Kind().Family())) {
 			for _, i := range sel {
 				if !v.Null(int(i)) {
 					out = append(out, i)
@@ -282,8 +267,8 @@ func selColCol(a, b *datum.Vec, op logical.CmpOp, sel, out []int32) []int32 {
 		switch {
 		case ak == datum.KindNull || bk == datum.KindNull:
 			return out
-		case family(ak) != family(bk):
-			if cmpMatches(op, cmp.Compare(family(ak), family(bk))) {
+		case ak.Family() != bk.Family():
+			if cmpMatches(op, cmp.Compare(ak.Family(), bk.Family())) {
 				for _, i := range sel {
 					if !a.Null(int(i)) && !b.Null(int(i)) {
 						out = append(out, i)
@@ -396,106 +381,6 @@ func selOrd2[T int64 | float64 | string](a, b []T, an, bn datum.Bitmap, op logic
 	return out
 }
 
-// --- hash kernels ---
-
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-func fnvMix(h, v uint64) uint64 { return (h ^ v) * fnvPrime64 }
-
-// hashInit resets the per-row hash accumulators.
-func hashInit(h []uint64) {
-	for i := range h {
-		h[i] = fnvOffset64
-	}
-}
-
-// hashCombineVec folds one key column into the per-row hashes. The encoding
-// mirrors datum.HashInto — a family tag, then INT and FLOAT both hashed as
-// datum.HashBits (an INT's float64 needs no canonical form: it is never -0 or
-// NaN) — so rows that compare equal (1 and 1.0, -0 and +0, two NaNs, NULL and
-// NULL) hash equal, exactly like the row engine's key hashing.
-func hashCombineVec(v *datum.Vec, sel []int32, h []uint64) {
-	if v.Boxed() || v.Kind() == datum.KindNull {
-		for k, i := range sel {
-			h[k] = hashCombineD(h[k], v.D(int(i)))
-		}
-		return
-	}
-	nulls := v.Nulls()
-	switch v.Kind() {
-	case datum.KindInt:
-		for k, i := range sel {
-			if nulls.Get(int(i)) {
-				h[k] = fnvMix(h[k], 0)
-			} else {
-				h[k] = fnvMix(fnvMix(h[k], 2), math.Float64bits(float64(v.Ints[i])))
-			}
-		}
-	case datum.KindFloat:
-		for k, i := range sel {
-			if nulls.Get(int(i)) {
-				h[k] = fnvMix(h[k], 0)
-			} else {
-				h[k] = fnvMix(fnvMix(h[k], 2), datum.HashBits(v.Floats[i]))
-			}
-		}
-	case datum.KindString:
-		// A dictionary column hashes the looked-up string, so its codes meet
-		// plain strings and other dictionaries on equal hashes.
-		for k, i := range sel {
-			switch {
-			case nulls.Get(int(i)):
-				h[k] = fnvMix(h[k], 0)
-			case v.Dict != nil:
-				h[k] = hashStr(h[k], v.Dict.Vals[v.Ints[i]])
-			default:
-				h[k] = hashStr(h[k], v.Strs[i])
-			}
-		}
-	case datum.KindBool:
-		for k, i := range sel {
-			if nulls.Get(int(i)) {
-				h[k] = fnvMix(h[k], 0)
-			} else {
-				h[k] = fnvMix(fnvMix(h[k], 1), uint64(v.Ints[i]))
-			}
-		}
-	}
-}
-
-// hashStr folds the string family tag and s's bytes into h.
-func hashStr(h uint64, s string) uint64 {
-	h = fnvMix(h, 3)
-	for j := 0; j < len(s); j++ {
-		h = fnvMix(h, uint64(s[j]))
-	}
-	return h
-}
-
-// hashCombineD is the boxed-representation fallback with the same encoding.
-func hashCombineD(h uint64, d datum.D) uint64 {
-	switch d.Kind() {
-	case datum.KindNull:
-		return fnvMix(h, 0)
-	case datum.KindBool:
-		var b uint64
-		if d.Bool() {
-			b = 1
-		}
-		return fnvMix(fnvMix(h, 1), b)
-	case datum.KindInt:
-		return fnvMix(fnvMix(h, 2), math.Float64bits(float64(d.Int())))
-	case datum.KindFloat:
-		return fnvMix(fnvMix(h, 2), datum.HashBits(d.Float()))
-	case datum.KindString:
-		return hashStr(h, d.Str())
-	}
-	return h
-}
-
 // --- aggregate accumulate kernels ---
 
 // vecAccumulator is one aggregate's state over all groups. accumulate is
@@ -598,7 +483,7 @@ func newVecAccumulator(item logical.AggItem, arg *datum.Vec) vecAccumulator {
 		case datum.KindFloat:
 			return &minmaxVecAcc[float64]{min: min, kind: k}
 		case datum.KindString:
-			return &minmaxStrVecAcc{min: min}
+			return &minmaxVecAcc[string]{min: min, kind: k}
 		}
 	}
 	// Combinations without a typed kernel (SUM over a string column, ...)
@@ -738,25 +623,19 @@ func (a *avgVecAcc) ensure(n, hint int) {
 }
 
 func (a *avgVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
-	nulls := v.Nulls()
 	if v.Kind() == datum.KindInt {
-		for k, i := range sel {
-			if nulls.Get(int(i)) {
-				continue
-			}
-			g := gids[k]
-			a.n[g]++
-			a.sums.add(g, float64(v.Ints[i]))
-		}
-		return
+		addAvg(a, payload[int64](v), v.Nulls(), sel, gids)
+	} else {
+		addAvg(a, payload[float64](v), v.Nulls(), sel, gids)
 	}
+}
+
+func addAvg[T int64 | float64](a *avgVecAcc, xs []T, nulls datum.Bitmap, sel []int32, gids []int32) {
 	for k, i := range sel {
-		if nulls.Get(int(i)) {
-			continue
+		if !nulls.Get(int(i)) {
+			a.n[gids[k]]++
+			a.sums.add(gids[k], float64(xs[i]))
 		}
-		g := gids[k]
-		a.n[g]++
-		a.sums.add(g, v.Floats[i])
 	}
 }
 
@@ -779,25 +658,14 @@ func (a *avgVecAcc) emit(n int) *datum.Vec {
 	return datum.NewTypedVec(datum.KindFloat, n, nil, vals, nil, nulls, nn)
 }
 
-// mergeMinMax folds another worker's per-group extremes into (any, vals) with
-// the accumulate loops' strict replacement.
-func mergeMinMax[T int64 | float64 | string](min bool, any []bool, vals []T, oAny []bool, oVals []T, gids []int32) {
-	for g, ok := range oAny {
-		if !ok {
-			continue
-		}
-		d, x := gids[g], oVals[g]
-		if !any[d] || (min && cmp.Less(x, vals[d])) || (!min && cmp.Less(vals[d], x)) {
-			any[d], vals[d] = true, x
-		}
-	}
-}
-
-// minmaxVecAcc tracks MIN/MAX over INT (or BOOL, stored 0/1) or FLOAT
-// columns. A group's value is replaced on a strict cmp.Less only, which
-// orders floats as datum.Compare does, so of equal values (-0 and +0) the
-// first stays, as in the row accumulator.
-type minmaxVecAcc[T int64 | float64] struct {
+// minmaxVecAcc tracks MIN/MAX over INT (or BOOL, stored 0/1), FLOAT or
+// VARCHAR columns. A group's value is replaced on a strict cmp.Less only,
+// which orders floats as datum.Compare does, so of equal values (-0 and +0)
+// the first stays, as in the row accumulator. A dictionary column's
+// candidates are read through the dictionary: the per-group best stays a
+// string, so batches carrying different dictionaries still fold into one
+// answer.
+type minmaxVecAcc[T int64 | float64 | string] struct {
 	min  bool
 	kind datum.Kind
 	any  []bool
@@ -809,18 +677,22 @@ func (a *minmaxVecAcc[T]) ensure(n, hint int) {
 }
 
 func (a *minmaxVecAcc[T]) accumulate(v *datum.Vec, sel []int32, gids []int32) {
-	nulls, xs := v.Nulls(), payload[T](v)
+	nulls, xs, codes := v.Nulls(), payload[T](v), []int64(nil)
+	if v.Dict != nil {
+		xs, codes = any(v.Dict.Vals).([]T), v.Ints
+	}
 	for k, i := range sel {
 		if nulls.Get(int(i)) {
 			continue
 		}
-		g := gids[k]
-		x := xs[i]
+		j := int64(i)
+		if codes != nil {
+			j = codes[i]
+		}
+		g, x := gids[k], xs[j]
 		if !a.any[g] {
 			a.any[g], a.vals[g] = true, x
-			continue
-		}
-		if (a.min && cmp.Less(x, a.vals[g])) || (!a.min && cmp.Less(a.vals[g], x)) {
+		} else if (a.min && cmp.Less(x, a.vals[g])) || (!a.min && cmp.Less(a.vals[g], x)) {
 			a.vals[g] = x
 		}
 	}
@@ -828,67 +700,34 @@ func (a *minmaxVecAcc[T]) accumulate(v *datum.Vec, sel []int32, gids []int32) {
 
 func (a *minmaxVecAcc[T]) merge(o vecAccumulator, gids []int32) {
 	b := o.(*minmaxVecAcc[T])
-	mergeMinMax(a.min, a.any, a.vals, b.any, b.vals, gids)
+	for g, ok := range b.any {
+		if d, x := gids[g], b.vals[g]; ok && (!a.any[d] || (a.min && cmp.Less(x, a.vals[d])) || (!a.min && cmp.Less(a.vals[d], x))) {
+			a.any[d], a.vals[d] = true, x
+		}
+	}
 }
 
 func (a *minmaxVecAcc[T]) emit(n int) *datum.Vec {
 	nulls, nn := nullsWhere(a.any, n)
-	if vals, ok := any(a.vals[:n]).([]float64); ok {
+	switch vals := any(a.vals[:n]).(type) {
+	case []float64:
 		return datum.NewTypedVec(a.kind, n, nil, vals, nil, nulls, nn)
+	case []string:
+		return datum.NewTypedVec(a.kind, n, nil, nil, vals, nulls, nn)
 	}
 	return datum.NewTypedVec(a.kind, n, any(a.vals[:n]).([]int64), nil, nil, nulls, nn)
 }
 
-// payload is v's typed payload: its INT (or BOOL) or its FLOAT values.
-func payload[T int64 | float64](v *datum.Vec) []T {
+// payload is v's typed payload: its INT (or BOOL), FLOAT or plain string
+// values.
+func payload[T int64 | float64 | string](v *datum.Vec) []T {
 	if xs, ok := any(v.Floats).([]T); ok {
 		return xs
 	}
-	return any(v.Ints).([]T)
-}
-
-// minmaxStrVecAcc tracks MIN/MAX over VARCHAR columns.
-type minmaxStrVecAcc struct {
-	min  bool
-	any  []bool
-	vals []string
-}
-
-func (a *minmaxStrVecAcc) ensure(n, hint int) {
-	a.any, a.vals = growTo(a.any, n, hint), growTo(a.vals, n, hint)
-}
-
-func (a *minmaxStrVecAcc) accumulate(v *datum.Vec, sel []int32, gids []int32) {
-	nulls := v.Nulls()
-	for k, i := range sel {
-		if nulls.Get(int(i)) {
-			continue
-		}
-		// A dictionary column's candidates are read through the dictionary:
-		// the per-group best stays a string, so batches carrying different
-		// dictionaries still fold into one answer.
-		g, x := gids[k], ""
-		if v.Dict != nil {
-			x = v.Dict.Vals[v.Ints[i]]
-		} else {
-			x = v.Strs[i]
-		}
-		if !a.any[g] {
-			a.any[g], a.vals[g] = true, x
-		} else if (a.min && x < a.vals[g]) || (!a.min && x > a.vals[g]) {
-			a.vals[g] = x
-		}
+	if xs, ok := any(v.Strs).([]T); ok {
+		return xs
 	}
-}
-
-func (a *minmaxStrVecAcc) merge(o vecAccumulator, gids []int32) {
-	b := o.(*minmaxStrVecAcc)
-	mergeMinMax(a.min, a.any, a.vals, b.any, b.vals, gids)
-}
-
-func (a *minmaxStrVecAcc) emit(n int) *datum.Vec {
-	nulls, nn := nullsWhere(a.any, n)
-	return datum.NewTypedVec(datum.KindString, n, nil, nil, a.vals[:n], nulls, nn)
+	return any(v.Ints).([]T)
 }
 
 // boxedVecAcc replays the row accumulators (agg.go) per value: the

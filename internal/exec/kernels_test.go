@@ -281,7 +281,7 @@ func TestFilterKernelSelColCol(t *testing.T) {
 }
 
 // TestHashKernelMatchesBoxed: the typed hash loops must produce exactly the
-// value hashCombineD produces for the reconstructed datum — that identity is
+// value datum.HashD produces for the reconstructed datum — that identity is
 // what makes the hash tables agree with the row-based spill partitioning.
 func TestHashKernelMatchesBoxed(t *testing.T) {
 	const n = 129
@@ -297,26 +297,26 @@ func TestHashKernelMatchesBoxed(t *testing.T) {
 			ds := nullPattern(pattern, dense)
 			vec := mkVec(ds...)
 			got := make([]uint64, n)
-			hashInit(got)
-			hashCombineVec(vec, sel, got)
+			datum.HashInit(got)
+			vec.HashInto(sel, got)
 			for k, i := range sel {
-				want := hashCombineD(fnvOffset64, vec.D(int(i)))
+				want := datum.HashD(datum.HashOffset, vec.D(int(i)))
 				if got[k] != want {
 					t.Fatalf("col %d pattern %s row %d: typed hash %x, boxed %x", ci, pattern, i, got[k], want)
 				}
 			}
 			// Empty selection vector: no accumulator is touched.
 			empty := []uint64{}
-			hashCombineVec(vec, nil, empty)
+			vec.HashInto(nil, empty)
 		}
 	}
 	// Values that compare equal hash equal across representations: 1 and 1.0.
 	iv, fv := mkVec(datum.NewInt(1)), mkVec(datum.NewFloat(1))
 	hi, hf := make([]uint64, 1), make([]uint64, 1)
-	hashInit(hi)
-	hashInit(hf)
-	hashCombineVec(iv, identSel(1), hi)
-	hashCombineVec(fv, identSel(1), hf)
+	datum.HashInit(hi)
+	datum.HashInit(hf)
+	iv.HashInto(identSel(1), hi)
+	fv.HashInto(identSel(1), hf)
 	if hi[0] != hf[0] {
 		t.Errorf("INT 1 and FLOAT 1.0 hash differently: %x vs %x", hi[0], hf[0])
 	}
@@ -489,8 +489,8 @@ func BenchmarkKernelHash(b *testing.B) {
 	b.SetBytes(int64(n * 8))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hashInit(h)
-		hashCombineVec(v, sel, h)
+		datum.HashInit(h)
+		v.HashInto(sel, h)
 	}
 }
 

@@ -467,9 +467,9 @@ func TestParallelKernelGroupByMatchesRowMode(t *testing.T) {
 		{ID: 113, Fn: logical.AggMax, Arg: arg(m)},
 		{ID: 114, Fn: logical.AggCount, Arg: arg(m)},
 	}
-	// The hash-table rows. Small non-negative integers hash to FNV products
-	// that differ only in their top bits, so dense keys all collide in a
-	// bucket index taken from the low bits; 70 000 distinct keys with no
+	// The hash-table rows. Dense small non-negative integers are the keys a
+	// bucket index taken from weakly mixed hash bits crowds into a few
+	// buckets; 70 000 distinct keys with no
 	// estimate grow the table from its minimum through a dozen resizes; the
 	// boxed key column holds NULL, NaN, both zeros (one group), 1 beside 1.0
 	// (one group), and around 2^53 an INT pair that hashes alike, of which

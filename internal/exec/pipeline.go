@@ -92,7 +92,7 @@ func (pw *pipeWorker) hashes(n int) []uint64 {
 		pw.hs = make([]uint64, pw.scratch(n))
 	}
 	hs := pw.hs[:n]
-	hashInit(hs)
+	datum.HashInit(hs)
 	return hs
 }
 

@@ -237,9 +237,9 @@ func TestHashProbeMatchesNestedLoopOracle(t *testing.T) {
 		c.Mem = NewMemAccount(0)
 		join := &physical.HashJoin{Kind: logical.InnerJoin, Left: l, Right: r, LeftKeys: lKeys, RightKeys: rKeys}
 		st := c.newProbeStage(join, rb, pc.keys, pc.keys)
-		if (st.direct != nil) != pc.direct || (st.direct != nil) != (st.directBytes > 0) || c.Mem.Peak() != st.directBytes {
+		if built := st.direct.slots != nil; built != pc.direct || built != (st.direct.bytes > 0) || c.Mem.Peak() != st.direct.bytes {
 			t.Fatalf("%s: direct map built %v with %d bytes charged (peak %d), want built %v",
-				pc.name, st.direct != nil, st.directBytes, c.Mem.Peak(), pc.direct)
+				pc.name, built, st.direct.bytes, c.Mem.Peak(), pc.direct)
 		}
 		matches, hashOps := probeMatches(pc.left, pc.right, pc.keys)
 		for _, kind := range kinds {

@@ -234,9 +234,9 @@ const tagCol logical.ColumnID = 0
 func (c *Ctx) spillPartitions(b *Batch, keyOff []int, nParts int, spreadNulls bool) ([]*spillFile, error) {
 	live := new(pipeWorker).live(b)
 	hs := make([]uint64, len(live))
-	hashInit(hs)
+	datum.HashInit(hs)
 	for _, o := range keyOff {
-		hashCombineVec(b.Vecs[o], live, hs)
+		b.Vecs[o].HashInto(live, hs)
 	}
 	spreadNulls = spreadNulls && keyNullable(b.Vecs, keyOff)
 	part := make([]uint8, len(live))
@@ -244,7 +244,7 @@ func (c *Ctx) spillPartitions(b *Batch, keyOff []int, nParts int, spreadNulls bo
 		if spreadNulls && vecNullAt(b.Vecs, keyOff, int(i)) {
 			part[k] = uint8(k % nParts)
 		} else {
-			part[k] = uint8((mixHash(hs[k]) >> 32) * uint64(nParts) >> 32)
+			part[k] = uint8((datum.MixHash(hs[k]) >> 32) * uint64(nParts) >> 32)
 		}
 	}
 	ids := make([]int64, b.n)
@@ -375,7 +375,7 @@ func (c *Ctx) joinPartition(part *physical.HashJoin, build, probe *spillFile, lO
 		return nil, err
 	}
 	st := c.newProbeStage(part, right, lOff, rOff)
-	defer c.Mem.Shrink(st.directBytes)
+	defer st.direct.release()
 	out, err := c.spillPipeline(part.Left, left).add(part, st).collect()
 	if err != nil || part.Kind != logical.FullOuterJoin {
 		return out, err

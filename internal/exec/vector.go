@@ -19,6 +19,7 @@ package exec
 
 import (
 	"errors"
+	"math"
 	"slices"
 
 	"repro/internal/datum"
@@ -69,9 +70,10 @@ func vecNullAt(vecs []*datum.Vec, offs []int, i int) bool {
 // is created, in the representation its first source had (codes under the
 // source's dictionary included). Groups are charged to the memory account
 // once per morsel, each with its key bytes, a per-entry overhead and a fixed
-// cost per aggregate.
+// cost per aggregate. In front of the table sits the group memo.
 type vecGroups struct {
 	table   hashTable
+	memo    groupMemo
 	n       int // groups; a scalar aggregation's one group always exists
 	keyCols []*datum.Vec
 	keys    keyMatch // the key columns being assigned from against keyCols
@@ -94,7 +96,7 @@ func newVecGroups(nKeys, nAggs, hint int, mem *MemAccount) vecGroups {
 	// A table sized for hint groups holds that many without reallocating.
 	g.table.hash = make([]uint64, 0, hint)
 	g.table.relink(hint)
-	g.keyCols = make([]*datum.Vec, nKeys)
+	g.keyCols, g.memo.cols = make([]*datum.Vec, nKeys), make([]memoCol, nKeys)
 	return g
 }
 
@@ -106,6 +108,139 @@ func (g *vecGroups) bind(vecs []*datum.Vec, keyOff []int) {
 		}
 		g.keys.bind(kc, vecs[ko], g.keyCols[kc])
 	}
+}
+
+// assignHashed assigns the rows named by rows their groups through the hash
+// table, out[k] the group of rows[k]; out may be rows itself.
+func (g *vecGroups) assignHashed(pw *pipeWorker, vecs []*datum.Vec, keyOff []int, rows, out []int32) {
+	hs := pw.hashes(len(rows))
+	for _, o := range keyOff {
+		vecs[o].HashInto(rows, hs)
+	}
+	for k, i := range rows {
+		out[k] = g.assign(i, datum.MixHash(hs[k]))
+	}
+}
+
+// groupMemo is a direct-mapped cache in front of the group table. For a
+// morsel whose key columns are all unboxed, NULL-free INT or BOOL payloads or
+// dictionary codes, a row's packed code — the mixed-radix sum over the key
+// columns of (v − lo) — indexes slots, which hold 1 + its group id: no hash
+// is computed. The table stays authoritative: a miss is hashed and looked up
+// there, then fills its slot. A key outside the memo's range widens it to the
+// union, padding the grown columns so that rising keys widen it a logarithmic
+// number of times; another dictionary or kind restarts it at the morsel's
+// bounds. Either is a new, empty array of at most four slots per expected
+// group (or memoFloor). A morsel that would need more, or whose keys do not
+// qualify, goes through the table.
+type groupMemo struct {
+	denseMap
+	cols []memoCol
+	miss []int32 // a morsel's missed positions, then their rows
+}
+
+// memoCol is a key column's memo range, radix and representation, morsel bounds and proposal.
+type memoCol struct {
+	lo, hi, mlo, mhi, nlo, nhi int64
+	stride                     int32
+	kind                       datum.Kind
+	dict                       *datum.StrDict
+}
+
+const memoFloor = 1024
+
+// assignMemo assigns the rows chunk their groups through the memo, gids[k]
+// chunk[k]'s, and reports whether the morsel qualified.
+func (g *vecGroups) assignMemo(pw *pipeWorker, vecs []*datum.Vec, keyOff []int, chunk, gids []int32) bool {
+	m := &g.memo
+	same := m.slots != nil
+	for c, o := range keyOff {
+		v := vecs[o]
+		if v.Boxed() || v.HasNulls() || (v.Kind() != datum.KindInt && v.Kind() != datum.KindBool && v.Dict == nil) {
+			return false
+		}
+		same = same && m.cols[c].kind == v.Kind() && m.cols[c].dict == v.Dict
+	}
+	if !same || !m.codes(vecs, keyOff, chunk, gids) {
+		for c, o := range keyOff {
+			m.cols[c].mlo, m.cols[c].mhi = intBounds(vecs[o].Ints, chunk)
+		}
+		n, ok := m.plan(same, uint64(max(4*g.hint, memoFloor)))
+		if !ok || 4*int64(n) > g.mem.Available() || !m.hold(g.mem, "hash aggregation", make([]int32, n)) {
+			return false
+		}
+		stride := int32(1)
+		for c, o := range keyOff {
+			mc := &m.cols[c]
+			mc.lo, mc.hi, mc.kind, mc.dict, mc.stride = mc.nlo, mc.nhi, vecs[o].Kind(), vecs[o].Dict, stride
+			stride *= int32(mc.hi - mc.lo + 1)
+		}
+		m.codes(vecs, keyOff, chunk, gids)
+	}
+	if m.miss = m.miss[:0]; cap(m.miss) < 2*len(chunk) {
+		m.miss = make([]int32, 0, 2*pw.scratch(len(chunk)))
+	}
+	for k, code := range gids {
+		if e := m.slots[code] - 1; e >= 0 {
+			gids[k] = e
+		} else {
+			m.miss = append(m.miss, int32(k))
+		}
+	}
+	n := len(m.miss)
+	for _, k := range m.miss[:n] {
+		m.miss = append(m.miss, chunk[k])
+	}
+	rows := m.miss[n:]
+	g.assignHashed(pw, vecs, keyOff, rows, rows)
+	for j, k := range m.miss[:n] {
+		m.slots[gids[k]], gids[k] = rows[j]+1, rows[j]
+	}
+	return true
+}
+
+// codes packs the keys of the rows chunk into gids and reports whether every
+// key lay in the memo's range; where one did not, gids holds no codes.
+func (m *groupMemo) codes(vecs []*datum.Vec, keyOff []int, chunk, gids []int32) bool {
+	clear(gids)
+	for c, o := range keyOff {
+		ints, mc, top := vecs[o].Ints, &m.cols[c], uint64(0)
+		for k, i := range chunk {
+			d := uint64(ints[i] - mc.lo) // below lo wraps past every span
+			top = max(top, d)
+			gids[k] += int32(d) * mc.stride
+		}
+		if top > uint64(mc.hi-mc.lo) {
+			return false
+		}
+	}
+	return true
+}
+
+// plan proposes each column's next range — the morsel's bounds, or with
+// grow their union with the memo's, a grown one extended by half its width
+// on each side where that stays within limit and int64 — and returns the
+// slot count, or false when even the bounds exceed limit.
+func (m *groupMemo) plan(grow bool, limit uint64) (uint64, bool) {
+	n := uint64(1)
+	for c := range m.cols {
+		mc := &m.cols[c]
+		lo, hi := mc.mlo, mc.mhi
+		if grow {
+			lo, hi = min(lo, mc.lo), max(hi, mc.hi)
+		}
+		w := uint64(hi - lo)
+		if w >= limit || n*(w+1) > limit {
+			return 0, false
+		}
+		if h := w/2 + 1; grow && (lo < mc.lo || hi > mc.hi) && n*(w+1+2*h) <= limit &&
+			uint64(lo)-1<<63 >= h && math.MaxInt64-uint64(hi) >= h {
+			lo, hi = lo-int64(h), hi+int64(h)
+		}
+		n *= uint64(hi-lo) + 1
+		mc.nlo, mc.nhi = lo, hi
+	}
+	return n, true
 }
 
 // assign returns the id of the group whose key is row i of the bound vectors
@@ -147,6 +282,7 @@ func (g *vecGroups) charge() error {
 }
 
 func (g *vecGroups) release() {
+	g.memo.release()
 	if g.charged > 0 {
 		g.mem.Shrink(g.charged)
 		g.charged = 0
@@ -359,13 +495,9 @@ func (s *aggSink) consume(wc *Ctx, pw *pipeWorker, w, _ int, b *Batch) error {
 	if len(s.keyOff) == 0 {
 		clear(gids)
 	} else {
-		hs := pw.hashes(len(chunk))
-		for _, ko := range s.keyOff {
-			hashCombineVec(b.Vecs[ko], chunk, hs)
-		}
 		wk.groups.bind(b.Vecs, s.keyOff)
-		for k, i := range chunk {
-			gids[k] = wk.groups.assign(i, mixHash(hs[k]))
+		if !wk.groups.assignMemo(pw, b.Vecs, s.keyOff, chunk, gids) {
+			wk.groups.assignHashed(pw, b.Vecs, s.keyOff, chunk, gids)
 		}
 		if err := wk.groups.charge(); err != nil {
 			return err
@@ -414,7 +546,7 @@ func (s *aggSink) run(c *Ctx, pl *pipeline) (*Batch, error) {
 			continue
 		}
 		tableRows += int64(wk.groups.n)
-		tableBytes += wk.groups.charged
+		tableBytes += wk.groups.charged + wk.groups.memo.bytes
 		if final == nil {
 			final = wk
 		} else if err := final.fold(wk); err != nil {

@@ -519,14 +519,10 @@ func (b *Builder) buildJoin(t *sql.JoinExpr, sc *scope, parent *scope) (RelExpr,
 // buildScalar translates an AST expression in the given scope. Aggregates are
 // rejected here; grouped contexts use buildGroupedScalar.
 func (b *Builder) buildScalar(e sql.Expr, sc *scope) (Scalar, error) {
+	if s, ok, err := b.structural(e, func(e sql.Expr) (Scalar, error) { return b.buildScalar(e, sc) }); ok {
+		return s, err
+	}
 	switch t := e.(type) {
-	case *sql.Lit:
-		return &Const{Val: t.Val}, nil
-	case *sql.Param:
-		if t.Ord < 1 || t.Ord > len(b.params) {
-			return nil, fmt.Errorf("logical: parameter $%d not bound (%d value(s) supplied)", t.Ord, len(b.params))
-		}
-		return &Const{Val: b.params[t.Ord-1], Param: t.Ord}, nil
 	case *sql.ColRef:
 		if sc.ambiguous(t.Table, t.Name) {
 			return nil, fmt.Errorf("logical: ambiguous column %q", t.String())
@@ -536,44 +532,6 @@ func (b *Builder) buildScalar(e sql.Expr, sc *scope) (Scalar, error) {
 			return nil, fmt.Errorf("logical: unknown column %q", t.String())
 		}
 		return &Col{ID: id}, nil
-	case *sql.BinExpr:
-		l, err := b.buildScalar(t.L, sc)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.buildScalar(t.R, sc)
-		if err != nil {
-			return nil, err
-		}
-		switch t.Op {
-		case sql.OpAnd:
-			return &And{L: l, R: r}, nil
-		case sql.OpOr:
-			return &Or{L: l, R: r}, nil
-		case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe, sql.OpLike:
-			return &Cmp{Op: cmpOpOf(t.Op), L: l, R: r}, nil
-		case sql.OpAdd, sql.OpSub, sql.OpMul, sql.OpDiv, sql.OpMod:
-			return &Arith{Op: arithOpOf(t.Op), L: l, R: r}, nil
-		}
-		return nil, fmt.Errorf("logical: unsupported operator %v", t.Op)
-	case *sql.NotExpr:
-		inner, err := b.buildScalar(t.E, sc)
-		if err != nil {
-			return nil, err
-		}
-		return &Not{E: inner}, nil
-	case *sql.NegExpr:
-		inner, err := b.buildScalar(t.E, sc)
-		if err != nil {
-			return nil, err
-		}
-		return &Arith{Op: ArithSub, L: &Const{Val: zeroFor(kindOf(inner, b.md))}, R: inner}, nil
-	case *sql.IsNullExpr:
-		inner, err := b.buildScalar(t.E, sc)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{E: inner, Negated: t.Negated}, nil
 	case *sql.BetweenExpr:
 		inner, err := b.buildScalar(t.E, sc)
 		if err != nil {
@@ -662,18 +620,15 @@ func (b *Builder) buildScalar(e sql.Expr, sc *scope) (Scalar, error) {
 // buildSubquery builds a nested SELECT as a Subquery scalar; correlated
 // references resolve through sc and are recorded as OuterCols.
 func (b *Builder) buildSubquery(sel *sql.SelectStmt, sc *scope) (*Subquery, error) {
-	inner := &scope{parent: sc}
-	// buildSelect wants the parent scope; the inner scope it creates will
-	// chain to sc. We pass sc directly.
+	// buildSelect chains the scope it creates to sc.
 	out, err := b.buildSelect(sel, sc)
 	if err != nil {
 		return nil, err
 	}
-	_ = inner
 	// Outer references were recorded on sc's child scopes during the build;
 	// recompute them as: columns referenced by the subplan that it does not
 	// itself produce.
-	free := freeCols(out.rel)
+	free := FreeCols(out.rel)
 	sub := &Subquery{Plan: out.rel, OuterCols: free}
 	if len(out.resultCols) > 0 {
 		sub.OutCol = out.resultCols[0]
@@ -681,8 +636,8 @@ func (b *Builder) buildSubquery(sel *sql.SelectStmt, sc *scope) (*Subquery, erro
 	return sub, nil
 }
 
-// freeCols returns columns referenced but not produced within the tree.
-func freeCols(e RelExpr) ColSet {
+// FreeCols returns columns referenced but not produced within the tree.
+func FreeCols(e RelExpr) ColSet {
 	var produced, referenced ColSet
 	VisitRel(e, func(n RelExpr) {
 		switch t := n.(type) {
@@ -714,9 +669,6 @@ func freeCols(e RelExpr) ColSet {
 	})
 	return referenced.Difference(produced)
 }
-
-// FreeCols is the exported form of freeCols for other packages.
-func FreeCols(e RelExpr) ColSet { return freeCols(e) }
 
 // collectAggCalls gathers aggregate FuncCalls from the SELECT list, HAVING
 // and ORDER BY.
@@ -897,87 +849,66 @@ func (b *Builder) buildGroupedScalar(e sql.Expr, sc *scope, post map[string]Colu
 		}
 	}
 	// Recurse structurally.
-	switch t := e.(type) {
-	case *sql.Lit:
-		return &Const{Val: t.Val}, nil
-	case *sql.Param:
-		if t.Ord < 1 || t.Ord > len(b.params) {
-			return nil, fmt.Errorf("logical: parameter $%d not bound (%d value(s) supplied)", t.Ord, len(b.params))
-		}
-		return &Const{Val: b.params[t.Ord-1], Param: t.Ord}, nil
-	case *sql.BinExpr:
-		l, err := b.buildGroupedScalar(t.L, sc, post)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.buildGroupedScalar(t.R, sc, post)
-		if err != nil {
-			return nil, err
-		}
-		switch t.Op {
-		case sql.OpAnd:
-			return &And{L: l, R: r}, nil
-		case sql.OpOr:
-			return &Or{L: l, R: r}, nil
-		case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe, sql.OpLike:
-			return &Cmp{Op: cmpOpOf(t.Op), L: l, R: r}, nil
-		default:
-			return &Arith{Op: arithOpOf(t.Op), L: l, R: r}, nil
-		}
-	case *sql.NotExpr:
-		inner, err := b.buildGroupedScalar(t.E, sc, post)
-		if err != nil {
-			return nil, err
-		}
-		return &Not{E: inner}, nil
-	case *sql.NegExpr:
-		inner, err := b.buildGroupedScalar(t.E, sc, post)
-		if err != nil {
-			return nil, err
-		}
-		return &Arith{Op: ArithSub, L: &Const{Val: zeroFor(kindOf(inner, b.md))}, R: inner}, nil
-	case *sql.IsNullExpr:
-		inner, err := b.buildGroupedScalar(t.E, sc, post)
-		if err != nil {
-			return nil, err
-		}
-		return &IsNull{E: inner, Negated: t.Negated}, nil
+	if s, ok, err := b.structural(e, func(e sql.Expr) (Scalar, error) { return b.buildGroupedScalar(e, sc, post) }); ok {
+		return s, err
 	}
 	return nil, fmt.Errorf("logical: expression %s is not derivable from GROUP BY", e)
 }
 
-func cmpOpOf(op sql.BinOp) CmpOp {
-	switch op {
-	case sql.OpEq:
-		return CmpEq
-	case sql.OpNe:
-		return CmpNe
-	case sql.OpLt:
-		return CmpLt
-	case sql.OpLe:
-		return CmpLe
-	case sql.OpGt:
-		return CmpGt
-	case sql.OpGe:
-		return CmpGe
-	case sql.OpLike:
-		return CmpLike
-	}
-	panic(fmt.Sprintf("not a comparison: %v", op))
-}
+var (
+	cmpOps = map[sql.BinOp]CmpOp{sql.OpEq: CmpEq, sql.OpNe: CmpNe, sql.OpLt: CmpLt, sql.OpLe: CmpLe,
+		sql.OpGt: CmpGt, sql.OpGe: CmpGe, sql.OpLike: CmpLike}
+	arithOps = map[sql.BinOp]ArithOp{sql.OpAdd: ArithAdd, sql.OpSub: ArithSub, sql.OpMul: ArithMul,
+		sql.OpDiv: ArithDiv, sql.OpMod: ArithMod}
+)
 
-func arithOpOf(op sql.BinOp) ArithOp {
-	switch op {
-	case sql.OpAdd:
-		return ArithAdd
-	case sql.OpSub:
-		return ArithSub
-	case sql.OpMul:
-		return ArithMul
-	case sql.OpDiv:
-		return ArithDiv
-	case sql.OpMod:
-		return ArithMod
+// structural builds the expressions both scalar builders build the same way
+// from their operands, which rec builds — literals, parameters, operators,
+// NOT, negation and IS NULL — and reports whether e is one.
+func (b *Builder) structural(e sql.Expr, rec func(sql.Expr) (Scalar, error)) (Scalar, bool, error) {
+	unary := func(x sql.Expr, mk func(Scalar) Scalar) (Scalar, bool, error) {
+		inner, err := rec(x)
+		if err != nil {
+			return nil, true, err
+		}
+		return mk(inner), true, nil
 	}
-	panic(fmt.Sprintf("not arithmetic: %v", op))
+	switch t := e.(type) {
+	case *sql.Lit:
+		return &Const{Val: t.Val}, true, nil
+	case *sql.Param:
+		if t.Ord < 1 || t.Ord > len(b.params) {
+			return nil, true, fmt.Errorf("logical: parameter $%d not bound (%d value(s) supplied)", t.Ord, len(b.params))
+		}
+		return &Const{Val: b.params[t.Ord-1], Param: t.Ord}, true, nil
+	case *sql.BinExpr:
+		l, err := rec(t.L)
+		if err != nil {
+			return nil, true, err
+		}
+		r, err := rec(t.R)
+		if err != nil {
+			return nil, true, err
+		}
+		if op, ok := cmpOps[t.Op]; ok {
+			return &Cmp{Op: op, L: l, R: r}, true, nil
+		}
+		if op, ok := arithOps[t.Op]; ok {
+			return &Arith{Op: op, L: l, R: r}, true, nil
+		}
+		switch t.Op {
+		case sql.OpAnd:
+			return &And{L: l, R: r}, true, nil
+		case sql.OpOr:
+			return &Or{L: l, R: r}, true, nil
+		}
+		return nil, true, fmt.Errorf("logical: unsupported operator %v", t.Op)
+	case *sql.NotExpr:
+		return unary(t.E, func(x Scalar) Scalar { return &Not{E: x} })
+	case *sql.NegExpr:
+		return unary(t.E, func(x Scalar) Scalar { return &Arith{Op: ArithSub, L: &Const{Val: zeroFor(kindOf(x, b.md))}, R: x} })
+	case *sql.IsNullExpr:
+		return unary(t.E, func(x Scalar) Scalar { return &IsNull{E: x, Negated: t.Negated} })
+	}
+	return nil, false, nil
 }

@@ -1104,8 +1104,8 @@ func zoneOf(v *datum.Vec) (nullCount int, hasZone bool, minD, maxD datum.D, sket
 }
 
 // sketchHash is a deterministic FNV-1a over a family tag plus a canonical
-// payload. It must be stable across processes (sketches are persisted), so it
-// cannot use datum.Hash's per-process maphash seed. Numerics hash their
+// payload. It must be stable across processes and builds (sketches are
+// persisted), so it does not follow datum's key hash. Numerics hash their
 // datum.HashBits so 1 and 1.0, -0 and +0, or two NaNs count as one distinct
 // value, as datum.Compare calls them equal.
 func sketchHash(d datum.D) uint64 {
