@@ -30,7 +30,7 @@ bench-module-check:
 # unnoticed; `make check` runs this. A change that shrinks either lowers its
 # ceiling to the new count.
 EXEC_LOC_CEILING := 5805
-NONTEST_LOC_CEILING := 31113
+NONTEST_LOC_CEILING := 31097
 exec-loc:
 	@for d in internal/exec internal/storage; do \
 		echo "$$d $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l)"; done
@@ -44,11 +44,13 @@ exec-loc:
 
 # Planner micro-benchmarks: one Optimize call (fresh estimator and optimizer
 # per statement, as the engine builds them) — System-R on the adhoc_planning
-# statement shapes, Cascades on a 7-way chain and a 3-dimension star — with
-# ns/op, B/op and allocs/op. PLAN_BENCHTIME=1x is the CI smoke setting.
+# statement shapes, Cascades on a 7-way chain and a 3-dimension star — and
+# the rewrite phase every optimizer runs first (BenchmarkOptimizeRewritePhase:
+# 2- to 7-way joins, a subquery, an INT star GROUP BY), with ns/op, B/op and
+# allocs/op. PLAN_BENCHTIME=1x is the CI smoke setting.
 PLAN_BENCHTIME ?= 1s
 plan-bench:
-	go test -run '^$$' -bench 'BenchmarkOptimize' -benchmem -benchtime $(PLAN_BENCHTIME) ./internal/systemr ./internal/cascades
+	go test -run '^$$' -bench 'BenchmarkOptimize' -benchmem -benchtime $(PLAN_BENCHTIME) ./internal/systemr ./internal/cascades ./internal/qgm
 
 # Prepared-statement serving micro-benchmarks: one cached execution of each
 # oltp_prepared template (PK point, secondary-index lookup, short range,

@@ -51,6 +51,9 @@ var testOnlyAllowed = map[string]string{
 	// parameters at run time; this copy-and-substitute is the oracle both
 	// are checked against.
 	"internal/physical.BindParams": "test oracle: parameter substitution",
+	// The logical tree's text: rewrite tests compare it before and after a
+	// rule (idempotence, one rule's effect); rules themselves report change.
+	"internal/logical.Format": "test oracle: logical tree text",
 	// Fault injection is a test harness: tests build injectors and hand
 	// them to the engine, and the crash matrix counts an operation's
 	// checks to enumerate its kill points.

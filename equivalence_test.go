@@ -353,7 +353,7 @@ func TestSubqueryShapesEquivalence(t *testing.T) {
 					if missing > 0 {
 						t.Errorf("%s: %d of %d subqueries carry no sub-plan", label, missing, subs)
 					}
-					if disable && kind != Starburst && subs == 0 {
+					if disable && subs == 0 {
 						t.Errorf("%s: rewrites off, yet no subquery is left", label)
 					}
 				}

@@ -2,13 +2,18 @@ package experiments
 
 import (
 	"fmt"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 )
 
 // TestAllExperimentsProduceTables is the harness's own regression net: every
-// experiment must run, produce rows, and uphold its headline invariant.
+// experiment must run, produce rows, and uphold its headline invariant. The
+// tables of E1–E20 must also read as docs/harness_output.txt records them,
+// so the file cannot drift from the code (regenerate it with `make
+// experiments`). None of E1–E20 varies between runs; E21 onwards report
+// wall-clock times, speedups and host facts, and are not compared.
 func TestAllExperimentsProduceTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are slow; skipped under -short")
@@ -17,7 +22,13 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 	if len(tables) != 28 {
 		t.Fatalf("expected 28 experiments, got %d", len(tables))
 	}
+	doc := harnessTables(t)
 	for _, tb := range tables {
+		if n, err := strconv.Atoi(tb.ID[1:]); err == nil && n <= 20 {
+			if got := strings.TrimRight(tb.Format(), "\n"); got != doc[tb.ID] {
+				t.Errorf("%s differs from docs/harness_output.txt (regenerate it with make experiments)\nfile:\n%s\nnow:\n%s", tb.ID, doc[tb.ID], got)
+			}
+		}
 		if tb.ID == "" || tb.Title == "" || tb.Claim == "" {
 			t.Errorf("%s: missing metadata", tb.ID)
 		}
@@ -33,6 +44,36 @@ func TestAllExperimentsProduceTables(t *testing.T) {
 			t.Errorf("%s: Format missing id", tb.ID)
 		}
 	}
+}
+
+// harnessTables reads the tables `make experiments` recorded in
+// docs/harness_output.txt, keyed by experiment ID: each runs from its
+// "E<n> — " title line up to the benchmark line that follows it.
+func harnessTables(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("../../docs/harness_output.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	var id string
+	var lines []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if i := strings.Index(line, " — "); i > 1 && line[0] == 'E' {
+			if _, err := strconv.Atoi(line[1:i]); err == nil {
+				id, lines = line[:i], nil
+			}
+		}
+		if id == "" {
+			continue
+		}
+		if strings.HasPrefix(line, "Benchmark") {
+			out[id], id = strings.TrimRight(strings.Join(lines, "\n"), "\n"), ""
+			continue
+		}
+		lines = append(lines, line)
+	}
+	return out
 }
 
 // TestHeadlineInvariants spot-checks the quantitative shape of key

@@ -461,7 +461,7 @@ func TestLikeMatching(t *testing.T) {
 func TestNormalizePushdown(t *testing.T) {
 	c := paperCatalog(t)
 	q := build(t, c, "SELECT e.name FROM Emp e, Dept d WHERE e.did = d.did AND e.sal > 10 AND d.loc = 'LA'")
-	q.Root = Normalize(q.Root, DefaultNormalize())
+	NormalizeQuery(q, DefaultNormalize())
 	// After pushdown the join should carry the equi-join predicate and each
 	// scan should sit under its local filter.
 	var join *Join
@@ -495,7 +495,7 @@ func TestNormalizeViewMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := build(t, c, "SELECT v.eid FROM v, Dept d WHERE v.did = d.did")
-	q.Root = Normalize(q.Root, DefaultNormalize())
+	NormalizeQuery(q, DefaultNormalize())
 	root := q.Root
 	if p, ok := root.(*Project); ok {
 		root = p.Input
@@ -517,7 +517,7 @@ func TestNormalizeViewMerge(t *testing.T) {
 func TestNormalizeOuterJoinSimplification(t *testing.T) {
 	c := paperCatalog(t)
 	q := build(t, c, `SELECT e.name FROM Emp e LEFT OUTER JOIN Dept d ON e.did = d.did WHERE d.budget > 100`)
-	q.Root = Normalize(q.Root, DefaultNormalize())
+	NormalizeQuery(q, DefaultNormalize())
 	var join *Join
 	VisitRel(q.Root, func(e RelExpr) {
 		if j, ok := e.(*Join); ok {
@@ -529,7 +529,7 @@ func TestNormalizeOuterJoinSimplification(t *testing.T) {
 	}
 	// IS NULL is not null-rejecting: LOJ must be preserved.
 	q = build(t, c, `SELECT e.name FROM Emp e LEFT OUTER JOIN Dept d ON e.did = d.did WHERE d.budget IS NULL`)
-	q.Root = Normalize(q.Root, DefaultNormalize())
+	NormalizeQuery(q, DefaultNormalize())
 	join = nil
 	VisitRel(q.Root, func(e RelExpr) {
 		if j, ok := e.(*Join); ok {
@@ -544,7 +544,7 @@ func TestNormalizeOuterJoinSimplification(t *testing.T) {
 func TestNormalizeConstantFolding(t *testing.T) {
 	c := paperCatalog(t)
 	q := build(t, c, "SELECT name FROM Emp WHERE 1 + 1 = 2")
-	q.Root = Normalize(q.Root, DefaultNormalize())
+	NormalizeQuery(q, DefaultNormalize())
 	// Filter folds to TRUE and the Select disappears.
 	VisitRel(q.Root, func(e RelExpr) {
 		if _, ok := e.(*Select); ok {
@@ -556,7 +556,7 @@ func TestNormalizeConstantFolding(t *testing.T) {
 func TestPruneColumns(t *testing.T) {
 	c := paperCatalog(t)
 	q := build(t, c, "SELECT e.name FROM Emp e, Dept d WHERE e.did = d.did")
-	q.Root = Normalize(q.Root, DefaultNormalize())
+	NormalizeQuery(q, DefaultNormalize())
 	PruneColumns(q)
 	VisitRel(q.Root, func(e RelExpr) {
 		if s, ok := e.(*Scan); ok {
@@ -575,7 +575,7 @@ func TestQueryGraphPaperExample(t *testing.T) {
 	c := paperCatalog(t)
 	q := build(t, c, `SELECT e.name FROM Emp e, Dept d, Emp e2
 		WHERE e.did = d.did AND d.mgr = e2.eid AND e.sal > 10`)
-	q.Root = Normalize(q.Root, NormalizeOptions{FoldConstants: true}) // keep filters unpushed
+	NormalizeQuery(q, NormalizeOptions{FoldConstants: true}) // keep filters unpushed
 	leaves, preds, ok := ExtractJoinBlock(q.Root.(*Project).Input)
 	if !ok || len(leaves) != 3 {
 		t.Fatalf("leaves = %d ok=%v", len(leaves), ok)

@@ -16,6 +16,9 @@ type ColumnMeta struct {
 	// synthesized columns (aggregates, projections).
 	Binding string
 	Kind    datum.Kind
+	// Partial marks the output of a partial aggregate that eager
+	// aggregation staged below a join; it is not staged again.
+	Partial bool
 	// Base links back to the base table and ordinal for columns read from
 	// storage; Base == nil for synthesized columns.
 	Base    *catalog.Table

@@ -35,23 +35,21 @@ func DefaultNormalize() NormalizeOptions {
 	}
 }
 
-// Normalize applies the enabled rewrite rules to fixpoint (bounded) and
-// returns the new root.
-func Normalize(e RelExpr, opts NormalizeOptions) RelExpr {
+// NormalizeQuery applies the enabled rewrite rules to q.Root in place, to
+// fixpoint (bounded), treating q.Outer as constants. It reports whether the
+// tree changed.
+func NormalizeQuery(q *Query, opts NormalizeOptions) bool {
+	opts.outer = q.Outer
+	changed := false
 	for pass := 0; pass < 20; pass++ {
-		changed := false
-		e = normalizeNode(e, opts, &changed)
-		if !changed {
+		did := false
+		q.Root = normalizeNode(q.Root, opts, &did)
+		if !did {
 			break
 		}
+		changed = true
 	}
-	return e
-}
-
-// NormalizeQuery normalizes q.Root in place, treating q.Outer as constants.
-func NormalizeQuery(q *Query, opts NormalizeOptions) {
-	opts.outer = q.Outer
-	q.Root = Normalize(q.Root, opts)
+	return changed
 }
 
 func normalizeNode(e RelExpr, opts NormalizeOptions, changed *bool) RelExpr {

@@ -586,15 +586,17 @@ func formatFilters(fs []Scalar, md *Metadata) string {
 // HasSubqueryRel reports whether any scalar anywhere in the tree contains a
 // Subquery node.
 func HasSubqueryRel(e RelExpr) bool {
-	found := false
-	VisitRel(e, func(n RelExpr) {
-		for _, s := range Scalars(n) {
-			if HasSubquery(s) {
-				found = true
-			}
+	for _, s := range Scalars(e) {
+		if HasSubquery(s) {
+			return true
 		}
-	})
-	return found
+	}
+	for _, c := range Children(e) {
+		if HasSubqueryRel(c) {
+			return true
+		}
+	}
+	return false
 }
 
 // Union combines two inputs with UNION ALL semantics (set-union is layered

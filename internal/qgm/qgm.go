@@ -5,7 +5,9 @@
 // action functions, grouped into rule classes with firing budgets — and a
 // second plan-optimization phase that delegates to the System-R style
 // bottom-up enumerator. Contrast with package cascades, which folds both
-// phases into one goal-driven search.
+// phases into one goal-driven search. The rewrite phase is the engine's only
+// rewrite driver: every optimizer kind runs one of its rule sets, Rewrites or
+// StarburstRewrites, before planning.
 package qgm
 
 import (

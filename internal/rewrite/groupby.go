@@ -23,7 +23,9 @@ import (
 // and their sum stay below 2^53. An inexact or DISTINCT aggregate blocks the
 // rewrite.
 //
-// It returns whether the tree changed.
+// Each aggregate is staged at most once: a partial aggregate is not split
+// again, so a second application changes nothing. It returns whether the
+// tree changed.
 func PushDownGroupBy(q *logical.Query) bool {
 	changed := false
 	q.Root = pushGroupByRel(q.Root, q.Meta, &changed)
@@ -40,7 +42,7 @@ func pushGroupByRel(e logical.RelExpr, md *logical.Metadata, changed *bool) logi
 		e = logical.WithChildren(e, nch)
 	}
 	g, ok := e.(*logical.GroupBy)
-	if !ok || len(g.Aggs) == 0 || len(g.GroupCols) == 0 {
+	if !ok || len(g.Aggs) == 0 || len(g.GroupCols) == 0 || md.Column(g.Aggs[0].ID).Partial {
 		return e
 	}
 	join, ok := g.Input.(*logical.Join)
@@ -153,7 +155,7 @@ func eagerAggregateSide(g *logical.GroupBy, join *logical.Join, md *logical.Meta
 		if a.Fn == logical.AggCount {
 			combine = logical.AggSum
 		}
-		p := md.AddColumn(logical.ColumnMeta{Name: partialName[a.Fn], Kind: md.Column(a.ID).Kind})
+		p := md.AddColumn(logical.ColumnMeta{Name: partialName[a.Fn], Kind: md.Column(a.ID).Kind, Partial: true})
 		partialAggs = append(partialAggs, logical.AggItem{ID: p, Fn: a.Fn, Arg: a.Arg})
 		finalAggs = append(finalAggs, logical.AggItem{ID: a.ID, Fn: combine, Arg: &logical.Col{ID: p}})
 	}

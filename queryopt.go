@@ -1,11 +1,12 @@
 // Package queryopt is an embedded relational engine whose optimizer
 // reproduces "An Overview of Query Optimization in Relational Systems"
 // (Chaudhuri, PODS 1998): System-R dynamic programming with interesting
-// orders, a Starburst-style rewrite phase over a QGM, a Volcano/Cascades
-// memo optimizer, histogram-based statistics, the major algebraic
-// transformations (subquery unnesting, eager aggregation, magic semijoins,
-// outerjoin reordering), materialized-view answering, expensive-predicate
-// placement and two-phase parallel optimization.
+// orders, a Volcano/Cascades memo optimizer, histogram-based statistics, the
+// major algebraic transformations (subquery unnesting, eager aggregation,
+// magic semijoins, outerjoin reordering) as one Starburst-style rewrite
+// phase — a rule engine every optimizer runs once per statement, before
+// materialized-view answering and planning —, expensive-predicate placement
+// and two-phase parallel optimization.
 //
 // Quick start:
 //
@@ -36,7 +37,6 @@ import (
 	"repro/internal/plancache"
 	"repro/internal/qgm"
 	"repro/internal/reference"
-	"repro/internal/rewrite"
 	"repro/internal/sql"
 	"repro/internal/stats"
 	"repro/internal/storage"
@@ -52,7 +52,8 @@ type OptimizerKind uint8
 const (
 	// SystemR: bottom-up dynamic programming with interesting orders (§3).
 	SystemR OptimizerKind = iota
-	// Starburst: QGM rewrite phase, then bottom-up plan optimization (§6.1).
+	// Starburst: System-R planning after a rewrite phase whose rule set
+	// adds magic semijoins (§4.3) to every other kind's (§6.1).
 	Starburst
 	// Cascades: single-phase top-down memo search (§6.2).
 	Cascades
@@ -79,8 +80,9 @@ func (k OptimizerKind) String() string {
 // Options configures an Engine.
 type Options struct {
 	Optimizer OptimizerKind
-	// DisableRewrites turns off the §4 transformations (unnesting etc.) for
-	// SystemR/Cascades runs; Starburst always runs its rewrite phase.
+	// DisableRewrites turns off the rewrite phase, the §4 transformations
+	// (unnesting etc.), for every optimizer kind: the query is only
+	// normalized, and every subquery runs as a sub-plan.
 	DisableRewrites bool
 	// UseMaterializedViews enables transparent view answering (§7.3): every
 	// SELECT — ad hoc, EXPLAINed or prepared — also plans its rewritings over
@@ -237,6 +239,10 @@ type Engine struct {
 	// faults injects errors/latency into scan batches and spill I/O of every
 	// query this engine runs — the fault harness the robustness tests drive.
 	faults *faultfs.Injector
+	// rewrites is the rule set of the rewrite phase compile runs unless
+	// DisableRewrites is set: Starburst's (with magic) for Starburst,
+	// qgm.Rewrites for every other kind. Tests swap in a set without one rule.
+	rewrites *qgm.Engine
 
 	// mu is the catalog latch: SELECTs hold it shared for their whole
 	// build-optimize-execute span, statements that mutate catalog or data
@@ -303,7 +309,11 @@ func New(opts Options) *Engine {
 			DisableCompression: opts.DisableCompression,
 		}),
 		feedback: physical.NewFeedbackRing(feedbackCapacity),
+		rewrites: qgm.Rewrites,
 		replan:   make(map[string]struct{}),
+	}
+	if opts.Optimizer == Starburst {
+		eng.rewrites = qgm.StarburstRewrites
 	}
 	if opts.FeedbackPatching {
 		eng.overrides = stats.NewOverrides()
@@ -712,7 +722,8 @@ type compiled struct {
 // compile is the one statement path: ad-hoc statements, EXPLAIN, EXPLAIN
 // ANALYZE, QueryAnalyze and prepared statements all come through here. It
 // builds the query (substituting binds as parameter-tagged constants, so the
-// plan can be re-bound later), normalizes and rewrites it (§4), adds its
+// plan can be re-bound later), runs the rewrite phase over it once (§4,
+// §6.1; only normalization under DisableRewrites), adds its
 // materialized-view rewritings as alternatives (§7.3), optimizes every
 // alternative — the bodies of the subqueries the rewrites leave included —
 // and keeps the cheapest plan. Reference mode stops after the rewrites.
@@ -727,13 +738,10 @@ func (e *Engine) compile(sel *sql.SelectStmt, binds []datum.D) (*compiled, error
 	if err != nil {
 		return nil, err
 	}
-	logical.NormalizeQuery(q, logical.DefaultNormalize())
-	if !e.opts.DisableRewrites && e.opts.Optimizer != Starburst {
-		rewrite.UnnestSubqueries(q)
-		rewrite.AssociateJoinOuterjoin(q)
-		rewrite.MovePredicates(q)
-		rewrite.PushDownGroupBy(q)
+	if e.opts.DisableRewrites {
 		logical.NormalizeQuery(q, logical.DefaultNormalize())
+	} else {
+		e.rewrites.Run(q)
 	}
 	if e.opts.Optimizer == Reference {
 		logical.PruneColumns(q)
@@ -991,15 +999,12 @@ func (e *Engine) newEstimator(md *logical.Metadata) *stats.Estimator {
 	return est
 }
 
-// optimizeOne optimizes a logical query and reports the planning tier that
-// produced the plan (see Result.PlannerTier). Starburst runs its QGM rewrite
-// phase first (§6.1). Every subquery left in the query then gets its body
-// planned by the same optimizer (logical.PlanSubqueries), so that the
-// executor runs an optimized sub-plan per outer row.
+// optimizeOne optimizes a rewritten logical query and reports the planning
+// tier that produced the plan (see Result.PlannerTier). Every subquery left
+// in the query gets its body planned by the same optimizer
+// (logical.PlanSubqueries), so that the executor runs an optimized sub-plan
+// per outer row.
 func (e *Engine) optimizeOne(q *logical.Query) (physical.Plan, string, error) {
-	if e.opts.Optimizer == Starburst {
-		qgm.DefaultEngine().Run(q)
-	}
 	err := logical.PlanSubqueries(q.Root, q.Meta, func(body *logical.Query) (logical.SubPlan, error) {
 		plan, _, err := e.optimizeBlock(body)
 		return plan, err

@@ -8,6 +8,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/logical"
+	"repro/internal/sql"
 )
 
 func demoEngine(t *testing.T, opts Options) *Engine {
@@ -247,27 +250,46 @@ func TestNullsSurfaceAsNil(t *testing.T) {
 	}
 }
 
+// TestDisableRewrites: DisableRewrites switches the rewrite phase off for
+// every optimizer kind alike, so a correlated EXISTS stays a subquery and is
+// evaluated by tuple iteration.
 func TestDisableRewrites(t *testing.T) {
-	e := demoEngine(t, Options{DisableRewrites: true})
-	res, err := e.Exec("SELECT d.dname FROM dept d WHERE EXISTS (SELECT 1 FROM emp e WHERE e.did = d.did)")
+	const q = "SELECT d.dname FROM dept d WHERE EXISTS (SELECT 1 FROM emp e WHERE e.did = d.did)"
+	sel, err := sql.ParseSelect(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 3 {
-		t.Errorf("rows = %d", len(res.Rows))
-	}
-	// Without unnesting, tuple-iteration must have evaluated subqueries.
-	if res.Stats.SubqueryEvals == 0 {
-		t.Error("expected tuple-iteration subquery evaluation")
+	for _, kind := range []OptimizerKind{SystemR, Starburst, Cascades, Reference} {
+		e := demoEngine(t, Options{Optimizer: kind, DisableRewrites: true})
+		res, err := e.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Rows) != 3 {
+			t.Errorf("%v: rows = %d", kind, len(res.Rows))
+		}
+		// Without unnesting, tuple-iteration must have evaluated subqueries.
+		if res.Stats.SubqueryEvals == 0 {
+			t.Errorf("%v: expected tuple-iteration subquery evaluation", kind)
+		}
+		c, err := e.compile(sel, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !logical.HasSubqueryRel(c.q.Root) {
+			t.Errorf("%v: rewrites off, yet the subquery was unnested\n%s", kind, logical.Format(c.q.Root, c.q.Meta))
+		}
+		e.Close()
 	}
 }
 
 // TestOneStatementPath pins the one statement path: every SELECT — ad hoc,
 // EXPLAINed, analyzed or prepared — is rewritten, answered from views and
 // optimized by the same calls, so each has exactly one call site among the
-// package's non-test files. No file imports internal/parallel: the degree of
-// parallelism is the executor's, and the statement path plans one plan for
-// every degree.
+// package's non-test files. The rewrite phase's rule set is the only driver
+// of the §4 rewrites: none is called directly. No file imports
+// internal/parallel: the degree of parallelism is the executor's, and the
+// statement path plans one plan for every degree.
 func TestOneStatementPath(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
@@ -292,15 +314,22 @@ func TestOneStatementPath(t *testing.T) {
 			if call, ok := n.(*ast.CallExpr); ok {
 				if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 					calls[sel.Sel.Name]++
+					if x, ok := sel.X.(*ast.SelectorExpr); ok {
+						calls[x.Sel.Name+"."+sel.Sel.Name]++
+					}
 				}
 			}
 			return true
 		})
 	}
-	for _, fn := range []string{"UnnestSubqueries", "AssociateJoinOuterjoin", "MovePredicates", "PushDownGroupBy",
-		"RewriteWithViews", "optimizeOne"} {
+	for _, fn := range []string{"rewrites.Run", "RewriteWithViews", "optimizeOne"} {
 		if calls[fn] != 1 {
 			t.Errorf("%s has %d call sites, want 1", fn, calls[fn])
+		}
+	}
+	for _, fn := range []string{"UnnestSubqueries", "AssociateJoinOuterjoin", "MovePredicates", "PushDownGroupBy", "ApplyMagic"} {
+		if calls[fn] != 0 {
+			t.Errorf("%s is called outside the rewrite phase's rule set", fn)
 		}
 	}
 }
